@@ -6,7 +6,7 @@ use qb_bench::{build_corpus, build_engine_with, publish_corpus};
 use qb_cache::{CacheConfig, EvictionPolicy, QueryCache};
 use qb_common::{DetRng, SimInstant};
 use qb_index::{ShardEntry, ShardPosting};
-use qb_queenbee::QueenBeeConfig;
+use qb_queenbee::{QueenBeeConfig, RoutingPolicy, SearchRequest};
 use qb_workload::{QueryWorkload, ZipfSampler};
 
 fn sample_shard(term: &str, docs: usize) -> ShardEntry {
@@ -89,7 +89,10 @@ fn bench_cached_search(c: &mut Criterion) {
     c.bench_function("cache/search_cache_off", |b| {
         b.iter(|| {
             i += 1;
-            cold.search((i % 40) as u64, &queries[i % queries.len()])
+            cold.search_request(
+                SearchRequest::new(&queries[i % queries.len()])
+                    .route(RoutingPolicy::HashPeer((i % 40) as u64)),
+            )
         })
     });
 
@@ -97,13 +100,17 @@ fn bench_cached_search(c: &mut Criterion) {
     publish_corpus(&mut warm, &corpus);
     // Pre-warm every query once so the measured loop sees the steady state.
     for (i, q) in queries.iter().enumerate() {
-        let _ = warm.search((i % 40) as u64, q);
+        let _ = warm
+            .search_request(SearchRequest::new(q).route(RoutingPolicy::HashPeer((i % 40) as u64)));
     }
     let mut j = 0usize;
     c.bench_function("cache/search_cache_warm", |b| {
         b.iter(|| {
             j += 1;
-            warm.search((j % 40) as u64, &queries[j % queries.len()])
+            warm.search_request(
+                SearchRequest::new(&queries[j % queries.len()])
+                    .route(RoutingPolicy::HashPeer((j % 40) as u64)),
+            )
         })
     });
 }

@@ -3,6 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qb_bench::{build_corpus, build_engine, publish_corpus};
 use qb_common::DetRng;
+use qb_queenbee::{RoutingPolicy, SearchRequest};
 use qb_workload::QueryWorkload;
 
 fn bench_query(c: &mut Criterion) {
@@ -16,7 +17,10 @@ fn bench_query(c: &mut Criterion) {
     c.bench_function("query_latency/queenbee_search", |b| {
         b.iter(|| {
             i += 1;
-            qb.search((i % 40) as u64, &queries[i % queries.len()])
+            qb.search_request(
+                SearchRequest::new(&queries[i % queries.len()])
+                    .route(RoutingPolicy::HashPeer((i % 40) as u64)),
+            )
         })
     });
 }

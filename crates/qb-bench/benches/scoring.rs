@@ -6,7 +6,8 @@ use qb_index::{search, Analyzer, Bm25, InvertedIndex, Query, QueryMode, Scorer, 
 
 fn bench_scoring(c: &mut Criterion) {
     let s = Bm25::default();
-    c.bench_function("scoring/bm25_1M_calls", |b| {
+    // 999 term frequencies × 11 document frequencies = 10 989 calls.
+    c.bench_function("scoring/bm25_11k_calls", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for tf in 1..1_000u32 {

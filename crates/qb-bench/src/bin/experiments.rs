@@ -17,7 +17,7 @@ use qb_bench::{build_corpus, build_engine, crawl_docs, f2, f4, publish_corpus, T
 use qb_chain::AccountId;
 use qb_common::{DetRng, LatencyHistogram, SimDuration, SimInstant};
 use qb_dweb::WebPage;
-use qb_queenbee::{gini_coefficient, CollusionAttack, ScraperAttack};
+use qb_queenbee::{gini_coefficient, CollusionAttack, RoutingPolicy, ScraperAttack, SearchRequest};
 use qb_workload::{mutate_page, AdvertiserWorkload, QueryWorkload, UpdateStream};
 use std::collections::HashMap;
 
@@ -88,8 +88,9 @@ fn f1_architecture() -> Vec<Table> {
     let mut rng = DetRng::new(0xF1);
     let mut answered = 0;
     for q in workload.generate_batch(&corpus, &mut rng, 20) {
-        if let Ok(out) = qb.search(3, &q) {
-            if !out.results.is_empty() {
+        if let Ok(out) = qb.search_request(SearchRequest::new(&q).route(RoutingPolicy::HashPeer(3)))
+        {
+            if !out.hits.is_empty() {
                 answered += 1;
             }
         }
@@ -214,7 +215,9 @@ fn e1_latency_throughput() -> Vec<Table> {
                 central_ok += 1;
             }
             let peer = (i % 50) as u64;
-            if let Ok(out) = qb.search(peer, q) {
+            if let Ok(out) =
+                qb.search_request(SearchRequest::new(q).route(RoutingPolicy::HashPeer(peer)))
+            {
                 qb_lat.record(out.latency);
                 qb_ok += 1;
             }
@@ -260,8 +263,8 @@ fn e2_resilience() -> Vec<Table> {
                 tries += 1;
             }
             if qb
-                .search(peer, q)
-                .map(|o| !o.results.is_empty())
+                .search_request(SearchRequest::new(q).route(RoutingPolicy::HashPeer(peer)))
+                .map(|o| !o.hits.is_empty())
                 .unwrap_or(false)
             {
                 qb_ok += 1;
@@ -299,8 +302,8 @@ fn e2_resilience() -> Vec<Table> {
         for (i, q) in queries.iter().enumerate() {
             let peer = (i % 60) as u64;
             if qb
-                .search(peer, q)
-                .map(|o| !o.results.is_empty())
+                .search_request(SearchRequest::new(q).route(RoutingPolicy::HashPeer(peer)))
+                .map(|o| !o.hits.is_empty())
                 .unwrap_or(false)
             {
                 qb_ok += 1;
@@ -436,8 +439,10 @@ fn e3_freshness() -> Vec<Table> {
     let mut qb_stale = 0u64;
     let mut qb_lag = 0u64;
     for (i, q) in queries.iter().enumerate() {
-        if let Ok(out) = qb.search((i % 50) as u64, q) {
-            let (f, s, l) = staleness(&out.results);
+        if let Ok(out) =
+            qb.search_request(SearchRequest::new(q).route(RoutingPolicy::HashPeer((i % 50) as u64)))
+        {
+            let (f, s, l) = staleness(&out.hits);
             qb_fresh += f;
             qb_stale += s;
             qb_lag += l;
@@ -564,7 +569,9 @@ fn e5_incentives() -> Vec<Table> {
         .iter()
         .enumerate()
     {
-        if let Ok(out) = qb.search((i % 50) as u64, q) {
+        if let Ok(out) =
+            qb.search_request(SearchRequest::new(q).route(RoutingPolicy::HashPeer((i % 50) as u64)))
+        {
             if out.ad.is_some()
                 && ad_workload.user_clicks(&mut rng)
                 && qb.click_ad(&out).unwrap_or(false)
@@ -712,9 +719,11 @@ fn e6_collusion() -> Vec<Table> {
             let mut spam_hits = 0;
             let mut answered = 0;
             for (i, q) in queries.iter().enumerate() {
-                if let Ok(out) = qb.search((i % 40) as u64, q) {
+                if let Ok(out) = qb.search_request(
+                    SearchRequest::new(q).route(RoutingPolicy::HashPeer((i % 40) as u64)),
+                ) {
                     answered += 1;
-                    if out.results.iter().take(3).any(|r| r.name == "evil/spam") {
+                    if out.hits.iter().take(3).any(|r| r.name == "evil/spam") {
                         spam_hits += 1;
                     }
                 }
@@ -841,10 +850,12 @@ fn e9_cache(quick: bool) -> Vec<Table> {
                 qb.process_publish_events().expect("reindex");
             }
             qb.advance_time(SimDuration::from_millis(50));
-            if let Ok(out) = qb.search((i % 50) as u64, &pool[q]) {
+            if let Ok(out) = qb.search_request(
+                SearchRequest::new(&pool[q]).route(RoutingPolicy::HashPeer((i % 50) as u64)),
+            ) {
                 latency.record(out.latency);
-                messages += out.messages;
-                shard_fetches += out.shards_fetched as u64;
+                messages += out.messages();
+                shard_fetches += out.shards_fetched() as u64;
                 answered += 1;
             }
         }
@@ -1014,14 +1025,16 @@ fn e10_gossip(quick: bool) -> Vec<Table> {
             qb.advance_time(SimDuration::from_millis(50));
             // One shared stream, served round-robin across the fleet.
             let frontend = i % FLEET;
-            if let Ok(out) = qb.search_from(frontend, &pool[q]) {
+            if let Ok(out) = qb
+                .search_request(SearchRequest::new(&pool[q]).route(RoutingPolicy::Direct(frontend)))
+            {
                 all.record(out.latency);
                 if served[frontend] < COLD_WINDOW {
                     cold[frontend].record(out.latency);
                 }
                 served[frontend] += 1;
-                messages += out.messages;
-                shard_fetches += out.shards_fetched as u64;
+                messages += out.messages();
+                shard_fetches += out.shards_fetched() as u64;
             }
         }
         FleetRun {
@@ -1130,7 +1143,6 @@ fn e10_gossip(quick: bool) -> Vec<Table> {
 /// served locally and this tradeoff disappears; what batching then adds is
 /// the cross-query dedup of cold misses measured here.
 fn e11_batch(quick: bool) -> Vec<Table> {
-    use qb_queenbee::{RoutingPolicy, SearchRequest};
     use qb_workload::ZipfSampler;
 
     const WINDOW: usize = 32;
@@ -1410,13 +1422,15 @@ fn e12_churn(quick: bool) -> Vec<Table> {
                 .filter(|&f| qb.fleet().expect("fleet").is_active(f))
                 .collect();
             let frontend = actives[i % actives.len()];
-            if let Ok(out) = qb.search_from(frontend, &pool[q]) {
+            if let Ok(out) = qb
+                .search_request(SearchRequest::new(&pool[q]).route(RoutingPolicy::Direct(frontend)))
+            {
                 latency.record(out.latency);
-                messages += out.messages;
-                shard_fetches += out.shards_fetched as u64;
+                messages += out.messages();
+                shard_fetches += out.shards_fetched() as u64;
                 if (warm_len..warm_len + steady_len).contains(&i) {
                     steady_served += 1;
-                    if out.shards_fetched == 0 {
+                    if out.shards_fetched() == 0 {
                         steady_hits += 1;
                     }
                 }
@@ -1432,10 +1446,12 @@ fn e12_churn(quick: bool) -> Vec<Table> {
         }
         let mut joined_hits = 0u64;
         for &q in &probes {
-            if let Ok(out) = qb.search_from(joined, &pool[q]) {
-                messages += out.messages;
-                shard_fetches += out.shards_fetched as u64;
-                if out.shards_fetched == 0 {
+            if let Ok(out) =
+                qb.search_request(SearchRequest::new(&pool[q]).route(RoutingPolicy::Direct(joined)))
+            {
+                messages += out.messages();
+                shard_fetches += out.shards_fetched() as u64;
+                if out.shards_fetched() == 0 {
                     joined_hits += 1;
                 }
             }
@@ -1797,7 +1813,7 @@ fn e12_churn(quick: bool) -> Vec<Table> {
 /// * batch-aware gossip warms a non-serving frontend ≥ 1 round earlier
 ///   than the PR 4 baseline.
 fn e13_pipeline(quick: bool) -> Vec<Table> {
-    use qb_queenbee::{PipelineConfig, RoutingPolicy, SearchRequest, TermProvenance};
+    use qb_queenbee::{PipelineConfig, TermProvenance};
     use qb_workload::ZipfSampler;
 
     const WINDOW: usize = 16;
@@ -2193,7 +2209,9 @@ fn e13_pipeline(quick: bool) -> Vec<Table> {
         // short-circuits the shard-tier lookup that feeds popularity).
         for hot in ["hotalpha", "hotbeta", "hotgamma", "hotdelta"] {
             for j in 0..10 {
-                let _ = qb.search_from(0, &format!("{hot} zz{j}"));
+                let _ = qb.search_request(
+                    SearchRequest::new(format!("{hot} zz{j}")).route(RoutingPolicy::Direct(0)),
+                );
             }
         }
 
@@ -2950,10 +2968,12 @@ fn e16_segment(quick: bool) -> Vec<Table> {
         for (i, &q) in stream.iter().enumerate() {
             qb.advance_time(SimDuration::from_millis(50));
             let frontend = i % fleet_n;
-            if let Ok(out) = qb.search_from(frontend, &pool[q]) {
+            if let Ok(out) = qb
+                .search_request(SearchRequest::new(&pool[q]).route(RoutingPolicy::Direct(frontend)))
+            {
                 if i >= stream.len() / 2 {
                     steady_served += 1;
-                    if out.shards_fetched == 0 {
+                    if out.shards_fetched() == 0 {
                         steady_hits += 1;
                     }
                 }
@@ -2989,9 +3009,13 @@ fn e16_segment(quick: bool) -> Vec<Table> {
             let slice = &probes[r * PROBE_K..(r + 1) * PROBE_K];
             let mut hits = 0u64;
             for &q in slice {
-                let out = qb.search_from(joined, &pool[q]).expect("probe");
-                probe_shard_fetches += out.shards_fetched as u64;
-                if out.shards_fetched == 0 {
+                let out = qb
+                    .search_request(
+                        SearchRequest::new(&pool[q]).route(RoutingPolicy::Direct(joined)),
+                    )
+                    .expect("probe");
+                probe_shard_fetches += out.shards_fetched() as u64;
+                if out.shards_fetched() == 0 {
                     hits += 1;
                 }
             }
@@ -3502,8 +3526,12 @@ fn e17_hedging(quick: bool) -> Vec<Table> {
             .iter()
             .enumerate()
             .map(|(i, q)| {
-                let out = qb.search(i as u64 % 4, q).expect("search");
-                out.results.iter().map(|r| r.doc_id).collect()
+                let out = qb
+                    .search_request(
+                        SearchRequest::new(q).route(RoutingPolicy::HashPeer(i as u64 % 4)),
+                    )
+                    .expect("search");
+                out.hits.iter().map(|r| r.doc_id).collect()
             })
             .collect()
     };

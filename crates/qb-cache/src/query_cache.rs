@@ -467,14 +467,6 @@ impl QueryCache {
         self.shards.version_of(term)
     }
 
-    /// Remaining lifetime of a term's cached shard at `now` (`None` when
-    /// absent or expired). Gossip fills carry this — not a freshly
-    /// recomputed TTL — so relaying a shard between frontends can only
-    /// tighten, never restart, its staleness bound.
-    pub fn shard_remaining_ttl(&self, term: &str, now: SimInstant) -> Option<SimDuration> {
-        self.shards.remaining_ttl(term, now)
-    }
-
     /// Admit a shard received from another frontend. `known_version` is the
     /// highest version of this term the receiving frontend has observed
     /// (from its own DHT fetches, publish events, or earlier gossip): a copy

@@ -27,12 +27,6 @@ impl NodeId {
         let key = Hash256::digest_parts(&[b"node:", &index.to_be_bytes()]);
         NodeId { index, key }
     }
-
-    /// Derive a node id from an arbitrary label (useful in tests).
-    pub fn from_label(index: u64, label: &str) -> NodeId {
-        let key = Hash256::digest_parts(&[b"node-label:", label.as_bytes()]);
-        NodeId { index, key }
-    }
 }
 
 impl fmt::Debug for NodeId {
@@ -121,11 +115,6 @@ impl DhtKey {
     /// Key from arbitrary bytes (generic records).
     pub fn from_bytes(data: &[u8]) -> DhtKey {
         DhtKey(sha256(data))
-    }
-
-    /// XOR distance to a node id.
-    pub fn distance_to(&self, node: &Hash256) -> [u8; 32] {
-        self.0.xor(node)
     }
 
     /// Hex representation.

@@ -77,11 +77,6 @@ impl DetRng {
         self.gen_f64() < p.clamp(0.0, 1.0)
     }
 
-    /// Uniform f64 in `[lo, hi)`.
-    pub fn gen_f64_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.gen_f64()
-    }
-
     /// Sample from an exponential distribution with the given mean.
     /// Used for Poisson inter-arrival times (page updates, queries).
     pub fn gen_exp(&mut self, mean: f64) -> f64 {

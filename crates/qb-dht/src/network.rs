@@ -112,11 +112,6 @@ impl DhtNetwork {
         &self.nodes[index as usize]
     }
 
-    /// Mutable access to a node's local state.
-    pub fn node_mut(&mut self, index: u64) -> &mut DhtNode {
-        &mut self.nodes[index as usize]
-    }
-
     /// Ground-truth closest online nodes to a key (bypasses routing tables);
     /// used by tests and by the experiment harness to validate lookups.
     pub fn closest_online_global(&self, net: &SimNet, key: &Hash256, count: usize) -> Vec<NodeId> {
@@ -397,30 +392,6 @@ impl DhtNetwork {
             lookup.latency + parallel_latency(&latencies),
             messages,
         ))
-    }
-
-    /// Republish every record each node holds to the current closest replicas
-    /// (Kademlia's periodic republish). Returns the number of records pushed.
-    pub fn republish_all(&mut self, net: &mut SimNet) -> usize {
-        let mut pushed = 0;
-        for i in 0..self.nodes.len() as u64 {
-            if !net.is_online(i) {
-                continue;
-            }
-            let records: Vec<Record> = self.nodes[i as usize].records().cloned().collect();
-            for rec in records {
-                if rec.expires_at <= net.now() {
-                    continue;
-                }
-                if self
-                    .put_record(net, i, rec.key, rec.value.clone(), rec.version)
-                    .is_ok()
-                {
-                    pushed += 1;
-                }
-            }
-        }
-        pushed
     }
 
     /// Expire stale records on every node. Returns the number removed.

@@ -22,11 +22,6 @@ impl RoutingTable {
         }
     }
 
-    /// Key of the owning node.
-    pub fn local_key(&self) -> Hash256 {
-        self.local
-    }
-
     /// Bucket index for a peer key (common prefix length, capped at 256).
     fn bucket_index(&self, key: &Hash256) -> usize {
         self.local.common_prefix_len(key).min(256)

@@ -85,11 +85,6 @@ impl WebPage {
     pub fn text(&self) -> String {
         format!("{} {}", self.title, self.body)
     }
-
-    /// Approximate page size in bytes (rendered form).
-    pub fn size_bytes(&self) -> usize {
-        self.render_html().len()
-    }
 }
 
 fn escape(s: &str) -> String {

@@ -1,0 +1,321 @@
+//! The serving kernel: what the query frontend does with the shards of a
+//! query's terms — "intersecting the matched inverted lists", scoring and
+//! ranking — in one place, walking the shards' doc-id-sorted postings
+//! directly.
+//!
+//! [`crate::query::search`] evaluates the same query semantics over a local
+//! [`crate::InvertedIndex`]; it stays separate because it is the reference
+//! the baselines and the benchmark's oracle compare this kernel against.
+
+use crate::query::ScoredDoc;
+use crate::scorer::{blend_with_rank, Bm25, Scorer};
+use crate::shard::{IndexStats, ShardEntry, ShardPosting};
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::fmt::Write;
+
+/// Prefix conjunctions a caller keeps across kernel calls (the pipelined
+/// engine's window memo), so `"a b"` and `"a b c"` share the `a ∩ b` work.
+/// Entries are doc-id vectors keyed by the caller's scope plus the exact
+/// `term@version` sequence, in smallest-first order, they were computed
+/// over — a hit is provably the identical conjunction.
+#[derive(Debug, Default)]
+pub struct PrefixCache {
+    conjunctions: HashMap<String, Vec<u64>>,
+    /// Kernel calls that resumed from a cached prefix.
+    pub hits: u64,
+}
+
+impl PrefixCache {
+    /// Entries held before the cache resets wholesale (which only costs
+    /// recomputation).
+    pub const MAX_ENTRIES: usize = 8_192;
+}
+
+/// Advance `cursor` to the first posting at or past it whose doc id is
+/// `>= doc_id` — galloping, so a short candidate list skips through a long
+/// shard — and return that posting when it is `doc_id`'s own.
+fn advance<'a>(
+    postings: &'a [ShardPosting],
+    cursor: &mut usize,
+    doc_id: u64,
+) -> Option<&'a ShardPosting> {
+    let (mut lo, mut hi, mut step) = (*cursor, *cursor, 1usize);
+    while hi < postings.len() && postings[hi].doc_id < doc_id {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(postings.len());
+    *cursor = lo + postings[lo..hi].partition_point(|p| p.doc_id < doc_id);
+    postings.get(*cursor).filter(|p| p.doc_id == doc_id)
+}
+
+/// Intersect the query terms' shards (falling back to the union when the
+/// conjunction is empty, so multi-term queries degrade gracefully), score
+/// each candidate with BM25 summed over the shards in the order given,
+/// blend with PageRank and rank by `(score desc, doc id asc)`. Returns the
+/// **full** sorted list — pagination is the caller's job — plus the number
+/// of candidates scored.
+///
+/// Shards must hold their postings strictly ascending by doc id
+/// ([`ShardEntry::upsert`] maintains this). A document's metadata is taken
+/// from the last shard, in the order given, that holds it. With `prefixes`
+/// (a scope string and the caller's cache) the conjunction resumes from the
+/// longest cached prefix and remembers every prefix it computes; the result
+/// is identical either way.
+pub fn intersect_and_score<S: Borrow<ShardEntry>>(
+    shards: &[S],
+    stats: &IndexStats,
+    rank_of: impl Fn(&str) -> f64,
+    rank_weight: f64,
+    prefixes: Option<(&str, &mut PrefixCache)>,
+) -> (Vec<ScoredDoc>, usize) {
+    // Intersect smallest-first (stable) so the candidate set shrinks
+    // fastest; the order also fixes the prefix keys.
+    let mut order: Vec<&ShardEntry> = shards.iter().map(Borrow::borrow).collect();
+    order.sort_by_key(|s| s.postings.len());
+
+    let mut keys: Vec<String> = Vec::new();
+    let mut cache = prefixes.map(|(scope, cache)| {
+        if cache.conjunctions.len() >= PrefixCache::MAX_ENTRIES {
+            cache.conjunctions.clear();
+        }
+        let mut key = scope.to_string();
+        keys.extend(order.iter().map(|s| {
+            let _ = write!(key, "|{}@{}", s.term, s.version);
+            key.clone()
+        }));
+        cache
+    });
+    let mut candidates: Vec<u64> = Vec::new();
+    let mut resumed = 0;
+    if let Some(cache) = cache.as_deref_mut() {
+        let cached = (0..keys.len())
+            .rev()
+            .find_map(|i| Some((i, cache.conjunctions.get(&keys[i])?)));
+        if let Some((i, docs)) = cached {
+            candidates = docs.clone();
+            resumed = i + 1;
+            cache.hits += 1;
+        }
+    }
+    for (i, shard) in order.iter().enumerate().skip(resumed) {
+        if i == 0 {
+            candidates = shard.postings.iter().map(|p| p.doc_id).collect();
+        } else {
+            let mut cursor = 0;
+            candidates.retain(|&doc_id| advance(&shard.postings, &mut cursor, doc_id).is_some());
+        }
+        if let Some(cache) = cache.as_deref_mut() {
+            cache
+                .conjunctions
+                .insert(std::mem::take(&mut keys[i]), candidates.clone());
+        }
+    }
+    if candidates.is_empty() && order.len() > 1 {
+        candidates = order
+            .iter()
+            .flat_map(|s| s.postings.iter().map(|p| p.doc_id))
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+    }
+
+    // Candidates ascend, so one cursor per shard walks each list once.
+    let scorer = Bm25::default();
+    let num_docs = stats.num_docs.max(1) as usize;
+    let avg_len = stats.avg_len();
+    let mut cursors = vec![0usize; shards.len()];
+    let mut results: Vec<ScoredDoc> = Vec::with_capacity(candidates.len());
+    for doc_id in candidates {
+        let mut relevance = 0.0;
+        let mut meta: Option<&ShardPosting> = None;
+        for (shard, cursor) in shards.iter().zip(&mut cursors) {
+            let shard: &ShardEntry = shard.borrow();
+            if let Some(p) = advance(&shard.postings, cursor, doc_id) {
+                relevance +=
+                    scorer.score(p.term_freq, p.doc_len, avg_len, shard.doc_freq(), num_docs);
+                meta = Some(p);
+            }
+        }
+        let Some(meta) = meta else { continue };
+        results.push(ScoredDoc {
+            doc_id,
+            name: meta.name.clone(),
+            score: blend_with_rank(relevance, rank_of(&meta.name), rank_weight),
+            version: meta.version,
+            creator: meta.creator,
+        });
+    }
+    results.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.doc_id.cmp(&b.doc_id))
+    });
+    let scored = results.len();
+    (results, scored)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet, HashSet};
+
+    /// The same query semantics written the obvious way: hash-set
+    /// conjunction, union fallback, per-candidate binary search, relevance
+    /// summed over the shards in the order given.
+    fn reference(
+        shards: &[ShardEntry],
+        stats: &IndexStats,
+        rank_of: impl Fn(&str) -> f64,
+        rank_weight: f64,
+    ) -> (Vec<ScoredDoc>, usize) {
+        let sets: Vec<HashSet<u64>> = shards
+            .iter()
+            .map(|s| s.postings.iter().map(|p| p.doc_id).collect())
+            .collect();
+        let mut candidates: BTreeSet<u64> = sets[0]
+            .iter()
+            .copied()
+            .filter(|d| sets.iter().all(|s| s.contains(d)))
+            .collect();
+        if candidates.is_empty() && shards.len() > 1 {
+            candidates = sets.iter().flatten().copied().collect();
+        }
+        let scorer = Bm25::default();
+        let num_docs = stats.num_docs.max(1) as usize;
+        let mut results = Vec::new();
+        for doc_id in candidates {
+            let mut relevance = 0.0;
+            let mut meta = None;
+            for shard in shards {
+                if let Some(p) = shard.get(doc_id) {
+                    relevance += scorer.score(
+                        p.term_freq,
+                        p.doc_len,
+                        stats.avg_len(),
+                        shard.doc_freq(),
+                        num_docs,
+                    );
+                    meta = Some(p);
+                }
+            }
+            let meta = meta.expect("candidates come from the shards");
+            results.push(ScoredDoc {
+                doc_id,
+                name: meta.name.clone(),
+                score: blend_with_rank(relevance, rank_of(&meta.name), rank_weight),
+                version: meta.version,
+                creator: meta.creator,
+            });
+        }
+        results.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.doc_id.cmp(&b.doc_id))
+        });
+        let scored = results.len();
+        (results, scored)
+    }
+
+    /// Every field, with the score compared bit for bit.
+    fn bits(results: &[ScoredDoc]) -> Vec<(u64, &str, u64, u64, u64)> {
+        results
+            .iter()
+            .map(|r| {
+                (
+                    r.doc_id,
+                    r.name.as_str(),
+                    r.score.to_bits(),
+                    r.version,
+                    r.creator,
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn kernel_matches_the_naive_reference(
+            // Per shard: doc id → (term freq, doc len, metadata variant).
+            // Ids come from a small range so shards overlap, stay disjoint
+            // or come out empty; the variant makes two shards disagree on a
+            // shared document's name and version.
+            lists in proptest::collection::vec(
+                proptest::collection::btree_map(0u64..64, (1u32..6, 1u32..200, 0u64..3), 0..40),
+                1..5,
+            ),
+            stats in (0u64..50, 0u64..5_000),
+            rank_tenths in 0u32..11,
+        ) {
+            let shards: Vec<ShardEntry> = lists
+                .iter()
+                .enumerate()
+                .map(|(i, list): (usize, &BTreeMap<u64, (u32, u32, u64)>)| ShardEntry {
+                    term: format!("t{i}"),
+                    version: 1 + i as u64,
+                    postings: list
+                        .iter()
+                        .map(|(&doc_id, &(term_freq, doc_len, variant))| ShardPosting {
+                            doc_id,
+                            term_freq,
+                            doc_len,
+                            name: format!("page/{doc_id}/{variant}"),
+                            version: variant,
+                            creator: i as u64,
+                        })
+                        .collect(),
+                })
+                .collect();
+            let stats = IndexStats { num_docs: stats.0, total_len: stats.1, version: 1 };
+            let rank_of = |name: &str| f64::from(name.bytes().map(u32::from).sum::<u32>() % 97) / 97.0;
+            let rank_weight = f64::from(rank_tenths) / 10.0;
+
+            let (expected, expected_scored) = reference(&shards, &stats, rank_of, rank_weight);
+            let (plain, plain_scored) =
+                intersect_and_score(&shards, &stats, rank_of, rank_weight, None);
+            prop_assert_eq!(bits(&plain), bits(&expected));
+            prop_assert_eq!(plain_scored, expected_scored);
+
+            // Lending a prefix cache — cold, then warm — changes nothing.
+            let mut cache = PrefixCache::default();
+            for warm in [false, true] {
+                let (cached, cached_scored) = intersect_and_score(
+                    &shards, &stats, rank_of, rank_weight, Some(("scope", &mut cache)),
+                );
+                prop_assert_eq!(bits(&cached), bits(&expected));
+                prop_assert_eq!(cached_scored, expected_scored);
+                prop_assert_eq!(cache.hits, u64::from(warm));
+            }
+        }
+    }
+
+    #[test]
+    fn advance_gallops_to_the_first_posting_at_or_past_a_doc_id() {
+        let postings: Vec<ShardPosting> = (0..100u64)
+            .map(|i| ShardPosting {
+                doc_id: i * 3,
+                term_freq: 1,
+                doc_len: 1,
+                name: String::new(),
+                version: 1,
+                creator: 0,
+            })
+            .collect();
+        for from in [0, 1, 50, 99, 100] {
+            for doc_id in [0, 1, 3, 149, 150, 296, 297, 298, 1_000] {
+                let expected = postings[from..].partition_point(|p| p.doc_id < doc_id) + from;
+                let mut cursor = from;
+                let found = advance(&postings, &mut cursor, doc_id);
+                assert_eq!(cursor, expected, "{from} {doc_id}");
+                let at_cursor = postings.get(expected).filter(|p| p.doc_id == doc_id);
+                assert_eq!(found, at_cursor, "{from} {doc_id}");
+            }
+        }
+    }
+}

@@ -14,11 +14,13 @@
 //!   in the DHT when small and spilled into content-addressed storage when
 //!   large, with a versioned pointer record in the DHT — "the index ...
 //!   hosted in a decentralized storage" of the paper, maintained by worker
-//!   bees and read by the query frontend.
+//!   bees and read by the query frontend, which ranks a query's shards with
+//!   the one serving [`kernel`].
 
 pub mod analyzer;
 pub mod doc;
 pub mod index;
+pub mod kernel;
 pub mod postings;
 pub mod query;
 pub mod scorer;
@@ -27,6 +29,7 @@ pub mod shard;
 pub use analyzer::Analyzer;
 pub use doc::{doc_id_for_name, DocMeta, DocTable};
 pub use index::InvertedIndex;
+pub use kernel::{intersect_and_score, PrefixCache};
 pub use postings::{Posting, PostingList};
 pub use query::{search, Query, QueryMode, ScoredDoc};
 pub use scorer::{blend_with_rank, Bm25, Scorer, TfIdf};

@@ -7,13 +7,13 @@ use crate::config::QueenBeeConfig;
 use crate::defense::{verify_index_submissions, MinHashSignature};
 use crate::metrics::{FreshnessProbe, HoneyByRole, QueryEngineStats};
 use crate::query::admission::{IngressQueue, LoadReport, TimedRequest};
-use crate::query::executor::{intersect_and_score, FetchSet, FetchedShard, WindowMemo};
+use crate::query::executor::{FetchSet, FetchedShard, WindowMemo};
 use crate::query::pipeline::{PipelineConfig, PipelineDriver, PipelineOutcome};
 use crate::query::plan::{plan_request, QueryPlan, StatsPlan, TermPlan};
 use crate::query::request::{Freshness, RoutingPolicy, SearchRequest};
 use crate::query::response::{paginate, SearchResponse, StageCosts, TermProvenance};
 use qb_cache::{CacheMetrics, QueryCache, ShardLookup};
-use qb_chain::{AccountId, AdId, Blockchain, Call, Event};
+use qb_chain::{AccountId, Blockchain, Call, Event};
 use qb_common::{DhtKey, Hash256, QbError, QbResult, SimDuration, SimInstant};
 use qb_dht::DhtNetwork;
 use qb_dweb::{fetch_page_by_cid, publish_page, WebPage};
@@ -24,6 +24,7 @@ use qb_segment::{publish_segment, Segment, SegmentRef, SegmentStats};
 use qb_simnet::SimNet;
 use qb_storage::{FetchStats, ObjectRef, StorageNetwork};
 use qb_workload::AdSpec;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Outcome of a publish attempt.
@@ -41,32 +42,6 @@ pub struct PublishReport {
     pub stats: FetchStats,
 }
 
-/// Outcome of one search request at the frontend.
-#[derive(Debug, Clone)]
-pub struct SearchOutcome {
-    /// The raw query string.
-    pub query: String,
-    /// Ranked results (best first).
-    pub results: Vec<ScoredDoc>,
-    /// Ad displayed next to the results, if any campaign matched.
-    pub ad: Option<AdId>,
-    /// End-to-end latency experienced by the user.
-    pub latency: SimDuration,
-    /// RPC attempts issued to answer the query.
-    pub messages: u64,
-    /// Number of term shards fetched through the DHT (cache hits excluded).
-    pub shards_fetched: usize,
-    /// Worker bee credited for serving the index (receives the ad share).
-    pub served_by_bee: AccountId,
-    /// True when the whole response came from the result cache.
-    pub result_cache_hit: bool,
-    /// Query terms whose shard came from the shard cache.
-    pub shard_cache_hits: usize,
-    /// Query terms answered by the negative cache (proven absent, no DHT
-    /// lookup issued).
-    pub negative_cache_hits: usize,
-}
-
 /// The (at most one) statistics read performed for a whole batch window,
 /// shared by every query in the window that missed the stats cache.
 #[derive(Debug, Clone, Copy)]
@@ -76,6 +51,10 @@ pub(crate) struct SharedStatsRead {
     pub(crate) messages: u64,
     /// `seq` of the query that triggered (and is charged for) the read.
     pub(crate) charged_to: u64,
+    /// When the read completed on the window's timeline.
+    pub(crate) completed_at: SimInstant,
+    /// Link queueing delay inside the read's wall time.
+    pub(crate) queue_delay: SimDuration,
 }
 
 /// An in-flight statistics read of a pipeline window: the event-driven
@@ -92,7 +71,6 @@ pub(crate) struct PendingStatsRead {
 pub(crate) struct PendingShardFetch {
     pub(crate) key: (Option<usize>, String),
     pub(crate) charged_to: u64,
-    pub(crate) origin_peer: u64,
     pub(crate) span: Option<qb_trace::SpanId>,
     pub(crate) machine: qb_index::ShardReadMachine,
 }
@@ -293,20 +271,6 @@ impl QueenBee {
         self.cache.as_ref().map(|c| c.metrics())
     }
 
-    /// Entry counts per cache tier `(results, shards, negatives)`, when the
-    /// cache is enabled (summed over the fleet in fleet mode).
-    pub fn cache_tier_sizes(&self) -> Option<(usize, usize, usize)> {
-        if let Some(fleet) = &self.fleet {
-            let mut total = (0, 0, 0);
-            for i in 0..fleet.len() {
-                let (r, s, n) = fleet.frontend(i).cache().tier_sizes();
-                total = (total.0 + r, total.1 + s, total.2 + n);
-            }
-            return Some(total);
-        }
-        self.cache.as_ref().map(|c| c.tier_sizes())
-    }
-
     /// The frontend fleet, when fleet mode is configured.
     pub fn fleet(&self) -> Option<&GossipFleet> {
         self.fleet.as_ref()
@@ -364,14 +328,6 @@ impl QueenBee {
             sources.push(&self.segment_stats);
         }
         qb_trace::MetricsSnapshot::collect(&sources)
-    }
-
-    /// Per-tier counters of one frontend's private cache.
-    pub fn frontend_cache_metrics(&self, frontend: usize) -> Option<CacheMetrics> {
-        self.fleet
-            .as_ref()
-            .filter(|f| frontend < f.len())
-            .map(|f| f.frontend(frontend).cache().metrics())
     }
 
     /// `(reads, cache hits)` of the indexing path's shard reads — the
@@ -1177,34 +1133,11 @@ impl QueenBee {
 
     // ----- frontend: search and ads ------------------------------------------------
 
-    /// Answer a keyword query from `peer` (back-compat shim over
-    /// [`QueenBee::search_request`]): fetch the query terms' shards through
-    /// the DHT (or serve them from the query cache when enabled), intersect
-    /// the posting lists, score with BM25 blended with PageRank, and attach
-    /// the highest-bidding matching ad.
-    ///
-    /// In fleet mode the query is routed with rendezvous hashing plus
-    /// power-of-two-choices over the live membership (see
-    /// [`RoutingPolicy::HashPeer`]). New code should build a
-    /// [`SearchRequest`] with an explicit [`RoutingPolicy`] instead.
-    pub fn search(&mut self, peer: u64, query_text: &str) -> QbResult<SearchOutcome> {
-        self.search_request(SearchRequest::new(query_text).route(RoutingPolicy::HashPeer(peer)))
-            .map(|r| r.to_outcome())
-    }
-
-    /// Answer a keyword query at a specific fleet frontend (back-compat shim
-    /// over [`QueenBee::search_request`] with [`RoutingPolicy::Direct`]).
-    /// The query is issued from the frontend's peer, served through its
-    /// private cache, and the shard versions it observed are recorded in
-    /// its version vector (the gossip staleness guard). Due gossip rounds
-    /// fire after the query.
-    pub fn search_from(&mut self, frontend: usize, query_text: &str) -> QbResult<SearchOutcome> {
-        self.search_request(SearchRequest::new(query_text).route(RoutingPolicy::Direct(frontend)))
-            .map(|r| r.to_outcome())
-    }
-
     /// Serve one [`SearchRequest`] through the staged planner/executor
-    /// pipeline (a batch window of one; see [`QueenBee::search_batch`]).
+    /// pipeline (a batch window of one; see [`QueenBee::search_batch`]):
+    /// fetch the query terms' shards through the DHT (or serve them from
+    /// the query cache when enabled), intersect, score with BM25 blended
+    /// with PageRank, and attach the highest-bidding matching ad.
     pub fn search_request(&mut self, request: SearchRequest) -> QbResult<SearchResponse> {
         let mut responses = self.search_batch(vec![request])?;
         Ok(responses.remove(0))
@@ -1232,18 +1165,26 @@ impl QueenBee {
     pub fn search_batch(&mut self, requests: Vec<SearchRequest>) -> QbResult<Vec<SearchResponse>> {
         let now = self.net.now();
         let batch = requests.len() >= 2 && self.fleet.is_some();
-        let query_count = requests.len();
+
+        // Stage 1: plan every request against its frontend's cache tiers.
+        // Planning records no spans, so the window span opens only once the
+        // window is known to be valid.
+        let plans = self.plan_window(requests)?;
         let window_span = self
             .net
             .tracer()
-            .open_with("window", now, || format!("{query_count} queries"));
-
-        // Stage 1: plan every request against its frontend's cache tiers.
-        let plans = self.plan_window(requests)?;
+            .open_with("window", now, || format!("{} queries", plans.len()));
 
         // Stage 2: fetch each distinct missing term shard once, plus at most
-        // one statistics read for the whole window.
-        let (fetched, stats_read) = self.fetch_window(&plans)?;
+        // one statistics read for the whole window. A failed fetch must not
+        // leave the span open, or every later query would nest under it.
+        let (fetched, stats_read) = match self.fetch_window(&plans) {
+            Ok(window) => window,
+            Err(e) => {
+                self.net.tracer().close(window_span, now);
+                return Err(e);
+            }
+        };
 
         // Stage 3: score, paginate and assemble each response, fanning the
         // window's fetched shards out into every participating cache.
@@ -1556,6 +1497,9 @@ impl QueenBee {
         &mut self,
         plans: &[QueryPlan],
     ) -> QbResult<(FetchSet, Option<SharedStatsRead>)> {
+        // The blocking reads run one at a time from the call instant on an
+        // idle link: each completes at `now + latency`, never queued.
+        let now = self.net.now();
         let mut fetched = FetchSet::new();
         let mut stats_read: Option<SharedStatsRead> = None;
         for plan in plans {
@@ -1571,6 +1515,8 @@ impl QueenBee {
                     latency: cost.latency,
                     messages: cost.messages,
                     charged_to: plan.seq,
+                    completed_at: now + cost.latency,
+                    queue_delay: SimDuration::ZERO,
                 });
             }
             for term in plan.fetch_terms() {
@@ -1594,7 +1540,8 @@ impl QueenBee {
                         latency: cost.latency,
                         messages: cost.messages,
                         charged_to: plan.seq,
-                        origin_peer: plan.origin_peer,
+                        completed_at: now + cost.latency,
+                        queue_delay: SimDuration::ZERO,
                     },
                 );
             }
@@ -1657,7 +1604,6 @@ impl QueenBee {
                 shards.push(PendingShardFetch {
                     key,
                     charged_to: plan.seq,
-                    origin_peer: plan.origin_peer,
                     span,
                     machine,
                 });
@@ -1696,9 +1642,9 @@ impl QueenBee {
                         latency: cost.latency,
                         messages: cost.messages,
                         charged_to: pending.charged_to,
+                        completed_at,
+                        queue_delay,
                     });
-                    win.stats_done = Some(completed_at);
-                    win.stats_queue = queue_delay;
                     win.completes_at = win.completes_at.max(completed_at);
                     win.queue_delay += queue_delay;
                 }
@@ -1722,8 +1668,6 @@ impl QueenBee {
                     let queue_delay = pending.machine.queue_delay();
                     let (shard, cost, completed_at) = pending.machine.into_result()?;
                     self.net.tracer().close(pending.span, completed_at);
-                    win.fetch_done.insert(pending.key.clone(), completed_at);
-                    win.fetch_queue.insert(pending.key.clone(), queue_delay);
                     win.completes_at = win.completes_at.max(completed_at);
                     win.queue_delay += queue_delay;
                     win.fetched.insert(
@@ -1733,7 +1677,8 @@ impl QueenBee {
                             latency: cost.latency,
                             messages: cost.messages,
                             charged_to: pending.charged_to,
-                            origin_peer: pending.origin_peer,
+                            completed_at,
+                            queue_delay,
                         },
                     );
                 }
@@ -1796,7 +1741,7 @@ impl QueenBee {
         self.pipelined_windows += report.windows as u64;
         self.pipelined_queries += report.queries as u64;
         self.window_memo_hits += memo.hits;
-        self.window_memo_partial_hits += memo.partial_hits;
+        self.window_memo_partial_hits += memo.partial.hits;
     }
 
     /// Engine-lifetime counters of the query-serving path: real
@@ -1830,7 +1775,8 @@ impl QueenBee {
                 Ok((fleet.frontend_peer(*f), Some(*f)))
             }
             (RoutingPolicy::Direct(_), None) => Err(QbError::Config(
-                "search_from needs a frontend fleet (config.gossip.num_frontends > 0)".into(),
+                "RoutingPolicy::Direct needs a frontend fleet (config.gossip.num_frontends > 0)"
+                    .into(),
             )),
             (RoutingPolicy::HashPeer(peer), Some(fleet)) if !fleet.is_empty() => {
                 // Rendezvous hashing over the live membership plus
@@ -1950,9 +1896,10 @@ impl QueenBee {
             );
         }
 
-        // Assemble the shards in term order from the plan's resolutions and
-        // the window's shared fetches.
-        let mut shards: Vec<ShardEntry> = Vec::with_capacity(terms.len());
+        // Line the shards up in term order, borrowed from the plan's
+        // resolutions and the window's shared fetches (only a proven-absent
+        // term needs an owned, empty stand-in).
+        let mut shards: Vec<Cow<'_, ShardEntry>> = Vec::with_capacity(terms.len());
         let mut provenance: Vec<TermProvenance> = Vec::with_capacity(terms.len());
         let mut term_latencies: Vec<SimDuration> = Vec::with_capacity(terms.len());
         let mut observed: Vec<(String, u64)> = Vec::new();
@@ -1965,18 +1912,18 @@ impl QueenBee {
                     provenance.push(TermProvenance::ShardCache);
                     term_latencies.push(hit_latency);
                     observed.push((planned.term.clone(), shard.version));
-                    shards.push(shard.clone());
+                    shards.push(Cow::Borrowed(shard));
                 }
                 TermPlan::Negative => {
                     provenance.push(TermProvenance::NegativeCache);
                     term_latencies.push(hit_latency);
-                    shards.push(ShardEntry::empty(&planned.term));
+                    shards.push(Cow::Owned(ShardEntry::empty(&planned.term)));
                 }
                 TermPlan::Stale { shard, age } => {
                     any_stale = true;
                     provenance.push(TermProvenance::StaleCache { age: *age });
                     term_latencies.push(hit_latency);
-                    shards.push(shard.clone());
+                    shards.push(Cow::Borrowed(shard));
                 }
                 TermPlan::Fetch => {
                     let fetch = &fetched[&(plan.frontend, planned.term.clone())];
@@ -1989,7 +1936,7 @@ impl QueenBee {
                     }
                     observed.push((planned.term.clone(), fetch.shard.version));
                     fan_out.push(&fetch.shard);
-                    shards.push(fetch.shard.clone());
+                    shards.push(Cow::Borrowed(&fetch.shard));
                 }
                 TermPlan::ResultCached => unreachable!("handled by the result-hit path"),
             }
@@ -2017,24 +1964,13 @@ impl QueenBee {
         // Score the full candidate list; pagination slices it afterwards.
         // A window memo serves duplicate computations from its
         // version-tagged entries; every genuine computation is counted.
+        let rank_of = |name: &str| self.ranks_by_name.get(name).copied().unwrap_or(0.0);
+        let rank_weight = self.config.rank_weight;
         let (full, candidates_scored, memo_hit) = match memo {
-            Some(m) => {
-                let key = WindowMemo::fingerprint(plan.frontend, &stats, &shards);
-                m.intersect_and_score(
-                    &key,
-                    &shards,
-                    &stats,
-                    |name| self.ranks_by_name.get(name).copied().unwrap_or(0.0),
-                    self.config.rank_weight,
-                )
-            }
+            Some(m) => m.intersect_and_score(plan.frontend, &shards, &stats, rank_of, rank_weight),
             None => {
-                let (full, scored) = intersect_and_score(
-                    &shards,
-                    &stats,
-                    |name| self.ranks_by_name.get(name).copied().unwrap_or(0.0),
-                    self.config.rank_weight,
-                );
+                let (full, scored) =
+                    qb_index::intersect_and_score(&shards, &stats, rank_of, rank_weight, None);
                 (full, scored, false)
             }
         };
@@ -2061,7 +1997,7 @@ impl QueenBee {
             if !any_stale {
                 let term_versions: Vec<(String, u64)> = terms
                     .iter()
-                    .zip(&shards)
+                    .zip(shards.iter())
                     .map(|(t, s)| (t.clone(), s.version))
                     .collect();
                 c.store_result(&plan.result_key, full.clone(), term_versions, now);
@@ -2160,11 +2096,11 @@ impl QueenBee {
         Ok(())
     }
 
-    /// The user clicked the ad shown with `outcome`: charge the advertiser
+    /// The user clicked the ad shown with `response`: charge the advertiser
     /// and split the revenue between the top result's creator, the serving
     /// bee and the treasury.
-    pub fn click_ad(&mut self, outcome: &SearchOutcome) -> QbResult<bool> {
-        let (Some(ad), Some(top)) = (outcome.ad, outcome.results.first()) else {
+    pub fn click_ad(&mut self, response: &SearchResponse) -> QbResult<bool> {
+        let (Some(ad), Some(top)) = (response.ad, response.hits.first()) else {
             return Ok(false);
         };
         self.chain.submit_call(
@@ -2172,7 +2108,7 @@ impl QueenBee {
             Call::RecordAdClick {
                 ad,
                 page_creator: AccountId(top.creator),
-                serving_bee: outcome.served_by_bee,
+                serving_bee: response.served_by_bee,
             },
         );
         self.chain.seal_block(self.net.now());
@@ -2202,6 +2138,14 @@ mod tests {
         QueenBee::new(QueenBeeConfig::small()).unwrap()
     }
 
+    fn from_peer(peer: u64, query: &str) -> SearchRequest {
+        SearchRequest::new(query).route(RoutingPolicy::HashPeer(peer))
+    }
+
+    fn at_frontend(frontend: usize, query: &str) -> SearchRequest {
+        SearchRequest::new(query).route(RoutingPolicy::Direct(frontend))
+    }
+
     #[test]
     fn publish_index_search_round_trip() {
         let mut qb = engine();
@@ -2229,11 +2173,13 @@ mod tests {
         qb.seal();
         let handled = qb.process_publish_events().unwrap();
         assert_eq!(handled, 2);
-        let out = qb.search(5, "decentralized peer").unwrap();
-        assert!(!out.results.is_empty());
-        assert_eq!(out.results[0].name, "wiki/dweb");
+        let out = qb
+            .search_request(from_peer(5, "decentralized peer"))
+            .unwrap();
+        assert!(!out.hits.is_empty());
+        assert_eq!(out.hits[0].name, "wiki/dweb");
         assert!(out.latency.as_micros() > 0);
-        assert!(out.messages > 0);
+        assert!(out.messages() > 0);
         // Bees were rewarded for indexing.
         let bee_balance: u64 = qb.bee_accounts().iter().map(|a| qb.chain.balance(*a)).sum();
         assert!(bee_balance > 0);
@@ -2266,16 +2212,19 @@ mod tests {
         .unwrap();
         qb.seal();
         qb.process_publish_events().unwrap();
-        let out = qb.search(3, "zebrastampede").unwrap();
-        assert_eq!(out.results.len(), 1);
-        assert_eq!(out.results[0].version, 2);
+        let out = qb.search_request(from_peer(3, "zebrastampede")).unwrap();
+        assert_eq!(out.hits.len(), 1);
+        assert_eq!(out.hits[0].version, 2);
         assert_eq!(qb.freshness.staleness_rate(), 0.0);
     }
 
     #[test]
     fn empty_query_is_rejected() {
         let mut qb = engine();
-        assert!(matches!(qb.search(0, "the of and"), Err(QbError::Query(_))));
+        assert!(matches!(
+            qb.search_request(from_peer(0, "the of and")),
+            Err(QbError::Query(_))
+        ));
     }
 
     #[test]
@@ -2329,8 +2278,8 @@ mod tests {
         .unwrap();
         qb.seal();
         qb.process_publish_events().unwrap();
-        let out = qb.search(2, "honeybees").unwrap();
-        assert!(out.results.iter().all(|r| r.name != "evil/spam"));
+        let out = qb.search_request(from_peer(2, "honeybees")).unwrap();
+        assert!(out.hits.iter().all(|r| r.name != "evil/spam"));
         // At least one verification quorum caught a colluder (if one was assigned).
         let flagged: u64 = qb.bees().iter().map(|b| b.times_flagged).sum();
         let colluder_assigned = qb
@@ -2429,7 +2378,6 @@ mod tests {
 
     #[test]
     fn batch_window_fetches_each_distinct_term_once() {
-        use crate::query::{RoutingPolicy, SearchRequest};
         let publish_set = |qb: &mut QueenBee| {
             qb.publish(
                 1,
@@ -2447,9 +2395,9 @@ mod tests {
             qb.process_publish_events().unwrap();
         };
         let requests = vec![
-            SearchRequest::new("meadow honey").route(RoutingPolicy::HashPeer(3)),
-            SearchRequest::new("honey nectar").route(RoutingPolicy::HashPeer(4)),
-            SearchRequest::new("meadow clover").route(RoutingPolicy::HashPeer(5)),
+            from_peer(3, "meadow honey"),
+            from_peer(4, "honey nectar"),
+            from_peer(5, "meadow clover"),
         ];
 
         // No cache: the batch window is the only sharing mechanism.
@@ -2595,7 +2543,6 @@ mod tests {
 
     #[test]
     fn depth_one_pipeline_degenerates_to_back_to_back() {
-        use crate::query::{PipelineConfig, RoutingPolicy, SearchRequest};
         let mut qb = engine();
         qb.publish(
             1,
@@ -2605,9 +2552,8 @@ mod tests {
         .unwrap();
         qb.seal();
         qb.process_publish_events().unwrap();
-        let requests: Vec<SearchRequest> = (0..4)
-            .map(|i| SearchRequest::new("larkspur crickets").route(RoutingPolicy::HashPeer(i)))
-            .collect();
+        let requests: Vec<SearchRequest> =
+            (0..4).map(|i| from_peer(i, "larkspur crickets")).collect();
         let outcome = qb
             .search_pipelined(
                 requests,
@@ -2643,21 +2589,27 @@ mod tests {
         qb.seal();
         qb.process_publish_events().unwrap();
 
-        let cold = qb.search(5, "decentralized peers").unwrap();
-        assert!(!cold.result_cache_hit);
-        assert!(cold.messages > 0);
-        assert!(cold.shards_fetched > 0);
+        let cold = qb
+            .search_request(from_peer(5, "decentralized peers"))
+            .unwrap();
+        assert!(!cold.result_cache_hit());
+        assert!(cold.messages() > 0);
+        assert!(cold.shards_fetched() > 0);
 
-        let warm = qb.search(5, "decentralized peers").unwrap();
-        assert!(warm.result_cache_hit);
-        assert_eq!(warm.messages, 0, "warm query must not touch the DHT");
-        assert_eq!(warm.shards_fetched, 0);
+        let warm = qb
+            .search_request(from_peer(5, "decentralized peers"))
+            .unwrap();
+        assert!(warm.result_cache_hit());
+        assert_eq!(warm.messages(), 0, "warm query must not touch the DHT");
+        assert_eq!(warm.shards_fetched(), 0);
         assert!(warm.latency < cold.latency);
-        assert_eq!(warm.results, cold.results);
+        assert_eq!(warm.hits, cold.hits);
 
         // Term order must not defeat the result cache.
-        let reordered = qb.search(5, "peers decentralized").unwrap();
-        assert!(reordered.result_cache_hit);
+        let reordered = qb
+            .search_request(from_peer(5, "peers decentralized"))
+            .unwrap();
+        assert!(reordered.result_cache_hit());
 
         let m = qb.cache_metrics().expect("cache enabled");
         assert_eq!(m.result.hits, 2);
@@ -2676,13 +2628,13 @@ mod tests {
         qb.seal();
         qb.process_publish_events().unwrap();
 
-        let first = qb.search(3, "honey nectar").unwrap();
-        assert_eq!(first.shard_cache_hits, 0);
+        let first = qb.search_request(from_peer(3, "honey nectar")).unwrap();
+        assert_eq!(first.shard_cache_hits(), 0);
         // A different query sharing a term reuses that term's cached shard.
-        let second = qb.search(3, "honey bees").unwrap();
-        assert!(!second.result_cache_hit);
-        assert!(second.shard_cache_hits >= 1);
-        assert!(second.messages < first.messages);
+        let second = qb.search_request(from_peer(3, "honey bees")).unwrap();
+        assert!(!second.result_cache_hit());
+        assert!(second.shard_cache_hits() >= 1);
+        assert!(second.messages() < first.messages());
     }
 
     #[test]
@@ -2699,9 +2651,12 @@ mod tests {
         qb.process_publish_events().unwrap();
 
         // Warm the cache on the old version.
-        let v1 = qb.search(4, "honeybadgers").unwrap();
-        assert_eq!(v1.results[0].version, 1);
-        assert!(qb.search(4, "honeybadgers").unwrap().result_cache_hit);
+        let v1 = qb.search_request(from_peer(4, "honeybadgers")).unwrap();
+        assert_eq!(v1.hits[0].version, 1);
+        assert!(qb
+            .search_request(from_peer(4, "honeybadgers"))
+            .unwrap()
+            .result_cache_hit());
 
         // Republish: same term, new version. Indexing must purge the entry.
         qb.publish(
@@ -2713,9 +2668,9 @@ mod tests {
         qb.seal();
         qb.process_publish_events().unwrap();
 
-        let after = qb.search(4, "honeybadgers").unwrap();
-        assert!(!after.result_cache_hit, "stale entry must not serve");
-        assert_eq!(after.results[0].version, 2);
+        let after = qb.search_request(from_peer(4, "honeybadgers")).unwrap();
+        assert!(!after.result_cache_hit(), "stale entry must not serve");
+        assert_eq!(after.hits[0].version, 2);
         assert_eq!(qb.freshness.stale_results, 0, "no stale result ever served");
         let m = qb.cache_metrics().unwrap();
         assert!(m.total_invalidations() > 0);
@@ -2733,13 +2688,15 @@ mod tests {
         qb.seal();
         qb.process_publish_events().unwrap();
 
-        let cold = qb.search(2, "nonexistentterm").unwrap();
-        assert!(cold.results.is_empty());
-        assert!(cold.messages > 0);
+        let cold = qb.search_request(from_peer(2, "nonexistentterm")).unwrap();
+        assert!(cold.hits.is_empty());
+        assert!(cold.messages() > 0);
         // The result cache would satisfy the identical query; a *different*
         // query sharing the absent term exercises the negative tier.
-        let warm = qb.search(2, "nonexistentterm ordinary").unwrap();
-        assert_eq!(warm.negative_cache_hits, 1);
+        let warm = qb
+            .search_request(from_peer(2, "nonexistentterm ordinary"))
+            .unwrap();
+        assert_eq!(warm.negative_cache_hits(), 1);
         // Once the term is published, the negative entry dies.
         qb.publish(
             1,
@@ -2749,9 +2706,9 @@ mod tests {
         .unwrap();
         qb.seal();
         qb.process_publish_events().unwrap();
-        let found = qb.search(2, "nonexistentterm").unwrap();
-        assert_eq!(found.negative_cache_hits, 0);
-        assert_eq!(found.results.len(), 1);
+        let found = qb.search_request(from_peer(2, "nonexistentterm")).unwrap();
+        assert_eq!(found.negative_cache_hits(), 0);
+        assert_eq!(found.hits.len(), 1);
     }
 
     #[test]
@@ -2766,11 +2723,12 @@ mod tests {
         qb.seal();
         qb.process_publish_events().unwrap();
         assert!(qb.cache_metrics().is_none());
-        let a = qb.search(5, "caching").unwrap();
-        let b = qb.search(5, "caching").unwrap();
-        assert!(!a.result_cache_hit && !b.result_cache_hit);
+        let a = qb.search_request(from_peer(5, "caching")).unwrap();
+        let b = qb.search_request(from_peer(5, "caching")).unwrap();
+        assert!(!a.result_cache_hit() && !b.result_cache_hit());
         assert_eq!(
-            a.messages, b.messages,
+            a.messages(),
+            b.messages(),
             "no warm-up effect without the cache"
         );
     }
@@ -2798,21 +2756,32 @@ mod tests {
         qb.seal();
         qb.process_publish_events().unwrap();
         assert_eq!(qb.num_frontends(), 3);
-        let cold0 = qb.search_from(0, "frontends privately").unwrap();
-        assert!(cold0.shards_fetched > 0);
+        let cold0 = qb
+            .search_request(at_frontend(0, "frontends privately"))
+            .unwrap();
+        assert!(cold0.shards_fetched() > 0);
         // Without gossip, frontend 1 cold-starts on its own.
-        let cold1 = qb.search_from(1, "frontends privately").unwrap();
-        assert!(cold1.shards_fetched > 0, "no sharing without gossip");
+        let cold1 = qb
+            .search_request(at_frontend(1, "frontends privately"))
+            .unwrap();
+        assert!(cold1.shards_fetched() > 0, "no sharing without gossip");
         // But each frontend's own repeat is warm.
-        let warm0 = qb.search_from(0, "frontends privately").unwrap();
-        assert!(warm0.result_cache_hit);
-        // search() routes by rendezvous hash over the live fleet; peer 3's
+        let warm0 = qb
+            .search_request(at_frontend(0, "frontends privately"))
+            .unwrap();
+        assert!(warm0.result_cache_hit());
+        // HashPeer routes by rendezvous hash over the live fleet; peer 3's
         // winning slot is one of the two frontends warmed above.
-        let routed = qb.search(3, "frontends privately").unwrap();
-        assert!(routed.result_cache_hit, "peer 3 routes to a warm frontend");
-        // search_from out of range / without a fleet errors cleanly.
-        assert!(qb.search_from(9, "x").is_err());
-        assert!(engine().search_from(0, "x").is_err());
+        let routed = qb
+            .search_request(from_peer(3, "frontends privately"))
+            .unwrap();
+        assert!(
+            routed.result_cache_hit(),
+            "peer 3 routes to a warm frontend"
+        );
+        // Direct routing out of range / without a fleet errors cleanly.
+        assert!(qb.search_request(at_frontend(9, "x")).is_err());
+        assert!(engine().search_request(at_frontend(0, "x")).is_err());
     }
 
     #[test]
@@ -2826,17 +2795,18 @@ mod tests {
         .unwrap();
         qb.seal();
         qb.process_publish_events().unwrap();
-        let cold = qb.search_from(0, "gossip shards").unwrap();
-        assert!(cold.shards_fetched > 0);
+        let cold = qb.search_request(at_frontend(0, "gossip shards")).unwrap();
+        assert!(cold.shards_fetched() > 0);
         qb.run_gossip_round(false);
         for i in 1..3 {
-            let warmed = qb.search_from(i, "gossip shards").unwrap();
+            let warmed = qb.search_request(at_frontend(i, "gossip shards")).unwrap();
             assert_eq!(
-                warmed.shards_fetched, 0,
+                warmed.shards_fetched(),
+                0,
                 "frontend {i} should be warm after the gossip round"
             );
-            assert!(warmed.shard_cache_hits > 0);
-            assert_eq!(warmed.results, cold.results);
+            assert!(warmed.shard_cache_hits() > 0);
+            assert_eq!(warmed.hits, cold.hits);
         }
         let stats = qb.gossip_stats().unwrap();
         assert!(stats.shards_accepted >= 2);
@@ -2856,13 +2826,13 @@ mod tests {
         .unwrap();
         qb.seal();
         qb.process_publish_events().unwrap();
-        qb.search_from(0, "timed rounds").unwrap();
+        qb.search_request(at_frontend(0, "timed rounds")).unwrap();
         assert_eq!(qb.gossip_stats().unwrap().rounds, 0, "not due yet");
         let interval = qb.config().gossip.round_interval;
         qb.advance_time(interval);
         assert!(qb.gossip_stats().unwrap().rounds >= 1);
-        let warmed = qb.search_from(1, "timed rounds").unwrap();
-        assert_eq!(warmed.shards_fetched, 0);
+        let warmed = qb.search_request(at_frontend(1, "timed rounds")).unwrap();
+        assert_eq!(warmed.shards_fetched(), 0);
     }
 
     #[test]
@@ -2881,18 +2851,22 @@ mod tests {
         qb.seal();
         qb.process_publish_events().unwrap();
         // Warm the fleet through one frontend + a gossip round.
-        qb.search_from(0, "churned neighbours").unwrap();
+        qb.search_request(at_frontend(0, "churned neighbours"))
+            .unwrap();
         qb.run_gossip_round(false);
         // A fourth frontend joins and is warm *before* its first query.
         let idx = qb.fleet_join().unwrap();
         assert_eq!(idx, 3);
         assert_eq!(qb.num_frontends(), 4);
-        let out = qb.search_from(idx, "churned neighbours").unwrap();
+        let out = qb
+            .search_request(at_frontend(idx, "churned neighbours"))
+            .unwrap();
         assert_eq!(
-            out.shards_fetched, 0,
+            out.shards_fetched(),
+            0,
             "the joiner's bootstrap must warm it without DHT fetches"
         );
-        assert!(out.shard_cache_hits > 0);
+        assert!(out.shard_cache_hits() > 0);
         assert_eq!(qb.freshness.stale_results, 0);
         assert_eq!(qb.gossip_stats().unwrap().joins, 1);
     }
@@ -2963,9 +2937,11 @@ mod tests {
         assert_eq!(s.segments_fetched, 1);
         assert!(s.fetch_bytes > 0, "fetching an artifact is never free");
         assert_eq!(s.shards_imported, report.imported.accepted);
-        let out = qb.search_from(idx, "artifact bootstrap").unwrap();
-        assert_eq!(out.shards_fetched, 0, "the import must warm the joiner");
-        assert!(out.shard_cache_hits > 0);
+        let out = qb
+            .search_request(at_frontend(idx, "artifact bootstrap"))
+            .unwrap();
+        assert_eq!(out.shards_fetched(), 0, "the import must warm the joiner");
+        assert!(out.shard_cache_hits() > 0);
         assert_eq!(
             qb.freshness.stale_results, 0,
             "no stale serves after import"
@@ -2989,13 +2965,16 @@ mod tests {
         .unwrap();
         qb.seal();
         qb.process_publish_events().unwrap();
-        qb.search_from(0, "artifact gossip").unwrap();
+        qb.search_request(at_frontend(0, "artifact gossip"))
+            .unwrap();
         qb.run_gossip_round(false);
         let (idx, report) = qb.fleet_join_with_segment().unwrap();
         assert!(!report.used_segment);
         assert_eq!(qb.segment_stats().segments_fetched, 0);
-        let out = qb.search_from(idx, "artifact gossip").unwrap();
-        assert_eq!(out.shards_fetched, 0, "gossip fallback still warms");
+        let out = qb
+            .search_request(at_frontend(idx, "artifact gossip"))
+            .unwrap();
+        assert_eq!(out.shards_fetched(), 0, "gossip fallback still warms");
     }
 
     #[test]
@@ -3009,25 +2988,32 @@ mod tests {
         .unwrap();
         qb.seal();
         qb.process_publish_events().unwrap();
-        qb.search_from(0, "departures reroute").unwrap();
+        qb.search_request(at_frontend(0, "departures reroute"))
+            .unwrap();
         qb.run_gossip_round(false);
 
         qb.fleet_leave(1, true).unwrap();
         // Direct routing to the departed frontend fails cleanly...
-        assert!(qb.search_from(1, "departures reroute").is_err());
+        assert!(qb
+            .search_request(at_frontend(1, "departures reroute"))
+            .is_err());
         assert!(
             qb.fleet_rejoin(0).is_err(),
             "active frontends cannot rejoin"
         );
         // ...while hashed routing falls over to a surviving slot.
-        let routed = qb.search(1, "departures reroute").unwrap();
-        assert!(!routed.results.is_empty());
+        let routed = qb
+            .search_request(from_peer(1, "departures reroute"))
+            .unwrap();
+        assert!(!routed.hits.is_empty());
         // A crashed frontend rejoins with a fleet-warmed cache.
         qb.fleet_leave(2, false).unwrap();
         assert_eq!(qb.gossip_stats().unwrap().crashes, 1);
         qb.fleet_rejoin(2).unwrap();
-        let out = qb.search_from(2, "departures reroute").unwrap();
-        assert_eq!(out.shards_fetched, 0, "rejoin warms from the fleet");
+        let out = qb
+            .search_request(at_frontend(2, "departures reroute"))
+            .unwrap();
+        assert_eq!(out.shards_fetched(), 0, "rejoin warms from the fleet");
         assert_eq!(qb.freshness.stale_results, 0);
         let stats = qb.gossip_stats().unwrap();
         assert_eq!(stats.leaves, 1);
@@ -3117,8 +3103,8 @@ mod tests {
             "every re-merged term should hit the writer cache"
         );
         // The version discipline held: the fresh version serves.
-        let out = qb.search(4, "headline").unwrap();
-        assert_eq!(out.results[0].version, 2);
+        let out = qb.search_request(from_peer(4, "headline")).unwrap();
+        assert_eq!(out.hits[0].version, 2);
         assert_eq!(qb.freshness.stale_results, 0);
     }
 
@@ -3141,20 +3127,25 @@ mod tests {
             qb
         };
         let mut first = build();
-        let cold = first.search(5, "snapshots survive").unwrap();
-        assert!(cold.shards_fetched > 0);
+        let cold = first
+            .search_request(from_peer(5, "snapshots survive"))
+            .unwrap();
+        assert!(cold.shards_fetched() > 0);
         let snapshot = first.export_hot_set(0, 16).expect("cache enabled");
         // Same deployment, restarted: import the previous session's hot set.
         let mut restarted = build();
         let admitted = restarted.import_hot_set(0, &snapshot).unwrap();
         assert!(admitted > 0);
-        let warm = restarted.search(5, "snapshots survive").unwrap();
+        let warm = restarted
+            .search_request(from_peer(5, "snapshots survive"))
+            .unwrap();
         assert_eq!(
-            warm.shards_fetched, 0,
+            warm.shards_fetched(),
+            0,
             "pre-filled shards serve the first query"
         );
-        assert!(warm.shard_cache_hits > 0);
-        assert_eq!(warm.results, cold.results);
+        assert!(warm.shard_cache_hits() > 0);
+        assert_eq!(warm.hits, cold.hits);
     }
 
     #[test]
@@ -3175,7 +3166,9 @@ mod tests {
             budget: 1_000,
         };
         qb.register_advertiser(&spec).unwrap();
-        let out = qb.search(3, "decentralized widgets").unwrap();
+        let out = qb
+            .search_request(from_peer(3, "decentralized widgets"))
+            .unwrap();
         assert!(out.ad.is_some(), "an ad should match the query");
         let creator_before = qb.chain.balance(AccountId(1_000));
         let clicked = qb.click_ad(&out).unwrap();

@@ -43,7 +43,7 @@ pub use attacks::{CollusionAttack, ScraperAttack};
 pub use bee::{BeeBehaviour, WorkerBee};
 pub use config::QueenBeeConfig;
 pub use defense::{verify_index_submissions, MinHashSignature, VerificationOutcome};
-pub use engine::{PublishReport, QueenBee, SearchOutcome};
+pub use engine::{PublishReport, QueenBee};
 pub use metrics::{
     gini_coefficient, CacheMetrics, CacheReport, FreshnessProbe, HoneyByRole, QueryEngineStats,
     TierMetrics,
@@ -59,5 +59,5 @@ pub use query::routing::{hrw_score, hrw_top2};
 pub use query::{
     AdmissionConfig, Freshness, LoadReport, PipelineConfig, PipelineDriver, PipelineOutcome,
     PipelineReport, QueryPlan, RoutingPolicy, SearchRequest, SearchResponse, StageCosts,
-    TermProvenance, TimedRequest, WindowMemo, WindowSpan, WindowState,
+    TermProvenance, TimedRequest, WindowMemo, WindowSpan,
 };

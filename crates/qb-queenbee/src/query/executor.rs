@@ -2,20 +2,22 @@
 //! the shared shard fetches of a batch window.
 //!
 //! The network side (versioned DHT reads) stays in the engine, which owns
-//! the simulated network; this module holds the pure stages — intersection,
-//! BM25 scoring, PageRank blending, ranking — and the bookkeeping that lets
-//! a batch window fetch each distinct missing term exactly once and fan the
-//! shard out to every query that needs it.
+//! the simulated network, and the pure stages — intersection, BM25 scoring,
+//! PageRank blending, ranking — are the one serving kernel in
+//! [`qb_index::kernel`]. This module holds the bookkeeping that lets a batch
+//! window fetch each distinct missing term exactly once and fan the shard
+//! out to every query that needs it.
 //!
 //! For the pipelined engine ([`crate::query::pipeline`]) this module also
-//! holds the [`WindowMemo`]: a scoped memo of scored result lists and
-//! partial intersections, tagged with the exact per-term shard versions
-//! they were computed from, so identical and prefix-sharing queries in the
-//! in-flight window set skip the intersect/score work without ever serving
-//! a result computed from different data.
+//! holds the [`WindowMemo`]: a scoped memo of scored result lists around
+//! the kernel, tagged with the exact per-term shard versions they were
+//! computed from, so identical and prefix-sharing queries in the in-flight
+//! window set skip the intersect/score work without ever serving a result
+//! computed from different data.
 
-use qb_common::SimDuration;
-use qb_index::{blend_with_rank, Bm25, IndexStats, PostingList, ScoredDoc, Scorer, ShardEntry};
+use qb_common::{SimDuration, SimInstant};
+use qb_index::{IndexStats, PrefixCache, ScoredDoc, ShardEntry};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 
 /// One DHT shard fetch performed during a batch window, shared by every
@@ -31,9 +33,11 @@ pub struct FetchedShard {
     pub messages: u64,
     /// `seq` of the query that triggered the fetch.
     pub charged_to: u64,
-    /// The simulated peer the fetch was issued from (the pipeline driver
-    /// tracks the fetch as an in-flight operation of this peer).
-    pub origin_peer: u64,
+    /// When the fetch completed on the window's timeline.
+    pub completed_at: SimInstant,
+    /// Link queueing delay inside the fetch's wall time (zero for the
+    /// blocking window, whose fetches run one at a time on an idle link).
+    pub queue_delay: SimDuration,
 }
 
 /// The distinct shard fetches of one batch window, keyed by
@@ -46,83 +50,27 @@ pub struct FetchedShard {
 /// shares.)
 pub type FetchSet = BTreeMap<(Option<usize>, String), FetchedShard>;
 
-/// Intersect the query terms' posting lists (falling back to the union when
-/// the conjunction is empty, so multi-term queries degrade gracefully),
-/// score each candidate with BM25 summed over the terms, blend with
-/// PageRank and rank. Returns the **full** sorted result list — pagination
-/// is the response stage's job — plus the number of candidates scored.
+/// Intersect, score and rank the query terms' shards with the serving
+/// kernel ([`qb_index::intersect_and_score`]). Returns the **full** sorted
+/// result list — pagination is the response stage's job — plus the number
+/// of candidates scored. The engine calls the kernel directly; this name
+/// stays because the benchmark (`bench/`) probes the scoring layer through
+/// it.
 pub fn intersect_and_score(
     shards: &[ShardEntry],
     stats: &IndexStats,
     rank_of: impl Fn(&str) -> f64,
     rank_weight: f64,
 ) -> (Vec<ScoredDoc>, usize) {
-    // Intersect smallest-first so the candidate set shrinks fastest.
-    let mut lists: Vec<PostingList> = shards.iter().map(|s| s.to_posting_list()).collect();
-    lists.sort_by_key(|l| l.len());
-    let mut candidates = lists.first().cloned().unwrap_or_default();
-    for l in lists.iter().skip(1) {
-        candidates = candidates.intersect(l);
-    }
-    if candidates.is_empty() && shards.len() > 1 {
-        candidates = PostingList::new();
-        for l in shards.iter().map(|s| s.to_posting_list()) {
-            candidates = candidates.union(&l);
-        }
-    }
-    score_candidates(&candidates, shards, stats, rank_of, rank_weight)
-}
-
-/// BM25-score and rank the candidate set against the query shards — the
-/// scoring tail shared by the plain and memoized intersection paths.
-fn score_candidates(
-    candidates: &PostingList,
-    shards: &[ShardEntry],
-    stats: &IndexStats,
-    rank_of: impl Fn(&str) -> f64,
-    rank_weight: f64,
-) -> (Vec<ScoredDoc>, usize) {
-    let scorer = Bm25::default();
-    let num_docs = stats.num_docs.max(1) as usize;
-    let avg_len = stats.avg_len();
-    let mut scored = 0usize;
-    let mut results: Vec<ScoredDoc> = Vec::new();
-    for posting in candidates.postings() {
-        let mut relevance = 0.0;
-        let mut meta: Option<&qb_index::ShardPosting> = None;
-        for shard in shards {
-            if let Some(p) = shard.get(posting.doc_id) {
-                relevance +=
-                    scorer.score(p.term_freq, p.doc_len, avg_len, shard.doc_freq(), num_docs);
-                meta = Some(p);
-            }
-        }
-        let Some(meta) = meta else { continue };
-        scored += 1;
-        let rank = rank_of(&meta.name);
-        let score = blend_with_rank(relevance, rank, rank_weight);
-        results.push(ScoredDoc {
-            doc_id: posting.doc_id,
-            name: meta.name.clone(),
-            score,
-            version: meta.version,
-            creator: meta.creator,
-        });
-    }
-    results.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.doc_id.cmp(&b.doc_id))
-    });
-    (results, scored)
+    qb_index::intersect_and_score(shards, stats, rank_of, rank_weight, None)
 }
 
 /// Cross-query result sharing across a pipelined run's window stream: a
-/// memo of fully scored result lists plus partial intersections. It lives
-/// for one `search_pipelined` call and is size-bounded
-/// ([`WindowMemo::MAX_SCORED`] / [`WindowMemo::MAX_PARTIAL`] — the maps
-/// reset wholesale at the cap, which only costs recomputation).
+/// memo of fully scored result lists *around* the serving kernel, plus the
+/// prefix-conjunction cache it hands the kernel. It lives for one
+/// `search_pipelined` call and is size-bounded ([`WindowMemo::MAX_SCORED`]
+/// / [`PrefixCache::MAX_ENTRIES`] — the maps reset wholesale at the cap,
+/// which only costs recomputation).
 ///
 /// Correctness rests on the same per-term version tags the result cache
 /// uses: every memo entry is keyed by the exact `(term, shard version)`
@@ -137,14 +85,12 @@ fn score_candidates(
 pub struct WindowMemo {
     /// Full-query memo: fingerprint → (full scored list, candidates scored).
     scored: HashMap<String, (Vec<ScoredDoc>, usize)>,
-    /// Prefix memo: partial conjunctions over the length-sorted list order,
-    /// so `"a b"` and `"a b c"` share the `a ∩ b` work (within one
-    /// frontend's scope).
-    partial: HashMap<String, PostingList>,
+    /// Prefix memo: partial conjunctions over the length-sorted shard
+    /// order, so `"a b"` and `"a b c"` share the `a ∩ b` work (within one
+    /// frontend's scope); `partial.hits` counts the reuses.
+    pub partial: PrefixCache,
     /// Full scored lists served from the memo.
     pub hits: u64,
-    /// Partial intersections reused while computing a memo miss.
-    pub partial_hits: u64,
     /// Genuine intersect+score computations performed through the memo.
     pub invocations: u64,
 }
@@ -152,46 +98,36 @@ pub struct WindowMemo {
 impl WindowMemo {
     /// Cap on memoized scored lists before the memo resets.
     pub const MAX_SCORED: usize = 4_096;
-    /// Cap on memoized partial intersections before they reset.
-    pub const MAX_PARTIAL: usize = 8_192;
 
-    /// Fingerprint of one query's scoring inputs: the serving frontend,
-    /// the collection statistics and the `(term, version)` sequence in
-    /// plan order. Identical fingerprints read identical shard data, so
+    /// Fingerprint of one query's scoring inputs: the serving frontend's
+    /// scope, the collection statistics and the `(term, version)` sequence
+    /// in plan order. Identical fingerprints read identical shard data, so
     /// the scored list is bit-reproducible.
-    pub fn fingerprint(
-        frontend: Option<usize>,
-        stats: &IndexStats,
-        shards: &[ShardEntry],
-    ) -> String {
+    fn fingerprint<S: Borrow<ShardEntry>>(scope: &str, stats: &IndexStats, shards: &[S]) -> String {
         use std::fmt::Write;
-        let mut key = match frontend {
-            Some(f) => format!("f{f}"),
-            None => "single".to_string(),
-        };
-        let _ = write!(key, "|d{}l{}", stats.num_docs, stats.total_len);
-        for shard in shards {
+        let mut key = format!("{scope}|d{}l{}", stats.num_docs, stats.total_len);
+        for shard in shards.iter().map(Borrow::borrow) {
             let _ = write!(key, "|{}@{}", shard.term, shard.version);
         }
         key
     }
 
-    /// Memoized [`intersect_and_score`]: serve the scored list from the
-    /// memo when this exact computation already ran in the window set,
-    /// otherwise compute it (reusing any cached partial intersections) and
-    /// remember it. The third return value reports whether this was a memo
-    /// hit. Results are byte-identical to the unmemoized path: intersection
-    /// is set-algebra (order-insensitive) and scoring always iterates the
-    /// query's shards in plan order.
-    pub fn intersect_and_score(
+    /// Memoized kernel call: serve the scored list from the memo when this
+    /// exact computation already ran for `frontend` in the window set,
+    /// otherwise run the kernel (lending it the prefix cache) and remember
+    /// the result. The third return value reports whether this was a memo
+    /// hit. Results are byte-identical to the unmemoized call.
+    pub fn intersect_and_score<S: Borrow<ShardEntry>>(
         &mut self,
-        key: &str,
-        shards: &[ShardEntry],
+        frontend: Option<usize>,
+        shards: &[S],
         stats: &IndexStats,
         rank_of: impl Fn(&str) -> f64,
         rank_weight: f64,
     ) -> (Vec<ScoredDoc>, usize, bool) {
-        if let Some((results, scored)) = self.scored.get(key) {
+        let scope = frontend.map_or_else(|| "single".to_string(), |f| format!("f{f}"));
+        let key = Self::fingerprint(&scope, stats, shards);
+        if let Some((results, scored)) = self.scored.get(&key) {
             self.hits += 1;
             return (results.clone(), *scored, true);
         }
@@ -199,62 +135,14 @@ impl WindowMemo {
         if self.scored.len() >= Self::MAX_SCORED {
             self.scored.clear();
         }
-        if self.partial.len() >= Self::MAX_PARTIAL {
-            self.partial.clear();
-        }
-
-        // Intersect smallest-first (exactly like the plain path), caching
-        // every prefix conjunction so a later query sharing the prefix
-        // resumes from the cached candidate set. Prefix keys inherit the
-        // fingerprint's frontend scope (everything before the first '|'):
-        // partial intersections never cross frontends either.
-        let scope = key.split('|').next().unwrap_or_default();
-        let mut lists: Vec<(String, PostingList)> = shards
-            .iter()
-            .map(|s| (format!("{}@{}", s.term, s.version), s.to_posting_list()))
-            .collect();
-        lists.sort_by_key(|(_, l)| l.len());
-        let prefix_keys: Vec<String> = lists
-            .iter()
-            .scan(scope.to_string(), |acc, (k, _)| {
-                acc.push('|');
-                acc.push_str(k);
-                Some(acc.clone())
-            })
-            .collect();
-        let cached_prefix = prefix_keys
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, k)| self.partial.contains_key(k.as_str()))
-            .map(|(i, _)| i);
-        let (mut candidates, start) = match cached_prefix {
-            Some(i) => {
-                self.partial_hits += 1;
-                (self.partial[prefix_keys[i].as_str()].clone(), i + 1)
-            }
-            None => match lists.first() {
-                Some((_, first)) => {
-                    self.partial.insert(prefix_keys[0].clone(), first.clone());
-                    (first.clone(), 1)
-                }
-                None => (PostingList::new(), 0),
-            },
-        };
-        for i in start..lists.len() {
-            candidates = candidates.intersect(&lists[i].1);
-            self.partial
-                .insert(prefix_keys[i].clone(), candidates.clone());
-        }
-        if candidates.is_empty() && shards.len() > 1 {
-            candidates = PostingList::new();
-            for (_, l) in &lists {
-                candidates = candidates.union(l);
-            }
-        }
-        let (results, scored) = score_candidates(&candidates, shards, stats, rank_of, rank_weight);
-        self.scored
-            .insert(key.to_string(), (results.clone(), scored));
+        let (results, scored) = qb_index::intersect_and_score(
+            shards,
+            stats,
+            rank_of,
+            rank_weight,
+            Some((&scope, &mut self.partial)),
+        );
+        self.scored.insert(key, (results.clone(), scored));
         (results, scored, false)
     }
 }
@@ -340,16 +228,15 @@ mod tests {
         ];
         let (plain, plain_scored) = intersect_and_score(&shards, &stats(), |_| 0.0, 0.3);
         let mut memo = WindowMemo::default();
-        let key = WindowMemo::fingerprint(None, &stats(), &shards);
         let (first, first_scored, hit) =
-            memo.intersect_and_score(&key, &shards, &stats(), |_| 0.0, 0.3);
+            memo.intersect_and_score(None, &shards, &stats(), |_| 0.0, 0.3);
         assert!(!hit, "cold memo computes");
         assert_eq!(first, plain, "memoized path must match the plain path");
         assert_eq!(first_scored, plain_scored);
         // The identical query again: a memo hit, identical output, no new
         // computation.
         let (again, again_scored, hit) =
-            memo.intersect_and_score(&key, &shards, &stats(), |_| 0.0, 0.3);
+            memo.intersect_and_score(None, &shards, &stats(), |_| 0.0, 0.3);
         assert!(hit);
         assert_eq!(again, first);
         assert_eq!(again_scored, first_scored);
@@ -370,13 +257,11 @@ mod tests {
         let mut three = two.clone();
         three.push(shard("gamma", &[(1, 1), (2, 1), (3, 1), (4, 1)]));
         let mut memo = WindowMemo::default();
-        let key2 = WindowMemo::fingerprint(None, &stats(), &two);
-        let key3 = WindowMemo::fingerprint(None, &stats(), &three);
-        memo.intersect_and_score(&key2, &two, &stats(), |_| 0.0, 0.0);
-        assert_eq!(memo.partial_hits, 0);
-        let (results, _, hit) = memo.intersect_and_score(&key3, &three, &stats(), |_| 0.0, 0.0);
+        memo.intersect_and_score(None, &two, &stats(), |_| 0.0, 0.0);
+        assert_eq!(memo.partial.hits, 0);
+        let (results, _, hit) = memo.intersect_and_score(None, &three, &stats(), |_| 0.0, 0.0);
         assert!(!hit, "different query: no full-memo hit");
-        assert_eq!(memo.partial_hits, 1, "the shared prefix is reused");
+        assert_eq!(memo.partial.hits, 1, "the shared prefix is reused");
         let (plain, _) = intersect_and_score(&three, &stats(), |_| 0.0, 0.0);
         assert_eq!(results, plain);
     }
@@ -387,26 +272,22 @@ mod tests {
         let shards_v1 = vec![shard("alpha", &[(1, 1)])];
         let mut shards_v2 = shards_v1.clone();
         shards_v2[0].version = 2;
-        let a = WindowMemo::fingerprint(None, &s, &shards_v1);
-        let b = WindowMemo::fingerprint(None, &s, &shards_v2);
+        let a = WindowMemo::fingerprint("single", &s, &shards_v1);
+        let b = WindowMemo::fingerprint("single", &s, &shards_v2);
         assert_ne!(a, b, "a republished shard must never share an entry");
-        let f0 = WindowMemo::fingerprint(Some(0), &s, &shards_v1);
-        let f1 = WindowMemo::fingerprint(Some(1), &s, &shards_v1);
-        assert_ne!(f0, f1, "frontends never share compute for free");
-        // The prefix memo is frontend-scoped too: the same query computed
-        // on two frontends shares no partial intersections.
+        // Both memos are frontend-scoped: the same query computed on two
+        // frontends shares neither the scored list nor any partial
+        // intersection.
         let two = vec![
             shard("alpha", &[(1, 1), (2, 1)]),
             shard("beta", &[(2, 2), (3, 2)]),
         ];
         let mut memo = WindowMemo::default();
-        let k0 = WindowMemo::fingerprint(Some(0), &s, &two);
-        let k1 = WindowMemo::fingerprint(Some(1), &s, &two);
-        let (r0, _, _) = memo.intersect_and_score(&k0, &two, &s, |_| 0.0, 0.0);
-        let (r1, _, hit) = memo.intersect_and_score(&k1, &two, &s, |_| 0.0, 0.0);
-        assert!(!hit, "different frontend: full memo must miss");
+        let (r0, _, _) = memo.intersect_and_score(Some(0), &two, &s, |_| 0.0, 0.0);
+        let (r1, _, hit) = memo.intersect_and_score(Some(1), &two, &s, |_| 0.0, 0.0);
+        assert!(!hit, "frontends never share compute for free");
         assert_eq!(
-            memo.partial_hits, 0,
+            memo.partial.hits, 0,
             "partial intersections must not cross frontends"
         );
         assert_eq!(memo.invocations, 2);
@@ -417,7 +298,7 @@ mod tests {
             version: 1,
         };
         assert_ne!(
-            WindowMemo::fingerprint(None, &other_stats, &shards_v1),
+            WindowMemo::fingerprint("single", &other_stats, &shards_v1),
             a,
             "different collection statistics change the scores"
         );

@@ -10,16 +10,16 @@
 //!    each against the cache tiers, leaving a precise fetch list
 //!    ([`QueryPlan`]).
 //! 3. **executor** — misses are fetched through the versioned DHT read and
-//!    the pure stages (intersect, BM25, PageRank blend, rank) produce the
-//!    full result list. In a batch window
+//!    the serving kernel ([`qb_index::kernel`]: intersect, BM25, PageRank
+//!    blend, rank) produces the full result list. In a batch window
 //!    ([`crate::QueenBee::search_batch`]) each distinct missing term is
 //!    fetched **once** and fanned out to every query that needs it.
 //! 4. **response** — [`SearchResponse`] carries the paginated hits, a
 //!    per-stage cost trace and per-term cache provenance.
 //!
 //! On top of the stages sits the **pipelined execution engine**
-//! ([`pipeline`]): a [`PipelineDriver`] moves whole windows through an
-//! explicit `Planned → Fetching → Scoring → Done` state machine, overlaps
+//! ([`pipeline`]): a [`PipelineDriver`] moves whole windows through
+//! `Planned → Fetching → Scoring → Done`, overlaps
 //! up to `max_windows_in_flight` windows (window N+1's fetches issue while
 //! window N's are in flight, under the simulated network's per-link
 //! in-flight limits), and dedupes identical/prefix-sharing queries across
@@ -41,9 +41,7 @@ pub mod routing;
 
 pub use admission::{AdmissionConfig, LoadReport, TimedRequest};
 pub use executor::WindowMemo;
-pub use pipeline::{
-    PipelineConfig, PipelineDriver, PipelineOutcome, PipelineReport, WindowSpan, WindowState,
-};
+pub use pipeline::{PipelineConfig, PipelineDriver, PipelineOutcome, PipelineReport, WindowSpan};
 pub use plan::{PlannedTerm, QueryPlan, StatsPlan, TermPlan};
 pub use request::{Freshness, RoutingPolicy, SearchRequest};
 pub use response::{SearchResponse, StageCosts, TermProvenance};

@@ -8,7 +8,7 @@
 //! stages in lockstep: the whole window is planned, then fetched, then
 //! scored, and the next window starts only after the previous one finished.
 //! The [`PipelineDriver`] breaks that lockstep. Every window moves through
-//! an explicit [`WindowState`]:
+//! four stages:
 //!
 //! ```text
 //!   Planned ──issue fetches──▶ Fetching ──all machines done──▶ Scoring ──▶ Done
@@ -77,11 +77,11 @@
 
 use crate::engine::{PendingShardFetch, PendingStatsRead, QueenBee};
 use crate::query::executor::WindowMemo;
-use crate::query::plan::QueryPlan;
+use crate::query::plan::{QueryPlan, StatsPlan};
 use crate::query::request::SearchRequest;
 use crate::query::response::SearchResponse;
 use qb_common::{QbResult, SimDuration, SimInstant};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Knobs of one pipelined run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,43 +130,22 @@ impl PipelineConfig {
     }
 }
 
-/// Lifecycle of one window inside the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WindowState {
-    /// Requests analyzed against the cache tiers; nothing issued yet.
-    Planned,
-    /// Distinct-shard read machines issued and advancing event by event.
-    Fetching,
-    /// All machines complete; intersect/score in progress.
-    Scoring,
-    /// Responses assembled and caches updated.
-    Done,
-}
-
 /// One window in flight: its plans, its in-flight read machines and the
 /// completion bookkeeping the driver schedules by.
 pub(crate) struct WindowRun {
-    pub(crate) state: WindowState,
     /// Index of the window's first response in the (request-ordered)
     /// response vector — windows may issue out of request order under the
     /// saturated shortest-first policy.
     pub(crate) first_query: usize,
     pub(crate) plans: Vec<QueryPlan>,
     /// The window's shared fetches (each distinct `(frontend, term)` once),
-    /// filled in as the read machines complete.
+    /// filled in as the read machines complete; each record carries its own
+    /// completion instant and link-queue delay.
     pub(crate) fetched: crate::query::executor::FetchSet,
     /// The window's (at most one) statistics read, once complete.
     pub(crate) stats_read: Option<crate::engine::SharedStatsRead>,
     /// When the window was issued on the virtual timeline.
     pub(crate) issued_at: SimInstant,
-    /// Completion instant per fetched `(frontend, term)` key.
-    pub(crate) fetch_done: HashMap<(Option<usize>, String), SimInstant>,
-    /// Queueing delay inside each fetched key's wall latency.
-    pub(crate) fetch_queue: HashMap<(Option<usize>, String), SimDuration>,
-    /// Completion instant of the shared statistics read, when one ran.
-    pub(crate) stats_done: Option<SimInstant>,
-    /// Queueing delay inside the statistics read, when one ran.
-    pub(crate) stats_queue: SimDuration,
     /// When the window's slowest dependency completed (so far).
     pub(crate) completes_at: SimInstant,
     /// The in-flight statistics read machine, if still pending.
@@ -379,7 +358,7 @@ impl PipelineDriver {
 
         self.report.makespan = makespan_end.since(t0);
         self.report.memo_hits = memo.hits;
-        self.report.memo_partial_hits = memo.partial_hits;
+        self.report.memo_partial_hits = memo.partial.hits;
         self.report.score_invocations = memo.invocations;
         qb.record_pipeline_run(&self.report, &memo);
         Ok(PipelineOutcome {
@@ -408,7 +387,7 @@ impl PipelineDriver {
             qb.abandon_window_fetches(win);
         }
         self.report.memo_hits = memo.hits;
-        self.report.memo_partial_hits = memo.partial_hits;
+        self.report.memo_partial_hits = memo.partial.hits;
         self.report.score_invocations = memo.invocations;
         qb.record_pipeline_run(&self.report, &memo);
         Err(e)
@@ -488,16 +467,11 @@ impl PipelineDriver {
         self.report.stats_reads += u64::from(pending_stats.is_some());
         self.report.shard_fetches += pending_shards.len() as u64;
         let mut win = WindowRun {
-            state: WindowState::Fetching,
             first_query,
             plans,
             fetched: crate::query::executor::FetchSet::new(),
             stats_read: None,
             issued_at,
-            fetch_done: HashMap::new(),
-            fetch_queue: HashMap::new(),
-            stats_done: None,
-            stats_queue: SimDuration::ZERO,
             completes_at: issued_at,
             pending_stats,
             pending_shards,
@@ -520,12 +494,6 @@ impl PipelineDriver {
         memo: &mut WindowMemo,
         responses: &mut [Option<SearchResponse>],
     ) {
-        debug_assert_eq!(
-            win.state,
-            WindowState::Fetching,
-            "only issued windows retire"
-        );
-        win.state = WindowState::Scoring;
         qb.net.tracer().close(win.span, win.completes_at);
         self.report.queue_delay += win.queue_delay;
         let now = qb.net.now();
@@ -543,37 +511,30 @@ impl PipelineDriver {
             plans.len() >= 2 && qb.fleet().is_some(),
         );
         for (j, plan) in plans.into_iter().enumerate() {
-            let frontend = plan.frontend;
-            let used_stats_read =
-                matches!(plan.stats, crate::query::plan::StatsPlan::Fetch) && !plan.is_result_hit();
-            let fetch_keys: Vec<(Option<usize>, String)> = plan
+            // The query's slowest asynchronous dependency (the first of
+            // equals, in term order then the statistics read): its
+            // completion instant and the link queueing inside it.
+            let shard_reads = plan
                 .fetch_terms()
-                .map(|t| (frontend, t.to_string()))
-                .collect();
+                .filter_map(|t| win.fetched.get(&(plan.frontend, t.to_string())))
+                .map(|f| (f.completed_at, f.queue_delay));
+            let stats_read = win
+                .stats_read
+                .filter(|_| matches!(plan.stats, StatsPlan::Fetch) && !plan.is_result_hit())
+                .map(|r| (r.completed_at, r.queue_delay));
+            let critical = shard_reads.chain(stats_read).reduce(|slowest, read| {
+                if read.0 > slowest.0 {
+                    read
+                } else {
+                    slowest
+                }
+            });
             let mut response = qb.serve_plan(plan, &win.fetched, &win.stats_read, now, Some(memo));
             // Rebase latency on the virtual timeline when the query waited
             // on any asynchronous dependency.
-            let mut done_at: Option<SimInstant> = None;
-            let mut critical_queue = SimDuration::ZERO;
-            for key in &fetch_keys {
-                if let Some(&d) = win.fetch_done.get(key) {
-                    if done_at.is_none_or(|cur| d > cur) {
-                        critical_queue = win.fetch_queue.get(key).copied().unwrap_or_default();
-                    }
-                    done_at = Some(done_at.map_or(d, |cur| cur.max(d)));
-                }
-            }
-            if used_stats_read {
-                if let Some(d) = win.stats_done {
-                    if done_at.is_none_or(|cur| d > cur) {
-                        critical_queue = win.stats_queue;
-                    }
-                    done_at = Some(done_at.map_or(d, |cur| cur.max(d)));
-                }
-            }
-            if let Some(done) = done_at {
+            if let Some((done, queue_delay)) = critical {
                 response.latency = done.since(win.issued_at);
-                response.trace.net_queue = critical_queue.min(response.latency);
+                response.trace.net_queue = queue_delay.min(response.latency);
             }
             responses[win.first_query + j] = Some(response);
         }
@@ -584,7 +545,6 @@ impl PipelineDriver {
         for (frontend, terms) in fetched_terms {
             qb.note_batch_fetches(frontend, &terms);
         }
-        win.state = WindowState::Done;
     }
 }
 
@@ -606,18 +566,5 @@ mod tests {
         assert!(c.adaptive);
         assert_eq!(c.window_size, PipelineConfig::default().window_size);
         assert!(c.rampup_queue_percent < c.backoff_queue_percent);
-    }
-
-    #[test]
-    fn window_states_progress_in_order() {
-        // The enum is the documentation of the lifecycle; keep the order.
-        let order = [
-            WindowState::Planned,
-            WindowState::Fetching,
-            WindowState::Scoring,
-            WindowState::Done,
-        ];
-        assert_eq!(order.len(), 4);
-        assert_ne!(WindowState::Planned, WindowState::Done);
     }
 }

@@ -1,7 +1,7 @@
 //! [`SearchRequest`]: what a caller asks the query frontend for.
 //!
-//! The seed API (`search(peer, text)`) could only express "this peer asks
-//! this query": top-k, pagination, routing and freshness were all implicit.
+//! A bare `(peer, text)` pair can only express "this peer asks this
+//! query": top-k, pagination, routing and freshness would all be implicit.
 //! A `SearchRequest` makes every knob explicit and builder-style, so the
 //! planner can analyze a whole batch of requests before any network traffic
 //! is issued.
@@ -27,7 +27,7 @@ pub enum RoutingPolicy {
     /// eliminates.
     RingSuccessor(u64),
     /// Serve at this specific fleet frontend (errors without a fleet or when
-    /// the index is out of range, exactly like the old `search_from`).
+    /// the index is out of range or has left the fleet).
     Direct(usize),
 }
 

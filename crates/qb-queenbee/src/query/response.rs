@@ -2,7 +2,6 @@
 //! [`SearchRequest`](crate::query::request::SearchRequest), with a
 //! per-stage cost trace and per-term cache provenance.
 
-use crate::engine::SearchOutcome;
 use qb_chain::{AccountId, AdId};
 use qb_common::SimDuration;
 use qb_index::ScoredDoc;
@@ -131,23 +130,6 @@ impl SearchResponse {
     fn count(&self, f: impl Fn(&TermProvenance) -> bool) -> usize {
         self.provenance.iter().filter(|p| f(p)).count()
     }
-
-    /// The seed-era flat view over this response (the `search`/`search_from`
-    /// back-compat shims return this).
-    pub fn to_outcome(&self) -> SearchOutcome {
-        SearchOutcome {
-            query: self.query.clone(),
-            results: self.hits.clone(),
-            ad: self.ad,
-            latency: self.latency,
-            messages: self.trace.messages,
-            shards_fetched: self.shards_fetched(),
-            served_by_bee: self.served_by_bee,
-            result_cache_hit: self.result_cache_hit(),
-            shard_cache_hits: self.shard_cache_hits(),
-            negative_cache_hits: self.negative_cache_hits(),
-        }
-    }
 }
 
 /// Slice the requested page out of the full ranked list.
@@ -214,8 +196,5 @@ mod tests {
         assert_eq!(resp.batch_shared(), 1);
         assert_eq!(resp.stale_served(), 1);
         assert_eq!(resp.negative_cache_hits(), 0);
-        let outcome = resp.to_outcome();
-        assert_eq!(outcome.shards_fetched, 1);
-        assert!(!outcome.result_cache_hit);
     }
 }

@@ -198,11 +198,6 @@ impl SimNet {
         &mut self.tracer
     }
 
-    /// Read-only view of the span recorder.
-    pub fn tracer_ref(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// Turn span recording on or off.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracer.set_enabled(on);

@@ -112,16 +112,6 @@ impl StorageNetwork {
         self.pinned.is_empty()
     }
 
-    /// The pinned store of a peer (tests and the tamper experiment use this).
-    pub fn pinned_store_mut(&mut self, peer: u64) -> &mut MemoryBlockStore {
-        &mut self.pinned[peer as usize]
-    }
-
-    /// Pinned store of a peer (read-only).
-    pub fn pinned_store(&self, peer: u64) -> &MemoryBlockStore {
-        &self.pinned[peer as usize]
-    }
-
     /// Cache hit/miss counters of a peer's LRU cache.
     pub fn cache_stats(&self, peer: u64) -> (u64, u64) {
         let c = &self.caches[peer as usize];

@@ -6,7 +6,9 @@
 
 use qb_chain::AccountId;
 use qb_dweb::WebPage;
-use qb_queenbee::{CollusionAttack, QueenBee, QueenBeeConfig, ScraperAttack};
+use qb_queenbee::{
+    CollusionAttack, QueenBee, QueenBeeConfig, RoutingPolicy, ScraperAttack, SearchRequest,
+};
 
 fn page(name: &str, body: &str) -> WebPage {
     WebPage::new(name, format!("Title {name}"), body, vec![])
@@ -39,8 +41,10 @@ fn main() {
     qb.seal();
     qb.process_publish_events().unwrap();
     qb.run_rank_round().unwrap();
-    let out = qb.search(3, "beekeeping").unwrap();
-    let spam_on_top = out.results.iter().take(3).any(|r| r.name == "evil/spam");
+    let out = qb
+        .search_request(SearchRequest::new("beekeeping").route(RoutingPolicy::HashPeer(3)))
+        .unwrap();
+    let spam_on_top = out.hits.iter().take(3).any(|r| r.name == "evil/spam");
     println!("  spam page in top-3 for 'beekeeping': {spam_on_top}");
     for bee in qb.bees() {
         if bee.is_colluding() {
@@ -94,8 +98,10 @@ fn main() {
         qb.net.heal_all();
         qb.net.fail_fraction(fraction, &[7]);
         let ok = qb
-            .search(7, "resilient outages")
-            .map(|o| !o.results.is_empty())
+            .search_request(
+                SearchRequest::new("resilient outages").route(RoutingPolicy::HashPeer(7)),
+            )
+            .map(|o| !o.hits.is_empty())
             .unwrap_or(false);
         println!(
             "  {:3.0}% of peers down -> query answered: {ok}",

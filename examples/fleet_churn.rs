@@ -17,7 +17,9 @@
 use qb_chain::AccountId;
 use qb_common::SimDuration;
 use qb_dweb::WebPage;
-use qb_queenbee::{CacheConfig, GossipConfig, QueenBee, QueenBeeConfig};
+use qb_queenbee::{
+    CacheConfig, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest,
+};
 use qb_simnet::NetConfig;
 
 fn main() {
@@ -49,14 +51,17 @@ fn main() {
     }
     qb.seal();
     qb.process_publish_events().expect("index");
-    qb.search_from(0, "honey meadow").expect("warm query");
+    qb.search_request(SearchRequest::new("honey meadow").route(RoutingPolicy::Direct(0)))
+        .expect("warm query");
     for _ in 0..2 {
         qb.advance_time(qb.config().gossip.round_interval);
     }
-    let warm = qb.search_from(3, "honey meadow").expect("gossip-warmed");
+    let warm = qb
+        .search_request(SearchRequest::new("honey meadow").route(RoutingPolicy::Direct(3)))
+        .expect("gossip-warmed");
     println!(
         "frontend 3 warmed by gossip: {} DHT shard fetches on its first query",
-        warm.shards_fetched
+        warm.shards_fetched()
     );
 
     // A frontend crashes; the fleet detects and evicts it.
@@ -69,17 +74,23 @@ fn main() {
         "after the crash: {} failed exchanges, {} view evictions; hashed routing still serves: {}",
         stats.failed_exchanges,
         stats.evictions,
-        qb.search(2, "honey meadow").is_ok()
+        qb.search_request(SearchRequest::new("honey meadow").route(RoutingPolicy::HashPeer(2)))
+            .is_ok()
     );
 
     // Restart + a brand-new joiner, both warmed by bootstrap anti-entropy.
     qb.fleet_rejoin(2).expect("rejoin");
     let joined = qb.fleet_join().expect("join");
-    let rejoin_out = qb.search_from(2, "honey meadow").expect("rejoined");
-    let join_out = qb.search_from(joined, "honey meadow").expect("joined");
+    let rejoin_out = qb
+        .search_request(SearchRequest::new("honey meadow").route(RoutingPolicy::Direct(2)))
+        .expect("rejoined");
+    let join_out = qb
+        .search_request(SearchRequest::new("honey meadow").route(RoutingPolicy::Direct(joined)))
+        .expect("joined");
     println!(
         "restart + join warm from the fleet: {} and {} DHT shard fetches on their first queries",
-        rejoin_out.shards_fetched, join_out.shards_fetched
+        rejoin_out.shards_fetched(),
+        join_out.shards_fetched()
     );
 
     // A republish raced by the churn: still zero stale serves.
@@ -98,11 +109,11 @@ fn main() {
     qb.process_publish_events().expect("reindex");
     qb.advance_time(SimDuration::from_millis(400));
     let fresh = qb
-        .search_from(joined, "updated honey")
+        .search_request(SearchRequest::new("updated honey").route(RoutingPolicy::Direct(joined)))
         .expect("fresh query");
     println!(
         "republish raced by churn: top hit version {} — {} stale results served overall",
-        fresh.results.first().map(|r| r.version).unwrap_or(0),
+        fresh.hits.first().map(|r| r.version).unwrap_or(0),
         qb.freshness.stale_results
     );
 

@@ -6,7 +6,7 @@
 use qb_baseline::{CentralizedConfig, CentralizedEngine, CrawlDoc};
 use qb_chain::AccountId;
 use qb_common::{DetRng, SimDuration, SimInstant};
-use qb_queenbee::{QueenBee, QueenBeeConfig};
+use qb_queenbee::{QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest};
 use qb_workload::{mutate_page, CorpusConfig, CorpusGenerator, UpdateStream};
 use std::collections::HashMap;
 
@@ -107,10 +107,10 @@ fn main() {
             .unwrap_or("versionmarker1")
             .to_string();
         probes += 1;
-        match qb.search(3, &marker) {
+        match qb.search_request(SearchRequest::new(&marker).route(RoutingPolicy::HashPeer(3))) {
             Ok(out)
                 if out
-                    .results
+                    .hits
                     .iter()
                     .any(|r| r.name == *name && r.version >= cur_version) => {}
             _ => qb_stale += 1,

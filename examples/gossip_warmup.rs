@@ -7,7 +7,9 @@
 use qb_chain::AccountId;
 use qb_common::SimDuration;
 use qb_dweb::WebPage;
-use qb_queenbee::{CacheConfig, GossipConfig, QueenBee, QueenBeeConfig};
+use qb_queenbee::{
+    CacheConfig, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest,
+};
 
 fn build_fleet() -> QueenBee {
     // Fleet mode: 3 query frontends on peers 0..3, each with a private
@@ -63,10 +65,14 @@ fn main() {
     let queries = ["decentralized peers", "worker honey", "gossip shards"];
     println!("\nfrontend 0 takes the cold-start hit:");
     for q in &queries {
-        let out = qb.search_from(0, q).expect("search");
+        let out = qb
+            .search_request(SearchRequest::new(*q).route(RoutingPolicy::Direct(0)))
+            .expect("search");
         println!(
             "  '{q}': {} shard fetches, {} RPC messages, {}",
-            out.shards_fetched, out.messages, out.latency
+            out.shards_fetched(),
+            out.messages(),
+            out.latency
         );
         qb.advance_time(SimDuration::from_millis(250)); // gossip rounds fire
     }
@@ -75,10 +81,14 @@ fn main() {
     for frontend in 1..3 {
         println!("\nfrontend {frontend} was warmed by gossip alone:");
         for q in &queries {
-            let out = qb.search_from(frontend, q).expect("search");
+            let out = qb
+                .search_request(SearchRequest::new(*q).route(RoutingPolicy::Direct(frontend)))
+                .expect("search");
             println!(
                 "  '{q}': {} shard fetches, {} shard-cache hits, {}",
-                out.shards_fetched, out.shard_cache_hits, out.latency
+                out.shards_fetched(),
+                out.shard_cache_hits(),
+                out.latency
             );
         }
     }
@@ -98,10 +108,13 @@ fn main() {
     let admitted = restarted.import_hot_set(0, &snapshot).expect("import");
     println!("restarted fleet imported {admitted} shards into frontend 0:");
     for q in &queries {
-        let out = restarted.search_from(0, q).expect("search");
+        let out = restarted
+            .search_request(SearchRequest::new(*q).route(RoutingPolicy::Direct(0)))
+            .expect("search");
         println!(
             "  '{q}': {} shard fetches ({} shard-cache hits) on the first query",
-            out.shards_fetched, out.shard_cache_hits
+            out.shards_fetched(),
+            out.shard_cache_hits()
         );
     }
     println!(

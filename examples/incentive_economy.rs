@@ -6,7 +6,7 @@
 
 use qb_chain::AccountId;
 use qb_common::DetRng;
-use qb_queenbee::{gini_coefficient, QueenBee, QueenBeeConfig};
+use qb_queenbee::{gini_coefficient, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest};
 use qb_workload::{AdvertiserWorkload, CorpusConfig, CorpusGenerator, QueryWorkload};
 
 fn main() {
@@ -43,7 +43,9 @@ fn main() {
         .iter()
         .enumerate()
     {
-        if let Ok(out) = qb.search((i % 40) as u64, q) {
+        if let Ok(out) =
+            qb.search_request(SearchRequest::new(q).route(RoutingPolicy::HashPeer((i % 40) as u64)))
+        {
             if out.ad.is_some() && ads.user_clicks(&mut rng) && qb.click_ad(&out).unwrap_or(false) {
                 clicks += 1;
             }

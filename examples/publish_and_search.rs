@@ -5,7 +5,7 @@
 
 use qb_chain::AccountId;
 use qb_common::DetRng;
-use qb_queenbee::{QueenBee, QueenBeeConfig};
+use qb_queenbee::{QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest};
 use qb_simnet::LatencyRecorder;
 use qb_workload::{CorpusConfig, CorpusGenerator, QueryWorkload};
 
@@ -39,21 +39,20 @@ fn main() {
     let mut latencies = LatencyRecorder::new();
     let mut answered = 0usize;
     for (i, q) in queries.iter().enumerate() {
-        match qb.search((i % 40) as u64, q) {
+        match qb
+            .search_request(SearchRequest::new(q).route(RoutingPolicy::HashPeer((i % 40) as u64)))
+        {
             Ok(out) => {
                 latencies.record(out.latency);
-                if !out.results.is_empty() {
+                if !out.hits.is_empty() {
                     answered += 1;
                 }
                 if i < 5 {
                     println!(
                         "query '{q}': {} results, best = {:?}, {} msgs, {}",
-                        out.results.len(),
-                        out.results
-                            .first()
-                            .map(|r| r.name.clone())
-                            .unwrap_or_default(),
-                        out.messages,
+                        out.hits.len(),
+                        out.hits.first().map(|r| r.name.clone()).unwrap_or_default(),
+                        out.messages(),
                         out.latency
                     );
                 }

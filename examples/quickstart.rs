@@ -148,9 +148,8 @@ fn main() {
 
     // 6. The user clicks the ad: the advertiser is charged and the revenue is
     //    split between the result's creator, the serving bee and the treasury.
-    let outcome = response.to_outcome();
     let before = qb.chain.balance(bob);
-    qb.click_ad(&outcome).expect("click");
+    qb.click_ad(&response).expect("click");
     println!(
         "\nad click settled on-chain: creator {:?} earned {} nectar (balance {} -> {})",
         bob,
@@ -238,8 +237,8 @@ fn main() {
         outcome.report.adapt_backoffs, outcome.report.adapt_rampups,
     );
     // One-shot windows are still there: `qb.search_batch(requests)` runs a
-    // single window back-to-back, and `search`/`search_from` serve one-off
-    // queries through the same planner.
+    // single window back-to-back, and `qb.search_request(request)` serves a
+    // one-off query through the same planner.
 
     // 8. The cache at work: replay the same queries and watch the hit rate.
     //    The earlier rounds warmed the tiers; every repeat is served locally
@@ -255,9 +254,11 @@ fn main() {
         let mut messages = 0;
         let mut hits = 0;
         for q in &queries {
-            let out = qb.search(7, q).expect("search");
-            messages += out.messages;
-            hits += out.result_cache_hit as usize;
+            let out = qb
+                .search_request(SearchRequest::new(*q).route(RoutingPolicy::HashPeer(7)))
+                .expect("search");
+            messages += out.messages();
+            hits += out.result_cache_hit() as usize;
         }
         println!(
             "  round {round}: {hits}/{} result-cache hits, {messages} RPC messages",

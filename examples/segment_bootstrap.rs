@@ -8,7 +8,10 @@
 use qb_chain::AccountId;
 use qb_common::SimDuration;
 use qb_dweb::WebPage;
-use qb_queenbee::{CacheConfig, GossipConfig, QueenBee, QueenBeeConfig, SegmentConfig};
+use qb_queenbee::{
+    CacheConfig, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest,
+    SegmentConfig,
+};
 
 fn main() {
     // A 3-frontend fleet with the segment path enabled: the writer
@@ -104,7 +107,8 @@ fn main() {
     for round in 0..3 {
         for (i, q) in queries.iter().enumerate() {
             qb.advance_time(SimDuration::from_millis(100));
-            qb.search_from((round + i) % 3, q).expect("warm-up");
+            qb.search_request(SearchRequest::new(*q).route(RoutingPolicy::Direct((round + i) % 3)))
+                .expect("warm-up");
         }
     }
 
@@ -129,8 +133,10 @@ fn main() {
     for (label, frontend) in [("segment", seg_joiner), ("gossip-only", gossip_joiner)] {
         let mut fetches = 0usize;
         for q in &queries {
-            let out = qb.search_from(frontend, q).expect("probe");
-            fetches += out.shards_fetched;
+            let out = qb
+                .search_request(SearchRequest::new(*q).route(RoutingPolicy::Direct(frontend)))
+                .expect("probe");
+            fetches += out.shards_fetched();
         }
         println!(
             "  {label:12} joiner: {fetches} DHT shard fetches over {} queries",

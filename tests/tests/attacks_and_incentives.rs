@@ -3,7 +3,7 @@
 
 use qb_chain::AccountId;
 use qb_integration::{page, publish_and_index, small_engine};
-use qb_queenbee::{BeeBehaviour, CollusionAttack, ScraperAttack};
+use qb_queenbee::{BeeBehaviour, CollusionAttack, RoutingPolicy, ScraperAttack, SearchRequest};
 
 #[test]
 fn honest_economy_rewards_every_stakeholder_and_conserves_supply() {
@@ -77,8 +77,10 @@ fn colluding_minority_is_caught_flagged_and_slashed() {
         );
     }
     // The spam page never appears in results for honest content queries.
-    let out = qb.search(3, "ordinary honest").expect("search");
-    assert!(out.results.iter().all(|r| r.name != "evil/spam"));
+    let out = qb
+        .search_request(SearchRequest::new("ordinary honest").route(RoutingPolicy::HashPeer(3)))
+        .expect("search");
+    assert!(out.hits.iter().all(|r| r.name != "evil/spam"));
 
     // The colluder was flagged whenever it was assigned, and slashed.
     let colluder = &qb.bees()[0];
@@ -115,9 +117,11 @@ fn collusion_without_redundancy_poisons_the_index() {
         1_000,
         &page("honest/page", "unique honest keyword sunflower", &[]),
     );
-    let out = qb.search(3, "sunflower").expect("search");
+    let out = qb
+        .search_request(SearchRequest::new("sunflower").route(RoutingPolicy::HashPeer(3)))
+        .expect("search");
     assert!(
-        out.results.iter().any(|r| r.name == "evil/spam"),
+        out.hits.iter().any(|r| r.name == "evil/spam"),
         "without a quorum the spam injection should succeed"
     );
 }

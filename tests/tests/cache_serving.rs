@@ -6,7 +6,7 @@
 
 use qb_chain::AccountId;
 use qb_common::SimDuration;
-use qb_queenbee::{CacheConfig, QueenBee, QueenBeeConfig};
+use qb_queenbee::{CacheConfig, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest};
 use qb_workload::{Corpus, CorpusConfig, CorpusGenerator, QueryWorkload, ZipfSampler};
 
 fn corpus(seed: u64, pages: usize) -> Corpus {
@@ -56,10 +56,14 @@ fn warm_cache_reduces_latency_and_rpc_on_zipf_stream() {
         publish_all(&mut qb, &corpus);
         let (mut latency_us, mut messages, mut fetches) = (0u64, 0u64, 0u64);
         for (i, &q) in stream.iter().enumerate() {
-            let out = qb.search((i % 28) as u64, &pool[q]).expect("search");
+            let out = qb
+                .search_request(
+                    SearchRequest::new(&pool[q]).route(RoutingPolicy::HashPeer((i % 28) as u64)),
+                )
+                .expect("search");
             latency_us += out.latency.as_micros();
-            messages += out.messages;
-            fetches += out.shards_fetched as u64;
+            messages += out.messages();
+            fetches += out.shards_fetched() as u64;
         }
         (latency_us, messages, fetches)
     };
@@ -94,13 +98,17 @@ fn warm_repeated_query_issues_fewer_rpc_messages_than_cold() {
         .next()
         .unwrap()
         .to_string();
-    let cold = qb.search(5, &query).expect("cold search");
-    let warm = qb.search(5, &query).expect("warm search");
-    assert!(cold.messages > 0);
-    assert_eq!(warm.messages, 0, "warm repeat must be RPC-free");
-    assert!(warm.messages < cold.messages);
+    let cold = qb
+        .search_request(SearchRequest::new(&query).route(RoutingPolicy::HashPeer(5)))
+        .expect("cold search");
+    let warm = qb
+        .search_request(SearchRequest::new(&query).route(RoutingPolicy::HashPeer(5)))
+        .expect("warm search");
+    assert!(cold.messages() > 0);
+    assert_eq!(warm.messages(), 0, "warm repeat must be RPC-free");
+    assert!(warm.messages() < cold.messages());
     assert!(warm.latency < cold.latency);
-    assert_eq!(warm.results, cold.results, "cache must not change results");
+    assert_eq!(warm.hits, cold.hits, "cache must not change results");
 }
 
 /// Republish-then-query: the cached result for the old version must die at
@@ -121,8 +129,17 @@ fn republished_page_is_never_served_stale_from_cache() {
     qb.process_publish_events().expect("index v1");
 
     // Warm the cache on version 1 (second query is a result-cache hit).
-    assert_eq!(qb.search(3, "glowworms").unwrap().results[0].version, 1);
-    assert!(qb.search(3, "glowworms").unwrap().result_cache_hit);
+    assert_eq!(
+        qb.search_request(SearchRequest::new("glowworms").route(RoutingPolicy::HashPeer(3)))
+            .unwrap()
+            .hits[0]
+            .version,
+        1
+    );
+    assert!(qb
+        .search_request(SearchRequest::new("glowworms").route(RoutingPolicy::HashPeer(3)))
+        .unwrap()
+        .result_cache_hit());
 
     // Republish with new content that keeps the hot term.
     let v2 = qb_dweb::WebPage::new("news/hot", "Hot news", "glowworms retreat at dawn", vec![]);
@@ -131,12 +148,14 @@ fn republished_page_is_never_served_stale_from_cache() {
     qb.process_publish_events().expect("index v2");
 
     // The old entry must not serve: same query now returns version 2.
-    let after = qb.search(3, "glowworms").expect("search after republish");
+    let after = qb
+        .search_request(SearchRequest::new("glowworms").route(RoutingPolicy::HashPeer(3)))
+        .expect("search after republish");
     assert!(
-        !after.result_cache_hit,
+        !after.result_cache_hit(),
         "stale cached result must have been invalidated"
     );
-    assert_eq!(after.results[0].version, 2);
+    assert_eq!(after.hits[0].version, 2);
     assert_eq!(
         qb.freshness.stale_results, 0,
         "no search ever returned a stale version"
@@ -168,18 +187,27 @@ fn cache_entries_expire_at_their_ttl_bound() {
     qb.seal();
     qb.process_publish_events().expect("index");
 
-    let _ = qb.search(3, "ephemeral").expect("fill");
+    let _ = qb
+        .search_request(SearchRequest::new("ephemeral").route(RoutingPolicy::HashPeer(3)))
+        .expect("fill");
     assert!(
-        qb.search(3, "ephemeral").unwrap().result_cache_hit,
+        qb.search_request(SearchRequest::new("ephemeral").route(RoutingPolicy::HashPeer(3)))
+            .unwrap()
+            .result_cache_hit(),
         "warm before TTL"
     );
 
     // Cross the TTL boundary in simulated time: the entry must be gone and
     // the query must hit the DHT again.
     qb.advance_time(ttl + SimDuration::from_secs(1));
-    let expired = qb.search(3, "ephemeral").expect("search after TTL");
-    assert!(!expired.result_cache_hit, "entry must not outlive its TTL");
-    assert!(expired.messages > 0, "expired entry forces a real fetch");
+    let expired = qb
+        .search_request(SearchRequest::new("ephemeral").route(RoutingPolicy::HashPeer(3)))
+        .expect("search after TTL");
+    assert!(
+        !expired.result_cache_hit(),
+        "entry must not outlive its TTL"
+    );
+    assert!(expired.messages() > 0, "expired entry forces a real fetch");
     let metrics = qb.cache_metrics().unwrap();
     assert!(
         metrics.result.expirations > 0,
@@ -199,9 +227,13 @@ fn cache_off_engine_shows_no_warmup_effect() {
         .next()
         .unwrap()
         .to_string();
-    let a = qb.search(5, &query).expect("first");
-    let b = qb.search(5, &query).expect("second");
+    let a = qb
+        .search_request(SearchRequest::new(&query).route(RoutingPolicy::HashPeer(5)))
+        .expect("first");
+    let b = qb
+        .search_request(SearchRequest::new(&query).route(RoutingPolicy::HashPeer(5)))
+        .expect("second");
     assert!(qb.cache_metrics().is_none());
-    assert_eq!(a.messages, b.messages);
-    assert!(!a.result_cache_hit && !b.result_cache_hit);
+    assert_eq!(a.messages(), b.messages());
+    assert!(!a.result_cache_hit() && !b.result_cache_hit());
 }

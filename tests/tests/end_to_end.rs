@@ -3,6 +3,7 @@
 
 use qb_chain::AccountId;
 use qb_integration::{page, publish_and_index, small_engine};
+use qb_queenbee::{RoutingPolicy, SearchRequest};
 use qb_workload::AdSpec;
 
 #[test]
@@ -56,9 +57,11 @@ fn full_pipeline_from_publish_to_paid_ad_click() {
     .expect("campaign");
 
     // A user searches and clicks the ad.
-    let out = qb.search(7, "artisanal honey").expect("search");
-    assert!(!out.results.is_empty());
-    assert_eq!(out.results[0].name, "shop/honey");
+    let out = qb
+        .search_request(SearchRequest::new("artisanal honey").route(RoutingPolicy::HashPeer(7)))
+        .expect("search");
+    assert!(!out.hits.is_empty());
+    assert_eq!(out.hits[0].name, "shop/honey");
     assert!(out.ad.is_some());
     assert!(out.latency.as_micros() > 0);
 
@@ -106,14 +109,13 @@ fn search_results_are_relevant_and_ranked() {
         &page("c", "completely unrelated content about starships", &[]),
     );
 
-    let out = qb.search(5, "nectar").expect("search");
-    let names: Vec<&str> = out.results.iter().map(|r| r.name.as_str()).collect();
+    let out = qb
+        .search_request(SearchRequest::new("nectar").route(RoutingPolicy::HashPeer(5)))
+        .expect("search");
+    let names: Vec<&str> = out.hits.iter().map(|r| r.name.as_str()).collect();
     assert!(names.contains(&"a") && names.contains(&"b"));
     assert!(!names.contains(&"c"));
-    assert_eq!(
-        out.results[0].name, "a",
-        "higher term frequency ranks first"
-    );
+    assert_eq!(out.hits[0].name, "a", "higher term frequency ranks first");
 }
 
 #[test]
@@ -138,9 +140,11 @@ fn multi_term_queries_intersect_posting_lists() {
         &page("only-quagga", "quaggas graze alone", &[]),
     );
 
-    let out = qb.search(5, "zebras quaggas").expect("search");
-    assert_eq!(out.results[0].name, "both");
-    assert!(out.shards_fetched >= 2);
+    let out = qb
+        .search_request(SearchRequest::new("zebras quaggas").route(RoutingPolicy::HashPeer(5)))
+        .expect("search");
+    assert_eq!(out.hits[0].name, "both");
+    assert!(out.shards_fetched() >= 2);
 }
 
 #[test]

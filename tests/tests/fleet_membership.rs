@@ -9,7 +9,9 @@
 use qb_chain::AccountId;
 use qb_common::SimDuration;
 use qb_dweb::WebPage;
-use qb_queenbee::{CacheConfig, DigestMode, GossipConfig, QueenBee, QueenBeeConfig};
+use qb_queenbee::{
+    CacheConfig, DigestMode, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest,
+};
 use qb_workload::{Corpus, CorpusConfig, CorpusGenerator, QueryWorkload, ZipfSampler};
 
 fn corpus(seed: u64, pages: usize) -> Corpus {
@@ -60,9 +62,11 @@ fn drive(qb: &mut QueenBee, pool: &[String], stream: &[usize]) -> (u64, u64, u64
             .filter(|&f| qb.fleet().expect("fleet").is_active(f))
             .collect();
         let frontend = actives[i % actives.len()];
-        let out = qb.search_from(frontend, &pool[q]).expect("query");
-        fetches += out.shards_fetched as u64;
-        if out.shards_fetched == 0 {
+        let out = qb
+            .search_request(SearchRequest::new(&pool[q]).route(RoutingPolicy::Direct(frontend)))
+            .expect("query");
+        fetches += out.shards_fetched() as u64;
+        if out.shards_fetched() == 0 {
             hits += 1;
         }
         served += 1;
@@ -98,8 +102,10 @@ fn a_joined_frontend_warms_from_the_fleet_within_three_rounds() {
     let probes = zipf_stream(pool.len(), 20, 0x12AB);
     let mut hits = 0;
     for &q in &probes {
-        let out = qb.search_from(joined, &pool[q]).expect("probe");
-        if out.shards_fetched == 0 {
+        let out = qb
+            .search_request(SearchRequest::new(&pool[q]).route(RoutingPolicy::Direct(joined)))
+            .expect("probe");
+        if out.shards_fetched() == 0 {
             hits += 1;
         }
     }
@@ -155,8 +161,12 @@ fn crashes_are_evicted_and_rejoins_never_serve_stale() {
     // read-time checks keep the missed republish invisible.
     qb.fleet_rejoin(1).expect("rejoin");
     let out = qb
-        .search_from(1, &format!("{} replacement", "fresh"))
-        .or_else(|_| qb.search_from(1, &pool[0]))
+        .search_request(
+            SearchRequest::new(format!("{} replacement", "fresh")).route(RoutingPolicy::Direct(1)),
+        )
+        .or_else(|_| {
+            qb.search_request(SearchRequest::new(&pool[0]).route(RoutingPolicy::Direct(1)))
+        })
         .expect("rejoined frontend serves");
     drop(out);
     drive(&mut qb, &pool, &zipf_stream(pool.len(), 20, 0x12BD));
@@ -178,7 +188,11 @@ fn graceful_leave_redistributes_load() {
     drive(&mut qb, &pool, &zipf_stream(pool.len(), 30, 0x12CF));
 
     qb.fleet_leave(2, true).expect("leave");
-    assert!(qb.search_from(2, &pool[0]).is_err(), "direct routing fails");
+    assert!(
+        qb.search_request(SearchRequest::new(&pool[0]).route(RoutingPolicy::Direct(2)))
+            .is_err(),
+        "direct routing fails"
+    );
     let (_, _, served) = drive(&mut qb, &pool, &zipf_stream(pool.len(), 20, 0x12CE));
     assert_eq!(served, 20, "hashed routing walks around the departed slot");
     let stats = qb.gossip_stats().expect("fleet");
@@ -206,9 +220,12 @@ fn zoned_fleet_converges_with_biased_sampling() {
     drive(&mut qb, &pool, &zipf_stream(pool.len(), 80, 0x12DF));
     // After convergence every frontend answers the hottest query from cache.
     for f in 0..4 {
-        let out = qb.search_from(f, &pool[0]).expect("hot query");
+        let out = qb
+            .search_request(SearchRequest::new(&pool[0]).route(RoutingPolicy::Direct(f)))
+            .expect("hot query");
         assert_eq!(
-            out.shards_fetched, 0,
+            out.shards_fetched(),
+            0,
             "frontend {f} should hold the Zipf head after zoned gossip"
         );
     }

@@ -5,6 +5,7 @@
 use qb_baseline::{CentralizedConfig, CentralizedEngine, CrawlDoc, YacyConfig, YacyEngine};
 use qb_common::{SimDuration, SimInstant};
 use qb_integration::{page, publish_and_index, small_engine};
+use qb_queenbee::{RoutingPolicy, SearchRequest};
 use qb_simnet::{NetConfig, SimNet};
 
 fn crawl_doc(name: &str, version: u64, text: &str) -> CrawlDoc {
@@ -32,14 +33,16 @@ fn queenbee_serves_updates_immediately() {
         1_000,
         &page("news", "todays exclusive about xylophones", &[]),
     );
-    let out = qb.search(4, "xylophones").expect("search");
-    assert_eq!(out.results.len(), 1);
-    assert_eq!(out.results[0].version, 2);
+    let out = qb
+        .search_request(SearchRequest::new("xylophones").route(RoutingPolicy::HashPeer(4)))
+        .expect("search");
+    assert_eq!(out.hits.len(), 1);
+    assert_eq!(out.hits[0].version, 2);
     assert_eq!(qb.freshness.staleness_rate(), 0.0);
     // The stale term no longer matches the page's current version entry.
-    let stale = qb.search(4, "turnips");
+    let stale = qb.search_request(SearchRequest::new("turnips").route(RoutingPolicy::HashPeer(4)));
     match stale {
-        Ok(out) => assert!(out.results.is_empty() || out.results[0].version == 2),
+        Ok(out) => assert!(out.hits.is_empty() || out.hits[0].version == 2),
         Err(e) => assert!(matches!(e, qb_common::QbError::Query(_)) || e.is_availability()),
     }
 }
@@ -106,7 +109,8 @@ fn centralized_engine_fails_under_ddos_while_queenbee_keeps_serving() {
     );
     // Take down a third of the peers (a DDoS can only hit so many devices).
     qb.net.fail_fraction(0.33, &[5]);
-    let out = qb.search(5, "decentralized");
+    let out =
+        qb.search_request(SearchRequest::new("decentralized").route(RoutingPolicy::HashPeer(5)));
     assert!(out.is_ok(), "QueenBee should still answer: {out:?}");
 }
 
@@ -122,11 +126,13 @@ fn queenbee_survives_partitions_better_than_a_single_server() {
     qb.net.partition_round_robin(2);
     // Query from both sides of the partition; at least one side must succeed
     // (replicas and caches exist on both sides or the query side).
-    let side_a = qb.search(2, "partition");
-    let side_b = qb.search(3, "partition");
+    let side_a =
+        qb.search_request(SearchRequest::new("partition").route(RoutingPolicy::HashPeer(2)));
+    let side_b =
+        qb.search_request(SearchRequest::new("partition").route(RoutingPolicy::HashPeer(3)));
     assert!(
-        side_a.map(|o| !o.results.is_empty()).unwrap_or(false)
-            || side_b.map(|o| !o.results.is_empty()).unwrap_or(false),
+        side_a.map(|o| !o.hits.is_empty()).unwrap_or(false)
+            || side_b.map(|o| !o.hits.is_empty()).unwrap_or(false),
         "neither partition could answer the query"
     );
 }

@@ -9,7 +9,9 @@ use qb_chain::AccountId;
 use qb_common::SimDuration;
 use qb_dweb::WebPage;
 use qb_index::Analyzer;
-use qb_queenbee::{CacheConfig, GossipConfig, QueenBee, QueenBeeConfig};
+use qb_queenbee::{
+    CacheConfig, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest,
+};
 use qb_workload::{Corpus, CorpusConfig, CorpusGenerator, QueryWorkload, ZipfSampler};
 
 fn corpus(seed: u64, pages: usize) -> Corpus {
@@ -64,19 +66,25 @@ fn gossip_converges_hot_sets_across_the_fleet() {
     // Only frontend 0 sees traffic; rounds fire as time advances.
     let mut reference = Vec::new();
     for q in &hot {
-        reference.push(qb.search_from(0, q).expect("search"));
+        reference.push(
+            qb.search_request(SearchRequest::new(q).route(RoutingPolicy::Direct(0)))
+                .expect("search"),
+        );
         qb.advance_time(SimDuration::from_millis(250));
     }
     qb.run_gossip_round(false);
 
     for frontend in 1..4 {
         for (q, reference) in hot.iter().zip(&reference) {
-            let out = qb.search_from(frontend, q).expect("warmed search");
+            let out = qb
+                .search_request(SearchRequest::new(q).route(RoutingPolicy::Direct(frontend)))
+                .expect("warmed search");
             assert_eq!(
-                out.shards_fetched, 0,
+                out.shards_fetched(),
+                0,
                 "frontend {frontend} had to fetch for '{q}' despite gossip"
             );
-            assert_eq!(out.results, reference.results, "converged answers match");
+            assert_eq!(out.hits, reference.hits, "converged answers match");
         }
     }
     let stats = qb.gossip_stats().expect("gossip enabled");
@@ -104,8 +112,10 @@ fn gossip_saves_dht_fetches_on_a_shared_zipf_stream() {
         let mut fetches = 0u64;
         for (i, &q) in stream.iter().enumerate() {
             qb.advance_time(SimDuration::from_millis(60));
-            let out = qb.search_from(i % 4, &pool[q]).expect("search");
-            fetches += out.shards_fetched as u64;
+            let out = qb
+                .search_request(SearchRequest::new(&pool[q]).route(RoutingPolicy::Direct(i % 4)))
+                .expect("search");
+            fetches += out.shards_fetched() as u64;
         }
         (fetches, qb.freshness.stale_results)
     };
@@ -139,8 +149,10 @@ fn republish_racing_a_gossip_round_never_serves_stale() {
 
     // Warm every frontend on v1, then cut frontend 2 off.
     for f in 0..3 {
-        let out = qb.search_from(f, "glowworm").expect("warm");
-        assert_eq!(out.results[0].version, 1);
+        let out = qb
+            .search_request(SearchRequest::new("glowworm").route(RoutingPolicy::Direct(f)))
+            .expect("warm");
+        assert_eq!(out.hits[0].version, 1);
     }
     let cut_peer = qb.fleet().unwrap().frontend_peer(2);
     qb.net.set_partition(cut_peer, 9);
@@ -188,8 +200,10 @@ fn republish_racing_a_gossip_round_never_serves_stale() {
     // Every frontend now serves v2 (re-fetching through the DHT where
     // needed), and nothing stale was ever served.
     for f in 0..3 {
-        let out = qb.search_from(f, "glowworm").expect("post-heal search");
-        assert_eq!(out.results[0].version, 2, "frontend {f} must serve v2");
+        let out = qb
+            .search_request(SearchRequest::new("glowworm").route(RoutingPolicy::Direct(f)))
+            .expect("post-heal search");
+        assert_eq!(out.hits[0].version, 2, "frontend {f} must serve v2");
     }
     assert_eq!(qb.freshness.stale_results, 0, "no stale result ever served");
 }
@@ -209,7 +223,8 @@ fn anti_entropy_recovers_a_partitioned_frontend() {
     let cut_peer = qb.fleet().unwrap().frontend_peer(2);
     qb.net.set_partition(cut_peer, 7);
     for q in &hot {
-        qb.search_from(0, q).expect("search");
+        qb.search_request(SearchRequest::new(q).route(RoutingPolicy::Direct(0)))
+            .expect("search");
         qb.advance_time(SimDuration::from_millis(250));
     }
     let failed_during_partition = qb.gossip_stats().unwrap().failed_exchanges;
@@ -223,9 +238,12 @@ fn anti_entropy_recovers_a_partitioned_frontend() {
     qb.run_gossip_round(true);
     assert!(qb.gossip_stats().unwrap().anti_entropy_rounds >= 1);
     for q in &hot {
-        let out = qb.search_from(2, q).expect("reconciled search");
+        let out = qb
+            .search_request(SearchRequest::new(q).route(RoutingPolicy::Direct(2)))
+            .expect("reconciled search");
         assert_eq!(
-            out.shards_fetched, 0,
+            out.shards_fetched(),
+            0,
             "anti-entropy should have warmed frontend 2 for '{q}'"
         );
     }
@@ -248,7 +266,10 @@ fn warm_start_snapshot_prefills_the_next_session() {
     let mut first = build(0x60E);
     let mut cold_fetches = 0usize;
     for q in &hot {
-        cold_fetches += first.search_from(0, q).expect("search").shards_fetched;
+        cold_fetches += first
+            .search_request(SearchRequest::new(q).route(RoutingPolicy::Direct(0)))
+            .expect("search")
+            .shards_fetched();
     }
     assert!(cold_fetches > 0);
     let snapshot = first.export_hot_set(0, 64).expect("fleet frontend 0");
@@ -258,8 +279,10 @@ fn warm_start_snapshot_prefills_the_next_session() {
     let admitted = restarted.import_hot_set(0, &snapshot).expect("import");
     assert!(admitted > 0);
     for q in &hot {
-        let out = restarted.search_from(0, q).expect("warm search");
-        assert_eq!(out.shards_fetched, 0, "'{q}' should be pre-filled");
+        let out = restarted
+            .search_request(SearchRequest::new(q).route(RoutingPolicy::Direct(0)))
+            .expect("warm search");
+        assert_eq!(out.shards_fetched(), 0, "'{q}' should be pre-filled");
     }
     assert_eq!(restarted.freshness.stale_results, 0);
 }
@@ -300,13 +323,22 @@ fn adaptive_ttls_follow_republish_rates_end_to_end() {
         }
         // Warm both terms, then wait past the global 600s shard TTL (but
         // inside the 1800s adaptive ceiling).
-        qb.search(3, "permafrost volcanic").expect("warm");
+        qb.search_request(
+            SearchRequest::new("permafrost volcanic").route(RoutingPolicy::HashPeer(3)),
+        )
+        .expect("warm");
         qb.advance_time(SimDuration::from_secs(700));
         // Distinct queries sharing the terms probe the shard tier directly
         // (the result tier expired long ago).
-        let archive = qb.search(3, "permafrost archival").expect("archive");
-        let live = qb.search(3, "volcanic ticker").expect("live");
-        (archive.shard_cache_hits, live.shard_cache_hits)
+        let archive = qb
+            .search_request(
+                SearchRequest::new("permafrost archival").route(RoutingPolicy::HashPeer(3)),
+            )
+            .expect("archive");
+        let live = qb
+            .search_request(SearchRequest::new("volcanic ticker").route(RoutingPolicy::HashPeer(3)))
+            .expect("live");
+        (archive.shard_cache_hits(), live.shard_cache_hits())
     };
 
     let (archive_hits_on, _live) = run(true);
@@ -345,8 +377,10 @@ fn writer_path_cache_keeps_index_correct_under_republish_storm() {
     let (reads, hits) = qb.writer_cache_stats();
     assert!(reads > 0);
     assert!(hits > 0, "repeated merges must reuse the writer cache");
-    let out = qb.search_from(0, "honeypot").expect("search");
-    assert_eq!(out.results.len(), 1);
-    assert_eq!(out.results[0].version, 6, "five republishes after v1");
+    let out = qb
+        .search_request(SearchRequest::new("honeypot").route(RoutingPolicy::Direct(0)))
+        .expect("search");
+    assert_eq!(out.hits.len(), 1);
+    assert_eq!(out.hits[0].version, 6, "five republishes after v1");
     assert_eq!(qb.freshness.stale_results, 0);
 }

@@ -9,7 +9,7 @@ use qb_chain::AccountId;
 use qb_common::{SimDuration, SimInstant};
 use qb_load::{replay, replay_traced, ArrivalTrace, RateShape, ReplayConfig, TraceConfig};
 use qb_queenbee::{
-    AdmissionConfig, CacheConfig, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy,
+    AdmissionConfig, CacheConfig, Freshness, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy,
     SearchRequest,
 };
 use qb_trace::{attribution, critical_path, to_chrome_trace, to_json, MetricsSnapshot};
@@ -203,6 +203,35 @@ fn closed_loop_query_has_fetch_dominated_critical_path() {
         attr.contains_key("fetch"),
         "a cold fresh query must charge fetch time: {attr:?}"
     );
+}
+
+/// A failed request must not leave its `window` span open: every later
+/// span would nest under it, no later `query` tree would be a root, and
+/// critical-path attribution of everything after the first error would be
+/// wrong.
+#[test]
+fn failed_requests_leave_no_window_span_open() {
+    let corpus = corpus(0x7ACE, 16);
+    let term = corpus.pages[0].title.split_whitespace().next().unwrap();
+    let mut qb = engine(&corpus, 0x7ACE);
+    qb.set_tracing(true);
+    // Plan-time failure: nothing searchable survives analysis.
+    assert!(qb.search_request(SearchRequest::new("the of and")).is_err());
+    // Fetch-time failure: the serving frontend's device is offline.
+    let peer = qb.fleet().expect("fleet mode").frontend_peer(1);
+    qb.net.set_online(peer, false);
+    let fresh = SearchRequest::new(term).freshness(Freshness::Fresh);
+    assert!(qb
+        .search_request(fresh.clone().route(RoutingPolicy::Direct(1)))
+        .is_err());
+    qb.net.set_online(peer, true);
+    qb.search_request(fresh.route(RoutingPolicy::Direct(0)))
+        .expect("good query");
+    let spans = qb.take_trace();
+    assert_eq!(spans.named("query").count(), 1);
+    for span in spans.named("query").chain(spans.named("window")) {
+        assert_eq!(span.parent, None, "'{}' must be a root", span.name);
+    }
 }
 
 /// The metrics snapshot diffing isolates one replay's worth of counters.
