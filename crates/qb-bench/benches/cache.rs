@@ -50,6 +50,14 @@ fn bench_tier_ops(c: &mut Criterion) {
             })
         });
     }
+    // One resident head-term shard (the size `score-heavy` reads), hit over
+    // and over: the micro number behind the benchmark's `cache.probe_ns`. A
+    // hit hands out a handle, so this must not scale with the posting count.
+    let mut cache = QueryCache::new(CacheConfig::enabled());
+    cache.store_shard(&sample_shard("head", 250), now);
+    c.bench_function("cache/shard_hit_250_postings", |b| {
+        b.iter(|| cache.lookup_shard("head", now, 1))
+    });
 }
 
 fn bench_invalidation(c: &mut Criterion) {
@@ -61,7 +69,7 @@ fn bench_invalidation(c: &mut Criterion) {
             for i in 0..100 {
                 cache.store_result(
                     &format!("hot q{i}"),
-                    vec![],
+                    std::sync::Arc::default(),
                     vec![("hot".into(), 1), (format!("q{i}"), 1)],
                     now,
                 );

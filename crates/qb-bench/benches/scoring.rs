@@ -2,7 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qb_bench::build_corpus;
-use qb_index::{search, Analyzer, Bm25, InvertedIndex, Query, QueryMode, Scorer, TfIdf};
+use qb_index::{
+    intersect_and_score, search, Analyzer, Bm25, IndexStats, InvertedIndex, Query, QueryMode,
+    Scorer, ShardEntry, ShardPosting, TfIdf,
+};
 
 fn bench_scoring(c: &mut Criterion) {
     let s = Bm25::default();
@@ -49,5 +52,37 @@ fn bench_scoring(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_scoring);
+/// The serving kernel on three head-term shards of a 300-page collection
+/// (~250, ~200 and ~150 postings, mostly overlapping): the micro number
+/// behind the benchmark's `executor.score_ns_per_candidate` on
+/// `score-heavy`.
+fn bench_kernel(c: &mut Criterion) {
+    let shard = |term: &str, skip: u64| ShardEntry {
+        term: term.to_string(),
+        version: 1,
+        postings: (0..300u64)
+            .filter(|doc| doc % skip != 0)
+            .map(|doc| ShardPosting {
+                doc_id: doc * 31 + 7,
+                term_freq: (doc % 5) as u32 + 1,
+                doc_len: 80 + (doc % 90) as u32,
+                name: format!("page/{doc}"),
+                version: 1,
+                creator: doc % 50,
+            })
+            .collect(),
+    };
+    let shards = [shard("alpha", 6), shard("beta", 3), shard("gamma", 2)];
+    let stats = IndexStats {
+        num_docs: 300,
+        total_len: 300 * 120,
+        version: 1,
+    };
+    let rank_of = |name: &str| name.len() as f64 * 1e-4;
+    c.bench_function("kernel/3_head_terms", |b| {
+        b.iter(|| intersect_and_score(&shards, &stats, rank_of, 0.3, None))
+    });
+}
+
+criterion_group!(benches, bench_scoring, bench_kernel);
 criterion_main!(benches);

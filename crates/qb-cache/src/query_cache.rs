@@ -1,4 +1,13 @@
 //! The three-tier query-serving cache used by the QueenBee frontend.
+//!
+//! **Ownership rule.** What the tiers hold is immutable and shared: a shard
+//! lives in the tier as an `Arc<ShardEntry>` and a scored result list as an
+//! `Arc<Vec<ScoredDoc>>`, and every read hands out another handle to the
+//! same allocation — a hit, a gossip fill and a segment import are
+//! reference-count bumps, never copies. A handle is a snapshot: replacing
+//! or invalidating the tier's entry leaves the holder's data untouched.
+//! Only a writer that needs to *change* a shard takes a copy
+//! (`Arc::unwrap_or_clone`).
 
 use crate::config::CacheConfig;
 use crate::metrics::CacheMetrics;
@@ -6,13 +15,15 @@ use crate::tier::CacheTier;
 use qb_common::{varint, QbError, QbResult, SimDuration, SimInstant};
 use qb_index::{IndexStats, ScoredDoc, ShardEntry};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A cached, fully scored result list plus everything needed to prove it is
 /// still current.
 #[derive(Debug, Clone)]
 pub struct CachedResult {
-    /// Ranked results as served.
-    pub results: Vec<ScoredDoc>,
+    /// The full ranked list, shared with whoever computed it (and with every
+    /// reader served from this entry).
+    pub results: Arc<Vec<ScoredDoc>>,
     /// Shard version of every query term at fill time (terms sorted). The
     /// entry is only served while each term's current version still matches.
     pub term_versions: Vec<(String, u64)>,
@@ -28,8 +39,9 @@ pub struct CachedStats {
 /// Outcome of a shard-tier lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardLookup {
-    /// The term's shard was cached and current.
-    Hit(ShardEntry),
+    /// The term's shard was cached and current: a handle to the tier's own
+    /// copy.
+    Hit(Arc<ShardEntry>),
     /// The term is cached as proven-absent; skip the DHT entirely.
     Negative,
     /// Nothing cached; fetch through the DHT.
@@ -39,14 +51,15 @@ pub enum ShardLookup {
 /// Outcome of a staleness-bounded shard lookup ([`QueryCache::lookup_shard_bounded`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BoundedShardLookup {
-    /// The term's shard was cached and current.
-    Hit(ShardEntry),
+    /// The term's shard was cached and current: a handle to the tier's own
+    /// copy.
+    Hit(Arc<ShardEntry>),
     /// The cached shard's version has been superseded, but its age is within
     /// the caller's staleness bound: served without a DHT trip. `age` is how
     /// long ago the copy was stored.
     Stale {
-        /// The cached (superseded) shard.
-        shard: ShardEntry,
+        /// The cached (superseded) shard, shared with the tier.
+        shard: Arc<ShardEntry>,
         /// Time since the copy was stored.
         age: SimDuration,
     },
@@ -147,7 +160,7 @@ fn shard_bytes(s: &ShardEntry) -> usize {
 pub struct QueryCache {
     config: CacheConfig,
     results: CacheTier<CachedResult>,
-    shards: CacheTier<ShardEntry>,
+    shards: CacheTier<Arc<ShardEntry>>,
     /// Negative entries store the shard version they were proven absent at
     /// (always 0: absent terms have never been written).
     negatives: CacheTier<()>,
@@ -197,20 +210,18 @@ impl QueryCache {
 
     /// Look up a result entry. `current_version` maps a term to its current
     /// shard version; the entry is served only when every recorded term
-    /// version still matches (and its TTL has not lapsed).
+    /// version still matches (and its TTL has not lapsed). A hit shares the
+    /// entry's list; a stale entry is dropped without being handed out.
     pub fn lookup_result(
         &mut self,
         key: &str,
         now: SimInstant,
         mut current_version: impl FnMut(&str) -> u64,
     ) -> Option<CachedResult> {
-        let entry = match self.results.get(key, now, None) {
-            Some(e) => e.clone(),
-            None => {
-                // The lookup may have expired the entry; drop its index rows.
-                self.prune_result_index();
-                return None;
-            }
+        let Some(entry) = self.results.get(key, now, None) else {
+            // The lookup may have expired the entry; drop its index rows.
+            self.prune_result_index();
+            return None;
         };
         let stale = entry
             .term_versions
@@ -224,15 +235,16 @@ impl QueryCache {
             self.prune_result_index();
             return None;
         }
-        Some(entry)
+        Some(entry.clone())
     }
 
     /// Store a result entry computed from the given per-term shard
-    /// versions. Returns whether the entry was admitted.
+    /// versions; the tier keeps the caller's list, it does not copy it.
+    /// Returns whether the entry was admitted.
     pub fn store_result(
         &mut self,
         key: &str,
-        results: Vec<ScoredDoc>,
+        results: Arc<Vec<ScoredDoc>>,
         term_versions: Vec<(String, u64)>,
         now: SimInstant,
     ) -> bool {
@@ -270,7 +282,7 @@ impl QueryCache {
     pub fn store_remote_result(
         &mut self,
         key: &str,
-        results: Vec<ScoredDoc>,
+        results: Arc<Vec<ScoredDoc>>,
         term_versions: Vec<(String, u64)>,
         mut known_version: impl FnMut(&str) -> u64,
         now: SimInstant,
@@ -331,7 +343,7 @@ impl QueryCache {
             }
         }
         match self.shards.get(term, now, Some(current_version)) {
-            Some(shard) => ShardLookup::Hit(shard.clone()),
+            Some(shard) => ShardLookup::Hit(Arc::clone(shard)),
             None => ShardLookup::Miss,
         }
     }
@@ -359,7 +371,7 @@ impl QueryCache {
         }
         match self.shards.version_of(term) {
             Some(v) if v == current_version => match self.shards.get(term, now, Some(v)) {
-                Some(shard) => BoundedShardLookup::Hit(shard.clone()),
+                Some(shard) => BoundedShardLookup::Hit(Arc::clone(shard)),
                 None => BoundedShardLookup::Miss,
             },
             Some(_) => {
@@ -379,7 +391,7 @@ impl QueryCache {
                 // a normal hit.
                 match self.shards.get(term, now, None) {
                     Some(shard) => BoundedShardLookup::Stale {
-                        shard: shard.clone(),
+                        shard: Arc::clone(shard),
                         age,
                     },
                     None => BoundedShardLookup::Miss,
@@ -394,17 +406,37 @@ impl QueryCache {
 
     /// Store a freshly fetched shard, or — when the shard is empty and was
     /// never written (version 0) — a negative entry for the term. Shard
-    /// entries get the term's adaptive TTL when the policy is enabled.
-    pub fn store_shard(&mut self, shard: &ShardEntry, now: SimInstant) {
+    /// entries get the term's adaptive TTL when the policy is enabled. The
+    /// tier takes another handle to the caller's allocation, so fanning one
+    /// fetched shard out into N caches copies nothing.
+    pub fn store_shard_handle(&mut self, shard: &Arc<ShardEntry>, now: SimInstant) {
         if shard.version == 0 && shard.postings.is_empty() {
             self.negatives
                 .insert(&shard.term, (), shard.term.len() + 16, 0, now);
         } else {
-            let bytes = shard_bytes(shard);
             let ttl = self.adaptive_shard_ttl(&shard.term);
-            self.shards
-                .insert_with_ttl(&shard.term, shard.clone(), bytes, shard.version, now, ttl);
+            self.insert_shard(shard, now, ttl);
         }
+    }
+
+    /// [`QueryCache::store_shard_handle`] for a caller that holds the shard
+    /// by value and keeps it: the tier gets its own copy.
+    pub fn store_shard(&mut self, shard: &ShardEntry, now: SimInstant) {
+        self.store_shard_handle(&Arc::new(shard.clone()), now);
+    }
+
+    /// Give the shard tier a handle to `shard`; false when the tier's
+    /// admission policy refuses it.
+    fn insert_shard(&mut self, shard: &Arc<ShardEntry>, now: SimInstant, ttl: SimDuration) -> bool {
+        let bytes = shard_bytes(shard);
+        self.shards.insert_with_ttl(
+            &shard.term,
+            Arc::clone(shard),
+            bytes,
+            shard.version,
+            now,
+            ttl,
+        )
     }
 
     /// The shard-tier TTL this cache would give `term` right now. With
@@ -447,9 +479,10 @@ impl QueryCache {
         self.shards.hottest(max, now)
     }
 
-    /// Borrow a cached shard without charging a lookup (fills must not look
-    /// like query traffic to the eviction policy).
-    pub fn peek_shard(&self, term: &str) -> Option<&ShardEntry> {
+    /// Borrow the tier's handle to a cached shard without charging a lookup
+    /// (fills must not look like query traffic to the eviction policy);
+    /// clone the handle to keep the shard.
+    pub fn peek_shard(&self, term: &str) -> Option<&Arc<ShardEntry>> {
         self.shards.peek(term)
     }
 
@@ -474,10 +507,11 @@ impl QueryCache {
     /// `sender_ttl` is the *remaining* lifetime of the sender's copy; the
     /// stored entry inherits `min(sender_ttl, our adapted TTL)` so a gossip
     /// fill can only tighten, never extend, the staleness bound — relaying
-    /// a shard between frontends never restarts its expiry clock.
+    /// a shard between frontends never restarts its expiry clock. An
+    /// accepted shard is shared with the sender's handle, not copied.
     pub fn store_remote_shard(
         &mut self,
-        shard: &ShardEntry,
+        shard: &Arc<ShardEntry>,
         known_version: u64,
         sender_ttl: SimDuration,
         now: SimInstant,
@@ -501,11 +535,7 @@ impl QueryCache {
                 .as_micros()
                 .min(self.adaptive_shard_ttl(&shard.term).as_micros()),
         );
-        let bytes = shard_bytes(shard);
-        if self
-            .shards
-            .insert_with_ttl(&shard.term, shard.clone(), bytes, shard.version, now, ttl)
-        {
+        if self.insert_shard(shard, now, ttl) {
             RemoteAdmit::Accepted
         } else {
             RemoteAdmit::Refused
@@ -561,7 +591,7 @@ impl QueryCache {
                 continue;
             }
             let before = self.shards.len();
-            self.store_shard(&shard, now);
+            self.store_shard_handle(&Arc::new(shard), now);
             admitted += (self.shards.len() > before) as usize;
         }
         if pos != data.len() {
@@ -716,7 +746,7 @@ mod tests {
         let key = result_key(&["honey".into(), "bees".into()]);
         c.store_result(
             &key,
-            vec![doc("wiki/bees", 1)],
+            Arc::new(vec![doc("wiki/bees", 1)]),
             vec![("honey".into(), 2), ("bees".into(), 5)],
             t0(),
         );
@@ -742,19 +772,19 @@ mod tests {
         c.store_shard(&shard("honey", 3, 4), t0());
         c.store_result(
             &result_key(&["honey".into()]),
-            vec![doc("a", 1)],
+            Arc::new(vec![doc("a", 1)]),
             vec![("honey".into(), 3)],
             t0(),
         );
         c.store_result(
             &result_key(&["honey".into(), "bees".into()]),
-            vec![doc("a", 1)],
+            Arc::new(vec![doc("a", 1)]),
             vec![("honey".into(), 3), ("bees".into(), 1)],
             t0(),
         );
         c.store_result(
             &result_key(&["unrelated".into()]),
-            vec![doc("b", 1)],
+            Arc::new(vec![doc("b", 1)]),
             vec![("unrelated".into(), 1)],
             t0(),
         );
@@ -782,6 +812,66 @@ mod tests {
         // Version bumped by a republish: the cached shard must not serve.
         assert_eq!(c.lookup_shard("nectar", t0(), 5), ShardLookup::Miss);
         assert_eq!(c.metrics().shard.invalidations, 1);
+    }
+
+    #[test]
+    fn shard_hits_share_one_allocation_and_a_held_handle_is_a_snapshot() {
+        let mut c = cache();
+        let fetched = Arc::new(shard("nectar", 4, 3));
+        c.store_shard_handle(&fetched, t0());
+        let (ShardLookup::Hit(first), ShardLookup::Hit(second)) = (
+            c.lookup_shard("nectar", t0(), 4),
+            c.lookup_shard("nectar", t0(), 4),
+        ) else {
+            panic!("warm shard must hit");
+        };
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "a hit is a handle, not a copy"
+        );
+        assert!(Arc::ptr_eq(&first, &fetched), "the tier kept the caller's");
+        assert!(Arc::ptr_eq(c.peek_shard("nectar").unwrap(), &fetched));
+        // The by-reference form still copies in (its caller keeps ownership).
+        c.store_shard(&shard("pollen", 1, 2), t0());
+        assert!(matches!(
+            c.lookup_shard("pollen", t0(), 1),
+            ShardLookup::Hit(_)
+        ));
+
+        // Replacing the tier's entry leaves the holder reading version 4...
+        c.store_shard(&shard("nectar", 5, 7), t0());
+        assert_eq!((first.version, first.postings.len()), (4, 3));
+        // ...while the next lookup sees version 5.
+        let ShardLookup::Hit(next) = c.lookup_shard("nectar", t0(), 5) else {
+            panic!("replacement must hit");
+        };
+        assert_eq!((next.version, next.postings.len()), (5, 7));
+        // Invalidation likewise: the tier forgets, the holder does not.
+        c.invalidate_term("nectar", t0());
+        assert_eq!(c.lookup_shard("nectar", t0(), 5), ShardLookup::Miss);
+        assert_eq!((next.version, next.postings.len()), (5, 7));
+        assert_eq!(*first, shard("nectar", 4, 3));
+    }
+
+    #[test]
+    fn result_hits_share_the_list_and_a_stale_entry_is_never_handed_out() {
+        let mut c = cache();
+        let key = result_key(&["honey".into()]);
+        let list = Arc::new(vec![doc("wiki/bees", 1)]);
+        assert!(c.store_result(&key, Arc::clone(&list), vec![("honey".into(), 2)], t0()));
+        let hit = c.lookup_result(&key, t0(), |_| 2).expect("warm hit");
+        assert!(Arc::ptr_eq(&hit.results, &list), "served, not copied");
+        drop(hit);
+        // While the version check runs, only the tier and this test hold
+        // the list: the entry is judged in place, before any handle (let
+        // alone a copy) is taken for the caller.
+        let holders_during_check = |_: &str| {
+            assert_eq!(Arc::strong_count(&list), 2);
+            3
+        };
+        assert!(c.lookup_result(&key, t0(), holders_during_check).is_none());
+        assert_eq!(Arc::strong_count(&list), 1, "the stale entry is gone");
+        assert_eq!(list[0].name, "wiki/bees", "the holder's list is intact");
     }
 
     #[test]
@@ -870,7 +960,12 @@ mod tests {
     fn result_entries_expire_by_ttl() {
         let mut c = cache();
         let key = result_key(&["old".into()]);
-        c.store_result(&key, vec![doc("a", 1)], vec![("old".into(), 1)], t0());
+        c.store_result(
+            &key,
+            Arc::new(vec![doc("a", 1)]),
+            vec![("old".into(), 1)],
+            t0(),
+        );
         let ttl = c.config().result_ttl;
         let just_before = t0() + SimDuration(ttl.0 - 1);
         assert!(c.lookup_result(&key, just_before, |_| 1).is_some());
@@ -904,7 +999,12 @@ mod tests {
         // reverse index must track only the survivors, not every query ever.
         for i in 0..200 {
             let term = format!("term{i}");
-            c.store_result(&term, vec![doc("page/x", 1)], vec![(term.clone(), 1)], t0());
+            c.store_result(
+                &term,
+                Arc::new(vec![doc("page/x", 1)]),
+                vec![(term.clone(), 1)],
+                t0(),
+            );
         }
         let (live, _, _) = c.tier_sizes();
         assert!(live < 200, "budget must have evicted most entries");
@@ -1044,21 +1144,21 @@ mod tests {
         let ttl = SimDuration::from_secs(120);
         // Fresh fill into an empty tier is accepted.
         assert_eq!(
-            c.store_remote_shard(&shard("t", 3, 2), 3, ttl, t0()),
+            c.store_remote_shard(&Arc::new(shard("t", 3, 2)), 3, ttl, t0()),
             RemoteAdmit::Accepted
         );
         // Same or older version: duplicate, the resident copy stays.
         assert_eq!(
-            c.store_remote_shard(&shard("t", 3, 2), 3, ttl, t0()),
+            c.store_remote_shard(&Arc::new(shard("t", 3, 2)), 3, ttl, t0()),
             RemoteAdmit::Duplicate
         );
         assert_eq!(
-            c.store_remote_shard(&shard("t", 2, 2), 2, ttl, t0()),
+            c.store_remote_shard(&Arc::new(shard("t", 2, 2)), 2, ttl, t0()),
             RemoteAdmit::Duplicate
         );
         // Older than the known version (e.g. a publish observed locally).
         assert_eq!(
-            c.store_remote_shard(&shard("t", 4, 2), 5, ttl, t0()),
+            c.store_remote_shard(&Arc::new(shard("t", 4, 2)), 5, ttl, t0()),
             RemoteAdmit::Stale
         );
         assert_eq!(
@@ -1068,13 +1168,13 @@ mod tests {
         );
         // Newer version replaces.
         assert_eq!(
-            c.store_remote_shard(&shard("t", 5, 2), 3, ttl, t0()),
+            c.store_remote_shard(&Arc::new(shard("t", 5, 2)), 3, ttl, t0()),
             RemoteAdmit::Accepted
         );
         assert_eq!(c.cached_shard_version("t"), Some(5));
         // A version-0 (absent) shard can never travel as a fill.
         assert_eq!(
-            c.store_remote_shard(&ShardEntry::empty("t"), 0, ttl, t0()),
+            c.store_remote_shard(&Arc::new(ShardEntry::empty("t")), 0, ttl, t0()),
             RemoteAdmit::Stale
         );
     }
@@ -1087,7 +1187,7 @@ mod tests {
         // Gossip proves the term exists elsewhere: negative entry dies.
         let sender_ttl = SimDuration::from_secs(45);
         assert_eq!(
-            c.store_remote_shard(&shard("ghost", 1, 2), 1, sender_ttl, t0()),
+            c.store_remote_shard(&Arc::new(shard("ghost", 1, 2)), 1, sender_ttl, t0()),
             RemoteAdmit::Accepted
         );
         assert!(matches!(
@@ -1111,14 +1211,26 @@ mod tests {
         // honey@3 is provably stale and must be rejected.
         let known_v4 = |term: &str| if term == "honey" { 4 } else { 0 };
         assert_eq!(
-            c.store_remote_result(&key, vec![doc("a", 1)], versions.clone(), known_v4, t0()),
+            c.store_remote_result(
+                &key,
+                Arc::new(vec![doc("a", 1)]),
+                versions.clone(),
+                known_v4,
+                t0()
+            ),
             RemoteAdmit::Stale
         );
         assert!(c.peek_result(&key).is_none());
         // Within the receiver's knowledge: accepted and served.
         let known_v3 = |term: &str| if term == "honey" { 3 } else { 0 };
         assert_eq!(
-            c.store_remote_result(&key, vec![doc("a", 1)], versions.clone(), known_v3, t0()),
+            c.store_remote_result(
+                &key,
+                Arc::new(vec![doc("a", 1)]),
+                versions.clone(),
+                known_v3,
+                t0()
+            ),
             RemoteAdmit::Accepted
         );
         assert_eq!(c.peek_result(&key).unwrap().results[0].name, "a");
@@ -1126,13 +1238,19 @@ mod tests {
         assert!(c.lookup_result(&key, t0(), current).is_some());
         // Re-offering the same (or an older) computation is a duplicate.
         assert_eq!(
-            c.store_remote_result(&key, vec![doc("a", 1)], versions.clone(), known_v3, t0()),
+            c.store_remote_result(
+                &key,
+                Arc::new(vec![doc("a", 1)]),
+                versions.clone(),
+                known_v3,
+                t0()
+            ),
             RemoteAdmit::Duplicate
         );
         // A list computed from a *newer* honey shard replaces the entry.
         let newer = vec![("honey".to_string(), 5u64), ("bees".to_string(), 1)];
         assert_eq!(
-            c.store_remote_result(&key, vec![doc("b", 2)], newer, known_v3, t0()),
+            c.store_remote_result(&key, Arc::new(vec![doc("b", 2)]), newer, known_v3, t0()),
             RemoteAdmit::Accepted
         );
         assert_eq!(c.peek_result(&key).unwrap().results[0].name, "b");

@@ -58,6 +58,7 @@ use qb_segment::{fetch_segment, ImportReport, SegmentRef};
 use qb_simnet::SimNet;
 use qb_storage::StorageNetwork;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Wire overhead charged per shard in a fill batch (frame, version, TTL).
 const FILL_ENTRY_OVERHEAD: usize = 12;
@@ -1321,7 +1322,9 @@ fn send_fills(
     fill_budget: usize,
     stats: &mut GossipStats,
 ) {
-    let mut fills: Vec<(ShardEntry, SimDuration)> = Vec::new();
+    // Handles to the sender's cached shards: the simulated wire is charged
+    // the encoded bytes below, the host copies nothing.
+    let mut fills: Vec<(Arc<ShardEntry>, SimDuration)> = Vec::new();
     let mut batch_bytes = 0usize;
     let mut offered: std::collections::HashSet<&str> = std::collections::HashSet::new();
     let to_peer = to.peer;
@@ -1347,7 +1350,7 @@ fn send_fills(
             continue;
         };
         batch_bytes += shard.encoded_len() + FILL_ENTRY_OVERHEAD;
-        fills.push((shard.clone(), from.cache().adaptive_shard_ttl(term)));
+        fills.push((Arc::clone(shard), from.cache().adaptive_shard_ttl(term)));
     }
     if fills.is_empty() {
         return;

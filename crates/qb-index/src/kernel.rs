@@ -8,7 +8,7 @@
 //! the baselines and the benchmark's oracle compare this kernel against.
 
 use crate::query::ScoredDoc;
-use crate::scorer::{blend_with_rank, Bm25, Scorer};
+use crate::scorer::{blend_with_rank, Bm25};
 use crate::shard::{IndexStats, ShardEntry, ShardPosting};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -51,6 +51,16 @@ fn advance<'a>(
     postings.get(*cursor).filter(|p| p.doc_id == doc_id)
 }
 
+/// One query term's shard inside a kernel call, with the per-shard state
+/// the call keeps: where the caller listed it, how far scoring has walked
+/// it, and its idf (one `ln` per shard, not one per posting).
+struct List<'a> {
+    given: usize,
+    shard: &'a ShardEntry,
+    cursor: usize,
+    idf: f64,
+}
+
 /// Intersect the query terms' shards (falling back to the union when the
 /// conjunction is empty, so multi-term queries degrade gracefully), score
 /// each candidate with BM25 summed over the shards in the order given,
@@ -73,8 +83,22 @@ pub fn intersect_and_score<S: Borrow<ShardEntry>>(
 ) -> (Vec<ScoredDoc>, usize) {
     // Intersect smallest-first (stable) so the candidate set shrinks
     // fastest; the order also fixes the prefix keys.
-    let mut order: Vec<&ShardEntry> = shards.iter().map(Borrow::borrow).collect();
-    order.sort_by_key(|s| s.postings.len());
+    let scorer = Bm25::default();
+    let num_docs = stats.num_docs.max(1) as usize;
+    let mut lists: Vec<List<'_>> = shards
+        .iter()
+        .enumerate()
+        .map(|(given, shard)| {
+            let shard: &ShardEntry = shard.borrow();
+            List {
+                given,
+                shard,
+                cursor: 0,
+                idf: scorer.idf(shard.doc_freq(), num_docs),
+            }
+        })
+        .collect();
+    lists.sort_by_key(|l| l.shard.postings.len());
 
     let mut keys: Vec<String> = Vec::new();
     let mut cache = prefixes.map(|(scope, cache)| {
@@ -82,8 +106,8 @@ pub fn intersect_and_score<S: Borrow<ShardEntry>>(
             cache.conjunctions.clear();
         }
         let mut key = scope.to_string();
-        keys.extend(order.iter().map(|s| {
-            let _ = write!(key, "|{}@{}", s.term, s.version);
+        keys.extend(lists.iter().map(|l| {
+            let _ = write!(key, "|{}@{}", l.shard.term, l.shard.version);
             key.clone()
         }));
         cache
@@ -100,7 +124,7 @@ pub fn intersect_and_score<S: Borrow<ShardEntry>>(
             cache.hits += 1;
         }
     }
-    for (i, shard) in order.iter().enumerate().skip(resumed) {
+    for (i, shard) in lists.iter().map(|l| l.shard).enumerate().skip(resumed) {
         if i == 0 {
             candidates = shard.postings.iter().map(|p| p.doc_id).collect();
         } else {
@@ -113,47 +137,57 @@ pub fn intersect_and_score<S: Borrow<ShardEntry>>(
                 .insert(std::mem::take(&mut keys[i]), candidates.clone());
         }
     }
-    if candidates.is_empty() && order.len() > 1 {
-        candidates = order
+    if candidates.is_empty() && lists.len() > 1 {
+        candidates = lists
             .iter()
-            .flat_map(|s| s.postings.iter().map(|p| p.doc_id))
+            .flat_map(|l| l.shard.postings.iter().map(|p| p.doc_id))
             .collect();
         candidates.sort_unstable();
         candidates.dedup();
     }
 
-    // Candidates ascend, so one cursor per shard walks each list once.
-    let scorer = Bm25::default();
-    let num_docs = stats.num_docs.max(1) as usize;
+    // Score in the order given (the float sum and the metadata choice
+    // depend on it). Candidates ascend, so each shard's cursor walks its
+    // list once. A candidate's key is its score and the posting whose
+    // metadata it takes.
+    lists.sort_unstable_by_key(|l| l.given);
     let avg_len = stats.avg_len();
-    let mut cursors = vec![0usize; shards.len()];
-    let mut results: Vec<ScoredDoc> = Vec::with_capacity(candidates.len());
-    for doc_id in candidates {
+    let score = |doc_id: &u64| {
         let mut relevance = 0.0;
         let mut meta: Option<&ShardPosting> = None;
-        for (shard, cursor) in shards.iter().zip(&mut cursors) {
-            let shard: &ShardEntry = shard.borrow();
-            if let Some(p) = advance(&shard.postings, cursor, doc_id) {
-                relevance +=
-                    scorer.score(p.term_freq, p.doc_len, avg_len, shard.doc_freq(), num_docs);
+        for l in &mut lists {
+            if let Some(p) = advance(&l.shard.postings, &mut l.cursor, *doc_id) {
+                relevance += scorer.score_with_idf(l.idf, p.term_freq, p.doc_len, avg_len);
                 meta = Some(p);
             }
         }
-        let Some(meta) = meta else { continue };
-        results.push(ScoredDoc {
-            doc_id,
-            name: meta.name.clone(),
-            score: blend_with_rank(relevance, rank_of(&meta.name), rank_weight),
-            version: meta.version,
-            creator: meta.creator,
+        let meta = meta?;
+        let blended = blend_with_rank(relevance, rank_of(&meta.name), rank_weight);
+        Some((blended, meta))
+    };
+    let materialise = |(score, meta): (f64, &ShardPosting)| ScoredDoc {
+        doc_id: meta.doc_id,
+        name: meta.name.clone(),
+        score,
+        version: meta.version,
+        creator: meta.creator,
+    };
+    let mut results: Vec<ScoredDoc> = Vec::with_capacity(candidates.len());
+    if candidates.len() <= 1 {
+        // Nothing to rank (the common single rare term): no key buffer.
+        results.extend(candidates.iter().filter_map(score).map(materialise));
+    } else {
+        // Rank the 16-byte keys, then build each document once, in rank
+        // order.
+        let mut ranked: Vec<(f64, &ShardPosting)> = Vec::with_capacity(candidates.len());
+        ranked.extend(candidates.iter().filter_map(score));
+        ranked.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.1.doc_id.cmp(&b.1.doc_id))
         });
+        results.extend(ranked.into_iter().map(materialise));
     }
-    results.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.doc_id.cmp(&b.doc_id))
-    });
     let scored = results.len();
     (results, scored)
 }
@@ -161,8 +195,11 @@ pub fn intersect_and_score<S: Borrow<ShardEntry>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scorer::Scorer;
     use proptest::prelude::*;
+    use std::borrow::Cow;
     use std::collections::{BTreeMap, BTreeSet, HashSet};
+    use std::sync::Arc;
 
     /// The same query semantics written the obvious way: hash-set
     /// conjunction, union fallback, per-candidate binary search, relevance
@@ -281,6 +318,26 @@ mod tests {
                 intersect_and_score(&shards, &stats, rank_of, rank_weight, None);
             prop_assert_eq!(bits(&plain), bits(&expected));
             prop_assert_eq!(plain_scored, expected_scored);
+
+            // The serving path hands the kernel shared handles and borrows
+            // of them, never `ShardEntry` values: same answer through both.
+            let handles: Vec<Arc<ShardEntry>> = shards.iter().cloned().map(Arc::new).collect();
+            let (shared, shared_scored) =
+                intersect_and_score(&handles, &stats, rank_of, rank_weight, None);
+            prop_assert_eq!(bits(&shared), bits(&expected));
+            prop_assert_eq!(shared_scored, expected_scored);
+            let cows: Vec<Cow<'_, ShardEntry>> = handles
+                .iter()
+                .enumerate()
+                .map(|(i, h)| match i % 2 {
+                    0 => Cow::Borrowed(&**h),
+                    _ => Cow::Owned(shards[i].clone()),
+                })
+                .collect();
+            let (lent, lent_scored) =
+                intersect_and_score(&cows, &stats, rank_of, rank_weight, None);
+            prop_assert_eq!(bits(&lent), bits(&expected));
+            prop_assert_eq!(lent_scored, expected_scored);
 
             // Lending a prefix cache — cold, then warm — changes nothing.
             let mut cache = PrefixCache::default();

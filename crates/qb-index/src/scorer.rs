@@ -34,6 +34,34 @@ impl Default for Bm25 {
     }
 }
 
+impl Bm25 {
+    /// The term's inverse document frequency: the factor of
+    /// [`Scorer::score`] that depends only on the term, so a caller scoring
+    /// many postings of one term computes it (one `ln`) once.
+    pub fn idf(&self, doc_freq: usize, num_docs: usize) -> f64 {
+        if num_docs == 0 {
+            return 0.0;
+        }
+        let n = num_docs as f64;
+        let df = doc_freq.max(1) as f64;
+        // BM25+-style floor at 0 to avoid negative idf for very common terms.
+        ((n - df + 0.5) / (df + 0.5) + 1.0).ln().max(0.0)
+    }
+
+    /// One posting's contribution given its term's [`Bm25::idf`]; this is
+    /// the formula [`Scorer::score`] evaluates, so both agree bit for bit.
+    pub fn score_with_idf(&self, idf: f64, term_freq: u32, doc_len: u32, avg_doc_len: f64) -> f64 {
+        if term_freq == 0 {
+            return 0.0;
+        }
+        let tf = term_freq as f64;
+        let dl = doc_len.max(1) as f64;
+        let avg = avg_doc_len.max(1.0);
+        let denom = tf + self.k1 * (1.0 - self.b + self.b * dl / avg);
+        idf * tf * (self.k1 + 1.0) / denom
+    }
+}
+
 impl Scorer for Bm25 {
     fn score(
         &self,
@@ -43,18 +71,12 @@ impl Scorer for Bm25 {
         doc_freq: usize,
         num_docs: usize,
     ) -> f64 {
-        if term_freq == 0 || num_docs == 0 {
-            return 0.0;
-        }
-        let n = num_docs as f64;
-        let df = doc_freq.max(1) as f64;
-        // BM25+-style floor at 0 to avoid negative idf for very common terms.
-        let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln().max(0.0);
-        let tf = term_freq as f64;
-        let dl = doc_len.max(1) as f64;
-        let avg = avg_doc_len.max(1.0);
-        let denom = tf + self.k1 * (1.0 - self.b + self.b * dl / avg);
-        idf * tf * (self.k1 + 1.0) / denom
+        self.score_with_idf(
+            self.idf(doc_freq, num_docs),
+            term_freq,
+            doc_len,
+            avg_doc_len,
+        )
     }
 }
 
@@ -129,6 +151,37 @@ mod tests {
         assert_eq!(s.score(3, 10, 10.0, 1, 0), 0.0);
         // Extremely common term: idf floored at zero, never negative.
         assert!(s.score(3, 10, 10.0, 100, 100) >= 0.0);
+    }
+
+    #[test]
+    fn bm25_idf_hoist_is_bit_identical_to_the_one_piece_formula() {
+        // The formula as `score` evaluated it before the idf was split out.
+        fn one_piece(s: &Bm25, tf: u32, dl: u32, avg: f64, df: usize, n: usize) -> f64 {
+            if tf == 0 || n == 0 {
+                return 0.0;
+            }
+            let (nf, dff) = (n as f64, df.max(1) as f64);
+            let idf = ((nf - dff + 0.5) / (dff + 0.5) + 1.0).ln().max(0.0);
+            let (tf, dl, avg) = (tf as f64, dl.max(1) as f64, avg.max(1.0));
+            let denom = tf + s.k1 * (1.0 - s.b + s.b * dl / avg);
+            idf * tf * (s.k1 + 1.0) / denom
+        }
+        let s = Bm25::default();
+        // Edges: idf floored at 0 (df >= N), term_freq 0, num_docs 0,
+        // df 0, zero lengths — and ordinary values between them.
+        for n in [0usize, 1, 2, 7, 300, 10_000] {
+            for df in [0usize, 1, 2, 7, 299, 300, 301, 50_000] {
+                let idf = s.idf(df, n);
+                assert!(idf >= 0.0);
+                for tf in [0u32, 1, 3, 50] {
+                    for (dl, avg) in [(0u32, 0.0), (1, 1.0), (40, 117.3), (900, 12.5)] {
+                        let expected = one_piece(&s, tf, dl, avg, df, n).to_bits();
+                        assert_eq!(s.score_with_idf(idf, tf, dl, avg).to_bits(), expected);
+                        assert_eq!(s.score(tf, dl, avg, df, n).to_bits(), expected);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@ use qb_storage::{FetchStats, ObjectRef, StorageNetwork};
 use qb_workload::AdSpec;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Outcome of a publish attempt.
 #[derive(Debug, Clone)]
@@ -761,26 +762,7 @@ impl QueenBee {
                 for p in postings {
                     shard.upsert(p);
                 }
-                let next_version = self
-                    .shard_versions
-                    .get(&term)
-                    .copied()
-                    .unwrap_or(0)
-                    .max(shard.version)
-                    + 1;
-                shard.version = next_version;
-                self.shard_versions.insert(term.clone(), next_version);
-                self.dist_index.write_shard(
-                    &mut self.net,
-                    &mut self.dht,
-                    &mut self.storage,
-                    writer_peer,
-                    &shard,
-                )?;
-                self.after_shard_write(wcache, writer_peer, &shard, now);
-                if self.config.segment.enabled {
-                    self.pending_segment.insert(shard);
-                }
+                self.write_shard(wcache, writer_peer, shard, now)?;
             }
 
             // Remove the document from shards of terms the new version no
@@ -798,30 +780,11 @@ impl QueenBee {
                 if !shard.remove(doc_id) {
                     continue;
                 }
-                let next_version = self
-                    .shard_versions
-                    .get(term)
-                    .copied()
-                    .unwrap_or(0)
-                    .max(shard.version)
-                    + 1;
-                shard.version = next_version;
-                self.shard_versions.insert(term.clone(), next_version);
-                self.dist_index.write_shard(
-                    &mut self.net,
-                    &mut self.dht,
-                    &mut self.storage,
-                    writer_peer,
-                    &shard,
-                )?;
-                self.after_shard_write(wcache, writer_peer, &shard, now);
-                if self.config.segment.enabled {
-                    // The shrunk shard rides the next artifact too: its
-                    // bumped version dominates the fatter copy on merge, so
-                    // a bootstrap from the artifact never resurrects the
-                    // removed posting.
-                    self.pending_segment.insert(shard);
-                }
+                // The shrunk shard rides the next segment artifact too: its
+                // bumped version dominates the fatter copy on merge, so a
+                // bootstrap from the artifact never resurrects the removed
+                // posting.
+                self.write_shard(wcache, writer_peer, shard, now)?;
             }
 
             // Update the collection statistics.
@@ -949,7 +912,8 @@ impl QueenBee {
 
     /// Read a term's shard on the indexing path: the writer cache's shard
     /// tier first (validated against the engine's current version for the
-    /// term), the DHT only on a genuine miss.
+    /// term), the DHT only on a genuine miss. The writer is about to change
+    /// the shard, so this is the one place a cached shard is copied.
     fn read_shard_for_writer(
         &mut self,
         wcache: &mut Option<QueryCache>,
@@ -963,7 +927,7 @@ impl QueenBee {
             match cache.lookup_shard(term, now, current_version) {
                 ShardLookup::Hit(shard) => {
                     self.writer_shard_cache_hits += 1;
-                    return Ok(shard);
+                    return Ok(Arc::unwrap_or_clone(shard));
                 }
                 // A term proven absent at the current version reads as an
                 // empty shard, exactly what the DHT would return.
@@ -985,21 +949,43 @@ impl QueenBee {
         Ok(shard)
     }
 
-    /// Post-write bookkeeping for a merged shard: publish-path invalidation
+    /// Write a shard the indexing path just changed, under the term's next
+    /// version, and do the post-write bookkeeping: publish-path invalidation
     /// (results/negatives touching the term die, the republish is recorded
-    /// for the adaptive TTL policy), the freshly written shard re-enters
-    /// the writer cache under its new version, and in fleet mode every
-    /// frontend that can observe the publish invalidates too.
-    fn after_shard_write(
+    /// for the adaptive TTL policy), the written shard re-enters the writer
+    /// cache under its new version, in fleet mode every frontend that can
+    /// observe the publish invalidates too, and with segments on the shard
+    /// joins the pending artifact. Once written the shard is immutable: the
+    /// writer cache and the pending segment share one copy of it.
+    fn write_shard(
         &mut self,
         wcache: &mut Option<QueryCache>,
         writer_peer: u64,
-        shard: &qb_index::ShardEntry,
+        mut shard: ShardEntry,
         now: qb_common::SimInstant,
-    ) {
+    ) -> QbResult<()> {
+        let next_version = self
+            .shard_versions
+            .get(&shard.term)
+            .copied()
+            .unwrap_or(0)
+            .max(shard.version)
+            + 1;
+        shard.version = next_version;
+        self.shard_versions.insert(shard.term.clone(), next_version);
+        self.dist_index.write_shard(
+            &mut self.net,
+            &mut self.dht,
+            &mut self.storage,
+            writer_peer,
+            &shard,
+        )?;
+        // The copy that stays resident keeps no growth slack.
+        shard.postings.shrink_to_fit();
+        let shard = Arc::new(shard);
         if let Some(cache) = wcache.as_mut() {
             cache.invalidate_term(&shard.term, now);
-            cache.store_shard(shard, now);
+            cache.store_shard_handle(&shard, now);
         }
         // Publish-path invalidation on the serving side: the single-mode
         // frontend cache always observes the publish; fleet frontends only
@@ -1012,6 +998,10 @@ impl QueenBee {
         if let Some(fleet) = self.fleet.as_mut() {
             fleet.observe_publish(&self.net, writer_peer, &shard.term, shard.version, now);
         }
+        if self.config.segment.enabled {
+            self.pending_segment.insert(shard);
+        }
+        Ok(())
     }
 
     // ----- worker bees: page rank --------------------------------------------------
@@ -1536,7 +1526,7 @@ impl QueenBee {
                 fetched.insert(
                     key,
                     FetchedShard {
-                        shard,
+                        shard: Arc::new(shard),
                         latency: cost.latency,
                         messages: cost.messages,
                         charged_to: plan.seq,
@@ -1673,7 +1663,7 @@ impl QueenBee {
                     win.fetched.insert(
                         pending.key,
                         FetchedShard {
-                            shard,
+                            shard: Arc::new(shard),
                             latency: cost.latency,
                             messages: cost.messages,
                             charged_to: pending.charged_to,
@@ -1860,9 +1850,14 @@ impl QueenBee {
     /// should keep, record version observations, account freshness and
     /// attach the ad. With a window memo, identical and prefix-sharing
     /// queries in the in-flight window set skip the intersect/score work.
+    ///
+    /// Shards are only ever borrowed here — from the plan's handles and the
+    /// window's fetch set — and fan out into the serving cache as handles;
+    /// the scored list is built once and the result tier (and the memo)
+    /// share it. The response's page of hits is the only copy made.
     pub(crate) fn serve_plan(
         &mut self,
-        plan: QueryPlan,
+        mut plan: QueryPlan,
         fetched: &FetchSet,
         stats_read: &Option<SharedStatsRead>,
         now: qb_common::SimInstant,
@@ -1871,39 +1866,29 @@ impl QueenBee {
         let hit_latency = self.config.cache.hit_latency;
         let top_k = plan.request.top_k.unwrap_or(self.config.top_k);
         let page = plan.request.page;
-        let terms: Vec<String> = plan.terms.iter().map(|t| t.term.clone()).collect();
 
         // A current result-cache entry answers the whole request locally.
-        if let Some(entry) = &plan.cached_result {
+        if let Some(entry) = plan.cached_result.take() {
             let hits = paginate(&entry.results, page, top_k);
-            let observed = entry.term_versions.clone();
             let total = entry.results.len();
-            self.record_observations(plan.frontend, &observed);
+            let observed = entry.term_versions.iter().map(|(t, v)| (t.as_str(), *v));
+            self.record_observations(plan.frontend, observed);
             let trace = StageCosts {
                 plan: hit_latency,
                 ..StageCosts::default()
             };
-            let provenance = vec![TermProvenance::ResultCache; terms.len()];
-            return self.finish_response(
-                plan,
-                terms,
-                hits,
-                total,
-                top_k,
-                hit_latency,
-                trace,
-                provenance,
-            );
+            let provenance = vec![TermProvenance::ResultCache; plan.terms.len()];
+            return self.finish_response(plan, hits, total, top_k, hit_latency, trace, provenance);
         }
 
         // Line the shards up in term order, borrowed from the plan's
         // resolutions and the window's shared fetches (only a proven-absent
         // term needs an owned, empty stand-in).
-        let mut shards: Vec<Cow<'_, ShardEntry>> = Vec::with_capacity(terms.len());
-        let mut provenance: Vec<TermProvenance> = Vec::with_capacity(terms.len());
-        let mut term_latencies: Vec<SimDuration> = Vec::with_capacity(terms.len());
-        let mut observed: Vec<(String, u64)> = Vec::new();
-        let mut fan_out: Vec<&ShardEntry> = Vec::new();
+        let mut shards: Vec<Cow<'_, ShardEntry>> = Vec::with_capacity(plan.terms.len());
+        let mut provenance: Vec<TermProvenance> = Vec::with_capacity(plan.terms.len());
+        let mut term_latencies: Vec<SimDuration> = Vec::with_capacity(plan.terms.len());
+        let mut observed: Vec<(&str, u64)> = Vec::new();
+        let mut fan_out: Vec<&Arc<ShardEntry>> = Vec::new();
         let mut messages = 0u64;
         let mut any_stale = false;
         for planned in &plan.terms {
@@ -1911,7 +1896,7 @@ impl QueenBee {
                 TermPlan::CachedShard(shard) => {
                     provenance.push(TermProvenance::ShardCache);
                     term_latencies.push(hit_latency);
-                    observed.push((planned.term.clone(), shard.version));
+                    observed.push((&planned.term, shard.version));
                     shards.push(Cow::Borrowed(shard));
                 }
                 TermPlan::Negative => {
@@ -1934,7 +1919,7 @@ impl QueenBee {
                     } else {
                         provenance.push(TermProvenance::BatchShared);
                     }
-                    observed.push((planned.term.clone(), fetch.shard.version));
+                    observed.push((&planned.term, fetch.shard.version));
                     fan_out.push(&fetch.shard);
                     shards.push(Cow::Borrowed(&fetch.shard));
                 }
@@ -1971,12 +1956,14 @@ impl QueenBee {
             None => {
                 let (full, scored) =
                     qb_index::intersect_and_score(&shards, &stats, rank_of, rank_weight, None);
-                (full, scored, false)
+                (Arc::new(full), scored, false)
             }
         };
         if !memo_hit {
             self.score_invocations += 1;
         }
+        let hits = paginate(&full, page, top_k);
+        let total = full.len();
 
         // Cache stores: fetched shards fan out into this query's serving
         // cache (negative entries included — an empty version-0 shard is
@@ -1988,26 +1975,27 @@ impl QueenBee {
         // are not cached: a strict reader must never inherit them.
         let mut cache = self.checkout_cache(plan.frontend);
         if let Some(c) = cache.as_mut() {
-            for shard in &fan_out {
-                c.store_shard(shard, now);
+            for shard in fan_out {
+                c.store_shard_handle(shard, now);
             }
             if stats_fetched {
                 c.store_stats(stats, stats.version);
             }
             if !any_stale {
-                let term_versions: Vec<(String, u64)> = terms
+                let term_versions: Vec<(String, u64)> = plan
+                    .terms
                     .iter()
                     .zip(shards.iter())
-                    .map(|(t, s)| (t.clone(), s.version))
+                    .map(|(t, s)| (t.term.clone(), s.version))
                     .collect();
-                c.store_result(&plan.result_key, full.clone(), term_versions, now);
+                c.store_result(&plan.result_key, full, term_versions, now);
             }
         }
         self.restore_cache_slot(plan.frontend, cache);
-        self.record_observations(plan.frontend, &observed);
+        self.record_observations(plan.frontend, observed);
+        // `shards` borrowed the plan's handles; the plan moves on now.
+        drop(shards);
 
-        let hits = paginate(&full, page, top_k);
-        let total = full.len();
         // The compute stages (plan/score/rank-blend) stay at their zero
         // default: local work is free under the simulated cost model.
         let trace = StageCosts {
@@ -2017,14 +2005,18 @@ impl QueenBee {
             candidates_scored,
             ..StageCosts::default()
         };
-        self.finish_response(plan, terms, hits, total, top_k, latency, trace, provenance)
+        self.finish_response(plan, hits, total, top_k, latency, trace, provenance)
     }
 
     /// Record the shard versions a fleet frontend observed while serving.
-    fn record_observations(&mut self, frontend: Option<usize>, observed: &[(String, u64)]) {
+    fn record_observations<'a>(
+        &mut self,
+        frontend: Option<usize>,
+        observed: impl IntoIterator<Item = (&'a str, u64)>,
+    ) {
         if let (Some(i), Some(fleet)) = (frontend, self.fleet.as_mut()) {
             for (term, version) in observed {
-                fleet.observe(i, term, *version);
+                fleet.observe(i, term, version);
             }
         }
     }
@@ -2032,12 +2024,11 @@ impl QueenBee {
     /// Shared tail of every served plan: freshness accounting, ad selection
     /// (the ad market lives on-chain and is always consulted live, so a
     /// cached response can never show an expired campaign) and response
-    /// assembly.
+    /// assembly (the response takes the plan's analyzed terms over).
     #[allow(clippy::too_many_arguments)]
     fn finish_response(
         &mut self,
         plan: QueryPlan,
-        terms: Vec<String>,
         hits: Vec<ScoredDoc>,
         total_matches: usize,
         top_k: usize,
@@ -2051,6 +2042,8 @@ impl QueenBee {
                 self.freshness.record(r.version, rec.version);
             }
         }
+
+        let terms: Vec<String> = plan.terms.into_iter().map(|t| t.term).collect();
 
         // Ad selection: highest-bidding active campaign matching any query term.
         let mut ad = None;
@@ -2614,6 +2607,56 @@ mod tests {
         let m = qb.cache_metrics().expect("cache enabled");
         assert_eq!(m.result.hits, 2);
         assert!(m.result.misses >= 1);
+    }
+
+    #[test]
+    fn memo_hit_result_tier_and_result_hit_share_one_scored_list() {
+        let mut qb = cached_engine();
+        for (name, text) in [
+            ("wiki/dweb", "peers serve the decentralized web"),
+            ("wiki/p2p", "decentralized peers gossip"),
+        ] {
+            qb.publish(1, AccountId(1_000), &page(name, text, vec![]))
+                .unwrap();
+        }
+        qb.seal();
+        qb.process_publish_events().unwrap();
+
+        // One window holding the same query twice: both plans miss the
+        // result tier, the second serve is a window-memo hit.
+        let query = || from_peer(5, "decentralized peers");
+        let plans = qb.plan_window(vec![query(), query()]).unwrap();
+        let key = plans[0].result_key.clone();
+        let (fetched, stats_read) = qb.fetch_window(&plans).unwrap();
+        let now = qb.net.now();
+        let mut memo = WindowMemo::default();
+        let responses: Vec<SearchResponse> = plans
+            .into_iter()
+            .map(|plan| qb.serve_plan(plan, &fetched, &stats_read, now, Some(&mut memo)))
+            .collect();
+        assert_eq!((memo.invocations, memo.hits), (1, 1));
+        assert_eq!(responses[0].hits, responses[1].hits);
+        assert_eq!(responses[0].hits.len(), 2);
+
+        // The computation materialised its list once: the result tier holds
+        // the memo's allocation (tier + memo + this handle)...
+        let entry = qb.cache.as_ref().unwrap().peek_result(&key);
+        let list = Arc::clone(&entry.expect("result cached").results);
+        assert_eq!(Arc::strong_count(&list), 3);
+        drop(memo);
+        assert_eq!(Arc::strong_count(&list), 2);
+        // ...and a later result-cache hit is planned on the same one.
+        let warm = qb.plan_window(vec![query()]).unwrap().remove(0);
+        let cached = warm.cached_result.as_ref().expect("result-cache hit");
+        assert!(Arc::ptr_eq(&cached.results, &list));
+        // The fetched shards fanned out as handles too.
+        for fetch in fetched.values() {
+            let resident = qb.cache.as_ref().unwrap().peek_shard(&fetch.shard.term);
+            assert!(Arc::ptr_eq(resident.expect("fanned out"), &fetch.shard));
+        }
+        let served = qb.serve_plan(warm, &fetched, &stats_read, now, None);
+        assert!(served.result_cache_hit());
+        assert_eq!(served.hits, responses[0].hits);
     }
 
     #[test]

@@ -14,18 +14,26 @@
 //! computed from, so identical and prefix-sharing queries in the in-flight
 //! window set skip the intersect/score work without ever serving a result
 //! computed from different data.
+//!
+//! Both follow the serving path's ownership rule: a [`FetchedShard`] holds
+//! its shard behind an `Arc`, so fanning one fetch out to every query of
+//! the window and into each serving cache shares it, and the memo holds
+//! each scored list behind an `Arc` that a memo hit and the result tier
+//! share with it. Nothing here copies postings or scored documents.
 
 use qb_common::{SimDuration, SimInstant};
 use qb_index::{IndexStats, PrefixCache, ScoredDoc, ShardEntry};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// One DHT shard fetch performed during a batch window, shared by every
 /// query in the window that needs the term.
 #[derive(Debug, Clone)]
 pub struct FetchedShard {
-    /// The fetched shard.
-    pub shard: ShardEntry,
+    /// The fetched shard, shared by every query of the window that needs it
+    /// and by each cache it fans out into.
+    pub shard: Arc<ShardEntry>,
     /// Latency of the fetch (charged to every sharer: the window's fetches
     /// run concurrently).
     pub latency: SimDuration,
@@ -84,7 +92,7 @@ pub fn intersect_and_score(
 #[derive(Debug, Default)]
 pub struct WindowMemo {
     /// Full-query memo: fingerprint → (full scored list, candidates scored).
-    scored: HashMap<String, (Vec<ScoredDoc>, usize)>,
+    scored: HashMap<String, (Arc<Vec<ScoredDoc>>, usize)>,
     /// Prefix memo: partial conjunctions over the length-sorted shard
     /// order, so `"a b"` and `"a b c"` share the `a ∩ b` work (within one
     /// frontend's scope); `partial.hits` counts the reuses.
@@ -116,7 +124,8 @@ impl WindowMemo {
     /// exact computation already ran for `frontend` in the window set,
     /// otherwise run the kernel (lending it the prefix cache) and remember
     /// the result. The third return value reports whether this was a memo
-    /// hit. Results are byte-identical to the unmemoized call.
+    /// hit. Results are byte-identical to the unmemoized call; the list is
+    /// materialised once and every serve of it shares the memo's handle.
     pub fn intersect_and_score<S: Borrow<ShardEntry>>(
         &mut self,
         frontend: Option<usize>,
@@ -124,12 +133,12 @@ impl WindowMemo {
         stats: &IndexStats,
         rank_of: impl Fn(&str) -> f64,
         rank_weight: f64,
-    ) -> (Vec<ScoredDoc>, usize, bool) {
+    ) -> (Arc<Vec<ScoredDoc>>, usize, bool) {
         let scope = frontend.map_or_else(|| "single".to_string(), |f| format!("f{f}"));
         let key = Self::fingerprint(&scope, stats, shards);
         if let Some((results, scored)) = self.scored.get(&key) {
             self.hits += 1;
-            return (results.clone(), *scored, true);
+            return (Arc::clone(results), *scored, true);
         }
         self.invocations += 1;
         if self.scored.len() >= Self::MAX_SCORED {
@@ -142,7 +151,8 @@ impl WindowMemo {
             rank_weight,
             Some((&scope, &mut self.partial)),
         );
-        self.scored.insert(key, (results.clone(), scored));
+        let results = Arc::new(results);
+        self.scored.insert(key, (Arc::clone(&results), scored));
         (results, scored, false)
     }
 }
@@ -231,14 +241,14 @@ mod tests {
         let (first, first_scored, hit) =
             memo.intersect_and_score(None, &shards, &stats(), |_| 0.0, 0.3);
         assert!(!hit, "cold memo computes");
-        assert_eq!(first, plain, "memoized path must match the plain path");
+        assert_eq!(*first, plain, "memoized path must match the plain path");
         assert_eq!(first_scored, plain_scored);
         // The identical query again: a memo hit, identical output, no new
         // computation.
         let (again, again_scored, hit) =
             memo.intersect_and_score(None, &shards, &stats(), |_| 0.0, 0.3);
         assert!(hit);
-        assert_eq!(again, first);
+        assert!(Arc::ptr_eq(&again, &first), "a hit shares the list");
         assert_eq!(again_scored, first_scored);
         assert_eq!(memo.hits, 1);
         assert_eq!(memo.invocations, 1, "one real computation for two serves");
@@ -263,7 +273,7 @@ mod tests {
         assert!(!hit, "different query: no full-memo hit");
         assert_eq!(memo.partial.hits, 1, "the shared prefix is reused");
         let (plain, _) = intersect_and_score(&three, &stats(), |_| 0.0, 0.0);
-        assert_eq!(results, plain);
+        assert_eq!(*results, plain);
     }
 
     #[test]

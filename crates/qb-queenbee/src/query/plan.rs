@@ -7,24 +7,32 @@
 //! precise list of *fetch* terms for the executor. Because plans carry no
 //! network state, a batch window can plan every request first and then
 //! fetch each distinct missing term exactly once.
+//!
+//! A plan never owns shard or result data: a term resolved by the shard
+//! tier carries an `Arc` handle to the tier's own copy, and a result-cache
+//! hit shares the entry's list, so planning a warm query copies no posting
+//! and no scored document (the ownership rule of
+//! [`qb_cache::QueryCache`]).
 
 use crate::query::request::{Freshness, SearchRequest};
 use qb_cache::{result_key, BoundedShardLookup, CachedResult, QueryCache, ShardLookup};
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_index::{Analyzer, IndexStats, ShardEntry};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How one query term will be satisfied.
 #[derive(Debug, Clone)]
 pub enum TermPlan {
-    /// Served from the shard tier at the current version.
-    CachedShard(ShardEntry),
+    /// Served from the shard tier at the current version (a handle to the
+    /// tier's copy).
+    CachedShard(Arc<ShardEntry>),
     /// Proven absent by the negative tier; no lookup needed.
     Negative,
     /// A version-superseded copy served under a `MaxStaleness` bound.
     Stale {
-        /// The cached (superseded) shard.
-        shard: ShardEntry,
+        /// The cached (superseded) shard, shared with the tier.
+        shard: Arc<ShardEntry>,
         /// How long ago the copy was stored.
         age: SimDuration,
     },

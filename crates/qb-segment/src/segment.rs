@@ -4,6 +4,7 @@ use qb_cache::{QueryCache, RemoteAdmit};
 use qb_common::{varint, Cid, QbError, QbResult, SimInstant};
 use qb_index::ShardEntry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Leading magic of every serialized segment.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"QBSG";
@@ -22,9 +23,14 @@ const MAX_SEGMENT_TERMS: u64 = 10_000_000;
 /// Terms are kept sorted (a `BTreeMap`), so the same logical segment
 /// always encodes to the same bytes and its [`Segment::cid`] is a stable
 /// content address.
+///
+/// Shards are held as shared handles (the cache tiers' ownership rule):
+/// exporting from a cache, importing into one and cloning or merging
+/// segments move reference counts, not postings. Only an equal-version
+/// merge, which changes a shard, copies it first.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Segment {
-    entries: BTreeMap<String, ShardEntry>,
+    entries: BTreeMap<String, Arc<ShardEntry>>,
 }
 
 /// Per-term admission outcomes of [`Segment::import_into`] — the segment
@@ -49,23 +55,22 @@ impl ImportReport {
     }
 }
 
-/// Merge two shards of the same term under per-term version-vector
-/// dominance: the higher shard version wins wholesale — a newer shard may
-/// legitimately have *removed* postings (ghost-posting cleanup), so a
-/// posting union would resurrect deleted documents. Equal versions fold
-/// posting-by-posting through [`ShardEntry::upsert`], which keeps the
-/// posting with the higher per-posting version.
-fn merge_shards(a: &ShardEntry, b: &ShardEntry) -> ShardEntry {
-    debug_assert_eq!(a.term, b.term);
-    match a.version.cmp(&b.version) {
-        std::cmp::Ordering::Greater => a.clone(),
-        std::cmp::Ordering::Less => b.clone(),
+/// Merge `incoming` into `existing` (same term) under per-term
+/// version-vector dominance: the higher shard version wins wholesale — a
+/// newer shard may legitimately have *removed* postings (ghost-posting
+/// cleanup), so a posting union would resurrect deleted documents. Equal
+/// versions fold posting-by-posting through [`ShardEntry::upsert`], which
+/// keeps the posting with the higher per-posting version.
+fn merge_shard(existing: &mut Arc<ShardEntry>, incoming: Arc<ShardEntry>) {
+    debug_assert_eq!(existing.term, incoming.term);
+    match existing.version.cmp(&incoming.version) {
+        std::cmp::Ordering::Greater => {}
+        std::cmp::Ordering::Less => *existing = incoming,
         std::cmp::Ordering::Equal => {
-            let mut merged = a.clone();
-            for p in &b.postings {
+            let merged = Arc::make_mut(existing);
+            for p in &incoming.postings {
                 merged.upsert(p.clone());
             }
-            merged
         }
     }
 }
@@ -79,7 +84,11 @@ impl Segment {
     /// Build a segment from shards (later duplicates merge under version
     /// dominance). Version-0 shards (never written) are skipped — they
     /// carry no knowledge and every import guard would reject them.
-    pub fn from_shards<I: IntoIterator<Item = ShardEntry>>(shards: I) -> Segment {
+    pub fn from_shards<I>(shards: I) -> Segment
+    where
+        I: IntoIterator,
+        I::Item: Into<Arc<ShardEntry>>,
+    {
         let mut seg = Segment::new();
         for s in shards {
             seg.insert(s);
@@ -87,14 +96,15 @@ impl Segment {
         seg
     }
 
-    /// Fold one shard into the segment under version dominance. Version-0
-    /// shards are ignored.
-    pub fn insert(&mut self, shard: ShardEntry) {
+    /// Fold one shard — owned, or a handle to a shared one — into the
+    /// segment under version dominance. Version-0 shards are ignored.
+    pub fn insert(&mut self, shard: impl Into<Arc<ShardEntry>>) {
+        let shard: Arc<ShardEntry> = shard.into();
         if shard.version == 0 {
             return;
         }
         match self.entries.get_mut(&shard.term) {
-            Some(existing) => *existing = merge_shards(existing, &shard),
+            Some(existing) => merge_shard(existing, shard),
             None => {
                 self.entries.insert(shard.term.clone(), shard);
             }
@@ -113,12 +123,12 @@ impl Segment {
 
     /// The shard of one term, when present.
     pub fn get(&self, term: &str) -> Option<&ShardEntry> {
-        self.entries.get(term)
+        self.entries.get(term).map(|shard| &**shard)
     }
 
     /// All shards in ascending term order.
     pub fn shards(&self) -> impl Iterator<Item = &ShardEntry> {
-        self.entries.values()
+        self.entries.values().map(|shard| &**shard)
     }
 
     /// The segment's per-term version vector `(term, shard version)`, in
@@ -149,7 +159,7 @@ impl Segment {
         let mut seg = Segment::new();
         for (term, _) in digest {
             if let Some(shard) = cache.peek_shard(&term) {
-                seg.insert(shard.clone());
+                seg.insert(Arc::clone(shard));
             }
         }
         seg
@@ -250,7 +260,7 @@ impl Segment {
                 ));
             }
             last_term = Some(shard.term.clone());
-            entries.insert(shard.term.clone(), shard);
+            entries.insert(shard.term.clone(), Arc::new(shard));
         }
         if pos != data.len() {
             return Err(QbError::Codec("trailing bytes after segment".into()));
@@ -325,7 +335,9 @@ mod tests {
         assert!(Segment::decode(&bytes[..bytes.len() - 1]).is_err());
         // A version-0 shard is not a canonical segment entry.
         let mut with_zero = Segment::new();
-        with_zero.entries.insert("a".into(), ShardEntry::empty("a"));
+        with_zero
+            .entries
+            .insert("a".into(), Arc::new(ShardEntry::empty("a")));
         assert!(Segment::decode(&with_zero.encode()).is_err());
     }
 
@@ -386,6 +398,12 @@ mod tests {
         assert_eq!(report.offered(), 2);
         assert_eq!(dst.cached_shard_version("hot"), Some(3));
         assert_eq!(dst.cached_shard_version("warm"), None);
+        // Export and import moved handles, not postings: source tier,
+        // segment and destination tier share one allocation.
+        assert!(Arc::ptr_eq(
+            src.peek_shard("hot").unwrap(),
+            dst.peek_shard("hot").unwrap()
+        ));
         // Re-importing is a no-op (duplicates).
         let again = seg.import_into(&mut dst, known, now);
         assert_eq!(again.accepted, 0);

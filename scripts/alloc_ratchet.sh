@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Allocation ratchet for the read path: run two short qb-perfbench
+# workloads and fail unless each is correct and its host_allocs_per_op is
+# under a committed ceiling.
+#
+#   scripts/alloc_ratchet.sh
+#
+# Allocation counts repeat to the digit at equal --seed and --seconds (the
+# simulation is deterministic and the benchmark counts through its own
+# global allocator), so unlike a host-clock number this gate has no noise
+# to tolerate. The ceilings sit ~10 % above the values measured when the
+# read path went copy-free (score-heavy 207.8, cold-lookup 65.3 alloc/op at
+# seed 1, 1 s): a shard or result copy creeping back into a cache hit, a
+# plan or the kernel lands far above them. Lower a ceiling when a change
+# lowers the count; raise one only with the reason in CHANGES.md.
+set -euo pipefail
+
+here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+manifest="$here/../bench/Cargo.toml"
+
+status=0
+check() {
+  local workload="$1" ceiling="$2" out allocs
+  out="$(cargo run --release --offline --quiet --manifest-path "$manifest" -- \
+    --workload "$workload" --seed 1 --seconds 1)"
+  allocs="$(awk '$1 == "host_allocs_per_op" { print $2 }' <<<"$out")"
+  if ! tail -n 1 <<<"$out" | grep -q '"correct": true'; then
+    echo "FAIL $workload: run is not correct" >&2
+    status=1
+  elif [ -z "$allocs" ] || ! awk -v a="$allocs" -v c="$ceiling" 'BEGIN { exit !(a < c) }'; then
+    echo "FAIL $workload: host_allocs_per_op ${allocs:-missing} is not under $ceiling" >&2
+    status=1
+  else
+    echo "ok   $workload: host_allocs_per_op $allocs < $ceiling"
+  fi
+}
+
+check score-heavy 230
+check cold-lookup 72
+exit "$status"
