@@ -118,7 +118,7 @@ fn f1_architecture() -> Vec<Table> {
             "height {}, {} ok txs, supply conserved = {}",
             stats.height,
             stats.ok_txs,
-            stats.total_supply == qb.config().chain.genesis_supply
+            stats.total_supply == qb_chain::GENESIS_SUPPLY
         ),
     ]);
     t.row(&[
@@ -656,7 +656,7 @@ fn e5_incentives() -> Vec<Table> {
     ]);
     t2.row(&[
         "total supply conserved".into(),
-        (qb.chain.accounts().total_supply() == qb.config().chain.genesis_supply).to_string(),
+        (qb.chain.accounts().total_supply() == qb_chain::GENESIS_SUPPLY).to_string(),
     ]);
     vec![t, t2]
 }
@@ -1442,7 +1442,7 @@ fn e12_churn(quick: bool) -> Vec<Table> {
         // No DHT pre-warming of any kind.
         let joined = qb.fleet_join().expect("join");
         for _ in 0..JOIN_ROUNDS {
-            qb.advance_time(qb.config().gossip.round_interval);
+            qb.advance_time(qb_gossip::config::ROUND_INTERVAL);
         }
         let mut joined_hits = 0u64;
         for &q in &probes {
@@ -2012,7 +2012,6 @@ fn e13_pipeline(quick: bool) -> Vec<Table> {
                 window_size: WINDOW,
                 max_windows_in_flight: DEPTH,
                 adaptive,
-                ..PipelineConfig::default()
             },
         )
         .expect("overload stream")
@@ -3004,7 +3003,7 @@ fn e16_segment(quick: bool) -> Vec<Table> {
         let mut joined_hit_rate_r0 = 0.0;
         for r in 0..=MAX_JOIN_ROUNDS {
             if r > 0 {
-                qb.advance_time(qb.config().gossip.round_interval);
+                qb.advance_time(qb_gossip::config::ROUND_INTERVAL);
             }
             let slice = &probes[r * PROBE_K..(r + 1) * PROBE_K];
             let mut hits = 0u64;

@@ -23,6 +23,11 @@ impl Default for EvictionPolicy {
     }
 }
 
+/// Time-to-live of negative entries. Kept shorter than the other tiers: a
+/// negative entry suppresses DHT lookups entirely, so this bounds how long a
+/// term published by *another* frontend could go unnoticed.
+pub const NEGATIVE_TTL: SimDuration = SimDuration::from_secs(60);
+
 /// Configuration of the query-serving cache.
 ///
 /// Defaults are sized for simulation-scale deployments (tens of kilobytes
@@ -44,10 +49,6 @@ pub struct CacheConfig {
     pub result_ttl: SimDuration,
     /// Time-to-live of shard entries.
     pub shard_ttl: SimDuration,
-    /// Time-to-live of negative entries. Kept shorter than the other tiers:
-    /// a negative entry suppresses DHT lookups entirely, so this bounds how
-    /// long a term published by *another* frontend could go unnoticed.
-    pub negative_ttl: SimDuration,
     /// Eviction/admission policy used by all tiers.
     pub policy: EvictionPolicy,
     /// Latency charged for answering from the local cache (memory lookup +
@@ -75,7 +76,6 @@ impl Default for CacheConfig {
             negative_capacity_bytes: 16 * 1024,
             result_ttl: SimDuration::from_secs(300),
             shard_ttl: SimDuration::from_secs(600),
-            negative_ttl: SimDuration::from_secs(60),
             policy: EvictionPolicy::default(),
             hit_latency: SimDuration::from_micros(120),
             adaptive_ttl: true,
@@ -118,10 +118,7 @@ impl CacheConfig {
                 "cache tier byte budgets must be positive when the cache is enabled".into(),
             ));
         }
-        if self.result_ttl == SimDuration::ZERO
-            || self.shard_ttl == SimDuration::ZERO
-            || self.negative_ttl == SimDuration::ZERO
-        {
+        if self.result_ttl == SimDuration::ZERO || self.shard_ttl == SimDuration::ZERO {
             return Err(QbError::Config(
                 "cache TTLs must be positive when the cache is enabled".into(),
             ));
@@ -171,7 +168,7 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = CacheConfig::enabled();
-        c.negative_ttl = SimDuration::ZERO;
+        c.shard_ttl = SimDuration::ZERO;
         assert!(c.validate().is_err());
 
         let mut c = CacheConfig::enabled();

@@ -9,7 +9,7 @@
 //! Only a writer that needs to *change* a shard takes a copy
 //! (`Arc::unwrap_or_clone`).
 
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, NEGATIVE_TTL};
 use crate::metrics::CacheMetrics;
 use crate::tier::CacheTier;
 use qb_common::{varint, QbError, QbResult, SimDuration, SimInstant};
@@ -189,11 +189,7 @@ impl QueryCache {
         QueryCache {
             results,
             shards: CacheTier::new(config.shard_capacity_bytes, config.shard_ttl, config.policy),
-            negatives: CacheTier::new(
-                config.negative_capacity_bytes,
-                config.negative_ttl,
-                config.policy,
-            ),
+            negatives: CacheTier::new(config.negative_capacity_bytes, NEGATIVE_TTL, config.policy),
             stats: None,
             term_to_queries: HashMap::new(),
             republish: HashMap::new(),
@@ -948,10 +944,9 @@ mod tests {
     #[test]
     fn negative_entries_expire_by_ttl() {
         let mut c = cache();
-        let ttl = c.config().negative_ttl;
         c.store_shard(&ShardEntry::empty("brief"), t0());
         assert_eq!(c.lookup_shard("brief", t0(), 0), ShardLookup::Negative);
-        let later = t0() + ttl;
+        let later = t0() + NEGATIVE_TTL;
         assert_eq!(c.lookup_shard("brief", later, 0), ShardLookup::Miss);
         assert_eq!(c.metrics().negative.expirations, 1);
     }

@@ -9,12 +9,18 @@ use crate::tx::{Call, Event, Receipt, Transaction, TxStatus};
 use qb_common::{Hash256, QbError, QbResult, SimInstant};
 use std::collections::VecDeque;
 
-/// Chain-level configuration: token supply, reward amounts, revenue split and
-/// the validator set.
+/// Honey minted to the treasury at genesis (nectar).
+pub const GENESIS_SUPPLY: u64 = 1_000_000_000;
+
+/// Round-robin validator set (proof of authority).
+pub const VALIDATORS: [AccountId; 3] = [AccountId(900), AccountId(901), AccountId(902)];
+
+/// Maximum transactions sealed per block.
+pub const MAX_TXS_PER_BLOCK: usize = 10_000;
+
+/// Chain-level configuration: reward amounts and the revenue split.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ChainConfig {
-    /// Honey minted to the treasury at genesis (nectar).
-    pub genesis_supply: u64,
     /// Reward per accepted publish.
     pub publish_reward: u64,
     /// Bounty per accepted indexing claim.
@@ -29,16 +35,11 @@ pub struct ChainConfig {
     pub creator_share_pct: u64,
     /// Worker-bee share of each ad click (percent).
     pub bee_share_pct: u64,
-    /// Round-robin validator set (proof of authority).
-    pub validators: Vec<AccountId>,
-    /// Maximum transactions sealed per block.
-    pub max_txs_per_block: usize,
 }
 
 impl Default for ChainConfig {
     fn default() -> Self {
         ChainConfig {
-            genesis_supply: 1_000_000_000,
             publish_reward: 100,
             index_reward: 50,
             rank_reward: 50,
@@ -46,8 +47,6 @@ impl Default for ChainConfig {
             popularity_threshold_ppm: 2_000,
             creator_share_pct: 60,
             bee_share_pct: 30,
-            validators: vec![AccountId(900), AccountId(901), AccountId(902)],
-            max_txs_per_block: 10_000,
         }
     }
 }
@@ -86,7 +85,7 @@ pub struct Blockchain {
 impl Blockchain {
     /// Create a chain with the genesis allocation and empty contracts.
     pub fn new(config: ChainConfig) -> Blockchain {
-        let accounts = Accounts::with_genesis_supply(config.genesis_supply);
+        let accounts = Accounts::with_genesis_supply(GENESIS_SUPPLY);
         let publish = PublishRegistry::new(config.publish_reward);
         let ads = AdMarket::new(config.creator_share_pct, config.bee_share_pct);
         let rewards = RewardPool::new(
@@ -184,7 +183,7 @@ impl Blockchain {
     /// Seal the next block, applying queued transactions. Returns the header
     /// of the sealed block (empty blocks are allowed).
     pub fn seal_block(&mut self, now: SimInstant) -> BlockHeader {
-        let take = self.mempool.len().min(self.config.max_txs_per_block);
+        let take = self.mempool.len().min(MAX_TXS_PER_BLOCK);
         let txs: Vec<Transaction> = self.mempool.drain(..take).collect();
         let height = self.height();
         let parent = self
@@ -192,11 +191,7 @@ impl Blockchain {
             .last()
             .map(|b| b.header.hash())
             .unwrap_or(Hash256::ZERO);
-        let sealer = if self.config.validators.is_empty() {
-            TREASURY
-        } else {
-            self.config.validators[(height as usize) % self.config.validators.len()]
-        };
+        let sealer = VALIDATORS[(height as usize) % VALIDATORS.len()];
 
         for (i, tx) in txs.iter().enumerate() {
             let expected = self.accounts.nonce(tx.from);

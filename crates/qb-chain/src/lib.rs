@@ -28,7 +28,9 @@ pub mod tx;
 
 pub use account::{AccountId, Accounts, TREASURY};
 pub use block::{Block, BlockHeader};
-pub use chain::{Blockchain, ChainConfig, ChainStats};
+pub use chain::{
+    Blockchain, ChainConfig, ChainStats, GENESIS_SUPPLY, MAX_TXS_PER_BLOCK, VALIDATORS,
+};
 pub use contracts::ads::{AdCampaign, AdId, AdMarket};
 pub use contracts::publish::{PageRecord, PublishRegistry};
 pub use contracts::rewards::RewardPool;

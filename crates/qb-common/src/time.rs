@@ -59,17 +59,17 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Build from microseconds.
-    pub fn from_micros(us: u64) -> SimDuration {
+    pub const fn from_micros(us: u64) -> SimDuration {
         SimDuration(us)
     }
 
     /// Build from milliseconds.
-    pub fn from_millis(ms: u64) -> SimDuration {
+    pub const fn from_millis(ms: u64) -> SimDuration {
         SimDuration(ms * 1_000)
     }
 
     /// Build from seconds.
-    pub fn from_secs(s: u64) -> SimDuration {
+    pub const fn from_secs(s: u64) -> SimDuration {
         SimDuration(s * 1_000_000)
     }
 

@@ -31,6 +31,19 @@ pub use routing::RoutingTable;
 
 use qb_common::SimDuration;
 
+/// Time-to-live of stored records before they must be republished.
+pub const RECORD_TTL: SimDuration = SimDuration::from_secs(3600);
+
+/// Approximate request size in bytes used for traffic accounting.
+pub const REQUEST_BYTES: usize = 72;
+
+/// Approximate per-contact response size in bytes (node descriptors), used
+/// for traffic accounting.
+pub const CONTACT_BYTES: usize = 40;
+
+/// Maximum number of iterative lookup rounds before giving up.
+pub const MAX_ROUNDS: usize = 20;
+
 /// Tunable parameters of the DHT.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct DhtConfig {
@@ -38,14 +51,6 @@ pub struct DhtConfig {
     pub k: usize,
     /// Lookup parallelism.
     pub alpha: usize,
-    /// Time-to-live of stored records before they must be republished.
-    pub record_ttl: SimDuration,
-    /// Approximate request size in bytes used for traffic accounting.
-    pub request_bytes: usize,
-    /// Approximate per-contact response size in bytes (node descriptors).
-    pub contact_bytes: usize,
-    /// Maximum number of iterative lookup rounds before giving up.
-    pub max_rounds: usize,
     /// Hedged-fetch knobs (off by default).
     pub hedge: HedgeConfig,
 }
@@ -96,10 +101,6 @@ impl Default for DhtConfig {
         DhtConfig {
             k: 20,
             alpha: 3,
-            record_ttl: SimDuration::from_secs(3600),
-            request_bytes: 72,
-            contact_bytes: 40,
-            max_rounds: 20,
             hedge: HedgeConfig::default(),
         }
     }
@@ -124,7 +125,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = DhtConfig::default();
         assert!(c.k >= c.alpha);
-        assert!(c.max_rounds > 0);
         assert!(!c.hedge.enabled, "hedging is opt-in");
         assert!(c.hedge.percent > 0 && c.hedge.min_rtt_samples > 0);
         let s = DhtConfig::small();

@@ -36,7 +36,7 @@
 //! * Completions are processed in (completion instant, issue order) order,
 //!   so a run is bit-identical for a given seed regardless of how the
 //!   driver batches its polls.
-//! * Total RPCs are bounded by `max_rounds × alpha`, the same budget the
+//! * Total RPCs are bounded by `MAX_ROUNDS × alpha`, the same budget the
 //!   synchronous loop had.
 //!
 //! # Termination rule
@@ -143,7 +143,6 @@ pub struct LookupMachine {
     rpc_budget: u64,
     k: usize,
     alpha: usize,
-    request_bytes: usize,
     response_bytes: usize,
     hops: usize,
     satisfied: bool,
@@ -248,11 +247,10 @@ impl DhtNetwork {
             found_value: None,
             messages: 0,
             completed: 0,
-            rpc_budget: (config.max_rounds * config.alpha.max(1)) as u64,
+            rpc_budget: (crate::MAX_ROUNDS * config.alpha.max(1)) as u64,
             k: config.k,
             alpha: config.alpha.max(1),
-            request_bytes: config.request_bytes,
-            response_bytes: config.contact_bytes * config.k,
+            response_bytes: crate::CONTACT_BYTES * config.k,
             hops: 0,
             satisfied: false,
             finished_at: at,
@@ -449,7 +447,7 @@ impl DhtNetwork {
                         let cancelled = net.cancel_async(handle);
                         if cancelled && loser.is_hedge {
                             net.record_hedge_wasted(
-                                (machine.request_bytes + machine.response_bytes) as u64,
+                                (crate::REQUEST_BYTES + machine.response_bytes) as u64,
                             );
                         }
                     }
@@ -504,7 +502,7 @@ impl DhtNetwork {
             let entry = match net.send_async_at(
                 machine.from,
                 cand.index,
-                machine.request_bytes,
+                crate::REQUEST_BYTES,
                 machine.response_bytes,
                 at,
                 hop_span,
@@ -575,7 +573,7 @@ impl DhtNetwork {
         let entry = match net.send_async_at(
             machine.from,
             cand.index,
-            machine.request_bytes,
+            crate::REQUEST_BYTES,
             machine.response_bytes,
             at,
             hop_span,

@@ -251,7 +251,7 @@ impl DhtNetwork {
             key,
             value,
             publisher: self.nodes[from as usize].id,
-            expires_at: net.now() + self.config.record_ttl,
+            expires_at: net.now() + crate::RECORD_TTL,
             version,
         };
         let replicas: Vec<NodeId> = lookup.closest.iter().take(self.config.k).copied().collect();
@@ -259,7 +259,7 @@ impl DhtNetwork {
             net,
             from,
             &replicas,
-            self.config.request_bytes + record.value.len(),
+            crate::REQUEST_BYTES + record.value.len(),
             16,
             t0 + lookup.latency,
             |dht, target| dht.nodes[target.index as usize].store(record.clone()),
@@ -328,7 +328,7 @@ impl DhtNetwork {
             net,
             from,
             &replicas,
-            self.config.request_bytes,
+            crate::REQUEST_BYTES,
             16,
             t0 + lookup.latency,
             |dht, target| {
@@ -371,7 +371,7 @@ impl DhtNetwork {
         let mut messages = lookup.messages;
         for target in lookup.closest.iter().take(self.config.k) {
             messages += 1;
-            let (res, lat) = net.rpc_or_timeout(from, target.index, self.config.request_bytes, 256);
+            let (res, lat) = net.rpc_or_timeout(from, target.index, crate::REQUEST_BYTES, 256);
             latencies.push(lat);
             if res.is_ok() {
                 for p in self.nodes[target.index as usize].get_providers(&key) {
@@ -510,7 +510,7 @@ mod tests {
         dht.put_record(&mut net, 0, key, b"short-lived".to_vec(), 1)
             .unwrap();
         // Advance beyond the TTL and expire.
-        net.advance(dht.config().record_ttl + SimDuration::from_secs(1));
+        net.advance(crate::RECORD_TTL + SimDuration::from_secs(1));
         let removed = dht.expire_all(&net);
         assert!(removed > 0);
         assert!(dht.get_record(&mut net, 5, key).is_err());

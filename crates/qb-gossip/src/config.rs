@@ -17,6 +17,26 @@ pub enum DigestMode {
     Delta,
 }
 
+/// Gossip partners each frontend contacts per round.
+pub const FANOUT: usize = 2;
+
+/// Simulated time between gossip rounds.
+pub const ROUND_INTERVAL: SimDuration = SimDuration::from_millis(200);
+
+/// Bits per holding entry in the delta digests' membership filter (larger =
+/// fewer false positives = fewer fills delayed to the next anti-entropy
+/// round).
+pub const FILTER_BITS_PER_ENTRY: usize = 8;
+
+/// Other-member entries per membership summary piggybacked on a regular
+/// exchange (the sender itself always rides along; the roster rotates through
+/// a window of this size, so membership overhead stays flat as the fleet
+/// grows). Anti-entropy and bootstrap exchanges always carry the full roster.
+pub const MEMBERSHIP_SUMMARY_BUDGET: usize = 16;
+
+/// Same-zone fill-budget multiplier when `zone_fill_budgets` is on.
+pub const INTRA_ZONE_FILL_BOOST: usize = 2;
+
 /// Configuration of the cooperative cache-gossip overlay.
 ///
 /// Two independent switches control the feature:
@@ -45,10 +65,6 @@ pub struct GossipConfig {
     /// Number of query frontends in the fleet (0 = fleet mode off, the
     /// engine keeps its single query-serving cache).
     pub num_frontends: usize,
-    /// Gossip partners each frontend contacts per round.
-    pub fanout: usize,
-    /// Simulated time between gossip rounds.
-    pub round_interval: SimDuration,
     /// Simulated time between anti-entropy rounds. An anti-entropy exchange
     /// digests the *entire* shard tier instead of just the hot set, so two
     /// frontends reconcile fully after a partition heals — and it may sample
@@ -64,10 +80,6 @@ pub struct GossipConfig {
     /// Digest encoding for regular rounds (anti-entropy always swaps full
     /// digests).
     pub digest_mode: DigestMode,
-    /// Bits per holding entry in the delta digests' membership filter
-    /// (larger = fewer false positives = fewer fills delayed to the next
-    /// anti-entropy round).
-    pub filter_bits_per_entry: usize,
     /// Number of latency zones frontends are spread over (round-robin by
     /// peer id, matching `qb-simnet`'s zone assignment). 1 = zone-unaware.
     pub zones: usize,
@@ -80,22 +92,14 @@ pub struct GossipConfig {
     /// Consecutive failed direct exchanges after which a member is marked
     /// dead without waiting for the liveness timeout.
     pub failure_threshold: u32,
-    /// Other-member entries per membership summary piggybacked on a regular
-    /// exchange (the sender itself always rides along; the roster rotates
-    /// through a window of this size, so membership overhead stays flat as
-    /// the fleet grows). Anti-entropy and bootstrap exchanges always carry
-    /// the full roster.
-    pub membership_summary_budget: usize,
     /// Zone-aware fill budgets: regular-round fills to a same-zone partner
-    /// get `intra_zone_fill_boost * max_fills_per_exchange` (bulk transfer
+    /// get [`INTRA_ZONE_FILL_BOOST`] × `max_fills_per_exchange` (bulk transfer
     /// is cheap inside a zone), while fills crossing zones are capped at
     /// `cross_zone_fill_budget` (the expensive links carry digests and only
     /// a trickle of the hottest shards; anti-entropy and bootstrap budgets
     /// are never scaled). Off by default so existing overlays keep their
     /// exact byte profile.
     pub zone_fill_budgets: bool,
-    /// Same-zone fill-budget multiplier when `zone_fill_budgets` is on.
-    pub intra_zone_fill_boost: usize,
     /// Cross-zone fill cap per exchange direction when `zone_fill_budgets`
     /// is on.
     pub cross_zone_fill_budget: usize,
@@ -125,20 +129,15 @@ impl Default for GossipConfig {
         GossipConfig {
             enabled: false,
             num_frontends: 0,
-            fanout: 2,
-            round_interval: SimDuration::from_millis(200),
             anti_entropy_interval: SimDuration::from_secs(2),
             hot_set_size: 64,
             max_fills_per_exchange: 16,
             digest_mode: DigestMode::Delta,
-            filter_bits_per_entry: 8,
             zones: 1,
             cross_zone_probability: 0.15,
             liveness_timeout: SimDuration::from_secs(2),
             failure_threshold: 3,
-            membership_summary_budget: 16,
             zone_fill_budgets: false,
-            intra_zone_fill_boost: 2,
             cross_zone_fill_budget: 4,
             zone_aware_anti_entropy: false,
             batch_advertise: true,
@@ -188,7 +187,7 @@ impl GossipConfig {
         if !self.zone_fill_budgets {
             self.max_fills_per_exchange
         } else if same_zone {
-            self.max_fills_per_exchange * self.intra_zone_fill_boost
+            self.max_fills_per_exchange * INTRA_ZONE_FILL_BOOST
         } else {
             self.cross_zone_fill_budget.min(self.max_fills_per_exchange)
         }
@@ -212,14 +211,9 @@ impl GossipConfig {
                 "gossip needs at least 2 frontends to exchange with".into(),
             ));
         }
-        if self.fanout == 0 {
-            return Err(QbError::Config("gossip fanout must be positive".into()));
-        }
-        if self.round_interval == SimDuration::ZERO
-            || self.anti_entropy_interval == SimDuration::ZERO
-        {
+        if self.anti_entropy_interval == SimDuration::ZERO {
             return Err(QbError::Config(
-                "gossip round intervals must be positive".into(),
+                "gossip anti-entropy interval must be positive".into(),
             ));
         }
         if self.hot_set_size == 0 || self.max_fills_per_exchange == 0 {
@@ -245,21 +239,9 @@ impl GossipConfig {
                 "gossip failure threshold must be positive".into(),
             ));
         }
-        if self.filter_bits_per_entry == 0 {
+        if self.zone_fill_budgets && self.cross_zone_fill_budget == 0 {
             return Err(QbError::Config(
-                "gossip filter needs at least one bit per entry".into(),
-            ));
-        }
-        if self.membership_summary_budget == 0 {
-            return Err(QbError::Config(
-                "membership summaries need a positive entry budget".into(),
-            ));
-        }
-        if self.zone_fill_budgets
-            && (self.intra_zone_fill_boost == 0 || self.cross_zone_fill_budget == 0)
-        {
-            return Err(QbError::Config(
-                "zone fill budgets need a positive boost and cross-zone cap".into(),
+                "zone fill budgets need a positive cross-zone cap".into(),
             ));
         }
         Ok(())
@@ -295,7 +277,7 @@ mod tests {
         c.zone_fill_budgets = true;
         assert_eq!(
             c.regular_fill_budget(true),
-            c.max_fills_per_exchange * c.intra_zone_fill_boost
+            c.max_fills_per_exchange * INTRA_ZONE_FILL_BOOST
         );
         assert_eq!(c.regular_fill_budget(false), c.cross_zone_fill_budget);
         // The cross-zone cap never exceeds the flat budget.
@@ -313,14 +295,6 @@ mod tests {
         assert!(c.validate().is_err());
         c.num_frontends = 2;
         assert!(c.validate().is_ok());
-
-        let mut c = GossipConfig::enabled(4);
-        c.fanout = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = GossipConfig::enabled(4);
-        c.round_interval = SimDuration::ZERO;
-        assert!(c.validate().is_err());
 
         let mut c = GossipConfig::enabled(4);
         c.max_fills_per_exchange = 0;
@@ -343,25 +317,14 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = GossipConfig::enabled(4);
-        c.filter_bits_per_entry = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = GossipConfig::enabled(4);
-        c.membership_summary_budget = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = GossipConfig::enabled(4);
         c.zone_fill_budgets = true;
         assert!(c.validate().is_ok());
         c.cross_zone_fill_budget = 0;
         assert!(c.validate().is_err());
-        c.cross_zone_fill_budget = 4;
-        c.intra_zone_fill_boost = 0;
-        assert!(c.validate().is_err());
 
         // Fleet without gossip tolerates degenerate gossip knobs.
         let mut c = GossipConfig::fleet(1);
-        c.fanout = 0;
+        c.max_fills_per_exchange = 0;
         assert!(c.validate().is_ok());
     }
 }

@@ -4,7 +4,7 @@
 //! highest shard version it has observed per term, and — since the overlay
 //! became churn-aware — its own [`MembershipView`] of the fleet. A gossip
 //! round walks the active frontends; each one increments its heartbeat,
-//! samples `fanout` partners from the members *it* believes alive (biased
+//! samples `FANOUT` partners from the members *it* believes alive (biased
 //! toward its own latency zone, escaping cross-zone with a configurable
 //! probability) and runs one *exchange* with each:
 //!
@@ -45,7 +45,10 @@
 //! All traffic goes through [`SimNet`] and is charged to its `NetStats`;
 //! partitions and offline peers fail exchanges exactly like any other RPC.
 
-use crate::config::{DigestMode, GossipConfig};
+use crate::config::{
+    DigestMode, GossipConfig, FANOUT, FILTER_BITS_PER_ENTRY, MEMBERSHIP_SUMMARY_BUDGET,
+    ROUND_INTERVAL,
+};
 use crate::digest::{apply_delta, delta_entries, needs_fill, Digest, VersionVector};
 use crate::filter::ShardFilter;
 use crate::membership::MembershipView;
@@ -348,7 +351,7 @@ impl GossipFleet {
             .collect();
         let rng = DetRng::new(seed ^ config.seed.rotate_left(17));
         GossipFleet {
-            next_round_at: SimInstant::ZERO + config.round_interval,
+            next_round_at: SimInstant::ZERO + ROUND_INTERVAL,
             next_anti_entropy_at: SimInstant::ZERO + config.anti_entropy_interval,
             cache_config: cache_config.clone(),
             config,
@@ -581,7 +584,7 @@ impl GossipFleet {
         Ok(idx)
     }
 
-    /// Frontend `i` leaves gracefully: it notifies up to `fanout` partners
+    /// Frontend `i` leaves gracefully: it notifies up to `FANOUT` partners
     /// (which tombstone it immediately; everyone else evicts it via the
     /// liveness timeout) and goes offline. The notice carries the leaver's
     /// final heartbeat, so no third-party summary — all of which saw at
@@ -600,7 +603,7 @@ impl GossipFleet {
             &mut self.rng,
             peer,
             zone,
-            self.config.fanout,
+            FANOUT,
             self.config.cross_zone_probability,
             false,
         );
@@ -726,12 +729,12 @@ impl GossipFleet {
             if anti_entropy {
                 self.next_anti_entropy_at = now + self.config.anti_entropy_interval;
             }
-            self.next_round_at += self.config.round_interval;
+            self.next_round_at += ROUND_INTERVAL;
             fired += 1;
         }
         if now >= self.next_round_at {
             // Backlog beyond the cap is dropped, not replayed later.
-            self.next_round_at = now + self.config.round_interval;
+            self.next_round_at = now + ROUND_INTERVAL;
         }
         fired > 0
     }
@@ -778,7 +781,7 @@ impl GossipFleet {
                 &mut self.rng,
                 peer,
                 zone,
-                self.config.fanout,
+                FANOUT,
                 self.config.cross_zone_probability,
                 anti_entropy,
             );
@@ -792,7 +795,7 @@ impl GossipFleet {
                 if let Some(p) = self.zone_covering_partner(net, i) {
                     partners.retain(|&x| x != p);
                     partners.insert(0, p);
-                    partners.truncate(self.config.fanout.max(1));
+                    partners.truncate(FANOUT);
                 }
             }
             for p in partners {
@@ -1122,8 +1125,8 @@ fn exchange(
         build_digest(config, a, b.peer, &mut hot_a, delta_mode, full, now, stats);
     let (digest_b, filter_b) =
         build_digest(config, b, a.peer, &mut hot_b, delta_mode, full, now, stats);
-    let memb_a = a.membership_summary(full, config.membership_summary_budget);
-    let memb_b = b.membership_summary(full, config.membership_summary_budget);
+    let memb_a = a.membership_summary(full, MEMBERSHIP_SUMMARY_BUDGET);
+    let memb_b = b.membership_summary(full, MEMBERSHIP_SUMMARY_BUDGET);
     let filter_bytes = |f: &Option<ShardFilter>| f.as_ref().map_or(0, |f| f.wire_bytes());
     // Segment pointers piggyback on every digest swap (both directions),
     // so the newest artifact's pointer spreads epidemically like any other
@@ -1280,7 +1283,7 @@ fn build_digest(
         Vec::new()
     };
     if delta_mode {
-        let filter = own.holdings_filter(hot_own, config.filter_bits_per_entry, now, stats);
+        let filter = own.holdings_filter(hot_own, FILTER_BITS_PER_ENTRY, now, stats);
         hot_own.truncate(config.hot_set_size);
         let mut entries = delta_entries(hot_own, &own.sync_entry(partner_peer).advertised);
         for (term, version) in pending {
@@ -1570,7 +1573,7 @@ mod tests {
     #[test]
     fn maybe_run_respects_intervals_and_enablement() {
         let (mut fleet, mut net) = fleet(2);
-        let interval = fleet.config().round_interval;
+        let interval = ROUND_INTERVAL;
         assert!(!fleet.maybe_run(&mut net, SimInstant::ZERO), "not due yet");
         assert!(fleet.maybe_run(&mut net, SimInstant::ZERO + interval));
         assert!(

@@ -32,9 +32,10 @@
 //!
 //! The pieces:
 //!
-//! * [`GossipConfig`] — fleet size, fanout, round/anti-entropy intervals,
-//!   hot-set size and fill budget, digest mode, zones and liveness knobs.
-//!   Default-off.
+//! * [`GossipConfig`] — fleet size, anti-entropy interval, hot-set size and
+//!   fill budget, digest mode, zones and liveness knobs. Default-off. The
+//!   values every frontend must agree on (fanout, round interval, filter
+//!   width, membership-summary budget) are constants in [`config`].
 //! * [`Digest`] / [`VersionVector`] / [`ShardFilter`] — the metadata
 //!   protocol. Every frontend tracks the highest shard version it has
 //!   observed per term; an incoming fill older than that is rejected, so a

@@ -158,8 +158,13 @@ impl ShardEntry {
         pos = p;
         let (count, p) = varint::decode_u64(data, pos)?;
         pos = p;
-        if count > 50_000_000 {
-            return Err(QbError::Codec(format!("unreasonable shard size {count}")));
+        // The count comes off the wire: what is left of the input bounds it,
+        // and with it the reservation below.
+        let remaining = data.len() - pos;
+        if count > (remaining / MIN_POSTING_BYTES) as u64 {
+            return Err(QbError::Codec(format!(
+                "shard claims {count} postings in {remaining} bytes"
+            )));
         }
         let mut postings = Vec::with_capacity(count as usize);
         let mut doc_id = 0u64;
@@ -192,6 +197,10 @@ impl ShardEntry {
     }
 }
 
+/// Fewest bytes one encoded posting takes: five one-byte varints and the
+/// length byte of an empty name.
+const MIN_POSTING_BYTES: usize = 6;
+
 fn encode_str(s: &str, out: &mut Vec<u8>) {
     varint::encode_u64(s.len() as u64, out);
     out.extend_from_slice(s.as_bytes());
@@ -199,10 +208,12 @@ fn encode_str(s: &str, out: &mut Vec<u8>) {
 
 fn decode_str(data: &[u8], pos: usize) -> QbResult<(String, usize)> {
     let (len, p) = varint::decode_u64(data, pos)?;
-    let end = p + len as usize;
-    let bytes = data
-        .get(p..end)
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| p.checked_add(len))
+        .filter(|&end| end <= data.len())
         .ok_or_else(|| QbError::Codec("truncated string".into()))?;
+    let bytes = &data[p..end];
     let s =
         String::from_utf8(bytes.to_vec()).map_err(|_| QbError::Codec("invalid utf-8".into()))?;
     Ok((s, end))
@@ -992,5 +1003,63 @@ mod tests {
             }
             prop_assert_eq!(ShardEntry::decode(&shard.encode()).unwrap(), shard);
         }
+
+        /// Arbitrary, truncated and bit-flipped bytes: a decoder either
+        /// returns an error or a value that re-encodes to a decodable equal —
+        /// it never panics.
+        #[test]
+        fn decoders_survive_hostile_bytes(
+            garbage in proptest::collection::vec(any::<u8>(), 0..96),
+            names in proptest::collection::vec("[a-z/]{0,6}", 0..8),
+            cut in any::<usize>(),
+            flip in any::<usize>(),
+        ) {
+            let shard = ShardEntry {
+                term: "hostile".into(),
+                version: 3,
+                postings: names
+                    .iter()
+                    .enumerate()
+                    .map(|(i, n)| posting(i as u64 * 7, i as u32 + 1, n))
+                    .collect(),
+            };
+            let stats = IndexStats { num_docs: 1 << 40, total_len: 9, version: 300 };
+            for valid in [shard.encode(), stats.encode()] {
+                let mut flipped = valid.clone();
+                flipped[flip % valid.len()] ^= 1 << (flip % 8);
+                for bytes in [&garbage[..], &valid[..cut % valid.len()], &flipped[..]] {
+                    if let Ok(s) = ShardEntry::decode(bytes) {
+                        prop_assert_eq!(ShardEntry::decode(&s.encode()).unwrap(), s);
+                    }
+                    if let Ok(s) = IndexStats::decode(bytes) {
+                        prop_assert_eq!(IndexStats::decode(&s.encode()).unwrap(), s);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_huge_posting_count_is_rejected_before_anything_is_reserved() {
+        // term "a", version 1, count 50_000_000, then nothing: ten bytes that
+        // used to reserve room for fifty million postings before failing.
+        let mut bytes = Vec::new();
+        encode_str("a", &mut bytes);
+        varint::encode_u64(1, &mut bytes);
+        varint::encode_u64(50_000_000, &mut bytes);
+        bytes.extend_from_slice(&[0; 3]);
+        assert_eq!(bytes.len(), 10);
+        match ShardEntry::decode(&bytes) {
+            Err(QbError::Codec(msg)) => assert!(msg.contains("claims 50000000 postings"), "{msg}"),
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_string_length_of_u64_max_is_an_error_not_an_overflow() {
+        let mut bytes = Vec::new();
+        varint::encode_u64(u64::MAX, &mut bytes);
+        bytes.push(b'x');
+        assert!(matches!(ShardEntry::decode(&bytes), Err(QbError::Codec(_))));
     }
 }

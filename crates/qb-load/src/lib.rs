@@ -10,8 +10,8 @@
 //!
 //! * [`trace`] — non-homogeneous Poisson arrivals via thinning on
 //!   [`qb_common::DetRng`], with constant / diurnal-sinusoid /
-//!   flash-crowd / ramp rate shapes and Zipf query popularity with
-//!   optional drift. Same [`TraceConfig`] → byte-identical trace.
+//!   flash-crowd / ramp rate shapes and Zipf query popularity. Same
+//!   [`TraceConfig`] → byte-identical trace.
 //! * [`mod@replay`] — maps a trace onto
 //!   [`qb_queenbee::QueenBee::serve_open_loop`], spreading arrivals over
 //!   the frontend fleet and returning the engine's

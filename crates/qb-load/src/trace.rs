@@ -13,9 +13,8 @@
 //! * **Rate shape** — constant, diurnal sinusoid, flash-crowd spike or
 //!   linear ramp ([`RateShape`]).
 //! * **Popularity** — each arrival picks its query from a pool of distinct
-//!   queries through a Zipf sampler, with optional *drift*: every
-//!   `drift_interval` the popularity ranking rotates by `drift_step`
-//!   positions, so yesterday's hot queries cool off.
+//!   queries through a Zipf sampler; the ranking is fixed for the whole
+//!   trace.
 
 use qb_common::{DetRng, SimDuration};
 use qb_workload::{Corpus, QueryWorkload, ZipfSampler};
@@ -149,11 +148,6 @@ pub struct TraceConfig {
     pub pool_size: usize,
     /// Zipf skew of query popularity over the pool (0 = uniform).
     pub zipf_s: f64,
-    /// Rotate the popularity ranking every this often;
-    /// [`SimDuration::ZERO`] disables drift.
-    pub drift_interval: SimDuration,
-    /// Ranking positions rotated per drift step.
-    pub drift_step: usize,
 }
 
 impl Default for TraceConfig {
@@ -165,8 +159,6 @@ impl Default for TraceConfig {
             shape: RateShape::Constant,
             pool_size: 128,
             zipf_s: 1.0,
-            drift_interval: SimDuration::ZERO,
-            drift_step: 1,
         }
     }
 }
@@ -185,9 +177,6 @@ impl TraceConfig {
         }
         if self.zipf_s < 0.0 {
             return Err("zipf_s must be >= 0".into());
-        }
-        if self.drift_interval > SimDuration::ZERO && self.drift_step == 0 {
-            return Err("drift_step must be positive when drift is enabled".into());
         }
         self.shape.validate()
     }
@@ -246,17 +235,9 @@ impl ArrivalTrace {
             if !arrival_rng.gen_bool(keep.clamp(0.0, 1.0)) {
                 continue;
             }
-            let rank = zipf.sample(&mut pick_rng);
-            let idx = if config.drift_interval > SimDuration::ZERO {
-                let steps =
-                    (offset.as_micros() / config.drift_interval.as_micros().max(1)) as usize;
-                (rank + steps * config.drift_step) % pool.len()
-            } else {
-                rank
-            };
             arrivals.push(Arrival {
                 offset,
-                query: pool[idx].clone(),
+                query: pool[zipf.sample(&mut pick_rng)].clone(),
             });
         }
 
@@ -391,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn drift_rotates_the_hot_query() {
+    fn the_hot_query_is_stable_across_the_trace() {
         let c = corpus();
         let base = TraceConfig {
             duration: SimDuration::from_secs(20),
@@ -414,19 +395,8 @@ mod tests {
                 .unwrap()
                 .0
         };
-        // Without drift the hot query is stable across the trace.
         let stable = ArrivalTrace::generate(&c, &base);
         assert_eq!(hot_in(&stable, 0, 10), hot_in(&stable, 10, 20));
-        // With drift the popularity ranking rotates between the halves.
-        let drifting = ArrivalTrace::generate(
-            &c,
-            &TraceConfig {
-                drift_interval: SimDuration::from_secs(10),
-                drift_step: 5,
-                ..base
-            },
-        );
-        assert_ne!(hot_in(&drifting, 0, 10), hot_in(&drifting, 10, 20));
     }
 
     #[test]
@@ -466,16 +436,12 @@ mod tests {
             amplitude: 1.5,
         };
         assert!(c.validate().is_err());
-        let mut c = ok.clone();
+        let mut c = ok;
         c.shape = RateShape::FlashCrowd {
             at: SimDuration::ZERO,
             duration: SimDuration::ZERO,
             multiplier: 2.0,
         };
-        assert!(c.validate().is_err());
-        let mut c = ok;
-        c.drift_interval = SimDuration::from_secs(1);
-        c.drift_step = 0;
         assert!(c.validate().is_err());
     }
 }

@@ -8,6 +8,17 @@ use qb_rank::DecentralizedPageRank;
 use qb_simnet::NetConfig;
 use qb_storage::StorageConfig;
 
+/// Jaccard-similarity threshold above which a publish is rejected as a mirror
+/// of an existing page owned by someone else (when
+/// [`QueenBeeConfig::duplicate_detection`] is on).
+pub const DUPLICATE_THRESHOLD: f64 = 0.8;
+
+/// Stake each bee deposits at registration (slashable).
+pub const BEE_STAKE: u64 = 1_000;
+
+/// Honey slashed from a bee caught submitting manipulated data.
+pub const SLASH_AMOUNT: u64 = 500;
+
 /// Configuration of a QueenBee deployment.
 #[derive(Debug, Clone)]
 pub struct QueenBeeConfig {
@@ -37,9 +48,6 @@ pub struct QueenBeeConfig {
     /// Enable MinHash near-duplicate detection at publish time (the scraper
     /// defense).
     pub duplicate_detection: bool,
-    /// Jaccard-similarity threshold above which a publish is rejected as a
-    /// mirror of an existing page owned by someone else.
-    pub duplicate_threshold: f64,
     /// Frontend query-serving cache (result/shard/negative tiers). Disabled
     /// by default so deployments keep the uncached seed behavior.
     pub cache: CacheConfig,
@@ -59,10 +67,6 @@ pub struct QueenBeeConfig {
     /// [`crate::QueenBee::serve_open_loop`] consults it, so every
     /// closed-loop path keeps its exact behavior.
     pub admission: crate::query::admission::AdmissionConfig,
-    /// Stake each bee deposits at registration (slashable).
-    pub bee_stake: u64,
-    /// Honey slashed from a bee caught submitting manipulated data.
-    pub slash_amount: u64,
     /// Master seed; every random decision in the engine derives from it.
     pub seed: u64,
 }
@@ -82,13 +86,10 @@ impl Default for QueenBeeConfig {
             top_k: 10,
             shard_inline_threshold: 2048,
             duplicate_detection: true,
-            duplicate_threshold: 0.8,
             cache: CacheConfig::default(),
             gossip: GossipConfig::default(),
             segment: qb_segment::SegmentConfig::default(),
             admission: crate::query::admission::AdmissionConfig::default(),
-            bee_stake: 1_000,
-            slash_amount: 500,
             seed: 0xBEE5,
         }
     }
@@ -128,11 +129,6 @@ impl QueenBeeConfig {
         }
         if !(0.0..=1.0).contains(&self.rank_weight) {
             return Err(QbError::Config("rank_weight must be within [0, 1]".into()));
-        }
-        if !(0.0..=1.0).contains(&self.duplicate_threshold) {
-            return Err(QbError::Config(
-                "duplicate_threshold must be within [0, 1]".into(),
-            ));
         }
         self.cache.validate()?;
         self.gossip.validate()?;

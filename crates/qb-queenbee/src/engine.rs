@@ -3,7 +3,7 @@
 
 use crate::attacks::{CollusionAttack, ScraperAttack};
 use crate::bee::{BeeBehaviour, WorkerBee};
-use crate::config::QueenBeeConfig;
+use crate::config::{QueenBeeConfig, BEE_STAKE, DUPLICATE_THRESHOLD, SLASH_AMOUNT};
 use crate::defense::{verify_index_submissions, MinHashSignature};
 use crate::metrics::{FreshnessProbe, HoneyByRole, QueryEngineStats};
 use crate::query::admission::{IngressQueue, LoadReport, TimedRequest};
@@ -195,13 +195,8 @@ impl QueenBee {
         for i in 0..config.num_bees {
             let peer = (config.num_peers - config.num_bees + i) as u64;
             let account = AccountId(2_000 + i as u64);
-            chain.fund_from_treasury(account, config.bee_stake)?;
-            chain.submit_call(
-                account,
-                Call::DepositStake {
-                    amount: config.bee_stake,
-                },
-            );
+            chain.fund_from_treasury(account, BEE_STAKE)?;
+            chain.submit_call(account, Call::DepositStake { amount: BEE_STAKE });
             bees.push(WorkerBee::new(peer, account));
         }
         chain.seal_block(net.now());
@@ -338,6 +333,34 @@ impl QueenBee {
         (self.writer_shard_reads, self.writer_shard_cache_hits)
     }
 
+    /// The fleet, or the "`op` needs a frontend fleet" error. Takes the field,
+    /// not `self`, so callers keep `self.net` free for the fleet call.
+    fn fleet_mut<'a>(
+        fleet: &'a mut Option<GossipFleet>,
+        op: &str,
+    ) -> QbResult<&'a mut GossipFleet> {
+        fleet.as_mut().ok_or_else(|| {
+            QbError::Config(format!(
+                "{op} needs a frontend fleet (config.gossip.num_frontends > 0)"
+            ))
+        })
+    }
+
+    /// Claim the next free user-device peer for a joining frontend. The
+    /// fleet is checked before the cursor moves: an engine without a fleet
+    /// claims nothing.
+    fn claim_join_peer(&mut self, op: &str) -> QbResult<u64> {
+        let peer = self.join_peer_cursor;
+        if peer as usize >= self.config.num_peers - self.config.num_bees {
+            return Err(QbError::Config(
+                "no free peer left to host a new frontend".into(),
+            ));
+        }
+        Self::fleet_mut(&mut self.fleet, op)?;
+        self.join_peer_cursor += 1;
+        Ok(peer)
+    }
+
     /// A new frontend joins the running fleet on the next free user-device
     /// peer (initial frontends occupy the lowest peer ids and worker bees
     /// the highest; the ordinary devices in between can host late
@@ -347,18 +370,8 @@ impl QueenBee {
     /// heartbeats. Returns the new frontend's index.
     pub fn fleet_join(&mut self) -> QbResult<usize> {
         let now = self.net.now();
-        let peer = self.join_peer_cursor;
-        if peer as usize >= self.config.num_peers - self.config.num_bees {
-            return Err(QbError::Config(
-                "no free peer left to host a new frontend".into(),
-            ));
-        }
-        let Some(fleet) = self.fleet.as_mut() else {
-            return Err(QbError::Config(
-                "fleet_join needs a frontend fleet (config.gossip.num_frontends > 0)".into(),
-            ));
-        };
-        self.join_peer_cursor += 1;
+        let peer = self.claim_join_peer("fleet_join")?;
+        let fleet = Self::fleet_mut(&mut self.fleet, "fleet_join")?;
         fleet.join(&mut self.net, peer, now)
     }
 
@@ -374,19 +387,8 @@ impl QueenBee {
         &mut self,
     ) -> QbResult<(usize, qb_gossip::SegmentBootstrapReport)> {
         let now = self.net.now();
-        let peer = self.join_peer_cursor;
-        if peer as usize >= self.config.num_peers - self.config.num_bees {
-            return Err(QbError::Config(
-                "no free peer left to host a new frontend".into(),
-            ));
-        }
-        let Some(fleet) = self.fleet.as_mut() else {
-            return Err(QbError::Config(
-                "fleet_join_with_segment needs a frontend fleet (config.gossip.num_frontends > 0)"
-                    .into(),
-            ));
-        };
-        self.join_peer_cursor += 1;
+        let peer = self.claim_join_peer("fleet_join_with_segment")?;
+        let fleet = Self::fleet_mut(&mut self.fleet, "fleet_join_with_segment")?;
         let (idx, report) =
             fleet.join_with_segment(&mut self.net, &mut self.dht, &mut self.storage, peer, now)?;
         if report.used_segment {
@@ -403,11 +405,7 @@ impl QueenBee {
     /// silence via heartbeats and evicts it). Its slot index stays valid
     /// but routing to it fails until [`QueenBee::fleet_rejoin`].
     pub fn fleet_leave(&mut self, frontend: usize, graceful: bool) -> QbResult<()> {
-        let Some(fleet) = self.fleet.as_mut() else {
-            return Err(QbError::Config(
-                "fleet_leave needs a frontend fleet (config.gossip.num_frontends > 0)".into(),
-            ));
-        };
+        let fleet = Self::fleet_mut(&mut self.fleet, "fleet_leave")?;
         if frontend >= fleet.len() {
             return Err(QbError::Config(format!(
                 "frontend {frontend} out of range (fleet has {})",
@@ -427,11 +425,7 @@ impl QueenBee {
     /// its bumped heartbeat supersedes every stale view of it.
     pub fn fleet_rejoin(&mut self, frontend: usize) -> QbResult<()> {
         let now = self.net.now();
-        let Some(fleet) = self.fleet.as_mut() else {
-            return Err(QbError::Config(
-                "fleet_rejoin needs a frontend fleet (config.gossip.num_frontends > 0)".into(),
-            ));
-        };
+        let fleet = Self::fleet_mut(&mut self.fleet, "fleet_rejoin")?;
         if frontend >= fleet.len() {
             return Err(QbError::Config(format!(
                 "frontend {frontend} out of range (fleet has {})",
@@ -448,7 +442,7 @@ impl QueenBee {
     }
 
     /// Force one gossip round right now (experiments and tests; normal
-    /// operation paces rounds by `GossipConfig::round_interval` as simulated
+    /// operation paces rounds by `qb_gossip::config::ROUND_INTERVAL` as simulated
     /// time advances). `anti_entropy` swaps full digests instead of hot
     /// sets.
     pub fn run_gossip_round(&mut self, anti_entropy: bool) {
@@ -512,8 +506,15 @@ impl QueenBee {
     }
 
     /// Change the behaviour of one bee (attack setup).
-    pub fn set_bee_behaviour(&mut self, bee_index: usize, behaviour: BeeBehaviour) {
-        self.bees[bee_index].behaviour = behaviour;
+    pub fn set_bee_behaviour(&mut self, bee_index: usize, behaviour: BeeBehaviour) -> QbResult<()> {
+        let num_bees = self.bees.len();
+        let bee = self.bees.get_mut(bee_index).ok_or_else(|| {
+            QbError::Config(format!(
+                "bee index {bee_index} out of range (valid: 0..{num_bees})"
+            ))
+        })?;
+        bee.behaviour = behaviour;
+        Ok(())
     }
 
     /// Turn the first `colluders(n)` bees into the given coalition.
@@ -574,7 +575,7 @@ impl QueenBee {
             for (other_name, (other_creator, other_sig)) in &self.signatures {
                 if *other_creator != creator.0
                     && other_name != &page.name
-                    && sig.similarity(other_sig) >= self.config.duplicate_threshold
+                    && sig.similarity(other_sig) >= DUPLICATE_THRESHOLD
                 {
                     return Ok(PublishReport {
                         name: page.name.clone(),
@@ -663,13 +664,7 @@ impl QueenBee {
             .collect();
         self.event_cursor = self.chain.events().len();
         let mut handled = 0usize;
-        let validator = self
-            .config
-            .chain
-            .validators
-            .first()
-            .copied()
-            .unwrap_or(qb_chain::TREASURY);
+        let validator = qb_chain::VALIDATORS[0];
 
         for event in events {
             let Event::PagePublished {
@@ -737,7 +732,7 @@ impl QueenBee {
                     validator,
                     Call::SlashStake {
                         offender,
-                        amount: self.config.slash_amount,
+                        amount: SLASH_AMOUNT,
                     },
                 );
             }
@@ -1076,13 +1071,7 @@ impl QueenBee {
         }
 
         // Slash bees flagged during rank verification, pay the others.
-        let validator = self
-            .config
-            .chain
-            .validators
-            .first()
-            .copied()
-            .unwrap_or(qb_chain::TREASURY);
+        let validator = qb_chain::VALIDATORS[0];
         for (i, bee) in self.bees.iter_mut().enumerate() {
             if report.flagged_bees.contains(&i) {
                 bee.times_flagged += 1;
@@ -1090,7 +1079,7 @@ impl QueenBee {
                     validator,
                     Call::SlashStake {
                         offender: bee.account,
-                        amount: self.config.slash_amount,
+                        amount: SLASH_AMOUNT,
                     },
                 );
             } else {
@@ -2871,8 +2860,7 @@ mod tests {
         qb.process_publish_events().unwrap();
         qb.search_request(at_frontend(0, "timed rounds")).unwrap();
         assert_eq!(qb.gossip_stats().unwrap().rounds, 0, "not due yet");
-        let interval = qb.config().gossip.round_interval;
-        qb.advance_time(interval);
+        qb.advance_time(qb_gossip::config::ROUND_INTERVAL);
         assert!(qb.gossip_stats().unwrap().rounds >= 1);
         let warmed = qb.search_request(at_frontend(1, "timed rounds")).unwrap();
         assert_eq!(warmed.shards_fetched(), 0);

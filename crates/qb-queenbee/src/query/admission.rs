@@ -33,6 +33,10 @@ use qb_common::{LatencyHistogram, QbError, QbResult, SimDuration, SimInstant};
 
 use crate::query::request::SearchRequest;
 
+/// A queued query older than this forces a partial-window dispatch, so light
+/// load is not penalized waiting for a full window.
+pub const MAX_BATCH_DELAY: SimDuration = SimDuration::from_millis(2);
+
 /// Knobs of the per-frontend admission/backpressure layer. Disabled by
 /// default: nothing outside [`crate::QueenBee::serve_open_loop`] consults
 /// it, so every closed-loop path keeps its exact behavior.
@@ -49,9 +53,6 @@ pub struct AdmissionConfig {
     pub window_size: usize,
     /// Pipeline depth (windows in flight) per dispatched batch.
     pub max_windows_in_flight: usize,
-    /// A queued query older than this forces a partial-window dispatch, so
-    /// light load is not penalized waiting for a full window.
-    pub max_batch_delay: SimDuration,
     /// Estimated sojourn above which a `Fresh` arrival is degraded to
     /// `CacheOk` (first, cheaper relief valve).
     pub degrade_threshold: SimDuration,
@@ -67,7 +68,6 @@ impl Default for AdmissionConfig {
             queue_capacity: 64,
             window_size: 16,
             max_windows_in_flight: 2,
-            max_batch_delay: SimDuration::from_millis(2),
             degrade_threshold: SimDuration::from_millis(25),
             shed_threshold: SimDuration::from_millis(100),
         }
@@ -334,7 +334,7 @@ impl IngressQueue {
             // The arrival that filled the pipeline's worth of work.
             self.queue[limit - 1].0
         } else {
-            oldest + cfg.max_batch_delay
+            oldest + MAX_BATCH_DELAY
         };
         Some(trigger.max(self.busy_until))
     }
@@ -403,10 +403,7 @@ mod tests {
         let mut q = IngressQueue::new(t0);
         assert_eq!(q.next_dispatch_at(&cfg, false), None);
         q.queue.push_back((t0, SearchRequest::new("a")));
-        assert_eq!(
-            q.next_dispatch_at(&cfg, false),
-            Some(t0 + cfg.max_batch_delay)
-        );
+        assert_eq!(q.next_dispatch_at(&cfg, false), Some(t0 + MAX_BATCH_DELAY));
         // Draining ignores the batching deadline.
         assert_eq!(q.next_dispatch_at(&cfg, true), Some(t0));
         // A busy frontend defers the dispatch regardless.

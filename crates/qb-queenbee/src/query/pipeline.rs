@@ -57,12 +57,12 @@
 //! [`PipelineConfig::self_steering`]) the driver watches, at every
 //! retirement, how much of the window's busy time (charged queue delay
 //! plus read service time) was spent queueing. When queueing
-//! dominates ([`PipelineConfig::backoff_queue_percent`]) it *backs off*:
+//! dominates ([`BACKOFF_QUEUE_PERCENT`]) it *backs off*:
 //! first growing the window (a larger window dedupes more fetches per
 //! query, putting less work on the saturated links), then shedding
 //! pipeline depth — never below 2, since depth is what keeps a saturated
 //! link busy across window boundaries; when queueing is negligible
-//! ([`PipelineConfig::rampup_queue_percent`]) it reverses course. While
+//! ([`RAMPUP_QUEUE_PERCENT`]) it reverses course. While
 //! saturated it also issues the cheapest ready window first —
 //! *cost-predicted shortest-first*, where the predicted cost is the number
 //! of distinct shards a window could fetch (a pure routing + analysis
@@ -83,6 +83,16 @@ use crate::query::response::SearchResponse;
 use qb_common::{QbResult, SimDuration, SimInstant};
 use std::collections::VecDeque;
 
+/// The self-steering driver backs off (grows the window, then sheds depth)
+/// when queueing reaches this percentage of a retired window's busy time
+/// (queue delay plus service time across its fetches) — i.e. when the links,
+/// not the reads, dominate the window.
+pub const BACKOFF_QUEUE_PERCENT: u64 = 60;
+
+/// The self-steering driver ramps back up (restores depth, then shrinks the
+/// window) when the queue share falls to this percentage or below.
+pub const RAMPUP_QUEUE_PERCENT: u64 = 5;
+
 /// Knobs of one pipelined run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
@@ -98,14 +108,6 @@ pub struct PipelineConfig {
     /// Self-steer window size, depth and issue order from the observed
     /// queue-delay share of each retired window's busy time.
     pub adaptive: bool,
-    /// Back off (grow the window, then shed depth) when queueing reaches
-    /// this percentage of a retired window's busy time (queue delay plus
-    /// service time across its fetches) — i.e. when the links, not the
-    /// reads, dominate the window.
-    pub backoff_queue_percent: u32,
-    /// Ramp back up (restore depth, then shrink the window) when the
-    /// queue share falls to this percentage or below.
-    pub rampup_queue_percent: u32,
 }
 
 impl Default for PipelineConfig {
@@ -114,8 +116,6 @@ impl Default for PipelineConfig {
             window_size: 32,
             max_windows_in_flight: 4,
             adaptive: false,
-            backoff_queue_percent: 60,
-            rampup_queue_percent: 5,
         }
     }
 }
@@ -424,7 +424,7 @@ impl PipelineDriver {
         let busy_us = (win.queue_delay + service).as_micros();
         let share = win.queue_delay.as_micros().saturating_mul(100) / busy_us.max(1);
         let base = self.config.window_size.max(1);
-        self.saturated = share >= u64::from(self.config.backoff_queue_percent);
+        self.saturated = share >= BACKOFF_QUEUE_PERCENT;
         if self.saturated {
             if self.window < base * 4 {
                 self.window = (self.window * 2).min(base * 4);
@@ -433,7 +433,7 @@ impl PipelineDriver {
                 self.depth -= 1;
                 self.report.adapt_backoffs += 1;
             }
-        } else if share <= u64::from(self.config.rampup_queue_percent) {
+        } else if share <= RAMPUP_QUEUE_PERCENT {
             if self.depth < self.config.max_windows_in_flight.max(1) {
                 self.depth += 1;
                 self.report.adapt_rampups += 1;
@@ -565,6 +565,5 @@ mod tests {
         let c = PipelineConfig::self_steering();
         assert!(c.adaptive);
         assert_eq!(c.window_size, PipelineConfig::default().window_size);
-        assert!(c.rampup_queue_percent < c.backoff_queue_percent);
     }
 }

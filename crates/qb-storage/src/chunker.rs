@@ -1,7 +1,6 @@
 //! Chunking: splitting an object into blocks.
 //!
-//! Two strategies are provided. Fixed-size chunking is simple and fast;
-//! content-defined chunking (a gear-hash rolling window) re-synchronises
+//! Content-defined chunking (a gear-hash rolling window) re-synchronises
 //! chunk boundaries after inserts/deletes so that updated versions of a page
 //! share most of their blocks with the previous version — which matters for
 //! the DWeb because a page update should not force re-replication of the
@@ -10,7 +9,7 @@
 /// Chunker parameters.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ChunkerConfig {
-    /// Minimum chunk size in bytes (content-defined only).
+    /// Minimum chunk size in bytes.
     pub min_size: usize,
     /// Average/target chunk size in bytes.
     pub target_size: usize,
@@ -40,17 +39,6 @@ impl ChunkerConfig {
     }
 }
 
-/// Split into fixed-size chunks of `size` bytes (the last chunk may be
-/// shorter). An empty input yields a single empty chunk so that every object
-/// has at least one block.
-pub fn chunk_fixed(data: &[u8], size: usize) -> Vec<Vec<u8>> {
-    let size = size.max(1);
-    if data.is_empty() {
-        return vec![Vec::new()];
-    }
-    data.chunks(size).map(|c| c.to_vec()).collect()
-}
-
 /// Gear table for the rolling hash, generated deterministically from a fixed
 /// seed so chunk boundaries are stable across runs and machines.
 fn gear_table() -> [u64; 256] {
@@ -67,7 +55,8 @@ fn gear_table() -> [u64; 256] {
     table
 }
 
-/// Content-defined chunking with a gear rolling hash.
+/// Content-defined chunking with a gear rolling hash. An empty input yields a
+/// single empty chunk so that every object has at least one block.
 pub fn chunk_content_defined(data: &[u8], config: &ChunkerConfig) -> Vec<Vec<u8>> {
     if data.is_empty() {
         return vec![Vec::new()];
@@ -112,18 +101,14 @@ mod tests {
     use proptest::prelude::*;
     use qb_common::Cid;
 
-    #[test]
-    fn fixed_chunks_reassemble() {
-        let data: Vec<u8> = (0..10_000u32).map(|i| (i % 255) as u8).collect();
-        let chunks = chunk_fixed(&data, 1024);
-        assert_eq!(chunks.len(), 10);
-        let rejoined: Vec<u8> = chunks.concat();
-        assert_eq!(rejoined, data);
+    /// Fixed-size chunking, the contrast case content-defined chunking is
+    /// measured against.
+    fn chunk_fixed(data: &[u8], size: usize) -> Vec<Vec<u8>> {
+        data.chunks(size).map(|c| c.to_vec()).collect()
     }
 
     #[test]
     fn empty_input_yields_one_empty_chunk() {
-        assert_eq!(chunk_fixed(&[], 8).len(), 1);
         assert_eq!(chunk_content_defined(&[], &ChunkerConfig::tiny()).len(), 1);
     }
 
@@ -196,10 +181,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn chunking_always_reassembles(data in proptest::collection::vec(any::<u8>(), 0..8192),
-                                       size in 1usize..512) {
-            let fixed = chunk_fixed(&data, size);
-            prop_assert_eq!(fixed.concat(), data.clone());
+        fn chunking_always_reassembles(data in proptest::collection::vec(any::<u8>(), 0..8192)) {
             let cdc = chunk_content_defined(&data, &ChunkerConfig::tiny());
             prop_assert_eq!(cdc.concat(), data);
         }

@@ -20,7 +20,7 @@ pub mod network;
 pub mod store;
 
 pub use block::Block;
-pub use chunker::{chunk_content_defined, chunk_fixed, ChunkerConfig};
+pub use chunker::{chunk_content_defined, ChunkerConfig};
 pub use dag::Manifest;
 pub use network::{FetchStats, ObjectRef, StorageConfig, StorageNetwork};
 pub use store::{BlockStore, LruBlockStore, MemoryBlockStore};

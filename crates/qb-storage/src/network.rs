@@ -1,7 +1,7 @@
 //! The distributed storage layer: publishing, replication, cached retrieval.
 
 use crate::block::Block;
-use crate::chunker::{chunk_content_defined, chunk_fixed, ChunkerConfig};
+use crate::chunker::{chunk_content_defined, ChunkerConfig};
 use crate::dag::Manifest;
 use crate::store::{BlockStore, LruBlockStore, MemoryBlockStore};
 use qb_common::{Cid, QbError, QbResult, SimDuration};
@@ -15,13 +15,8 @@ pub struct StorageConfig {
     pub replication: usize,
     /// Chunker parameters.
     pub chunker: ChunkerConfig,
-    /// Use content-defined chunking (true) or fixed-size chunking (false).
-    pub content_defined: bool,
     /// Per-peer cache capacity in bytes.
     pub cache_bytes: usize,
-    /// Whether peers that fetched an object announce themselves as providers
-    /// (the DWeb "devices also serve their cached data" behaviour).
-    pub announce_cached: bool,
 }
 
 impl Default for StorageConfig {
@@ -29,9 +24,7 @@ impl Default for StorageConfig {
         StorageConfig {
             replication: 3,
             chunker: ChunkerConfig::default(),
-            content_defined: true,
             cache_bytes: 8 * 1024 * 1024,
-            announce_cached: true,
         }
     }
 }
@@ -42,9 +35,7 @@ impl StorageConfig {
         StorageConfig {
             replication: 2,
             chunker: ChunkerConfig::tiny(),
-            content_defined: true,
             cache_bytes: 64 * 1024,
-            announce_cached: true,
         }
     }
 }
@@ -118,14 +109,6 @@ impl StorageNetwork {
         (c.hits, c.misses)
     }
 
-    fn chunk(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        if self.config.content_defined {
-            chunk_content_defined(data, &self.config.chunker)
-        } else {
-            chunk_fixed(data, self.config.chunker.target_size)
-        }
-    }
-
     fn block_on_peer(&self, peer: u64, cid: &Cid) -> Option<Block> {
         self.pinned[peer as usize]
             .get(cid)
@@ -156,7 +139,7 @@ impl StorageNetwork {
         if !net.is_online(from) {
             return Err(QbError::NodeOffline(from));
         }
-        let chunks = self.chunk(data);
+        let chunks = chunk_content_defined(data, &self.config.chunker);
         let manifest = Manifest::from_chunks(&chunks);
         let manifest_block = Block::new(manifest.encode());
         let root = manifest_block.cid();
@@ -335,11 +318,11 @@ impl StorageNetwork {
             }
         }
 
-        // The fetcher now serves the object from its cache.
-        if self.config.announce_cached {
-            if let Ok(ann) = dht.add_provider(net, from, root.to_dht_key()) {
-                stats.messages += ann.messages;
-            }
+        // The fetcher now serves the object from its cache and announces
+        // itself as a provider (the DWeb "devices also serve their cached
+        // data" behaviour).
+        if let Ok(ann) = dht.add_provider(net, from, root.to_dht_key()) {
+            stats.messages += ann.messages;
         }
         Ok((data, stats))
     }

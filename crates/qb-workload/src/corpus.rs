@@ -5,6 +5,9 @@ use crate::zipf::ZipfSampler;
 use qb_common::DetRng;
 use qb_dweb::WebPage;
 
+/// First account id used for creators (creator i → account base + i).
+pub const CREATOR_ACCOUNT_BASE: u64 = 1_000;
+
 /// Corpus generation parameters.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CorpusConfig {
@@ -21,8 +24,6 @@ pub struct CorpusConfig {
     /// Number of distinct content creators owning the pages (ownership is
     /// itself Zipf-distributed: a few creators own many pages).
     pub num_creators: usize,
-    /// First account id used for creators (creator i → account base + i).
-    pub creator_account_base: u64,
 }
 
 impl Default for CorpusConfig {
@@ -34,7 +35,6 @@ impl Default for CorpusConfig {
             avg_doc_len: 120,
             avg_out_links: 6,
             num_creators: 50,
-            creator_account_base: 1_000,
         }
     }
 }
@@ -49,7 +49,6 @@ impl CorpusConfig {
             avg_doc_len: 30,
             avg_out_links: 3,
             num_creators: 5,
-            creator_account_base: 1_000,
         }
     }
 }
@@ -122,7 +121,7 @@ impl CorpusGenerator {
         let mut creators = Vec::with_capacity(cfg.num_pages);
         for (i, name) in names.iter().enumerate() {
             let creator_idx = creator_dist.sample(rng) as u64;
-            let creator = cfg.creator_account_base + creator_idx;
+            let creator = CREATOR_ACCOUNT_BASE + creator_idx;
             let len = ((rng.gen_normal(cfg.avg_doc_len as f64, cfg.avg_doc_len as f64 * 0.3))
                 .max(10.0)) as usize;
             let mut body = String::with_capacity(len * 8);

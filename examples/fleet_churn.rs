@@ -54,7 +54,7 @@ fn main() {
     qb.search_request(SearchRequest::new("honey meadow").route(RoutingPolicy::Direct(0)))
         .expect("warm query");
     for _ in 0..2 {
-        qb.advance_time(qb.config().gossip.round_interval);
+        qb.advance_time(qb_gossip::config::ROUND_INTERVAL);
     }
     let warm = qb
         .search_request(SearchRequest::new("honey meadow").route(RoutingPolicy::Direct(3)))
@@ -67,7 +67,7 @@ fn main() {
     // A frontend crashes; the fleet detects and evicts it.
     qb.fleet_leave(2, false).expect("crash");
     for _ in 0..4 {
-        qb.advance_time(qb.config().gossip.round_interval);
+        qb.advance_time(qb_gossip::config::ROUND_INTERVAL);
     }
     let stats = qb.gossip_stats().expect("fleet");
     println!(

@@ -58,7 +58,7 @@ fn main() {
         "fleet up: {} frontends, {} peers, gossip every {}",
         qb.num_frontends(),
         qb.net.len(),
-        qb.config().gossip.round_interval
+        qb_gossip::config::ROUND_INTERVAL
     );
 
     // 1. Only frontend 0 sees traffic: it pays the DHT cold-start cost.

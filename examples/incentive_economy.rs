@@ -68,7 +68,7 @@ fn main() {
     );
     println!(
         "  supply conserved: {}",
-        qb.chain.accounts().total_supply() == qb.config().chain.genesis_supply
+        qb.chain.accounts().total_supply() == qb_chain::GENESIS_SUPPLY
     );
 
     let creator_balances: Vec<u64> = qb

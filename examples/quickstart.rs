@@ -159,7 +159,7 @@ fn main() {
     );
     println!(
         "total honey supply unchanged: {}",
-        qb.chain.accounts().total_supply() == qb.config().chain.genesis_supply
+        qb.chain.accounts().total_supply() == qb_chain::GENESIS_SUPPLY
     );
 
     // 7. The pipelined engine: a whole query stream is cut into windows
@@ -178,10 +178,10 @@ fn main() {
     //    values as the *initial* shape. The self-steering driver measures,
     //    at each window retirement, what share of the window's busy time
     //    the per-link limits charged as queueing; past
-    //    `backoff_queue_percent` it backs off (grows the window for more
-    //    dedup per issue, then sheds depth) and issues the predicted
-    //    cheapest ready window first, and below `rampup_queue_percent` it
-    //    restores the configured shape. On an unsaturated stream it does
+    //    `pipeline::BACKOFF_QUEUE_PERCENT` it backs off (grows the window
+    //    for more dedup per issue, then sheds depth) and issues the
+    //    predicted cheapest ready window first, and below
+    //    `pipeline::RAMPUP_QUEUE_PERCENT` it restores the configured shape. On an unsaturated stream it does
     //    nothing — E13 asserts the makespan holds exactly — and on a
     //    starved uplink it beats the fixed shape (E13c). Responses stay
     //    in request order either way. The stream below repeats queries on

@@ -42,10 +42,7 @@ fn honest_economy_rewards_every_stakeholder_and_conserves_supply() {
     for bee in qb.bee_accounts() {
         assert!(qb.chain.balance(bee) > 0, "bee {bee:?} earned nothing");
     }
-    assert_eq!(
-        qb.chain.accounts().total_supply(),
-        qb.config().chain.genesis_supply
-    );
+    assert_eq!(qb.chain.accounts().total_supply(), qb_chain::GENESIS_SUPPLY);
 }
 
 #[test]
@@ -53,14 +50,15 @@ fn colluding_minority_is_caught_flagged_and_slashed() {
     let mut qb = small_engine(21);
     // One of four bees colludes (quorum is 3, so it is always outvoted when
     // assigned together with two honest bees).
-    qb.set_bee_behaviour(
-        0,
-        BeeBehaviour::Colluding {
-            boost_pages: vec!["evil/spam".into()],
-            boost_tf: 900,
-            rank_factor: 40.0,
-        },
-    );
+    let colluding = BeeBehaviour::Colluding {
+        boost_pages: vec!["evil/spam".into()],
+        boost_tf: 900,
+        rank_factor: 40.0,
+    };
+    qb.set_bee_behaviour(0, colluding.clone()).unwrap();
+    // There are four bees: index 4 names none of them.
+    let err = qb.set_bee_behaviour(4, colluding).unwrap_err();
+    assert!(err.to_string().contains("0..4"), "{err}");
     let colluder_account = qb.bees()[0].account;
     let stake_before = qb.chain.reward_pool().stake_of(colluder_account);
 
@@ -109,7 +107,8 @@ fn collusion_without_redundancy_poisons_the_index() {
                 boost_tf: 900,
                 rank_factor: 40.0,
             },
-        );
+        )
+        .unwrap();
     }
     publish_and_index(
         &mut qb,

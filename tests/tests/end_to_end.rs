@@ -76,10 +76,7 @@ fn full_pipeline_from_publish_to_paid_ad_click() {
     assert!(bee_after > bee_before, "serving bee earns ad share");
 
     // Honey never leaks or mints outside genesis.
-    assert_eq!(
-        qb.chain.accounts().total_supply(),
-        qb.config().chain.genesis_supply
-    );
+    assert_eq!(qb.chain.accounts().total_supply(), qb_chain::GENESIS_SUPPLY);
     assert!(qb.chain.verify_integrity().is_ok());
 }
 
