@@ -470,8 +470,10 @@ impl QueryCache {
     /// The `max` hottest cached term shards alive at `now` as
     /// `(term, version)` pairs, in descending popularity order — the digest
     /// another frontend needs to decide what to pull. Expired entries are
-    /// never advertised. Deterministic (ties broken by recency).
-    pub fn shard_digest(&self, max: usize, now: SimInstant) -> Vec<(String, u64)> {
+    /// never advertised. Deterministic (ties broken by recency). The terms
+    /// are borrowed from the tier; the listing is exact for one
+    /// `(shard_generation, shard_popularity_epoch, now)`.
+    pub fn shard_digest(&self, max: usize, now: SimInstant) -> Vec<(&str, u64)> {
         self.shards.hottest(max, now)
     }
 
@@ -491,6 +493,14 @@ impl QueryCache {
         self.shards.generation()
     }
 
+    /// The shard tier's popularity epoch: every lookup, store attempt and
+    /// accounted miss bumps it. Reads reorder [`QueryCache::shard_digest`]
+    /// without moving the generation, so a cached *ranking* — unlike the
+    /// order-free holdings filter — is keyed by this epoch as well.
+    pub fn shard_popularity_epoch(&self) -> u64 {
+        self.shards.popularity_epoch()
+    }
+
     /// The cached version of a term's shard, when one is resident.
     pub fn cached_shard_version(&self, term: &str) -> Option<u64> {
         self.shards.version_of(term)
@@ -500,11 +510,15 @@ impl QueryCache {
     /// highest version of this term the receiving frontend has observed
     /// (from its own DHT fetches, publish events, or earlier gossip): a copy
     /// older than that is rejected as stale, never replacing fresher data.
-    /// `sender_ttl` is the *remaining* lifetime of the sender's copy; the
-    /// stored entry inherits `min(sender_ttl, our adapted TTL)` so a gossip
-    /// fill can only tighten, never extend, the staleness bound — relaying
-    /// a shard between frontends never restarts its expiry clock. An
-    /// accepted shard is shared with the sender's handle, not copied.
+    /// `sender_ttl` is the lifetime the sender vouches for — gossip passes
+    /// the sender's adaptive TTL for the term, segment import the
+    /// receiver's own — and the stored entry lives `min(sender_ttl, our
+    /// adapted TTL)` *from `now`*: a fill can tighten the receiver's TTL
+    /// policy but the clock starts over at admission, so a relayed copy can
+    /// outlive the fetch it descends from (the version guard above and the
+    /// read-time version checks are the staleness rails, the TTL only the
+    /// backstop). An accepted shard is shared with the sender's handle, not
+    /// copied.
     pub fn store_remote_shard(
         &mut self,
         shard: &Arc<ShardEntry>,
@@ -1124,8 +1138,8 @@ mod tests {
         }
         let digest = c.shard_digest(2, t0());
         assert_eq!(digest.len(), 2);
-        assert_eq!(digest[0], ("hot".to_string(), 3));
-        assert_eq!(digest[1], ("warm".to_string(), 2));
+        assert_eq!(digest[0], ("hot", 3));
+        assert_eq!(digest[1], ("warm", 2));
         assert!(
             c.peek_shard("cold").is_some(),
             "peek sees undigested entries"

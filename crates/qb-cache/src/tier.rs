@@ -47,6 +47,12 @@ pub struct CacheTier<V> {
     /// overlay's bloom-style holdings filter — can be cached behind this
     /// generation instead of being rebuilt per exchange.
     generation: u64,
+    /// Monotonic counter of everything that moves the popularity *ranking*
+    /// without necessarily moving the holdings: every sketch record and
+    /// every recency touch (`get`, `insert`, `note_miss`). Together with
+    /// `generation` and the instant it keys anything derived from
+    /// [`CacheTier::hottest`].
+    popularity_epoch: u64,
     /// Counters for this tier.
     pub metrics: TierMetrics,
 }
@@ -66,6 +72,7 @@ impl<V> CacheTier<V> {
             track_removals: false,
             removed: Vec::new(),
             generation: 0,
+            popularity_epoch: 0,
             metrics: TierMetrics::default(),
         }
     }
@@ -74,6 +81,15 @@ impl<V> CacheTier<V> {
     /// (insert, replacement, eviction, expiry, invalidation) bumps it.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// The tier's popularity epoch: bumps on every lookup, insert attempt
+    /// and accounted miss — whatever can reorder [`CacheTier::hottest`]
+    /// while the generation stands still. A ranking taken at
+    /// `(generation, popularity_epoch, now)` stays exact until one of the
+    /// three moves.
+    pub fn popularity_epoch(&self) -> u64 {
+        self.popularity_epoch
     }
 
     /// Record removed keys for later draining via [`CacheTier::take_removed`].
@@ -113,13 +129,19 @@ impl<V> CacheTier<V> {
         self.tick
     }
 
+    /// Feed the frequency sketch one occurrence of a key.
+    fn record_popularity(&mut self, hash: u64) {
+        self.sketch.record(hash);
+        self.popularity_epoch += 1;
+    }
+
     /// Look up `key` at simulated time `now`. When `expected_version` is
     /// `Some(v)`, an entry recorded under a different version is dropped and
     /// counted as an invalidation (the version-aware read path). Expired
     /// entries are dropped and counted as expirations. Every lookup feeds
     /// the frequency sketch so the admission policy sees real popularity.
     pub fn get(&mut self, key: &str, now: SimInstant, expected_version: Option<u64>) -> Option<&V> {
-        self.sketch.record(hash_key(key));
+        self.record_popularity(hash_key(key));
         let (expired, stale) = match self.entries.get(key) {
             None => {
                 self.metrics.misses += 1;
@@ -179,7 +201,7 @@ impl<V> CacheTier<V> {
         ttl: SimDuration,
     ) -> bool {
         let hash = hash_key(key);
-        self.sketch.record(hash);
+        self.record_popularity(hash);
         if bytes > self.capacity_bytes {
             self.metrics.admission_rejections += 1;
             return false;
@@ -292,8 +314,9 @@ impl<V> CacheTier<V> {
     }
 
     /// Remaining lifetime of `key` at `now`; `None` when the entry is
-    /// absent or already past its expiry (without removing it — this is a
-    /// read-only probe used by the gossip fill path).
+    /// absent or already past its expiry (without removing it — a
+    /// read-only probe). Nothing on the serving or gossip path reads it
+    /// yet: fills ship the sender's full adaptive TTL, not this.
     pub fn remaining_ttl(&self, key: &str, now: SimInstant) -> Option<SimDuration> {
         let slot = self.entries.get(key)?;
         (now < slot.expires_at).then(|| slot.expires_at - now)
@@ -312,7 +335,7 @@ impl<V> CacheTier<V> {
     /// admission policy sees the demand) and a miss is counted. Used by
     /// lookup paths that must not evict, like the staleness-bounded read.
     pub fn note_miss(&mut self, key: &str) {
-        self.sketch.record(hash_key(key));
+        self.record_popularity(hash_key(key));
         self.metrics.misses += 1;
     }
 
@@ -321,18 +344,21 @@ impl<V> CacheTier<V> {
     /// Expired-but-resident entries are excluded: a digest must never
     /// advertise data that has already aged out. The order is
     /// deterministic: ticks are unique, so the sort is total.
-    pub fn hottest(&self, max: usize, now: SimInstant) -> Vec<(String, u64)> {
-        let mut ranked: Vec<(&String, u32, u64, u64)> = self
+    pub fn hottest(&self, max: usize, now: SimInstant) -> Vec<(&str, u64)> {
+        let mut ranked: Vec<(&str, u32, u64, u64)> = self
             .entries
             .iter()
             .filter(|(_, slot)| now < slot.expires_at)
-            .map(|(k, slot)| (k, self.sketch.estimate(slot.hash), slot.tick, slot.version))
+            .map(|(k, slot)| {
+                let freq = self.sketch.estimate(slot.hash);
+                (k.as_str(), freq, slot.tick, slot.version)
+            })
             .collect();
         ranked.sort_unstable_by_key(|&(_, freq, tick, _)| std::cmp::Reverse((freq, tick)));
         ranked
             .into_iter()
             .take(max)
-            .map(|(k, _, _, v)| (k.clone(), v))
+            .map(|(k, _, _, v)| (k, v))
             .collect()
     }
 
@@ -355,6 +381,7 @@ impl<V> CacheTier<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t0() -> SimInstant {
         SimInstant::ZERO
@@ -535,7 +562,7 @@ mod tests {
             tier.get("c", t0(), None);
         }
         let top = tier.hottest(2, t0());
-        assert_eq!(top, vec![("b".to_string(), 2), ("c".to_string(), 3)]);
+        assert_eq!(top, vec![("b", 2), ("c", 3)]);
         assert_eq!(tier.hottest(10, t0()).len(), 3);
         // Expired entries are not advertised even while still resident, and
         // remaining_ttl reports their true lifetime.
@@ -585,5 +612,81 @@ mod tests {
         assert_eq!(tier.len(), 1);
         assert_eq!(tier.version_of("k"), Some(2));
         assert_eq!(tier.get("k", t0(), Some(2)), Some(&2));
+    }
+
+    #[test]
+    fn reads_reorder_the_ranking_without_moving_the_generation() {
+        let mut tier = lru_tier(1000);
+        tier.insert("a", 1, 10, 1, t0());
+        tier.insert("b", 2, 10, 1, t0());
+        let (generation, epoch) = (tier.generation(), tier.popularity_epoch());
+        assert_eq!(tier.hottest(2, t0()), vec![("b", 1), ("a", 1)]);
+        tier.get("a", t0(), None);
+        assert_eq!(tier.generation(), generation, "holdings did not change");
+        assert!(tier.popularity_epoch() > epoch, "but the ranking may have");
+        assert_eq!(tier.hottest(2, t0()), vec![("a", 1), ("b", 1)]);
+        // Misses and refused admissions feed the sketch too.
+        let epoch = tier.popularity_epoch();
+        tier.get("absent", t0(), None);
+        tier.note_miss("absent");
+        assert!(!tier.insert("huge", 3, 2000, 1, t0()));
+        assert_eq!(tier.popularity_epoch(), epoch + 3);
+        assert_eq!(tier.generation(), generation);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The contract the gossip overlay's digest cache rests on: a
+        /// ranking taken at `(generation, popularity_epoch, now)` equals a
+        /// fresh `hottest` for as long as that stamp stands — under any
+        /// interleaving of reads, misses, inserts, replacements, evictions,
+        /// refused admissions, invalidations and time steps. Drop the
+        /// epoch from the stamp and a read between two rankings breaks it.
+        #[test]
+        fn a_ranking_is_exact_for_its_stamp(
+            ops in proptest::collection::vec((0u8..8, 0u8..10, 1u64..4), 1..120),
+        ) {
+            // Room for ~6 of the 10 keys: inserts evict or are refused.
+            let mut tier: CacheTier<u64> = CacheTier::new(
+                64,
+                SimDuration::from_secs(3),
+                EvictionPolicy::SampledLfu { sample: 3 },
+            );
+            let mut now = t0();
+            let mut taken_at = None;
+            let mut ranking: Vec<(String, u64)> = Vec::new();
+            for (op, key, arg) in ops {
+                let key = format!("k{key}");
+                match op {
+                    0 | 1 => {
+                        tier.get(&key, now, None);
+                    }
+                    2 => {
+                        tier.get(&key, now, Some(arg));
+                    }
+                    3 | 4 => {
+                        let ttl = SimDuration::from_secs(arg);
+                        tier.insert_with_ttl(&key, arg, 10, arg, now, ttl);
+                    }
+                    5 => {
+                        tier.invalidate(&key);
+                    }
+                    6 => tier.note_miss(&key),
+                    _ => now += SimDuration::from_millis(700 * arg),
+                }
+                let stamp = (tier.generation(), tier.popularity_epoch(), now);
+                let fresh: Vec<(String, u64)> = tier
+                    .hottest(usize::MAX, now)
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect();
+                if taken_at == Some(stamp) {
+                    prop_assert_eq!(&ranking, &fresh, "stale ranking after op {}", op);
+                } else {
+                    (taken_at, ranking) = (Some(stamp), fresh);
+                }
+            }
+        }
     }
 }

@@ -17,9 +17,14 @@
 //!    and repairing any fill the compression delayed.
 //! 2. **Fills, both directions** — each side pushes the shards it believes
 //!    the other lacks (bounded by `max_fills_per_exchange`), as one batched
-//!    one-way message. A fill carries the *remaining* lifetime of the
-//!    sender's copy; the receiver stores it under `min(remaining, own
-//!    adapted TTL)`.
+//!    one-way message. A fill carries the sender's *adaptive TTL for the
+//!    term* — the full lifetime the sender would give a copy fetched now,
+//!    not what is left of its own copy — and the receiver stores it under
+//!    `min(that, own adapted TTL)` counted from the fill instant. A relay
+//!    therefore restarts the expiry clock at every hop; the version guard
+//!    and read-time version checks, not the TTL, are what keep a relayed
+//!    shard from being served stale (ROADMAP direction 4 files shipping
+//!    the remaining lifetime instead).
 //! 3. **Version guard** — the receiver admits a fill only if its version is
 //!    at least the highest version it has observed for that term, and
 //!    strictly newer than its cached copy. A stale shard is *never*
@@ -49,8 +54,11 @@ use crate::config::{
     DigestMode, GossipConfig, FANOUT, FILTER_BITS_PER_ENTRY, MEMBERSHIP_SUMMARY_BUDGET,
     ROUND_INTERVAL,
 };
-use crate::digest::{apply_delta, delta_entries, needs_fill, Digest, VersionVector};
-use crate::filter::ShardFilter;
+use crate::digest::{
+    apply_delta, delta_entries, needs_fill, note_holding, Digest, DigestEntry, HoldingsView,
+    VersionVector,
+};
+use crate::filter::{FilterKey, ShardFilter};
 use crate::membership::MembershipView;
 use crate::stats::GossipStats;
 use qb_cache::{CacheConfig, QueryCache, RemoteAdmit};
@@ -60,7 +68,7 @@ use qb_index::ShardEntry;
 use qb_segment::{fetch_segment, ImportReport, SegmentRef};
 use qb_simnet::SimNet;
 use qb_storage::StorageNetwork;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Wire overhead charged per shard in a fill batch (frame, version, TTL).
@@ -108,18 +116,57 @@ impl ExchangeClass {
 /// receiver-side reconstruction state of the delta-digest protocol.
 #[derive(Debug, Clone, Default)]
 struct PeerSync {
-    /// `(term -> version)` this frontend believes the partner holds
-    /// (accumulated from the partner's advertisements and own fills).
-    holdings: HashMap<String, u64>,
+    /// What this frontend believes the partner holds (accumulated from
+    /// the partner's advertisements and own fills).
+    holdings: HoldingsView,
     /// `(term -> version)` this frontend last advertised to the partner —
     /// the baseline the next delta digest is computed against.
-    advertised: HashMap<String, u64>,
+    advertised: HashMap<Arc<str>, u64>,
     /// The partner's holdings filter from the last delta exchange (cleared
     /// by full exchanges, whose holdings view is exact). Zone-aware
     /// anti-entropy uses it to confirm an in-zone candidate still covers
     /// the missing shards before redirecting a partner slot to it.
-    filter: Option<ShardFilter>,
+    filter: Option<Arc<ShardFilter>>,
 }
+
+/// One frontend's memo of the `(term, version)` pairs it has fingerprinted:
+/// term -> the entry of the version last asked for. Every pair this
+/// frontend puts into a digest, an advert or a holdings view goes through
+/// here, so it is hashed once while it stays resident; a miss (new term,
+/// bumped version) hashes and remembers. Pruned to the live listing at
+/// every digest extraction, so it is bounded by the resident tier entries.
+#[derive(Debug, Default)]
+struct Fingerprints(HashMap<Arc<str>, DigestEntry>);
+
+impl Fingerprints {
+    fn entry(&mut self, term: &str, version: u64) -> DigestEntry {
+        let known = self.0.get(term);
+        if let Some(entry) = known.filter(|e| e.version() == version) {
+            return entry.clone();
+        }
+        // A version bump keeps sharing the term's allocation.
+        let term = known.map_or_else(|| Arc::from(term), |e| Arc::clone(e.term()));
+        let entry = DigestEntry::new(term, version);
+        self.0.insert(Arc::clone(entry.term()), entry.clone());
+        entry
+    }
+
+    /// Drop every term that is not in `live` — which was just resolved
+    /// through [`Fingerprints::entry`], so the memo holds all of it and is
+    /// larger exactly when it also holds something else.
+    fn retain_live(&mut self, live: &[DigestEntry]) {
+        if self.0.len() > live.len() {
+            self.0 = live
+                .iter()
+                .map(|e| (Arc::clone(e.term()), e.clone()))
+                .collect();
+        }
+    }
+}
+
+/// Everything a ranked shard listing reads: the shard tier's generation,
+/// its popularity epoch, and the instant (which decides TTL aliveness).
+type DigestStamp = (u64, u64, SimInstant);
 
 /// One query frontend: a peer in the simulated network, its private cache,
 /// its per-term version knowledge and its view of the fleet.
@@ -155,10 +202,17 @@ pub struct Frontend {
     /// fetched on this frontend, queued to ride the next digest round as
     /// priority advertisements and priority fills.
     pending_adverts: Vec<(String, u64)>,
+    /// Every shard alive in the cache, hottest first, cached behind
+    /// everything the ranking reads — the shard tier's `(generation,
+    /// popularity epoch)` and the instant: a tier nothing touched is
+    /// scanned, ranked and resolved once, not once per exchange side.
+    digest_cache: Option<(DigestStamp, Arc<[DigestEntry]>)>,
     /// The holdings filter of the last delta exchange, cached behind the
     /// shard tier's `(generation, instant)`: rounds where nothing changed
     /// reuse it instead of rebuilding per exchange.
-    filter_cache: Option<(u64, SimInstant, ShardFilter)>,
+    filter_cache: Option<(u64, SimInstant, Arc<ShardFilter>)>,
+    /// The fingerprints behind this frontend's digests and adverts.
+    fingerprints: Fingerprints,
     /// The newest published segment artifact this frontend knows of,
     /// adopted from publish notifications and digest piggybacks; joiners
     /// probe for it to bootstrap from the artifact instead of shard fills.
@@ -203,7 +257,9 @@ impl Frontend {
             sync: HashMap::new(),
             summary_cursor: 0,
             pending_adverts: Vec::new(),
+            digest_cache: None,
             filter_cache: None,
+            fingerprints: Fingerprints::default(),
             segment_advert: None,
             load: 0,
             load_recent: 0,
@@ -267,15 +323,54 @@ impl Frontend {
     /// priority-fill decisions must agree on one version, or a partner
     /// already holding the stale queued version would suppress the very
     /// fill the advert exists to force.
-    fn resolved_adverts(&self) -> Vec<(String, u64)> {
-        self.pending_adverts
+    fn resolved_adverts(&mut self) -> Vec<DigestEntry> {
+        let Frontend {
+            pending_adverts,
+            cache,
+            fingerprints,
+            ..
+        } = self;
+        pending_adverts
             .iter()
             .filter_map(|(term, _)| {
-                self.cache()
-                    .cached_shard_version(term)
-                    .map(|version| (term.clone(), version))
+                let version = cache.as_ref()?.cached_shard_version(term)?;
+                Some(fingerprints.entry(term, version))
             })
             .collect()
+    }
+
+    /// Every shard alive in the cache at `now`, hottest first, shared by
+    /// handle. Extracted once per tier state: the cached listing is exact
+    /// while the shard tier's generation, its popularity epoch (reads
+    /// reorder the ranking without moving the generation) and the instant
+    /// (which decides TTL aliveness) all stand still. A full exchange
+    /// advertises all of it, a regular one its first `hot_set_size`.
+    fn ranked_holdings(&mut self, now: SimInstant) -> Arc<[DigestEntry]> {
+        let cache = self.cache();
+        let stamp: DigestStamp = (
+            cache.shard_generation(),
+            cache.shard_popularity_epoch(),
+            now,
+        );
+        if let Some((cached, ranked)) = &self.digest_cache {
+            if *cached == stamp {
+                return Arc::clone(ranked);
+            }
+        }
+        // Borrow the cache by field from here on (`cache()` above already
+        // refused a checked-out one): the listing's terms point into it
+        // while the fingerprint memo next to it is written.
+        let listing = self
+            .cache
+            .as_ref()
+            .map_or_else(Vec::new, |cache| cache.shard_digest(usize::MAX, now));
+        let ranked: Arc<[DigestEntry]> = listing
+            .into_iter()
+            .map(|(term, version)| self.fingerprints.entry(term, version))
+            .collect();
+        self.fingerprints.retain_live(&ranked);
+        self.digest_cache = Some((stamp, Arc::clone(&ranked)));
+        ranked
     }
 
     /// The holdings filter for a delta exchange over `holdings` at `now`,
@@ -285,31 +380,29 @@ impl Frontend {
     /// per exchange.
     fn holdings_filter(
         &mut self,
-        holdings: &[(String, u64)],
-        bits_per_entry: usize,
+        holdings: &[DigestEntry],
         now: SimInstant,
         stats: &mut GossipStats,
-    ) -> ShardFilter {
+    ) -> Arc<ShardFilter> {
         let generation = self.cache().shard_generation();
         if let Some((cached_gen, cached_at, filter)) = &self.filter_cache {
             if *cached_gen == generation && *cached_at == now {
                 stats.filter_reuses += 1;
-                return filter.clone();
+                return Arc::clone(filter);
             }
         }
         stats.filter_builds += 1;
-        let filter = ShardFilter::build(holdings, bits_per_entry);
-        self.filter_cache = Some((generation, now, filter.clone()));
+        let filter = Arc::new(ShardFilter::build(
+            holdings.iter().map(DigestEntry::key),
+            FILTER_BITS_PER_ENTRY,
+        ));
+        self.filter_cache = Some((generation, now, Arc::clone(&filter)));
         filter
     }
 
     /// This frontend's view of fleet membership.
     pub fn view(&self) -> &MembershipView {
         &self.view
-    }
-
-    fn sync_entry(&mut self, peer: u64) -> &mut PeerSync {
-        self.sync.entry(peer).or_default()
     }
 }
 
@@ -544,9 +637,11 @@ impl GossipFleet {
         now: SimInstant,
     ) -> qb_common::QbResult<usize> {
         let admitted = self.frontends[i].cache_mut().import_hot_set(data, now)?;
-        let digest = self.frontends[i].cache().shard_digest(usize::MAX, now);
-        for (term, version) in digest {
-            self.frontends[i].known.observe(&term, version);
+        let Frontend { cache, known, .. } = &mut self.frontends[i];
+        if let Some(cache) = cache {
+            for (term, version) in cache.shard_digest(usize::MAX, now) {
+                known.observe(term, version);
+            }
         }
         Ok(admitted)
     }
@@ -651,7 +746,9 @@ impl GossipFleet {
         f.known = VersionVector::new();
         f.sync.clear();
         f.pending_adverts.clear();
+        f.digest_cache = None;
         f.filter_cache = None;
+        f.fingerprints = Fingerprints::default();
         f.segment_advert = None;
         f.load = 0;
         f.load_recent = 0;
@@ -909,11 +1006,11 @@ impl GossipFleet {
             let covered = missing
                 .iter()
                 .filter(|(term, version)| {
-                    sync.holdings.get(*term).copied().unwrap_or(0) >= *version
+                    sync.holdings.get(*term).map_or(0, DigestEntry::version) >= *version
                         || sync
                             .filter
                             .as_ref()
-                            .is_some_and(|flt| flt.contains(term, *version))
+                            .is_some_and(|flt| flt.contains(FilterKey::of(term, *version)))
                 })
                 .count();
             if covered > 0 && best.is_none_or(|(c, _)| covered > c) {
@@ -1095,12 +1192,6 @@ fn exchange(
     stats: &mut GossipStats,
 ) -> bool {
     let full = class.full();
-    // Digests are rebuilt per exchange on purpose: a frontend warmed
-    // earlier in this round advertises (and relays) its fresh shards in the
-    // same round, giving multi-hop propagation per round instead of one.
-    // The full tier is only extracted where the protocol needs it (full
-    // digests, or the delta mode's holdings filter); plain full-mode
-    // rounds stay bounded by the hot-set size.
     let delta_mode = !full && config.digest_mode == DigestMode::Delta;
     let (a_peer, b_peer) = (a.peer, b.peer);
     let exchange_start = net.now();
@@ -1109,25 +1200,40 @@ fn exchange(
         .open_with("gossip.exchange", exchange_start, || {
             format!("{a_peer}<->{b_peer}")
         });
-    let hot_of = |f: &Frontend| -> Vec<(String, u64)> {
-        let max = if full || delta_mode {
-            usize::MAX
-        } else {
-            config.hot_set_size
-        };
-        f.cache().shard_digest(max, now)
+    // Each side's whole tier, ranked, by handle. The listing is exact for
+    // the tier state it is read at, so a frontend warmed earlier in this
+    // round advertises (and relays) its fresh shards in the same round —
+    // an accepted fill moves the generation — giving multi-hop propagation
+    // per round instead of one. Full exchanges advertise the whole tier;
+    // regular ones the hot set, with the delta mode's holdings filter
+    // still built over all of it.
+    let (held_a, held_b) = (a.ranked_holdings(now), b.ranked_holdings(now));
+    let hot_set_size = if full {
+        usize::MAX
+    } else {
+        config.hot_set_size
     };
-    // In delta mode `hot_*` temporarily holds the whole tier; the filter is
-    // built over it (cached per frontend behind the shard tier's
-    // generation) before it is truncated to the advertised hot set.
-    let (mut hot_a, mut hot_b) = (hot_of(a), hot_of(b));
-    let (digest_a, filter_a) =
-        build_digest(config, a, b.peer, &mut hot_a, delta_mode, full, now, stats);
-    let (digest_b, filter_b) =
-        build_digest(config, b, a.peer, &mut hot_b, delta_mode, full, now, stats);
+    let hot_a = &held_a[..hot_set_size.min(held_a.len())];
+    let hot_b = &held_b[..hot_set_size.min(held_b.len())];
+    // Batch-aware adverts, re-resolved once per side: the digest advertises
+    // and the priority fills offer the identical `(term, version)` list.
+    let adverts_of = |f: &mut Frontend| {
+        if full || !config.batch_advertise {
+            Vec::new()
+        } else {
+            f.resolved_adverts()
+        }
+    };
+    let (adverts_a, adverts_b) = (adverts_of(a), adverts_of(b));
+    let (digest_a, filter_a) = build_digest(
+        a, b_peer, &held_a, hot_a, &adverts_a, delta_mode, now, stats,
+    );
+    let (digest_b, filter_b) = build_digest(
+        b, a_peer, &held_b, hot_b, &adverts_b, delta_mode, now, stats,
+    );
     let memb_a = a.membership_summary(full, MEMBERSHIP_SUMMARY_BUDGET);
     let memb_b = b.membership_summary(full, MEMBERSHIP_SUMMARY_BUDGET);
-    let filter_bytes = |f: &Option<ShardFilter>| f.as_ref().map_or(0, |f| f.wire_bytes());
+    let filter_bytes = |f: &Option<Arc<ShardFilter>>| f.as_ref().map_or(0, |f| f.wire_bytes());
     // Segment pointers piggyback on every digest swap (both directions),
     // so the newest artifact's pointer spreads epidemically like any other
     // metadata — and its bytes are charged like any other metadata.
@@ -1180,63 +1286,61 @@ fn exchange(
     stats.revivals += revived as u64;
 
     // Both sides learn which versions exist before any fill is admitted.
-    for (term, version) in &digest_a.entries {
-        b.known.observe(term, *version);
+    for entry in &digest_a.entries {
+        b.known.observe(entry.term(), entry.version());
     }
-    for (term, version) in &digest_b.entries {
-        a.known.observe(term, *version);
+    for entry in &digest_b.entries {
+        a.known.observe(entry.term(), entry.version());
     }
 
     // Per-partner sync state: anti-entropy resets it to the exact full
     // tiers; delta exchanges extend the advertised baseline and fold the
     // partner's delta into the accumulated holdings view; stateless full
     // digests replace the holdings outright (exactly the PR 2 protocol).
+    let (sa, sb) = (
+        a.sync.entry(b_peer).or_default(),
+        b.sync.entry(a_peer).or_default(),
+    );
+    let advertise = |told: &mut HashMap<Arc<str>, u64>, entries: &[DigestEntry]| {
+        told.extend(entries.iter().map(|e| (Arc::clone(e.term()), e.version())));
+    };
+    let replace_view = |view: &mut HoldingsView, held: &[DigestEntry]| {
+        view.clear();
+        view.extend(held.iter().map(|e| (Arc::clone(e.term()), e.clone())));
+    };
     if full {
         // `hot_*` is the whole tier in a full (anti-entropy) exchange.
         // The holdings view is exact again, so any stored partner filter
         // is cleared rather than left to confirm stale coverage.
-        let sa = a.sync_entry(b.peer);
-        sa.advertised = hot_a.iter().cloned().collect();
-        sa.holdings = hot_b.iter().cloned().collect();
+        sa.advertised.clear();
+        advertise(&mut sa.advertised, hot_a);
+        replace_view(&mut sa.holdings, hot_b);
         sa.filter = None;
-        let sb = b.sync_entry(a.peer);
-        sb.advertised = hot_b.iter().cloned().collect();
-        sb.holdings = hot_a.iter().cloned().collect();
+        sb.advertised.clear();
+        advertise(&mut sb.advertised, hot_b);
+        replace_view(&mut sb.holdings, hot_a);
         sb.filter = None;
     } else if delta_mode {
-        let sa = a.sync_entry(b.peer);
-        sa.advertised.extend(digest_a.entries.iter().cloned());
+        advertise(&mut sa.advertised, &digest_a.entries);
         apply_delta(&mut sa.holdings, &digest_b.entries);
         sa.filter = filter_b.clone();
-        let sb = b.sync_entry(a.peer);
-        sb.advertised.extend(digest_b.entries.iter().cloned());
+        advertise(&mut sb.advertised, &digest_b.entries);
         apply_delta(&mut sb.holdings, &digest_a.entries);
         sb.filter = filter_a.clone();
     } else {
-        a.sync_entry(b.peer).holdings = hot_b.iter().cloned().collect();
-        b.sync_entry(a.peer).holdings = hot_a.iter().cloned().collect();
+        replace_view(&mut sa.holdings, hot_b);
+        replace_view(&mut sb.holdings, hot_a);
     }
 
     // Batch-aware adverts lead the fill order: a regular round offers the
     // window's freshly fetched shards before the popularity-ranked hot
-    // set, so they cannot be crowded out of the fill budget. The same
-    // re-resolved `(term, version)` list the digest advertised is used, so
-    // digest and fill decisions always agree on the version.
-    let priority_of = |f: &Frontend| {
-        if full || !config.batch_advertise {
-            Vec::new()
-        } else {
-            f.resolved_adverts()
-        }
-    };
-    let priority_a = priority_of(a);
-    let priority_b = priority_of(b);
+    // set, so they cannot be crowded out of the fill budget.
     send_fills(
         a,
         b,
-        &priority_a,
-        &hot_a,
-        filter_b.as_ref(),
+        &adverts_a,
+        hot_a,
+        filter_b.as_deref(),
         net,
         now,
         class,
@@ -1246,9 +1350,9 @@ fn exchange(
     send_fills(
         b,
         a,
-        &priority_b,
-        &hot_b,
-        filter_a.as_ref(),
+        &adverts_b,
+        hot_b,
+        filter_a.as_deref(),
         net,
         now,
         class,
@@ -1261,48 +1365,37 @@ fn exchange(
 }
 
 /// Build one side's digest for an exchange: the full hot set in full mode,
-/// the per-partner delta plus the (cached) holdings filter in delta mode —
-/// in regular rounds extended by the frontend's batch-aware pending
-/// advertisements, which ride ahead of hot-set popularity.
+/// the per-partner delta plus the (cached) holdings filter over the whole
+/// tier `held` in delta mode — in regular rounds extended by the frontend's
+/// batch-aware `adverts`, which ride ahead of hot-set popularity.
 #[allow(clippy::too_many_arguments)]
 fn build_digest(
-    config: &GossipConfig,
     own: &mut Frontend,
     partner_peer: u64,
-    hot_own: &mut Vec<(String, u64)>,
+    held: &[DigestEntry],
+    hot: &[DigestEntry],
+    adverts: &[DigestEntry],
     delta_mode: bool,
-    full: bool,
     now: SimInstant,
     stats: &mut GossipStats,
-) -> (Digest, Option<ShardFilter>) {
-    // Advertise at the *cached* version via [`Frontend::resolved_adverts`]
-    // — the identical list the priority fills use.
-    let pending: Vec<(String, u64)> = if !full && config.batch_advertise {
-        own.resolved_adverts()
+) -> (Digest, Option<Arc<ShardFilter>>) {
+    let (mut entries, filter) = if delta_mode {
+        let filter = own.holdings_filter(held, now, stats);
+        let told = &own.sync.entry(partner_peer).or_default().advertised;
+        (delta_entries(hot, told), Some(filter))
     } else {
-        Vec::new()
+        (hot.to_vec(), None)
     };
-    if delta_mode {
-        let filter = own.holdings_filter(hot_own, FILTER_BITS_PER_ENTRY, now, stats);
-        hot_own.truncate(config.hot_set_size);
-        let mut entries = delta_entries(hot_own, &own.sync_entry(partner_peer).advertised);
-        for (term, version) in pending {
-            if !entries.iter().any(|(t, v)| *t == term && *v >= version) {
-                entries.push((term, version));
-                stats.batch_adverts += 1;
-            }
+    for advert in adverts {
+        if !entries
+            .iter()
+            .any(|e| e.term() == advert.term() && e.version() >= advert.version())
+        {
+            entries.push(advert.clone());
+            stats.batch_adverts += 1;
         }
-        (Digest::new(entries), Some(filter))
-    } else {
-        let mut entries = hot_own.clone();
-        for (term, version) in pending {
-            if !entries.iter().any(|(t, v)| *t == term && *v >= version) {
-                entries.push((term, version));
-                stats.batch_adverts += 1;
-            }
-        }
-        (Digest::new(entries), None)
     }
+    (Digest::new(entries), filter)
 }
 
 /// Push the shards `from` believes `to` lacks, as one batched one-way
@@ -1311,13 +1404,14 @@ fn build_digest(
 /// partner's holdings filter ([`needs_fill`]); in full-digest mode the
 /// partner's current digest is the exact (stateless) suppression set.
 /// `priority` entries (batch-aware adverts) are offered before the
-/// popularity-ranked `hot` list.
+/// popularity-ranked `hot` list, which then skips their terms (each list
+/// is duplicate-free on its own).
 #[allow(clippy::too_many_arguments)]
 fn send_fills(
     from: &mut Frontend,
     to: &mut Frontend,
-    priority: &[(String, u64)],
-    hot: &[(String, u64)],
+    priority: &[DigestEntry],
+    hot: &[DigestEntry],
     to_filter: Option<&ShardFilter>,
     net: &mut SimNet,
     now: SimInstant,
@@ -1329,31 +1423,34 @@ fn send_fills(
     // the encoded bytes below, the host copies nothing.
     let mut fills: Vec<(Arc<ShardEntry>, SimDuration)> = Vec::new();
     let mut batch_bytes = 0usize;
-    let mut offered: std::collections::HashSet<&str> = std::collections::HashSet::new();
     let to_peer = to.peer;
-    for (term, version) in priority.iter().chain(hot) {
-        if fills.len() >= fill_budget {
-            break;
+    {
+        let cache = from.cache();
+        let believed_holdings = from.sync.get(&to_peer).map(|sync| &sync.holdings);
+        let prioritized: HashSet<&str> = priority.iter().map(|e| &**e.term()).collect();
+        let ranked = hot.iter().filter(|e| !prioritized.contains(&**e.term()));
+        for entry in priority.iter().chain(ranked) {
+            if fills.len() >= fill_budget {
+                break;
+            }
+            let (term, version) = (entry.term(), entry.version());
+            if version == 0 {
+                continue;
+            }
+            let believed = believed_holdings.and_then(|held| held.get(term));
+            let needed = match to_filter {
+                Some(filter) => needs_fill(version, believed, filter),
+                None => believed.is_none_or(|b| b.version() < version),
+            };
+            if !needed {
+                continue;
+            }
+            let Some(shard) = cache.peek_shard(term) else {
+                continue;
+            };
+            batch_bytes += shard.encoded_len() + FILL_ENTRY_OVERHEAD;
+            fills.push((Arc::clone(shard), cache.adaptive_shard_ttl(term)));
         }
-        if !offered.insert(term.as_str()) {
-            continue;
-        }
-        if *version == 0 {
-            continue;
-        }
-        let believed = from.sync_entry(to_peer).holdings.get(term).copied();
-        let needed = match to_filter {
-            Some(filter) => needs_fill(term, *version, believed, filter),
-            None => believed.is_none_or(|b| b < *version),
-        };
-        if !needed {
-            continue;
-        }
-        let Some(shard) = from.cache().peek_shard(term) else {
-            continue;
-        };
-        batch_bytes += shard.encoded_len() + FILL_ENTRY_OVERHEAD;
-        fills.push((Arc::clone(shard), from.cache().adaptive_shard_ttl(term)));
     }
     if fills.is_empty() {
         return;
@@ -1392,6 +1489,7 @@ fn send_fills(
         }
         ExchangeClass::Regular => {}
     }
+    let believed_holdings = &mut from.sync.entry(to_peer).or_default().holdings;
     for (shard, sender_ttl) in fills {
         stats.shards_pushed += 1;
         let known = to.known.get(&shard.term);
@@ -1410,13 +1508,13 @@ fn send_fills(
         // Accepted and duplicate outcomes both prove the partner now holds
         // at least this version; remember it so the next rounds stop
         // re-pushing (a refused admission must be retried, so no record).
+        // The shard is the sender's *current* copy, which this very
+        // exchange may have moved past the version its digest entry was
+        // ranked at — so the pair is resolved through the memo, not taken
+        // from that entry.
         if matches!(outcome, RemoteAdmit::Accepted | RemoteAdmit::Duplicate) {
-            let slot = from
-                .sync_entry(to_peer)
-                .holdings
-                .entry(shard.term.clone())
-                .or_insert(0);
-            *slot = (*slot).max(shard.version);
+            let shipped = from.fingerprints.entry(&shard.term, shard.version);
+            note_holding(believed_holdings, &shipped);
         }
     }
 }
@@ -1424,6 +1522,7 @@ fn send_fills(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qb_index::ShardPosting;
     use qb_simnet::NetConfig;
 
@@ -2094,28 +2193,26 @@ mod tests {
         fleet.observe(0, "missing", 3);
         // Nothing known about any partner yet: no candidate qualifies.
         assert_eq!(fleet.zone_covering_partner(&net, 0), None);
+        let believe = |fleet: &mut GossipFleet, partner: u64, version: u64| {
+            let view = &mut fleet.frontends[0].sync.entry(partner).or_default().holdings;
+            note_holding(view, &DigestEntry::new("missing", version));
+        };
         // Frontend 1 (zone 1) advertises coverage — wrong zone, skipped.
-        fleet.frontends[0]
-            .sync_entry(1)
-            .holdings
-            .insert("missing".into(), 3);
+        believe(&mut fleet, 1, 3);
         assert_eq!(fleet.zone_covering_partner(&net, 0), None);
         // Frontend 2 (zone 0) advertises an older version: not coverage.
-        fleet.frontends[0]
-            .sync_entry(2)
-            .holdings
-            .insert("missing".into(), 2);
+        believe(&mut fleet, 2, 2);
         assert_eq!(fleet.zone_covering_partner(&net, 0), None);
         // Fresh enough: the in-zone member is chosen.
-        fleet.frontends[0]
-            .sync_entry(2)
-            .holdings
-            .insert("missing".into(), 3);
+        believe(&mut fleet, 2, 3);
         assert_eq!(fleet.zone_covering_partner(&net, 0), Some(2));
         // The partner's holdings filter alone also confirms coverage.
-        fleet.frontends[0].sync_entry(2).holdings.clear();
-        fleet.frontends[0].sync_entry(2).filter =
-            Some(ShardFilter::build(&[("missing".into(), 3)], 8));
+        let sync = fleet.frontends[0].sync.entry(2).or_default();
+        sync.holdings.clear();
+        sync.filter = Some(Arc::new(ShardFilter::build(
+            [FilterKey::of("missing", 3)].into_iter(),
+            8,
+        )));
         assert_eq!(fleet.zone_covering_partner(&net, 0), Some(2));
         // Nothing missing → no redirection at all.
         fleet.cache_mut(0).store_shard(&shard("missing", 3, 2), now);
@@ -2161,5 +2258,267 @@ mod tests {
         );
         // Reconciliation itself is unweakened: everyone converged.
         assert!(aware.anti_entropy_fill_bytes > 0 || aware.fill_bytes > 0);
+    }
+
+    /// Remaining lifetime of `term` in `cache` at `now`, found by bisecting
+    /// the instant the shard digest stops advertising it.
+    fn remaining_ttl(cache: &QueryCache, term: &str, now: SimInstant) -> SimDuration {
+        let alive = |after: u64| {
+            cache
+                .shard_digest(usize::MAX, now + SimDuration::from_micros(after))
+                .iter()
+                .any(|(t, _)| *t == term)
+        };
+        let (mut lo, mut hi) = (0u64, 4_000_000_000u64);
+        assert!(alive(lo) && !alive(hi));
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if alive(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        SimDuration::from_micros(hi)
+    }
+
+    /// Frontend `i`'s live shard holdings at `now`, in term order, as
+    /// `term@version+remaining_ttl_us`.
+    fn listing(fleet: &GossipFleet, i: usize, now: SimInstant) -> String {
+        let cache = fleet.frontend(i).cache();
+        let mut held = cache.shard_digest(usize::MAX, now);
+        held.sort();
+        held.iter()
+            .map(|(term, version)| {
+                let ttl = remaining_ttl(cache, term, now).as_micros();
+                format!("{term}@{version}+{ttl}")
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    /// The whole protocol on one fixed script — seeded stores, reads that
+    /// move popularity, three republishes, a frontend under eviction
+    /// pressure, a partition and its heal, anti-entropy rounds and a forced
+    /// round at an instant a paced round already ran at. Every counter and
+    /// every frontend's holdings must equal the constants captured before
+    /// the digest/filter/fingerprint caches existed: the caches are
+    /// host-side only and may not move a simulated byte.
+    #[test]
+    fn golden_scenario_is_byte_identical() {
+        let mut config = GossipConfig::enabled_zoned(4, 2);
+        config.hot_set_size = 8;
+        config.max_fills_per_exchange = 3;
+        config.zone_fill_budgets = true;
+        config.cross_zone_fill_budget = 2;
+        config.zone_aware_anti_entropy = true;
+        let (mut fleet, mut net) = fleet_with(config, 12);
+        // Frontend 3 lives under eviction pressure: a shard tier of ~4 shards.
+        let mut tight = CacheConfig::enabled();
+        tight.shard_capacity_bytes = 2 * 1024;
+        fleet.restore_cache(3, Some(QueryCache::new(tight)));
+
+        let mut now = SimInstant::ZERO;
+        let mut versions: HashMap<String, u64> = HashMap::new();
+        // Seeded stores: frontend `t % 3` fetched term `t` (frontend 3
+        // starts cold), a few at version 2.
+        for t in 0..18usize {
+            let term = format!("term{t:02}");
+            let version = 1 + (t % 5 == 0) as u64;
+            let f = t % 3;
+            fleet
+                .cache_mut(f)
+                .store_shard(&shard(&term, version, 2 + t % 4), now);
+            fleet.observe(f, &term, version);
+            versions.insert(term, version);
+        }
+        let mut forced = 0;
+        for step in 1..=60u64 {
+            now = SimInstant::ZERO + SimDuration::from_millis(200 * step);
+            net.advance_to(now);
+            // Reads between rounds move popularity without moving holdings.
+            for r in 0..3u64 {
+                let t = (step * 7 + r * 5) % 18;
+                let term = format!("term{t:02}");
+                let f = ((step + r) % 4) as usize;
+                let current = versions[&term];
+                fleet.cache_mut(f).lookup_shard(&term, now, current);
+            }
+            // Three republishes of one term (bursty: its adaptive TTL drops
+            // to the floor) and the writer's frontend refetches it.
+            if matches!(step, 10 | 22 | 31) {
+                let term = "term05".to_string();
+                let version = versions[&term] + 1;
+                fleet.observe_publish(&net, 9, &term, version, now);
+                fleet
+                    .cache_mut(1)
+                    .store_shard(&shard(&term, version, 4), now);
+                fleet.observe(1, &term, version);
+                versions.insert(term, version);
+            }
+            // A late fetch of new terms keeps fills flowing mid-run.
+            if step % 9 == 0 {
+                let term = format!("late{step:02}");
+                fleet.cache_mut(2).store_shard(&shard(&term, 1, 3), now);
+                fleet.observe(2, &term, 1);
+                fleet.note_batch_fetches(2, &[(term.clone(), 1)]);
+                versions.insert(term, 1);
+            }
+            // Frontend 0 hears of a newer `late18` nobody holds yet and
+            // drops its copy: partners keep offering the old version (their
+            // belief is no longer confirmed by its filter) and the version
+            // guard keeps rejecting it.
+            if step == 28 {
+                fleet.observe(0, "late18", 2);
+                fleet.cache_mut(0).invalidate_term("late18", now);
+            }
+            if step == 20 {
+                net.set_partition(fleet.frontend_peer(2), 7);
+            }
+            if step == 35 {
+                net.heal_all();
+            }
+            assert!(fleet.maybe_run(&mut net, now), "one paced round per step");
+            // Forced rounds at the instant the paced round just ran at,
+            // after reads that moved popularity but not the generation.
+            if matches!(step, 15 | 40 | 55) {
+                for t in [3usize, 4, 6] {
+                    let term = format!("term{t:02}");
+                    let current = versions[&term];
+                    for _ in 0..4 {
+                        fleet.cache_mut(0).lookup_shard(&term, now, current);
+                    }
+                }
+                fleet.run_round(&mut net, now, false);
+                forced += 1;
+            }
+        }
+        assert_eq!(forced, 3);
+        assert_eq!(
+            *fleet.stats(),
+            GossipStats {
+                rounds: 57,
+                anti_entropy_rounds: 6,
+                exchanges: 452,
+                failed_exchanges: 23,
+                failed_fills: 0,
+                digest_bytes: 56404,
+                fill_bytes: 50484,
+                intra_zone_fill_bytes: 25109,
+                cross_zone_fill_bytes: 25375,
+                bootstrap_fill_bytes: 0,
+                anti_entropy_fill_bytes: 7470,
+                anti_entropy_cross_zone_fill_bytes: 3485,
+                segment_advert_bytes: 0,
+                shards_pushed: 580,
+                shards_accepted: 434,
+                stale_rejected: 8,
+                duplicates_skipped: 23,
+                admission_refused: 115,
+                membership_bytes: 51848,
+                joins: 0,
+                leaves: 0,
+                crashes: 0,
+                evictions: 6,
+                revivals: 2,
+                batch_adverts: 13,
+                filter_builds: 376,
+                filter_reuses: 478,
+            }
+        );
+        let wire = net.stats();
+        assert_eq!(
+            (wire.messages, wire.bytes, wire.rpcs, wire.failed_rpcs),
+            (1195, 158736, 452, 23)
+        );
+        const HOLDINGS: [&str; 4] = [
+            "late09@1+1789800000 late27@1+1796000000 late36@1+1796000000 \
+             late45@1+1797000000 late54@1+1798800000 term00@2+1788000000 \
+             term01@1+1790000000 term02@1+1788200000 term03@1+1788000000 \
+             term04@1+1790000000 term06@1+1788000000 term07@1+1788200000 \
+             term08@1+1788200000 term09@1+1788000000 term10@2+1790000000 \
+             term11@1+1788200000 term12@1+1788000000 term13@1+1788600000 \
+             term14@1+1788200000 term15@2+1788000000 term16@1+1788200000 \
+             term17@1+1788200000",
+            "late09@1+1789800000 late18@1+1791600000 late27@1+1796000000 \
+             late36@1+1796000000 late45@1+1797000000 late54@1+1798800000 \
+             term00@2+1788200000 term01@1+1788000000 term02@1+1788200000 \
+             term03@1+1788200000 term04@1+1788000000 term06@1+1788200000 \
+             term07@1+1788000000 term08@1+1788400000 term09@1+1788400000 \
+             term10@2+1788000000 term11@1+1788400000 term12@1+1788200000 \
+             term13@1+1788000000 term14@1+1788400000 term15@2+1790000000 \
+             term16@1+1788000000 term17@1+1790000000",
+            "late09@1+1789800000 late18@1+1791600000 late27@1+1793400000 \
+             late36@1+1795200000 late45@1+1797000000 late54@1+1798800000 \
+             term00@2+1788200000 term01@1+1790000000 term02@1+1788000000 \
+             term03@1+1788200000 term04@1+1790000000 term05@5+1000000 \
+             term06@1+1788200000 term07@1+1788200000 term08@1+1788000000 \
+             term09@1+1788200000 term10@2+1790000000 term11@1+1788000000 \
+             term12@1+1788200000 term13@1+1788600000 term14@1+1788000000 \
+             term15@2+1788200000 term16@1+1788200000 term17@1+1788000000",
+            "term01@1+1800000000 term03@1+1800000000 term04@1+1800000000 \
+             term08@1+1800000000 term09@1+1800000000 term11@1+1800000000 \
+             term14@1+1800000000 term15@2+1800000000 term16@1+1800000000 \
+             term17@1+1800000000",
+        ];
+        for (i, expected) in HOLDINGS.iter().enumerate() {
+            assert_eq!(listing(&fleet, i, now), *expected, "frontend {i}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever happens to a frontend's cache between two exchanges —
+        /// reads, version-checked reads that purge, stores that replace,
+        /// evict or are refused, invalidations, expiry — the digest handed
+        /// to gossip equals a fresh listing, every entry carries the
+        /// fingerprint of its own pair, and the fingerprint memo holds
+        /// exactly the live listing.
+        #[test]
+        fn the_cached_digest_equals_a_fresh_listing(
+            ops in proptest::collection::vec((0u8..7, 0u8..12, 1u64..4), 1..100),
+        ) {
+            // A shard tier of ~5 shards whose entries live 3 s.
+            let mut tight = CacheConfig::enabled();
+            tight.shard_capacity_bytes = 1024;
+            tight.adaptive_ttl = false;
+            tight.shard_ttl = SimDuration::from_secs(3);
+            let mut f = Frontend::new(0, 0, tight);
+            let mut now = SimInstant::ZERO;
+            for (op, term, arg) in ops {
+                let term = format!("term{term}");
+                match op {
+                    0..=2 => {
+                        f.cache_mut().lookup_shard(&term, now, arg);
+                    }
+                    3 | 4 => f.cache_mut().store_shard(&shard(&term, arg, 2), now),
+                    5 => {
+                        f.cache_mut().invalidate_term(&term, now);
+                    }
+                    _ => now += SimDuration::from_millis(600 * arg),
+                }
+                let ranked = f.ranked_holdings(now);
+                let fresh: Vec<(String, u64)> = f
+                    .cache()
+                    .shard_digest(usize::MAX, now)
+                    .into_iter()
+                    .map(|(t, v)| (t.to_string(), v))
+                    .collect();
+                let handed: Vec<(String, u64)> = ranked
+                    .iter()
+                    .map(|e| (e.term().to_string(), e.version()))
+                    .collect();
+                prop_assert_eq!(handed, fresh, "stale digest after op {}", op);
+                for entry in ranked.iter() {
+                    prop_assert_eq!(entry.key(), FilterKey::of(entry.term(), entry.version()));
+                }
+                prop_assert_eq!(f.fingerprints.0.len(), ranked.len());
+                prop_assert!(
+                    Arc::ptr_eq(&ranked, &f.ranked_holdings(now)),
+                    "an untouched tier hands out the same listing"
+                );
+            }
+        }
     }
 }

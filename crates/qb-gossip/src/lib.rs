@@ -39,7 +39,9 @@
 //! * [`Digest`] / [`VersionVector`] / [`ShardFilter`] — the metadata
 //!   protocol. Every frontend tracks the highest shard version it has
 //!   observed per term; an incoming fill older than that is rejected, so a
-//!   stale shard is never accepted over fresher knowledge.
+//!   stale shard is never accepted over fresher knowledge. A `(term,
+//!   version)` pair travels host-side as a [`DigestEntry`]: hashed into its
+//!   [`FilterKey`] once, then shared by handle.
 //! * [`MembershipView`] / [`MembershipSummary`] — per-frontend fleet views,
 //!   heartbeats and the zone-biased partner sampler.
 //! * [`GossipFleet`] / [`Frontend`] — the fleet and the exchange protocol.
@@ -68,8 +70,10 @@ pub mod membership;
 pub mod stats;
 
 pub use config::{DigestMode, GossipConfig};
-pub use digest::{apply_delta, delta_entries, needs_fill, Digest, VersionVector};
-pub use filter::ShardFilter;
+pub use digest::{
+    apply_delta, delta_entries, needs_fill, Digest, DigestEntry, HoldingsView, VersionVector,
+};
+pub use filter::{FilterKey, ShardFilter};
 pub use fleet::{Frontend, GossipFleet, SegmentBootstrapReport};
 pub use membership::{MemberInfo, MembershipSummary, MembershipView};
 pub use stats::GossipStats;

@@ -4,13 +4,24 @@
 //! it" outcome that suppresses a needed fill.
 
 use proptest::prelude::*;
-use qb_gossip::{apply_delta, delta_entries, needs_fill, ShardFilter};
+use qb_gossip::{apply_delta, delta_entries, needs_fill, DigestEntry, HoldingsView, ShardFilter};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// `(term, version)` holdings out of a small shared term pool, so sender
 /// and receiver states overlap, diverge and re-converge across cases.
-fn holdings_vec(map: &BTreeMap<u8, u64>) -> Vec<(String, u64)> {
-    map.iter().map(|(t, v)| (format!("t{t}"), *v)).collect()
+fn holdings_vec(map: &BTreeMap<u8, u64>) -> Vec<DigestEntry> {
+    map.iter()
+        .map(|(t, v)| DigestEntry::new(format!("t{t}"), *v))
+        .collect()
+}
+
+fn filter_over(holdings: &[DigestEntry], bits_per_entry: usize) -> ShardFilter {
+    ShardFilter::build(holdings.iter().map(DigestEntry::key), bits_per_entry)
+}
+
+fn told(entries: &[DigestEntry]) -> impl Iterator<Item = (Arc<str>, u64)> + '_ {
+    entries.iter().map(|e| (Arc::clone(e.term()), e.version()))
 }
 
 proptest! {
@@ -35,27 +46,28 @@ proptest! {
         let hot2 = holdings_vec(&s2);
 
         // Exchange 1: nothing advertised yet, the delta is the full state.
-        let mut advertised: HashMap<String, u64> = HashMap::new();
+        let mut advertised: HashMap<Arc<str>, u64> = HashMap::new();
         let delta1 = delta_entries(&hot1, &advertised);
         prop_assert_eq!(&delta1, &hot1);
-        let mut view: HashMap<String, u64> = HashMap::new();
+        let mut view = HoldingsView::new();
         apply_delta(&mut view, &delta1);
-        advertised.extend(delta1.iter().cloned());
+        advertised.extend(told(&delta1));
 
         // Exchange 2: only the changed entries ride the delta...
         let delta2 = delta_entries(&hot2, &advertised);
-        for (term, version) in &delta2 {
+        for entry in &delta2 {
             prop_assert!(
-                advertised.get(term) != Some(version),
-                "unchanged entry '{term}' must not re-enter the delta"
+                advertised.get(entry.term()) != Some(&entry.version()),
+                "unchanged entry '{}' must not re-enter the delta", entry.term()
             );
         }
-        // ...yet the receiver reconstructs the full second digest.
+        // ...yet the receiver reconstructs the full second digest,
+        // fingerprints included.
         apply_delta(&mut view, &delta2);
-        for (term, version) in &hot2 {
+        for entry in &hot2 {
             prop_assert_eq!(
-                view.get(term), Some(version),
-                "reconstructed view must equal the full digest for '{}'", term
+                view.get(entry.term()), Some(entry),
+                "reconstructed view must equal the full digest for '{}'", entry.term()
             );
         }
     }
@@ -72,20 +84,22 @@ proptest! {
         bits in 4usize..12,
     ) {
         let receiver_holdings = holdings_vec(&receiver);
-        let filter = ShardFilter::build(&receiver_holdings, bits);
+        let filter = filter_over(&receiver_holdings, bits);
         // The receiver advertised exactly what it holds.
-        let believed: HashMap<String, u64> = receiver_holdings.iter().cloned().collect();
-        for (term, version) in holdings_vec(&sender) {
-            let full_decision = believed.get(&term).copied().is_none_or(|b| b < version);
-            let compressed_decision =
-                needs_fill(&term, version, believed.get(&term).copied(), &filter);
+        let mut believed = HoldingsView::new();
+        apply_delta(&mut believed, &receiver_holdings);
+        for entry in holdings_vec(&sender) {
+            let (term, version) = (entry.term(), entry.version());
+            let held = believed.get(term);
+            let full_decision = held.is_none_or(|b| b.version() < version);
+            let compressed_decision = needs_fill(version, held, &filter);
             prop_assert_eq!(
                 compressed_decision, full_decision,
                 "decision mismatch for '{}'@{}", term, version
             );
             // The hard guarantee behind "0 stale / no lost fills": whenever
             // the receiver genuinely lacks the version, the fill happens.
-            if believed.get(&term).copied().unwrap_or(0) < version {
+            if held.map_or(0, DigestEntry::version) < version {
                 prop_assert!(compressed_decision, "needed fill for '{}' suppressed", term);
             }
         }
@@ -100,8 +114,11 @@ proptest! {
         term_id in 0u8..20,
         version in 1u64..6,
     ) {
-        let filter = ShardFilter::build(&holdings_vec(&noise), 8);
-        prop_assert!(needs_fill(&format!("t{term_id}"), version, None, &filter));
+        // Even a filter that certainly contains the key itself.
+        let mut noise = noise;
+        noise.insert(term_id, version);
+        let filter = filter_over(&holdings_vec(&noise), 8);
+        prop_assert!(needs_fill(version, None, &filter));
     }
 
     /// Evictions self-heal: once an advertised entry leaves the receiver's
@@ -114,13 +131,13 @@ proptest! {
         evicted_id in 10u8..20,
         version in 1u64..6,
     ) {
-        let term = format!("t{evicted_id}");
+        let advertised = DigestEntry::new(format!("t{evicted_id}"), version);
         // The receiver once advertised `term`@version but evicted it; the
         // fresh filter only covers what it still holds.
-        let filter = ShardFilter::build(&holdings_vec(&kept), 8);
-        if !filter.contains(&term, version) {
+        let filter = filter_over(&holdings_vec(&kept), 8);
+        if !filter.contains(advertised.key()) {
             prop_assert!(
-                needs_fill(&term, version, Some(version), &filter),
+                needs_fill(version, Some(&advertised), &filter),
                 "stale advertisement must not survive a definite negative"
             );
         }

@@ -1325,34 +1325,34 @@ impl QueenBee {
         let mut last_completion = t0;
 
         // Arrivals in time order (stable, so same-instant arrivals keep
-        // their trace order).
+        // their trace order), consumed by move: an admitted request is
+        // handed from the trace to its queue to its window, never copied.
         let mut arrivals = arrivals;
         arrivals.sort_by_key(|a| a.offset);
-        let mut next_arrival = 0usize;
+        let mut arrivals = arrivals.into_iter().peekable();
 
         loop {
             // The earliest pending event wins: the next trace arrival or
             // the earliest frontend dispatch (ties broken by frontend
             // index, arrivals before dispatches at the same instant so a
             // same-instant arrival can still join the batch).
-            let draining = next_arrival >= arrivals.len();
+            let arrival_at = arrivals.peek().map(|a| t0 + a.offset);
+            let draining = arrival_at.is_none();
             let next_dispatch: Option<(SimInstant, usize)> = queues
                 .iter()
                 .enumerate()
                 .filter_map(|(f, q)| q.next_dispatch_at(&cfg, draining).map(|at| (at, f)))
                 .min();
-            let arrival_at = arrivals
-                .get(next_arrival)
-                .map(|a| t0 + a.offset)
-                .filter(|_| !draining);
 
             match (arrival_at, next_dispatch) {
                 (Some(at), d) if d.is_none_or(|(dt, _)| at <= dt) => {
-                    // Admission decision at the arrival instant.
-                    let timed = &arrivals[next_arrival];
-                    next_arrival += 1;
+                    // Admission decision at the arrival instant (`at` was
+                    // peeked off this very arrival).
+                    let Some(TimedRequest { mut request, .. }) = arrivals.next() else {
+                        break;
+                    };
                     report.offered += 1;
-                    let (_, frontend) = self.resolve_route(&timed.request.routing)?;
+                    let (_, frontend) = self.resolve_route(&request.routing)?;
                     let f = frontend.unwrap_or(0).min(nf - 1);
                     let q = &mut queues[f];
                     let estimate = q.estimated_sojourn(at);
@@ -1361,7 +1361,6 @@ impl QueenBee {
                         self.net.tracer().record(None, "load.shed", at, at);
                         continue;
                     }
-                    let mut request = timed.request.clone();
                     if estimate > cfg.degrade_threshold
                         && matches!(request.freshness, Freshness::Fresh)
                     {
@@ -1393,20 +1392,19 @@ impl QueenBee {
                     // Dispatch up to a pipeline's worth of queued work.
                     let q = &mut queues[f];
                     let take = q.queue.len().min(cfg.dispatch_limit());
-                    let batch: Vec<(SimInstant, SearchRequest)> = q.queue.drain(..take).collect();
+                    let (arrived, requests): (Vec<SimInstant>, Vec<SearchRequest>) =
+                        q.queue.drain(..take).unzip();
                     // The batch leaves the ingress queue: retire it from
                     // the router's queued-work gauge.
                     if let Some(fleet) = self.fleet.as_mut() {
                         fleet.record_finished(f, take as u64);
                     }
                     self.advance_time_to(at);
-                    let requests: Vec<SearchRequest> =
-                        batch.iter().map(|(_, r)| r.clone()).collect();
                     let outcome = self.search_pipelined(requests, pipeline)?;
                     for span in &outcome.window_spans {
                         let range = span.first_query..span.first_query + span.queries;
-                        for ((arrived, _), response) in
-                            batch[range.clone()].iter().zip(&outcome.responses[range])
+                        for (arrived, response) in
+                            arrived[range.clone()].iter().zip(&outcome.responses[range])
                         {
                             let done = span.issued_at + response.latency;
                             report.sojourn.record(done.since(*arrived));
@@ -1420,11 +1418,12 @@ impl QueenBee {
                     report.windows += outcome.report.windows as u64;
                     report.pipeline_queue_delay += outcome.report.queue_delay;
                     let q = &mut queues[f];
-                    q.observe_service(batch.len(), outcome.report.makespan);
+                    q.observe_service(take, outcome.report.makespan);
                     q.busy_until = at + outcome.report.makespan;
                 }
-                (None, None) => break,
-                (Some(_), None) => unreachable!("draining filters the arrival"),
+                // Nothing queued and — the first arm takes any arrival that
+                // has no dispatch to wait behind — nothing left to arrive.
+                (_, None) => break,
             }
         }
 

@@ -158,7 +158,7 @@ impl Segment {
         let digest = cache.shard_digest(max_terms, now);
         let mut seg = Segment::new();
         for (term, _) in digest {
-            if let Some(shard) = cache.peek_shard(&term) {
+            if let Some(shard) = cache.peek_shard(term) {
                 seg.insert(Arc::clone(shard));
             }
         }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Allocation ratchet for the read path: run two short qb-perfbench
-# workloads and fail unless each is correct and its host_allocs_per_op is
-# under a committed ceiling.
+# Allocation ratchet for the read path and the gossip rounds beside it:
+# run three short qb-perfbench workloads and fail unless each is correct
+# and its host_allocs_per_op is under a committed ceiling.
 #
 #   scripts/alloc_ratchet.sh
 #
@@ -10,9 +10,12 @@
 # global allocator), so unlike a host-clock number this gate has no noise
 # to tolerate. The ceilings sit ~10 % above the values measured when the
 # read path went copy-free (score-heavy 207.8, cold-lookup 65.3 alloc/op at
-# seed 1, 1 s): a shard or result copy creeping back into a cache hit, a
-# plan or the kernel lands far above them. Lower a ceiling when a change
-# lowers the count; raise one only with the reason in CHANGES.md.
+# seed 1, 1 s) and when gossip stopped re-deriving its digests per exchange
+# (serve-warm 211.2, was 1 172.8): a shard or result copy creeping back
+# into a cache hit, a plan or the kernel, or a per-exchange digest scan,
+# string clone or view rebuild creeping back into a quiet round, lands far
+# above them. Lower a ceiling when a change lowers the count; raise one
+# only with the reason in CHANGES.md.
 set -euo pipefail
 
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
@@ -37,4 +40,5 @@ check() {
 
 check score-heavy 230
 check cold-lookup 72
+check serve-warm 232
 exit "$status"
