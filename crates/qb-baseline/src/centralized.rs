@@ -4,15 +4,17 @@ use crate::CrawlDoc;
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_index::{search, Analyzer, Bm25, InvertedIndex, Query, QueryMode, ScoredDoc};
 
+/// Request service latency (network + processing) of an idle server.
+pub const BASE_LATENCY: SimDuration = SimDuration::from_millis(60);
+
+/// Maximum sustainable queries per second.
+pub const CAPACITY_QPS: f64 = 200.0;
+
 /// Configuration of the centralized baseline.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CentralizedConfig {
     /// How often the crawler re-crawls the whole corpus.
     pub crawl_interval: SimDuration,
-    /// Base request service latency (network + processing) at an idle server.
-    pub base_latency: SimDuration,
-    /// Maximum sustainable queries per second.
-    pub capacity_qps: f64,
     /// Results returned per query.
     pub top_k: usize,
 }
@@ -21,8 +23,6 @@ impl Default for CentralizedConfig {
     fn default() -> Self {
         CentralizedConfig {
             crawl_interval: SimDuration::from_secs(3_600),
-            base_latency: SimDuration::from_millis(60),
-            capacity_qps: 200.0,
             top_k: 10,
         }
     }
@@ -54,11 +54,6 @@ impl CentralizedEngine {
             online: true,
             attack_load_qps: 0.0,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CentralizedConfig {
-        &self.config
     }
 
     /// Time of the last completed crawl.
@@ -111,10 +106,9 @@ impl CentralizedEngine {
             return Err(QbError::Network("central server unreachable".into()));
         }
         let total_load = offered_load_qps + self.attack_load_qps;
-        if total_load >= self.config.capacity_qps {
+        if total_load >= CAPACITY_QPS {
             return Err(QbError::Network(format!(
-                "central server overloaded: {total_load:.0} qps offered, capacity {:.0} qps",
-                self.config.capacity_qps
+                "central server overloaded: {total_load:.0} qps offered, capacity {CAPACITY_QPS:.0} qps"
             )));
         }
         let query = Query::parse(&self.analyzer, query_text, QueryMode::And)?;
@@ -126,9 +120,8 @@ impl CentralizedEngine {
             0.0,
             self.config.top_k,
         );
-        let utilization = (total_load / self.config.capacity_qps).min(0.99);
-        let latency_us =
-            self.config.base_latency.as_micros() as f64 / (1.0 - utilization).max(0.01);
+        let utilization = (total_load / CAPACITY_QPS).min(0.99);
+        let latency_us = BASE_LATENCY.as_micros() as f64 / (1.0 - utilization).max(0.01);
         Ok((results, SimDuration::from_micros(latency_us as u64)))
     }
 }
@@ -163,7 +156,7 @@ mod tests {
         let (results, latency) = e.search("decentralized", 10.0, SimInstant::ZERO).unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].name, "a");
-        assert!(latency >= e.config().base_latency);
+        assert!(latency >= BASE_LATENCY);
     }
 
     #[test]

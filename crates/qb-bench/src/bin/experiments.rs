@@ -2815,7 +2815,7 @@ fn e8_systems_costs() -> Vec<Table> {
         f2(start.elapsed().as_secs_f64() * 1e3),
     ]);
     t2.row(&["pagerank mass".into(), f4(ranks.iter().sum::<f64>())]);
-    let mut chain = qb_chain::Blockchain::new(qb_chain::ChainConfig::default());
+    let mut chain = qb_chain::Blockchain::new();
     let start = std::time::Instant::now();
     for i in 0..2_000u64 {
         chain.submit_call(

@@ -266,54 +266,6 @@ impl QueryCache {
         admitted
     }
 
-    /// Admit a fully *scored result list* computed by someone else — another
-    /// frontend (SwarmSearch-style result sharing over gossip) or a window
-    /// memo. The entry's per-term version tags are checked against
-    /// `known_version`, the receiver's highest observed shard version per
-    /// term: a list computed from any superseded shard is rejected as
-    /// [`RemoteAdmit::Stale`], so shared results obey exactly the version
-    /// guard the shard tier enforces for fills. A resident entry computed
-    /// from equal-or-newer versions on every term reports
-    /// [`RemoteAdmit::Duplicate`] and stays.
-    pub fn store_remote_result(
-        &mut self,
-        key: &str,
-        results: Arc<Vec<ScoredDoc>>,
-        term_versions: Vec<(String, u64)>,
-        mut known_version: impl FnMut(&str) -> u64,
-        now: SimInstant,
-    ) -> RemoteAdmit {
-        if term_versions
-            .iter()
-            .any(|(term, v)| *v < known_version(term))
-        {
-            return RemoteAdmit::Stale;
-        }
-        if let Some(resident) = self.results.peek(key) {
-            let resident_dominates = term_versions.iter().all(|(term, v)| {
-                resident
-                    .term_versions
-                    .iter()
-                    .any(|(rt, rv)| rt == term && rv >= v)
-            });
-            if resident_dominates {
-                return RemoteAdmit::Duplicate;
-            }
-        }
-        if self.store_result(key, results, term_versions, now) {
-            RemoteAdmit::Accepted
-        } else {
-            RemoteAdmit::Refused
-        }
-    }
-
-    /// Borrow a cached result entry without charging a lookup (the read
-    /// side of result sharing: advertising a scored list must not look like
-    /// query traffic to the eviction policy).
-    pub fn peek_result(&self, key: &str) -> Option<&CachedResult> {
-        self.results.peek(key)
-    }
-
     // ----- shard + negative tiers --------------------------------------------------
 
     /// Look up a term's shard. `current_version` is the engine's monotonic
@@ -1209,63 +1161,6 @@ mod tests {
             ShardLookup::Miss
         ));
         assert_eq!(c.metrics().shard.expirations, 1);
-    }
-
-    #[test]
-    fn remote_results_obey_the_version_guard() {
-        let mut c = cache();
-        let key = result_key(&["honey".into(), "bees".into()]);
-        let versions = vec![("honey".to_string(), 3u64), ("bees".to_string(), 1)];
-        // The receiver has already observed honey@4: a list computed from
-        // honey@3 is provably stale and must be rejected.
-        let known_v4 = |term: &str| if term == "honey" { 4 } else { 0 };
-        assert_eq!(
-            c.store_remote_result(
-                &key,
-                Arc::new(vec![doc("a", 1)]),
-                versions.clone(),
-                known_v4,
-                t0()
-            ),
-            RemoteAdmit::Stale
-        );
-        assert!(c.peek_result(&key).is_none());
-        // Within the receiver's knowledge: accepted and served.
-        let known_v3 = |term: &str| if term == "honey" { 3 } else { 0 };
-        assert_eq!(
-            c.store_remote_result(
-                &key,
-                Arc::new(vec![doc("a", 1)]),
-                versions.clone(),
-                known_v3,
-                t0()
-            ),
-            RemoteAdmit::Accepted
-        );
-        assert_eq!(c.peek_result(&key).unwrap().results[0].name, "a");
-        let current = |term: &str| if term == "honey" { 3 } else { 1 };
-        assert!(c.lookup_result(&key, t0(), current).is_some());
-        // Re-offering the same (or an older) computation is a duplicate.
-        assert_eq!(
-            c.store_remote_result(
-                &key,
-                Arc::new(vec![doc("a", 1)]),
-                versions.clone(),
-                known_v3,
-                t0()
-            ),
-            RemoteAdmit::Duplicate
-        );
-        // A list computed from a *newer* honey shard replaces the entry.
-        let newer = vec![("honey".to_string(), 5u64), ("bees".to_string(), 1)];
-        assert_eq!(
-            c.store_remote_result(&key, Arc::new(vec![doc("b", 2)]), newer, known_v3, t0()),
-            RemoteAdmit::Accepted
-        );
-        assert_eq!(c.peek_result(&key).unwrap().results[0].name, "b");
-        // Publish-path invalidation kills shared entries like local ones.
-        c.invalidate_term("honey", t0());
-        assert!(c.peek_result(&key).is_none());
     }
 
     #[test]

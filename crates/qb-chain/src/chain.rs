@@ -18,38 +18,27 @@ pub const VALIDATORS: [AccountId; 3] = [AccountId(900), AccountId(901), AccountI
 /// Maximum transactions sealed per block.
 pub const MAX_TXS_PER_BLOCK: usize = 10_000;
 
-/// Chain-level configuration: reward amounts and the revenue split.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct ChainConfig {
-    /// Reward per accepted publish.
-    pub publish_reward: u64,
-    /// Bounty per accepted indexing claim.
-    pub index_reward: u64,
-    /// Bounty per accepted ranking claim.
-    pub rank_reward: u64,
-    /// Reward per popularity payout.
-    pub popularity_reward: u64,
-    /// PageRank threshold (parts per million) for popularity rewards.
-    pub popularity_threshold_ppm: u64,
-    /// Creator share of each ad click (percent).
-    pub creator_share_pct: u64,
-    /// Worker-bee share of each ad click (percent).
-    pub bee_share_pct: u64,
-}
+/// Honey paid to the creator per accepted publish.
+pub const PUBLISH_REWARD: u64 = 100;
 
-impl Default for ChainConfig {
-    fn default() -> Self {
-        ChainConfig {
-            publish_reward: 100,
-            index_reward: 50,
-            rank_reward: 50,
-            popularity_reward: 500,
-            popularity_threshold_ppm: 2_000,
-            creator_share_pct: 60,
-            bee_share_pct: 30,
-        }
-    }
-}
+/// Bounty per accepted indexing claim.
+pub const INDEX_REWARD: u64 = 50;
+
+/// Bounty per accepted ranking claim.
+pub const RANK_REWARD: u64 = 50;
+
+/// Honey paid per popularity payout.
+pub const POPULARITY_REWARD: u64 = 500;
+
+/// PageRank (parts per million) a page must exceed to earn its creator a
+/// popularity payout.
+pub const POPULARITY_THRESHOLD_PPM: u64 = 2_000;
+
+/// Creator share of each ad click, percent.
+pub const CREATOR_SHARE_PCT: u64 = 60;
+
+/// Worker-bee share of each ad click, percent (the treasury keeps the rest).
+pub const BEE_SHARE_PCT: u64 = 30;
 
 /// Aggregate chain statistics used by the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -69,7 +58,6 @@ pub struct ChainStats {
 /// The QueenBee blockchain.
 #[derive(Debug, Clone)]
 pub struct Blockchain {
-    config: ChainConfig,
     accounts: Accounts,
     publish: PublishRegistry,
     ads: AdMarket,
@@ -84,22 +72,18 @@ pub struct Blockchain {
 
 impl Blockchain {
     /// Create a chain with the genesis allocation and empty contracts.
-    pub fn new(config: ChainConfig) -> Blockchain {
-        let accounts = Accounts::with_genesis_supply(GENESIS_SUPPLY);
-        let publish = PublishRegistry::new(config.publish_reward);
-        let ads = AdMarket::new(config.creator_share_pct, config.bee_share_pct);
-        let rewards = RewardPool::new(
-            config.index_reward,
-            config.rank_reward,
-            config.popularity_reward,
-            config.popularity_threshold_ppm,
-        );
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Blockchain {
         Blockchain {
-            config,
-            accounts,
-            publish,
-            ads,
-            rewards,
+            accounts: Accounts::with_genesis_supply(GENESIS_SUPPLY),
+            publish: PublishRegistry::new(PUBLISH_REWARD),
+            ads: AdMarket::new(CREATOR_SHARE_PCT, BEE_SHARE_PCT),
+            rewards: RewardPool::new(
+                INDEX_REWARD,
+                RANK_REWARD,
+                POPULARITY_REWARD,
+                POPULARITY_THRESHOLD_PPM,
+            ),
             blocks: Vec::new(),
             receipts: Vec::new(),
             mempool: VecDeque::new(),
@@ -107,11 +91,6 @@ impl Blockchain {
             ok_txs: 0,
             failed_txs: 0,
         }
-    }
-
-    /// Chain configuration.
-    pub fn config(&self) -> &ChainConfig {
-        &self.config
     }
 
     /// Current chain height.
@@ -370,7 +349,7 @@ mod tests {
     use qb_common::Cid;
 
     fn chain() -> Blockchain {
-        Blockchain::new(ChainConfig::default())
+        Blockchain::new()
     }
 
     #[test]
@@ -387,7 +366,7 @@ mod tests {
         );
         c.seal_block(SimInstant::ZERO);
         assert_eq!(c.height(), 1);
-        assert_eq!(c.balance(creator), c.config().publish_reward);
+        assert_eq!(c.balance(creator), PUBLISH_REWARD);
         assert_eq!(c.publish_registry().get("dweb/home").unwrap().version, 1);
         assert!(c
             .events()

@@ -29,7 +29,9 @@ pub mod tx;
 pub use account::{AccountId, Accounts, TREASURY};
 pub use block::{Block, BlockHeader};
 pub use chain::{
-    Blockchain, ChainConfig, ChainStats, GENESIS_SUPPLY, MAX_TXS_PER_BLOCK, VALIDATORS,
+    Blockchain, ChainStats, BEE_SHARE_PCT, CREATOR_SHARE_PCT, GENESIS_SUPPLY, INDEX_REWARD,
+    MAX_TXS_PER_BLOCK, POPULARITY_REWARD, POPULARITY_THRESHOLD_PPM, PUBLISH_REWARD, RANK_REWARD,
+    VALIDATORS,
 };
 pub use contracts::ads::{AdCampaign, AdId, AdMarket};
 pub use contracts::publish::{PageRecord, PublishRegistry};

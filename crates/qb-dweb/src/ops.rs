@@ -86,7 +86,6 @@ pub fn fetch_page_by_cid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qb_chain::ChainConfig;
     use qb_common::SimInstant;
     use qb_dht::DhtConfig;
     use qb_simnet::NetConfig;
@@ -96,7 +95,7 @@ mod tests {
         let mut net = SimNet::new(n, NetConfig::lan(), seed);
         let dht = DhtNetwork::build(&mut net, DhtConfig::small());
         let storage = StorageNetwork::new(n, StorageConfig::small());
-        let chain = Blockchain::new(ChainConfig::default());
+        let chain = Blockchain::new();
         (net, dht, storage, chain)
     }
 
@@ -130,7 +129,7 @@ mod tests {
         assert_eq!(fetched, page);
         assert!(stats.bytes > 0);
         // Creator got the publish reward.
-        assert_eq!(chain.balance(AccountId(100)), chain.config().publish_reward);
+        assert_eq!(chain.balance(AccountId(100)), qb_chain::PUBLISH_REWARD);
     }
 
     #[test]

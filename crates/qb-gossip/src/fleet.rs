@@ -239,8 +239,11 @@ pub struct Frontend {
     /// is queued right now, so a fast-draining frontend does not soak up
     /// every arrival between heartbeats.
     routed_recent: u64,
-    /// The private query-serving cache. `None` only while the engine's
-    /// search path has it checked out.
+    /// The private query-serving cache, always `Some`. It is an `Option`
+    /// only because the planner takes the serving cache as
+    /// `&mut Option<QueryCache>` (`None` = caching off in single-frontend
+    /// mode), a signature `bench/` pins; [`GossipFleet::cache_slot`] lends
+    /// the engine this field in that shape.
     cache: Option<QueryCache>,
 }
 
@@ -282,14 +285,14 @@ impl Frontend {
         s
     }
 
-    /// Borrow the cache (panics while checked out by the search path).
+    /// Borrow the cache.
     pub fn cache(&self) -> &QueryCache {
-        self.cache.as_ref().expect("frontend cache checked out")
+        self.cache.as_ref().expect("frontend always holds a cache")
     }
 
-    /// Mutably borrow the cache (panics while checked out).
+    /// Mutably borrow the cache.
     pub fn cache_mut(&mut self) -> &mut QueryCache {
-        self.cache.as_mut().expect("frontend cache checked out")
+        self.cache.as_mut().expect("frontend always holds a cache")
     }
 
     /// Is the frontend part of the fleet (not departed/crashed)?
@@ -357,9 +360,8 @@ impl Frontend {
                 return Arc::clone(ranked);
             }
         }
-        // Borrow the cache by field from here on (`cache()` above already
-        // refused a checked-out one): the listing's terms point into it
-        // while the fingerprint memo next to it is written.
+        // Borrow the cache by field from here on: the listing's terms point
+        // into it while the fingerprint memo next to it is written.
         let listing = self
             .cache
             .as_ref()
@@ -506,15 +508,10 @@ impl GossipFleet {
         self.frontends[i].cache_mut()
     }
 
-    /// Check frontend `i`'s cache out of the fleet (the engine's search
-    /// path works on it while also borrowing the rest of the engine).
-    pub fn take_cache(&mut self, i: usize) -> Option<QueryCache> {
-        self.frontends[i].cache.take()
-    }
-
-    /// Return a checked-out cache.
-    pub fn restore_cache(&mut self, i: usize, cache: Option<QueryCache>) {
-        self.frontends[i].cache = cache;
+    /// Frontend `i`'s cache in the shape the planner takes a serving cache
+    /// in (always `Some`).
+    pub fn cache_slot(&mut self, i: usize) -> &mut Option<QueryCache> {
+        &mut self.frontends[i].cache
     }
 
     /// Record that frontend `i` observed `version` of `term` (e.g. through
@@ -2316,7 +2313,7 @@ mod tests {
         // Frontend 3 lives under eviction pressure: a shard tier of ~4 shards.
         let mut tight = CacheConfig::enabled();
         tight.shard_capacity_bytes = 2 * 1024;
-        fleet.restore_cache(3, Some(QueryCache::new(tight)));
+        *fleet.cache_mut(3) = QueryCache::new(tight);
 
         let mut now = SimInstant::ZERO;
         let mut versions: HashMap<String, u64> = HashMap::new();

@@ -11,26 +11,6 @@ use crate::query::ScoredDoc;
 use crate::scorer::{blend_with_rank, Bm25};
 use crate::shard::{IndexStats, ShardEntry, ShardPosting};
 use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::fmt::Write;
-
-/// Prefix conjunctions a caller keeps across kernel calls (the pipelined
-/// engine's window memo), so `"a b"` and `"a b c"` share the `a ∩ b` work.
-/// Entries are doc-id vectors keyed by the caller's scope plus the exact
-/// `term@version` sequence, in smallest-first order, they were computed
-/// over — a hit is provably the identical conjunction.
-#[derive(Debug, Default)]
-pub struct PrefixCache {
-    conjunctions: HashMap<String, Vec<u64>>,
-    /// Kernel calls that resumed from a cached prefix.
-    pub hits: u64,
-}
-
-impl PrefixCache {
-    /// Entries held before the cache resets wholesale (which only costs
-    /// recomputation).
-    pub const MAX_ENTRIES: usize = 8_192;
-}
 
 /// Advance `cursor` to the first posting at or past it whose doc id is
 /// `>= doc_id` — galloping, so a short candidate list skips through a long
@@ -70,19 +50,15 @@ struct List<'a> {
 ///
 /// Shards must hold their postings strictly ascending by doc id
 /// ([`ShardEntry::upsert`] maintains this). A document's metadata is taken
-/// from the last shard, in the order given, that holds it. With `prefixes`
-/// (a scope string and the caller's cache) the conjunction resumes from the
-/// longest cached prefix and remembers every prefix it computes; the result
-/// is identical either way.
+/// from the last shard, in the order given, that holds it.
 pub fn intersect_and_score<S: Borrow<ShardEntry>>(
     shards: &[S],
     stats: &IndexStats,
     rank_of: impl Fn(&str) -> f64,
     rank_weight: f64,
-    prefixes: Option<(&str, &mut PrefixCache)>,
 ) -> (Vec<ScoredDoc>, usize) {
     // Intersect smallest-first (stable) so the candidate set shrinks
-    // fastest; the order also fixes the prefix keys.
+    // fastest.
     let scorer = Bm25::default();
     let num_docs = stats.num_docs.max(1) as usize;
     let mut lists: Vec<List<'_>> = shards
@@ -100,41 +76,13 @@ pub fn intersect_and_score<S: Borrow<ShardEntry>>(
         .collect();
     lists.sort_by_key(|l| l.shard.postings.len());
 
-    let mut keys: Vec<String> = Vec::new();
-    let mut cache = prefixes.map(|(scope, cache)| {
-        if cache.conjunctions.len() >= PrefixCache::MAX_ENTRIES {
-            cache.conjunctions.clear();
-        }
-        let mut key = scope.to_string();
-        keys.extend(lists.iter().map(|l| {
-            let _ = write!(key, "|{}@{}", l.shard.term, l.shard.version);
-            key.clone()
-        }));
-        cache
-    });
     let mut candidates: Vec<u64> = Vec::new();
-    let mut resumed = 0;
-    if let Some(cache) = cache.as_deref_mut() {
-        let cached = (0..keys.len())
-            .rev()
-            .find_map(|i| Some((i, cache.conjunctions.get(&keys[i])?)));
-        if let Some((i, docs)) = cached {
-            candidates = docs.clone();
-            resumed = i + 1;
-            cache.hits += 1;
-        }
-    }
-    for (i, shard) in lists.iter().map(|l| l.shard).enumerate().skip(resumed) {
+    for (i, shard) in lists.iter().map(|l| l.shard).enumerate() {
         if i == 0 {
             candidates = shard.postings.iter().map(|p| p.doc_id).collect();
         } else {
             let mut cursor = 0;
             candidates.retain(|&doc_id| advance(&shard.postings, &mut cursor, doc_id).is_some());
-        }
-        if let Some(cache) = cache.as_deref_mut() {
-            cache
-                .conjunctions
-                .insert(std::mem::take(&mut keys[i]), candidates.clone());
         }
     }
     if candidates.is_empty() && lists.len() > 1 {
@@ -315,7 +263,7 @@ mod tests {
 
             let (expected, expected_scored) = reference(&shards, &stats, rank_of, rank_weight);
             let (plain, plain_scored) =
-                intersect_and_score(&shards, &stats, rank_of, rank_weight, None);
+                intersect_and_score(&shards, &stats, rank_of, rank_weight);
             prop_assert_eq!(bits(&plain), bits(&expected));
             prop_assert_eq!(plain_scored, expected_scored);
 
@@ -323,7 +271,7 @@ mod tests {
             // of them, never `ShardEntry` values: same answer through both.
             let handles: Vec<Arc<ShardEntry>> = shards.iter().cloned().map(Arc::new).collect();
             let (shared, shared_scored) =
-                intersect_and_score(&handles, &stats, rank_of, rank_weight, None);
+                intersect_and_score(&handles, &stats, rank_of, rank_weight);
             prop_assert_eq!(bits(&shared), bits(&expected));
             prop_assert_eq!(shared_scored, expected_scored);
             let cows: Vec<Cow<'_, ShardEntry>> = handles
@@ -335,20 +283,9 @@ mod tests {
                 })
                 .collect();
             let (lent, lent_scored) =
-                intersect_and_score(&cows, &stats, rank_of, rank_weight, None);
+                intersect_and_score(&cows, &stats, rank_of, rank_weight);
             prop_assert_eq!(bits(&lent), bits(&expected));
             prop_assert_eq!(lent_scored, expected_scored);
-
-            // Lending a prefix cache — cold, then warm — changes nothing.
-            let mut cache = PrefixCache::default();
-            for warm in [false, true] {
-                let (cached, cached_scored) = intersect_and_score(
-                    &shards, &stats, rank_of, rank_weight, Some(("scope", &mut cache)),
-                );
-                prop_assert_eq!(bits(&cached), bits(&expected));
-                prop_assert_eq!(cached_scored, expected_scored);
-                prop_assert_eq!(cache.hits, u64::from(warm));
-            }
         }
     }
 

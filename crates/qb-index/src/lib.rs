@@ -29,11 +29,8 @@ pub mod shard;
 pub use analyzer::Analyzer;
 pub use doc::{doc_id_for_name, DocMeta, DocTable};
 pub use index::InvertedIndex;
-pub use kernel::{intersect_and_score, PrefixCache};
+pub use kernel::intersect_and_score;
 pub use postings::{Posting, PostingList};
 pub use query::{search, Query, QueryMode, ScoredDoc};
 pub use scorer::{blend_with_rank, Bm25, Scorer, TfIdf};
-pub use shard::{
-    DistributedIndex, IndexStats, ShardEntry, ShardPosting, ShardReadMachine, ShardReadStep,
-    StatsReadMachine,
-};
+pub use shard::{DistributedIndex, IndexStats, ReadMachine, ReadStep, ShardEntry, ShardPosting};

@@ -287,7 +287,7 @@ const SHARD_POINTER_TAG: u8 = 2;
 
 /// What a poll of an event-driven index read observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardReadStep {
+pub enum ReadStep {
     /// Work remains in flight; the next event is due at `next_event_at`.
     Pending {
         /// Instant of the next completion — poll again at (or after) it.
@@ -298,121 +298,75 @@ pub enum ShardReadStep {
 }
 
 #[derive(Debug)]
-enum ShardReadState {
+enum ReadState<T> {
+    /// The DHT value lookup is in flight.
     Lookup(Box<LookupMachine>),
-    Tail {
-        handle: RpcHandle,
-        completes_at: SimInstant,
-        shard: ShardEntry,
-    },
+    /// The record is decoded. A pointer record's content-addressed fetch may
+    /// still occupy the reader's uplink (`tail`) until `completed_at`.
     Done {
-        result: QbResult<ShardEntry>,
+        result: QbResult<T>,
         completed_at: SimInstant,
+        tail: Option<RpcHandle>,
     },
 }
 
-/// An in-progress shard read: a DHT value lookup, optionally followed by a
-/// content-addressed storage fetch for pointer records. Create with
-/// [`DistributedIndex::begin_read_shard_fresh`], drive with
-/// [`DistributedIndex::poll_read_shard`].
+impl<T> ReadState<T> {
+    fn done(result: QbResult<T>, completed_at: SimInstant) -> ReadState<T> {
+        ReadState::Done {
+            result,
+            completed_at,
+            tail: None,
+        }
+    }
+}
+
+/// An in-progress read of one index record, decoded to a `T`: a DHT value
+/// lookup, optionally followed by a content-addressed storage fetch (shard
+/// pointer records). Create with [`DistributedIndex::begin_read_shard_fresh`]
+/// or [`DistributedIndex::begin_read_stats`], drive with the matching
+/// `poll_read_*`.
 #[derive(Debug)]
-pub struct ShardReadMachine {
-    term: String,
+pub struct ReadMachine<T> {
     peer: u64,
     issued_at: SimInstant,
     parent: Option<SpanId>,
-    state: ShardReadState,
+    state: ReadState<T>,
     cost: IndexOpCost,
     queue_delay: SimDuration,
 }
 
-impl ShardReadMachine {
-    /// True once the read has finished.
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, ShardReadState::Done { .. })
-    }
-
+impl<T> ReadMachine<T> {
     /// Queueing delay accumulated on the reader's uplink so far.
     pub fn queue_delay(&self) -> SimDuration {
         self.queue_delay
     }
 
-    /// The shard, the service cost (lookup + fetch latency, RPC attempts)
-    /// and the wall-clock completion instant (which additionally includes
-    /// any uplink queueing). Panics unless [`Self::is_done`].
-    pub fn into_result(self) -> QbResult<(ShardEntry, IndexOpCost, SimInstant)> {
+    /// The decoded value, the service cost (lookup + fetch latency, RPC
+    /// attempts) and the wall-clock completion instant (which additionally
+    /// includes any uplink queueing). Panics unless the last poll returned
+    /// [`ReadStep::Ready`].
+    pub fn into_result(self) -> QbResult<(T, IndexOpCost, SimInstant)> {
         match self.state {
-            ShardReadState::Done {
+            ReadState::Done {
                 result,
                 completed_at,
+                tail: None,
             } => Ok((result?, self.cost, completed_at)),
-            _ => panic!("shard read not finished; poll until Ready"),
+            _ => panic!("index read not finished; poll until Ready"),
         }
     }
 
     /// Retire anything still in flight without processing it.
     pub fn abandon(&mut self, net: &mut SimNet) {
         match &mut self.state {
-            ShardReadState::Lookup(lookup) => lookup.abandon(net),
-            ShardReadState::Tail {
-                handle,
-                completes_at,
-                ..
+            ReadState::Lookup(lookup) => lookup.abandon(net),
+            ReadState::Done {
+                completed_at, tail, ..
             } => {
-                net.poll_complete(*handle, *completes_at);
+                if let Some(handle) = tail.take() {
+                    net.poll_complete(handle, *completed_at);
+                }
             }
-            ShardReadState::Done { .. } => {}
-        }
-    }
-}
-
-#[derive(Debug)]
-enum StatsReadState {
-    Lookup(Box<LookupMachine>),
-    Done {
-        result: QbResult<IndexStats>,
-        completed_at: SimInstant,
-    },
-}
-
-/// An in-progress read of the global statistics record. Create with
-/// [`DistributedIndex::begin_read_stats`], drive with
-/// [`DistributedIndex::poll_read_stats`].
-#[derive(Debug)]
-pub struct StatsReadMachine {
-    issued_at: SimInstant,
-    state: StatsReadState,
-    cost: IndexOpCost,
-    queue_delay: SimDuration,
-}
-
-impl StatsReadMachine {
-    /// True once the read has finished.
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, StatsReadState::Done { .. })
-    }
-
-    /// Queueing delay accumulated on the reader's uplink so far.
-    pub fn queue_delay(&self) -> SimDuration {
-        self.queue_delay
-    }
-
-    /// The statistics, the service cost and the wall-clock completion
-    /// instant. Panics unless [`Self::is_done`].
-    pub fn into_result(self) -> QbResult<(IndexStats, IndexOpCost, SimInstant)> {
-        match self.state {
-            StatsReadState::Done {
-                result,
-                completed_at,
-            } => Ok((result?, self.cost, completed_at)),
-            _ => panic!("stats read not finished; poll until Ready"),
-        }
-    }
-
-    /// Retire anything still in flight without processing it.
-    pub fn abandon(&mut self, net: &mut SimNet) {
-        if let StatsReadState::Lookup(lookup) = &mut self.state {
-            lookup.abandon(net);
         }
     }
 }
@@ -471,17 +425,10 @@ impl DistributedIndex {
         min_version: u64,
     ) -> QbResult<(ShardEntry, IndexOpCost)> {
         let at = net.now();
-        let mut machine = self.begin_read_shard_fresh(net, dht, peer, term, min_version, at, None);
-        let mut cursor = at;
-        loop {
-            match self.poll_read_shard(net, dht, storage, &mut machine, cursor) {
-                ShardReadStep::Ready => {
-                    let (shard, cost, _) = machine.into_result()?;
-                    return Ok((shard, cost));
-                }
-                ShardReadStep::Pending { next_event_at } => cursor = next_event_at,
-            }
-        }
+        let machine = self.begin_read_shard_fresh(net, dht, peer, term, min_version, at, None);
+        drive(machine, at, |machine, cursor| {
+            self.poll_read_shard(net, dht, storage, machine, term, cursor)
+        })
     }
 
     /// Start an event-driven shard read at virtual instant `at` (trace
@@ -499,172 +446,36 @@ impl DistributedIndex {
         min_version: u64,
         at: SimInstant,
         parent: Option<SpanId>,
-    ) -> ShardReadMachine {
-        let state = if net.is_online(peer) {
-            let key = DhtKey::for_term(term);
-            ShardReadState::Lookup(Box::new(dht.lookup_begin(
-                net,
-                peer,
-                key.0,
-                Some(key),
-                min_version,
-                at,
-                parent,
-            )))
-        } else {
-            ShardReadState::Done {
-                result: Err(QbError::NodeOffline(peer)),
-                completed_at: at,
-            }
-        };
-        ShardReadMachine {
-            term: term.to_string(),
+    ) -> ReadMachine<ShardEntry> {
+        begin_read(
+            net,
+            dht,
             peer,
-            issued_at: at,
+            DhtKey::for_term(term),
+            min_version,
+            at,
             parent,
-            state,
-            cost: IndexOpCost::default(),
-            queue_delay: SimDuration::ZERO,
-        }
+        )
     }
 
-    /// Advance a shard read at instant `at`. On the lookup finishing, an
-    /// inline shard completes immediately; a pointer record charges the
-    /// content-addressed fetch and tracks it as an in-flight tail operation
-    /// on the reader's uplink, so concurrent reads contend realistically.
+    /// Advance the read of `term`'s shard at instant `at` (`term` as given
+    /// to `begin_read_shard_fresh`: the machine does not keep a copy). On
+    /// the lookup finishing, an inline shard completes immediately; a
+    /// pointer record charges the content-addressed fetch and tracks it as
+    /// an in-flight tail operation on the reader's uplink, so concurrent
+    /// reads contend realistically.
     pub fn poll_read_shard(
         &self,
         net: &mut SimNet,
         dht: &mut DhtNetwork,
         storage: &mut StorageNetwork,
-        machine: &mut ShardReadMachine,
+        machine: &mut ReadMachine<ShardEntry>,
+        term: &str,
         at: SimInstant,
-    ) -> ShardReadStep {
-        loop {
-            match &mut machine.state {
-                ShardReadState::Lookup(lookup) => match dht.lookup_poll(net, lookup, at) {
-                    LookupStep::Pending { next_event_at } => {
-                        return ShardReadStep::Pending { next_event_at };
-                    }
-                    LookupStep::Ready => {
-                        let placeholder = ShardReadState::Done {
-                            result: Ok(ShardEntry::empty(&machine.term)),
-                            completed_at: machine.issued_at,
-                        };
-                        let ShardReadState::Lookup(lookup) =
-                            std::mem::replace(&mut machine.state, placeholder)
-                        else {
-                            unreachable!("matched Lookup above");
-                        };
-                        let (outcome, record) = lookup.into_result();
-                        machine.cost.add(outcome.latency, outcome.messages);
-                        machine.queue_delay += outcome.queue_delay;
-                        let lookup_done = machine.issued_at + outcome.latency;
-                        machine.state = self.decode_shard_record(
-                            net,
-                            dht,
-                            storage,
-                            machine,
-                            record,
-                            lookup_done,
-                        );
-                    }
-                },
-                ShardReadState::Tail {
-                    handle,
-                    completes_at,
-                    shard,
-                } => {
-                    if at < *completes_at {
-                        return ShardReadStep::Pending {
-                            next_event_at: *completes_at,
-                        };
-                    }
-                    let mut completed_at = *completes_at;
-                    if let Some(Poll::Ready(done)) = net.poll_complete(*handle, *completes_at) {
-                        machine.queue_delay += done.queue_delay;
-                        completed_at = done.completed_at;
-                    }
-                    machine.state = ShardReadState::Done {
-                        result: Ok(std::mem::replace(shard, ShardEntry::empty(&machine.term))),
-                        completed_at,
-                    };
-                }
-                ShardReadState::Done { .. } => return ShardReadStep::Ready,
-            }
-        }
-    }
-
-    /// Turn the record a finished lookup returned into the next machine
-    /// state: empty shard (missing record), decoded inline shard, or a
-    /// tracked in-flight storage fetch for a pointer record.
-    fn decode_shard_record(
-        &self,
-        net: &mut SimNet,
-        dht: &mut DhtNetwork,
-        storage: &mut StorageNetwork,
-        machine: &mut ShardReadMachine,
-        record: Option<qb_dht::Record>,
-        lookup_done: SimInstant,
-    ) -> ShardReadState {
-        let Some(record) = record else {
-            return ShardReadState::Done {
-                result: Ok(ShardEntry::empty(&machine.term)),
-                completed_at: lookup_done,
-            };
-        };
-        let value = record.value;
-        match value.first() {
-            Some(&SHARD_INLINE_TAG) => ShardReadState::Done {
-                result: ShardEntry::decode(&value[1..]),
-                completed_at: lookup_done,
-            },
-            Some(&SHARD_POINTER_TAG) => {
-                if value.len() != 33 {
-                    return ShardReadState::Done {
-                        result: Err(QbError::Codec("bad shard pointer record".into())),
-                        completed_at: lookup_done,
-                    };
-                }
-                let mut arr = [0u8; 32];
-                arr.copy_from_slice(&value[1..33]);
-                let cid = Cid(Hash256::from_bytes(arr));
-                match storage.get_object(net, dht, machine.peer, cid) {
-                    Ok((bytes, fetch)) => {
-                        machine.cost.add(fetch.latency, fetch.messages);
-                        match ShardEntry::decode(&bytes) {
-                            Ok(shard) => {
-                                let handle = net.begin_async_op(
-                                    machine.peer,
-                                    lookup_done,
-                                    fetch.latency,
-                                    machine.parent,
-                                );
-                                let completes_at =
-                                    net.async_completes_at(handle).expect("just issued");
-                                ShardReadState::Tail {
-                                    handle,
-                                    completes_at,
-                                    shard,
-                                }
-                            }
-                            Err(e) => ShardReadState::Done {
-                                result: Err(e),
-                                completed_at: lookup_done + fetch.latency,
-                            },
-                        }
-                    }
-                    Err(e) => ShardReadState::Done {
-                        result: Err(e),
-                        completed_at: lookup_done,
-                    },
-                }
-            }
-            _ => ShardReadState::Done {
-                result: Err(QbError::Codec("unknown shard record tag".into())),
-                completed_at: lookup_done,
-            },
-        }
+    ) -> ReadStep {
+        poll_read(net, dht, machine, at, |net, dht, machine, record, done| {
+            decode_shard_record(net, dht, storage, machine, term, record, done)
+        })
     }
 
     /// Write a shard from `peer`. The caller must have bumped
@@ -706,17 +517,10 @@ impl DistributedIndex {
         peer: u64,
     ) -> QbResult<(IndexStats, IndexOpCost)> {
         let at = net.now();
-        let mut machine = self.begin_read_stats(net, dht, peer, at, None);
-        let mut cursor = at;
-        loop {
-            match self.poll_read_stats(net, dht, &mut machine, cursor) {
-                ShardReadStep::Ready => {
-                    let (stats, cost, _) = machine.into_result()?;
-                    return Ok((stats, cost));
-                }
-                ShardReadStep::Pending { next_event_at } => cursor = next_event_at,
-            }
-        }
+        let machine = self.begin_read_stats(net, dht, peer, at, None);
+        drive(machine, at, |machine, cursor| {
+            self.poll_read_stats(net, dht, machine, cursor)
+        })
     }
 
     /// Start an event-driven read of the global statistics record at
@@ -728,30 +532,8 @@ impl DistributedIndex {
         peer: u64,
         at: SimInstant,
         parent: Option<SpanId>,
-    ) -> StatsReadMachine {
-        let key = Self::stats_key();
-        let state = if net.is_online(peer) {
-            StatsReadState::Lookup(Box::new(dht.lookup_begin(
-                net,
-                peer,
-                key.0,
-                Some(key),
-                0,
-                at,
-                parent,
-            )))
-        } else {
-            StatsReadState::Done {
-                result: Err(QbError::NodeOffline(peer)),
-                completed_at: at,
-            }
-        };
-        StatsReadMachine {
-            issued_at: at,
-            state,
-            cost: IndexOpCost::default(),
-            queue_delay: SimDuration::ZERO,
-        }
+    ) -> ReadMachine<IndexStats> {
+        begin_read(net, dht, peer, Self::stats_key(), 0, at, parent)
     }
 
     /// Advance a statistics read at instant `at`.
@@ -759,37 +541,13 @@ impl DistributedIndex {
         &self,
         net: &mut SimNet,
         dht: &mut DhtNetwork,
-        machine: &mut StatsReadMachine,
+        machine: &mut ReadMachine<IndexStats>,
         at: SimInstant,
-    ) -> ShardReadStep {
-        match &mut machine.state {
-            StatsReadState::Lookup(lookup) => match dht.lookup_poll(net, lookup, at) {
-                LookupStep::Pending { next_event_at } => ShardReadStep::Pending { next_event_at },
-                LookupStep::Ready => {
-                    let placeholder = StatsReadState::Done {
-                        result: Ok(IndexStats::default()),
-                        completed_at: machine.issued_at,
-                    };
-                    let StatsReadState::Lookup(lookup) =
-                        std::mem::replace(&mut machine.state, placeholder)
-                    else {
-                        unreachable!("matched Lookup above");
-                    };
-                    let (outcome, record) = lookup.into_result();
-                    machine.cost.add(outcome.latency, outcome.messages);
-                    machine.queue_delay += outcome.queue_delay;
-                    machine.state = StatsReadState::Done {
-                        result: match record {
-                            Some(rec) => IndexStats::decode(&rec.value),
-                            None => Ok(IndexStats::default()),
-                        },
-                        completed_at: machine.issued_at + outcome.latency,
-                    };
-                    ShardReadStep::Ready
-                }
-            },
-            StatsReadState::Done { .. } => ShardReadStep::Ready,
-        }
+    ) -> ReadStep {
+        poll_read(net, dht, machine, at, |_, _, _, record, done| {
+            let stats = record.map_or(Ok(IndexStats::default()), |r| IndexStats::decode(&r.value));
+            ReadState::done(stats, done)
+        })
     }
 
     /// Write the global statistics record.
@@ -804,6 +562,154 @@ impl DistributedIndex {
         let put = dht.put_record(net, peer, Self::stats_key(), stats.encode(), stats.version)?;
         cost.add(put.latency, put.messages);
         Ok(cost)
+    }
+}
+
+/// Start the lookup of `key` from `peer` at `at`; an offline reader fails
+/// on the spot.
+fn begin_read<T>(
+    net: &mut SimNet,
+    dht: &mut DhtNetwork,
+    peer: u64,
+    key: DhtKey,
+    min_version: u64,
+    at: SimInstant,
+    parent: Option<SpanId>,
+) -> ReadMachine<T> {
+    let state = if net.is_online(peer) {
+        let lookup = dht.lookup_begin(net, peer, key.0, Some(key), min_version, at, parent);
+        ReadState::Lookup(Box::new(lookup))
+    } else {
+        ReadState::done(Err(QbError::NodeOffline(peer)), at)
+    };
+    ReadMachine {
+        peer,
+        issued_at: at,
+        parent,
+        state,
+        cost: IndexOpCost::default(),
+        queue_delay: SimDuration::ZERO,
+    }
+}
+
+/// Advance a read at instant `at`. When the lookup finishes, `decode` turns
+/// the record it returned (and the instant it returned at) into the next
+/// state: a finished value, or one whose storage tail is still in flight.
+fn poll_read<T>(
+    net: &mut SimNet,
+    dht: &mut DhtNetwork,
+    machine: &mut ReadMachine<T>,
+    at: SimInstant,
+    decode: impl FnOnce(
+        &mut SimNet,
+        &mut DhtNetwork,
+        &mut ReadMachine<T>,
+        Option<qb_dht::Record>,
+        SimInstant,
+    ) -> ReadState<T>,
+) -> ReadStep {
+    if let ReadState::Lookup(lookup) = &mut machine.state {
+        if let LookupStep::Pending { next_event_at } = dht.lookup_poll(net, lookup, at) {
+            return ReadStep::Pending { next_event_at };
+        }
+        // Stands in only until `decode` returns.
+        let taken = ReadState::done(Err(QbError::NodeOffline(machine.peer)), machine.issued_at);
+        let ReadState::Lookup(lookup) = std::mem::replace(&mut machine.state, taken) else {
+            unreachable!("matched Lookup above");
+        };
+        let (outcome, record) = lookup.into_result();
+        machine.cost.add(outcome.latency, outcome.messages);
+        machine.queue_delay += outcome.queue_delay;
+        let lookup_done = machine.issued_at + outcome.latency;
+        machine.state = decode(net, dht, machine, record, lookup_done);
+    }
+    if let ReadState::Done {
+        completed_at,
+        tail: tail @ Some(_),
+        ..
+    } = &mut machine.state
+    {
+        if at < *completed_at {
+            return ReadStep::Pending {
+                next_event_at: *completed_at,
+            };
+        }
+        let retired = tail
+            .take()
+            .and_then(|h| net.poll_complete(h, *completed_at));
+        if let Some(Poll::Ready(done)) = retired {
+            machine.queue_delay += done.queue_delay;
+            *completed_at = done.completed_at;
+        }
+    }
+    ReadStep::Ready
+}
+
+/// Drive a read to completion from `at`, jumping from event to event —
+/// what the blocking reads do with the same machine the pipeline polls.
+fn drive<T>(
+    mut machine: ReadMachine<T>,
+    at: SimInstant,
+    mut poll: impl FnMut(&mut ReadMachine<T>, SimInstant) -> ReadStep,
+) -> QbResult<(T, IndexOpCost)> {
+    let mut cursor = at;
+    while let ReadStep::Pending { next_event_at } = poll(&mut machine, cursor) {
+        cursor = next_event_at;
+    }
+    let (value, cost, _) = machine.into_result()?;
+    Ok((value, cost))
+}
+
+/// Turn the record a finished shard lookup returned into the next machine
+/// state: empty shard (missing record), decoded inline shard, or a tracked
+/// in-flight storage fetch for a pointer record.
+fn decode_shard_record(
+    net: &mut SimNet,
+    dht: &mut DhtNetwork,
+    storage: &mut StorageNetwork,
+    machine: &mut ReadMachine<ShardEntry>,
+    term: &str,
+    record: Option<qb_dht::Record>,
+    lookup_done: SimInstant,
+) -> ReadState<ShardEntry> {
+    let Some(record) = record else {
+        return ReadState::done(Ok(ShardEntry::empty(term)), lookup_done);
+    };
+    let value = record.value;
+    match value.first() {
+        Some(&SHARD_INLINE_TAG) => ReadState::done(ShardEntry::decode(&value[1..]), lookup_done),
+        Some(&SHARD_POINTER_TAG) => {
+            let Ok(root) = <[u8; 32]>::try_from(&value[1..]) else {
+                let bad = QbError::Codec("bad shard pointer record".into());
+                return ReadState::done(Err(bad), lookup_done);
+            };
+            let cid = Cid(Hash256::from_bytes(root));
+            let (bytes, fetch) = match storage.get_object(net, dht, machine.peer, cid) {
+                Ok(fetched) => fetched,
+                Err(e) => return ReadState::done(Err(e), lookup_done),
+            };
+            machine.cost.add(fetch.latency, fetch.messages);
+            match ShardEntry::decode(&bytes) {
+                Ok(shard) => {
+                    let handle = net.begin_async_op(
+                        machine.peer,
+                        lookup_done,
+                        fetch.latency,
+                        machine.parent,
+                    );
+                    ReadState::Done {
+                        result: Ok(shard),
+                        completed_at: net.async_completes_at(handle).expect("just issued"),
+                        tail: Some(handle),
+                    }
+                }
+                Err(e) => ReadState::done(Err(e), lookup_done + fetch.latency),
+            }
+        }
+        _ => ReadState::done(
+            Err(QbError::Codec("unknown shard record tag".into())),
+            lookup_done,
+        ),
     }
 }
 
@@ -983,6 +889,170 @@ mod tests {
         dist.write_stats(&mut net, &mut dht, 3, &stats).unwrap();
         let (read, _) = dist.read_stats(&mut net, &mut dht, 12).unwrap();
         assert_eq!(read, stats);
+    }
+
+    /// A shard over the 64-byte inline threshold of [`spilling`], so its
+    /// record is a pointer and a read of it has a storage tail.
+    fn large_shard(term: &str) -> ShardEntry {
+        let mut shard = ShardEntry::empty(term);
+        shard.version = 1;
+        for i in 0..200u64 {
+            shard.upsert(posting(i, 1, &format!("page/number/{i}")));
+        }
+        shard
+    }
+
+    fn spilling() -> DistributedIndex {
+        DistributedIndex {
+            inline_threshold: 64,
+        }
+    }
+
+    #[test]
+    fn a_read_abandoned_mid_lookup_leaves_nothing_in_flight() {
+        let (mut net, mut dht, mut storage) = setup(24, 6);
+        let dist = DistributedIndex::new();
+        let mut shard = ShardEntry::empty("nectar");
+        shard.version = 1;
+        shard.upsert(posting(1, 2, "p/one"));
+        dist.write_shard(&mut net, &mut dht, &mut storage, 3, &shard)
+            .unwrap();
+        let at = net.now();
+        let mut read = dist.begin_read_shard_fresh(&mut net, &mut dht, 11, "nectar", 0, at, None);
+        let step = dist.poll_read_shard(&mut net, &mut dht, &mut storage, &mut read, "nectar", at);
+        assert!(matches!(step, ReadStep::Pending { .. }));
+        assert!(net.async_in_flight() > 0, "the first hops are on the wire");
+        read.abandon(&mut net);
+        assert_eq!(net.async_in_flight(), 0);
+
+        let mut read = dist.begin_read_stats(&mut net, &mut dht, 11, at, None);
+        let step = dist.poll_read_stats(&mut net, &mut dht, &mut read, at);
+        assert!(matches!(step, ReadStep::Pending { .. }));
+        assert!(net.async_in_flight() > 0);
+        read.abandon(&mut net);
+        assert_eq!(net.async_in_flight(), 0);
+    }
+
+    #[test]
+    fn a_pointer_read_abandoned_mid_tail_leaves_nothing_in_flight() {
+        let (mut net, mut dht, mut storage) = setup(24, 7);
+        let dist = spilling();
+        dist.write_shard(&mut net, &mut dht, &mut storage, 0, &large_shard("common"))
+            .unwrap();
+        let at = net.now();
+        let mut read = dist.begin_read_shard_fresh(&mut net, &mut dht, 17, "common", 0, at, None);
+        let mut cursor = at;
+        while !matches!(read.state, ReadState::Done { tail: Some(_), .. }) {
+            match dist.poll_read_shard(
+                &mut net,
+                &mut dht,
+                &mut storage,
+                &mut read,
+                "common",
+                cursor,
+            ) {
+                ReadStep::Pending { next_event_at } => cursor = next_event_at,
+                ReadStep::Ready => panic!("a pointer read finished without a tail"),
+            }
+        }
+        assert_eq!(net.async_in_flight(), 1, "only the storage tail is left");
+        read.abandon(&mut net);
+        assert_eq!(net.async_in_flight(), 0);
+    }
+
+    #[test]
+    fn an_offline_origin_fails_reads_at_the_issue_instant() {
+        let (mut net, mut dht, mut storage) = setup(16, 8);
+        let dist = DistributedIndex::new();
+        net.set_online(5, false);
+        let issued_before = net.stats().async_ops;
+        let at = net.now() + SimDuration::from_millis(3);
+        let mut read = dist.begin_read_shard_fresh(&mut net, &mut dht, 5, "any", 0, at, None);
+        let step = dist.poll_read_shard(&mut net, &mut dht, &mut storage, &mut read, "any", at);
+        assert_eq!(step, ReadStep::Ready);
+        assert!(matches!(read.state, ReadState::Done { completed_at, .. } if completed_at == at));
+        assert!(matches!(read.into_result(), Err(QbError::NodeOffline(5))));
+
+        let mut read = dist.begin_read_stats(&mut net, &mut dht, 5, at, None);
+        assert_eq!(
+            dist.poll_read_stats(&mut net, &mut dht, &mut read, at),
+            ReadStep::Ready
+        );
+        assert!(matches!(read.state, ReadState::Done { completed_at, .. } if completed_at == at));
+        assert!(matches!(read.into_result(), Err(QbError::NodeOffline(5))));
+        assert_eq!(net.stats().async_ops, issued_before, "nothing was issued");
+        assert!(matches!(
+            dist.read_shard(&mut net, &mut dht, &mut storage, 5, "any"),
+            Err(QbError::NodeOffline(5))
+        ));
+        assert!(matches!(
+            dist.read_stats(&mut net, &mut dht, 5),
+            Err(QbError::NodeOffline(5))
+        ));
+    }
+
+    #[test]
+    fn the_event_driven_drive_equals_the_blocking_read() {
+        // Two identically seeded worlds: one reads with the blocking calls,
+        // the other polls the machines hop by hop.
+        let world = || {
+            let (mut net, mut dht, mut storage) = setup(24, 9);
+            let dist = spilling();
+            let mut small = ShardEntry::empty("s");
+            small.version = 1;
+            small.upsert(posting(1, 2, "p/one"));
+            for shard in [small, large_shard("common")] {
+                dist.write_shard(&mut net, &mut dht, &mut storage, 0, &shard)
+                    .unwrap();
+            }
+            let stats = IndexStats {
+                num_docs: 42,
+                total_len: 8400,
+                version: 1,
+            };
+            dist.write_stats(&mut net, &mut dht, 3, &stats).unwrap();
+            (net, dht, storage, dist)
+        };
+        let (mut net, mut dht, mut storage, dist) = world();
+        let (mut net2, mut dht2, mut storage2, _) = world();
+        for term in ["s", "common", "neverwritten"] {
+            let blocking = dist
+                .read_shard_fresh(&mut net, &mut dht, &mut storage, 17, term, 0)
+                .unwrap();
+            let at = net2.now();
+            let mut read = dist.begin_read_shard_fresh(&mut net2, &mut dht2, 17, term, 0, at, None);
+            let mut cursor = at;
+            while let ReadStep::Pending { next_event_at } =
+                dist.poll_read_shard(&mut net2, &mut dht2, &mut storage2, &mut read, term, cursor)
+            {
+                assert!(
+                    next_event_at > cursor,
+                    "an event-driven poll always advances"
+                );
+                cursor = next_event_at;
+            }
+            let (shard, cost, completed_at) = read.into_result().unwrap();
+            assert_eq!((shard, cost), blocking, "{term}");
+            assert_eq!(
+                completed_at,
+                at + cost.latency,
+                "nothing queued on an idle link"
+            );
+        }
+        let blocking = dist.read_stats(&mut net, &mut dht, 12).unwrap();
+        let at = net2.now();
+        let mut read = dist.begin_read_stats(&mut net2, &mut dht2, 12, at, None);
+        let mut cursor = at;
+        while let ReadStep::Pending { next_event_at } =
+            dist.poll_read_stats(&mut net2, &mut dht2, &mut read, cursor)
+        {
+            cursor = next_event_at;
+        }
+        let (stats, cost, completed_at) = read.into_result().unwrap();
+        assert_eq!((stats, cost), blocking);
+        assert_eq!(completed_at, at + cost.latency);
+        assert_eq!(net.stats(), net2.stats());
+        assert_eq!((net.async_in_flight(), net2.async_in_flight()), (0, 0));
     }
 
     proptest! {

@@ -1,7 +1,6 @@
 //! Engine configuration.
 
 use qb_cache::CacheConfig;
-use qb_chain::ChainConfig;
 use qb_dht::DhtConfig;
 use qb_gossip::GossipConfig;
 use qb_rank::DecentralizedPageRank;
@@ -32,8 +31,6 @@ pub struct QueenBeeConfig {
     pub dht: DhtConfig,
     /// Storage parameters (replication, chunking, caches).
     pub storage: StorageConfig,
-    /// Blockchain parameters (rewards, revenue split, validators).
-    pub chain: ChainConfig,
     /// Decentralized PageRank parameters (blocks, quorum, tolerance).
     pub rank: DecentralizedPageRank,
     /// Indexing verification quorum: number of bees independently indexing
@@ -79,7 +76,6 @@ impl Default for QueenBeeConfig {
             net: NetConfig::default(),
             dht: DhtConfig::default(),
             storage: StorageConfig::default(),
-            chain: ChainConfig::default(),
             rank: DecentralizedPageRank::default(),
             index_quorum: 3,
             rank_weight: 0.3,

@@ -1,0 +1,178 @@
+//! The fleet seam: frontends joining, leaving and rejoining, gossip rounds,
+//! and hot-set persistence across restarts.
+
+use super::QueenBee;
+use qb_common::{QbError, QbResult};
+use qb_gossip::{GossipFleet, GossipStats};
+
+impl QueenBee {
+    /// The frontend fleet, when fleet mode is configured.
+    pub fn fleet(&self) -> Option<&GossipFleet> {
+        self.fleet.as_ref()
+    }
+
+    /// Number of frontends (0 outside fleet mode).
+    pub fn num_frontends(&self) -> usize {
+        self.fleet.as_ref().map(|f| f.len()).unwrap_or(0)
+    }
+
+    /// Cumulative gossip counters, when a fleet is configured.
+    pub fn gossip_stats(&self) -> Option<GossipStats> {
+        self.fleet.as_ref().map(|f| *f.stats())
+    }
+
+    /// The fleet, or the "`op` needs a frontend fleet" error. Takes the field,
+    /// not `self`, so callers keep `self.net` free for the fleet call.
+    fn fleet_mut<'a>(
+        fleet: &'a mut Option<GossipFleet>,
+        op: &str,
+    ) -> QbResult<&'a mut GossipFleet> {
+        fleet.as_mut().ok_or_else(|| {
+            QbError::Config(format!(
+                "{op} needs a frontend fleet (config.gossip.num_frontends > 0)"
+            ))
+        })
+    }
+
+    /// Claim the next free user-device peer for a joining frontend. The
+    /// fleet is checked before the cursor moves: an engine without a fleet
+    /// claims nothing.
+    fn claim_join_peer(&mut self, op: &str) -> QbResult<u64> {
+        let peer = self.join_peer_cursor;
+        if peer as usize >= self.config.num_peers - self.config.num_bees {
+            return Err(QbError::Config(
+                "no free peer left to host a new frontend".into(),
+            ));
+        }
+        Self::fleet_mut(&mut self.fleet, op)?;
+        self.join_peer_cursor += 1;
+        Ok(peer)
+    }
+
+    /// A new frontend joins the running fleet on the next free user-device
+    /// peer (initial frontends occupy the lowest peer ids and worker bees
+    /// the highest; the ordinary devices in between can host late
+    /// joiners). The joiner bootstraps its cache by one anti-entropy
+    /// exchange with a live neighbour — warming from the fleet instead of
+    /// the DHT — and the rest of the fleet learns about it through gossiped
+    /// heartbeats. Returns the new frontend's index.
+    pub fn fleet_join(&mut self) -> QbResult<usize> {
+        let now = self.net.now();
+        let peer = self.claim_join_peer("fleet_join")?;
+        let fleet = Self::fleet_mut(&mut self.fleet, "fleet_join")?;
+        fleet.join(&mut self.net, peer, now)
+    }
+
+    /// Like [`QueenBee::fleet_join`], but the joiner first tries to
+    /// bulk-bootstrap its cache from the fleet's newest published segment
+    /// artifact (probing live neighbours for their advertised pointer,
+    /// fetching the artifact through storage + DHT, importing it through
+    /// the version guard, then one delta catch-up exchange), falling back
+    /// to the ordinary gossip bootstrap when no artifact is advertised or
+    /// the fetch fails. Returns the frontend index and a report of what
+    /// the bootstrap actually did.
+    pub fn fleet_join_with_segment(
+        &mut self,
+    ) -> QbResult<(usize, qb_gossip::SegmentBootstrapReport)> {
+        let now = self.net.now();
+        let peer = self.claim_join_peer("fleet_join_with_segment")?;
+        let fleet = Self::fleet_mut(&mut self.fleet, "fleet_join_with_segment")?;
+        let (idx, report) =
+            fleet.join_with_segment(&mut self.net, &mut self.dht, &mut self.storage, peer, now)?;
+        if report.used_segment {
+            self.segment_stats.segments_fetched += 1;
+            self.segment_stats.fetch_bytes += report.fetch_bytes;
+            self.segment_stats.fetch_messages += report.fetch_messages;
+        }
+        self.segment_stats.record_import(&report.imported);
+        Ok((idx, report))
+    }
+
+    /// Frontend `frontend` leaves the fleet: gracefully (departure notices
+    /// let partners drop it immediately) or by crash (the fleet detects the
+    /// silence via heartbeats and evicts it). Its slot index stays valid
+    /// but routing to it fails until [`QueenBee::fleet_rejoin`].
+    pub fn fleet_leave(&mut self, frontend: usize, graceful: bool) -> QbResult<()> {
+        let fleet = Self::fleet_mut(&mut self.fleet, "fleet_leave")?;
+        if frontend >= fleet.len() {
+            return Err(QbError::Config(format!(
+                "frontend {frontend} out of range (fleet has {})",
+                fleet.len()
+            )));
+        }
+        if graceful {
+            fleet.leave(&mut self.net, frontend);
+        } else {
+            fleet.crash(&mut self.net, frontend);
+        }
+        Ok(())
+    }
+
+    /// A departed frontend restarts on its old peer with a fresh cache,
+    /// warming itself from a live neighbour by anti-entropy (not the DHT);
+    /// its bumped heartbeat supersedes every stale view of it.
+    pub fn fleet_rejoin(&mut self, frontend: usize) -> QbResult<()> {
+        let now = self.net.now();
+        let fleet = Self::fleet_mut(&mut self.fleet, "fleet_rejoin")?;
+        if frontend >= fleet.len() {
+            return Err(QbError::Config(format!(
+                "frontend {frontend} out of range (fleet has {})",
+                fleet.len()
+            )));
+        }
+        if fleet.is_active(frontend) {
+            return Err(QbError::Config(format!(
+                "frontend {frontend} is still active; only departed frontends rejoin"
+            )));
+        }
+        fleet.rejoin(&mut self.net, frontend, now);
+        Ok(())
+    }
+
+    /// Force one gossip round right now (experiments and tests; normal
+    /// operation paces rounds by `qb_gossip::config::ROUND_INTERVAL` as simulated
+    /// time advances). `anti_entropy` swaps full digests instead of hot
+    /// sets.
+    pub fn run_gossip_round(&mut self, anti_entropy: bool) {
+        let now = self.net.now();
+        if let Some(fleet) = self.fleet.as_mut() {
+            fleet.run_round(&mut self.net, now, anti_entropy);
+        }
+    }
+
+    /// Run gossip rounds that are due at the current simulated time.
+    pub(super) fn run_due_gossip(&mut self) {
+        let now = self.net.now();
+        if let Some(fleet) = self.fleet.as_mut() {
+            fleet.maybe_run(&mut self.net, now);
+        }
+    }
+
+    /// Snapshot the hottest cached shards of the single-mode cache or of
+    /// fleet frontend `frontend`, for warm-start persistence across engine
+    /// restarts.
+    pub fn export_hot_set(&self, frontend: usize, max: usize) -> Option<Vec<u8>> {
+        let now = self.net.now();
+        if let Some(fleet) = &self.fleet {
+            return (frontend < fleet.len()).then(|| fleet.export_hot_set(frontend, max, now));
+        }
+        self.cache.as_ref().map(|c| c.export_hot_set(max, now))
+    }
+
+    /// Pre-fill the shard tier of the single-mode cache or of fleet
+    /// frontend `frontend` from a previous session's snapshot. Read-time
+    /// version checks still purge anything that went stale while the
+    /// frontend was down. Returns the number of shards admitted.
+    pub fn import_hot_set(&mut self, frontend: usize, data: &[u8]) -> QbResult<usize> {
+        let now = self.net.now();
+        if let Some(fleet) = self.fleet.as_mut() {
+            return fleet.import_hot_set(frontend, data, now);
+        }
+        match self.cache.as_mut() {
+            Some(c) => c.import_hot_set(data, now),
+            None => Err(QbError::Config(
+                "no query cache enabled; nothing to warm-start".into(),
+            )),
+        }
+    }
+}

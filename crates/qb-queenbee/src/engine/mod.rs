@@ -1,0 +1,1464 @@
+//! The QueenBee engine: orchestration of publish, indexing, ranking, search,
+//! ads and incentives over the simulated DWeb.
+//!
+//! One [`QueenBee`] holds the whole deployment; its methods are grouped by
+//! seam, one `impl` block per file:
+//!
+//! * this file — construction, the simulated clock, tracing and metrics;
+//! * `publish` — publishing, the worker bees' indexing of publish events,
+//!   writer-side segment compaction;
+//! * `rank` — the decentralized PageRank round;
+//! * `serve` — planning, fetching and scoring windows, and the three
+//!   closed-loop entry points (`search_request`, `search_batch`,
+//!   `search_pipelined`);
+//! * `open_loop` — `serve_open_loop`, admission control over the pipeline;
+//! * `fleet` — frontend join/leave/rejoin, gossip rounds, hot-set
+//!   persistence;
+//! * `economy` — bees and their behaviour, advertisers, ad clicks, honey.
+//!
+//! The unit tests drive whole scenarios (publish, index, rank, serve)
+//! across those seams and sit together at the bottom of this file.
+
+mod economy;
+mod fleet;
+mod open_loop;
+mod publish;
+mod rank;
+mod serve;
+
+pub use publish::PublishReport;
+
+use crate::bee::WorkerBee;
+use crate::config::{QueenBeeConfig, BEE_STAKE};
+use crate::defense::MinHashSignature;
+use crate::metrics::{FreshnessProbe, QueryEngineStats};
+use qb_cache::{CacheMetrics, QueryCache};
+use qb_chain::{AccountId, Blockchain, Call};
+use qb_common::{QbResult, SimDuration, SimInstant};
+use qb_dht::DhtNetwork;
+use qb_gossip::GossipFleet;
+use qb_index::{Analyzer, DistributedIndex, IndexStats};
+use qb_segment::{Segment, SegmentRef, SegmentStats};
+use qb_simnet::SimNet;
+use qb_storage::StorageNetwork;
+use std::collections::{BTreeSet, HashMap};
+
+/// The assembled QueenBee deployment (Figure 1 of the paper).
+pub struct QueenBee {
+    config: QueenBeeConfig,
+    /// The simulated network of peer devices.
+    pub net: SimNet,
+    /// The Kademlia DHT overlay.
+    pub dht: DhtNetwork,
+    /// Content-addressed decentralized storage.
+    pub storage: StorageNetwork,
+    /// The blockchain with the QueenBee contracts.
+    pub chain: Blockchain,
+    dist_index: DistributedIndex,
+    analyzer: Analyzer,
+    bees: Vec<WorkerBee>,
+    event_cursor: usize,
+    index_stats: IndexStats,
+    /// Highest shard version this engine has written per term. DHT reads can
+    /// return a stale local replica; taking the max with this counter keeps
+    /// shard versions monotonic so replicas never reject a newer write.
+    shard_versions: HashMap<String, u64>,
+    indexed_docs: HashMap<String, (u64, u32)>,
+    /// Terms each indexed document currently appears under, so re-indexing a
+    /// new page version can remove the document from shards of terms it no
+    /// longer contains (otherwise dropped terms would keep serving stale
+    /// versions of the page forever).
+    indexed_terms: HashMap<String, BTreeSet<String>>,
+    ranks_by_name: HashMap<String, f64>,
+    rank_round: u64,
+    signatures: HashMap<String, (u64, MinHashSignature)>,
+    known_creators: BTreeSet<AccountId>,
+    known_advertisers: BTreeSet<AccountId>,
+    query_counter: u64,
+    /// The frontend query-serving cache, when enabled in the configuration
+    /// (single-frontend mode; `None` when a fleet is configured instead).
+    cache: Option<QueryCache>,
+    /// The frontend fleet with per-frontend caches and the cache-gossip
+    /// overlay, when `config.gossip.num_frontends > 0`.
+    fleet: Option<GossipFleet>,
+    /// Shard cache for the indexing (writer) path, present whenever the
+    /// query cache is enabled. Kept separate from the frontend cache(s) so
+    /// indexing reuse never pre-warms (and thus skews) the serving-side
+    /// cold-start behavior the experiments measure.
+    writer_cache: Option<QueryCache>,
+    /// Shards written since the last artifact publish — the pending
+    /// segment a writer compaction folds into the published artifact
+    /// (segment compaction enabled only; stays empty otherwise).
+    pending_segment: Segment,
+    /// Full content of the last published artifact, kept so compaction
+    /// merges the pending shards into it instead of re-reading the
+    /// distributed index.
+    published_segment: Segment,
+    /// Pointer to the last published artifact (generation source).
+    published_segment_ref: Option<SegmentRef>,
+    /// Segment-subsystem counters (publishes, fetches, imports).
+    segment_stats: SegmentStats,
+    /// The next peer a joining frontend runs on ([`QueenBee::fleet_join`]):
+    /// initial frontends occupy the lowest peer ids and bees the highest,
+    /// so the ordinary user devices in between host late joiners.
+    join_peer_cursor: u64,
+    /// Shard reads issued by the indexing path (cache hits + DHT reads).
+    writer_shard_reads: u64,
+    /// Writer-path shard reads served from cache without touching the DHT.
+    writer_shard_cache_hits: u64,
+    /// Engine-lifetime counters of the query-serving path.
+    query_stats: QueryEngineStats,
+    /// Freshness accounting across every search served.
+    pub freshness: FreshnessProbe,
+}
+
+impl QueenBee {
+    /// Build a QueenBee deployment: the peer network, the DHT overlay, the
+    /// storage layer, the blockchain, and the worker bees (which deposit
+    /// their stake on-chain immediately).
+    pub fn new(config: QueenBeeConfig) -> QbResult<QueenBee> {
+        config.validate()?;
+        let mut net = SimNet::new(config.num_peers, config.net.clone(), config.seed);
+        let dht = DhtNetwork::build(&mut net, config.dht.clone());
+        let storage = StorageNetwork::new(config.num_peers, config.storage.clone());
+        let mut chain = Blockchain::new();
+
+        // Worker bees live on the last `num_bees` peers so that publisher and
+        // frontend traffic uses different devices.
+        let mut bees = Vec::with_capacity(config.num_bees);
+        for i in 0..config.num_bees {
+            let peer = (config.num_peers - config.num_bees + i) as u64;
+            let account = AccountId(2_000 + i as u64);
+            chain.fund_from_treasury(account, BEE_STAKE)?;
+            chain.submit_call(account, Call::DepositStake { amount: BEE_STAKE });
+            bees.push(WorkerBee::new(peer, account));
+        }
+        chain.seal_block(net.now());
+        chain.reward_pool_mut().max_index_claims = config.index_quorum.max(1);
+
+        let dist_index = DistributedIndex {
+            inline_threshold: config.shard_inline_threshold,
+        };
+        Ok(QueenBee {
+            analyzer: Analyzer::new(),
+            dist_index,
+            bees,
+            event_cursor: chain.events().len(),
+            index_stats: IndexStats::default(),
+            shard_versions: HashMap::new(),
+            indexed_docs: HashMap::new(),
+            indexed_terms: HashMap::new(),
+            ranks_by_name: HashMap::new(),
+            rank_round: 0,
+            signatures: HashMap::new(),
+            known_creators: BTreeSet::new(),
+            known_advertisers: BTreeSet::new(),
+            query_counter: 0,
+            cache: (config.cache.enabled && config.gossip.num_frontends == 0)
+                .then(|| QueryCache::new(config.cache.clone())),
+            fleet: (config.gossip.num_frontends > 0)
+                .then(|| GossipFleet::new(config.gossip.clone(), &config.cache, config.seed)),
+            writer_cache: config
+                .cache
+                .enabled
+                .then(|| QueryCache::new(config.cache.clone())),
+            pending_segment: Segment::new(),
+            published_segment: Segment::new(),
+            published_segment_ref: None,
+            segment_stats: SegmentStats::default(),
+            join_peer_cursor: config.gossip.num_frontends as u64,
+            writer_shard_reads: 0,
+            writer_shard_cache_hits: 0,
+            query_stats: QueryEngineStats::default(),
+            freshness: FreshnessProbe::default(),
+            net,
+            dht,
+            storage,
+            chain,
+            config,
+        })
+    }
+
+    /// The configuration the engine was built with.
+    pub fn config(&self) -> &QueenBeeConfig {
+        &self.config
+    }
+
+    /// Per-tier counters of the query-serving cache, when it is enabled. In
+    /// fleet mode this is the aggregate over every frontend's cache.
+    pub fn cache_metrics(&self) -> Option<CacheMetrics> {
+        if let Some(fleet) = &self.fleet {
+            let mut total = CacheMetrics::default();
+            for i in 0..fleet.len() {
+                total.merge(&fleet.frontend(i).cache().metrics());
+            }
+            return Some(total);
+        }
+        self.cache.as_ref().map(|c| c.metrics())
+    }
+
+    /// Switch the engine-wide structured tracer on or off. Tracing is off
+    /// by default; while off every span-recording site is a no-op (detail
+    /// closures never run) and the simulation is byte-identical to an
+    /// untraced run.
+    pub fn set_tracing(&mut self, on: bool) {
+        self.net.set_tracing(on);
+    }
+
+    /// Whether the structured tracer is currently recording.
+    pub fn tracing_enabled(&self) -> bool {
+        self.net.tracing_enabled()
+    }
+
+    /// Drain everything the tracer recorded so far into a
+    /// [`qb_trace::Trace`] (span ids restart at 1, so identically-seeded
+    /// measurements produce identical traces).
+    pub fn take_trace(&mut self) -> qb_trace::Trace {
+        self.net.take_trace()
+    }
+
+    /// One unified snapshot over the engine's stats surfaces: network
+    /// counters, per-tier cache counters, gossip counters and query-engine
+    /// counters, all behind [`qb_trace::MetricsSnapshot`]'s named-counter
+    /// interface. Load reports are produced per [`QueenBee::serve_open_loop`]
+    /// run, so callers fold those in themselves via
+    /// [`qb_trace::MetricsSnapshot::collect`].
+    pub fn metrics_snapshot(&self) -> qb_trace::MetricsSnapshot {
+        let stats = self.net.stats().clone();
+        let cache = self.cache_metrics().map(crate::metrics::CacheReport);
+        let gossip = self.gossip_stats();
+        let query = self.query_stats();
+        let mut sources: Vec<&dyn qb_trace::MetricsSource> = vec![&stats, &query];
+        if let Some(cache) = &cache {
+            sources.push(cache);
+        }
+        if let Some(gossip) = &gossip {
+            sources.push(gossip);
+        }
+        if self.config.segment.enabled {
+            sources.push(&self.segment_stats);
+        }
+        qb_trace::MetricsSnapshot::collect(&sources)
+    }
+
+    /// `(reads, cache hits)` of the indexing path's shard reads — the
+    /// writer-path cache reuse that spares `process_publish_events` a DHT
+    /// round-trip per merged term.
+    pub fn writer_cache_stats(&self) -> (u64, u64) {
+        (self.writer_shard_reads, self.writer_shard_cache_hits)
+    }
+
+    /// Engine-lifetime counters of the query-serving path: real
+    /// intersect/score computations, window-memo savings and pipelined
+    /// window/query totals.
+    pub fn query_stats(&self) -> QueryEngineStats {
+        self.query_stats
+    }
+
+    /// Advance the simulated clock. Gossip rounds that became due fire
+    /// before anything else observes the new time.
+    pub fn advance_time(&mut self, d: SimDuration) {
+        self.net.advance(d);
+        self.run_due_gossip();
+    }
+
+    /// Advance the simulated clock to `at` (no-op when `at` is not in the
+    /// future). The open-loop admission layer moves the clock to each
+    /// dispatch instant with this, so gossip rounds fire on the arrival
+    /// timeline rather than in one burst at the end of a replay.
+    pub fn advance_time_to(&mut self, at: SimInstant) {
+        self.net.advance_to(at);
+        self.run_due_gossip();
+    }
+
+    /// Seal the next block on the chain.
+    pub fn seal(&mut self) {
+        self.chain.seal_block(self.net.now());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::attacks::{CollusionAttack, ScraperAttack};
+    use crate::query::executor::WindowMemo;
+    use crate::query::pipeline::PipelineConfig;
+    use crate::query::request::{RoutingPolicy, SearchRequest};
+    use crate::query::response::SearchResponse;
+    use qb_common::QbError;
+    use qb_dweb::WebPage;
+    use qb_workload::AdSpec;
+    use std::sync::Arc;
+
+    fn page(name: &str, body: &str, links: Vec<String>) -> WebPage {
+        WebPage::new(name, format!("Title {name}"), body, links)
+    }
+
+    fn engine() -> QueenBee {
+        QueenBee::new(QueenBeeConfig::small()).unwrap()
+    }
+
+    fn from_peer(peer: u64, query: &str) -> SearchRequest {
+        SearchRequest::new(query).route(RoutingPolicy::HashPeer(peer))
+    }
+
+    fn at_frontend(frontend: usize, query: &str) -> SearchRequest {
+        SearchRequest::new(query).route(RoutingPolicy::Direct(frontend))
+    }
+
+    #[test]
+    fn publish_index_search_round_trip() {
+        let mut qb = engine();
+        let creator = AccountId(1_000);
+        qb.publish(
+            1,
+            creator,
+            &page(
+                "wiki/dweb",
+                "the decentralized web is served by peer devices",
+                vec![],
+            ),
+        )
+        .unwrap();
+        qb.publish(
+            2,
+            AccountId(1_001),
+            &page(
+                "wiki/bees",
+                "worker bees earn honey for indexing pages",
+                vec!["wiki/dweb".into()],
+            ),
+        )
+        .unwrap();
+        qb.seal();
+        let handled = qb.process_publish_events().unwrap();
+        assert_eq!(handled, 2);
+        let out = qb
+            .search_request(from_peer(5, "decentralized peer"))
+            .unwrap();
+        assert!(!out.hits.is_empty());
+        assert_eq!(out.hits[0].name, "wiki/dweb");
+        assert!(out.latency.as_micros() > 0);
+        assert!(out.messages() > 0);
+        // Bees were rewarded for indexing.
+        let bee_balance: u64 = qb.bee_accounts().iter().map(|a| qb.chain.balance(*a)).sum();
+        assert!(bee_balance > 0);
+        // The creator got the publish reward.
+        assert!(qb.chain.balance(creator) >= qb_chain::PUBLISH_REWARD);
+    }
+
+    #[test]
+    fn updates_are_searchable_immediately_after_processing() {
+        let mut qb = engine();
+        let creator = AccountId(1_000);
+        qb.publish(
+            1,
+            creator,
+            &page("news/today", "old stale headline about yesterday", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        // Update the page with a brand-new term.
+        qb.publish(
+            1,
+            creator,
+            &page(
+                "news/today",
+                "breaking exclusive zebrastampede coverage",
+                vec![],
+            ),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let out = qb.search_request(from_peer(3, "zebrastampede")).unwrap();
+        assert_eq!(out.hits.len(), 1);
+        assert_eq!(out.hits[0].version, 2);
+        assert_eq!(qb.freshness.staleness_rate(), 0.0);
+    }
+
+    #[test]
+    fn empty_query_is_rejected() {
+        let mut qb = engine();
+        assert!(matches!(
+            qb.search_request(from_peer(0, "the of and")),
+            Err(QbError::Query(_))
+        ));
+    }
+
+    #[test]
+    fn scraper_mirror_is_rejected_by_duplicate_detection() {
+        let mut qb = engine();
+        let victim = page(
+            "blog/popular",
+            &(0..150)
+                .map(|i| format!("organicword{} ", i % 40))
+                .collect::<String>(),
+            vec![],
+        );
+        qb.publish(1, AccountId(1_000), &victim).unwrap();
+        qb.seal();
+        let attack = ScraperAttack::new(6_666, 1);
+        let reports = qb
+            .run_scraper_attack(&attack, std::slice::from_ref(&victim))
+            .unwrap();
+        assert_eq!(reports.len(), 1);
+        assert!(!reports[0].accepted);
+        assert!(reports[0]
+            .reject_reason
+            .as_ref()
+            .unwrap()
+            .contains("near-duplicate"));
+        // Without the defense the mirror is accepted.
+        let mut cfg = QueenBeeConfig::small();
+        cfg.duplicate_detection = false;
+        let mut qb2 = QueenBee::new(cfg).unwrap();
+        qb2.publish(1, AccountId(1_000), &victim).unwrap();
+        qb2.seal();
+        let reports = qb2.run_scraper_attack(&attack, &[victim]).unwrap();
+        assert!(reports[0].accepted);
+    }
+
+    #[test]
+    fn colluding_minority_is_flagged_and_spam_kept_out_of_the_index() {
+        let mut qb = engine();
+        let attack = CollusionAttack::new(0.25, vec!["evil/spam".into()]);
+        qb.apply_collusion(&attack);
+        assert_eq!(qb.bees().iter().filter(|b| b.is_colluding()).count(), 1);
+        qb.publish(
+            1,
+            AccountId(1_000),
+            &page(
+                "wiki/honest",
+                "legitimate honest content about honeybees",
+                vec![],
+            ),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let out = qb.search_request(from_peer(2, "honeybees")).unwrap();
+        assert!(out.hits.iter().all(|r| r.name != "evil/spam"));
+        // At least one verification quorum caught a colluder (if one was assigned).
+        let flagged: u64 = qb.bees().iter().map(|b| b.times_flagged).sum();
+        let colluder_assigned = qb
+            .bees()
+            .iter()
+            .any(|b| b.is_colluding() && b.pages_indexed + b.times_flagged > 0);
+        if colluder_assigned {
+            assert!(flagged > 0);
+        }
+    }
+
+    #[test]
+    fn rank_round_pays_bees_and_popular_creators() {
+        let mut qb = engine();
+        // A small web where everybody links to the hub.
+        for i in 0..6 {
+            qb.publish(
+                1,
+                AccountId(1_000 + i),
+                &page(
+                    &format!("site/{i}"),
+                    "spoke page content words",
+                    vec!["site/hub".into()],
+                ),
+            )
+            .unwrap();
+        }
+        qb.publish(
+            2,
+            AccountId(1_100),
+            &page("site/hub", "hub page everyone links here", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let report = qb.run_rank_round().unwrap();
+        assert!(report.flagged_bees.is_empty());
+        assert!(qb.rank_of("site/hub") > qb.rank_of("site/0"));
+        // Bees earned rank bounties on top of index bounties.
+        let bee_total: u64 = qb.bee_accounts().iter().map(|a| qb.chain.balance(*a)).sum();
+        assert!(bee_total > 0);
+        // The hub creator earned the popularity reward.
+        assert!(qb.chain.balance(AccountId(1_100)) > qb_chain::PUBLISH_REWARD);
+    }
+
+    #[test]
+    fn rank_rounds_are_deterministic_across_identical_engines() {
+        // The registry iterates a HashMap whose order varies per instance;
+        // before pages were sorted at graph-build time, node ids — and with
+        // them the block partition the collusion defense medians over —
+        // differed between otherwise identical runs, making E6's
+        // rank_inflation_x jitter. Two identical engines must now produce
+        // byte-identical rank rounds.
+        let build = || {
+            let mut qb = engine();
+            for i in 0..8u64 {
+                qb.publish(
+                    1,
+                    AccountId(1_000 + i),
+                    &page(
+                        &format!("site/{i}"),
+                        "spoke page content words",
+                        vec!["site/hub".into(), format!("site/{}", (i + 1) % 8)],
+                    ),
+                )
+                .unwrap();
+            }
+            qb.publish(
+                2,
+                AccountId(1_100),
+                &page("site/hub", "hub page everyone links here", vec![]),
+            )
+            .unwrap();
+            qb.publish(
+                1,
+                AccountId(6_000),
+                &page("evil/spam", "buy cheap honey now", vec![]),
+            )
+            .unwrap();
+            qb.seal();
+            qb.process_publish_events().unwrap();
+            qb.apply_collusion(&CollusionAttack::new(0.5, vec!["evil/spam".into()]));
+            let report = qb.run_rank_round().unwrap();
+            (report, qb.rank_of("evil/spam"))
+        };
+        let (a, spam_a) = build();
+        let (b, spam_b) = build();
+        assert_eq!(a.ranks, b.ranks, "rank vectors must be byte-identical");
+        assert_eq!(a.flagged_bees, b.flagged_bees);
+        assert_eq!(
+            spam_a.to_bits(),
+            spam_b.to_bits(),
+            "the collusion rank path must not jitter between runs"
+        );
+    }
+
+    #[test]
+    fn batch_window_fetches_each_distinct_term_once() {
+        let publish_set = |qb: &mut QueenBee| {
+            qb.publish(
+                1,
+                AccountId(1_000),
+                &page("wiki/a", "meadow honey nectar pollen", vec![]),
+            )
+            .unwrap();
+            qb.publish(
+                2,
+                AccountId(1_001),
+                &page("wiki/b", "meadow honey clover fields", vec![]),
+            )
+            .unwrap();
+            qb.seal();
+            qb.process_publish_events().unwrap();
+        };
+        let requests = vec![
+            from_peer(3, "meadow honey"),
+            from_peer(4, "honey nectar"),
+            from_peer(5, "meadow clover"),
+        ];
+
+        // No cache: the batch window is the only sharing mechanism.
+        let mut batched = engine();
+        publish_set(&mut batched);
+        let responses = batched.search_batch(requests.clone()).unwrap();
+        let fetches: usize = responses.iter().map(|r| r.shards_fetched()).sum();
+        let shared: usize = responses.iter().map(|r| r.batch_shared()).sum();
+        assert_eq!(fetches, 4, "distinct terms: meadow, honey, nectar, clover");
+        assert_eq!(shared, 2, "meadow and honey are reused from the window");
+
+        // Sequential execution of the same stream on an identical engine
+        // pays per-query fetches but returns byte-identical hits.
+        let mut sequential = engine();
+        publish_set(&mut sequential);
+        let mut seq_fetches = 0usize;
+        let mut seq_messages = 0u64;
+        for (request, batched_response) in requests.into_iter().zip(&responses) {
+            let response = sequential.search_request(request).unwrap();
+            seq_fetches += response.shards_fetched();
+            seq_messages += response.messages();
+            assert_eq!(response.hits, batched_response.hits);
+            assert_eq!(response.total_matches, batched_response.total_matches);
+        }
+        assert_eq!(seq_fetches, 6, "sequential pays every term again");
+        let batch_messages: u64 = responses.iter().map(|r| r.messages()).sum();
+        assert!(
+            batch_messages < seq_messages,
+            "batching must cut total RPC messages ({batch_messages} vs {seq_messages})"
+        );
+    }
+
+    #[test]
+    fn pipelined_execution_matches_sequential_results_and_cuts_makespan() {
+        let publish_set = |qb: &mut QueenBee| {
+            qb.publish(
+                1,
+                AccountId(1_000),
+                &page("wiki/a", "meadow honey nectar pollen", vec![]),
+            )
+            .unwrap();
+            qb.publish(
+                2,
+                AccountId(1_001),
+                &page("wiki/b", "meadow honey clover fields", vec![]),
+            )
+            .unwrap();
+            qb.seal();
+            qb.process_publish_events().unwrap();
+        };
+        // A duplicate-heavy stream: four windows of two, with the same
+        // query recurring across (and within) windows.
+        let queries = [
+            "meadow honey",
+            "meadow honey",
+            "honey nectar",
+            "meadow honey",
+            "meadow clover",
+            "honey nectar",
+            "meadow honey",
+            "clover fields",
+        ];
+        let requests = |offset: u64| -> Vec<SearchRequest> {
+            queries
+                .iter()
+                .enumerate()
+                .map(|(i, q)| {
+                    SearchRequest::new(*q).route(RoutingPolicy::HashPeer(offset + i as u64))
+                })
+                .collect()
+        };
+
+        // Sequential reference (windows of one, no memo).
+        let mut sequential = engine();
+        publish_set(&mut sequential);
+        let mut seq_hits = Vec::new();
+        for req in requests(3) {
+            seq_hits.push(sequential.search_request(req).unwrap().hits);
+        }
+        let seq_invocations = sequential.query_stats().score_invocations;
+
+        // Back-to-back windows (the PR 3 path): makespan = sum of window
+        // latencies.
+        let mut b2b = engine();
+        publish_set(&mut b2b);
+        let mut b2b_makespan = SimDuration::ZERO;
+        for window in requests(3).chunks(2) {
+            let responses = b2b.search_batch(window.to_vec()).unwrap();
+            b2b_makespan += qb_simnet::parallel_latency(
+                &responses.iter().map(|r| r.latency).collect::<Vec<_>>(),
+            );
+        }
+        let b2b_invocations = b2b.query_stats().score_invocations;
+
+        // Pipelined: same stream, windows of two, overlapped.
+        let mut pipelined = engine();
+        publish_set(&mut pipelined);
+        let outcome = pipelined
+            .search_pipelined(
+                requests(3),
+                PipelineConfig {
+                    window_size: 2,
+                    max_windows_in_flight: 4,
+                    ..PipelineConfig::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(outcome.responses.len(), queries.len());
+        for (resp, seq) in outcome.responses.iter().zip(&seq_hits) {
+            assert_eq!(&resp.hits, seq, "pipelined results must be byte-identical");
+        }
+        let report = outcome.report;
+        assert_eq!(report.windows, 4);
+        assert!(
+            report.makespan < b2b_makespan,
+            "overlap must beat back-to-back ({} vs {b2b_makespan})",
+            report.makespan
+        );
+        assert!(report.memo_hits > 0, "duplicate queries must hit the memo");
+        assert!(report.peak_windows_in_flight > 1, "windows must overlap");
+        let stats = pipelined.query_stats();
+        assert_eq!(stats.pipelined_windows, 4);
+        assert_eq!(stats.pipelined_queries, queries.len() as u64);
+        assert_eq!(stats.window_memo_hits, report.memo_hits);
+        assert!(
+            stats.score_invocations < b2b_invocations,
+            "memo must cut intersect/score invocations ({} vs {})",
+            stats.score_invocations,
+            b2b_invocations
+        );
+        assert!(stats.score_invocations < seq_invocations);
+        // The async tracker was fully drained, and every fetch expanded
+        // into at least one per-hop asynchronous operation on the wire.
+        assert_eq!(pipelined.net.async_in_flight(), 0);
+        assert!(
+            pipelined.net.stats().async_ops >= report.shard_fetches + report.stats_reads,
+            "event-driven fetches issue at least one async op each ({} vs {})",
+            pipelined.net.stats().async_ops,
+            report.shard_fetches + report.stats_reads
+        );
+    }
+
+    #[test]
+    fn depth_one_pipeline_degenerates_to_back_to_back() {
+        let mut qb = engine();
+        qb.publish(
+            1,
+            AccountId(1_000),
+            &page("wiki/a", "larkspur bumble crickets", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let requests: Vec<SearchRequest> =
+            (0..4).map(|i| from_peer(i, "larkspur crickets")).collect();
+        let outcome = qb
+            .search_pipelined(
+                requests,
+                PipelineConfig {
+                    window_size: 2,
+                    max_windows_in_flight: 1,
+                    ..PipelineConfig::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(outcome.report.peak_windows_in_flight, 1);
+        // With one window in flight the makespan is the sum of the window
+        // tails: no window ever overlaps another.
+        assert!(outcome.report.makespan >= outcome.responses[0].latency);
+        assert_eq!(outcome.responses.len(), 4);
+    }
+
+    #[test]
+    fn an_aborted_pipelined_run_leaves_the_engine_as_good_as_new() {
+        let build = || {
+            let mut qb = engine();
+            for (name, text) in [
+                ("wiki/a", "meadow honey nectar pollen"),
+                ("wiki/b", "meadow honey clover fields"),
+            ] {
+                qb.publish(1, AccountId(1_000), &page(name, text, vec![]))
+                    .unwrap();
+            }
+            qb.seal();
+            qb.process_publish_events().unwrap();
+            qb
+        };
+        // Two windows of one query, both issued at the call instant; the
+        // second one's origin peer is down.
+        let requests = || vec![from_peer(3, "meadow honey"), from_peer(5, "honey clover")];
+        let config = PipelineConfig {
+            window_size: 1,
+            max_windows_in_flight: 2,
+            ..PipelineConfig::default()
+        };
+
+        let mut qb = build();
+        qb.net.set_online(5, false);
+        let issued_before = qb.net.stats().async_ops;
+        let aborted = qb.search_pipelined(requests(), config);
+        assert!(matches!(aborted, Err(QbError::NodeOffline(5))));
+        assert!(
+            qb.net.stats().async_ops > issued_before,
+            "window 1 had hops on the wire when window 2 failed"
+        );
+        assert_eq!(qb.net.async_in_flight(), 0, "the abort retired them");
+        assert_eq!(
+            qb.query_stats(),
+            QueryEngineStats::default(),
+            "no window retired, so nothing is reported as served"
+        );
+
+        // The same run on healthy peers answers as a fresh engine does.
+        qb.net.set_online(5, true);
+        let retried = qb.search_pipelined(requests(), config).unwrap();
+        let fresh = build().search_pipelined(requests(), config).unwrap();
+        assert_eq!(retried.responses.len(), 2);
+        for (a, b) in retried.responses.iter().zip(&fresh.responses) {
+            assert_eq!((&a.terms, &a.hits), (&b.terms, &b.hits));
+            assert_eq!(
+                (a.total_matches, &a.provenance),
+                (b.total_matches, &b.provenance)
+            );
+        }
+        assert_eq!(qb.net.async_in_flight(), 0);
+        let stats = qb.query_stats();
+        assert_eq!((stats.pipelined_windows, stats.pipelined_queries), (2, 2));
+    }
+
+    #[test]
+    fn a_read_failing_at_issue_does_not_strand_its_windows_other_reads() {
+        let mut qb = engine();
+        qb.publish(
+            1,
+            AccountId(1_000),
+            &page("wiki/a", "meadow honey nectar pollen", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        // One window: the first query's reads are on the wire when the
+        // second one's (offline origin) fail at the issue instant.
+        qb.net.set_online(5, false);
+        let requests = vec![from_peer(3, "meadow honey"), from_peer(5, "nectar pollen")];
+        let aborted = qb.search_pipelined(requests, PipelineConfig::default());
+        assert!(matches!(aborted, Err(QbError::NodeOffline(5))));
+        assert_eq!(qb.net.async_in_flight(), 0);
+    }
+
+    fn cached_engine() -> QueenBee {
+        let mut config = QueenBeeConfig::small();
+        config.cache = qb_cache::CacheConfig::enabled();
+        QueenBee::new(config).unwrap()
+    }
+
+    #[test]
+    fn warm_repeated_query_issues_no_rpc_messages() {
+        let mut qb = cached_engine();
+        qb.publish(
+            1,
+            AccountId(1_000),
+            &page("wiki/dweb", "peers serve the decentralized web", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+
+        let cold = qb
+            .search_request(from_peer(5, "decentralized peers"))
+            .unwrap();
+        assert!(!cold.result_cache_hit());
+        assert!(cold.messages() > 0);
+        assert!(cold.shards_fetched() > 0);
+
+        let warm = qb
+            .search_request(from_peer(5, "decentralized peers"))
+            .unwrap();
+        assert!(warm.result_cache_hit());
+        assert_eq!(warm.messages(), 0, "warm query must not touch the DHT");
+        assert_eq!(warm.shards_fetched(), 0);
+        assert!(warm.latency < cold.latency);
+        assert_eq!(warm.hits, cold.hits);
+
+        // Term order must not defeat the result cache.
+        let reordered = qb
+            .search_request(from_peer(5, "peers decentralized"))
+            .unwrap();
+        assert!(reordered.result_cache_hit());
+
+        let m = qb.cache_metrics().expect("cache enabled");
+        assert_eq!(m.result.hits, 2);
+        assert!(m.result.misses >= 1);
+    }
+
+    #[test]
+    fn memo_hit_result_tier_and_result_hit_share_one_scored_list() {
+        let mut qb = cached_engine();
+        for (name, text) in [
+            ("wiki/dweb", "peers serve the decentralized web"),
+            ("wiki/p2p", "decentralized peers gossip"),
+        ] {
+            qb.publish(1, AccountId(1_000), &page(name, text, vec![]))
+                .unwrap();
+        }
+        qb.seal();
+        qb.process_publish_events().unwrap();
+
+        // One window holding the same query twice: both plans miss the
+        // result tier, the second serve is a window-memo hit.
+        let query = || from_peer(5, "decentralized peers");
+        let plans = qb.plan_window(vec![query(), query()]).unwrap();
+        let key = plans[0].result_key.clone();
+        let (fetched, stats_read) = qb.fetch_window(&plans).unwrap();
+        let now = qb.net.now();
+        let mut memo = WindowMemo::default();
+        let responses: Vec<SearchResponse> = plans
+            .into_iter()
+            .map(|plan| qb.serve_plan(plan, &fetched, &stats_read, now, Some(&mut memo)))
+            .collect();
+        assert_eq!((memo.invocations, memo.hits), (1, 1));
+        assert_eq!(responses[0].hits, responses[1].hits);
+        assert_eq!(responses[0].hits.len(), 2);
+
+        // A later result-cache hit is planned on the list the computation
+        // materialised once: the result tier holds the memo's allocation
+        // (tier + memo + the plan's handle + this one).
+        let warm = qb.plan_window(vec![query()]).unwrap().remove(0);
+        assert_eq!(warm.result_key, key);
+        let cached = warm.cached_result.as_ref().expect("result-cache hit");
+        let list = Arc::clone(&cached.results);
+        assert_eq!(Arc::strong_count(&list), 4);
+        drop(memo);
+        assert_eq!(Arc::strong_count(&list), 3);
+        // The fetched shards fanned out as handles too.
+        for fetch in fetched.values() {
+            let resident = qb.cache.as_ref().unwrap().peek_shard(&fetch.value.term);
+            assert!(Arc::ptr_eq(resident.expect("fanned out"), &fetch.value));
+        }
+        let served = qb.serve_plan(warm, &fetched, &stats_read, now, None);
+        assert!(served.result_cache_hit());
+        assert_eq!(served.hits, responses[0].hits);
+    }
+
+    #[test]
+    fn shard_cache_serves_overlapping_queries() {
+        let mut qb = cached_engine();
+        qb.publish(
+            1,
+            AccountId(1_000),
+            &page("wiki/honey", "honey and nectar from bees", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+
+        let first = qb.search_request(from_peer(3, "honey nectar")).unwrap();
+        assert_eq!(first.shard_cache_hits(), 0);
+        // A different query sharing a term reuses that term's cached shard.
+        let second = qb.search_request(from_peer(3, "honey bees")).unwrap();
+        assert!(!second.result_cache_hit());
+        assert!(second.shard_cache_hits() >= 1);
+        assert!(second.messages() < first.messages());
+    }
+
+    #[test]
+    fn republish_invalidates_cached_results_immediately() {
+        let mut qb = cached_engine();
+        let creator = AccountId(1_000);
+        qb.publish(
+            1,
+            creator,
+            &page("news/today", "headline about honeybadgers", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+
+        // Warm the cache on the old version.
+        let v1 = qb.search_request(from_peer(4, "honeybadgers")).unwrap();
+        assert_eq!(v1.hits[0].version, 1);
+        assert!(qb
+            .search_request(from_peer(4, "honeybadgers"))
+            .unwrap()
+            .result_cache_hit());
+
+        // Republish: same term, new version. Indexing must purge the entry.
+        qb.publish(
+            1,
+            creator,
+            &page("news/today", "fresh honeybadgers exclusive", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+
+        let after = qb.search_request(from_peer(4, "honeybadgers")).unwrap();
+        assert!(!after.result_cache_hit(), "stale entry must not serve");
+        assert_eq!(after.hits[0].version, 2);
+        assert_eq!(qb.freshness.stale_results, 0, "no stale result ever served");
+        let m = qb.cache_metrics().unwrap();
+        assert!(m.total_invalidations() > 0);
+    }
+
+    #[test]
+    fn negative_cache_suppresses_repeat_lookups_for_absent_terms() {
+        let mut qb = cached_engine();
+        qb.publish(
+            1,
+            AccountId(1_000),
+            &page("wiki/a", "ordinary page body", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+
+        let cold = qb.search_request(from_peer(2, "nonexistentterm")).unwrap();
+        assert!(cold.hits.is_empty());
+        assert!(cold.messages() > 0);
+        // The result cache would satisfy the identical query; a *different*
+        // query sharing the absent term exercises the negative tier.
+        let warm = qb
+            .search_request(from_peer(2, "nonexistentterm ordinary"))
+            .unwrap();
+        assert_eq!(warm.negative_cache_hits(), 1);
+        // Once the term is published, the negative entry dies.
+        qb.publish(
+            1,
+            AccountId(1_000),
+            &page("wiki/b", "nonexistentterm appears now", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let found = qb.search_request(from_peer(2, "nonexistentterm")).unwrap();
+        assert_eq!(found.negative_cache_hits(), 0);
+        assert_eq!(found.hits.len(), 1);
+    }
+
+    #[test]
+    fn cache_disabled_preserves_seed_behavior() {
+        let mut qb = engine();
+        qb.publish(
+            1,
+            AccountId(1_000),
+            &page("wiki/x", "plain page about caching", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        assert!(qb.cache_metrics().is_none());
+        let a = qb.search_request(from_peer(5, "caching")).unwrap();
+        let b = qb.search_request(from_peer(5, "caching")).unwrap();
+        assert!(!a.result_cache_hit() && !b.result_cache_hit());
+        assert_eq!(
+            a.messages(),
+            b.messages(),
+            "no warm-up effect without the cache"
+        );
+    }
+
+    fn fleet_engine(n: usize, gossip_on: bool) -> QueenBee {
+        let mut config = QueenBeeConfig::small();
+        config.cache = qb_cache::CacheConfig::enabled();
+        config.gossip = if gossip_on {
+            qb_gossip::GossipConfig::enabled(n)
+        } else {
+            qb_gossip::GossipConfig::fleet(n)
+        };
+        QueenBee::new(config).unwrap()
+    }
+
+    #[test]
+    fn fleet_frontends_have_private_caches() {
+        let mut qb = fleet_engine(3, false);
+        qb.publish(
+            5,
+            AccountId(1_000),
+            &page("wiki/fleet", "frontends cache privately", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        assert_eq!(qb.num_frontends(), 3);
+        let cold0 = qb
+            .search_request(at_frontend(0, "frontends privately"))
+            .unwrap();
+        assert!(cold0.shards_fetched() > 0);
+        // Without gossip, frontend 1 cold-starts on its own.
+        let cold1 = qb
+            .search_request(at_frontend(1, "frontends privately"))
+            .unwrap();
+        assert!(cold1.shards_fetched() > 0, "no sharing without gossip");
+        // But each frontend's own repeat is warm.
+        let warm0 = qb
+            .search_request(at_frontend(0, "frontends privately"))
+            .unwrap();
+        assert!(warm0.result_cache_hit());
+        // HashPeer routes by rendezvous hash over the live fleet; peer 3's
+        // winning slot is one of the two frontends warmed above.
+        let routed = qb
+            .search_request(from_peer(3, "frontends privately"))
+            .unwrap();
+        assert!(
+            routed.result_cache_hit(),
+            "peer 3 routes to a warm frontend"
+        );
+        // Direct routing out of range / without a fleet errors cleanly.
+        assert!(qb.search_request(at_frontend(9, "x")).is_err());
+        assert!(engine().search_request(at_frontend(0, "x")).is_err());
+    }
+
+    #[test]
+    fn gossip_warms_the_rest_of_the_fleet() {
+        let mut qb = fleet_engine(3, true);
+        qb.publish(
+            5,
+            AccountId(1_000),
+            &page("wiki/swarm", "gossip spreads cached shards", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let cold = qb.search_request(at_frontend(0, "gossip shards")).unwrap();
+        assert!(cold.shards_fetched() > 0);
+        qb.run_gossip_round(false);
+        for i in 1..3 {
+            let warmed = qb.search_request(at_frontend(i, "gossip shards")).unwrap();
+            assert_eq!(
+                warmed.shards_fetched(),
+                0,
+                "frontend {i} should be warm after the gossip round"
+            );
+            assert!(warmed.shard_cache_hits() > 0);
+            assert_eq!(warmed.hits, cold.hits);
+        }
+        let stats = qb.gossip_stats().unwrap();
+        assert!(stats.shards_accepted >= 2);
+        assert!(stats.total_bytes() > 0);
+        assert_eq!(stats.stale_rejected, 0);
+        assert_eq!(qb.freshness.stale_results, 0);
+    }
+
+    #[test]
+    fn gossip_rounds_fire_as_time_advances() {
+        let mut qb = fleet_engine(2, true);
+        qb.publish(
+            5,
+            AccountId(1_000),
+            &page("a/b", "timed gossip rounds", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        qb.search_request(at_frontend(0, "timed rounds")).unwrap();
+        assert_eq!(qb.gossip_stats().unwrap().rounds, 0, "not due yet");
+        qb.advance_time(qb_gossip::config::ROUND_INTERVAL);
+        assert!(qb.gossip_stats().unwrap().rounds >= 1);
+        let warmed = qb.search_request(at_frontend(1, "timed rounds")).unwrap();
+        assert_eq!(warmed.shards_fetched(), 0);
+    }
+
+    #[test]
+    fn fleet_join_bootstraps_from_the_fleet_not_the_dht() {
+        let mut qb = fleet_engine(3, true);
+        qb.publish(
+            10,
+            AccountId(1_000),
+            &page(
+                "wiki/churn",
+                "churned frontends warm from neighbours",
+                vec![],
+            ),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        // Warm the fleet through one frontend + a gossip round.
+        qb.search_request(at_frontend(0, "churned neighbours"))
+            .unwrap();
+        qb.run_gossip_round(false);
+        // A fourth frontend joins and is warm *before* its first query.
+        let idx = qb.fleet_join().unwrap();
+        assert_eq!(idx, 3);
+        assert_eq!(qb.num_frontends(), 4);
+        let out = qb
+            .search_request(at_frontend(idx, "churned neighbours"))
+            .unwrap();
+        assert_eq!(
+            out.shards_fetched(),
+            0,
+            "the joiner's bootstrap must warm it without DHT fetches"
+        );
+        assert!(out.shard_cache_hits() > 0);
+        assert_eq!(qb.freshness.stale_results, 0);
+        assert_eq!(qb.gossip_stats().unwrap().joins, 1);
+    }
+
+    fn segment_fleet_engine(n: usize) -> QueenBee {
+        let mut config = QueenBeeConfig::small();
+        config.cache = qb_cache::CacheConfig::enabled();
+        config.gossip = qb_gossip::GossipConfig::enabled(n);
+        config.segment = qb_segment::SegmentConfig::enabled();
+        // Compact on every publish batch so the tests see artifacts
+        // without bulk workloads.
+        config.segment.max_pending_terms = 1;
+        QueenBee::new(config).unwrap()
+    }
+
+    #[test]
+    fn writer_compaction_publishes_generational_artifacts() {
+        let mut qb = segment_fleet_engine(2);
+        qb.publish(
+            10,
+            AccountId(1_000),
+            &page("wiki/seg", "segments compact writer output", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let s = qb.segment_stats();
+        assert_eq!(s.compactions, 1);
+        assert_eq!(s.segments_published, 1);
+        assert!(s.publish_bytes > 0, "publishing an artifact is never free");
+        let first = qb.latest_segment().unwrap();
+        assert_eq!(first.generation, 1);
+        assert!(first.term_count > 0);
+        assert_eq!(qb.pending_segment_terms(), 0, "compaction drains pending");
+        // A second batch folds forward into generation 2, keeping at least
+        // the previously published terms (version-dominant merge).
+        qb.publish(
+            10,
+            AccountId(1_000),
+            &page("wiki/seg2", "segments keep merging forward", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let second = qb.latest_segment().unwrap();
+        assert_eq!(second.generation, 2);
+        assert!(second.term_count >= first.term_count);
+        assert_eq!(qb.segment_stats().compactions, 2);
+    }
+
+    #[test]
+    fn segment_join_bulk_bootstraps_a_new_frontend() {
+        let mut qb = segment_fleet_engine(2);
+        qb.publish(
+            10,
+            AccountId(1_000),
+            &page("wiki/boot", "artifact bootstrap warms joiners", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        assert!(qb.latest_segment().is_some());
+        let (idx, report) = qb.fleet_join_with_segment().unwrap();
+        assert_eq!(idx, 2);
+        assert!(report.used_segment, "an advertised artifact must be used");
+        assert!(report.imported.accepted > 0);
+        let s = qb.segment_stats();
+        assert_eq!(s.segments_fetched, 1);
+        assert!(s.fetch_bytes > 0, "fetching an artifact is never free");
+        assert_eq!(s.shards_imported, report.imported.accepted);
+        let out = qb
+            .search_request(at_frontend(idx, "artifact bootstrap"))
+            .unwrap();
+        assert_eq!(out.shards_fetched(), 0, "the import must warm the joiner");
+        assert!(out.shard_cache_hits() > 0);
+        assert_eq!(
+            qb.freshness.stale_results, 0,
+            "no stale serves after import"
+        );
+        // The segment counters ride the unified metrics snapshot.
+        let snap = qb.metrics_snapshot();
+        assert_eq!(snap.counter("segment.segments_fetched"), 1);
+        assert!(snap.counter("segment.publish_bytes") > 0);
+    }
+
+    #[test]
+    fn segment_join_falls_back_to_gossip_without_an_artifact() {
+        // Segments disabled: no artifact is ever advertised, so the same
+        // call bootstraps through the ordinary gossip exchange.
+        let mut qb = fleet_engine(2, true);
+        qb.publish(
+            10,
+            AccountId(1_000),
+            &page("wiki/fallback", "no artifact means gossip warmup", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        qb.search_request(at_frontend(0, "artifact gossip"))
+            .unwrap();
+        qb.run_gossip_round(false);
+        let (idx, report) = qb.fleet_join_with_segment().unwrap();
+        assert!(!report.used_segment);
+        assert_eq!(qb.segment_stats().segments_fetched, 0);
+        let out = qb
+            .search_request(at_frontend(idx, "artifact gossip"))
+            .unwrap();
+        assert_eq!(out.shards_fetched(), 0, "gossip fallback still warms");
+    }
+
+    #[test]
+    fn fleet_leave_and_rejoin_route_around_departed_frontends() {
+        let mut qb = fleet_engine(3, true);
+        qb.publish(
+            10,
+            AccountId(1_000),
+            &page("wiki/leave", "departures reroute queries", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        qb.search_request(at_frontend(0, "departures reroute"))
+            .unwrap();
+        qb.run_gossip_round(false);
+
+        qb.fleet_leave(1, true).unwrap();
+        // Direct routing to the departed frontend fails cleanly...
+        assert!(qb
+            .search_request(at_frontend(1, "departures reroute"))
+            .is_err());
+        assert!(
+            qb.fleet_rejoin(0).is_err(),
+            "active frontends cannot rejoin"
+        );
+        // ...while hashed routing falls over to a surviving slot.
+        let routed = qb
+            .search_request(from_peer(1, "departures reroute"))
+            .unwrap();
+        assert!(!routed.hits.is_empty());
+        // A crashed frontend rejoins with a fleet-warmed cache.
+        qb.fleet_leave(2, false).unwrap();
+        assert_eq!(qb.gossip_stats().unwrap().crashes, 1);
+        qb.fleet_rejoin(2).unwrap();
+        let out = qb
+            .search_request(at_frontend(2, "departures reroute"))
+            .unwrap();
+        assert_eq!(out.shards_fetched(), 0, "rejoin warms from the fleet");
+        assert_eq!(qb.freshness.stale_results, 0);
+        let stats = qb.gossip_stats().unwrap();
+        assert_eq!(stats.leaves, 1);
+        assert_eq!(stats.joins, 1, "rejoin counts as a join");
+    }
+
+    #[test]
+    fn crashed_slot_keyspace_spreads_across_the_surviving_fleet() {
+        use std::collections::HashSet;
+        let mut qb = fleet_engine(8, true);
+        // Peers whose rendezvous winner is slot 2 — the keyspace a crash
+        // of that slot orphans.
+        let orphans: Vec<u64> = (0..512u64)
+            .filter(|&p| qb.route_frontend(&RoutingPolicy::HashPeer(p)).unwrap() == Some(2))
+            .collect();
+        assert!(
+            orphans.len() > 16,
+            "rendezvous gives slot 2 roughly 1/8 of 512 peers, got {}",
+            orphans.len()
+        );
+        qb.fleet_leave(2, false).unwrap();
+        let landed: HashSet<usize> = orphans
+            .iter()
+            .map(|&p| {
+                let f = qb
+                    .route_frontend(&RoutingPolicy::HashPeer(p))
+                    .unwrap()
+                    .expect("fleet mode");
+                assert_ne!(f, 2, "crashed slot must not serve");
+                f
+            })
+            .collect();
+        // Each orphaned peer falls over to its own second choice, so the
+        // dead slot's keyspace spreads across at least half the survivors.
+        assert!(
+            landed.len() * 2 >= 7,
+            "orphans landed on only {} of 7 survivors",
+            landed.len()
+        );
+        // The seed's ring walk dumps its entire orphaned keyspace (peers
+        // hashing to slot 2 modulo 8) onto the single ring successor.
+        let ring_landed: HashSet<usize> = (0..512u64)
+            .filter(|p| p % 8 == 2)
+            .map(|p| {
+                qb.route_frontend(&RoutingPolicy::RingSuccessor(p))
+                    .unwrap()
+                    .expect("fleet mode")
+            })
+            .collect();
+        assert_eq!(
+            ring_landed,
+            HashSet::from([3]),
+            "ring-successor failover concentrates on one slot"
+        );
+    }
+
+    #[test]
+    fn writer_path_reuses_cached_shards_on_reindex() {
+        let mut qb = cached_engine();
+        let creator = AccountId(1_000);
+        qb.publish(
+            1,
+            creator,
+            &page("news/cycle", "rolling headline coverage", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let (reads_v1, hits_v1) = qb.writer_cache_stats();
+        assert!(reads_v1 > 0);
+        assert_eq!(hits_v1, 0, "first index of each term must read the DHT");
+        // Republishing the same page merges the same terms: the writer path
+        // now serves them from its shard tier instead of re-reading the DHT.
+        qb.publish(
+            1,
+            creator,
+            &page("news/cycle", "rolling headline coverage", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let (reads_v2, hits_v2) = qb.writer_cache_stats();
+        assert!(reads_v2 > reads_v1);
+        assert_eq!(
+            hits_v2,
+            reads_v2 - reads_v1,
+            "every re-merged term should hit the writer cache"
+        );
+        // The version discipline held: the fresh version serves.
+        let out = qb.search_request(from_peer(4, "headline")).unwrap();
+        assert_eq!(out.hits[0].version, 2);
+        assert_eq!(qb.freshness.stale_results, 0);
+    }
+
+    #[test]
+    fn warm_start_prefills_a_restarted_frontend() {
+        let build = || {
+            let mut qb = cached_engine();
+            qb.publish(
+                1,
+                AccountId(1_000),
+                &page(
+                    "wiki/persist",
+                    "warm start snapshots survive restarts",
+                    vec![],
+                ),
+            )
+            .unwrap();
+            qb.seal();
+            qb.process_publish_events().unwrap();
+            qb
+        };
+        let mut first = build();
+        let cold = first
+            .search_request(from_peer(5, "snapshots survive"))
+            .unwrap();
+        assert!(cold.shards_fetched() > 0);
+        let snapshot = first.export_hot_set(0, 16).expect("cache enabled");
+        // Same deployment, restarted: import the previous session's hot set.
+        let mut restarted = build();
+        let admitted = restarted.import_hot_set(0, &snapshot).unwrap();
+        assert!(admitted > 0);
+        let warm = restarted
+            .search_request(from_peer(5, "snapshots survive"))
+            .unwrap();
+        assert_eq!(
+            warm.shards_fetched(),
+            0,
+            "pre-filled shards serve the first query"
+        );
+        assert!(warm.shard_cache_hits() > 0);
+        assert_eq!(warm.hits, cold.hits);
+    }
+
+    #[test]
+    fn ad_click_splits_revenue() {
+        let mut qb = engine();
+        qb.publish(
+            1,
+            AccountId(1_000),
+            &page("shop/rust", "buy rusty decentralized widgets", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let spec = AdSpec {
+            advertiser: 5_000,
+            keywords: vec![Analyzer::stem("widgets")],
+            bid_per_click: 100,
+            budget: 1_000,
+        };
+        qb.register_advertiser(&spec).unwrap();
+        let out = qb
+            .search_request(from_peer(3, "decentralized widgets"))
+            .unwrap();
+        assert!(out.ad.is_some(), "an ad should match the query");
+        let creator_before = qb.chain.balance(AccountId(1_000));
+        let clicked = qb.click_ad(&out).unwrap();
+        assert!(clicked);
+        assert!(qb.chain.balance(AccountId(1_000)) > creator_before);
+        let roles = qb.honey_by_role();
+        assert_eq!(roles.total(), qb.chain.accounts().total_supply());
+    }
+}

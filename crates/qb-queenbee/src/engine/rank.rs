@@ -1,0 +1,125 @@
+//! The rank seam: one decentralized PageRank round over the published
+//! link graph.
+
+use super::QueenBee;
+use crate::bee::BeeBehaviour;
+use crate::config::SLASH_AMOUNT;
+use qb_chain::{AccountId, Call};
+use qb_common::{DhtKey, Hash256, QbResult};
+use qb_rank::{LinkGraph, RankRoundReport};
+
+impl QueenBee {
+    /// Run one decentralized PageRank round over the current registry's link
+    /// graph: bees compute blocks redundantly, manipulated submissions are
+    /// flagged and slashed, ranks are stored in decentralized storage, rank
+    /// bounties are claimed and popularity rewards paid.
+    pub fn run_rank_round(&mut self) -> QbResult<RankRoundReport> {
+        let mut graph = LinkGraph::new();
+        // The registry iterates a HashMap; sort by name before assigning
+        // node ids. Ids drive the block partition of the decentralized
+        // computation (and, under collusion, which quorum medians see the
+        // boosted targets), so an unordered walk makes rank output differ
+        // between runs of the same simulation.
+        let mut pages: Vec<(String, Vec<String>, AccountId)> = self
+            .chain
+            .publish_registry()
+            .pages()
+            .map(|p| (p.name.clone(), p.out_links.clone(), p.creator))
+            .collect();
+        pages.sort_by(|a, b| a.0.cmp(&b.0));
+        for (name, links, _) in &pages {
+            graph.set_links(name, links);
+        }
+
+        // Resolve the coalition's boost targets to node ids.
+        let behaviours: Vec<qb_rank::BeeRankBehaviour> = self
+            .bees
+            .iter()
+            .map(|bee| {
+                let targets: Vec<usize> = match &bee.behaviour {
+                    BeeBehaviour::Colluding { boost_pages, .. } => {
+                        boost_pages.iter().filter_map(|p| graph.id_of(p)).collect()
+                    }
+                    _ => Vec::new(),
+                };
+                bee.rank_behaviour(&targets)
+            })
+            .collect();
+
+        let report = self.config.rank.run(&graph, &behaviours);
+        self.rank_round += 1;
+
+        // Store the rank vector in decentralized storage with a DHT pointer
+        // ("page ranks ... hosted in a decentralized storage").
+        self.ranks_by_name = report
+            .ranks
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (graph.name_of(i).to_string(), *r))
+            .collect();
+        if !self.ranks_by_name.is_empty() {
+            let mut encoded = String::new();
+            let mut names: Vec<&String> = self.ranks_by_name.keys().collect();
+            names.sort();
+            for name in names {
+                encoded.push_str(&format!("{name}\t{:.9}\n", self.ranks_by_name[name]));
+            }
+            let peer = self.bees[0].peer;
+            let (obj, _stats) =
+                self.storage
+                    .put_object(&mut self.net, &mut self.dht, peer, encoded.as_bytes())?;
+            let key = DhtKey(Hash256::digest(b"rank:@vector"));
+            self.dht.put_record(
+                &mut self.net,
+                peer,
+                key,
+                obj.root.0.as_bytes().to_vec(),
+                self.rank_round,
+            )?;
+        }
+
+        // Slash bees flagged during rank verification, pay the others.
+        let validator = qb_chain::VALIDATORS[0];
+        for (i, bee) in self.bees.iter_mut().enumerate() {
+            if report.flagged_bees.contains(&i) {
+                bee.times_flagged += 1;
+                self.chain.submit_call(
+                    validator,
+                    Call::SlashStake {
+                        offender: bee.account,
+                        amount: SLASH_AMOUNT,
+                    },
+                );
+            } else {
+                bee.tasks_rewarded += 1;
+                self.chain.submit_call(
+                    bee.account,
+                    Call::ClaimRankReward {
+                        round: self.rank_round,
+                        block_id: i as u64,
+                    },
+                );
+            }
+        }
+
+        // Popularity rewards for creators whose pages exceed the threshold.
+        let payouts: Vec<(AccountId, String, u64)> = pages
+            .iter()
+            .map(|(name, _, creator)| {
+                let ppm = (self.rank_of(name) * 1_000_000.0) as u64;
+                (*creator, name.clone(), ppm)
+            })
+            .collect();
+        if !payouts.is_empty() {
+            self.chain
+                .submit_call(validator, Call::PayPopularityRewards { pages: payouts });
+        }
+        self.chain.seal_block(self.net.now());
+        Ok(report)
+    }
+
+    /// PageRank of a page name (0 when not ranked yet).
+    pub fn rank_of(&self, name: &str) -> f64 {
+        self.ranks_by_name.get(name).copied().unwrap_or(0.0)
+    }
+}

@@ -57,7 +57,7 @@ pub use qb_segment::{Segment, SegmentConfig, SegmentRef, SegmentStats};
 pub use qb_trace::{MetricsSnapshot, MetricsSource, Trace, Tracer};
 pub use query::routing::{hrw_score, hrw_top2};
 pub use query::{
-    AdmissionConfig, Freshness, LoadReport, PipelineConfig, PipelineDriver, PipelineOutcome,
-    PipelineReport, QueryPlan, RoutingPolicy, SearchRequest, SearchResponse, StageCosts,
-    TermProvenance, TimedRequest, WindowMemo, WindowSpan,
+    AdmissionConfig, Freshness, LoadReport, PipelineConfig, PipelineOutcome, PipelineReport,
+    QueryPlan, RoutingPolicy, SearchRequest, SearchResponse, StageCosts, TermProvenance,
+    TimedRequest, WindowSpan,
 };

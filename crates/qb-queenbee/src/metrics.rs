@@ -71,8 +71,6 @@ pub struct QueryEngineStats {
     /// Scored lists served from a pipelined run's window memo — duplicate
     /// queries that skipped intersect/score entirely.
     pub window_memo_hits: u64,
-    /// Partial intersections reused across prefix-sharing queries.
-    pub window_memo_partial_hits: u64,
     /// Windows executed by the pipelined engine.
     pub pipelined_windows: u64,
     /// Queries served through the pipelined engine.
@@ -83,10 +81,6 @@ impl qb_trace::MetricsSource for QueryEngineStats {
     fn metrics_into(&self, out: &mut qb_trace::MetricsSnapshot) {
         out.add_counter("query.score_invocations", self.score_invocations);
         out.add_counter("query.window_memo_hits", self.window_memo_hits);
-        out.add_counter(
-            "query.window_memo_partial_hits",
-            self.window_memo_partial_hits,
-        );
         out.add_counter("query.pipelined_windows", self.pipelined_windows);
         out.add_counter("query.pipelined_queries", self.pipelined_queries);
     }
@@ -222,7 +216,6 @@ impl HoneyByRole {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qb_chain::ChainConfig;
 
     #[test]
     fn freshness_probe_accumulates() {
@@ -256,7 +249,7 @@ mod tests {
 
     #[test]
     fn honey_by_role_partitions_supply() {
-        let mut chain = Blockchain::new(ChainConfig::default());
+        let mut chain = Blockchain::new();
         let creator = AccountId(1_000);
         let bee = AccountId(2_000);
         let adv = AccountId(5_000);

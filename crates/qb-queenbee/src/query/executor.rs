@@ -1,51 +1,91 @@
 //! The executor: turn resolved shards into a ranked result list, and track
-//! the shared shard fetches of a batch window.
+//! the shared index reads of a window.
 //!
 //! The network side (versioned DHT reads) stays in the engine, which owns
 //! the simulated network, and the pure stages — intersection, BM25 scoring,
 //! PageRank blending, ranking — are the one serving kernel in
-//! [`qb_index::kernel`]. This module holds the bookkeeping that lets a batch
-//! window fetch each distinct missing term exactly once and fan the shard
-//! out to every query that needs it.
+//! [`qb_index::kernel`]. This module holds the bookkeeping that lets a
+//! window read each distinct missing term (and the statistics record)
+//! exactly once and fan the result out to every query that needs it: one
+//! record for a read in flight (`PendingRead`), one for a read that
+//! completed (`CompletedRead`).
 //!
 //! For the pipelined engine ([`crate::query::pipeline`]) this module also
-//! holds the [`WindowMemo`]: a scoped memo of scored result lists around
-//! the kernel, tagged with the exact per-term shard versions they were
-//! computed from, so identical and prefix-sharing queries in the in-flight
-//! window set skip the intersect/score work without ever serving a result
-//! computed from different data.
+//! holds the `WindowMemo`: a scoped memo of scored result lists around the
+//! kernel, tagged with the exact per-term shard versions they were computed
+//! from, so identical queries in the in-flight window set skip the
+//! intersect/score work without ever serving a result computed from
+//! different data.
 //!
-//! Both follow the serving path's ownership rule: a [`FetchedShard`] holds
-//! its shard behind an `Arc`, so fanning one fetch out to every query of
-//! the window and into each serving cache shares it, and the memo holds
-//! each scored list behind an `Arc` that a memo hit and the result tier
-//! share with it. Nothing here copies postings or scored documents.
+//! All of it follows the serving path's ownership rule: a fetched shard
+//! sits behind an `Arc`, so fanning one fetch out to every query of the
+//! window and into each serving cache shares it, and the memo holds each
+//! scored list behind an `Arc` that a memo hit and the result tier share
+//! with it. Nothing here copies postings or scored documents.
 
 use qb_common::{SimDuration, SimInstant};
-use qb_index::{IndexStats, PrefixCache, ScoredDoc, ShardEntry};
+use qb_index::shard::IndexOpCost;
+use qb_index::{IndexStats, ReadMachine, ScoredDoc, ShardEntry};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// One DHT shard fetch performed during a batch window, shared by every
-/// query in the window that needs the term.
+/// One index read (a term's shard or the statistics record) completed for a
+/// window and shared by every query of the window that needs it.
 #[derive(Debug, Clone)]
-pub struct FetchedShard {
-    /// The fetched shard, shared by every query of the window that needs it
-    /// and by each cache it fans out into.
-    pub shard: Arc<ShardEntry>,
-    /// Latency of the fetch (charged to every sharer: the window's fetches
-    /// run concurrently).
-    pub latency: SimDuration,
-    /// RPC attempts of the fetch (charged only to the triggering query).
-    pub messages: u64,
-    /// `seq` of the query that triggered the fetch.
-    pub charged_to: u64,
-    /// When the fetch completed on the window's timeline.
-    pub completed_at: SimInstant,
-    /// Link queueing delay inside the fetch's wall time (zero for the
-    /// blocking window, whose fetches run one at a time on an idle link).
-    pub queue_delay: SimDuration,
+pub(crate) struct CompletedRead<T> {
+    /// What was read; a shard sits behind an `Arc` shared by every query
+    /// that needs it and by each cache it fans out into.
+    pub(crate) value: T,
+    /// Latency of the read (charged to every sharer: the window's reads run
+    /// concurrently).
+    pub(crate) latency: SimDuration,
+    /// RPC attempts of the read (charged only to the triggering query).
+    pub(crate) messages: u64,
+    /// `seq` of the query that triggered the read.
+    pub(crate) charged_to: u64,
+    /// When the read completed on the window's timeline.
+    pub(crate) completed_at: SimInstant,
+    /// Link queueing delay inside the read's wall time (zero for the
+    /// blocking window, whose reads run one at a time on an idle link).
+    pub(crate) queue_delay: SimDuration,
+}
+
+impl<T> CompletedRead<T> {
+    /// The record of a read that returned `value` at `cost`.
+    pub(crate) fn new(
+        value: T,
+        cost: IndexOpCost,
+        charged_to: u64,
+        completed_at: SimInstant,
+        queue_delay: SimDuration,
+    ) -> CompletedRead<T> {
+        CompletedRead {
+            value,
+            latency: cost.latency,
+            messages: cost.messages,
+            charged_to,
+            completed_at,
+            queue_delay,
+        }
+    }
+
+    /// When the read completed and the link queueing inside its wall time:
+    /// what a query that waited on it is rebased by.
+    pub(crate) fn finish(&self) -> (SimInstant, SimDuration) {
+        (self.completed_at, self.queue_delay)
+    }
+}
+
+/// An index read of a pipeline window still in flight: the event-driven
+/// machine, what the read is for (`key`: the [`FetchSet`] key of a shard,
+/// `()` for the statistics record) and the accounting its
+/// [`CompletedRead`] will carry.
+pub(crate) struct PendingRead<K, T> {
+    pub(crate) key: K,
+    pub(crate) charged_to: u64,
+    pub(crate) span: Option<qb_trace::SpanId>,
+    pub(crate) machine: ReadMachine<T>,
 }
 
 /// The distinct shard fetches of one batch window, keyed by
@@ -56,7 +96,30 @@ pub struct FetchedShard {
 /// window must never become a free side channel around that accounting.
 /// (In single mode the frontend slot is `None`, so the whole window
 /// shares.)
-pub type FetchSet = BTreeMap<(Option<usize>, String), FetchedShard>;
+pub(crate) type FetchSet = BTreeMap<(Option<usize>, String), CompletedRead<Arc<ShardEntry>>>;
+
+/// Group a window's freshly fetched shard keys by serving frontend for
+/// batch-aware gossip advertisement — the single definition both the
+/// back-to-back (`search_batch`) and pipelined (`score_window`) paths use.
+/// Only genuine batch windows (`batch` = the window held ≥ 2 queries)
+/// advertise; single-query serving keeps the exact PR 4 protocol.
+pub(crate) fn batch_advert_groups(
+    fetched: &FetchSet,
+    batch: bool,
+) -> HashMap<usize, Vec<(String, u64)>> {
+    let mut groups: HashMap<usize, Vec<(String, u64)>> = HashMap::new();
+    if batch {
+        for ((frontend, term), fetch) in fetched {
+            if let (Some(f), true) = (frontend, fetch.value.version > 0) {
+                groups
+                    .entry(*f)
+                    .or_default()
+                    .push((term.clone(), fetch.value.version));
+            }
+        }
+    }
+    groups
+}
 
 /// Intersect, score and rank the query terms' shards with the serving
 /// kernel ([`qb_index::intersect_and_score`]). Returns the **full** sorted
@@ -70,42 +133,36 @@ pub fn intersect_and_score(
     rank_of: impl Fn(&str) -> f64,
     rank_weight: f64,
 ) -> (Vec<ScoredDoc>, usize) {
-    qb_index::intersect_and_score(shards, stats, rank_of, rank_weight, None)
+    qb_index::intersect_and_score(shards, stats, rank_of, rank_weight)
 }
 
 /// Cross-query result sharing across a pipelined run's window stream: a
-/// memo of fully scored result lists *around* the serving kernel, plus the
-/// prefix-conjunction cache it hands the kernel. It lives for one
-/// `search_pipelined` call and is size-bounded ([`WindowMemo::MAX_SCORED`]
-/// / [`PrefixCache::MAX_ENTRIES`] — the maps reset wholesale at the cap,
-/// which only costs recomputation).
+/// memo of fully scored result lists *around* the serving kernel. It lives
+/// for one `search_pipelined` call and is size-bounded
+/// ([`WindowMemo::MAX_SCORED`] — the map resets wholesale at the cap, which
+/// only costs recomputation).
 ///
 /// Correctness rests on the same per-term version tags the result cache
 /// uses: every memo entry is keyed by the exact `(term, shard version)`
 /// sequence (and collection statistics) the computation consumed, so a
 /// hit is provably the identical computation — never a "close enough"
-/// answer from different data. Both maps are scoped per serving frontend
+/// answer from different data. The memo is scoped per serving frontend
 /// (every key carries the frontend slot): frontends are separate machines,
-/// and moving *results* between them is the gossip overlay's
-/// network-charged job ([`qb_cache::QueryCache::store_remote_result`]),
-/// not a free side channel of the pipeline.
+/// and moving *results* between them would be the gossip overlay's
+/// network-charged job, not a free side channel of the pipeline.
 #[derive(Debug, Default)]
-pub struct WindowMemo {
-    /// Full-query memo: fingerprint → (full scored list, candidates scored).
+pub(crate) struct WindowMemo {
+    /// Fingerprint → (full scored list, candidates scored).
     scored: HashMap<String, (Arc<Vec<ScoredDoc>>, usize)>,
-    /// Prefix memo: partial conjunctions over the length-sorted shard
-    /// order, so `"a b"` and `"a b c"` share the `a ∩ b` work (within one
-    /// frontend's scope); `partial.hits` counts the reuses.
-    pub partial: PrefixCache,
     /// Full scored lists served from the memo.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Genuine intersect+score computations performed through the memo.
-    pub invocations: u64,
+    pub(crate) invocations: u64,
 }
 
 impl WindowMemo {
     /// Cap on memoized scored lists before the memo resets.
-    pub const MAX_SCORED: usize = 4_096;
+    pub(crate) const MAX_SCORED: usize = 4_096;
 
     /// Fingerprint of one query's scoring inputs: the serving frontend's
     /// scope, the collection statistics and the `(term, version)` sequence
@@ -122,11 +179,11 @@ impl WindowMemo {
 
     /// Memoized kernel call: serve the scored list from the memo when this
     /// exact computation already ran for `frontend` in the window set,
-    /// otherwise run the kernel (lending it the prefix cache) and remember
-    /// the result. The third return value reports whether this was a memo
-    /// hit. Results are byte-identical to the unmemoized call; the list is
-    /// materialised once and every serve of it shares the memo's handle.
-    pub fn intersect_and_score<S: Borrow<ShardEntry>>(
+    /// otherwise run the kernel and remember the result. The third return
+    /// value reports whether this was a memo hit. Results are byte-identical
+    /// to the unmemoized call; the list is materialised once and every serve
+    /// of it shares the memo's handle.
+    pub(crate) fn intersect_and_score<S: Borrow<ShardEntry>>(
         &mut self,
         frontend: Option<usize>,
         shards: &[S],
@@ -144,13 +201,7 @@ impl WindowMemo {
         if self.scored.len() >= Self::MAX_SCORED {
             self.scored.clear();
         }
-        let (results, scored) = qb_index::intersect_and_score(
-            shards,
-            stats,
-            rank_of,
-            rank_weight,
-            Some((&scope, &mut self.partial)),
-        );
+        let (results, scored) = qb_index::intersect_and_score(shards, stats, rank_of, rank_weight);
         let results = Arc::new(results);
         self.scored.insert(key, (Arc::clone(&results), scored));
         (results, scored, false)
@@ -255,28 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn window_memo_shares_prefix_intersections() {
-        // beta is the smallest list, alpha next: the sorted order for the
-        // two-term query is [beta, alpha], and the three-term query
-        // [beta, alpha, gamma] extends it — the beta ∩ alpha prefix is
-        // reused.
-        let two = vec![
-            shard("alpha", &[(1, 1), (2, 1), (3, 1)]),
-            shard("beta", &[(2, 2), (3, 2)]),
-        ];
-        let mut three = two.clone();
-        three.push(shard("gamma", &[(1, 1), (2, 1), (3, 1), (4, 1)]));
-        let mut memo = WindowMemo::default();
-        memo.intersect_and_score(None, &two, &stats(), |_| 0.0, 0.0);
-        assert_eq!(memo.partial.hits, 0);
-        let (results, _, hit) = memo.intersect_and_score(None, &three, &stats(), |_| 0.0, 0.0);
-        assert!(!hit, "different query: no full-memo hit");
-        assert_eq!(memo.partial.hits, 1, "the shared prefix is reused");
-        let (plain, _) = intersect_and_score(&three, &stats(), |_| 0.0, 0.0);
-        assert_eq!(*results, plain);
-    }
-
-    #[test]
     fn window_memo_fingerprints_separate_versions_and_frontends() {
         let s = stats();
         let shards_v1 = vec![shard("alpha", &[(1, 1)])];
@@ -285,9 +314,8 @@ mod tests {
         let a = WindowMemo::fingerprint("single", &s, &shards_v1);
         let b = WindowMemo::fingerprint("single", &s, &shards_v2);
         assert_ne!(a, b, "a republished shard must never share an entry");
-        // Both memos are frontend-scoped: the same query computed on two
-        // frontends shares neither the scored list nor any partial
-        // intersection.
+        // The memo is frontend-scoped: the same query computed on two
+        // frontends does not share the scored list.
         let two = vec![
             shard("alpha", &[(1, 1), (2, 1)]),
             shard("beta", &[(2, 2), (3, 2)]),
@@ -296,10 +324,6 @@ mod tests {
         let (r0, _, _) = memo.intersect_and_score(Some(0), &two, &s, |_| 0.0, 0.0);
         let (r1, _, hit) = memo.intersect_and_score(Some(1), &two, &s, |_| 0.0, 0.0);
         assert!(!hit, "frontends never share compute for free");
-        assert_eq!(
-            memo.partial.hits, 0,
-            "partial intersections must not cross frontends"
-        );
         assert_eq!(memo.invocations, 2);
         assert_eq!(r0, r1, "both frontends still compute the same answer");
         let other_stats = IndexStats {

@@ -18,12 +18,12 @@
 //!    per-stage cost trace and per-term cache provenance.
 //!
 //! On top of the stages sits the **pipelined execution engine**
-//! ([`pipeline`]): a [`PipelineDriver`] moves whole windows through
+//! ([`pipeline`]): its driver moves whole windows through
 //! `Planned → Fetching → Scoring → Done`, overlaps
 //! up to `max_windows_in_flight` windows (window N+1's fetches issue while
 //! window N's are in flight, under the simulated network's per-link
-//! in-flight limits), and dedupes identical/prefix-sharing queries across
-//! the in-flight set through a version-tagged [`executor::WindowMemo`].
+//! in-flight limits), and dedupes identical queries across the in-flight
+//! set through a version-tagged window memo.
 //! [`crate::QueenBee::search_pipelined`] is the entry point.
 //!
 //! For **open-loop** serving — queries arriving on their own clock instead
@@ -40,8 +40,7 @@ pub mod response;
 pub mod routing;
 
 pub use admission::{AdmissionConfig, LoadReport, TimedRequest};
-pub use executor::WindowMemo;
-pub use pipeline::{PipelineConfig, PipelineDriver, PipelineOutcome, PipelineReport, WindowSpan};
+pub use pipeline::{PipelineConfig, PipelineOutcome, PipelineReport, WindowSpan};
 pub use plan::{PlannedTerm, QueryPlan, StatsPlan, TermPlan};
 pub use request::{Freshness, RoutingPolicy, SearchRequest};
 pub use response::{SearchResponse, StageCosts, TermProvenance};

@@ -7,7 +7,7 @@
 //! [`QueenBee::search_batch`](crate::QueenBee::search_batch) runs its three
 //! stages in lockstep: the whole window is planned, then fetched, then
 //! scored, and the next window starts only after the previous one finished.
-//! The [`PipelineDriver`] breaks that lockstep. Every window moves through
+//! The pipeline driver breaks that lockstep. Every window moves through
 //! four stages:
 //!
 //! ```text
@@ -19,7 +19,7 @@
 //!   network traffic yet.
 //! * **Fetching** — each distinct missing `(frontend, term)` shard (plus at
 //!   most one statistics record per window) becomes an **event-driven read
-//!   machine** ([`qb_index::ShardReadMachine`]): a per-lookup α-frontier
+//!   machine** ([`qb_index::ReadMachine`]): a per-lookup α-frontier
 //!   state machine whose individual DHT hops are issued through
 //!   [`qb_simnet::SimNet::send_async_at`] on the origin peer's uplink. The
 //!   per-peer in-flight limit
@@ -28,11 +28,10 @@
 //!   on a contended link — and every queue delay is charged to
 //!   [`qb_simnet::NetStats`] and to the window.
 //! * **Scoring** — once the window's slowest machine completes, shards are
-//!   intersected and scored. Identical and prefix-sharing queries in the
-//!   in-flight window set resolve against the window-scoped
-//!   [`WindowMemo`]: a scored list tagged with the exact per-term shard
-//!   versions it was computed from serves every duplicate without
-//!   re-running intersect/score.
+//!   intersected and scored. Identical queries in the in-flight window set
+//!   resolve against the run-scoped window memo: a scored list tagged with
+//!   the exact per-term shard versions it was computed from serves every
+//!   duplicate without re-running intersect/score.
 //! * **Done** — responses are assembled, fetched shards fan out into the
 //!   serving cache, and (in fleet mode) the window's freshly fetched shard
 //!   keys are queued as **batch-aware gossip advertisements**
@@ -75,12 +74,16 @@
 //! treats a window), while issue/completion instants drive latency,
 //! queueing and makespan accounting.
 
-use crate::engine::{PendingShardFetch, PendingStatsRead, QueenBee};
-use crate::query::executor::WindowMemo;
+use crate::engine::QueenBee;
+use crate::query::executor::{
+    batch_advert_groups, CompletedRead, FetchSet, PendingRead, WindowMemo,
+};
 use crate::query::plan::{QueryPlan, StatsPlan};
 use crate::query::request::SearchRequest;
 use crate::query::response::SearchResponse;
 use qb_common::{QbResult, SimDuration, SimInstant};
+use qb_index::{IndexStats, ShardEntry};
+use qb_simnet::SimNet;
 use std::collections::VecDeque;
 
 /// The self-steering driver backs off (grows the window, then sheds depth)
@@ -141,17 +144,18 @@ pub(crate) struct WindowRun {
     /// The window's shared fetches (each distinct `(frontend, term)` once),
     /// filled in as the read machines complete; each record carries its own
     /// completion instant and link-queue delay.
-    pub(crate) fetched: crate::query::executor::FetchSet,
+    pub(crate) fetched: FetchSet,
     /// The window's (at most one) statistics read, once complete.
-    pub(crate) stats_read: Option<crate::engine::SharedStatsRead>,
+    pub(crate) stats_read: Option<CompletedRead<IndexStats>>,
     /// When the window was issued on the virtual timeline.
     pub(crate) issued_at: SimInstant,
     /// When the window's slowest dependency completed (so far).
     pub(crate) completes_at: SimInstant,
     /// The in-flight statistics read machine, if still pending.
-    pub(crate) pending_stats: Option<PendingStatsRead>,
-    /// The in-flight shard read machines, in issue order.
-    pub(crate) pending_shards: Vec<PendingShardFetch>,
+    pub(crate) pending_stats: Option<PendingRead<(), IndexStats>>,
+    /// The in-flight shard read machines, in issue order, keyed like the
+    /// [`FetchSet`] entries they become.
+    pub(crate) pending_shards: Vec<PendingRead<(Option<usize>, String), ShardEntry>>,
     /// Earliest instant any pending machine advances at (`None` once the
     /// window is complete).
     pub(crate) next_event: Option<SimInstant>,
@@ -160,6 +164,32 @@ pub(crate) struct WindowRun {
     pub(crate) span: Option<qb_trace::SpanId>,
     /// Queueing delay the per-link in-flight limits charged this window.
     pub(crate) queue_delay: SimDuration,
+}
+
+impl WindowRun {
+    /// Fold a read whose machine finished into the window: its span closes,
+    /// its completion instant and link-queue delay enter the window's
+    /// bookkeeping, and what it read becomes the completed record the
+    /// window's queries share.
+    pub(crate) fn fold_completed<K, T, V: From<T>>(
+        &mut self,
+        net: &mut SimNet,
+        pending: PendingRead<K, T>,
+    ) -> QbResult<(K, CompletedRead<V>)> {
+        let queue_delay = pending.machine.queue_delay();
+        let (value, cost, completed_at) = pending.machine.into_result()?;
+        net.tracer().close(pending.span, completed_at);
+        self.completes_at = self.completes_at.max(completed_at);
+        self.queue_delay += queue_delay;
+        let read = CompletedRead::new(
+            value.into(),
+            cost,
+            pending.charged_to,
+            completed_at,
+            queue_delay,
+        );
+        Ok((pending.key, read))
+    }
 }
 
 /// What one pipelined run did, beyond the responses themselves.
@@ -176,8 +206,6 @@ pub struct PipelineReport {
     /// Scored lists served from the window memo (duplicate queries that
     /// skipped intersect/score entirely).
     pub memo_hits: u64,
-    /// Partial intersections reused across prefix-sharing queries.
-    pub memo_partial_hits: u64,
     /// Genuine intersect+score computations this run performed.
     pub score_invocations: u64,
     /// Distinct DHT shard fetches issued.
@@ -229,13 +257,16 @@ pub struct PipelineOutcome {
 const READY_STOCK: usize = 4;
 
 /// Drives a request stream through overlapping windows. Construct with a
-/// [`PipelineConfig`] and run once; the engine wraps this in
-/// [`crate::QueenBee::search_pipelined`].
-#[derive(Debug)]
-pub struct PipelineDriver {
+/// [`PipelineConfig`] and run once; [`crate::QueenBee::search_pipelined`] is
+/// the one caller.
+pub(crate) struct PipelineDriver {
     config: PipelineConfig,
     report: PipelineReport,
     spans: Vec<WindowSpan>,
+    /// The run's window memo.
+    memo: WindowMemo,
+    /// Windows issued and not yet retired, in issue order.
+    in_flight: VecDeque<WindowRun>,
     /// Live pipeline depth (≤ `config.max_windows_in_flight`).
     depth: usize,
     /// Live window size (≥ `config.window_size`).
@@ -246,11 +277,13 @@ pub struct PipelineDriver {
 
 impl PipelineDriver {
     /// A driver for one run.
-    pub fn new(config: PipelineConfig) -> PipelineDriver {
+    pub(crate) fn new(config: PipelineConfig) -> PipelineDriver {
         PipelineDriver {
             config,
             report: PipelineReport::default(),
             spans: Vec::new(),
+            memo: WindowMemo::default(),
+            in_flight: VecDeque::new(),
             depth: config.max_windows_in_flight.max(1),
             window: config.window_size.max(1),
             saturated: false,
@@ -260,43 +293,66 @@ impl PipelineDriver {
     /// Execute `requests` in overlapping windows against `qb`. Responses
     /// come back in request order; an invalid request or failed fetch
     /// aborts the run with the first error (exactly like `search_batch`).
-    pub fn run(
+    pub(crate) fn run(
         mut self,
         qb: &mut QueenBee,
         requests: Vec<SearchRequest>,
     ) -> QbResult<PipelineOutcome> {
-        let t0 = qb.net.now();
-        let total = requests.len();
+        let mut responses: Vec<Option<SearchResponse>> = Vec::new();
+        responses.resize_with(requests.len(), || None);
+        let served = self.drive(qb, requests, &mut responses);
+        // An aborted run still has windows in flight: abandon their machines
+        // so it leaves no phantom link occupancy behind to throttle later
+        // runs. Either way the work done enters the engine counters (windows
+        // that fully served before an abort did score and did hit the memo).
+        for win in &mut self.in_flight {
+            qb.abandon_window_fetches(win);
+        }
+        self.report.memo_hits = self.memo.hits;
+        self.report.score_invocations = self.memo.invocations;
+        qb.record_pipeline_run(&self.report);
+        served?;
+        Ok(PipelineOutcome {
+            responses: responses
+                .into_iter()
+                .map(|r| r.expect("every window retired ⇒ every slot served"))
+                .collect(),
+            report: self.report,
+            window_spans: self.spans,
+        })
+    }
 
+    /// The event loop: issue, advance and retire windows until every
+    /// request is served or a window fails.
+    fn drive(
+        &mut self,
+        qb: &mut QueenBee,
+        requests: Vec<SearchRequest>,
+        responses: &mut [Option<SearchResponse>],
+    ) -> QbResult<()> {
+        let t0 = qb.net.now();
         let mut pending: VecDeque<SearchRequest> = requests.into();
         let mut next_first_query = 0usize;
         // Windows cut and ready to issue: (first response index, requests).
         let mut ready: VecDeque<(usize, Vec<SearchRequest>)> = VecDeque::new();
-
-        let mut memo = WindowMemo::default();
-        let mut responses: Vec<Option<SearchResponse>> = Vec::new();
-        responses.resize_with(total, || None);
-        let mut in_flight: VecDeque<WindowRun> = VecDeque::new();
         // Window w may issue once window w - depth has retired; FIFO
         // retirement makes this the completion instant of the window
         // retired most recently.
         let mut next_issue_at = t0;
-        let mut makespan_end = t0;
         // The driver's position on the virtual timeline; only ever moves
         // forward (to an issue instant or the next machine completion).
         let mut cursor = t0;
 
         loop {
             // Retire the front window once all its machines completed.
-            if in_flight
-                .front()
-                .is_some_and(|w| w.pending_stats.is_none() && w.pending_shards.is_empty())
+            if let Some(mut win) = self
+                .in_flight
+                .pop_front_if(|w| w.pending_stats.is_none() && w.pending_shards.is_empty())
             {
-                let mut win = in_flight.pop_front().expect("front checked above");
                 next_issue_at = next_issue_at.max(win.completes_at);
-                makespan_end = makespan_end.max(win.completes_at);
+                self.report.makespan = self.report.makespan.max(win.completes_at.since(t0));
                 self.adapt(&win);
-                self.score_window(qb, &mut win, &mut memo, &mut responses);
+                self.score_window(qb, &mut win, responses);
                 continue;
             }
 
@@ -309,13 +365,13 @@ impl PipelineDriver {
                 next_first_query += take;
             }
 
-            let can_issue = !ready.is_empty() && in_flight.len() < self.depth;
+            let can_issue = !ready.is_empty() && self.in_flight.len() < self.depth;
             let issue_at = next_issue_at.max(cursor);
             let next_completion: Option<SimInstant> =
-                in_flight.iter().filter_map(|w| w.next_event).min();
+                self.in_flight.iter().filter_map(|w| w.next_event).min();
 
             let issue_now = match (can_issue, next_completion) {
-                (false, None) => break,
+                (false, None) => return Ok(()),
                 (true, completion) => completion.is_none_or(|c| issue_at <= c),
                 (false, Some(_)) => false,
             };
@@ -334,63 +390,20 @@ impl PipelineDriver {
                 };
                 let (first_query, reqs) = ready.remove(idx).expect("index from range");
                 cursor = issue_at;
-                match self.issue_window(qb, first_query, reqs, issue_at) {
-                    Ok(win) => {
-                        in_flight.push_back(win);
-                        self.report.peak_windows_in_flight =
-                            self.report.peak_windows_in_flight.max(in_flight.len());
-                    }
-                    Err(e) => return self.abort(qb, &mut in_flight, memo, e),
-                }
+                self.issue_window(qb, first_query, reqs, issue_at)?;
+                self.report.peak_windows_in_flight =
+                    self.report.peak_windows_in_flight.max(self.in_flight.len());
             } else {
                 cursor = next_completion.expect("issue_now is false ⇒ a completion exists");
                 // Advance every in-flight window: machines of *different*
                 // windows share the per-peer uplinks, so a completion in
                 // one window can unblock (or be interleaved with) hops of
                 // another. FIFO order keeps the advancement deterministic.
-                for win in in_flight.iter_mut() {
-                    if let Err(e) = qb.poll_window_fetches(win, cursor) {
-                        return self.abort(qb, &mut in_flight, memo, e);
-                    }
+                for win in self.in_flight.iter_mut() {
+                    qb.poll_window_fetches(win, cursor)?;
                 }
             }
         }
-
-        self.report.makespan = makespan_end.since(t0);
-        self.report.memo_hits = memo.hits;
-        self.report.memo_partial_hits = memo.partial.hits;
-        self.report.score_invocations = memo.invocations;
-        qb.record_pipeline_run(&self.report, &memo);
-        Ok(PipelineOutcome {
-            responses: responses
-                .into_iter()
-                .map(|r| r.expect("every window retired ⇒ every slot served"))
-                .collect(),
-            report: self.report,
-            window_spans: self.spans,
-        })
-    }
-
-    /// Abort cleanly: abandon every in-flight window's machines so the
-    /// aborted run leaves no phantom link occupancy behind to throttle
-    /// later runs, and fold the work already done into the engine counters
-    /// (windows that fully served before the abort did score and did hit
-    /// the memo).
-    fn abort(
-        mut self,
-        qb: &mut QueenBee,
-        in_flight: &mut VecDeque<WindowRun>,
-        memo: WindowMemo,
-        e: qb_common::QbError,
-    ) -> QbResult<PipelineOutcome> {
-        for win in in_flight.iter_mut() {
-            qb.abandon_window_fetches(win);
-        }
-        self.report.memo_hits = memo.hits;
-        self.report.memo_partial_hits = memo.partial.hits;
-        self.report.score_invocations = memo.invocations;
-        qb.record_pipeline_run(&self.report, &memo);
-        Err(e)
     }
 
     /// One self-steering step at window retirement: compare the queue
@@ -420,6 +433,7 @@ impl PipelineDriver {
             .fold(SimDuration::ZERO, |a, b| a + b)
             + win
                 .stats_read
+                .as_ref()
                 .map_or(SimDuration::ZERO, |read| read.latency);
         let busy_us = (win.queue_delay + service).as_micros();
         let share = win.queue_delay.as_micros().saturating_mul(100) / busy_us.max(1);
@@ -454,7 +468,7 @@ impl PipelineDriver {
         first_query: usize,
         requests: Vec<SearchRequest>,
         issued_at: SimInstant,
-    ) -> QbResult<WindowRun> {
+    ) -> QbResult<()> {
         let plans = qb.plan_window(requests)?;
         let query_count = plans.len();
         let span = qb
@@ -463,24 +477,27 @@ impl PipelineDriver {
             .record_with(None, "window", issued_at, issued_at, || {
                 format!("{query_count} queries")
             });
-        let (pending_stats, pending_shards) = qb.begin_window_fetches(&plans, issued_at, span);
-        self.report.stats_reads += u64::from(pending_stats.is_some());
-        self.report.shard_fetches += pending_shards.len() as u64;
         let mut win = WindowRun {
             first_query,
             plans,
-            fetched: crate::query::executor::FetchSet::new(),
+            fetched: FetchSet::new(),
             stats_read: None,
             issued_at,
             completes_at: issued_at,
-            pending_stats,
-            pending_shards,
+            pending_stats: None,
+            pending_shards: Vec::new(),
             next_event: None,
             span,
             queue_delay: SimDuration::ZERO,
         };
-        qb.poll_window_fetches(&mut win, issued_at)?;
-        Ok(win)
+        qb.begin_window_fetches(&mut win);
+        self.report.stats_reads += u64::from(win.pending_stats.is_some());
+        self.report.shard_fetches += win.pending_shards.len() as u64;
+        // The window is in flight whether or not its first poll succeeds: a
+        // read that fails on the spot must not strand its siblings' hops.
+        let polled = qb.poll_window_fetches(&mut win, issued_at);
+        self.in_flight.push_back(win);
+        polled
     }
 
     /// Score a completed window (Fetching → Scoring → Done): every plan is
@@ -491,7 +508,6 @@ impl PipelineDriver {
         &mut self,
         qb: &mut QueenBee,
         win: &mut WindowRun,
-        memo: &mut WindowMemo,
         responses: &mut [Option<SearchResponse>],
     ) {
         qb.net.tracer().close(win.span, win.completes_at);
@@ -506,10 +522,8 @@ impl PipelineDriver {
             issued_at: win.issued_at,
             completed_at: win.completes_at,
         });
-        let fetched_terms = crate::engine::batch_advert_groups(
-            &win.fetched,
-            plans.len() >= 2 && qb.fleet().is_some(),
-        );
+        let fetched_terms =
+            batch_advert_groups(&win.fetched, plans.len() >= 2 && qb.fleet().is_some());
         for (j, plan) in plans.into_iter().enumerate() {
             // The query's slowest asynchronous dependency (the first of
             // equals, in term order then the statistics read): its
@@ -517,11 +531,12 @@ impl PipelineDriver {
             let shard_reads = plan
                 .fetch_terms()
                 .filter_map(|t| win.fetched.get(&(plan.frontend, t.to_string())))
-                .map(|f| (f.completed_at, f.queue_delay));
+                .map(CompletedRead::finish);
             let stats_read = win
                 .stats_read
+                .as_ref()
                 .filter(|_| matches!(plan.stats, StatsPlan::Fetch) && !plan.is_result_hit())
-                .map(|r| (r.completed_at, r.queue_delay));
+                .map(CompletedRead::finish);
             let critical = shard_reads.chain(stats_read).reduce(|slowest, read| {
                 if read.0 > slowest.0 {
                     read
@@ -529,7 +544,13 @@ impl PipelineDriver {
                     slowest
                 }
             });
-            let mut response = qb.serve_plan(plan, &win.fetched, &win.stats_read, now, Some(memo));
+            let mut response = qb.serve_plan(
+                plan,
+                &win.fetched,
+                &win.stats_read,
+                now,
+                Some(&mut self.memo),
+            );
             // Rebase latency on the virtual timeline when the query waited
             // on any asynchronous dependency.
             if let Some((done, queue_delay)) = critical {

@@ -100,7 +100,7 @@ impl QueryPlan {
 }
 
 /// Analyze `request` against the local tiers. `cache` is the serving
-/// frontend's checked-out cache (`None` when caching is disabled),
+/// frontend's cache slot (`None` when caching is disabled),
 /// `shard_versions` the engine's monotonic per-term version counters and
 /// `stats_version` the current statistics version. Probing mutates the
 /// cache exactly as the seed's serve path did (recency, hit/miss counters,

@@ -20,10 +20,10 @@
 //! handles**: [`SimNet::send_async_at`] issues one RPC at a chosen virtual
 //! instant (failure sampling and message/byte accounting happen at issue
 //! time) and [`SimNet::begin_async_op`] tracks an already-executed compound
-//! operation such as a storage-DAG fetch. Both respect a per-link in-flight
-//! limit ([`NetConfig::max_in_flight_per_link`]) that queues excess
-//! operations behind the earliest completion and charges the queueing delay
-//! to [`NetStats`]. [`SimNet::poll_complete`] resolves a handle at a given
+//! operation such as a storage-DAG fetch. Both occupy the source peer's
+//! uplink, whose in-flight limit ([`NetConfig::max_in_flight_per_link`])
+//! queues excess operations behind the earliest completion and charges the
+//! queueing delay to [`NetStats`]. [`SimNet::poll_complete`] resolves a handle at a given
 //! instant and reports when a pending one is due, so a driver can advance
 //! to exactly the next event: hops from different concurrent lookups
 //! interleave on contended links while every message stays deterministically

@@ -21,12 +21,13 @@ pub struct NetConfig {
     pub zones: usize,
     /// Latency charged when an RPC to a dead/unreachable peer times out.
     pub timeout: SimDuration,
-    /// Maximum asynchronous operations a single link (or, for compound
-    /// operations, a single source peer) can have in flight at once. An
-    /// operation issued while the limit is reached queues behind the
-    /// earliest completion, and the queueing delay is charged to
-    /// [`NetStats`] — this is what makes pipelined overlap a modeled
-    /// resource instead of free parallelism.
+    /// Maximum asynchronous operations — RPCs issued with
+    /// [`SimNet::send_async_at`] and compound operations tracked with
+    /// [`SimNet::begin_async_op`], to any destination — one source peer's
+    /// uplink can have in flight at once. An operation issued while the
+    /// limit is reached queues behind the earliest completion, and the
+    /// queueing delay is charged to [`NetStats`] — this is what makes
+    /// pipelined overlap a modeled resource instead of free parallelism.
     pub max_in_flight_per_link: usize,
 }
 
@@ -94,7 +95,7 @@ impl From<RpcError> for QbError {
 }
 
 /// Handle to an in-flight asynchronous operation issued with
-/// [`SimNet::send_async`] or [`SimNet::begin_async_op`].
+/// [`SimNet::send_async_at`] or [`SimNet::begin_async_op`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RpcHandle(u64);
 
@@ -123,18 +124,15 @@ pub enum Poll {
     Ready(AsyncCompletion),
 }
 
-/// Span label for an async link: `from->to`, or `from->*` for compound
-/// operations bounded per source peer.
-fn link_label(link: (u64, Option<u64>)) -> String {
-    match link.1 {
-        Some(to) => format!("{}->{}", link.0, to),
-        None => format!("{}->*", link.0),
-    }
+/// Span label of a source peer's uplink.
+fn link_label(from: u64) -> String {
+    format!("{from}->*")
 }
 
 #[derive(Debug, Clone, Copy)]
 struct InFlightOp {
-    link: (u64, Option<u64>),
+    /// The source peer whose uplink the operation occupies.
+    from: u64,
     latency: SimDuration,
     queue_delay: SimDuration,
     completes_at: SimInstant,
@@ -158,9 +156,9 @@ pub struct SimNet {
     stats: NetStats,
     /// Operations currently in flight, by handle.
     in_flight: HashMap<u64, InFlightOp>,
-    /// Completion instants of in-flight operations per link, for the
-    /// per-link in-flight limit (kept pruned as operations retire).
-    link_completions: HashMap<(u64, Option<u64>), Vec<SimInstant>>,
+    /// Completion instants of in-flight operations per source-peer uplink,
+    /// for the in-flight limit (kept pruned as operations retire).
+    link_completions: HashMap<u64, Vec<SimInstant>>,
     next_handle: u64,
     /// Span recorder shared by every protocol layer (they all hold `&mut
     /// SimNet` already). Disabled by default; recording never touches
@@ -487,25 +485,6 @@ impl SimNet {
 
     // ----- non-blocking request handles -------------------------------------------
 
-    /// Issue a request/response RPC without blocking on its completion.
-    /// Message/byte accounting and failure sampling happen immediately
-    /// (exactly as in [`SimNet::rpc`]); the returned handle completes at
-    /// `now + queueing + service latency` and is resolved with
-    /// [`SimNet::poll_complete`]. At most
-    /// [`NetConfig::max_in_flight_per_link`] operations may occupy the
-    /// `from → to` link at once — excess requests queue behind the earliest
-    /// completion, and the queueing delay is charged to [`NetStats`].
-    pub fn send_async(
-        &mut self,
-        from: u64,
-        to: u64,
-        request_bytes: usize,
-        response_bytes: usize,
-    ) -> Result<RpcHandle, RpcError> {
-        let service = self.rpc(from, to, request_bytes, response_bytes)?;
-        Ok(self.enqueue_async((from, Some(to)), self.clock, service, None))
-    }
-
     /// Issue a request/response RPC at virtual instant `at` (clamped to be
     /// no earlier than the shared clock) without blocking on its
     /// completion. This is the primitive event-driven callers build on: the
@@ -536,7 +515,7 @@ impl SimNet {
         let service = self.sample_rpc(from, to, request_bytes, response_bytes)?;
         self.tracer
             .record_with(parent, "rpc", at, at + service, || format!("{from}->{to}"));
-        Ok(self.enqueue_async((from, None), at, service, parent))
+        Ok(self.enqueue_async(from, at, service, parent))
     }
 
     /// Track an already-executed compound operation (e.g. a storage-DAG
@@ -556,18 +535,18 @@ impl SimNet {
         parent: Option<SpanId>,
     ) -> RpcHandle {
         let at = at.max(self.clock);
-        self.enqueue_async((from, None), at, latency, parent)
+        self.enqueue_async(from, at, latency, parent)
     }
 
     fn enqueue_async(
         &mut self,
-        link: (u64, Option<u64>),
+        from: u64,
         at: SimInstant,
         latency: SimDuration,
         parent: Option<SpanId>,
     ) -> RpcHandle {
         let capacity = self.config.max_in_flight_per_link.max(1);
-        let completions = self.link_completions.entry(link).or_default();
+        let completions = self.link_completions.entry(from).or_default();
         completions.retain(|&c| c > at);
         completions.sort_unstable();
         let started_at = if completions.len() >= capacity {
@@ -584,18 +563,18 @@ impl SimNet {
             self.stats.async_queued_ops += 1;
             self.stats.async_queue_delay_us += queue_delay.as_micros();
             self.tracer
-                .record_with(parent, "net.queue", at, started_at, || link_label(link));
+                .record_with(parent, "net.queue", at, started_at, || link_label(from));
         }
         self.tracer
             .record_with(parent, "net.deliver", started_at, completes_at, || {
-                link_label(link)
+                link_label(from)
             });
         self.next_handle += 1;
         let handle = RpcHandle(self.next_handle);
         self.in_flight.insert(
             self.next_handle,
             InFlightOp {
-                link,
+                from,
                 latency,
                 queue_delay,
                 completes_at,
@@ -616,14 +595,7 @@ impl SimNet {
             });
         }
         let op = self.in_flight.remove(&handle.0).expect("checked above");
-        if let Some(completions) = self.link_completions.get_mut(&op.link) {
-            if let Some(pos) = completions.iter().position(|&c| c == op.completes_at) {
-                completions.swap_remove(pos);
-            }
-            if completions.is_empty() {
-                self.link_completions.remove(&op.link);
-            }
-        }
+        self.release_slot(&op);
         Some(Poll::Ready(AsyncCompletion {
             completed_at: op.completes_at,
             latency: op.latency,
@@ -646,15 +618,20 @@ impl SimNet {
         let Some(op) = self.in_flight.remove(&handle.0) else {
             return false;
         };
-        if let Some(completions) = self.link_completions.get_mut(&op.link) {
+        self.release_slot(&op);
+        true
+    }
+
+    /// Free the uplink slot a retired operation held.
+    fn release_slot(&mut self, op: &InFlightOp) {
+        if let Some(completions) = self.link_completions.get_mut(&op.from) {
             if let Some(pos) = completions.iter().position(|&c| c == op.completes_at) {
                 completions.swap_remove(pos);
             }
             if completions.is_empty() {
-                self.link_completions.remove(&op.link);
+                self.link_completions.remove(&op.from);
             }
         }
-        true
     }
 
     /// Attribute one hedged fetch issued after a hedge timer expired.
@@ -826,7 +803,9 @@ mod tests {
     #[test]
     fn send_async_completes_at_the_service_latency() {
         let mut net = lan(4, 21);
-        let h = net.send_async(0, 1, 100, 200).expect("online peers");
+        let h = net
+            .send_async_at(0, 1, 100, 200, net.now(), None)
+            .expect("online peers");
         assert_eq!(net.async_in_flight(), 1);
         assert_eq!(net.stats().rpcs, 1, "accounting happens at issue time");
         assert_eq!(net.stats().bytes, 300);
@@ -854,11 +833,25 @@ mod tests {
 
     #[test]
     fn send_async_fails_like_rpc() {
+        // Every way `rpc` can fail, beyond the offline destination of
+        // `send_async_at_fails_like_rpc`: nothing is tracked, and only a
+        // failure the caller could not foresee counts as a failed RPC.
         let mut net = lan(4, 22);
-        net.set_online(2, false);
-        assert_eq!(net.send_async(0, 2, 1, 1), Err(RpcError::PeerOffline));
-        assert_eq!(net.async_in_flight(), 0);
+        let at = net.now();
+        net.set_online(0, false);
+        assert_eq!(
+            net.send_async_at(0, 2, 1, 1, at, None),
+            Err(RpcError::SelfOffline)
+        );
+        assert_eq!(net.stats().failed_rpcs, 0);
+        net.set_partition(2, 1);
+        assert_eq!(
+            net.send_async_at(1, 2, 1, 1, at, None),
+            Err(RpcError::Partitioned)
+        );
         assert_eq!(net.stats().failed_rpcs, 1);
+        assert_eq!(net.async_in_flight(), 0);
+        assert_eq!(net.stats().async_ops, 0);
     }
 
     #[test]
@@ -868,7 +861,7 @@ mod tests {
         let mut net = SimNet::new(3, cfg, 23);
         let t0 = net.now();
         let handles: Vec<RpcHandle> = (0..4)
-            .map(|_| net.send_async(0, 1, 64, 64).unwrap())
+            .map(|_| net.send_async_at(0, 1, 64, 64, t0, None).unwrap())
             .collect();
         let completions: Vec<SimInstant> = handles
             .iter()
@@ -1036,11 +1029,23 @@ mod tests {
 
     #[test]
     fn async_issue_is_deterministic() {
+        // Both issuers on shared uplinks, at staggered virtual instants and
+        // under a limit tight enough that the later ones queue.
         let run = |seed: u64| {
-            let mut net = SimNet::new(6, NetConfig::default(), seed);
-            (0..12)
+            let cfg = NetConfig {
+                max_in_flight_per_link: 2,
+                ..NetConfig::default()
+            };
+            let mut net = SimNet::new(6, cfg, seed);
+            (0..12u64)
                 .map(|i| {
-                    let h = net.send_async(i % 6, (i + 1) % 6, 64, 64).unwrap();
+                    let at = net.now() + SimDuration::from_millis(i / 4);
+                    let h = if i % 3 == 2 {
+                        net.begin_async_op(i % 2, at, SimDuration::from_millis(9), None)
+                    } else {
+                        net.send_async_at(i % 2, 2 + i % 4, 64, 64, at, None)
+                            .unwrap()
+                    };
                     net.async_completes_at(h).unwrap().as_micros()
                 })
                 .collect::<Vec<_>>()
@@ -1071,7 +1076,10 @@ mod tests {
             lats.push(net.send(i % 8, (i + 3) % 8, 128).unwrap().as_micros());
         }
         let handles: Vec<_> = (0..12)
-            .map(|i| net.send_async(0, 1 + (i % 3), 64, 64).unwrap())
+            .map(|i| {
+                net.send_async_at(0, 1 + (i % 3), 64, 64, net.now(), None)
+                    .unwrap()
+            })
             .collect();
         for h in handles {
             let at = net.async_completes_at(h).unwrap();
@@ -1097,7 +1105,7 @@ mod tests {
         let mut net = SimNet::new(4, NetConfig::default(), 5);
         net.rpc(0, 1, 64, 64).unwrap();
         net.send(1, 2, 64).unwrap();
-        net.send_async(2, 3, 64, 64).unwrap();
+        net.send_async_at(2, 3, 64, 64, net.now(), None).unwrap();
         assert!(net.take_trace().is_empty());
     }
 
@@ -1107,9 +1115,9 @@ mod tests {
         net.set_tracing(true);
         net.rpc(0, 1, 64, 64).unwrap();
         net.send(1, 2, 64).unwrap();
-        // Saturate link 3->2's in-flight capacity so a queue span appears.
+        // Saturate peer 3's uplink so a queue span appears.
         for _ in 0..(net.config().max_in_flight_per_link + 1) {
-            net.send_async(3, 2, 64, 64).unwrap();
+            net.send_async_at(3, 2, 64, 64, net.now(), None).unwrap();
         }
         let trace = net.take_trace();
         let rpc = trace.named("rpc").next().expect("rpc span");
@@ -1117,7 +1125,7 @@ mod tests {
         assert_eq!(trace.named("send").next().unwrap().detail, "1->2");
         assert!(trace.named("net.deliver").count() >= 1);
         let queue = trace.named("net.queue").next().expect("queue span");
-        assert_eq!(queue.detail, "3->2");
+        assert_eq!(queue.detail, "3->*");
         // Two identically seeded runs serialize identically.
         let rerun = |_: ()| {
             let mut net = SimNet::new(4, NetConfig::default(), 5);

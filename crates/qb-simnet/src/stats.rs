@@ -21,7 +21,7 @@ pub struct NetStats {
     /// Peers that transitioned online→offline (churn: crashes, graceful
     /// departures).
     pub peer_down_events: u64,
-    /// Asynchronous operations issued (`send_async` / `begin_async_op`).
+    /// Asynchronous operations issued (`send_async_at` / `begin_async_op`).
     pub async_ops: u64,
     /// Asynchronous operations that had to queue behind a link's in-flight
     /// limit before starting.

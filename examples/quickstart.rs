@@ -225,10 +225,9 @@ fn main() {
         );
     }
     println!(
-        "  makespan {} | {} memo hits, {} partial-intersection reuses, {} real scorings | queue delay {}",
+        "  makespan {} | {} memo hits, {} real scorings | queue delay {}",
         outcome.report.makespan,
         outcome.report.memo_hits,
-        outcome.report.memo_partial_hits,
         outcome.report.score_invocations,
         outcome.report.queue_delay,
     );

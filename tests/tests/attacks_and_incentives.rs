@@ -33,11 +33,11 @@ fn honest_economy_rewards_every_stakeholder_and_conserves_supply() {
     // Creators earned publish rewards; the hub creator also earned the
     // popularity reward; bees earned indexing + ranking bounties.
     for i in 0..5u64 {
-        assert!(qb.chain.balance(AccountId(1_000 + i)) >= qb.config().chain.publish_reward);
+        assert!(qb.chain.balance(AccountId(1_000 + i)) >= qb_chain::PUBLISH_REWARD);
     }
     assert!(
         qb.chain.balance(AccountId(1_100))
-            > qb.config().chain.publish_reward + qb.config().chain.popularity_reward / 2
+            > qb_chain::PUBLISH_REWARD + qb_chain::POPULARITY_REWARD / 2
     );
     for bee in qb.bee_accounts() {
         assert!(qb.chain.balance(bee) > 0, "bee {bee:?} earned nothing");

@@ -1,7 +1,7 @@
 //! Integration tests of the substrate stack below the engine: DHT + storage +
 //! chain + distributed index working together under churn.
 
-use qb_chain::{AccountId, Blockchain, Call, ChainConfig};
+use qb_chain::{AccountId, Blockchain, Call};
 use qb_common::{Cid, DhtKey, SimInstant};
 use qb_dht::{DhtConfig, DhtNetwork};
 use qb_index::{DistributedIndex, IndexStats, ShardEntry, ShardPosting};
@@ -82,7 +82,7 @@ fn dht_records_and_storage_objects_share_the_same_key_space() {
 #[test]
 fn chain_registry_and_storage_stay_consistent() {
     let (mut net, mut dht, mut storage) = stack(24, 3);
-    let mut chain = Blockchain::new(ChainConfig::default());
+    let mut chain = Blockchain::new();
     // Register 20 pages whose contents live in storage.
     let mut cids = Vec::new();
     for i in 0..20u64 {
