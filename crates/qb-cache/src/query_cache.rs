@@ -584,14 +584,19 @@ impl QueryCache {
     /// contains the term, and record the republish observation that drives
     /// the adaptive TTL policy. Returns the number of entries dropped.
     pub fn invalidate_term(&mut self, term: &str, now: SimInstant) -> usize {
-        self.republish
-            .entry(term.to_string())
-            .or_insert(RepublishTracker {
-                last: now,
-                ewma_interval_us: 0.0,
-                observations: 0,
-            })
-            .observe(now);
+        // Look up before allocating: only a term's first republish owns a key.
+        match self.republish.get_mut(term) {
+            Some(tracker) => tracker.observe(now),
+            None => {
+                let mut tracker = RepublishTracker {
+                    last: now,
+                    ewma_interval_us: 0.0,
+                    observations: 0,
+                };
+                tracker.observe(now);
+                self.republish.insert(term.to_string(), tracker);
+            }
+        }
         let mut dropped = 0;
         if self.shards.invalidate(term) {
             dropped += 1;

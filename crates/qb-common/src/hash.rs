@@ -67,25 +67,20 @@ impl Hash256 {
     }
 
     /// XOR distance between two digests interpreted as 256-bit integers
-    /// (the Kademlia metric). Returned as a 32-byte big-endian value.
-    pub fn xor(&self, other: &Hash256) -> [u8; 32] {
-        let mut out = [0u8; 32];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(&other.0)) {
-            *o = a ^ b;
-        }
-        out
+    /// (the Kademlia metric).
+    pub fn xor(&self, other: &Hash256) -> Distance {
+        let word =
+            |h: &Hash256, i: usize| u64::from_be_bytes(std::array::from_fn(|j| h.0[8 * i + j]));
+        Distance(std::array::from_fn(|i| word(self, i) ^ word(other, i)))
     }
 
     /// Number of leading zero bits of the XOR distance to `other`; equals
     /// 256 when the two digests are identical. Used to select k-buckets.
     pub fn common_prefix_len(&self, other: &Hash256) -> usize {
-        let x = self.xor(other);
         let mut count = 0;
-        for byte in x {
-            if byte == 0 {
-                count += 8;
-            } else {
-                count += byte.leading_zeros() as usize;
+        for word in self.xor(other).0 {
+            count += word.leading_zeros() as usize;
+            if word != 0 {
                 break;
             }
         }
@@ -97,6 +92,13 @@ impl Hash256 {
         self.xor(target) < other.xor(target)
     }
 }
+
+/// An XOR distance ([`Hash256::xor`]): the 256-bit value as four big-endian
+/// words, most significant first, so the derived order is the integer order
+/// and a comparison is four word compares. Compute it once per contact and
+/// keep it beside the contact; never re-derive it inside a comparator.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Distance([u64; 4]);
 
 impl fmt::Debug for Hash256 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -160,44 +162,20 @@ impl Sha256 {
     /// Absorb `data`.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut input = data;
-        if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(input.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
-            self.buffer_len += take;
-            input = &input[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
-        }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
-        }
+        self.absorb(data);
     }
 
     /// Finish and return the digest bytes.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append the 0x80 terminator.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        // Number of zero bytes so that (len + 1 + zeros + 8) % 64 == 0.
+        // The 0x80 terminator, zeros up to 56 mod 64, then the bit length:
+        // at most 1 + 63 + 8 bytes, so the padding lives on the stack.
         let rem = (self.buffer_len + 1 + 8) % 64;
         let zeros = if rem == 0 { 0 } else { 64 - rem };
-        let mut tail = Vec::with_capacity(1 + zeros + 8);
-        tail.extend_from_slice(&pad[..1 + zeros]);
-        tail.extend_from_slice(&bit_len.to_be_bytes());
-        self.update_no_len(&tail);
+        let mut tail = [0u8; 72];
+        tail[0] = 0x80;
+        tail[1 + zeros..1 + zeros + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.absorb(&tail[..1 + zeros + 8]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -205,8 +183,9 @@ impl Sha256 {
         out
     }
 
-    fn update_no_len(&mut self, data: &[u8]) {
-        // Same as update but without counting towards total_len (padding).
+    /// Buffer `data` and compress every full block (message bytes and
+    /// padding alike; only [`Sha256::update`] counts towards the length).
+    fn absorb(&mut self, data: &[u8]) {
         let mut input = data;
         if self.buffer_len > 0 {
             let need = 64 - self.buffer_len;
@@ -321,6 +300,46 @@ mod tests {
         );
     }
 
+    /// Known answers (`sha256sum`) on either side of every padding boundary:
+    /// 55 bytes is the longest message whose padding fits its own block, 56
+    /// the shortest that spills into a second one, 64 a full block.
+    #[test]
+    fn padding_boundary_vectors() {
+        let vectors = [
+            (
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ];
+        for (len, digest) in vectors {
+            assert_eq!(sha256(&vec![b'a'; len]).to_hex(), digest, "{len} bytes");
+        }
+    }
+
     #[test]
     fn streaming_matches_one_shot() {
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
@@ -351,7 +370,7 @@ mod tests {
     fn xor_distance_properties_basic() {
         let a = sha256(b"a");
         let b = sha256(b"b");
-        assert_eq!(a.xor(&a), [0u8; 32]);
+        assert_eq!(a.xor(&a), Distance::default());
         assert_eq!(a.xor(&b), b.xor(&a));
         assert_eq!(a.common_prefix_len(&a), 256);
     }

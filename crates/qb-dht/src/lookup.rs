@@ -33,6 +33,11 @@
 //!   frontier never digs past the current top-`k`.
 //! * Each peer is queried at most once per lookup; failures remove the peer
 //!   from both the shortlist and the requester's routing table.
+//! * The shortlist is kept sorted by an XOR distance computed once per
+//!   contact and stored beside it: merging a response is a binary-search
+//!   insert (which is also the duplicate check) and picking the next
+//!   candidate is a scan from the front — nothing re-sorts, and no
+//!   comparison re-derives a distance.
 //! * Completions are processed in (completion instant, issue order) order,
 //!   so a run is bit-identical for a given seed regardless of how the
 //!   driver batches its polls.
@@ -62,7 +67,7 @@
 
 use crate::network::{DhtNetwork, LookupOutcome};
 use crate::node::Record;
-use qb_common::{DhtKey, Hash256, LatencyHistogram, NodeId, SimDuration, SimInstant};
+use qb_common::{DhtKey, Distance, Hash256, LatencyHistogram, NodeId, SimDuration, SimInstant};
 use qb_simnet::{Poll, RpcError, RpcHandle, SimNet};
 use qb_trace::SpanId;
 use std::collections::HashSet;
@@ -133,7 +138,9 @@ pub struct LookupMachine {
     min_version: u64,
     started_at: SimInstant,
     span: Option<SpanId>,
-    shortlist: Vec<NodeId>,
+    /// Every contact learnt so far, nearest first, each beside its distance
+    /// to `target`: inserts keep the order, so nothing ever sorts it.
+    shortlist: Vec<(Distance, NodeId)>,
     queried: HashSet<u64>,
     failed: HashSet<u64>,
     in_flight: Vec<InFlightRpc>,
@@ -199,16 +206,19 @@ impl LookupMachine {
             .is_some_and(|r| r.version >= self.min_version)
     }
 
-    /// The closest not-yet-queried, not-failed candidate among the `k`
-    /// closest non-failed known contacts (the α-frontier rule).
-    fn next_candidate(&mut self) -> Option<NodeId> {
-        self.shortlist.sort_by_key(|a| a.key.xor(&self.target));
+    /// The `k` closest non-failed known contacts, nearest first.
+    fn top_k(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.shortlist
             .iter()
+            .map(|(_, c)| *c)
             .filter(|c| !self.failed.contains(&c.index))
             .take(self.k)
-            .find(|c| !self.queried.contains(&c.index))
-            .copied()
+    }
+
+    /// The closest not-yet-queried, not-failed candidate among the `k`
+    /// closest non-failed known contacts (the α-frontier rule).
+    fn next_candidate(&self) -> Option<NodeId> {
+        self.top_k().find(|c| !self.queried.contains(&c.index))
     }
 }
 
@@ -416,13 +426,17 @@ impl DhtNetwork {
                 // satisfying hop's contacts are discarded, matching the
                 // synchronous loop's break-before-merge).
                 if !machine.satisfied {
-                    for c in
+                    for (distance, c) in
                         self.nodes[op.peer.index as usize].find_node(&machine.target, machine.k)
                     {
-                        if c.index != machine.from
-                            && !machine.shortlist.iter().any(|e| e.index == c.index)
-                        {
-                            machine.shortlist.push(c);
+                        if c.index == machine.from {
+                            continue;
+                        }
+                        // Distinct contacts lie at distinct distances, so the
+                        // search for the slot is also the duplicate check.
+                        let slot = machine.shortlist.binary_search_by_key(&distance, |e| e.0);
+                        if let Err(at) = slot {
+                            machine.shortlist.insert(at, (distance, c));
                         }
                     }
                 }
@@ -609,10 +623,8 @@ impl DhtNetwork {
 
     fn lookup_finish(&mut self, net: &mut SimNet, machine: &mut LookupMachine) {
         net.tracer().close(machine.span, machine.finished_at);
-        let mut closest = machine.shortlist.clone();
-        closest.retain(|c| !machine.failed.contains(&c.index));
-        closest.sort_by_key(|a| a.key.xor(&machine.target));
-        closest.truncate(machine.k);
+        let mut closest = Vec::with_capacity(machine.k);
+        closest.extend(machine.top_k());
         machine.result = Some((
             LookupOutcome {
                 closest,

@@ -115,15 +115,10 @@ impl DhtNetwork {
     /// Ground-truth closest online nodes to a key (bypasses routing tables);
     /// used by tests and by the experiment harness to validate lookups.
     pub fn closest_online_global(&self, net: &SimNet, key: &Hash256, count: usize) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .map(|n| n.id)
-            .filter(|id| net.is_online(id.index))
-            .collect();
-        ids.sort_by_key(|a| a.key.xor(key));
-        ids.truncate(count);
-        ids
+        let online = self.nodes.iter().map(|n| n.id);
+        let online = online.filter(|id| net.is_online(id.index));
+        let nearest = crate::routing::nearest(online, key, count);
+        nearest.into_iter().map(|(_, id)| id).collect()
     }
 
     fn bootstrap(&mut self, net: &mut SimNet) {
@@ -625,6 +620,206 @@ mod tests {
         // The contended uplink charged real queueing delay.
         assert!(net.stats().async_queued_ops > 0);
         assert!(oa.queue_delay + ob.queue_delay > SimDuration::ZERO);
+    }
+
+    /// FNV-1a fold of a transcript: pins every field of every outcome in
+    /// one word (the transcript itself is printed when it moves).
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// One fixed script over 64 peers: three peers offline, one peer
+    /// partitioned away, then 32 node lookups and 16 put/get pairs from
+    /// rotating origins. Odd seeds run on a one-slot uplink (so α = 2
+    /// queues and `queue_delay` is non-zero), even seeds drop 8 % of
+    /// messages, and seed 4 reads with hedging armed.
+    /// Returns the transcript of every outcome and the final traffic
+    /// counters.
+    fn golden_run(seed: u64) -> (String, qb_simnet::NetStats) {
+        use std::fmt::Write;
+        let mut cfg = NetConfig::lan();
+        if seed % 2 == 1 {
+            cfg.max_in_flight_per_link = 1;
+        } else {
+            cfg.drop_probability = 0.08;
+        }
+        let mut net = SimNet::new(64, cfg, seed);
+        let mut dcfg = DhtConfig::small();
+        if seed == 4 {
+            // Single-flight walks: the regime where a dropped probe stalls
+            // the lookup and only the hedge timer rescues it.
+            dcfg.alpha = 1;
+            dcfg.hedge = crate::HedgeConfig {
+                enabled: true,
+                percent: 50,
+                min_rtt_samples: 4,
+            };
+        }
+        let mut dht = DhtNetwork::build(&mut net, dcfg);
+        for offline in [7, 21, 40] {
+            net.set_online(offline, false);
+        }
+        net.set_partition(33, 1);
+        let indices = |ids: &[NodeId]| ids.iter().map(|c| c.index).collect::<Vec<_>>();
+        let mut out = String::new();
+        for i in 0..32u64 {
+            let from = (i * 5 + seed) % 64;
+            let target = Hash256::digest_parts(&[b"golden:", &i.to_be_bytes()]);
+            match dht.lookup_nodes(&mut net, from, target) {
+                Ok(o) => writeln!(
+                    out,
+                    "L{i} from {from}: {:?} hops {} msgs {} lat {} queue {}",
+                    indices(&o.closest),
+                    o.hops,
+                    o.messages,
+                    o.latency.as_micros(),
+                    o.queue_delay.as_micros()
+                ),
+                Err(e) => writeln!(out, "L{i} from {from}: {e}"),
+            }
+            .unwrap();
+        }
+        for i in 0..16u64 {
+            let from = (i * 11 + seed) % 64;
+            let key = DhtKey::for_term(&format!("golden-{i}"));
+            match dht.put_record(&mut net, from, key, vec![i as u8; 24], 1 + i % 3) {
+                Ok(p) => writeln!(
+                    out,
+                    "P{i} from {from}: {:?} lat {} msgs {}",
+                    indices(&p.stored_on),
+                    p.latency.as_micros(),
+                    p.messages
+                ),
+                Err(e) => writeln!(out, "P{i} from {from}: {e}"),
+            }
+            .unwrap();
+            // Hedge timers arm per origin, so the hedged seed reads from one.
+            let reader = if seed == 4 {
+                9
+            } else {
+                (i * 13 + 3 * seed + 1) % 64
+            };
+            match dht.get_record_fresh(&mut net, reader, key, 1 + i % 3) {
+                Ok(g) => writeln!(
+                    out,
+                    "G{i} from {reader}: v{} by {} hops {} msgs {} lat {}",
+                    g.record.version,
+                    g.record.publisher.index,
+                    g.hops,
+                    g.messages,
+                    g.latency.as_micros()
+                ),
+                Err(e) => writeln!(out, "G{i} from {reader}: {e}"),
+            }
+            .unwrap();
+        }
+        if seed == 4 {
+            for i in 0..48u64 {
+                let key = DhtKey::for_term(&format!("golden-{}", i % 16));
+                match dht.get_record_fresh(&mut net, 9, key, 0) {
+                    Ok(g) => writeln!(
+                        out,
+                        "H{i}: v{} hops {} msgs {} lat {}",
+                        g.record.version,
+                        g.hops,
+                        g.messages,
+                        g.latency.as_micros()
+                    ),
+                    Err(e) => writeln!(out, "H{i}: {e}"),
+                }
+                .unwrap();
+            }
+        }
+        (out, net.stats().clone())
+    }
+
+    /// The walk's bookkeeping (distances, shortlist order, selection of the
+    /// `k` nearest) is host-side only: every outcome of the fixed script and
+    /// the final traffic counters must equal the constants recorded before
+    /// distances were computed once and the shortlist kept sorted.
+    #[test]
+    fn golden_scenario_is_byte_identical() {
+        let expected: [(u64, qb_simnet::NetStats); 4] = [
+            (
+                0x4668_9eb2_dc7d_6bc2,
+                qb_simnet::NetStats {
+                    messages: 2164,
+                    bytes: 243344,
+                    rpcs: 1082,
+                    failed_rpcs: 18,
+                    dropped_messages: 0,
+                    peer_down_events: 3,
+                    async_ops: 1082,
+                    async_queued_ops: 776,
+                    async_queue_delay_us: 824728,
+                    hedges_fired: 0,
+                    hedges_won: 0,
+                    ..Default::default()
+                },
+            ),
+            (
+                0xd4ef_db17_da36_513b,
+                qb_simnet::NetStats {
+                    messages: 1854,
+                    bytes: 208344,
+                    rpcs: 927,
+                    failed_rpcs: 90,
+                    dropped_messages: 70,
+                    peer_down_events: 3,
+                    async_ops: 927,
+                    async_queued_ops: 0,
+                    async_queue_delay_us: 0,
+                    hedges_fired: 0,
+                    hedges_won: 0,
+                    ..Default::default()
+                },
+            ),
+            (
+                0xb564_3a6f_ac75_d566,
+                qb_simnet::NetStats {
+                    messages: 2156,
+                    bytes: 243376,
+                    rpcs: 1078,
+                    failed_rpcs: 21,
+                    dropped_messages: 0,
+                    peer_down_events: 3,
+                    async_ops: 1078,
+                    async_queued_ops: 768,
+                    async_queue_delay_us: 810726,
+                    hedges_fired: 0,
+                    hedges_won: 0,
+                    ..Default::default()
+                },
+            ),
+            (
+                0x0f8a_185e_c6b2_b930,
+                qb_simnet::NetStats {
+                    messages: 1842,
+                    bytes: 206472,
+                    rpcs: 921,
+                    failed_rpcs: 123,
+                    dropped_messages: 92,
+                    peer_down_events: 3,
+                    async_ops: 921,
+                    async_queued_ops: 0,
+                    async_queue_delay_us: 0,
+                    hedges_fired: 27,
+                    hedges_won: 9,
+                    ..Default::default()
+                },
+            ),
+        ];
+        for (seed, (fingerprint, stats)) in (1u64..).zip(expected) {
+            let (transcript, got) = golden_run(seed);
+            assert_eq!(
+                fnv1a(&transcript),
+                fingerprint,
+                "seed {seed} transcript moved:\n{transcript}"
+            );
+            assert_eq!(got, stats, "seed {seed}");
+        }
     }
 
     /// A lossy LAN plus a workload of puts-then-gets, with hedging either

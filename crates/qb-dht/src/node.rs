@@ -2,7 +2,7 @@
 
 use crate::routing::RoutingTable;
 use crate::DhtConfig;
-use qb_common::{DhtKey, NodeId, SimInstant};
+use qb_common::{DhtKey, Distance, Hash256, NodeId, SimInstant};
 use std::collections::HashMap;
 
 /// A value stored in the DHT under a key.
@@ -98,8 +98,10 @@ impl DhtNode {
     }
 
     /// Handle a `FIND_NODE` RPC: return our `count` closest contacts to the
-    /// target, plus ourselves implicitly handled by the caller.
-    pub fn find_node(&self, target: &qb_common::Hash256, count: usize) -> Vec<NodeId> {
+    /// target, plus ourselves implicitly handled by the caller. Each contact
+    /// rides beside its distance to the target — a function of two keys the
+    /// requester holds anyway, handed over so it is not computed twice.
+    pub fn find_node(&self, target: &Hash256, count: usize) -> Vec<(Distance, NodeId)> {
         self.routing.closest(target, count)
     }
 }
@@ -176,7 +178,7 @@ mod tests {
         let found = n.find_node(&target, 3);
         assert_eq!(found.len(), 3);
         for w in found.windows(2) {
-            assert!(w[0].key.xor(&target) <= w[1].key.xor(&target));
+            assert!(w[0].1.key.xor(&target) <= w[1].1.key.xor(&target));
         }
     }
 }

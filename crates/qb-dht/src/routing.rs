@@ -1,6 +1,32 @@
 //! K-bucket routing table.
 
-use qb_common::{Hash256, NodeId};
+use qb_common::{Distance, Hash256, NodeId};
+
+/// The `count` contacts of `contacts` nearest to `target` by XOR distance,
+/// nearest first, each beside its distance. A bounded insertion into one
+/// `count`-sized list: every distance is computed once, nothing larger than
+/// the answer is allocated, and ties keep arrival order — the same list a
+/// stable sort of everything followed by a truncate would leave.
+pub(crate) fn nearest(
+    contacts: impl Iterator<Item = NodeId>,
+    target: &Hash256,
+    count: usize,
+) -> Vec<(Distance, NodeId)> {
+    let mut best: Vec<(Distance, NodeId)> = Vec::with_capacity(count);
+    for contact in contacts {
+        let distance = contact.key.xor(target);
+        if best.len() == count {
+            // Full: only a contact nearer than the worst kept displaces it.
+            if best.last().is_none_or(|(worst, _)| distance >= *worst) {
+                continue;
+            }
+            best.pop();
+        }
+        let at = best.partition_point(|(d, _)| *d <= distance);
+        best.insert(at, (distance, contact));
+    }
+    best
+}
 
 /// A Kademlia routing table: 256 buckets indexed by the length of the common
 /// key prefix with the local node, each holding at most `k` contacts ordered
@@ -73,12 +99,10 @@ impl RoutingTable {
         self.len() == 0
     }
 
-    /// The `count` contacts closest to `target` by XOR distance.
-    pub fn closest(&self, target: &Hash256, count: usize) -> Vec<NodeId> {
-        let mut all: Vec<NodeId> = self.buckets.iter().flatten().copied().collect();
-        all.sort_by_key(|a| a.key.xor(target));
-        all.truncate(count);
-        all
+    /// The `count` contacts closest to `target` by XOR distance, nearest
+    /// first, each beside its distance to `target`.
+    pub fn closest(&self, target: &Hash256, count: usize) -> Vec<(Distance, NodeId)> {
+        nearest(self.buckets.iter().flatten().copied(), target, count)
     }
 
     /// All contacts (unordered).
@@ -100,6 +124,21 @@ mod tests {
 
     fn node(i: u64) -> NodeId {
         NodeId::from_index(i)
+    }
+
+    /// Byte-wise XOR of two keys compared as a big-endian 256-bit integer:
+    /// the reference order every distance comparison must reproduce.
+    fn byte_distance(a: &Hash256, b: &Hash256) -> [u8; 32] {
+        std::array::from_fn(|i| a.0[i] ^ b.0[i])
+    }
+
+    /// Naive reference for [`RoutingTable::closest`]: collect every contact,
+    /// stable-sort by the byte-wise distance, truncate.
+    fn closest_naive(rt: &RoutingTable, target: &Hash256, count: usize) -> Vec<NodeId> {
+        let mut all = rt.contacts();
+        all.sort_by_key(|c| byte_distance(&c.key, target));
+        all.truncate(count);
+        all
     }
 
     #[test]
@@ -174,7 +213,7 @@ mod tests {
         let closest = rt.closest(&target, 5);
         assert_eq!(closest.len(), 5);
         for w in closest.windows(2) {
-            assert!(w[0].key.xor(&target) <= w[1].key.xor(&target));
+            assert!(w[0].1.key.xor(&target) <= w[1].1.key.xor(&target));
         }
         // The first element really is the global minimum among contacts.
         let best = rt
@@ -182,7 +221,7 @@ mod tests {
             .into_iter()
             .min_by(|a, b| a.key.xor(&target).cmp(&b.key.xor(&target)))
             .unwrap();
-        assert_eq!(closest[0].key, best.key);
+        assert_eq!(closest[0], (best.key.xor(&target), best));
     }
 
     #[test]
@@ -213,6 +252,53 @@ mod tests {
             keys.sort();
             keys.dedup();
             prop_assert_eq!(before, keys.len());
+        }
+
+        #[test]
+        fn closest_equals_the_naive_reference(ops in proptest::collection::vec((0u64..400, any::<bool>(), 0u8..4), 0..300),
+                                              k in 1usize..8,
+                                              target in any::<[u8; 32]>(),
+                                              near in any::<bool>()) {
+            let local = node(0);
+            let mut rt = RoutingTable::new(local.key, k);
+            for (i, evict, op) in ops {
+                // One removal per three observations keeps tables populated.
+                if op == 0 {
+                    rt.remove(&node(i));
+                } else {
+                    rt.observe(node(i), evict);
+                }
+            }
+            // Half the targets sit beside a contact's key, so orderings are
+            // decided deep inside the key rather than by its first byte.
+            let mut target = Hash256(target);
+            if near {
+                if let Some(c) = rt.contacts().first() {
+                    target.0[..24].copy_from_slice(&c.key.0[..24]);
+                }
+            }
+            for count in [0, 1, k, rt.len() + 3] {
+                let got = rt.closest(&target, count);
+                prop_assert!(got.iter().all(|(d, c)| *d == c.key.xor(&target)));
+                let ids: Vec<NodeId> = got.into_iter().map(|(_, c)| c).collect();
+                prop_assert_eq!(ids, closest_naive(&rt, &target, count));
+            }
+        }
+
+        #[test]
+        fn distance_orders_like_the_byte_wise_xor(a in any::<[u8; 32]>(),
+                                                  b in any::<[u8; 32]>(),
+                                                  t in any::<[u8; 32]>(),
+                                                  shared in 0usize..33) {
+            // `a` and `b` agree on their first `shared` bytes, so the byte
+            // that decides the order lands on every position and word.
+            let (a, mut b, t) = (Hash256(a), Hash256(b), Hash256(t));
+            b.0[..shared].copy_from_slice(&a.0[..shared]);
+            prop_assert_eq!(
+                a.xor(&t).cmp(&b.xor(&t)),
+                byte_distance(&a, &t).cmp(&byte_distance(&b, &t))
+            );
+            prop_assert_eq!(a.closer_to(&b, &t), byte_distance(&a, &t) < byte_distance(&b, &t));
         }
     }
 }

@@ -41,8 +41,8 @@ impl QueenBee {
         creator: AccountId,
         page: &WebPage,
     ) -> QbResult<PublishReport> {
+        let sig = MinHashSignature::of_text(&page.body);
         if self.config.duplicate_detection {
-            let sig = MinHashSignature::of_text(&page.body);
             for (other_name, (other_creator, other_sig)) in &self.signatures {
                 if *other_creator != creator.0
                     && other_name != &page.name
@@ -69,10 +69,7 @@ impl QueenBee {
             creator,
             page,
         )?;
-        self.signatures.insert(
-            page.name.clone(),
-            (creator.0, MinHashSignature::of_text(&page.body)),
-        );
+        self.signatures.insert(page.name.clone(), (creator.0, sig));
         self.known_creators.insert(creator);
         Ok(PublishReport {
             name: page.name.clone(),

@@ -41,25 +41,29 @@ impl ChunkerConfig {
 
 /// Gear table for the rolling hash, generated deterministically from a fixed
 /// seed so chunk boundaries are stable across runs and machines.
-fn gear_table() -> [u64; 256] {
+static GEAR: [u64; 256] = {
     let mut table = [0u64; 256];
     let mut state = 0x9E3779B97F4A7C15u64;
-    for entry in table.iter_mut() {
+    let mut i = 0;
+    while i < table.len() {
         // SplitMix64 step.
         state = state.wrapping_add(0x9E3779B97F4A7C15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        *entry = z ^ (z >> 31);
+        table[i] = z ^ (z >> 31);
+        i += 1;
     }
     table
-}
+};
 
-/// Content-defined chunking with a gear rolling hash. An empty input yields a
-/// single empty chunk so that every object has at least one block.
-pub fn chunk_content_defined(data: &[u8], config: &ChunkerConfig) -> Vec<Vec<u8>> {
+/// Content-defined chunking with a gear rolling hash: the chunks of `data`,
+/// in order, as slices of it (the caller copies each once, into the block it
+/// becomes). An empty input yields a single empty chunk so that every object
+/// has at least one block.
+pub fn chunk_content_defined<'a>(data: &'a [u8], config: &ChunkerConfig) -> Vec<&'a [u8]> {
     if data.is_empty() {
-        return vec![Vec::new()];
+        return vec![data];
     }
     let min = config.min_size.max(1);
     let max = config.max_size.max(min);
@@ -72,25 +76,24 @@ pub fn chunk_content_defined(data: &[u8], config: &ChunkerConfig) -> Vec<Vec<u8>
     } else {
         (1u64 << bits) - 1
     };
-    let table = gear_table();
 
-    let mut chunks = Vec::new();
+    let mut chunks = Vec::with_capacity(data.len() / target + 1);
     let mut start = 0usize;
     let mut hash: u64 = 0;
     let mut i = 0usize;
     while i < data.len() {
-        hash = (hash << 1).wrapping_add(table[data[i] as usize]);
+        hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
         let len = i - start + 1;
         let at_boundary = len >= min && (hash & mask) == 0;
         if at_boundary || len >= max {
-            chunks.push(data[start..=i].to_vec());
+            chunks.push(&data[start..=i]);
             start = i + 1;
             hash = 0;
         }
         i += 1;
     }
     if start < data.len() {
-        chunks.push(data[start..].to_vec());
+        chunks.push(&data[start..]);
     }
     chunks
 }

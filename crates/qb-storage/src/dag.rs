@@ -1,5 +1,6 @@
 //! Object manifests: the merkle root tying an object's chunks together.
 
+use crate::block::Block;
 use qb_common::{varint, Cid, Hash256, QbError, QbResult};
 
 const MANIFEST_MAGIC: &[u8; 6] = b"QBDAG1";
@@ -15,11 +16,12 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Build a manifest from chunk data (computing each chunk's cid).
-    pub fn from_chunks(chunks: &[Vec<u8>]) -> Manifest {
+    /// Build a manifest over an object's chunk blocks, in order. Each block
+    /// was hashed when its bytes entered; the manifest lists those cids.
+    pub fn from_blocks(blocks: &[Block]) -> Manifest {
         Manifest {
-            chunks: chunks.iter().map(|c| Cid::for_data(c)).collect(),
-            total_len: chunks.iter().map(|c| c.len() as u64).sum(),
+            chunks: blocks.iter().map(Block::cid).collect(),
+            total_len: blocks.iter().map(|b| b.len() as u64).sum(),
         }
     }
 
@@ -81,10 +83,25 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The manifest over `chunks`, each hashed into its block.
+    fn manifest_of(chunks: &[Vec<u8>]) -> Manifest {
+        let blocks: Vec<Block> = chunks.iter().map(|c| Block::new(c.clone())).collect();
+        Manifest::from_blocks(&blocks)
+    }
+
+    /// What `Manifest::from_chunks` built before blocks were shared: every
+    /// chunk hashed again, for the manifest alone.
+    fn manifest_by_rehashing(chunks: &[Vec<u8>]) -> Manifest {
+        Manifest {
+            chunks: chunks.iter().map(|c| Cid::for_data(c)).collect(),
+            total_len: chunks.iter().map(|c| c.len() as u64).sum(),
+        }
+    }
+
     #[test]
     fn round_trip() {
         let chunks = vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()];
-        let m = Manifest::from_chunks(&chunks);
+        let m = manifest_of(&chunks);
         assert_eq!(m.chunk_count(), 3);
         assert_eq!(m.total_len, 11);
         let decoded = Manifest::decode(&m.encode()).unwrap();
@@ -93,8 +110,8 @@ mod tests {
 
     #[test]
     fn root_cid_changes_when_any_chunk_changes() {
-        let a = Manifest::from_chunks(&[b"aaa".to_vec(), b"bbb".to_vec()]);
-        let b = Manifest::from_chunks(&[b"aaa".to_vec(), b"bbc".to_vec()]);
+        let a = manifest_of(&[b"aaa".to_vec(), b"bbb".to_vec()]);
+        let b = manifest_of(&[b"aaa".to_vec(), b"bbc".to_vec()]);
         assert_ne!(a.root_cid(), b.root_cid());
     }
 
@@ -102,18 +119,18 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(Manifest::decode(b"").is_err());
         assert!(Manifest::decode(b"NOTMAGIC").is_err());
-        let mut good = Manifest::from_chunks(&[b"x".to_vec()]).encode();
+        let mut good = manifest_of(&[b"x".to_vec()]).encode();
         good.truncate(good.len() - 5);
         assert!(Manifest::decode(&good).is_err());
         // Trailing junk is rejected too.
-        let mut padded = Manifest::from_chunks(&[b"x".to_vec()]).encode();
+        let mut padded = manifest_of(&[b"x".to_vec()]).encode();
         padded.push(0);
         assert!(Manifest::decode(&padded).is_err());
     }
 
     #[test]
     fn empty_object_manifest() {
-        let m = Manifest::from_chunks(&[Vec::new()]);
+        let m = manifest_of(&[Vec::new()]);
         assert_eq!(m.total_len, 0);
         assert_eq!(m.chunk_count(), 1);
         let decoded = Manifest::decode(&m.encode()).unwrap();
@@ -128,8 +145,11 @@ mod tests {
                 .enumerate()
                 .map(|(i, &s)| vec![i as u8; s])
                 .collect();
-            let m = Manifest::from_chunks(&chunks);
+            let m = manifest_of(&chunks);
             prop_assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
+            // Listing the blocks' cids addresses the same bytes as hashing
+            // the chunks for the manifest did.
+            prop_assert_eq!(m.encode(), manifest_by_rehashing(&chunks).encode());
         }
     }
 }

@@ -127,6 +127,15 @@ impl StorageNetwork {
         Some((manifest, blocks))
     }
 
+    /// Pin an object's manifest and chunk blocks on `peer`: handles onto the
+    /// shared immutable bytes, not copies.
+    fn pin(&mut self, peer: u64, manifest: &Block, chunks: &[Block]) {
+        let store = &mut self.pinned[peer as usize];
+        for block in std::iter::once(manifest).chain(chunks) {
+            store.put(block.clone());
+        }
+    }
+
     /// Publish an object from `from`: chunk it, pin it locally, replicate it
     /// to the closest peers to its root key and announce providers in the DHT.
     pub fn put_object(
@@ -139,8 +148,13 @@ impl StorageNetwork {
         if !net.is_online(from) {
             return Err(QbError::NodeOffline(from));
         }
-        let chunks = chunk_content_defined(data, &self.config.chunker);
-        let manifest = Manifest::from_chunks(&chunks);
+        // Content enters here: each chunk is copied and hashed once, into the
+        // block every holder then pins by handle.
+        let blocks: Vec<Block> = chunk_content_defined(data, &self.config.chunker)
+            .into_iter()
+            .map(Block::new)
+            .collect();
+        let manifest = Manifest::from_blocks(&blocks);
         let manifest_block = Block::new(manifest.encode());
         let root = manifest_block.cid();
         let object_ref = ObjectRef {
@@ -151,11 +165,7 @@ impl StorageNetwork {
 
         let mut stats = FetchStats::default();
 
-        // Pin locally.
-        self.pinned[from as usize].put(manifest_block.clone());
-        for c in &chunks {
-            self.pinned[from as usize].put(Block::new(c.clone()));
-        }
+        self.pin(from, &manifest_block, &blocks);
 
         // Announce the publisher as a provider.
         let provider_key = root.to_dht_key();
@@ -180,10 +190,7 @@ impl StorageNetwork {
                 stats.messages += 1;
                 if res.is_ok() {
                     stats.bytes += payload as u64;
-                    self.pinned[target.index as usize].put(manifest_block.clone());
-                    for c in &chunks {
-                        self.pinned[target.index as usize].put(Block::new(c.clone()));
-                    }
+                    self.pin(target.index, &manifest_block, &blocks);
                     if let Ok(ann) = dht.add_provider(net, target.index, provider_key) {
                         stats.messages += ann.messages;
                     }
@@ -392,6 +399,17 @@ mod tests {
         (0..len).map(|i| (i % 251) as u8).collect()
     }
 
+    /// Pseudo-random bytes: no two chunks alike, unlike [`sample_data`].
+    fn random_data(len: usize) -> Vec<u8> {
+        let mut state = 0x5EEDu64;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn put_then_get_from_another_peer() {
         let (mut net, mut dht, mut storage) = setup(24, 1);
@@ -492,6 +510,158 @@ mod tests {
             .get_object(&mut net, &mut dht, 10, obj.root)
             .unwrap_err();
         assert!(matches!(err, QbError::IntegrityViolation { .. }));
+    }
+
+    /// FNV-1a fold (pins a peer's whole pinned cid set in one word).
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every peer holding pinned blocks: `(peer, blocks, fold of its sorted
+    /// pinned cids)`.
+    fn pinned_sets(storage: &StorageNetwork) -> Vec<(usize, usize, u64)> {
+        storage
+            .pinned
+            .iter()
+            .enumerate()
+            .filter(|(_, store)| !store.is_empty())
+            .map(|(peer, store)| {
+                let mut cids: Vec<String> = store.cids().map(|c| c.to_hex()).collect();
+                cids.sort();
+                (peer, cids.len(), fnv1a(&cids.join(" ")))
+            })
+            .collect()
+    }
+
+    fn stats(latency_us: u64, messages: u64, bytes: u64) -> FetchStats {
+        FetchStats {
+            latency: SimDuration::from_micros(latency_us),
+            messages,
+            bytes,
+            ..FetchStats::default()
+        }
+    }
+
+    /// `put_object` hashes and shares blocks host-side only: what is
+    /// addressed, what is pinned where and what is charged to the network
+    /// must equal the constants recorded when every holder copied and
+    /// hashed every chunk for itself.
+    #[test]
+    fn golden_puts_are_byte_identical() {
+        let random = random_data(10 * 1024);
+        // (object, publisher, root, chunks, put, get from peer 30, pinned)
+        type Golden<'a> = (
+            &'a [u8],
+            u64,
+            &'a str,
+            usize,
+            FetchStats,
+            FetchStats,
+            [(usize, usize, u64); 2],
+        );
+        let golden: [Golden; 3] = [
+            (
+                &[],
+                3,
+                "8f3cce7d17ced5f2057e7ec4300754ae377f85830cc8f0977d62cdc74a15906b",
+                1,
+                stats(5003, 18, 40),
+                stats(7006, 19, 40),
+                [(3, 2, 0xe99b_5878_5cad_1f62), (7, 2, 0xe99b_5878_5cad_1f62)],
+            ),
+            (
+                b"a single chunk",
+                11,
+                "c1a82f3926096397fbbb38b40b831a4594ad8862a7c2636290ec191fe4f30ae6",
+                1,
+                stats(5003, 19, 54),
+                stats(6005, 17, 54),
+                [
+                    (5, 2, 0x2ec3_d772_6b6d_b2db),
+                    (11, 2, 0x2ec3_d772_6b6d_b2db),
+                ],
+            ),
+            (
+                &random,
+                20,
+                "ca39be5ef09851ad07ca05e75bceb1d41554e58e61f40cc917001d3d63b52d37",
+                145,
+                stats(5122, 19, 14890),
+                stats(150114, 161, 14890),
+                [
+                    (20, 146, 0xa5b6_ed86_497c_8cb1),
+                    (29, 146, 0xa5b6_ed86_497c_8cb1),
+                ],
+            ),
+        ];
+        for (data, from, root, chunk_count, put, get, pinned) in golden {
+            let (mut net, mut dht, mut storage) = setup(32, 9);
+            let (obj, put_stats) = storage.put_object(&mut net, &mut dht, from, data).unwrap();
+            let expected = ObjectRef {
+                root: Cid(qb_common::Hash256::from_hex(root).unwrap()),
+                total_len: data.len() as u64,
+                chunk_count,
+            };
+            assert_eq!(obj, expected);
+            assert_eq!(put_stats, put, "put of {root}");
+            assert_eq!(pinned_sets(&storage), pinned, "holders of {root}");
+            let (fetched, get_stats) = storage
+                .get_object(&mut net, &mut dht, 30, obj.root)
+                .unwrap();
+            assert_eq!(fetched, data);
+            assert_eq!(get_stats, get, "get of {root}");
+        }
+    }
+
+    #[test]
+    fn holders_share_one_allocation_per_block_and_every_block_verifies() {
+        let (mut net, mut dht, mut storage) = setup(32, 10);
+        let data = random_data(4000);
+        let (obj, _) = storage.put_object(&mut net, &mut dht, 2, &data).unwrap();
+        let holders = storage.pinned_holders(&obj.root);
+        assert_eq!(holders.len(), 2, "publisher and one replica");
+        let publisher = &storage.pinned[2];
+        assert_eq!(publisher.len(), obj.chunk_count + 1);
+        for &replica in holders.iter().filter(|&&h| h != 2) {
+            for cid in publisher.cids() {
+                let (a, b) = (
+                    publisher.get(cid).unwrap(),
+                    storage.pinned[replica as usize].get(cid).unwrap(),
+                );
+                assert!(a.verify() && b.verify());
+                assert_eq!(a.data().as_ptr(), b.data().as_ptr(), "block {cid} copied");
+            }
+        }
+    }
+
+    #[test]
+    fn corrupting_one_holder_leaves_the_shared_bytes_of_the_others_intact() {
+        let (mut net, mut dht, mut storage) = setup(32, 11);
+        let data = random_data(4000);
+        let (obj, _) = storage.put_object(&mut net, &mut dht, 2, &data).unwrap();
+        let replica = storage.pinned_holders(&obj.root)[1] as usize;
+        assert_ne!(replica, 2);
+        // The publisher (the provider a reader asks first) turns malicious:
+        // every block it pinned now lies.
+        let cids: Vec<Cid> = storage.pinned[2].cids().copied().collect();
+        for cid in &cids {
+            assert!(storage.corrupt_pinned(2, cid, b"evil".to_vec()));
+        }
+        // Only its map entries were replaced: the bytes it shared with the
+        // replica are immutable and still verify there.
+        for cid in &cids {
+            assert!(!storage.pinned[2].get(cid).unwrap().verify());
+            assert!(storage.pinned[replica].get(cid).unwrap().verify());
+        }
+        // A third peer is handed every tampered block first, counts each one
+        // and still assembles the object from the honest copy.
+        let (fetched, stats) = storage
+            .get_object(&mut net, &mut dht, 21, obj.root)
+            .unwrap();
+        assert_eq!(fetched, data);
+        assert_eq!(stats.integrity_failures, cids.len() as u64);
     }
 
     #[test]
