@@ -1,4 +1,4 @@
-//! CI bench-regression gate: diff the key metrics of a quick-mode
+//! CI bench-regression gate: diff the key metrics of an E9–E17
 //! experiments run against the committed baseline and fail on regressions.
 //!
 //! Usage:
@@ -133,7 +133,7 @@ const CHECKS: &[Check] = &[
         "stale_results",
     ),
     // E16: segment bootstrap. A joiner importing the artifact converges
-    // at round 0 with zero warm-up DHT fetches in the quick scenario —
+    // at round 0 with zero warm-up DHT fetches in this scenario —
     // both are exact zero-baseline checks — and the bootstrap byte
     // window must not regress past the threshold.
     lower("E16a", "config", "segment join", "rounds_to_95"),
@@ -301,7 +301,7 @@ fn main() -> ExitCode {
         eprintln!(
             "bench_gate: key metrics regressed >{:.0}% against {baseline_path}; \
              if intentional, regenerate the baseline with \
-             `cargo run -p qb-bench --release --bin experiments -- --quick e9 e10 e11 e12 e13 e14 e15 e16 e17` \
+             `cargo run -p qb-bench --release --bin experiments -- e9 e10 e11 e12 e13 e14 e15 e16 e17` \
              and copy bench-results/experiments.json over the baseline file.",
             threshold * 100.0
         );

@@ -1,65 +1,17 @@
-//! Shared harness code for the Criterion benchmarks and the `experiments`
-//! binary that regenerates every table in EXPERIMENTS.md.
+//! The table type and cell formatters shared by the `experiments` binary
+//! (one module per experiment under `src/bin/experiments/`) and read back
+//! by `bench_gate`, plus the crawl snapshot the baseline engines take.
+//! Scenario construction lives in `qb_load::scenario`.
 
 use qb_baseline::CrawlDoc;
-use qb_chain::AccountId;
-use qb_common::DetRng;
-use qb_queenbee::{QueenBee, QueenBeeConfig};
-use qb_workload::{Corpus, CorpusConfig, CorpusGenerator};
-
-/// Build a deterministic corpus of `num_pages` pages.
-pub fn build_corpus(seed: u64, num_pages: usize) -> Corpus {
-    let config = CorpusConfig {
-        num_pages,
-        vocab_size: (num_pages * 12).max(500),
-        avg_doc_len: 80,
-        ..CorpusConfig::default()
-    };
-    CorpusGenerator::new(config).generate(&mut DetRng::new(seed))
-}
-
-/// Build a QueenBee engine sized for experiments.
-pub fn build_engine(num_peers: usize, num_bees: usize, seed: u64) -> QueenBee {
-    let mut config = QueenBeeConfig::small();
-    config.num_peers = num_peers;
-    config.num_bees = num_bees;
-    config.seed = seed;
-    QueenBee::new(config).expect("valid experiment configuration")
-}
-
-/// Build an engine from an explicit configuration (panics on invalid config).
-pub fn build_engine_with(config: QueenBeeConfig) -> QueenBee {
-    QueenBee::new(config).expect("valid experiment configuration")
-}
-
-/// Publish every page of a corpus into the engine and run the worker bees
-/// over the resulting publish events. Returns the number of accepted pages.
-pub fn publish_corpus(engine: &mut QueenBee, corpus: &Corpus) -> usize {
-    let mut accepted = 0;
-    for (i, page) in corpus.pages.iter().enumerate() {
-        let creator = AccountId(corpus.creators[i]);
-        let peer = (i % (engine.config().num_peers - engine.config().num_bees)) as u64;
-        let report = engine
-            .publish(peer, creator, page)
-            .expect("publishing a generated page");
-        if report.accepted {
-            accepted += 1;
-        }
-    }
-    engine.seal();
-    engine
-        .process_publish_events()
-        .expect("indexing published pages");
-    accepted
-}
+use qb_workload::Corpus;
+use std::collections::HashMap;
+use std::fmt::Display;
 
 /// Snapshot the corpus as crawl documents for the baselines, with per-page
 /// versions and texts overridden by `versions` (version 1 / original text
 /// when absent).
-pub fn crawl_docs(
-    corpus: &Corpus,
-    versions: &std::collections::HashMap<String, (u64, String)>,
-) -> Vec<CrawlDoc> {
+pub fn crawl_docs(corpus: &Corpus, versions: &HashMap<String, (u64, String)>) -> Vec<CrawlDoc> {
     corpus
         .pages
         .iter()
@@ -94,51 +46,53 @@ impl Table {
         }
     }
 
-    /// Append a row (stringified cells).
-    pub fn row(&mut self, cells: &[String]) {
-        self.rows.push(cells.to_vec());
+    /// Append a row, one cell per header.
+    ///
+    /// # Panics
+    /// When the cell count differs from the header count: `to_json` keys
+    /// cells by header, so a short or long row would silently drop data.
+    pub fn row(&mut self, cells: &[&dyn Display]) {
+        assert_eq!(
+            cells.len(),
+            self.headers.len(),
+            "table '{}': a row needs one cell per header",
+            self.title
+        );
+        self.rows
+            .push(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Render the table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                if i < widths.len() {
-                    widths[i] = widths[i].max(cell.len());
-                } else {
-                    widths.push(cell.len());
-                }
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
             }
         }
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
+        let fmt_row = |cells: &[String]| -> String {
             cells
                 .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    format!(
-                        "{:width$}",
-                        c,
-                        width = widths.get(i).copied().unwrap_or(c.len())
-                    )
-                })
+                .zip(&widths)
+                .map(|(c, &width)| format!("{c:width$}"))
                 .collect::<Vec<_>>()
                 .join("  ")
         };
         let mut out = String::new();
         out.push_str(&format!("\n== {} ==\n", self.title));
-        out.push_str(&fmt_row(&self.headers, &widths));
+        out.push_str(&fmt_row(&self.headers));
         out.push('\n');
         out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
         out.push('\n');
         for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
+            out.push_str(&fmt_row(row));
             out.push('\n');
         }
         out
     }
 
-    /// Rows as JSON objects keyed by header (for machine-readable output).
+    /// Rows as JSON objects keyed by header, in header order (for
+    /// machine-readable output).
     pub fn to_json(&self) -> serde_json::Value {
         let rows: Vec<serde_json::Value> = self
             .rows
@@ -165,6 +119,24 @@ pub fn f4(x: f64) -> String {
     format!("{x:.4}")
 }
 
+/// `before / after` as a reduction factor ("3.2x").
+pub fn ratio_x(before: f64, after: f64) -> String {
+    format!("{:.1}x", before / after.max(1e-9))
+}
+
+/// [`ratio_x`] of two counts; a zero `after` counts as one.
+pub fn count_ratio_x(before: u64, after: u64) -> String {
+    ratio_x(before as f64, after.max(1) as f64)
+}
+
+/// The drop from `before` to `after` as a signed percentage ("-41.7%").
+pub fn pct_drop(before: u64, after: u64) -> String {
+    format!(
+        "-{:.1}%",
+        100.0 * (1.0 - after as f64 / before.max(1) as f64)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,8 +144,8 @@ mod tests {
     #[test]
     fn table_renders_aligned_columns() {
         let mut t = Table::new("demo", &["a", "longheader"]);
-        t.row(&["1".into(), "2".into()]);
-        t.row(&["333333".into(), "4".into()]);
+        t.row(&[&"1", &"2"]);
+        t.row(&[&"333333", &4]);
         let s = t.render();
         assert!(s.contains("demo"));
         assert!(s.contains("longheader"));
@@ -183,15 +155,39 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "table 'two columns'")]
+    fn a_row_of_the_wrong_arity_panics_with_the_table_title() {
+        let mut t = Table::new("two columns", &["a", "b"]);
+        t.row(&[&1, &2, &3]);
+    }
+
+    #[test]
+    fn to_json_keeps_header_order() {
+        let mut t = Table::new("order", &["zeta", "alpha", "mid"]);
+        t.row(&[&1, &2, &3]);
+        let text = serde_json::to_string(&t.to_json()).unwrap();
+        let at = |key: &str| text.find(key).unwrap_or_else(|| panic!("{key} in {text}"));
+        assert!(at("\"zeta\"") < at("\"alpha\"") && at("\"alpha\"") < at("\"mid\""));
+    }
+
+    #[test]
     fn corpus_and_engine_helpers_work_together() {
-        let corpus = build_corpus(1, 10);
-        let mut engine = build_engine(20, 3, 1);
-        let accepted = publish_corpus(&mut engine, &corpus);
+        use qb_load::scenario::{corpus, publish_all, sized};
+        let corpus = corpus(1, 10, 80);
+        let mut engine = qb_queenbee::QueenBee::new(sized(20, 3, 1)).expect("valid preset");
+        let accepted = publish_all(&mut engine, &corpus, 0..17).expect("publish");
         assert!(
             accepted >= 8,
             "most generated pages should be accepted, got {accepted}"
         );
-        let docs = crawl_docs(&corpus, &std::collections::HashMap::new());
+        let docs = crawl_docs(&corpus, &HashMap::new());
         assert_eq!(docs.len(), 10);
+    }
+
+    #[test]
+    fn reduction_cells_keep_the_table_formats() {
+        assert_eq!(ratio_x(9.0, 3.0), "3.0x");
+        assert_eq!(count_ratio_x(7, 0), "7.0x");
+        assert_eq!(pct_drop(200, 50), "-75.0%");
     }
 }

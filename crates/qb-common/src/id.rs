@@ -107,11 +107,6 @@ impl DhtKey {
         DhtKey(Hash256::digest_parts(&[b"page:", name.as_bytes()]))
     }
 
-    /// Key for the rank-vector block `block_id`.
-    pub fn for_rank_block(block_id: u64) -> DhtKey {
-        DhtKey(Hash256::digest_parts(&[b"rank:", &block_id.to_be_bytes()]))
-    }
-
     /// Key from arbitrary bytes (generic records).
     pub fn from_bytes(data: &[u8]) -> DhtKey {
         DhtKey(sha256(data))
@@ -159,11 +154,6 @@ mod tests {
         // A term and a page with the same string must not collide.
         assert_ne!(DhtKey::for_term("rust").0, DhtKey::for_page_name("rust").0);
         assert_ne!(DhtKey::for_term("rust").0, Cid::for_data(b"rust").0);
-    }
-
-    #[test]
-    fn rank_block_keys_distinct() {
-        assert_ne!(DhtKey::for_rank_block(0), DhtKey::for_rank_block(1));
     }
 
     #[test]

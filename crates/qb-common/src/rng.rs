@@ -118,15 +118,6 @@ impl DetRng {
         assert!(!items.is_empty(), "choose on empty slice");
         &items[self.gen_index(items.len())]
     }
-
-    /// Sample `k` distinct indices from `0..n` (k <= n).
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} from {n}");
-        let mut idx: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut idx);
-        idx.truncate(k);
-        idx
-    }
 }
 
 #[inline]
@@ -211,17 +202,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut r = DetRng::new(19);
-        let s = r.sample_indices(50, 10);
-        assert_eq!(s.len(), 10);
-        let mut dedup = s.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 10);
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl SimDuration {
         self.0 as f64 / 1_000_000.0
     }
 
-    /// Saturating multiplication by a scalar.
-    pub fn mul(&self, k: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(k))
-    }
-
     /// Maximum of two durations.
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
@@ -186,10 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn max_and_mul() {
+    fn max_picks_the_longer_duration() {
         let a = SimDuration::from_millis(2);
         let b = SimDuration::from_millis(5);
         assert_eq!(a.max(b), b);
-        assert_eq!(a.mul(3).as_micros(), 6_000);
     }
 }

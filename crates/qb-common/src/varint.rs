@@ -50,27 +50,6 @@ pub fn decode_u64(buf: &[u8], pos: usize) -> QbResult<(u64, usize)> {
     }
 }
 
-/// Encode a full slice of u64 values.
-pub fn encode_slice(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 2);
-    for &v in values {
-        encode_u64(v, &mut out);
-    }
-    out
-}
-
-/// Decode exactly `count` values from `buf` starting at `pos`.
-pub fn decode_count(buf: &[u8], pos: usize, count: usize) -> QbResult<(Vec<u64>, usize)> {
-    let mut out = Vec::with_capacity(count);
-    let mut p = pos;
-    for _ in 0..count {
-        let (v, np) = decode_u64(buf, p)?;
-        out.push(v);
-        p = np;
-    }
-    Ok((out, p))
-}
-
 /// Number of bytes the LEB128 encoding of `value` occupies.
 pub fn encoded_len(value: u64) -> usize {
     if value == 0 {
@@ -137,15 +116,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slice_round_trip() {
-        let values = vec![0u64, 5, 1000, 123456789, u64::MAX];
-        let buf = encode_slice(&values);
-        let (decoded, pos) = decode_count(&buf, 0, values.len()).unwrap();
-        assert_eq!(decoded, values);
-        assert_eq!(pos, buf.len());
-    }
-
     proptest! {
         #[test]
         fn round_trip_single(v in any::<u64>()) {
@@ -158,9 +128,16 @@ mod tests {
 
         #[test]
         fn round_trip_sequence(values in proptest::collection::vec(any::<u64>(), 0..200)) {
-            let buf = encode_slice(&values);
-            let (decoded, pos) = decode_count(&buf, 0, values.len()).unwrap();
-            prop_assert_eq!(decoded, values);
+            let mut buf = Vec::new();
+            for &v in &values {
+                encode_u64(v, &mut buf);
+            }
+            let mut pos = 0;
+            for &v in &values {
+                let (decoded, next) = decode_u64(&buf, pos).unwrap();
+                prop_assert_eq!(decoded, v);
+                pos = next;
+            }
             prop_assert_eq!(pos, buf.len());
         }
     }

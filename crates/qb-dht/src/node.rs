@@ -90,13 +90,6 @@ impl DhtNode {
         self.providers.get(key).cloned().unwrap_or_default()
     }
 
-    /// Remove a provider (e.g. after it was observed dead).
-    pub fn remove_provider(&mut self, key: &DhtKey, provider: &NodeId) {
-        if let Some(list) = self.providers.get_mut(key) {
-            list.retain(|p| p.index != provider.index);
-        }
-    }
-
     /// Handle a `FIND_NODE` RPC: return our `count` closest contacts to the
     /// target, plus ourselves implicitly handled by the caller. Each contact
     /// rides beside its distance to the target — a function of two keys the
@@ -162,8 +155,6 @@ mod tests {
         n.add_provider(key, NodeId::from_index(2));
         n.add_provider(key, NodeId::from_index(3));
         assert_eq!(n.get_providers(&key).len(), 2);
-        n.remove_provider(&key, &NodeId::from_index(2));
-        assert_eq!(n.get_providers(&key).len(), 1);
         assert!(n.get_providers(&DhtKey::from_bytes(b"other")).is_empty());
     }
 

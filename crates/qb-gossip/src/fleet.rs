@@ -660,6 +660,15 @@ impl GossipFleet {
         peer: u64,
         now: SimInstant,
     ) -> qb_common::QbResult<usize> {
+        let idx = self.admit_slot(peer, now)?;
+        self.bootstrap(net, idx, now);
+        Ok(idx)
+    }
+
+    /// Open a new frontend slot on `peer`: reject a peer that already
+    /// hosts one, derive the zone, seed the newcomer's view with itself and
+    /// count the join. Returns the slot index.
+    fn admit_slot(&mut self, peer: u64, now: SimInstant) -> qb_common::QbResult<usize> {
         if self.index_by_peer.contains_key(&peer) {
             return Err(qb_common::QbError::Config(format!(
                 "peer {peer} already hosts a frontend"
@@ -672,7 +681,6 @@ impl GossipFleet {
         self.frontends.push(f);
         self.index_by_peer.insert(peer, idx);
         self.stats.joins += 1;
-        self.bootstrap(net, idx, now);
         Ok(idx)
     }
 
@@ -736,26 +744,14 @@ impl GossipFleet {
         if !self.frontends[i].departed {
             return;
         }
-        let f = &mut self.frontends[i];
+        // A restarted process is a new `Frontend` in the old slot: nothing
+        // survives the crash but where it runs and its bumped epoch.
+        let old = &self.frontends[i];
+        let mut f = Frontend::new(old.peer, old.zone, self.cache_config.clone());
+        f.incarnation = old.incarnation + 1;
+        f.view.admit(f.peer, f.zone, f.incarnation, 0, now);
         net.set_online(f.peer, true);
-        f.departed = false;
-        f.cache = Some(QueryCache::new(self.cache_config.clone()));
-        f.known = VersionVector::new();
-        f.sync.clear();
-        f.pending_adverts.clear();
-        f.digest_cache = None;
-        f.filter_cache = None;
-        f.fingerprints = Fingerprints::default();
-        f.segment_advert = None;
-        f.load = 0;
-        f.load_recent = 0;
-        f.routed_outstanding = 0;
-        f.routed_recent = 0;
-        f.incarnation += 1;
-        f.heartbeat = 0;
-        let (peer, zone, inc, hb) = (f.peer, f.zone, f.incarnation, f.heartbeat);
-        f.view = MembershipView::new();
-        f.view.admit(peer, zone, inc, hb, now);
+        self.frontends[i] = f;
         self.stats.joins += 1;
         self.bootstrap(net, i, now);
     }
@@ -1039,15 +1035,6 @@ impl GossipFleet {
         }
     }
 
-    /// The newest segment pointer any active frontend advertises.
-    pub fn latest_segment_advert(&self) -> Option<SegmentRef> {
-        self.frontends
-            .iter()
-            .filter(|f| f.is_active())
-            .filter_map(|f| f.segment_advert)
-            .max_by_key(|s| s.generation)
-    }
-
     /// Like [`GossipFleet::join`], but the joiner first tries to bootstrap
     /// from the fleet's newest published segment artifact: it probes live
     /// neighbours (same zone preferred) for their segment pointer (each
@@ -1067,18 +1054,7 @@ impl GossipFleet {
         peer: u64,
         now: SimInstant,
     ) -> qb_common::QbResult<(usize, SegmentBootstrapReport)> {
-        if self.index_by_peer.contains_key(&peer) {
-            return Err(qb_common::QbError::Config(format!(
-                "peer {peer} already hosts a frontend"
-            )));
-        }
-        let zone = (peer as usize) % self.config.zones.max(1);
-        let idx = self.frontends.len();
-        let mut f = Frontend::new(peer, zone, self.cache_config.clone());
-        f.view.admit(peer, zone, 0, 0, now);
-        self.frontends.push(f);
-        self.index_by_peer.insert(peer, idx);
-        self.stats.joins += 1;
+        let idx = self.admit_slot(peer, now)?;
 
         let mut report = SegmentBootstrapReport::default();
         let mut seed: Option<(usize, SegmentRef)> = None;
@@ -1955,6 +1931,10 @@ mod tests {
         let old_heartbeat = fleet.frontend(2).heartbeat();
         assert!(old_heartbeat >= 5);
         assert_eq!(fleet.frontend(2).incarnation(), 0);
+        assert!(
+            fleet.frontend(2).summary_cursor > 0,
+            "regular rounds rotate the membership-summary cursor"
+        );
         fleet.crash(&mut net, 2);
         fleet.rejoin(&mut net, 2, now);
         assert_eq!(fleet.frontend(2).incarnation(), 1, "restart bumps epoch");
@@ -1962,6 +1942,11 @@ mod tests {
             fleet.frontend(2).heartbeat(),
             0,
             "a restarted process remembers no counter"
+        );
+        assert_eq!(
+            fleet.frontend(2).summary_cursor,
+            0,
+            "nor where its summaries had rotated to"
         );
         // Despite the lower heartbeat, the bumped incarnation makes the
         // rejoined member's gossip supersede every stale view of it.
@@ -2086,7 +2071,7 @@ mod tests {
         let (sref, _) =
             qb_segment::publish_segment(&mut net, &mut dht, &mut storage, 0, &segment, 1).unwrap();
         fleet.note_segment_published(&net, 0, sref);
-        assert_eq!(fleet.latest_segment_advert(), Some(sref));
+        assert_eq!(fleet.frontend(1).segment_advert(), Some(sref));
 
         let before = net.stats().clone();
         let (idx, report) = fleet

@@ -86,15 +86,6 @@ impl GossipStats {
     pub fn total_bytes(&self) -> u64 {
         self.digest_bytes + self.fill_bytes + self.membership_bytes
     }
-
-    /// Fraction of pushed fills that were accepted (0.0 when none pushed).
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.shards_pushed == 0 {
-            0.0
-        } else {
-            self.shards_accepted as f64 / self.shards_pushed as f64
-        }
-    }
 }
 
 impl qb_trace::MetricsSource for GossipStats {
@@ -194,8 +185,6 @@ mod tests {
             ..GossipStats::default()
         };
         assert_eq!(s.total_bytes(), 450);
-        assert!((s.acceptance_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(GossipStats::default().acceptance_rate(), 0.0);
         let text = s.to_string();
         assert!(text.contains("3 accepted"));
         assert!(text.contains("2 joins"));

@@ -107,23 +107,6 @@ impl InvertedIndex {
         self.terms.iter()
     }
 
-    /// Merge another index into this one (used when a YaCy-style peer gossips
-    /// its local index, and to combine per-bee partial indexes in tests).
-    /// Documents present in both are taken from `other` (assumed newer).
-    pub fn merge_from(&mut self, other: &InvertedIndex) {
-        for (_, meta) in other.docs.iter() {
-            let tf: Vec<(String, u32)> = other
-                .terms
-                .iter()
-                .filter_map(|(term, list)| {
-                    list.get(doc_id_for_name(&meta.name))
-                        .map(|f| (term.clone(), f))
-                })
-                .collect();
-            self.index_document(&meta.name, meta.version, meta.creator, &tf);
-        }
-    }
-
     /// Total encoded size of all posting lists (index footprint metric).
     pub fn encoded_bytes(&self) -> usize {
         self.terms.values().map(|l| l.encoded_len()).sum()
@@ -201,23 +184,6 @@ mod tests {
         assert!(!idx.remove_document("doc/web"));
         assert_eq!(idx.doc_count(), 2);
         assert_eq!(idx.doc_freq(&Analyzer::stem("peers")), 0);
-    }
-
-    #[test]
-    fn merge_combines_indexes() {
-        let a = analyzer();
-        let mut left = InvertedIndex::new();
-        left.index_text(&a, "l/one", 1, 1, "alpha beta gamma");
-        let mut right = InvertedIndex::new();
-        right.index_text(&a, "r/two", 1, 2, "beta delta");
-        right.index_text(&a, "l/one", 2, 1, "alpha beta updated");
-        left.merge_from(&right);
-        assert_eq!(left.doc_count(), 2);
-        assert_eq!(
-            left.docs().get(doc_id_for_name("l/one")).unwrap().version,
-            2
-        );
-        assert_eq!(left.doc_freq("beta"), 2);
     }
 
     #[test]

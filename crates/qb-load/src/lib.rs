@@ -17,6 +17,9 @@
 //!   the frontend fleet and returning the engine's
 //!   [`qb_queenbee::LoadReport`] (sojourn percentiles, goodput, shed and
 //!   degrade counts).
+//! * [`scenario`] — the corpus → publish → query-stream prologue and the
+//!   engine presets that the experiments binary, the integration tests
+//!   and the examples all start from.
 //!
 //! See `examples/open_loop.rs` for a flash-crowd walkthrough and
 //! experiment E14 in `qb-bench` for the saturation ladder this harness
@@ -25,29 +28,18 @@
 //! # Quickstart: generate a trace, replay it, read the report
 //!
 //! ```
-//! use qb_chain::AccountId;
-//! use qb_common::{DetRng, SimDuration};
-//! use qb_load::{replay, ArrivalTrace, ReplayConfig, TraceConfig};
+//! use qb_common::SimDuration;
+//! use qb_load::{replay, scenario, ArrivalTrace, ReplayConfig, TraceConfig};
 //! use qb_queenbee::{AdmissionConfig, QueenBee, QueenBeeConfig};
-//! use qb_workload::{CorpusConfig, CorpusGenerator};
 //!
 //! // 1. A fleet with the admission controller switched on (it ships
-//! //    disabled; `serve_open_loop` refuses to run without it).
+//! //    disabled; `serve_open_loop` refuses to run without it), and a
+//! //    small corpus published from its first ten peers and indexed.
 //! let mut config = QueenBeeConfig::small();
 //! config.admission = AdmissionConfig::enabled();
-//! let storage_peers = config.num_peers - config.num_bees;
 //! let mut qb = QueenBee::new(config).unwrap();
-//! let corpus = CorpusGenerator::new(CorpusConfig {
-//!     num_pages: 8,
-//!     ..CorpusConfig::default()
-//! })
-//! .generate(&mut DetRng::new(7));
-//! for (i, page) in corpus.pages.iter().enumerate() {
-//!     let peer = (i % storage_peers) as u64;
-//!     qb.publish(peer, AccountId(corpus.creators[i]), page).unwrap();
-//! }
-//! qb.seal();
-//! qb.process_publish_events().unwrap();
+//! let corpus = scenario::corpus(7, 8, 60);
+//! scenario::publish_all(&mut qb, &corpus, 0..10).unwrap();
 //!
 //! // 2. One second of Poisson arrivals at 20 q/s, Zipf-popular queries.
 //! let trace = ArrivalTrace::generate(
@@ -71,6 +63,7 @@
 //! ```
 
 pub mod replay;
+pub mod scenario;
 pub mod trace;
 
 pub use replay::{replay, replay_traced, to_requests, ReplayConfig};

@@ -49,11 +49,13 @@ pub use metrics::{
     TierMetrics,
 };
 pub use qb_cache::{CacheConfig, EvictionPolicy};
+pub use qb_chain::AccountId;
 pub use qb_gossip::{
     DigestMode, GossipConfig, GossipFleet, GossipStats, MembershipView, SegmentBootstrapReport,
     ShardFilter, VersionVector,
 };
 pub use qb_segment::{Segment, SegmentConfig, SegmentRef, SegmentStats};
+pub use qb_simnet::NetConfig;
 pub use qb_trace::{MetricsSnapshot, MetricsSource, Trace, Tracer};
 pub use query::routing::{hrw_score, hrw_top2};
 pub use query::{

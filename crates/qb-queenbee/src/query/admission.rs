@@ -204,20 +204,6 @@ impl LoadReport {
     pub fn p999(&self) -> SimDuration {
         self.sojourn.p999()
     }
-
-    /// Ratio of the busiest frontend's admitted count to the mean over all
-    /// slots (1.0 = perfectly even; 0.0 when nothing was admitted). The
-    /// post-crash load-spike metric of E12/E17.
-    pub fn admitted_imbalance(&self) -> f64 {
-        let total: u64 = self.admitted_per_frontend.iter().sum();
-        let slots = self.admitted_per_frontend.len();
-        if total == 0 || slots == 0 {
-            return 0.0;
-        }
-        let max = *self.admitted_per_frontend.iter().max().unwrap_or(&0);
-        let mean = total as f64 / slots as f64;
-        max as f64 / mean
-    }
 }
 
 impl qb_trace::MetricsSource for LoadReport {
@@ -438,22 +424,5 @@ mod tests {
         assert!((r.shed_rate() - 0.3).abs() < 1e-12);
         assert!((r.goodput_qps() - 3.5).abs() < 1e-12);
         assert!(r.to_string().contains("3 shed"));
-    }
-
-    #[test]
-    fn admitted_imbalance_is_max_over_mean() {
-        let r = LoadReport::default();
-        assert_eq!(r.admitted_imbalance(), 0.0);
-        let r = LoadReport {
-            admitted_per_frontend: vec![4, 4, 4, 4],
-            ..LoadReport::default()
-        };
-        assert!((r.admitted_imbalance() - 1.0).abs() < 1e-12);
-        let r = LoadReport {
-            // One slot took the whole orphaned keyspace: max 12, mean 6.
-            admitted_per_frontend: vec![12, 4, 4, 4],
-            ..LoadReport::default()
-        };
-        assert!((r.admitted_imbalance() - 2.0).abs() < 1e-12);
     }
 }

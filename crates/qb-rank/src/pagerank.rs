@@ -2,7 +2,6 @@
 //! redistribution.
 
 use crate::graph::LinkGraph;
-use std::collections::HashMap;
 
 /// PageRank parameters.
 #[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
@@ -62,15 +61,6 @@ pub fn pagerank(graph: &LinkGraph, config: &PageRankConfig) -> Vec<f64> {
         }
     }
     rank
-}
-
-/// PageRank keyed by page name.
-pub fn pagerank_by_name(graph: &LinkGraph, config: &PageRankConfig) -> HashMap<String, f64> {
-    pagerank(graph, config)
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| (graph.name_of(i).to_string(), r))
-        .collect()
 }
 
 /// The `k` highest-ranked node ids, best first.
@@ -143,16 +133,6 @@ mod tests {
         assert!(r[lonely] > 0.0);
         let sum: f64 = r.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn by_name_matches_by_id() {
-        let g = chain_graph(5);
-        let by_id = pagerank(&g, &PageRankConfig::default());
-        let by_name = pagerank_by_name(&g, &PageRankConfig::default());
-        for i in 0..5 {
-            assert!((by_id[i] - by_name[&format!("p{i}")]).abs() < 1e-12);
-        }
     }
 
     #[test]

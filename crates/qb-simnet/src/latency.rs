@@ -41,14 +41,6 @@ impl LatencyModel {
         LatencyModel::Constant { micros: 500 }
     }
 
-    /// A WAN model with the given one-way median in milliseconds.
-    pub fn wan(median_ms: f64) -> LatencyModel {
-        LatencyModel::LogNormal {
-            median_ms,
-            sigma: 0.5,
-        }
-    }
-
     /// Sample the one-way latency between `zone_a` and `zone_b`.
     pub fn sample(&self, rng: &mut DetRng, zone_a: usize, zone_b: usize) -> SimDuration {
         match self {
@@ -116,7 +108,10 @@ mod tests {
 
     #[test]
     fn lognormal_median_roughly_matches() {
-        let m = LatencyModel::wan(40.0);
+        let m = LatencyModel::LogNormal {
+            median_ms: 40.0,
+            sigma: 0.5,
+        };
         let mut rng = DetRng::new(3);
         let mut samples: Vec<f64> = (0..5000)
             .map(|_| m.sample(&mut rng, 0, 1).as_millis_f64())

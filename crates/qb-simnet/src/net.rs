@@ -221,17 +221,6 @@ impl SimNet {
         self.peers.is_empty()
     }
 
-    /// Add a new peer (returns its index). Used by churn-with-growth setups.
-    pub fn add_peer(&mut self) -> u64 {
-        let idx = self.peers.len();
-        self.peers.push(PeerState {
-            online: true,
-            zone: idx % self.config.zones.max(1),
-            partition: 0,
-        });
-        idx as u64
-    }
-
     /// Current logical time.
     pub fn now(&self) -> SimInstant {
         self.clock
@@ -754,16 +743,6 @@ mod tests {
         assert_eq!(net.now().as_micros(), 0);
         net.advance(SimDuration::from_secs(5));
         assert_eq!(net.now().as_micros(), 5_000_000);
-    }
-
-    #[test]
-    fn add_peer_grows_network() {
-        let mut net = lan(2, 9);
-        let id = net.add_peer();
-        assert_eq!(id, 2);
-        assert_eq!(net.len(), 3);
-        assert!(net.is_online(2));
-        assert!(net.rpc(0, 2, 1, 1).is_ok());
     }
 
     #[test]

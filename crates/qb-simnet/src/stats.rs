@@ -90,8 +90,7 @@ impl qb_trace::MetricsSource for NetStats {
     }
 }
 
-/// Collects latency samples and produces percentile summaries; used for every
-/// latency/throughput table in EXPERIMENTS.md.
+/// Collects latency samples and produces percentile summaries.
 #[derive(Debug, Default, Clone)]
 pub struct LatencyRecorder {
     samples_micros: Vec<u64>,

@@ -12,51 +12,32 @@
 //!
 //! Run with: `cargo run -p qb-examples --release --bin batch_search`
 
-use qb_chain::AccountId;
-use qb_common::{DetRng, SimDuration};
-use qb_queenbee::{QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest, TermProvenance};
-use qb_workload::{Corpus, CorpusConfig, CorpusGenerator, QueryWorkload, ZipfSampler};
+use qb_common::SimDuration;
+use qb_load::scenario::{self, QueryStream};
+use qb_queenbee::{QueenBee, RoutingPolicy, SearchRequest, TermProvenance};
+use qb_workload::Corpus;
 
 const WINDOW: usize = 32;
 const STREAM: usize = 320;
 const POOL: usize = 80;
 
-fn build_engine(corpus: &Corpus) -> QueenBee {
-    let mut config = QueenBeeConfig::small();
-    config.num_peers = 64;
-    config.num_bees = 6;
-    config.seed = 0xBA7C;
-    let mut qb = QueenBee::new(config).expect("valid config");
-    for (i, page) in corpus.pages.iter().enumerate() {
-        qb.publish((i % 50) as u64, AccountId(corpus.creators[i]), page)
-            .expect("publish");
-    }
-    qb.seal();
-    qb.process_publish_events().expect("index");
-    qb
+/// A 64-peer engine (cache off, the default) with `corpus` published.
+fn engine(corpus: &Corpus) -> QueenBee {
+    scenario::published(scenario::sized(64, 6, 0xBA7C), corpus, 0..50).expect("valid config")
 }
 
 fn main() {
-    let corpus = CorpusGenerator::new(CorpusConfig {
-        num_pages: 60,
-        vocab_size: 800,
-        avg_doc_len: 70,
-        ..CorpusConfig::default()
-    })
-    .generate(&mut DetRng::new(0xBA7C));
-    let workload = QueryWorkload::new(&corpus);
-    let pool = workload.generate_batch(&corpus, &mut DetRng::new(1), POOL);
-    let zipf = ZipfSampler::new(pool.len(), 1.0);
-    let stream: Vec<usize> = {
-        let mut rng = DetRng::new(2);
-        (0..STREAM).map(|_| zipf.sample(&mut rng)).collect()
-    };
+    let corpus = scenario::corpus(0xBA7C, 60, 70);
+    let QueryStream {
+        pool,
+        picks: stream,
+    } = QueryStream::new(&corpus, 1, POOL, 1.0, 2, STREAM);
     println!(
         "stream: {STREAM} Zipf(1.0) queries over a {POOL}-query pool, window {WINDOW}, cache off\n"
     );
 
     // Sequential: one request per call — every query pays its own fetches.
-    let mut qb = build_engine(&corpus);
+    let mut qb = engine(&corpus);
     let mut seq_hits: Vec<Vec<qb_index::ScoredDoc>> = Vec::new();
     let (mut seq_msgs, mut seq_fetches) = (0u64, 0usize);
     let mut seq_latency = SimDuration::ZERO;
@@ -75,7 +56,7 @@ fn main() {
     }
 
     // Batched: the identical stream in windows of concurrent queries.
-    let mut qb = build_engine(&corpus);
+    let mut qb = engine(&corpus);
     let mut batch_hits: Vec<Vec<qb_index::ScoredDoc>> = Vec::new();
     let (mut batch_msgs, mut batch_fetches, mut shared) = (0u64, 0usize, 0usize);
     let mut batch_latency = SimDuration::ZERO;

@@ -6,27 +6,19 @@
 use qb_baseline::{CentralizedConfig, CentralizedEngine, CrawlDoc};
 use qb_chain::AccountId;
 use qb_common::{DetRng, SimDuration, SimInstant};
+use qb_load::scenario;
 use qb_queenbee::{QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest};
-use qb_workload::{mutate_page, CorpusConfig, CorpusGenerator, UpdateStream};
+use qb_workload::{mutate_page, UpdateStream};
 use std::collections::HashMap;
 
 fn main() {
-    let corpus = CorpusGenerator::new(CorpusConfig {
-        num_pages: 30,
-        ..CorpusConfig::default()
-    })
-    .generate(&mut DetRng::new(21));
+    let corpus = scenario::corpus(21, 30, 120);
 
     let mut config = QueenBeeConfig::small();
     config.num_peers = 40;
     config.num_bees = 5;
     let mut qb = QueenBee::new(config).expect("config");
-    for (i, page) in corpus.pages.iter().enumerate() {
-        qb.publish((i % 30) as u64, AccountId(corpus.creators[i]), page)
-            .unwrap();
-    }
-    qb.seal();
-    qb.process_publish_events().unwrap();
+    scenario::publish_all(&mut qb, &corpus, 0..30).unwrap();
 
     let mut central = CentralizedEngine::new(CentralizedConfig {
         crawl_interval: SimDuration::from_secs(3_600), // hourly crawl

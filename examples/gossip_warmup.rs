@@ -20,7 +20,7 @@ fn build_fleet() -> QueenBee {
     QueenBee::new(config).expect("valid config")
 }
 
-fn publish_corpus(qb: &mut QueenBee) {
+fn publish_pages(qb: &mut QueenBee) {
     let pages = [
         (
             "wiki/dweb",
@@ -53,7 +53,7 @@ fn publish_corpus(qb: &mut QueenBee) {
 
 fn main() {
     let mut qb = build_fleet();
-    publish_corpus(&mut qb);
+    publish_pages(&mut qb);
     println!(
         "fleet up: {} frontends, {} peers, gossip every {}",
         qb.num_frontends(),
@@ -104,7 +104,7 @@ fn main() {
         snapshot.len()
     );
     let mut restarted = build_fleet();
-    publish_corpus(&mut restarted);
+    publish_pages(&mut restarted);
     let admitted = restarted.import_hot_set(0, &snapshot).expect("import");
     println!("restarted fleet imported {admitted} shards into frontend 0:");
     for q in &queries {

@@ -4,30 +4,20 @@
 //!
 //! Run with: `cargo run -p qb-examples --release --bin incentive_economy`
 
-use qb_chain::AccountId;
 use qb_common::DetRng;
+use qb_load::scenario;
 use qb_queenbee::{gini_coefficient, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest};
-use qb_workload::{AdvertiserWorkload, CorpusConfig, CorpusGenerator, QueryWorkload};
+use qb_workload::{AdvertiserWorkload, QueryWorkload};
 
 fn main() {
-    let corpus = CorpusGenerator::new(CorpusConfig {
-        num_pages: 60,
-        num_creators: 15,
-        ..CorpusConfig::default()
-    })
-    .generate(&mut DetRng::new(11));
+    let corpus = scenario::corpus(11, 60, 120);
 
     let mut config = QueenBeeConfig::small();
     config.num_peers = 48;
     config.num_bees = 6;
     let mut qb = QueenBee::new(config).expect("config");
 
-    for (i, page) in corpus.pages.iter().enumerate() {
-        qb.publish((i % 40) as u64, AccountId(corpus.creators[i]), page)
-            .unwrap();
-    }
-    qb.seal();
-    qb.process_publish_events().unwrap();
+    scenario::publish_all(&mut qb, &corpus, 0..40).unwrap();
     qb.run_rank_round().unwrap();
 
     // Advertisers join and users search + click for a while.

@@ -7,51 +7,26 @@
 //!
 //! Run with: `cargo run -p qb-examples --release --bin open_loop`
 
-use qb_chain::AccountId;
-use qb_common::{DetRng, SimDuration};
-use qb_load::{replay, replay_traced, ArrivalTrace, RateShape, ReplayConfig, TraceConfig};
-use qb_queenbee::{AdmissionConfig, CacheConfig, GossipConfig, QueenBee, QueenBeeConfig};
-use qb_workload::{Corpus, CorpusConfig, CorpusGenerator};
+use qb_common::SimDuration;
+use qb_load::{
+    replay, replay_traced, scenario, ArrivalTrace, RateShape, ReplayConfig, TraceConfig,
+};
+use qb_queenbee::QueenBee;
+use qb_workload::Corpus;
 
-fn build_fleet() -> QueenBee {
-    let mut config = QueenBeeConfig::small();
-    config.num_peers = 32;
-    config.num_bees = 4;
-    // WAN latencies: a Fresh query costs ~100ms of simulated round-trips,
-    // so the fleet saturates at a few hundred q/s and the burst below is a
-    // real overload rather than a blip.
-    config.net = qb_simnet::NetConfig::default();
-    config.cache = CacheConfig::enabled();
-    config.gossip = GossipConfig::enabled(4);
-    config.admission = AdmissionConfig::enabled();
-    config.admission.queue_capacity = 32;
-    config.admission.window_size = 8;
-    config.admission.max_windows_in_flight = 2;
-    config.admission.degrade_threshold = SimDuration::from_millis(250);
-    config.admission.shed_threshold = SimDuration::from_millis(800);
-    QueenBee::new(config).expect("valid config")
-}
-
-fn publish_corpus(qb: &mut QueenBee, corpus: &Corpus) {
-    for (i, page) in corpus.pages.iter().enumerate() {
-        let peer = (10 + i % 18) as u64;
-        qb.publish(peer, AccountId(corpus.creators[i]), page)
-            .expect("publish");
-    }
-    qb.seal();
-    qb.process_publish_events().expect("indexing");
+/// The scenario library's open-loop fleet with `corpus` published: 4
+/// frontends over WAN latencies (a Fresh query costs ~100ms of simulated
+/// round-trips, so the fleet saturates at a few hundred q/s and the burst
+/// below is a real overload rather than a blip), 32-deep ingress queues,
+/// degrade at 250ms of estimated sojourn, shed at 800ms.
+fn build_fleet(corpus: &Corpus) -> QueenBee {
+    let config = scenario::open_loop_fleet(0xBEE5, SimDuration::from_millis(800));
+    scenario::published(config, corpus, 10..28).expect("valid config")
 }
 
 fn main() {
-    let corpus = CorpusGenerator::new(CorpusConfig {
-        num_pages: 24,
-        vocab_size: 500,
-        avg_doc_len: 60,
-        ..CorpusConfig::default()
-    })
-    .generate(&mut DetRng::new(0x0FE));
-    let mut qb = build_fleet();
-    publish_corpus(&mut qb, &corpus);
+    let corpus = scenario::corpus(0x0FE, 24, 60);
+    let mut qb = build_fleet(&corpus);
 
     // A 6-second trace: 60 q/s background, a 15x flash crowd in the middle
     // two seconds, Zipf-popular queries from a 32-query pool.
@@ -120,8 +95,7 @@ fn main() {
     // slowest query's sojourn actually went. During the burst the answer
     // is queue wait at the ingress, not the fetch itself — the regime E15
     // asserts across the whole overload ladder.
-    let mut traced_fleet = build_fleet();
-    publish_corpus(&mut traced_fleet, &corpus);
+    let mut traced_fleet = build_fleet(&corpus);
     let (traced_report, spans) = replay_traced(
         &mut traced_fleet,
         &trace,

@@ -3,20 +3,12 @@
 //!
 //! Run with: `cargo run -p qb-examples --release --bin publish_and_search`
 
-use qb_chain::AccountId;
-use qb_common::DetRng;
+use qb_load::scenario;
 use qb_queenbee::{QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest};
 use qb_simnet::LatencyRecorder;
-use qb_workload::{CorpusConfig, CorpusGenerator, QueryWorkload};
 
 fn main() {
-    let corpus = CorpusGenerator::new(CorpusConfig {
-        num_pages: 80,
-        vocab_size: 1_500,
-        avg_doc_len: 70,
-        ..CorpusConfig::default()
-    })
-    .generate(&mut DetRng::new(7));
+    let corpus = scenario::corpus(7, 80, 70);
 
     let mut config = QueenBeeConfig::small();
     config.num_peers = 48;
@@ -24,18 +16,11 @@ fn main() {
     let mut qb = QueenBee::new(config).expect("valid config");
 
     println!("publishing {} pages...", corpus.pages.len());
-    for (i, page) in corpus.pages.iter().enumerate() {
-        qb.publish((i % 40) as u64, AccountId(corpus.creators[i]), page)
-            .expect("publish");
-    }
-    qb.seal();
-    let handled = qb.process_publish_events().expect("index");
+    let accepted = scenario::publish_all(&mut qb, &corpus, 0..40).expect("publish");
     qb.run_rank_round().expect("rank");
-    println!("worker bees indexed {handled} pages and computed page ranks\n");
+    println!("worker bees indexed {accepted} pages and computed page ranks\n");
 
-    let workload = QueryWorkload::new(&corpus);
-    let mut rng = DetRng::new(99);
-    let queries = workload.generate_batch(&corpus, &mut rng, 40);
+    let queries = scenario::queries(&corpus, 99, 40);
     let mut latencies = LatencyRecorder::new();
     let mut answered = 0usize;
     for (i, q) in queries.iter().enumerate() {

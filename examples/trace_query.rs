@@ -11,11 +11,9 @@
 //!
 //! Run with: `cargo run -p qb-examples --release --bin trace_query`
 
-use qb_chain::AccountId;
-use qb_common::DetRng;
+use qb_load::scenario;
 use qb_queenbee::{CacheConfig, Freshness, GossipConfig, QueenBee, QueenBeeConfig, SearchRequest};
 use qb_trace::{attribution, critical_path, render_path, to_chrome_trace, Trace};
-use qb_workload::{CorpusConfig, CorpusGenerator};
 
 fn main() {
     // A 4-frontend fleet over WAN latency zones, with the query cache on.
@@ -27,20 +25,8 @@ fn main() {
     config.gossip = GossipConfig::enabled(4);
     let mut qb = QueenBee::new(config).expect("valid config");
 
-    let corpus = CorpusGenerator::new(CorpusConfig {
-        num_pages: 24,
-        vocab_size: 500,
-        avg_doc_len: 60,
-        ..CorpusConfig::default()
-    })
-    .generate(&mut DetRng::new(0x7ACE));
-    for (i, page) in corpus.pages.iter().enumerate() {
-        let peer = (10 + i % 18) as u64;
-        qb.publish(peer, AccountId(corpus.creators[i]), page)
-            .expect("publish");
-    }
-    qb.seal();
-    qb.process_publish_events().expect("indexing");
+    let corpus = scenario::corpus(0x7ACE, 24, 60);
+    scenario::publish_all(&mut qb, &corpus, 10..28).expect("publish");
 
     qb.set_tracing(true);
     let term = corpus.pages[0]

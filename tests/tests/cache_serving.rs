@@ -6,54 +6,28 @@
 
 use qb_chain::AccountId;
 use qb_common::SimDuration;
-use qb_queenbee::{CacheConfig, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest};
-use qb_workload::{Corpus, CorpusConfig, CorpusGenerator, QueryWorkload, ZipfSampler};
-
-fn corpus(seed: u64, pages: usize) -> Corpus {
-    let config = CorpusConfig {
-        num_pages: pages,
-        vocab_size: (pages * 12).max(500),
-        avg_doc_len: 60,
-        ..CorpusConfig::default()
-    };
-    CorpusGenerator::new(config).generate(&mut qb_common::DetRng::new(seed))
-}
+use qb_load::scenario::{corpus, publish_all, sized, QueryStream};
+use qb_queenbee::{CacheConfig, QueenBee, RoutingPolicy, SearchRequest};
 
 fn engine(cache: CacheConfig, seed: u64) -> QueenBee {
-    let mut config = QueenBeeConfig::small();
-    config.num_peers = 32;
-    config.num_bees = 4;
-    config.seed = seed;
+    let mut config = sized(32, 4, seed);
     config.cache = cache;
     QueenBee::new(config).expect("valid config")
-}
-
-fn publish_all(qb: &mut QueenBee, corpus: &Corpus) {
-    for (i, page) in corpus.pages.iter().enumerate() {
-        let peer = (i % 20) as u64;
-        qb.publish(peer, AccountId(corpus.creators[i]), page)
-            .expect("publish");
-    }
-    qb.seal();
-    qb.process_publish_events().expect("index");
 }
 
 /// Replay the same Zipf(1.0) stream against two engines differing only in
 /// the cache and compare total latency / messages / shard fetches.
 #[test]
 fn warm_cache_reduces_latency_and_rpc_on_zipf_stream() {
-    let corpus = corpus(0xCAFE, 30);
-    let workload = QueryWorkload::new(&corpus);
-    let pool = workload.generate_batch(&corpus, &mut qb_common::DetRng::new(1), 40);
-    let zipf = ZipfSampler::new(pool.len(), 1.0);
-    let stream: Vec<usize> = {
-        let mut rng = qb_common::DetRng::new(2);
-        (0..200).map(|_| zipf.sample(&mut rng)).collect()
-    };
+    let corpus = corpus(0xCAFE, 30, 60);
+    let QueryStream {
+        pool,
+        picks: stream,
+    } = QueryStream::new(&corpus, 1, 40, 1.0, 2, 200);
 
     let run = |cache: CacheConfig| -> (u64, u64, u64) {
         let mut qb = engine(cache, 0xCAFE);
-        publish_all(&mut qb, &corpus);
+        publish_all(&mut qb, &corpus, 0..20).expect("publish");
         let (mut latency_us, mut messages, mut fetches) = (0u64, 0u64, 0u64);
         for (i, &q) in stream.iter().enumerate() {
             let out = qb
@@ -89,9 +63,9 @@ fn warm_cache_reduces_latency_and_rpc_on_zipf_stream() {
 /// messages than its cold run (end-to-end shape of the per-query win).
 #[test]
 fn warm_repeated_query_issues_fewer_rpc_messages_than_cold() {
-    let corpus = corpus(0xBEE, 10);
+    let corpus = corpus(0xBEE, 10, 60);
     let mut qb = engine(CacheConfig::enabled(), 0xBEE);
-    publish_all(&mut qb, &corpus);
+    publish_all(&mut qb, &corpus, 0..20).expect("publish");
     let query = corpus.pages[0]
         .body
         .split_whitespace()
@@ -218,9 +192,9 @@ fn cache_entries_expire_at_their_ttl_bound() {
 /// Cache-off engines keep the exact seed behavior: no hidden warm-up.
 #[test]
 fn cache_off_engine_shows_no_warmup_effect() {
-    let corpus = corpus(0xD15, 8);
+    let corpus = corpus(0xD15, 8, 60);
     let mut qb = engine(CacheConfig::default(), 0xD15);
-    publish_all(&mut qb, &corpus);
+    publish_all(&mut qb, &corpus, 0..20).expect("publish");
     let query = corpus.pages[0]
         .body
         .split_whitespace()

@@ -9,40 +9,15 @@
 use qb_chain::AccountId;
 use qb_common::SimDuration;
 use qb_dweb::WebPage;
-use qb_queenbee::{
-    CacheConfig, DigestMode, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest,
-};
-use qb_workload::{Corpus, CorpusConfig, CorpusGenerator, QueryWorkload, ZipfSampler};
-
-fn corpus(seed: u64, pages: usize) -> Corpus {
-    let config = CorpusConfig {
-        num_pages: pages,
-        vocab_size: (pages * 12).max(500),
-        avg_doc_len: 60,
-        ..CorpusConfig::default()
-    };
-    CorpusGenerator::new(config).generate(&mut qb_common::DetRng::new(seed))
-}
+use qb_load::scenario::{corpus, publish_all, sized, zipf_picks, QueryStream};
+use qb_queenbee::{CacheConfig, DigestMode, GossipConfig, QueenBee, RoutingPolicy, SearchRequest};
 
 fn churn_engine(frontends: usize, configure: impl FnOnce(&mut GossipConfig)) -> QueenBee {
-    let mut config = QueenBeeConfig::small();
-    config.num_peers = 40;
-    config.num_bees = 4;
-    config.seed = 0xC0FE;
+    let mut config = sized(40, 4, 0xC0FE);
     config.cache = CacheConfig::enabled();
     config.gossip = GossipConfig::enabled(frontends);
     configure(&mut config.gossip);
     QueenBee::new(config).expect("valid config")
-}
-
-fn publish_all(qb: &mut QueenBee, corpus: &Corpus) {
-    for (i, page) in corpus.pages.iter().enumerate() {
-        let peer = (20 + i % 14) as u64;
-        qb.publish(peer, AccountId(corpus.creators[i]), page)
-            .expect("publish");
-    }
-    qb.seal();
-    qb.process_publish_events().expect("index");
 }
 
 fn page(name: &str, body: &str) -> WebPage {
@@ -74,32 +49,24 @@ fn drive(qb: &mut QueenBee, pool: &[String], stream: &[usize]) -> (u64, u64, u64
     (fetches, hits, served)
 }
 
-fn zipf_stream(pool_len: usize, len: usize, seed: u64) -> Vec<usize> {
-    let zipf = ZipfSampler::new(pool_len, 1.0);
-    let mut rng = qb_common::DetRng::new(seed);
-    (0..len).map(|_| zipf.sample(&mut rng)).collect()
-}
-
 /// The E12 join criterion at test scale: after the fleet reaches steady
 /// state, a brand-new frontend joins, bootstraps by anti-entropy and — in
 /// at most 3 gossip rounds — serves hot queries from cache without any
 /// direct DHT warming.
 #[test]
 fn a_joined_frontend_warms_from_the_fleet_within_three_rounds() {
-    let corpus = corpus(0x12A, 16);
+    let corpus = corpus(0x12A, 16, 60);
     let mut qb = churn_engine(4, |_| {});
-    publish_all(&mut qb, &corpus);
-    let workload = QueryWorkload::new(&corpus);
-    let pool = workload.generate_batch(&corpus, &mut qb_common::DetRng::new(0x12A), 24);
-    let stream = zipf_stream(pool.len(), 120, 0x12AF);
-    drive(&mut qb, &pool, &stream);
+    publish_all(&mut qb, &corpus, 20..34).expect("publish");
+    let QueryStream { pool, picks } = QueryStream::new(&corpus, 0x12A, 24, 1.0, 0x12AF, 120);
+    drive(&mut qb, &pool, &picks);
 
     let joined = qb.fleet_join().expect("join");
     for _ in 0..3 {
         qb.run_gossip_round(false);
     }
     // Probe with the Zipf head: the joiner must already hold those shards.
-    let probes = zipf_stream(pool.len(), 20, 0x12AB);
+    let probes = zipf_picks(pool.len(), 1.0, 0x12AB, 20);
     let mut hits = 0;
     for &q in &probes {
         let out = qb
@@ -123,15 +90,13 @@ fn a_joined_frontend_warms_from_the_fleet_within_three_rounds() {
 /// leaks a stale result — not even after the crashed frontend rejoins.
 #[test]
 fn crashes_are_evicted_and_rejoins_never_serve_stale() {
-    let corpus = corpus(0x12B, 14);
+    let corpus = corpus(0x12B, 14, 60);
     let mut qb = churn_engine(4, |g| {
         g.liveness_timeout = SimDuration::from_millis(600);
     });
-    publish_all(&mut qb, &corpus);
-    let workload = QueryWorkload::new(&corpus);
-    let pool = workload.generate_batch(&corpus, &mut qb_common::DetRng::new(0x12B), 20);
-    let stream = zipf_stream(pool.len(), 60, 0x12BF);
-    drive(&mut qb, &pool, &stream);
+    publish_all(&mut qb, &corpus, 20..34).expect("publish");
+    let QueryStream { pool, picks } = QueryStream::new(&corpus, 0x12B, 20, 1.0, 0x12BF, 60);
+    drive(&mut qb, &pool, &picks);
 
     qb.fleet_leave(1, false).expect("crash 1");
     qb.fleet_leave(3, false).expect("crash 3");
@@ -144,7 +109,7 @@ fn crashes_are_evicted_and_rejoins_never_serve_stale() {
     qb.process_publish_events().expect("reindex");
 
     // Survivors keep serving and evict the dead members.
-    let (_, _, served) = drive(&mut qb, &pool, &zipf_stream(pool.len(), 40, 0x12BE));
+    let (_, _, served) = drive(&mut qb, &pool, &zipf_picks(pool.len(), 1.0, 0x12BE, 40));
     assert_eq!(served, 40);
     let stats = qb.gossip_stats().expect("fleet");
     assert_eq!(stats.crashes, 2);
@@ -169,7 +134,7 @@ fn crashes_are_evicted_and_rejoins_never_serve_stale() {
         })
         .expect("rejoined frontend serves");
     drop(out);
-    drive(&mut qb, &pool, &zipf_stream(pool.len(), 20, 0x12BD));
+    drive(&mut qb, &pool, &zipf_picks(pool.len(), 1.0, 0x12BD, 20));
     assert_eq!(
         qb.freshness.stale_results, 0,
         "stale result served after churn"
@@ -180,12 +145,11 @@ fn crashes_are_evicted_and_rejoins_never_serve_stale() {
 /// routing redistributes its load, and the fleet keeps converging.
 #[test]
 fn graceful_leave_redistributes_load() {
-    let corpus = corpus(0x12C, 12);
+    let corpus = corpus(0x12C, 12, 60);
     let mut qb = churn_engine(3, |_| {});
-    publish_all(&mut qb, &corpus);
-    let workload = QueryWorkload::new(&corpus);
-    let pool = workload.generate_batch(&corpus, &mut qb_common::DetRng::new(0x12C), 16);
-    drive(&mut qb, &pool, &zipf_stream(pool.len(), 30, 0x12CF));
+    publish_all(&mut qb, &corpus, 20..34).expect("publish");
+    let QueryStream { pool, picks } = QueryStream::new(&corpus, 0x12C, 16, 1.0, 0x12CF, 30);
+    drive(&mut qb, &pool, &picks);
 
     qb.fleet_leave(2, true).expect("leave");
     assert!(
@@ -193,7 +157,7 @@ fn graceful_leave_redistributes_load() {
             .is_err(),
         "direct routing fails"
     );
-    let (_, _, served) = drive(&mut qb, &pool, &zipf_stream(pool.len(), 20, 0x12CE));
+    let (_, _, served) = drive(&mut qb, &pool, &zipf_picks(pool.len(), 1.0, 0x12CE, 20));
     assert_eq!(served, 20, "hashed routing walks around the departed slot");
     let stats = qb.gossip_stats().expect("fleet");
     assert_eq!(stats.leaves, 1);
@@ -204,20 +168,16 @@ fn graceful_leave_redistributes_load() {
 /// fleet: every frontend ends up serving the Zipf head from cache.
 #[test]
 fn zoned_fleet_converges_with_biased_sampling() {
-    let corpus = corpus(0x12D, 14);
-    let mut config = QueenBeeConfig::small();
-    config.num_peers = 40;
-    config.num_bees = 4;
-    config.seed = 0x12D;
+    let corpus = corpus(0x12D, 14, 60);
+    let mut config = sized(40, 4, 0x12D);
     config.net = qb_simnet::NetConfig::zoned(2, 2_000, 40_000);
     config.cache = CacheConfig::enabled();
     config.gossip = GossipConfig::enabled_zoned(4, 2);
     config.gossip.cross_zone_probability = 0.2;
     let mut qb = QueenBee::new(config).expect("valid config");
-    publish_all(&mut qb, &corpus);
-    let workload = QueryWorkload::new(&corpus);
-    let pool = workload.generate_batch(&corpus, &mut qb_common::DetRng::new(0x12D), 16);
-    drive(&mut qb, &pool, &zipf_stream(pool.len(), 80, 0x12DF));
+    publish_all(&mut qb, &corpus, 20..34).expect("publish");
+    let QueryStream { pool, picks } = QueryStream::new(&corpus, 0x12D, 16, 1.0, 0x12DF, 80);
+    drive(&mut qb, &pool, &picks);
     // After convergence every frontend answers the hottest query from cache.
     for f in 0..4 {
         let out = qb
@@ -238,19 +198,18 @@ fn zoned_fleet_converges_with_biased_sampling() {
 /// scale.
 #[test]
 fn delta_digests_cut_steady_state_bytes_without_changing_outcomes() {
-    let corpus = corpus(0x12E, 14);
+    let corpus = corpus(0x12E, 14, 60);
     let run = |mode: DigestMode| {
         let mut qb = churn_engine(4, |g| {
             g.digest_mode = mode;
             g.anti_entropy_interval = SimDuration::from_secs(30);
         });
-        publish_all(&mut qb, &corpus);
-        let workload = QueryWorkload::new(&corpus);
-        let pool = workload.generate_batch(&corpus, &mut qb_common::DetRng::new(0x12E), 16);
+        publish_all(&mut qb, &corpus, 20..34).expect("publish");
         // Converge first, then measure a steady window.
-        drive(&mut qb, &pool, &zipf_stream(pool.len(), 60, 0x12EF));
+        let QueryStream { pool, picks } = QueryStream::new(&corpus, 0x12E, 16, 1.0, 0x12EF, 60);
+        drive(&mut qb, &pool, &picks);
         let before = qb.gossip_stats().expect("fleet").digest_bytes;
-        let (_, hits, served) = drive(&mut qb, &pool, &zipf_stream(pool.len(), 40, 0x12EE));
+        let (_, hits, served) = drive(&mut qb, &pool, &zipf_picks(pool.len(), 1.0, 0x12EE, 40));
         let after = qb.gossip_stats().expect("fleet");
         assert_eq!(after.stale_rejected + qb.freshness.stale_results, 0);
         (after.digest_bytes - before, hits as f64 / served as f64)

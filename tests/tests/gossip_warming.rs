@@ -9,26 +9,13 @@ use qb_chain::AccountId;
 use qb_common::SimDuration;
 use qb_dweb::WebPage;
 use qb_index::Analyzer;
+use qb_load::scenario::{corpus, publish_all, queries, sized, QueryStream};
 use qb_queenbee::{
     CacheConfig, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest,
 };
-use qb_workload::{Corpus, CorpusConfig, CorpusGenerator, QueryWorkload, ZipfSampler};
-
-fn corpus(seed: u64, pages: usize) -> Corpus {
-    let config = CorpusConfig {
-        num_pages: pages,
-        vocab_size: (pages * 12).max(500),
-        avg_doc_len: 60,
-        ..CorpusConfig::default()
-    };
-    CorpusGenerator::new(config).generate(&mut qb_common::DetRng::new(seed))
-}
 
 fn fleet_engine(frontends: usize, gossip_on: bool, seed: u64) -> QueenBee {
-    let mut config = QueenBeeConfig::small();
-    config.num_peers = 32;
-    config.num_bees = 4;
-    config.seed = seed;
+    let mut config = sized(32, 4, seed);
     config.cache = CacheConfig::enabled();
     config.gossip = if gossip_on {
         GossipConfig::enabled(frontends)
@@ -36,16 +23,6 @@ fn fleet_engine(frontends: usize, gossip_on: bool, seed: u64) -> QueenBee {
         GossipConfig::fleet(frontends)
     };
     QueenBee::new(config).expect("valid config")
-}
-
-fn publish_all(qb: &mut QueenBee, corpus: &Corpus) {
-    for (i, page) in corpus.pages.iter().enumerate() {
-        let peer = (10 + i % 18) as u64;
-        qb.publish(peer, AccountId(corpus.creators[i]), page)
-            .expect("publish");
-    }
-    qb.seal();
-    qb.process_publish_events().expect("index");
 }
 
 fn page(name: &str, body: &str) -> WebPage {
@@ -57,11 +34,10 @@ fn page(name: &str, body: &str) -> WebPage {
 /// fetch, with identical results.
 #[test]
 fn gossip_converges_hot_sets_across_the_fleet() {
-    let corpus = corpus(0x60A, 20);
+    let corpus = corpus(0x60A, 20, 60);
     let mut qb = fleet_engine(4, true, 0x60A);
-    publish_all(&mut qb, &corpus);
-    let workload = QueryWorkload::new(&corpus);
-    let hot = workload.generate_batch(&corpus, &mut qb_common::DetRng::new(3), 6);
+    publish_all(&mut qb, &corpus, 10..28).expect("publish");
+    let hot = queries(&corpus, 3, 6);
 
     // Only frontend 0 sees traffic; rounds fire as time advances.
     let mut reference = Vec::new();
@@ -97,18 +73,15 @@ fn gossip_converges_hot_sets_across_the_fleet() {
 /// on vs off, >= 30% fewer aggregate DHT shard fetches and zero staleness.
 #[test]
 fn gossip_saves_dht_fetches_on_a_shared_zipf_stream() {
-    let corpus = corpus(0x60B, 24);
-    let workload = QueryWorkload::new(&corpus);
-    let pool = workload.generate_batch(&corpus, &mut qb_common::DetRng::new(1), 30);
-    let zipf = ZipfSampler::new(pool.len(), 1.0);
-    let stream: Vec<usize> = {
-        let mut rng = qb_common::DetRng::new(2);
-        (0..160).map(|_| zipf.sample(&mut rng)).collect()
-    };
+    let corpus = corpus(0x60B, 24, 60);
+    let QueryStream {
+        pool,
+        picks: stream,
+    } = QueryStream::new(&corpus, 1, 30, 1.0, 2, 160);
 
     let run = |gossip_on: bool| -> (u64, u64) {
         let mut qb = fleet_engine(4, gossip_on, 0x60B);
-        publish_all(&mut qb, &corpus);
+        publish_all(&mut qb, &corpus, 10..28).expect("publish");
         let mut fetches = 0u64;
         for (i, &q) in stream.iter().enumerate() {
             qb.advance_time(SimDuration::from_millis(60));
@@ -213,11 +186,10 @@ fn republish_racing_a_gossip_round_never_serves_stale() {
 /// the fleet's working set without DHT fetches.
 #[test]
 fn anti_entropy_recovers_a_partitioned_frontend() {
-    let corpus = corpus(0x60D, 16);
+    let corpus = corpus(0x60D, 16, 60);
     let mut qb = fleet_engine(3, true, 0x60D);
-    publish_all(&mut qb, &corpus);
-    let workload = QueryWorkload::new(&corpus);
-    let hot = workload.generate_batch(&corpus, &mut qb_common::DetRng::new(5), 5);
+    publish_all(&mut qb, &corpus, 10..28).expect("publish");
+    let hot = queries(&corpus, 5, 5);
 
     // Frontend 2 is partitioned away before any traffic flows.
     let cut_peer = qb.fleet().unwrap().frontend_peer(2);
@@ -254,14 +226,13 @@ fn anti_entropy_recovers_a_partitioned_frontend() {
 /// session's hot set and its first queries skip the cold-start penalty.
 #[test]
 fn warm_start_snapshot_prefills_the_next_session() {
-    let corpus = corpus(0x60E, 12);
+    let corpus = corpus(0x60E, 12, 60);
     let build = |seed| {
         let mut qb = fleet_engine(2, true, seed);
-        publish_all(&mut qb, &corpus);
+        publish_all(&mut qb, &corpus, 10..28).expect("publish");
         qb
     };
-    let workload = QueryWorkload::new(&corpus);
-    let hot = workload.generate_batch(&corpus, &mut qb_common::DetRng::new(8), 4);
+    let hot = queries(&corpus, 8, 4);
 
     let mut first = build(0x60E);
     let mut cold_fetches = 0usize;
@@ -358,9 +329,9 @@ fn adaptive_ttls_follow_republish_rates_end_to_end() {
 /// results while the indexing path hits its cache.
 #[test]
 fn writer_path_cache_keeps_index_correct_under_republish_storm() {
-    let corpus = corpus(0x60F, 10);
+    let corpus = corpus(0x60F, 10, 60);
     let mut qb = fleet_engine(2, true, 0x60F);
-    publish_all(&mut qb, &corpus);
+    publish_all(&mut qb, &corpus, 10..28).expect("publish");
     let creator = AccountId(corpus.creators[0]);
     let victim = corpus.pages[0].name.clone();
     for round in 0..5 {

@@ -5,68 +5,19 @@
 //! ingress queues bounded and goodput alive — all without perturbing the
 //! closed-loop query paths, which never consult the admission config.
 
-use qb_chain::AccountId;
 use qb_common::SimDuration;
+use qb_load::scenario::{constant_trace, corpus, open_loop_fleet, published};
 use qb_load::{replay, ArrivalTrace, RateShape, ReplayConfig, TraceConfig};
-use qb_queenbee::{
-    AdmissionConfig, CacheConfig, Freshness, GossipConfig, QueenBee, QueenBeeConfig, SearchRequest,
-    TimedRequest,
-};
-use qb_workload::{Corpus, CorpusConfig, CorpusGenerator};
+use qb_queenbee::{AdmissionConfig, Freshness, QueenBee, SearchRequest, TimedRequest};
+use qb_workload::Corpus;
 
-fn corpus(seed: u64, pages: usize) -> Corpus {
-    let config = CorpusConfig {
-        num_pages: pages,
-        vocab_size: (pages * 12).max(500),
-        avg_doc_len: 60,
-        ..CorpusConfig::default()
-    };
-    CorpusGenerator::new(config).generate(&mut qb_common::DetRng::new(seed))
-}
-
+/// The open-loop fleet with `corpus` published. Rendezvous routing spreads
+/// arrivals by hash rather than the old strict modulo round-robin, so short
+/// bursts onto one frontend are expected below saturation; the 1.5 s shed
+/// threshold leaves room for them.
 fn open_loop_engine(corpus: &Corpus, seed: u64) -> QueenBee {
-    let mut config = QueenBeeConfig::small();
-    config.num_peers = 32;
-    config.num_bees = 4;
-    config.seed = seed;
-    // WAN latencies: a Fresh query costs ~100ms of simulated round-trips,
-    // so saturation is reachable at a few hundred q/s instead of tens of
-    // thousands, and the thresholds below are set against that service
-    // time. Rendezvous routing spreads arrivals by hash rather than the
-    // old strict modulo round-robin, so short bursts onto one frontend are
-    // expected below saturation; the shed threshold leaves room for them.
-    config.net = qb_simnet::NetConfig::default();
-    config.cache = CacheConfig::enabled();
-    config.gossip = GossipConfig::enabled(4);
-    config.admission = AdmissionConfig::enabled();
-    config.admission.queue_capacity = 32;
-    config.admission.window_size = 8;
-    config.admission.max_windows_in_flight = 2;
-    config.admission.degrade_threshold = SimDuration::from_millis(250);
-    config.admission.shed_threshold = SimDuration::from_millis(1500);
-    let mut qb = QueenBee::new(config).expect("valid config");
-    for (i, page) in corpus.pages.iter().enumerate() {
-        let peer = (10 + i % 18) as u64;
-        qb.publish(peer, AccountId(corpus.creators[i]), page)
-            .expect("publish");
-    }
-    qb.seal();
-    qb.process_publish_events().expect("index");
-    qb
-}
-
-fn trace(corpus: &Corpus, qps: f64, secs: u64) -> ArrivalTrace {
-    ArrivalTrace::generate(
-        corpus,
-        &TraceConfig {
-            seed: 0xE2E,
-            duration: SimDuration::from_secs(secs),
-            base_qps: qps,
-            shape: RateShape::Constant,
-            pool_size: 48,
-            ..TraceConfig::default()
-        },
-    )
+    let config = open_loop_fleet(seed, SimDuration::from_millis(1500));
+    published(config, corpus, 10..28).expect("valid config")
 }
 
 fn fresh_heavy() -> ReplayConfig {
@@ -80,8 +31,8 @@ fn fresh_heavy() -> ReplayConfig {
 /// including both histograms.
 #[test]
 fn open_loop_replay_is_deterministic() {
-    let corpus = corpus(0xE2E, 20);
-    let t = trace(&corpus, 40.0, 4);
+    let corpus = corpus(0xE2E, 20, 60);
+    let t = constant_trace(&corpus, 0xE2E, 40.0, 4);
     let mut a = open_loop_engine(&corpus, 0xE2E);
     let mut b = open_loop_engine(&corpus, 0xE2E);
     let ra = replay(&mut a, &t, &fresh_heavy()).expect("replay");
@@ -94,8 +45,8 @@ fn open_loop_replay_is_deterministic() {
 /// completes and the sojourn tail stays bounded.
 #[test]
 fn below_saturation_completes_everything() {
-    let corpus = corpus(0xE2E, 20);
-    let t = trace(&corpus, 20.0, 5);
+    let corpus = corpus(0xE2E, 20, 60);
+    let t = constant_trace(&corpus, 0xE2E, 20.0, 5);
     let mut qb = open_loop_engine(&corpus, 0xE2E);
     let report = replay(&mut qb, &t, &fresh_heavy()).expect("replay");
     assert_eq!(report.offered, t.len() as u64);
@@ -114,7 +65,7 @@ fn below_saturation_completes_everything() {
 /// queries (goodput does not collapse to zero).
 #[test]
 fn overload_sheds_but_keeps_queues_bounded() {
-    let corpus = corpus(0xE2E, 20);
+    let corpus = corpus(0xE2E, 20, 60);
     let t = ArrivalTrace::generate(
         &corpus,
         &TraceConfig {
@@ -150,22 +101,11 @@ fn overload_sheds_but_keeps_queues_bounded() {
 /// engine).
 #[test]
 fn admission_gate_and_closed_loop_neutrality() {
-    let corpus = corpus(0xE2E, 12);
+    let corpus = corpus(0xE2E, 12, 60);
     let mut plain = {
-        let mut qb = open_loop_engine(&corpus, 0xE2E);
-        // Rebuild without admission for the comparison engine.
-        let mut config = qb.config().clone();
+        let mut config = open_loop_fleet(0xE2E, SimDuration::from_millis(1500));
         config.admission = AdmissionConfig::default();
-        drop(qb);
-        qb = QueenBee::new(config).expect("valid config");
-        for (i, page) in corpus.pages.iter().enumerate() {
-            let peer = (10 + i % 18) as u64;
-            qb.publish(peer, AccountId(corpus.creators[i]), page)
-                .expect("publish");
-        }
-        qb.seal();
-        qb.process_publish_events().expect("index");
-        qb
+        published(config, &corpus, 10..28).expect("valid config")
     };
     let mut gated = open_loop_engine(&corpus, 0xE2E);
 

@@ -5,40 +5,17 @@
 //! stale shard without a DHT trip.
 
 use qb_chain::AccountId;
-use qb_common::{DetRng, SimDuration};
+use qb_common::SimDuration;
+use qb_load::scenario::{corpus, publish_all, queries, sized, QueryStream};
 use qb_queenbee::{
     CacheConfig, Freshness, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest,
     TermProvenance,
 };
-use qb_workload::{Corpus, CorpusConfig, CorpusGenerator, QueryWorkload, ZipfSampler};
-
-fn corpus(seed: u64, pages: usize) -> Corpus {
-    let config = CorpusConfig {
-        num_pages: pages,
-        vocab_size: (pages * 12).max(500),
-        avg_doc_len: 60,
-        ..CorpusConfig::default()
-    };
-    CorpusGenerator::new(config).generate(&mut DetRng::new(seed))
-}
 
 fn engine(cache: CacheConfig, seed: u64) -> QueenBee {
-    let mut config = QueenBeeConfig::small();
-    config.num_peers = 32;
-    config.num_bees = 4;
-    config.seed = seed;
+    let mut config = sized(32, 4, seed);
     config.cache = cache;
     QueenBee::new(config).expect("valid config")
-}
-
-fn publish_all(qb: &mut QueenBee, corpus: &Corpus) {
-    for (i, page) in corpus.pages.iter().enumerate() {
-        let peer = (i % 20) as u64;
-        qb.publish(peer, AccountId(corpus.creators[i]), page)
-            .expect("publish");
-    }
-    qb.seal();
-    qb.process_publish_events().expect("index");
 }
 
 fn page(name: &str, body: &str) -> qb_dweb::WebPage {
@@ -101,20 +78,17 @@ fn top_k_and_pagination_agree_with_the_full_list() {
 /// messages in the uncached configuration.
 #[test]
 fn batch_and_sequential_streams_are_byte_identical() {
-    let corpus = corpus(0xBA7C, 24);
-    let workload = QueryWorkload::new(&corpus);
-    let pool = workload.generate_batch(&corpus, &mut DetRng::new(3), 30);
-    let zipf = ZipfSampler::new(pool.len(), 1.0);
-    let stream: Vec<usize> = {
-        let mut rng = DetRng::new(4);
-        (0..64).map(|_| zipf.sample(&mut rng)).collect()
-    };
+    let corpus = corpus(0xBA7C, 24, 60);
+    let QueryStream {
+        pool,
+        picks: stream,
+    } = QueryStream::new(&corpus, 3, 30, 1.0, 4, 64);
     const WINDOW: usize = 16;
 
     for cache in [CacheConfig::default(), CacheConfig::enabled()] {
         let cached = cache.enabled;
         let mut sequential = engine(cache.clone(), 0xBA7C);
-        publish_all(&mut sequential, &corpus);
+        publish_all(&mut sequential, &corpus, 0..20).expect("publish");
         let mut seq_responses = Vec::new();
         let mut seq_fetches = 0usize;
         let mut seq_messages = 0u64;
@@ -128,7 +102,7 @@ fn batch_and_sequential_streams_are_byte_identical() {
         }
 
         let mut batched = engine(cache, 0xBA7C);
-        publish_all(&mut batched, &corpus);
+        publish_all(&mut batched, &corpus, 0..20).expect("publish");
         let mut batch_responses = Vec::new();
         let mut batch_fetches = 0usize;
         let mut batch_messages = 0u64;
@@ -166,13 +140,10 @@ fn batch_and_sequential_streams_are_byte_identical() {
 /// every other query in the window reuses the shards at zero message cost.
 #[test]
 fn batch_dedup_counts_match_distinct_terms() {
-    let corpus = corpus(0xDED0, 16);
+    let corpus = corpus(0xDED0, 16, 60);
     let mut qb = engine(CacheConfig::default(), 0xDED0);
-    publish_all(&mut qb, &corpus);
-    let workload = QueryWorkload::new(&corpus);
-    let query = workload
-        .generate_batch(&corpus, &mut DetRng::new(5), 1)
-        .remove(0);
+    publish_all(&mut qb, &corpus, 0..20).expect("publish");
+    let query = queries(&corpus, 5, 1).remove(0);
     let distinct_terms = qb
         .search_request(SearchRequest::new(query.as_str()))
         .unwrap()
@@ -409,24 +380,18 @@ fn responses_carry_stage_traces_and_respect_the_ads_flag() {
 #[test]
 fn pipelined_fleet_stream_is_byte_identical_and_fresh() {
     use qb_queenbee::PipelineConfig;
-    let corpus = corpus(0xF1BE, 20);
-    let workload = QueryWorkload::new(&corpus);
-    let pool = workload.generate_batch(&corpus, &mut DetRng::new(6), 16);
-    let zipf = ZipfSampler::new(pool.len(), 1.2);
-    let stream: Vec<usize> = {
-        let mut rng = DetRng::new(7);
-        (0..48).map(|_| zipf.sample(&mut rng)).collect()
-    };
+    let corpus = corpus(0xF1BE, 20, 60);
+    let QueryStream {
+        pool,
+        picks: stream,
+    } = QueryStream::new(&corpus, 6, 16, 1.2, 7, 48);
     const FLEET: usize = 3;
     let fleet_engine = |seed: u64| {
-        let mut config = QueenBeeConfig::small();
-        config.num_peers = 32;
-        config.num_bees = 4;
-        config.seed = seed;
+        let mut config = sized(32, 4, seed);
         config.cache = CacheConfig::enabled();
         config.gossip = GossipConfig::enabled(FLEET);
         let mut qb = QueenBee::new(config).unwrap();
-        publish_all(&mut qb, &corpus);
+        publish_all(&mut qb, &corpus, 0..20).expect("publish");
         qb
     };
     let request = |i: usize, q: usize| {
@@ -490,24 +455,14 @@ fn pipelined_fleet_stream_is_byte_identical_and_fresh() {
 #[test]
 fn pipelined_reruns_are_byte_identical_even_when_self_steering() {
     use qb_queenbee::PipelineConfig;
-    let corpus = corpus(0xDE7E, 18);
-    let workload = QueryWorkload::new(&corpus);
-    let pool = workload.generate_batch(&corpus, &mut DetRng::new(11), 14);
-    let zipf = ZipfSampler::new(pool.len(), 1.2);
-    let stream: Vec<String> = {
-        let mut rng = DetRng::new(13);
-        (0..40)
-            .map(|_| pool[zipf.sample(&mut rng)].clone())
-            .collect()
-    };
+    let corpus = corpus(0xDE7E, 18, 60);
+    let stream = QueryStream::new(&corpus, 11, 14, 1.2, 13, 40);
     let run = |config: PipelineConfig| {
         let mut qb = engine(CacheConfig::default(), 0xDE7E);
-        publish_all(&mut qb, &corpus);
-        let requests: Vec<SearchRequest> = stream
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                SearchRequest::new(q.as_str()).route(RoutingPolicy::HashPeer((i % 20) as u64))
+        publish_all(&mut qb, &corpus, 0..20).expect("publish");
+        let requests: Vec<SearchRequest> = (0..stream.picks.len())
+            .map(|i| {
+                SearchRequest::new(stream.query(i)).route(RoutingPolicy::HashPeer((i % 20) as u64))
             })
             .collect();
         qb.search_pipelined(requests, config).unwrap()

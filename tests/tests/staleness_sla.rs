@@ -13,9 +13,10 @@
 
 use qb_chain::AccountId;
 use qb_common::SimDuration;
+use qb_load::scenario;
 use qb_queenbee::{
-    CacheConfig, Freshness, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest,
-    SearchResponse, TermProvenance,
+    CacheConfig, Freshness, GossipConfig, QueenBee, RoutingPolicy, SearchRequest, SearchResponse,
+    TermProvenance,
 };
 
 const FLEET: usize = 3;
@@ -40,10 +41,7 @@ fn page(p: usize, version_tag: usize) -> qb_dweb::WebPage {
 }
 
 fn fleet_engine() -> QueenBee {
-    let mut config = QueenBeeConfig::small();
-    config.num_peers = 24;
-    config.num_bees = 4;
-    config.seed = 0x51A;
+    let mut config = scenario::sized(24, 4, 0x51A);
     config.cache = CacheConfig::enabled();
     // Fleet mode without the gossip exchange: staleness must come from the
     // missed invalidation alone, not race a gossip fill that would repair

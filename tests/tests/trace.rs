@@ -5,63 +5,16 @@
 //! free of side effects on the simulation, and the exported traces must be
 //! byte-identical across identically-seeded runs.
 
-use qb_chain::AccountId;
 use qb_common::{SimDuration, SimInstant};
-use qb_load::{replay, replay_traced, ArrivalTrace, RateShape, ReplayConfig, TraceConfig};
-use qb_queenbee::{
-    AdmissionConfig, CacheConfig, Freshness, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy,
-    SearchRequest,
-};
+use qb_load::scenario::{constant_trace, corpus, open_loop_fleet, published};
+use qb_load::{replay, replay_traced, ReplayConfig};
+use qb_queenbee::{Freshness, QueenBee, RoutingPolicy, SearchRequest};
 use qb_trace::{attribution, critical_path, to_chrome_trace, to_json, MetricsSnapshot};
-use qb_workload::{Corpus, CorpusConfig, CorpusGenerator};
-
-fn corpus(seed: u64, pages: usize) -> Corpus {
-    let config = CorpusConfig {
-        num_pages: pages,
-        vocab_size: (pages * 12).max(500),
-        avg_doc_len: 60,
-        ..CorpusConfig::default()
-    };
-    CorpusGenerator::new(config).generate(&mut qb_common::DetRng::new(seed))
-}
+use qb_workload::Corpus;
 
 fn engine(corpus: &Corpus, seed: u64) -> QueenBee {
-    let mut config = QueenBeeConfig::small();
-    config.num_peers = 32;
-    config.num_bees = 4;
-    config.seed = seed;
-    config.net = qb_simnet::NetConfig::default();
-    config.cache = CacheConfig::enabled();
-    config.gossip = GossipConfig::enabled(4);
-    config.admission = AdmissionConfig::enabled();
-    config.admission.queue_capacity = 32;
-    config.admission.window_size = 8;
-    config.admission.max_windows_in_flight = 2;
-    config.admission.degrade_threshold = SimDuration::from_millis(250);
-    config.admission.shed_threshold = SimDuration::from_millis(800);
-    let mut qb = QueenBee::new(config).expect("valid config");
-    for (i, page) in corpus.pages.iter().enumerate() {
-        let peer = (10 + i % 18) as u64;
-        qb.publish(peer, AccountId(corpus.creators[i]), page)
-            .expect("publish");
-    }
-    qb.seal();
-    qb.process_publish_events().expect("index");
-    qb
-}
-
-fn trace(corpus: &Corpus, qps: f64, secs: u64) -> ArrivalTrace {
-    ArrivalTrace::generate(
-        corpus,
-        &TraceConfig {
-            seed: 0x7ACE,
-            duration: SimDuration::from_secs(secs),
-            base_qps: qps,
-            shape: RateShape::Constant,
-            pool_size: 48,
-            ..TraceConfig::default()
-        },
-    )
+    let config = open_loop_fleet(seed, SimDuration::from_millis(800));
+    published(config, corpus, 10..28).expect("valid config")
 }
 
 fn replay_cfg() -> ReplayConfig {
@@ -76,8 +29,8 @@ fn replay_cfg() -> ReplayConfig {
 /// reproduces the LoadReport's histograms exactly.
 #[test]
 fn traced_replay_records_one_tree_per_completed_query() {
-    let corpus = corpus(0x7ACE, 20);
-    let t = trace(&corpus, 40.0, 3);
+    let corpus = corpus(0x7ACE, 20, 60);
+    let t = constant_trace(&corpus, 0x7ACE, 40.0, 3);
     let mut qb = engine(&corpus, 0x7ACE);
     let (report, spans) = replay_traced(&mut qb, &t, &replay_cfg()).expect("replay");
     let queries: Vec<_> = spans.named("query").collect();
@@ -121,8 +74,8 @@ fn traced_replay_records_one_tree_per_completed_query() {
 /// (network, cache, gossip, query counters) matches counter for counter.
 #[test]
 fn tracing_never_perturbs_replay_or_metrics() {
-    let corpus = corpus(0x7ACE, 20);
-    let t = trace(&corpus, 40.0, 3);
+    let corpus = corpus(0x7ACE, 20, 60);
+    let t = constant_trace(&corpus, 0x7ACE, 40.0, 3);
     let mut plain = engine(&corpus, 0x7ACE);
     let mut traced = engine(&corpus, 0x7ACE);
     let report_plain = replay(&mut plain, &t, &replay_cfg()).expect("replay");
@@ -143,8 +96,8 @@ fn tracing_never_perturbs_replay_or_metrics() {
 /// Same seed, same trace → byte-identical JSON and Chrome-trace exports.
 #[test]
 fn exports_are_deterministic() {
-    let corpus = corpus(0x7ACE, 16);
-    let t = trace(&corpus, 40.0, 2);
+    let corpus = corpus(0x7ACE, 16, 60);
+    let t = constant_trace(&corpus, 0x7ACE, 40.0, 2);
     let mut a = engine(&corpus, 0x7ACE);
     let mut b = engine(&corpus, 0x7ACE);
     let (_, ta) = replay_traced(&mut a, &t, &replay_cfg()).expect("replay");
@@ -159,7 +112,7 @@ fn exports_are_deterministic() {
 /// exactly to the root's duration.
 #[test]
 fn closed_loop_query_has_fetch_dominated_critical_path() {
-    let corpus = corpus(0x7ACE, 16);
+    let corpus = corpus(0x7ACE, 16, 60);
     let term = corpus.pages[0].title.split_whitespace().next().unwrap();
     // Rendezvous routing may land the query on a frontend whose origin peer
     // co-hosts the term's shard replica, making the fetch a free local read.
@@ -211,7 +164,7 @@ fn closed_loop_query_has_fetch_dominated_critical_path() {
 /// wrong.
 #[test]
 fn failed_requests_leave_no_window_span_open() {
-    let corpus = corpus(0x7ACE, 16);
+    let corpus = corpus(0x7ACE, 16, 60);
     let term = corpus.pages[0].title.split_whitespace().next().unwrap();
     let mut qb = engine(&corpus, 0x7ACE);
     qb.set_tracing(true);
@@ -237,8 +190,8 @@ fn failed_requests_leave_no_window_span_open() {
 /// The metrics snapshot diffing isolates one replay's worth of counters.
 #[test]
 fn snapshot_diff_isolates_a_run() {
-    let corpus = corpus(0x7ACE, 16);
-    let t = trace(&corpus, 30.0, 2);
+    let corpus = corpus(0x7ACE, 16, 60);
+    let t = constant_trace(&corpus, 0x7ACE, 30.0, 2);
     let mut qb = engine(&corpus, 0x7ACE);
     let before = qb.metrics_snapshot();
     let report = replay(&mut qb, &t, &replay_cfg()).expect("replay");
