@@ -36,6 +36,12 @@
 //! deterministic (ordered maps, logical tick counters, seeded hashing), so
 //! simulation runs reproduce bit-for-bit.
 //!
+//! **No wire format.** The cache holds decoded values and serializes
+//! nothing: a warm-start snapshot of the shard tier is a
+//! `qb_segment::Segment` exported from [`QueryCache::shard_digest`] and
+//! [`QueryCache::peek_shard`], and it re-enters through
+//! [`QueryCache::store_remote_shard`]'s version guard.
+//!
 //! **Config knobs.** See [`CacheConfig`]: per-tier byte budgets and TTLs,
 //! the eviction policy, the LFU sample width, and the latency charged for a
 //! local cache hit. The cache is disabled by default so existing

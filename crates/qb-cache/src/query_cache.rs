@@ -12,7 +12,7 @@
 use crate::config::{CacheConfig, NEGATIVE_TTL};
 use crate::metrics::CacheMetrics;
 use crate::tier::CacheTier;
-use qb_common::{varint, QbError, QbResult, SimDuration, SimInstant};
+use qb_common::{SimDuration, SimInstant};
 use qb_index::{IndexStats, ScoredDoc, ShardEntry};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -502,64 +502,6 @@ impl QueryCache {
         } else {
             RemoteAdmit::Refused
         }
-    }
-
-    // ----- warm-start persistence --------------------------------------------------
-
-    /// Serialize the `max` hottest cached shards alive at `now` so a
-    /// restarted frontend can pre-fill its shard tier from its last
-    /// session's working set.
-    pub fn export_hot_set(&self, max: usize, now: SimInstant) -> Vec<u8> {
-        let digest = self.shard_digest(max, now);
-        let mut out = Vec::new();
-        varint::encode_u64(digest.len() as u64, &mut out);
-        for (term, _) in &digest {
-            if let Some(shard) = self.shards.peek(term) {
-                let encoded = shard.encode();
-                varint::encode_u64(encoded.len() as u64, &mut out);
-                out.extend_from_slice(&encoded);
-            } else {
-                varint::encode_u64(0, &mut out);
-            }
-        }
-        out
-    }
-
-    /// Pre-fill the shard tier from a previous session's
-    /// [`QueryCache::export_hot_set`] snapshot. Entries enter through the
-    /// normal store path (admission policy, adaptive TTLs), and the version
-    /// checks on every lookup still purge anything that went stale while the
-    /// frontend was down. Returns the number of shards admitted.
-    pub fn import_hot_set(&mut self, data: &[u8], now: SimInstant) -> QbResult<usize> {
-        let (count, mut pos) = varint::decode_u64(data, 0)?;
-        if count > 1_000_000 {
-            return Err(QbError::Codec(format!("unreasonable hot-set size {count}")));
-        }
-        let mut admitted = 0usize;
-        for _ in 0..count {
-            let (len, p) = varint::decode_u64(data, pos)?;
-            let end = p
-                .checked_add(len as usize)
-                .ok_or_else(|| QbError::Codec("hot-set entry length overflows".into()))?;
-            let bytes = data
-                .get(p..end)
-                .ok_or_else(|| QbError::Codec("truncated hot-set entry".into()))?;
-            pos = end;
-            if len == 0 {
-                continue;
-            }
-            let shard = ShardEntry::decode(bytes)?;
-            if shard.version == 0 {
-                continue;
-            }
-            let before = self.shards.len();
-            self.store_shard_handle(&Arc::new(shard), now);
-            admitted += (self.shards.len() > before) as usize;
-        }
-        if pos != data.len() {
-            return Err(QbError::Codec("trailing bytes after hot set".into()));
-        }
-        Ok(admitted)
     }
 
     // ----- statistics record -------------------------------------------------------
@@ -1185,36 +1127,6 @@ mod tests {
         let g2 = c.shard_generation();
         c.store_shard(&ShardEntry::empty("ghost"), t0());
         assert_eq!(c.shard_generation(), g2, "negative tier is separate");
-    }
-
-    #[test]
-    fn hot_set_export_import_round_trips() {
-        let mut c = cache();
-        for i in 0..6 {
-            c.store_shard(&shard(&format!("term{i}"), i + 1, 3), t0());
-        }
-        for _ in 0..5 {
-            let _ = c.lookup_shard("term0", t0(), 1);
-        }
-        let snapshot = c.export_hot_set(4, t0());
-        let mut warm = QueryCache::new(CacheConfig::small());
-        let admitted = warm.import_hot_set(&snapshot, t0()).expect("import");
-        assert_eq!(admitted, 4);
-        assert!(matches!(
-            warm.lookup_shard("term0", t0(), 1),
-            ShardLookup::Hit(_)
-        ));
-        // Versions travel with the snapshot: a bumped current version still
-        // purges the pre-filled entry on first read.
-        assert!(matches!(
-            warm.lookup_shard("term1", t0(), 99),
-            ShardLookup::Miss
-        ));
-        // Garbage is rejected, not silently imported.
-        assert!(warm.import_hot_set(&[0x7f, 0x00], t0()).is_err());
-        assert!(QueryCache::new(CacheConfig::small())
-            .import_hot_set(&[], t0())
-            .is_err());
     }
 
     #[test]

@@ -29,11 +29,6 @@ pub use network::{DhtNetwork, GetOutcome, LookupOutcome, PutOutcome};
 pub use node::{DhtNode, Record};
 pub use routing::RoutingTable;
 
-use qb_common::SimDuration;
-
-/// Time-to-live of stored records before they must be republished.
-pub const RECORD_TTL: SimDuration = SimDuration::from_secs(3600);
-
 /// Approximate request size in bytes used for traffic accounting.
 pub const REQUEST_BYTES: usize = 72;
 

@@ -276,7 +276,7 @@ impl DhtNetwork {
         // short-circuits the whole lookup; a provably stale one is kept as
         // a fallback while the network is searched.
         if let Some(key) = machine.want_value {
-            if let Some(rec) = self.nodes[from as usize].find_value(&key, net.now()) {
+            if let Some(rec) = self.nodes[from as usize].find_value(&key) {
                 if rec.version >= machine.min_version {
                     machine.result = Some((
                         LookupOutcome {
@@ -406,9 +406,7 @@ impl DhtNetwork {
                 // Value check: keep the freshest replica seen so far.
                 if let Some(key) = machine.want_value {
                     if !machine.fresh_enough() {
-                        if let Some(rec) =
-                            self.nodes[op.peer.index as usize].find_value(&key, net.now())
-                        {
+                        if let Some(rec) = self.nodes[op.peer.index as usize].find_value(&key) {
                             if machine
                                 .found_value
                                 .as_ref()

@@ -246,7 +246,6 @@ impl DhtNetwork {
             key,
             value,
             publisher: self.nodes[from as usize].id,
-            expires_at: net.now() + crate::RECORD_TTL,
             version,
         };
         let replicas: Vec<NodeId> = lookup.closest.iter().take(self.config.k).copied().collect();
@@ -388,12 +387,6 @@ impl DhtNetwork {
             messages,
         ))
     }
-
-    /// Expire stale records on every node. Returns the number removed.
-    pub fn expire_all(&mut self, net: &SimNet) -> usize {
-        let now = net.now();
-        self.nodes.iter_mut().map(|n| n.expire_records(now)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -496,19 +489,6 @@ mod tests {
             dht.lookup_nodes(&mut net, 3, Hash256::digest(b"t")),
             Err(QbError::NodeOffline(3))
         ));
-    }
-
-    #[test]
-    fn expiry_removes_records_and_republish_restores_liveness() {
-        let (mut net, mut dht) = setup(32, 9);
-        let key = DhtKey::for_term("ttl");
-        dht.put_record(&mut net, 0, key, b"short-lived".to_vec(), 1)
-            .unwrap();
-        // Advance beyond the TTL and expire.
-        net.advance(crate::RECORD_TTL + SimDuration::from_secs(1));
-        let removed = dht.expire_all(&net);
-        assert!(removed > 0);
-        assert!(dht.get_record(&mut net, 5, key).is_err());
     }
 
     #[test]

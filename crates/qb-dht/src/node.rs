@@ -2,10 +2,12 @@
 
 use crate::routing::RoutingTable;
 use crate::DhtConfig;
-use qb_common::{DhtKey, Distance, Hash256, NodeId, SimInstant};
+use qb_common::{DhtKey, Distance, Hash256, NodeId};
 use std::collections::HashMap;
 
-/// A value stored in the DHT under a key.
+/// A value stored in the DHT under a key. A stored record is permanent: it
+/// lives on its replicas until a higher [`Record::version`] replaces it.
+/// Nothing expires, and so nothing has to republish to stay readable.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Record {
     /// Key under which the record is stored.
@@ -14,8 +16,6 @@ pub struct Record {
     pub value: Vec<u8>,
     /// Node that originally published the record.
     pub publisher: NodeId,
-    /// Simulation time at which the record expires.
-    pub expires_at: SimInstant,
     /// Monotonically increasing version; a replica only overwrites its copy
     /// with a higher version (last-writer-wins on version).
     pub version: u64,
@@ -55,21 +55,9 @@ impl DhtNode {
         }
     }
 
-    /// Handle a `FIND_VALUE` RPC: return the record if present and not expired.
-    pub fn find_value(&self, key: &DhtKey, now: SimInstant) -> Option<&Record> {
-        self.records.get(key).filter(|r| r.expires_at > now)
-    }
-
-    /// Drop expired records; returns how many were removed.
-    pub fn expire_records(&mut self, now: SimInstant) -> usize {
-        let before = self.records.len();
-        self.records.retain(|_, r| r.expires_at > now);
-        before - self.records.len()
-    }
-
-    /// All live records (used for republish).
-    pub fn records(&self) -> impl Iterator<Item = &Record> {
-        self.records.values()
+    /// Handle a `FIND_VALUE` RPC: return the record if present.
+    pub fn find_value(&self, key: &DhtKey) -> Option<&Record> {
+        self.records.get(key)
     }
 
     /// Number of records held locally.
@@ -102,14 +90,12 @@ impl DhtNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qb_common::SimDuration;
 
-    fn record(key_label: &str, version: u64, expires: u64) -> Record {
+    fn record(key_label: &str, version: u64) -> Record {
         Record {
             key: DhtKey::from_bytes(key_label.as_bytes()),
             value: format!("value-{version}").into_bytes(),
             publisher: NodeId::from_index(9),
-            expires_at: SimInstant::ZERO + SimDuration::from_secs(expires),
             version,
         }
     }
@@ -117,9 +103,9 @@ mod tests {
     #[test]
     fn store_and_find() {
         let mut n = DhtNode::new(NodeId::from_index(1), &DhtConfig::small());
-        let r = record("k", 1, 100);
+        let r = record("k", 1);
         assert!(n.store(r.clone()));
-        let found = n.find_value(&r.key, SimInstant::ZERO).unwrap();
+        let found = n.find_value(&r.key).unwrap();
         assert_eq!(found.value, r.value);
         assert_eq!(n.record_count(), 1);
     }
@@ -127,24 +113,13 @@ mod tests {
     #[test]
     fn stale_version_does_not_overwrite() {
         let mut n = DhtNode::new(NodeId::from_index(1), &DhtConfig::small());
-        assert!(n.store(record("k", 5, 100)));
-        assert!(!n.store(record("k", 3, 100)));
+        assert!(n.store(record("k", 5)));
+        assert!(!n.store(record("k", 3)));
         let key = DhtKey::from_bytes(b"k");
-        assert_eq!(n.find_value(&key, SimInstant::ZERO).unwrap().version, 5);
+        assert_eq!(n.find_value(&key).unwrap().version, 5);
         // Equal or newer versions do overwrite.
-        assert!(n.store(record("k", 5, 200)));
-        assert!(n.store(record("k", 7, 200)));
-    }
-
-    #[test]
-    fn expired_records_are_invisible_and_collectable() {
-        let mut n = DhtNode::new(NodeId::from_index(1), &DhtConfig::small());
-        n.store(record("k", 1, 10));
-        let key = DhtKey::from_bytes(b"k");
-        let late = SimInstant::ZERO + SimDuration::from_secs(11);
-        assert!(n.find_value(&key, late).is_none());
-        assert_eq!(n.expire_records(late), 1);
-        assert_eq!(n.record_count(), 0);
+        assert!(n.store(record("k", 5)));
+        assert!(n.store(record("k", 7)));
     }
 
     #[test]

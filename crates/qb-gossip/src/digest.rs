@@ -71,29 +71,11 @@ impl Digest {
         Digest { entries }
     }
 
-    /// Number of advertised terms.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is advertised.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Bytes this digest occupies on the wire: each entry ships the term,
     /// a varint-bounded version (budgeted at 8) and a length prefix, plus a
     /// small frame header. Charged to the simulated network per exchange.
     pub fn wire_bytes(&self) -> usize {
         16 + self.entries.iter().map(|e| e.term.len() + 9).sum::<usize>()
-    }
-
-    /// The version this digest advertises for `term`, if any.
-    pub fn version_of(&self, term: &str) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|e| &*e.term == term)
-            .map(|e| e.version)
     }
 }
 
@@ -224,13 +206,11 @@ mod tests {
     #[test]
     fn digest_wire_bytes_scale_with_terms() {
         let empty = Digest::default();
-        assert!(empty.is_empty());
+        assert!(empty.entries.is_empty());
         let d = Digest::new(entries(&[("honey", 3), ("bees", 1)]));
-        assert_eq!(d.len(), 2);
+        assert_eq!(d.entries.len(), 2);
         assert_eq!(d.wire_bytes(), 16 + (5 + 9) + (4 + 9));
         assert!(d.wire_bytes() > empty.wire_bytes());
-        assert_eq!(d.version_of("honey"), Some(3));
-        assert_eq!(d.version_of("nope"), None);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!    `min(that, own adapted TTL)` counted from the fill instant. A relay
 //!    therefore restarts the expiry clock at every hop; the version guard
 //!    and read-time version checks, not the TTL, are what keep a relayed
-//!    shard from being served stale (ROADMAP direction 4 files shipping
-//!    the remaining lifetime instead).
+//!    shard from being served stale (ROADMAP's modelling-change queue
+//!    files shipping the remaining lifetime instead: "a relayed fill must
+//!    not outlive its fetch").
 //! 3. **Version guard** — the receiver admits a fill only if its version is
 //!    at least the highest version it has observed for that term, and
 //!    strictly newer than its cached copy. A stale shard is *never*
@@ -49,376 +50,44 @@
 //!
 //! All traffic goes through [`SimNet`] and is charged to its `NetStats`;
 //! partitions and offline peers fail exchanges exactly like any other RPC.
+//!
+//! [`VersionVector`]: crate::VersionVector
+//! [`MembershipView`]: crate::MembershipView
+//! [`DigestMode::Delta`]: crate::DigestMode::Delta
+//! [`ShardFilter`]: crate::ShardFilter
 
-use crate::config::{
-    DigestMode, GossipConfig, FANOUT, FILTER_BITS_PER_ENTRY, MEMBERSHIP_SUMMARY_BUDGET,
-    ROUND_INTERVAL,
-};
-use crate::digest::{
-    apply_delta, delta_entries, needs_fill, note_holding, Digest, DigestEntry, HoldingsView,
-    VersionVector,
-};
-use crate::filter::{FilterKey, ShardFilter};
-use crate::membership::MembershipView;
+use crate::config::{GossipConfig, FANOUT, ROUND_INTERVAL};
+use crate::digest::DigestEntry;
+use crate::exchange::ExchangeClass;
+use crate::filter::FilterKey;
+use crate::frontend::Frontend;
 use crate::stats::GossipStats;
-use qb_cache::{CacheConfig, QueryCache, RemoteAdmit};
-use qb_common::{DetRng, SimDuration, SimInstant};
-use qb_dht::DhtNetwork;
-use qb_index::ShardEntry;
-use qb_segment::{fetch_segment, ImportReport, SegmentRef};
+use qb_cache::{CacheConfig, QueryCache};
+use qb_common::{DetRng, SimInstant};
+use qb_segment::SegmentRef;
 use qb_simnet::SimNet;
-use qb_storage::StorageNetwork;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
-
-/// Wire overhead charged per shard in a fill batch (frame, version, TTL).
-const FILL_ENTRY_OVERHEAD: usize = 12;
-
-/// Bytes of a graceful departure notice.
-const DEPARTURE_NOTICE_BYTES: usize = 16;
+use std::collections::HashMap;
 
 /// Most rounds one `maybe_run` call fires when catching up after a large
 /// simulated-time step.
 const MAX_CATCHUP_ROUNDS: usize = 8;
-
-/// Request bytes of a join-time "what is your newest segment?" probe.
-const SEGMENT_PROBE_BYTES: usize = 16;
-
-/// Response bytes of a segment probe that found no artifact.
-const SEGMENT_PROBE_EMPTY_REPLY_BYTES: usize = 8;
 
 /// Terms a zone-aware anti-entropy coverage check inspects at most — a
 /// bound on per-round work, not on safety (uncovered terms simply leave the
 /// partner choice to the default sampler).
 const MAX_ZONE_AE_MISSING: usize = 32;
 
-/// What kind of exchange is running — decides digest shape (regular
-/// exchanges may use delta digests; the other classes always swap full
-/// digests) and which fill-byte class the traffic is accounted under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExchangeClass {
-    /// Periodic hot-set round.
-    Regular,
-    /// Periodic full-digest reconciliation round.
-    AntiEntropy,
-    /// A join's elevated-budget warm-up exchange.
-    Bootstrap,
-}
-
-impl ExchangeClass {
-    /// Full-digest exchanges reconcile entire shard tiers.
-    fn full(self) -> bool {
-        self != ExchangeClass::Regular
-    }
-}
-
-/// What one frontend knows about the sync state with one partner — the
-/// receiver-side reconstruction state of the delta-digest protocol.
-#[derive(Debug, Clone, Default)]
-struct PeerSync {
-    /// What this frontend believes the partner holds (accumulated from
-    /// the partner's advertisements and own fills).
-    holdings: HoldingsView,
-    /// `(term -> version)` this frontend last advertised to the partner —
-    /// the baseline the next delta digest is computed against.
-    advertised: HashMap<Arc<str>, u64>,
-    /// The partner's holdings filter from the last delta exchange (cleared
-    /// by full exchanges, whose holdings view is exact). Zone-aware
-    /// anti-entropy uses it to confirm an in-zone candidate still covers
-    /// the missing shards before redirecting a partner slot to it.
-    filter: Option<Arc<ShardFilter>>,
-}
-
-/// One frontend's memo of the `(term, version)` pairs it has fingerprinted:
-/// term -> the entry of the version last asked for. Every pair this
-/// frontend puts into a digest, an advert or a holdings view goes through
-/// here, so it is hashed once while it stays resident; a miss (new term,
-/// bumped version) hashes and remembers. Pruned to the live listing at
-/// every digest extraction, so it is bounded by the resident tier entries.
-#[derive(Debug, Default)]
-struct Fingerprints(HashMap<Arc<str>, DigestEntry>);
-
-impl Fingerprints {
-    fn entry(&mut self, term: &str, version: u64) -> DigestEntry {
-        let known = self.0.get(term);
-        if let Some(entry) = known.filter(|e| e.version() == version) {
-            return entry.clone();
-        }
-        // A version bump keeps sharing the term's allocation.
-        let term = known.map_or_else(|| Arc::from(term), |e| Arc::clone(e.term()));
-        let entry = DigestEntry::new(term, version);
-        self.0.insert(Arc::clone(entry.term()), entry.clone());
-        entry
-    }
-
-    /// Drop every term that is not in `live` — which was just resolved
-    /// through [`Fingerprints::entry`], so the memo holds all of it and is
-    /// larger exactly when it also holds something else.
-    fn retain_live(&mut self, live: &[DigestEntry]) {
-        if self.0.len() > live.len() {
-            self.0 = live
-                .iter()
-                .map(|e| (Arc::clone(e.term()), e.clone()))
-                .collect();
-        }
-    }
-}
-
-/// Everything a ranked shard listing reads: the shard tier's generation,
-/// its popularity epoch, and the instant (which decides TTL aliveness).
-type DigestStamp = (u64, u64, SimInstant);
-
-/// One query frontend: a peer in the simulated network, its private cache,
-/// its per-term version knowledge and its view of the fleet.
-#[derive(Debug)]
-pub struct Frontend {
-    /// The simulated peer this frontend runs on.
-    pub peer: u64,
-    /// The latency zone this frontend lives in (`peer % config.zones`,
-    /// matching `qb-simnet`'s round-robin zone assignment).
-    pub zone: usize,
-    /// Highest shard version observed per term (DHT fetches, publish events,
-    /// gossip digests and fills).
-    pub known: VersionVector,
-    /// SWIM-style incarnation epoch: bumped on every restart
-    /// ([`GossipFleet::rejoin`]), so liveness evidence compares
-    /// `(incarnation, heartbeat)` and a long-delayed summary from a
-    /// previous incarnation can never confuse the fleet about the
-    /// restarted process.
-    incarnation: u64,
-    /// Per-incarnation heartbeat counter (a restarted process starts over
-    /// from zero; the bumped incarnation is what supersedes stale views).
-    heartbeat: u64,
-    /// True once the frontend left or crashed; departed slots keep their
-    /// index (engine routing stays stable) but take no part in gossip.
-    departed: bool,
-    /// This frontend's own view of fleet membership.
-    view: MembershipView,
-    /// Per-partner delta-digest sync state.
-    sync: HashMap<u64, PeerSync>,
-    /// Rotating cursor of the bounded membership summaries.
-    summary_cursor: usize,
-    /// Batch-aware gossip: `(term, version)` keys a batch window freshly
-    /// fetched on this frontend, queued to ride the next digest round as
-    /// priority advertisements and priority fills.
-    pending_adverts: Vec<(String, u64)>,
-    /// Every shard alive in the cache, hottest first, cached behind
-    /// everything the ranking reads — the shard tier's `(generation,
-    /// popularity epoch)` and the instant: a tier nothing touched is
-    /// scanned, ranked and resolved once, not once per exchange side.
-    digest_cache: Option<(DigestStamp, Arc<[DigestEntry]>)>,
-    /// The holdings filter of the last delta exchange, cached behind the
-    /// shard tier's `(generation, instant)`: rounds where nothing changed
-    /// reuse it instead of rebuilding per exchange.
-    filter_cache: Option<(u64, SimInstant, Arc<ShardFilter>)>,
-    /// The fingerprints behind this frontend's digests and adverts.
-    fingerprints: Fingerprints,
-    /// The newest published segment artifact this frontend knows of,
-    /// adopted from publish notifications and digest piggybacks; joiners
-    /// probe for it to bootstrap from the artifact instead of shard fills.
-    segment_advert: Option<SegmentRef>,
-    /// The load EWMA this frontend advertises on its heartbeats: folded
-    /// from `load_recent` on every gossip round, so it decays once serving
-    /// stops and spikes one round after it starts.
-    load: u64,
-    /// Queries served since the last heartbeat tick (the EWMA's raw input).
-    load_recent: u64,
-    /// Queries the open-loop dispatcher routed here that are still
-    /// *queued* — admitted but not yet handed to a pipeline window. The
-    /// router's local gauge of its own decisions (C3-style); without it,
-    /// every arrival inside one heartbeat interval sees the same
-    /// advertised-load snapshot and two-choices herds the whole burst
-    /// onto one frontend. Deliberately excludes the dispatched in-flight
-    /// window: an empty-queue frontend mid-window should keep collecting
-    /// arrivals so they batch into its next window and share fetches.
-    routed_outstanding: u64,
-    /// Queries the open-loop dispatcher handed to this frontend's
-    /// pipeline windows since the last heartbeat fold (reset at the
-    /// fold). The cumulative half of the routing signal: it equalizes
-    /// *how much* work each frontend took this interval, not just what
-    /// is queued right now, so a fast-draining frontend does not soak up
-    /// every arrival between heartbeats.
-    routed_recent: u64,
-    /// The private query-serving cache, always `Some`. It is an `Option`
-    /// only because the planner takes the serving cache as
-    /// `&mut Option<QueryCache>` (`None` = caching off in single-frontend
-    /// mode), a signature `bench/` pins; [`GossipFleet::cache_slot`] lends
-    /// the engine this field in that shape.
-    cache: Option<QueryCache>,
-}
-
-impl Frontend {
-    fn new(peer: u64, zone: usize, cache_config: CacheConfig) -> Frontend {
-        Frontend {
-            peer,
-            zone,
-            known: VersionVector::new(),
-            incarnation: 0,
-            heartbeat: 0,
-            departed: false,
-            view: MembershipView::new(),
-            sync: HashMap::new(),
-            summary_cursor: 0,
-            pending_adverts: Vec::new(),
-            digest_cache: None,
-            filter_cache: None,
-            fingerprints: Fingerprints::default(),
-            segment_advert: None,
-            load: 0,
-            load_recent: 0,
-            routed_outstanding: 0,
-            routed_recent: 0,
-            cache: Some(QueryCache::new(cache_config)),
-        }
-    }
-
-    /// The membership summary piggybacked on one exchange: the full roster
-    /// for anti-entropy/bootstrap, a bounded rotating window otherwise.
-    fn membership_summary(&mut self, full: bool, budget: usize) -> crate::MembershipSummary {
-        if full {
-            return self.view.summary();
-        }
-        let s = self
-            .view
-            .summary_window(self.summary_cursor, budget, self.peer);
-        self.summary_cursor = self.summary_cursor.wrapping_add(budget.max(1));
-        s
-    }
-
-    /// Borrow the cache.
-    pub fn cache(&self) -> &QueryCache {
-        self.cache.as_ref().expect("frontend always holds a cache")
-    }
-
-    /// Mutably borrow the cache.
-    pub fn cache_mut(&mut self) -> &mut QueryCache {
-        self.cache.as_mut().expect("frontend always holds a cache")
-    }
-
-    /// Is the frontend part of the fleet (not departed/crashed)?
-    pub fn is_active(&self) -> bool {
-        !self.departed
-    }
-
-    /// Current heartbeat counter (within the current incarnation).
-    pub fn heartbeat(&self) -> u64 {
-        self.heartbeat
-    }
-
-    /// Current incarnation epoch (bumped on every restart).
-    pub fn incarnation(&self) -> u64 {
-        self.incarnation
-    }
-
-    /// Batch-window shard keys queued for the next digest round.
-    pub fn pending_adverts(&self) -> &[(String, u64)] {
-        &self.pending_adverts
-    }
-
-    /// The newest segment artifact this frontend currently advertises.
-    pub fn segment_advert(&self) -> Option<SegmentRef> {
-        self.segment_advert
-    }
-
-    /// The pending batch adverts re-resolved against the current cache:
-    /// entries evicted since the window are dropped, and a key republished
-    /// in between advertises (and fills) the *cached* version — digest and
-    /// priority-fill decisions must agree on one version, or a partner
-    /// already holding the stale queued version would suppress the very
-    /// fill the advert exists to force.
-    fn resolved_adverts(&mut self) -> Vec<DigestEntry> {
-        let Frontend {
-            pending_adverts,
-            cache,
-            fingerprints,
-            ..
-        } = self;
-        pending_adverts
-            .iter()
-            .filter_map(|(term, _)| {
-                let version = cache.as_ref()?.cached_shard_version(term)?;
-                Some(fingerprints.entry(term, version))
-            })
-            .collect()
-    }
-
-    /// Every shard alive in the cache at `now`, hottest first, shared by
-    /// handle. Extracted once per tier state: the cached listing is exact
-    /// while the shard tier's generation, its popularity epoch (reads
-    /// reorder the ranking without moving the generation) and the instant
-    /// (which decides TTL aliveness) all stand still. A full exchange
-    /// advertises all of it, a regular one its first `hot_set_size`.
-    fn ranked_holdings(&mut self, now: SimInstant) -> Arc<[DigestEntry]> {
-        let cache = self.cache();
-        let stamp: DigestStamp = (
-            cache.shard_generation(),
-            cache.shard_popularity_epoch(),
-            now,
-        );
-        if let Some((cached, ranked)) = &self.digest_cache {
-            if *cached == stamp {
-                return Arc::clone(ranked);
-            }
-        }
-        // Borrow the cache by field from here on: the listing's terms point
-        // into it while the fingerprint memo next to it is written.
-        let listing = self
-            .cache
-            .as_ref()
-            .map_or_else(Vec::new, |cache| cache.shard_digest(usize::MAX, now));
-        let ranked: Arc<[DigestEntry]> = listing
-            .into_iter()
-            .map(|(term, version)| self.fingerprints.entry(term, version))
-            .collect();
-        self.fingerprints.retain_live(&ranked);
-        self.digest_cache = Some((stamp, Arc::clone(&ranked)));
-        ranked
-    }
-
-    /// The holdings filter for a delta exchange over `holdings` at `now`,
-    /// served from the per-frontend cache while the shard tier's
-    /// generation (and the instant, which decides TTL aliveness) are
-    /// unchanged — a steady round builds the filter once instead of once
-    /// per exchange.
-    fn holdings_filter(
-        &mut self,
-        holdings: &[DigestEntry],
-        now: SimInstant,
-        stats: &mut GossipStats,
-    ) -> Arc<ShardFilter> {
-        let generation = self.cache().shard_generation();
-        if let Some((cached_gen, cached_at, filter)) = &self.filter_cache {
-            if *cached_gen == generation && *cached_at == now {
-                stats.filter_reuses += 1;
-                return Arc::clone(filter);
-            }
-        }
-        stats.filter_builds += 1;
-        let filter = Arc::new(ShardFilter::build(
-            holdings.iter().map(DigestEntry::key),
-            FILTER_BITS_PER_ENTRY,
-        ));
-        self.filter_cache = Some((generation, now, Arc::clone(&filter)));
-        filter
-    }
-
-    /// This frontend's view of fleet membership.
-    pub fn view(&self) -> &MembershipView {
-        &self.view
-    }
-}
-
 /// The gossip overlay over a fleet of frontends.
 #[derive(Debug)]
 pub struct GossipFleet {
-    config: GossipConfig,
-    cache_config: CacheConfig,
-    frontends: Vec<Frontend>,
-    index_by_peer: HashMap<u64, usize>,
-    rng: DetRng,
+    pub(crate) config: GossipConfig,
+    pub(crate) cache_config: CacheConfig,
+    pub(crate) frontends: Vec<Frontend>,
+    pub(crate) index_by_peer: HashMap<u64, usize>,
+    pub(crate) rng: DetRng,
     next_round_at: SimInstant,
     next_anti_entropy_at: SimInstant,
-    stats: GossipStats,
+    pub(crate) stats: GossipStats,
 }
 
 impl GossipFleet {
@@ -478,11 +147,6 @@ impl GossipFleet {
         self.frontends.get(i).is_some_and(|f| f.is_active())
     }
 
-    /// The latency zone of frontend `i`.
-    pub fn zone_of(&self, i: usize) -> usize {
-        self.frontends[i].zone
-    }
-
     /// The configuration the fleet runs.
     pub fn config(&self) -> &GossipConfig {
         &self.config
@@ -496,6 +160,11 @@ impl GossipFleet {
     /// Borrow one frontend.
     pub fn frontend(&self, i: usize) -> &Frontend {
         &self.frontends[i]
+    }
+
+    /// Mutably borrow one frontend.
+    pub fn frontend_mut(&mut self, i: usize) -> &mut Frontend {
+        &mut self.frontends[i]
     }
 
     /// The simulated peer frontend `i` runs on.
@@ -618,188 +287,6 @@ impl GossipFleet {
         }
     }
 
-    /// Serialize frontend `i`'s hottest `max` shards for warm-start
-    /// persistence.
-    pub fn export_hot_set(&self, i: usize, max: usize, now: SimInstant) -> Vec<u8> {
-        self.frontends[i].cache().export_hot_set(max, now)
-    }
-
-    /// Pre-fill frontend `i`'s shard tier from a warm-start snapshot,
-    /// recording the imported versions in its version vector. Returns the
-    /// number of shards admitted.
-    pub fn import_hot_set(
-        &mut self,
-        i: usize,
-        data: &[u8],
-        now: SimInstant,
-    ) -> qb_common::QbResult<usize> {
-        let admitted = self.frontends[i].cache_mut().import_hot_set(data, now)?;
-        let Frontend { cache, known, .. } = &mut self.frontends[i];
-        if let Some(cache) = cache {
-            for (term, version) in cache.shard_digest(usize::MAX, now) {
-                known.observe(term, version);
-            }
-        }
-        Ok(admitted)
-    }
-
-    // ----- churn -------------------------------------------------------------------
-
-    /// A new frontend joins the fleet on `peer` (which must already exist in
-    /// the simulated network and not host another frontend). Its zone is
-    /// `peer % config.zones`, matching the network's assignment. The joiner
-    /// bootstraps by one full anti-entropy exchange with a live neighbour
-    /// (same zone preferred) — the operator hands the new process a seed
-    /// address, everything else flows through gossip — warming its cache
-    /// from the fleet instead of the DHT. Returns the new frontend index;
-    /// a peer that already hosts a frontend (departed slots included —
-    /// those restart via [`GossipFleet::rejoin`]) is rejected.
-    pub fn join(
-        &mut self,
-        net: &mut SimNet,
-        peer: u64,
-        now: SimInstant,
-    ) -> qb_common::QbResult<usize> {
-        let idx = self.admit_slot(peer, now)?;
-        self.bootstrap(net, idx, now);
-        Ok(idx)
-    }
-
-    /// Open a new frontend slot on `peer`: reject a peer that already
-    /// hosts one, derive the zone, seed the newcomer's view with itself and
-    /// count the join. Returns the slot index.
-    fn admit_slot(&mut self, peer: u64, now: SimInstant) -> qb_common::QbResult<usize> {
-        if self.index_by_peer.contains_key(&peer) {
-            return Err(qb_common::QbError::Config(format!(
-                "peer {peer} already hosts a frontend"
-            )));
-        }
-        let zone = (peer as usize) % self.config.zones.max(1);
-        let idx = self.frontends.len();
-        let mut f = Frontend::new(peer, zone, self.cache_config.clone());
-        f.view.admit(peer, zone, 0, 0, now);
-        self.frontends.push(f);
-        self.index_by_peer.insert(peer, idx);
-        self.stats.joins += 1;
-        Ok(idx)
-    }
-
-    /// Frontend `i` leaves gracefully: it notifies up to `FANOUT` partners
-    /// (which tombstone it immediately; everyone else evicts it via the
-    /// liveness timeout) and goes offline. The notice carries the leaver's
-    /// final heartbeat, so no third-party summary — all of which saw at
-    /// most that heartbeat — can resurrect the departed member in a
-    /// notified view; only an actual rejoin (which bumps the heartbeat)
-    /// revives it.
-    pub fn leave(&mut self, net: &mut SimNet, i: usize) {
-        if self.frontends[i].departed {
-            return;
-        }
-        let peer = self.frontends[i].peer;
-        let zone = self.frontends[i].zone;
-        let final_incarnation = self.frontends[i].incarnation;
-        let final_heartbeat = self.frontends[i].heartbeat;
-        let partners = self.frontends[i].view.sample_partners(
-            &mut self.rng,
-            peer,
-            zone,
-            FANOUT,
-            self.config.cross_zone_probability,
-            false,
-        );
-        for p in partners {
-            if net.send(peer, p, DEPARTURE_NOTICE_BYTES).is_ok() {
-                self.stats.membership_bytes += DEPARTURE_NOTICE_BYTES as u64;
-                if let Some(&j) = self.index_by_peer.get(&p) {
-                    self.frontends[j]
-                        .view
-                        .mark_departed(peer, final_incarnation, final_heartbeat);
-                }
-            }
-        }
-        self.frontends[i].departed = true;
-        net.set_online(peer, false);
-        self.stats.leaves += 1;
-    }
-
-    /// Frontend `i` crashes: no notice is sent; the rest of the fleet
-    /// detects the silence through heartbeats and failed exchanges and
-    /// evicts it from their sample sets.
-    pub fn crash(&mut self, net: &mut SimNet, i: usize) {
-        if self.frontends[i].departed {
-            return;
-        }
-        net.set_online(self.frontends[i].peer, false);
-        self.frontends[i].departed = true;
-        self.stats.crashes += 1;
-    }
-
-    /// A departed frontend restarts on its old peer: fresh cache, fresh
-    /// version vector, bumped **incarnation** with the heartbeat starting
-    /// over from zero (a real restarted process remembers no counter; the
-    /// incarnation epoch is what makes its gossip supersede every stale
-    /// view of it, SWIM-style), and a bootstrap anti-entropy exchange with
-    /// a live neighbour to warm up from the fleet instead of the DHT.
-    pub fn rejoin(&mut self, net: &mut SimNet, i: usize, now: SimInstant) {
-        if !self.frontends[i].departed {
-            return;
-        }
-        // A restarted process is a new `Frontend` in the old slot: nothing
-        // survives the crash but where it runs and its bumped epoch.
-        let old = &self.frontends[i];
-        let mut f = Frontend::new(old.peer, old.zone, self.cache_config.clone());
-        f.incarnation = old.incarnation + 1;
-        f.view.admit(f.peer, f.zone, f.incarnation, 0, now);
-        net.set_online(f.peer, true);
-        self.frontends[i] = f;
-        self.stats.joins += 1;
-        self.bootstrap(net, i, now);
-    }
-
-    /// One full anti-entropy exchange between a (re)joining frontend and a
-    /// live neighbour (same zone preferred), with the elevated bootstrap
-    /// fill budget. A failed exchange (races with churn, partitions) falls
-    /// back to the next candidate neighbour; a fleet with no reachable
-    /// neighbour joins cold.
-    fn bootstrap(&mut self, net: &mut SimNet, idx: usize, now: SimInstant) {
-        for j in self.bootstrap_candidates(net, idx) {
-            let (a, b) = pair_mut(&mut self.frontends, idx, j);
-            if exchange(
-                &self.config,
-                a,
-                b,
-                net,
-                now,
-                ExchangeClass::Bootstrap,
-                self.config.bootstrap_fill_budget(),
-                &mut self.stats,
-            ) {
-                return;
-            }
-        }
-    }
-
-    /// The live candidate neighbours of frontend `idx`, same zone first,
-    /// both groups shuffled — the order (re)joins and segment probes walk.
-    fn bootstrap_candidates(&mut self, net: &SimNet, idx: usize) -> Vec<usize> {
-        let zone = self.frontends[idx].zone;
-        let mut same: Vec<usize> = Vec::new();
-        let mut cross: Vec<usize> = Vec::new();
-        for (j, f) in self.frontends.iter().enumerate() {
-            if j == idx || f.departed || !net.is_online(f.peer) {
-                continue;
-            }
-            if f.zone == zone {
-                same.push(j);
-            } else {
-                cross.push(j);
-            }
-        }
-        self.rng.shuffle(&mut same);
-        self.rng.shuffle(&mut cross);
-        same.into_iter().chain(cross).collect()
-    }
-
     // ----- rounds ------------------------------------------------------------------
 
     /// Run every gossip round that became due by `now` (a large time step
@@ -834,11 +321,13 @@ impl GossipFleet {
     /// sets and may sample members currently believed dead — the safety net
     /// that re-establishes contact after partitions heal.
     pub fn run_round(&mut self, net: &mut SimNet, now: SimInstant, anti_entropy: bool) {
-        if anti_entropy {
+        let class = if anti_entropy {
             self.stats.anti_entropy_rounds += 1;
+            ExchangeClass::AntiEntropy
         } else {
             self.stats.rounds += 1;
-        }
+            ExchangeClass::Regular
+        };
         let round_start = net.now();
         let round_span = net.tracer().open_with("gossip.round", round_start, || {
             if anti_entropy {
@@ -865,16 +354,7 @@ impl GossipFleet {
             let (peer, zone, inc, hb, load) = (f.peer, f.zone, f.incarnation, f.heartbeat, f.load);
             f.view.admit(peer, zone, inc, hb, now);
             f.view.note_load(peer, load);
-            // Zone-biased sampling from the members *this* frontend
-            // believes alive (anti-entropy may probe dead ones).
-            let mut partners = self.frontends[i].view.sample_partners(
-                &mut self.rng,
-                peer,
-                zone,
-                FANOUT,
-                self.config.cross_zone_probability,
-                anti_entropy,
-            );
+            let mut partners = self.sample_partners(i, anti_entropy);
             // Zone-aware anti-entropy: when an in-zone live member's
             // advertised holdings confirm it covers this frontend's missing
             // shards, redirect one partner slot to it — the reconciling
@@ -895,32 +375,7 @@ impl GossipFleet {
                 if j == i {
                     continue;
                 }
-                // Regular rounds respect the zone-aware fill budgets;
-                // anti-entropy keeps the flat budget (it is the safety
-                // net and must reconcile regardless of link cost).
-                let (class, fill_budget) = if anti_entropy {
-                    (
-                        ExchangeClass::AntiEntropy,
-                        self.config.max_fills_per_exchange,
-                    )
-                } else {
-                    (
-                        ExchangeClass::Regular,
-                        self.config
-                            .regular_fill_budget(zone == self.frontends[j].zone),
-                    )
-                };
-                let (a, b) = pair_mut(&mut self.frontends, i, j);
-                exchange(
-                    &self.config,
-                    a,
-                    b,
-                    net,
-                    now,
-                    class,
-                    fill_budget,
-                    &mut self.stats,
-                );
+                self.exchange(net, i, j, now, class);
             }
             // Evict members that stayed silent past the liveness timeout.
             let evicted = self.frontends[i]
@@ -938,6 +393,22 @@ impl GossipFleet {
         }
         let end = net.now();
         net.tracer().close(round_span, end);
+    }
+
+    /// Frontend `i`'s zone-biased sample of `FANOUT` partners from the
+    /// members *it* believes alive (`include_dead`: anti-entropy may probe
+    /// dead ones).
+    pub(crate) fn sample_partners(&mut self, i: usize, include_dead: bool) -> Vec<u64> {
+        let f = &self.frontends[i];
+        let cross_zone = self.config.cross_zone_probability;
+        f.view.sample_partners(
+            &mut self.rng,
+            f.peer,
+            f.zone,
+            FANOUT,
+            cross_zone,
+            include_dead,
+        )
     }
 
     /// Queue a batch window's freshly fetched `(term, version)` keys as
@@ -1034,470 +505,21 @@ impl GossipFleet {
             }
         }
     }
-
-    /// Like [`GossipFleet::join`], but the joiner first tries to bootstrap
-    /// from the fleet's newest published segment artifact: it probes live
-    /// neighbours (same zone preferred) for their segment pointer (each
-    /// probe a charged RPC), fetches the artifact through the
-    /// content-addressed storage/DHT path (all bytes charged to
-    /// `NetStats`), imports it through the cache's version guard — a stale
-    /// artifact can never clobber fresher knowledge — and finishes with
-    /// **one** flat-budget full exchange with the advertising neighbour to
-    /// delta-catch-up on everything published after the artifact. When no
-    /// neighbour advertises an artifact or the fetch fails, the join falls
-    /// back to the classic gossip-only bootstrap.
-    pub fn join_with_segment(
-        &mut self,
-        net: &mut SimNet,
-        dht: &mut DhtNetwork,
-        storage: &mut StorageNetwork,
-        peer: u64,
-        now: SimInstant,
-    ) -> qb_common::QbResult<(usize, SegmentBootstrapReport)> {
-        let idx = self.admit_slot(peer, now)?;
-
-        let mut report = SegmentBootstrapReport::default();
-        let mut seed: Option<(usize, SegmentRef)> = None;
-        for j in self.bootstrap_candidates(net, idx) {
-            let cand_peer = self.frontends[j].peer;
-            let advert = self.frontends[j].segment_advert;
-            let reply_bytes =
-                advert.map_or(SEGMENT_PROBE_EMPTY_REPLY_BYTES, |s| s.wire_bytes() as usize);
-            report.advert_probes += 1;
-            if net
-                .rpc(peer, cand_peer, SEGMENT_PROBE_BYTES, reply_bytes)
-                .is_err()
-            {
-                continue;
-            }
-            self.stats.segment_advert_bytes += (SEGMENT_PROBE_BYTES + reply_bytes) as u64;
-            if let Some(sref) = advert {
-                seed = Some((j, sref));
-                break;
-            }
-        }
-        if let Some((j, sref)) = seed {
-            match fetch_segment(net, dht, storage, peer, sref.generation) {
-                Ok((segment, fref, io)) => {
-                    report.used_segment = true;
-                    report.generation = fref.generation;
-                    report.fetch_bytes = io.bytes;
-                    report.fetch_messages = io.messages;
-                    {
-                        let fr = &mut self.frontends[idx];
-                        let (cache_slot, known) = (&mut fr.cache, &fr.known);
-                        let cache = cache_slot.as_mut().expect("fresh frontend owns its cache");
-                        report.imported = segment.import_into(cache, |t| known.get(t), now);
-                    }
-                    let fr = &mut self.frontends[idx];
-                    for shard in segment.shards() {
-                        fr.known.observe(&shard.term, shard.version);
-                    }
-                    fr.segment_advert = Some(fref);
-                    // Delta catch-up: one full exchange at the *flat*
-                    // budget — the artifact carried the bulk; only what
-                    // was published after it still moves as fills.
-                    let (a, b) = pair_mut(&mut self.frontends, idx, j);
-                    exchange(
-                        &self.config,
-                        a,
-                        b,
-                        net,
-                        now,
-                        ExchangeClass::Bootstrap,
-                        self.config.bootstrap_fill_budget(),
-                        &mut self.stats,
-                    );
-                    return Ok((idx, report));
-                }
-                Err(_) => {
-                    // Pointer resolved but the artifact was unreachable —
-                    // fall through to the gossip-only warm-up.
-                }
-            }
-        }
-        self.bootstrap(net, idx, now);
-        Ok((idx, report))
-    }
-}
-
-/// What a segment-assisted join actually did, for experiment attribution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SegmentBootstrapReport {
-    /// True when the joiner warmed from a fetched artifact (false = fell
-    /// back to the gossip-only bootstrap).
-    pub used_segment: bool,
-    /// Generation of the imported artifact (0 when none).
-    pub generation: u64,
-    /// Neighbours probed for a segment pointer.
-    pub advert_probes: u64,
-    /// Network bytes the artifact fetch reported (pointer + blocks).
-    pub fetch_bytes: u64,
-    /// RPC attempts the artifact fetch reported.
-    pub fetch_messages: u64,
-    /// Version-guard outcomes of the import.
-    pub imported: ImportReport,
-}
-
-/// Disjoint mutable borrows of two fleet slots.
-fn pair_mut(frontends: &mut [Frontend], i: usize, j: usize) -> (&mut Frontend, &mut Frontend) {
-    debug_assert_ne!(i, j);
-    if i < j {
-        let (left, right) = frontends.split_at_mut(j);
-        (&mut left[i], &mut right[0])
-    } else {
-        let (left, right) = frontends.split_at_mut(i);
-        (&mut right[0], &mut left[j])
-    }
-}
-
-/// One digest/fill exchange between two frontends. Returns true when the
-/// digest swap succeeded.
-#[allow(clippy::too_many_arguments)]
-fn exchange(
-    config: &GossipConfig,
-    a: &mut Frontend,
-    b: &mut Frontend,
-    net: &mut SimNet,
-    now: SimInstant,
-    class: ExchangeClass,
-    fill_budget: usize,
-    stats: &mut GossipStats,
-) -> bool {
-    let full = class.full();
-    let delta_mode = !full && config.digest_mode == DigestMode::Delta;
-    let (a_peer, b_peer) = (a.peer, b.peer);
-    let exchange_start = net.now();
-    let exchange_span = net
-        .tracer()
-        .open_with("gossip.exchange", exchange_start, || {
-            format!("{a_peer}<->{b_peer}")
-        });
-    // Each side's whole tier, ranked, by handle. The listing is exact for
-    // the tier state it is read at, so a frontend warmed earlier in this
-    // round advertises (and relays) its fresh shards in the same round —
-    // an accepted fill moves the generation — giving multi-hop propagation
-    // per round instead of one. Full exchanges advertise the whole tier;
-    // regular ones the hot set, with the delta mode's holdings filter
-    // still built over all of it.
-    let (held_a, held_b) = (a.ranked_holdings(now), b.ranked_holdings(now));
-    let hot_set_size = if full {
-        usize::MAX
-    } else {
-        config.hot_set_size
-    };
-    let hot_a = &held_a[..hot_set_size.min(held_a.len())];
-    let hot_b = &held_b[..hot_set_size.min(held_b.len())];
-    // Batch-aware adverts, re-resolved once per side: the digest advertises
-    // and the priority fills offer the identical `(term, version)` list.
-    let adverts_of = |f: &mut Frontend| {
-        if full || !config.batch_advertise {
-            Vec::new()
-        } else {
-            f.resolved_adverts()
-        }
-    };
-    let (adverts_a, adverts_b) = (adverts_of(a), adverts_of(b));
-    let (digest_a, filter_a) = build_digest(
-        a, b_peer, &held_a, hot_a, &adverts_a, delta_mode, now, stats,
-    );
-    let (digest_b, filter_b) = build_digest(
-        b, a_peer, &held_b, hot_b, &adverts_b, delta_mode, now, stats,
-    );
-    let memb_a = a.membership_summary(full, MEMBERSHIP_SUMMARY_BUDGET);
-    let memb_b = b.membership_summary(full, MEMBERSHIP_SUMMARY_BUDGET);
-    let filter_bytes = |f: &Option<Arc<ShardFilter>>| f.as_ref().map_or(0, |f| f.wire_bytes());
-    // Segment pointers piggyback on every digest swap (both directions),
-    // so the newest artifact's pointer spreads epidemically like any other
-    // metadata — and its bytes are charged like any other metadata.
-    let seg_bytes_a = a.segment_advert.map_or(0, |s| s.wire_bytes() as usize);
-    let seg_bytes_b = b.segment_advert.map_or(0, |s| s.wire_bytes() as usize);
-    let digest_bytes_a = digest_a.wire_bytes() + filter_bytes(&filter_a) + seg_bytes_a;
-    let digest_bytes_b = digest_b.wire_bytes() + filter_bytes(&filter_b) + seg_bytes_b;
-    // The digest swap is one request/response RPC; a partitioned or offline
-    // partner fails it here, no state moves, and the initiator records the
-    // failure against the partner's liveness.
-    if net
-        .rpc(
-            a.peer,
-            b.peer,
-            digest_bytes_a + memb_a.wire_bytes(),
-            digest_bytes_b + memb_b.wire_bytes(),
-        )
-        .is_err()
-    {
-        stats.failed_exchanges += 1;
-        if a.view.record_failure(b.peer, config.failure_threshold) {
-            stats.evictions += 1;
-        }
-        let end = net.now();
-        net.tracer().close(exchange_span, end);
-        return false;
-    }
-    stats.exchanges += 1;
-    stats.digest_bytes += (digest_bytes_a + digest_bytes_b) as u64;
-    stats.membership_bytes += (memb_a.wire_bytes() + memb_b.wire_bytes()) as u64;
-    stats.segment_advert_bytes += (seg_bytes_a + seg_bytes_b) as u64;
-
-    // Both sides adopt the newer segment pointer.
-    let newest_segment = match (a.segment_advert, b.segment_advert) {
-        (Some(x), Some(y)) => Some(if x.generation >= y.generation { x } else { y }),
-        (x, None) => x,
-        (None, y) => y,
-    };
-    a.segment_advert = newest_segment;
-    b.segment_advert = newest_segment;
-
-    // Liveness: the exchange itself is direct evidence both ways, and the
-    // piggybacked summaries spread third-party heartbeats.
-    a.view
-        .admit(b.peer, b.zone, b.incarnation, b.heartbeat, now);
-    b.view
-        .admit(a.peer, a.zone, a.incarnation, a.heartbeat, now);
-    let revived =
-        a.view.merge_summary(&memb_b, a.peer, now) + b.view.merge_summary(&memb_a, b.peer, now);
-    stats.revivals += revived as u64;
-
-    // Both sides learn which versions exist before any fill is admitted.
-    for entry in &digest_a.entries {
-        b.known.observe(entry.term(), entry.version());
-    }
-    for entry in &digest_b.entries {
-        a.known.observe(entry.term(), entry.version());
-    }
-
-    // Per-partner sync state: anti-entropy resets it to the exact full
-    // tiers; delta exchanges extend the advertised baseline and fold the
-    // partner's delta into the accumulated holdings view; stateless full
-    // digests replace the holdings outright (exactly the PR 2 protocol).
-    let (sa, sb) = (
-        a.sync.entry(b_peer).or_default(),
-        b.sync.entry(a_peer).or_default(),
-    );
-    let advertise = |told: &mut HashMap<Arc<str>, u64>, entries: &[DigestEntry]| {
-        told.extend(entries.iter().map(|e| (Arc::clone(e.term()), e.version())));
-    };
-    let replace_view = |view: &mut HoldingsView, held: &[DigestEntry]| {
-        view.clear();
-        view.extend(held.iter().map(|e| (Arc::clone(e.term()), e.clone())));
-    };
-    if full {
-        // `hot_*` is the whole tier in a full (anti-entropy) exchange.
-        // The holdings view is exact again, so any stored partner filter
-        // is cleared rather than left to confirm stale coverage.
-        sa.advertised.clear();
-        advertise(&mut sa.advertised, hot_a);
-        replace_view(&mut sa.holdings, hot_b);
-        sa.filter = None;
-        sb.advertised.clear();
-        advertise(&mut sb.advertised, hot_b);
-        replace_view(&mut sb.holdings, hot_a);
-        sb.filter = None;
-    } else if delta_mode {
-        advertise(&mut sa.advertised, &digest_a.entries);
-        apply_delta(&mut sa.holdings, &digest_b.entries);
-        sa.filter = filter_b.clone();
-        advertise(&mut sb.advertised, &digest_b.entries);
-        apply_delta(&mut sb.holdings, &digest_a.entries);
-        sb.filter = filter_a.clone();
-    } else {
-        replace_view(&mut sa.holdings, hot_b);
-        replace_view(&mut sb.holdings, hot_a);
-    }
-
-    // Batch-aware adverts lead the fill order: a regular round offers the
-    // window's freshly fetched shards before the popularity-ranked hot
-    // set, so they cannot be crowded out of the fill budget.
-    send_fills(
-        a,
-        b,
-        &adverts_a,
-        hot_a,
-        filter_b.as_deref(),
-        net,
-        now,
-        class,
-        fill_budget,
-        stats,
-    );
-    send_fills(
-        b,
-        a,
-        &adverts_b,
-        hot_b,
-        filter_a.as_deref(),
-        net,
-        now,
-        class,
-        fill_budget,
-        stats,
-    );
-    let end = net.now();
-    net.tracer().close(exchange_span, end);
-    true
-}
-
-/// Build one side's digest for an exchange: the full hot set in full mode,
-/// the per-partner delta plus the (cached) holdings filter over the whole
-/// tier `held` in delta mode — in regular rounds extended by the frontend's
-/// batch-aware `adverts`, which ride ahead of hot-set popularity.
-#[allow(clippy::too_many_arguments)]
-fn build_digest(
-    own: &mut Frontend,
-    partner_peer: u64,
-    held: &[DigestEntry],
-    hot: &[DigestEntry],
-    adverts: &[DigestEntry],
-    delta_mode: bool,
-    now: SimInstant,
-    stats: &mut GossipStats,
-) -> (Digest, Option<Arc<ShardFilter>>) {
-    let (mut entries, filter) = if delta_mode {
-        let filter = own.holdings_filter(held, now, stats);
-        let told = &own.sync.entry(partner_peer).or_default().advertised;
-        (delta_entries(hot, told), Some(filter))
-    } else {
-        (hot.to_vec(), None)
-    };
-    for advert in adverts {
-        if !entries
-            .iter()
-            .any(|e| e.term() == advert.term() && e.version() >= advert.version())
-        {
-            entries.push(advert.clone());
-            stats.batch_adverts += 1;
-        }
-    }
-    (Digest::new(entries), filter)
-}
-
-/// Push the shards `from` believes `to` lacks, as one batched one-way
-/// message, then admit them under the version guard. In delta mode a fill
-/// is suppressed only on explicitly advertised knowledge confirmed by the
-/// partner's holdings filter ([`needs_fill`]); in full-digest mode the
-/// partner's current digest is the exact (stateless) suppression set.
-/// `priority` entries (batch-aware adverts) are offered before the
-/// popularity-ranked `hot` list, which then skips their terms (each list
-/// is duplicate-free on its own).
-#[allow(clippy::too_many_arguments)]
-fn send_fills(
-    from: &mut Frontend,
-    to: &mut Frontend,
-    priority: &[DigestEntry],
-    hot: &[DigestEntry],
-    to_filter: Option<&ShardFilter>,
-    net: &mut SimNet,
-    now: SimInstant,
-    class: ExchangeClass,
-    fill_budget: usize,
-    stats: &mut GossipStats,
-) {
-    // Handles to the sender's cached shards: the simulated wire is charged
-    // the encoded bytes below, the host copies nothing.
-    let mut fills: Vec<(Arc<ShardEntry>, SimDuration)> = Vec::new();
-    let mut batch_bytes = 0usize;
-    let to_peer = to.peer;
-    {
-        let cache = from.cache();
-        let believed_holdings = from.sync.get(&to_peer).map(|sync| &sync.holdings);
-        let prioritized: HashSet<&str> = priority.iter().map(|e| &**e.term()).collect();
-        let ranked = hot.iter().filter(|e| !prioritized.contains(&**e.term()));
-        for entry in priority.iter().chain(ranked) {
-            if fills.len() >= fill_budget {
-                break;
-            }
-            let (term, version) = (entry.term(), entry.version());
-            if version == 0 {
-                continue;
-            }
-            let believed = believed_holdings.and_then(|held| held.get(term));
-            let needed = match to_filter {
-                Some(filter) => needs_fill(version, believed, filter),
-                None => believed.is_none_or(|b| b.version() < version),
-            };
-            if !needed {
-                continue;
-            }
-            let Some(shard) = cache.peek_shard(term) else {
-                continue;
-            };
-            batch_bytes += shard.encoded_len() + FILL_ENTRY_OVERHEAD;
-            fills.push((Arc::clone(shard), cache.adaptive_shard_ttl(term)));
-        }
-    }
-    if fills.is_empty() {
-        return;
-    }
-    let fill_count = fills.len();
-    let (from_peer, to_peer_label) = (from.peer, to.peer);
-    let fill_start = net.now();
-    let fill_span = net.tracer().open_with("gossip.fill", fill_start, || {
-        format!("{from_peer}->{to_peer_label} x{fill_count} {batch_bytes}B")
-    });
-    let sent = net.send(from.peer, to.peer, batch_bytes);
-    let end = net.now();
-    net.tracer().close(fill_span, end);
-    if sent.is_err() {
-        // The digest swap already counted as a completed exchange; a
-        // dropped fill batch is its own failure class.
-        stats.failed_fills += 1;
-        return;
-    }
-    stats.fill_bytes += batch_bytes as u64;
-    if from.zone == to.zone {
-        stats.intra_zone_fill_bytes += batch_bytes as u64;
-    } else {
-        stats.cross_zone_fill_bytes += batch_bytes as u64;
-    }
-    // Per-class overlays (never double-counted into `fill_bytes`): the
-    // bootstrap/steady-state split E16 compares, and the anti-entropy
-    // cross-zone slice zone-aware anti-entropy exists to shrink.
-    match class {
-        ExchangeClass::Bootstrap => stats.bootstrap_fill_bytes += batch_bytes as u64,
-        ExchangeClass::AntiEntropy => {
-            stats.anti_entropy_fill_bytes += batch_bytes as u64;
-            if from.zone != to.zone {
-                stats.anti_entropy_cross_zone_fill_bytes += batch_bytes as u64;
-            }
-        }
-        ExchangeClass::Regular => {}
-    }
-    let believed_holdings = &mut from.sync.entry(to_peer).or_default().holdings;
-    for (shard, sender_ttl) in fills {
-        stats.shards_pushed += 1;
-        let known = to.known.get(&shard.term);
-        let outcome = to
-            .cache_mut()
-            .store_remote_shard(&shard, known, sender_ttl, now);
-        match outcome {
-            RemoteAdmit::Accepted => {
-                stats.shards_accepted += 1;
-                to.known.observe(&shard.term, shard.version);
-            }
-            RemoteAdmit::Stale => stats.stale_rejected += 1,
-            RemoteAdmit::Duplicate => stats.duplicates_skipped += 1,
-            RemoteAdmit::Refused => stats.admission_refused += 1,
-        }
-        // Accepted and duplicate outcomes both prove the partner now holds
-        // at least this version; remember it so the next rounds stop
-        // re-pushing (a refused admission must be retried, so no record).
-        // The shard is the sender's *current* copy, which this very
-        // exchange may have moved past the version its digest entry was
-        // ranked at — so the pair is resolved through the memo, not taken
-        // from that entry.
-        if matches!(outcome, RemoteAdmit::Accepted | RemoteAdmit::Duplicate) {
-            let shipped = from.fingerprints.entry(&shard.term, shard.version);
-            note_holding(believed_holdings, &shipped);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DigestMode;
+    use crate::digest::note_holding;
+    use crate::filter::ShardFilter;
     use proptest::prelude::*;
-    use qb_index::ShardPosting;
+    use qb_common::SimDuration;
+    use qb_index::{ShardEntry, ShardPosting};
+    use qb_segment::Segment;
     use qb_simnet::NetConfig;
+    use qb_storage::StorageNetwork;
+    use std::sync::Arc;
 
     fn shard(term: &str, version: u64, docs: usize) -> ShardEntry {
         let mut s = ShardEntry::empty(term);
@@ -1704,9 +726,10 @@ mod tests {
         let now = SimInstant::ZERO;
         fleet.cache_mut(0).store_shard(&shard("alpha", 3, 2), now);
         fleet.cache_mut(0).store_shard(&shard("beta", 1, 2), now);
-        let snapshot = fleet.export_hot_set(0, 8, now);
-        let admitted = fleet.import_hot_set(1, &snapshot, now).unwrap();
-        assert_eq!(admitted, 2);
+        let snapshot = Segment::export(fleet.frontend(0).cache(), 8, now).encode();
+        let segment = Segment::decode(&snapshot).unwrap();
+        let report = fleet.frontend_mut(1).import_segment(&segment, now);
+        assert_eq!(report.accepted, 2);
         assert_eq!(
             fleet.frontend(1).cache().cached_shard_version("alpha"),
             Some(3)
@@ -1884,9 +907,9 @@ mod tests {
             .cache_mut(0)
             .store_shard(&shard("fresh", 2, 3), SimInstant::ZERO);
         fleet.note_batch_fetches(0, &[("fresh".to_string(), 2)]);
-        assert_eq!(fleet.frontend(0).pending_adverts().len(), 1);
+        assert_eq!(fleet.frontend(0).pending_adverts.len(), 1);
         fleet.run_round(&mut net, SimInstant::ZERO, false);
-        assert!(fleet.frontend(0).pending_adverts().is_empty());
+        assert!(fleet.frontend(0).pending_adverts.is_empty());
     }
 
     #[test]
@@ -1968,9 +991,9 @@ mod tests {
         let mut config = GossipConfig::enabled_zoned(12, 3);
         config.cross_zone_probability = 0.1;
         let (mut fleet, mut net) = fleet_with(config, 24);
-        assert_eq!(fleet.zone_of(0), 0);
-        assert_eq!(fleet.zone_of(4), 1);
-        assert_eq!(fleet.zone_of(11), 2);
+        assert_eq!(fleet.frontend(0).zone, 0);
+        assert_eq!(fleet.frontend(4).zone, 1);
+        assert_eq!(fleet.frontend(11).zone, 2);
         let now = SimInstant::ZERO;
         for _ in 0..20 {
             fleet.run_round(&mut net, now, false);
@@ -2067,11 +1090,11 @@ mod tests {
             fleet.observe(0, &s.term, 2);
         }
         // The writer publishes the artifact and notifies the fleet.
-        let segment = qb_segment::Segment::export(fleet.frontend(0).cache(), usize::MAX, now);
+        let segment = Segment::export(fleet.frontend(0).cache(), usize::MAX, now);
         let (sref, _) =
             qb_segment::publish_segment(&mut net, &mut dht, &mut storage, 0, &segment, 1).unwrap();
         fleet.note_segment_published(&net, 0, sref);
-        assert_eq!(fleet.frontend(1).segment_advert(), Some(sref));
+        assert_eq!(fleet.frontend(1).segment_advert, Some(sref));
 
         let before = net.stats().clone();
         let (idx, report) = fleet
@@ -2092,7 +1115,7 @@ mod tests {
         }
         // The joiner now advertises the artifact itself, and every byte of
         // the probe + fetch showed up on the network.
-        assert_eq!(fleet.frontend(idx).segment_advert(), Some(sref));
+        assert_eq!(fleet.frontend(idx).segment_advert, Some(sref));
         assert!(fleet.stats().segment_advert_bytes > 0);
         let delta = net.stats().delta_since(&before);
         assert!(delta.bytes >= report.fetch_bytes, "no free fetch bytes");

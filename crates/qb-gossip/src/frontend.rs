@@ -1,0 +1,322 @@
+//! One frontend of the fleet: its private cache, its version knowledge,
+//! its view of the membership, and the memoised listings its digests are
+//! built from.
+
+use crate::config::FILTER_BITS_PER_ENTRY;
+use crate::digest::{DigestEntry, HoldingsView, VersionVector};
+use crate::filter::ShardFilter;
+use crate::membership::MembershipView;
+use crate::stats::GossipStats;
+use qb_cache::{CacheConfig, QueryCache};
+use qb_common::SimInstant;
+use qb_segment::{ImportReport, Segment, SegmentRef};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// What one frontend knows about the sync state with one partner — the
+/// receiver-side reconstruction state of the delta-digest protocol.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PeerSync {
+    /// What this frontend believes the partner holds (accumulated from
+    /// the partner's advertisements and own fills).
+    pub(crate) holdings: HoldingsView,
+    /// `(term -> version)` this frontend last advertised to the partner —
+    /// the baseline the next delta digest is computed against.
+    pub(crate) advertised: HashMap<Arc<str>, u64>,
+    /// The partner's holdings filter from the last delta exchange (cleared
+    /// by full exchanges, whose holdings view is exact). Zone-aware
+    /// anti-entropy uses it to confirm an in-zone candidate still covers
+    /// the missing shards before redirecting a partner slot to it.
+    pub(crate) filter: Option<Arc<ShardFilter>>,
+}
+
+/// One frontend's memo of the `(term, version)` pairs it has fingerprinted:
+/// term -> the entry of the version last asked for. Every pair this
+/// frontend puts into a digest, an advert or a holdings view goes through
+/// here, so it is hashed once while it stays resident; a miss (new term,
+/// bumped version) hashes and remembers. Pruned to the live listing at
+/// every digest extraction, so it is bounded by the resident tier entries.
+#[derive(Debug, Default)]
+pub(crate) struct Fingerprints(pub(crate) HashMap<Arc<str>, DigestEntry>);
+
+impl Fingerprints {
+    pub(crate) fn entry(&mut self, term: &str, version: u64) -> DigestEntry {
+        let known = self.0.get(term);
+        if let Some(entry) = known.filter(|e| e.version() == version) {
+            return entry.clone();
+        }
+        // A version bump keeps sharing the term's allocation.
+        let term = known.map_or_else(|| Arc::from(term), |e| Arc::clone(e.term()));
+        let entry = DigestEntry::new(term, version);
+        self.0.insert(Arc::clone(entry.term()), entry.clone());
+        entry
+    }
+
+    /// Drop every term that is not in `live` — which was just resolved
+    /// through [`Fingerprints::entry`], so the memo holds all of it and is
+    /// larger exactly when it also holds something else.
+    fn retain_live(&mut self, live: &[DigestEntry]) {
+        if self.0.len() > live.len() {
+            self.0 = live
+                .iter()
+                .map(|e| (Arc::clone(e.term()), e.clone()))
+                .collect();
+        }
+    }
+}
+
+/// Everything a ranked shard listing reads: the shard tier's generation,
+/// its popularity epoch, and the instant (which decides TTL aliveness).
+type DigestStamp = (u64, u64, SimInstant);
+
+/// One query frontend: a peer in the simulated network, its private cache,
+/// its per-term version knowledge and its view of the fleet.
+#[derive(Debug)]
+pub struct Frontend {
+    /// The simulated peer this frontend runs on.
+    pub peer: u64,
+    /// The latency zone this frontend lives in (`peer % config.zones`,
+    /// matching `qb-simnet`'s round-robin zone assignment).
+    pub zone: usize,
+    /// Highest shard version observed per term (DHT fetches, publish events,
+    /// gossip digests and fills).
+    pub known: VersionVector,
+    /// SWIM-style incarnation epoch: bumped on every restart
+    /// ([`GossipFleet::rejoin`](crate::GossipFleet::rejoin)), so liveness
+    /// evidence compares
+    /// `(incarnation, heartbeat)` and a long-delayed summary from a
+    /// previous incarnation can never confuse the fleet about the
+    /// restarted process.
+    pub(crate) incarnation: u64,
+    /// Per-incarnation heartbeat counter (a restarted process starts over
+    /// from zero; the bumped incarnation is what supersedes stale views).
+    pub(crate) heartbeat: u64,
+    /// True once the frontend left or crashed; departed slots keep their
+    /// index (engine routing stays stable) but take no part in gossip.
+    pub(crate) departed: bool,
+    /// This frontend's own view of fleet membership.
+    pub(crate) view: MembershipView,
+    /// Per-partner delta-digest sync state.
+    pub(crate) sync: HashMap<u64, PeerSync>,
+    /// Rotating cursor of the bounded membership summaries.
+    pub(crate) summary_cursor: usize,
+    /// Batch-aware gossip: `(term, version)` keys a batch window freshly
+    /// fetched on this frontend, queued to ride the next digest round as
+    /// priority advertisements and priority fills.
+    pub(crate) pending_adverts: Vec<(String, u64)>,
+    /// Every shard alive in the cache, hottest first, cached behind
+    /// everything the ranking reads — the shard tier's `(generation,
+    /// popularity epoch)` and the instant: a tier nothing touched is
+    /// scanned, ranked and resolved once, not once per exchange side.
+    digest_cache: Option<(DigestStamp, Arc<[DigestEntry]>)>,
+    /// The holdings filter of the last delta exchange, cached behind the
+    /// shard tier's `(generation, instant)`: rounds where nothing changed
+    /// reuse it instead of rebuilding per exchange.
+    filter_cache: Option<(u64, SimInstant, Arc<ShardFilter>)>,
+    /// The fingerprints behind this frontend's digests and adverts.
+    pub(crate) fingerprints: Fingerprints,
+    /// The newest published segment artifact this frontend knows of,
+    /// adopted from publish notifications and digest piggybacks; joiners
+    /// probe for it to bootstrap from the artifact instead of shard fills.
+    pub(crate) segment_advert: Option<SegmentRef>,
+    /// The load EWMA this frontend advertises on its heartbeats: folded
+    /// from `load_recent` on every gossip round, so it decays once serving
+    /// stops and spikes one round after it starts.
+    pub(crate) load: u64,
+    /// Queries served since the last heartbeat tick (the EWMA's raw input).
+    pub(crate) load_recent: u64,
+    /// Queries the open-loop dispatcher routed here that are still
+    /// *queued* — admitted but not yet handed to a pipeline window. The
+    /// router's local gauge of its own decisions (C3-style); without it,
+    /// every arrival inside one heartbeat interval sees the same
+    /// advertised-load snapshot and two-choices herds the whole burst
+    /// onto one frontend. Deliberately excludes the dispatched in-flight
+    /// window: an empty-queue frontend mid-window should keep collecting
+    /// arrivals so they batch into its next window and share fetches.
+    pub(crate) routed_outstanding: u64,
+    /// Queries the open-loop dispatcher handed to this frontend's
+    /// pipeline windows since the last heartbeat fold (reset at the
+    /// fold). The cumulative half of the routing signal: it equalizes
+    /// *how much* work each frontend took this interval, not just what
+    /// is queued right now, so a fast-draining frontend does not soak up
+    /// every arrival between heartbeats.
+    pub(crate) routed_recent: u64,
+    /// The private query-serving cache, always `Some`. It is an `Option`
+    /// only because the planner takes the serving cache as
+    /// `&mut Option<QueryCache>` (`None` = caching off in single-frontend
+    /// mode), a signature `bench/` pins;
+    /// [`GossipFleet::cache_slot`](crate::GossipFleet::cache_slot) lends the
+    /// engine this field in that shape.
+    pub(crate) cache: Option<QueryCache>,
+}
+
+impl Frontend {
+    pub(crate) fn new(peer: u64, zone: usize, cache_config: CacheConfig) -> Frontend {
+        Frontend {
+            peer,
+            zone,
+            known: VersionVector::new(),
+            incarnation: 0,
+            heartbeat: 0,
+            departed: false,
+            view: MembershipView::new(),
+            sync: HashMap::new(),
+            summary_cursor: 0,
+            pending_adverts: Vec::new(),
+            digest_cache: None,
+            filter_cache: None,
+            fingerprints: Fingerprints::default(),
+            segment_advert: None,
+            load: 0,
+            load_recent: 0,
+            routed_outstanding: 0,
+            routed_recent: 0,
+            cache: Some(QueryCache::new(cache_config)),
+        }
+    }
+
+    /// The membership summary piggybacked on one exchange: the full roster
+    /// for anti-entropy/bootstrap, a bounded rotating window otherwise.
+    pub(crate) fn membership_summary(
+        &mut self,
+        full: bool,
+        budget: usize,
+    ) -> crate::MembershipSummary {
+        if full {
+            return self.view.summary();
+        }
+        let s = self
+            .view
+            .summary_window(self.summary_cursor, budget, self.peer);
+        self.summary_cursor = self.summary_cursor.wrapping_add(budget.max(1));
+        s
+    }
+
+    /// Borrow the cache.
+    pub fn cache(&self) -> &QueryCache {
+        self.cache.as_ref().expect("frontend always holds a cache")
+    }
+
+    /// Mutably borrow the cache.
+    pub fn cache_mut(&mut self) -> &mut QueryCache {
+        self.cache.as_mut().expect("frontend always holds a cache")
+    }
+
+    /// Is the frontend part of the fleet (not departed/crashed)?
+    pub fn is_active(&self) -> bool {
+        !self.departed
+    }
+
+    /// Current heartbeat counter (within the current incarnation).
+    pub fn heartbeat(&self) -> u64 {
+        self.heartbeat
+    }
+
+    /// Current incarnation epoch (bumped on every restart).
+    pub fn incarnation(&self) -> u64 {
+        self.incarnation
+    }
+
+    /// The pending batch adverts re-resolved against the current cache:
+    /// entries evicted since the window are dropped, and a key republished
+    /// in between advertises (and fills) the *cached* version — digest and
+    /// priority-fill decisions must agree on one version, or a partner
+    /// already holding the stale queued version would suppress the very
+    /// fill the advert exists to force.
+    pub(crate) fn resolved_adverts(&mut self) -> Vec<DigestEntry> {
+        let Frontend {
+            pending_adverts,
+            cache,
+            fingerprints,
+            ..
+        } = self;
+        pending_adverts
+            .iter()
+            .filter_map(|(term, _)| {
+                let version = cache.as_ref()?.cached_shard_version(term)?;
+                Some(fingerprints.entry(term, version))
+            })
+            .collect()
+    }
+
+    /// Every shard alive in the cache at `now`, hottest first, shared by
+    /// handle. Extracted once per tier state: the cached listing is exact
+    /// while the shard tier's generation, its popularity epoch (reads
+    /// reorder the ranking without moving the generation) and the instant
+    /// (which decides TTL aliveness) all stand still. A full exchange
+    /// advertises all of it, a regular one its first `hot_set_size`.
+    pub(crate) fn ranked_holdings(&mut self, now: SimInstant) -> Arc<[DigestEntry]> {
+        let cache = self.cache();
+        let stamp: DigestStamp = (
+            cache.shard_generation(),
+            cache.shard_popularity_epoch(),
+            now,
+        );
+        if let Some((cached, ranked)) = &self.digest_cache {
+            if *cached == stamp {
+                return Arc::clone(ranked);
+            }
+        }
+        // Borrow the cache by field from here on: the listing's terms point
+        // into it while the fingerprint memo next to it is written.
+        let listing = self
+            .cache
+            .as_ref()
+            .map_or_else(Vec::new, |cache| cache.shard_digest(usize::MAX, now));
+        let ranked: Arc<[DigestEntry]> = listing
+            .into_iter()
+            .map(|(term, version)| self.fingerprints.entry(term, version))
+            .collect();
+        self.fingerprints.retain_live(&ranked);
+        self.digest_cache = Some((stamp, Arc::clone(&ranked)));
+        ranked
+    }
+
+    /// The holdings filter for a delta exchange over `holdings` at `now`,
+    /// served from the per-frontend cache while the shard tier's
+    /// generation (and the instant, which decides TTL aliveness) are
+    /// unchanged — a steady round builds the filter once instead of once
+    /// per exchange.
+    pub(crate) fn holdings_filter(
+        &mut self,
+        holdings: &[DigestEntry],
+        now: SimInstant,
+        stats: &mut GossipStats,
+    ) -> Arc<ShardFilter> {
+        let generation = self.cache().shard_generation();
+        if let Some((cached_gen, cached_at, filter)) = &self.filter_cache {
+            if *cached_gen == generation && *cached_at == now {
+                stats.filter_reuses += 1;
+                return Arc::clone(filter);
+            }
+        }
+        stats.filter_builds += 1;
+        let filter = Arc::new(ShardFilter::build(
+            holdings.iter().map(DigestEntry::key),
+            FILTER_BITS_PER_ENTRY,
+        ));
+        self.filter_cache = Some((generation, now, Arc::clone(&filter)));
+        filter
+    }
+
+    /// This frontend's view of fleet membership.
+    pub fn view(&self) -> &MembershipView {
+        &self.view
+    }
+
+    /// Install a segment — a fetched bootstrap artifact, or a previous
+    /// session's warm-start snapshot — into the cache under the version
+    /// guard (a shard older than this frontend's knowledge is rejected),
+    /// then record every shard version the segment carries.
+    pub fn import_segment(&mut self, segment: &Segment, now: SimInstant) -> ImportReport {
+        let Frontend { cache, known, .. } = self;
+        let Some(cache) = cache else {
+            return ImportReport::default();
+        };
+        let report = segment.import_into(cache, |term| known.get(term), now);
+        for shard in segment.shards() {
+            known.observe(&shard.term, shard.version);
+        }
+        report
+    }
+}

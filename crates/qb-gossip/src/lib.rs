@@ -51,10 +51,11 @@
 //! * [`GossipStats`] — rounds, exchange failures, digest/fill/membership
 //!   bytes, the accept/stale/duplicate breakdown and the churn counters,
 //!   for the E10/E12 overhead accounting.
-//! * Warm-start persistence — [`GossipFleet::export_hot_set`] /
-//!   [`GossipFleet::import_hot_set`] snapshot a frontend's hottest shards
-//!   so a restarted frontend pre-fills from its last session instead of
-//!   cold-starting against the DHT.
+//! * Warm-start persistence — a snapshot of a frontend's hottest shards
+//!   is a [`qb_segment::Segment`] (`Segment::export`, `encode`), and
+//!   [`Frontend::import_segment`] installs it, like a fetched bootstrap
+//!   artifact, under the version guard: a restarted frontend pre-fills
+//!   from its last session instead of cold-starting against the DHT.
 //!
 //! Correctness rests on three rails shared with `qb-cache`: read-time
 //! version checks (the engine validates every cached shard against the
@@ -64,8 +65,11 @@
 
 pub mod config;
 pub mod digest;
+mod exchange;
 pub mod filter;
 pub mod fleet;
+mod frontend;
+mod lifecycle;
 pub mod membership;
 pub mod stats;
 
@@ -74,6 +78,8 @@ pub use digest::{
     apply_delta, delta_entries, needs_fill, Digest, DigestEntry, HoldingsView, VersionVector,
 };
 pub use filter::{FilterKey, ShardFilter};
-pub use fleet::{Frontend, GossipFleet, SegmentBootstrapReport};
+pub use fleet::GossipFleet;
+pub use frontend::Frontend;
+pub use lifecycle::SegmentBootstrapReport;
 pub use membership::{MemberInfo, MembershipSummary, MembershipView};
 pub use stats::GossipStats;

@@ -4,6 +4,7 @@
 use super::QueenBee;
 use qb_common::{QbError, QbResult};
 use qb_gossip::{GossipFleet, GossipStats};
+use qb_segment::Segment;
 
 impl QueenBee {
     /// The frontend fleet, when fleet mode is configured.
@@ -32,6 +33,22 @@ impl QueenBee {
                 "{op} needs a frontend fleet (config.gossip.num_frontends > 0)"
             ))
         })
+    }
+
+    /// [`Self::fleet_mut`], plus the check that slot `frontend` exists.
+    fn fleet_slot<'a>(
+        fleet: &'a mut Option<GossipFleet>,
+        op: &str,
+        frontend: usize,
+    ) -> QbResult<&'a mut GossipFleet> {
+        let fleet = Self::fleet_mut(fleet, op)?;
+        if frontend >= fleet.len() {
+            return Err(QbError::Config(format!(
+                "frontend {frontend} out of range (fleet has {})",
+                fleet.len()
+            )));
+        }
+        Ok(fleet)
     }
 
     /// Claim the next free user-device peer for a joining frontend. The
@@ -93,13 +110,7 @@ impl QueenBee {
     /// silence via heartbeats and evicts it). Its slot index stays valid
     /// but routing to it fails until [`QueenBee::fleet_rejoin`].
     pub fn fleet_leave(&mut self, frontend: usize, graceful: bool) -> QbResult<()> {
-        let fleet = Self::fleet_mut(&mut self.fleet, "fleet_leave")?;
-        if frontend >= fleet.len() {
-            return Err(QbError::Config(format!(
-                "frontend {frontend} out of range (fleet has {})",
-                fleet.len()
-            )));
-        }
+        let fleet = Self::fleet_slot(&mut self.fleet, "fleet_leave", frontend)?;
         if graceful {
             fleet.leave(&mut self.net, frontend);
         } else {
@@ -113,13 +124,7 @@ impl QueenBee {
     /// its bumped heartbeat supersedes every stale view of it.
     pub fn fleet_rejoin(&mut self, frontend: usize) -> QbResult<()> {
         let now = self.net.now();
-        let fleet = Self::fleet_mut(&mut self.fleet, "fleet_rejoin")?;
-        if frontend >= fleet.len() {
-            return Err(QbError::Config(format!(
-                "frontend {frontend} out of range (fleet has {})",
-                fleet.len()
-            )));
-        }
+        let fleet = Self::fleet_slot(&mut self.fleet, "fleet_rejoin", frontend)?;
         if fleet.is_active(frontend) {
             return Err(QbError::Config(format!(
                 "frontend {frontend} is still active; only departed frontends rejoin"
@@ -150,29 +155,38 @@ impl QueenBee {
 
     /// Snapshot the hottest cached shards of the single-mode cache or of
     /// fleet frontend `frontend`, for warm-start persistence across engine
-    /// restarts.
+    /// restarts. The snapshot is an encoded [`Segment`].
     pub fn export_hot_set(&self, frontend: usize, max: usize) -> Option<Vec<u8>> {
         let now = self.net.now();
-        if let Some(fleet) = &self.fleet {
-            return (frontend < fleet.len()).then(|| fleet.export_hot_set(frontend, max, now));
-        }
-        self.cache.as_ref().map(|c| c.export_hot_set(max, now))
+        let cache = match &self.fleet {
+            Some(fleet) => (frontend < fleet.len()).then(|| fleet.frontend(frontend).cache()),
+            None => self.cache.as_ref(),
+        }?;
+        Some(Segment::export(cache, max, now).encode())
     }
 
     /// Pre-fill the shard tier of the single-mode cache or of fleet
-    /// frontend `frontend` from a previous session's snapshot. Read-time
-    /// version checks still purge anything that went stale while the
-    /// frontend was down. Returns the number of shards admitted.
+    /// frontend `frontend` from a previous session's snapshot, through the
+    /// same version guard as any other segment import: a shard older than
+    /// the version the receiver already knows of is not installed, and
+    /// read-time version checks still purge anything that went stale while
+    /// the frontend was down. Returns the number of shards admitted.
     pub fn import_hot_set(&mut self, frontend: usize, data: &[u8]) -> QbResult<usize> {
         let now = self.net.now();
-        if let Some(fleet) = self.fleet.as_mut() {
-            return fleet.import_hot_set(frontend, data, now);
-        }
-        match self.cache.as_mut() {
-            Some(c) => c.import_hot_set(data, now),
-            None => Err(QbError::Config(
-                "no query cache enabled; nothing to warm-start".into(),
-            )),
-        }
+        let segment = Segment::decode(data)?;
+        let report = if self.fleet.is_some() {
+            Self::fleet_slot(&mut self.fleet, "import_hot_set", frontend)?
+                .frontend_mut(frontend)
+                .import_segment(&segment, now)
+        } else {
+            let Some(cache) = self.cache.as_mut() else {
+                return Err(QbError::Config(
+                    "no query cache enabled; nothing to warm-start".into(),
+                ));
+            };
+            let known = &self.shard_versions;
+            segment.import_into(cache, |term| known.get(term).copied().unwrap_or(0), now)
+        };
+        Ok(report.accepted as usize)
     }
 }

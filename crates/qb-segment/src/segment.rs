@@ -277,6 +277,8 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::publish::SegmentRef;
+    use proptest::prelude::*;
     use qb_cache::CacheConfig;
     use qb_index::ShardPosting;
 
@@ -339,6 +341,55 @@ mod tests {
             .entries
             .insert("a".into(), Arc::new(ShardEntry::empty("a")));
         assert!(Segment::decode(&with_zero.encode()).is_err());
+        // A header claiming the largest allowed term count over no entries:
+        // the count sizes no allocation, the first missing entry ends it.
+        let mut claims = SEGMENT_MAGIC.to_vec();
+        varint::encode_u64(SEGMENT_FORMAT_VERSION, &mut claims);
+        varint::encode_u64(MAX_SEGMENT_TERMS, &mut claims);
+        assert!(Segment::decode(&claims).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary, truncated and bit-flipped bytes — a warm-start
+        /// snapshot is operator-supplied, a pointer record comes off the
+        /// DHT: a decoder either returns an error or a value that
+        /// re-encodes to a decodable equal — it never panics. Neither
+        /// sizes an allocation from a decoded count (a segment's entries
+        /// enter a map one decoded shard at a time; a pointer is fixed-size).
+        #[test]
+        fn decoders_survive_hostile_bytes(
+            garbage in proptest::collection::vec(any::<u8>(), 0..96),
+            docs in proptest::collection::vec(0u64..1_000, 0..6),
+            cut in any::<usize>(),
+            flip in any::<usize>(),
+        ) {
+            let segment = Segment::from_shards([
+                shard("alpha", 2, &docs),
+                shard("beta", 1, &[2]),
+                shard("zeta", 7, &[]),
+            ]);
+            let pointer = SegmentRef {
+                root: segment.cid(),
+                total_len: segment.encoded_len() as u64,
+                chunk_count: 1 << 40,
+                term_count: 3,
+                generation: 300,
+            };
+            for valid in [segment.encode(), pointer.encode()] {
+                let mut flipped = valid.clone();
+                flipped[flip % valid.len()] ^= 1 << (flip % 8);
+                for bytes in [&garbage[..], &valid[..cut % valid.len()], &flipped[..]] {
+                    if let Ok(s) = Segment::decode(bytes) {
+                        prop_assert_eq!(Segment::decode(&s.encode()).unwrap(), s);
+                    }
+                    if let Ok(r) = SegmentRef::decode(bytes) {
+                        prop_assert_eq!(SegmentRef::decode(&r.encode()).unwrap(), r);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -387,6 +438,12 @@ mod tests {
         let seg = Segment::export(&src, usize::MAX, now);
         assert_eq!(seg.len(), 2);
         assert_eq!(seg.get("hot").unwrap().version, 3);
+        // A bounded export keeps the hottest shards.
+        for _ in 0..3 {
+            let _ = src.lookup_shard("hot", now, 3);
+        }
+        let hottest = Segment::export(&src, 1, now);
+        assert_eq!(hottest.version_vector().collect::<Vec<_>>(), [("hot", 3)]);
 
         let mut dst = QueryCache::new(CacheConfig::enabled());
         // The receiver already observed a newer version of "warm": the

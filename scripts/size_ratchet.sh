@@ -1,0 +1,46 @@
+#!/usr/bin/env bash
+# Size ratchet for library code: fail when a source file has grown past
+# the ceiling, so the multi-thousand-line files that were split along
+# their seams (engine.rs, fleet.rs) stay split.
+#
+#   scripts/size_ratchet.sh
+#
+# A file's size is its line count before the first `#[cfg(test)]` — the
+# same "library code" the panic ratchet reads: `crates/*/src/**/*.rs`
+# outside `src/bin/`, unit tests below the marker not counted. A file
+# that reaches the ceiling is split at a seam, not trimmed of comments;
+# raise the ceiling only with the reason in CHANGES.md.
+set -euo pipefail
+
+ceiling=800
+
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+count() {
+  awk '
+    /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    { n += 1 }
+    END { print n + 0 }
+  ' "$1"
+}
+
+largest=0
+largest_file=""
+failed=0
+while IFS= read -r file; do
+  n="$(count "$file")"
+  if [ "$n" -gt "$largest" ]; then
+    largest="$n"
+    largest_file="$file"
+  fi
+  if [ "$n" -gt "$ceiling" ]; then
+    printf '%5d  %s\n' "$n" "$file"
+    failed=1
+  fi
+done < <(find crates/*/src -name '*.rs' -not -path '*/src/bin/*' | sort)
+
+if [ "$failed" -ne 0 ]; then
+  echo "FAIL files above have more than $ceiling non-test lines" >&2
+  exit 1
+fi
+echo "ok   largest library file is $largest_file with $largest non-test lines, ceiling $ceiling"

@@ -2,8 +2,9 @@
 //! substrate crates (the full Figure 1 pipeline).
 
 use qb_chain::AccountId;
+use qb_common::SimDuration;
 use qb_integration::{page, publish_and_index, small_engine};
-use qb_queenbee::{RoutingPolicy, SearchRequest};
+use qb_queenbee::{Freshness, RoutingPolicy, SearchRequest};
 use qb_workload::AdSpec;
 
 #[test]
@@ -142,6 +143,37 @@ fn multi_term_queries_intersect_posting_lists() {
         .expect("search");
     assert_eq!(out.hits[0].name, "both");
     assert!(out.shards_fetched() >= 2);
+}
+
+/// DHT records are permanent: nothing republishes them, so an index that
+/// expired after a simulated hour would silently answer every query with
+/// nothing (it once did — the benchmark found it, no test had).
+#[test]
+fn the_index_outlives_a_simulated_hour() {
+    let mut qb = small_engine(4);
+    publish_and_index(
+        &mut qb,
+        1,
+        1_000,
+        &page("hive/brood", "brood comb temperature regulation", &[]),
+    );
+    publish_and_index(
+        &mut qb,
+        2,
+        1_001,
+        &page("hive/comb", "wax comb construction by worker bees", &[]),
+    );
+    let fresh = || {
+        SearchRequest::new("comb")
+            .route(RoutingPolicy::HashPeer(5))
+            .freshness(Freshness::Fresh)
+    };
+    let before = qb.search_request(fresh()).expect("search");
+    assert_eq!(before.hits.len(), 2);
+    qb.advance_time(SimDuration::from_secs(2 * 3_600));
+    let after = qb.search_request(fresh()).expect("search after two hours");
+    assert!(after.shards_fetched() > 0, "a Fresh read goes to the DHT");
+    assert_eq!(after.hits, before.hits);
 }
 
 #[test]
