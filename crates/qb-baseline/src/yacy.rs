@@ -4,7 +4,7 @@
 
 use crate::CrawlDoc;
 use qb_common::{Hash256, QbError, QbResult, SimDuration, SimInstant};
-use qb_index::{Analyzer, Bm25, InvertedIndex, Query, QueryMode, ScoredDoc, Scorer};
+use qb_index::{Analyzer, Bm25, InvertedIndex, Query, QueryMode, ScoredDoc};
 use qb_simnet::{parallel_latency, SimNet};
 
 /// Configuration of the YaCy-style baseline.

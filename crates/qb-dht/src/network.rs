@@ -167,27 +167,25 @@ impl DhtNetwork {
         self.lookup_drive(net, machine)
     }
 
-    /// Fan out one RPC per member of `targets` at virtual instant `at`
-    /// (store / provider announce rounds), wait for all of them, and apply
-    /// `apply` to each target whose RPC succeeded, in issue order. Returns
-    /// the accepted targets, the instant the slowest attempt finished
-    /// (failures cost the configured timeout) and the number of attempts.
-    #[allow(clippy::too_many_arguments)]
+    /// Fan out one store RPC per member of `targets` at virtual instant
+    /// `at`, wait for all of them, and apply `apply` to each target whose
+    /// RPC succeeded, in issue order. Returns the accepted targets, the
+    /// instant the slowest attempt finished (failures cost the configured
+    /// timeout) and the number of attempts.
     fn fan_out_round(
         &mut self,
         net: &mut SimNet,
         from: u64,
         targets: &[NodeId],
         request_bytes: usize,
-        response_bytes: usize,
         at: SimInstant,
-        mut apply: impl FnMut(&mut DhtNetwork, NodeId) -> bool,
+        mut apply: impl FnMut(&mut DhtNode) -> bool,
     ) -> (Vec<NodeId>, SimInstant, u64) {
         let mut pending: Vec<(Option<RpcHandle>, NodeId, SimInstant)> = Vec::new();
         let mut messages = 0u64;
         for target in targets {
             messages += 1;
-            match net.send_async_at(from, target.index, request_bytes, response_bytes, at, None) {
+            match net.send_async_at(from, target.index, request_bytes, 16, at, None) {
                 Ok(handle) => {
                     let completes_at = net.async_completes_at(handle).expect("just issued");
                     pending.push((Some(handle), *target, completes_at));
@@ -207,7 +205,7 @@ impl DhtNetwork {
                 ),
                 None => false,
             };
-            if ok && apply(self, target) {
+            if ok && apply(&mut self.nodes[target.index as usize]) {
                 accepted.push(target);
             }
         }
@@ -231,6 +229,42 @@ impl DhtNetwork {
         Ok(outcome)
     }
 
+    /// One replica round: look up the `k` closest nodes to `key`, send each
+    /// a store request once the lookup has finished and `apply` the item on
+    /// every replica whose RPC succeeded — and on the origin, which always
+    /// keeps its own copy (it can serve it while online). A round nobody
+    /// accepted fails, naming what was `refused`.
+    #[allow(clippy::too_many_arguments)]
+    fn replicate<T: Clone>(
+        &mut self,
+        net: &mut SimNet,
+        from: u64,
+        key: DhtKey,
+        request_bytes: usize,
+        item: T,
+        apply: impl Fn(&mut DhtNode, T) -> bool,
+        refused: &str,
+    ) -> QbResult<PutOutcome> {
+        let t0 = net.now();
+        let lookup = self.lookup_nodes(net, from, key.0)?;
+        let replicas: Vec<NodeId> = lookup.closest.iter().take(self.config.k).copied().collect();
+        let at = t0 + lookup.latency;
+        let (stored_on, end, round_messages) =
+            self.fan_out_round(net, from, &replicas, request_bytes, at, |node| {
+                apply(node, item.clone())
+            });
+        apply(&mut self.nodes[from as usize], item);
+        if stored_on.is_empty() {
+            let key = key.to_hex();
+            return Err(QbError::DhtLookupFailed(format!("{refused} {key}")));
+        }
+        Ok(PutOutcome {
+            stored_on,
+            latency: end.since(t0),
+            messages: lookup.messages + round_messages,
+        })
+    }
+
     /// Store a record on the `k` closest nodes to its key.
     pub fn put_record(
         &mut self,
@@ -240,37 +274,15 @@ impl DhtNetwork {
         value: Vec<u8>,
         version: u64,
     ) -> QbResult<PutOutcome> {
-        let t0 = net.now();
-        let lookup = self.lookup_nodes(net, from, key.0)?;
+        let bytes = crate::REQUEST_BYTES + value.len();
         let record = Record {
             key,
             value,
             publisher: self.nodes[from as usize].id,
             version,
         };
-        let replicas: Vec<NodeId> = lookup.closest.iter().take(self.config.k).copied().collect();
-        let (stored_on, end, round_messages) = self.fan_out_round(
-            net,
-            from,
-            &replicas,
-            crate::REQUEST_BYTES + record.value.len(),
-            16,
-            t0 + lookup.latency,
-            |dht, target| dht.nodes[target.index as usize].store(record.clone()),
-        );
-        // The publisher always keeps its own copy (it can serve it while online).
-        self.nodes[from as usize].store(record);
-        if stored_on.is_empty() {
-            return Err(QbError::DhtLookupFailed(format!(
-                "no replica accepted record {}",
-                key.to_hex()
-            )));
-        }
-        Ok(PutOutcome {
-            stored_on,
-            latency: end.since(t0),
-            messages: lookup.messages + round_messages,
-        })
+        let refused = "no replica accepted record";
+        self.replicate(net, from, key, bytes, record, DhtNode::store, refused)
     }
 
     /// Retrieve a record by key.
@@ -314,34 +326,21 @@ impl DhtNetwork {
         from: u64,
         key: DhtKey,
     ) -> QbResult<PutOutcome> {
-        let t0 = net.now();
-        let lookup = self.lookup_nodes(net, from, key.0)?;
         let provider = self.nodes[from as usize].id;
-        let replicas: Vec<NodeId> = lookup.closest.iter().take(self.config.k).copied().collect();
-        let (stored_on, end, round_messages) = self.fan_out_round(
+        let announce = |node: &mut DhtNode, provider| {
+            node.add_provider(key, provider);
+            true
+        };
+        let refused = "no node accepted provider record";
+        self.replicate(
             net,
             from,
-            &replicas,
+            key,
             crate::REQUEST_BYTES,
-            16,
-            t0 + lookup.latency,
-            |dht, target| {
-                dht.nodes[target.index as usize].add_provider(key, provider);
-                true
-            },
-        );
-        self.nodes[from as usize].add_provider(key, provider);
-        if stored_on.is_empty() {
-            return Err(QbError::DhtLookupFailed(format!(
-                "no node accepted provider record {}",
-                key.to_hex()
-            )));
-        }
-        Ok(PutOutcome {
-            stored_on,
-            latency: end.since(t0),
-            messages: lookup.messages + round_messages,
-        })
+            provider,
+            announce,
+            refused,
+        )
     }
 
     /// Find providers for `key`. Returns the provider list and the latency.

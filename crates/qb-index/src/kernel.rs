@@ -143,7 +143,6 @@ pub fn intersect_and_score<S: Borrow<ShardEntry>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scorer::Scorer;
     use proptest::prelude::*;
     use std::borrow::Cow;
     use std::collections::{BTreeMap, BTreeSet, HashSet};

@@ -7,8 +7,8 @@
 //!   page before updating the index.
 //! * **Local index structures** ([`postings`], [`doc`], [`index`],
 //!   [`scorer`], [`query`]): compressed posting lists (doc-id deltas +
-//!   varints), galloping intersection, a document table with lengths, BM25 /
-//!   TF-IDF scoring and top-k query evaluation. The centralized and
+//!   varints), galloping intersection, a document table with lengths, BM25
+//!   scoring and top-k query evaluation. The centralized and
 //!   YaCy-style baselines and the QueenBee frontend all reuse these.
 //! * **The distributed index** ([`shard`]): one shard per term, stored inline
 //!   in the DHT when small and spilled into content-addressed storage when
@@ -32,5 +32,5 @@ pub use index::InvertedIndex;
 pub use kernel::intersect_and_score;
 pub use postings::{Posting, PostingList};
 pub use query::{search, Query, QueryMode, ScoredDoc};
-pub use scorer::{blend_with_rank, Bm25, Scorer, TfIdf};
+pub use scorer::{blend_with_rank, Bm25};
 pub use shard::{DistributedIndex, IndexStats, ReadMachine, ReadStep, ShardEntry, ShardPosting};

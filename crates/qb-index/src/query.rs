@@ -3,7 +3,7 @@
 use crate::analyzer::Analyzer;
 use crate::index::InvertedIndex;
 use crate::postings::PostingList;
-use crate::scorer::{blend_with_rank, Scorer};
+use crate::scorer::{blend_with_rank, Bm25};
 use qb_common::{QbError, QbResult};
 use std::collections::HashMap;
 
@@ -67,7 +67,7 @@ pub struct ScoredDoc {
 pub fn search(
     index: &InvertedIndex,
     query: &Query,
-    scorer: &dyn Scorer,
+    scorer: &Bm25,
     rank: Option<&HashMap<u64, f64>>,
     rank_weight: f64,
     top_k: usize,

@@ -1,23 +1,4 @@
-//! Relevance scoring: BM25 (default) and classic TF-IDF.
-
-/// A scorer turns per-term statistics into a relevance contribution.
-pub trait Scorer {
-    /// Score one term's contribution for one document.
-    ///
-    /// * `term_freq` — occurrences of the term in the document
-    /// * `doc_len` — document length in terms
-    /// * `avg_doc_len` — average document length in the collection
-    /// * `doc_freq` — number of documents containing the term
-    /// * `num_docs` — collection size
-    fn score(
-        &self,
-        term_freq: u32,
-        doc_len: u32,
-        avg_doc_len: f64,
-        doc_freq: usize,
-        num_docs: usize,
-    ) -> f64;
-}
+//! Relevance scoring: BM25, blended with a static page rank.
 
 /// Okapi BM25.
 #[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
@@ -36,7 +17,7 @@ impl Default for Bm25 {
 
 impl Bm25 {
     /// The term's inverse document frequency: the factor of
-    /// [`Scorer::score`] that depends only on the term, so a caller scoring
+    /// [`Bm25::score`] that depends only on the term, so a caller scoring
     /// many postings of one term computes it (one `ln`) once.
     pub fn idf(&self, doc_freq: usize, num_docs: usize) -> f64 {
         if num_docs == 0 {
@@ -49,7 +30,7 @@ impl Bm25 {
     }
 
     /// One posting's contribution given its term's [`Bm25::idf`]; this is
-    /// the formula [`Scorer::score`] evaluates, so both agree bit for bit.
+    /// the formula [`Bm25::score`] evaluates, so both agree bit for bit.
     pub fn score_with_idf(&self, idf: f64, term_freq: u32, doc_len: u32, avg_doc_len: f64) -> f64 {
         if term_freq == 0 {
             return 0.0;
@@ -60,10 +41,15 @@ impl Bm25 {
         let denom = tf + self.k1 * (1.0 - self.b + self.b * dl / avg);
         idf * tf * (self.k1 + 1.0) / denom
     }
-}
 
-impl Scorer for Bm25 {
-    fn score(
+    /// Score one term's contribution for one document.
+    ///
+    /// * `term_freq` — occurrences of the term in the document
+    /// * `doc_len` — document length in terms
+    /// * `avg_doc_len` — average document length in the collection
+    /// * `doc_freq` — number of documents containing the term
+    /// * `num_docs` — collection size
+    pub fn score(
         &self,
         term_freq: u32,
         doc_len: u32,
@@ -77,28 +63,6 @@ impl Scorer for Bm25 {
             doc_len,
             avg_doc_len,
         )
-    }
-}
-
-/// Classic TF-IDF with log-scaled term frequency.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
-pub struct TfIdf;
-
-impl Scorer for TfIdf {
-    fn score(
-        &self,
-        term_freq: u32,
-        _doc_len: u32,
-        _avg_doc_len: f64,
-        doc_freq: usize,
-        num_docs: usize,
-    ) -> f64 {
-        if term_freq == 0 || num_docs == 0 {
-            return 0.0;
-        }
-        let tf = 1.0 + (term_freq as f64).ln();
-        let idf = ((num_docs as f64 + 1.0) / (doc_freq.max(1) as f64 + 1.0)).ln() + 1.0;
-        tf * idf
     }
 }
 
@@ -182,14 +146,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn tfidf_basic_ordering() {
-        let s = TfIdf;
-        assert!(s.score(4, 10, 10.0, 2, 1000) > s.score(1, 10, 10.0, 2, 1000));
-        assert!(s.score(2, 10, 10.0, 2, 1000) > s.score(2, 10, 10.0, 500, 1000));
-        assert_eq!(s.score(0, 10, 10.0, 2, 1000), 0.0);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! (`Fresh` → `CacheOk`) or shed each one at its arrival instant.
 //!
 //! * [`trace`] — non-homogeneous Poisson arrivals via thinning on
-//!   [`qb_common::DetRng`], with constant / diurnal-sinusoid /
-//!   flash-crowd / ramp rate shapes and Zipf query popularity. Same
-//!   [`TraceConfig`] → byte-identical trace.
+//!   [`qb_common::DetRng`], with constant / flash-crowd rate shapes and
+//!   Zipf query popularity. Same [`TraceConfig`] → byte-identical trace.
 //! * [`mod@replay`] — maps a trace onto
 //!   [`qb_queenbee::QueenBee::serve_open_loop`], spreading arrivals over
 //!   the frontend fleet and returning the engine's

@@ -10,8 +10,7 @@
 //!   exponential inter-arrival gaps, then each candidate survives with
 //!   probability `rate(t) / peak_rate`. The surviving points are exactly a
 //!   Poisson process with the time-varying intensity [`RateShape::rate_at`].
-//! * **Rate shape** — constant, diurnal sinusoid, flash-crowd spike or
-//!   linear ramp ([`RateShape`]).
+//! * **Rate shape** — constant or flash-crowd spike ([`RateShape`]).
 //! * **Popularity** — each arrival picks its query from a pool of distinct
 //!   queries through a Zipf sampler; the ranking is fixed for the whole
 //!   trace.
@@ -24,14 +23,6 @@ use qb_workload::{Corpus, QueryWorkload, ZipfSampler};
 pub enum RateShape {
     /// Flat `base_qps` for the whole trace.
     Constant,
-    /// Sinusoidal day/night cycle: `base * (1 + amplitude * sin(2πt/period))`.
-    /// `amplitude` must sit in `[0, 1)` so the rate stays positive.
-    Diurnal {
-        /// Length of one full cycle.
-        period: SimDuration,
-        /// Relative swing around the base rate, in `[0, 1)`.
-        amplitude: f64,
-    },
     /// Flat base rate with a burst of `multiplier * base` inside
     /// `[at, at + duration)` — the "front page of the fediverse" moment.
     FlashCrowd {
@@ -42,14 +33,6 @@ pub enum RateShape {
         /// Rate multiplier during the burst (≥ 1).
         multiplier: f64,
     },
-    /// Linear ramp from `base` at the trace start to `to * base` at
-    /// `over`, flat afterwards. Used by E14's saturation ladder.
-    Ramp {
-        /// Time to reach the final rate.
-        over: SimDuration,
-        /// Final rate as a multiple of the base (≥ 0).
-        to: f64,
-    },
 }
 
 impl RateShape {
@@ -57,10 +40,6 @@ impl RateShape {
     pub fn multiplier_at(&self, offset: SimDuration) -> f64 {
         match *self {
             RateShape::Constant => 1.0,
-            RateShape::Diurnal { period, amplitude } => {
-                let phase = offset.as_micros() as f64 / period.as_micros().max(1) as f64;
-                1.0 + amplitude * (std::f64::consts::TAU * phase).sin()
-            }
             RateShape::FlashCrowd {
                 at,
                 duration,
@@ -71,10 +50,6 @@ impl RateShape {
                 } else {
                     1.0
                 }
-            }
-            RateShape::Ramp { over, to } => {
-                let f = (offset.as_micros() as f64 / over.as_micros().max(1) as f64).min(1.0);
-                1.0 + (to - 1.0) * f
             }
         }
     }
@@ -88,24 +63,13 @@ impl RateShape {
     pub fn peak_multiplier(&self) -> f64 {
         match *self {
             RateShape::Constant => 1.0,
-            RateShape::Diurnal { amplitude, .. } => 1.0 + amplitude,
             RateShape::FlashCrowd { multiplier, .. } => multiplier.max(1.0),
-            RateShape::Ramp { to, .. } => to.max(1.0),
         }
     }
 
     fn validate(&self) -> Result<(), String> {
         match *self {
             RateShape::Constant => Ok(()),
-            RateShape::Diurnal { period, amplitude } => {
-                if period == SimDuration::ZERO {
-                    return Err("diurnal period must be positive".into());
-                }
-                if !(0.0..1.0).contains(&amplitude) {
-                    return Err("diurnal amplitude must be in [0, 1)".into());
-                }
-                Ok(())
-            }
             RateShape::FlashCrowd {
                 duration,
                 multiplier,
@@ -116,15 +80,6 @@ impl RateShape {
                 }
                 if multiplier < 1.0 {
                     return Err("flash-crowd multiplier must be >= 1".into());
-                }
-                Ok(())
-            }
-            RateShape::Ramp { over, to } => {
-                if over == SimDuration::ZERO {
-                    return Err("ramp duration must be positive".into());
-                }
-                if to < 0.0 {
-                    return Err("ramp target must be >= 0".into());
                 }
                 Ok(())
             }
@@ -349,29 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_peak_beats_trough() {
-        let c = corpus();
-        let period = SimDuration::from_secs(8);
-        let cfg = TraceConfig {
-            duration: period,
-            base_qps: 200.0,
-            shape: RateShape::Diurnal {
-                period,
-                amplitude: 0.9,
-            },
-            ..TraceConfig::default()
-        };
-        let trace = ArrivalTrace::generate(&c, &cfg);
-        // sin peaks in the first half-period, troughs in the second.
-        let peak_half = trace.arrivals_between(SimDuration::ZERO, SimDuration::from_secs(4));
-        let trough_half = trace.arrivals_between(SimDuration::from_secs(4), period);
-        assert!(
-            peak_half > trough_half * 2,
-            "peak {peak_half} vs trough {trough_half}"
-        );
-    }
-
-    #[test]
     fn the_hot_query_is_stable_across_the_trace() {
         let c = corpus();
         let base = TraceConfig {
@@ -400,24 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn ramp_rate_grows_over_the_trace() {
-        let c = corpus();
-        let cfg = TraceConfig {
-            duration: SimDuration::from_secs(12),
-            base_qps: 50.0,
-            shape: RateShape::Ramp {
-                over: SimDuration::from_secs(12),
-                to: 5.0,
-            },
-            ..TraceConfig::default()
-        };
-        let trace = ArrivalTrace::generate(&c, &cfg);
-        let first = trace.arrivals_between(SimDuration::ZERO, SimDuration::from_secs(4));
-        let last = trace.arrivals_between(SimDuration::from_secs(8), SimDuration::from_secs(12));
-        assert!(last > first * 2, "ramp start {first} vs end {last}");
-    }
-
-    #[test]
     fn invalid_configs_are_rejected() {
         let ok = TraceConfig::default();
         assert!(ok.validate().is_ok());
@@ -429,12 +343,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = ok.clone();
         c.duration = SimDuration::ZERO;
-        assert!(c.validate().is_err());
-        let mut c = ok.clone();
-        c.shape = RateShape::Diurnal {
-            period: SimDuration::from_secs(1),
-            amplitude: 1.5,
-        };
         assert!(c.validate().is_err());
         let mut c = ok;
         c.shape = RateShape::FlashCrowd {

@@ -868,14 +868,14 @@ mod tests {
         // One window holding the same query twice: both plans miss the
         // result tier, the second serve is a window-memo hit.
         let query = || from_peer(5, "decentralized peers");
-        let plans = qb.plan_window(vec![query(), query()]).unwrap();
+        let mut plans = qb.plan_window(vec![query(), query()]).unwrap();
         let key = plans[0].result_key.clone();
-        let (fetched, stats_read) = qb.fetch_window(&plans).unwrap();
+        let reads = qb.fetch_window(&mut plans).unwrap();
         let now = qb.net.now();
         let mut memo = WindowMemo::default();
         let responses: Vec<SearchResponse> = plans
             .into_iter()
-            .map(|plan| qb.serve_plan(plan, &fetched, &stats_read, now, Some(&mut memo)))
+            .map(|plan| qb.serve_plan(plan, &reads, now, Some(&mut memo)))
             .collect();
         assert_eq!((memo.invocations, memo.hits), (1, 1));
         assert_eq!(responses[0].hits, responses[1].hits);
@@ -892,11 +892,11 @@ mod tests {
         drop(memo);
         assert_eq!(Arc::strong_count(&list), 3);
         // The fetched shards fanned out as handles too.
-        for fetch in fetched.values() {
+        for fetch in reads.shards.iter().map(|read| read.done()) {
             let resident = qb.cache.as_ref().unwrap().peek_shard(&fetch.value.term);
             assert!(Arc::ptr_eq(resident.expect("fanned out"), &fetch.value));
         }
-        let served = qb.serve_plan(warm, &fetched, &stats_read, now, None);
+        let served = qb.serve_plan(warm, &reads, now, None);
         assert!(served.result_cache_hit());
         assert_eq!(served.hits, responses[0].hits);
     }

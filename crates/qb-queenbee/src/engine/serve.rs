@@ -1,13 +1,12 @@
 //! The serve seam: a window of requests is planned against the cache
-//! tiers, its distinct missing shards (and the statistics record) are read
-//! once, and every plan is scored and answered — blocking for
-//! `search_request` / `search_batch`, event-driven under the pipeline
-//! driver for `search_pipelined`.
+//! tiers, its distinct missing shards (and the statistics record) are
+//! enumerated once (`WindowReads::of`) and read once, and every plan is
+//! scored and answered — each read driven to completion before the next
+//! for `search_request` / `search_batch`, all issued together and polled
+//! under the pipeline driver for `search_pipelined`.
 
 use super::QueenBee;
-use crate::query::executor::{
-    batch_advert_groups, CompletedRead, FetchSet, PendingRead, WindowMemo,
-};
+use crate::query::executor::{ReadProgress, ReadSlot, WindowMemo, WindowReads};
 use crate::query::pipeline::{
     PipelineConfig, PipelineDriver, PipelineOutcome, PipelineReport, WindowRun,
 };
@@ -17,7 +16,7 @@ use crate::query::response::{paginate, SearchResponse, StageCosts, TermProvenanc
 use qb_cache::QueryCache;
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_gossip::GossipFleet;
-use qb_index::{IndexStats, ReadStep, ScoredDoc, ShardEntry};
+use qb_index::{ReadStep, ScoredDoc, ShardEntry};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -59,7 +58,7 @@ impl QueenBee {
         // Stage 1: plan every request against its frontend's cache tiers.
         // Planning records no spans, so the window span opens only once the
         // window is known to be valid.
-        let plans = self.plan_window(requests)?;
+        let mut plans = self.plan_window(requests)?;
         let window_span = self
             .net
             .tracer()
@@ -68,8 +67,8 @@ impl QueenBee {
         // Stage 2: fetch each distinct missing term shard once, plus at most
         // one statistics read for the whole window. A failed fetch must not
         // leave the span open, or every later query would nest under it.
-        let (fetched, stats_read) = match self.fetch_window(&plans) {
-            Ok(window) => window,
+        let reads = match self.fetch_window(&mut plans) {
+            Ok(reads) => reads,
             Err(e) => {
                 self.net.tracer().close(window_span, now);
                 return Err(e);
@@ -78,10 +77,10 @@ impl QueenBee {
 
         // Stage 3: score, paginate and assemble each response, fanning the
         // window's fetched shards out into every participating cache.
-        let batch_fetched = batch_advert_groups(&fetched, batch);
+        let batch_fetched = reads.batch_advert_groups(batch);
         let mut responses = Vec::with_capacity(plans.len());
         for plan in plans {
-            responses.push(self.serve_plan(plan, &fetched, &stats_read, now, None));
+            responses.push(self.serve_plan(plan, &reads, now, None));
         }
         let window_end = now
             + responses
@@ -232,125 +231,99 @@ impl QueenBee {
         Ok(plans)
     }
 
-    /// Stage 2 of a window: fetch each distinct missing `(frontend, term)`
-    /// shard once, plus at most one statistics read for the whole window.
-    /// Iteration follows plan and term order, so the simulated network sees
-    /// a deterministic request sequence. Each fetch uses the versioned
-    /// read: the frontend knows the term's current version and digs past
-    /// lagging replicas.
-    pub(crate) fn fetch_window(
-        &mut self,
-        plans: &[QueryPlan],
-    ) -> QbResult<(FetchSet, Option<CompletedRead<IndexStats>>)> {
+    /// Stage 2 of a window, blocking: perform each read of
+    /// [`WindowReads::of`] — every distinct missing `(frontend, term)` shard
+    /// once, plus at most one statistics read — in its issue order, so the
+    /// simulated network sees a deterministic request sequence. Each fetch
+    /// uses the versioned read: the frontend knows the term's current
+    /// version and digs past lagging replicas.
+    pub(crate) fn fetch_window(&mut self, plans: &mut [QueryPlan]) -> QbResult<WindowReads> {
         // The blocking reads run one at a time from the call instant on an
         // idle link: each completes at `now + latency`, never queued.
         let now = self.net.now();
-        let mut fetched = FetchSet::new();
-        let mut stats_read = None;
-        for plan in plans {
-            if plan.is_result_hit() {
-                continue;
-            }
-            if matches!(plan.stats, StatsPlan::Fetch) && stats_read.is_none() {
-                let (stats, cost) =
-                    self.dist_index
-                        .read_stats(&mut self.net, &mut self.dht, plan.origin_peer)?;
-                stats_read = Some(CompletedRead::new(
-                    stats,
-                    cost,
-                    plan.seq,
-                    now + cost.latency,
-                    SimDuration::ZERO,
-                ));
-            }
-            for term in plan.fetch_terms() {
-                let key = (plan.frontend, term.to_string());
-                if fetched.contains_key(&key) {
-                    continue;
+        let mut reads = WindowReads::of(plans);
+        for slot in reads.issue_order() {
+            match slot {
+                ReadSlot::Stats(read) => {
+                    let (stats, cost) = self.dist_index.read_stats(
+                        &mut self.net,
+                        &mut self.dht,
+                        read.origin_peer,
+                    )?;
+                    read.complete(stats, cost, now + cost.latency, SimDuration::ZERO);
                 }
-                let current_version = self.shard_versions.get(term).copied().unwrap_or(0);
-                let (shard, cost) = self.dist_index.read_shard_fresh(
-                    &mut self.net,
-                    &mut self.dht,
-                    &mut self.storage,
-                    plan.origin_peer,
-                    term,
-                    current_version,
-                )?;
-                let read = CompletedRead::new(
-                    Arc::new(shard),
-                    cost,
-                    plan.seq,
-                    now + cost.latency,
-                    SimDuration::ZERO,
-                );
-                fetched.insert(key, read);
+                ReadSlot::Shard(read) => {
+                    let current_version = self.shard_versions.get(&read.term).copied().unwrap_or(0);
+                    let (shard, cost) = self.dist_index.read_shard_fresh(
+                        &mut self.net,
+                        &mut self.dht,
+                        &mut self.storage,
+                        read.origin_peer,
+                        &read.term,
+                        current_version,
+                    )?;
+                    read.complete(Arc::new(shard), cost, now + cost.latency, SimDuration::ZERO);
+                }
             }
         }
-        Ok((fetched, stats_read))
+        Ok(reads)
     }
 
-    /// Event-driven stage 2: start every distinct missing `(frontend,
-    /// term)` shard read (plus at most one statistics read) of a window at
-    /// its issue instant, without waiting for any of them. The per-hop DHT
-    /// RPCs of these reads run as in-flight operations of their origin
-    /// peers, so fetches of *different* windows genuinely interleave on
-    /// contended uplinks. Trace spans nest under the window's span.
-    pub(crate) fn begin_window_fetches(&mut self, win: &mut WindowRun) {
-        let (at, window_span) = (win.issued_at, win.span);
-        for plan in &win.plans {
-            if plan.is_result_hit() {
-                continue;
-            }
-            if matches!(plan.stats, StatsPlan::Fetch) && win.pending_stats.is_none() {
-                let span = self.net.tracer().record(window_span, "stats_read", at, at);
-                let machine = self.dist_index.begin_read_stats(
-                    &mut self.net,
-                    &mut self.dht,
-                    plan.origin_peer,
-                    at,
-                    span.or(window_span),
-                );
-                win.pending_stats = Some(PendingRead {
-                    key: (),
-                    charged_to: plan.seq,
-                    span,
-                    machine,
-                });
-            }
-            for term in plan.fetch_terms() {
-                let key = (plan.frontend, term.to_string());
-                if win.pending_shards.iter().any(|p| p.key == key) {
-                    continue;
+    /// Stage 2 of a window, event-driven: start each read of
+    /// [`WindowReads::of`] at the window's issue instant `at`, in issue
+    /// order, without waiting for any of them. The per-hop DHT RPCs of these
+    /// reads run as in-flight operations of their origin peers, so fetches
+    /// of *different* windows genuinely interleave on contended uplinks.
+    /// Trace spans nest under the window's span.
+    pub(crate) fn begin_window_fetches(
+        &mut self,
+        plans: &mut [QueryPlan],
+        at: SimInstant,
+        window_span: Option<qb_trace::SpanId>,
+    ) -> WindowReads {
+        let mut reads = WindowReads::of(plans);
+        for slot in reads.issue_order() {
+            match slot {
+                ReadSlot::Stats(read) => {
+                    let span = self.net.tracer().record(window_span, "stats_read", at, at);
+                    let machine = self.dist_index.begin_read_stats(
+                        &mut self.net,
+                        &mut self.dht,
+                        read.origin_peer,
+                        at,
+                        span.or(window_span),
+                    );
+                    read.progress = ReadProgress::InFlight(machine, span);
                 }
-                let span = self
-                    .net
-                    .tracer()
-                    .record_with(window_span, "fetch", at, at, || term.to_string());
-                let current_version = self.shard_versions.get(term).copied().unwrap_or(0);
-                let machine = self.dist_index.begin_read_shard_fresh(
-                    &mut self.net,
-                    &mut self.dht,
-                    plan.origin_peer,
-                    term,
-                    current_version,
-                    at,
-                    span.or(window_span),
-                );
-                win.pending_shards.push(PendingRead {
-                    key,
-                    charged_to: plan.seq,
-                    span,
-                    machine,
-                });
+                ReadSlot::Shard(read) => {
+                    let span = self
+                        .net
+                        .tracer()
+                        .record_with(window_span, "fetch", at, at, || read.term.clone());
+                    let current_version = self.shard_versions.get(&read.term).copied().unwrap_or(0);
+                    let machine = self.dist_index.begin_read_shard_fresh(
+                        &mut self.net,
+                        &mut self.dht,
+                        read.origin_peer,
+                        &read.term,
+                        current_version,
+                        at,
+                        span.or(window_span),
+                    );
+                    read.progress = ReadProgress::InFlight(machine, span);
+                }
             }
         }
+        reads
     }
 
-    /// Advance a window's in-flight fetches at instant `at`, folding every
-    /// read that completed into the window's fetch set and completion
-    /// bookkeeping. Sets `win.next_event` to the earliest instant any
-    /// remaining read advances at (`None` when the window is complete).
+    /// Advance a window's in-flight reads at instant `at` — the statistics
+    /// read, then the shards in slot order — folding every read that
+    /// completed into its slot and the window's completion bookkeeping.
+    /// Sets `win.next_event` to the earliest instant any remaining read
+    /// advances at (`None` when the window is complete). The first failed
+    /// read stops the poll and leaves its siblings in flight for
+    /// [`WindowReads::abandon`].
     pub(crate) fn poll_window_fetches(
         &mut self,
         win: &mut WindowRun,
@@ -360,58 +333,42 @@ impl QueenBee {
         let track = |cand: SimInstant, next_event: &mut Option<SimInstant>| {
             *next_event = Some(next_event.map_or(cand, |cur: SimInstant| cur.min(cand)));
         };
-        if let Some(mut pending) = win.pending_stats.take() {
-            match self.dist_index.poll_read_stats(
-                &mut self.net,
-                &mut self.dht,
-                &mut pending.machine,
-                at,
-            ) {
-                ReadStep::Ready => {
-                    let ((), read) = win.fold_completed(&mut self.net, pending)?;
-                    win.stats_read = Some(read);
-                }
-                ReadStep::Pending { next_event_at } => {
-                    track(next_event_at, &mut next_event);
-                    win.pending_stats = Some(pending);
+        if let Some(read) = &mut win.reads.stats {
+            if let ReadProgress::InFlight(machine, _) = &mut read.progress {
+                match self
+                    .dist_index
+                    .poll_read_stats(&mut self.net, &mut self.dht, machine, at)
+                {
+                    ReadStep::Ready => {
+                        let done = read.fold_completed(&mut self.net)?;
+                        win.completes_at = win.completes_at.max(done.completed_at);
+                        win.queue_delay += done.queue_delay;
+                    }
+                    ReadStep::Pending { next_event_at } => track(next_event_at, &mut next_event),
                 }
             }
         }
-        let mut i = 0;
-        while i < win.pending_shards.len() {
-            let pending = &mut win.pending_shards[i];
-            match self.dist_index.poll_read_shard(
-                &mut self.net,
-                &mut self.dht,
-                &mut self.storage,
-                &mut pending.machine,
-                &pending.key.1,
-                at,
-            ) {
-                ReadStep::Ready => {
-                    let pending = win.pending_shards.remove(i);
-                    let (key, read) = win.fold_completed(&mut self.net, pending)?;
-                    win.fetched.insert(key, read);
-                }
-                ReadStep::Pending { next_event_at } => {
-                    track(next_event_at, &mut next_event);
-                    i += 1;
+        for read in &mut win.reads.shards {
+            if let ReadProgress::InFlight(machine, _) = &mut read.progress {
+                match self.dist_index.poll_read_shard(
+                    &mut self.net,
+                    &mut self.dht,
+                    &mut self.storage,
+                    machine,
+                    &read.term,
+                    at,
+                ) {
+                    ReadStep::Ready => {
+                        let done = read.fold_completed(&mut self.net)?;
+                        win.completes_at = win.completes_at.max(done.completed_at);
+                        win.queue_delay += done.queue_delay;
+                    }
+                    ReadStep::Pending { next_event_at } => track(next_event_at, &mut next_event),
                 }
             }
         }
         win.next_event = next_event;
         Ok(())
-    }
-
-    /// Retire whatever a window still has in flight without processing it
-    /// (abort path), so an aborted run leaves no phantom link occupancy.
-    pub(crate) fn abandon_window_fetches(&mut self, win: &mut WindowRun) {
-        if let Some(mut pending) = win.pending_stats.take() {
-            pending.machine.abandon(&mut self.net);
-        }
-        for mut pending in win.pending_shards.drain(..) {
-            pending.machine.abandon(&mut self.net);
-        }
     }
 
     /// Predicted relative cost of a window: the number of distinct
@@ -434,7 +391,7 @@ impl QueenBee {
     /// Queue a batch window's freshly fetched shard keys as batch-aware
     /// gossip advertisements of the serving frontend (no-op outside fleet
     /// mode or when `GossipConfig::batch_advertise` is off).
-    /// [`batch_advert_groups`] produces the per-frontend groups.
+    /// [`WindowReads::batch_advert_groups`] produces the per-frontend groups.
     pub(crate) fn note_batch_fetches(&mut self, frontend: usize, terms: &[(String, u64)]) {
         if let Some(fleet) = self.fleet.as_mut() {
             fleet.note_batch_fetches(frontend, terms);
@@ -540,20 +497,19 @@ impl QueenBee {
     }
 
     /// Stage 3 of the pipeline: turn one plan plus the window's shared
-    /// fetches into a [`SearchResponse`], store what the serving cache
+    /// reads into a [`SearchResponse`], store what the serving cache
     /// should keep, record version observations, account freshness and
     /// attach the ad. With a window memo, identical queries in the in-flight
     /// window set skip the intersect/score work.
     ///
     /// Shards are only ever borrowed here — from the plan's handles and the
-    /// window's fetch set — and fan out into the serving cache as handles;
+    /// window's reads — and fan out into the serving cache as handles;
     /// the scored list is built once and the result tier (and the memo)
     /// share it. The response's page of hits is the only copy made.
     pub(crate) fn serve_plan(
         &mut self,
         mut plan: QueryPlan,
-        fetched: &FetchSet,
-        stats_read: &Option<CompletedRead<IndexStats>>,
+        reads: &WindowReads,
         now: SimInstant,
         memo: Option<&mut WindowMemo>,
     ) -> SearchResponse {
@@ -604,11 +560,11 @@ impl QueenBee {
                     term_latencies.push(hit_latency);
                     shards.push(Cow::Borrowed(shard));
                 }
-                TermPlan::Fetch => {
-                    let fetch = &fetched[&(plan.frontend, planned.term.clone())];
-                    term_latencies.push(fetch.latency);
+                TermPlan::Fetch { read } => {
+                    let fetch = reads.shard(*read);
+                    term_latencies.push(fetch.cost.latency);
                     if fetch.charged_to == plan.seq {
-                        messages += fetch.messages;
+                        messages += fetch.cost.messages;
                         provenance.push(TermProvenance::DhtFetch);
                     } else {
                         provenance.push(TermProvenance::BatchShared);
@@ -625,13 +581,11 @@ impl QueenBee {
         let (stats, stats_latency, stats_fetched) = match &plan.stats {
             StatsPlan::Cached(stats) => (*stats, hit_latency, false),
             StatsPlan::Fetch => {
-                let read = stats_read
-                    .as_ref()
-                    .expect("window performed a stats read for fetch plans");
+                let read = reads.stats_read();
                 if read.charged_to == plan.seq {
-                    messages += read.messages;
+                    messages += read.cost.messages;
                 }
-                (read.value, read.latency, true)
+                (read.value, read.cost.latency, true)
             }
         };
 

@@ -17,11 +17,14 @@
 //! * **Planned** — the window's requests are analyzed against the serving
 //!   frontend's cache tiers ([`plan_request`](crate::query::plan)); no
 //!   network traffic yet.
-//! * **Fetching** — each distinct missing `(frontend, term)` shard (plus at
-//!   most one statistics record per window) becomes an **event-driven read
-//!   machine** ([`qb_index::ReadMachine`]): a per-lookup α-frontier
+//! * **Fetching** — the window's reads are enumerated once (`WindowReads::of`
+//!   in [`crate::query::executor`], shared with the blocking window): each
+//!   distinct missing `(frontend, term)` shard (plus at most one statistics
+//!   record per window) gets a slot and becomes an **event-driven read
+//!   machine** ([`qb_index::ReadMachine`]) in it: a per-lookup α-frontier
 //!   state machine whose individual DHT hops are issued through
-//!   [`qb_simnet::SimNet::send_async_at`] on the origin peer's uplink. The
+//!   [`qb_simnet::SimNet::send_async_at`] on the origin peer's uplink; a
+//!   finished machine is swapped, in its slot, for what it read. The
 //!   per-peer in-flight limit
 //!   ([`qb_simnet::NetConfig::max_in_flight_per_link`]) queues excess hops
 //!   — *hop by hop*, so the hops of different windows genuinely interleave
@@ -75,15 +78,11 @@
 //! queueing and makespan accounting.
 
 use crate::engine::QueenBee;
-use crate::query::executor::{
-    batch_advert_groups, CompletedRead, FetchSet, PendingRead, WindowMemo,
-};
+use crate::query::executor::{WindowMemo, WindowReads};
 use crate::query::plan::{QueryPlan, StatsPlan};
 use crate::query::request::SearchRequest;
 use crate::query::response::SearchResponse;
 use qb_common::{QbResult, SimDuration, SimInstant};
-use qb_index::{IndexStats, ShardEntry};
-use qb_simnet::SimNet;
 use std::collections::VecDeque;
 
 /// The self-steering driver backs off (grows the window, then sheds depth)
@@ -133,29 +132,22 @@ impl PipelineConfig {
     }
 }
 
-/// One window in flight: its plans, its in-flight read machines and the
-/// completion bookkeeping the driver schedules by.
+/// One window in flight: its plans, its reads and the completion
+/// bookkeeping the driver schedules by.
 pub(crate) struct WindowRun {
     /// Index of the window's first response in the (request-ordered)
     /// response vector — windows may issue out of request order under the
     /// saturated shortest-first policy.
     pub(crate) first_query: usize,
     pub(crate) plans: Vec<QueryPlan>,
-    /// The window's shared fetches (each distinct `(frontend, term)` once),
-    /// filled in as the read machines complete; each record carries its own
-    /// completion instant and link-queue delay.
-    pub(crate) fetched: FetchSet,
-    /// The window's (at most one) statistics read, once complete.
-    pub(crate) stats_read: Option<CompletedRead<IndexStats>>,
+    /// The window's shared reads (each distinct `(frontend, term)` once,
+    /// at most one statistics read), each completing in its slot with its
+    /// own completion instant and link-queue delay.
+    pub(crate) reads: WindowReads,
     /// When the window was issued on the virtual timeline.
     pub(crate) issued_at: SimInstant,
     /// When the window's slowest dependency completed (so far).
     pub(crate) completes_at: SimInstant,
-    /// The in-flight statistics read machine, if still pending.
-    pub(crate) pending_stats: Option<PendingRead<(), IndexStats>>,
-    /// The in-flight shard read machines, in issue order, keyed like the
-    /// [`FetchSet`] entries they become.
-    pub(crate) pending_shards: Vec<PendingRead<(Option<usize>, String), ShardEntry>>,
     /// Earliest instant any pending machine advances at (`None` once the
     /// window is complete).
     pub(crate) next_event: Option<SimInstant>,
@@ -164,32 +156,6 @@ pub(crate) struct WindowRun {
     pub(crate) span: Option<qb_trace::SpanId>,
     /// Queueing delay the per-link in-flight limits charged this window.
     pub(crate) queue_delay: SimDuration,
-}
-
-impl WindowRun {
-    /// Fold a read whose machine finished into the window: its span closes,
-    /// its completion instant and link-queue delay enter the window's
-    /// bookkeeping, and what it read becomes the completed record the
-    /// window's queries share.
-    pub(crate) fn fold_completed<K, T, V: From<T>>(
-        &mut self,
-        net: &mut SimNet,
-        pending: PendingRead<K, T>,
-    ) -> QbResult<(K, CompletedRead<V>)> {
-        let queue_delay = pending.machine.queue_delay();
-        let (value, cost, completed_at) = pending.machine.into_result()?;
-        net.tracer().close(pending.span, completed_at);
-        self.completes_at = self.completes_at.max(completed_at);
-        self.queue_delay += queue_delay;
-        let read = CompletedRead::new(
-            value.into(),
-            cost,
-            pending.charged_to,
-            completed_at,
-            queue_delay,
-        );
-        Ok((pending.key, read))
-    }
 }
 
 /// What one pipelined run did, beyond the responses themselves.
@@ -306,7 +272,7 @@ impl PipelineDriver {
         // runs. Either way the work done enters the engine counters (windows
         // that fully served before an abort did score and did hit the memo).
         for win in &mut self.in_flight {
-            qb.abandon_window_fetches(win);
+            win.reads.abandon(&mut qb.net);
         }
         self.report.memo_hits = self.memo.hits;
         self.report.score_invocations = self.memo.invocations;
@@ -344,11 +310,9 @@ impl PipelineDriver {
         let mut cursor = t0;
 
         loop {
-            // Retire the front window once all its machines completed.
-            if let Some(mut win) = self
-                .in_flight
-                .pop_front_if(|w| w.pending_stats.is_none() && w.pending_shards.is_empty())
-            {
+            // Retire the front window once all its machines completed (its
+            // last poll found none pending).
+            if let Some(mut win) = self.in_flight.pop_front_if(|w| w.next_event.is_none()) {
                 next_issue_at = next_issue_at.max(win.completes_at);
                 self.report.makespan = self.report.makespan.max(win.completes_at.since(t0));
                 self.adapt(&win);
@@ -426,15 +390,10 @@ impl PipelineDriver {
         if !self.config.adaptive {
             return;
         }
-        let service: SimDuration = win
-            .fetched
-            .values()
-            .map(|f| f.latency)
-            .fold(SimDuration::ZERO, |a, b| a + b)
-            + win
-                .stats_read
-                .as_ref()
-                .map_or(SimDuration::ZERO, |read| read.latency);
+        let reads = &win.reads;
+        let service: SimDuration = (reads.shards.iter().map(|read| read.done().cost.latency))
+            .chain(reads.stats.iter().map(|read| read.done().cost.latency))
+            .fold(SimDuration::ZERO, |a, b| a + b);
         let busy_us = (win.queue_delay + service).as_micros();
         let share = win.queue_delay.as_micros().saturating_mul(100) / busy_us.max(1);
         let base = self.config.window_size.max(1);
@@ -469,7 +428,7 @@ impl PipelineDriver {
         requests: Vec<SearchRequest>,
         issued_at: SimInstant,
     ) -> QbResult<()> {
-        let plans = qb.plan_window(requests)?;
+        let mut plans = qb.plan_window(requests)?;
         let query_count = plans.len();
         let span = qb
             .net
@@ -477,22 +436,19 @@ impl PipelineDriver {
             .record_with(None, "window", issued_at, issued_at, || {
                 format!("{query_count} queries")
             });
+        let reads = qb.begin_window_fetches(&mut plans, issued_at, span);
+        self.report.stats_reads += u64::from(reads.stats.is_some());
+        self.report.shard_fetches += reads.shards.len() as u64;
         let mut win = WindowRun {
             first_query,
             plans,
-            fetched: FetchSet::new(),
-            stats_read: None,
+            reads,
             issued_at,
             completes_at: issued_at,
-            pending_stats: None,
-            pending_shards: Vec::new(),
             next_event: None,
             span,
             queue_delay: SimDuration::ZERO,
         };
-        qb.begin_window_fetches(&mut win);
-        self.report.stats_reads += u64::from(win.pending_stats.is_some());
-        self.report.shard_fetches += win.pending_shards.len() as u64;
         // The window is in flight whether or not its first poll succeeds: a
         // read that fails on the spot must not strand its siblings' hops.
         let polled = qb.poll_window_fetches(&mut win, issued_at);
@@ -522,21 +478,19 @@ impl PipelineDriver {
             issued_at: win.issued_at,
             completed_at: win.completes_at,
         });
-        let fetched_terms =
-            batch_advert_groups(&win.fetched, plans.len() >= 2 && qb.fleet().is_some());
+        let reads = &win.reads;
+        let fetched_terms = reads.batch_advert_groups(plans.len() >= 2 && qb.fleet().is_some());
         for (j, plan) in plans.into_iter().enumerate() {
             // The query's slowest asynchronous dependency (the first of
             // equals, in term order then the statistics read): its
             // completion instant and the link queueing inside it.
-            let shard_reads = plan
-                .fetch_terms()
-                .filter_map(|t| win.fetched.get(&(plan.frontend, t.to_string())))
-                .map(CompletedRead::finish);
-            let stats_read = win
-                .stats_read
-                .as_ref()
-                .filter(|_| matches!(plan.stats, StatsPlan::Fetch) && !plan.is_result_hit())
-                .map(CompletedRead::finish);
+            let shard_reads = plan.fetch_reads().map(|slot| {
+                let read = reads.shard(slot);
+                (read.completed_at, read.queue_delay)
+            });
+            let stats_read = (matches!(plan.stats, StatsPlan::Fetch) && !plan.is_result_hit())
+                .then(|| reads.stats_read())
+                .map(|read| (read.completed_at, read.queue_delay));
             let critical = shard_reads.chain(stats_read).reduce(|slowest, read| {
                 if read.0 > slowest.0 {
                     read
@@ -544,13 +498,7 @@ impl PipelineDriver {
                     slowest
                 }
             });
-            let mut response = qb.serve_plan(
-                plan,
-                &win.fetched,
-                &win.stats_read,
-                now,
-                Some(&mut self.memo),
-            );
+            let mut response = qb.serve_plan(plan, reads, now, Some(&mut self.memo));
             // Rebase latency on the virtual timeline when the query waited
             // on any asynchronous dependency.
             if let Some((done, queue_delay)) = critical {

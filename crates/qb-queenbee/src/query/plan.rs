@@ -38,7 +38,11 @@ pub enum TermPlan {
     },
     /// Must be fetched through the DHT (the executor dedupes these across a
     /// batch window).
-    Fetch,
+    Fetch {
+        /// Slot of the window's shard read serving this term, written when
+        /// the executor enumerates the window's reads (0 until then).
+        read: usize,
+    },
     /// The whole query was answered by the result cache; the term needs no
     /// individual resolution.
     ResultCached,
@@ -85,10 +89,11 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Terms the executor must fetch through the DHT.
-    pub fn fetch_terms(&self) -> impl Iterator<Item = &str> {
+    /// The window's shard reads this plan waits on (one slot per term the
+    /// executor must fetch through the DHT, in term order).
+    pub fn fetch_reads(&self) -> impl Iterator<Item = usize> + '_ {
         self.terms.iter().filter_map(|t| match t.plan {
-            TermPlan::Fetch => Some(t.term.as_str()),
+            TermPlan::Fetch { read } => Some(read),
             _ => None,
         })
     }
@@ -171,23 +176,24 @@ pub fn plan_request(
     };
 
     // Per-term resolution through the shard/negative tiers.
+    const FETCH: TermPlan = TermPlan::Fetch { read: 0 };
     let planned: Vec<PlannedTerm> = terms
         .into_iter()
         .map(|term| {
             let current = shard_versions.get(&term).copied().unwrap_or(0);
             let plan = match (&request.freshness, cache.as_mut()) {
-                (Freshness::Fresh, _) | (_, None) => TermPlan::Fetch,
+                (Freshness::Fresh, _) | (_, None) => FETCH,
                 (Freshness::CacheOk, Some(c)) => match c.lookup_shard(&term, now, current) {
                     ShardLookup::Hit(shard) => TermPlan::CachedShard(shard),
                     ShardLookup::Negative => TermPlan::Negative,
-                    ShardLookup::Miss => TermPlan::Fetch,
+                    ShardLookup::Miss => FETCH,
                 },
                 (Freshness::MaxStaleness(bound), Some(c)) => {
                     match c.lookup_shard_bounded(&term, now, current, *bound) {
                         BoundedShardLookup::Hit(shard) => TermPlan::CachedShard(shard),
                         BoundedShardLookup::Stale { shard, age } => TermPlan::Stale { shard, age },
                         BoundedShardLookup::Negative => TermPlan::Negative,
-                        BoundedShardLookup::Miss => TermPlan::Fetch,
+                        BoundedShardLookup::Miss => FETCH,
                     }
                 }
             };
@@ -258,7 +264,7 @@ mod tests {
         .unwrap();
         let terms: Vec<&str> = p.terms.iter().map(|t| t.term.as_str()).collect();
         assert_eq!(terms, vec![Analyzer::stem("honey"), Analyzer::stem("bees")]);
-        assert_eq!(p.fetch_terms().count(), 2, "no cache: everything fetches");
+        assert_eq!(p.fetch_reads().count(), 2, "no cache: everything fetches");
         assert!(matches!(p.stats, StatsPlan::Fetch));
     }
 
@@ -279,11 +285,9 @@ mod tests {
         .unwrap();
         assert!(matches!(p.terms[0].plan, TermPlan::CachedShard(_)));
         assert!(matches!(p.terms[1].plan, TermPlan::Negative));
-        assert!(matches!(p.terms[2].plan, TermPlan::Fetch));
-        assert_eq!(
-            p.fetch_terms().map(str::to_string).collect::<Vec<_>>(),
-            vec![Analyzer::stem("nectar")]
-        );
+        assert!(matches!(p.terms[2].plan, TermPlan::Fetch { .. }));
+        assert_eq!(p.terms[2].term, Analyzer::stem("nectar"));
+        assert_eq!(p.fetch_reads().count(), 1);
     }
 
     #[test]
@@ -298,7 +302,7 @@ mod tests {
             &versions,
         )
         .unwrap();
-        assert!(matches!(p.terms[0].plan, TermPlan::Fetch));
+        assert!(matches!(p.terms[0].plan, TermPlan::Fetch { .. }));
         assert!(matches!(p.stats, StatsPlan::Fetch));
     }
 
@@ -324,6 +328,6 @@ mod tests {
         let versions: HashMap<String, u64> =
             [(Analyzer::stem("honey"), 3u64)].into_iter().collect();
         let p = plan(SearchRequest::new("honey"), &mut cache, &versions).unwrap();
-        assert!(matches!(p.terms[0].plan, TermPlan::Fetch));
+        assert!(matches!(p.terms[0].plan, TermPlan::Fetch { .. }));
     }
 }

@@ -35,7 +35,7 @@ pub mod stats;
 
 pub use latency::LatencyModel;
 pub use net::{AsyncCompletion, NetConfig, Poll, RpcError, RpcHandle, SimNet};
-pub use stats::{LatencyRecorder, NetStats, Summary};
+pub use stats::NetStats;
 
 use qb_common::SimDuration;
 

@@ -1,6 +1,4 @@
-//! Traffic accounting and latency summaries used by the experiment harness.
-
-use qb_common::SimDuration;
+//! Traffic accounting used by the experiment harness.
 
 /// Cumulative traffic counters maintained by [`crate::SimNet`].
 #[derive(Debug, Default, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -90,128 +88,9 @@ impl qb_trace::MetricsSource for NetStats {
     }
 }
 
-/// Collects latency samples and produces percentile summaries.
-#[derive(Debug, Default, Clone)]
-pub struct LatencyRecorder {
-    samples_micros: Vec<u64>,
-}
-
-/// Summary statistics over a set of latency samples.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Summary {
-    pub count: usize,
-    pub mean_ms: f64,
-    pub p50_ms: f64,
-    pub p90_ms: f64,
-    pub p99_ms: f64,
-    pub max_ms: f64,
-}
-
-impl LatencyRecorder {
-    /// Create an empty recorder.
-    pub fn new() -> LatencyRecorder {
-        LatencyRecorder::default()
-    }
-
-    /// Record one latency sample.
-    pub fn record(&mut self, d: SimDuration) {
-        self.samples_micros.push(d.as_micros());
-    }
-
-    /// Number of samples recorded so far.
-    pub fn len(&self) -> usize {
-        self.samples_micros.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples_micros.is_empty()
-    }
-
-    /// Percentile (0..=100) in milliseconds; 0.0 for an empty recorder.
-    pub fn percentile_ms(&self, p: f64) -> f64 {
-        if self.samples_micros.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples_micros.clone();
-        sorted.sort_unstable();
-        let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-        sorted[rank.min(sorted.len() - 1)] as f64 / 1_000.0
-    }
-
-    /// Mean in milliseconds; 0.0 for an empty recorder.
-    pub fn mean_ms(&self) -> f64 {
-        if self.samples_micros.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = self.samples_micros.iter().sum();
-        sum as f64 / self.samples_micros.len() as f64 / 1_000.0
-    }
-
-    /// Full summary.
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.samples_micros.len(),
-            mean_ms: self.mean_ms(),
-            p50_ms: self.percentile_ms(50.0),
-            p90_ms: self.percentile_ms(90.0),
-            p99_ms: self.percentile_ms(99.0),
-            max_ms: self.percentile_ms(100.0),
-        }
-    }
-
-    /// Merge another recorder's samples into this one.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples_micros.extend_from_slice(&other.samples_micros);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_recorder_is_all_zeroes() {
-        let r = LatencyRecorder::new();
-        assert!(r.is_empty());
-        assert_eq!(r.mean_ms(), 0.0);
-        assert_eq!(r.percentile_ms(99.0), 0.0);
-        assert_eq!(r.summary().count, 0);
-    }
-
-    #[test]
-    fn percentiles_are_ordered() {
-        let mut r = LatencyRecorder::new();
-        for i in 1..=100u64 {
-            r.record(SimDuration::from_millis(i));
-        }
-        let s = r.summary();
-        assert_eq!(s.count, 100);
-        assert!(s.p50_ms <= s.p90_ms);
-        assert!(s.p90_ms <= s.p99_ms);
-        assert!(s.p99_ms <= s.max_ms);
-        assert!((s.p50_ms - 50.0).abs() <= 1.0);
-        assert_eq!(s.max_ms, 100.0);
-    }
-
-    #[test]
-    fn mean_is_correct() {
-        let mut r = LatencyRecorder::new();
-        r.record(SimDuration::from_millis(10));
-        r.record(SimDuration::from_millis(20));
-        assert!((r.mean_ms() - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        a.record(SimDuration::from_millis(1));
-        b.record(SimDuration::from_millis(3));
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert!((a.mean_ms() - 2.0).abs() < 1e-9);
-    }
 
     #[test]
     fn netstats_delta() {

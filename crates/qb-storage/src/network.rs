@@ -238,42 +238,11 @@ impl StorageNetwork {
             return Err(QbError::NotFound(format!("no remote providers for {root}")));
         }
 
-        // Fetch and verify the manifest.
-        let mut manifest: Option<Manifest> = None;
-        for &p in &providers {
-            let Some(remote) = self.block_on_peer(p, &root) else {
-                continue;
-            };
-            stats.messages += 1;
-            let (res, lat) = net.rpc_or_timeout(from, p, 64, remote.len());
-            stats.latency += lat;
-            if res.is_err() {
-                continue;
-            }
-            stats.bytes += remote.len() as u64;
-            match Block::from_parts(root, remote.data().clone()) {
-                Ok(verified) => {
-                    if let Ok(m) = Manifest::decode(verified.data()) {
-                        self.caches[from as usize].put(verified);
-                        manifest = Some(m);
-                        break;
-                    }
-                    stats.integrity_failures += 1;
-                }
-                Err(_) => {
-                    stats.integrity_failures += 1;
-                }
-            }
-        }
-        let manifest = manifest.ok_or_else(|| {
-            if stats.integrity_failures > 0 {
-                QbError::IntegrityViolation {
-                    expected: root.to_hex(),
-                    actual: "corrupted copies from all providers".into(),
-                }
-            } else {
-                QbError::NotFound(format!("manifest {root} unavailable"))
-            }
+        // Fetch and verify the manifest: a root that hashes right but does
+        // not decode is as unusable as a tampered one.
+        let want = ("manifest", root);
+        let manifest = self.fetch_block(net, from, &providers, want, &mut stats, |block| {
+            Manifest::decode(block.data()).ok()
         })?;
 
         // Fetch every chunk, preferring the local cache, then providers.
@@ -289,40 +258,11 @@ impl StorageNetwork {
                 data.extend_from_slice(pinned.data());
                 continue;
             }
-            let mut fetched = false;
-            for &p in &providers {
-                let Some(remote) = self.block_on_peer(p, chunk_cid) else {
-                    continue;
-                };
-                stats.messages += 1;
-                let (res, lat) = net.rpc_or_timeout(from, p, 64, remote.len());
-                stats.latency += lat;
-                if res.is_err() {
-                    continue;
-                }
-                stats.bytes += remote.len() as u64;
-                match Block::from_parts(*chunk_cid, remote.data().clone()) {
-                    Ok(verified) => {
-                        data.extend_from_slice(verified.data());
-                        self.caches[from as usize].put(verified);
-                        fetched = true;
-                        break;
-                    }
-                    Err(_) => {
-                        stats.integrity_failures += 1;
-                    }
-                }
-            }
-            if !fetched {
-                return Err(if stats.integrity_failures > 0 {
-                    QbError::IntegrityViolation {
-                        expected: chunk_cid.to_hex(),
-                        actual: "all providers returned corrupted data".into(),
-                    }
-                } else {
-                    QbError::NotFound(format!("chunk {chunk_cid} unavailable"))
-                });
-            }
+            let want = ("chunk", *chunk_cid);
+            self.fetch_block(net, from, &providers, want, &mut stats, |block| {
+                data.extend_from_slice(block.data());
+                Some(())
+            })?;
         }
 
         // The fetcher now serves the object from its cache and announces
@@ -332,6 +272,50 @@ impl StorageNetwork {
             stats.messages += ann.messages;
         }
         Ok((data, stats))
+    }
+
+    /// One provider walk: ask `providers` in order for the block `cid` (a
+    /// `what`: manifest or chunk) — probe the holder, count the message,
+    /// charge the transfer — until one returns bytes that hash to `cid` and
+    /// that `accept` takes; that block enters `from`'s cache. Every other
+    /// copy received counts one integrity failure, and the walk moves on to
+    /// the next provider.
+    fn fetch_block<T>(
+        &mut self,
+        net: &mut SimNet,
+        from: u64,
+        providers: &[u64],
+        (what, cid): (&str, Cid),
+        stats: &mut FetchStats,
+        mut accept: impl FnMut(&Block) -> Option<T>,
+    ) -> QbResult<T> {
+        for &p in providers {
+            let Some(remote) = self.block_on_peer(p, &cid) else {
+                continue;
+            };
+            stats.messages += 1;
+            let (res, lat) = net.rpc_or_timeout(from, p, 64, remote.len());
+            stats.latency += lat;
+            if res.is_err() {
+                continue;
+            }
+            stats.bytes += remote.len() as u64;
+            if let Ok(block) = Block::from_parts(cid, remote.data().clone()) {
+                if let Some(accepted) = accept(&block) {
+                    self.caches[from as usize].put(block);
+                    return Ok(accepted);
+                }
+            }
+            stats.integrity_failures += 1;
+        }
+        Err(if stats.integrity_failures > 0 {
+            QbError::IntegrityViolation {
+                expected: cid.to_hex(),
+                actual: "corrupted copies from all providers".into(),
+            }
+        } else {
+            QbError::NotFound(format!("{what} {cid} unavailable"))
+        })
     }
 
     /// Corrupt the pinned copy of a block on a specific peer (experiment E4:
@@ -510,6 +494,35 @@ mod tests {
             .get_object(&mut net, &mut dht, 10, obj.root)
             .unwrap_err();
         assert!(matches!(err, QbError::IntegrityViolation { .. }));
+    }
+
+    #[test]
+    fn a_root_that_verifies_but_is_not_a_manifest_is_an_integrity_error() {
+        let (mut net, mut dht, mut storage) = setup(32, 12);
+        let data = random_data(2000);
+        let (obj, _) = storage.put_object(&mut net, &mut dht, 2, &data).unwrap();
+        // Someone announces a chunk as if it were an object root: every
+        // holder's copy hashes to the cid asked for, and none is a manifest.
+        let chunk = *storage.pinned[2]
+            .cids()
+            .find(|c| **c != obj.root)
+            .expect("a chunk");
+        let holders = storage.pinned_holders(&chunk);
+        assert_eq!(holders.len(), 2, "publisher and one replica");
+        for &holder in &holders {
+            dht.add_provider(&mut net, holder, chunk.to_dht_key())
+                .unwrap();
+        }
+        let reader = (0..32)
+            .find(|p| !holders.contains(p))
+            .expect("a non-holder");
+        let err = storage
+            .get_object(&mut net, &mut dht, reader, chunk)
+            .unwrap_err();
+        // Counted as integrity failures, not as "nobody had it", and the
+        // reader kept no copy.
+        assert!(matches!(err, QbError::IntegrityViolation { .. }), "{err}");
+        assert!(!storage.cached_holders(&chunk).contains(&reader));
     }
 
     /// FNV-1a fold (pins a peer's whole pinned cid set in one word).

@@ -3,9 +3,9 @@
 //!
 //! Run with: `cargo run -p qb-examples --release --bin publish_and_search`
 
+use qb_common::LatencyHistogram;
 use qb_load::scenario;
 use qb_queenbee::{QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest};
-use qb_simnet::LatencyRecorder;
 
 fn main() {
     let corpus = scenario::corpus(7, 80, 70);
@@ -21,7 +21,7 @@ fn main() {
     println!("worker bees indexed {accepted} pages and computed page ranks\n");
 
     let queries = scenario::queries(&corpus, 99, 40);
-    let mut latencies = LatencyRecorder::new();
+    let mut latencies = LatencyHistogram::new();
     let mut answered = 0usize;
     for (i, q) in queries.iter().enumerate() {
         match qb
@@ -45,11 +45,13 @@ fn main() {
             Err(e) => println!("query '{q}' failed: {e}"),
         }
     }
-    let s = latencies.summary();
     println!("\nanswered {answered}/{} queries", queries.len());
     println!(
         "latency: mean {:.1} ms, p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms",
-        s.mean_ms, s.p50_ms, s.p90_ms, s.p99_ms
+        latencies.mean().as_millis_f64(),
+        latencies.p50().as_millis_f64(),
+        latencies.value_at_quantile(0.90).as_millis_f64(),
+        latencies.p99().as_millis_f64()
     );
     println!(
         "network traffic so far: {} messages, {:.1} MiB",

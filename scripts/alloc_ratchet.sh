@@ -10,15 +10,20 @@
 # global allocator), so unlike a host-clock number this gate has no noise
 # to tolerate. The ceilings sit ~10 % above the values measured at seed 1,
 # 1 s: score-heavy 205.0 since the read path went copy-free; cold-lookup
-# 51.1 since a routing table selects its k nearest into one k-sized list
-# (was five growth steps of a collect-everything Vec per hop) and SHA-256
-# pads on the stack (63.3 before both, 65.3 before an index read stopped
-# cloning its term); serve-warm 194.5 (201.4 before the same two, 211.2
-# before the kernel stopped filling a prefix cache nobody hit, 1 172.8
-# before gossip stopped re-deriving its digests per exchange);
-# publish-churn 2 192.4 since a stored object's chunks are each copied and
-# hashed once and pinned by handle (3 705.7 when the manifest, the
-# publisher and the replica each copied and hashed every chunk). A shard
+# 50.1 since a window holds each read in one slot found by position (51.1
+# while a read was keyed by a `(frontend, term)` string rebuilt per
+# lookup and moved between a pending list and a map; the routing table
+# selecting its k nearest into one k-sized list — was five growth steps
+# of a collect-everything Vec per hop — and SHA-256 padding on the stack
+# brought it there from 63.3, an index read no longer cloning its term
+# from 65.3); serve-warm 191.2 (194.5 before the one-slot read, 201.4
+# before the routing-table and padding changes, 211.2 before the kernel
+# stopped filling a prefix cache nobody hit, 1 172.8 before gossip
+# stopped re-deriving its digests per exchange); publish-churn 2 191.1
+# (2 192.4 before the one-slot read) since a stored object's chunks are
+# each copied and hashed once and pinned by handle (3 705.7 when the
+# manifest, the publisher and the replica each copied and hashed every
+# chunk). A name-keyed lookup creeping back into a window's reads, a shard
 # or result copy creeping back into a cache hit, a plan or the kernel, a
 # per-exchange digest scan, string clone or view rebuild creeping back
 # into a quiet round, or a per-holder chunk copy, a collect-all `closest`
@@ -48,7 +53,7 @@ check() {
 }
 
 check score-heavy 230
-check cold-lookup 56
-check serve-warm 214
+check cold-lookup 55
+check serve-warm 211
 check publish-churn 2410
 exit "$status"
