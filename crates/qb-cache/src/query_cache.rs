@@ -424,9 +424,17 @@ impl QueryCache {
     /// another frontend needs to decide what to pull. Expired entries are
     /// never advertised. Deterministic (ties broken by recency). The terms
     /// are borrowed from the tier; the listing is exact for one
-    /// `(shard_generation, shard_popularity_epoch, now)`.
+    /// `(shard_generation, shard_popularity_epoch)` at every instant from
+    /// `now` up to [`QueryCache::next_shard_expiry`].
     pub fn shard_digest(&self, max: usize, now: SimInstant) -> Vec<(&str, u64)> {
         self.shards.hottest(max, now)
+    }
+
+    /// The earliest expiry among the shards alive at `now` (`None` when
+    /// none is): where a [`QueryCache::shard_digest`] taken at `now` stops
+    /// being exact although nothing touched the tier.
+    pub fn next_shard_expiry(&self, now: SimInstant) -> Option<SimInstant> {
+        self.shards.next_expiry(now)
     }
 
     /// Borrow the tier's handle to a cached shard without charging a lookup
@@ -437,18 +445,21 @@ impl QueryCache {
     }
 
     /// The shard tier's holdings generation: any insert, replacement,
-    /// eviction, expiry or invalidation bumps it. Artifacts derived from
-    /// the holdings — the gossip overlay's bloom-style holdings filter —
-    /// stay valid while `(generation, now)` is unchanged, so they can be
-    /// cached across exchanges instead of being rebuilt per partner.
+    /// eviction, expiry or invalidation bumps it — a re-store of the
+    /// version already held included, so it moves on most served `Fresh`
+    /// reads while the held `(term, version)` set does not. It is half of
+    /// the key a ranked listing is cached behind (the gossip overlay's
+    /// `ranked_holdings`); what is derived from the listed *set* — the
+    /// holdings filter — is cached behind the listing, not behind this.
     pub fn shard_generation(&self) -> u64 {
         self.shards.generation()
     }
 
     /// The shard tier's popularity epoch: every lookup, store attempt and
     /// accounted miss bumps it. Reads reorder [`QueryCache::shard_digest`]
-    /// without moving the generation, so a cached *ranking* — unlike the
-    /// order-free holdings filter — is keyed by this epoch as well.
+    /// without moving the generation, so a cached *ranking* is keyed by
+    /// `(generation, epoch)` and holds until one of them moves or the
+    /// clock reaches [`QueryCache::next_shard_expiry`].
     pub fn shard_popularity_epoch(&self) -> u64 {
         self.shards.popularity_epoch()
     }

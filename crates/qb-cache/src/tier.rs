@@ -50,8 +50,8 @@ pub struct CacheTier<V> {
     /// Monotonic counter of everything that moves the popularity *ranking*
     /// without necessarily moving the holdings: every sketch record and
     /// every recency touch (`get`, `insert`, `note_miss`). Together with
-    /// `generation` and the instant it keys anything derived from
-    /// [`CacheTier::hottest`].
+    /// `generation` it keys anything derived from [`CacheTier::hottest`],
+    /// for as long as nothing listed expires ([`CacheTier::next_expiry`]).
     popularity_epoch: u64,
     /// Counters for this tier.
     pub metrics: TierMetrics,
@@ -86,8 +86,9 @@ impl<V> CacheTier<V> {
     /// The tier's popularity epoch: bumps on every lookup, insert attempt
     /// and accounted miss — whatever can reorder [`CacheTier::hottest`]
     /// while the generation stands still. A ranking taken at
-    /// `(generation, popularity_epoch, now)` stays exact until one of the
-    /// three moves.
+    /// `(generation, popularity_epoch)` and instant `t` stays exact while
+    /// neither counter moves and the clock stays inside
+    /// `[t, next_expiry(t))`.
     pub fn popularity_epoch(&self) -> u64 {
         self.popularity_epoch
     }
@@ -360,6 +361,20 @@ impl<V> CacheTier<V> {
             .take(max)
             .map(|(k, _, _, v)| (k, v))
             .collect()
+    }
+
+    /// The earliest expiry among the entries alive at `now` — the instant
+    /// a [`CacheTier::hottest`] listing taken at `now` first loses an entry
+    /// to its TTL; `None` when nothing is alive. `hottest` reads the clock
+    /// only to drop expired entries, so with the generation and the
+    /// popularity epoch standing still a listing taken at `now` is exact
+    /// at every instant of `[now, next_expiry(now))`.
+    pub fn next_expiry(&self, now: SimInstant) -> Option<SimInstant> {
+        self.entries
+            .values()
+            .map(|slot| slot.expires_at)
+            .filter(|&expires_at| now < expires_at)
+            .min()
     }
 
     fn remove_entry(&mut self, key: &str) -> bool {
@@ -638,11 +653,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The contract the gossip overlay's digest cache rests on: a
-        /// ranking taken at `(generation, popularity_epoch, now)` equals a
-        /// fresh `hottest` for as long as that stamp stands — under any
-        /// interleaving of reads, misses, inserts, replacements, evictions,
-        /// refused admissions, invalidations and time steps. Drop the
-        /// epoch from the stamp and a read between two rankings breaks it.
+        /// ranking taken at `(generation, popularity_epoch)` and instant
+        /// `t` equals a fresh `hottest` at every `t'` in
+        /// `[t, next_expiry(t))` for as long as the two counters stand —
+        /// under any interleaving of reads, misses, inserts, replacements,
+        /// evictions, refused admissions, invalidations and time steps —
+        /// and stops being exact at `next_expiry(t)` itself. Drop the epoch
+        /// from the stamp and a read between two rankings breaks it; widen
+        /// the interval and an expiry does.
         #[test]
         fn a_ranking_is_exact_for_its_stamp(
             ops in proptest::collection::vec((0u8..8, 0u8..10, 1u64..4), 1..120),
@@ -653,8 +671,16 @@ mod tests {
                 SimDuration::from_secs(3),
                 EvictionPolicy::SampledLfu { sample: 3 },
             );
+            let listing = |tier: &CacheTier<u64>, at: SimInstant| -> Vec<(String, u64)> {
+                tier.hottest(usize::MAX, at)
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect()
+            };
             let mut now = t0();
-            let mut taken_at = None;
+            // The stamp `ranking` was taken at and the first expiry after
+            // it (the clock here only moves forward).
+            let mut taken: Option<((u64, u64), Option<SimInstant>)> = None;
             let mut ranking: Vec<(String, u64)> = Vec::new();
             for (op, key, arg) in ops {
                 let key = format!("k{key}");
@@ -675,17 +701,26 @@ mod tests {
                     6 => tier.note_miss(&key),
                     _ => now += SimDuration::from_millis(700 * arg),
                 }
-                let stamp = (tier.generation(), tier.popularity_epoch(), now);
-                let fresh: Vec<(String, u64)> = tier
-                    .hottest(usize::MAX, now)
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect();
-                if taken_at == Some(stamp) {
+                let stamp = (tier.generation(), tier.popularity_epoch());
+                let fresh = listing(&tier, now);
+                if taken.is_some_and(|(cached, until)| {
+                    cached == stamp && until.is_none_or(|u| now < u)
+                }) {
                     prop_assert_eq!(&ranking, &fresh, "stale ranking after op {}", op);
-                } else {
-                    (taken_at, ranking) = (Some(stamp), fresh);
+                    continue;
                 }
+                let until = tier.next_expiry(now);
+                prop_assert_eq!(until.is_none(), fresh.is_empty());
+                if let Some(until) = until {
+                    prop_assert!(now < until);
+                    let last = SimInstant(until.0 - 1);
+                    prop_assert_eq!(&listing(&tier, last), &fresh, "exact up to the expiry");
+                    prop_assert!(
+                        listing(&tier, until).len() < fresh.len(),
+                        "and one entry short at it"
+                    );
+                }
+                (taken, ranking) = (Some((stamp, until)), fresh);
             }
         }
     }

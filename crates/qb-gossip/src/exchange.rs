@@ -1,4 +1,17 @@
 //! One digest/fill exchange between two frontends.
+//!
+//! Most exchanges of a converged fleet move nothing: both deltas are empty
+//! and no fill is sent. Such an exchange side leaves a *settled record* in
+//! its [`PeerSync`](crate::frontend::PeerSync) — the handles of the two
+//! things its conclusion was read from (its own listing and the partner's
+//! holdings filter in a delta exchange, the two listings in a full one) —
+//! and its repetition, recognised by `Arc::ptr_eq` on handles the record
+//! itself keeps alive, skips the delta computation, the fill scan and the
+//! full-exchange rebuild of the sync state. Whatever writes `advertised`
+//! or `holdings` clears the records first (`PeerSync::unsettle`), and in
+//! debug builds every skip re-runs what it skipped and asserts the
+//! outcome. The records are host-side only: every simulated byte, counter
+//! and span is what the full computation produces.
 
 use crate::config::{DigestMode, GossipConfig, MEMBERSHIP_SUMMARY_BUDGET};
 use crate::digest::{
@@ -6,7 +19,7 @@ use crate::digest::{
 };
 use crate::filter::ShardFilter;
 use crate::fleet::GossipFleet;
-use crate::frontend::Frontend;
+use crate::frontend::{Frontend, Listing, PeerSync};
 use crate::membership::MembershipSummary;
 use crate::stats::GossipStats;
 use qb_cache::RemoteAdmit;
@@ -94,7 +107,7 @@ struct Offer {
     /// round advertises (and relays) its fresh shards in the same round —
     /// an accepted fill moves the generation — giving multi-hop propagation
     /// per round instead of one.
-    held: Arc<[DigestEntry]>,
+    held: Listing,
     /// How much of `held` is advertised: the whole tier in a full
     /// exchange, the hot set in a regular one (whose delta-mode holdings
     /// filter is still built over all of `held`).
@@ -189,8 +202,8 @@ impl Exchange<'_> {
 
         self.learn(a, b, &offer_a, &offer_b);
         self.learn(b, a, &offer_b, &offer_a);
-        self.send_fills(a, b, &offer_a, offer_b.filter.as_deref());
-        self.send_fills(b, a, &offer_b, offer_a.filter.as_deref());
+        self.send_fills(a, b, &offer_a, &offer_b);
+        self.send_fills(b, a, &offer_b, &offer_a);
         let end = self.net.now();
         self.net.tracer().close(exchange_span, end);
         true
@@ -232,14 +245,23 @@ impl Exchange<'_> {
         &mut self,
         own: &mut Frontend,
         partner_peer: u64,
-        held: &[DigestEntry],
+        held: &Listing,
         hot: &[DigestEntry],
         adverts: &[DigestEntry],
     ) -> (Digest, Option<Arc<ShardFilter>>) {
         let (mut entries, filter) = if self.delta_mode() {
-            let filter = own.holdings_filter(held, self.now, self.stats);
-            let told = &own.sync.entry(partner_peer).or_default().advertised;
-            (delta_entries(hot, told), Some(filter))
+            let filter = own.holdings_filter(held, self.stats);
+            let sync = own.sync.entry(partner_peer).or_default();
+            // The listing a settled exchange ran over has all been told.
+            let told_all =
+                matches!(&sync.settled_delta, Some((mine, _)) if Arc::ptr_eq(mine, held));
+            let delta = if told_all {
+                debug_assert!(delta_entries(hot, &sync.advertised).is_empty());
+                Vec::new()
+            } else {
+                delta_entries(hot, &sync.advertised)
+            };
+            (delta, Some(filter))
         } else {
             (hot.to_vec(), None)
         };
@@ -268,6 +290,39 @@ impl Exchange<'_> {
         let revived = me.view.merge_summary(&theirs.membership, me.peer, now);
         self.stats.revivals += revived as u64;
 
+        let sync = me.sync.entry(partner.peer).or_default();
+        if self.class.full() {
+            // The holdings view is exact after a full exchange, so any
+            // stored partner filter is cleared rather than left to confirm
+            // stale coverage.
+            sync.filter = None;
+            if self.is_settled(sync, mine, theirs) {
+                // The same two listings as at the last full exchange and
+                // nothing written since: `known` (monotonic) already covers
+                // theirs and both maps already are what follows would
+                // rebuild them to.
+                debug_assert!(theirs
+                    .hot()
+                    .iter()
+                    .all(|e| me.known.get(e.term()) >= e.version()));
+                debug_assert!(
+                    sync.advertised.len() == mine.hot().len()
+                        && mine
+                            .hot()
+                            .iter()
+                            .all(|e| sync.advertised.get(e.term()) == Some(&e.version()))
+                );
+                debug_assert!(
+                    sync.holdings.len() == theirs.hot().len()
+                        && theirs
+                            .hot()
+                            .iter()
+                            .all(|e| sync.holdings.get(e.term()) == Some(e))
+                );
+                return;
+            }
+        }
+
         // Which versions exist is learned before any fill is admitted.
         for entry in &theirs.digest.entries {
             me.known.observe(entry.term(), entry.version());
@@ -277,8 +332,9 @@ impl Exchange<'_> {
         // tiers; delta exchanges extend the advertised baseline and fold
         // the partner's delta into the accumulated holdings view; stateless
         // full digests replace the holdings outright (exactly the PR 2
-        // protocol).
-        let sync = me.sync.entry(partner.peer).or_default();
+        // protocol). Whichever writes `advertised` or `holdings` unsettles
+        // first — a delta exchange with nothing in either delta writes
+        // neither.
         let advertise = |told: &mut HashMap<Arc<str>, u64>, entries: &[DigestEntry]| {
             told.extend(entries.iter().map(|e| (Arc::clone(e.term()), e.version())));
         };
@@ -288,18 +344,47 @@ impl Exchange<'_> {
         };
         if self.class.full() {
             // `hot()` is the whole tier in a full (anti-entropy) exchange.
-            // The holdings view is exact again, so any stored partner
-            // filter is cleared rather than left to confirm stale coverage.
+            sync.unsettle();
             sync.advertised.clear();
             advertise(&mut sync.advertised, mine.hot());
             replace_view(&mut sync.holdings, theirs.hot());
-            sync.filter = None;
         } else if self.delta_mode() {
-            advertise(&mut sync.advertised, &mine.digest.entries);
-            apply_delta(&mut sync.holdings, &theirs.digest.entries);
+            if !(mine.digest.entries.is_empty() && theirs.digest.entries.is_empty()) {
+                sync.unsettle();
+                advertise(&mut sync.advertised, &mine.digest.entries);
+                apply_delta(&mut sync.holdings, &theirs.digest.entries);
+            }
             sync.filter = theirs.filter.clone();
         } else {
+            sync.unsettle();
             replace_view(&mut sync.holdings, theirs.hot());
+        }
+    }
+
+    /// Does `sync` hold the settled record of this exchange's shape over
+    /// exactly what the two sides brought — `mine`'s listing and `theirs`'
+    /// holdings filter (delta) or listing (full)? Compared by handle
+    /// against handles the record owns, so a match means the same
+    /// allocation, hence the same content.
+    fn is_settled(&self, sync: &PeerSync, mine: &Offer, theirs: &Offer) -> bool {
+        if self.class.full() {
+            matches!(&sync.settled_full, Some((listed, their_listed))
+                if Arc::ptr_eq(listed, &mine.held) && Arc::ptr_eq(their_listed, &theirs.held))
+        } else {
+            matches!((&sync.settled_delta, &theirs.filter), (Some((listed, filter)), Some(their_filter))
+                if Arc::ptr_eq(listed, &mine.held) && Arc::ptr_eq(filter, their_filter))
+        }
+    }
+
+    /// Record that `mine` against `theirs` found nothing to push (see
+    /// [`Exchange::is_settled`]). A regular exchange without holdings
+    /// filters (full-digest mode) has no record: it replaces `holdings`
+    /// every time.
+    fn settle(&self, sync: &mut PeerSync, mine: &Offer, theirs: &Offer) {
+        if self.class.full() {
+            sync.settled_full = Some((Arc::clone(&mine.held), Arc::clone(&theirs.held)));
+        } else if let Some(their_filter) = &theirs.filter {
+            sync.settled_delta = Some((Arc::clone(&mine.held), Arc::clone(their_filter)));
         }
     }
 
@@ -313,44 +398,61 @@ impl Exchange<'_> {
     /// before the popularity-ranked hot set, so they cannot be crowded out
     /// of the fill budget — and the hot list then skips their terms (each
     /// list is duplicate-free on its own).
+    ///
+    /// A scan in which no entry needed a fill settles this side; a settled
+    /// side returns before the scan. Batch adverts are outside the record:
+    /// with any pending the scan runs, and its outcome is not recorded.
     fn send_fills(
         &mut self,
         from: &mut Frontend,
         to: &mut Frontend,
         offer: &Offer,
-        to_filter: Option<&ShardFilter>,
+        theirs: &Offer,
     ) {
         let fill_budget = self.class.fill_budget(self.config, from.zone == to.zone);
         // Handles to the sender's cached shards: the simulated wire is
         // charged the encoded bytes below, the host copies nothing.
         let mut fills: Vec<(Arc<ShardEntry>, SimDuration)> = Vec::new();
         let mut batch_bytes = 0usize;
+        let mut nothing_needed = true;
         let to_peer = to.peer;
         {
             let cache = from.cache();
-            let believed_holdings = from.sync.get(&to_peer).map(|sync| &sync.holdings);
+            let sync = from.sync.get(&to_peer);
+            let believed_holdings = sync.map(|sync| &sync.holdings);
+            let to_filter = theirs.filter.as_deref();
+            let needs = |entry: &DigestEntry| {
+                let version = entry.version();
+                if version == 0 {
+                    return false;
+                }
+                let believed = believed_holdings.and_then(|held| held.get(entry.term()));
+                match to_filter {
+                    Some(filter) => needs_fill(version, believed, filter),
+                    None => believed.is_none_or(|b| b.version() < version),
+                }
+            };
             let priority = &offer.adverts;
+            if priority.is_empty() && sync.is_some_and(|sync| self.is_settled(sync, offer, theirs))
+            {
+                debug_assert!(!priority.iter().chain(offer.hot()).any(needs));
+                self.stats.settled_sides += 1;
+                return;
+            }
             let prioritized: HashSet<&str> = priority.iter().map(|e| &**e.term()).collect();
             let ranked = offer
                 .hot()
                 .iter()
                 .filter(|e| !prioritized.contains(&**e.term()));
             for entry in priority.iter().chain(ranked) {
+                if !needs(entry) {
+                    continue;
+                }
+                nothing_needed = false;
                 if fills.len() >= fill_budget {
                     break;
                 }
-                let (term, version) = (entry.term(), entry.version());
-                if version == 0 {
-                    continue;
-                }
-                let believed = believed_holdings.and_then(|held| held.get(term));
-                let needed = match to_filter {
-                    Some(filter) => needs_fill(version, believed, filter),
-                    None => believed.is_none_or(|b| b.version() < version),
-                };
-                if !needed {
-                    continue;
-                }
+                let term = entry.term();
                 let Some(shard) = cache.peek_shard(term) else {
                     continue;
                 };
@@ -359,6 +461,11 @@ impl Exchange<'_> {
             }
         }
         if fills.is_empty() {
+            if nothing_needed && offer.adverts.is_empty() {
+                if let Some(sync) = from.sync.get_mut(&to_peer) {
+                    self.settle(sync, offer, theirs);
+                }
+            }
             return;
         }
         let fill_count = fills.len();
@@ -395,7 +502,9 @@ impl Exchange<'_> {
             }
             ExchangeClass::Regular => {}
         }
-        let believed_holdings = &mut from.sync.entry(to_peer).or_default().holdings;
+        let sync = from.sync.entry(to_peer).or_default();
+        sync.unsettle();
+        let believed_holdings = &mut sync.holdings;
         for (shard, sender_ttl) in fills {
             self.stats.shards_pushed += 1;
             let known = to.known.get(&shard.term);

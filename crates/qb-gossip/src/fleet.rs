@@ -1265,6 +1265,271 @@ mod tests {
         assert!(aware.anti_entropy_fill_bytes > 0 || aware.fill_bytes > 0);
     }
 
+    // ----- settled records: every way one must die ---------------------------------
+
+    /// Two frontends over `config`, frontend 0 holding `terms` shards,
+    /// exchanged until a repetition short-circuits: the first exchange
+    /// moves the fills, the second finds nothing to push and records it on
+    /// both sides, the third is recognised by both.
+    fn settled_pair(config: GossipConfig, terms: usize) -> (GossipFleet, SimNet) {
+        let hot = terms.min(config.hot_set_size);
+        let (mut fleet, mut net) = fleet_with(config, 10);
+        let now = SimInstant::ZERO;
+        for t in 0..terms {
+            let s = shard(&format!("term{t}"), 1, 3);
+            fleet.cache_mut(0).store_shard(&s, now);
+            fleet.observe(0, &s.term, 1);
+        }
+        for _ in 0..3 {
+            assert!(fleet.exchange(&mut net, 0, 1, now, ExchangeClass::Regular));
+        }
+        let s = fleet.stats();
+        assert_eq!(s.shards_accepted, hot as u64, "the hot set moved");
+        assert_eq!(s.settled_sides, 2, "the third exchange skips both scans");
+        (fleet, net)
+    }
+
+    /// One regular exchange between the pair; returns what it added to
+    /// `(digest_bytes, shards_accepted, settled_sides)`.
+    fn regular_exchange(fleet: &mut GossipFleet, net: &mut SimNet) -> (u64, u64, u64) {
+        let before = *fleet.stats();
+        let swapped = fleet.exchange(net, 0, 1, SimInstant::ZERO, ExchangeClass::Regular);
+        let after = fleet.stats();
+        assert_eq!(swapped, after.exchanges > before.exchanges);
+        (
+            after.digest_bytes - before.digest_bytes,
+            after.shards_accepted - before.shards_accepted,
+            after.settled_sides - before.settled_sides,
+        )
+    }
+
+    #[test]
+    fn a_settled_partner_that_drops_a_shard_is_refilled() {
+        let (mut fleet, mut net) = settled_pair(GossipConfig::enabled(2), 8);
+        let now = SimInstant::ZERO;
+        // Frontend 1 loses a shard it was told of and acknowledged: its
+        // listing, hence its filter, is a new one, so frontend 0's record
+        // no longer applies and the scan finds the unconfirmed belief.
+        assert_eq!(fleet.cache_mut(1).invalidate_term("term3", now), 1);
+        let (_, accepted, settled) = regular_exchange(&mut fleet, &mut net);
+        assert_eq!(accepted, 1, "the dropped shard is pushed again");
+        assert_eq!(
+            fleet.frontend(1).cache().cached_shard_version("term3"),
+            Some(1)
+        );
+        assert_eq!(settled, 0, "neither side saw what it had settled on");
+        // The refill changed frontend 1's tier once more; after that the
+        // pair goes quiet again.
+        regular_exchange(&mut fleet, &mut net);
+        assert_eq!(
+            regular_exchange(&mut fleet, &mut net),
+            (2 * (16 + 12), 0, 2)
+        );
+    }
+
+    #[test]
+    fn a_publish_invalidation_rides_the_next_delta() {
+        let (mut fleet, mut net) = settled_pair(GossipConfig::enabled(2), 8);
+        let now = SimInstant::ZERO;
+        let (quiet, _, _) = regular_exchange(&mut fleet, &mut net);
+        assert_eq!(
+            quiet,
+            2 * (16 + 12),
+            "two empty deltas, two 8-entry filters"
+        );
+        // A republish invalidates `term3` on both frontends; frontend 0
+        // refetches the new version. Its listing changed, so its record is
+        // void: the bumped pair rides the delta and the shard follows.
+        fleet.observe_publish(&net, 9, "term3", 2, now);
+        fleet.cache_mut(0).store_shard(&shard("term3", 2, 3), now);
+        let (loud, accepted, settled) = regular_exchange(&mut fleet, &mut net);
+        assert_eq!(loud, quiet + ("term3".len() + 9) as u64);
+        assert_eq!((accepted, settled), (1, 0));
+        assert_eq!(
+            fleet.frontend(1).cache().cached_shard_version("term3"),
+            Some(2)
+        );
+    }
+
+    #[test]
+    fn a_listing_outlives_the_instant_but_not_an_expiry() {
+        let mut config = CacheConfig::enabled();
+        config.adaptive_ttl = false;
+        config.shard_ttl = SimDuration::from_secs(3);
+        let mut f = Frontend::new(0, 0, config);
+        let at = |ms: u64| SimInstant::ZERO + SimDuration::from_millis(ms);
+        f.cache_mut().store_shard(&shard("early", 1, 2), at(0));
+        f.cache_mut().store_shard(&shard("late", 1, 2), at(1_000));
+        let listed = f.ranked_holdings(at(1_000));
+        assert_eq!(listed.len(), 2);
+        // Nothing touches the tier: the handle stands until `early` expires.
+        assert!(Arc::ptr_eq(&listed, &f.ranked_holdings(at(2_999))));
+        let after = f.ranked_holdings(at(3_000));
+        assert_eq!(after.len(), 1, "re-ranked without the expired entry");
+        assert_eq!(&**after[0].term(), "late");
+        // A re-store of the version held moves the generation (and the
+        // expiry) but not the listing: the handle, and the filter cached
+        // behind it, stay.
+        let mut stats = GossipStats::default();
+        let filter = f.holdings_filter(&after, &mut stats);
+        f.cache_mut().store_shard(&shard("late", 1, 2), at(3_500));
+        let restored = f.ranked_holdings(at(3_500));
+        assert!(Arc::ptr_eq(&after, &restored));
+        assert!(Arc::ptr_eq(
+            &filter,
+            &f.holdings_filter(&restored, &mut stats)
+        ));
+        assert_eq!((stats.filter_builds, stats.filter_reuses), (1, 1));
+        assert!(
+            Arc::ptr_eq(&restored, &f.ranked_holdings(at(4_500))),
+            "the re-store pushed the expiry out with it"
+        );
+        // A bumped version is a different listing.
+        f.cache_mut().store_shard(&shard("late", 2, 2), at(4_500));
+        assert!(!Arc::ptr_eq(&restored, &f.ranked_holdings(at(4_500))));
+    }
+
+    #[test]
+    fn pending_batch_adverts_are_scanned_on_a_settled_pair() {
+        // A hot set of two: the cold third shard sits in the listing below
+        // the cut and never rides a regular exchange on popularity.
+        let mut config = GossipConfig::enabled(2);
+        config.hot_set_size = 2;
+        let (mut fleet, mut net) = fleet_with(config, 10);
+        let now = SimInstant::ZERO;
+        fleet.cache_mut(0).store_shard(&shard("cold", 1, 3), now);
+        for term in ["hotA", "hotB"] {
+            fleet.cache_mut(0).store_shard(&shard(term, 1, 3), now);
+            for _ in 0..8 {
+                let _ = fleet.cache_mut(0).lookup_shard(term, now, 1);
+            }
+        }
+        for _ in 0..3 {
+            regular_exchange(&mut fleet, &mut net);
+        }
+        assert_eq!(regular_exchange(&mut fleet, &mut net).2, 2, "settled");
+        assert_eq!(fleet.frontend(1).cache().cached_shard_version("cold"), None);
+        // The advert names a shard of the very listing the record was
+        // written over — nothing in frontend 0's tier moved — and must
+        // still be offered.
+        fleet.note_batch_fetches(0, &[("cold".to_string(), 1)]);
+        let (_, accepted, _) = regular_exchange(&mut fleet, &mut net);
+        assert_eq!(accepted, 1, "the advert's shard is pushed");
+        assert_eq!(
+            fleet.frontend(1).cache().cached_shard_version("cold"),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn a_failed_swap_settles_nothing() {
+        let (mut fleet, mut net) = fleet_with(GossipConfig::enabled(2), 10);
+        let now = SimInstant::ZERO;
+        // Nothing to move in either direction — the exchange that would
+        // settle at once — but the swap never completes.
+        net.set_partition(fleet.frontend_peer(1), 9);
+        assert_eq!(regular_exchange(&mut fleet, &mut net), (0, 0, 0));
+        assert_eq!(regular_exchange(&mut fleet, &mut net), (0, 0, 0));
+        assert_eq!(fleet.stats().failed_exchanges, 2);
+        for f in 0..2 {
+            let mut syncs = fleet.frontend(f).sync.values();
+            assert!(syncs.all(|s| s.settled_delta.is_none() && s.settled_full.is_none()));
+        }
+        net.heal_all();
+        // Healed: the first completed exchange scans and settles, the
+        // second is the first to skip.
+        assert_eq!(regular_exchange(&mut fleet, &mut net).2, 0);
+        assert_eq!(regular_exchange(&mut fleet, &mut net).2, 2);
+        // A partition on a settled pair leaves the records as they were:
+        // what frontend 1 drops meanwhile is refilled once the swap works.
+        fleet.cache_mut(0).store_shard(&shard("nectar", 1, 3), now);
+        for _ in 0..3 {
+            regular_exchange(&mut fleet, &mut net);
+        }
+        net.set_partition(fleet.frontend_peer(1), 9);
+        assert_eq!(fleet.cache_mut(1).invalidate_term("nectar", now), 1);
+        assert_eq!(regular_exchange(&mut fleet, &mut net), (0, 0, 0));
+        net.heal_all();
+        assert_eq!(regular_exchange(&mut fleet, &mut net).1, 1);
+    }
+
+    /// After a full exchange in which no fill was admitted — whichever records
+    /// it met — each side's sync state is exact: `advertised` its own whole
+    /// listing, `holdings` the partner's, no filter kept; and the swap
+    /// carried both whole listings.
+    fn assert_full_exchange_is_exact(fleet: &mut GossipFleet, net: &mut SimNet) {
+        let now = SimInstant::ZERO;
+        let listings: Vec<crate::frontend::Listing> = (0..2)
+            .map(|i| fleet.frontends[i].ranked_holdings(now))
+            .collect();
+        let (before, accepted) = (fleet.stats().digest_bytes, fleet.stats().shards_accepted);
+        assert!(fleet.exchange(net, 0, 1, now, ExchangeClass::AntiEntropy));
+        assert_eq!(fleet.stats().shards_accepted, accepted);
+        let swapped: usize = listings
+            .iter()
+            .map(|held| crate::Digest::new(held.to_vec()).wire_bytes())
+            .sum();
+        assert_eq!(fleet.stats().digest_bytes - before, swapped as u64);
+        for (me, partner) in [(0usize, 1usize), (1, 0)] {
+            let sync = &fleet.frontend(me).sync[&fleet.frontend_peer(partner)];
+            let told: HashMap<Arc<str>, u64> = listings[me]
+                .iter()
+                .map(|e| (Arc::clone(e.term()), e.version()))
+                .collect();
+            assert_eq!(sync.advertised, told, "frontend {me} advertised");
+            let held: crate::digest::HoldingsView = listings[partner]
+                .iter()
+                .map(|e| (Arc::clone(e.term()), e.clone()))
+                .collect();
+            assert_eq!(sync.holdings, held, "frontend {me} holdings");
+            assert!(sync.filter.is_none());
+        }
+    }
+
+    #[test]
+    fn anti_entropy_after_quiet_rounds_leaves_exact_sync_state() {
+        // A hot set of four over tiers of ten: regular exchanges advertise
+        // a strict subset of what a full one does.
+        let mut config = GossipConfig::enabled(2);
+        config.hot_set_size = 4;
+        config.max_fills_per_exchange = 32;
+        let (mut fleet, mut net) = settled_pair(config, 10);
+        let full_sides = |fleet: &mut GossipFleet, net: &mut SimNet| {
+            let before = fleet.stats().settled_sides;
+            assert_full_exchange_is_exact(fleet, net);
+            fleet.stats().settled_sides - before
+        };
+        // The first full exchange moves the six shards below the hot-set
+        // cut; the next one finds nothing to push and records it.
+        assert!(fleet.exchange(&mut net, 0, 1, SimInstant::ZERO, ExchangeClass::AntiEntropy));
+        assert_eq!(fleet.stats().shards_accepted, 10);
+        assert_eq!(full_sides(&mut fleet, &mut net), 0);
+        // A hit, straight away and again after a run of quiet regular
+        // exchanges (which set the partner filter a full exchange clears).
+        assert_eq!(full_sides(&mut fleet, &mut net), 2);
+        for _ in 0..3 {
+            regular_exchange(&mut fleet, &mut net);
+        }
+        assert!(fleet.frontend(0).sync[&1].filter.is_some());
+        assert_eq!(full_sides(&mut fleet, &mut net), 2);
+        // Not a hit on either side: frontend 1 fetched a shard frontend 0
+        // has heard a newer version of, so only frontend 1's listing is new.
+        // Frontend 1 may not take the record over its old listing (it
+        // advertises and offers the newcomer), frontend 0 not the one over
+        // frontend 1's old listing (it learns the newcomer is held).
+        fleet.observe(0, "newcomer", 2);
+        fleet
+            .cache_mut(1)
+            .store_shard(&shard("newcomer", 1, 3), SimInstant::ZERO);
+        let rejected = fleet.stats().stale_rejected;
+        assert_eq!(full_sides(&mut fleet, &mut net), 0);
+        assert_eq!(fleet.stats().stale_rejected, rejected + 1);
+        // Frontend 0 has nothing to push and settles; frontend 1 keeps
+        // offering what the version guard keeps refusing.
+        assert_eq!(full_sides(&mut fleet, &mut net), 1);
+        assert_eq!(fleet.stats().stale_rejected, rejected + 2);
+    }
+
     /// Remaining lifetime of `term` in `cache` at `now`, found by bisecting
     /// the instant the shard digest stops advertising it.
     fn remaining_ttl(cache: &QueryCache, term: &str, now: SimInstant) -> SimDuration {
@@ -1427,8 +1692,9 @@ mod tests {
                 evictions: 6,
                 revivals: 2,
                 batch_adverts: 13,
-                filter_builds: 376,
-                filter_reuses: 478,
+                filter_builds: 334,
+                filter_reuses: 520,
+                settled_sides: 138,
             }
         );
         let wire = net.stats();

@@ -1,6 +1,20 @@
 //! One frontend of the fleet: its private cache, its version knowledge,
 //! its view of the membership, and the memoised listings its digests are
 //! built from.
+//!
+//! Three host-side memos let an exchange cost what changed since the last
+//! one, and none of them is read by anything simulated:
+//!
+//! * the **listing** ([`Frontend::ranked_holdings`]) is re-ranked only when
+//!   the shard tier's `(generation, popularity epoch)` moved or the clock
+//!   left the interval the last ranking is exact for, and a re-ranking
+//!   that lists what the last one listed keeps the old handle — so the
+//!   handle's identity means "the same `(term, version)` sequence";
+//! * the **holdings filter** ([`Frontend::holdings_filter`]) belongs to the
+//!   listing handle it was built over;
+//! * the per-partner **settled records** in [`PeerSync`] remember, by
+//!   handle, an exchange that had nothing to tell and nothing to push, so
+//!   its repetition skips the scans that would conclude the same.
 
 use crate::config::FILTER_BITS_PER_ENTRY;
 use crate::digest::{DigestEntry, HoldingsView, VersionVector};
@@ -12,6 +26,12 @@ use qb_common::SimInstant;
 use qb_segment::{ImportReport, Segment, SegmentRef};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// A frontend's ranked shard listing, by handle. [`Frontend::ranked_holdings`]
+/// hands out a new handle only when the listed `(term, version)` sequence
+/// changed, and everything cached behind a listing holds a clone of its
+/// handle — so `Arc::ptr_eq` on two of them means "lists the same thing".
+pub(crate) type Listing = Arc<[DigestEntry]>;
 
 /// What one frontend knows about the sync state with one partner — the
 /// receiver-side reconstruction state of the delta-digest protocol.
@@ -28,6 +48,26 @@ pub(crate) struct PeerSync {
     /// anti-entropy uses it to confirm an in-zone candidate still covers
     /// the missing shards before redirecting a partner slot to it.
     pub(crate) filter: Option<Arc<ShardFilter>>,
+    /// Delta exchanges: my listing and the partner's holdings filter at
+    /// the last one that found nothing to push. While both handles come
+    /// back, `advertised` covers my hot set and `holdings` plus that
+    /// filter suppress every fill — the exchange side repeats itself.
+    pub(crate) settled_delta: Option<(Listing, Arc<ShardFilter>)>,
+    /// Full (anti-entropy, bootstrap) exchanges: my listing and the
+    /// partner's at the last one that found nothing to push. While both
+    /// handles come back, `advertised` is exactly mine, `holdings` exactly
+    /// theirs, and nothing needs a fill.
+    pub(crate) settled_full: Option<(Listing, Listing)>,
+}
+
+impl PeerSync {
+    /// `advertised` or `holdings` is about to change: whatever an earlier
+    /// exchange concluded from them no longer stands. Every path that
+    /// writes either map calls this first.
+    pub(crate) fn unsettle(&mut self) {
+        self.settled_delta = None;
+        self.settled_full = None;
+    }
 }
 
 /// One frontend's memo of the `(term, version)` pairs it has fingerprinted:
@@ -65,9 +105,22 @@ impl Fingerprints {
     }
 }
 
-/// Everything a ranked shard listing reads: the shard tier's generation,
-/// its popularity epoch, and the instant (which decides TTL aliveness).
-type DigestStamp = (u64, u64, SimInstant);
+/// What a ranked shard listing reads besides the clock: the shard tier's
+/// generation and its popularity epoch.
+type DigestStamp = (u64, u64);
+
+/// The last ranked listing and everything that says whether it still is
+/// one: the clock only drops entries past their TTL, so with the stamp
+/// standing the listing is exact from the instant it was taken until the
+/// first of its entries expires.
+#[derive(Debug)]
+struct RankedListing {
+    stamp: DigestStamp,
+    taken_at: SimInstant,
+    /// Earliest expiry among the listed entries (`None`: nothing listed).
+    next_expiry: Option<SimInstant>,
+    ranked: Listing,
+}
 
 /// One query frontend: a peer in the simulated network, its private cache,
 /// its per-term version knowledge and its view of the fleet.
@@ -106,13 +159,14 @@ pub struct Frontend {
     pub(crate) pending_adverts: Vec<(String, u64)>,
     /// Every shard alive in the cache, hottest first, cached behind
     /// everything the ranking reads — the shard tier's `(generation,
-    /// popularity epoch)` and the instant: a tier nothing touched is
-    /// scanned, ranked and resolved once, not once per exchange side.
-    digest_cache: Option<(DigestStamp, Arc<[DigestEntry]>)>,
-    /// The holdings filter of the last delta exchange, cached behind the
-    /// shard tier's `(generation, instant)`: rounds where nothing changed
-    /// reuse it instead of rebuilding per exchange.
-    filter_cache: Option<(u64, SimInstant, Arc<ShardFilter>)>,
+    /// popularity epoch)` and the interval of instants no listed entry
+    /// expires in: a tier nothing touched is scanned, ranked and resolved
+    /// once, not once per exchange side or per round.
+    digest_cache: Option<RankedListing>,
+    /// The holdings filter of the last delta exchange with the listing it
+    /// was built over — a pure function of the listed key set, so it
+    /// stands for as long as that listing's handle is handed out.
+    filter_cache: Option<(Listing, Arc<ShardFilter>)>,
     /// The fingerprints behind this frontend's digests and adverts.
     pub(crate) fingerprints: Fingerprints,
     /// The newest published segment artifact this frontend knows of,
@@ -240,52 +294,75 @@ impl Frontend {
     }
 
     /// Every shard alive in the cache at `now`, hottest first, shared by
-    /// handle. Extracted once per tier state: the cached listing is exact
-    /// while the shard tier's generation, its popularity epoch (reads
-    /// reorder the ranking without moving the generation) and the instant
-    /// (which decides TTL aliveness) all stand still. A full exchange
-    /// advertises all of it, a regular one its first `hot_set_size`.
-    pub(crate) fn ranked_holdings(&mut self, now: SimInstant) -> Arc<[DigestEntry]> {
+    /// handle. The cached listing is exact while the shard tier's
+    /// generation and its popularity epoch (reads reorder the ranking
+    /// without moving the generation) stand still and `now` stays inside
+    /// `[taken_at, next_expiry)`. Past that the tier is ranked again — and
+    /// when the new ranking lists the same `(term, version)` at every
+    /// position (a `Fresh` read re-stores the version it fetched: the
+    /// generation moves, the listing does not) the old handle is kept, so
+    /// whatever is cached behind it — the holdings filter, the partners'
+    /// settled records — stays valid. A full exchange advertises all of
+    /// it, a regular one its first `hot_set_size`.
+    pub(crate) fn ranked_holdings(&mut self, now: SimInstant) -> Listing {
         let cache = self.cache();
-        let stamp: DigestStamp = (
-            cache.shard_generation(),
-            cache.shard_popularity_epoch(),
-            now,
-        );
-        if let Some((cached, ranked)) = &self.digest_cache {
-            if *cached == stamp {
-                return Arc::clone(ranked);
+        let stamp: DigestStamp = (cache.shard_generation(), cache.shard_popularity_epoch());
+        if let Some(cached) = &self.digest_cache {
+            if cached.stamp == stamp
+                && cached.taken_at <= now
+                && cached.next_expiry.is_none_or(|expiry| now < expiry)
+            {
+                return Arc::clone(&cached.ranked);
             }
         }
+        let next_expiry = cache.next_shard_expiry(now);
         // Borrow the cache by field from here on: the listing's terms point
         // into it while the fingerprint memo next to it is written.
         let listing = self
             .cache
             .as_ref()
             .map_or_else(Vec::new, |cache| cache.shard_digest(usize::MAX, now));
-        let ranked: Arc<[DigestEntry]> = listing
-            .into_iter()
-            .map(|(term, version)| self.fingerprints.entry(term, version))
-            .collect();
+        // Compared before anything is fingerprinted: pointer-free string
+        // and integer compares against the entries already resolved.
+        let unchanged = self.digest_cache.take().filter(|cached| {
+            cached.ranked.len() == listing.len()
+                && cached
+                    .ranked
+                    .iter()
+                    .zip(&listing)
+                    .all(|(old, &(term, version))| {
+                        old.version() == version && **old.term() == *term
+                    })
+        });
+        let ranked: Listing = match unchanged {
+            Some(cached) => cached.ranked,
+            None => listing
+                .into_iter()
+                .map(|(term, version)| self.fingerprints.entry(term, version))
+                .collect(),
+        };
         self.fingerprints.retain_live(&ranked);
-        self.digest_cache = Some((stamp, Arc::clone(&ranked)));
+        self.digest_cache = Some(RankedListing {
+            stamp,
+            taken_at: now,
+            next_expiry,
+            ranked: Arc::clone(&ranked),
+        });
         ranked
     }
 
-    /// The holdings filter for a delta exchange over `holdings` at `now`,
-    /// served from the per-frontend cache while the shard tier's
-    /// generation (and the instant, which decides TTL aliveness) are
-    /// unchanged — a steady round builds the filter once instead of once
-    /// per exchange.
+    /// The holdings filter over `holdings`, a listing
+    /// [`Frontend::ranked_holdings`] handed out: served from the
+    /// per-frontend cache while that same handle comes back, built (and
+    /// remembered with the handle, which keeps the allocation from being
+    /// reused under the comparison) when the listing changed.
     pub(crate) fn holdings_filter(
         &mut self,
-        holdings: &[DigestEntry],
-        now: SimInstant,
+        holdings: &Listing,
         stats: &mut GossipStats,
     ) -> Arc<ShardFilter> {
-        let generation = self.cache().shard_generation();
-        if let Some((cached_gen, cached_at, filter)) = &self.filter_cache {
-            if *cached_gen == generation && *cached_at == now {
+        if let Some((listed, filter)) = &self.filter_cache {
+            if Arc::ptr_eq(listed, holdings) {
                 stats.filter_reuses += 1;
                 return Arc::clone(filter);
             }
@@ -295,7 +372,7 @@ impl Frontend {
             holdings.iter().map(DigestEntry::key),
             FILTER_BITS_PER_ENTRY,
         ));
-        self.filter_cache = Some((generation, now, Arc::clone(&filter)));
+        self.filter_cache = Some((Arc::clone(holdings), Arc::clone(&filter)));
         filter
     }
 

@@ -74,11 +74,22 @@ pub struct GossipStats {
     /// Batch-aware advertisements that rode a digest ahead of hot-set
     /// popularity (one count per advert per exchange it rode).
     pub batch_adverts: u64,
-    /// Holdings filters actually built for delta-digest exchanges.
+    /// Holdings filters built for delta-digest exchanges: one per distinct
+    /// listing a frontend brought to one — the listed `(term, version)`
+    /// sequence changed since the filter before. Host-side work, not
+    /// traffic.
     pub filter_builds: u64,
-    /// Holdings filters served from the per-frontend cache (unchanged
-    /// shard-tier generation at the same instant) instead of being rebuilt.
+    /// Holdings filters served from the per-frontend cache instead: the
+    /// exchange side brought the listing (by handle) the cached filter was
+    /// built over, whatever generation or instant it was re-ranked at.
     pub filter_reuses: u64,
+    /// Exchange sides that skipped their fill scan (and, in a full
+    /// exchange, the rebuild of their per-partner sync state) because
+    /// their settled record for the partner matched: the same listing
+    /// against the same partner filter or listing already found nothing to
+    /// push, and nothing was told or learned since. Host-side work, not
+    /// traffic.
+    pub settled_sides: u64,
 }
 
 impl GossipStats {
@@ -123,6 +134,7 @@ impl qb_trace::MetricsSource for GossipStats {
         out.add_counter("gossip.batch_adverts", self.batch_adverts);
         out.add_counter("gossip.filter_builds", self.filter_builds);
         out.add_counter("gossip.filter_reuses", self.filter_reuses);
+        out.add_counter("gossip.settled_sides", self.settled_sides);
     }
 }
 

@@ -177,6 +177,14 @@ impl PostingList {
                 "unreasonable posting count {count}"
             )));
         }
+        // The count comes off the wire: what is left of the input bounds it,
+        // and with it the reservation below.
+        let remaining = data.len() - pos;
+        if count > (remaining / MIN_POSTING_BYTES) as u64 {
+            return Err(QbError::Codec(format!(
+                "posting list claims {count} postings in {remaining} bytes"
+            )));
+        }
         let mut postings = Vec::with_capacity(count as usize);
         let mut doc_id = 0u64;
         for _ in 0..count {
@@ -205,6 +213,10 @@ impl PostingList {
         self.encode().len()
     }
 }
+
+/// Fewest bytes one encoded posting takes: a one-byte doc-id delta and a
+/// one-byte term frequency.
+const MIN_POSTING_BYTES: usize = 2;
 
 #[cfg(test)]
 mod tests {
@@ -339,7 +351,43 @@ mod tests {
         assert!(dense.encoded_len() < 10_000 * 3);
     }
 
+    #[test]
+    fn a_huge_posting_count_is_rejected_before_anything_is_reserved() {
+        // Count 100_000_000, then one byte: five bytes that used to reserve
+        // 1.6 GB of postings before failing on the first one.
+        let mut bytes = Vec::new();
+        varint::encode_u64(100_000_000, &mut bytes);
+        bytes.push(0);
+        assert_eq!(bytes.len(), 5);
+        match PostingList::decode(&bytes) {
+            Err(QbError::Codec(msg)) => {
+                assert!(msg.contains("claims 100000000 postings"), "{msg}")
+            }
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+    }
+
     proptest! {
+        /// Arbitrary, truncated and bit-flipped bytes: the decoder either
+        /// returns an error or a value that re-encodes to a decodable equal —
+        /// it never panics.
+        #[test]
+        fn decode_survives_hostile_bytes(
+            garbage in proptest::collection::vec(any::<u8>(), 0..96),
+            ids in proptest::collection::btree_set(any::<u32>(), 0..12),
+            cut in any::<usize>(),
+            flip in any::<usize>(),
+        ) {
+            let valid = list(&ids.iter().map(|&d| d as u64).collect::<Vec<_>>()).encode();
+            let mut flipped = valid.clone();
+            flipped[flip % valid.len()] ^= 1 << (flip % 8);
+            for bytes in [&garbage[..], &valid[..cut % valid.len()], &flipped[..]] {
+                if let Ok(l) = PostingList::decode(bytes) {
+                    prop_assert_eq!(PostingList::decode(&l.encode()).unwrap(), l);
+                }
+            }
+        }
+
         #[test]
         fn round_trip_random(ids in proptest::collection::btree_set(any::<u32>(), 0..500)) {
             let postings: Vec<Posting> = ids.iter().map(|&d| Posting { doc_id: d as u64, term_freq: (d % 7) + 1 }).collect();

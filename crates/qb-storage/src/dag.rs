@@ -5,6 +5,9 @@ use qb_common::{varint, Cid, Hash256, QbError, QbResult};
 
 const MANIFEST_MAGIC: &[u8; 6] = b"QBDAG1";
 
+/// Bytes one chunk cid takes in an encoded manifest.
+const CID_BYTES: usize = 32;
+
 /// A manifest lists the chunk cids of an object in order. The manifest is
 /// itself stored as a block; the cid of that block is the object's root cid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,13 +58,22 @@ impl Manifest {
         if count > 1_000_000 {
             return Err(QbError::Codec(format!("unreasonable chunk count {count}")));
         }
+        // The count comes off the wire (a provider hands `get_object` this
+        // block): what is left of the input bounds it, and with it the
+        // reservation below.
+        let remaining = data.len() - pos;
+        if count > (remaining / CID_BYTES) as u64 {
+            return Err(QbError::Codec(format!(
+                "manifest claims {count} chunks in {remaining} bytes"
+            )));
+        }
         let mut chunks = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            let end = pos + 32;
+            let end = pos + CID_BYTES;
             let bytes = data
                 .get(pos..end)
                 .ok_or_else(|| QbError::Codec("truncated manifest".into()))?;
-            let mut arr = [0u8; 32];
+            let mut arr = [0u8; CID_BYTES];
             arr.copy_from_slice(bytes);
             chunks.push(Cid(Hash256::from_bytes(arr)));
             pos = end;
@@ -137,7 +149,44 @@ mod tests {
         assert_eq!(decoded, m);
     }
 
+    #[test]
+    fn a_huge_chunk_count_is_rejected_before_anything_is_reserved() {
+        // Magic, total_len 0, count 1_000_000, then nothing: ten bytes that
+        // used to reserve 32 MB of cids before failing on the first one.
+        let mut bytes = MANIFEST_MAGIC.to_vec();
+        varint::encode_u64(0, &mut bytes);
+        varint::encode_u64(1_000_000, &mut bytes);
+        assert_eq!(bytes.len(), 10);
+        match Manifest::decode(&bytes) {
+            Err(QbError::Codec(msg)) => assert!(msg.contains("claims 1000000 chunks"), "{msg}"),
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+    }
+
     proptest! {
+        /// Arbitrary, truncated and bit-flipped bytes: the decoder either
+        /// returns an error or a value that re-encodes to a decodable equal —
+        /// it never panics.
+        #[test]
+        fn decode_survives_hostile_bytes(
+            garbage in proptest::collection::vec(any::<u8>(), 0..96),
+            chunk_sizes in proptest::collection::vec(0usize..16, 0..6),
+            cut in any::<usize>(),
+            flip in any::<usize>(),
+        ) {
+            let chunks: Vec<Vec<u8>> = chunk_sizes.iter().map(|&s| vec![7u8; s]).collect();
+            let valid = manifest_of(&chunks).encode();
+            let mut flipped = valid.clone();
+            flipped[flip % valid.len()] ^= 1 << (flip % 8);
+            // The magic alone gets garbage past the first check.
+            let framed = [&MANIFEST_MAGIC[..], &garbage[..]].concat();
+            for bytes in [&garbage[..], &framed[..], &valid[..cut % valid.len()], &flipped[..]] {
+                if let Ok(m) = Manifest::decode(bytes) {
+                    prop_assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
+                }
+            }
+        }
+
         #[test]
         fn round_trip_prop(chunk_sizes in proptest::collection::vec(0usize..64, 0..50)) {
             let chunks: Vec<Vec<u8>> = chunk_sizes
