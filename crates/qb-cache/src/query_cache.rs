@@ -129,21 +129,6 @@ pub fn result_key(terms: &[String]) -> String {
     sorted.join(" ")
 }
 
-fn scored_doc_bytes(d: &ScoredDoc) -> usize {
-    // doc_id + score + version + creator + the name's heap bytes.
-    8 + 8 + 8 + 8 + d.name.len()
-}
-
-fn result_bytes(key: &str, r: &CachedResult) -> usize {
-    key.len()
-        + r.results.iter().map(scored_doc_bytes).sum::<usize>()
-        + r.term_versions
-            .iter()
-            .map(|(t, _)| t.len() + 8)
-            .sum::<usize>()
-        + 48
-}
-
 fn shard_bytes(s: &ShardEntry) -> usize {
     s.term.len()
         + 8
@@ -234,31 +219,45 @@ impl QueryCache {
         Some(entry.clone())
     }
 
-    /// Store a result entry computed from the given per-term shard
-    /// versions; the tier keeps the caller's list, it does not copy it.
-    /// Returns whether the entry was admitted.
-    pub fn store_result(
+    /// Offer the result tier the entry of `key`: the list `list` would
+    /// build — `list_bytes` is its documents' [`ScoredDoc::bytes`] summed —
+    /// computed from the given per-term shard versions. The list, the
+    /// entry's term versions and its reverse-index rows are built only once
+    /// the tier admits the entry; the tier keeps the list `list` returns,
+    /// it does not copy it. Returns whether the entry was admitted.
+    pub fn store_result<'t>(
         &mut self,
         key: &str,
-        results: Arc<Vec<ScoredDoc>>,
-        term_versions: Vec<(String, u64)>,
+        term_versions: impl Iterator<Item = (&'t str, u64)> + Clone,
+        list_bytes: usize,
         now: SimInstant,
+        list: impl FnOnce() -> Arc<Vec<ScoredDoc>>,
     ) -> bool {
-        let entry = CachedResult {
-            results,
-            term_versions,
+        let terms = term_versions.clone().map(|(term, _)| term.len() + 8);
+        let bytes = key.len() + list_bytes + terms.sum::<usize>() + 48;
+        let entry = || {
+            let results = list();
+            debug_assert_eq!(
+                results.iter().map(ScoredDoc::bytes).sum::<usize>(),
+                list_bytes
+            );
+            CachedResult {
+                results,
+                term_versions: term_versions
+                    .clone()
+                    .map(|(term, version)| (term.to_string(), version))
+                    .collect(),
+            }
         };
-        let bytes = result_bytes(key, &entry);
-        let terms: Vec<String> = entry.term_versions.iter().map(|(t, _)| t.clone()).collect();
-        let admitted = self.results.insert(key, entry, bytes, 0, now);
+        let admitted = self.results.insert(key, bytes, 0, now, entry);
         // Unindex whatever the insert displaced (evicted victims, or the
         // replaced previous entry for this key) *before* indexing the new
         // entry, so replacement cannot strip the fresh mappings.
         self.prune_result_index();
         if admitted {
-            for term in terms {
+            for (term, _) in term_versions {
                 self.term_to_queries
-                    .entry(term)
+                    .entry(term.to_string())
                     .or_default()
                     .insert(key.to_string());
             }
@@ -360,7 +359,7 @@ impl QueryCache {
     pub fn store_shard_handle(&mut self, shard: &Arc<ShardEntry>, now: SimInstant) {
         if shard.version == 0 && shard.postings.is_empty() {
             self.negatives
-                .insert(&shard.term, (), shard.term.len() + 16, 0, now);
+                .insert(&shard.term, shard.term.len() + 16, 0, now, || ());
         } else {
             let ttl = self.adaptive_shard_ttl(&shard.term);
             self.insert_shard(shard, now, ttl);
@@ -377,14 +376,10 @@ impl QueryCache {
     /// admission policy refuses it.
     fn insert_shard(&mut self, shard: &Arc<ShardEntry>, now: SimInstant, ttl: SimDuration) -> bool {
         let bytes = shard_bytes(shard);
-        self.shards.insert_with_ttl(
-            &shard.term,
-            Arc::clone(shard),
-            bytes,
-            shard.version,
-            now,
-            ttl,
-        )
+        self.shards
+            .insert_with_ttl(&shard.term, bytes, shard.version, now, ttl, || {
+                Arc::clone(shard)
+            })
     }
 
     /// The shard-tier TTL this cache would give `term` right now. With
@@ -652,6 +647,17 @@ mod tests {
         }
     }
 
+    /// Offer a list that already exists, as a memo-served query does.
+    fn store(
+        c: &mut QueryCache,
+        key: &str,
+        list: Arc<Vec<ScoredDoc>>,
+        term_versions: &[(&str, u64)],
+    ) -> bool {
+        let bytes = list.iter().map(ScoredDoc::bytes).sum();
+        c.store_result(key, term_versions.iter().copied(), bytes, t0(), || list)
+    }
+
     #[test]
     fn result_key_is_order_independent() {
         let a = result_key(&["peer".into(), "decentralized".into()]);
@@ -664,11 +670,11 @@ mod tests {
     fn result_round_trip_and_version_invalidation() {
         let mut c = cache();
         let key = result_key(&["honey".into(), "bees".into()]);
-        c.store_result(
+        store(
+            &mut c,
             &key,
             Arc::new(vec![doc("wiki/bees", 1)]),
-            vec![("honey".into(), 2), ("bees".into(), 5)],
-            t0(),
+            &[("honey", 2), ("bees", 5)],
         );
         // Served while versions match.
         let versions = |term: &str| if term == "honey" { 2 } else { 5 };
@@ -690,23 +696,23 @@ mod tests {
     fn invalidate_term_purges_all_affected_entries() {
         let mut c = cache();
         c.store_shard(&shard("honey", 3, 4), t0());
-        c.store_result(
+        store(
+            &mut c,
             &result_key(&["honey".into()]),
             Arc::new(vec![doc("a", 1)]),
-            vec![("honey".into(), 3)],
-            t0(),
+            &[("honey", 3)],
         );
-        c.store_result(
+        store(
+            &mut c,
             &result_key(&["honey".into(), "bees".into()]),
             Arc::new(vec![doc("a", 1)]),
-            vec![("honey".into(), 3), ("bees".into(), 1)],
-            t0(),
+            &[("honey", 3), ("bees", 1)],
         );
-        c.store_result(
+        store(
+            &mut c,
             &result_key(&["unrelated".into()]),
             Arc::new(vec![doc("b", 1)]),
-            vec![("unrelated".into(), 1)],
-            t0(),
+            &[("unrelated", 1)],
         );
         let dropped = c.invalidate_term("honey", t0());
         assert_eq!(dropped, 3, "shard + two result entries");
@@ -778,7 +784,7 @@ mod tests {
         let mut c = cache();
         let key = result_key(&["honey".into()]);
         let list = Arc::new(vec![doc("wiki/bees", 1)]);
-        assert!(c.store_result(&key, Arc::clone(&list), vec![("honey".into(), 2)], t0()));
+        assert!(store(&mut c, &key, Arc::clone(&list), &[("honey", 2)]));
         let hit = c.lookup_result(&key, t0(), |_| 2).expect("warm hit");
         assert!(Arc::ptr_eq(&hit.results, &list), "served, not copied");
         drop(hit);
@@ -792,6 +798,18 @@ mod tests {
         assert!(c.lookup_result(&key, t0(), holders_during_check).is_none());
         assert_eq!(Arc::strong_count(&list), 1, "the stale entry is gone");
         assert_eq!(list[0].name, "wiki/bees", "the holder's list is intact");
+    }
+
+    #[test]
+    fn a_refused_result_is_never_built_or_indexed() {
+        let mut config = CacheConfig::small();
+        config.result_capacity_bytes = 1;
+        let mut c = QueryCache::new(config);
+        let unbuilt = || -> Arc<Vec<ScoredDoc>> { panic!("a refused result was built") };
+        let terms = [("honey", 2), ("bees", 5)];
+        assert!(!c.store_result("bees honey", terms.into_iter(), 41, t0(), unbuilt));
+        assert_eq!(c.metrics().result.admission_rejections, 1);
+        assert_eq!((c.tier_sizes().0, c.reverse_index_terms()), (0, 0));
     }
 
     #[test]
@@ -879,12 +897,7 @@ mod tests {
     fn result_entries_expire_by_ttl() {
         let mut c = cache();
         let key = result_key(&["old".into()]);
-        c.store_result(
-            &key,
-            Arc::new(vec![doc("a", 1)]),
-            vec![("old".into(), 1)],
-            t0(),
-        );
+        store(&mut c, &key, Arc::new(vec![doc("a", 1)]), &[("old", 1)]);
         let ttl = c.config().result_ttl;
         let just_before = t0() + SimDuration(ttl.0 - 1);
         assert!(c.lookup_result(&key, just_before, |_| 1).is_some());
@@ -918,11 +931,11 @@ mod tests {
         // reverse index must track only the survivors, not every query ever.
         for i in 0..200 {
             let term = format!("term{i}");
-            c.store_result(
+            store(
+                &mut c,
                 &term,
                 Arc::new(vec![doc("page/x", 1)]),
-                vec![(term.clone(), 1)],
-                t0(),
+                &[(&term, 1)],
             );
         }
         let (live, _, _) = c.tier_sizes();

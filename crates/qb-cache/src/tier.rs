@@ -176,16 +176,18 @@ impl<V> CacheTier<V> {
 
     /// Insert `key` with an explicit byte cost and version. Returns true
     /// when the entry was admitted. An entry larger than the whole tier, or
-    /// one refused by the sampled-LFU admission filter, is not stored.
+    /// one refused by the sampled-LFU admission filter, is not stored —
+    /// and `value` is only called once admission is granted, so a caller
+    /// can offer an entry it has not built yet.
     pub fn insert(
         &mut self,
         key: &str,
-        value: V,
         bytes: usize,
         version: u64,
         now: SimInstant,
+        value: impl FnOnce() -> V,
     ) -> bool {
-        self.insert_with_ttl(key, value, bytes, version, now, self.ttl)
+        self.insert_with_ttl(key, bytes, version, now, self.ttl, value)
     }
 
     /// Like [`CacheTier::insert`] but with a per-entry TTL override, used by
@@ -195,11 +197,11 @@ impl<V> CacheTier<V> {
     pub fn insert_with_ttl(
         &mut self,
         key: &str,
-        value: V,
         bytes: usize,
         version: u64,
         now: SimInstant,
         ttl: SimDuration,
+        value: impl FnOnce() -> V,
     ) -> bool {
         let hash = hash_key(key);
         self.record_popularity(hash);
@@ -231,7 +233,7 @@ impl<V> CacheTier<V> {
         self.entries.insert(
             key.to_string(),
             Slot {
-                value,
+                value: value(),
                 bytes,
                 version,
                 expires_at: now + ttl,
@@ -409,12 +411,12 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_first() {
         let mut tier = lru_tier(30);
-        tier.insert("a", 1, 10, 1, t0());
-        tier.insert("b", 2, 10, 1, t0());
-        tier.insert("c", 3, 10, 1, t0());
+        tier.insert("a", 10, 1, t0(), || 1);
+        tier.insert("b", 10, 1, t0(), || 2);
+        tier.insert("c", 10, 1, t0(), || 3);
         // Touch "a" so "b" becomes the LRU victim.
         assert!(tier.get("a", t0(), None).is_some());
-        tier.insert("d", 4, 10, 1, t0());
+        tier.insert("d", 10, 1, t0(), || 4);
         assert!(tier.contains("a"));
         assert!(!tier.contains("b"), "LRU victim should be b");
         assert!(tier.contains("c"));
@@ -427,15 +429,15 @@ mod tests {
     fn lru_eviction_order_is_full_recency_order() {
         let mut tier = lru_tier(40);
         for (k, v) in [("a", 1u64), ("b", 2), ("c", 3), ("d", 4)] {
-            tier.insert(k, v, 10, 1, t0());
+            tier.insert(k, 10, 1, t0(), || v);
         }
         // Recency now a < b < c < d. Touch in reverse: d c b a -> LRU is d.
         for k in ["d", "c", "b", "a"] {
             tier.get(k, t0(), None);
         }
-        tier.insert("e", 5, 10, 1, t0());
+        tier.insert("e", 10, 1, t0(), || 5);
         assert!(!tier.contains("d"));
-        tier.insert("f", 6, 10, 1, t0());
+        tier.insert("f", 10, 1, t0(), || 6);
         assert!(!tier.contains("c"));
         assert!(tier.contains("a") && tier.contains("b"));
     }
@@ -447,9 +449,9 @@ mod tests {
             SimDuration::from_secs(60),
             EvictionPolicy::SampledLfu { sample: 3 },
         );
-        tier.insert("hot1", 1, 10, 1, t0());
-        tier.insert("hot2", 2, 10, 1, t0());
-        tier.insert("hot3", 3, 10, 1, t0());
+        tier.insert("hot1", 10, 1, t0(), || 1);
+        tier.insert("hot2", 10, 1, t0(), || 2);
+        tier.insert("hot3", 10, 1, t0(), || 3);
         // Make the residents popular.
         for _ in 0..10 {
             tier.get("hot1", t0(), None);
@@ -457,14 +459,14 @@ mod tests {
             tier.get("hot3", t0(), None);
         }
         // A one-shot key must not displace them...
-        assert!(!tier.insert("cold", 9, 10, 1, t0()));
+        assert!(!tier.insert("cold", 10, 1, t0(), || 9));
         assert_eq!(tier.metrics.admission_rejections, 1);
         assert!(tier.contains("hot1") && tier.contains("hot2") && tier.contains("hot3"));
         // ...but a key that got as popular as the residents is admitted.
         for _ in 0..12 {
             tier.get("rising", t0(), None);
         }
-        assert!(tier.insert("rising", 7, 10, 1, t0()));
+        assert!(tier.insert("rising", 10, 1, t0(), || 7));
         assert_eq!(tier.metrics.evictions, 1);
         assert_eq!(tier.len(), 3);
     }
@@ -479,9 +481,9 @@ mod tests {
         // One cold resident, two hot ones; an incoming entry needing all
         // three slots must be refused without losing any resident — even
         // though it would beat the cold one.
-        tier.insert("cold", 1, 10, 1, t0());
-        tier.insert("hot1", 2, 10, 1, t0());
-        tier.insert("hot2", 3, 10, 1, t0());
+        tier.insert("cold", 10, 1, t0(), || 1);
+        tier.insert("hot1", 10, 1, t0(), || 2);
+        tier.insert("hot2", 10, 1, t0(), || 3);
         for _ in 0..10 {
             tier.get("hot1", t0(), None);
             tier.get("hot2", t0(), None);
@@ -491,17 +493,75 @@ mod tests {
         }
         // incoming (freq ~6) beats cold (freq ~1) but loses to the hot pair,
         // and it needs 30 bytes = every slot.
-        assert!(!tier.insert("incoming", 9, 30, 1, t0()));
+        assert!(!tier.insert("incoming", 30, 1, t0(), || 9));
         assert_eq!(tier.metrics.evictions, 0, "no resident may be sacrificed");
         assert!(tier.contains("cold") && tier.contains("hot1") && tier.contains("hot2"));
         assert_eq!(tier.metrics.admission_rejections, 1);
     }
 
     #[test]
+    fn a_refused_insert_never_builds_its_value() {
+        // Two identically prepared tiers: one is offered a value that must
+        // not be built, the other a plain one. Both refusals — oversize,
+        // then sampled-LFU — leave the same state behind.
+        let prepared = || {
+            let mut tier: CacheTier<u64> = CacheTier::new(
+                30,
+                SimDuration::from_secs(60),
+                EvictionPolicy::SampledLfu { sample: 3 },
+            );
+            for key in ["hot1", "hot2", "hot3"] {
+                tier.insert(key, 10, 1, t0(), || 1);
+                for _ in 0..10 {
+                    tier.get(key, t0(), None);
+                }
+            }
+            tier
+        };
+        let state = |tier: &CacheTier<u64>, key: &str| {
+            (
+                tier.metrics,
+                tier.bytes(),
+                tier.generation(),
+                tier.popularity_epoch(),
+                tier.sketch.estimate(hash_key(key)),
+            )
+        };
+        let (mut lazy, mut plain) = (prepared(), prepared());
+        for (key, bytes) in [("big", 31), ("cold", 10)] {
+            let before = state(&lazy, key);
+            let unbuilt = || -> u64 { panic!("a refused insert built its value") };
+            assert!(!lazy.insert(key, bytes, 1, t0(), unbuilt));
+            assert!(!plain.insert(key, bytes, 1, t0(), || 9));
+            assert_eq!(state(&lazy, key), state(&plain, key));
+            // The refusal is still an observation of the key.
+            let (metrics, held, generation, epoch, estimate) = state(&lazy, key);
+            assert_eq!(
+                metrics.admission_rejections,
+                before.0.admission_rejections + 1
+            );
+            assert_eq!((metrics.insertions, metrics.evictions), (3, 0));
+            assert_eq!((held, generation), (before.1, before.2));
+            assert_eq!((epoch, estimate), (before.3 + 1, before.4 + 1));
+        }
+        // Granted, the value is built exactly once.
+        let mut built = 0;
+        for _ in 0..12 {
+            lazy.get("rising", t0(), None);
+        }
+        let value = || {
+            built += 1;
+            7
+        };
+        assert!(lazy.insert("rising", 10, 1, t0(), value));
+        assert_eq!((built, lazy.peek("rising")), (1, Some(&7)));
+    }
+
+    #[test]
     fn ttl_expiry_follows_simulated_time() {
         let mut tier: CacheTier<u64> =
             CacheTier::new(100, SimDuration::from_secs(10), EvictionPolicy::Lru);
-        tier.insert("k", 7, 10, 1, t0());
+        tier.insert("k", 10, 1, t0(), || 7);
         let just_before = t0() + SimDuration::from_micros(9_999_999);
         assert_eq!(tier.get("k", just_before, None), Some(&7));
         let at_expiry = t0() + SimDuration::from_secs(10);
@@ -513,7 +573,7 @@ mod tests {
     #[test]
     fn version_mismatch_invalidates_on_read() {
         let mut tier: CacheTier<u64> = lru_tier(100);
-        tier.insert("term", 42, 10, 3, t0());
+        tier.insert("term", 10, 3, t0(), || 42);
         assert_eq!(tier.get("term", t0(), Some(3)), Some(&42));
         // A bumped current version makes the entry unreachable and drops it.
         assert_eq!(tier.get("term", t0(), Some(4)), None);
@@ -524,7 +584,7 @@ mod tests {
     #[test]
     fn explicit_invalidation_counts_and_removes() {
         let mut tier: CacheTier<u64> = lru_tier(100);
-        tier.insert("x", 1, 10, 1, t0());
+        tier.insert("x", 10, 1, t0(), || 1);
         assert!(tier.invalidate("x"));
         assert!(!tier.invalidate("x"));
         assert_eq!(tier.metrics.invalidations, 1);
@@ -535,7 +595,7 @@ mod tests {
     #[test]
     fn oversized_entries_are_refused() {
         let mut tier: CacheTier<u64> = lru_tier(16);
-        assert!(!tier.insert("big", 1, 17, 1, t0()));
+        assert!(!tier.insert("big", 17, 1, t0(), || 1));
         assert_eq!(tier.len(), 0);
         assert_eq!(tier.metrics.admission_rejections, 1);
     }
@@ -544,8 +604,8 @@ mod tests {
     fn per_entry_ttl_overrides_the_tier_default() {
         let mut tier: CacheTier<u64> =
             CacheTier::new(100, SimDuration::from_secs(60), EvictionPolicy::Lru);
-        tier.insert_with_ttl("short", 1, 10, 1, t0(), SimDuration::from_secs(5));
-        tier.insert("long", 2, 10, 1, t0());
+        tier.insert_with_ttl("short", 10, 1, t0(), SimDuration::from_secs(5), || 1);
+        tier.insert("long", 10, 1, t0(), || 2);
         let later = t0() + SimDuration::from_secs(5);
         assert_eq!(tier.get("short", later, None), None, "short TTL expired");
         assert_eq!(tier.get("long", later, None), Some(&2), "default TTL holds");
@@ -554,12 +614,12 @@ mod tests {
     #[test]
     fn peek_does_not_touch_recency_or_counters() {
         let mut tier = lru_tier(20);
-        tier.insert("a", 1, 10, 1, t0());
-        tier.insert("b", 2, 10, 1, t0());
+        tier.insert("a", 10, 1, t0(), || 1);
+        tier.insert("b", 10, 1, t0(), || 2);
         // Peeking "a" must not protect it from LRU eviction.
         assert_eq!(tier.peek("a"), Some(&1));
         assert_eq!(tier.metrics.hits, 0);
-        tier.insert("c", 3, 10, 1, t0());
+        tier.insert("c", 10, 1, t0(), || 3);
         assert!(!tier.contains("a"), "peek must not refresh recency");
         assert_eq!(tier.peek("missing"), None);
     }
@@ -568,7 +628,7 @@ mod tests {
     fn hottest_ranks_by_frequency_then_recency() {
         let mut tier = lru_tier(1000);
         for (k, v) in [("a", 1u64), ("b", 2), ("c", 3)] {
-            tier.insert(k, v, 10, v, t0());
+            tier.insert(k, 10, v, t0(), || v);
         }
         for _ in 0..6 {
             tier.get("b", t0(), None);
@@ -595,19 +655,19 @@ mod tests {
     fn generation_tracks_every_holdings_change() {
         let mut tier: CacheTier<u64> = lru_tier(30);
         assert_eq!(tier.generation(), 0);
-        tier.insert("a", 1, 10, 1, t0());
+        tier.insert("a", 10, 1, t0(), || 1);
         assert_eq!(tier.generation(), 1);
         // A pure read does not bump the generation.
         tier.get("a", t0(), None);
         assert_eq!(tier.generation(), 1);
         // Replacement = removal + insert.
-        tier.insert("a", 2, 10, 2, t0());
+        tier.insert("a", 10, 2, t0(), || 2);
         assert_eq!(tier.generation(), 3);
         // Eviction bumps (victim removal + new insert).
-        tier.insert("b", 3, 10, 1, t0());
-        tier.insert("c", 4, 10, 1, t0());
+        tier.insert("b", 10, 1, t0(), || 3);
+        tier.insert("c", 10, 1, t0(), || 4);
         let before = tier.generation();
-        tier.insert("d", 5, 10, 1, t0());
+        tier.insert("d", 10, 1, t0(), || 5);
         assert_eq!(tier.generation(), before + 2);
         // Invalidation and TTL expiry bump too.
         let before = tier.generation();
@@ -621,8 +681,8 @@ mod tests {
     #[test]
     fn replacing_a_key_updates_bytes_exactly() {
         let mut tier: CacheTier<u64> = lru_tier(100);
-        tier.insert("k", 1, 30, 1, t0());
-        tier.insert("k", 2, 10, 2, t0());
+        tier.insert("k", 30, 1, t0(), || 1);
+        tier.insert("k", 10, 2, t0(), || 2);
         assert_eq!(tier.bytes(), 10);
         assert_eq!(tier.len(), 1);
         assert_eq!(tier.version_of("k"), Some(2));
@@ -632,8 +692,8 @@ mod tests {
     #[test]
     fn reads_reorder_the_ranking_without_moving_the_generation() {
         let mut tier = lru_tier(1000);
-        tier.insert("a", 1, 10, 1, t0());
-        tier.insert("b", 2, 10, 1, t0());
+        tier.insert("a", 10, 1, t0(), || 1);
+        tier.insert("b", 10, 1, t0(), || 2);
         let (generation, epoch) = (tier.generation(), tier.popularity_epoch());
         assert_eq!(tier.hottest(2, t0()), vec![("b", 1), ("a", 1)]);
         tier.get("a", t0(), None);
@@ -644,7 +704,7 @@ mod tests {
         let epoch = tier.popularity_epoch();
         tier.get("absent", t0(), None);
         tier.note_miss("absent");
-        assert!(!tier.insert("huge", 3, 2000, 1, t0()));
+        assert!(!tier.insert("huge", 2000, 1, t0(), || 3));
         assert_eq!(tier.popularity_epoch(), epoch + 3);
         assert_eq!(tier.generation(), generation);
     }
@@ -693,7 +753,7 @@ mod tests {
                     }
                     3 | 4 => {
                         let ttl = SimDuration::from_secs(arg);
-                        tier.insert_with_ttl(&key, arg, 10, arg, now, ttl);
+                        tier.insert_with_ttl(&key, 10, arg, now, ttl, || arg);
                     }
                     5 => {
                         tier.invalidate(&key);

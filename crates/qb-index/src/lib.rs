@@ -29,8 +29,8 @@ pub mod shard;
 pub use analyzer::Analyzer;
 pub use doc::{doc_id_for_name, DocMeta, DocTable};
 pub use index::InvertedIndex;
-pub use kernel::intersect_and_score;
+pub use kernel::{intersect_and_score, paginate, rank, Ranked};
 pub use postings::{Posting, PostingList};
 pub use query::{search, Query, QueryMode, ScoredDoc};
-pub use scorer::{blend_with_rank, Bm25};
+pub use scorer::{blend_with_component, blend_with_rank, rank_component, Bm25};
 pub use shard::{DistributedIndex, IndexStats, ReadMachine, ReadStep, ShardEntry, ShardPosting};

@@ -59,6 +59,20 @@ pub struct ScoredDoc {
     pub creator: u64,
 }
 
+impl ScoredDoc {
+    /// The bytes a byte-budgeted holder of result lists accounts this
+    /// document at.
+    pub fn bytes(&self) -> usize {
+        Self::bytes_named(&self.name)
+    }
+
+    /// [`ScoredDoc::bytes`] of a document that would carry `name`.
+    pub(crate) fn bytes_named(name: &str) -> usize {
+        // doc_id + score + version + creator + the name's heap bytes.
+        8 + 8 + 8 + 8 + name.len()
+    }
+}
+
 /// Evaluate a query against a local index.
 ///
 /// * `rank` — optional static PageRank per doc id, blended into the score

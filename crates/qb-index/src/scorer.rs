@@ -66,14 +66,26 @@ impl Bm25 {
     }
 }
 
+/// A page's static rank (PageRank) on the scale relevance is blended on:
+/// ranks are tiny probabilities, so they are log-scaled into a comparable
+/// range. It depends on the page alone, so a caller that blends many
+/// queries against one rank vector computes it (one `ln`) once per page.
+pub fn rank_component(rank: f64) -> f64 {
+    (1.0 + rank.max(0.0) * 1e6).ln()
+}
+
+/// Blend a relevance score with a page's [`rank_component`]; this is the
+/// formula [`blend_with_rank`] evaluates, so both agree bit for bit.
+pub fn blend_with_component(relevance: f64, rank_component: f64, rank_weight: f64) -> f64 {
+    let w = rank_weight.clamp(0.0, 1.0);
+    (1.0 - w) * relevance + w * relevance.max(1e-9) * rank_component
+}
+
 /// Blend a relevance score with a static page-importance score (PageRank),
 /// as the QueenBee frontend does when assembling results. `rank_weight` in
 /// `[0, 1]` controls how much the static rank matters.
 pub fn blend_with_rank(relevance: f64, rank: f64, rank_weight: f64) -> f64 {
-    let w = rank_weight.clamp(0.0, 1.0);
-    // Ranks are tiny probabilities; log-scale them into a comparable range.
-    let rank_component = (1.0 + rank.max(0.0) * 1e6).ln();
-    (1.0 - w) * relevance + w * relevance.max(1e-9) * rank_component
+    blend_with_component(relevance, rank_component(rank), rank_weight)
 }
 
 #[cfg(test)]
@@ -146,6 +158,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn rank_component_split_is_bit_identical_to_the_one_piece_formula() {
+        // The formula as `blend_with_rank` evaluated it before the rank
+        // component was split out.
+        fn one_piece(relevance: f64, rank: f64, rank_weight: f64) -> f64 {
+            let w = rank_weight.clamp(0.0, 1.0);
+            let rank_component = (1.0 + rank.max(0.0) * 1e6).ln();
+            (1.0 - w) * relevance + w * relevance.max(1e-9) * rank_component
+        }
+        for rank in [-0.25, 0.0, 1e-9, 1e-3, 0.5] {
+            let component = rank_component(rank);
+            for weight in [-1.0, 0.0, 0.3, 1.0, 7.5] {
+                for relevance in [0.0, 1e-12, 2.0] {
+                    let expected = one_piece(relevance, rank, weight).to_bits();
+                    let split = blend_with_component(relevance, component, weight);
+                    assert_eq!(split.to_bits(), expected);
+                    assert_eq!(blend_with_rank(relevance, rank, weight).to_bits(), expected);
+                }
+            }
+        }
+        // An unranked page blends as rank 0: the component is exactly 0.
+        assert_eq!(rank_component(0.0).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

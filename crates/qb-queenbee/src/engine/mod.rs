@@ -70,6 +70,8 @@ pub struct QueenBee {
     /// versions of the page forever).
     indexed_terms: HashMap<String, BTreeSet<String>>,
     ranks_by_name: HashMap<String, f64>,
+    /// The same ranks as the serving kernel reads them.
+    rank_components: rank::RankComponents,
     rank_round: u64,
     signatures: HashMap<String, (u64, MinHashSignature)>,
     known_creators: BTreeSet<AccountId>,
@@ -149,6 +151,7 @@ impl QueenBee {
             indexed_docs: HashMap::new(),
             indexed_terms: HashMap::new(),
             ranks_by_name: HashMap::new(),
+            rank_components: rank::RankComponents::default(),
             rank_round: 0,
             signatures: HashMap::new(),
             known_creators: BTreeSet::new(),
@@ -899,6 +902,102 @@ mod tests {
         let served = qb.serve_plan(warm, &reads, now, None);
         assert!(served.result_cache_hit());
         assert_eq!(served.hits, responses[0].hits);
+    }
+
+    #[test]
+    fn a_scored_list_is_built_only_for_who_keeps_it() {
+        // Eight ranked pages that all match every query below, so a page of
+        // three is a strict prefix of the candidates.
+        let words = ["meadow", "honey", "nectar", "pollen", "clover"];
+        let corpus = |mut qb: QueenBee| {
+            for i in 0..8usize {
+                let body: Vec<&str> = (0..=i).map(|j| words[j % words.len()]).collect();
+                let links = vec![format!("site/{}", (i + 1) % 3)];
+                let text = format!("{} {}", words.join(" "), body.join(" "));
+                qb.publish(
+                    1,
+                    AccountId(1_000),
+                    &page(&format!("site/{i}"), &text, links),
+                )
+                .unwrap();
+            }
+            qb.seal();
+            qb.process_publish_events().unwrap();
+            qb.run_rank_round().unwrap();
+            qb
+        };
+        let queries = [
+            "meadow honey",
+            "honey nectar pollen",
+            "clover meadow",
+            "pollen clover nectar",
+        ];
+        let serve = |qb: &mut QueenBee| -> Vec<SearchResponse> {
+            queries
+                .iter()
+                .map(|q| qb.search_request(from_peer(5, q).top_k(3)).unwrap())
+                .collect()
+        };
+        let n = queries.len() as u64;
+
+        // Cache off: every query scores, none builds more than its page.
+        let mut off = corpus(engine());
+        let off_hits = serve(&mut off);
+        assert!(off_hits
+            .iter()
+            .all(|r| r.hits.len() == 3 && r.total_matches == 8));
+        let stats = off.query_stats();
+        assert_eq!((stats.score_invocations, stats.scored_lists_built), (n, 0));
+
+        // Cache on: the same hits bit for bit, and a list per admission.
+        let mut on = corpus(cached_engine());
+        let on_hits = serve(&mut on);
+        let score_bits = |responses: &[SearchResponse]| -> Vec<u64> {
+            let hits = responses.iter().flat_map(|r| &r.hits);
+            hits.map(|d| d.score.to_bits()).collect()
+        };
+        for (on, off) in on_hits.iter().zip(&off_hits) {
+            assert_eq!(on.hits, off.hits);
+        }
+        assert_eq!(score_bits(&on_hits), score_bits(&off_hits));
+        let stats = on.query_stats();
+        let tier = on.cache_metrics().expect("cache enabled").result;
+        assert_eq!((stats.score_invocations, tier.insertions), (n, n));
+        assert_eq!(stats.scored_lists_built, tier.insertions);
+        // A result hit pages the kept list: the next page, nothing scored.
+        let next = on
+            .search_request(from_peer(5, queries[1]).top_k(3).page(1))
+            .unwrap();
+        assert!(next.result_cache_hit());
+        let whole = off
+            .search_request(from_peer(5, queries[1]).top_k(8))
+            .unwrap();
+        assert_eq!(next.hits, whole.hits[3..6]);
+        assert_eq!(on.query_stats(), stats);
+
+        // A result tier that refuses every entry: scored, refused, unbuilt.
+        let mut config = QueenBeeConfig::small();
+        config.cache = qb_cache::CacheConfig::enabled();
+        config.cache.result_capacity_bytes = 1;
+        let mut refusing = corpus(QueenBee::new(config).unwrap());
+        for (refused, off) in serve(&mut refusing).iter().zip(&off_hits) {
+            assert_eq!(refused.hits, off.hits);
+        }
+        let stats = refusing.query_stats();
+        let tier = refusing.cache_metrics().expect("cache enabled").result;
+        assert_eq!((stats.score_invocations, stats.scored_lists_built), (n, 0));
+        assert_eq!((tier.admission_rejections, tier.insertions), (n, 0));
+
+        // The by-id blend table is the by-name ranks, component for
+        // component.
+        assert_eq!(off.rank_components.len(), off.ranks_by_name.len());
+        for (name, rank) in &off.ranks_by_name {
+            let component = off.rank_components[&qb_index::doc_id_for_name(name)];
+            assert_eq!(
+                component.to_bits(),
+                qb_index::rank_component(*rank).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,38 @@ use crate::config::SLASH_AMOUNT;
 use qb_chain::{AccountId, Call};
 use qb_common::{DhtKey, Hash256, QbResult};
 use qb_rank::{LinkGraph, RankRoundReport};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a doc id to itself: a doc id is already 64 bits of SHA-256 of the
+/// page name ([`qb_index::doc_id_for_name`]), so hashing it again buys
+/// nothing on the one lookup every scored candidate makes.
+#[derive(Default)]
+pub(super) struct DocIdHasher(u64);
+
+impl Hasher for DocIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+}
+
+/// Doc id → [`qb_index::rank_component`] of the page's rank, for every page
+/// of the last rank round: what the scoring kernel blends a candidate with,
+/// found by the doc id its posting already holds. The component only
+/// changes once per round, so its `ln` is taken here, not per candidate.
+/// Pages are keyed as the index keys them — two names with one doc id are
+/// one document.
+pub(super) type RankComponents = HashMap<u64, f64, BuildHasherDefault<DocIdHasher>>;
 
 impl QueenBee {
     /// Run one decentralized PageRank round over the current registry's link
@@ -48,6 +80,16 @@ impl QueenBee {
 
         let report = self.config.rank.run(&graph, &behaviours);
         self.rank_round += 1;
+
+        self.rank_components = report
+            .ranks
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let doc_id = qb_index::doc_id_for_name(graph.name_of(i));
+                (doc_id, qb_index::rank_component(*r))
+            })
+            .collect();
 
         // Store the rank vector in decentralized storage with a DHT pointer
         // ("page ranks ... hosted in a decentralized storage").

@@ -16,7 +16,7 @@ use crate::query::response::{paginate, SearchResponse, StageCosts, TermProvenanc
 use qb_cache::QueryCache;
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_gossip::GossipFleet;
-use qb_index::{ReadStep, ScoredDoc, ShardEntry};
+use qb_index::{ReadStep, ScoredDoc, ShardEntry, ShardPosting};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -503,9 +503,11 @@ impl QueenBee {
     /// window set skip the intersect/score work.
     ///
     /// Shards are only ever borrowed here — from the plan's handles and the
-    /// window's reads — and fan out into the serving cache as handles;
-    /// the scored list is built once and the result tier (and the memo)
-    /// share it. The response's page of hits is the only copy made.
+    /// window's reads — and fan out into the serving cache as handles. The
+    /// kernel ranks borrowed keys ([`qb_index::rank`]); a scored list is
+    /// built only for a result tier that admits it or a memo, once, and
+    /// they share it. Otherwise the response's page of hits is all that is
+    /// built.
     pub(crate) fn serve_plan(
         &mut self,
         mut plan: QueryPlan,
@@ -594,33 +596,34 @@ impl QueenBee {
         let shard_stage = qb_simnet::parallel_latency(&term_latencies);
         let latency = shard_stage.max(stats_latency);
 
-        // Score the full candidate list; pagination slices it afterwards.
-        // A window memo serves duplicate computations from its
-        // version-tagged entries; every genuine computation is counted.
-        let rank_of = |name: &str| self.ranks_by_name.get(name).copied().unwrap_or(0.0);
+        // Score every candidate; what gets built from the scores is decided
+        // by who keeps it. A window memo serves duplicate computations from
+        // its version-tagged lists; every genuine computation is counted.
+        let components = &self.rank_components;
+        // An unranked page blends as rank 0: `rank_component(0.0)` is 0.
+        let component_of = |p: &ShardPosting| components.get(&p.doc_id).copied().unwrap_or(0.0);
         let rank_weight = self.config.rank_weight;
-        let (full, candidates_scored, memo_hit) = match memo {
-            Some(m) => m.intersect_and_score(plan.frontend, &shards, &stats, rank_of, rank_weight),
-            None => {
-                let (full, scored) =
-                    qb_index::intersect_and_score(&shards, &stats, rank_of, rank_weight);
-                (Arc::new(full), scored, false)
-            }
+        let (mut ranked, memo_hit) = match memo {
+            Some(m) => m.rank(plan.frontend, &shards, &stats, component_of, rank_weight),
+            None => (
+                qb_index::rank(&shards, &stats, component_of, rank_weight),
+                false,
+            ),
         };
         if !memo_hit {
             self.query_stats.score_invocations += 1;
         }
-        let hits = paginate(&full, page, top_k);
-        let total = full.len();
+        let total = ranked.len();
 
         // Cache stores: fetched shards fan out into this query's serving
         // cache (negative entries included — an empty version-0 shard is
         // stored as proven absence), the stats record refreshes, and the
-        // full result list is remembered under the shard versions actually
-        // served (a lagging replica's true version, never the current
-        // counter, so a stale response can never outlive its window).
-        // Responses computed from deliberately stale `MaxStaleness` shards
-        // are not cached: a strict reader must never inherit them.
+        // result tier is offered the whole list under the shard versions
+        // actually served (a lagging replica's true version, never the
+        // current counter, so a stale response can never outlive its
+        // window) — built only if the tier admits it. Responses computed
+        // from deliberately stale `MaxStaleness` shards are not cached: a
+        // strict reader must never inherit them.
         if let Some(c) = Self::cache_slot(&mut self.cache, &mut self.fleet, plan.frontend) {
             for shard in fan_out {
                 c.store_shard_handle(shard, now);
@@ -629,14 +632,19 @@ impl QueenBee {
                 c.store_stats(stats, stats.version);
             }
             if !any_stale {
-                let term_versions: Vec<(String, u64)> = plan
-                    .terms
-                    .iter()
-                    .zip(shards.iter())
-                    .map(|(t, s)| (t.term.clone(), s.version))
-                    .collect();
-                c.store_result(&plan.result_key, full, term_versions, now);
+                let terms = plan.terms.iter().map(|t| t.term.as_str());
+                let term_versions = terms.zip(shards.iter().map(|s| s.version));
+                let list_bytes = ranked.list_bytes();
+                c.store_result(&plan.result_key, term_versions, list_bytes, now, || {
+                    ranked.list()
+                });
             }
+        }
+        // The response owns its page — sliced from the list when a tier or
+        // the memo had it built, otherwise the only documents built.
+        let hits = ranked.page(page, top_k);
+        if !memo_hit && ranked.has_list() {
+            self.query_stats.scored_lists_built += 1;
         }
         self.record_observations(plan.frontend, observed);
         // `shards` borrowed the plan's handles; the plan moves on now.
@@ -648,7 +656,7 @@ impl QueenBee {
             stats: stats_latency,
             shard_fetch: shard_stage,
             messages,
-            candidates_scored,
+            candidates_scored: total,
             ..StageCosts::default()
         };
         self.finish_response(plan, hits, total, top_k, latency, trace, provenance)

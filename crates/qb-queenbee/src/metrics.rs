@@ -68,6 +68,10 @@ impl fmt::Display for CacheReport {
 pub struct QueryEngineStats {
     /// Genuine intersect+score computations performed (memo hits excluded).
     pub score_invocations: u64,
+    /// Whole scored lists materialised — for a result tier that admitted
+    /// the entry, or for a window memo. A computation nothing keeps the
+    /// list of builds only its response's page and counts nothing here.
+    pub scored_lists_built: u64,
     /// Scored lists served from a pipelined run's window memo — duplicate
     /// queries that skipped intersect/score entirely.
     pub window_memo_hits: u64,
@@ -80,6 +84,7 @@ pub struct QueryEngineStats {
 impl qb_trace::MetricsSource for QueryEngineStats {
     fn metrics_into(&self, out: &mut qb_trace::MetricsSnapshot) {
         out.add_counter("query.score_invocations", self.score_invocations);
+        out.add_counter("query.scored_lists_built", self.scored_lists_built);
         out.add_counter("query.window_memo_hits", self.window_memo_hits);
         out.add_counter("query.pipelined_windows", self.pipelined_windows);
         out.add_counter("query.pipelined_queries", self.pipelined_queries);

@@ -23,12 +23,12 @@
 //! sits behind an `Arc`, so fanning one fetch out to every query of the
 //! window and into each serving cache shares it, and the memo holds each
 //! scored list behind an `Arc` that a memo hit and the result tier share
-//! with it. Nothing here copies postings or scored documents.
+//! with it. Nothing here copies postings or scored lists.
 
 use crate::query::plan::{QueryPlan, StatsPlan, TermPlan};
 use qb_common::{QbResult, SimDuration, SimInstant};
 use qb_index::shard::IndexOpCost;
-use qb_index::{IndexStats, ReadMachine, ScoredDoc, ShardEntry};
+use qb_index::{IndexStats, Ranked, ReadMachine, ScoredDoc, ShardEntry, ShardPosting};
 use qb_simnet::SimNet;
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -267,11 +267,12 @@ impl WindowReads {
 }
 
 /// Intersect, score and rank the query terms' shards with the serving
-/// kernel ([`qb_index::intersect_and_score`]). Returns the **full** sorted
-/// result list — pagination is the response stage's job — plus the number
-/// of candidates scored. The engine calls the kernel directly; this name
-/// stays because the benchmark (`bench/`) probes the scoring layer through
-/// it.
+/// kernel's one-call form ([`qb_index::intersect_and_score`]): the whole
+/// sorted list, page ranks looked up by name, plus the number of candidates
+/// scored. The engine does not serve through it — `serve_plan` calls
+/// [`qb_index::rank`] and builds what its response or a cache keeps; this
+/// name stays because the benchmark (`bench/`) probes the scoring layer
+/// through it.
 pub fn intersect_and_score(
     shards: &[ShardEntry],
     stats: &IndexStats,
@@ -297,8 +298,8 @@ pub fn intersect_and_score(
 /// network-charged job, not a free side channel of the pipeline.
 #[derive(Debug, Default)]
 pub(crate) struct WindowMemo {
-    /// Fingerprint → (full scored list, candidates scored).
-    scored: HashMap<String, (Arc<Vec<ScoredDoc>>, usize)>,
+    /// Fingerprint → the whole scored list.
+    scored: HashMap<String, Arc<Vec<ScoredDoc>>>,
     /// Full scored lists served from the memo.
     pub(crate) hits: u64,
     /// Genuine intersect+score computations performed through the memo.
@@ -322,41 +323,40 @@ impl WindowMemo {
         key
     }
 
-    /// Memoized kernel call: serve the scored list from the memo when this
-    /// exact computation already ran for `frontend` in the window set,
-    /// otherwise run the kernel and remember the result. The third return
-    /// value reports whether this was a memo hit. Results are byte-identical
-    /// to the unmemoized call; the list is materialised once and every serve
-    /// of it shares the memo's handle.
-    pub(crate) fn intersect_and_score<S: Borrow<ShardEntry>>(
+    /// Memoized kernel call: page from the memo's list when this exact
+    /// computation already ran for `frontend` in the window set, otherwise
+    /// run the kernel and remember its list — a memo keeps whole lists, so
+    /// it always has one built. The second return value reports whether
+    /// this was a memo hit. Results are byte-identical to the unmemoized
+    /// call; the list is materialised once and every serve of it shares the
+    /// memo's handle.
+    pub(crate) fn rank<'a, S: Borrow<ShardEntry>>(
         &mut self,
         frontend: Option<usize>,
-        shards: &[S],
+        shards: &'a [S],
         stats: &IndexStats,
-        rank_of: impl Fn(&str) -> f64,
+        component_of: impl Fn(&ShardPosting) -> f64,
         rank_weight: f64,
-    ) -> (Arc<Vec<ScoredDoc>>, usize, bool) {
+    ) -> (Ranked<'a>, bool) {
         let scope = frontend.map_or_else(|| "single".to_string(), |f| format!("f{f}"));
         let key = Self::fingerprint(&scope, stats, shards);
-        if let Some((results, scored)) = self.scored.get(&key) {
+        if let Some(list) = self.scored.get(&key) {
             self.hits += 1;
-            return (Arc::clone(results), *scored, true);
+            return (Ranked::of_list(Arc::clone(list)), true);
         }
         self.invocations += 1;
         if self.scored.len() >= Self::MAX_SCORED {
             self.scored.clear();
         }
-        let (results, scored) = qb_index::intersect_and_score(shards, stats, rank_of, rank_weight);
-        let results = Arc::new(results);
-        self.scored.insert(key, (Arc::clone(&results), scored));
-        (results, scored, false)
+        let mut ranked = qb_index::rank(shards, stats, component_of, rank_weight);
+        self.scored.insert(key, ranked.list());
+        (ranked, false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qb_index::ShardPosting;
 
     fn shard(term: &str, docs: &[(u64, u32)]) -> ShardEntry {
         let mut s = ShardEntry::empty(term);
@@ -559,18 +559,25 @@ mod tests {
         ];
         let (plain, plain_scored) = intersect_and_score(&shards, &stats(), |_| 0.0, 0.3);
         let mut memo = WindowMemo::default();
-        let (first, first_scored, hit) =
-            memo.intersect_and_score(None, &shards, &stats(), |_| 0.0, 0.3);
+        let (mut first, hit) = memo.rank(None, &shards, &stats(), |_| 0.0, 0.3);
         assert!(!hit, "cold memo computes");
-        assert_eq!(*first, plain, "memoized path must match the plain path");
-        assert_eq!(first_scored, plain_scored);
+        assert!(first.has_list(), "and keeps the whole list");
+        assert_eq!(
+            *first.list(),
+            plain,
+            "memoized path must match the plain path"
+        );
+        assert_eq!(first.len(), plain_scored);
         // The identical query again: a memo hit, identical output, no new
         // computation.
-        let (again, again_scored, hit) =
-            memo.intersect_and_score(None, &shards, &stats(), |_| 0.0, 0.3);
+        let (mut again, hit) = memo.rank(None, &shards, &stats(), |_| 0.0, 0.3);
         assert!(hit);
-        assert!(Arc::ptr_eq(&again, &first), "a hit shares the list");
-        assert_eq!(again_scored, first_scored);
+        assert!(
+            Arc::ptr_eq(&again.list(), &first.list()),
+            "a hit shares the list"
+        );
+        assert_eq!(again.len(), plain_scored);
+        assert_eq!(again.page(0, 2), plain[..2]);
         assert_eq!(memo.hits, 1);
         assert_eq!(memo.invocations, 1, "one real computation for two serves");
     }
@@ -591,10 +598,12 @@ mod tests {
             shard("beta", &[(2, 2), (3, 2)]),
         ];
         let mut memo = WindowMemo::default();
-        let (r0, _, _) = memo.intersect_and_score(Some(0), &two, &s, |_| 0.0, 0.0);
-        let (r1, _, hit) = memo.intersect_and_score(Some(1), &two, &s, |_| 0.0, 0.0);
+        let (mut r0, _) = memo.rank(Some(0), &two, &s, |_| 0.0, 0.0);
+        let (mut r1, hit) = memo.rank(Some(1), &two, &s, |_| 0.0, 0.0);
         assert!(!hit, "frontends never share compute for free");
         assert_eq!(memo.invocations, 2);
+        let (r0, r1) = (r0.list(), r1.list());
+        assert!(!Arc::ptr_eq(&r0, &r1));
         assert_eq!(r0, r1, "both frontends still compute the same answer");
         let other_stats = IndexStats {
             num_docs: 99,

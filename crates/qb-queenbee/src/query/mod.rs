@@ -11,7 +11,8 @@
 //!    ([`QueryPlan`]).
 //! 3. **executor** — misses are fetched through the versioned DHT read and
 //!    the serving kernel ([`qb_index::kernel`]: intersect, BM25, PageRank
-//!    blend, rank) produces the full result list. In a batch window
+//!    blend, rank) scores every candidate; the whole result list is built
+//!    only for a cache tier or memo that keeps it. In a batch window
 //!    ([`crate::QueenBee::search_batch`]) each distinct missing term is
 //!    fetched **once** and fanned out to every query that needs it.
 //! 4. **response** — [`SearchResponse`] carries the paginated hits, a

@@ -132,12 +132,7 @@ impl SearchResponse {
     }
 }
 
-/// Slice the requested page out of the full ranked list.
-pub fn paginate(full: &[ScoredDoc], page: usize, top_k: usize) -> Vec<ScoredDoc> {
-    let start = page.saturating_mul(top_k).min(full.len());
-    let end = start.saturating_add(top_k).min(full.len());
-    full[start..end].to_vec()
-}
+pub use qb_index::paginate;
 
 #[cfg(test)]
 mod tests {

@@ -54,6 +54,7 @@ fn main() {
         seq_latency += resp.latency;
         seq_hits.push(resp.hits);
     }
+    let seq_stats = qb.query_stats();
 
     // Batched: the identical stream in windows of concurrent queries.
     let mut qb = engine(&corpus);
@@ -128,6 +129,17 @@ fn main() {
         100.0 * (1.0 - batch_fetches as f64 / seq_fetches.max(1) as f64)
     );
     println!("shards shared in-window {:>12} {shared:>12}", 0);
+    // Cache off, nothing keeps a scored list: every query is scored and
+    // only its page of hits is ever built.
+    let batch_stats = qb.query_stats();
+    println!(
+        "queries scored          {:>12} {:>12}",
+        seq_stats.score_invocations, batch_stats.score_invocations
+    );
+    println!(
+        "scored lists built      {:>12} {:>12}",
+        seq_stats.scored_lists_built, batch_stats.scored_lists_built
+    );
     println!(
         "total simulated latency {:>12} {:>12}",
         seq_latency.to_string(),
