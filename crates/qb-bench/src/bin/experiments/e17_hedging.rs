@@ -223,7 +223,7 @@ fn dht_run(hedged: bool) -> HedgeRun {
             .get_record(&mut net, origin, keys[r % KEYS])
             .expect("get");
         latency.record(got.latency);
-        records.push(got.record.value);
+        records.push(got.record.value.to_vec());
     }
     HedgeRun {
         p50: latency.value_at_quantile(0.50),

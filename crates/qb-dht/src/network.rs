@@ -3,6 +3,7 @@
 
 use crate::node::{DhtNode, Record};
 use crate::DhtConfig;
+use bytes::Bytes;
 use qb_common::{DhtKey, Hash256, NodeId, QbError, QbResult, SimDuration, SimInstant};
 use qb_simnet::{parallel_latency, Poll, RpcError, RpcHandle, SimNet};
 
@@ -265,15 +266,17 @@ impl DhtNetwork {
         })
     }
 
-    /// Store a record on the `k` closest nodes to its key.
+    /// Store a record on the `k` closest nodes to its key. The value enters
+    /// one shared buffer; each replica's copy is a handle onto it.
     pub fn put_record(
         &mut self,
         net: &mut SimNet,
         from: u64,
         key: DhtKey,
-        value: Vec<u8>,
+        value: impl Into<Bytes>,
         version: u64,
     ) -> QbResult<PutOutcome> {
+        let value: Bytes = value.into();
         let bytes = crate::REQUEST_BYTES + value.len();
         let record = Record {
             key,
@@ -432,7 +435,7 @@ mod tests {
             .unwrap();
         assert!(!put.stored_on.is_empty());
         let got = dht.get_record(&mut net, 33, key).unwrap();
-        assert_eq!(got.record.value, b"posting-list-pointer");
+        assert_eq!(&got.record.value[..], b"posting-list-pointer");
         assert_eq!(got.record.version, 1);
     }
 
@@ -452,7 +455,7 @@ mod tests {
         dht.put_record(&mut net, 1, key, b"v1".to_vec(), 1).unwrap();
         dht.put_record(&mut net, 2, key, b"v2".to_vec(), 2).unwrap();
         let got = dht.get_record(&mut net, 20, key).unwrap();
-        assert_eq!(got.record.value, b"v2");
+        assert_eq!(&got.record.value[..], b"v2");
     }
 
     #[test]
@@ -468,7 +471,7 @@ mod tests {
             net.set_online(r.index, false);
         }
         let got = dht.get_record(&mut net, 40, key).unwrap();
-        assert_eq!(got.record.value, b"survives");
+        assert_eq!(&got.record.value[..], b"survives");
     }
 
     #[test]

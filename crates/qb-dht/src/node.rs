@@ -2,6 +2,7 @@
 
 use crate::routing::RoutingTable;
 use crate::DhtConfig;
+use bytes::Bytes;
 use qb_common::{DhtKey, Distance, Hash256, NodeId};
 use std::collections::HashMap;
 
@@ -12,8 +13,10 @@ use std::collections::HashMap;
 pub struct Record {
     /// Key under which the record is stored.
     pub key: DhtKey,
-    /// Opaque value bytes (serialized pointers, registry entries, ...).
-    pub value: Vec<u8>,
+    /// Opaque value bytes (serialized pointers, registry entries, ...),
+    /// shared: the origin, its replicas and every lookup that finds the
+    /// record hold one buffer.
+    pub value: Bytes,
     /// Node that originally published the record.
     pub publisher: NodeId,
     /// Monotonically increasing version; a replica only overwrites its copy
@@ -94,7 +97,7 @@ mod tests {
     fn record(key_label: &str, version: u64) -> Record {
         Record {
             key: DhtKey::from_bytes(key_label.as_bytes()),
-            value: format!("value-{version}").into_bytes(),
+            value: format!("value-{version}").into_bytes().into(),
             publisher: NodeId::from_index(9),
             version,
         }

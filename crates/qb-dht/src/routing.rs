@@ -28,13 +28,21 @@ pub(crate) fn nearest(
     best
 }
 
-/// A Kademlia routing table: 256 buckets indexed by the length of the common
-/// key prefix with the local node, each holding at most `k` contacts ordered
-/// from least- to most-recently seen.
+/// A Kademlia routing table: up to 257 buckets indexed by the length of the
+/// common key prefix with the local node, each holding at most `k` contacts
+/// ordered from least- to most-recently seen.
+///
+/// Only buckets up to the highest occupied one exist: at 32–256 peers that
+/// is the lowest ~5–10 of 257, and every scan of the table ([`closest`] on
+/// each lookup start and `FIND_NODE` reply) walks those alone, in the same
+/// order a scan of all 257 would visit their contacts.
+///
+/// [`closest`]: RoutingTable::closest
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     local: Hash256,
     k: usize,
+    /// Buckets `0..=` the highest occupied one; never ends in an empty one.
     buckets: Vec<Vec<NodeId>>,
 }
 
@@ -44,7 +52,7 @@ impl RoutingTable {
         RoutingTable {
             local,
             k: k.max(1),
-            buckets: vec![Vec::new(); 257],
+            buckets: Vec::new(),
         }
     }
 
@@ -63,6 +71,9 @@ impl RoutingTable {
             return;
         }
         let idx = self.bucket_index(&peer.key);
+        if idx >= self.buckets.len() {
+            self.buckets.resize_with(idx + 1, Vec::new);
+        }
         let bucket = &mut self.buckets[idx];
         if let Some(pos) = bucket.iter().position(|c| c.key == peer.key) {
             let c = bucket.remove(pos);
@@ -80,13 +91,20 @@ impl RoutingTable {
     /// Remove a peer that failed to respond.
     pub fn remove(&mut self, peer: &NodeId) {
         let idx = self.bucket_index(&peer.key);
-        self.buckets[idx].retain(|c| c.key != peer.key);
+        if let Some(bucket) = self.buckets.get_mut(idx) {
+            bucket.retain(|c| c.key != peer.key);
+        }
+        while self.buckets.last().is_some_and(Vec::is_empty) {
+            self.buckets.pop();
+        }
     }
 
     /// Does the table contain this peer?
     pub fn contains(&self, peer: &NodeId) -> bool {
         let idx = self.bucket_index(&peer.key);
-        self.buckets[idx].iter().any(|c| c.key == peer.key)
+        self.buckets
+            .get(idx)
+            .is_some_and(|bucket| bucket.iter().any(|c| c.key == peer.key))
     }
 
     /// Total number of contacts.
@@ -261,6 +279,20 @@ mod tests {
                                               near in any::<bool>()) {
             let local = node(0);
             let mut rt = RoutingTable::new(local.key, k);
+            // Half the targets sit beside a contact's key, so orderings are
+            // decided deep inside the key rather than by its first byte.
+            let far = Hash256(target);
+            let near_target = |rt: &RoutingTable| {
+                let mut target = far;
+                if near {
+                    if let Some(c) = rt.contacts().first() {
+                        target.0[..24].copy_from_slice(&c.key.0[..24]);
+                    }
+                }
+                target
+            };
+            // Checked after every step, so the scan bound is exercised as
+            // removals empty the highest bucket and observations refill it.
             for (i, evict, op) in ops {
                 // One removal per three observations keeps tables populated.
                 if op == 0 {
@@ -268,20 +300,14 @@ mod tests {
                 } else {
                     rt.observe(node(i), evict);
                 }
-            }
-            // Half the targets sit beside a contact's key, so orderings are
-            // decided deep inside the key rather than by its first byte.
-            let mut target = Hash256(target);
-            if near {
-                if let Some(c) = rt.contacts().first() {
-                    target.0[..24].copy_from_slice(&c.key.0[..24]);
+                prop_assert!(rt.buckets.last().is_none_or(|b| !b.is_empty()));
+                let target = near_target(&rt);
+                for count in [0, 1, k, rt.len() + 3] {
+                    let got = rt.closest(&target, count);
+                    prop_assert!(got.iter().all(|(d, c)| *d == c.key.xor(&target)));
+                    let ids: Vec<NodeId> = got.into_iter().map(|(_, c)| c).collect();
+                    prop_assert_eq!(ids, closest_naive(&rt, &target, count));
                 }
-            }
-            for count in [0, 1, k, rt.len() + 3] {
-                let got = rt.closest(&target, count);
-                prop_assert!(got.iter().all(|(d, c)| *d == c.key.xor(&target)));
-                let ids: Vec<NodeId> = got.into_iter().map(|(_, c)| c).collect();
-                prop_assert_eq!(ids, closest_naive(&rt, &target, count));
             }
         }
 

@@ -1,7 +1,7 @@
 //! Worker bees: the peers that maintain the index and compute page ranks.
 
 use qb_chain::AccountId;
-use qb_index::{doc_id_for_name, Analyzer, ShardPosting};
+use qb_index::{doc_id_for_name, ShardPosting};
 use qb_rank::BeeRankBehaviour;
 
 /// How a worker bee behaves.
@@ -61,32 +61,33 @@ impl WorkerBee {
         matches!(self.behaviour, BeeBehaviour::Colluding { .. })
     }
 
-    /// Produce the index deltas for a freshly published page version: one
-    /// [`ShardPosting`] per term of the page. A colluding bee injects extra
-    /// postings boosting its target pages into every term it touches; a lazy
-    /// bee produces nothing.
-    pub fn index_page(
+    /// Produce the index deltas for a freshly published page version from
+    /// its term counts — the page analysed once
+    /// ([`Analyzer::term_frequencies`](qb_index::Analyzer::term_frequencies))
+    /// and handed to every bee of the quorum: one [`ShardPosting`] per
+    /// term, beside the term borrowed from the counts. A colluding bee
+    /// injects extra postings boosting its target pages into every term it
+    /// touches; a lazy bee produces nothing.
+    pub fn index_page<'t>(
         &self,
-        analyzer: &Analyzer,
+        term_freqs: &'t [(String, u32)],
         page_name: &str,
         page_version: u64,
         creator: u64,
-        text: &str,
-    ) -> Vec<(String, ShardPosting)> {
+    ) -> Vec<(&'t str, ShardPosting)> {
         match &self.behaviour {
             BeeBehaviour::Lazy => Vec::new(),
             BeeBehaviour::Honest | BeeBehaviour::Colluding { .. } => {
-                let tf = analyzer.term_frequencies(text);
-                let doc_len: u32 = tf.iter().map(|(_, f)| *f).sum();
+                let doc_len: u32 = term_freqs.iter().map(|(_, f)| *f).sum();
                 let doc_id = doc_id_for_name(page_name);
-                let mut deltas: Vec<(String, ShardPosting)> = tf
-                    .into_iter()
+                let mut deltas: Vec<(&str, ShardPosting)> = term_freqs
+                    .iter()
                     .map(|(term, freq)| {
                         (
-                            term,
+                            term.as_str(),
                             ShardPosting {
                                 doc_id,
-                                term_freq: freq,
+                                term_freq: *freq,
                                 doc_len,
                                 name: page_name.to_string(),
                                 version: page_version,
@@ -104,15 +105,14 @@ impl WorkerBee {
                     // Inject the coalition's pages into every term of the page
                     // being indexed, with an absurd term frequency, so they
                     // surface for popular queries.
-                    let terms: Vec<String> = deltas.iter().map(|(t, _)| t.clone()).collect();
                     for boost in boost_pages {
                         if boost == page_name {
                             continue;
                         }
                         let boost_doc = doc_id_for_name(boost);
-                        for term in &terms {
+                        for (term, _) in term_freqs {
                             deltas.push((
-                                term.clone(),
+                                term.as_str(),
                                 ShardPosting {
                                     doc_id: boost_doc,
                                     term_freq: *boost_tf,
@@ -148,19 +148,22 @@ impl WorkerBee {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qb_index::Analyzer;
 
-    fn analyzer() -> Analyzer {
-        Analyzer::new()
+    /// A page's term counts, as the engine computes them once per page.
+    fn counts(text: &str) -> Vec<(String, u32)> {
+        Analyzer::new().term_frequencies(text)
     }
 
     #[test]
     fn honest_bee_indexes_all_terms() {
         let bee = WorkerBee::new(3, AccountId(2_000));
-        let deltas = bee.index_page(&analyzer(), "p/a", 1, 7, "honey nectar honey bees");
+        let tf = counts("honey nectar honey bees");
+        let deltas = bee.index_page(&tf, "p/a", 1, 7);
         assert!(!deltas.is_empty());
         let honey = deltas
             .iter()
-            .find(|(t, _)| t == &Analyzer::stem("honey"))
+            .find(|(t, _)| *t == Analyzer::stem("honey"))
             .unwrap();
         assert_eq!(honey.1.term_freq, 2);
         assert_eq!(honey.1.name, "p/a");
@@ -175,7 +178,7 @@ mod tests {
         let mut bee = WorkerBee::new(3, AccountId(2_000));
         bee.behaviour = BeeBehaviour::Lazy;
         assert!(bee
-            .index_page(&analyzer(), "p/a", 1, 7, "some text here")
+            .index_page(&counts("some text here"), "p/a", 1, 7)
             .is_empty());
     }
 
@@ -188,7 +191,8 @@ mod tests {
             rank_factor: 50.0,
         };
         assert!(bee.is_colluding());
-        let deltas = bee.index_page(&analyzer(), "p/a", 1, 7, "honey nectar");
+        let tf = counts("honey nectar");
+        let deltas = bee.index_page(&tf, "p/a", 1, 7);
         let spam: Vec<_> = deltas
             .iter()
             .filter(|(_, p)| p.name == "evil/spam")

@@ -12,20 +12,28 @@
 
 use qb_common::Hash256;
 use qb_index::ShardPosting;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Outcome of verifying a quorum of index submissions for one publish event.
 #[derive(Debug, Clone)]
-pub struct VerificationOutcome {
-    /// Postings accepted by majority vote, keyed by term.
-    pub accepted: Vec<(String, ShardPosting)>,
+pub struct VerificationOutcome<'t> {
+    /// Postings accepted by majority vote beside their terms, in
+    /// `(term, doc, tf)` order.
+    pub accepted: Vec<(&'t str, ShardPosting)>,
     /// Indices (into the submission vector) of bees whose submissions
     /// deviated from the accepted set.
     pub flagged: Vec<usize>,
 }
 
-fn posting_key(term: &str, p: &ShardPosting) -> (String, u64, u32) {
-    (term.to_string(), p.doc_id, p.term_freq)
+/// How the quorum voted on one `(term, doc, tf)` key.
+struct Tally<'s> {
+    /// Submissions holding the key (each counts once).
+    votes: usize,
+    /// The first posting submitted under the key — the one accepted.
+    first: &'s ShardPosting,
+    /// The last submission counted, by the vote and then by the flagging
+    /// pass (each counts a submission once however often it repeats a key).
+    last_seen: usize,
 }
 
 /// Majority-vote verification of index submissions.
@@ -33,10 +41,11 @@ fn posting_key(term: &str, p: &ShardPosting) -> (String, u64, u32) {
 /// `submissions[i]` is the delta set produced by the i-th bee assigned to the
 /// event. A posting is accepted when more than half of the submissions
 /// contain an identical `(term, doc, tf)` entry. A bee is flagged when it
-/// submitted a non-accepted posting or omitted an accepted one.
-pub fn verify_index_submissions(
-    submissions: &[Vec<(String, ShardPosting)>],
-) -> VerificationOutcome {
+/// submitted a non-accepted posting or omitted an accepted one. The vote is
+/// over borrowed keys: only an accepted posting is cloned.
+pub fn verify_index_submissions<'t>(
+    submissions: &[Vec<(&'t str, ShardPosting)>],
+) -> VerificationOutcome<'t> {
     let q = submissions.len();
     if q == 0 {
         return VerificationOutcome {
@@ -52,37 +61,47 @@ pub fn verify_index_submissions(
         };
     }
     let majority = q / 2 + 1;
-    // Count identical postings across submissions.
-    let mut counts: BTreeMap<(String, u64, u32), usize> = BTreeMap::new();
-    let mut representative: BTreeMap<(String, u64, u32), (String, ShardPosting)> = BTreeMap::new();
-    for submission in submissions {
-        let mut seen: BTreeSet<(String, u64, u32)> = BTreeSet::new();
+    let mut tallies: BTreeMap<(&'t str, u64, u32), Tally<'_>> = BTreeMap::new();
+    for (i, submission) in submissions.iter().enumerate() {
         for (term, posting) in submission {
-            let key = posting_key(term, posting);
-            if seen.insert(key.clone()) {
-                *counts.entry(key.clone()).or_insert(0) += 1;
-                representative
-                    .entry(key)
-                    .or_insert_with(|| (term.clone(), posting.clone()));
+            let tally = tallies
+                .entry((term, posting.doc_id, posting.term_freq))
+                .or_insert(Tally {
+                    votes: 0,
+                    first: posting,
+                    last_seen: usize::MAX,
+                });
+            if tally.last_seen != i {
+                tally.last_seen = i;
+                tally.votes += 1;
             }
         }
     }
-    let accepted_keys: BTreeSet<(String, u64, u32)> = counts
+    let accepted: Vec<(&'t str, ShardPosting)> = tallies
         .iter()
-        .filter(|(_, &c)| c >= majority)
-        .map(|(k, _)| k.clone())
-        .collect();
-    let accepted: Vec<(String, ShardPosting)> = accepted_keys
-        .iter()
-        .map(|k| representative[k].clone())
+        .filter(|(_, t)| t.votes >= majority)
+        .map(|(&(term, ..), t)| (term, t.first.clone()))
         .collect();
     let mut flagged = Vec::new();
     for (i, submission) in submissions.iter().enumerate() {
-        let keys: BTreeSet<(String, u64, u32)> =
-            submission.iter().map(|(t, p)| posting_key(t, p)).collect();
-        let extraneous = keys.difference(&accepted_keys).next().is_some();
-        let missing = accepted_keys.difference(&keys).next().is_some();
-        if extraneous || missing {
+        // Every key is in the map. This pass marks a submission `q + i`, a
+        // value the vote never wrote, so each key counts once per bee.
+        let mut held = 0usize;
+        let mut extraneous = false;
+        for (term, posting) in submission {
+            let Some(tally) = tallies.get_mut(&(*term, posting.doc_id, posting.term_freq)) else {
+                continue;
+            };
+            if tally.votes < majority {
+                extraneous = true;
+                break;
+            }
+            if tally.last_seen != q + i {
+                tally.last_seen = q + i;
+                held += 1;
+            }
+        }
+        if extraneous || held < accepted.len() {
             flagged.push(i);
         }
     }
@@ -143,7 +162,9 @@ impl MinHashSignature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qb_index::doc_id_for_name;
+    use std::collections::BTreeSet;
 
     fn posting(name: &str, tf: u32) -> ShardPosting {
         ShardPosting {
@@ -156,11 +177,60 @@ mod tests {
         }
     }
 
-    fn honest_submission() -> Vec<(String, ShardPosting)> {
-        vec![
-            ("honey".to_string(), posting("p/a", 2)),
-            ("bee".to_string(), posting("p/a", 1)),
-        ]
+    fn honest_submission() -> Vec<(&'static str, ShardPosting)> {
+        vec![("honey", posting("p/a", 2)), ("bee", posting("p/a", 1))]
+    }
+
+    /// The vote as it was written before it borrowed its keys: every key a
+    /// `String`, cloned into a count map, a representative map, a per-bee
+    /// seen set and the accepted set. The reference the borrowed vote must
+    /// reproduce.
+    fn reference_vote(
+        submissions: &[Vec<(String, ShardPosting)>],
+    ) -> (Vec<(String, ShardPosting)>, Vec<usize>) {
+        type Key = (String, u64, u32);
+        let key = |term: &str, p: &ShardPosting| (term.to_string(), p.doc_id, p.term_freq);
+        let q = submissions.len();
+        if q == 0 {
+            return (Vec::new(), Vec::new());
+        }
+        if q == 1 {
+            return (submissions[0].clone(), Vec::new());
+        }
+        let majority = q / 2 + 1;
+        let mut counts: BTreeMap<Key, usize> = BTreeMap::new();
+        let mut representative: BTreeMap<Key, (String, ShardPosting)> = BTreeMap::new();
+        for submission in submissions {
+            let mut seen: BTreeSet<Key> = BTreeSet::new();
+            for (term, posting) in submission {
+                let k = key(term, posting);
+                if seen.insert(k.clone()) {
+                    *counts.entry(k.clone()).or_insert(0) += 1;
+                    representative
+                        .entry(k)
+                        .or_insert_with(|| (term.clone(), posting.clone()));
+                }
+            }
+        }
+        let accepted_keys: BTreeSet<Key> = counts
+            .iter()
+            .filter(|(_, &c)| c >= majority)
+            .map(|(k, _)| k.clone())
+            .collect();
+        let accepted = accepted_keys
+            .iter()
+            .map(|k| representative[k].clone())
+            .collect();
+        let mut flagged = Vec::new();
+        for (i, submission) in submissions.iter().enumerate() {
+            let keys: BTreeSet<Key> = submission.iter().map(|(t, p)| key(t, p)).collect();
+            let extraneous = keys.difference(&accepted_keys).next().is_some();
+            let missing = accepted_keys.difference(&keys).next().is_some();
+            if extraneous || missing {
+                flagged.push(i);
+            }
+        }
+        (accepted, flagged)
     }
 
     #[test]
@@ -178,7 +248,7 @@ mod tests {
     #[test]
     fn minority_injection_is_rejected_and_flagged() {
         let mut evil = honest_submission();
-        evil.push(("honey".to_string(), posting("evil/spam", 999)));
+        evil.push(("honey", posting("evil/spam", 999)));
         let subs = vec![honest_submission(), evil, honest_submission()];
         let out = verify_index_submissions(&subs);
         assert_eq!(
@@ -192,7 +262,7 @@ mod tests {
     #[test]
     fn majority_collusion_defeats_small_quorum() {
         let mut evil = honest_submission();
-        evil.push(("honey".to_string(), posting("evil/spam", 999)));
+        evil.push(("honey", posting("evil/spam", 999)));
         let subs = vec![evil.clone(), evil, honest_submission()];
         let out = verify_index_submissions(&subs);
         assert!(out.accepted.iter().any(|(_, p)| p.name == "evil/spam"));
@@ -214,6 +284,83 @@ mod tests {
         assert!(out.flagged.is_empty());
         let empty = verify_index_submissions(&[]);
         assert!(empty.accepted.is_empty());
+    }
+
+    proptest! {
+        /// Quorums of 1–5 honest, lazy and colluding bees over a small
+        /// vocabulary, each submission then edited — entries duplicated,
+        /// dropped, or re-submitted under the same `(term, doc, tf)` with a
+        /// different name, length or version: the borrowed vote accepts
+        /// the same postings in the same order and flags the same bees as
+        /// the `String`-keyed reference.
+        #[test]
+        fn the_borrowed_vote_equals_the_string_keyed_reference(
+            page in proptest::collection::vec((0usize..6, 1u32..4), 0..6),
+            bees in proptest::collection::vec((0u8..3, 0usize..3), 1..6),
+            edits in proptest::collection::vec((0u8..4, any::<usize>(), any::<u8>()), 0..12),
+        ) {
+            const TERMS: [&str; 6] = ["bee", "hive", "honey", "nectar", "pollen", "wax"];
+            let honest: Vec<(String, ShardPosting)> = page
+                .iter()
+                .map(|&(t, tf)| (TERMS[t].to_string(), posting("p/a", tf)))
+                .collect();
+            let mut submissions: Vec<Vec<(String, ShardPosting)>> = bees
+                .iter()
+                .map(|&(behaviour, target)| match behaviour {
+                    0 => honest.clone(),
+                    1 => Vec::new(),
+                    _ => {
+                        // Colluding: the honest work plus a boosted page under
+                        // every term (two boost targets, so coalitions split).
+                        let boost = ["evil/a", "evil/b", "evil/c"][target];
+                        let mut s = honest.clone();
+                        for (term, _) in &honest {
+                            s.push((term.clone(), posting(boost, 999)));
+                        }
+                        s
+                    }
+                })
+                .collect();
+            for (op, at, byte) in edits {
+                let i = at % submissions.len();
+                let sub = &mut submissions[i];
+                if sub.is_empty() {
+                    continue;
+                }
+                let j = (at / 7) % sub.len();
+                match op {
+                    0 => {
+                        let dup = sub[j].clone();
+                        sub.insert(usize::from(byte) % (sub.len() + 1), dup);
+                    }
+                    1 => {
+                        sub.remove(j);
+                    }
+                    2 => {
+                        // Same key, different posting: who is first decides.
+                        let (term, mut p) = sub[j].clone();
+                        p.name = format!("alias/{byte}");
+                        p.doc_len = u32::from(byte);
+                        p.version = u64::from(byte % 3);
+                        sub.insert(usize::from(byte) % (sub.len() + 1), (term, p));
+                    }
+                    _ => sub[j].1.term_freq = u32::from(byte % 4),
+                }
+            }
+            let borrowed: Vec<Vec<(&str, ShardPosting)>> = submissions
+                .iter()
+                .map(|s| s.iter().map(|(t, p)| (t.as_str(), p.clone())).collect())
+                .collect();
+            let got = verify_index_submissions(&borrowed);
+            let (accepted, flagged) = reference_vote(&submissions);
+            let got_accepted: Vec<(String, ShardPosting)> = got
+                .accepted
+                .into_iter()
+                .map(|(t, p)| (t.to_string(), p))
+                .collect();
+            prop_assert_eq!(got_accepted, accepted);
+            prop_assert_eq!(got.flagged, flagged);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use super::QueenBee;
 use crate::attacks::ScraperAttack;
 use crate::config::{DUPLICATE_THRESHOLD, SLASH_AMOUNT};
-use crate::defense::{verify_index_submissions, MinHashSignature};
+use crate::defense::{verify_index_submissions, MinHashSignature, VerificationOutcome};
 use qb_cache::ShardLookup;
 use qb_chain::{AccountId, Call, Event};
 use qb_common::{QbResult, SimInstant};
@@ -171,17 +171,19 @@ impl QueenBee {
                 Err(e) if e.is_availability() => continue,
                 Err(e) => return Err(e),
             };
-            let text = page.text();
+            // The page is analysed once: every assigned bee indexes from
+            // these counts, and ghost-posting removal reads its terms.
+            let term_freqs = self.analyzer.term_frequencies(&page.text());
 
             // Each assigned bee produces its index deltas.
-            let submissions: Vec<Vec<(String, qb_index::ShardPosting)>> = assigned
+            let submissions: Vec<Vec<(&str, qb_index::ShardPosting)>> = assigned
                 .iter()
-                .map(|&b| self.bees[b].index_page(&self.analyzer, &name, version, creator.0, &text))
+                .map(|&b| self.bees[b].index_page(&term_freqs, &name, version, creator.0))
                 .collect();
-            let verdict = verify_index_submissions(&submissions);
+            let VerificationOutcome { accepted, flagged } = verify_index_submissions(&submissions);
 
             // Slash flagged bees and record the flag.
-            for &local_idx in &verdict.flagged {
+            for &local_idx in &flagged {
                 let bee_idx = assigned[local_idx];
                 self.bees[bee_idx].times_flagged += 1;
                 let offender = self.bees[bee_idx].account;
@@ -198,19 +200,19 @@ impl QueenBee {
             let writer = assigned
                 .iter()
                 .enumerate()
-                .find(|(local, _)| !verdict.flagged.contains(local))
+                .find(|(local, _)| !flagged.contains(local))
                 .map(|(_, &b)| b)
                 .unwrap_or(assigned[0]);
             let writer_peer = self.bees[writer].peer;
             // Merge in sorted term order: shard writes consume simulated
             // network randomness, so iteration order must be deterministic
             // for runs to reproduce bit-for-bit.
-            let mut by_term: BTreeMap<String, Vec<qb_index::ShardPosting>> = BTreeMap::new();
-            for (term, posting) in verdict.accepted {
+            let mut by_term: BTreeMap<&str, Vec<qb_index::ShardPosting>> = BTreeMap::new();
+            for (term, posting) in accepted {
                 by_term.entry(term).or_default().push(posting);
             }
             for (term, postings) in by_term {
-                let mut shard = self.read_shard_for_writer(writer_peer, &term)?;
+                let mut shard = self.read_shard_for_writer(writer_peer, term)?;
                 for p in postings {
                     shard.upsert(p);
                 }
@@ -220,14 +222,23 @@ impl QueenBee {
             // Remove the document from shards of terms the new version no
             // longer contains, so a republished page never leaves ghost
             // postings serving a stale version under its dropped terms.
-            let term_freqs = self.analyzer.term_frequencies(&text);
-            let new_terms: BTreeSet<String> = term_freqs.iter().map(|(t, _)| t.clone()).collect();
-            let old_terms = self
-                .indexed_terms
-                .insert(name.clone(), new_terms.clone())
-                .unwrap_or_default();
+            // The counts are sorted by term, so membership is a search, and
+            // they move into the record of what the page is indexed under.
+            let doc_len: u32 = term_freqs.iter().map(|(_, f)| *f).sum();
+            let dropped: Vec<String> = self.indexed_terms.get(&name).map_or_else(Vec::new, |old| {
+                old.iter()
+                    .filter(|t| {
+                        term_freqs
+                            .binary_search_by(|(term, _)| term.as_str().cmp(t))
+                            .is_err()
+                    })
+                    .cloned()
+                    .collect()
+            });
+            let new_terms: BTreeSet<String> = term_freqs.into_iter().map(|(t, _)| t).collect();
+            self.indexed_terms.insert(name.clone(), new_terms);
             let doc_id = qb_index::doc_id_for_name(&name);
-            for term in old_terms.difference(&new_terms) {
+            for term in &dropped {
                 let mut shard = self.read_shard_for_writer(writer_peer, term)?;
                 if !shard.remove(doc_id) {
                     continue;
@@ -240,7 +251,6 @@ impl QueenBee {
             }
 
             // Update the collection statistics.
-            let doc_len: u32 = term_freqs.iter().map(|(_, f)| *f).sum();
             match self.indexed_docs.insert(name.clone(), (version, doc_len)) {
                 Some((_, old_len)) => {
                     self.index_stats.total_len =
@@ -254,7 +264,7 @@ impl QueenBee {
 
             // Reward claims for the assigned, non-flagged bees.
             for (local, &bee_idx) in assigned.iter().enumerate() {
-                if verdict.flagged.contains(&local) {
+                if flagged.contains(&local) {
                     continue;
                 }
                 self.bees[bee_idx].pages_indexed += 1;

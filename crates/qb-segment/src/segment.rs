@@ -28,9 +28,30 @@ const MAX_SEGMENT_TERMS: u64 = 10_000_000;
 /// exporting from a cache, importing into one and cloning or merging
 /// segments move reference counts, not postings. Only an equal-version
 /// merge, which changes a shard, copies it first.
+///
+/// Each handle sits beside the bytes its shard takes framed in the
+/// encoding, and the segment keeps their sum, so [`Segment::encoded_len`]
+/// is a field read: a shard's length is computed once, when it enters a
+/// segment from outside (insert, export, decode), and merges carry it along.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Segment {
-    entries: BTreeMap<String, Arc<ShardEntry>>,
+    entries: BTreeMap<String, Framed>,
+    /// Sum of every entry's framed length.
+    body_len: usize,
+}
+
+/// One shard of a segment and its framed length in the encoding: the
+/// varint length prefix plus the shard's encoded bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Framed {
+    shard: Arc<ShardEntry>,
+    len: usize,
+}
+
+/// Bytes `shard` takes framed in a segment's encoding.
+fn framed_len(shard: &ShardEntry) -> usize {
+    let n = shard.encoded_len();
+    varint::encoded_len(n as u64) + n
 }
 
 /// Per-term admission outcomes of [`Segment::import_into`] — the segment
@@ -52,26 +73,6 @@ impl ImportReport {
     /// Total shards offered.
     pub fn offered(&self) -> u64 {
         self.accepted + self.stale + self.duplicates + self.refused
-    }
-}
-
-/// Merge `incoming` into `existing` (same term) under per-term
-/// version-vector dominance: the higher shard version wins wholesale — a
-/// newer shard may legitimately have *removed* postings (ghost-posting
-/// cleanup), so a posting union would resurrect deleted documents. Equal
-/// versions fold posting-by-posting through [`ShardEntry::upsert`], which
-/// keeps the posting with the higher per-posting version.
-fn merge_shard(existing: &mut Arc<ShardEntry>, incoming: Arc<ShardEntry>) {
-    debug_assert_eq!(existing.term, incoming.term);
-    match existing.version.cmp(&incoming.version) {
-        std::cmp::Ordering::Greater => {}
-        std::cmp::Ordering::Less => *existing = incoming,
-        std::cmp::Ordering::Equal => {
-            let merged = Arc::make_mut(existing);
-            for p in &incoming.postings {
-                merged.upsert(p.clone());
-            }
-        }
     }
 }
 
@@ -99,16 +100,49 @@ impl Segment {
     /// Fold one shard — owned, or a handle to a shared one — into the
     /// segment under version dominance. Version-0 shards are ignored.
     pub fn insert(&mut self, shard: impl Into<Arc<ShardEntry>>) {
-        let shard: Arc<ShardEntry> = shard.into();
-        if shard.version == 0 {
+        self.fold(shard.into(), None);
+    }
+
+    /// Fold `incoming` in under per-term version-vector dominance: the
+    /// higher shard version wins wholesale — a newer shard may legitimately
+    /// have *removed* postings (ghost-posting cleanup), so a posting union
+    /// would resurrect deleted documents. Equal versions fold
+    /// posting-by-posting through [`ShardEntry::upsert`], which keeps the
+    /// posting with the higher per-posting version. `held` is the map key
+    /// and framed length `incoming` had in the segment it comes from, when
+    /// it comes from one: a merge re-measures and re-allocates neither.
+    fn fold(&mut self, incoming: Arc<ShardEntry>, held: Option<(String, usize)>) {
+        if incoming.version == 0 {
             return;
         }
-        match self.entries.get_mut(&shard.term) {
-            Some(existing) => merge_shard(existing, shard),
-            None => {
-                self.entries.insert(shard.term.clone(), shard);
+        let Some(existing) = self.entries.get_mut(&incoming.term) else {
+            let (term, len) =
+                held.unwrap_or_else(|| (incoming.term.clone(), framed_len(&incoming)));
+            self.body_len += len;
+            let framed = Framed {
+                shard: incoming,
+                len,
+            };
+            self.entries.insert(term, framed);
+            return;
+        };
+        debug_assert_eq!(existing.shard.term, incoming.term);
+        let before = existing.len;
+        match existing.shard.version.cmp(&incoming.version) {
+            std::cmp::Ordering::Greater => return,
+            std::cmp::Ordering::Less => {
+                existing.len = held.map_or_else(|| framed_len(&incoming), |(_, len)| len);
+                existing.shard = incoming;
+            }
+            std::cmp::Ordering::Equal => {
+                let merged = Arc::make_mut(&mut existing.shard);
+                for p in &incoming.postings {
+                    merged.upsert(p.clone());
+                }
+                existing.len = framed_len(merged);
             }
         }
+        self.body_len = self.body_len - before + existing.len;
     }
 
     /// Number of terms in the segment.
@@ -123,18 +157,20 @@ impl Segment {
 
     /// The shard of one term, when present.
     pub fn get(&self, term: &str) -> Option<&ShardEntry> {
-        self.entries.get(term).map(|shard| &**shard)
+        self.entries.get(term).map(|e| &*e.shard)
     }
 
     /// All shards in ascending term order.
     pub fn shards(&self) -> impl Iterator<Item = &ShardEntry> {
-        self.entries.values().map(|shard| &**shard)
+        self.entries.values().map(|e| &*e.shard)
     }
 
     /// The segment's per-term version vector `(term, shard version)`, in
     /// ascending term order.
     pub fn version_vector(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.entries.iter().map(|(t, s)| (t.as_str(), s.version))
+        self.entries
+            .iter()
+            .map(|(t, e)| (t.as_str(), e.shard.version))
     }
 
     /// K-way version-vector-dominant merge — the basis of writer-side
@@ -144,8 +180,8 @@ impl Segment {
     pub fn merge<I: IntoIterator<Item = Segment>>(segments: I) -> Segment {
         let mut out = Segment::new();
         for seg in segments {
-            for shard in seg.entries.into_values() {
-                out.insert(shard);
+            for (term, framed) in seg.entries {
+                out.fold(framed.shard, Some((term, framed.len)));
             }
         }
         out
@@ -178,7 +214,7 @@ impl Segment {
         now: SimInstant,
     ) -> ImportReport {
         let mut report = ImportReport::default();
-        for shard in self.entries.values() {
+        for Framed { shard, .. } in self.entries.values() {
             let ttl = cache.adaptive_shard_ttl(&shard.term);
             match cache.store_remote_shard(shard, known_version(&shard.term), ttl, now) {
                 RemoteAdmit::Accepted => report.accepted += 1,
@@ -191,16 +227,13 @@ impl Segment {
     }
 
     /// Exact byte length of [`Segment::encode`]'s output, without
-    /// serializing (compaction policy checks and wire-cost accounting).
+    /// serializing or walking a posting (the compaction check after every
+    /// publish batch, wire-cost accounting).
     pub fn encoded_len(&self) -> usize {
-        let mut len = SEGMENT_MAGIC.len()
+        SEGMENT_MAGIC.len()
             + varint::encoded_len(SEGMENT_FORMAT_VERSION)
-            + varint::encoded_len(self.entries.len() as u64);
-        for shard in self.entries.values() {
-            let n = shard.encoded_len();
-            len += varint::encoded_len(n as u64) + n;
-        }
-        len
+            + varint::encoded_len(self.entries.len() as u64)
+            + self.body_len
     }
 
     /// Canonical serialization: magic, format version, term count, then
@@ -211,7 +244,7 @@ impl Segment {
         out.extend_from_slice(&SEGMENT_MAGIC);
         varint::encode_u64(SEGMENT_FORMAT_VERSION, &mut out);
         varint::encode_u64(self.entries.len() as u64, &mut out);
-        for shard in self.entries.values() {
+        for shard in self.shards() {
             let encoded = shard.encode();
             varint::encode_u64(encoded.len() as u64, &mut out);
             out.extend_from_slice(&encoded);
@@ -236,7 +269,7 @@ impl Segment {
         if count > MAX_SEGMENT_TERMS {
             return Err(QbError::Codec(format!("unreasonable term count {count}")));
         }
-        let mut entries = BTreeMap::new();
+        let mut segment = Segment::new();
         let mut last_term: Option<String> = None;
         for _ in 0..count {
             let (len, p) = varint::decode_u64(data, pos)?;
@@ -260,12 +293,14 @@ impl Segment {
                 ));
             }
             last_term = Some(shard.term.clone());
-            entries.insert(shard.term.clone(), Arc::new(shard));
+            // Measured, not read off the frame: a decoder takes overlong
+            // varints, which re-encode shorter.
+            segment.fold(Arc::new(shard), None);
         }
         if pos != data.len() {
             return Err(QbError::Codec("trailing bytes after segment".into()));
         }
-        Ok(Segment { entries })
+        Ok(segment)
     }
 
     /// The segment's content address: the hash of its canonical bytes.
@@ -337,9 +372,9 @@ mod tests {
         assert!(Segment::decode(&bytes[..bytes.len() - 1]).is_err());
         // A version-0 shard is not a canonical segment entry.
         let mut with_zero = Segment::new();
-        with_zero
-            .entries
-            .insert("a".into(), Arc::new(ShardEntry::empty("a")));
+        let shard = Arc::new(ShardEntry::empty("a"));
+        let len = framed_len(&shard);
+        with_zero.entries.insert("a".into(), Framed { shard, len });
         assert!(Segment::decode(&with_zero.encode()).is_err());
         // A header claiming the largest allowed term count over no entries:
         // the count sizes no allocation, the first missing entry ends it.
@@ -382,6 +417,7 @@ mod tests {
                 flipped[flip % valid.len()] ^= 1 << (flip % 8);
                 for bytes in [&garbage[..], &valid[..cut % valid.len()], &flipped[..]] {
                     if let Ok(s) = Segment::decode(bytes) {
+                        prop_assert_eq!(s.encoded_len(), s.encode().len());
                         prop_assert_eq!(Segment::decode(&s.encode()).unwrap(), s);
                     }
                     if let Ok(r) = SegmentRef::decode(bytes) {

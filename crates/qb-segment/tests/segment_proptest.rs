@@ -1,8 +1,9 @@
 //! Property tests for the segment algebra and the artifact round trip:
 //! merge must be a commutative, associative, idempotent fold under
 //! per-term version-vector dominance (equal versions folding
-//! posting-by-posting through `upsert`), and an exported artifact must
-//! survive publish → fetch → import byte-identically.
+//! posting-by-posting through `upsert`), an exported artifact must
+//! survive publish → fetch → import byte-identically, and the length a
+//! segment keeps current must be the length it encodes to.
 
 use proptest::prelude::*;
 use qb_cache::{CacheConfig, QueryCache};
@@ -143,6 +144,47 @@ proptest! {
                 }
                 (None, None) => unreachable!("term came from one side"),
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The pending-segment length the compaction check reads is kept
+    /// current, never recomputed: after every step of an arbitrary mix of
+    /// inserts (new terms, newer and older versions), equal-version folds,
+    /// k-way merges and decode round trips it equals the encoded length.
+    #[test]
+    fn encoded_len_tracks_encode_through_every_operation(
+        start in segment_strategy(),
+        steps in proptest::collection::vec((0u8..4, segment_strategy(), any::<u8>()), 1..8),
+    ) {
+        let mut seg = build(&start);
+        prop_assert_eq!(seg.encoded_len(), seg.encode().len());
+        for (op, raw, pick) in steps {
+            match op {
+                0 => {
+                    for (&t, (version, docs)) in &raw {
+                        seg.insert(shard(t, *version, docs));
+                    }
+                }
+                1 => {
+                    // Fold more postings into an existing term at its own
+                    // version (the one path that changes a held shard).
+                    let held: Vec<(String, u64)> =
+                        seg.version_vector().map(|(t, v)| (t.to_string(), v)).collect();
+                    if let Some((term, version)) = held.get(usize::from(pick) % held.len().max(1)) {
+                        let docs = raw.values().next().map(|(_, d)| d.clone()).unwrap_or_default();
+                        let mut extra = shard(0, *version, &docs);
+                        extra.term = term.clone();
+                        seg.insert(extra);
+                    }
+                }
+                2 => seg = Segment::merge([seg, build(&raw)]),
+                _ => seg = Segment::decode(&seg.encode()).expect("own encoding decodes"),
+            }
+            prop_assert_eq!(seg.encoded_len(), seg.encode().len());
         }
     }
 }

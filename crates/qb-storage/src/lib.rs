@@ -16,6 +16,7 @@
 pub mod block;
 pub mod chunker;
 pub mod dag;
+mod memo;
 pub mod network;
 pub mod store;
 

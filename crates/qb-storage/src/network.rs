@@ -3,6 +3,7 @@
 use crate::block::Block;
 use crate::chunker::{chunk_content_defined, ChunkerConfig};
 use crate::dag::Manifest;
+use crate::memo::ChunkMemo;
 use crate::store::{BlockStore, LruBlockStore, MemoryBlockStore};
 use qb_common::{Cid, QbError, QbResult, SimDuration};
 use qb_dht::DhtNetwork;
@@ -74,6 +75,8 @@ pub struct StorageNetwork {
     config: StorageConfig,
     pinned: Vec<MemoryBlockStore>,
     caches: Vec<LruBlockStore>,
+    /// Blocks recently stored, found again by their bytes (host-side only).
+    memo: ChunkMemo,
 }
 
 impl StorageNetwork {
@@ -84,6 +87,7 @@ impl StorageNetwork {
             caches: (0..n)
                 .map(|_| LruBlockStore::new(config.cache_bytes))
                 .collect(),
+            memo: ChunkMemo::default(),
             config,
         }
     }
@@ -148,11 +152,12 @@ impl StorageNetwork {
         if !net.is_online(from) {
             return Err(QbError::NodeOffline(from));
         }
-        // Content enters here: each chunk is copied and hashed once, into the
-        // block every holder then pins by handle.
+        // Content enters here: a chunk some earlier object already stored is
+        // that object's block again; any other is copied and hashed once,
+        // into the block every holder then pins by handle.
         let blocks: Vec<Block> = chunk_content_defined(data, &self.config.chunker)
             .into_iter()
-            .map(Block::new)
+            .map(|chunk| self.memo.block(chunk))
             .collect();
         let manifest = Manifest::from_blocks(&blocks);
         let manifest_block = Block::new(manifest.encode());
@@ -369,6 +374,8 @@ impl StorageNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::ChunkMemo;
+    use proptest::prelude::*;
     use qb_dht::DhtConfig;
     use qb_simnet::NetConfig;
 
@@ -675,6 +682,149 @@ mod tests {
             .unwrap();
         assert_eq!(fetched, data);
         assert_eq!(stats.integrity_failures, cids.len() as u64);
+    }
+
+    /// Every peer's pinned blocks as sorted `(cid, bytes)` pairs.
+    fn pinned_contents(storage: &StorageNetwork) -> Vec<Vec<(Cid, Vec<u8>)>> {
+        storage
+            .pinned
+            .iter()
+            .map(|store| {
+                let mut blocks: Vec<(Cid, Vec<u8>)> = store
+                    .cids()
+                    .map(|c| (*c, store.get(c).unwrap().data().to_vec()))
+                    .collect();
+                blocks.sort();
+                blocks
+            })
+            .collect()
+    }
+
+    /// One step of an edit chain over an object's bytes.
+    fn edit(data: &mut Vec<u8>, (op, at, len): (u8, usize, usize), seed: u64) {
+        let at = at % (data.len() + 1);
+        let mut state = seed;
+        let mut run = || -> Vec<u8> {
+            (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (state >> 33) as u8
+                })
+                .collect()
+        };
+        match op {
+            0 => {
+                data.splice(at..at, run());
+            }
+            1 => {
+                data.drain(at..(at + len).min(data.len()));
+            }
+            _ => {
+                let end = (at + len).min(data.len());
+                let fresh = run();
+                data.splice(at..end, fresh[..end - at].iter().copied());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The chunk memo is host-side only: a chain of edited versions put
+        /// through a network whose memo is warm returns, puts, charges and
+        /// pins exactly what the same chain does on an identically seeded
+        /// network whose memo is emptied before every put — the parent's
+        /// copy-and-hash-everything behaviour.
+        #[test]
+        fn an_edit_chain_stores_the_same_with_the_memo_warm_or_cold(
+            tiny in any::<bool>(),
+            size in 0usize..6_000,
+            edits in proptest::collection::vec((0u8..3, any::<usize>(), 1usize..300), 1..6),
+            seed in 0u64..1_000,
+        ) {
+            let chunker = if tiny {
+                ChunkerConfig::tiny()
+            } else {
+                ChunkerConfig::default()
+            };
+            let config = StorageConfig {
+                chunker,
+                ..StorageConfig::small()
+            };
+            // Default-sized chunks need objects of a few chunks to share any.
+            let scale = if tiny { 1 } else { 8 };
+            let stack = || {
+                let mut net = SimNet::new(16, NetConfig::lan(), seed);
+                let dht = DhtNetwork::build(&mut net, DhtConfig::small());
+                (net, dht, StorageNetwork::new(16, config.clone()))
+            };
+            let (mut wnet, mut wdht, mut warm) = stack();
+            let (mut cnet, mut cdht, mut cold) = stack();
+            let mut data = random_data(size * scale);
+            for (i, &(op, at, len)) in edits.iter().enumerate() {
+                if i > 0 {
+                    edit(&mut data, (op, at, len * scale), seed + i as u64);
+                }
+                let from = (seed + i as u64) % 16;
+                cold.memo = ChunkMemo::default();
+                let got = warm.put_object(&mut wnet, &mut wdht, from, &data).unwrap();
+                let want = cold.put_object(&mut cnet, &mut cdht, from, &data).unwrap();
+                prop_assert_eq!(&got, &want);
+                let manifest = |s: &StorageNetwork| {
+                    s.pinned[from as usize].get(&got.0.root).unwrap().data().to_vec()
+                };
+                prop_assert_eq!(manifest(&warm), manifest(&cold));
+                prop_assert_eq!(pinned_contents(&warm), pinned_contents(&cold));
+            }
+        }
+    }
+
+    /// A tampered pinned copy is never what the memo hands a later put: the
+    /// memo holds the honest block, the re-put pins honest bytes over the
+    /// tampered ones exactly as copying and hashing afresh does, and a
+    /// reader then fetches as it would with no memo at all.
+    #[test]
+    fn a_corrupted_block_is_never_reused_and_reads_go_as_without_the_memo() {
+        let run = |memo_warm: bool| {
+            let (mut net, mut dht, mut storage) = setup(32, 13);
+            let data = random_data(3000);
+            let (obj, _) = storage.put_object(&mut net, &mut dht, 2, &data).unwrap();
+            let replica = storage.pinned_holders(&obj.root)[1];
+            // Both holders of every chunk turn malicious.
+            let mut chunks: Vec<Cid> = storage.pinned[2]
+                .cids()
+                .copied()
+                .filter(|c| *c != obj.root)
+                .collect();
+            chunks.sort();
+            for cid in &chunks {
+                assert!(storage.corrupt_pinned(2, cid, b"evil".to_vec()));
+                assert!(storage.corrupt_pinned(replica, cid, b"evil".to_vec()));
+            }
+            // The publisher stores a new version sharing all but its tail.
+            let mut next = data.clone();
+            next.extend_from_slice(b"appended tail");
+            if !memo_warm {
+                storage.memo = ChunkMemo::default();
+            }
+            let put = storage.put_object(&mut net, &mut dht, 2, &next).unwrap();
+            let repaired: Vec<bool> = chunks
+                .iter()
+                .map(|c| storage.pinned[2].get(c).unwrap().verify())
+                .collect();
+            let read = storage.get_object(&mut net, &mut dht, 21, put.0.root);
+            let old = storage.get_object(&mut net, &mut dht, 22, obj.root);
+            (put, repaired, pinned_contents(&storage), read, old)
+        };
+        let warm = run(true);
+        let cold = run(false);
+        // The chunks the new version shares were re-pinned honestly.
+        assert!(warm.1.contains(&true));
+        assert_eq!(warm.0, cold.0);
+        assert_eq!(warm.1, cold.1);
+        assert_eq!(warm.2, cold.2);
+        assert_eq!(format!("{:?}", warm.3), format!("{:?}", cold.3));
+        assert_eq!(format!("{:?}", warm.4), format!("{:?}", cold.4));
     }
 
     #[test]

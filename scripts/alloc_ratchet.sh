@@ -14,35 +14,41 @@
 # whole list is built only for a result tier that admits it or a memo
 # (205.0 while every candidate's name was cloned into a list the 1-byte
 # result tier then refused, and the entry's term versions were cloned
-# before admission was known); cold-lookup 46.8 since a cache-off read no
-# longer builds a list either (50.1 before, since a window holds each read
-# in one slot found by position; 51.1
-# while a read was keyed by a `(frontend, term)` string rebuilt per
+# before admission was known); cold-lookup 44.8 since a DHT record's
+# value is one shared buffer its replicas and lookups hold by handle
+# (46.8 before; 50.1 before a cache-off read stopped building a list;
+# 51.1 while a read was keyed by a `(frontend, term)` string rebuilt per
 # lookup and moved between a pending list and a map; the routing table
 # selecting its k nearest into one k-sized list — was five growth steps
 # of a collect-everything Vec per hop — and SHA-256 padding on the stack
 # brought it there from 63.3, an index read no longer cloning its term
-# from 65.3); serve-warm 183.5 since a gossip exchange costs what changed
-# — a re-ranking that lists the same pairs keeps its handle and filter,
-# and an exchange side that already found nothing to tell or push skips
-# its delta and fill scans — and a result entry's rows are built on
-# admission (184.2 before that, 191.2 before, 194.5 before the one-slot read,
-# 201.4 before the routing-table and padding changes, 211.2 before the
-# kernel stopped filling a prefix cache nobody hit, 1 172.8 before gossip
-# stopped re-deriving its digests per exchange); publish-churn 2 190.3
-# (2 191.1 before the admission-time rows, 2 192.4 before the one-slot read) since a stored object's chunks are
-# each copied and hashed once and pinned by handle (3 705.7 when the
-# manifest, the publisher and the replica each copied and hashed every
-# chunk). A per-candidate name clone under a refused or absent result
-# tier, a by-name rank probe in the kernel (a SipHash of the page name
-# per candidate is time, a key `String` built for it is a count), a
-# name-keyed lookup creeping back into a window's reads, a shard
-# or result copy creeping back into a cache hit, a plan or the kernel, a
-# per-exchange digest scan, string clone, filter or view rebuild creeping
-# back into a quiet round, or a per-holder chunk copy, a collect-all `closest`
-# or a heap-padded digest creeping back under a shard write, lands far
-# above them. Lower a ceiling when a change lowers the count; raise one
-# only with the reason in CHANGES.md.
+# from 65.3); serve-warm 181.3 since record values are shared (183.5
+# since a gossip exchange costs what changed — a re-ranking that lists
+# the same pairs keeps its handle and filter, and an exchange side that
+# already found nothing to tell or push skips its delta and fill scans —
+# and a result entry's rows are built on admission; 191.2 before, 194.5
+# before the one-slot read, 201.4 before the routing-table and padding
+# changes, 211.2 before the kernel stopped filling a prefix cache nobody
+# hit, 1 172.8 before gossip stopped re-deriving its digests per
+# exchange); publish-churn 1 563.6 since a republish pays for what it
+# changed — an unchanged chunk is found by its bytes in the chunk memo
+# instead of re-copied and re-hashed, a record value is one buffer for
+# its k + 1 holders, a page is analysed once for all its bees and voted
+# on by borrowed keys, and the pending segment keeps its encoded length
+# (2 190.3 before; 3 705.7 when the manifest, the publisher and the
+# replica each copied and hashed every chunk). A per-candidate name clone
+# under a refused or absent result tier, a by-name rank probe in the
+# kernel (a SipHash of the page name per candidate is time, a key
+# `String` built for it is a count), a name-keyed lookup creeping back
+# into a window's reads, a shard or result copy creeping back into a
+# cache hit, a plan or the kernel, a per-exchange digest scan, string
+# clone, filter or view rebuild creeping back into a quiet round, a
+# per-holder chunk copy, a collect-all `closest` or a heap-padded digest
+# under a shard write, or on the write path a re-copied or re-hashed
+# unchanged chunk, a per-replica record copy, a per-bee analysis pass, a
+# `String`-keyed vote or a per-batch walk of the pending segment, lands
+# far above them. Lower a ceiling when a change lowers the count; raise
+# one only with the reason in CHANGES.md.
 set -euo pipefail
 
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
@@ -66,7 +72,7 @@ check() {
 }
 
 check score-heavy 41
-check cold-lookup 51.5
-check serve-warm 203
-check publish-churn 2410
+check cold-lookup 49.5
+check serve-warm 200
+check publish-churn 1730
 exit "$status"
