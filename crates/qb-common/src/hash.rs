@@ -6,7 +6,9 @@
 //! the official test vectors in the unit tests below.
 
 use crate::hex;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A 256-bit digest. Used as the content identifier of blocks and pages, as
 /// DHT keys and as node identifiers (all share the same key space, exactly as
@@ -99,6 +101,33 @@ impl Hash256 {
 /// keep it beside the contact; never re-derive it inside a comparator.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Distance([u64; 4]);
+
+/// The hasher for `u64` keys that are already ids — a doc id (64 bits of
+/// SHA-256), a sequential RPC handle: they need no SipHash, only a spread.
+/// `finish` multiplies by the 64-bit golden-ratio constant, so sequential
+/// keys reach the high bits a `HashMap` takes its control byte from, while
+/// the low bits it takes the slot from stay a bijection of the key's.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+}
+
+/// A map keyed by ids, hashed by [`IdHasher`].
+pub type IdHashMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 impl fmt::Debug for Hash256 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -373,6 +402,21 @@ mod tests {
         assert_eq!(a.xor(&a), Distance::default());
         assert_eq!(a.xor(&b), b.xor(&a));
         assert_eq!(a.common_prefix_len(&a), 256);
+    }
+
+    #[test]
+    fn sequential_ids_spread_over_the_high_bits() {
+        let hash = |id: u64| {
+            let mut h = IdHasher::default();
+            h.write_u64(id);
+            h.finish()
+        };
+        // The top seven bits (a map's control byte) differ across a run
+        // of sequential handles, and the low bits stay one-to-one.
+        let tops: std::collections::BTreeSet<u64> = (0..128).map(|id| hash(id) >> 57).collect();
+        assert!(tops.len() > 64, "{} distinct control values", tops.len());
+        let lows: std::collections::BTreeSet<u64> = (0..256).map(|id| hash(id) & 0xff).collect();
+        assert_eq!(lows.len(), 256);
     }
 
     #[test]

@@ -12,7 +12,19 @@ pub(crate) fn nearest(
     target: &Hash256,
     count: usize,
 ) -> Vec<(Distance, NodeId)> {
-    let mut best: Vec<(Distance, NodeId)> = Vec::with_capacity(count);
+    let mut best = Vec::with_capacity(count);
+    keep_nearest(&mut best, contacts, target, count);
+    best
+}
+
+/// Offer `contacts` to the `count`-bounded, nearest-first list `best`
+/// ([`nearest`]'s insertion, resumable across calls).
+fn keep_nearest(
+    best: &mut Vec<(Distance, NodeId)>,
+    contacts: impl Iterator<Item = NodeId>,
+    target: &Hash256,
+    count: usize,
+) {
     for contact in contacts {
         let distance = contact.key.xor(target);
         if best.len() == count {
@@ -25,7 +37,6 @@ pub(crate) fn nearest(
         let at = best.partition_point(|(d, _)| *d <= distance);
         best.insert(at, (distance, contact));
     }
-    best
 }
 
 /// A Kademlia routing table: up to 257 buckets indexed by the length of the
@@ -33,9 +44,10 @@ pub(crate) fn nearest(
 /// ordered from least- to most-recently seen.
 ///
 /// Only buckets up to the highest occupied one exist: at 32–256 peers that
-/// is the lowest ~5–10 of 257, and every scan of the table ([`closest`] on
-/// each lookup start and `FIND_NODE` reply) walks those alone, in the same
-/// order a scan of all 257 would visit their contacts.
+/// is the lowest ~5–10 of 257. [`closest`] (each lookup start and
+/// `FIND_NODE` reply) visits them in XOR-distance-class order and stops
+/// once the answer is settled, so it reads the buckets that can hold the
+/// answer rather than the whole table.
 ///
 /// [`closest`]: RoutingTable::closest
 #[derive(Debug, Clone)]
@@ -119,8 +131,35 @@ impl RoutingTable {
 
     /// The `count` contacts closest to `target` by XOR distance, nearest
     /// first, each beside its distance to `target`.
+    ///
+    /// With `t` the target's own bucket, a contact's distance to `target`
+    /// has `> t` leading zeros in bucket `t`, exactly `t` in every bucket
+    /// above it, and exactly `b` in a bucket `b < t`. So the buckets fall
+    /// into distance classes — `t`, then everything above `t`, then `t − 1`
+    /// down to 0 — and every contact of a later class is farther than every
+    /// contact of an earlier one. The walk visits the classes in that order
+    /// and stops at the first class boundary with `count` contacts kept:
+    /// distinct keys never tie, so the answer is the full scan's to the bit
+    /// (`t = 256`, a self-lookup, has no own bucket and no bucket above).
     pub fn closest(&self, target: &Hash256, count: usize) -> Vec<(Distance, NodeId)> {
-        nearest(self.buckets.iter().flatten().copied(), target, count)
+        let t = self.bucket_index(target);
+        let (below, from_t) = self.buckets.split_at(t.min(self.buckets.len()));
+        let (own, above) = from_t.split_at(from_t.len().min(1));
+        let classes = [own, above]
+            .into_iter()
+            .chain(below.iter().rev().map(std::slice::from_ref));
+        let mut best = Vec::with_capacity(count);
+        for class in classes {
+            if best.len() == count {
+                break;
+            }
+            keep_nearest(&mut best, class.iter().flatten().copied(), target, count);
+        }
+        debug_assert_eq!(
+            best,
+            nearest(self.buckets.iter().flatten().copied(), target, count)
+        );
+        best
     }
 
     /// All contacts (unordered).
@@ -276,18 +315,37 @@ mod tests {
         fn closest_equals_the_naive_reference(ops in proptest::collection::vec((0u64..400, any::<bool>(), 0u8..4), 0..300),
                                               k in 1usize..8,
                                               target in any::<[u8; 32]>(),
-                                              near in any::<bool>()) {
+                                              shape in 0u8..4,
+                                              shared in 1usize..32) {
             let local = node(0);
             let mut rt = RoutingTable::new(local.key, k);
-            // Half the targets sit beside a contact's key, so orderings are
-            // decided deep inside the key rather than by its first byte.
+            // One contact in five shares 0–31 leading bytes with the local
+            // key, so the buckets above a deep target bucket are sometimes
+            // populated and sometimes empty.
+            let contact = |i: u64| {
+                let mut c = node(i);
+                if i.is_multiple_of(5) {
+                    let depth = (i as usize / 5) % 32;
+                    c.key.0[..depth].copy_from_slice(&local.key.0[..depth]);
+                }
+                c
+            };
+            // A quarter of the targets each: anywhere; beside a contact's
+            // key, so orderings are decided deep inside the key rather than
+            // by its first byte; the local key itself (`t = 256`); sharing
+            // 1–31 leading bytes with the local key (a deep `t`).
             let far = Hash256(target);
-            let near_target = |rt: &RoutingTable| {
+            let shaped_target = |rt: &RoutingTable| {
                 let mut target = far;
-                if near {
-                    if let Some(c) = rt.contacts().first() {
-                        target.0[..24].copy_from_slice(&c.key.0[..24]);
+                match shape {
+                    1 => {
+                        if let Some(c) = rt.contacts().first() {
+                            target.0[..24].copy_from_slice(&c.key.0[..24]);
+                        }
                     }
+                    2 => target = local.key,
+                    3 => target.0[..shared].copy_from_slice(&local.key.0[..shared]),
+                    _ => {}
                 }
                 target
             };
@@ -296,12 +354,12 @@ mod tests {
             for (i, evict, op) in ops {
                 // One removal per three observations keeps tables populated.
                 if op == 0 {
-                    rt.remove(&node(i));
+                    rt.remove(&contact(i));
                 } else {
-                    rt.observe(node(i), evict);
+                    rt.observe(contact(i), evict);
                 }
                 prop_assert!(rt.buckets.last().is_none_or(|b| !b.is_empty()));
-                let target = near_target(&rt);
+                let target = shaped_target(&rt);
                 for count in [0, 1, k, rt.len() + 3] {
                     let got = rt.closest(&target, count);
                     prop_assert!(got.iter().all(|(d, c)| *d == c.key.xor(&target)));

@@ -393,9 +393,14 @@ impl DistributedIndex {
         DistributedIndex::default()
     }
 
-    /// DHT key of the global statistics record.
-    pub fn stats_key() -> DhtKey {
-        DhtKey(Hash256::digest(b"idx:@stats"))
+    /// DHT key of the global statistics record: the SHA-256 of
+    /// `idx:@stats`, spelled out so a read does not hash a constant.
+    pub const fn stats_key() -> DhtKey {
+        DhtKey(Hash256([
+            0x2c, 0xbd, 0xf9, 0x1f, 0x3e, 0x49, 0x09, 0x60, 0xa1, 0xb8, 0xe7, 0xaa, 0x33, 0x62,
+            0x0f, 0x44, 0x9d, 0x59, 0xbb, 0x08, 0xa4, 0xf3, 0x38, 0x75, 0xda, 0xd0, 0x97, 0xb0,
+            0x79, 0x92, 0x27, 0x4c,
+        ]))
     }
 
     /// Read the shard of `term` as seen from `peer`. A missing shard is
@@ -787,6 +792,14 @@ mod tests {
         assert_eq!(IndexStats::decode(&s.encode()).unwrap(), s);
         assert!((s.avg_len() - 150.0).abs() < 1e-9);
         assert_eq!(IndexStats::default().avg_len(), 1.0);
+    }
+
+    #[test]
+    fn the_stats_key_literal_is_its_digest() {
+        assert_eq!(
+            DistributedIndex::stats_key(),
+            DhtKey(Hash256::digest(b"idx:@stats"))
+        );
     }
 
     #[test]

@@ -5,40 +5,19 @@ use super::QueenBee;
 use crate::bee::BeeBehaviour;
 use crate::config::SLASH_AMOUNT;
 use qb_chain::{AccountId, Call};
-use qb_common::{DhtKey, Hash256, QbResult};
+use qb_common::{DhtKey, Hash256, IdHashMap, QbResult};
 use qb_rank::{LinkGraph, RankRoundReport};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Hashes a doc id to itself: a doc id is already 64 bits of SHA-256 of the
-/// page name ([`qb_index::doc_id_for_name`]), so hashing it again buys
-/// nothing on the one lookup every scored candidate makes.
-#[derive(Default)]
-pub(super) struct DocIdHasher(u64);
-
-impl Hasher for DocIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
-        }
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id;
-    }
-}
 
 /// Doc id → [`qb_index::rank_component`] of the page's rank, for every page
 /// of the last rank round: what the scoring kernel blends a candidate with,
 /// found by the doc id its posting already holds. The component only
 /// changes once per round, so its `ln` is taken here, not per candidate.
 /// Pages are keyed as the index keys them — two names with one doc id are
-/// one document.
-pub(super) type RankComponents = HashMap<u64, f64, BuildHasherDefault<DocIdHasher>>;
+/// one document. A doc id is already 64 bits of SHA-256 of the page name
+/// ([`qb_index::doc_id_for_name`]), so the map hashes it with
+/// [`qb_common::IdHasher`], not SipHash, on the one lookup every scored
+/// candidate makes.
+pub(super) type RankComponents = IdHashMap<f64>;
 
 impl QueenBee {
     /// Run one decentralized PageRank round over the current registry's link

@@ -3,9 +3,8 @@
 
 use crate::latency::LatencyModel;
 use crate::stats::NetStats;
-use qb_common::{DetRng, QbError, SimDuration, SimInstant};
+use qb_common::{DetRng, IdHashMap, QbError, SimDuration, SimInstant};
 use qb_trace::{SpanId, Tracer};
-use std::collections::HashMap;
 
 /// Static configuration of a simulated network.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -154,11 +153,15 @@ pub struct SimNet {
     rng: DetRng,
     clock: SimInstant,
     stats: NetStats,
-    /// Operations currently in flight, by handle.
-    in_flight: HashMap<u64, InFlightOp>,
-    /// Completion instants of in-flight operations per source-peer uplink,
-    /// for the in-flight limit (kept pruned as operations retire).
-    link_completions: HashMap<u64, Vec<SimInstant>>,
+    /// Operations currently in flight, by handle: handles are sequential
+    /// ids, so they need a spread, not a SipHash.
+    in_flight: IdHashMap<InFlightOp>,
+    /// Completion instants of in-flight operations on each source peer's
+    /// uplink, indexed by peer (grown to the highest peer that has issued
+    /// one), for the in-flight limit (kept pruned as operations retire). A
+    /// link that goes idle keeps its `Vec`, so its next operation does not
+    /// allocate it again.
+    link_completions: Vec<Vec<SimInstant>>,
     next_handle: u64,
     /// Span recorder shared by every protocol layer (they all hold `&mut
     /// SimNet` already). Disabled by default; recording never touches
@@ -182,8 +185,8 @@ impl SimNet {
             rng: DetRng::new(seed),
             clock: SimInstant::ZERO,
             stats: NetStats::default(),
-            in_flight: HashMap::new(),
-            link_completions: HashMap::new(),
+            in_flight: IdHashMap::default(),
+            link_completions: Vec::new(),
             next_handle: 0,
             tracer: Tracer::new(),
         }
@@ -535,7 +538,11 @@ impl SimNet {
         parent: Option<SpanId>,
     ) -> RpcHandle {
         let capacity = self.config.max_in_flight_per_link.max(1);
-        let completions = self.link_completions.entry(from).or_default();
+        let link = from as usize;
+        if link >= self.link_completions.len() {
+            self.link_completions.resize_with(link + 1, Vec::new);
+        }
+        let completions = &mut self.link_completions[link];
         completions.retain(|&c| c > at);
         completions.sort_unstable();
         let started_at = if completions.len() >= capacity {
@@ -613,12 +620,9 @@ impl SimNet {
 
     /// Free the uplink slot a retired operation held.
     fn release_slot(&mut self, op: &InFlightOp) {
-        if let Some(completions) = self.link_completions.get_mut(&op.from) {
+        if let Some(completions) = self.link_completions.get_mut(op.from as usize) {
             if let Some(pos) = completions.iter().position(|&c| c == op.completes_at) {
                 completions.swap_remove(pos);
-            }
-            if completions.is_empty() {
-                self.link_completions.remove(&op.from);
             }
         }
     }
@@ -669,6 +673,7 @@ pub fn lan(n: usize, seed: u64) -> SimNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn rpc_succeeds_between_online_peers() {
@@ -862,7 +867,10 @@ mod tests {
             }
         }
         assert_eq!(total_queue.as_micros(), net.stats().async_queue_delay_us);
-        assert!(net.link_completions.is_empty(), "tracker fully drained");
+        assert!(
+            net.link_completions.iter().all(Vec::is_empty),
+            "no uplink holds a completion"
+        );
     }
 
     #[test]
@@ -968,7 +976,172 @@ mod tests {
             Some(Poll::Ready(done)) => assert_eq!(done.queue_delay, SimDuration::ZERO),
             other => panic!("expected ready, got {other:?}"),
         }
-        assert!(net.link_completions.is_empty(), "tracker fully drained");
+        assert!(
+            net.link_completions.iter().all(Vec::is_empty),
+            "no uplink holds a completion"
+        );
+    }
+
+    /// The uplink tracker as it was keyed by a `HashMap` of per-link lists
+    /// that a link dropped when it went idle: the reference the per-peer
+    /// tracker must reproduce handle for handle.
+    #[derive(Default)]
+    struct ReferenceTracker {
+        in_flight: HashMap<u64, InFlightOp>,
+        links: HashMap<u64, Vec<SimInstant>>,
+        next_handle: u64,
+        async_ops: u64,
+        async_queued_ops: u64,
+        async_queue_delay_us: u64,
+    }
+
+    impl ReferenceTracker {
+        fn enqueue(&mut self, capacity: usize, from: u64, at: SimInstant, latency: SimDuration) {
+            let completions = self.links.entry(from).or_default();
+            completions.retain(|&c| c > at);
+            completions.sort_unstable();
+            let started_at = if completions.len() >= capacity {
+                completions[completions.len() - capacity]
+            } else {
+                at
+            };
+            let queue_delay = started_at.since(at);
+            let completes_at = started_at + latency;
+            completions.push(completes_at);
+            self.async_ops += 1;
+            if queue_delay > SimDuration::ZERO {
+                self.async_queued_ops += 1;
+                self.async_queue_delay_us += queue_delay.as_micros();
+            }
+            self.next_handle += 1;
+            let op = InFlightOp {
+                from,
+                latency,
+                queue_delay,
+                completes_at,
+            };
+            self.in_flight.insert(self.next_handle, op);
+        }
+
+        fn poll(&mut self, handle: u64, at: SimInstant) -> Option<Poll> {
+            let op = *self.in_flight.get(&handle)?;
+            if at < op.completes_at {
+                return Some(Poll::Pending {
+                    completes_at: op.completes_at,
+                });
+            }
+            self.cancel(handle);
+            Some(Poll::Ready(AsyncCompletion {
+                completed_at: op.completes_at,
+                latency: op.latency,
+                queue_delay: op.queue_delay,
+            }))
+        }
+
+        fn cancel(&mut self, handle: u64) -> bool {
+            let Some(op) = self.in_flight.remove(&handle) else {
+                return false;
+            };
+            if let Some(completions) = self.links.get_mut(&op.from) {
+                if let Some(pos) = completions.iter().position(|&c| c == op.completes_at) {
+                    completions.swap_remove(pos);
+                }
+                if completions.is_empty() {
+                    self.links.remove(&op.from);
+                }
+            }
+            true
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_uplink_tracker_matches_the_map_keyed_reference(
+            ops in proptest::collection::vec((0u8..5, proptest::prelude::any::<u64>(), 0u64..40), 1..120),
+            sources in 1u64..5,
+            capacity in 1usize..4,
+        ) {
+            // Latencies of 1–20 µs on a 40 µs grid of instants, so completion
+            // instants collide and a release by value meets its namesakes.
+            let config = NetConfig {
+                latency: LatencyModel::Uniform { lo_micros: 1, hi_micros: 10 },
+                max_in_flight_per_link: capacity,
+                ..NetConfig::lan()
+            };
+            let mut net = SimNet::new(4, config.clone(), 31);
+            // A twin network samples the same service latencies through
+            // the synchronous `rpc`, which never touches the tracker.
+            let mut twin = SimNet::new(4, config, 31);
+            let mut reference = ReferenceTracker::default();
+            for (kind, a, offset) in ops {
+                let from = a % sources;
+                let at = net.now() + SimDuration::from_micros(offset);
+                let handle = 1 + (a >> 8) % (reference.next_handle + 1);
+                match kind {
+                    0 => {
+                        let to = (a >> 4) % 4;
+                        let got = net.send_async_at(from, to, 16, 16, at, None).unwrap();
+                        let service = twin.rpc(from, to, 16, 16).unwrap();
+                        reference.enqueue(capacity, from, at, service);
+                        proptest::prop_assert_eq!(got, RpcHandle(reference.next_handle));
+                    }
+                    1 => {
+                        let latency = SimDuration::from_micros(1 + (a >> 4) % 20);
+                        let got = net.begin_async_op(from, at, latency, None);
+                        reference.enqueue(capacity, from, at, latency);
+                        proptest::prop_assert_eq!(got, RpcHandle(reference.next_handle));
+                    }
+                    2 => proptest::prop_assert_eq!(
+                        net.poll_complete(RpcHandle(handle), at),
+                        reference.poll(handle, at)
+                    ),
+                    3 => proptest::prop_assert_eq!(
+                        net.cancel_async(RpcHandle(handle)),
+                        reference.cancel(handle)
+                    ),
+                    _ => {
+                        net.advance(SimDuration::from_micros(offset / 4));
+                        twin.advance(SimDuration::from_micros(offset / 4));
+                    }
+                }
+                for (&handle, op) in &reference.in_flight {
+                    proptest::prop_assert_eq!(
+                        net.async_completes_at(RpcHandle(handle)),
+                        Some(op.completes_at)
+                    );
+                }
+                proptest::prop_assert_eq!(net.async_in_flight(), reference.in_flight.len());
+                let expected = NetStats {
+                    async_ops: reference.async_ops,
+                    async_queued_ops: reference.async_queued_ops,
+                    async_queue_delay_us: reference.async_queue_delay_us,
+                    ..twin.stats().clone()
+                };
+                proptest::prop_assert_eq!(net.stats(), &expected);
+            }
+        }
+    }
+
+    /// A release frees the uplink entry *equal* to its completion instant,
+    /// not its own: once an issue at a later instant has pruned `a`'s entry,
+    /// retiring `a` frees `y`'s — a live operation completing at the same
+    /// instant — and `z` starts without queueing behind `y`.
+    #[test]
+    #[ignore = "modelling change: a release frees a live operation's uplink slot when its own entry was pruned (ROADMAP modelling-change queue)"]
+    fn retiring_a_pruned_operation_frees_no_live_slot() {
+        let mut cfg = NetConfig::lan();
+        cfg.max_in_flight_per_link = 2;
+        let mut net = SimNet::new(2, cfg, 32);
+        let us = |n: u64| SimInstant::ZERO + SimDuration::from_micros(n);
+        let a = net.begin_async_op(0, us(0), SimDuration::from_micros(10), None);
+        // `b`'s issue at 20 µs prunes `a`'s entry (due at 10 µs).
+        net.begin_async_op(0, us(20), SimDuration::from_micros(5), None);
+        let y = net.begin_async_op(0, us(0), SimDuration::from_micros(10), None);
+        assert_eq!(net.async_completes_at(y), net.async_completes_at(a));
+        assert!(net.cancel_async(a));
+        // `y` (due at 10 µs) and `b` (due at 25 µs) still hold both slots.
+        let z = net.begin_async_op(0, us(5), SimDuration::from_micros(10), None);
+        assert_eq!(net.async_completes_at(z), Some(us(20)));
     }
 
     #[test]

@@ -14,29 +14,37 @@
 # whole list is built only for a result tier that admits it or a memo
 # (205.0 while every candidate's name was cloned into a list the 1-byte
 # result tier then refused, and the entry's term versions were cloned
-# before admission was known); cold-lookup 44.8 since a DHT record's
-# value is one shared buffer its replicas and lookups hold by handle
-# (46.8 before; 50.1 before a cache-off read stopped building a list;
-# 51.1 while a read was keyed by a `(frontend, term)` string rebuilt per
+# before admission was known); cold-lookup 40.9 since a DHT hop costs
+# what it visits — the uplink tracker keeps a link's completion list
+# when the link idles and a lookup's queried peers are one short list
+# sized for two rounds of alpha (44.8 while a DHT record's value was
+# one shared buffer but a lookup built two hash sets; 46.8 before;
+# 50.1 before a cache-off read stopped building a list; 51.1 while a read was keyed by a `(frontend, term)` string rebuilt per
 # lookup and moved between a pending list and a map; the routing table
 # selecting its k nearest into one k-sized list — was five growth steps
 # of a collect-everything Vec per hop — and SHA-256 padding on the stack
 # brought it there from 63.3, an index read no longer cloning its term
-# from 65.3); serve-warm 181.3 since record values are shared (183.5
-# since a gossip exchange costs what changed — a re-ranking that lists
+# from 65.3); serve-warm 179.5 since the same DHT change (181.3 since
+# record values are shared, 183.5 since a gossip exchange costs what changed — a re-ranking that lists
 # the same pairs keeps its handle and filter, and an exchange side that
 # already found nothing to tell or push skips its delta and fill scans —
 # and a result entry's rows are built on admission; 191.2 before, 194.5
 # before the one-slot read, 201.4 before the routing-table and padding
 # changes, 211.2 before the kernel stopped filling a prefix cache nobody
 # hit, 1 172.8 before gossip stopped re-deriving its digests per
-# exchange); publish-churn 1 563.6 since a republish pays for what it
-# changed — an unchanged chunk is found by its bytes in the chunk memo
-# instead of re-copied and re-hashed, a record value is one buffer for
-# its k + 1 holders, a page is analysed once for all its bees and voted
-# on by borrowed keys, and the pending segment keeps its encoded length
-# (2 190.3 before; 3 705.7 when the manifest, the publisher and the
-# replica each copied and hashed every chunk). A per-candidate name clone
+# exchange); publish-churn 1 493.4 since the same DHT change (1 563.6
+# since a republish pays for what it changed — an unchanged chunk is
+# found by its bytes in the chunk memo instead of re-copied and
+# re-hashed, a record value is one buffer for its k + 1 holders, a page
+# is analysed once for all its bees and voted on by borrowed keys, and
+# the pending segment keeps its encoded length — 2 190.3 before; 3 705.7 when the manifest, the publisher and the
+# replica each copied and hashed every chunk). Under every DHT walk, an
+# uplink `Vec` freed when its link idles and allocated again by the next
+# RPC, or a `HashSet` per lookup for its queried or failed peers, moves
+# the counts back toward 44.8, 181.3 and 1 563.6; a full-table `closest`
+# scan or a SipHash per in-flight handle is time, not a count — read
+# `dht.lookup_us` and `simnet.send_poll_ns` from a traced run for those.
+# A per-candidate name clone
 # under a refused or absent result tier, a by-name rank probe in the
 # kernel (a SipHash of the page name per candidate is time, a key
 # `String` built for it is a count), a name-keyed lookup creeping back
@@ -72,7 +80,7 @@ check() {
 }
 
 check score-heavy 41
-check cold-lookup 49.5
-check serve-warm 200
-check publish-churn 1730
+check cold-lookup 45.5
+check serve-warm 197
+check publish-churn 1560
 exit "$status"
