@@ -8,15 +8,24 @@
 use crate::hex;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A 256-bit digest. Used as the content identifier of blocks and pages, as
 /// DHT keys and as node identifiers (all share the same key space, exactly as
 /// in Kademlia-based systems such as IPFS).
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
 pub struct Hash256(pub [u8; 32]);
+
+/// A digest is already uniform, so it hashes as its first eight bytes: a
+/// map keyed by digests (block cids, DHT keys) pays for one word, not for
+/// thirty-two bytes and a length. Equal digests have equal prefixes, so
+/// this agrees with `Eq`.
+impl Hash for Hash256 {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b, c, d, e, f, g, h, ..] = self.0;
+        state.write_u64(u64::from_le_bytes([a, b, c, d, e, f, g, h]));
+    }
+}
 
 impl Hash256 {
     /// The all-zero digest; used as a sentinel (e.g. "no previous version").
@@ -102,8 +111,9 @@ impl Hash256 {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Distance([u64; 4]);
 
-/// The hasher for `u64` keys that are already ids — a doc id (64 bits of
-/// SHA-256), a sequential RPC handle: they need no SipHash, only a spread.
+/// The hasher for keys that are already ids — a doc id (64 bits of
+/// SHA-256), a sequential RPC handle, a digest ([`DigestMap`]): they need
+/// no SipHash, only a spread.
 /// `finish` multiplies by the 64-bit golden-ratio constant, so sequential
 /// keys reach the high bits a `HashMap` takes its control byte from, while
 /// the low bits it takes the slot from stay a bijection of the key's.
@@ -128,6 +138,14 @@ impl Hasher for IdHasher {
 
 /// A map keyed by ids, hashed by [`IdHasher`].
 pub type IdHashMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// A map keyed by a digest ([`Hash256`] or a type wrapping one, such as a
+/// block cid or a DHT key), hashed by [`IdHasher`] from the digest's first
+/// eight bytes. Unkeyed, like [`IdHashMap`] over doc ids: aiming a key at
+/// a chosen slot costs about as many SHA-256 evaluations as the map has
+/// slots, which no simulated peer spends; a map fed digests a real
+/// adversary chose keeps the default hasher.
+pub type DigestMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 impl fmt::Debug for Hash256 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -19,7 +19,7 @@ pub mod time;
 pub mod varint;
 
 pub use error::{QbError, QbResult};
-pub use hash::{sha256, Distance, Hash256, IdHashMap, IdHasher};
+pub use hash::{sha256, DigestMap, Distance, Hash256, IdHashMap, IdHasher};
 pub use hist::LatencyHistogram;
 pub use id::{Cid, DhtKey, NodeId};
 pub use rng::DetRng;

@@ -122,6 +122,23 @@ impl DhtNetwork {
         nearest.into_iter().map(|(_, id)| id).collect()
     }
 
+    /// Every copy of the record under `key` that some node holds: ground
+    /// truth across the overlay, read host-side with no message sent. The
+    /// storage collector asks it which objects a pointer key still names.
+    pub fn records_under<'a>(&'a self, key: &'a DhtKey) -> impl Iterator<Item = &'a Record> {
+        self.nodes
+            .iter()
+            .filter_map(move |node| node.find_value(key))
+    }
+
+    /// Drop the provider records of `key` on every node, host-side with no
+    /// message sent: the content they announced is pinned nowhere any more.
+    pub fn forget_providers(&mut self, key: &DhtKey) {
+        for node in &mut self.nodes {
+            node.remove_providers(key);
+        }
+    }
+
     fn bootstrap(&mut self, net: &mut SimNet) {
         let n = self.nodes.len();
         if n <= 1 {

@@ -3,8 +3,7 @@
 use crate::routing::RoutingTable;
 use crate::DhtConfig;
 use bytes::Bytes;
-use qb_common::{DhtKey, Distance, Hash256, NodeId};
-use std::collections::HashMap;
+use qb_common::{DhtKey, DigestMap, Distance, Hash256, NodeId};
 
 /// A value stored in the DHT under a key. A stored record is permanent: it
 /// lives on its replicas until a higher [`Record::version`] replaces it.
@@ -31,8 +30,8 @@ pub struct DhtNode {
     pub id: NodeId,
     /// Kademlia routing table.
     pub routing: RoutingTable,
-    records: HashMap<DhtKey, Record>,
-    providers: HashMap<DhtKey, Vec<NodeId>>,
+    records: DigestMap<DhtKey, Record>,
+    providers: DigestMap<DhtKey, Vec<NodeId>>,
 }
 
 impl DhtNode {
@@ -41,8 +40,8 @@ impl DhtNode {
         DhtNode {
             id,
             routing: RoutingTable::new(id.key, config.k),
-            records: HashMap::new(),
-            providers: HashMap::new(),
+            records: DigestMap::default(),
+            providers: DigestMap::default(),
         }
     }
 
@@ -79,6 +78,11 @@ impl DhtNode {
     /// Handle a `GET_PROVIDERS` RPC.
     pub fn get_providers(&self, key: &DhtKey) -> Vec<NodeId> {
         self.providers.get(key).cloned().unwrap_or_default()
+    }
+
+    /// Forget every provider of `key`.
+    pub fn remove_providers(&mut self, key: &DhtKey) {
+        self.providers.remove(key);
     }
 
     /// Handle a `FIND_NODE` RPC: return our `count` closest contacts to the

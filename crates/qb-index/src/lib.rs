@@ -33,4 +33,7 @@ pub use kernel::{intersect_and_score, paginate, rank, Ranked};
 pub use postings::{Posting, PostingList};
 pub use query::{search, Query, QueryMode, ScoredDoc};
 pub use scorer::{blend_with_component, blend_with_rank, rank_component, Bm25};
-pub use shard::{DistributedIndex, IndexStats, ReadMachine, ReadStep, ShardEntry, ShardPosting};
+pub use shard::{
+    shard_pointer_root, DistributedIndex, IndexStats, ReadMachine, ReadStep, ShardEntry,
+    ShardPosting,
+};

@@ -285,6 +285,18 @@ impl IndexOpCost {
 const SHARD_INLINE_TAG: u8 = 1;
 const SHARD_POINTER_TAG: u8 = 2;
 
+/// The root a shard record's value names: the object of a pointer record,
+/// none for an inline shard (or a value that is neither).
+pub fn shard_pointer_root(value: &[u8]) -> Option<Cid> {
+    match value.split_first() {
+        Some((&SHARD_POINTER_TAG, root)) => {
+            let root = <[u8; 32]>::try_from(root).ok()?;
+            Some(Cid(Hash256::from_bytes(root)))
+        }
+        _ => None,
+    }
+}
+
 /// What a poll of an event-driven index read observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadStep {
@@ -484,7 +496,10 @@ impl DistributedIndex {
     }
 
     /// Write a shard from `peer`. The caller must have bumped
-    /// `entry.version`; replicas only accept newer versions.
+    /// `entry.version`; replicas only accept newer versions. A shard too
+    /// large to inline is a storage object the record names; once no copy
+    /// of the term's record names an earlier version's object any more,
+    /// that object is unpinned.
     pub fn write_shard(
         &self,
         net: &mut SimNet,
@@ -502,7 +517,7 @@ impl DistributedIndex {
             v.extend_from_slice(&encoded);
             v
         } else {
-            let (obj, put) = storage.put_object(net, dht, peer, &encoded)?;
+            let (obj, put) = storage.put_named_object(net, dht, peer, key, &encoded)?;
             cost.add(put.latency, put.messages);
             let mut v = Vec::with_capacity(33);
             v.push(SHARD_POINTER_TAG);
@@ -511,6 +526,7 @@ impl DistributedIndex {
         };
         let put = dht.put_record(net, peer, key, value, entry.version)?;
         cost.add(put.latency, put.messages);
+        storage.release_unnamed(dht, &key, shard_pointer_root);
         Ok(cost)
     }
 
@@ -684,11 +700,10 @@ fn decode_shard_record(
     match value.first() {
         Some(&SHARD_INLINE_TAG) => ReadState::done(ShardEntry::decode(&value[1..]), lookup_done),
         Some(&SHARD_POINTER_TAG) => {
-            let Ok(root) = <[u8; 32]>::try_from(&value[1..]) else {
+            let Some(cid) = shard_pointer_root(&value) else {
                 let bad = QbError::Codec("bad shard pointer record".into());
                 return ReadState::done(Err(bad), lookup_done);
             };
-            let cid = Cid(Hash256::from_bytes(root));
             let (bytes, fetch) = match storage.get_object(net, dht, machine.peer, cid) {
                 Ok(fetched) => fetched,
                 Err(e) => return ReadState::done(Err(e), lookup_done),

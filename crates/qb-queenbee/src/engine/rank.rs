@@ -5,7 +5,7 @@ use super::QueenBee;
 use crate::bee::BeeBehaviour;
 use crate::config::SLASH_AMOUNT;
 use qb_chain::{AccountId, Call};
-use qb_common::{DhtKey, Hash256, IdHashMap, QbResult};
+use qb_common::{Cid, DhtKey, Hash256, IdHashMap, QbResult};
 use qb_rank::{LinkGraph, RankRoundReport};
 
 /// Doc id → [`qb_index::rank_component`] of the page's rank, for every page
@@ -85,11 +85,17 @@ impl QueenBee {
             for name in names {
                 encoded.push_str(&format!("{name}\t{:.9}\n", self.ranks_by_name[name]));
             }
+            // The previous round's vector is unpinned once no copy of the
+            // pointer names it.
             let peer = self.bees[0].peer;
-            let (obj, _stats) =
-                self.storage
-                    .put_object(&mut self.net, &mut self.dht, peer, encoded.as_bytes())?;
             let key = DhtKey(Hash256::digest(b"rank:@vector"));
+            let (obj, _stats) = self.storage.put_named_object(
+                &mut self.net,
+                &mut self.dht,
+                peer,
+                key,
+                encoded.as_bytes(),
+            )?;
             self.dht.put_record(
                 &mut self.net,
                 peer,
@@ -97,6 +103,9 @@ impl QueenBee {
                 obj.root.0.as_bytes().to_vec(),
                 self.rank_round,
             )?;
+            self.storage.release_unnamed(&mut self.dht, &key, |value| {
+                Some(Cid(Hash256::from_bytes(value.try_into().ok()?)))
+            });
         }
 
         // Slash bees flagged during rank verification, pay the others.

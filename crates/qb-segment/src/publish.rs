@@ -98,7 +98,8 @@ pub struct SegmentIo {
 
 /// Chunk the segment into the storage DAG and publish its pointer as a
 /// DHT record versioned by `generation`. All bytes are charged to the
-/// simulated network by the layers underneath.
+/// simulated network by the layers underneath. An earlier generation stays
+/// pinned until no copy of the pointer record names it.
 pub fn publish_segment(
     net: &mut SimNet,
     dht: &mut DhtNetwork,
@@ -108,7 +109,8 @@ pub fn publish_segment(
     generation: u64,
 ) -> QbResult<(SegmentRef, SegmentIo)> {
     let bytes = segment.encode();
-    let (obj, put_stats) = storage.put_object(net, dht, from, &bytes)?;
+    let key = latest_segment_key();
+    let (obj, put_stats) = storage.put_named_object(net, dht, from, key, &bytes)?;
     let sref = SegmentRef {
         root: obj.root,
         total_len: obj.total_len,
@@ -118,7 +120,10 @@ pub fn publish_segment(
     };
     let pointer = sref.encode();
     let pointer_len = pointer.len() as u64;
-    let put = dht.put_record(net, from, latest_segment_key(), pointer, generation)?;
+    let put = dht.put_record(net, from, key, pointer, generation)?;
+    storage.release_unnamed(dht, &key, |value| {
+        SegmentRef::decode(value).ok().map(|sref| sref.root)
+    });
     let io = SegmentIo {
         bytes: put_stats.bytes + pointer_len * put.stored_on.len() as u64,
         messages: put_stats.messages + put.messages,
@@ -228,6 +233,28 @@ mod tests {
         publish_segment(&mut net, &mut dht, &mut storage, 0, &seg, 3).unwrap();
         assert!(fetch_segment(&mut net, &mut dht, &mut storage, 4, 4).is_err());
         assert!(fetch_segment(&mut net, &mut dht, &mut storage, 4, 3).is_ok());
+    }
+
+    #[test]
+    fn an_older_generation_leaves_storage_once_no_pointer_names_it() {
+        let (mut net, mut dht, mut storage) = stack();
+        let gen =
+            |n: u64| Segment::from_shards([shard("alpha", n, &[1, n]), shard("beta", 1, &[4])]);
+        let (first, _) = publish_segment(&mut net, &mut dht, &mut storage, 0, &gen(1), 1).unwrap();
+        let (second, _) = publish_segment(&mut net, &mut dht, &mut storage, 0, &gen(2), 2).unwrap();
+        assert!(storage.pinned_holders(&first.root).is_empty());
+        assert!(!storage.pinned_holders(&second.root).is_empty());
+        // A generation published by another writer leaves the first
+        // writer's own copy of the pointer naming the second.
+        let (third, _) = publish_segment(&mut net, &mut dht, &mut storage, 9, &gen(3), 3).unwrap();
+        let names = |root: Cid| {
+            dht.records_under(&latest_segment_key())
+                .any(|r| SegmentRef::decode(&r.value).is_ok_and(|s| s.root == root))
+        };
+        assert!(names(second.root));
+        assert!(!storage.pinned_holders(&second.root).is_empty());
+        let (fetched, fref, _) = fetch_segment(&mut net, &mut dht, &mut storage, 5, 3).unwrap();
+        assert_eq!((fetched, fref), (gen(3), third));
     }
 
     #[test]

@@ -19,9 +19,10 @@ use crate::block::Block;
 /// (seed 1, 3 s, set-up included, ~546 k chunks stored): 2^10 slots reuse
 /// 58 % of chunks, 2^13 80 %, **2^14 83 %**, 2^20 85 % (as good as
 /// unbounded) at 48 MiB of slots; 2^14 keeps 97 % of the reachable reuse
-/// for 768 KiB. Every block the memo holds is also pinned by the peer that
-/// stored it (unless that copy was since tampered with), so the memo costs
-/// its slots, not the bytes they point at.
+/// for 768 KiB. Every block the memo holds is also pinned by some peer
+/// (unless that copy was since tampered with): a block the collector frees
+/// leaves the memo too, so the memo costs its slots, not the bytes they
+/// point at.
 pub(crate) const CHUNK_MEMO_SLOTS: usize = 1 << 14;
 
 /// Direct-mapped memo of recently stored chunks, keyed by content hash.
@@ -54,6 +55,29 @@ impl ChunkMemo {
         let block = Block::new(chunk);
         *slot = Some(block.clone());
         block
+    }
+
+    /// Drop `block` if the memo holds this very block (its buffer, not only
+    /// its bytes); returns whether it did. A later chunk with its bytes is
+    /// then copied and hashed afresh.
+    pub(crate) fn forget(&mut self, block: &Block) -> bool {
+        let Some(slot) = self.slot_holding(block) else {
+            return false;
+        };
+        self.slots[slot] = None;
+        true
+    }
+
+    /// Does the memo hold this very block?
+    #[cfg(test)]
+    pub(crate) fn holds(&self, block: &Block) -> bool {
+        self.slot_holding(block).is_some()
+    }
+
+    fn slot_holding(&self, block: &Block) -> Option<usize> {
+        let slot = slot_of(block.data());
+        let held = self.slots.get(slot)?.as_ref()?;
+        (held.data().as_ptr() == block.data().as_ptr()).then_some(slot)
     }
 }
 
@@ -95,6 +119,19 @@ mod tests {
         );
         let other = memo.block(b"edited chunk");
         assert_eq!(other, Block::new(&b"edited chunk"[..]));
+    }
+
+    #[test]
+    fn a_forgotten_block_is_built_afresh() {
+        let mut memo = ChunkMemo::default();
+        let kept = memo.block(b"chunk");
+        // An equal block with its own buffer is not the one held.
+        assert!(!memo.forget(&Block::new(&b"chunk"[..])));
+        assert!(memo.forget(&kept));
+        assert!(!memo.forget(&kept), "already gone");
+        let again = memo.block(b"chunk");
+        assert_eq!(again, kept);
+        assert_ne!(again.data().as_ptr(), kept.data().as_ptr(), "built afresh");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::chunker::{chunk_content_defined, ChunkerConfig};
 use crate::dag::Manifest;
 use crate::memo::ChunkMemo;
 use crate::store::{BlockStore, LruBlockStore, MemoryBlockStore};
-use qb_common::{Cid, QbError, QbResult, SimDuration};
+use qb_common::{Cid, DhtKey, DigestMap, QbError, QbResult, SimDuration};
 use qb_dht::DhtNetwork;
 use qb_simnet::SimNet;
 
@@ -77,6 +77,20 @@ pub struct StorageNetwork {
     caches: Vec<LruBlockStore>,
     /// Blocks recently stored, found again by their bytes (host-side only).
     memo: ChunkMemo,
+    /// How many stored objects hold each block, once per occurrence. A
+    /// block stays on every peer that pinned it until this reaches zero.
+    live: DigestMap<Cid, u32>,
+    /// Objects put under a pointer key, each stored until no copy of a
+    /// record under that key names it ([`StorageNetwork::release_unnamed`]).
+    named: DigestMap<DhtKey, Vec<Named>>,
+}
+
+/// An object put under a pointer key, as releasing it needs it.
+#[derive(Debug)]
+struct Named {
+    root: Cid,
+    /// The root (the manifest's cid), then each chunk's in manifest order.
+    blocks: Vec<Cid>,
 }
 
 impl StorageNetwork {
@@ -88,6 +102,8 @@ impl StorageNetwork {
                 .map(|_| LruBlockStore::new(config.cache_bytes))
                 .collect(),
             memo: ChunkMemo::default(),
+            live: DigestMap::default(),
+            named: DigestMap::default(),
             config,
         }
     }
@@ -141,13 +157,112 @@ impl StorageNetwork {
     }
 
     /// Publish an object from `from`: chunk it, pin it locally, replicate it
-    /// to the closest peers to its root key and announce providers in the DHT.
+    /// to the closest peers to its root key and announce providers in the
+    /// DHT. It stays pinned for good.
     pub fn put_object(
         &mut self,
         net: &mut SimNet,
         dht: &mut DhtNetwork,
         from: u64,
         data: &[u8],
+    ) -> QbResult<(ObjectRef, FetchStats)> {
+        self.put(net, dht, from, data, None)
+    }
+
+    /// [`StorageNetwork::put_object`] for the object a versioned pointer
+    /// record under `name` is about to name: it stays stored only while
+    /// some copy of a record under `name` names it. The writer calls
+    /// [`StorageNetwork::release_unnamed`] after each record it puts there.
+    pub fn put_named_object(
+        &mut self,
+        net: &mut SimNet,
+        dht: &mut DhtNetwork,
+        from: u64,
+        name: DhtKey,
+        data: &[u8],
+    ) -> QbResult<(ObjectRef, FetchStats)> {
+        self.put(net, dht, from, data, Some(name))
+    }
+
+    /// Release every object put under `name` that no copy of a record
+    /// under `name` names any more — `root_of` reads the root a record's
+    /// value names. Returns the number of objects released.
+    ///
+    /// A released object's blocks that no stored object holds any more
+    /// leave every peer, and its root's provider records go with them. A
+    /// block another object still holds stays on every peer that pinned
+    /// it, so a read of a stored object finds what it always found; only a
+    /// freed block that a later object holds again is pinned afresh, and
+    /// only where that object is. A lagging replica still holding an older
+    /// record keeps that record's object stored, so every root a lookup
+    /// can return stays fetchable. The collector reads the overlay's ground
+    /// truth and charges no message, as a pin expiring at its holder would
+    /// not; it runs between engine calls, never under a read in flight.
+    pub fn release_unnamed(
+        &mut self,
+        dht: &mut DhtNetwork,
+        name: &DhtKey,
+        root_of: impl Fn(&[u8]) -> Option<Cid>,
+    ) -> usize {
+        let StorageNetwork {
+            pinned,
+            memo,
+            live,
+            named,
+            ..
+        } = self;
+        let Some(objects) = named.get_mut(name) else {
+            return 0;
+        };
+        let names = |dht: &DhtNetwork, root: Cid| {
+            dht.records_under(name)
+                .any(|record| root_of(&record.value) == Some(root))
+        };
+        let mut released = 0;
+        while let Some(at) = objects.iter().position(|o| !names(dht, o.root)) {
+            let object = objects.swap_remove(at);
+            for cid in &object.blocks {
+                Self::drop_holding(live, pinned, memo, cid);
+            }
+            if !live.contains_key(&object.root) {
+                dht.forget_providers(&object.root.to_dht_key());
+            }
+            released += 1;
+        }
+        released
+    }
+
+    /// One object no longer holds `cid`: the last one to let go frees the
+    /// block on every peer, and in the chunk memo.
+    fn drop_holding(
+        live: &mut DigestMap<Cid, u32>,
+        pinned: &mut [MemoryBlockStore],
+        memo: &mut ChunkMemo,
+        cid: &Cid,
+    ) {
+        let Some(objects) = live.get_mut(cid) else {
+            return;
+        };
+        *objects -= 1;
+        if *objects > 0 {
+            return;
+        }
+        live.remove(cid);
+        let mut forgotten = false;
+        for store in pinned {
+            if let Some(freed) = store.take(cid) {
+                forgotten = forgotten || memo.forget(&freed);
+            }
+        }
+    }
+
+    fn put(
+        &mut self,
+        net: &mut SimNet,
+        dht: &mut DhtNetwork,
+        from: u64,
+        data: &[u8],
+        name: Option<DhtKey>,
     ) -> QbResult<(ObjectRef, FetchStats)> {
         if !net.is_online(from) {
             return Err(QbError::NodeOffline(from));
@@ -171,6 +286,19 @@ impl StorageNetwork {
         let mut stats = FetchStats::default();
 
         self.pin(from, &manifest_block, &blocks);
+        // Counted from the first pin on: should the announce below fail, a
+        // named object is released by the next release under `name`.
+        let cids = std::iter::once(root).chain(blocks.iter().map(Block::cid));
+        for cid in cids.clone() {
+            *self.live.entry(cid).or_default() += 1;
+        }
+        if let Some(name) = name {
+            let object = Named {
+                root,
+                blocks: cids.collect(),
+            };
+            self.named.entry(name).or_default().push(object);
+        }
 
         // Announce the publisher as a provider.
         let provider_key = root.to_dht_key();
@@ -378,6 +506,7 @@ mod tests {
     use proptest::prelude::*;
     use qb_dht::DhtConfig;
     use qb_simnet::NetConfig;
+    use std::collections::HashMap;
 
     fn setup(n: usize, seed: u64) -> (SimNet, DhtNetwork, StorageNetwork) {
         let mut net = SimNet::new(n, NetConfig::lan(), seed);
@@ -825,6 +954,214 @@ mod tests {
         assert_eq!(warm.2, cold.2);
         assert_eq!(format!("{:?}", warm.3), format!("{:?}", cold.3));
         assert_eq!(format!("{:?}", warm.4), format!("{:?}", cold.4));
+    }
+
+    /// The root a test pointer record names: its value is the root itself.
+    fn root_of(value: &[u8]) -> Option<Cid> {
+        Some(Cid(qb_common::Hash256::from_bytes(value.try_into().ok()?)))
+    }
+
+    /// Store `data` from `from` as the object the record under `name` names
+    /// at `version`, then release what no record names. Returns the root
+    /// and the number of objects released.
+    fn write(
+        (net, dht, storage): (&mut SimNet, &mut DhtNetwork, &mut StorageNetwork),
+        from: u64,
+        name: DhtKey,
+        data: &[u8],
+        version: u64,
+    ) -> (Cid, usize) {
+        let (obj, _) = storage
+            .put_named_object(net, dht, from, name, data)
+            .unwrap();
+        let pointer = obj.root.0.as_bytes().to_vec();
+        dht.put_record(net, from, name, pointer, version).unwrap();
+        (obj.root, storage.release_unnamed(dht, &name, root_of))
+    }
+
+    /// The root and every chunk cid of a stored object, read from a holder.
+    fn blocks_of(storage: &StorageNetwork, root: Cid) -> Vec<Cid> {
+        let holder = storage.pinned_holders(&root)[0] as usize;
+        let manifest = storage.pinned[holder].get(&root).unwrap();
+        let chunks = Manifest::decode(manifest.data()).unwrap().chunks;
+        std::iter::once(root).chain(chunks).collect()
+    }
+
+    fn is_subset(small: &[u64], large: &[u64]) -> bool {
+        small.iter().all(|p| large.contains(p))
+    }
+
+    #[test]
+    fn a_superseded_object_leaves_every_peer_but_the_chunks_its_successor_holds() {
+        let (mut net, mut dht, mut storage) = setup(32, 14);
+        let name = DhtKey::from_bytes(b"pointer");
+        let v1 = random_data(3000);
+        let mut v2 = v1.clone();
+        v2.splice(1500..1500, b"an edit in the middle".iter().copied());
+        let (r1, released) = write((&mut net, &mut dht, &mut storage), 3, name, &v1, 1);
+        assert_eq!(released, 0, "the record names it");
+        let old = blocks_of(&storage, r1);
+        let old_holders = storage.pinned_holders(&r1);
+        // A reader caches the object and announces itself as a provider.
+        storage.get_object(&mut net, &mut dht, 20, r1).unwrap();
+
+        let (r2, released) = write((&mut net, &mut dht, &mut storage), 3, name, &v2, 2);
+        assert_eq!(released, 1);
+        let new = blocks_of(&storage, r2);
+        let (shared, freed): (Vec<Cid>, Vec<Cid>) = old.iter().partition(|c| new.contains(c));
+        assert!(!shared.is_empty() && !freed.is_empty());
+        for cid in &shared {
+            let holders = storage.pinned_holders(cid);
+            assert!(is_subset(&old_holders, &holders), "{cid} left a holder");
+        }
+        for cid in &freed {
+            assert!(storage.pinned_holders(cid).is_empty(), "{cid} still pinned");
+        }
+        for node in 0..32 {
+            assert!(dht.node(node).get_providers(&r1.to_dht_key()).is_empty());
+        }
+        // A freed object is never served as present: its former holder
+        // finds neither its blocks nor anyone announcing them.
+        let err = storage
+            .get_object(&mut net, &mut dht, old_holders[0], r1)
+            .unwrap_err();
+        assert!(err.is_availability(), "{err}");
+        let (read, _) = storage.get_object(&mut net, &mut dht, 25, r2).unwrap();
+        assert_eq!(read, v2);
+    }
+
+    #[test]
+    fn a_lagging_replica_keeps_the_object_its_record_names() {
+        let (mut net, mut dht, mut storage) = setup(32, 15);
+        let name = DhtKey::from_bytes(b"pointer");
+        let (v1, v2, v3) = (random_data(2000), sample_data(2500), sample_data(1800));
+        let (r1, _) = write((&mut net, &mut dht, &mut storage), 3, name, &v1, 1);
+        // One replica of the record misses the next version.
+        let lagging = (0..32u64)
+            .find(|&n| n != 3 && dht.node(n).find_value(&name).is_some())
+            .expect("a replica");
+        net.set_online(lagging, false);
+        let (r2, released) = write((&mut net, &mut dht, &mut storage), 3, name, &v2, 2);
+        assert_eq!(released, 0, "the lagging replica still names {r1}");
+        net.set_online(lagging, true);
+        let (read, _) = storage.get_object(&mut net, &mut dht, 21, r1).unwrap();
+        assert_eq!(read, v1);
+
+        // Once the replica moves on, nothing names the first version.
+        let (r3, _) = write((&mut net, &mut dht, &mut storage), 3, name, &v3, 3);
+        let named = |root: Cid| {
+            dht.records_under(&name)
+                .any(|r| root_of(&r.value) == Some(root))
+        };
+        assert!(!named(r1));
+        assert!(storage.pinned_holders(&r1).is_empty());
+        assert_eq!(storage.pinned_holders(&r2).is_empty(), !named(r2));
+        assert!(named(r3));
+        let (read, _) = storage.get_object(&mut net, &mut dht, 22, r3).unwrap();
+        assert_eq!(read, v3);
+    }
+
+    #[test]
+    fn a_freed_chunk_leaves_the_memo_and_a_later_put_pins_it_afresh() {
+        let (mut net, mut dht, mut storage) = setup(32, 16);
+        let name = DhtKey::from_bytes(b"pointer");
+        let (v1, v2) = (random_data(1500), sample_data(1500));
+        let (r1, _) = write((&mut net, &mut dht, &mut storage), 3, name, &v1, 1);
+        let chunk = blocks_of(&storage, r1)[1];
+        let handle = storage.pinned[3].get(&chunk).unwrap().clone();
+        assert!(storage.memo.holds(&handle));
+
+        let (_, released) = write((&mut net, &mut dht, &mut storage), 3, name, &v2, 2);
+        assert_eq!(released, 1);
+        assert!(storage.pinned_holders(&chunk).is_empty());
+        assert!(!storage.memo.holds(&handle), "the memo kept a freed block");
+
+        // The first version again: its chunks are pinned afresh, in new
+        // buffers, and read whole.
+        let (again, released) = write((&mut net, &mut dht, &mut storage), 3, name, &v1, 3);
+        assert_eq!((again, released), (r1, 1));
+        let repinned = storage.pinned[3].get(&chunk).unwrap();
+        assert!(repinned.verify());
+        assert_ne!(repinned.data().as_ptr(), handle.data().as_ptr());
+        let (read, _) = storage.get_object(&mut net, &mut dht, 25, r1).unwrap();
+        assert_eq!(read, v1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Under edit chains on two pointer keys, written from a few peers
+        /// while replicas drop in and out: after every write, each root some
+        /// copy of a record names is stored whole, every object still
+        /// tracked is named, every pinned block belongs to a tracked object
+        /// and its holding count is what the tracked objects add up to, and
+        /// no released root keeps a provider record.
+        #[test]
+        fn the_collector_keeps_exactly_what_the_records_name(
+            seed in 0u64..1_000,
+            steps in proptest::collection::vec(
+                ((0usize..2, 0u64..4), (0u8..3, any::<usize>(), 1usize..200), 4u64..16),
+                1..10,
+            ),
+        ) {
+            let (mut net, mut dht, mut storage) = setup(16, seed);
+            let names = [DhtKey::from_bytes(b"first"), DhtKey::from_bytes(b"second")];
+            let mut data = [random_data(1200), sample_data(900)];
+            let mut versions = [0u64; 2];
+            let mut released_roots: Vec<Cid> = Vec::new();
+            for (i, &((which, writer), edit_op, flip)) in steps.iter().enumerate() {
+                // A peer other than the writers drops out or comes back.
+                net.set_online(flip, !net.is_online(flip));
+                edit(&mut data[which], edit_op, seed + i as u64);
+                let name = names[which];
+                let before: Vec<Cid> = storage.named.values().flatten().map(|o| o.root).collect();
+                let Ok((obj, _)) =
+                    storage.put_named_object(&mut net, &mut dht, writer, name, &data[which])
+                else {
+                    continue;
+                };
+                versions[which] += 1;
+                let pointer = obj.root.0.as_bytes().to_vec();
+                let _ = dht.put_record(&mut net, writer, name, pointer, versions[which]);
+                storage.release_unnamed(&mut dht, &name, root_of);
+                let after: Vec<Cid> = storage.named.values().flatten().map(|o| o.root).collect();
+                released_roots.extend(before.into_iter().filter(|r| !after.contains(r)));
+
+                let mut expected: HashMap<Cid, u32> = HashMap::new();
+                for (key, objects) in &storage.named {
+                    for object in objects {
+                        let named = dht.records_under(key)
+                            .any(|r| root_of(&r.value) == Some(object.root));
+                        prop_assert!(named, "tracked but unnamed: {}", object.root);
+                        for cid in &object.blocks {
+                            *expected.entry(*cid).or_default() += 1;
+                        }
+                    }
+                }
+                for key in &names {
+                    for record in dht.records_under(key) {
+                        let root = root_of(&record.value).unwrap();
+                        for cid in blocks_of(&storage, root) {
+                            prop_assert!(!storage.pinned_holders(&cid).is_empty(), "{} lost {}", root, cid);
+                        }
+                    }
+                }
+                let live: HashMap<Cid, u32> = storage.live.iter().map(|(c, n)| (*c, *n)).collect();
+                prop_assert_eq!(&live, &expected);
+                for store in &storage.pinned {
+                    for cid in store.cids() {
+                        prop_assert!(expected.contains_key(cid), "stray block {}", cid);
+                    }
+                }
+                for root in &released_roots {
+                    if !expected.contains_key(root) {
+                        for node in 0..16 {
+                            prop_assert!(dht.node(node).get_providers(&root.to_dht_key()).is_empty());
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

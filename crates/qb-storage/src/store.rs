@@ -1,8 +1,8 @@
 //! Local block stores.
 
 use crate::block::Block;
-use qb_common::Cid;
-use std::collections::{HashMap, VecDeque};
+use qb_common::{Cid, DigestMap};
+use std::collections::VecDeque;
 
 /// Interface of a local block store.
 pub trait BlockStore {
@@ -27,7 +27,7 @@ pub trait BlockStore {
 /// Unbounded in-memory store (pinned / published content).
 #[derive(Debug, Default, Clone)]
 pub struct MemoryBlockStore {
-    blocks: HashMap<Cid, Block>,
+    blocks: DigestMap<Cid, Block>,
     bytes: usize,
 }
 
@@ -40,6 +40,13 @@ impl MemoryBlockStore {
     /// Iterate over stored cids.
     pub fn cids(&self) -> impl Iterator<Item = &Cid> {
         self.blocks.keys()
+    }
+
+    /// Remove a block, returning it.
+    pub fn take(&mut self, cid: &Cid) -> Option<Block> {
+        let block = self.blocks.remove(cid)?;
+        self.bytes -= block.len();
+        Some(block)
     }
 
     /// Mutable access used only by the tamper-injection experiment (E4):
@@ -73,12 +80,7 @@ impl BlockStore for MemoryBlockStore {
     }
 
     fn remove(&mut self, cid: &Cid) -> bool {
-        if let Some(b) = self.blocks.remove(cid) {
-            self.bytes -= b.len();
-            true
-        } else {
-            false
-        }
+        self.take(cid).is_some()
     }
 
     fn len(&self) -> usize {
@@ -94,7 +96,7 @@ impl BlockStore for MemoryBlockStore {
 #[derive(Debug, Clone)]
 pub struct LruBlockStore {
     capacity_bytes: usize,
-    blocks: HashMap<Cid, Block>,
+    blocks: DigestMap<Cid, Block>,
     order: VecDeque<Cid>,
     bytes: usize,
     /// Cache hits observed through [`LruBlockStore::get_touch`].
@@ -108,7 +110,7 @@ impl LruBlockStore {
     pub fn new(capacity_bytes: usize) -> LruBlockStore {
         LruBlockStore {
             capacity_bytes,
-            blocks: HashMap::new(),
+            blocks: DigestMap::default(),
             order: VecDeque::new(),
             bytes: 0,
             hits: 0,

@@ -2,10 +2,11 @@
 //! substrate crates (the full Figure 1 pipeline).
 
 use qb_chain::AccountId;
-use qb_common::SimDuration;
+use qb_common::{Cid, DhtKey, SimDuration};
 use qb_integration::{page, publish_and_index, small_engine};
-use qb_queenbee::{Freshness, RoutingPolicy, SearchRequest};
+use qb_queenbee::{Freshness, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest};
 use qb_workload::AdSpec;
+use std::collections::BTreeSet;
 
 #[test]
 fn full_pipeline_from_publish_to_paid_ad_click() {
@@ -174,6 +175,61 @@ fn the_index_outlives_a_simulated_hour() {
     let after = qb.search_request(fresh()).expect("search after two hours");
     assert!(after.shards_fetched() > 0, "a Fresh read goes to the DHT");
     assert_eq!(after.hits, before.hits);
+}
+
+/// A republish rewrites the shards of the terms it touches. Each earlier
+/// shard object leaves storage once no copy of its term's record names it,
+/// every root a record still names stays stored, and a `Fresh` read still
+/// finds every page.
+#[test]
+fn superseded_shard_objects_leave_storage_and_the_index_still_answers() {
+    let mut config = QueenBeeConfig::small();
+    config.seed = 6;
+    // Small enough that the shared term's shard is a storage object.
+    config.shard_inline_threshold = 64;
+    let mut qb = QueenBee::new(config).expect("valid config");
+    let key = DhtKey::for_term(&qb_index::Analyzer::stem("honey"));
+    let named = |qb: &QueenBee| -> BTreeSet<Cid> {
+        qb.dht
+            .records_under(&key)
+            .filter_map(|r| qb_index::shard_pointer_root(&r.value))
+            .collect()
+    };
+    let mut seen = BTreeSet::new();
+    for round in 0..4 {
+        for i in 0..8u64 {
+            let body = format!("honey comb round{round} cell{i}");
+            publish_and_index(
+                &mut qb,
+                1 + i % 3,
+                1_000,
+                &page(&format!("hive/{i}"), &body, &[]),
+            );
+            seen.extend(named(&qb));
+        }
+    }
+    let still_named = named(&qb);
+    let released: Vec<&Cid> = seen.difference(&still_named).collect();
+    assert!(!released.is_empty(), "nothing was superseded");
+    for root in released {
+        assert!(
+            qb.storage.pinned_holders(root).is_empty(),
+            "{root} still pinned"
+        );
+    }
+    for root in &still_named {
+        assert!(!qb.storage.pinned_holders(root).is_empty(), "{root} lost");
+    }
+    let fresh = SearchRequest::new("honey")
+        .top_k(20)
+        .route(RoutingPolicy::HashPeer(5))
+        .freshness(Freshness::Fresh);
+    let response = qb.search_request(fresh).expect("search");
+    assert!(
+        response.shards_fetched() > 0,
+        "a Fresh read goes to the DHT"
+    );
+    assert_eq!(response.hits.len(), 8);
 }
 
 #[test]
