@@ -13,11 +13,12 @@
 //! messages, gossip bytes, stale serves, pipelined makespan, open-loop
 //! tail latency, shed rate, segment-bootstrap cost, the post-crash
 //! routing spike and the hedged-fetch tail) must not rise
-//! above `baseline * (1 + t)`, higher-is-better metrics (window-memo
-//! dedup hits, the batch-aware warm-round lead, overload goodput) must
-//! not fall below
+//! above `baseline * (1 + t)`, higher-is-better metrics (the batch-aware
+//! warm-round lead, overload goodput) must not fall below
 //! `baseline * (1 - t)`. Zero-baselines are exact: any stale result served
-//! fails outright. Metrics whose table is missing from the *baseline* are
+//! fails outright. A higher-is-better check whose baseline reads 0 fails
+//! as vacuous: its limit would be 0, which nothing falls below. Metrics
+//! whose table is missing from the *baseline* are
 //! reported and skipped (a new experiment lands before its baseline);
 //! metrics missing from the *current* run fail (an experiment silently
 //! dropped out of the smoke job).
@@ -87,10 +88,8 @@ const CHECKS: &[Check] = &[
     lower("E12a", "config", "delta digests", "steady_digest_bytes"),
     lower("E12a", "config", "delta digests", "gossip_bytes_total"),
     lower("E12a", "config", "delta digests", "stale_results"),
-    // E13: the pipelined engine's makespan, CPU dedup and gossip lead.
+    // E13: the pipelined engine's makespan and the gossip lead.
     lower("E13a", "config", "pipelined", "makespan_ms"),
-    lower("E13a", "config", "pipelined", "score_invocations"),
-    higher("E13a", "config", "pipelined", "memo_hits"),
     // The self-steering pipeline must keep holding the fixed-depth
     // makespan on the unsaturated stream (the ratio row is % of the
     // fixed makespan) and keep beating it on the starved uplink.
@@ -199,6 +198,25 @@ fn find_metric(tables: &[Value], c: &Check) -> Option<Result<f64, String>> {
     None
 }
 
+/// Why check `c` fails at `cur` against its baseline `base`, or `None`
+/// when it holds. A lower-is-better zero baseline (stale serves) is exact,
+/// its limit 0; everything else gets the relative threshold, inverted for
+/// higher-is-better metrics, whose zero baseline would gate nothing.
+fn failure(c: &Check, base: f64, cur: f64, threshold: f64) -> Option<String> {
+    if c.higher_is_better && base == 0.0 {
+        let why = "baseline reads 0, so this higher-is-better check can never fail (vacuous)";
+        return Some(why.into());
+    }
+    let (limit, regressed) = if c.higher_is_better {
+        let limit = base * (1.0 - threshold);
+        (limit, cur < limit)
+    } else {
+        let limit = base * (1.0 + threshold);
+        (limit, cur > limit)
+    };
+    regressed.then(|| format!("{cur} vs baseline {base} (limit {limit:.1})"))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut threshold = 0.10f64;
@@ -266,21 +284,8 @@ fn main() -> ExitCode {
             }
             Some(Ok(v)) => v,
         };
-        // Zero baselines (stale serves) are exact; everything else gets
-        // the relative threshold, inverted for higher-is-better metrics.
-        let (limit, regressed) = if c.higher_is_better {
-            let limit = base * (1.0 - threshold);
-            (limit, cur < limit)
-        } else {
-            let limit = if base == 0.0 {
-                0.0
-            } else {
-                base * (1.0 + threshold)
-            };
-            (limit, cur > limit)
-        };
-        if regressed {
-            println!("  FAIL  {label}: {cur} vs baseline {base} (limit {limit:.1})");
+        if let Some(why) = failure(c, base, cur, threshold) {
+            println!("  FAIL  {label}: {why}");
             failures += 1;
         } else {
             let delta = if base == 0.0 {
@@ -308,4 +313,25 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_higher_check_on_a_zero_baseline_fails_as_vacuous() {
+        let lead = higher("E0", "config", "row", "lead");
+        for cur in [0.0, 1.0, 100.0] {
+            let why = failure(&lead, 0.0, cur, 0.1);
+            assert!(why.is_some_and(|why| why.contains("vacuous")), "{cur}");
+        }
+        assert_eq!(failure(&lead, 10.0, 9.5, 0.1), None);
+        assert!(failure(&lead, 10.0, 8.0, 0.1).is_some());
+        // A lower-is-better zero baseline is an exact check, not a vacuous
+        // one.
+        let stale = lower("E0", "config", "row", "stale_results");
+        assert_eq!(failure(&stale, 0.0, 0.0, 0.1), None);
+        assert!(failure(&stale, 0.0, 1.0, 0.1).is_some());
+    }
 }

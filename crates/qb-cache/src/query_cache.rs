@@ -647,7 +647,7 @@ mod tests {
         }
     }
 
-    /// Offer a list that already exists, as a memo-served query does.
+    /// Offer a list that already exists.
     fn store(
         c: &mut QueryCache,
         key: &str,

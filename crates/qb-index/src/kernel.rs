@@ -124,12 +124,7 @@ enum State<'a> {
 /// one.
 pub struct Ranked<'a>(State<'a>);
 
-impl<'a> Ranked<'a> {
-    /// A list built earlier (a memo's), to page from.
-    pub fn of_list(list: Arc<Vec<ScoredDoc>>) -> Ranked<'a> {
-        Ranked(State::List(list))
-    }
-
+impl Ranked<'_> {
     /// Candidates scored — the query's total matches.
     pub fn len(&self) -> usize {
         match &self.0 {
@@ -475,8 +470,6 @@ mod tests {
             prop_assert_eq!(ranked.len(), expected.len());
             prop_assert_eq!(ranked.list_bytes(), expected_bytes);
             prop_assert_eq!(bits(&ranked.page(page, top_k)), bits(&expected_page));
-            let mut remembered = Ranked::of_list(list);
-            prop_assert_eq!(bits(&remembered.page(page, top_k)), bits(&expected_page));
         }
     }
 

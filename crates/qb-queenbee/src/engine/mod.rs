@@ -251,9 +251,8 @@ impl QueenBee {
         (self.writer_shard_reads, self.writer_shard_cache_hits)
     }
 
-    /// Engine-lifetime counters of the query-serving path: real
-    /// intersect/score computations, window-memo savings and pipelined
-    /// window/query totals.
+    /// Engine-lifetime counters of the query-serving path: intersect/score
+    /// computations, scored lists built and pipelined window/query totals.
     pub fn query_stats(&self) -> QueryEngineStats {
         self.query_stats
     }
@@ -284,7 +283,6 @@ impl QueenBee {
 mod tests {
     use super::*;
     use crate::attacks::{CollusionAttack, ScraperAttack};
-    use crate::query::executor::WindowMemo;
     use crate::query::pipeline::PipelineConfig;
     use crate::query::request::{RoutingPolicy, SearchRequest};
     use crate::query::response::SearchResponse;
@@ -539,24 +537,46 @@ mod tests {
         );
     }
 
+    /// A cache-off engine holding two indexed pages that share "meadow
+    /// honey".
+    fn meadow_engine() -> QueenBee {
+        let mut qb = engine();
+        qb.publish(
+            1,
+            AccountId(1_000),
+            &page("wiki/a", "meadow honey nectar pollen", vec![]),
+        )
+        .unwrap();
+        qb.publish(
+            2,
+            AccountId(1_001),
+            &page("wiki/b", "meadow honey clover fields", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        qb
+    }
+
+    /// A duplicate-heavy stream over `meadow_engine`'s pages: in windows of
+    /// two, the same query recurs across (and within) windows.
+    fn duplicate_heavy_requests() -> Vec<SearchRequest> {
+        let queries = [
+            "meadow honey",
+            "meadow honey",
+            "honey nectar",
+            "meadow honey",
+            "meadow clover",
+            "honey nectar",
+            "meadow honey",
+            "clover fields",
+        ];
+        let numbered = queries.iter().enumerate();
+        numbered.map(|(i, q)| from_peer(3 + i as u64, q)).collect()
+    }
+
     #[test]
     fn batch_window_fetches_each_distinct_term_once() {
-        let publish_set = |qb: &mut QueenBee| {
-            qb.publish(
-                1,
-                AccountId(1_000),
-                &page("wiki/a", "meadow honey nectar pollen", vec![]),
-            )
-            .unwrap();
-            qb.publish(
-                2,
-                AccountId(1_001),
-                &page("wiki/b", "meadow honey clover fields", vec![]),
-            )
-            .unwrap();
-            qb.seal();
-            qb.process_publish_events().unwrap();
-        };
         let requests = vec![
             from_peer(3, "meadow honey"),
             from_peer(4, "honey nectar"),
@@ -564,8 +584,7 @@ mod tests {
         ];
 
         // No cache: the batch window is the only sharing mechanism.
-        let mut batched = engine();
-        publish_set(&mut batched);
+        let mut batched = meadow_engine();
         let responses = batched.search_batch(requests.clone()).unwrap();
         let fetches: usize = responses.iter().map(|r| r.shards_fetched()).sum();
         let shared: usize = responses.iter().map(|r| r.batch_shared()).sum();
@@ -574,8 +593,7 @@ mod tests {
 
         // Sequential execution of the same stream on an identical engine
         // pays per-query fetches but returns byte-identical hits.
-        let mut sequential = engine();
-        publish_set(&mut sequential);
+        let mut sequential = meadow_engine();
         let mut seq_fetches = 0usize;
         let mut seq_messages = 0u64;
         for (request, batched_response) in requests.into_iter().zip(&responses) {
@@ -595,72 +613,29 @@ mod tests {
 
     #[test]
     fn pipelined_execution_matches_sequential_results_and_cuts_makespan() {
-        let publish_set = |qb: &mut QueenBee| {
-            qb.publish(
-                1,
-                AccountId(1_000),
-                &page("wiki/a", "meadow honey nectar pollen", vec![]),
-            )
-            .unwrap();
-            qb.publish(
-                2,
-                AccountId(1_001),
-                &page("wiki/b", "meadow honey clover fields", vec![]),
-            )
-            .unwrap();
-            qb.seal();
-            qb.process_publish_events().unwrap();
-        };
-        // A duplicate-heavy stream: four windows of two, with the same
-        // query recurring across (and within) windows.
-        let queries = [
-            "meadow honey",
-            "meadow honey",
-            "honey nectar",
-            "meadow honey",
-            "meadow clover",
-            "honey nectar",
-            "meadow honey",
-            "clover fields",
-        ];
-        let requests = |offset: u64| -> Vec<SearchRequest> {
-            queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| {
-                    SearchRequest::new(*q).route(RoutingPolicy::HashPeer(offset + i as u64))
-                })
-                .collect()
-        };
-
-        // Sequential reference (windows of one, no memo).
-        let mut sequential = engine();
-        publish_set(&mut sequential);
+        // Sequential reference (windows of one).
+        let mut sequential = meadow_engine();
         let mut seq_hits = Vec::new();
-        for req in requests(3) {
+        for req in duplicate_heavy_requests() {
             seq_hits.push(sequential.search_request(req).unwrap().hits);
         }
-        let seq_invocations = sequential.query_stats().score_invocations;
 
         // Back-to-back windows (the PR 3 path): makespan = sum of window
         // latencies.
-        let mut b2b = engine();
-        publish_set(&mut b2b);
+        let mut b2b = meadow_engine();
         let mut b2b_makespan = SimDuration::ZERO;
-        for window in requests(3).chunks(2) {
+        for window in duplicate_heavy_requests().chunks(2) {
             let responses = b2b.search_batch(window.to_vec()).unwrap();
             b2b_makespan += qb_simnet::parallel_latency(
                 &responses.iter().map(|r| r.latency).collect::<Vec<_>>(),
             );
         }
-        let b2b_invocations = b2b.query_stats().score_invocations;
 
         // Pipelined: same stream, windows of two, overlapped.
-        let mut pipelined = engine();
-        publish_set(&mut pipelined);
+        let mut pipelined = meadow_engine();
         let outcome = pipelined
             .search_pipelined(
-                requests(3),
+                duplicate_heavy_requests(),
                 PipelineConfig {
                     window_size: 2,
                     max_windows_in_flight: 4,
@@ -668,7 +643,7 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(outcome.responses.len(), queries.len());
+        assert_eq!(outcome.responses.len(), seq_hits.len());
         for (resp, seq) in outcome.responses.iter().zip(&seq_hits) {
             assert_eq!(&resp.hits, seq, "pipelined results must be byte-identical");
         }
@@ -679,19 +654,16 @@ mod tests {
             "overlap must beat back-to-back ({} vs {b2b_makespan})",
             report.makespan
         );
-        assert!(report.memo_hits > 0, "duplicate queries must hit the memo");
         assert!(report.peak_windows_in_flight > 1, "windows must overlap");
         let stats = pipelined.query_stats();
         assert_eq!(stats.pipelined_windows, 4);
-        assert_eq!(stats.pipelined_queries, queries.len() as u64);
-        assert_eq!(stats.window_memo_hits, report.memo_hits);
-        assert!(
-            stats.score_invocations < b2b_invocations,
-            "memo must cut intersect/score invocations ({} vs {})",
+        assert_eq!(stats.pipelined_queries, seq_hits.len() as u64);
+        let scored = outcome.responses.iter().filter(|r| !r.result_cache_hit());
+        assert_eq!(
             stats.score_invocations,
-            b2b_invocations
+            scored.count() as u64,
+            "every query the result tier did not answer is scored once"
         );
-        assert!(stats.score_invocations < seq_invocations);
         // The async tracker was fully drained, and every fetch expanded
         // into at least one per-hop asynchronous operation on the wire.
         assert_eq!(pipelined.net.async_in_flight(), 0);
@@ -701,6 +673,51 @@ mod tests {
             pipelined.net.stats().async_ops,
             report.shard_fetches + report.stats_reads
         );
+    }
+
+    #[test]
+    fn each_query_is_scored_once_on_every_entry_point() {
+        // Cache off: nothing keeps a scored list, so every entry point
+        // scores a repeated query again and builds only its page.
+        let mut one_by_one = meadow_engine();
+        let singles: Vec<SearchResponse> = duplicate_heavy_requests()
+            .into_iter()
+            .map(|request| one_by_one.search_request(request).unwrap())
+            .collect();
+        let mut batched = meadow_engine();
+        let windows: Vec<SearchResponse> = duplicate_heavy_requests()
+            .chunks(2)
+            .flat_map(|window| batched.search_batch(window.to_vec()).unwrap())
+            .collect();
+        let mut pipelined = meadow_engine();
+        let config = PipelineConfig {
+            window_size: 2,
+            max_windows_in_flight: 4,
+            ..PipelineConfig::default()
+        };
+        let piped = pipelined
+            .search_pipelined(duplicate_heavy_requests(), config)
+            .unwrap()
+            .responses;
+
+        // Every field of every hit, the score compared bit for bit.
+        let answers = |responses: &[SearchResponse]| {
+            let answer = |r: &SearchResponse| {
+                let bits: Vec<u64> = r.hits.iter().map(|d| d.score.to_bits()).collect();
+                (r.hits.clone(), bits)
+            };
+            responses.iter().map(answer).collect::<Vec<_>>()
+        };
+        let n = singles.len() as u64;
+        for (qb, responses) in [
+            (&one_by_one, &singles),
+            (&batched, &windows),
+            (&pipelined, &piped),
+        ] {
+            assert_eq!(answers(responses), answers(&singles));
+            let stats = qb.query_stats();
+            assert_eq!((stats.score_invocations, stats.scored_lists_built), (n, 0));
+        }
     }
 
     #[test]
@@ -856,7 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn memo_hit_result_tier_and_result_hit_share_one_scored_list() {
+    fn the_result_tier_and_a_result_hit_share_one_scored_list() {
         let mut qb = cached_engine();
         for (name, text) in [
             ("wiki/dweb", "peers serve the decentralized web"),
@@ -869,39 +886,40 @@ mod tests {
         qb.process_publish_events().unwrap();
 
         // One window holding the same query twice: both plans miss the
-        // result tier, the second serve is a window-memo hit.
+        // result tier, and both score.
         let query = || from_peer(5, "decentralized peers");
         let mut plans = qb.plan_window(vec![query(), query()]).unwrap();
         let key = plans[0].result_key.clone();
         let reads = qb.fetch_window(&mut plans).unwrap();
         let now = qb.net.now();
-        let mut memo = WindowMemo::default();
         let responses: Vec<SearchResponse> = plans
             .into_iter()
-            .map(|plan| qb.serve_plan(plan, &reads, now, Some(&mut memo)))
+            .map(|plan| qb.serve_plan(plan, &reads, now))
             .collect();
-        assert_eq!((memo.invocations, memo.hits), (1, 1));
+        assert_eq!(qb.query_stats().score_invocations, 2);
         assert_eq!(responses[0].hits, responses[1].hits);
         assert_eq!(responses[0].hits.len(), 2);
 
-        // A later result-cache hit is planned on the list the computation
-        // materialised once: the result tier holds the memo's allocation
-        // (tier + memo + the plan's handle + this one).
+        // A later result-cache hit is planned on the list the tier kept:
+        // the tier, the plan's handle and this one hold one allocation.
         let warm = qb.plan_window(vec![query()]).unwrap().remove(0);
         assert_eq!(warm.result_key, key);
         let cached = warm.cached_result.as_ref().expect("result-cache hit");
         let list = Arc::clone(&cached.results);
-        assert_eq!(Arc::strong_count(&list), 4);
-        drop(memo);
         assert_eq!(Arc::strong_count(&list), 3);
         // The fetched shards fanned out as handles too.
         for fetch in reads.shards.iter().map(|read| read.done()) {
             let resident = qb.cache.as_ref().unwrap().peek_shard(&fetch.value.term);
             assert!(Arc::ptr_eq(resident.expect("fanned out"), &fetch.value));
         }
-        let served = qb.serve_plan(warm, &reads, now, None);
+        let served = qb.serve_plan(warm, &reads, now);
         assert!(served.result_cache_hit());
         assert_eq!(served.hits, responses[0].hits);
+        assert_eq!(
+            qb.query_stats().score_invocations,
+            2,
+            "a hit scores nothing"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! under the pipeline driver for `search_pipelined`.
 
 use super::QueenBee;
-use crate::query::executor::{ReadProgress, ReadSlot, WindowMemo, WindowReads};
+use crate::query::executor::{ReadProgress, ReadSlot, WindowReads};
 use crate::query::pipeline::{
     PipelineConfig, PipelineDriver, PipelineOutcome, PipelineReport, WindowRun,
 };
@@ -80,7 +80,7 @@ impl QueenBee {
         let batch_fetched = reads.batch_advert_groups(batch);
         let mut responses = Vec::with_capacity(plans.len());
         for plan in plans {
-            responses.push(self.serve_plan(plan, &reads, now, None));
+            responses.push(self.serve_plan(plan, &reads, now));
         }
         let window_end = now
             + responses
@@ -141,8 +141,10 @@ impl QueenBee {
                 .record(root, "cache_serve", issued_at, done);
         } else {
             // Stage ends are clamped into the query's own interval: a
-            // memoized pipelined query can report stage costs larger than
-            // its rebased latency, and the root must still end at `done`.
+            // pipelined query's latency is rebased on its window reads
+            // alone, so a term or statistics record the cache served,
+            // charged the cache's hit latency, can outlast it, and the root
+            // must still end at `done`.
             let costs = &response.trace;
             if costs.plan > SimDuration::ZERO {
                 let end = (issued_at + costs.plan).min(done);
@@ -182,10 +184,9 @@ impl QueenBee {
     /// `config.max_windows_in_flight` windows overlap — window N+1 is
     /// planned and its distinct-shard fetches issued while window N's
     /// fetches are still in flight, with the per-link in-flight limits of
-    /// the simulated network queueing (and charging) any excess. Identical
-    /// queries across the in-flight window set resolve against a
-    /// version-tagged window memo instead of re-running intersect/score.
-    /// See [`crate::query::pipeline`] for the state machine; experiment E13
+    /// the simulated network queueing (and charging) any excess. Each plan
+    /// is then scored and answered by the same `serve_plan` a batch window
+    /// uses. See [`crate::query::pipeline`] for the state machine; experiment E13
     /// measures the makespan win over back-to-back windows and asserts
     /// byte-identical per-query results.
     pub fn search_pipelined(
@@ -402,7 +403,6 @@ impl QueenBee {
     pub(crate) fn record_pipeline_run(&mut self, report: &PipelineReport) {
         self.query_stats.pipelined_windows += report.windows as u64;
         self.query_stats.pipelined_queries += report.queries as u64;
-        self.query_stats.window_memo_hits += report.memo_hits;
     }
 
     /// Resolve a request's routing policy to `(origin peer, frontend)`.
@@ -499,21 +499,20 @@ impl QueenBee {
     /// Stage 3 of the pipeline: turn one plan plus the window's shared
     /// reads into a [`SearchResponse`], store what the serving cache
     /// should keep, record version observations, account freshness and
-    /// attach the ad. With a window memo, identical queries in the in-flight
-    /// window set skip the intersect/score work.
+    /// attach the ad. Every entry point scores a query the result tier did
+    /// not answer here, exactly once.
     ///
     /// Shards are only ever borrowed here — from the plan's handles and the
     /// window's reads — and fan out into the serving cache as handles. The
     /// kernel ranks borrowed keys ([`qb_index::rank`]); a scored list is
-    /// built only for a result tier that admits it or a memo, once, and
-    /// they share it. Otherwise the response's page of hits is all that is
-    /// built.
+    /// built only for a result tier that admits it, once, and every later
+    /// result hit shares it. Otherwise the response's page of hits is all
+    /// that is built.
     pub(crate) fn serve_plan(
         &mut self,
         mut plan: QueryPlan,
         reads: &WindowReads,
         now: SimInstant,
-        memo: Option<&mut WindowMemo>,
     ) -> SearchResponse {
         let hit_latency = self.config.cache.hit_latency;
         let top_k = plan.request.top_k.unwrap_or(self.config.top_k);
@@ -597,22 +596,13 @@ impl QueenBee {
         let latency = shard_stage.max(stats_latency);
 
         // Score every candidate; what gets built from the scores is decided
-        // by who keeps it. A window memo serves duplicate computations from
-        // its version-tagged lists; every genuine computation is counted.
+        // by who keeps it.
         let components = &self.rank_components;
         // An unranked page blends as rank 0: `rank_component(0.0)` is 0.
         let component_of = |p: &ShardPosting| components.get(&p.doc_id).copied().unwrap_or(0.0);
         let rank_weight = self.config.rank_weight;
-        let (mut ranked, memo_hit) = match memo {
-            Some(m) => m.rank(plan.frontend, &shards, &stats, component_of, rank_weight),
-            None => (
-                qb_index::rank(&shards, &stats, component_of, rank_weight),
-                false,
-            ),
-        };
-        if !memo_hit {
-            self.query_stats.score_invocations += 1;
-        }
+        let mut ranked = qb_index::rank(&shards, &stats, component_of, rank_weight);
+        self.query_stats.score_invocations += 1;
         let total = ranked.len();
 
         // Cache stores: fetched shards fan out into this query's serving
@@ -640,10 +630,10 @@ impl QueenBee {
                 });
             }
         }
-        // The response owns its page — sliced from the list when a tier or
-        // the memo had it built, otherwise the only documents built.
+        // The response owns its page — sliced from the list when the result
+        // tier had it built, otherwise the only documents built.
         let hits = ranked.page(page, top_k);
-        if !memo_hit && ranked.has_list() {
+        if ranked.has_list() {
             self.query_stats.scored_lists_built += 1;
         }
         self.record_observations(plan.frontend, observed);

@@ -61,19 +61,21 @@ impl fmt::Display for CacheReport {
 }
 
 /// Engine-lifetime counters of the query-serving path: how much
-/// intersect/score CPU actually ran, how much the pipelined engine's
-/// window memo saved, and how much traffic went through the pipeline.
+/// intersect/score CPU actually ran, how many scored lists the result tier
+/// had built, and how much traffic went through the pipeline.
 /// Returned by [`crate::QueenBee::query_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct QueryEngineStats {
-    /// Genuine intersect+score computations performed (memo hits excluded).
+    /// Intersect+score computations: one for each query the result tier
+    /// did not answer, whichever entry point served it.
     pub score_invocations: u64,
-    /// Whole scored lists materialised — for a result tier that admitted
-    /// the entry, or for a window memo. A computation nothing keeps the
-    /// list of builds only its response's page and counts nothing here.
+    /// Whole scored lists materialised, each for a result tier that
+    /// admitted the entry. A computation nothing keeps the list of builds
+    /// only its response's page and counts nothing here.
     pub scored_lists_built: u64,
-    /// Scored lists served from a pipelined run's window memo — duplicate
-    /// queries that skipped intersect/score entirely.
+    /// Always 0: nothing serves a scored list it did not compute or the
+    /// result tier did not keep. The field stays only because the
+    /// benchmark (`bench/src/layers.rs`) reads it.
     pub window_memo_hits: u64,
     /// Windows executed by the pipelined engine.
     pub pipelined_windows: u64,
@@ -85,7 +87,6 @@ impl qb_trace::MetricsSource for QueryEngineStats {
     fn metrics_into(&self, out: &mut qb_trace::MetricsSnapshot) {
         out.add_counter("query.score_invocations", self.score_invocations);
         out.add_counter("query.scored_lists_built", self.scored_lists_built);
-        out.add_counter("query.window_memo_hits", self.window_memo_hits);
         out.add_counter("query.pipelined_windows", self.pipelined_windows);
         out.add_counter("query.pipelined_queries", self.pipelined_queries);
     }

@@ -12,25 +12,16 @@
 //! its slot from issue to response (it completes in place), and each plan
 //! term it serves carries the slot ([`TermPlan::Fetch`]).
 //!
-//! For the pipelined engine ([`crate::query::pipeline`]) this module also
-//! holds the `WindowMemo`: a scoped memo of scored result lists around the
-//! kernel, tagged with the exact per-term shard versions they were computed
-//! from, so identical queries in the in-flight window set skip the
-//! intersect/score work without ever serving a result computed from
-//! different data.
-//!
-//! All of it follows the serving path's ownership rule: a fetched shard
-//! sits behind an `Arc`, so fanning one fetch out to every query of the
-//! window and into each serving cache shares it, and the memo holds each
-//! scored list behind an `Arc` that a memo hit and the result tier share
-//! with it. Nothing here copies postings or scored lists.
+//! It follows the serving path's ownership rule: a fetched shard sits
+//! behind an `Arc`, so fanning one fetch out to every query of the window
+//! and into each serving cache shares it. Nothing here copies postings or
+//! scored lists.
 
 use crate::query::plan::{QueryPlan, StatsPlan, TermPlan};
 use qb_common::{QbResult, SimDuration, SimInstant};
 use qb_index::shard::IndexOpCost;
-use qb_index::{IndexStats, Ranked, ReadMachine, ScoredDoc, ShardEntry, ShardPosting};
+use qb_index::{IndexStats, ReadMachine, ScoredDoc, ShardEntry};
 use qb_simnet::SimNet;
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -282,81 +273,10 @@ pub fn intersect_and_score(
     qb_index::intersect_and_score(shards, stats, rank_of, rank_weight)
 }
 
-/// Cross-query result sharing across a pipelined run's window stream: a
-/// memo of fully scored result lists *around* the serving kernel. It lives
-/// for one `search_pipelined` call and is size-bounded
-/// ([`WindowMemo::MAX_SCORED`] — the map resets wholesale at the cap, which
-/// only costs recomputation).
-///
-/// Correctness rests on the same per-term version tags the result cache
-/// uses: every memo entry is keyed by the exact `(term, shard version)`
-/// sequence (and collection statistics) the computation consumed, so a
-/// hit is provably the identical computation — never a "close enough"
-/// answer from different data. The memo is scoped per serving frontend
-/// (every key carries the frontend slot): frontends are separate machines,
-/// and moving *results* between them would be the gossip overlay's
-/// network-charged job, not a free side channel of the pipeline.
-#[derive(Debug, Default)]
-pub(crate) struct WindowMemo {
-    /// Fingerprint → the whole scored list.
-    scored: HashMap<String, Arc<Vec<ScoredDoc>>>,
-    /// Full scored lists served from the memo.
-    pub(crate) hits: u64,
-    /// Genuine intersect+score computations performed through the memo.
-    pub(crate) invocations: u64,
-}
-
-impl WindowMemo {
-    /// Cap on memoized scored lists before the memo resets.
-    pub(crate) const MAX_SCORED: usize = 4_096;
-
-    /// Fingerprint of one query's scoring inputs: the serving frontend's
-    /// scope, the collection statistics and the `(term, version)` sequence
-    /// in plan order. Identical fingerprints read identical shard data, so
-    /// the scored list is bit-reproducible.
-    fn fingerprint<S: Borrow<ShardEntry>>(scope: &str, stats: &IndexStats, shards: &[S]) -> String {
-        use std::fmt::Write;
-        let mut key = format!("{scope}|d{}l{}", stats.num_docs, stats.total_len);
-        for shard in shards.iter().map(Borrow::borrow) {
-            let _ = write!(key, "|{}@{}", shard.term, shard.version);
-        }
-        key
-    }
-
-    /// Memoized kernel call: page from the memo's list when this exact
-    /// computation already ran for `frontend` in the window set, otherwise
-    /// run the kernel and remember its list — a memo keeps whole lists, so
-    /// it always has one built. The second return value reports whether
-    /// this was a memo hit. Results are byte-identical to the unmemoized
-    /// call; the list is materialised once and every serve of it shares the
-    /// memo's handle.
-    pub(crate) fn rank<'a, S: Borrow<ShardEntry>>(
-        &mut self,
-        frontend: Option<usize>,
-        shards: &'a [S],
-        stats: &IndexStats,
-        component_of: impl Fn(&ShardPosting) -> f64,
-        rank_weight: f64,
-    ) -> (Ranked<'a>, bool) {
-        let scope = frontend.map_or_else(|| "single".to_string(), |f| format!("f{f}"));
-        let key = Self::fingerprint(&scope, stats, shards);
-        if let Some(list) = self.scored.get(&key) {
-            self.hits += 1;
-            return (Ranked::of_list(Arc::clone(list)), true);
-        }
-        self.invocations += 1;
-        if self.scored.len() >= Self::MAX_SCORED {
-            self.scored.clear();
-        }
-        let mut ranked = qb_index::rank(shards, stats, component_of, rank_weight);
-        self.scored.insert(key, ranked.list());
-        (ranked, false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qb_index::ShardPosting;
 
     fn shard(term: &str, docs: &[(u64, u32)]) -> ShardEntry {
         let mut s = ShardEntry::empty(term);
@@ -549,71 +469,5 @@ mod tests {
         let (results, scored) = intersect_and_score(&shards, &stats(), |_| 0.0, 0.3);
         assert_eq!(results.len(), 25, "executor never truncates");
         assert_eq!(scored, 25);
-    }
-
-    #[test]
-    fn window_memo_returns_byte_identical_results() {
-        let shards = vec![
-            shard("alpha", &[(1, 3), (2, 1), (3, 1)]),
-            shard("beta", &[(2, 2), (3, 2)]),
-        ];
-        let (plain, plain_scored) = intersect_and_score(&shards, &stats(), |_| 0.0, 0.3);
-        let mut memo = WindowMemo::default();
-        let (mut first, hit) = memo.rank(None, &shards, &stats(), |_| 0.0, 0.3);
-        assert!(!hit, "cold memo computes");
-        assert!(first.has_list(), "and keeps the whole list");
-        assert_eq!(
-            *first.list(),
-            plain,
-            "memoized path must match the plain path"
-        );
-        assert_eq!(first.len(), plain_scored);
-        // The identical query again: a memo hit, identical output, no new
-        // computation.
-        let (mut again, hit) = memo.rank(None, &shards, &stats(), |_| 0.0, 0.3);
-        assert!(hit);
-        assert!(
-            Arc::ptr_eq(&again.list(), &first.list()),
-            "a hit shares the list"
-        );
-        assert_eq!(again.len(), plain_scored);
-        assert_eq!(again.page(0, 2), plain[..2]);
-        assert_eq!(memo.hits, 1);
-        assert_eq!(memo.invocations, 1, "one real computation for two serves");
-    }
-
-    #[test]
-    fn window_memo_fingerprints_separate_versions_and_frontends() {
-        let s = stats();
-        let shards_v1 = vec![shard("alpha", &[(1, 1)])];
-        let mut shards_v2 = shards_v1.clone();
-        shards_v2[0].version = 2;
-        let a = WindowMemo::fingerprint("single", &s, &shards_v1);
-        let b = WindowMemo::fingerprint("single", &s, &shards_v2);
-        assert_ne!(a, b, "a republished shard must never share an entry");
-        // The memo is frontend-scoped: the same query computed on two
-        // frontends does not share the scored list.
-        let two = vec![
-            shard("alpha", &[(1, 1), (2, 1)]),
-            shard("beta", &[(2, 2), (3, 2)]),
-        ];
-        let mut memo = WindowMemo::default();
-        let (mut r0, _) = memo.rank(Some(0), &two, &s, |_| 0.0, 0.0);
-        let (mut r1, hit) = memo.rank(Some(1), &two, &s, |_| 0.0, 0.0);
-        assert!(!hit, "frontends never share compute for free");
-        assert_eq!(memo.invocations, 2);
-        let (r0, r1) = (r0.list(), r1.list());
-        assert!(!Arc::ptr_eq(&r0, &r1));
-        assert_eq!(r0, r1, "both frontends still compute the same answer");
-        let other_stats = IndexStats {
-            num_docs: 99,
-            total_len: 500,
-            version: 1,
-        };
-        assert_ne!(
-            WindowMemo::fingerprint("single", &other_stats, &shards_v1),
-            a,
-            "different collection statistics change the scores"
-        );
     }
 }

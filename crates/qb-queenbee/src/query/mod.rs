@@ -12,7 +12,7 @@
 //! 3. **executor** — misses are fetched through the versioned DHT read and
 //!    the serving kernel ([`qb_index::kernel`]: intersect, BM25, PageRank
 //!    blend, rank) scores every candidate; the whole result list is built
-//!    only for a cache tier or memo that keeps it. In a batch window
+//!    only for a result tier that keeps it. In a batch window
 //!    ([`crate::QueenBee::search_batch`]) each distinct missing term is
 //!    fetched **once** and fanned out to every query that needs it.
 //! 4. **response** — [`SearchResponse`] carries the paginated hits, a
@@ -23,8 +23,7 @@
 //! `Planned → Fetching → Scoring → Done`, overlaps
 //! up to `max_windows_in_flight` windows (window N+1's fetches issue while
 //! window N's are in flight, under the simulated network's per-link
-//! in-flight limits), and dedupes identical queries across the in-flight
-//! set through a version-tagged window memo.
+//! in-flight limits), and scores each plan exactly as a batch window does.
 //! [`crate::QueenBee::search_pipelined`] is the entry point.
 //!
 //! For **open-loop** serving — queries arriving on their own clock instead

@@ -31,10 +31,9 @@
 //!   on a contended link — and every queue delay is charged to
 //!   [`qb_simnet::NetStats`] and to the window.
 //! * **Scoring** — once the window's slowest machine completes, shards are
-//!   intersected and scored. Identical queries in the in-flight window set
-//!   resolve against the run-scoped window memo: a scored list tagged with
-//!   the exact per-term shard versions it was computed from serves every
-//!   duplicate without re-running intersect/score.
+//!   intersected and scored, each plan through the same `serve_plan` a
+//!   `search_batch` window uses — one kernel call per query that the result
+//!   tier did not answer, even when the window set repeats a query.
 //! * **Done** — responses are assembled, fetched shards fan out into the
 //!   serving cache, and (in fleet mode) the window's freshly fetched shard
 //!   keys are queued as **batch-aware gossip advertisements**
@@ -78,7 +77,7 @@
 //! queueing and makespan accounting.
 
 use crate::engine::QueenBee;
-use crate::query::executor::{WindowMemo, WindowReads};
+use crate::query::executor::WindowReads;
 use crate::query::plan::{QueryPlan, StatsPlan};
 use crate::query::request::SearchRequest;
 use crate::query::response::SearchResponse;
@@ -169,11 +168,6 @@ pub struct PipelineReport {
     /// Completion instant of the last window minus the stream start — what
     /// back-to-back execution pays as the *sum* of window latencies.
     pub makespan: SimDuration,
-    /// Scored lists served from the window memo (duplicate queries that
-    /// skipped intersect/score entirely).
-    pub memo_hits: u64,
-    /// Genuine intersect+score computations this run performed.
-    pub score_invocations: u64,
     /// Distinct DHT shard fetches issued.
     pub shard_fetches: u64,
     /// Statistics-record reads issued (at most one per window).
@@ -229,8 +223,6 @@ pub(crate) struct PipelineDriver {
     config: PipelineConfig,
     report: PipelineReport,
     spans: Vec<WindowSpan>,
-    /// The run's window memo.
-    memo: WindowMemo,
     /// Windows issued and not yet retired, in issue order.
     in_flight: VecDeque<WindowRun>,
     /// Live pipeline depth (≤ `config.max_windows_in_flight`).
@@ -248,7 +240,6 @@ impl PipelineDriver {
             config,
             report: PipelineReport::default(),
             spans: Vec::new(),
-            memo: WindowMemo::default(),
             in_flight: VecDeque::new(),
             depth: config.max_windows_in_flight.max(1),
             window: config.window_size.max(1),
@@ -270,12 +261,10 @@ impl PipelineDriver {
         // An aborted run still has windows in flight: abandon their machines
         // so it leaves no phantom link occupancy behind to throttle later
         // runs. Either way the work done enters the engine counters (windows
-        // that fully served before an abort did score and did hit the memo).
+        // that fully served before an abort did score).
         for win in &mut self.in_flight {
             win.reads.abandon(&mut qb.net);
         }
-        self.report.memo_hits = self.memo.hits;
-        self.report.score_invocations = self.memo.invocations;
         qb.record_pipeline_run(&self.report);
         served?;
         Ok(PipelineOutcome {
@@ -457,7 +446,7 @@ impl PipelineDriver {
     }
 
     /// Score a completed window (Fetching → Scoring → Done): every plan is
-    /// served through the window memo, and per-query latency is rebased on
+    /// served by `serve_plan`, and per-query latency is rebased on
     /// the virtual timeline (the query's slowest dependency completion
     /// minus the window's issue instant).
     fn score_window(
@@ -498,7 +487,7 @@ impl PipelineDriver {
                     slowest
                 }
             });
-            let mut response = qb.serve_plan(plan, reads, now, Some(&mut self.memo));
+            let mut response = qb.serve_plan(plan, reads, now);
             // Rebase latency on the virtual timeline when the query waited
             // on any asynchronous dependency.
             if let Some((done, queue_delay)) = critical {

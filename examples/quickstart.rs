@@ -167,9 +167,7 @@ fn main() {
     //    state machine. Up to `max_windows_in_flight` windows overlap —
     //    window N+1's distinct-shard fetches are issued while window N's
     //    are still in flight (under the simulated network's per-link
-    //    in-flight limits) — and duplicate queries across the in-flight
-    //    set are served from a version-tagged window memo instead of
-    //    re-running intersect/score. Every fetch is an event-driven read
+    //    in-flight limits). Every fetch is an event-driven read
     //    machine over async DHT lookups, so per-hop RPCs from concurrent
     //    windows interleave on contended links.
     //
@@ -185,15 +183,17 @@ fn main() {
     //    nothing — E13 asserts the makespan holds exactly — and on a
     //    starved uplink it beats the fixed shape (E13c). Responses stay
     //    in request order either way. The stream below repeats queries on
-    //    purpose: watch the memo hits and the makespan.
+    //    purpose: a repeat shares its window's fetches and is scored again
+    //    unless the result cache already holds its answer — watch the
+    //    shard fetches and the makespan.
     let stream: Vec<SearchRequest> = [
         "artisanal honey",
         "decentralized web",
-        "artisanal honey", // duplicate: memo hit
+        "artisanal honey", // repeat
         "worker bees honey",
-        "decentralized web", // duplicate: memo hit
+        "decentralized web", // repeat
         "honey engine",
-        "artisanal honey", // duplicate: memo hit
+        "artisanal honey", // repeat
         "worker bees",
     ]
     .iter()
@@ -225,11 +225,8 @@ fn main() {
         );
     }
     println!(
-        "  makespan {} | {} memo hits, {} real scorings | queue delay {}",
-        outcome.report.makespan,
-        outcome.report.memo_hits,
-        outcome.report.score_invocations,
-        outcome.report.queue_delay,
+        "  makespan {} | {} shard fetches | queue delay {}",
+        outcome.report.makespan, outcome.report.shard_fetches, outcome.report.queue_delay,
     );
     println!(
         "  self-steering: {} back-offs, {} ramp-ups (an unsaturated stream should show 0/0)",

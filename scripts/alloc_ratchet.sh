@@ -11,7 +11,7 @@
 # to tolerate. The ceilings sit ~10 % above the values measured at seed 1,
 # 1 s: score-heavy 37.3 since a query builds the hits it returns — the
 # kernel ranks borrowed 16-byte keys, a response builds its page and a
-# whole list is built only for a result tier that admits it or a memo
+# whole list is built only for a result tier that admits it
 # (205.0 while every candidate's name was cloned into a list the 1-byte
 # result tier then refused, and the entry's term versions were cloned
 # before admission was known); cold-lookup 40.9 since a DHT hop costs
@@ -24,7 +24,10 @@
 # selecting its k nearest into one k-sized list — was five growth steps
 # of a collect-everything Vec per hop — and SHA-256 padding on the stack
 # brought it there from 63.3, an index read no longer cloning its term
-# from 65.3); serve-warm 179.5 since the same DHT change (181.3 since
+# from 65.3); serve-warm 175.5 since a pipelined query is scored like any
+# other, with no window memo building a fingerprint `String` and making
+# a map insert per scored query (179.5 with it, since the same DHT
+# change; 181.3 since
 # record values are shared, 183.5 since a gossip exchange costs what changed — a re-ranking that lists
 # the same pairs keeps its handle and filter, and an exchange side that
 # already found nothing to tell or push skips its delta and fill scans —
@@ -45,7 +48,8 @@
 # scan or a SipHash per in-flight handle is time, not a count — read
 # `dht.lookup_us` and `simnet.send_poll_ns` from a traced run for those.
 # A per-candidate name clone
-# under a refused or absent result tier, a by-name rank probe in the
+# under a refused or absent result tier, a fingerprint `String` and a
+# map insert per scored pipelined query, a by-name rank probe in the
 # kernel (a SipHash of the page name per candidate is time, a key
 # `String` built for it is a count), a name-keyed lookup creeping back
 # into a window's reads, a shard or result copy creeping back into a
@@ -98,6 +102,6 @@ check() {
 
 check score-heavy 41
 check cold-lookup 45.5
-check serve-warm 197
+check serve-warm 193
 check publish-churn 1560 38
 exit "$status"
