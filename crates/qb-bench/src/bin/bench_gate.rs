@@ -90,23 +90,6 @@ const CHECKS: &[Check] = &[
     lower("E12a", "config", "delta digests", "stale_results"),
     // E13: the pipelined engine's makespan and the gossip lead.
     lower("E13a", "config", "pipelined", "makespan_ms"),
-    // The self-steering pipeline must keep holding the fixed-depth
-    // makespan on the unsaturated stream (the ratio row is % of the
-    // fixed makespan) and keep beating it on the starved uplink.
-    lower(
-        "E13a",
-        "config",
-        "adaptive vs fixed (% of makespan)",
-        "makespan_ms",
-    ),
-    lower("E13c", "config", "adaptive", "makespan_ms"),
-    lower(
-        "E13c",
-        "config",
-        "adaptive vs fixed (% of makespan)",
-        "makespan_ms",
-    ),
-    lower("E13c", "config", "adaptive", "queue_delay_ms"),
     higher("E13b", "config", "warm-round lead", "rounds_to_warm"),
     // E14: open-loop admission control. Below saturation the tail must
     // stay bounded and nothing may shed (zero baseline = exact check);

@@ -16,8 +16,8 @@
 //! [`lookup`] keeps up to α RPC handles in flight via
 //! [`qb_simnet::SimNet::send_async_at`] and advances on completions, so
 //! hops from different concurrent lookups interleave on contended links.
-//! The synchronous entry points ([`DhtNetwork::lookup_nodes`],
-//! [`DhtNetwork::get_record`], …) drive the same machine eagerly.
+//! The synchronous entry points ([`DhtNetwork::get_record`],
+//! [`DhtNetwork::get_providers`], …) drive the same machine eagerly.
 
 pub mod lookup;
 pub mod network;

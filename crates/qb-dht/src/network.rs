@@ -231,7 +231,7 @@ impl DhtNetwork {
     }
 
     /// Locate the `k` closest nodes to `target`.
-    pub fn lookup_nodes(
+    fn lookup_nodes(
         &mut self,
         net: &mut SimNet,
         from: u64,
@@ -373,9 +373,11 @@ impl DhtNetwork {
         if !net.is_online(from) {
             return Err(QbError::NodeOffline(from));
         }
-        // Providers known locally are free.
+        // Providers known locally are free — once they name some peer other
+        // than the asker, who cannot fetch from itself.
+        let remote = |providers: &[NodeId]| providers.iter().any(|p| p.index != from);
         let local = self.nodes[from as usize].get_providers(&key);
-        if !local.is_empty() {
+        if remote(&local) {
             return Ok((local, SimDuration::ZERO, 0));
         }
         let lookup = self.lookup_nodes(net, from, key.0)?;
@@ -392,7 +394,7 @@ impl DhtNetwork {
                         providers.push(p);
                     }
                 }
-                if !providers.is_empty() {
+                if remote(&providers) {
                     break;
                 }
             }

@@ -416,20 +416,8 @@ impl DistributedIndex {
     }
 
     /// Read the shard of `term` as seen from `peer`. A missing shard is
-    /// returned as an empty shard (version 0), not an error.
-    pub fn read_shard(
-        &self,
-        net: &mut SimNet,
-        dht: &mut DhtNetwork,
-        storage: &mut StorageNetwork,
-        peer: u64,
-        term: &str,
-    ) -> QbResult<(ShardEntry, IndexOpCost)> {
-        self.read_shard_fresh(net, dht, storage, peer, term, 0)
-    }
-
-    /// Like [`DistributedIndex::read_shard`], but a replica older than
-    /// `min_version` does not satisfy the lookup: the DHT digs past lagging
+    /// returned as an empty shard (version 0), not an error. A replica older
+    /// than `min_version` does not satisfy the lookup: the DHT digs past lagging
     /// replicas (read-repair semantics), so a caller that has already seen
     /// `min_version` of this term never reads the index backwards in time.
     pub fn read_shard_fresh(
@@ -844,7 +832,7 @@ mod tests {
         dist.write_shard(&mut net, &mut dht, &mut storage, 3, &shard)
             .unwrap();
         let (read, cost) = dist
-            .read_shard(&mut net, &mut dht, &mut storage, 11, "nectar")
+            .read_shard_fresh(&mut net, &mut dht, &mut storage, 11, "nectar", 0)
             .unwrap();
         assert_eq!(read, shard);
         assert!(cost.messages > 0);
@@ -865,7 +853,7 @@ mod tests {
         dist.write_shard(&mut net, &mut dht, &mut storage, 0, &shard)
             .unwrap();
         let (read, _) = dist
-            .read_shard(&mut net, &mut dht, &mut storage, 17, "common")
+            .read_shard_fresh(&mut net, &mut dht, &mut storage, 17, "common", 0)
             .unwrap();
         assert_eq!(read, shard);
     }
@@ -875,7 +863,7 @@ mod tests {
         let (mut net, mut dht, mut storage) = setup(16, 3);
         let dist = DistributedIndex::new();
         let (shard, _) = dist
-            .read_shard(&mut net, &mut dht, &mut storage, 2, "neverwritten")
+            .read_shard_fresh(&mut net, &mut dht, &mut storage, 2, "neverwritten", 0)
             .unwrap();
         assert_eq!(shard.version, 0);
         assert!(shard.postings.is_empty());
@@ -896,7 +884,7 @@ mod tests {
         dist.write_shard(&mut net, &mut dht, &mut storage, 5, &v2)
             .unwrap();
         let (read, _) = dist
-            .read_shard(&mut net, &mut dht, &mut storage, 20, "fresh")
+            .read_shard_fresh(&mut net, &mut dht, &mut storage, 20, "fresh", 0)
             .unwrap();
         assert_eq!(read.version, 2);
         assert_eq!(read.doc_freq(), 2);
@@ -1010,7 +998,7 @@ mod tests {
         assert!(matches!(read.into_result(), Err(QbError::NodeOffline(5))));
         assert_eq!(net.stats().async_ops, issued_before, "nothing was issued");
         assert!(matches!(
-            dist.read_shard(&mut net, &mut dht, &mut storage, 5, "any"),
+            dist.read_shard_fresh(&mut net, &mut dht, &mut storage, 5, "any", 0),
             Err(QbError::NodeOffline(5))
         ));
         assert!(matches!(

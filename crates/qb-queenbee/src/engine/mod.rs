@@ -639,7 +639,6 @@ mod tests {
                 PipelineConfig {
                     window_size: 2,
                     max_windows_in_flight: 4,
-                    ..PipelineConfig::default()
                 },
             )
             .unwrap();
@@ -693,7 +692,6 @@ mod tests {
         let config = PipelineConfig {
             window_size: 2,
             max_windows_in_flight: 4,
-            ..PipelineConfig::default()
         };
         let piped = pipelined
             .search_pipelined(duplicate_heavy_requests(), config)
@@ -739,7 +737,6 @@ mod tests {
                 PipelineConfig {
                     window_size: 2,
                     max_windows_in_flight: 1,
-                    ..PipelineConfig::default()
                 },
             )
             .unwrap();
@@ -771,7 +768,6 @@ mod tests {
         let config = PipelineConfig {
             window_size: 1,
             max_windows_in_flight: 2,
-            ..PipelineConfig::default()
         };
 
         let mut qb = build();

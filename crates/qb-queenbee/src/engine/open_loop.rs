@@ -31,7 +31,6 @@ impl QueenBee {
         let pipeline = PipelineConfig {
             window_size: cfg.window_size,
             max_windows_in_flight: cfg.max_windows_in_flight,
-            ..PipelineConfig::default()
         };
         let t0 = self.net.now();
         let nf = self.num_frontends().max(1);

@@ -18,7 +18,6 @@ use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_gossip::GossipFleet;
 use qb_index::{ReadStep, ScoredDoc, ShardEntry, ShardPosting};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 impl QueenBee {
@@ -370,23 +369,6 @@ impl QueenBee {
         }
         win.next_event = next_event;
         Ok(())
-    }
-
-    /// Predicted relative cost of a window: the number of distinct
-    /// `(frontend, term)` shards its requests *could* require. A pure
-    /// routing + analysis pass — no cache probes, no network traffic, no
-    /// state changes — so the pipeline's shortest-first issue order under
-    /// saturation is deterministic and free.
-    pub(crate) fn predict_window_cost(&self, requests: &[SearchRequest]) -> usize {
-        let mut distinct: BTreeSet<(Option<usize>, String)> = BTreeSet::new();
-        for request in requests {
-            if let Ok((_, frontend)) = self.resolve_route(&request.routing) {
-                for term in self.analyzer.analyze(&request.query) {
-                    distinct.insert((frontend, term));
-                }
-            }
-        }
-        distinct.len()
     }
 
     /// Queue a batch window's freshly fetched shard keys as batch-aware

@@ -45,31 +45,14 @@
 //! The driver owns a cursor on the virtual timeline and repeatedly takes
 //! the earliest pending event: *issue* a window (when a pipeline slot is
 //! free and the issue instant is due) or *advance* the in-flight machines
-//! to their next completion. Windows retire in FIFO order (like a CPU
-//! pipeline) so cache stores happen in a deterministic sequence; the
+//! to their next completion. A window is cut from the front of the stream
+//! at the moment it issues, and windows retire in FIFO order (like a CPU
+//! pipeline), so responses come back in request order and cache stores
+//! happen in a deterministic sequence; the
 //! **makespan** of the whole stream is the completion instant of the last
 //! window, which experiment E13 compares against back-to-back execution of
 //! the same stream (≥30% lower on a duplicate-heavy Zipf stream, with
 //! byte-identical per-query results).
-//!
-//! # Self-steering
-//!
-//! With [`PipelineConfig::adaptive`] on (see
-//! [`PipelineConfig::self_steering`]) the driver watches, at every
-//! retirement, how much of the window's busy time (charged queue delay
-//! plus read service time) was spent queueing. When queueing
-//! dominates ([`BACKOFF_QUEUE_PERCENT`]) it *backs off*:
-//! first growing the window (a larger window dedupes more fetches per
-//! query, putting less work on the saturated links), then shedding
-//! pipeline depth — never below 2, since depth is what keeps a saturated
-//! link busy across window boundaries; when queueing is negligible
-//! ([`RAMPUP_QUEUE_PERCENT`]) it reverses course. While
-//! saturated it also issues the cheapest ready window first —
-//! *cost-predicted shortest-first*, where the predicted cost is the number
-//! of distinct shards a window could fetch (a pure routing + analysis
-//! pass). Responses always come back in request order;
-//! [`WindowSpan::first_query`] records which slice an out-of-order window
-//! served.
 //!
 //! The virtual timeline never moves the engine's shared clock: cache
 //! effects are applied at the call instant (exactly as `search_batch`
@@ -84,31 +67,14 @@ use crate::query::response::SearchResponse;
 use qb_common::{QbResult, SimDuration, SimInstant};
 use std::collections::VecDeque;
 
-/// The self-steering driver backs off (grows the window, then sheds depth)
-/// when queueing reaches this percentage of a retired window's busy time
-/// (queue delay plus service time across its fetches) — i.e. when the links,
-/// not the reads, dominate the window.
-pub const BACKOFF_QUEUE_PERCENT: u64 = 60;
-
-/// The self-steering driver ramps back up (restores depth, then shrinks the
-/// window) when the queue share falls to this percentage or below.
-pub const RAMPUP_QUEUE_PERCENT: u64 = 5;
-
 /// Knobs of one pipelined run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Queries per window (the concurrency the frontend batches together).
-    /// With [`PipelineConfig::adaptive`] on this is the *base* size the
-    /// driver starts from and ramps back down to.
     pub window_size: usize,
     /// Windows allowed in flight at once. 1 degenerates to back-to-back
     /// execution; the default keeps a small pipeline of windows overlapped.
-    /// With [`PipelineConfig::adaptive`] on this is the *ceiling* the
-    /// driver steers below when queueing dominates.
     pub max_windows_in_flight: usize,
-    /// Self-steer window size, depth and issue order from the observed
-    /// queue-delay share of each retired window's busy time.
-    pub adaptive: bool,
 }
 
 impl Default for PipelineConfig {
@@ -116,17 +82,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             window_size: 32,
             max_windows_in_flight: 4,
-            adaptive: false,
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// The default pipeline with the self-steering controller on.
-    pub fn self_steering() -> PipelineConfig {
-        PipelineConfig {
-            adaptive: true,
-            ..PipelineConfig::default()
         }
     }
 }
@@ -134,10 +89,6 @@ impl PipelineConfig {
 /// One window in flight: its plans, its reads and the completion
 /// bookkeeping the driver schedules by.
 pub(crate) struct WindowRun {
-    /// Index of the window's first response in the (request-ordered)
-    /// response vector — windows may issue out of request order under the
-    /// saturated shortest-first policy.
-    pub(crate) first_query: usize,
     pub(crate) plans: Vec<QueryPlan>,
     /// The window's shared reads (each distinct `(frontend, term)` once,
     /// at most one statistics read), each completing in its slot with its
@@ -176,10 +127,6 @@ pub struct PipelineReport {
     pub queue_delay: SimDuration,
     /// Most windows observed in flight at once.
     pub peak_windows_in_flight: usize,
-    /// Self-steering back-off steps taken (depth shed or window grown).
-    pub adapt_backoffs: u64,
-    /// Self-steering ramp-up steps taken (window shrunk or depth restored).
-    pub adapt_rampups: u64,
 }
 
 /// Virtual-timeline span of one retired window: which slice of the
@@ -207,43 +154,34 @@ pub struct PipelineOutcome {
     pub responses: Vec<SearchResponse>,
     /// Stream-level accounting.
     pub report: PipelineReport,
-    /// One span per retired window, in retirement order (request order
-    /// unless the saturated shortest-first policy reordered issue).
+    /// One span per retired window, in retirement order — which is request
+    /// order, so the spans tile the response vector front to back.
     pub window_spans: Vec<WindowSpan>,
 }
-
-/// How many windows the driver keeps cut and ready ahead of issue — the
-/// candidate pool the saturated shortest-first policy picks from.
-const READY_STOCK: usize = 4;
 
 /// Drives a request stream through overlapping windows. Construct with a
 /// [`PipelineConfig`] and run once; [`crate::QueenBee::search_pipelined`] is
 /// the one caller.
 pub(crate) struct PipelineDriver {
-    config: PipelineConfig,
+    /// Queries per window (at least 1).
+    window: usize,
+    /// Windows allowed in flight at once (at least 1).
+    depth: usize,
     report: PipelineReport,
     spans: Vec<WindowSpan>,
-    /// Windows issued and not yet retired, in issue order.
+    /// Windows issued and not yet retired, in issue (= request) order.
     in_flight: VecDeque<WindowRun>,
-    /// Live pipeline depth (≤ `config.max_windows_in_flight`).
-    depth: usize,
-    /// Live window size (≥ `config.window_size`).
-    window: usize,
-    /// Whether the last adaptation step saw queueing dominate.
-    saturated: bool,
 }
 
 impl PipelineDriver {
     /// A driver for one run.
     pub(crate) fn new(config: PipelineConfig) -> PipelineDriver {
         PipelineDriver {
-            config,
+            window: config.window_size.max(1),
+            depth: config.max_windows_in_flight.max(1),
             report: PipelineReport::default(),
             spans: Vec::new(),
             in_flight: VecDeque::new(),
-            depth: config.max_windows_in_flight.max(1),
-            window: config.window_size.max(1),
-            saturated: false,
         }
     }
 
@@ -255,8 +193,7 @@ impl PipelineDriver {
         qb: &mut QueenBee,
         requests: Vec<SearchRequest>,
     ) -> QbResult<PipelineOutcome> {
-        let mut responses: Vec<Option<SearchResponse>> = Vec::new();
-        responses.resize_with(requests.len(), || None);
+        let mut responses = Vec::with_capacity(requests.len());
         let served = self.drive(qb, requests, &mut responses);
         // An aborted run still has windows in flight: abandon their machines
         // so it leaves no phantom link occupancy behind to throttle later
@@ -268,10 +205,7 @@ impl PipelineDriver {
         qb.record_pipeline_run(&self.report);
         served?;
         Ok(PipelineOutcome {
-            responses: responses
-                .into_iter()
-                .map(|r| r.expect("every window retired ⇒ every slot served"))
-                .collect(),
+            responses,
             report: self.report,
             window_spans: self.spans,
         })
@@ -283,13 +217,10 @@ impl PipelineDriver {
         &mut self,
         qb: &mut QueenBee,
         requests: Vec<SearchRequest>,
-        responses: &mut [Option<SearchResponse>],
+        responses: &mut Vec<SearchResponse>,
     ) -> QbResult<()> {
         let t0 = qb.net.now();
         let mut pending: VecDeque<SearchRequest> = requests.into();
-        let mut next_first_query = 0usize;
-        // Windows cut and ready to issue: (first response index, requests).
-        let mut ready: VecDeque<(usize, Vec<SearchRequest>)> = VecDeque::new();
         // Window w may issue once window w - depth has retired; FIFO
         // retirement makes this the completion instant of the window
         // retired most recently.
@@ -304,104 +235,36 @@ impl PipelineDriver {
             if let Some(mut win) = self.in_flight.pop_front_if(|w| w.next_event.is_none()) {
                 next_issue_at = next_issue_at.max(win.completes_at);
                 self.report.makespan = self.report.makespan.max(win.completes_at.since(t0));
-                self.adapt(&win);
                 self.score_window(qb, &mut win, responses);
                 continue;
             }
 
-            // Keep a stock of windows cut at the *live* window size so the
-            // shortest-first policy has candidates to choose from.
-            while ready.len() < READY_STOCK && !pending.is_empty() {
-                let take = self.window.min(pending.len());
-                let reqs: Vec<SearchRequest> = pending.drain(..take).collect();
-                ready.push_back((next_first_query, reqs));
-                next_first_query += take;
-            }
-
-            let can_issue = !ready.is_empty() && self.in_flight.len() < self.depth;
+            let can_issue = !pending.is_empty() && self.in_flight.len() < self.depth;
             let issue_at = next_issue_at.max(cursor);
             let next_completion: Option<SimInstant> =
                 self.in_flight.iter().filter_map(|w| w.next_event).min();
 
-            let issue_now = match (can_issue, next_completion) {
-                (false, None) => return Ok(()),
-                (true, completion) => completion.is_none_or(|c| issue_at <= c),
-                (false, Some(_)) => false,
-            };
-
-            if issue_now {
-                let idx = if self.config.adaptive && self.saturated && ready.len() > 1 {
-                    // Cost-predicted shortest-first under saturation: the
-                    // cheapest ready window (fewest distinct predicted
-                    // shards) issues first; request order breaks ties so
-                    // the choice is deterministic.
-                    (0..ready.len())
-                        .min_by_key(|&i| (qb.predict_window_cost(&ready[i].1), ready[i].0))
-                        .expect("ready is non-empty")
-                } else {
-                    0
-                };
-                let (first_query, reqs) = ready.remove(idx).expect("index from range");
-                cursor = issue_at;
-                self.issue_window(qb, first_query, reqs, issue_at)?;
-                self.report.peak_windows_in_flight =
-                    self.report.peak_windows_in_flight.max(self.in_flight.len());
-            } else {
-                cursor = next_completion.expect("issue_now is false ⇒ a completion exists");
-                // Advance every in-flight window: machines of *different*
-                // windows share the per-peer uplinks, so a completion in
-                // one window can unblock (or be interleaved with) hops of
-                // another. FIFO order keeps the advancement deterministic.
-                for win in self.in_flight.iter_mut() {
-                    qb.poll_window_fetches(win, cursor)?;
+            match next_completion {
+                Some(completion) if !can_issue || completion < issue_at => {
+                    cursor = completion;
+                    // Advance every in-flight window: machines of *different*
+                    // windows share the per-peer uplinks, so a completion in
+                    // one window can unblock (or be interleaved with) hops of
+                    // another. FIFO order keeps the advancement deterministic.
+                    for win in self.in_flight.iter_mut() {
+                        qb.poll_window_fetches(win, cursor)?;
+                    }
                 }
-            }
-        }
-    }
-
-    /// One self-steering step at window retirement: compare the queue
-    /// delay the window was charged against its total busy time (queue
-    /// delay plus the service time of its reads) and adjust window size /
-    /// depth for the windows still to issue.
-    ///
-    /// A dominant queue share means the uplinks — not the reads — are the
-    /// bottleneck, and the only way to finish sooner on a saturated link
-    /// is to put *less work* on it: the back-off grows the window first
-    /// (a bigger window dedupes more `(frontend, term)` fetches per query
-    /// on a duplicate-heavy stream), then sheds pipeline depth, never
-    /// below 2 — depth is what keeps the bottleneck link busy across
-    /// window boundaries, and shedding it to 1 degenerates to
-    /// back-to-back execution. The ramp-up reverses in the opposite order
-    /// (restore depth, then shrink the window back to the configured
-    /// base), so an unsaturated run converges to — and then never leaves —
-    /// the configured operating point.
-    fn adapt(&mut self, win: &WindowRun) {
-        if !self.config.adaptive {
-            return;
-        }
-        let reads = &win.reads;
-        let service: SimDuration = (reads.shards.iter().map(|read| read.done().cost.latency))
-            .chain(reads.stats.iter().map(|read| read.done().cost.latency))
-            .fold(SimDuration::ZERO, |a, b| a + b);
-        let busy_us = (win.queue_delay + service).as_micros();
-        let share = win.queue_delay.as_micros().saturating_mul(100) / busy_us.max(1);
-        let base = self.config.window_size.max(1);
-        self.saturated = share >= BACKOFF_QUEUE_PERCENT;
-        if self.saturated {
-            if self.window < base * 4 {
-                self.window = (self.window * 2).min(base * 4);
-                self.report.adapt_backoffs += 1;
-            } else if self.depth > 2 {
-                self.depth -= 1;
-                self.report.adapt_backoffs += 1;
-            }
-        } else if share <= RAMPUP_QUEUE_PERCENT {
-            if self.depth < self.config.max_windows_in_flight.max(1) {
-                self.depth += 1;
-                self.report.adapt_rampups += 1;
-            } else if self.window > base {
-                self.window = (self.window / 2).max(base);
-                self.report.adapt_rampups += 1;
+                _ if can_issue => {
+                    // Cut the next window at the moment it issues.
+                    let take = self.window.min(pending.len());
+                    let reqs: Vec<SearchRequest> = pending.drain(..take).collect();
+                    cursor = issue_at;
+                    self.issue_window(qb, reqs, issue_at)?;
+                    self.report.peak_windows_in_flight =
+                        self.report.peak_windows_in_flight.max(self.in_flight.len());
+                }
+                _ => return Ok(()),
             }
         }
     }
@@ -413,7 +276,6 @@ impl PipelineDriver {
     fn issue_window(
         &mut self,
         qb: &mut QueenBee,
-        first_query: usize,
         requests: Vec<SearchRequest>,
         issued_at: SimInstant,
     ) -> QbResult<()> {
@@ -429,7 +291,6 @@ impl PipelineDriver {
         self.report.stats_reads += u64::from(reads.stats.is_some());
         self.report.shard_fetches += reads.shards.len() as u64;
         let mut win = WindowRun {
-            first_query,
             plans,
             reads,
             issued_at,
@@ -453,7 +314,7 @@ impl PipelineDriver {
         &mut self,
         qb: &mut QueenBee,
         win: &mut WindowRun,
-        responses: &mut [Option<SearchResponse>],
+        responses: &mut Vec<SearchResponse>,
     ) {
         qb.net.tracer().close(win.span, win.completes_at);
         self.report.queue_delay += win.queue_delay;
@@ -462,14 +323,14 @@ impl PipelineDriver {
         self.report.windows += 1;
         self.report.queries += plans.len();
         self.spans.push(WindowSpan {
-            first_query: win.first_query,
+            first_query: responses.len(),
             queries: plans.len(),
             issued_at: win.issued_at,
             completed_at: win.completes_at,
         });
         let reads = &win.reads;
         let fetched_terms = reads.batch_advert_groups(plans.len() >= 2 && qb.fleet().is_some());
-        for (j, plan) in plans.into_iter().enumerate() {
+        for plan in plans {
             // The query's slowest asynchronous dependency (the first of
             // equals, in term order then the statistics read): its
             // completion instant and the link queueing inside it.
@@ -494,7 +355,7 @@ impl PipelineDriver {
                 response.latency = done.since(win.issued_at);
                 response.trace.net_queue = queue_delay.min(response.latency);
             }
-            responses[win.first_query + j] = Some(response);
+            responses.push(response);
         }
         // Batch-aware gossip: the window's freshly fetched shard keys enter
         // the serving frontends' next digest round, so the rest of the
@@ -515,13 +376,5 @@ mod tests {
         let c = PipelineConfig::default();
         assert_eq!(c.window_size, 32);
         assert_eq!(c.max_windows_in_flight, 4);
-        assert!(!c.adaptive);
-    }
-
-    #[test]
-    fn self_steering_turns_adaptation_on_over_the_defaults() {
-        let c = PipelineConfig::self_steering();
-        assert!(c.adaptive);
-        assert_eq!(c.window_size, PipelineConfig::default().window_size);
     }
 }

@@ -578,6 +578,60 @@ mod tests {
     }
 
     #[test]
+    fn a_fetcher_outside_the_closest_peers_rereads_an_object_its_cache_lost() {
+        let mut net = SimNet::new(32, NetConfig::lan(), 6);
+        let mut dht = DhtNetwork::build(&mut net, DhtConfig::small());
+        let config = StorageConfig {
+            cache_bytes: 4 * 1024,
+            ..StorageConfig::small()
+        };
+        let mut storage = StorageNetwork::new(32, config);
+        let data = sample_data(3000);
+        let (obj, _) = storage.put_object(&mut net, &mut dht, 0, &data).unwrap();
+        let other = random_data(3000);
+        let (evictor, _) = storage.put_object(&mut net, &mut dht, 1, &other).unwrap();
+        let key = obj.root.to_dht_key();
+        let holds = |storage: &StorageNetwork, p: u64| {
+            [obj.root, evictor.root]
+                .iter()
+                .any(|root| storage.pinned_holders(root).contains(&p))
+        };
+        let fetcher = (2..32)
+            .find(|&p| !holds(&storage, p) && dht.node(p).get_providers(&key).is_empty())
+            .expect("a peer that neither holds the object nor stores its providers");
+
+        storage
+            .get_object(&mut net, &mut dht, fetcher, obj.root)
+            .unwrap();
+        let own: Vec<u64> = dht
+            .node(fetcher)
+            .get_providers(&key)
+            .iter()
+            .map(|p| p.index)
+            .collect();
+        assert_eq!(
+            own,
+            [fetcher],
+            "the fetcher knows itself as the only provider"
+        );
+        // Fetching a second object pushes the first out of the small cache.
+        storage
+            .get_object(&mut net, &mut dht, fetcher, evictor.root)
+            .unwrap();
+        assert!(!storage.cached_holders(&obj.root).contains(&fetcher));
+
+        let (again, stats) = storage
+            .get_object(&mut net, &mut dht, fetcher, obj.root)
+            .unwrap();
+        assert_eq!(again, data);
+        assert!(!stats.from_local);
+        assert!(
+            stats.messages > 0,
+            "the providers were looked up, not read locally"
+        );
+    }
+
+    #[test]
     fn replication_allows_publisher_failure() {
         let (mut net, mut dht, mut storage) = setup(32, 4);
         let data = sample_data(4000);

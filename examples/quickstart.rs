@@ -171,18 +171,10 @@ fn main() {
     //    machine over async DHT lookups, so per-hop RPCs from concurrent
     //    windows interleave on contended links.
     //
-    //    Don't hand-tune `window_size`/`max_windows_in_flight` for load:
-    //    start from `PipelineConfig::self_steering()` and treat the fixed
-    //    values as the *initial* shape. The self-steering driver measures,
-    //    at each window retirement, what share of the window's busy time
-    //    the per-link limits charged as queueing; past
-    //    `pipeline::BACKOFF_QUEUE_PERCENT` it backs off (grows the window
-    //    for more dedup per issue, then sheds depth) and issues the
-    //    predicted cheapest ready window first, and below
-    //    `pipeline::RAMPUP_QUEUE_PERCENT` it restores the configured shape. On an unsaturated stream it does
-    //    nothing — E13 asserts the makespan holds exactly — and on a
-    //    starved uplink it beats the fixed shape (E13c). Responses stay
-    //    in request order either way. The stream below repeats queries on
+    //    Windows issue and retire in request order, so responses come
+    //    back in request order too. With one window in flight the
+    //    pipeline degenerates to back-to-back `search_batch` windows
+    //    (E13 measures the gap). The stream below repeats queries on
     //    purpose: a repeat shares its window's fetches and is scored again
     //    unless the result cache already holds its answer — watch the
     //    shard fetches and the makespan.
@@ -205,7 +197,6 @@ fn main() {
             PipelineConfig {
                 window_size: 4,
                 max_windows_in_flight: 2,
-                ..PipelineConfig::self_steering()
             },
         )
         .expect("pipelined stream");
@@ -227,10 +218,6 @@ fn main() {
     println!(
         "  makespan {} | {} shard fetches | queue delay {}",
         outcome.report.makespan, outcome.report.shard_fetches, outcome.report.queue_delay,
-    );
-    println!(
-        "  self-steering: {} back-offs, {} ramp-ups (an unsaturated stream should show 0/0)",
-        outcome.report.adapt_backoffs, outcome.report.adapt_rampups,
     );
     // One-shot windows are still there: `qb.search_batch(requests)` runs a
     // single window back-to-back, and `qb.search_request(request)` serves a

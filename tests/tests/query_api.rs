@@ -415,7 +415,6 @@ fn pipelined_fleet_stream_is_byte_identical_and_fresh() {
             PipelineConfig {
                 window_size: 12,
                 max_windows_in_flight: 3,
-                ..PipelineConfig::default()
             },
         )
         .unwrap();
@@ -446,15 +445,14 @@ fn pipelined_fleet_stream_is_byte_identical_and_fresh() {
 
 /// Determinism contract of the event-driven core: replaying the same
 /// pipelined stream on a freshly built engine reproduces byte-identical
-/// hits and the exact same scheduling report — for the fixed configuration
-/// and for the self-steering one (whose back-off decisions depend only on
-/// simulated measurements, never on host state).
+/// hits and the exact same scheduling report, and the windows tile the
+/// stream front to back — each issues no earlier than the one before it.
 #[test]
-fn pipelined_reruns_are_byte_identical_even_when_self_steering() {
+fn pipelined_reruns_are_byte_identical() {
     use qb_queenbee::PipelineConfig;
     let corpus = corpus(0xDE7E, 18, 60);
     let stream = QueryStream::new(&corpus, 11, 14, 1.2, 13, 40);
-    let run = |config: PipelineConfig| {
+    let run = || {
         let mut qb = engine(CacheConfig::default(), 0xDE7E);
         publish_all(&mut qb, &corpus, 0..20).expect("publish");
         let requests: Vec<SearchRequest> = (0..stream.picks.len())
@@ -462,30 +460,41 @@ fn pipelined_reruns_are_byte_identical_even_when_self_steering() {
                 SearchRequest::new(stream.query(i)).route(RoutingPolicy::HashPeer((i % 20) as u64))
             })
             .collect();
+        let config = PipelineConfig {
+            window_size: 8,
+            max_windows_in_flight: 3,
+        };
         qb.search_pipelined(requests, config).unwrap()
     };
-    for config in [
-        PipelineConfig {
-            window_size: 8,
-            max_windows_in_flight: 3,
-            ..PipelineConfig::default()
-        },
-        PipelineConfig {
-            window_size: 8,
-            max_windows_in_flight: 3,
-            ..PipelineConfig::self_steering()
-        },
-    ] {
-        let first = run(config);
-        let second = run(config);
-        assert_eq!(
-            first.report, second.report,
-            "scheduling must replay exactly"
-        );
-        assert_eq!(first.responses.len(), second.responses.len());
-        for (i, (a, b)) in first.responses.iter().zip(&second.responses).enumerate() {
-            assert_eq!(a.hits, b.hits, "query {i} hits diverged across reruns");
-            assert_eq!(a.latency, b.latency, "query {i} latency diverged");
-        }
+    let first = run();
+    let second = run();
+    assert_eq!(
+        first.report, second.report,
+        "scheduling must replay exactly"
+    );
+    assert_eq!(first.window_spans, second.window_spans);
+    assert_eq!(first.responses.len(), second.responses.len());
+    for (i, (a, b)) in first.responses.iter().zip(&second.responses).enumerate() {
+        assert_eq!(a.hits, b.hits, "query {i} hits diverged across reruns");
+        assert_eq!(a.latency, b.latency, "query {i} latency diverged");
     }
+
+    // Windows issue and retire in request order: each span starts where
+    // the previous one ended, and issue instants never go backwards.
+    let mut next_query = 0;
+    let mut last_issue = first.window_spans[0].issued_at;
+    for span in &first.window_spans {
+        assert_eq!(span.first_query, next_query, "spans are contiguous");
+        assert!(
+            span.issued_at >= last_issue,
+            "issue instants never decrease"
+        );
+        next_query += span.queries;
+        last_issue = span.issued_at;
+    }
+    assert_eq!(next_query, first.responses.len(), "spans cover the stream");
+    assert!(
+        first.window_spans.len() > 1,
+        "the stream spans several windows"
+    );
 }

@@ -44,12 +44,13 @@ fn distributed_index_survives_moderate_churn() {
             reader = (reader + 1) % 48;
         }
         let (shard, _) = dist
-            .read_shard(
+            .read_shard_fresh(
                 &mut net,
                 &mut dht,
                 &mut storage,
                 reader,
                 &format!("term{i}"),
+                0,
             )
             .unwrap();
         if shard.doc_freq() == 1 {
