@@ -57,7 +57,7 @@ mod query_cache;
 pub use config::{CacheConfig, EvictionPolicy};
 pub use metrics::{CacheMetrics, TierMetrics};
 pub use query_cache::{
-    result_key, BoundedShardLookup, CachedResult, CachedStats, QueryCache, RemoteAdmit, ShardLookup,
+    result_key, BoundedShardLookup, CachedResult, QueryCache, RemoteAdmit, ShardLookup,
 };
 pub use sketch::FreqSketch;
 pub use tier::CacheTier;

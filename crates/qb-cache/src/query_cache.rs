@@ -29,13 +29,6 @@ pub struct CachedResult {
     pub term_versions: Vec<(String, u64)>,
 }
 
-/// A cached copy of the global statistics record.
-#[derive(Debug, Clone, Copy)]
-pub struct CachedStats {
-    /// The statistics as read from the DHT.
-    pub stats: IndexStats,
-}
-
 /// Outcome of a shard-tier lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardLookup {
@@ -149,7 +142,8 @@ pub struct QueryCache {
     /// Negative entries store the shard version they were proven absent at
     /// (always 0: absent terms have never been written).
     negatives: CacheTier<()>,
-    stats: Option<(CachedStats, u64)>,
+    /// The global statistics record as last read, keyed by its own version.
+    stats: Option<IndexStats>,
     /// term -> result-cache keys containing it, for publish-path
     /// invalidation in O(affected entries).
     term_to_queries: HashMap<String, BTreeSet<String>>,
@@ -513,16 +507,13 @@ impl QueryCache {
     // ----- statistics record -------------------------------------------------------
 
     /// Cached global statistics, validated against the current stats version.
-    pub fn lookup_stats(&mut self, current_version: u64) -> Option<CachedStats> {
-        match self.stats {
-            Some((cached, version)) if version == current_version => Some(cached),
-            _ => None,
-        }
+    pub fn lookup_stats(&mut self, current_version: u64) -> Option<IndexStats> {
+        self.stats.filter(|stats| stats.version == current_version)
     }
 
-    /// Store the statistics record under its version.
-    pub fn store_stats(&mut self, stats: IndexStats, version: u64) {
-        self.stats = Some((CachedStats { stats }, version));
+    /// Store the statistics record under its own version.
+    pub fn store_stats(&mut self, stats: IndexStats) {
+        self.stats = Some(stats);
     }
 
     // ----- publish-path invalidation ----------------------------------------------
@@ -909,15 +900,12 @@ mod tests {
     fn stats_record_is_version_guarded() {
         let mut c = cache();
         assert!(c.lookup_stats(1).is_none());
-        c.store_stats(
-            IndexStats {
-                num_docs: 10,
-                total_len: 800,
-                version: 1,
-            },
-            1,
-        );
-        assert_eq!(c.lookup_stats(1).unwrap().stats.num_docs, 10);
+        c.store_stats(IndexStats {
+            num_docs: 10,
+            total_len: 800,
+            version: 1,
+        });
+        assert_eq!(c.lookup_stats(1).unwrap().num_docs, 10);
         assert!(c.lookup_stats(2).is_none(), "stale stats must not serve");
     }
 

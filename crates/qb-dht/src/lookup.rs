@@ -223,6 +223,49 @@ impl LookupMachine {
     fn next_candidate(&self) -> Option<NodeId> {
         self.top_k().find(|c| !self.queried.contains(&c.index))
     }
+
+    /// Send one RPC (a frontier hop or the hedge) to `peer` at instant `at`,
+    /// counting it against the budget, and track it in flight. A failed
+    /// attempt costs the timeout on the lookup's timeline (an offline
+    /// requester pays nothing), exactly like the synchronous
+    /// `rpc_or_timeout` path.
+    fn send(
+        &mut self,
+        net: &mut SimNet,
+        peer: NodeId,
+        at: SimInstant,
+        generation: usize,
+        is_hedge: bool,
+        hop_span: Option<SpanId>,
+    ) {
+        self.queried.push(peer.index);
+        self.messages += 1;
+        let sent = net.send_async_at(
+            self.from,
+            peer.index,
+            crate::REQUEST_BYTES,
+            self.response_bytes,
+            at,
+            hop_span,
+        );
+        let (handle, completes_at) = match sent {
+            Ok(handle) => {
+                let completes_at = net.async_completes_at(handle).expect("just issued");
+                (Some(handle), completes_at)
+            }
+            Err(RpcError::SelfOffline) => (None, at),
+            Err(_) => (None, at + net.config().timeout),
+        };
+        self.in_flight.push(InFlightRpc {
+            handle,
+            peer,
+            issued_at: at,
+            completes_at,
+            generation,
+            is_hedge,
+            hop_span,
+        });
+    }
 }
 
 impl DhtNetwork {
@@ -507,52 +550,13 @@ impl DhtNetwork {
             let Some(cand) = machine.next_candidate() else {
                 break;
             };
-            machine.queried.push(cand.index);
-            machine.messages += 1;
             machine.hops = machine.hops.max(generation);
             let hop_span = net
                 .tracer()
                 .record_with(machine.span, "dht.hop", at, at, || {
                     format!("gen {} -> {}", generation, cand.index)
                 });
-            let entry = match net.send_async_at(
-                machine.from,
-                cand.index,
-                crate::REQUEST_BYTES,
-                machine.response_bytes,
-                at,
-                hop_span,
-            ) {
-                Ok(handle) => InFlightRpc {
-                    handle: Some(handle),
-                    peer: cand,
-                    issued_at: at,
-                    completes_at: net.async_completes_at(handle).expect("just issued"),
-                    generation,
-                    is_hedge: false,
-                    hop_span,
-                },
-                Err(err) => {
-                    // A failed attempt costs the timeout on the lookup's
-                    // timeline (an offline requester pays nothing), exactly
-                    // like the synchronous rpc_or_timeout path.
-                    let cost = if err == RpcError::SelfOffline {
-                        SimDuration::ZERO
-                    } else {
-                        net.config().timeout
-                    };
-                    InFlightRpc {
-                        handle: None,
-                        peer: cand,
-                        issued_at: at,
-                        completes_at: at + cost,
-                        generation,
-                        is_hedge: false,
-                        hop_span,
-                    }
-                }
-            };
-            machine.in_flight.push(entry);
+            machine.send(net, cand, at, generation, false, hop_span);
         }
     }
 
@@ -577,8 +581,6 @@ impl DhtNetwork {
         }
         h.hedges += 1;
         machine.hedged = true;
-        machine.queried.push(cand.index);
-        machine.messages += 1;
         net.record_hedge_fired();
         let generation = machine.hops.max(1);
         let hop_span = net
@@ -586,41 +588,7 @@ impl DhtNetwork {
             .record_with(machine.span, "fetch.hedge", at, at, || {
                 format!("hedge -> {}", cand.index)
             });
-        let entry = match net.send_async_at(
-            machine.from,
-            cand.index,
-            crate::REQUEST_BYTES,
-            machine.response_bytes,
-            at,
-            hop_span,
-        ) {
-            Ok(handle) => InFlightRpc {
-                handle: Some(handle),
-                peer: cand,
-                issued_at: at,
-                completes_at: net.async_completes_at(handle).expect("just issued"),
-                generation,
-                is_hedge: true,
-                hop_span,
-            },
-            Err(err) => {
-                let cost = if err == RpcError::SelfOffline {
-                    SimDuration::ZERO
-                } else {
-                    net.config().timeout
-                };
-                InFlightRpc {
-                    handle: None,
-                    peer: cand,
-                    issued_at: at,
-                    completes_at: at + cost,
-                    generation,
-                    is_hedge: true,
-                    hop_span,
-                }
-            }
-        };
-        machine.in_flight.push(entry);
+        machine.send(net, cand, at, generation, true, hop_span);
     }
 
     fn lookup_finish(&mut self, net: &mut SimNet, machine: &mut LookupMachine) {

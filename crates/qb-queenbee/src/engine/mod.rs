@@ -8,7 +8,8 @@
 //! * `publish` — publishing, the worker bees' indexing of publish events,
 //!   writer-side segment compaction;
 //! * `rank` — the decentralized PageRank round;
-//! * `serve` — planning, fetching and scoring windows, and the three
+//! * `serve` — the one window executor (plan, issue and poll each read,
+//!   retire), its serial and concurrent read schedules, and the three
 //!   closed-loop entry points (`search_request`, `search_batch`,
 //!   `search_pipelined`);
 //! * `open_loop` — `serve_open_loop`, admission control over the pipeline;
@@ -285,7 +286,7 @@ mod tests {
     use crate::attacks::{CollusionAttack, ScraperAttack};
     use crate::query::pipeline::PipelineConfig;
     use crate::query::request::{RoutingPolicy, SearchRequest};
-    use crate::query::response::SearchResponse;
+    use crate::query::response::{SearchResponse, TermProvenance};
     use qb_common::QbError;
     use qb_dweb::WebPage;
     use qb_workload::AdSpec;
@@ -884,13 +885,14 @@ mod tests {
         // One window holding the same query twice: both plans miss the
         // result tier, and both score.
         let query = || from_peer(5, "decentralized peers");
-        let mut plans = qb.plan_window(vec![query(), query()]).unwrap();
-        let key = plans[0].result_key.clone();
-        let reads = qb.fetch_window(&mut plans).unwrap();
         let now = qb.net.now();
-        let responses: Vec<SearchResponse> = plans
+        let mut window = qb.open_window(vec![query(), query()], now).unwrap();
+        let key = window.plans[0].result_key.clone();
+        qb.read_serially(&mut window).unwrap();
+        let reads = &window.reads;
+        let responses: Vec<SearchResponse> = std::mem::take(&mut window.plans)
             .into_iter()
-            .map(|plan| qb.serve_plan(plan, &reads, now))
+            .map(|plan| qb.serve_plan(plan, reads, now, now))
             .collect();
         assert_eq!(qb.query_stats().score_invocations, 2);
         assert_eq!(responses[0].hits, responses[1].hits);
@@ -898,7 +900,7 @@ mod tests {
 
         // A later result-cache hit is planned on the list the tier kept:
         // the tier, the plan's handle and this one hold one allocation.
-        let warm = qb.plan_window(vec![query()]).unwrap().remove(0);
+        let warm = qb.open_window(vec![query()], now).unwrap().plans.remove(0);
         assert_eq!(warm.result_key, key);
         let cached = warm.cached_result.as_ref().expect("result-cache hit");
         let list = Arc::clone(&cached.results);
@@ -908,7 +910,7 @@ mod tests {
             let resident = qb.cache.as_ref().unwrap().peek_shard(&fetch.value.term);
             assert!(Arc::ptr_eq(resident.expect("fanned out"), &fetch.value));
         }
-        let served = qb.serve_plan(warm, &reads, now);
+        let served = qb.serve_plan(warm, reads, now, now);
         assert!(served.result_cache_hit());
         assert_eq!(served.hits, responses[0].hits);
         assert_eq!(
@@ -916,6 +918,59 @@ mod tests {
             2,
             "a hit scores nothing"
         );
+    }
+
+    #[test]
+    fn a_one_read_window_answers_alike_under_both_read_schedules() {
+        // Twin engines whose statistics are cached and whose `peers` shard
+        // is not, so the query's window needs exactly one read: there the
+        // serial and the concurrent schedule coincide.
+        let twin = || {
+            let mut qb = cached_engine();
+            for (name, text) in [
+                ("wiki/dweb", "peers serve the decentralized web"),
+                ("wiki/p2p", "decentralized peers gossip"),
+            ] {
+                qb.publish(1, AccountId(1_000), &page(name, text, vec![]))
+                    .unwrap();
+            }
+            qb.seal();
+            qb.process_publish_events().unwrap();
+            qb.search_request(from_peer(5, "decentralized")).unwrap();
+            qb
+        };
+        let (mut serial, mut concurrent) = (twin(), twin());
+        let query = || from_peer(5, "peers");
+        let a = serial.search_batch(vec![query()]).unwrap().remove(0);
+        let one_deep = PipelineConfig {
+            window_size: 1,
+            max_windows_in_flight: 1,
+        };
+        let outcome = concurrent
+            .search_pipelined(vec![query()], one_deep)
+            .unwrap();
+        assert_eq!(
+            (outcome.report.shard_fetches, outcome.report.stats_reads),
+            (1, 0),
+            "the window reads one shard and no statistics"
+        );
+        let b = &outcome.responses[0];
+        assert_eq!(a.provenance, [TermProvenance::DhtFetch]);
+        assert_eq!(a.provenance, b.provenance);
+        let hits = |r: &SearchResponse| -> Vec<(u64, u64)> {
+            r.hits
+                .iter()
+                .map(|h| (h.doc_id, h.score.to_bits()))
+                .collect()
+        };
+        assert_eq!(hits(&a).len(), 2);
+        assert_eq!(hits(&a), hits(b));
+        assert!(a.latency > SimDuration::ZERO);
+        assert_eq!(a.latency, b.latency);
+        assert_eq!(a.trace.net_queue, b.trace.net_queue);
+        assert!(a.messages() > 0);
+        assert_eq!(a.messages(), b.messages());
+        assert_eq!(serial.net.stats(), concurrent.net.stats());
     }
 
     #[test]

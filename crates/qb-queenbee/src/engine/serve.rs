@@ -1,22 +1,25 @@
-//! The serve seam: a window of requests is planned against the cache
-//! tiers, its distinct missing shards (and the statistics record) are
-//! enumerated once (`WindowReads::of`) and read once, and every plan is
-//! scored and answered — each read driven to completion before the next
-//! for `search_request` / `search_batch`, all issued together and polled
-//! under the pipeline driver for `search_pipelined`.
+//! The serve seam: one window executor. A window of requests is planned
+//! against the cache tiers and its distinct missing shards (and the
+//! statistics record) are enumerated once, into one window record
+//! (`open_window`); each read is issued by one function (`issue_read`) and
+//! polled by one (`poll_read`); one retire step (`retire_window`) serves
+//! every plan and queues the batch adverts. The entry points differ only in
+//! the read schedule: `search_request` / `search_batch` issue each read at
+//! the window's instant and poll it to completion before the next
+//! (`read_serially`); `search_pipelined` issues every read at once and the
+//! pipeline driver polls the window (`read_concurrently`, `poll_window`).
 
 use super::QueenBee;
-use crate::query::executor::{ReadProgress, ReadSlot, WindowReads};
-use crate::query::pipeline::{
-    PipelineConfig, PipelineDriver, PipelineOutcome, PipelineReport, WindowRun,
-};
+use crate::query::executor::{ReadPoll, ReadProgress, ReadSlot, WindowReads, WindowRun};
+use crate::query::pipeline::{PipelineConfig, PipelineDriver, PipelineOutcome, PipelineReport};
 use crate::query::plan::{plan_request, QueryPlan, StatsPlan, TermPlan};
 use crate::query::request::{RoutingPolicy, SearchRequest};
 use crate::query::response::{paginate, SearchResponse, StageCosts, TermProvenance};
 use qb_cache::QueryCache;
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_gossip::GossipFleet;
-use qb_index::{ReadStep, ScoredDoc, ShardEntry, ShardPosting};
+use qb_index::{ScoredDoc, ShardEntry, ShardPosting};
+use qb_trace::SpanId;
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -52,54 +55,15 @@ impl QueenBee {
     /// failed fetch aborts the whole batch with the first error.
     pub fn search_batch(&mut self, requests: Vec<SearchRequest>) -> QbResult<Vec<SearchResponse>> {
         let now = self.net.now();
-        let batch = requests.len() >= 2 && self.fleet.is_some();
-
-        // Stage 1: plan every request against its frontend's cache tiers.
-        // Planning records no spans, so the window span opens only once the
-        // window is known to be valid.
-        let mut plans = self.plan_window(requests)?;
-        let window_span = self
-            .net
-            .tracer()
-            .open_with("window", now, || format!("{} queries", plans.len()));
-
-        // Stage 2: fetch each distinct missing term shard once, plus at most
-        // one statistics read for the whole window. A failed fetch must not
-        // leave the span open, or every later query would nest under it.
-        let reads = match self.fetch_window(&mut plans) {
-            Ok(reads) => reads,
-            Err(e) => {
-                self.net.tracer().close(window_span, now);
-                return Err(e);
-            }
-        };
-
-        // Stage 3: score, paginate and assemble each response, fanning the
-        // window's fetched shards out into every participating cache.
-        let batch_fetched = reads.batch_advert_groups(batch);
-        let mut responses = Vec::with_capacity(plans.len());
-        for plan in plans {
-            responses.push(self.serve_plan(plan, &reads, now));
-        }
-        let window_end = now
-            + responses
-                .iter()
-                .map(|r| r.latency)
-                .max()
-                .unwrap_or(SimDuration::ZERO);
-        self.net.tracer().close(window_span, window_end);
+        let mut win = self.open_window(requests, now)?;
+        self.read_serially(&mut win)?;
+        let mut responses = Vec::with_capacity(win.plans.len());
+        self.retire_window(win, &mut responses);
         // One root tree per response, rebuilt from its staged costs so the
         // closed-loop path gets the same query/plan/fetch/score shape the
         // open-loop server records.
-        if self.net.tracing_enabled() {
-            for response in &responses {
-                self.record_query_tree(response, now, now + response.latency, None);
-            }
-        }
-        // Batch-aware gossip: a genuine batch window's fetched shard keys
-        // enter the serving frontends' next digest round.
-        for (frontend, terms) in batch_fetched {
-            self.note_batch_fetches(frontend, &terms);
+        for response in &responses {
+            self.record_query_tree(response, now, now + response.latency, None);
         }
         if self.fleet.is_some() {
             self.run_due_gossip();
@@ -140,10 +104,10 @@ impl QueenBee {
                 .record(root, "cache_serve", issued_at, done);
         } else {
             // Stage ends are clamped into the query's own interval: a
-            // pipelined query's latency is rebased on its window reads
-            // alone, so a term or statistics record the cache served,
-            // charged the cache's hit latency, can outlast it, and the root
-            // must still end at `done`.
+            // query's latency is the slowest window read it waited on, so a
+            // term or statistics record the cache served, charged the
+            // cache's hit latency, can outlast it, and the root must still
+            // end at `done`.
             let costs = &response.trace;
             if costs.plan > SimDuration::ZERO {
                 let end = (issued_at + costs.plan).min(done);
@@ -200,9 +164,16 @@ impl QueenBee {
         Ok(outcome)
     }
 
-    /// Stage 1 of a window: plan every request against its frontend's
-    /// cache tiers (no network traffic; planning *is* the cache read).
-    pub(crate) fn plan_window(&mut self, requests: Vec<SearchRequest>) -> QbResult<Vec<QueryPlan>> {
+    /// The one window constructor: plan every request against its
+    /// frontend's cache tiers (no network traffic; planning *is* the cache
+    /// read), open the window's span at `at` and enumerate its reads
+    /// ([`WindowReads::of`]). Planning records no spans, so the span opens
+    /// only once the window is known to be valid.
+    pub(crate) fn open_window(
+        &mut self,
+        requests: Vec<SearchRequest>,
+        at: SimInstant,
+    ) -> QbResult<WindowRun> {
         let now = self.net.now();
         let mut plans: Vec<QueryPlan> = Vec::with_capacity(requests.len());
         for request in requests {
@@ -228,156 +199,166 @@ impl QueenBee {
             self.query_counter = seq;
             plans.push(plan);
         }
-        Ok(plans)
+        let count = plans.len();
+        let span = self
+            .net
+            .tracer()
+            .record_with(None, "window", at, at, || format!("{count} queries"));
+        let reads = WindowReads::of(&mut plans);
+        Ok(WindowRun {
+            plans,
+            reads,
+            issued_at: at,
+            completes_at: at,
+            next_event: None,
+            span,
+            queue_delay: SimDuration::ZERO,
+        })
     }
 
-    /// Stage 2 of a window, blocking: perform each read of
-    /// [`WindowReads::of`] — every distinct missing `(frontend, term)` shard
-    /// once, plus at most one statistics read — in its issue order, so the
-    /// simulated network sees a deterministic request sequence. Each fetch
-    /// uses the versioned read: the frontend knows the term's current
-    /// version and digs past lagging replicas.
-    pub(crate) fn fetch_window(&mut self, plans: &mut [QueryPlan]) -> QbResult<WindowReads> {
-        // The blocking reads run one at a time from the call instant on an
-        // idle link: each completes at `now + latency`, never queued.
-        let now = self.net.now();
-        let mut reads = WindowReads::of(plans);
-        for slot in reads.issue_order() {
-            match slot {
-                ReadSlot::Stats(read) => {
-                    let (stats, cost) = self.dist_index.read_stats(
-                        &mut self.net,
-                        &mut self.dht,
-                        read.origin_peer,
-                    )?;
-                    read.complete(stats, cost, now + cost.latency, SimDuration::ZERO);
-                }
-                ReadSlot::Shard(read) => {
-                    let current_version = self.shard_versions.get(&read.term).copied().unwrap_or(0);
-                    let (shard, cost) = self.dist_index.read_shard_fresh(
-                        &mut self.net,
-                        &mut self.dht,
-                        &mut self.storage,
-                        read.origin_peer,
-                        &read.term,
-                        current_version,
-                    )?;
-                    read.complete(Arc::new(shard), cost, now + cost.latency, SimDuration::ZERO);
-                }
+    /// The serial read schedule: each read of the window, in issue order,
+    /// is issued at the window's instant and polled to completion before
+    /// the next one issues, so the simulated network sees a deterministic
+    /// request sequence and every read runs on an idle link. The first
+    /// failed read fails the window; nothing is left in flight.
+    pub(super) fn read_serially(&mut self, win: &mut WindowRun) -> QbResult<()> {
+        let (at, span) = (win.issued_at, win.span);
+        for mut slot in win.reads.issue_order() {
+            self.issue_read(&mut slot, at, span);
+            let mut polled = self.poll_read(&mut slot, at)?;
+            while let ReadPoll::Pending(next) = polled {
+                polled = self.poll_read(&mut slot, next)?;
+            }
+            if let ReadPoll::Done {
+                completed_at,
+                queue_delay,
+                latency,
+            } = polled
+            {
+                // What keeps the one latency rule byte-identical for serial
+                // windows: nothing queues, so a read's wall time is its
+                // service latency.
+                debug_assert!(
+                    completed_at == at + latency && queue_delay == SimDuration::ZERO,
+                    "a serial read completes after its latency, unqueued"
+                );
+                win.completes_at = win.completes_at.max(completed_at);
             }
         }
-        Ok(reads)
+        Ok(())
     }
 
-    /// Stage 2 of a window, event-driven: start each read of
-    /// [`WindowReads::of`] at the window's issue instant `at`, in issue
-    /// order, without waiting for any of them. The per-hop DHT RPCs of these
-    /// reads run as in-flight operations of their origin peers, so fetches
-    /// of *different* windows genuinely interleave on contended uplinks.
-    /// Trace spans nest under the window's span.
-    pub(crate) fn begin_window_fetches(
-        &mut self,
-        plans: &mut [QueryPlan],
-        at: SimInstant,
-        window_span: Option<qb_trace::SpanId>,
-    ) -> WindowReads {
-        let mut reads = WindowReads::of(plans);
-        for slot in reads.issue_order() {
-            match slot {
-                ReadSlot::Stats(read) => {
-                    let span = self.net.tracer().record(window_span, "stats_read", at, at);
-                    let machine = self.dist_index.begin_read_stats(
-                        &mut self.net,
-                        &mut self.dht,
-                        read.origin_peer,
-                        at,
-                        span.or(window_span),
-                    );
-                    read.progress = ReadProgress::InFlight(machine, span);
-                }
-                ReadSlot::Shard(read) => {
-                    let span = self
-                        .net
-                        .tracer()
-                        .record_with(window_span, "fetch", at, at, || read.term.clone());
-                    let current_version = self.shard_versions.get(&read.term).copied().unwrap_or(0);
-                    let machine = self.dist_index.begin_read_shard_fresh(
-                        &mut self.net,
-                        &mut self.dht,
-                        read.origin_peer,
-                        &read.term,
-                        current_version,
-                        at,
-                        span.or(window_span),
-                    );
-                    read.progress = ReadProgress::InFlight(machine, span);
-                }
-            }
+    /// The concurrent read schedule: issue every read of the window at its
+    /// instant, in issue order, without waiting for any, then poll the
+    /// window once. The per-hop DHT RPCs run as in-flight operations of
+    /// their origin peers, so reads of *different* windows genuinely
+    /// interleave on contended uplinks.
+    pub(crate) fn read_concurrently(&mut self, win: &mut WindowRun) -> QbResult<()> {
+        let (at, span) = (win.issued_at, win.span);
+        for mut slot in win.reads.issue_order() {
+            self.issue_read(&mut slot, at, span);
         }
-        reads
+        self.poll_window(win, at)
     }
 
-    /// Advance a window's in-flight reads at instant `at` — the statistics
-    /// read, then the shards in slot order — folding every read that
-    /// completed into its slot and the window's completion bookkeeping.
-    /// Sets `win.next_event` to the earliest instant any remaining read
-    /// advances at (`None` when the window is complete). The first failed
-    /// read stops the poll and leaves its siblings in flight for
-    /// [`WindowReads::abandon`].
-    pub(crate) fn poll_window_fetches(
-        &mut self,
-        win: &mut WindowRun,
-        at: SimInstant,
-    ) -> QbResult<()> {
+    /// Advance a concurrently read window at instant `at` — the statistics
+    /// read, then the shards in slot order ([`WindowReads::poll_order`]) —
+    /// folding every read that completed into the window's completion
+    /// bookkeeping. Sets `win.next_event` to the earliest instant any
+    /// remaining read advances at (`None` when the window is complete).
+    /// The first failed read stops the poll and leaves its siblings in
+    /// flight for [`WindowReads::abandon`].
+    pub(crate) fn poll_window(&mut self, win: &mut WindowRun, at: SimInstant) -> QbResult<()> {
         let mut next_event: Option<SimInstant> = None;
-        let track = |cand: SimInstant, next_event: &mut Option<SimInstant>| {
-            *next_event = Some(next_event.map_or(cand, |cur: SimInstant| cur.min(cand)));
-        };
-        if let Some(read) = &mut win.reads.stats {
-            if let ReadProgress::InFlight(machine, _) = &mut read.progress {
-                match self
-                    .dist_index
-                    .poll_read_stats(&mut self.net, &mut self.dht, machine, at)
-                {
-                    ReadStep::Ready => {
-                        let done = read.fold_completed(&mut self.net)?;
-                        win.completes_at = win.completes_at.max(done.completed_at);
-                        win.queue_delay += done.queue_delay;
-                    }
-                    ReadStep::Pending { next_event_at } => track(next_event_at, &mut next_event),
+        for mut slot in win.reads.poll_order() {
+            match self.poll_read(&mut slot, at)? {
+                ReadPoll::Done {
+                    completed_at,
+                    queue_delay,
+                    ..
+                } => {
+                    win.completes_at = win.completes_at.max(completed_at);
+                    win.queue_delay += queue_delay;
                 }
-            }
-        }
-        for read in &mut win.reads.shards {
-            if let ReadProgress::InFlight(machine, _) = &mut read.progress {
-                match self.dist_index.poll_read_shard(
-                    &mut self.net,
-                    &mut self.dht,
-                    &mut self.storage,
-                    machine,
-                    &read.term,
-                    at,
-                ) {
-                    ReadStep::Ready => {
-                        let done = read.fold_completed(&mut self.net)?;
-                        win.completes_at = win.completes_at.max(done.completed_at);
-                        win.queue_delay += done.queue_delay;
-                    }
-                    ReadStep::Pending { next_event_at } => track(next_event_at, &mut next_event),
+                ReadPoll::Pending(next) => {
+                    next_event = Some(next_event.map_or(next, |cur| cur.min(next)));
                 }
+                ReadPoll::Idle => {}
             }
         }
         win.next_event = next_event;
         Ok(())
     }
 
-    /// Queue a batch window's freshly fetched shard keys as batch-aware
-    /// gossip advertisements of the serving frontend (no-op outside fleet
-    /// mode or when `GossipConfig::batch_advertise` is off).
-    /// [`WindowReads::batch_advert_groups`] produces the per-frontend groups.
-    pub(crate) fn note_batch_fetches(&mut self, frontend: usize, terms: &[(String, u64)]) {
+    /// Issue one read of a window at instant `at`: its `stats_read` or
+    /// `fetch` span opens under the window's, and its read machine starts.
+    /// Each shard read uses the versioned read: the frontend knows the
+    /// term's current version and digs past lagging replicas.
+    fn issue_read(&mut self, slot: &mut ReadSlot<'_>, at: SimInstant, window_span: Option<SpanId>) {
+        match slot {
+            ReadSlot::Stats(read) => {
+                let span = self.net.tracer().record(window_span, "stats_read", at, at);
+                let machine = self.dist_index.begin_read_stats(
+                    &mut self.net,
+                    &mut self.dht,
+                    read.origin_peer,
+                    at,
+                    span.or(window_span),
+                );
+                read.progress = ReadProgress::InFlight(machine, span);
+            }
+            ReadSlot::Shard(read) => {
+                let span = self
+                    .net
+                    .tracer()
+                    .record_with(window_span, "fetch", at, at, || read.term.clone());
+                let current_version = self.shard_versions.get(&read.term).copied().unwrap_or(0);
+                let machine = self.dist_index.begin_read_shard_fresh(
+                    &mut self.net,
+                    &mut self.dht,
+                    read.origin_peer,
+                    &read.term,
+                    current_version,
+                    at,
+                    span.or(window_span),
+                );
+                read.progress = ReadProgress::InFlight(machine, span);
+            }
+        }
+    }
+
+    /// Advance one read of a window at instant `at`; a read that finishes
+    /// is folded into its slot ([`crate::query::executor::WindowRead::poll`]).
+    fn poll_read(&mut self, slot: &mut ReadSlot<'_>, at: SimInstant) -> QbResult<ReadPoll> {
+        let (index, dht, storage) = (&self.dist_index, &mut self.dht, &mut self.storage);
+        match slot {
+            ReadSlot::Stats(read) => read.poll(&mut self.net, |net, machine, _| {
+                index.poll_read_stats(net, dht, machine, at)
+            }),
+            ReadSlot::Shard(read) => read.poll(&mut self.net, |net, machine, term| {
+                index.poll_read_shard(net, dht, storage, machine, term, at)
+            }),
+        }
+    }
+
+    /// The retire step of every window, once all its reads completed: close
+    /// its span, serve every plan in order (`serve_plan`), and queue a
+    /// genuine batch window's freshly fetched shard keys as the serving
+    /// frontends' batch-aware gossip adverts, so the rest of the fleet warms
+    /// one digest round earlier (no-op outside fleet mode or when
+    /// `GossipConfig::batch_advertise` is off).
+    pub(crate) fn retire_window(&mut self, win: WindowRun, responses: &mut Vec<SearchResponse>) {
+        self.net.tracer().close(win.span, win.completes_at);
+        let now = self.net.now();
+        let batch = win.plans.len() >= 2 && self.fleet.is_some();
+        let adverts = win.reads.batch_advert_groups(batch);
+        for plan in win.plans {
+            responses.push(self.serve_plan(plan, &win.reads, win.issued_at, now));
+        }
         if let Some(fleet) = self.fleet.as_mut() {
-            fleet.note_batch_fetches(frontend, terms);
+            for (frontend, terms) in adverts {
+                fleet.note_batch_fetches(frontend, &terms);
+            }
         }
     }
 
@@ -478,11 +459,17 @@ impl QueenBee {
         }
     }
 
-    /// Stage 3 of the pipeline: turn one plan plus the window's shared
-    /// reads into a [`SearchResponse`], store what the serving cache
-    /// should keep, record version observations, account freshness and
-    /// attach the ad. Every entry point scores a query the result tier did
-    /// not answer here, exactly once.
+    /// Stage 3 of a window: turn one plan plus the window's shared reads
+    /// into a [`SearchResponse`], store what the serving cache should keep
+    /// (at `now`, the call instant), record version observations, account
+    /// freshness and attach the ad. Every entry point scores a query the
+    /// result tier did not answer here, exactly once.
+    ///
+    /// The one latency rule: a plan that waited on a fetched read is
+    /// charged the slowest such read's completion minus the window's issue
+    /// instant `issued_at` (the first of equals, in term order then the
+    /// statistics read), with that read's link queueing as `net_queue`. A
+    /// plan served wholly from cache is charged the cache's hit latency.
     ///
     /// Shards are only ever borrowed here — from the plan's handles and the
     /// window's reads — and fan out into the serving cache as handles. The
@@ -490,10 +477,11 @@ impl QueenBee {
     /// built only for a result tier that admits it, once, and every later
     /// result hit shares it. Otherwise the response's page of hits is all
     /// that is built.
-    pub(crate) fn serve_plan(
+    pub(super) fn serve_plan(
         &mut self,
         mut plan: QueryPlan,
         reads: &WindowReads,
+        issued_at: SimInstant,
         now: SimInstant,
     ) -> SearchResponse {
         let hit_latency = self.config.cache.hit_latency;
@@ -524,6 +512,17 @@ impl QueenBee {
         let mut fan_out: Vec<&Arc<ShardEntry>> = Vec::new();
         let mut messages = 0u64;
         let mut any_stale = false;
+        // The slowest fetched read this plan waits on: its completion
+        // instant and the link queueing inside it.
+        let mut critical: Option<(SimInstant, SimDuration)> = None;
+        let slower = |critical: Option<(SimInstant, SimDuration)>,
+                      read: (SimInstant, SimDuration)| {
+            Some(
+                critical
+                    .filter(|slowest| slowest.0 >= read.0)
+                    .unwrap_or(read),
+            )
+        };
         for planned in &plan.terms {
             match &planned.plan {
                 TermPlan::CachedShard(shard) => {
@@ -546,6 +545,7 @@ impl QueenBee {
                 TermPlan::Fetch { read } => {
                     let fetch = reads.shard(*read);
                     term_latencies.push(fetch.cost.latency);
+                    critical = slower(critical, (fetch.completed_at, fetch.queue_delay));
                     if fetch.charged_to == plan.seq {
                         messages += fetch.cost.messages;
                         provenance.push(TermProvenance::DhtFetch);
@@ -568,14 +568,22 @@ impl QueenBee {
                 if read.charged_to == plan.seq {
                     messages += read.cost.messages;
                 }
+                critical = slower(critical, (read.completed_at, read.queue_delay));
                 (read.value, read.cost.latency, true)
             }
         };
 
-        // The window's reads run conceptually in parallel: total latency is
-        // the max over the stats read and this query's term components.
+        // The window's reads run in parallel: the stage costs are the max
+        // over this query's term components, and the latency is the
+        // slowest read it waited on, on the window's timeline.
         let shard_stage = qb_simnet::parallel_latency(&term_latencies);
-        let latency = shard_stage.max(stats_latency);
+        let (latency, net_queue) = match critical {
+            Some((done, queue_delay)) => {
+                let latency = done.since(issued_at);
+                (latency, queue_delay.min(latency))
+            }
+            None => (shard_stage.max(stats_latency), SimDuration::ZERO),
+        };
 
         // Score every candidate; what gets built from the scores is decided
         // by who keeps it.
@@ -601,7 +609,7 @@ impl QueenBee {
                 c.store_shard_handle(shard, now);
             }
             if stats_fetched {
-                c.store_stats(stats, stats.version);
+                c.store_stats(stats);
             }
             if !any_stale {
                 let terms = plan.terms.iter().map(|t| t.term.as_str());
@@ -627,6 +635,7 @@ impl QueenBee {
         let trace = StageCosts {
             stats: stats_latency,
             shard_fetch: shard_stage,
+            net_queue,
             messages,
             candidates_scored: total,
             ..StageCosts::default()

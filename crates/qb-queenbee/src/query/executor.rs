@@ -1,5 +1,5 @@
 //! The executor: turn resolved shards into a ranked result list, and own
-//! the shared index reads of a window.
+//! the window record both read schedules run.
 //!
 //! The network side (versioned DHT reads) stays in the engine, which owns
 //! the simulated network, and the pure stages — intersection, BM25 scoring,
@@ -7,10 +7,14 @@
 //! [`qb_index::kernel`]. This module holds the bookkeeping that lets a
 //! window read each distinct missing term (and the statistics record)
 //! exactly once and fan the result out to every query that needs it:
+//! `WindowRun`, the one window record every entry point builds, and its
 //! `WindowReads`, whose one enumeration (`WindowReads::of`) decides which
 //! reads a window makes, in what order and charged to whom. A read stays in
 //! its slot from issue to response (it completes in place), and each plan
-//! term it serves carries the slot ([`TermPlan::Fetch`]).
+//! term it serves carries the slot ([`TermPlan::Fetch`]). The engine issues
+//! and polls a slot through one function each; the serial schedule
+//! (`search_batch`) and the concurrent one (the pipeline) differ only in
+//! when they call them.
 //!
 //! It follows the serving path's ownership rule: a fetched shard sits
 //! behind an `Arc`, so fanning one fetch out to every query of the window
@@ -20,7 +24,7 @@
 use crate::query::plan::{QueryPlan, StatsPlan, TermPlan};
 use qb_common::{QbResult, SimDuration, SimInstant};
 use qb_index::shard::IndexOpCost;
-use qb_index::{IndexStats, ReadMachine, ScoredDoc, ShardEntry};
+use qb_index::{IndexStats, ReadMachine, ReadStep, ScoredDoc, ShardEntry};
 use qb_simnet::SimNet;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,17 +44,58 @@ pub(crate) struct CompletedRead<T> {
     pub(crate) charged_to: u64,
     /// When the read completed on the window's timeline.
     pub(crate) completed_at: SimInstant,
-    /// Link queueing delay inside the read's wall time (zero for the
-    /// blocking window, whose reads run one at a time on an idle link).
+    /// Link queueing delay inside the read's wall time: what a plan that
+    /// waits on this read as its slowest is charged as `net_queue`. Zero
+    /// under the serial schedule, whose reads run one at a time on an idle
+    /// link.
     pub(crate) queue_delay: SimDuration,
+}
+
+/// One window of a run, from planning to retirement: its plans, its reads
+/// and the completion bookkeeping both read schedules keep.
+pub(crate) struct WindowRun {
+    pub(crate) plans: Vec<QueryPlan>,
+    /// The window's shared reads (each distinct `(frontend, term)` once,
+    /// at most one statistics read), each completing in its slot with its
+    /// own completion instant and link-queue delay.
+    pub(crate) reads: WindowReads,
+    /// When the window's reads were issued on the virtual timeline.
+    pub(crate) issued_at: SimInstant,
+    /// When the window's slowest read completed (so far).
+    pub(crate) completes_at: SimInstant,
+    /// Earliest instant any pending read advances at (`None` once the
+    /// window is complete); only the concurrent schedule waits on it.
+    pub(crate) next_event: Option<SimInstant>,
+    /// The window's trace span (children: one `fetch`/`stats_read` span
+    /// per read, each nesting its per-hop `dht.lookup`/`rpc` spans).
+    pub(crate) span: Option<qb_trace::SpanId>,
+    /// Queueing delay the per-link in-flight limits charged this window.
+    pub(crate) queue_delay: SimDuration,
+}
+
+/// What one poll of a window read found.
+pub(crate) enum ReadPoll {
+    /// Nothing in flight: the read was never issued, or it already finished.
+    Idle,
+    /// In flight; it advances next at this instant.
+    Pending(SimInstant),
+    /// It finished at this poll.
+    Done {
+        /// When it completed on the window's timeline.
+        completed_at: SimInstant,
+        /// Link queueing inside its wall time.
+        queue_delay: SimDuration,
+        /// Its service latency ([`IndexOpCost::latency`]).
+        latency: SimDuration,
+    },
 }
 
 /// How far a [`WindowRead`] got.
 pub(crate) enum ReadProgress<T, V> {
     /// Enumerated, not issued.
     Planned,
-    /// Issued under the pipeline driver: the event-driven machine and the
-    /// read's trace span, open until the machine finishes.
+    /// Issued: the event-driven machine and the read's trace span, open
+    /// until the machine finishes.
     InFlight(ReadMachine<T>, Option<qb_trace::SpanId>),
     /// Finished; the record stays until the window has answered.
     Done(CompletedRead<V>),
@@ -100,13 +145,25 @@ impl<T, V> WindowRead<T, V> {
         });
     }
 
-    /// Swap the machine whose last poll returned `Ready` for what it read,
-    /// in place, closing the read's span. A failed read leaves the slot
-    /// `Planned`: it never keeps a machine with nothing left in flight.
-    pub(crate) fn fold_completed(&mut self, net: &mut SimNet) -> QbResult<&CompletedRead<V>>
+    /// Poll the read's machine with `step` (given the network, the machine
+    /// and the read's term) when one is in flight. A machine that is
+    /// `Ready` is swapped, in its slot, for what it read, closing the read's
+    /// span. A failed read leaves the slot `Planned`: it never keeps a
+    /// machine with nothing left in flight.
+    pub(crate) fn poll(
+        &mut self,
+        net: &mut SimNet,
+        step: impl FnOnce(&mut SimNet, &mut ReadMachine<T>, &str) -> ReadStep,
+    ) -> QbResult<ReadPoll>
     where
         V: From<T>,
     {
+        let ReadProgress::InFlight(machine, _) = &mut self.progress else {
+            return Ok(ReadPoll::Idle);
+        };
+        if let ReadStep::Pending { next_event_at } = step(net, machine, &self.term) {
+            return Ok(ReadPoll::Pending(next_event_at));
+        }
         if let ReadProgress::InFlight(machine, span) =
             std::mem::replace(&mut self.progress, ReadProgress::Planned)
         {
@@ -115,7 +172,12 @@ impl<T, V> WindowRead<T, V> {
             net.tracer().close(span, completed_at);
             self.complete(value.into(), cost, completed_at, queue_delay);
         }
-        Ok(self.done())
+        let done = self.done();
+        Ok(ReadPoll::Done {
+            completed_at: done.completed_at,
+            queue_delay: done.queue_delay,
+            latency: done.cost.latency,
+        })
     }
 
     fn abandon(&mut self, net: &mut SimNet) {
@@ -131,8 +193,8 @@ impl<T, V> WindowRead<T, V> {
     }
 }
 
-/// A window is scored, steered by and advertised only once none of its
-/// reads is in flight, and a failed read aborts it before that.
+/// A window is scored and advertised only once none of its reads is in
+/// flight, and a failed read aborts it before that.
 fn finished<T, V>(read: Option<&WindowRead<T, V>>) -> &CompletedRead<V> {
     match read.map(|read| &read.progress) {
         Some(ReadProgress::Done(done)) => done,
@@ -169,7 +231,7 @@ pub(crate) struct WindowReads {
 }
 
 impl WindowReads {
-    /// The one enumeration both window executors start from: walk the plans
+    /// The one enumeration both read schedules start from: walk the plans
     /// in order and each plan's terms in order, give every distinct missing
     /// `(frontend, term)` one slot — the first plan to need a read triggers
     /// it and pays for it — and write the slot into each term it serves.
@@ -215,6 +277,16 @@ impl WindowReads {
             .chain(late.iter_mut().map(ReadSlot::Shard))
     }
 
+    /// Every read once, in the order the concurrent schedule polls them:
+    /// the statistics read, then the shards in slot order. The order feeds
+    /// the simulated network's RNG.
+    pub(crate) fn poll_order(&mut self) -> impl Iterator<Item = ReadSlot<'_>> {
+        let stats = self.stats.as_mut().map(ReadSlot::Stats);
+        stats
+            .into_iter()
+            .chain(self.shards.iter_mut().map(ReadSlot::Shard))
+    }
+
     /// Retire whatever the window still has in flight without processing
     /// it (abort path), so an aborted run leaves no phantom link occupancy.
     pub(crate) fn abandon(&mut self, net: &mut SimNet) {
@@ -235,10 +307,9 @@ impl WindowReads {
 
     /// Group the window's freshly fetched shard keys by serving frontend,
     /// each group in ascending term order, for batch-aware gossip
-    /// advertisement — the single definition both the back-to-back
-    /// (`search_batch`) and pipelined (`score_window`) paths use. Only
-    /// genuine batch windows (`batch` = the window held ≥ 2 queries)
-    /// advertise; single-query serving keeps the exact PR 4 protocol.
+    /// advertisement, which the retire step queues. Only genuine batch
+    /// windows (`batch` = the window held ≥ 2 queries) advertise;
+    /// single-query serving keeps the original gossip protocol.
     pub(crate) fn batch_advert_groups(&self, batch: bool) -> HashMap<usize, Vec<(String, u64)>> {
         let mut groups: HashMap<usize, Vec<(String, u64)>> = HashMap::new();
         if batch {

@@ -1,14 +1,19 @@
-//! The pipelined execution engine: overlapping windows whose individual
-//! DHT fetches run as event-driven state machines on one shared virtual
+//! The pipelined execution engine: overlapping windows whose reads run
+//! concurrently, as event-driven state machines on one shared virtual
 //! timeline.
 //!
-//! # The state machine
+//! # One executor, two read schedules
 //!
-//! [`QueenBee::search_batch`](crate::QueenBee::search_batch) runs its three
-//! stages in lockstep: the whole window is planned, then fetched, then
-//! scored, and the next window starts only after the previous one finished.
-//! The pipeline driver breaks that lockstep. Every window moves through
-//! four stages:
+//! Every entry point runs one window executor (`crate::engine::serve`): a
+//! window record built by one constructor, one issue and one poll per read,
+//! and one retire step that serves every plan. The entry points differ only
+//! in the read schedule.
+//! [`QueenBee::search_batch`](crate::QueenBee::search_batch) reads
+//! *serially* — each read issued at the window's instant and polled to
+//! completion before the next issues — one window at a time. The pipeline
+//! driver reads *concurrently*: every read of a window issues at once, the
+//! window is polled as its reads advance, and windows overlap. Every window
+//! moves through four stages:
 //!
 //! ```text
 //!   Planned ──issue fetches──▶ Fetching ──all machines done──▶ Scoring ──▶ Done
@@ -18,7 +23,7 @@
 //!   frontend's cache tiers ([`plan_request`](crate::query::plan)); no
 //!   network traffic yet.
 //! * **Fetching** — the window's reads are enumerated once (`WindowReads::of`
-//!   in [`crate::query::executor`], shared with the blocking window): each
+//!   in [`crate::query::executor`], as for every window): each
 //!   distinct missing `(frontend, term)` shard (plus at most one statistics
 //!   record per window) gets a slot and becomes an **event-driven read
 //!   machine** ([`qb_index::ReadMachine`]) in it: a per-lookup α-frontier
@@ -30,10 +35,11 @@
 //!   — *hop by hop*, so the hops of different windows genuinely interleave
 //!   on a contended link — and every queue delay is charged to
 //!   [`qb_simnet::NetStats`] and to the window.
-//! * **Scoring** — once the window's slowest machine completes, shards are
-//!   intersected and scored, each plan through the same `serve_plan` a
-//!   `search_batch` window uses — one kernel call per query that the result
-//!   tier did not answer, even when the window set repeats a query.
+//! * **Scoring** — once the window's slowest machine completes, the retire
+//!   step every window shares serves each plan (`serve_plan`) — one kernel
+//!   call per query that the result tier did not answer, even when the
+//!   window set repeats a query. A plan that waited on a read is charged the
+//!   slowest such read's completion minus the window's issue instant.
 //! * **Done** — responses are assembled, fetched shards fan out into the
 //!   serving cache, and (in fleet mode) the window's freshly fetched shard
 //!   keys are queued as **batch-aware gossip advertisements**
@@ -60,8 +66,7 @@
 //! queueing and makespan accounting.
 
 use crate::engine::QueenBee;
-use crate::query::executor::WindowReads;
-use crate::query::plan::{QueryPlan, StatsPlan};
+use crate::query::executor::WindowRun;
 use crate::query::request::SearchRequest;
 use crate::query::response::SearchResponse;
 use qb_common::{QbResult, SimDuration, SimInstant};
@@ -84,28 +89,6 @@ impl Default for PipelineConfig {
             max_windows_in_flight: 4,
         }
     }
-}
-
-/// One window in flight: its plans, its reads and the completion
-/// bookkeeping the driver schedules by.
-pub(crate) struct WindowRun {
-    pub(crate) plans: Vec<QueryPlan>,
-    /// The window's shared reads (each distinct `(frontend, term)` once,
-    /// at most one statistics read), each completing in its slot with its
-    /// own completion instant and link-queue delay.
-    pub(crate) reads: WindowReads,
-    /// When the window was issued on the virtual timeline.
-    pub(crate) issued_at: SimInstant,
-    /// When the window's slowest dependency completed (so far).
-    pub(crate) completes_at: SimInstant,
-    /// Earliest instant any pending machine advances at (`None` once the
-    /// window is complete).
-    pub(crate) next_event: Option<SimInstant>,
-    /// The window's trace span (children: one `fetch`/`stats_read` span
-    /// per read, each nesting its per-hop `dht.lookup`/`rpc` spans).
-    pub(crate) span: Option<qb_trace::SpanId>,
-    /// Queueing delay the per-link in-flight limits charged this window.
-    pub(crate) queue_delay: SimDuration,
 }
 
 /// What one pipelined run did, beyond the responses themselves.
@@ -232,10 +215,21 @@ impl PipelineDriver {
         loop {
             // Retire the front window once all its machines completed (its
             // last poll found none pending).
-            if let Some(mut win) = self.in_flight.pop_front_if(|w| w.next_event.is_none()) {
+            // (Fetching → Scoring → Done): the driver keeps the run's report
+            // and window spans, the engine's retire step serves the window.
+            if let Some(win) = self.in_flight.pop_front_if(|w| w.next_event.is_none()) {
                 next_issue_at = next_issue_at.max(win.completes_at);
                 self.report.makespan = self.report.makespan.max(win.completes_at.since(t0));
-                self.score_window(qb, &mut win, responses);
+                self.report.queue_delay += win.queue_delay;
+                self.report.windows += 1;
+                self.report.queries += win.plans.len();
+                self.spans.push(WindowSpan {
+                    first_query: responses.len(),
+                    queries: win.plans.len(),
+                    issued_at: win.issued_at,
+                    completed_at: win.completes_at,
+                });
+                qb.retire_window(win, responses);
                 continue;
             }
 
@@ -252,117 +246,31 @@ impl PipelineDriver {
                     // one window can unblock (or be interleaved with) hops of
                     // another. FIFO order keeps the advancement deterministic.
                     for win in self.in_flight.iter_mut() {
-                        qb.poll_window_fetches(win, cursor)?;
+                        qb.poll_window(win, cursor)?;
                     }
                 }
                 _ if can_issue => {
-                    // Cut the next window at the moment it issues.
+                    // Cut the next window at the moment it issues, plan it
+                    // and start its read machines (Planned → Fetching). They
+                    // advance only through `poll_window`; the immediate poll
+                    // lets zero-latency reads (cache-complete windows)
+                    // finish in place.
                     let take = self.window.min(pending.len());
-                    let reqs: Vec<SearchRequest> = pending.drain(..take).collect();
                     cursor = issue_at;
-                    self.issue_window(qb, reqs, issue_at)?;
+                    let mut win = qb.open_window(pending.drain(..take).collect(), issue_at)?;
+                    self.report.stats_reads += u64::from(win.reads.stats.is_some());
+                    self.report.shard_fetches += win.reads.shards.len() as u64;
+                    // The window is in flight whether or not its first poll
+                    // succeeds: a read that fails on the spot must not
+                    // strand its siblings' hops.
+                    let polled = qb.read_concurrently(&mut win);
+                    self.in_flight.push_back(win);
+                    polled?;
                     self.report.peak_windows_in_flight =
                         self.report.peak_windows_in_flight.max(self.in_flight.len());
                 }
                 _ => return Ok(()),
             }
-        }
-    }
-
-    /// Plan a window and start its distinct read machines at `issued_at`
-    /// (Planned → Fetching). The machines advance only through
-    /// [`QueenBee::poll_window_fetches`]; the immediate poll here lets
-    /// zero-latency reads (cache-complete windows) finish in place.
-    fn issue_window(
-        &mut self,
-        qb: &mut QueenBee,
-        requests: Vec<SearchRequest>,
-        issued_at: SimInstant,
-    ) -> QbResult<()> {
-        let mut plans = qb.plan_window(requests)?;
-        let query_count = plans.len();
-        let span = qb
-            .net
-            .tracer()
-            .record_with(None, "window", issued_at, issued_at, || {
-                format!("{query_count} queries")
-            });
-        let reads = qb.begin_window_fetches(&mut plans, issued_at, span);
-        self.report.stats_reads += u64::from(reads.stats.is_some());
-        self.report.shard_fetches += reads.shards.len() as u64;
-        let mut win = WindowRun {
-            plans,
-            reads,
-            issued_at,
-            completes_at: issued_at,
-            next_event: None,
-            span,
-            queue_delay: SimDuration::ZERO,
-        };
-        // The window is in flight whether or not its first poll succeeds: a
-        // read that fails on the spot must not strand its siblings' hops.
-        let polled = qb.poll_window_fetches(&mut win, issued_at);
-        self.in_flight.push_back(win);
-        polled
-    }
-
-    /// Score a completed window (Fetching → Scoring → Done): every plan is
-    /// served by `serve_plan`, and per-query latency is rebased on
-    /// the virtual timeline (the query's slowest dependency completion
-    /// minus the window's issue instant).
-    fn score_window(
-        &mut self,
-        qb: &mut QueenBee,
-        win: &mut WindowRun,
-        responses: &mut Vec<SearchResponse>,
-    ) {
-        qb.net.tracer().close(win.span, win.completes_at);
-        self.report.queue_delay += win.queue_delay;
-        let now = qb.net.now();
-        let plans = std::mem::take(&mut win.plans);
-        self.report.windows += 1;
-        self.report.queries += plans.len();
-        self.spans.push(WindowSpan {
-            first_query: responses.len(),
-            queries: plans.len(),
-            issued_at: win.issued_at,
-            completed_at: win.completes_at,
-        });
-        let reads = &win.reads;
-        let fetched_terms = reads.batch_advert_groups(plans.len() >= 2 && qb.fleet().is_some());
-        for plan in plans {
-            // The query's slowest asynchronous dependency (the first of
-            // equals, in term order then the statistics read): its
-            // completion instant and the link queueing inside it.
-            let shard_reads = plan.fetch_reads().map(|slot| {
-                let read = reads.shard(slot);
-                (read.completed_at, read.queue_delay)
-            });
-            let stats_read = (matches!(plan.stats, StatsPlan::Fetch) && !plan.is_result_hit())
-                .then(|| reads.stats_read())
-                .map(|read| (read.completed_at, read.queue_delay));
-            let critical = shard_reads.chain(stats_read).reduce(|slowest, read| {
-                if read.0 > slowest.0 {
-                    read
-                } else {
-                    slowest
-                }
-            });
-            let mut response = qb.serve_plan(plan, reads, now);
-            // Rebase latency on the virtual timeline when the query waited
-            // on any asynchronous dependency.
-            if let Some((done, queue_delay)) = critical {
-                response.latency = done.since(win.issued_at);
-                response.trace.net_queue = queue_delay.min(response.latency);
-            }
-            responses.push(response);
-        }
-        // Batch-aware gossip: the window's freshly fetched shard keys enter
-        // the serving frontends' next digest round, so the rest of the
-        // fleet warms one round earlier than hot-set popularity alone
-        // would allow.
-        for (frontend, terms) in fetched_terms {
-            qb.note_batch_fetches(frontend, &terms);
         }
     }
 }

@@ -171,7 +171,7 @@ pub fn plan_request(
         .filter(|_| !matches!(request.freshness, Freshness::Fresh))
         .and_then(|c| c.lookup_stats(stats_version))
     {
-        Some(cached) => StatsPlan::Cached(cached.stats),
+        Some(cached) => StatsPlan::Cached(cached),
         None => StatsPlan::Fetch,
     };
 
