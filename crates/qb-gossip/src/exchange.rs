@@ -12,10 +12,24 @@
 //! debug builds every skip re-runs what it skipped and asserts the
 //! outcome. The records are host-side only: every simulated byte, counter
 //! and span is what the full computation produces.
+//!
+//! What an exchange does run costs what changed:
+//!
+//! * every per-term probe — `advertised`, `holdings`, `known` — goes by the
+//!   [`TermKey`] the entry carries, never by a string hash;
+//! * a full exchange that is not a settled hit [`reconcile`]s `advertised`
+//!   and `holdings` with the two listings in place (write what moved, drop
+//!   what left) and observes into `known` only the pairs `holdings` did
+//!   not already hold, which `PeerSync::holdings_observed` says `known`
+//!   covers;
+//! * an exchange side fills buffers the fleet keeps ([`OfferBuffers`]) —
+//!   its delta, adverts and membership summary — so a quiet exchange
+//!   allocates nothing.
 
 use crate::config::{DigestMode, GossipConfig, MEMBERSHIP_SUMMARY_BUDGET};
 use crate::digest::{
-    apply_delta, delta_entries, needs_fill, note_holding, Digest, DigestEntry, HoldingsView,
+    apply_delta, delta_entries, digest_wire_bytes, needs_fill, note_holding, DigestEntry, TermKey,
+    TermMap,
 };
 use crate::filter::ShardFilter;
 use crate::fleet::GossipFleet;
@@ -23,11 +37,15 @@ use crate::frontend::{Frontend, Listing, PeerSync};
 use crate::membership::MembershipSummary;
 use crate::stats::GossipStats;
 use qb_cache::RemoteAdmit;
-use qb_common::{SimDuration, SimInstant};
+use qb_common::{IdHasher, SimDuration, SimInstant};
 use qb_index::ShardEntry;
 use qb_simnet::SimNet;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
+
+/// A set of borrowed term keys.
+type TermSet<'a> = HashSet<&'a TermKey, BuildHasherDefault<IdHasher>>;
 
 /// Wire overhead charged per shard in a fill batch (frame, version, TTL).
 const FILL_ENTRY_OVERHEAD: usize = 12;
@@ -83,7 +101,7 @@ impl GossipFleet {
             now,
             class,
         };
-        exchange.run(a, b)
+        exchange.run(a, b, &mut self.offer_buffers)
     }
 }
 
@@ -97,6 +115,15 @@ fn pair_mut(frontends: &mut [Frontend], i: usize, j: usize) -> (&mut Frontend, &
         let (left, right) = frontends.split_at_mut(i);
         (&mut right[0], &mut left[j])
     }
+}
+
+/// The buffers one exchange side fills, kept by the fleet from one
+/// exchange to the next: a quiet exchange allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct OfferBuffers {
+    adverts: Vec<DigestEntry>,
+    sent: Vec<DigestEntry>,
+    membership: MembershipSummary,
 }
 
 /// What one side brings to an exchange: its ranked tier, the part of it
@@ -115,7 +142,12 @@ struct Offer {
     /// Batch-aware adverts, re-resolved once: the digest advertises and the
     /// priority fills offer the identical `(term, version)` list.
     adverts: Vec<DigestEntry>,
-    digest: Digest,
+    /// A full digest ships the hot set itself ahead of `sent`; a delta
+    /// digest ships `sent` alone.
+    sends_hot: bool,
+    /// The digest's entries past the hot set it ships whole: the delta in
+    /// delta mode, then each batch advert the digest did not already carry.
+    sent: Vec<DigestEntry>,
     filter: Option<Arc<ShardFilter>>,
     membership: MembershipSummary,
     /// Segment pointers piggyback on every digest swap (both directions),
@@ -129,11 +161,34 @@ impl Offer {
         &self.held[..self.hot_len]
     }
 
+    /// The digest's entries, in wire order.
+    fn digest(&self) -> impl Iterator<Item = &DigestEntry> {
+        let whole: &[DigestEntry] = if self.sends_hot { self.hot() } else { &[] };
+        whole.iter().chain(&self.sent)
+    }
+
     /// Bytes of the digest half of the swap: entries, filter, segment
     /// pointer.
     fn digest_bytes(&self) -> usize {
         let filter_bytes = self.filter.as_ref().map_or(0, |f| f.wire_bytes());
-        self.digest.wire_bytes() + filter_bytes + self.segment_bytes
+        digest_wire_bytes(self.digest()) + filter_bytes + self.segment_bytes
+    }
+
+    /// Hand the buffers back, emptied, for the next exchange.
+    fn recycle(self) -> OfferBuffers {
+        let Offer {
+            mut adverts,
+            mut sent,
+            membership,
+            ..
+        } = self;
+        adverts.clear();
+        sent.clear();
+        OfferBuffers {
+            adverts,
+            sent,
+            membership,
+        }
     }
 }
 
@@ -153,9 +208,10 @@ impl Exchange<'_> {
         !self.class.full() && self.config.digest_mode == DigestMode::Delta
     }
 
-    /// Run the exchange: each side is prepared, the digests are swapped in
-    /// one RPC, each side applies what it learned, each side pushes fills.
-    fn run(&mut self, a: &mut Frontend, b: &mut Frontend) -> bool {
+    /// Run the exchange: each side is prepared from `buffers`, the digests
+    /// are swapped in one RPC, each side applies what it learned, each side
+    /// pushes fills; the buffers go back to `buffers`.
+    fn run(&mut self, a: &mut Frontend, b: &mut Frontend, buffers: &mut [OfferBuffers; 2]) -> bool {
         let (a_peer, b_peer) = (a.peer, b.peer);
         let exchange_start = self.net.now();
         let exchange_span = self
@@ -164,11 +220,28 @@ impl Exchange<'_> {
             .open_with("gossip.exchange", exchange_start, || {
                 format!("{a_peer}<->{b_peer}")
             });
-        let offer_a = self.prepare(a, b_peer);
-        let offer_b = self.prepare(b, a_peer);
-        // The digest swap is one request/response RPC; a partitioned or
-        // offline partner fails it here, no state moves, and the initiator
-        // records the failure against the partner's liveness.
+        let [buffers_a, buffers_b] = std::mem::take(buffers);
+        let offer_a = self.prepare(a, b_peer, buffers_a);
+        let offer_b = self.prepare(b, a_peer, buffers_b);
+        let swapped = self.swap(a, b, &offer_a, &offer_b);
+        *buffers = [offer_a.recycle(), offer_b.recycle()];
+        let end = self.net.now();
+        self.net.tracer().close(exchange_span, end);
+        swapped
+    }
+
+    /// The digest swap and everything after it. The swap is one
+    /// request/response RPC; a partitioned or offline partner fails it
+    /// here, no state moves, and the initiator records the failure against
+    /// the partner's liveness.
+    fn swap(
+        &mut self,
+        a: &mut Frontend,
+        b: &mut Frontend,
+        offer_a: &Offer,
+        offer_b: &Offer,
+    ) -> bool {
+        let (a_peer, b_peer) = (a.peer, b.peer);
         let swap = self.net.rpc(
             a_peer,
             b_peer,
@@ -180,12 +253,10 @@ impl Exchange<'_> {
             if a.view.record_failure(b_peer, self.config.failure_threshold) {
                 self.stats.evictions += 1;
             }
-            let end = self.net.now();
-            self.net.tracer().close(exchange_span, end);
             return false;
         }
         self.stats.exchanges += 1;
-        for offer in [&offer_a, &offer_b] {
+        for offer in [offer_a, offer_b] {
             self.stats.digest_bytes += offer.digest_bytes() as u64;
             self.stats.membership_bytes += offer.membership.wire_bytes() as u64;
             self.stats.segment_advert_bytes += offer.segment_bytes as u64;
@@ -200,81 +271,70 @@ impl Exchange<'_> {
         a.segment_advert = newest_segment;
         b.segment_advert = newest_segment;
 
-        self.learn(a, b, &offer_a, &offer_b);
-        self.learn(b, a, &offer_b, &offer_a);
-        self.send_fills(a, b, &offer_a, &offer_b);
-        self.send_fills(b, a, &offer_b, &offer_a);
-        let end = self.net.now();
-        self.net.tracer().close(exchange_span, end);
+        self.learn(a, b, offer_a, offer_b);
+        self.learn(b, a, offer_b, offer_a);
+        self.send_fills(a, b, offer_a, offer_b);
+        self.send_fills(b, a, offer_b, offer_a);
         true
     }
 
-    /// Prepare `own`'s side of the exchange with `partner_peer`.
-    fn prepare(&mut self, own: &mut Frontend, partner_peer: u64) -> Offer {
+    /// Prepare `own`'s side of the exchange with `partner_peer` in
+    /// `buffers`. The digest is the full hot set in full mode, the
+    /// per-partner delta plus the (cached) holdings filter over the whole
+    /// tier in delta mode — in regular rounds extended by the frontend's
+    /// batch-aware adverts, which ride ahead of hot-set popularity.
+    fn prepare(&mut self, own: &mut Frontend, partner_peer: u64, buffers: OfferBuffers) -> Offer {
+        let OfferBuffers {
+            mut adverts,
+            mut sent,
+            mut membership,
+        } = buffers;
         let full = self.class.full();
         let held = own.ranked_holdings(self.now);
-        let hot_len = if full {
-            held.len()
+        let hot = if full {
+            &held[..]
         } else {
-            self.config.hot_set_size.min(held.len())
+            &held[..self.config.hot_set_size.min(held.len())]
         };
-        let adverts = if full || !self.config.batch_advertise {
-            Vec::new()
-        } else {
-            own.resolved_adverts()
-        };
-        let (digest, filter) =
-            self.build_digest(own, partner_peer, &held, &held[..hot_len], &adverts);
-        Offer {
-            hot_len,
-            adverts,
-            digest,
-            filter,
-            membership: own.membership_summary(full, MEMBERSHIP_SUMMARY_BUDGET),
-            segment_bytes: own.segment_advert.map_or(0, |s| s.wire_bytes() as usize),
-            held,
+        if !full && self.config.batch_advertise {
+            own.resolved_adverts(&mut adverts);
         }
-    }
-
-    /// Build one side's digest: the full hot set in full mode, the
-    /// per-partner delta plus the (cached) holdings filter over the whole
-    /// tier `held` in delta mode — in regular rounds extended by the
-    /// frontend's batch-aware `adverts`, which ride ahead of hot-set
-    /// popularity.
-    fn build_digest(
-        &mut self,
-        own: &mut Frontend,
-        partner_peer: u64,
-        held: &Listing,
-        hot: &[DigestEntry],
-        adverts: &[DigestEntry],
-    ) -> (Digest, Option<Arc<ShardFilter>>) {
-        let (mut entries, filter) = if self.delta_mode() {
-            let filter = own.holdings_filter(held, self.stats);
+        let delta_mode = self.delta_mode();
+        let filter = delta_mode.then(|| {
+            let filter = own.holdings_filter(&held, self.stats);
             let sync = own.sync.entry(partner_peer).or_default();
             // The listing a settled exchange ran over has all been told.
             let told_all =
-                matches!(&sync.settled_delta, Some((mine, _)) if Arc::ptr_eq(mine, held));
-            let delta = if told_all {
-                debug_assert!(delta_entries(hot, &sync.advertised).is_empty());
-                Vec::new()
+                matches!(&sync.settled_delta, Some((mine, _)) if Arc::ptr_eq(mine, &held));
+            if told_all {
+                debug_assert!(delta_entries(hot, &sync.advertised).next().is_none());
             } else {
-                delta_entries(hot, &sync.advertised)
-            };
-            (delta, Some(filter))
-        } else {
-            (hot.to_vec(), None)
-        };
-        for advert in adverts {
-            if !entries
+                sent.extend(delta_entries(hot, &sync.advertised).cloned());
+            }
+            filter
+        });
+        let whole: &[DigestEntry] = if delta_mode { &[] } else { hot };
+        for advert in &adverts {
+            let carried = whole
                 .iter()
-                .any(|e| e.term() == advert.term() && e.version() >= advert.version())
-            {
-                entries.push(advert.clone());
+                .chain(&sent)
+                .any(|e| e.term_key() == advert.term_key() && e.version() >= advert.version());
+            if !carried {
+                sent.push(advert.clone());
                 self.stats.batch_adverts += 1;
             }
         }
-        (Digest::new(entries), filter)
+        own.membership_summary(full, MEMBERSHIP_SUMMARY_BUDGET, &mut membership);
+        Offer {
+            hot_len: hot.len(),
+            adverts,
+            sends_hot: !delta_mode,
+            sent,
+            filter,
+            membership,
+            segment_bytes: own.segment_advert.map_or(0, |s| s.wire_bytes() as usize),
+            held,
+        }
     }
 
     /// Apply what `me` learned from the completed digest swap with
@@ -291,6 +351,7 @@ impl Exchange<'_> {
         self.stats.revivals += revived as u64;
 
         let sync = me.sync.entry(partner.peer).or_default();
+        let known = &mut me.known;
         if self.class.full() {
             // The holdings view is exact after a full exchange, so any
             // stored partner filter is cleared rather than left to confirm
@@ -300,64 +361,95 @@ impl Exchange<'_> {
                 // The same two listings as at the last full exchange and
                 // nothing written since: `known` (monotonic) already covers
                 // theirs and both maps already are what follows would
-                // rebuild them to.
+                // bring them to.
                 debug_assert!(theirs
                     .hot()
                     .iter()
-                    .all(|e| me.known.get(e.term()) >= e.version()));
+                    .all(|e| known.get_key(e.term_key()) >= e.version()));
                 debug_assert!(
                     sync.advertised.len() == mine.hot().len()
                         && mine
                             .hot()
                             .iter()
-                            .all(|e| sync.advertised.get(e.term()) == Some(&e.version()))
+                            .all(|e| sync.advertised.get(e.term_key()) == Some(&e.version()))
                 );
                 debug_assert!(
                     sync.holdings.len() == theirs.hot().len()
                         && theirs
                             .hot()
                             .iter()
-                            .all(|e| sync.holdings.get(e.term()) == Some(e))
+                            .all(|e| sync.holdings.get(e.term_key()) == Some(e))
                 );
                 return;
             }
+            // Anti-entropy brings both maps to exactly the two whole tiers
+            // (`hot()` is the whole tier in a full exchange), in place. Which
+            // versions exist is learned before any fill is admitted: every
+            // pair `holdings` did not hold is observed, and while
+            // `holdings_observed` stands `known` already covers the rest.
+            sync.unsettle();
+            reconcile(
+                &mut sync.advertised,
+                mine.hot(),
+                |v| *v,
+                DigestEntry::version,
+                |_| {},
+            );
+            if !sync.holdings_observed {
+                for entry in theirs.hot() {
+                    known.observe_key(entry.term_key(), entry.version());
+                }
+            }
+            reconcile(
+                &mut sync.holdings,
+                theirs.hot(),
+                DigestEntry::version,
+                DigestEntry::clone,
+                |entry| known.observe_key(entry.term_key(), entry.version()),
+            );
+            debug_assert!(theirs
+                .hot()
+                .iter()
+                .all(|e| known.get_key(e.term_key()) >= e.version()));
+            sync.holdings_observed = true;
+            return;
         }
 
         // Which versions exist is learned before any fill is admitted.
-        for entry in &theirs.digest.entries {
-            me.known.observe(entry.term(), entry.version());
+        for entry in theirs.digest() {
+            known.observe_key(entry.term_key(), entry.version());
         }
 
-        // Per-partner sync state: anti-entropy resets it to the exact full
-        // tiers; delta exchanges extend the advertised baseline and fold
-        // the partner's delta into the accumulated holdings view; stateless
-        // full digests replace the holdings outright (exactly the PR 2
-        // protocol). Whichever writes `advertised` or `holdings` unsettles
-        // first — a delta exchange with nothing in either delta writes
-        // neither.
-        let advertise = |told: &mut HashMap<Arc<str>, u64>, entries: &[DigestEntry]| {
-            told.extend(entries.iter().map(|e| (Arc::clone(e.term()), e.version())));
-        };
-        let replace_view = |view: &mut HoldingsView, held: &[DigestEntry]| {
-            view.clear();
-            view.extend(held.iter().map(|e| (Arc::clone(e.term()), e.clone())));
-        };
-        if self.class.full() {
-            // `hot()` is the whole tier in a full (anti-entropy) exchange.
-            sync.unsettle();
-            sync.advertised.clear();
-            advertise(&mut sync.advertised, mine.hot());
-            replace_view(&mut sync.holdings, theirs.hot());
-        } else if self.delta_mode() {
-            if !(mine.digest.entries.is_empty() && theirs.digest.entries.is_empty()) {
+        // Per-partner sync state: delta exchanges extend the advertised
+        // baseline and fold the partner's delta into the accumulated
+        // holdings view; stateless full digests bring the holdings to the
+        // partner's hot set (the uncompressed protocol). Whichever writes
+        // `advertised` or `holdings` unsettles first — a delta exchange with
+        // nothing in either delta writes neither.
+        if self.delta_mode() {
+            if !(mine.sent.is_empty() && theirs.sent.is_empty()) {
                 sync.unsettle();
-                advertise(&mut sync.advertised, &mine.digest.entries);
-                apply_delta(&mut sync.holdings, &theirs.digest.entries);
+                for entry in &mine.sent {
+                    match sync.advertised.get_mut(entry.term_key()) {
+                        Some(told) => *told = entry.version(),
+                        None => {
+                            sync.advertised
+                                .insert(entry.term_key().clone(), entry.version());
+                        }
+                    }
+                }
+                apply_delta(&mut sync.holdings, &theirs.sent);
             }
             sync.filter = theirs.filter.clone();
         } else {
             sync.unsettle();
-            replace_view(&mut sync.holdings, theirs.hot());
+            reconcile(
+                &mut sync.holdings,
+                theirs.hot(),
+                DigestEntry::version,
+                DigestEntry::clone,
+                |_| {},
+            );
         }
     }
 
@@ -412,7 +504,7 @@ impl Exchange<'_> {
         let fill_budget = self.class.fill_budget(self.config, from.zone == to.zone);
         // Handles to the sender's cached shards: the simulated wire is
         // charged the encoded bytes below, the host copies nothing.
-        let mut fills: Vec<(Arc<ShardEntry>, SimDuration)> = Vec::new();
+        let mut fills: Vec<(Arc<ShardEntry>, SimDuration, &DigestEntry)> = Vec::new();
         let mut batch_bytes = 0usize;
         let mut nothing_needed = true;
         let to_peer = to.peer;
@@ -426,7 +518,7 @@ impl Exchange<'_> {
                 if version == 0 {
                     return false;
                 }
-                let believed = believed_holdings.and_then(|held| held.get(entry.term()));
+                let believed = believed_holdings.and_then(|held| held.get(entry.term_key()));
                 match to_filter {
                     Some(filter) => needs_fill(version, believed, filter),
                     None => believed.is_none_or(|b| b.version() < version),
@@ -439,11 +531,11 @@ impl Exchange<'_> {
                 self.stats.settled_sides += 1;
                 return;
             }
-            let prioritized: HashSet<&str> = priority.iter().map(|e| &**e.term()).collect();
+            let prioritized: TermSet = priority.iter().map(DigestEntry::term_key).collect();
             let ranked = offer
                 .hot()
                 .iter()
-                .filter(|e| !prioritized.contains(&**e.term()));
+                .filter(|e| !prioritized.contains(e.term_key()));
             for entry in priority.iter().chain(ranked) {
                 if !needs(entry) {
                     continue;
@@ -457,7 +549,7 @@ impl Exchange<'_> {
                     continue;
                 };
                 batch_bytes += shard.encoded_len() + FILL_ENTRY_OVERHEAD;
-                fills.push((Arc::clone(shard), cache.adaptive_shard_ttl(term)));
+                fills.push((Arc::clone(shard), cache.adaptive_shard_ttl(term), entry));
             }
         }
         if fills.is_empty() {
@@ -504,17 +596,16 @@ impl Exchange<'_> {
         }
         let sync = from.sync.entry(to_peer).or_default();
         sync.unsettle();
-        let believed_holdings = &mut sync.holdings;
-        for (shard, sender_ttl) in fills {
+        for (shard, sender_ttl, entry) in fills {
             self.stats.shards_pushed += 1;
-            let known = to.known.get(&shard.term);
+            let known = to.known.get_key(entry.term_key());
             let outcome = to
                 .cache_mut()
                 .store_remote_shard(&shard, known, sender_ttl, self.now);
             match outcome {
                 RemoteAdmit::Accepted => {
                     self.stats.shards_accepted += 1;
-                    to.known.observe(&shard.term, shard.version);
+                    to.known.observe_key(entry.term_key(), shard.version);
                 }
                 RemoteAdmit::Stale => self.stats.stale_rejected += 1,
                 RemoteAdmit::Duplicate => self.stats.duplicates_skipped += 1,
@@ -525,12 +616,50 @@ impl Exchange<'_> {
             // stop re-pushing (a refused admission must be retried, so no
             // record). The shard is the sender's *current* copy, which this
             // very exchange may have moved past the version its digest
-            // entry was ranked at — so the pair is resolved through the
-            // memo, not taken from that entry.
+            // entry was ranked at — so a moved pair is resolved through the
+            // memo, not taken from that entry. A version the sender has not
+            // observed itself leaves `holdings` ahead of `known`.
             if matches!(outcome, RemoteAdmit::Accepted | RemoteAdmit::Duplicate) {
-                let shipped = from.fingerprints.entry(&shard.term, shard.version);
-                note_holding(believed_holdings, &shipped);
+                let shipped = if shard.version == entry.version() {
+                    entry.clone()
+                } else {
+                    from.fingerprints.entry(&shard.term, shard.version)
+                };
+                if from.known.get_key(shipped.term_key()) < shipped.version() {
+                    sync.holdings_observed = false;
+                }
+                note_holding(&mut sync.holdings, &shipped);
             }
         }
     }
+}
+
+/// Bring `map` to exactly one value per entry of `listed`, in place: the
+/// value (`value` of the entry) is written where the map holds another
+/// version (`version_of`), inserted where it holds nothing, and every term
+/// `listed` does not name is dropped. `fresh` sees each entry written or
+/// inserted. `listed` names each term once, so the map holds something else
+/// exactly when it ends up larger than `listed`.
+fn reconcile<V>(
+    map: &mut TermMap<V>,
+    listed: &[DigestEntry],
+    version_of: impl Fn(&V) -> u64,
+    value: impl Fn(&DigestEntry) -> V,
+    mut fresh: impl FnMut(&DigestEntry),
+) {
+    for entry in listed {
+        match map.get_mut(entry.term_key()) {
+            Some(held) if version_of(held) == entry.version() => continue,
+            Some(held) => *held = value(entry),
+            None => {
+                map.insert(entry.term_key().clone(), value(entry));
+            }
+        }
+        fresh(entry);
+    }
+    if map.len() > listed.len() {
+        let live: TermSet = listed.iter().map(DigestEntry::term_key).collect();
+        map.retain(|term, _| live.contains(term));
+    }
+    debug_assert_eq!(map.len(), listed.len());
 }

@@ -57,8 +57,8 @@
 //! [`ShardFilter`]: crate::ShardFilter
 
 use crate::config::{GossipConfig, FANOUT, ROUND_INTERVAL};
-use crate::digest::DigestEntry;
-use crate::exchange::ExchangeClass;
+use crate::digest::{DigestEntry, TermKey};
+use crate::exchange::{ExchangeClass, OfferBuffers};
 use crate::filter::FilterKey;
 use crate::frontend::Frontend;
 use crate::stats::GossipStats;
@@ -88,6 +88,8 @@ pub struct GossipFleet {
     next_round_at: SimInstant,
     next_anti_entropy_at: SimInstant,
     pub(crate) stats: GossipStats,
+    /// The two exchange sides' buffers, reused by every exchange.
+    pub(crate) offer_buffers: [OfferBuffers; 2],
 }
 
 impl GossipFleet {
@@ -123,6 +125,7 @@ impl GossipFleet {
             index_by_peer,
             rng,
             stats: GossipStats::default(),
+            offer_buffers: Default::default(),
         }
     }
 
@@ -447,18 +450,26 @@ impl GossipFleet {
     fn zone_covering_partner(&self, net: &SimNet, i: usize) -> Option<u64> {
         let f = &self.frontends[i];
         let cache = f.cache.as_ref()?;
-        let mut missing: Vec<(&str, u64)> = Vec::new();
-        for (term, version) in f.known.iter() {
-            if missing.len() >= MAX_ZONE_AE_MISSING {
-                break;
-            }
-            if cache.cached_shard_version(term).is_none_or(|c| c < version) {
-                missing.push((term, version));
-            }
+        let mut missing: Vec<(&str, u64)> = f
+            .known
+            .unordered()
+            .filter(|&(term, version)| cache.cached_shard_version(term).is_none_or(|c| c < version))
+            .collect();
+        // The first `MAX_ZONE_AE_MISSING` in term order, as a set.
+        if missing.len() > MAX_ZONE_AE_MISSING {
+            missing.select_nth_unstable_by_key(MAX_ZONE_AE_MISSING, |&(term, _)| term);
+            missing.truncate(MAX_ZONE_AE_MISSING);
         }
         if missing.is_empty() {
             return None;
         }
+        let missing: Vec<(TermKey, u64)> = missing
+            .into_iter()
+            .map(|(term, version)| {
+                let key = f.known.key_of(term).cloned();
+                (key.unwrap_or_else(|| TermKey::of(term)), version)
+            })
+            .collect();
         let mut best: Option<(usize, u64)> = None; // (covered, peer)
         for (j, cand) in self.frontends.iter().enumerate() {
             if j == i || cand.departed || cand.zone != f.zone || !net.is_online(cand.peer) {
@@ -470,11 +481,11 @@ impl GossipFleet {
             let covered = missing
                 .iter()
                 .filter(|(term, version)| {
-                    sync.holdings.get(*term).map_or(0, DigestEntry::version) >= *version
+                    sync.holdings.get(term).map_or(0, DigestEntry::version) >= *version
                         || sync
                             .filter
                             .as_ref()
-                            .is_some_and(|flt| flt.contains(FilterKey::of(term, *version)))
+                            .is_some_and(|flt| flt.contains(FilterKey::of(term.term(), *version)))
                 })
                 .count();
             if covered > 0 && best.is_none_or(|(c, _)| covered > c) {
@@ -1225,6 +1236,37 @@ mod tests {
     }
 
     #[test]
+    fn zone_coverage_weighs_the_first_missing_terms_in_term_order() {
+        let mut config = GossipConfig::enabled_zoned(6, 2);
+        config.zone_aware_anti_entropy = true;
+        let (mut fleet, net) = fleet_with(config, 12);
+        // Frontend 0 knows of m00..m40 and holds only m05: 40 missing terms,
+        // of which the first 32 in term order run m00..m04, m06..m32.
+        for t in 0..=40 {
+            fleet.observe(0, &format!("m{t:02}"), 1);
+        }
+        fleet
+            .cache_mut(0)
+            .store_shard(&shard("m05", 1, 2), SimInstant::ZERO);
+        let believe = |fleet: &mut GossipFleet, partner: u64, terms: &[usize]| {
+            let view = &mut fleet.frontends[0].sync.entry(partner).or_default().holdings;
+            view.clear();
+            for t in terms {
+                note_holding(view, &DigestEntry::new(format!("m{t:02}"), 1));
+            }
+        };
+        // Frontend 2 covers ten missing terms, two of them inside the cut;
+        // frontend 4, in the same zone, covers three inside it.
+        believe(&mut fleet, 2, &(31..=40).collect::<Vec<_>>());
+        believe(&mut fleet, 4, &[0, 1, 2]);
+        assert_eq!(fleet.zone_covering_partner(&net, 0), Some(4));
+        // Two each inside the cut: the tie goes to fleet order. A cut one
+        // term shorter (or one counting the held m05) would still pick 4.
+        believe(&mut fleet, 4, &[0, 1]);
+        assert_eq!(fleet.zone_covering_partner(&net, 0), Some(2));
+    }
+
+    #[test]
     fn zone_aware_anti_entropy_cuts_cross_zone_reconciliation_bytes() {
         let run = |zone_aware: bool| -> GossipStats {
             let mut config = GossipConfig::enabled_zoned(8, 2);
@@ -1366,7 +1408,7 @@ mod tests {
         assert!(Arc::ptr_eq(&listed, &f.ranked_holdings(at(2_999))));
         let after = f.ranked_holdings(at(3_000));
         assert_eq!(after.len(), 1, "re-ranked without the expired entry");
-        assert_eq!(&**after[0].term(), "late");
+        assert_eq!(after[0].term(), "late");
         // A re-store of the version held moves the generation (and the
         // expiry) but not the listing: the handle, and the filter cached
         // behind it, stay.
@@ -1467,19 +1509,19 @@ mod tests {
         assert_eq!(fleet.stats().shards_accepted, accepted);
         let swapped: usize = listings
             .iter()
-            .map(|held| crate::Digest::new(held.to_vec()).wire_bytes())
+            .map(|held| crate::digest::digest_wire_bytes(held.iter()))
             .sum();
         assert_eq!(fleet.stats().digest_bytes - before, swapped as u64);
         for (me, partner) in [(0usize, 1usize), (1, 0)] {
             let sync = &fleet.frontend(me).sync[&fleet.frontend_peer(partner)];
-            let told: HashMap<Arc<str>, u64> = listings[me]
+            let told: crate::TermMap<u64> = listings[me]
                 .iter()
-                .map(|e| (Arc::clone(e.term()), e.version()))
+                .map(|e| (e.term_key().clone(), e.version()))
                 .collect();
             assert_eq!(sync.advertised, told, "frontend {me} advertised");
             let held: crate::digest::HoldingsView = listings[partner]
                 .iter()
-                .map(|e| (Arc::clone(e.term()), e.clone()))
+                .map(|e| (e.term_key().clone(), e.clone()))
                 .collect();
             assert_eq!(sync.holdings, held, "frontend {me} holdings");
             assert!(sync.filter.is_none());
@@ -1528,6 +1570,32 @@ mod tests {
         // offering what the version guard keeps refusing.
         assert_eq!(full_sides(&mut fleet, &mut net), 1);
         assert_eq!(fleet.stats().stale_rejected, rejected + 2);
+    }
+
+    #[test]
+    fn anti_entropy_rebuilds_sync_maps_that_drifted_from_both_listings() {
+        let mut config = GossipConfig::enabled(2);
+        config.hot_set_size = 4;
+        config.max_fills_per_exchange = 32;
+        let (mut fleet, mut net) = settled_pair(config, 10);
+        assert!(fleet.exchange(&mut net, 0, 1, SimInstant::ZERO, ExchangeClass::AntiEntropy));
+        assert_full_exchange_is_exact(&mut fleet, &mut net);
+        // Each side's maps now name a term neither listing has and a newer
+        // version of a listed term than its listing holds: the next full
+        // exchange must drop the one and lower the other, not keep the max.
+        for (me, partner) in [(0usize, 1usize), (1, 0)] {
+            let peer = fleet.frontend_peer(partner);
+            let sync = fleet.frontends[me].sync.get_mut(&peer).unwrap();
+            sync.unsettle();
+            sync.advertised.insert(TermKey::of("gone"), 7);
+            sync.advertised.insert(TermKey::of("term1"), 9);
+            sync.holdings
+                .insert(TermKey::of("gone"), DigestEntry::new("gone", 7));
+            sync.holdings
+                .insert(TermKey::of("term2"), DigestEntry::new("term2", 9));
+            assert_eq!((sync.advertised.len(), sync.holdings.len()), (11, 11));
+        }
+        assert_full_exchange_is_exact(&mut fleet, &mut net);
     }
 
     /// Remaining lifetime of `term` in `cache` at `now`, found by bisecting

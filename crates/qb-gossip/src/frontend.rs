@@ -15,9 +15,15 @@
 //! * the per-partner **settled records** in [`PeerSync`] remember, by
 //!   handle, an exchange that had nothing to tell and nothing to push, so
 //!   its repetition skips the scans that would conclude the same.
+//!
+//! The **fingerprint memo** ([`Fingerprints`]) is where a listed term's
+//! text meets its keys: a pair it does not hold is hashed there into its
+//! [`TermKey`](crate::TermKey) and filter fingerprint (a version bump
+//! re-hashes only the fingerprint), and from there on `PeerSync`'s maps
+//! and `known` are probed by the key the entry carries.
 
 use crate::config::FILTER_BITS_PER_ENTRY;
-use crate::digest::{DigestEntry, HoldingsView, VersionVector};
+use crate::digest::{DigestEntry, HoldingsView, TermMap, VersionVector};
 use crate::filter::ShardFilter;
 use crate::membership::MembershipView;
 use crate::stats::GossipStats;
@@ -42,7 +48,13 @@ pub(crate) struct PeerSync {
     pub(crate) holdings: HoldingsView,
     /// `(term -> version)` this frontend last advertised to the partner —
     /// the baseline the next delta digest is computed against.
-    pub(crate) advertised: HashMap<Arc<str>, u64>,
+    pub(crate) advertised: TermMap<u64>,
+    /// This frontend's `known` covers every entry of `holdings`. Set by the
+    /// full exchange that observed all of them; cleared when a fill
+    /// acknowledgement notes a version the sender had not observed itself.
+    /// While set, a full exchange skips `known.observe` for the entries
+    /// `holdings` already held.
+    pub(crate) holdings_observed: bool,
     /// The partner's holdings filter from the last delta exchange (cleared
     /// by full exchanges, whose holdings view is exact). Zone-aware
     /// anti-entropy uses it to confirm an in-zone candidate still covers
@@ -70,12 +82,13 @@ impl PeerSync {
     }
 }
 
-/// One frontend's memo of the `(term, version)` pairs it has fingerprinted:
-/// term -> the entry of the version last asked for. Every pair this
-/// frontend puts into a digest, an advert or a holdings view goes through
-/// here, so it is hashed once while it stays resident; a miss (new term,
-/// bumped version) hashes and remembers. Pruned to the live listing at
-/// every digest extraction, so it is bounded by the resident tier entries.
+/// One frontend's memo of the `(term, version)` pairs it has keyed and
+/// fingerprinted: term -> the entry of the version last asked for. Every
+/// pair this frontend puts into a digest, an advert or a holdings view goes
+/// through here, so it is hashed once while it stays resident; a miss
+/// hashes and remembers (a new term its key and fingerprint, a bumped
+/// version its fingerprint). Pruned to the live listing at every digest
+/// extraction, so it is bounded by the resident tier entries.
 #[derive(Debug, Default)]
 pub(crate) struct Fingerprints(pub(crate) HashMap<Arc<str>, DigestEntry>);
 
@@ -85,10 +98,13 @@ impl Fingerprints {
         if let Some(entry) = known.filter(|e| e.version() == version) {
             return entry.clone();
         }
-        // A version bump keeps sharing the term's allocation.
-        let term = known.map_or_else(|| Arc::from(term), |e| Arc::clone(e.term()));
-        let entry = DigestEntry::new(term, version);
-        self.0.insert(Arc::clone(entry.term()), entry.clone());
+        // A version bump keeps the term's key and allocation.
+        let entry = match known {
+            Some(known) => known.bumped(version),
+            None => DigestEntry::new(term, version),
+        };
+        self.0
+            .insert(Arc::clone(entry.term_key().term()), entry.clone());
         entry
     }
 
@@ -99,7 +115,7 @@ impl Fingerprints {
         if self.0.len() > live.len() {
             self.0 = live
                 .iter()
-                .map(|e| (Arc::clone(e.term()), e.clone()))
+                .map(|e| (Arc::clone(e.term_key().term()), e.clone()))
                 .collect();
         }
     }
@@ -229,21 +245,22 @@ impl Frontend {
         }
     }
 
-    /// The membership summary piggybacked on one exchange: the full roster
-    /// for anti-entropy/bootstrap, a bounded rotating window otherwise.
+    /// The membership summary piggybacked on one exchange, written over
+    /// `out`: the full roster for anti-entropy/bootstrap, a bounded rotating
+    /// window otherwise.
     pub(crate) fn membership_summary(
         &mut self,
         full: bool,
         budget: usize,
-    ) -> crate::MembershipSummary {
+        out: &mut crate::MembershipSummary,
+    ) {
         if full {
-            return self.view.summary();
+            self.view.summary(out);
+            return;
         }
-        let s = self
-            .view
-            .summary_window(self.summary_cursor, budget, self.peer);
+        self.view
+            .summary_window(self.summary_cursor, budget, self.peer, out);
         self.summary_cursor = self.summary_cursor.wrapping_add(budget.max(1));
-        s
     }
 
     /// Borrow the cache.
@@ -276,21 +293,18 @@ impl Frontend {
     /// in between advertises (and fills) the *cached* version — digest and
     /// priority-fill decisions must agree on one version, or a partner
     /// already holding the stale queued version would suppress the very
-    /// fill the advert exists to force.
-    pub(crate) fn resolved_adverts(&mut self) -> Vec<DigestEntry> {
+    /// fill the advert exists to force. Appended to `out`.
+    pub(crate) fn resolved_adverts(&mut self, out: &mut Vec<DigestEntry>) {
         let Frontend {
             pending_adverts,
             cache,
             fingerprints,
             ..
         } = self;
-        pending_adverts
-            .iter()
-            .filter_map(|(term, _)| {
-                let version = cache.as_ref()?.cached_shard_version(term)?;
-                Some(fingerprints.entry(term, version))
-            })
-            .collect()
+        out.extend(pending_adverts.iter().filter_map(|(term, _)| {
+            let version = cache.as_ref()?.cached_shard_version(term)?;
+            Some(fingerprints.entry(term, version))
+        }));
     }
 
     /// Every shard alive in the cache at `now`, hottest first, shared by
@@ -330,9 +344,7 @@ impl Frontend {
                     .ranked
                     .iter()
                     .zip(&listing)
-                    .all(|(old, &(term, version))| {
-                        old.version() == version && **old.term() == *term
-                    })
+                    .all(|(old, &(term, version))| old.version() == version && old.term() == term)
         });
         let ranked: Listing = match unchanged {
             Some(cached) => cached.ranked,

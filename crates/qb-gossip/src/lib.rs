@@ -36,12 +36,14 @@
 //!   fill budget, digest mode, zones and liveness knobs. Default-off. The
 //!   values every frontend must agree on (fanout, round interval, filter
 //!   width, membership-summary budget) are constants in [`config`].
-//! * [`Digest`] / [`VersionVector`] / [`ShardFilter`] — the metadata
+//! * [`DigestEntry`] / [`VersionVector`] / [`ShardFilter`] — the metadata
 //!   protocol. Every frontend tracks the highest shard version it has
 //!   observed per term; an incoming fill older than that is rejected, so a
 //!   stale shard is never accepted over fresher knowledge. A `(term,
 //!   version)` pair travels host-side as a [`DigestEntry`]: hashed into its
-//!   [`FilterKey`] once, then shared by handle.
+//!   [`TermKey`] and its [`FilterKey`] once, then shared by handle, and
+//!   every per-term map of the gossip path is a [`TermMap`] probed by that
+//!   key.
 //! * [`MembershipView`] / [`MembershipSummary`] — per-frontend fleet views,
 //!   heartbeats and the zone-biased partner sampler.
 //! * [`GossipFleet`] / [`Frontend`] — the fleet and the exchange protocol.
@@ -75,7 +77,8 @@ pub mod stats;
 
 pub use config::{DigestMode, GossipConfig};
 pub use digest::{
-    apply_delta, delta_entries, needs_fill, Digest, DigestEntry, HoldingsView, VersionVector,
+    apply_delta, delta_entries, needs_fill, DigestEntry, HoldingsView, TermKey, TermMap,
+    VersionVector,
 };
 pub use filter::{FilterKey, ShardFilter};
 pub use fleet::GossipFleet;

@@ -252,47 +252,45 @@ impl MembershipView {
     /// member it believes alive, itself included. Anti-entropy and
     /// bootstrap exchanges use this full roster; regular rounds use the
     /// bounded [`MembershipView::summary_window`] so membership overhead
-    /// stays flat as the fleet grows.
-    pub fn summary(&self) -> MembershipSummary {
-        MembershipSummary {
-            entries: self
-                .members
+    /// stays flat as the fleet grows. Written over `out`, whose buffer an
+    /// exchange reuses.
+    pub fn summary(&self, out: &mut MembershipSummary) {
+        out.entries.clear();
+        out.entries.extend(
+            self.members
                 .values()
                 .filter(|m| m.alive)
-                .map(|m| (m.peer, m.zone, m.incarnation, m.heartbeat, m.load))
-                .collect(),
-        }
+                .map(|m| (m.peer, m.zone, m.incarnation, m.heartbeat, m.load)),
+        );
     }
 
     /// A bounded summary: the sender itself plus up to `budget` other alive
     /// members, chosen by rotating `cursor` through the roster — every
     /// member is mentioned once per `ceil(alive / budget)` summaries, so
     /// liveness still spreads fleet-wide within a couple of rounds while
-    /// the per-exchange overhead stays constant in fleet size.
+    /// the per-exchange overhead stays constant in fleet size. Written over
+    /// `out`, like [`MembershipView::summary`].
     pub fn summary_window(
         &self,
         cursor: usize,
         budget: usize,
         self_peer: u64,
-    ) -> MembershipSummary {
-        let mut entries = Vec::new();
-        if let Some(me) = self.members.get(&self_peer) {
-            entries.push((me.peer, me.zone, me.incarnation, me.heartbeat, me.load));
-        }
-        let others: Vec<&MemberInfo> = self
+        out: &mut MembershipSummary,
+    ) {
+        let tuple = |m: &MemberInfo| (m.peer, m.zone, m.incarnation, m.heartbeat, m.load);
+        out.entries.clear();
+        out.entries.extend(self.members.get(&self_peer).map(tuple));
+        let others = self
             .members
             .values()
-            .filter(|m| m.alive && m.peer != self_peer)
-            .collect();
-        if !others.is_empty() {
-            let take = budget.min(others.len());
-            let start = cursor % others.len();
-            for k in 0..take {
-                let m = others[(start + k) % others.len()];
-                entries.push((m.peer, m.zone, m.incarnation, m.heartbeat, m.load));
-            }
+            .filter(|m| m.alive && m.peer != self_peer);
+        let alive = others.clone().count();
+        if alive > 0 {
+            // The `budget` members from `cursor` on, wrapping round.
+            let start = cursor % alive;
+            let window = others.clone().skip(start).chain(others.take(start));
+            out.entries.extend(window.take(budget).map(tuple));
         }
-        MembershipSummary { entries }
     }
 
     /// Mark members not heard from within `timeout` as dead. Returns the
@@ -372,7 +370,8 @@ mod tests {
         let v = view_of(&[(0, 0), (1, 1), (2, 0)]);
         assert_eq!(v.len(), 3);
         assert_eq!(v.alive_count(), 3);
-        let s = v.summary();
+        let mut s = MembershipSummary::default();
+        v.summary(&mut s);
         assert_eq!(s.entries.len(), 3);
         assert!(s.wire_bytes() > MembershipSummary::default().wire_bytes());
 
@@ -470,8 +469,15 @@ mod tests {
         let members: Vec<(u64, usize)> = (0..9).map(|i| (i as u64, 0)).collect();
         let v = view_of(&members);
         // Budget 4 + self: full coverage of the 8 others in two windows.
-        let w0 = v.summary_window(0, 4, 0);
-        let w1 = v.summary_window(4, 4, 0);
+        let window = |cursor: usize, budget: usize| {
+            let mut s = MembershipSummary {
+                entries: vec![(99, 0, 0, 0, 0)],
+            };
+            v.summary_window(cursor, budget, 0, &mut s);
+            s
+        };
+        let w0 = window(0, 4);
+        let w1 = window(4, 4);
         assert_eq!(w0.entries.len(), 5);
         assert_eq!(w0.entries[0].0, 0, "self leads every summary");
         let mut mentioned: Vec<u64> = w0.entries.iter().chain(&w1.entries).map(|e| e.0).collect();
@@ -479,8 +485,11 @@ mod tests {
         mentioned.dedup();
         assert_eq!(mentioned.len(), 9, "two windows cover the whole roster");
         // A budget larger than the roster degenerates to the full summary.
-        let all = v.summary_window(3, 64, 0);
+        let all = window(3, 64);
         assert_eq!(all.entries.len(), 9);
+        // The window wraps round the roster from the cursor.
+        let wrapped: Vec<u64> = window(7, 3).entries.iter().map(|e| e.0).collect();
+        assert_eq!(wrapped, vec![0, 8, 1, 2]);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! it" outcome that suppresses a needed fill.
 
 use proptest::prelude::*;
-use qb_gossip::{apply_delta, delta_entries, needs_fill, DigestEntry, HoldingsView, ShardFilter};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use qb_gossip::{
+    apply_delta, delta_entries, needs_fill, DigestEntry, HoldingsView, ShardFilter, TermKey,
+    TermMap,
+};
+use std::collections::BTreeMap;
 
 /// `(term, version)` holdings out of a small shared term pool, so sender
 /// and receiver states overlap, diverge and re-converge across cases.
@@ -20,8 +22,12 @@ fn filter_over(holdings: &[DigestEntry], bits_per_entry: usize) -> ShardFilter {
     ShardFilter::build(holdings.iter().map(DigestEntry::key), bits_per_entry)
 }
 
-fn told(entries: &[DigestEntry]) -> impl Iterator<Item = (Arc<str>, u64)> + '_ {
-    entries.iter().map(|e| (Arc::clone(e.term()), e.version()))
+fn told(entries: &[DigestEntry]) -> impl Iterator<Item = (TermKey, u64)> + '_ {
+    entries.iter().map(|e| (e.term_key().clone(), e.version()))
+}
+
+fn delta(hot: &[DigestEntry], advertised: &TermMap<u64>) -> Vec<DigestEntry> {
+    delta_entries(hot, advertised).cloned().collect()
 }
 
 proptest! {
@@ -46,18 +52,18 @@ proptest! {
         let hot2 = holdings_vec(&s2);
 
         // Exchange 1: nothing advertised yet, the delta is the full state.
-        let mut advertised: HashMap<Arc<str>, u64> = HashMap::new();
-        let delta1 = delta_entries(&hot1, &advertised);
+        let mut advertised = TermMap::default();
+        let delta1 = delta(&hot1, &advertised);
         prop_assert_eq!(&delta1, &hot1);
-        let mut view = HoldingsView::new();
+        let mut view = HoldingsView::default();
         apply_delta(&mut view, &delta1);
         advertised.extend(told(&delta1));
 
         // Exchange 2: only the changed entries ride the delta...
-        let delta2 = delta_entries(&hot2, &advertised);
+        let delta2 = delta(&hot2, &advertised);
         for entry in &delta2 {
             prop_assert!(
-                advertised.get(entry.term()) != Some(&entry.version()),
+                advertised.get(entry.term_key()) != Some(&entry.version()),
                 "unchanged entry '{}' must not re-enter the delta", entry.term()
             );
         }
@@ -66,7 +72,7 @@ proptest! {
         apply_delta(&mut view, &delta2);
         for entry in &hot2 {
             prop_assert_eq!(
-                view.get(entry.term()), Some(entry),
+                view.get(entry.term_key()), Some(entry),
                 "reconstructed view must equal the full digest for '{}'", entry.term()
             );
         }
@@ -86,11 +92,11 @@ proptest! {
         let receiver_holdings = holdings_vec(&receiver);
         let filter = filter_over(&receiver_holdings, bits);
         // The receiver advertised exactly what it holds.
-        let mut believed = HoldingsView::new();
+        let mut believed = HoldingsView::default();
         apply_delta(&mut believed, &receiver_holdings);
         for entry in holdings_vec(&sender) {
             let (term, version) = (entry.term(), entry.version());
-            let held = believed.get(term);
+            let held = believed.get(entry.term_key());
             let full_decision = held.is_none_or(|b| b.version() < version);
             let compressed_decision = needs_fill(version, held, &filter);
             prop_assert_eq!(

@@ -1,9 +1,18 @@
 #!/usr/bin/env bash
 # Allocation ratchet for the read path, the gossip rounds beside it and
 # the write path: run four short qb-perfbench workloads and fail unless
-# each is correct and its host_allocs_per_op is under a committed ceiling.
+# each is correct, simulated exactly the committed run and kept its
+# host_allocs_per_op under a committed ceiling.
 #
 #   scripts/alloc_ratchet.sh
+#
+# Each workload's `sim_fingerprint` line (a hash over everything the run
+# simulated) must equal a committed constant at seed 1, 1 s: serve-warm
+# 54d5a7ccafa81135, cold-lookup c10b6d7331ead4cf, score-heavy
+# 158ee05966b31920, publish-churn 72e6752610148740. A host-side change
+# moves none of them; that check is what "every simulated byte in place"
+# means. A modelling change updates the constant it moves and gives the
+# reason here and in CHANGES.md.
 #
 # Allocation counts repeat to the digit at equal --seed and --seconds (the
 # simulation is deterministic and the benchmark counts through its own
@@ -24,7 +33,10 @@
 # selecting its k nearest into one k-sized list — was five growth steps
 # of a collect-everything Vec per hop — and SHA-256 padding on the stack
 # brought it there from 63.3, an index read no longer cloning its term
-# from 65.3); serve-warm 175.5 since a pipelined query is scored like any
+# from 65.3); serve-warm 163.6 since a gossip exchange keys terms by a
+# hash taken once, reconciles anti-entropy in place and refills its
+# buffers — 175.5 while a digest, a delta and a membership summary were
+# allocated per exchange side, since a pipelined query is scored like any
 # other, with no window memo building a fingerprint `String` and making
 # a map insert per scored query (179.5 with it, since the same DHT
 # change; 181.3 since
@@ -35,7 +47,8 @@
 # before the one-slot read, 201.4 before the routing-table and padding
 # changes, 211.2 before the kernel stopped filling a prefix cache nobody
 # hit, 1 172.8 before gossip stopped re-deriving its digests per
-# exchange); publish-churn 1 493.4 since the same DHT change (1 563.6
+# exchange); publish-churn 1 494.4 since gossip exchanges reuse their
+# buffers (1 496.5 before, 1 493.4 at the same DHT change; 1 563.6
 # since a republish pays for what it changed — an unchanged chunk is
 # found by its bytes in the chunk memo instead of re-copied and
 # re-hashed, a record value is one buffer for its k + 1 holders, a page
@@ -54,7 +67,8 @@
 # `String` built for it is a count), a name-keyed lookup creeping back
 # into a window's reads, a shard or result copy creeping back into a
 # cache hit, a plan or the kernel, a per-exchange digest scan, string
-# clone, filter or view rebuild creeping back into a quiet round, a
+# clone, filter or view rebuild, or a digest, delta or membership `Vec`
+# allocated per exchange side creeping back into a quiet round, a
 # per-holder chunk copy, a collect-all `closest` or a heap-padded digest
 # under a shard write, or on the write path a re-copied or re-hashed
 # unchanged chunk, a per-replica record copy, a per-bee analysis pass, a
@@ -86,7 +100,7 @@ under() {
 }
 
 check() {
-  local workload="$1" ceiling="$2" rss_ceiling="${3:-}" out
+  local workload="$1" fingerprint="$2" ceiling="$3" rss_ceiling="${4:-}" out simulated
   out="$(cargo run --release --offline --quiet --manifest-path "$manifest" -- \
     --workload "$workload" --seed 1 --seconds 1)"
   if ! tail -n 1 <<<"$out" | grep -q '"correct": true'; then
@@ -94,14 +108,21 @@ check() {
     status=1
     return
   fi
+  simulated="$(awk '$1 == "sim_fingerprint" { print $2 }' <<<"$out")"
+  if [ "$simulated" != "$fingerprint" ]; then
+    echo "FAIL $workload: sim_fingerprint ${simulated:-missing} is not $fingerprint" >&2
+    status=1
+  else
+    echo "ok   $workload: sim_fingerprint $simulated"
+  fi
   under "$workload" host_allocs_per_op "$ceiling" "$out"
   if [ -n "$rss_ceiling" ]; then
     under "$workload" host_peak_rss_mb "$rss_ceiling" "$out"
   fi
 }
 
-check score-heavy 41
-check cold-lookup 45.5
-check serve-warm 193
-check publish-churn 1560 38
+check score-heavy 158ee05966b31920 41
+check cold-lookup c10b6d7331ead4cf 45.5
+check serve-warm 54d5a7ccafa81135 180
+check publish-churn 72e6752610148740 1560 38
 exit "$status"

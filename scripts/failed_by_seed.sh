@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Failed operations per seed, two qb-perfbench builds side by side.
+# Failed operations per seed, two qb-perfbench builds side by side, and
+# whether the two simulated the same run.
 #
 #   scripts/failed_by_seed.sh PARENT_BIN CHANGE_BIN [WORKLOAD] [SEEDS] [SECONDS]
 #
@@ -10,7 +11,10 @@
 # `a-b` or a space- or comma-separated list), SECONDS to 15 (the
 # benchmark's run length). Each seed runs the parent and then the change,
 # and the table gives each side's `failed` count (the summary line's) with
-# the totals and medians over the seeds.
+# the totals and medians over the seeds, and in its last column whether
+# the two runs printed the same `sim_fingerprint` (`same`) or not
+# (`MOVED`). A host-only change shows `same` on every seed: that is its
+# proof of byte-identity over the seed list.
 #
 # A modelling change that touches a workload with load shedding re-rolls
 # which arrivals shed, so its failed count can move by an order of
@@ -36,10 +40,14 @@ else
   seeds="${seeds//,/ }"
 fi
 
-# The `failed` count of one run, read from its last (summary) line.
-failed() {
-  "$1" --workload "$workload" --seed "$2" --seconds "$seconds" | tail -n 1 |
-    sed -n 's/.*"failed": \([0-9][0-9]*\).*/\1/p'
+# One run's `failed` count, read from its last (summary) line, and its
+# `sim_fingerprint`, as `FAILED FINGERPRINT` (`-` for either one missing).
+run() {
+  local out failed fingerprint
+  out="$("$1" --workload "$workload" --seed "$2" --seconds "$seconds")"
+  failed="$(tail -n 1 <<<"$out" | sed -n 's/.*"failed": \([0-9][0-9]*\).*/\1/p')"
+  fingerprint="$(awk '$1 == "sim_fingerprint" { print $2 }' <<<"$out")"
+  echo "${failed:--} ${fingerprint:--}"
 }
 
 median() {
@@ -49,16 +57,17 @@ median() {
   }'
 }
 
-printf '%s, %s s\n%-8s %8s %8s\n' "$workload" "$seconds" seed parent change
+printf '%s, %s s\n%-8s %8s %8s  %s\n' "$workload" "$seconds" seed parent change sim
 parents="" changes=""
 for seed in $seeds; do
-  p="$(failed "$parent" "$seed")"
-  c="$(failed "$change" "$seed")"
-  if [ -z "$p" ] || [ -z "$c" ]; then
+  read -r p p_sim <<<"$(run "$parent" "$seed")"
+  read -r c c_sim <<<"$(run "$change" "$seed")"
+  if [ "$p" = - ] || [ "$c" = - ]; then
     echo "$0: seed $seed printed no summary line" >&2
     exit 1
   fi
-  printf '%-8s %8s %8s\n' "$seed" "$p" "$c"
+  if [ "$p_sim" = "$c_sim" ] && [ "$p_sim" != - ]; then sim=same; else sim=MOVED; fi
+  printf '%-8s %8s %8s  %s\n' "$seed" "$p" "$c" "$sim"
   parents+="$p"$'\n' changes+="$c"$'\n'
 done
 total() { awk '{ s += $1 } END { print s + 0 }'; }
