@@ -8,8 +8,8 @@
 //! * `publish` — publishing, the worker bees' indexing of publish events,
 //!   writer-side segment compaction;
 //! * `rank` — the decentralized PageRank round;
-//! * `serve` — the one window executor (plan, issue and poll each read,
-//!   retire), its serial and concurrent read schedules, and the three
+//! * `serve` — the one window executor (plan, issue every read at once,
+//!   poll the window as its reads advance, retire) and the three
 //!   closed-loop entry points (`search_request`, `search_batch`,
 //!   `search_pipelined`);
 //! * `open_loop` — `serve_open_loop`, admission control over the pipeline;
@@ -888,7 +888,10 @@ mod tests {
         let now = qb.net.now();
         let mut window = qb.open_window(vec![query(), query()], now).unwrap();
         let key = window.plans[0].result_key.clone();
-        qb.read_serially(&mut window).unwrap();
+        qb.read_concurrently(&mut window).unwrap();
+        while let Some(next) = window.next_event {
+            qb.poll_window(&mut window, next).unwrap();
+        }
         let reads = &window.reads;
         let responses: Vec<SearchResponse> = std::mem::take(&mut window.plans)
             .into_iter()
@@ -920,57 +923,109 @@ mod tests {
         );
     }
 
+    /// A cache-off engine whose peers each keep one operation in flight per
+    /// uplink and whose lookups send one hop at a time, so a read alone
+    /// never queues on itself, over two pages that share `decentralized`
+    /// and `peers`.
+    fn one_deep_links() -> QueenBee {
+        let mut config = QueenBeeConfig::small();
+        config.net.max_in_flight_per_link = 1;
+        config.dht.alpha = 1;
+        let mut qb = QueenBee::new(config).unwrap();
+        for (name, text) in [
+            ("wiki/dweb", "peers serve the decentralized web"),
+            ("wiki/p2p", "decentralized peers gossip"),
+        ] {
+            qb.publish(1, AccountId(1_000), &page(name, text, vec![]))
+                .unwrap();
+        }
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        qb
+    }
+
     #[test]
-    fn a_one_read_window_answers_alike_under_both_read_schedules() {
-        // Twin engines whose statistics are cached and whose `peers` shard
-        // is not, so the query's window needs exactly one read: there the
-        // serial and the concurrent schedule coincide.
-        let twin = || {
-            let mut qb = cached_engine();
-            for (name, text) in [
-                ("wiki/dweb", "peers serve the decentralized web"),
-                ("wiki/p2p", "decentralized peers gossip"),
-            ] {
-                qb.publish(1, AccountId(1_000), &page(name, text, vec![]))
-                    .unwrap();
-            }
-            qb.seal();
-            qb.process_publish_events().unwrap();
-            qb.search_request(from_peer(5, "decentralized")).unwrap();
-            qb
+    fn a_one_query_window_queues_its_reads_on_the_shared_uplink() {
+        // Cache off: the query's window reads the statistics record and the
+        // `peers` shard, both from peer 5, whose uplink holds one operation
+        // at a time. Read one after the other, neither would queue; the
+        // reads run concurrently, so their hops queue behind each other,
+        // and the response is charged that queueing.
+        let mut qb = one_deep_links();
+        qb.set_tracing(true);
+        let issued_at = qb.net.now();
+        let response = qb.search_request(from_peer(5, "peers")).unwrap();
+        assert_eq!(response.provenance, [TermProvenance::DhtFetch]);
+        assert!(response.trace.net_queue > SimDuration::ZERO);
+
+        // The latency is the later read's queued completion minus the
+        // window's issue instant, and the query tree splits the queueing
+        // charged inside it off the fetch service.
+        let trace = qb.take_trace();
+        let window = trace.named("window").next().expect("one window span");
+        assert_eq!(window.start, issued_at);
+        let reads: Vec<_> = trace.children(window.id).collect();
+        let names: Vec<&str> = reads.iter().map(|span| span.name).collect();
+        assert_eq!(names, ["stats_read", "fetch"], "issued stats first");
+        let completed = reads.iter().map(|span| span.end).max().unwrap();
+        assert_eq!(response.latency, completed.since(issued_at));
+        let query = trace.named("query").next().expect("one query tree");
+        let queued = trace
+            .children(query.id)
+            .find(|span| span.name == "net_queue");
+        let queued = queued.expect("the tree splits off the link queueing");
+        assert_eq!(queued.duration(), response.trace.net_queue);
+        assert_eq!(queued.end, completed);
+    }
+
+    #[test]
+    fn a_batch_window_answers_as_a_one_deep_pipeline() {
+        // Twin engines serve one multi-read window: `search_batch` runs it
+        // to completion, a pipeline one window wide and one deep overlaps
+        // it with nothing. One read schedule, so the answers, their costs
+        // and the network's counters agree exactly.
+        let queries = [
+            "decentralized peers",
+            "peers gossip",
+            "serve web",
+            "decentralized",
+        ];
+        let requests = || -> Vec<SearchRequest> {
+            let peers = [5u64, 5, 9, 9].into_iter();
+            queries
+                .iter()
+                .zip(peers)
+                .map(|(q, p)| from_peer(p, q))
+                .collect()
         };
-        let (mut serial, mut concurrent) = (twin(), twin());
-        let query = || from_peer(5, "peers");
-        let a = serial.search_batch(vec![query()]).unwrap().remove(0);
-        let one_deep = PipelineConfig {
-            window_size: 1,
+        let (mut batch, mut pipelined) = (one_deep_links(), one_deep_links());
+        let a = batch.search_batch(requests()).unwrap();
+        let one_window = PipelineConfig {
+            window_size: queries.len(),
             max_windows_in_flight: 1,
         };
-        let outcome = concurrent
-            .search_pipelined(vec![query()], one_deep)
-            .unwrap();
-        assert_eq!(
-            (outcome.report.shard_fetches, outcome.report.stats_reads),
-            (1, 0),
-            "the window reads one shard and no statistics"
-        );
-        let b = &outcome.responses[0];
-        assert_eq!(a.provenance, [TermProvenance::DhtFetch]);
-        assert_eq!(a.provenance, b.provenance);
+        let outcome = pipelined.search_pipelined(requests(), one_window).unwrap();
+        assert_eq!(outcome.report.windows, 1);
+        assert!(outcome.report.shard_fetches >= 4 && outcome.report.stats_reads == 1);
+        let b = &outcome.responses;
+        assert_eq!(a.len(), b.len());
+        assert!(a.iter().any(|r| r.trace.net_queue > SimDuration::ZERO));
         let hits = |r: &SearchResponse| -> Vec<(u64, u64)> {
             r.hits
                 .iter()
                 .map(|h| (h.doc_id, h.score.to_bits()))
                 .collect()
         };
-        assert_eq!(hits(&a).len(), 2);
-        assert_eq!(hits(&a), hits(b));
-        assert!(a.latency > SimDuration::ZERO);
-        assert_eq!(a.latency, b.latency);
-        assert_eq!(a.trace.net_queue, b.trace.net_queue);
-        assert!(a.messages() > 0);
-        assert_eq!(a.messages(), b.messages());
-        assert_eq!(serial.net.stats(), concurrent.net.stats());
+        for (a, b) in a.iter().zip(b) {
+            assert!(!a.hits.is_empty());
+            assert_eq!(hits(a), hits(b));
+            assert_eq!(a.provenance, b.provenance);
+            assert!(a.latency > SimDuration::ZERO);
+            assert_eq!(a.latency, b.latency);
+            assert_eq!(a.trace.net_queue, b.trace.net_queue);
+            assert_eq!(a.messages(), b.messages());
+        }
+        assert_eq!(batch.net.stats(), pipelined.net.stats());
     }
 
     #[test]

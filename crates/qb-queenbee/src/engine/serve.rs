@@ -1,13 +1,12 @@
-//! The serve seam: one window executor. A window of requests is planned
-//! against the cache tiers and its distinct missing shards (and the
-//! statistics record) are enumerated once, into one window record
-//! (`open_window`); each read is issued by one function (`issue_read`) and
-//! polled by one (`poll_read`); one retire step (`retire_window`) serves
-//! every plan and queues the batch adverts. The entry points differ only in
-//! the read schedule: `search_request` / `search_batch` issue each read at
-//! the window's instant and poll it to completion before the next
-//! (`read_serially`); `search_pipelined` issues every read at once and the
-//! pipeline driver polls the window (`read_concurrently`, `poll_window`).
+//! The serve seam: one window executor with one read schedule. A window of
+//! requests is planned against the cache tiers and its distinct missing
+//! shards (and the statistics record) are enumerated once, into one window
+//! record (`open_window`); every read is issued at the window's instant by
+//! one function (`issue_read`, via `read_concurrently`) and the window is
+//! polled as its reads advance (`poll_window`, one `poll_read` per read);
+//! one retire step (`retire_window`) serves every plan and queues the batch
+//! adverts. `search_request` / `search_batch` run one window to completion;
+//! the pipeline driver behind `search_pipelined` overlaps several.
 
 use super::QueenBee;
 use crate::query::executor::{ReadPoll, ReadProgress, ReadSlot, WindowReads, WindowRun};
@@ -37,8 +36,10 @@ impl QueenBee {
     /// Serve a batch of requests as one window: every request is **planned**
     /// first (term analysis plus cache probes, no network traffic), then the
     /// executor fetches each distinct missing term shard **once** — the
-    /// window's fetches run conceptually in parallel, so simulated latency
-    /// is the max over distinct fetches, not a per-query sum — and fans the
+    /// window's reads are issued together and run concurrently on the
+    /// simulated network, so a query waits for the slowest read it needs,
+    /// not a per-query sum, and reads that share an uplink queue behind its
+    /// in-flight limit exactly as a pipelined window's do — and fans the
     /// shard out to every query in the batch that needs it. 64 Zipf queries
     /// sharing a hot head term cost one DHT round-trip instead of 64. The
     /// statistics record is likewise read at most once per window.
@@ -52,11 +53,19 @@ impl QueenBee {
     /// Responses come back in request order and are byte-identical to
     /// executing the same requests sequentially (experiment E11 asserts
     /// this). An invalid request (no searchable terms, bad routing) or a
-    /// failed fetch aborts the whole batch with the first error.
+    /// failed fetch aborts the whole batch with the first error, and the
+    /// reads still in flight are abandoned.
     pub fn search_batch(&mut self, requests: Vec<SearchRequest>) -> QbResult<Vec<SearchResponse>> {
         let now = self.net.now();
         let mut win = self.open_window(requests, now)?;
-        self.read_serially(&mut win)?;
+        let mut read = self.read_concurrently(&mut win);
+        while let (Ok(()), Some(next)) = (&read, win.next_event) {
+            read = self.poll_window(&mut win, next);
+        }
+        if let Err(err) = read {
+            win.reads.abandon(&mut self.net);
+            return Err(err);
+        }
         let mut responses = Vec::with_capacity(win.plans.len());
         self.retire_window(win, &mut responses);
         // One root tree per response, rebuilt from its staged costs so the
@@ -117,19 +126,14 @@ impl QueenBee {
                 let end = (issued_at + costs.stats).min(done);
                 self.net.tracer().record(root, "stats", issued_at, end);
             }
-            // In the open-loop server the service interval runs to the
-            // query's completion, but the per-link queueing charged inside
-            // the slowest dependency (`StageCosts::net_queue`) is split off
-            // as its own span so attribution separates waiting on contended
-            // links from fetch service; closed-loop windows know the exact
-            // fetch cost.
-            let (fetch_end, net_queue) = if arrived.is_some() {
-                let queued = costs.net_queue.min(done.since(issued_at));
-                let service = done.since(issued_at).as_micros() - queued.as_micros();
-                (issued_at + SimDuration::from_micros(service), queued)
-            } else {
-                ((issued_at + costs.shard_fetch).min(done), SimDuration::ZERO)
-            };
+            // The service interval runs to the query's completion, but the
+            // per-link queueing charged inside the slowest dependency
+            // (`StageCosts::net_queue`) is split off as its own span so
+            // attribution separates waiting on contended links from fetch
+            // service.
+            let net_queue = costs.net_queue.min(done.since(issued_at));
+            let service = done.since(issued_at).as_micros() - net_queue.as_micros();
+            let fetch_end = issued_at + SimDuration::from_micros(service);
             if fetch_end > issued_at {
                 self.net
                     .tracer()
@@ -216,58 +220,27 @@ impl QueenBee {
         })
     }
 
-    /// The serial read schedule: each read of the window, in issue order,
-    /// is issued at the window's instant and polled to completion before
-    /// the next one issues, so the simulated network sees a deterministic
-    /// request sequence and every read runs on an idle link. The first
-    /// failed read fails the window; nothing is left in flight.
-    pub(super) fn read_serially(&mut self, win: &mut WindowRun) -> QbResult<()> {
-        let (at, span) = (win.issued_at, win.span);
-        for mut slot in win.reads.issue_order() {
-            self.issue_read(&mut slot, at, span);
-            let mut polled = self.poll_read(&mut slot, at)?;
-            while let ReadPoll::Pending(next) = polled {
-                polled = self.poll_read(&mut slot, next)?;
-            }
-            if let ReadPoll::Done {
-                completed_at,
-                queue_delay,
-                latency,
-            } = polled
-            {
-                // What keeps the one latency rule byte-identical for serial
-                // windows: nothing queues, so a read's wall time is its
-                // service latency.
-                debug_assert!(
-                    completed_at == at + latency && queue_delay == SimDuration::ZERO,
-                    "a serial read completes after its latency, unqueued"
-                );
-                win.completes_at = win.completes_at.max(completed_at);
-            }
-        }
-        Ok(())
-    }
-
-    /// The concurrent read schedule: issue every read of the window at its
-    /// instant, in issue order, without waiting for any, then poll the
-    /// window once. The per-hop DHT RPCs run as in-flight operations of
-    /// their origin peers, so reads of *different* windows genuinely
+    /// The read schedule of every window: issue each of its reads at the
+    /// window's instant, in poll order ([`WindowReads::poll_order`]),
+    /// without waiting for any, then poll the window once. The per-hop DHT
+    /// RPCs run as in-flight operations of their origin peers, so a
+    /// window's reads — and those of *different* windows — genuinely
     /// interleave on contended uplinks.
     pub(crate) fn read_concurrently(&mut self, win: &mut WindowRun) -> QbResult<()> {
         let (at, span) = (win.issued_at, win.span);
-        for mut slot in win.reads.issue_order() {
+        for mut slot in win.reads.poll_order() {
             self.issue_read(&mut slot, at, span);
         }
         self.poll_window(win, at)
     }
 
-    /// Advance a concurrently read window at instant `at` — the statistics
-    /// read, then the shards in slot order ([`WindowReads::poll_order`]) —
-    /// folding every read that completed into the window's completion
-    /// bookkeeping. Sets `win.next_event` to the earliest instant any
-    /// remaining read advances at (`None` when the window is complete).
-    /// The first failed read stops the poll and leaves its siblings in
-    /// flight for [`WindowReads::abandon`].
+    /// Advance a window at instant `at` — the statistics read, then the
+    /// shards in slot order ([`WindowReads::poll_order`]), each read only
+    /// if it is due — folding every read that completed into the window's
+    /// completion bookkeeping. Sets `win.next_event` to the earliest
+    /// instant any remaining read advances at (`None` when the window is
+    /// complete). The first failed read stops the poll and leaves its
+    /// siblings in flight for [`WindowReads::abandon`].
     pub(crate) fn poll_window(&mut self, win: &mut WindowRun, at: SimInstant) -> QbResult<()> {
         let mut next_event: Option<SimInstant> = None;
         for mut slot in win.reads.poll_order() {
@@ -275,7 +248,6 @@ impl QueenBee {
                 ReadPoll::Done {
                     completed_at,
                     queue_delay,
-                    ..
                 } => {
                     win.completes_at = win.completes_at.max(completed_at);
                     win.queue_delay += queue_delay;
@@ -305,7 +277,7 @@ impl QueenBee {
                     at,
                     span.or(window_span),
                 );
-                read.progress = ReadProgress::InFlight(machine, span);
+                read.progress = ReadProgress::InFlight(machine, span, at);
             }
             ReadSlot::Shard(read) => {
                 let span = self
@@ -322,7 +294,7 @@ impl QueenBee {
                     at,
                     span.or(window_span),
                 );
-                read.progress = ReadProgress::InFlight(machine, span);
+                read.progress = ReadProgress::InFlight(machine, span, at);
             }
         }
     }
@@ -332,10 +304,10 @@ impl QueenBee {
     fn poll_read(&mut self, slot: &mut ReadSlot<'_>, at: SimInstant) -> QbResult<ReadPoll> {
         let (index, dht, storage) = (&self.dist_index, &mut self.dht, &mut self.storage);
         match slot {
-            ReadSlot::Stats(read) => read.poll(&mut self.net, |net, machine, _| {
+            ReadSlot::Stats(read) => read.poll(&mut self.net, at, |net, machine, _| {
                 index.poll_read_stats(net, dht, machine, at)
             }),
-            ReadSlot::Shard(read) => read.poll(&mut self.net, |net, machine, term| {
+            ReadSlot::Shard(read) => read.poll(&mut self.net, at, |net, machine, term| {
                 index.poll_read_shard(net, dht, storage, machine, term, at)
             }),
         }

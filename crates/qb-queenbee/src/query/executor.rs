@@ -1,5 +1,5 @@
 //! The executor: turn resolved shards into a ranked result list, and own
-//! the window record both read schedules run.
+//! the window record every entry point runs.
 //!
 //! The network side (versioned DHT reads) stays in the engine, which owns
 //! the simulated network, and the pure stages — intersection, BM25 scoring,
@@ -12,9 +12,10 @@
 //! reads a window makes, in what order and charged to whom. A read stays in
 //! its slot from issue to response (it completes in place), and each plan
 //! term it serves carries the slot ([`TermPlan::Fetch`]). The engine issues
-//! and polls a slot through one function each; the serial schedule
-//! (`search_batch`) and the concurrent one (the pipeline) differ only in
-//! when they call them.
+//! and polls a slot through one function each, in one order
+//! (`WindowReads::poll_order`): every read of a window issues at once and
+//! runs concurrently, whether the window is a `search_batch` or one of a
+//! pipeline's.
 //!
 //! It follows the serving path's ownership rule: a fetched shard sits
 //! behind an `Arc`, so fanning one fetch out to every query of the window
@@ -45,14 +46,15 @@ pub(crate) struct CompletedRead<T> {
     /// When the read completed on the window's timeline.
     pub(crate) completed_at: SimInstant,
     /// Link queueing delay inside the read's wall time: what a plan that
-    /// waits on this read as its slowest is charged as `net_queue`. Zero
-    /// under the serial schedule, whose reads run one at a time on an idle
-    /// link.
+    /// waits on this read as its slowest is charged as `net_queue`. It is
+    /// nonzero when the read's hops queued behind its origin peer's
+    /// in-flight limit — behind the window's own sibling reads or another
+    /// window's.
     pub(crate) queue_delay: SimDuration,
 }
 
 /// One window of a run, from planning to retirement: its plans, its reads
-/// and the completion bookkeeping both read schedules keep.
+/// and their completion bookkeeping.
 pub(crate) struct WindowRun {
     pub(crate) plans: Vec<QueryPlan>,
     /// The window's shared reads (each distinct `(frontend, term)` once,
@@ -64,7 +66,7 @@ pub(crate) struct WindowRun {
     /// When the window's slowest read completed (so far).
     pub(crate) completes_at: SimInstant,
     /// Earliest instant any pending read advances at (`None` once the
-    /// window is complete); only the concurrent schedule waits on it.
+    /// window is complete): the instant its runner polls it next.
     pub(crate) next_event: Option<SimInstant>,
     /// The window's trace span (children: one `fetch`/`stats_read` span
     /// per read, each nesting its per-hop `dht.lookup`/`rpc` spans).
@@ -85,8 +87,6 @@ pub(crate) enum ReadPoll {
         completed_at: SimInstant,
         /// Link queueing inside its wall time.
         queue_delay: SimDuration,
-        /// Its service latency ([`IndexOpCost::latency`]).
-        latency: SimDuration,
     },
 }
 
@@ -94,9 +94,9 @@ pub(crate) enum ReadPoll {
 pub(crate) enum ReadProgress<T, V> {
     /// Enumerated, not issued.
     Planned,
-    /// Issued: the event-driven machine and the read's trace span, open
-    /// until the machine finishes.
-    InFlight(ReadMachine<T>, Option<qb_trace::SpanId>),
+    /// Issued: the event-driven machine, the read's trace span (open until
+    /// the machine finishes) and the instant the machine next advances at.
+    InFlight(ReadMachine<T>, Option<qb_trace::SpanId>, SimInstant),
     /// Finished; the record stays until the window has answered.
     Done(CompletedRead<V>),
 }
@@ -145,26 +145,33 @@ impl<T, V> WindowRead<T, V> {
         });
     }
 
-    /// Poll the read's machine with `step` (given the network, the machine
-    /// and the read's term) when one is in flight. A machine that is
+    /// Poll the read's machine at instant `at` with `step` (given the
+    /// network, the machine and the read's term) when one is in flight and
+    /// due: before its next event a machine has nothing to advance, so a
+    /// window polling a sibling read's event skips it. A machine that is
     /// `Ready` is swapped, in its slot, for what it read, closing the read's
     /// span. A failed read leaves the slot `Planned`: it never keeps a
     /// machine with nothing left in flight.
     pub(crate) fn poll(
         &mut self,
         net: &mut SimNet,
+        at: SimInstant,
         step: impl FnOnce(&mut SimNet, &mut ReadMachine<T>, &str) -> ReadStep,
     ) -> QbResult<ReadPoll>
     where
         V: From<T>,
     {
-        let ReadProgress::InFlight(machine, _) = &mut self.progress else {
+        let ReadProgress::InFlight(machine, _, next) = &mut self.progress else {
             return Ok(ReadPoll::Idle);
         };
+        if at < *next {
+            return Ok(ReadPoll::Pending(*next));
+        }
         if let ReadStep::Pending { next_event_at } = step(net, machine, &self.term) {
+            *next = next_event_at;
             return Ok(ReadPoll::Pending(next_event_at));
         }
-        if let ReadProgress::InFlight(machine, span) =
+        if let ReadProgress::InFlight(machine, span, _) =
             std::mem::replace(&mut self.progress, ReadProgress::Planned)
         {
             let queue_delay = machine.queue_delay();
@@ -176,12 +183,11 @@ impl<T, V> WindowRead<T, V> {
         Ok(ReadPoll::Done {
             completed_at: done.completed_at,
             queue_delay: done.queue_delay,
-            latency: done.cost.latency,
         })
     }
 
     fn abandon(&mut self, net: &mut SimNet) {
-        if let ReadProgress::InFlight(machine, _) = &mut self.progress {
+        if let ReadProgress::InFlight(machine, ..) = &mut self.progress {
             machine.abandon(net);
             self.progress = ReadProgress::Planned;
         }
@@ -202,7 +208,7 @@ fn finished<T, V>(read: Option<&WindowRead<T, V>>) -> &CompletedRead<V> {
     }
 }
 
-/// A slot of [`WindowReads`], as [`WindowReads::issue_order`] hands it out.
+/// A slot of [`WindowReads`], as [`WindowReads::poll_order`] hands it out.
 pub(crate) enum ReadSlot<'a> {
     /// The statistics read.
     Stats(&'a mut WindowRead<IndexStats>),
@@ -221,17 +227,13 @@ pub(crate) enum ReadSlot<'a> {
 pub(crate) struct WindowReads {
     /// The window's statistics read, when a plan needs one.
     pub(crate) stats: Option<WindowRead<IndexStats>>,
-    /// The shard reads, in issue order; a [`TermPlan::Fetch`] holds an index
-    /// into this.
+    /// The shard reads, in enumeration order; a [`TermPlan::Fetch`] holds an
+    /// index into this.
     pub(crate) shards: Vec<WindowRead<ShardEntry, Arc<ShardEntry>>>,
-    /// How many of `shards` issue ahead of the statistics read: it issues
-    /// where the first plan that needs it stands, and a `CacheOk` plan with
-    /// cached statistics but a missing shard can stand before that one.
-    shards_before_stats: usize,
 }
 
 impl WindowReads {
-    /// The one enumeration both read schedules start from: walk the plans
+    /// The one enumeration every window starts from: walk the plans
     /// in order and each plan's terms in order, give every distinct missing
     /// `(frontend, term)` one slot — the first plan to need a read triggers
     /// it and pays for it — and write the slot into each term it serves.
@@ -240,12 +242,10 @@ impl WindowReads {
         let mut reads = WindowReads {
             stats: None,
             shards: Vec::new(),
-            shards_before_stats: 0,
         };
         for plan in plans.iter_mut().filter(|plan| !plan.is_result_hit()) {
             let (frontend, origin_peer, seq) = (plan.frontend, plan.origin_peer, plan.seq);
             if matches!(plan.stats, StatsPlan::Fetch) && reads.stats.is_none() {
-                reads.shards_before_stats = reads.shards.len();
                 let stats = WindowRead::planned(frontend, String::new(), origin_peer, seq);
                 reads.stats = Some(stats);
             }
@@ -266,20 +266,9 @@ impl WindowReads {
         reads
     }
 
-    /// Every read once, in the order the window issues them: plan order,
-    /// then term order, the statistics read where its first plan stands.
-    pub(crate) fn issue_order(&mut self) -> impl Iterator<Item = ReadSlot<'_>> {
-        let (early, late) = self.shards.split_at_mut(self.shards_before_stats);
-        let early = early.iter_mut().map(ReadSlot::Shard);
-        let stats = self.stats.as_mut().map(ReadSlot::Stats);
-        early
-            .chain(stats)
-            .chain(late.iter_mut().map(ReadSlot::Shard))
-    }
-
-    /// Every read once, in the order the concurrent schedule polls them:
-    /// the statistics read, then the shards in slot order. The order feeds
-    /// the simulated network's RNG.
+    /// Every read once, in the order the window issues and polls them: the
+    /// statistics read, then the shards in slot order. The order feeds the
+    /// simulated network's RNG.
     pub(crate) fn poll_order(&mut self) -> impl Iterator<Item = ReadSlot<'_>> {
         let stats = self.stats.as_mut().map(ReadSlot::Stats);
         stats
@@ -451,12 +440,13 @@ mod tests {
         for (got, want) in shards.iter().zip(expected) {
             assert_eq!((got.0, got.1.as_str(), got.2, got.3), want);
         }
-        // The statistics read belongs to the first plan that needs it and
-        // issues where that plan stands: after plan 1's shard read.
+        // The statistics read belongs to the first plan that needs it, not
+        // to plan 1, which stands ahead of it with cached statistics; every
+        // window issues it first, then the shards in slot order.
         let stats_read = reads.stats.as_ref().expect("plans 2, 4 and 5 read stats");
         assert_eq!((stats_read.charged_to, stats_read.origin_peer), (2, 101));
         let order: Vec<String> = reads
-            .issue_order()
+            .poll_order()
             .map(|slot| match slot {
                 ReadSlot::Stats(_) => "stats".to_string(),
                 ReadSlot::Shard(r) => format!("{}/{}", r.frontend.unwrap(), r.term),
@@ -464,7 +454,7 @@ mod tests {
             .collect();
         assert_eq!(
             order,
-            ["0/alpha", "stats", "1/alpha", "1/gamma", "0/gamma", "1/beta"]
+            ["stats", "0/alpha", "1/alpha", "1/gamma", "0/gamma", "1/beta"]
         );
 
         // Completing every read in place makes the window servable, and

@@ -2,18 +2,17 @@
 //! concurrently, as event-driven state machines on one shared virtual
 //! timeline.
 //!
-//! # One executor, two read schedules
+//! # One executor, one read schedule
 //!
 //! Every entry point runs one window executor (`crate::engine::serve`): a
 //! window record built by one constructor, one issue and one poll per read,
-//! and one retire step that serves every plan. The entry points differ only
-//! in the read schedule.
-//! [`QueenBee::search_batch`](crate::QueenBee::search_batch) reads
-//! *serially* — each read issued at the window's instant and polled to
-//! completion before the next issues — one window at a time. The pipeline
-//! driver reads *concurrently*: every read of a window issues at once, the
-//! window is polled as its reads advance, and windows overlap. Every window
-//! moves through four stages:
+//! and one retire step that serves every plan. Every window reads
+//! *concurrently*: all its reads issue at once and the window is polled as
+//! they advance.
+//! [`QueenBee::search_batch`](crate::QueenBee::search_batch) runs one
+//! window to completion; this driver overlaps up to
+//! [`PipelineConfig::max_windows_in_flight`] of them. Every window moves
+//! through four stages:
 //!
 //! ```text
 //!   Planned ──issue fetches──▶ Fetching ──all machines done──▶ Scoring ──▶ Done

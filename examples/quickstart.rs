@@ -173,8 +173,9 @@ fn main() {
     //
     //    Windows issue and retire in request order, so responses come
     //    back in request order too. With one window in flight the
-    //    pipeline degenerates to back-to-back `search_batch` windows
-    //    (E13 measures the gap). The stream below repeats queries on
+    //    pipeline is back-to-back `search_batch` windows, which read
+    //    exactly as pipelined ones do (E13 measures what overlap adds).
+    //    The stream below repeats queries on
     //    purpose: a repeat shares its window's fetches and is scored again
     //    unless the result cache already holds its answer — watch the
     //    shard fetches and the makespan.
@@ -220,8 +221,9 @@ fn main() {
         outcome.report.makespan, outcome.report.shard_fetches, outcome.report.queue_delay,
     );
     // One-shot windows are still there: `qb.search_batch(requests)` runs a
-    // single window back-to-back, and `qb.search_request(request)` serves a
-    // one-off query through the same planner.
+    // single window to completion, its reads issued at once and queued on
+    // the same per-link limits, and `qb.search_request(request)` is a
+    // one-query window.
 
     // 8. The cache at work: replay the same queries and watch the hit rate.
     //    The earlier rounds warmed the tiers; every repeat is served locally
