@@ -29,6 +29,10 @@ pub use network::{DhtNetwork, GetOutcome, LookupOutcome, PutOutcome};
 pub use node::{DhtNode, Record};
 pub use routing::RoutingTable;
 
+/// The shared buffer a [`Record`]'s value lives in, named here so a holder
+/// of record values needs no dependency of its own to keep one.
+pub use bytes::Bytes;
+
 /// Approximate request size in bytes used for traffic accounting.
 pub const REQUEST_BYTES: usize = 72;
 

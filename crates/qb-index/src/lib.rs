@@ -15,7 +15,9 @@
 //!   large, with a versioned pointer record in the DHT — "the index ...
 //!   hosted in a decentralized storage" of the paper, maintained by worker
 //!   bees and read by the query frontend, which ranks a query's shards with
-//!   the one serving [`kernel`].
+//!   the one serving [`kernel`]. A shard decoded from a record is shared
+//!   ([`views`]) for as long as anyone holds it, so a re-read of an
+//!   unchanged record decodes nothing.
 
 pub mod analyzer;
 pub mod doc;
@@ -25,6 +27,7 @@ pub mod postings;
 pub mod query;
 pub mod scorer;
 pub mod shard;
+pub mod views;
 
 pub use analyzer::Analyzer;
 pub use doc::{doc_id_for_name, DocMeta, DocTable};
@@ -37,3 +40,4 @@ pub use shard::{
     shard_pointer_root, DistributedIndex, IndexStats, ReadMachine, ReadStep, ShardEntry,
     ShardPosting,
 };
+pub use views::ShardViews;

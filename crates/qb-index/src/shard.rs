@@ -13,11 +13,13 @@
 //! collusion attack of experiment E6 targets.
 
 use crate::postings::{Posting, PostingList};
+use crate::views::ShardViews;
 use qb_common::{varint, Cid, DhtKey, Hash256, QbError, QbResult, SimDuration, SimInstant};
 use qb_dht::{DhtNetwork, LookupMachine, LookupStep};
 use qb_simnet::{Poll, RpcHandle, SimNet};
 use qb_storage::StorageNetwork;
 use qb_trace::SpanId;
+use std::sync::Arc;
 
 /// One posting within a shard, carrying everything needed for scoring.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -355,8 +357,8 @@ impl<T> ReadMachine<T> {
 
     /// The decoded value, the service cost (lookup + fetch latency, RPC
     /// attempts) and the wall-clock completion instant (which additionally
-    /// includes any uplink queueing). Panics unless the last poll returned
-    /// [`ReadStep::Ready`].
+    /// includes any uplink queueing). An error unless the last poll
+    /// returned [`ReadStep::Ready`].
     pub fn into_result(self) -> QbResult<(T, IndexOpCost, SimInstant)> {
         match self.state {
             ReadState::Done {
@@ -364,7 +366,9 @@ impl<T> ReadMachine<T> {
                 completed_at,
                 tail: None,
             } => Ok((result?, self.cost, completed_at)),
-            _ => panic!("index read not finished; poll until Ready"),
+            _ => Err(QbError::Query(
+                "index read not finished; poll until Ready".into(),
+            )),
         }
     }
 
@@ -420,6 +424,10 @@ impl DistributedIndex {
     /// than `min_version` does not satisfy the lookup: the DHT digs past lagging
     /// replicas (read-repair semantics), so a caller that has already seen
     /// `min_version` of this term never reads the index backwards in time.
+    ///
+    /// It returns an owned copy the caller may change (the writer path
+    /// does), so it bypasses the [`ShardViews`] and always decodes: a timed
+    /// call of it times a decode.
     pub fn read_shard_fresh(
         &self,
         net: &mut SimNet,
@@ -430,17 +438,22 @@ impl DistributedIndex {
         min_version: u64,
     ) -> QbResult<(ShardEntry, IndexOpCost)> {
         let at = net.now();
-        let machine = self.begin_read_shard_fresh(net, dht, peer, term, min_version, at, None);
-        drive(machine, at, |machine, cursor| {
-            self.poll_read_shard(net, dht, storage, machine, term, cursor)
-        })
+        let key = DhtKey::for_term(term);
+        let machine = begin_read(net, dht, peer, key, min_version, at, None);
+        let owned = |_: &qb_dht::Record, bytes: &[u8]| ShardEntry::decode(bytes);
+        let step = |machine: &mut ReadMachine<ShardEntry>, cursor| {
+            poll_read(net, dht, machine, cursor, |net, dht, m, record, done| {
+                decode_shard_record(net, dht, storage, m, term, record, done, owned)
+            })
+        };
+        drive(machine, at, step)
     }
 
     /// Start an event-driven shard read at virtual instant `at` (trace
     /// spans nest under `parent`). Drive with
     /// [`DistributedIndex::poll_read_shard`]; the synchronous
-    /// [`DistributedIndex::read_shard_fresh`] drives the same machine
-    /// eagerly, so there is exactly one read code path.
+    /// [`DistributedIndex::read_shard_fresh`] drives the same lookup and
+    /// fetch eagerly, so there is exactly one read code path.
     #[allow(clippy::too_many_arguments)]
     pub fn begin_read_shard_fresh(
         &self,
@@ -451,7 +464,7 @@ impl DistributedIndex {
         min_version: u64,
         at: SimInstant,
         parent: Option<SpanId>,
-    ) -> ReadMachine<ShardEntry> {
+    ) -> ReadMachine<Arc<ShardEntry>> {
         begin_read(
             net,
             dht,
@@ -468,18 +481,23 @@ impl DistributedIndex {
     /// the lookup finishing, an inline shard completes immediately; a
     /// pointer record charges the content-addressed fetch and tracks it as
     /// an in-flight tail operation on the reader's uplink, so concurrent
-    /// reads contend realistically.
+    /// reads contend realistically. Once the record and any fetch are in
+    /// hand, the shard is the one `views` holds for that record, decoded
+    /// only when no holder has it.
+    #[allow(clippy::too_many_arguments)]
     pub fn poll_read_shard(
         &self,
         net: &mut SimNet,
         dht: &mut DhtNetwork,
         storage: &mut StorageNetwork,
-        machine: &mut ReadMachine<ShardEntry>,
+        views: &mut ShardViews,
+        machine: &mut ReadMachine<Arc<ShardEntry>>,
         term: &str,
         at: SimInstant,
     ) -> ReadStep {
+        let shared = |record: &qb_dht::Record, bytes: &[u8]| views.resolve(record, bytes);
         poll_read(net, dht, machine, at, |net, dht, machine, record, done| {
-            decode_shard_record(net, dht, storage, machine, term, record, done)
+            decode_shard_record(net, dht, storage, machine, term, record, done, shared)
         })
     }
 
@@ -670,25 +688,30 @@ fn drive<T>(
 }
 
 /// Turn the record a finished shard lookup returned into the next machine
-/// state: empty shard (missing record), decoded inline shard, or a tracked
-/// in-flight storage fetch for a pointer record.
-fn decode_shard_record(
+/// state: empty shard (missing record), inline shard, or a tracked
+/// in-flight storage fetch for a pointer record. `shard` makes the value
+/// from the record and the bytes it resolved to — the record's own after
+/// its tag, or the object the fetch verified — once nothing is left to
+/// fetch.
+#[allow(clippy::too_many_arguments)]
+fn decode_shard_record<T: From<ShardEntry>>(
     net: &mut SimNet,
     dht: &mut DhtNetwork,
     storage: &mut StorageNetwork,
-    machine: &mut ReadMachine<ShardEntry>,
+    machine: &mut ReadMachine<T>,
     term: &str,
     record: Option<qb_dht::Record>,
     lookup_done: SimInstant,
-) -> ReadState<ShardEntry> {
+    shard: impl FnOnce(&qb_dht::Record, &[u8]) -> QbResult<T>,
+) -> ReadState<T> {
     let Some(record) = record else {
-        return ReadState::done(Ok(ShardEntry::empty(term)), lookup_done);
+        return ReadState::done(Ok(ShardEntry::empty(term).into()), lookup_done);
     };
-    let value = record.value;
+    let value = &record.value;
     match value.first() {
-        Some(&SHARD_INLINE_TAG) => ReadState::done(ShardEntry::decode(&value[1..]), lookup_done),
+        Some(&SHARD_INLINE_TAG) => ReadState::done(shard(&record, &value[1..]), lookup_done),
         Some(&SHARD_POINTER_TAG) => {
-            let Some(cid) = shard_pointer_root(&value) else {
+            let Some(cid) = shard_pointer_root(value) else {
                 let bad = QbError::Codec("bad shard pointer record".into());
                 return ReadState::done(Err(bad), lookup_done);
             };
@@ -697,21 +720,23 @@ fn decode_shard_record(
                 Err(e) => return ReadState::done(Err(e), lookup_done),
             };
             machine.cost.add(fetch.latency, fetch.messages);
-            match ShardEntry::decode(&bytes) {
-                Ok(shard) => {
-                    let handle = net.begin_async_op(
-                        machine.peer,
-                        lookup_done,
-                        fetch.latency,
-                        machine.parent,
-                    );
-                    ReadState::Done {
-                        result: Ok(shard),
-                        completed_at: net.async_completes_at(handle).expect("just issued"),
-                        tail: Some(handle),
-                    }
+            let fetched_at = lookup_done + fetch.latency;
+            let shard = match shard(&record, &bytes) {
+                Ok(shard) => shard,
+                Err(e) => return ReadState::done(Err(e), fetched_at),
+            };
+            let handle =
+                net.begin_async_op(machine.peer, lookup_done, fetch.latency, machine.parent);
+            match net.async_completes_at(handle) {
+                Some(completed_at) => ReadState::Done {
+                    result: Ok(shard),
+                    completed_at,
+                    tail: Some(handle),
+                },
+                None => {
+                    let lost = QbError::Network("storage fetch left no operation in flight".into());
+                    ReadState::done(Err(lost), fetched_at)
                 }
-                Err(e) => ReadState::done(Err(e), lookup_done + fetch.latency),
             }
         }
         _ => ReadState::done(
@@ -813,6 +838,18 @@ mod tests {
         let pl = shard.to_posting_list();
         assert_eq!(pl.len(), 2);
         assert_eq!(pl.get(9), Some(2));
+    }
+
+    /// Unicode text from raw draws: each draw's top two bits pick a one-,
+    /// two-, three- or four-byte UTF-8 width, the rest a code point below it
+    /// (a surrogate becomes U+FFFD).
+    fn text(draws: &[u32]) -> String {
+        let below = [0x80, 0x800, 0x1_0000, 0x11_0000];
+        let point = |d: u32| char::from_u32((d & 0x3fff_ffff) % below[(d >> 30) as usize]);
+        draws
+            .iter()
+            .map(|&d| point(d).unwrap_or('\u{fffd}'))
+            .collect()
     }
 
     fn setup(n: usize, seed: u64) -> (SimNet, DhtNetwork, StorageNetwork) {
@@ -934,8 +971,17 @@ mod tests {
         dist.write_shard(&mut net, &mut dht, &mut storage, 3, &shard)
             .unwrap();
         let at = net.now();
+        let mut views = ShardViews::new();
         let mut read = dist.begin_read_shard_fresh(&mut net, &mut dht, 11, "nectar", 0, at, None);
-        let step = dist.poll_read_shard(&mut net, &mut dht, &mut storage, &mut read, "nectar", at);
+        let step = dist.poll_read_shard(
+            &mut net,
+            &mut dht,
+            &mut storage,
+            &mut views,
+            &mut read,
+            "nectar",
+            at,
+        );
         assert!(matches!(step, ReadStep::Pending { .. }));
         assert!(net.async_in_flight() > 0, "the first hops are on the wire");
         read.abandon(&mut net);
@@ -957,12 +1003,14 @@ mod tests {
             .unwrap();
         let at = net.now();
         let mut read = dist.begin_read_shard_fresh(&mut net, &mut dht, 17, "common", 0, at, None);
+        let mut views = ShardViews::new();
         let mut cursor = at;
         while !matches!(read.state, ReadState::Done { tail: Some(_), .. }) {
             match dist.poll_read_shard(
                 &mut net,
                 &mut dht,
                 &mut storage,
+                &mut views,
                 &mut read,
                 "common",
                 cursor,
@@ -984,7 +1032,16 @@ mod tests {
         let issued_before = net.stats().async_ops;
         let at = net.now() + SimDuration::from_millis(3);
         let mut read = dist.begin_read_shard_fresh(&mut net, &mut dht, 5, "any", 0, at, None);
-        let step = dist.poll_read_shard(&mut net, &mut dht, &mut storage, &mut read, "any", at);
+        let mut views = ShardViews::new();
+        let step = dist.poll_read_shard(
+            &mut net,
+            &mut dht,
+            &mut storage,
+            &mut views,
+            &mut read,
+            "any",
+            at,
+        );
         assert_eq!(step, ReadStep::Ready);
         assert!(matches!(read.state, ReadState::Done { completed_at, .. } if completed_at == at));
         assert!(matches!(read.into_result(), Err(QbError::NodeOffline(5))));
@@ -1031,6 +1088,7 @@ mod tests {
         };
         let (mut net, mut dht, mut storage, dist) = world();
         let (mut net2, mut dht2, mut storage2, _) = world();
+        let mut views = ShardViews::new();
         for term in ["s", "common", "neverwritten"] {
             let blocking = dist
                 .read_shard_fresh(&mut net, &mut dht, &mut storage, 17, term, 0)
@@ -1038,9 +1096,15 @@ mod tests {
             let at = net2.now();
             let mut read = dist.begin_read_shard_fresh(&mut net2, &mut dht2, 17, term, 0, at, None);
             let mut cursor = at;
-            while let ReadStep::Pending { next_event_at } =
-                dist.poll_read_shard(&mut net2, &mut dht2, &mut storage2, &mut read, term, cursor)
-            {
+            while let ReadStep::Pending { next_event_at } = dist.poll_read_shard(
+                &mut net2,
+                &mut dht2,
+                &mut storage2,
+                &mut views,
+                &mut read,
+                term,
+                cursor,
+            ) {
                 assert!(
                     next_event_at > cursor,
                     "an event-driven poll always advances"
@@ -1048,7 +1112,7 @@ mod tests {
                 cursor = next_event_at;
             }
             let (shard, cost, completed_at) = read.into_result().unwrap();
-            assert_eq!((shard, cost), blocking, "{term}");
+            assert_eq!((Arc::unwrap_or_clone(shard), cost), blocking, "{term}");
             assert_eq!(
                 completed_at,
                 at + cost.latency,
@@ -1073,21 +1137,40 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Any shard a writer can hold decodes from its encoding unchanged:
+        /// full-range doc ids, versions and creators, any term frequency and
+        /// document length, any Unicode term and page names (empty ones
+        /// included). A written shard is shared as what reading its record
+        /// decodes to (`ShardViews::register_written`) on the strength of it.
         #[test]
-        fn shard_codec_round_trip_prop(docs in proptest::collection::btree_map(any::<u32>(), (1u32..100, 1u32..500), 0..60)) {
-            let mut shard = ShardEntry::empty("prop");
-            shard.version = 9;
-            for (doc, (tf, dl)) in &docs {
-                shard.upsert(ShardPosting {
-                    doc_id: *doc as u64,
-                    term_freq: *tf,
-                    doc_len: *dl,
-                    name: format!("n{doc}"),
-                    version: 1,
-                    creator: 3,
+        fn shard_codec_round_trip_prop(
+            term in proptest::collection::vec(any::<u32>(), 0..8),
+            version in any::<u64>(),
+            docs in proptest::collection::btree_map(
+                any::<u64>(),
+                (
+                    (any::<u32>(), any::<u32>()),
+                    proptest::collection::vec(any::<u32>(), 0..12),
+                    (any::<u64>(), any::<u64>()),
+                ),
+                0..60,
+            ),
+        ) {
+            let mut shard = ShardEntry::empty(&text(&term));
+            shard.version = version;
+            for (&doc_id, ((term_freq, doc_len), name, (version, creator))) in &docs {
+                shard.postings.push(ShardPosting {
+                    doc_id,
+                    term_freq: *term_freq,
+                    doc_len: *doc_len,
+                    name: text(name),
+                    version: *version,
+                    creator: *creator,
                 });
             }
-            prop_assert_eq!(ShardEntry::decode(&shard.encode()).unwrap(), shard);
+            let encoded = shard.encode();
+            prop_assert_eq!(shard.encoded_len(), encoded.len());
+            prop_assert_eq!(ShardEntry::decode(&encoded).unwrap(), shard);
         }
 
         /// Arbitrary, truncated and bit-flipped bytes: a decoder either

@@ -38,7 +38,7 @@ use qb_chain::{AccountId, Blockchain, Call};
 use qb_common::{QbResult, SimDuration, SimInstant};
 use qb_dht::DhtNetwork;
 use qb_gossip::GossipFleet;
-use qb_index::{Analyzer, DistributedIndex, IndexStats};
+use qb_index::{Analyzer, DistributedIndex, IndexStats, ShardViews};
 use qb_segment::{Segment, SegmentRef, SegmentStats};
 use qb_simnet::SimNet;
 use qb_storage::StorageNetwork;
@@ -56,6 +56,10 @@ pub struct QueenBee {
     /// The blockchain with the QueenBee contracts.
     pub chain: Blockchain,
     dist_index: DistributedIndex,
+    /// Every shard some holder still has, keyed by the record it was read
+    /// from (or written as): a read that finds such a record shares the
+    /// holder's handle instead of decoding the record again.
+    shard_views: ShardViews,
     analyzer: Analyzer,
     bees: Vec<WorkerBee>,
     event_cursor: usize,
@@ -145,6 +149,7 @@ impl QueenBee {
         Ok(QueenBee {
             analyzer: Analyzer::new(),
             dist_index,
+            shard_views: ShardViews::new(),
             bees,
             event_cursor: chain.events().len(),
             index_stats: IndexStats::default(),
@@ -285,10 +290,11 @@ mod tests {
     use super::*;
     use crate::attacks::{CollusionAttack, ScraperAttack};
     use crate::query::pipeline::PipelineConfig;
-    use crate::query::request::{RoutingPolicy, SearchRequest};
+    use crate::query::request::{Freshness, RoutingPolicy, SearchRequest};
     use crate::query::response::{SearchResponse, TermProvenance};
     use qb_common::QbError;
     use qb_dweb::WebPage;
+    use qb_index::ShardEntry;
     use qb_workload::AdSpec;
     use std::sync::Arc;
 
@@ -1613,6 +1619,158 @@ mod tests {
         let out = qb.search_request(from_peer(4, "headline")).unwrap();
         assert_eq!(out.hits[0].version, 2);
         assert_eq!(qb.freshness.stale_results, 0);
+    }
+
+    /// An engine with `frontends` frontends (cache on, no gossip; none is a
+    /// single-frontend cache) or with the cache off (`None`), holding the
+    /// `wiki/views` page indexed once; shards over `inline_threshold` bytes
+    /// are pointer records.
+    fn views_engine(frontends: Option<usize>, inline_threshold: usize) -> QueenBee {
+        let mut config = QueenBeeConfig::small();
+        config.shard_inline_threshold = inline_threshold;
+        if let Some(n) = frontends {
+            config.cache = qb_cache::CacheConfig::enabled();
+            if n > 0 {
+                config.gossip = qb_gossip::GossipConfig::fleet(n);
+            }
+        }
+        let mut qb = QueenBee::new(config).unwrap();
+        republish(&mut qb, "honey nectar from the meadow");
+        qb
+    }
+
+    fn republish(qb: &mut QueenBee, body: &str) {
+        let views = page("wiki/views", body, vec![]);
+        qb.publish(5, AccountId(1_000), &views).unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+    }
+
+    /// A fresh read of `term` from `frontend`, and the shard that frontend's
+    /// tier holds after it.
+    fn read_fresh(qb: &mut QueenBee, frontend: usize, term: &str) -> Arc<ShardEntry> {
+        let request = at_frontend(frontend, term).freshness(Freshness::Fresh);
+        let out = qb.search_request(request).unwrap();
+        assert!(out.shards_fetched() > 0, "a fresh read fetches");
+        let cache = qb.fleet.as_ref().unwrap().frontend(frontend).cache();
+        Arc::clone(cache.peek_shard(term).expect("the fetch fanned out"))
+    }
+
+    fn is_pointer_record(qb: &QueenBee, term: &str) -> bool {
+        let key = qb_common::DhtKey::for_term(term);
+        let record = qb.dht.records_under(&key).next().expect("written");
+        qb_index::shard_pointer_root(&record.value).is_some()
+    }
+
+    #[test]
+    fn fresh_reads_of_an_unchanged_term_share_one_decoded_shard() {
+        for (inline_threshold, pointer) in [(2048, false), (16, true)] {
+            let mut qb = views_engine(Some(2), inline_threshold);
+            let term = qb.analyzer.analyze("honey").remove(0);
+            assert_eq!(is_pointer_record(&qb, &term), pointer);
+            let first = read_fresh(&mut qb, 0, &term);
+            let second = read_fresh(&mut qb, 1, &term);
+            assert!(Arc::ptr_eq(&first, &second), "pointer record: {pointer}");
+            assert_eq!(first.version, 1);
+            // Re-reading displaces the tier's entry with the same handle.
+            let again = read_fresh(&mut qb, 0, &term);
+            assert!(Arc::ptr_eq(&first, &again));
+        }
+    }
+
+    #[test]
+    fn a_republish_reads_as_a_new_shard_equal_to_a_cache_off_decode() {
+        for inline_threshold in [2048, 16] {
+            let mut qb = views_engine(Some(2), inline_threshold);
+            let mut plain = views_engine(None, inline_threshold);
+            let term = qb.analyzer.analyze("honey").remove(0);
+            let before = read_fresh(&mut qb, 0, &term);
+            for engine in [&mut qb, &mut plain] {
+                republish(engine, "honey honey and more honey");
+            }
+            let after = read_fresh(&mut qb, 1, &term);
+            assert!(!Arc::ptr_eq(&before, &after));
+            assert_eq!(after.version, before.version + 1);
+            let (decoded, _) = plain
+                .dist_index
+                .read_shard_fresh(
+                    &mut plain.net,
+                    &mut plain.dht,
+                    &mut plain.storage,
+                    7,
+                    &term,
+                    0,
+                )
+                .unwrap();
+            assert_eq!(*after, decoded);
+            assert_eq!(after.postings[0].term_freq, 3);
+        }
+    }
+
+    #[test]
+    fn the_first_read_after_a_republish_returns_the_writers_handle() {
+        let mut qb = views_engine(Some(0), 2048);
+        let term = qb.analyzer.analyze("honey").remove(0);
+        republish(&mut qb, "wild honey");
+        let writer = qb.writer_cache.as_ref().unwrap().peek_shard(&term);
+        let writer = Arc::clone(writer.expect("the writer keeps what it wrote"));
+        let request = from_peer(3, &term).freshness(Freshness::Fresh);
+        qb.search_request(request).unwrap();
+        let served = qb.cache.as_ref().unwrap().peek_shard(&term).unwrap();
+        assert!(Arc::ptr_eq(&writer, served));
+    }
+
+    #[test]
+    fn a_live_view_never_stands_in_for_a_tampered_object() {
+        let mut qb = views_engine(Some(2), 16);
+        let term = qb.analyzer.analyze("honey").remove(0);
+        let held = read_fresh(&mut qb, 0, &term);
+        let key = qb_common::DhtKey::for_term(&term);
+        let record = qb.dht.records_under(&key).next().unwrap();
+        let root = qb_index::shard_pointer_root(&record.value).unwrap();
+        // Every stored and cached copy of the object, as E4 tampers them.
+        assert!(qb.storage.corrupt_all_copies(&root, b"<html>evil</html>") > 0);
+        assert!(qb.shard_views.live() > 0, "the held shard's view is live");
+        for frontend in [0, 1] {
+            let request = at_frontend(frontend, &term).freshness(Freshness::Fresh);
+            let err = qb.search_request(request).unwrap_err();
+            assert!(
+                matches!(err, QbError::IntegrityViolation { .. }),
+                "{frontend}: {err}"
+            );
+        }
+        drop(held);
+    }
+
+    #[test]
+    fn with_the_cache_off_the_views_stay_within_twice_the_live_ones() {
+        let mut qb = views_engine(None, 2048);
+        for (i, body) in ["pollen and wax", "drones and queens"].iter().enumerate() {
+            let extra = page(&format!("wiki/more{i}"), body, vec![]);
+            qb.publish(6 + i as u64, AccountId(1_001), &extra).unwrap();
+        }
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let queries = [
+            "honey pollen",
+            "nectar drones",
+            "meadow queens",
+            "wax honey",
+        ];
+        let mut reads = 0;
+        for i in 0..5_000 {
+            // Every republish writes new records, so old views die.
+            if i % 50 == 0 {
+                republish(&mut qb, &format!("honey nectar from meadow {i}"));
+            }
+            let out = qb.search_request(from_peer(3, queries[i % 4])).unwrap();
+            reads += out.shards_fetched();
+            let views = &qb.shard_views;
+            // 64: the fewest views the map keeps before it sweeps.
+            assert!(views.len() <= 2 * views.live() + 64, "{}", views.len());
+        }
+        assert!(reads >= 10_000, "{reads} shard reads");
+        assert!(!qb.shard_views.is_empty());
     }
 
     #[test]

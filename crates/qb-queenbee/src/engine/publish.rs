@@ -413,7 +413,8 @@ impl QueenBee {
     /// cache under its new version, in fleet mode every frontend that can
     /// observe the publish invalidates too, and with segments on the shard
     /// joins the pending artifact. Once written the shard is immutable: the
-    /// writer cache and the pending segment share one copy of it.
+    /// writer cache, the pending segment and every read that finds the
+    /// record it was written as share one copy of it.
     fn write_shard(
         &mut self,
         writer_peer: u64,
@@ -439,6 +440,9 @@ impl QueenBee {
         // The copy that stays resident keeps no growth slack.
         shard.postings.shrink_to_fit();
         let shard = Arc::new(shard);
+        // The first read of the record just put shares this handle.
+        self.shard_views
+            .register_written(&self.dht, writer_peer, &shard);
         if let Some(cache) = self.writer_cache.as_mut() {
             cache.invalidate_term(&shard.term, now);
             cache.store_shard_handle(&shard, now);

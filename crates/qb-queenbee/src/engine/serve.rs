@@ -303,12 +303,13 @@ impl QueenBee {
     /// is folded into its slot ([`crate::query::executor::WindowRead::poll`]).
     fn poll_read(&mut self, slot: &mut ReadSlot<'_>, at: SimInstant) -> QbResult<ReadPoll> {
         let (index, dht, storage) = (&self.dist_index, &mut self.dht, &mut self.storage);
+        let views = &mut self.shard_views;
         match slot {
             ReadSlot::Stats(read) => read.poll(&mut self.net, at, |net, machine, _| {
                 index.poll_read_stats(net, dht, machine, at)
             }),
             ReadSlot::Shard(read) => read.poll(&mut self.net, at, |net, machine, term| {
-                index.poll_read_shard(net, dht, storage, machine, term, at)
+                index.poll_read_shard(net, dht, storage, views, machine, term, at)
             }),
         }
     }

@@ -18,9 +18,10 @@
 //! pipeline's.
 //!
 //! It follows the serving path's ownership rule: a fetched shard sits
-//! behind an `Arc`, so fanning one fetch out to every query of the window
-//! and into each serving cache shares it. Nothing here copies postings or
-//! scored lists.
+//! behind an `Arc` — the one every holder of its record shares, so a
+//! re-read of an unchanged record decodes nothing — and fanning one fetch
+//! out to every query of the window and into each serving cache shares
+//! it. Nothing here copies postings or scored lists.
 
 use crate::query::plan::{QueryPlan, StatsPlan, TermPlan};
 use qb_common::{QbResult, SimDuration, SimInstant};
@@ -91,19 +92,20 @@ pub(crate) enum ReadPoll {
 }
 
 /// How far a [`WindowRead`] got.
-pub(crate) enum ReadProgress<T, V> {
+pub(crate) enum ReadProgress<T> {
     /// Enumerated, not issued.
     Planned,
     /// Issued: the event-driven machine, the read's trace span (open until
     /// the machine finishes) and the instant the machine next advances at.
     InFlight(ReadMachine<T>, Option<qb_trace::SpanId>, SimInstant),
     /// Finished; the record stays until the window has answered.
-    Done(CompletedRead<V>),
+    Done(CompletedRead<T>),
 }
 
 /// One index read of a window, from enumeration to response: a term's shard
-/// or the statistics record, decoded as a `T` and shared as a `V`.
-pub(crate) struct WindowRead<T, V = T> {
+/// (read as the `Arc` every holder of that record shares) or the statistics
+/// record.
+pub(crate) struct WindowRead<T> {
     /// The frontend the read is scoped to (`None` in single mode).
     pub(crate) frontend: Option<usize>,
     /// The term whose shard is read (empty for the statistics record).
@@ -114,10 +116,10 @@ pub(crate) struct WindowRead<T, V = T> {
     /// to need it, which alone is charged its messages.
     pub(crate) charged_to: u64,
     /// How far the read got.
-    pub(crate) progress: ReadProgress<T, V>,
+    pub(crate) progress: ReadProgress<T>,
 }
 
-impl<T, V> WindowRead<T, V> {
+impl<T> WindowRead<T> {
     fn planned(frontend: Option<usize>, term: String, origin_peer: u64, charged_to: u64) -> Self {
         WindowRead {
             frontend,
@@ -131,7 +133,7 @@ impl<T, V> WindowRead<T, V> {
     /// The read returned `value` at `cost`: it is done, in its slot.
     pub(crate) fn complete(
         &mut self,
-        value: V,
+        value: T,
         cost: IndexOpCost,
         completed_at: SimInstant,
         queue_delay: SimDuration,
@@ -157,10 +159,7 @@ impl<T, V> WindowRead<T, V> {
         net: &mut SimNet,
         at: SimInstant,
         step: impl FnOnce(&mut SimNet, &mut ReadMachine<T>, &str) -> ReadStep,
-    ) -> QbResult<ReadPoll>
-    where
-        V: From<T>,
-    {
+    ) -> QbResult<ReadPoll> {
         let ReadProgress::InFlight(machine, _, next) = &mut self.progress else {
             return Ok(ReadPoll::Idle);
         };
@@ -177,7 +176,7 @@ impl<T, V> WindowRead<T, V> {
             let queue_delay = machine.queue_delay();
             let (value, cost, completed_at) = machine.into_result()?;
             net.tracer().close(span, completed_at);
-            self.complete(value.into(), cost, completed_at, queue_delay);
+            self.complete(value, cost, completed_at, queue_delay);
         }
         let done = self.done();
         Ok(ReadPoll::Done {
@@ -194,14 +193,14 @@ impl<T, V> WindowRead<T, V> {
     }
 
     /// The finished read.
-    pub(crate) fn done(&self) -> &CompletedRead<V> {
+    pub(crate) fn done(&self) -> &CompletedRead<T> {
         finished(Some(self))
     }
 }
 
 /// A window is scored and advertised only once none of its reads is in
 /// flight, and a failed read aborts it before that.
-fn finished<T, V>(read: Option<&WindowRead<T, V>>) -> &CompletedRead<V> {
+fn finished<T>(read: Option<&WindowRead<T>>) -> &CompletedRead<T> {
     match read.map(|read| &read.progress) {
         Some(ReadProgress::Done(done)) => done,
         _ => panic!("a window is served only after every read its plans name completed"),
@@ -213,7 +212,7 @@ pub(crate) enum ReadSlot<'a> {
     /// The statistics read.
     Stats(&'a mut WindowRead<IndexStats>),
     /// A shard read.
-    Shard(&'a mut WindowRead<ShardEntry, Arc<ShardEntry>>),
+    Shard(&'a mut WindowRead<Arc<ShardEntry>>),
 }
 
 /// The index reads of one window: each distinct `(serving frontend, term)`
@@ -229,7 +228,7 @@ pub(crate) struct WindowReads {
     pub(crate) stats: Option<WindowRead<IndexStats>>,
     /// The shard reads, in enumeration order; a [`TermPlan::Fetch`] holds an
     /// index into this.
-    pub(crate) shards: Vec<WindowRead<ShardEntry, Arc<ShardEntry>>>,
+    pub(crate) shards: Vec<WindowRead<Arc<ShardEntry>>>,
 }
 
 impl WindowReads {
@@ -420,7 +419,7 @@ mod tests {
             [vec![0], vec![1, 2], vec![], vec![3, 0], vec![4, 1]],
             "slots written into the plans"
         );
-        let key = |r: &WindowRead<ShardEntry, Arc<ShardEntry>>| {
+        let key = |r: &WindowRead<Arc<ShardEntry>>| {
             (
                 r.frontend.unwrap(),
                 r.term.clone(),

@@ -42,7 +42,12 @@
 # selecting its k nearest into one k-sized list — was five growth steps
 # of a collect-everything Vec per hop — and SHA-256 padding on the stack
 # brought it there from 63.3, an index read no longer cloning its term
-# from 65.3); serve-warm 163.6 since a gossip exchange keys terms by a
+# from 65.3); serve-warm 85.4 since a shard is decoded once while anyone
+# holds it — a `Fresh` re-read of an unchanged record shares the handle a
+# tier, window, segment or writer cache already holds, and a tier that
+# replaces its entry with the same version moves a refcount; 162.5 while
+# each re-read decoded the record into a new shard and the displaced
+# same-version copy was freed, 163.6 since a gossip exchange keys terms by a
 # hash taken once, reconciles anti-entropy in place and refills its
 # buffers — 175.5 while a digest, a delta and a membership summary were
 # allocated per exchange side, since a pipelined query is scored like any
@@ -56,7 +61,9 @@
 # before the one-slot read, 201.4 before the routing-table and padding
 # changes, 211.2 before the kernel stopped filling a prefix cache nobody
 # hit, 1 172.8 before gossip stopped re-deriving its digests per
-# exchange); publish-churn 1 494.4 since gossip exchanges reuse their
+# exchange); publish-churn 1 410.4 since a read of a record the writer
+# just put shares the writer's shard (1 494.0 before), 1 494.4 since
+# gossip exchanges reuse their
 # buffers (1 496.5 before, 1 493.4 at the same DHT change; 1 563.6
 # since a republish pays for what it changed — an unchanged chunk is
 # found by its bytes in the chunk memo instead of re-copied and
@@ -79,7 +86,9 @@
 # clone, filter or view rebuild, or a digest, delta or membership `Vec`
 # allocated per exchange side creeping back into a quiet round, a
 # per-holder chunk copy, a collect-all `closest` or a heap-padded digest
-# under a shard write, or on the write path a re-copied or re-hashed
+# under a shard write, a `Fresh` read decoding a shard that some holder
+# already has or a read machine yielding an owned `ShardEntry` (every
+# holder its own copy again), or on the write path a re-copied or re-hashed
 # unchanged chunk, a per-replica record copy, a per-bee analysis pass, a
 # `String`-keyed vote or a per-batch walk of the pending segment, lands
 # far above them. Lower a ceiling when a change lowers the count; raise
@@ -88,7 +97,9 @@
 # publish-churn also has a peak-RSS ceiling: 32.7 MiB at seed 1, 1 s since
 # a superseded shard object or segment generation is released once no DHT
 # record names it (44.5 MiB while every version stayed pinned on its
-# writer and replica with its provider records). Peak RSS repeats to
+# writer and replica with its provider records); 33.8 MiB since each
+# shard view keeps its record's value buffer until a sweep finds the
+# shard dead (32.9 MiB before, same machine). Peak RSS repeats to
 # ~0.1 MiB at equal seed on one machine; a store that keeps what nothing
 # names any more, or a chunk memo that keeps freed blocks, lands above it.
 set -euo pipefail
@@ -132,6 +143,6 @@ check() {
 
 check score-heavy 158ee05966b31920 41
 check cold-lookup a30562ceaa2f8154 45.5
-check serve-warm f782d4a7618ec860 180
-check publish-churn 7c32f2f110c24968 1560 38
+check serve-warm f782d4a7618ec860 94
+check publish-churn 7c32f2f110c24968 1550 38
 exit "$status"
