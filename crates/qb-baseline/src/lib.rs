@@ -10,6 +10,8 @@
 //!   It is the comparison point for the freshness claim (E3); the paper cites
 //!   YaCy as the closest existing system.
 
+#![forbid(unsafe_code)]
+
 pub mod centralized;
 pub mod yacy;
 

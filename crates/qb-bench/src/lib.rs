@@ -3,6 +3,8 @@
 //! by `bench_gate`, plus the crawl snapshot the baseline engines take.
 //! Scenario construction lives in `qb_load::scenario`.
 
+#![forbid(unsafe_code)]
+
 use qb_baseline::CrawlDoc;
 use qb_workload::Corpus;
 use std::collections::HashMap;

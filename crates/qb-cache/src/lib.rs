@@ -47,6 +47,8 @@
 //! local cache hit. The cache is disabled by default so existing
 //! deployments keep their seed behavior.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod metrics;
 pub mod sketch;

@@ -20,6 +20,8 @@
 //! Total honey is conserved: it is minted only in the genesis allocation and
 //! only moves between accounts afterwards (a property test enforces this).
 
+#![forbid(unsafe_code)]
+
 pub mod account;
 pub mod block;
 pub mod chain;

@@ -4,8 +4,24 @@
 //! by a cryptographic hash. We implement SHA-256 (FIPS 180-4) directly rather
 //! than pulling an external crate; the implementation is validated against
 //! the official test vectors in the unit tests below.
+//!
+//! [`Sha256`] hands every run of whole 64-byte blocks, read in place, to one
+//! compression call, which takes one of two paths:
+//!
+//! - **Hardware.** On an x86-64 CPU with the SHA extensions (and SSSE3 and
+//!   SSE4.1), `sha256rnds2` / `sha256msg1` / `sha256msg2` compress the
+//!   blocks with the state held in two registers throughout. The check is
+//!   made at run time, once per call; nothing configures it.
+//! - **Portable.** Every other host runs the FIPS 180-4 compression word by
+//!   word.
+//!
+//! Both paths produce identical digests: every known-answer test below runs
+//! through each, and a property test compares their states on random
+//! states and blocks. A digest never depends on the host that made it.
 
 use crate::hex;
+#[cfg(target_arch = "x86_64")]
+use crate::sha256_x86;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -166,7 +182,8 @@ pub fn sha256(data: &[u8]) -> Hash256 {
     Hash256(hasher.finalize())
 }
 
-const K: [u32; 64] = [
+/// The round constants (FIPS 180-4 §4.2.2).
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -208,12 +225,22 @@ impl Sha256 {
 
     /// Absorb `data`.
     pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        self.absorb(data);
+        self.update_with(data, compress_blocks);
     }
 
     /// Finish and return the digest bytes.
-    pub fn finalize(mut self) -> [u8; 32] {
+    pub fn finalize(self) -> [u8; 32] {
+        self.finalize_with(compress_blocks)
+    }
+
+    #[inline]
+    fn update_with(&mut self, data: &[u8], compress: Compress) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        self.absorb(data, compress);
+    }
+
+    #[inline]
+    fn finalize_with(mut self, compress: Compress) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
         // The 0x80 terminator, zeros up to 56 mod 64, then the bit length:
         // at most 1 + 63 + 8 bytes, so the padding lives on the stack.
@@ -222,7 +249,7 @@ impl Sha256 {
         let mut tail = [0u8; 72];
         tail[0] = 0x80;
         tail[1 + zeros..1 + zeros + 8].copy_from_slice(&bit_len.to_be_bytes());
-        self.absorb(&tail[..1 + zeros + 8]);
+        self.absorb(&tail[..1 + zeros + 8], compress);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -232,7 +259,10 @@ impl Sha256 {
 
     /// Buffer `data` and compress every full block (message bytes and
     /// padding alike; only [`Sha256::update`] counts towards the length).
-    fn absorb(&mut self, data: &[u8]) {
+    /// Whole blocks of `data` are compressed where they lie, all in one
+    /// call; only a partial block is copied into the buffer.
+    #[inline]
+    fn absorb(&mut self, data: &[u8], compress: Compress) {
         let mut input = data;
         if self.buffer_len > 0 {
             let need = 64 - self.buffer_len;
@@ -241,71 +271,109 @@ impl Sha256 {
             self.buffer_len += take;
             input = &input[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, std::slice::from_ref(&self.buffer));
                 self.buffer_len = 0;
             }
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        let (blocks, rest) = input.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffer_len = rest.len();
         }
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// A compression function: folds whole 64-byte blocks into the state.
+type Compress = fn(&mut [u32; 8], &[[u8; 64]]);
+
+/// Fold `blocks` into `state` on the fastest path this CPU has.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    if !compress_hardware(state, blocks) {
+        compress_portable(state, blocks);
     }
+}
+
+/// Fold `blocks` into `state` on the SHA extensions and return `true`, or
+/// return `false` and leave `state` alone when this CPU lacks them.
+#[cfg(target_arch = "x86_64")]
+fn compress_hardware(state: &mut [u32; 8], blocks: &[[u8; 64]]) -> bool {
+    if !sha256_x86::detected() {
+        return false;
+    }
+    // SAFETY: `detected()` has just confirmed, through
+    // `is_x86_feature_detected!`, that this CPU supports `sha`, `ssse3` and
+    // `sse4.1` (`sse2` is part of the x86-64 baseline), which are exactly
+    // the features `compress_blocks` is compiled with.
+    #[allow(unsafe_code)]
+    unsafe {
+        sha256_x86::compress_blocks(state, blocks);
+    }
+    true
+}
+
+/// No SHA extensions off x86-64: the portable path runs.
+#[cfg(not(target_arch = "x86_64"))]
+fn compress_hardware(_state: &mut [u32; 8], _blocks: &[[u8; 64]]) -> bool {
+    false
+}
+
+/// The portable compression (FIPS 180-4 §6.2.2), one block at a time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
+        compress_block(state, block);
+    }
+}
+
+fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[i * 4],
+            block[i * 4 + 1],
+            block[i * 4 + 2],
+            block[i * 4 + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 #[cfg(test)]
@@ -313,37 +381,65 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The hardware compression, or `None` on a CPU without the SHA
+    /// extensions — after a printed note, since the caller's hardware half
+    /// is then skipped. A probe over no blocks changes nothing and reports
+    /// whether the hardware path would run.
+    fn hardware() -> Option<Compress> {
+        if compress_hardware(&mut [0; 8], &[]) {
+            Some(|state, blocks| assert!(compress_hardware(state, blocks)))
+        } else {
+            eprintln!("note: no SHA extensions on this CPU; hardware SHA-256 path not tested");
+            None
+        }
+    }
+
+    /// Assert that `data` hashes to `expected` through the public API and
+    /// through each compression path this CPU has: the portable one always
+    /// (called directly, so a CPU with SHA extensions tests it too), the
+    /// hardware one where the CPU has them.
+    fn assert_digest(data: &[u8], expected: &str) {
+        assert_eq!(sha256(data).to_hex(), expected, "{} bytes", data.len());
+        let portable: Compress = compress_portable;
+        for (path, compress) in [("portable", Some(portable)), ("hardware", hardware())] {
+            let Some(compress) = compress else { continue };
+            let mut h = Sha256::new();
+            h.update_with(data, compress);
+            let digest = Hash256(h.finalize_with(compress)).to_hex();
+            assert_eq!(digest, expected, "{path} path, {} bytes", data.len());
+        }
+    }
+
     // FIPS 180-4 / NIST CAVP test vectors.
     #[test]
     fn empty_string_vector() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_digest(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc_vector() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_digest(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_vector() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_digest(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a_vector() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_digest(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -383,7 +479,7 @@ mod tests {
             ),
         ];
         for (len, digest) in vectors {
-            assert_eq!(sha256(&vec![b'a'; len]).to_hex(), digest, "{len} bytes");
+            assert_digest(&vec![b'a'; len], digest);
         }
     }
 
@@ -449,14 +545,39 @@ mod tests {
     }
 
     proptest! {
+        /// Streaming in chunks of one byte, one short of a block, a block,
+        /// one past it, one short of two, and a random size: chunks that
+        /// split a block, fill it exactly and straddle its end.
         #[test]
         fn streaming_equals_oneshot_prop(data in proptest::collection::vec(any::<u8>(), 0..4096),
-                                          chunk in 1usize..97) {
-            let mut h = Sha256::new();
-            for c in data.chunks(chunk) {
-                h.update(c);
+                                          chunk in 1usize..130) {
+            let one_shot = sha256(&data);
+            for size in [1, 63, 64, 65, 127, chunk] {
+                let mut h = Sha256::new();
+                for c in data.chunks(size) {
+                    h.update(c);
+                }
+                prop_assert_eq!(Hash256(h.finalize()), one_shot);
             }
-            prop_assert_eq!(Hash256(h.finalize()), sha256(&data));
+        }
+
+        /// From a random state, 1–8 random blocks compress to the same
+        /// state on the hardware path as on the portable one.
+        #[test]
+        fn hardware_and_portable_compress_alike(
+            state in any::<[u8; 32]>(),
+            bytes in proptest::collection::vec(any::<u8>(), 512..513),
+            count in 1usize..9,
+        ) {
+            let Some(hardware) = hardware() else { return };
+            let state: [u32; 8] = std::array::from_fn(|i| {
+                u32::from_le_bytes([state[4 * i], state[4 * i + 1], state[4 * i + 2], state[4 * i + 3]])
+            });
+            let (blocks, _) = bytes[..64 * count].as_chunks::<64>();
+            let (mut portable, mut accelerated) = (state, state);
+            compress_portable(&mut portable, blocks);
+            hardware(&mut accelerated, blocks);
+            prop_assert_eq!(accelerated, portable);
         }
 
         #[test]

@@ -8,6 +8,12 @@
 //! simulation in the repository is reproducible from a seed, the logical
 //! clock used by the network simulator, and the deterministic log-bucketed
 //! latency histogram the load harness aggregates tail percentiles with.
+//!
+//! It holds the workspace's one `unsafe` block: the call into the SHA-256
+//! hardware path, made only after CPU detection (`hash.rs`). The lint
+//! below rejects any other.
+
+#![deny(unsafe_code)]
 
 pub mod error;
 pub mod hash;
@@ -15,6 +21,8 @@ pub mod hex;
 pub mod hist;
 pub mod id;
 pub mod rng;
+#[cfg(target_arch = "x86_64")]
+mod sha256_x86;
 pub mod time;
 pub mod varint;
 

@@ -19,6 +19,8 @@
 //! The synchronous entry points ([`DhtNetwork::get_record`],
 //! [`DhtNetwork::get_providers`], …) drive the same machine eagerly.
 
+#![forbid(unsafe_code)]
+
 pub mod lookup;
 pub mod network;
 pub mod node;

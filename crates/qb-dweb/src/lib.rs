@@ -11,6 +11,8 @@
 //! together and are used by the QueenBee engine, the baselines and the
 //! examples.
 
+#![forbid(unsafe_code)]
+
 pub mod ops;
 pub mod page;
 

@@ -65,6 +65,8 @@
 //! frontends purge on reindex), and TTLs (gossip fills inherit the
 //! sender's adaptive TTL, tightened by the receiver's own estimate).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod digest;
 mod exchange;

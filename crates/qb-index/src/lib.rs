@@ -19,6 +19,8 @@
 //!   ([`views`]) for as long as anyone holds it, so a re-read of an
 //!   unchanged record decodes nothing.
 
+#![forbid(unsafe_code)]
+
 pub mod analyzer;
 pub mod doc;
 pub mod index;

@@ -61,6 +61,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod replay;
 pub mod scenario;
 pub mod trace;

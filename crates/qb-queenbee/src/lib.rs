@@ -25,6 +25,8 @@
 //! crate map, the life of a query through the pipelined engine, and the
 //! determinism contract.
 
+#![forbid(unsafe_code)]
+
 /// The repository-level architecture tour — crate map, life of a query,
 /// determinism contract — rendered from `ARCHITECTURE.md` so its code
 /// examples compile and run under `cargo test --doc`.

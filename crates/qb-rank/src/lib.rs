@@ -12,6 +12,8 @@
 //!   flagged (the defense against the paper's *collusion attack* on ranking
 //!   data, quantified in experiment E6).
 
+#![forbid(unsafe_code)]
+
 pub mod distributed;
 pub mod graph;
 pub mod pagerank;

@@ -39,6 +39,8 @@
 //! export → publish → fetch → import round-trips byte-identically
 //! (proptest-verified).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod publish;
 pub mod segment;

@@ -29,6 +29,8 @@
 //! interleave on contended links while every message stays deterministically
 //! accounted and every run is bit-identical for a given seed.
 
+#![forbid(unsafe_code)]
+
 pub mod latency;
 pub mod net;
 pub mod stats;

@@ -13,6 +13,8 @@
 //! resilient to serve over time (the paper's "better browsing experiences"
 //! claim, quantified in experiment E1).
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod chunker;
 pub mod dag;

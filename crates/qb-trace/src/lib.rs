@@ -45,6 +45,8 @@
 //! assert!(to_chrome_trace(&trace).contains("\"ph\":\"X\""));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod metrics;
 pub mod path;

@@ -12,6 +12,8 @@
 //! * queries are short (1–4 terms) and biased towards head terms,
 //! * advertisers bid on head terms with Zipf-distributed budgets.
 
+#![forbid(unsafe_code)]
+
 pub mod ads;
 pub mod corpus;
 pub mod linkgraph;
