@@ -28,11 +28,11 @@
 //! reverse index makes this O(affected)); (3) *TTLs* in simulated time as a
 //! backstop bound on staleness even if both other mechanisms were bypassed.
 //!
-//! **Eviction.** Each tier has a byte budget. Two policies are provided:
-//! classic LRU, and a sampled-LFU admission policy in the TinyLFU style — a
-//! compact frequency sketch estimates popularity; when the tier is full the
-//! incoming key is admitted only if it is more popular than the
-//! least-recently-used victims it would displace. All bookkeeping is
+//! **Eviction.** Each tier has a byte budget and runs one policy, a
+//! sampled-LFU admission in the TinyLFU style — a compact frequency sketch
+//! estimates popularity; when the tier is full the incoming key is admitted
+//! only if it is at least as popular as the least-recently-used victims it
+//! would displace ([`config::LFU_SAMPLE`] of them). All bookkeeping is
 //! deterministic (ordered maps, logical tick counters, seeded hashing), so
 //! simulation runs reproduce bit-for-bit.
 //!
@@ -42,10 +42,12 @@
 //! [`QueryCache::peek_shard`], and it re-enters through
 //! [`QueryCache::store_remote_shard`]'s version guard.
 //!
-//! **Config knobs.** See [`CacheConfig`]: per-tier byte budgets and TTLs,
-//! the eviction policy, the LFU sample width, and the latency charged for a
-//! local cache hit. The cache is disabled by default so existing
-//! deployments keep their seed behavior.
+//! **Config knobs.** See [`CacheConfig`]: the result and shard tiers' byte
+//! budgets, the result TTL and the latency charged for a local cache hit.
+//! Shard TTLs adapt to each term's republish rate between two constants,
+//! and the negative tier's budget and TTL are constants too (see
+//! [`config`]). The cache is disabled by default so existing deployments
+//! keep their seed behavior.
 
 #![forbid(unsafe_code)]
 
@@ -56,7 +58,7 @@ pub mod tier;
 
 mod query_cache;
 
-pub use config::{CacheConfig, EvictionPolicy};
+pub use config::CacheConfig;
 pub use metrics::{CacheMetrics, TierMetrics};
 pub use query_cache::{
     result_key, BoundedShardLookup, CachedResult, QueryCache, RemoteAdmit, ShardLookup,

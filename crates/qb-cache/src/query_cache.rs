@@ -9,7 +9,9 @@
 //! Only a writer that needs to *change* a shard takes a copy
 //! (`Arc::unwrap_or_clone`).
 
-use crate::config::{CacheConfig, NEGATIVE_TTL};
+use crate::config::{
+    CacheConfig, ADAPTIVE_TTL_CEILING, ADAPTIVE_TTL_FLOOR, NEGATIVE_CAPACITY_BYTES, NEGATIVE_TTL,
+};
 use crate::metrics::CacheMetrics;
 use crate::tier::CacheTier;
 use qb_common::{SimDuration, SimInstant};
@@ -159,16 +161,14 @@ impl QueryCache {
         // The result tier reports every removal so the term reverse index
         // can be pruned no matter how an entry dies (eviction, TTL,
         // invalidation, replacement).
-        let mut results = CacheTier::new(
-            config.result_capacity_bytes,
-            config.result_ttl,
-            config.policy,
-        );
+        let mut results = CacheTier::new(config.result_capacity_bytes, config.result_ttl);
         results.set_track_removals(true);
         QueryCache {
             results,
-            shards: CacheTier::new(config.shard_capacity_bytes, config.shard_ttl, config.policy),
-            negatives: CacheTier::new(config.negative_capacity_bytes, NEGATIVE_TTL, config.policy),
+            // Every shard insert passes its term's own TTL; the ceiling is
+            // only the tier's nominal default.
+            shards: CacheTier::new(config.shard_capacity_bytes, ADAPTIVE_TTL_CEILING),
+            negatives: CacheTier::new(NEGATIVE_CAPACITY_BYTES, NEGATIVE_TTL),
             stats: None,
             term_to_queries: HashMap::new(),
             republish: HashMap::new(),
@@ -347,7 +347,7 @@ impl QueryCache {
 
     /// Store a freshly fetched shard, or — when the shard is empty and was
     /// never written (version 0) — a negative entry for the term. Shard
-    /// entries get the term's adaptive TTL when the policy is enabled. The
+    /// entries get the term's adaptive TTL. The
     /// tier takes another handle to the caller's allocation, so fanning one
     /// fetched shard out into N caches copies nothing.
     pub fn store_shard_handle(&mut self, shard: &Arc<ShardEntry>, now: SimInstant) {
@@ -376,26 +376,23 @@ impl QueryCache {
             })
     }
 
-    /// The shard-tier TTL this cache would give `term` right now. With
-    /// adaptive TTLs off this is the global `shard_ttl` knob; with it on,
-    /// the TTL scales with the term's observed republish rate — half the
-    /// estimated republish interval, clamped to the configured floor and
-    /// ceiling — and a term never observed to change gets the ceiling
-    /// (archival content can be cached far longer than the global default).
+    /// The shard-tier TTL this cache would give `term` right now: it scales
+    /// with the term's observed republish rate — half the estimated
+    /// republish interval, clamped to [`ADAPTIVE_TTL_FLOOR`] and
+    /// [`ADAPTIVE_TTL_CEILING`] — and a term never observed to change gets
+    /// the ceiling (archival content can be cached far longer than hot
+    /// content).
     pub fn adaptive_shard_ttl(&self, term: &str) -> SimDuration {
-        if !self.config.adaptive_ttl {
-            return self.config.shard_ttl;
-        }
         match self.republish.get(term).and_then(|t| t.interval_estimate()) {
             // No churn evidence (never written, or written exactly once —
             // the initial index of a term is not a republish): archival,
             // the ceiling applies. The version checks and publish-path
             // invalidation remain the correctness rails; the TTL is only
             // the backstop for invalidations this frontend never observed.
-            None => self.config.adaptive_ttl_ceiling,
+            None => ADAPTIVE_TTL_CEILING,
             Some(interval) => SimDuration::from_micros((interval.as_micros() / 2).clamp(
-                self.config.adaptive_ttl_floor.as_micros(),
-                self.config.adaptive_ttl_ceiling.as_micros(),
+                ADAPTIVE_TTL_FLOOR.as_micros(),
+                ADAPTIVE_TTL_CEILING.as_micros(),
             )),
         }
     }
@@ -913,7 +910,6 @@ mod tests {
     fn reverse_index_is_pruned_when_entries_die_by_eviction_or_ttl() {
         let mut config = CacheConfig::small();
         config.result_capacity_bytes = 512;
-        config.policy = crate::EvictionPolicy::Lru;
         let mut c = QueryCache::new(config);
         // Far more distinct queries than the byte budget can hold: the
         // reverse index must track only the survivors, not every query ever.
@@ -950,20 +946,14 @@ mod tests {
     #[test]
     fn adaptive_ttl_scales_with_republish_rate() {
         let mut c = cache();
-        assert!(c.config().adaptive_ttl);
-        let base = c.config().shard_ttl;
-        // Never republished: archival, gets the ceiling (longer than base).
-        assert_eq!(
-            c.adaptive_shard_ttl("archival"),
-            c.config().adaptive_ttl_ceiling
-        );
-        assert!(c.adaptive_shard_ttl("archival") > base);
+        // Never republished: archival, gets the ceiling.
+        assert_eq!(c.adaptive_shard_ttl("archival"), ADAPTIVE_TTL_CEILING);
         // One observation is the term's initial index, not churn evidence:
         // still archival.
         c.invalidate_term("hot", t0());
-        assert_eq!(c.adaptive_shard_ttl("hot"), c.config().adaptive_ttl_ceiling);
+        assert_eq!(c.adaptive_shard_ttl("hot"), ADAPTIVE_TTL_CEILING);
         assert!(c.republish_interval_estimate("hot").is_none());
-        // Republished every 60s: TTL becomes ~30s, far below the 600s knob.
+        // Republished every 60s: TTL becomes ~30s, far below the ceiling.
         let mut now = t0();
         for _ in 0..4 {
             now += SimDuration::from_secs(60);
@@ -973,7 +963,6 @@ mod tests {
         assert_eq!(est, SimDuration::from_secs(60));
         let hot_ttl = c.adaptive_shard_ttl("hot");
         assert_eq!(hot_ttl, SimDuration::from_secs(30));
-        assert!(hot_ttl < base);
         // The stored entry actually expires on the adapted schedule.
         let mut s = shard("hot", 9, 2);
         s.version = 9;
@@ -993,10 +982,7 @@ mod tests {
             now2 += SimDuration::from_micros(10);
             c2.invalidate_term("storm", now2);
         }
-        assert_eq!(
-            c2.adaptive_shard_ttl("storm"),
-            c2.config().adaptive_ttl_floor
-        );
+        assert_eq!(c2.adaptive_shard_ttl("storm"), ADAPTIVE_TTL_FLOOR);
     }
 
     #[test]
@@ -1009,30 +995,13 @@ mod tests {
             c.invalidate_term("multi", t0());
         }
         assert!(c.republish_interval_estimate("multi").is_none());
-        assert_eq!(
-            c.adaptive_shard_ttl("multi"),
-            c.config().adaptive_ttl_ceiling
-        );
+        assert_eq!(c.adaptive_shard_ttl("multi"), ADAPTIVE_TTL_CEILING);
         // A later, genuinely spaced republish still produces an estimate.
         c.invalidate_term("multi", t0() + SimDuration::from_secs(40));
         assert_eq!(
             c.republish_interval_estimate("multi"),
             Some(SimDuration::from_secs(40))
         );
-    }
-
-    #[test]
-    fn adaptive_ttl_off_keeps_the_global_knob() {
-        let mut config = CacheConfig::small();
-        config.adaptive_ttl = false;
-        let mut c = QueryCache::new(config);
-        let mut now = t0();
-        for _ in 0..4 {
-            now += SimDuration::from_secs(10);
-            c.invalidate_term("hot", now);
-        }
-        assert_eq!(c.adaptive_shard_ttl("hot"), c.config().shard_ttl);
-        assert_eq!(c.adaptive_shard_ttl("archival"), c.config().shard_ttl);
     }
 
     #[test]
@@ -1145,7 +1114,6 @@ mod tests {
     fn byte_budget_bounds_shard_tier() {
         let mut config = CacheConfig::small();
         config.shard_capacity_bytes = 600;
-        config.policy = crate::EvictionPolicy::Lru;
         let mut c = QueryCache::new(config);
         for i in 0..50 {
             c.store_shard(&shard(&format!("term{i}"), 1, 5), t0());

@@ -1,11 +1,11 @@
 //! One cache tier: byte-budgeted, TTL-bounded, version-checked storage with
-//! pluggable eviction.
+//! sampled-LFU admission.
 //!
 //! All bookkeeping is deterministic: entries live in ordered maps, recency
 //! is a logical tick counter, and the frequency sketch hashes with fixed
 //! seeds — two runs of the same simulation make identical decisions.
 
-use crate::config::EvictionPolicy;
+use crate::config::LFU_SAMPLE;
 use crate::metrics::TierMetrics;
 use crate::sketch::{hash_key, FreqSketch};
 use qb_common::{SimDuration, SimInstant};
@@ -27,7 +27,6 @@ struct Slot<V> {
 pub struct CacheTier<V> {
     capacity_bytes: usize,
     ttl: SimDuration,
-    policy: EvictionPolicy,
     entries: HashMap<String, Slot<V>>,
     /// Recency order: logical tick -> key. Ticks are unique and increasing,
     /// so the first entry is always the least recently used.
@@ -58,12 +57,11 @@ pub struct CacheTier<V> {
 }
 
 impl<V> CacheTier<V> {
-    /// Create a tier with a byte budget, a TTL and an eviction policy.
-    pub fn new(capacity_bytes: usize, ttl: SimDuration, policy: EvictionPolicy) -> CacheTier<V> {
+    /// Create a tier with a byte budget and a default TTL.
+    pub fn new(capacity_bytes: usize, ttl: SimDuration) -> CacheTier<V> {
         CacheTier {
             capacity_bytes,
             ttl,
-            policy,
             entries: HashMap::new(),
             recency: BTreeMap::new(),
             tick: 0,
@@ -249,41 +247,31 @@ impl<V> CacheTier<V> {
     }
 
     /// Choose the set of keys to evict so an entry of `bytes` fits, without
-    /// removing anything yet. Returns `None` when the policy refuses
-    /// admission (or nothing is left to evict) — in that case no resident
-    /// entry is touched.
+    /// removing anything yet. Returns `None` when admission is refused (or
+    /// nothing is left to evict) — in that case no resident entry is
+    /// touched. The incoming key must be estimated at least as frequent as
+    /// the coldest of the [`LFU_SAMPLE`] least-recently-used residents — for
+    /// every victim the admission would displace; among equally frequent
+    /// residents the least recently used leaves first.
     fn plan_evictions(&self, incoming: u64, bytes: usize) -> Option<Vec<String>> {
         let mut victims: Vec<String> = Vec::new();
         let mut freed = 0usize;
         while self.bytes - freed + bytes > self.capacity_bytes {
-            let victim = match self.policy {
-                EvictionPolicy::Lru => self
-                    .recency
-                    .values()
-                    .find(|k| !victims.contains(k))
-                    .cloned()?,
-                EvictionPolicy::SampledLfu { sample } => {
-                    // The incoming key must beat the coldest of the `sample`
-                    // least-recently-used residents — for every victim the
-                    // admission would displace.
-                    let victim = self
-                        .recency
-                        .values()
-                        .filter(|k| !victims.contains(k))
-                        .take(sample.max(1))
-                        .min_by_key(|key| {
-                            let slot = &self.entries[key.as_str()];
-                            (self.sketch.estimate(slot.hash), slot.tick)
-                        })?;
-                    let victim_freq = self.sketch.estimate(self.entries[victim.as_str()].hash);
-                    if self.sketch.estimate(incoming) < victim_freq {
-                        return None;
-                    }
-                    victim.clone()
-                }
-            };
+            let victim = self
+                .recency
+                .values()
+                .filter(|k| !victims.contains(k))
+                .take(LFU_SAMPLE)
+                .min_by_key(|key| {
+                    let slot = &self.entries[key.as_str()];
+                    (self.sketch.estimate(slot.hash), slot.tick)
+                })?;
+            let victim_freq = self.sketch.estimate(self.entries[victim.as_str()].hash);
+            if self.sketch.estimate(incoming) < victim_freq {
+                return None;
+            }
             freed += self.entries[victim.as_str()].bytes;
-            victims.push(victim);
+            victims.push(victim.clone());
         }
         Some(victims)
     }
@@ -404,19 +392,24 @@ mod tests {
         SimInstant::ZERO
     }
 
-    fn lru_tier(capacity: usize) -> CacheTier<u64> {
-        CacheTier::new(capacity, SimDuration::from_secs(60), EvictionPolicy::Lru)
+    fn tier(capacity: usize) -> CacheTier<u64> {
+        CacheTier::new(capacity, SimDuration::from_secs(60))
     }
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        let mut tier = lru_tier(30);
+        let mut tier = tier(30);
         tier.insert("a", 10, 1, t0(), || 1);
         tier.insert("b", 10, 1, t0(), || 2);
         tier.insert("c", 10, 1, t0(), || 3);
-        // Touch "a" so "b" becomes the LRU victim.
-        assert!(tier.get("a", t0(), None).is_some());
-        tier.insert("d", 10, 1, t0(), || 4);
+        // One read each leaves the three equally frequent; reading "a" last
+        // makes "b" the least recently used of them.
+        for k in ["b", "c", "a"] {
+            assert!(tier.get(k, t0(), None).is_some());
+        }
+        // An incoming key seen as often as the residents is admitted.
+        tier.note_miss("d");
+        assert!(tier.insert("d", 10, 1, t0(), || 4));
         assert!(tier.contains("a"));
         assert!(!tier.contains("b"), "LRU victim should be b");
         assert!(tier.contains("c"));
@@ -427,28 +420,29 @@ mod tests {
 
     #[test]
     fn lru_eviction_order_is_full_recency_order() {
-        let mut tier = lru_tier(40);
+        let mut tier = tier(40);
         for (k, v) in [("a", 1u64), ("b", 2), ("c", 3), ("d", 4)] {
             tier.insert(k, 10, 1, t0(), || v);
         }
-        // Recency now a < b < c < d. Touch in reverse: d c b a -> LRU is d.
+        // Recency now a < b < c < d. Touch in reverse: d c b a -> LRU is d,
+        // and every resident has been seen twice.
         for k in ["d", "c", "b", "a"] {
             tier.get(k, t0(), None);
         }
-        tier.insert("e", 10, 1, t0(), || 5);
+        // Each incoming key is made as frequent as the residents, or
+        // sampled-LFU would refuse it.
+        tier.note_miss("e");
+        assert!(tier.insert("e", 10, 1, t0(), || 5));
         assert!(!tier.contains("d"));
-        tier.insert("f", 10, 1, t0(), || 6);
+        tier.note_miss("f");
+        assert!(tier.insert("f", 10, 1, t0(), || 6));
         assert!(!tier.contains("c"));
         assert!(tier.contains("a") && tier.contains("b"));
     }
 
     #[test]
     fn sampled_lfu_protects_hot_entries_from_cold_inserts() {
-        let mut tier: CacheTier<u64> = CacheTier::new(
-            30,
-            SimDuration::from_secs(60),
-            EvictionPolicy::SampledLfu { sample: 3 },
-        );
+        let mut tier: CacheTier<u64> = CacheTier::new(30, SimDuration::from_secs(60));
         tier.insert("hot1", 10, 1, t0(), || 1);
         tier.insert("hot2", 10, 1, t0(), || 2);
         tier.insert("hot3", 10, 1, t0(), || 3);
@@ -473,11 +467,7 @@ mod tests {
 
     #[test]
     fn refused_admission_never_evicts_residents() {
-        let mut tier: CacheTier<u64> = CacheTier::new(
-            30,
-            SimDuration::from_secs(60),
-            EvictionPolicy::SampledLfu { sample: 3 },
-        );
+        let mut tier: CacheTier<u64> = CacheTier::new(30, SimDuration::from_secs(60));
         // One cold resident, two hot ones; an incoming entry needing all
         // three slots must be refused without losing any resident — even
         // though it would beat the cold one.
@@ -505,11 +495,7 @@ mod tests {
         // not be built, the other a plain one. Both refusals — oversize,
         // then sampled-LFU — leave the same state behind.
         let prepared = || {
-            let mut tier: CacheTier<u64> = CacheTier::new(
-                30,
-                SimDuration::from_secs(60),
-                EvictionPolicy::SampledLfu { sample: 3 },
-            );
+            let mut tier: CacheTier<u64> = CacheTier::new(30, SimDuration::from_secs(60));
             for key in ["hot1", "hot2", "hot3"] {
                 tier.insert(key, 10, 1, t0(), || 1);
                 for _ in 0..10 {
@@ -559,8 +545,7 @@ mod tests {
 
     #[test]
     fn ttl_expiry_follows_simulated_time() {
-        let mut tier: CacheTier<u64> =
-            CacheTier::new(100, SimDuration::from_secs(10), EvictionPolicy::Lru);
+        let mut tier: CacheTier<u64> = CacheTier::new(100, SimDuration::from_secs(10));
         tier.insert("k", 10, 1, t0(), || 7);
         let just_before = t0() + SimDuration::from_micros(9_999_999);
         assert_eq!(tier.get("k", just_before, None), Some(&7));
@@ -572,7 +557,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_invalidates_on_read() {
-        let mut tier: CacheTier<u64> = lru_tier(100);
+        let mut tier: CacheTier<u64> = tier(100);
         tier.insert("term", 10, 3, t0(), || 42);
         assert_eq!(tier.get("term", t0(), Some(3)), Some(&42));
         // A bumped current version makes the entry unreachable and drops it.
@@ -583,7 +568,7 @@ mod tests {
 
     #[test]
     fn explicit_invalidation_counts_and_removes() {
-        let mut tier: CacheTier<u64> = lru_tier(100);
+        let mut tier: CacheTier<u64> = tier(100);
         tier.insert("x", 10, 1, t0(), || 1);
         assert!(tier.invalidate("x"));
         assert!(!tier.invalidate("x"));
@@ -594,7 +579,7 @@ mod tests {
 
     #[test]
     fn oversized_entries_are_refused() {
-        let mut tier: CacheTier<u64> = lru_tier(16);
+        let mut tier: CacheTier<u64> = tier(16);
         assert!(!tier.insert("big", 17, 1, t0(), || 1));
         assert_eq!(tier.len(), 0);
         assert_eq!(tier.metrics.admission_rejections, 1);
@@ -602,8 +587,7 @@ mod tests {
 
     #[test]
     fn per_entry_ttl_overrides_the_tier_default() {
-        let mut tier: CacheTier<u64> =
-            CacheTier::new(100, SimDuration::from_secs(60), EvictionPolicy::Lru);
+        let mut tier: CacheTier<u64> = CacheTier::new(100, SimDuration::from_secs(60));
         tier.insert_with_ttl("short", 10, 1, t0(), SimDuration::from_secs(5), || 1);
         tier.insert("long", 10, 1, t0(), || 2);
         let later = t0() + SimDuration::from_secs(5);
@@ -613,7 +597,7 @@ mod tests {
 
     #[test]
     fn peek_does_not_touch_recency_or_counters() {
-        let mut tier = lru_tier(20);
+        let mut tier = tier(20);
         tier.insert("a", 10, 1, t0(), || 1);
         tier.insert("b", 10, 1, t0(), || 2);
         // Peeking "a" must not protect it from LRU eviction.
@@ -626,7 +610,7 @@ mod tests {
 
     #[test]
     fn hottest_ranks_by_frequency_then_recency() {
-        let mut tier = lru_tier(1000);
+        let mut tier = tier(1000);
         for (k, v) in [("a", 1u64), ("b", 2), ("c", 3)] {
             tier.insert(k, 10, v, t0(), || v);
         }
@@ -653,7 +637,7 @@ mod tests {
 
     #[test]
     fn generation_tracks_every_holdings_change() {
-        let mut tier: CacheTier<u64> = lru_tier(30);
+        let mut tier: CacheTier<u64> = tier(30);
         assert_eq!(tier.generation(), 0);
         tier.insert("a", 10, 1, t0(), || 1);
         assert_eq!(tier.generation(), 1);
@@ -680,7 +664,7 @@ mod tests {
 
     #[test]
     fn replacing_a_key_updates_bytes_exactly() {
-        let mut tier: CacheTier<u64> = lru_tier(100);
+        let mut tier: CacheTier<u64> = tier(100);
         tier.insert("k", 30, 1, t0(), || 1);
         tier.insert("k", 10, 2, t0(), || 2);
         assert_eq!(tier.bytes(), 10);
@@ -691,7 +675,7 @@ mod tests {
 
     #[test]
     fn reads_reorder_the_ranking_without_moving_the_generation() {
-        let mut tier = lru_tier(1000);
+        let mut tier = tier(1000);
         tier.insert("a", 10, 1, t0(), || 1);
         tier.insert("b", 10, 1, t0(), || 2);
         let (generation, epoch) = (tier.generation(), tier.popularity_epoch());
@@ -726,11 +710,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..8, 0u8..10, 1u64..4), 1..120),
         ) {
             // Room for ~6 of the 10 keys: inserts evict or are refused.
-            let mut tier: CacheTier<u64> = CacheTier::new(
-                64,
-                SimDuration::from_secs(3),
-                EvictionPolicy::SampledLfu { sample: 3 },
-            );
+            let mut tier: CacheTier<u64> = CacheTier::new(64, SimDuration::from_secs(3));
             let listing = |tier: &CacheTier<u64>, at: SimInstant| -> Vec<(String, u64)> {
                 tier.hottest(usize::MAX, at)
                     .into_iter()

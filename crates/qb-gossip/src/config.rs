@@ -1,4 +1,12 @@
 //! Gossip overlay configuration.
+//!
+//! [`GossipConfig`] holds what deployments and experiments actually vary:
+//! the switches, fleet size, anti-entropy cadence, hot-set and fill
+//! budgets, digest encoding and the zone features. Protocol parameters
+//! every deployment runs at the same value are constants here — round
+//! cadence, fanout, filter density, membership summaries, the zone fill
+//! budgets and escape probability, liveness timeout, failure threshold and
+//! the sampling seed — the way IPFS fixes its republish and expiry periods.
 
 use qb_common::{QbError, QbResult, SimDuration};
 
@@ -37,6 +45,25 @@ pub const MEMBERSHIP_SUMMARY_BUDGET: usize = 16;
 /// Same-zone fill-budget multiplier when `zone_fill_budgets` is on.
 pub const INTRA_ZONE_FILL_BOOST: usize = 2;
 
+/// Cross-zone fill cap per exchange direction when `zone_fill_budgets` is
+/// on (never above `max_fills_per_exchange`).
+pub const CROSS_ZONE_FILL_BUDGET: usize = 4;
+
+/// Probability that a partner pick escapes to a different zone when
+/// same-zone candidates exist (the fleet-wide convergence links).
+pub const CROSS_ZONE_PROBABILITY: f64 = 0.15;
+
+/// A member not heard from (directly or via gossiped heartbeats) for this
+/// long is marked dead and evicted from the sample set.
+pub const LIVENESS_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+
+/// Consecutive failed direct exchanges after which a member is marked dead
+/// without waiting for [`LIVENESS_TIMEOUT`].
+pub const FAILURE_THRESHOLD: u32 = 3;
+
+/// Seed of the overlay's peer sampling (combined with the engine seed).
+pub const GOSSIP_SEED: u64 = 0x6055;
+
 /// Configuration of the cooperative cache-gossip overlay.
 ///
 /// Two independent switches control the feature:
@@ -53,11 +80,11 @@ pub const INTRA_ZONE_FILL_BOOST: usize = 2;
 /// The overlay is **churn-aware**: frontends may join (bootstrapping their
 /// cache by anti-entropy from a live neighbour), leave gracefully or crash;
 /// liveness is tracked through gossiped heartbeats, and dead members are
-/// evicted from the sample set after `liveness_timeout` of silence or
-/// `failure_threshold` consecutive failed exchanges. It is **zone-aware**:
+/// evicted from the sample set after [`LIVENESS_TIMEOUT`] of silence or
+/// [`FAILURE_THRESHOLD`] consecutive failed exchanges. It is **zone-aware**:
 /// with `zones > 1` each frontend carries a latency-zone label (matching
 /// `qb-simnet`'s `peer % zones` assignment) and partner sampling prefers
-/// the own zone, escaping cross-zone with `cross_zone_probability`.
+/// the own zone, escaping cross-zone with [`CROSS_ZONE_PROBABILITY`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GossipConfig {
     /// Master switch for the gossip exchange between frontends.
@@ -83,26 +110,14 @@ pub struct GossipConfig {
     /// Number of latency zones frontends are spread over (round-robin by
     /// peer id, matching `qb-simnet`'s zone assignment). 1 = zone-unaware.
     pub zones: usize,
-    /// Probability that a partner pick escapes to a different zone when
-    /// same-zone candidates exist (the fleet-wide convergence links).
-    pub cross_zone_probability: f64,
-    /// A member not heard from (directly or via gossiped heartbeats) for
-    /// this long is marked dead and evicted from the sample set.
-    pub liveness_timeout: SimDuration,
-    /// Consecutive failed direct exchanges after which a member is marked
-    /// dead without waiting for the liveness timeout.
-    pub failure_threshold: u32,
     /// Zone-aware fill budgets: regular-round fills to a same-zone partner
     /// get [`INTRA_ZONE_FILL_BOOST`] × `max_fills_per_exchange` (bulk transfer
     /// is cheap inside a zone), while fills crossing zones are capped at
-    /// `cross_zone_fill_budget` (the expensive links carry digests and only
+    /// [`CROSS_ZONE_FILL_BUDGET`] (the expensive links carry digests and only
     /// a trickle of the hottest shards; anti-entropy and bootstrap budgets
     /// are never scaled). Off by default so existing overlays keep their
     /// exact byte profile.
     pub zone_fill_budgets: bool,
-    /// Cross-zone fill cap per exchange direction when `zone_fill_budgets`
-    /// is on.
-    pub cross_zone_fill_budget: usize,
     /// Zone-aware anti-entropy: when an anti-entropy round finds terms the
     /// frontend knows about but does not hold, it first tries to redirect
     /// one partner slot to an in-zone live member whose advertised holdings
@@ -120,8 +135,6 @@ pub struct GossipConfig {
     /// queue advertisements, so single-query serving keeps the exact PR 4
     /// protocol.
     pub batch_advertise: bool,
-    /// Seed for peer sampling (combined with the engine seed).
-    pub seed: u64,
 }
 
 impl Default for GossipConfig {
@@ -134,14 +147,9 @@ impl Default for GossipConfig {
             max_fills_per_exchange: 16,
             digest_mode: DigestMode::Delta,
             zones: 1,
-            cross_zone_probability: 0.15,
-            liveness_timeout: SimDuration::from_secs(2),
-            failure_threshold: 3,
             zone_fill_budgets: false,
-            cross_zone_fill_budget: 4,
             zone_aware_anti_entropy: false,
             batch_advertise: true,
-            seed: 0x6055,
         }
     }
 }
@@ -189,7 +197,7 @@ impl GossipConfig {
         } else if same_zone {
             self.max_fills_per_exchange * INTRA_ZONE_FILL_BOOST
         } else {
-            self.cross_zone_fill_budget.min(self.max_fills_per_exchange)
+            CROSS_ZONE_FILL_BUDGET.min(self.max_fills_per_exchange)
         }
     }
 
@@ -223,26 +231,6 @@ impl GossipConfig {
         }
         if self.zones == 0 {
             return Err(QbError::Config("gossip zones must be positive".into()));
-        }
-        if !(0.0..=1.0).contains(&self.cross_zone_probability) {
-            return Err(QbError::Config(
-                "cross_zone_probability must be within [0, 1]".into(),
-            ));
-        }
-        if self.liveness_timeout == SimDuration::ZERO {
-            return Err(QbError::Config(
-                "gossip liveness timeout must be positive".into(),
-            ));
-        }
-        if self.failure_threshold == 0 {
-            return Err(QbError::Config(
-                "gossip failure threshold must be positive".into(),
-            ));
-        }
-        if self.zone_fill_budgets && self.cross_zone_fill_budget == 0 {
-            return Err(QbError::Config(
-                "zone fill budgets need a positive cross-zone cap".into(),
-            ));
         }
         Ok(())
     }
@@ -279,9 +267,9 @@ mod tests {
             c.regular_fill_budget(true),
             c.max_fills_per_exchange * INTRA_ZONE_FILL_BOOST
         );
-        assert_eq!(c.regular_fill_budget(false), c.cross_zone_fill_budget);
+        assert_eq!(c.regular_fill_budget(false), CROSS_ZONE_FILL_BUDGET);
         // The cross-zone cap never exceeds the flat budget.
-        c.cross_zone_fill_budget = 1_000;
+        c.max_fills_per_exchange = CROSS_ZONE_FILL_BUDGET - 1;
         assert_eq!(c.regular_fill_budget(false), c.max_fills_per_exchange);
     }
 
@@ -305,22 +293,8 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = GossipConfig::enabled(4);
-        c.cross_zone_probability = 1.5;
-        assert!(c.validate().is_err());
-
-        let mut c = GossipConfig::enabled(4);
-        c.liveness_timeout = SimDuration::ZERO;
-        assert!(c.validate().is_err());
-
-        let mut c = GossipConfig::enabled(4);
-        c.failure_threshold = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = GossipConfig::enabled(4);
         c.zone_fill_budgets = true;
         assert!(c.validate().is_ok());
-        c.cross_zone_fill_budget = 0;
-        assert!(c.validate().is_err());
 
         // Fleet without gossip tolerates degenerate gossip knobs.
         let mut c = GossipConfig::fleet(1);

@@ -26,7 +26,7 @@
 //!   its delta, adverts and membership summary — so a quiet exchange
 //!   allocates nothing.
 
-use crate::config::{DigestMode, GossipConfig, MEMBERSHIP_SUMMARY_BUDGET};
+use crate::config::{DigestMode, GossipConfig, FAILURE_THRESHOLD, MEMBERSHIP_SUMMARY_BUDGET};
 use crate::digest::{
     apply_delta, delta_entries, digest_wire_bytes, needs_fill, note_holding, DigestEntry, TermKey,
     TermMap,
@@ -250,7 +250,7 @@ impl Exchange<'_> {
         );
         if swap.is_err() {
             self.stats.failed_exchanges += 1;
-            if a.view.record_failure(b_peer, self.config.failure_threshold) {
+            if a.view.record_failure(b_peer, FAILURE_THRESHOLD) {
                 self.stats.evictions += 1;
             }
             return false;

@@ -56,7 +56,9 @@
 //! [`DigestMode::Delta`]: crate::DigestMode::Delta
 //! [`ShardFilter`]: crate::ShardFilter
 
-use crate::config::{GossipConfig, FANOUT, ROUND_INTERVAL};
+use crate::config::{
+    GossipConfig, CROSS_ZONE_PROBABILITY, FANOUT, GOSSIP_SEED, LIVENESS_TIMEOUT, ROUND_INTERVAL,
+};
 use crate::digest::{DigestEntry, TermKey};
 use crate::exchange::{ExchangeClass, OfferBuffers};
 use crate::filter::FilterKey;
@@ -97,7 +99,7 @@ impl GossipFleet {
     /// `0..num_frontends` (zone `peer % config.zones`), each with a private
     /// cache built from `cache_config`. Every initial member knows the full
     /// starting roster; membership changes after that flow through gossip.
-    /// `seed` is mixed with the gossip seed so two engines differing only
+    /// `seed` is mixed with [`GOSSIP_SEED`] so two engines differing only
     /// in their master seed sample different partners.
     pub fn new(config: GossipConfig, cache_config: &CacheConfig, seed: u64) -> GossipFleet {
         let zones = config.zones.max(1);
@@ -115,7 +117,7 @@ impl GossipFleet {
             .enumerate()
             .map(|(i, f)| (f.peer, i))
             .collect();
-        let rng = DetRng::new(seed ^ config.seed.rotate_left(17));
+        let rng = DetRng::new(seed ^ GOSSIP_SEED.rotate_left(17));
         GossipFleet {
             next_round_at: SimInstant::ZERO + ROUND_INTERVAL,
             next_anti_entropy_at: SimInstant::ZERO + config.anti_entropy_interval,
@@ -381,9 +383,7 @@ impl GossipFleet {
                 self.exchange(net, i, j, now, class);
             }
             // Evict members that stayed silent past the liveness timeout.
-            let evicted = self.frontends[i]
-                .view
-                .evict_silent(now, self.config.liveness_timeout);
+            let evicted = self.frontends[i].view.evict_silent(now, LIVENESS_TIMEOUT);
             self.stats.evictions += evicted as u64;
         }
         // Batch-aware advertisements ride exactly one round: every active
@@ -403,13 +403,12 @@ impl GossipFleet {
     /// dead ones).
     pub(crate) fn sample_partners(&mut self, i: usize, include_dead: bool) -> Vec<u64> {
         let f = &self.frontends[i];
-        let cross_zone = self.config.cross_zone_probability;
         f.view.sample_partners(
             &mut self.rng,
             f.peer,
             f.zone,
             FANOUT,
-            cross_zone,
+            CROSS_ZONE_PROBABILITY,
             include_dead,
         )
     }
@@ -521,10 +520,11 @@ impl GossipFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DigestMode;
+    use crate::config::{DigestMode, FAILURE_THRESHOLD};
     use crate::digest::note_holding;
     use crate::filter::ShardFilter;
     use proptest::prelude::*;
+    use qb_cache::config::ADAPTIVE_TTL_CEILING;
     use qb_common::SimDuration;
     use qb_index::{ShardEntry, ShardPosting};
     use qb_segment::Segment;
@@ -803,8 +803,7 @@ mod tests {
         assert_eq!(fleet.active_count(), 2);
         // Enough failed exchanges mark the crashed member dead in the
         // survivors' views even before the liveness timeout.
-        let threshold = fleet.config().failure_threshold;
-        for _ in 0..(threshold as usize * 4) {
+        for _ in 0..(FAILURE_THRESHOLD as usize * 4) {
             fleet.run_round(&mut net, now, false);
         }
         for i in 0..2 {
@@ -818,14 +817,14 @@ mod tests {
 
     #[test]
     fn silent_members_are_evicted_by_the_liveness_timeout() {
-        let mut config = GossipConfig::enabled(3);
-        config.failure_threshold = u32::MAX; // isolate the timeout path
-        let (mut fleet, mut net) = fleet_with(config, 12);
+        let (mut fleet, mut net) = fleet_with(GossipConfig::enabled(3), 12);
         let t0 = SimInstant::ZERO + SimDuration::from_millis(100);
         fleet.run_round(&mut net, t0, false);
         fleet.crash(&mut net, 2);
-        let timeout = fleet.config().liveness_timeout;
-        let late = t0 + timeout + SimDuration::from_millis(1);
+        // One round makes at most `FANOUT` failed exchanges per frontend,
+        // fewer than the threshold: only the timeout can evict here.
+        assert!(FANOUT < FAILURE_THRESHOLD as usize);
+        let late = t0 + LIVENESS_TIMEOUT + SimDuration::from_millis(1);
         fleet.run_round(&mut net, late, false);
         for i in 0..2 {
             let m = fleet.frontend(i).view().get(fleet.frontend_peer(2));
@@ -848,8 +847,7 @@ mod tests {
             Some(2)
         );
         fleet.crash(&mut net, 2);
-        let threshold = fleet.config().failure_threshold;
-        for _ in 0..(threshold as usize * 4) {
+        for _ in 0..(FAILURE_THRESHOLD as usize * 4) {
             fleet.run_round(&mut net, now, false);
         }
         // Restart: fresh cache, but the bootstrap exchange re-warms it from
@@ -999,9 +997,7 @@ mod tests {
 
     #[test]
     fn zone_bias_shapes_partner_choice() {
-        let mut config = GossipConfig::enabled_zoned(12, 3);
-        config.cross_zone_probability = 0.1;
-        let (mut fleet, mut net) = fleet_with(config, 24);
+        let (mut fleet, mut net) = fleet_with(GossipConfig::enabled_zoned(12, 3), 24);
         assert_eq!(fleet.frontend(0).zone, 0);
         assert_eq!(fleet.frontend(4).zone, 1);
         assert_eq!(fleet.frontend(11).zone, 2);
@@ -1029,9 +1025,7 @@ mod tests {
 
         // A zoned overlay splits by whether the pair shares a zone label,
         // and the two slices always sum to the total.
-        let mut config = GossipConfig::enabled_zoned(12, 3);
-        config.cross_zone_probability = 0.5;
-        let (mut fleet, mut net) = fleet_with(config, 24);
+        let (mut fleet, mut net) = fleet_with(GossipConfig::enabled_zoned(12, 3), 24);
         for t in 0..24 {
             let s = shard(&format!("term{t}"), 1, 3);
             fleet.cache_mut(0).store_shard(&s, now);
@@ -1053,10 +1047,8 @@ mod tests {
     fn zone_budgets_throttle_cross_zone_fills() {
         let run = |zone_budgets: bool| -> GossipStats {
             let mut config = GossipConfig::enabled_zoned(12, 3);
-            config.cross_zone_probability = 0.5;
             config.zone_fill_budgets = zone_budgets;
             config.max_fills_per_exchange = 8;
-            config.cross_zone_fill_budget = 1;
             // No anti-entropy inside the horizon: it reconciles at the flat
             // budget and would blur the per-round accounting.
             config.anti_entropy_interval = SimDuration::from_secs(3_600);
@@ -1076,7 +1068,7 @@ mod tests {
         let zoned = run(true);
         assert!(
             zoned.cross_zone_fill_bytes < flat.cross_zone_fill_bytes,
-            "cross-zone cap of 1 must cut cross-zone fill bytes ({} vs {})",
+            "the cross-zone cap must cut cross-zone fill bytes ({} vs {})",
             zoned.cross_zone_fill_bytes,
             flat.cross_zone_fill_bytes
         );
@@ -1271,7 +1263,6 @@ mod tests {
         let run = |zone_aware: bool| -> GossipStats {
             let mut config = GossipConfig::enabled_zoned(8, 2);
             config.zone_aware_anti_entropy = zone_aware;
-            config.cross_zone_probability = 0.6;
             let (mut fleet, mut net) = fleet_with(config, 16);
             let now = SimInstant::ZERO;
             // Every zone has a fully-stocked member, so in-zone coverage
@@ -1395,18 +1386,17 @@ mod tests {
 
     #[test]
     fn a_listing_outlives_the_instant_but_not_an_expiry() {
-        let mut config = CacheConfig::enabled();
-        config.adaptive_ttl = false;
-        config.shard_ttl = SimDuration::from_secs(3);
-        let mut f = Frontend::new(0, 0, config);
+        // Never-republished terms: both shards live the archival ceiling.
+        let mut f = Frontend::new(0, 0, CacheConfig::enabled());
+        let ttl = ADAPTIVE_TTL_CEILING.as_micros() / 1_000;
         let at = |ms: u64| SimInstant::ZERO + SimDuration::from_millis(ms);
         f.cache_mut().store_shard(&shard("early", 1, 2), at(0));
         f.cache_mut().store_shard(&shard("late", 1, 2), at(1_000));
         let listed = f.ranked_holdings(at(1_000));
         assert_eq!(listed.len(), 2);
         // Nothing touches the tier: the handle stands until `early` expires.
-        assert!(Arc::ptr_eq(&listed, &f.ranked_holdings(at(2_999))));
-        let after = f.ranked_holdings(at(3_000));
+        assert!(Arc::ptr_eq(&listed, &f.ranked_holdings(at(ttl - 1))));
+        let after = f.ranked_holdings(at(ttl));
         assert_eq!(after.len(), 1, "re-ranked without the expired entry");
         assert_eq!(after[0].term(), "late");
         // A re-store of the version held moves the generation (and the
@@ -1414,8 +1404,9 @@ mod tests {
         // behind it, stay.
         let mut stats = GossipStats::default();
         let filter = f.holdings_filter(&after, &mut stats);
-        f.cache_mut().store_shard(&shard("late", 1, 2), at(3_500));
-        let restored = f.ranked_holdings(at(3_500));
+        f.cache_mut()
+            .store_shard(&shard("late", 1, 2), at(ttl + 500));
+        let restored = f.ranked_holdings(at(ttl + 500));
         assert!(Arc::ptr_eq(&after, &restored));
         assert!(Arc::ptr_eq(
             &filter,
@@ -1423,12 +1414,13 @@ mod tests {
         ));
         assert_eq!((stats.filter_builds, stats.filter_reuses), (1, 1));
         assert!(
-            Arc::ptr_eq(&restored, &f.ranked_holdings(at(4_500))),
+            Arc::ptr_eq(&restored, &f.ranked_holdings(at(ttl + 1_500))),
             "the re-store pushed the expiry out with it"
         );
         // A bumped version is a different listing.
-        f.cache_mut().store_shard(&shard("late", 2, 2), at(4_500));
-        assert!(!Arc::ptr_eq(&restored, &f.ranked_holdings(at(4_500))));
+        f.cache_mut()
+            .store_shard(&shard("late", 2, 2), at(ttl + 1_500));
+        assert!(!Arc::ptr_eq(&restored, &f.ranked_holdings(at(ttl + 1_500))));
     }
 
     #[test]
@@ -1639,16 +1631,17 @@ mod tests {
     /// move popularity, three republishes, a frontend under eviction
     /// pressure, a partition and its heal, anti-entropy rounds and a forced
     /// round at an instant a paced round already ran at. Every counter and
-    /// every frontend's holdings must equal the constants captured before
-    /// the digest/filter/fingerprint caches existed: the caches are
-    /// host-side only and may not move a simulated byte.
+    /// every frontend's holdings must equal the constants captured on a
+    /// reference build without the digest/filter/fingerprint caches (and
+    /// re-captured, once the cross-zone fill cap became a constant, on the
+    /// last build that took it as a setting, set to the constant's value):
+    /// the caches are host-side only and may not move a simulated byte.
     #[test]
     fn golden_scenario_is_byte_identical() {
         let mut config = GossipConfig::enabled_zoned(4, 2);
         config.hot_set_size = 8;
         config.max_fills_per_exchange = 3;
         config.zone_fill_budgets = true;
-        config.cross_zone_fill_budget = 2;
         config.zone_aware_anti_entropy = true;
         let (mut fleet, mut net) = fleet_with(config, 12);
         // Frontend 3 lives under eviction pressure: a shard tier of ~4 shards.
@@ -1740,19 +1733,19 @@ mod tests {
                 exchanges: 452,
                 failed_exchanges: 23,
                 failed_fills: 0,
-                digest_bytes: 56404,
-                fill_bytes: 50484,
-                intra_zone_fill_bytes: 25109,
-                cross_zone_fill_bytes: 25375,
+                digest_bytes: 56595,
+                fill_bytes: 63475,
+                intra_zone_fill_bytes: 30330,
+                cross_zone_fill_bytes: 33145,
                 bootstrap_fill_bytes: 0,
                 anti_entropy_fill_bytes: 7470,
-                anti_entropy_cross_zone_fill_bytes: 3485,
+                anti_entropy_cross_zone_fill_bytes: 3371,
                 segment_advert_bytes: 0,
-                shards_pushed: 580,
-                shards_accepted: 434,
+                shards_pushed: 739,
+                shards_accepted: 552,
                 stale_rejected: 8,
-                duplicates_skipped: 23,
-                admission_refused: 115,
+                duplicates_skipped: 28,
+                admission_refused: 151,
                 membership_bytes: 51848,
                 joins: 0,
                 leaves: 0,
@@ -1760,15 +1753,15 @@ mod tests {
                 evictions: 6,
                 revivals: 2,
                 batch_adverts: 13,
-                filter_builds: 334,
-                filter_reuses: 520,
-                settled_sides: 138,
+                filter_builds: 348,
+                filter_reuses: 506,
+                settled_sides: 141,
             }
         );
         let wire = net.stats();
         assert_eq!(
             (wire.messages, wire.bytes, wire.rpcs, wire.failed_rpcs),
-            (1195, 158736, 452, 23)
+            (1199, 171918, 452, 23)
         );
         const HOLDINGS: [&str; 4] = [
             "late09@1+1789800000 late27@1+1796000000 late36@1+1796000000 \
@@ -1776,14 +1769,14 @@ mod tests {
              term01@1+1790000000 term02@1+1788200000 term03@1+1788000000 \
              term04@1+1790000000 term06@1+1788000000 term07@1+1788200000 \
              term08@1+1788200000 term09@1+1788000000 term10@2+1790000000 \
-             term11@1+1788200000 term12@1+1788000000 term13@1+1788600000 \
+             term11@1+1788200000 term12@1+1788000000 term13@1+1788200000 \
              term14@1+1788200000 term15@2+1788000000 term16@1+1788200000 \
              term17@1+1788200000",
             "late09@1+1789800000 late18@1+1791600000 late27@1+1796000000 \
              late36@1+1796000000 late45@1+1797000000 late54@1+1798800000 \
              term00@2+1788200000 term01@1+1788000000 term02@1+1788200000 \
              term03@1+1788200000 term04@1+1788000000 term06@1+1788200000 \
-             term07@1+1788000000 term08@1+1788400000 term09@1+1788400000 \
+             term07@1+1788000000 term08@1+1788200000 term09@1+1788200000 \
              term10@2+1788000000 term11@1+1788400000 term12@1+1788200000 \
              term13@1+1788000000 term14@1+1788400000 term15@2+1790000000 \
              term16@1+1788000000 term17@1+1790000000",
@@ -1793,12 +1786,11 @@ mod tests {
              term03@1+1788200000 term04@1+1790000000 term05@5+1000000 \
              term06@1+1788200000 term07@1+1788200000 term08@1+1788000000 \
              term09@1+1788200000 term10@2+1790000000 term11@1+1788000000 \
-             term12@1+1788200000 term13@1+1788600000 term14@1+1788000000 \
+             term12@1+1788200000 term13@1+1788200000 term14@1+1788000000 \
              term15@2+1788200000 term16@1+1788200000 term17@1+1788000000",
-            "term01@1+1800000000 term03@1+1800000000 term04@1+1800000000 \
-             term08@1+1800000000 term09@1+1800000000 term11@1+1800000000 \
-             term14@1+1800000000 term15@2+1800000000 term16@1+1800000000 \
-             term17@1+1800000000",
+            "term01@1+1800000000 term02@1+1800000000 term03@1+1800000000 \
+             term04@1+1800000000 term06@1+1799800000 term09@1+1800000000 \
+             term11@1+1800000000 term15@2+1800000000 term17@1+1800000000",
         ];
         for (i, expected) in HOLDINGS.iter().enumerate() {
             assert_eq!(listing(&fleet, i, now), *expected, "frontend {i}");
@@ -1818,11 +1810,11 @@ mod tests {
         fn the_cached_digest_equals_a_fresh_listing(
             ops in proptest::collection::vec((0u8..7, 0u8..12, 1u64..4), 1..100),
         ) {
-            // A shard tier of ~5 shards whose entries live 3 s.
+            // A shard tier of ~5 shards. Time steps of 10-30 min cross the
+            // 30 min archival TTL, and invalidations a step apart adapt a
+            // term's TTL down to 5-15 min.
             let mut tight = CacheConfig::enabled();
             tight.shard_capacity_bytes = 1024;
-            tight.adaptive_ttl = false;
-            tight.shard_ttl = SimDuration::from_secs(3);
             let mut f = Frontend::new(0, 0, tight);
             let mut now = SimInstant::ZERO;
             for (op, term, arg) in ops {
@@ -1835,7 +1827,7 @@ mod tests {
                     5 => {
                         f.cache_mut().invalidate_term(&term, now);
                     }
-                    _ => now += SimDuration::from_millis(600 * arg),
+                    _ => now += SimDuration::from_secs(600 * arg),
                 }
                 let ranked = f.ranked_holdings(now);
                 let fresh: Vec<(String, u64)> = f

@@ -29,14 +29,12 @@
 //! ```
 //! use qb_common::SimDuration;
 //! use qb_load::{replay, scenario, ArrivalTrace, ReplayConfig, TraceConfig};
-//! use qb_queenbee::{AdmissionConfig, QueenBee, QueenBeeConfig};
+//! use qb_queenbee::{QueenBee, QueenBeeConfig};
 //!
-//! // 1. A fleet with the admission controller switched on (it ships
-//! //    disabled; `serve_open_loop` refuses to run without it), and a
-//! //    small corpus published from its first ten peers and indexed.
-//! let mut config = QueenBeeConfig::small();
-//! config.admission = AdmissionConfig::enabled();
-//! let mut qb = QueenBee::new(config).unwrap();
+//! // 1. A small engine (its default admission knobs bound every
+//! //    frontend's ingress queue) and a small corpus published from its
+//! //    first ten peers and indexed.
+//! let mut qb = QueenBee::new(QueenBeeConfig::small()).unwrap();
 //! let corpus = scenario::corpus(7, 8, 60);
 //! scenario::publish_all(&mut qb, &corpus, 0..10).unwrap();
 //!

@@ -11,8 +11,7 @@
 use crate::trace::{ArrivalTrace, RateShape, TraceConfig};
 use qb_common::{DetRng, LatencyHistogram, QbError, QbResult, SimDuration};
 use qb_queenbee::{
-    AccountId, AdmissionConfig, CacheConfig, GossipConfig, NetConfig, QueenBee, QueenBeeConfig,
-    SearchResponse,
+    AccountId, CacheConfig, GossipConfig, NetConfig, QueenBee, QueenBeeConfig, SearchResponse,
 };
 use qb_workload::{mutate_page, Corpus, CorpusConfig, CorpusGenerator, QueryWorkload, ZipfSampler};
 use std::ops::Range;
@@ -183,7 +182,6 @@ pub fn open_loop_fleet(seed: u64, shed_threshold: SimDuration) -> QueenBeeConfig
     config.net = NetConfig::default();
     config.cache = CacheConfig::enabled();
     config.gossip = GossipConfig::enabled(4);
-    config.admission = AdmissionConfig::enabled();
     config.admission.queue_capacity = 32;
     config.admission.window_size = 8;
     config.admission.max_windows_in_flight = 2;
@@ -201,7 +199,6 @@ pub fn zoned_admission_fleet(seed: u64, frontends: usize, zones: usize) -> Queen
     config.net = NetConfig::zoned(zones, 2_000, 40_000);
     config.cache = CacheConfig::enabled();
     config.gossip = GossipConfig::enabled_zoned(frontends, zones);
-    config.admission = AdmissionConfig::enabled();
     config.admission.queue_capacity = 128;
     config.admission.shed_threshold = SimDuration::from_secs(5);
     config

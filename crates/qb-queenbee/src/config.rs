@@ -46,7 +46,10 @@ pub struct QueenBeeConfig {
     /// defense).
     pub duplicate_detection: bool,
     /// Frontend query-serving cache (result/shard/negative tiers). Disabled
-    /// by default so deployments keep the uncached seed behavior.
+    /// by default so deployments keep the uncached seed behavior. Its knobs
+    /// are the switch, the result and shard budgets, the result TTL and the
+    /// hit latency; sampled-LFU admission, the adaptive shard TTL's bounds
+    /// and the negative tier are fixed (`qb_cache::config`).
     pub cache: CacheConfig,
     /// Frontend fleet + cooperative cache-gossip overlay. Default-off; with
     /// `num_frontends > 0` the engine runs that many frontends with private
@@ -60,9 +63,9 @@ pub struct QueenBeeConfig {
     /// Default-off; with it off the engine never touches the segment path.
     pub segment: qb_segment::SegmentConfig,
     /// Open-loop admission control: bounded per-frontend ingress queues,
-    /// load shedding and `Fresh` → `CacheOk` degradation. Default-off; only
-    /// [`crate::QueenBee::serve_open_loop`] consults it, so every
-    /// closed-loop path keeps its exact behavior.
+    /// load shedding and `Fresh` → `CacheOk` degradation. Always a value,
+    /// never a switch: only [`crate::QueenBee::serve_open_loop`] consults
+    /// it, so every closed-loop path keeps its exact behavior.
     pub admission: crate::query::admission::AdmissionConfig,
     /// Master seed; every random decision in the engine derives from it.
     pub seed: u64,
@@ -230,14 +233,10 @@ mod tests {
         assert!(c.validate().is_ok());
         c.segment.max_pending_terms = 0;
         assert!(c.validate().is_err());
-        // An enabled admission layer with degenerate knobs is invalid;
-        // the default (disabled) tolerates them.
+        // Degenerate admission knobs are invalid.
         let mut c = QueenBeeConfig::small();
-        c.admission = crate::query::admission::AdmissionConfig::enabled();
         assert!(c.validate().is_ok());
         c.admission.window_size = 0;
         assert!(c.validate().is_err());
-        c.admission.enabled = false;
-        assert!(c.validate().is_ok());
     }
 }

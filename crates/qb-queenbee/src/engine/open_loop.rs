@@ -5,7 +5,7 @@ use super::QueenBee;
 use crate::query::admission::{IngressQueue, LoadReport, TimedRequest};
 use crate::query::pipeline::PipelineConfig;
 use crate::query::request::{Freshness, RoutingPolicy, SearchRequest};
-use qb_common::{QbError, QbResult, SimInstant};
+use qb_common::{QbResult, SimInstant};
 
 impl QueenBee {
     /// Serve an **open-loop** arrival trace: each request is admitted (or
@@ -13,21 +13,16 @@ impl QueenBee {
     /// bounded ingress queue, queued work is dispatched through
     /// [`QueenBee::search_pipelined`] in windows, and every query's sojourn
     /// (arrival → response completion) lands in the returned
-    /// [`LoadReport`]'s histograms. Requires
-    /// [`AdmissionConfig::enabled`](crate::AdmissionConfig) in the engine
-    /// config; the closed-loop search paths never consult that config, so
-    /// deployments without it keep their exact behavior.
+    /// [`LoadReport`]'s histograms. The queue bound, window shape and
+    /// thresholds come from the engine's
+    /// [`AdmissionConfig`](crate::AdmissionConfig); the closed-loop search
+    /// paths never consult that config, so its values change nothing else.
     ///
     /// Arrival offsets are relative to the current simulated instant; the
     /// shared clock is advanced along the arrival timeline (firing due
     /// gossip rounds on the way), never past it in one jump.
     pub fn serve_open_loop(&mut self, arrivals: Vec<TimedRequest>) -> QbResult<LoadReport> {
         let cfg = self.config.admission.clone();
-        if !cfg.enabled {
-            return Err(QbError::Config(
-                "serve_open_loop needs admission control enabled (config.admission.enabled)".into(),
-            ));
-        }
         let pipeline = PipelineConfig {
             window_size: cfg.window_size,
             max_windows_in_flight: cfg.max_windows_in_flight,

@@ -50,7 +50,7 @@ pub use metrics::{
     gini_coefficient, CacheMetrics, CacheReport, FreshnessProbe, HoneyByRole, QueryEngineStats,
     TierMetrics,
 };
-pub use qb_cache::{CacheConfig, EvictionPolicy};
+pub use qb_cache::CacheConfig;
 pub use qb_chain::AccountId;
 pub use qb_gossip::{
     DigestMode, GossipConfig, GossipFleet, GossipStats, MembershipView, SegmentBootstrapReport,

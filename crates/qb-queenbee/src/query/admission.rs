@@ -26,6 +26,10 @@
 //! microseconds: two runs of the same trace produce bit-identical
 //! [`LoadReport`]s.
 //!
+//! Admission is a value, not a switch: [`AdmissionConfig`] always holds the
+//! queue bound, window shape and thresholds `serve_open_loop` runs with,
+//! and the closed-loop search paths never read it.
+//!
 //! [`Freshness::Fresh`]: crate::query::request::Freshness::Fresh
 //! [`Freshness::CacheOk`]: crate::query::request::Freshness::CacheOk
 
@@ -37,14 +41,11 @@ use crate::query::request::SearchRequest;
 /// load is not penalized waiting for a full window.
 pub const MAX_BATCH_DELAY: SimDuration = SimDuration::from_millis(2);
 
-/// Knobs of the per-frontend admission/backpressure layer. Disabled by
-/// default: nothing outside [`crate::QueenBee::serve_open_loop`] consults
-/// it, so every closed-loop path keeps its exact behavior.
+/// Knobs of the per-frontend admission/backpressure layer. Only
+/// [`crate::QueenBee::serve_open_loop`] consults them, so every
+/// closed-loop path keeps its exact behavior whatever they are.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionConfig {
-    /// Master switch; [`crate::QueenBee::serve_open_loop`] refuses to run
-    /// while off, and nothing else reads this config.
-    pub enabled: bool,
     /// Hard bound on queries queued per frontend; an arrival that finds
     /// the queue full is shed unconditionally (the no-unbounded-buffering
     /// guarantee).
@@ -64,7 +65,6 @@ pub struct AdmissionConfig {
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
-            enabled: false,
             queue_capacity: 64,
             window_size: 16,
             max_windows_in_flight: 2,
@@ -75,20 +75,15 @@ impl Default for AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// An enabled configuration with the default knobs.
+    /// The default knobs, under the name callers used while admission was
+    /// a switch (a benchmark workload still calls it); equal to
+    /// [`AdmissionConfig::default`].
     pub fn enabled() -> AdmissionConfig {
-        AdmissionConfig {
-            enabled: true,
-            ..AdmissionConfig::default()
-        }
+        AdmissionConfig::default()
     }
 
-    /// Validate the configuration (only when enabled; a disabled config
-    /// tolerates degenerate knobs, like the gossip config does).
+    /// Validate the configuration.
     pub fn validate(&self) -> QbResult<()> {
-        if !self.enabled {
-            return Ok(());
-        }
         if self.queue_capacity == 0 {
             return Err(QbError::Config(
                 "admission queue capacity must be positive".into(),
@@ -331,29 +326,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_off_and_valid() {
+    fn defaults_are_valid() {
         let c = AdmissionConfig::default();
-        assert!(!c.enabled);
         assert!(c.validate().is_ok());
-        let e = AdmissionConfig::enabled();
-        assert!(e.enabled);
-        assert!(e.validate().is_ok());
-        assert_eq!(e.dispatch_limit(), e.window_size * e.max_windows_in_flight);
+        assert_eq!(c.dispatch_limit(), c.window_size * c.max_windows_in_flight);
     }
 
     #[test]
-    fn invalid_configs_are_rejected_only_when_enabled() {
-        let mut c = AdmissionConfig::enabled();
+    fn the_enabled_alias_is_the_default() {
+        assert_eq!(AdmissionConfig::enabled(), AdmissionConfig::default());
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected() {
+        let mut c = AdmissionConfig::default();
         c.queue_capacity = 0;
         assert!(c.validate().is_err());
-        c.enabled = false;
-        assert!(c.validate().is_ok());
 
-        let mut c = AdmissionConfig::enabled();
+        let mut c = AdmissionConfig::default();
         c.window_size = 0;
         assert!(c.validate().is_err());
 
-        let mut c = AdmissionConfig::enabled();
+        let mut c = AdmissionConfig::default();
         c.degrade_threshold = SimDuration::from_millis(200);
         assert!(c.validate().is_err());
     }
@@ -384,7 +378,7 @@ mod tests {
 
     #[test]
     fn dispatch_deadline_follows_oldest_entry_until_the_pipeline_fills() {
-        let cfg = AdmissionConfig::enabled();
+        let cfg = AdmissionConfig::default();
         let t0 = SimInstant(500_000);
         let mut q = IngressQueue::new(t0);
         assert_eq!(q.next_dispatch_at(&cfg, false), None);

@@ -4,6 +4,7 @@
 //! served stale from cache — invalidation fires at reindex time and the TTL
 //! bounds staleness even without it.
 
+use qb_cache::config::ADAPTIVE_TTL_CEILING;
 use qb_chain::AccountId;
 use qb_common::SimDuration;
 use qb_load::scenario::{corpus, publish_all, sized, QueryStream};
@@ -143,18 +144,14 @@ fn republished_page_is_never_served_stale_from_cache() {
 
 /// The TTL backstop: even when a cached entry stays formally valid (no
 /// republish touches it), it must stop serving once its TTL lapses in
-/// simulated time — no entry outlives its configured bound.
+/// simulated time — no entry outlives its configured bound. Crossing the
+/// adaptive ceiling (what a never-republished term's shard lives) expires
+/// the result and the shard entry alike.
 #[test]
 fn cache_entries_expire_at_their_ttl_bound() {
-    let mut cache = CacheConfig::enabled();
-    cache.result_ttl = SimDuration::from_secs(30);
-    cache.shard_ttl = SimDuration::from_secs(30);
-    // With adaptive TTLs on, a never-republished term's shard bound is the
-    // adaptive ceiling, not `shard_ttl` — pin the ceiling to the same bound
-    // so this test keeps exercising the backstop end to end.
-    cache.adaptive_ttl_floor = SimDuration::from_secs(1);
-    cache.adaptive_ttl_ceiling = SimDuration::from_secs(30);
-    let ttl = cache.result_ttl;
+    let cache = CacheConfig::enabled();
+    let ttl = ADAPTIVE_TTL_CEILING;
+    assert!(cache.result_ttl <= ttl);
     let mut qb = engine(cache, 0x71E);
     let page = qb_dweb::WebPage::new("wiki/ttl", "TTL", "ephemeral knowledge fades", vec![]);
     qb.publish(1, AccountId(1_000), &page).expect("publish");
@@ -186,6 +183,10 @@ fn cache_entries_expire_at_their_ttl_bound() {
     assert!(
         metrics.result.expirations > 0,
         "expiration counter must record the TTL eviction"
+    );
+    assert!(
+        metrics.shard.expirations > 0,
+        "the archival shard must not outlive the adaptive ceiling"
     );
 }
 

@@ -91,9 +91,7 @@ fn a_joined_frontend_warms_from_the_fleet_within_three_rounds() {
 #[test]
 fn crashes_are_evicted_and_rejoins_never_serve_stale() {
     let corpus = corpus(0x12B, 14, 60);
-    let mut qb = churn_engine(4, |g| {
-        g.liveness_timeout = SimDuration::from_millis(600);
-    });
+    let mut qb = churn_engine(4, |_| {});
     publish_all(&mut qb, &corpus, 20..34).expect("publish");
     let QueryStream { pool, picks } = QueryStream::new(&corpus, 0x12B, 20, 1.0, 0x12BF, 60);
     drive(&mut qb, &pool, &picks);
@@ -173,7 +171,6 @@ fn zoned_fleet_converges_with_biased_sampling() {
     config.net = qb_simnet::NetConfig::zoned(2, 2_000, 40_000);
     config.cache = CacheConfig::enabled();
     config.gossip = GossipConfig::enabled_zoned(4, 2);
-    config.gossip.cross_zone_probability = 0.2;
     let mut qb = QueenBee::new(config).expect("valid config");
     publish_all(&mut qb, &corpus, 20..34).expect("publish");
     let QueryStream { pool, picks } = QueryStream::new(&corpus, 0x12D, 16, 1.0, 0x12DF, 80);

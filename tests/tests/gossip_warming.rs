@@ -258,69 +258,59 @@ fn warm_start_snapshot_prefills_the_next_session() {
     assert_eq!(restarted.freshness.stale_results, 0);
 }
 
-/// Adaptive TTLs end to end: an archival term outlives the global shard TTL
-/// (it gets the ceiling), while a hot, frequently-republished term expires
-/// on its adapted (shorter) schedule. With the policy off, the global knob
-/// applies to both.
+/// Adaptive TTLs end to end: an archival term is cached for the adaptive
+/// ceiling, while a hot, frequently-republished term expires on its adapted
+/// (shorter) schedule.
 #[test]
 fn adaptive_ttls_follow_republish_rates_end_to_end() {
-    let run = |adaptive: bool| -> (usize, usize) {
-        let mut config = QueenBeeConfig::small();
-        config.cache = CacheConfig::enabled();
-        config.cache.adaptive_ttl = adaptive;
-        let mut qb = QueenBee::new(config).expect("valid config");
-        let creator = AccountId(1_000);
+    let mut config = QueenBeeConfig::small();
+    config.cache = CacheConfig::enabled();
+    let mut qb = QueenBee::new(config).expect("valid config");
+    let creator = AccountId(1_000);
+    qb.publish(
+        1,
+        creator,
+        &page("wiki/archive", "permafrost archival content"),
+    )
+    .expect("publish");
+    qb.publish(1, creator, &page("news/live", "volcanic breaking ticker"))
+        .expect("publish");
+    qb.seal();
+    qb.process_publish_events().expect("index");
+    // The live page republishes every 60s; the archive never changes.
+    for i in 0..4 {
+        qb.advance_time(SimDuration::from_secs(60));
         qb.publish(
             1,
             creator,
-            &page("wiki/archive", "permafrost archival content"),
+            &page("news/live", &format!("volcanic ticker {i}")),
         )
-        .expect("publish");
-        qb.publish(1, creator, &page("news/live", "volcanic breaking ticker"))
-            .expect("publish");
+        .expect("republish");
         qb.seal();
-        qb.process_publish_events().expect("index");
-        // The live page republishes every 60s; the archive never changes.
-        for i in 0..4 {
-            qb.advance_time(SimDuration::from_secs(60));
-            qb.publish(
-                1,
-                creator,
-                &page("news/live", &format!("volcanic ticker {i}")),
-            )
-            .expect("republish");
-            qb.seal();
-            qb.process_publish_events().expect("reindex");
-        }
-        // Warm both terms, then wait past the global 600s shard TTL (but
-        // inside the 1800s adaptive ceiling).
-        qb.search_request(
-            SearchRequest::new("permafrost volcanic").route(RoutingPolicy::HashPeer(3)),
-        )
+        qb.process_publish_events().expect("reindex");
+    }
+    // Warm both terms, then wait far past the live terms' adapted 30s TTL
+    // (but inside the 1800s adaptive ceiling).
+    qb.search_request(SearchRequest::new("permafrost volcanic").route(RoutingPolicy::HashPeer(3)))
         .expect("warm");
-        qb.advance_time(SimDuration::from_secs(700));
-        // Distinct queries sharing the terms probe the shard tier directly
-        // (the result tier expired long ago).
-        let archive = qb
-            .search_request(
-                SearchRequest::new("permafrost archival").route(RoutingPolicy::HashPeer(3)),
-            )
-            .expect("archive");
-        let live = qb
-            .search_request(SearchRequest::new("volcanic ticker").route(RoutingPolicy::HashPeer(3)))
-            .expect("live");
-        (archive.shard_cache_hits(), live.shard_cache_hits())
-    };
-
-    let (archive_hits_on, _live) = run(true);
+    qb.advance_time(SimDuration::from_secs(700));
+    // Distinct queries sharing the terms probe the shard tier directly
+    // (the result tier expired long ago).
+    let archive = qb
+        .search_request(SearchRequest::new("permafrost archival").route(RoutingPolicy::HashPeer(3)))
+        .expect("archive");
+    let live = qb
+        .search_request(SearchRequest::new("volcanic ticker").route(RoutingPolicy::HashPeer(3)))
+        .expect("live");
     assert_eq!(
-        archive_hits_on, 1,
-        "adaptive: the never-republished term outlives the global TTL"
+        archive.shard_cache_hits(),
+        1,
+        "the never-republished term is still cached"
     );
-    let (archive_hits_off, _) = run(false);
     assert_eq!(
-        archive_hits_off, 0,
-        "global knob: the archival term expired with everything else"
+        live.shard_cache_hits(),
+        0,
+        "the hot terms expired on their adapted schedule"
     );
 }
 

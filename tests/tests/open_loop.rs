@@ -96,9 +96,9 @@ fn overload_sheds_but_keeps_queues_bounded() {
     assert!(report.completed > report.offered / 4, "goodput collapsed");
 }
 
-/// The harness refuses to run without admission control, and enabling it
-/// leaves the closed-loop paths untouched (same answers as a no-admission
-/// engine).
+/// An engine with the default admission knobs serves an open-loop trace,
+/// and the admission knobs leave the closed-loop paths untouched (same
+/// answers from engines whose admission configs differ).
 #[test]
 fn admission_gate_and_closed_loop_neutrality() {
     let corpus = corpus(0xE2E, 12, 60);
@@ -108,15 +108,18 @@ fn admission_gate_and_closed_loop_neutrality() {
         published(config, &corpus, 10..28).expect("valid config")
     };
     let mut gated = open_loop_engine(&corpus, 0xE2E);
+    assert_ne!(plain.config().admission, gated.config().admission);
 
-    let err = plain.serve_open_loop(vec![TimedRequest::new(
-        SimDuration::ZERO,
-        SearchRequest::new("anything"),
-    )]);
-    assert!(err.is_err(), "serve_open_loop needs admission enabled");
-
-    // Closed-loop paths answer identically with and without admission.
     let query = corpus.pages[0].title.split_whitespace().next().unwrap();
+    let report = plain
+        .serve_open_loop(vec![TimedRequest::new(
+            SimDuration::ZERO,
+            SearchRequest::new(query),
+        )])
+        .expect("default admission serves an open-loop trace");
+    assert_eq!((report.offered, report.completed), (1, 1));
+
+    // Closed-loop paths answer identically under either admission config.
     let req = || {
         SearchRequest::new(query)
             .top_k(5)
