@@ -59,8 +59,7 @@ impl YacyEngine {
 
     /// Which peer is responsible for a term.
     pub fn peer_for_term(&self, term: &str) -> u64 {
-        let h = Hash256::digest_parts(&[b"yacy:", term.as_bytes()]);
-        let x = u64::from_be_bytes(h.as_bytes()[..8].try_into().expect("8 bytes"));
+        let [x, ..] = Hash256::digest_parts(&[b"yacy:", term.as_bytes()]).words();
         x % self.config.num_peers as u64
     }
 

@@ -67,6 +67,20 @@ impl Hash256 {
         &self.0
     }
 
+    /// The digest as four big-endian 64-bit words, most significant first:
+    /// the form ids, key prefixes and the XOR metric read it in.
+    pub fn words(&self) -> [u64; 4] {
+        let [a0, a1, a2, a3, a4, a5, a6, a7, rest @ ..] = self.0;
+        let [b0, b1, b2, b3, b4, b5, b6, b7, rest @ ..] = rest;
+        let [c0, c1, c2, c3, c4, c5, c6, c7, d0, d1, d2, d3, d4, d5, d6, d7] = rest;
+        [
+            u64::from_be_bytes([a0, a1, a2, a3, a4, a5, a6, a7]),
+            u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7]),
+            u64::from_be_bytes([c0, c1, c2, c3, c4, c5, c6, c7]),
+            u64::from_be_bytes([d0, d1, d2, d3, d4, d5, d6, d7]),
+        ]
+    }
+
     /// Construct from raw bytes.
     pub fn from_bytes(bytes: [u8; 32]) -> Hash256 {
         Hash256(bytes)
@@ -96,9 +110,8 @@ impl Hash256 {
     /// XOR distance between two digests interpreted as 256-bit integers
     /// (the Kademlia metric).
     pub fn xor(&self, other: &Hash256) -> Distance {
-        let word =
-            |h: &Hash256, i: usize| u64::from_be_bytes(std::array::from_fn(|j| h.0[8 * i + j]));
-        Distance(std::array::from_fn(|i| word(self, i) ^ word(other, i)))
+        let ([a0, a1, a2, a3], [b0, b1, b2, b3]) = (self.words(), other.words());
+        Distance([a0 ^ b0, a1 ^ b1, a2 ^ b2, a3 ^ b3])
     }
 
     /// Number of leading zero bits of the XOR distance to `other`; equals
@@ -425,6 +438,22 @@ mod tests {
             b"abc",
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
+    }
+
+    #[test]
+    fn words_read_the_digest_big_endian() {
+        let abc = Hash256::digest(b"abc");
+        let words = [
+            0xba78_16bf_8f01_cfea,
+            0x4141_40de_5dae_2223,
+            0xb003_61a3_9617_7a9c,
+            0xb410_ff61_f200_15ad,
+        ];
+        assert_eq!(abc.words(), words);
+        // The XOR metric reads the same words.
+        assert_eq!(abc.xor(&Hash256::ZERO).0, words);
+        let ones = Hash256([0xff; 32]);
+        assert_eq!(abc.xor(&ones).0, words.map(|w| !w));
     }
 
     #[test]

@@ -58,10 +58,8 @@ impl TermKey {
 
     /// The 64-bit prefix a term is keyed by.
     fn prefix_of(term: &str) -> u64 {
-        let digest = Hash256::digest_parts(&[b"qb-gossip/term", term.as_bytes()]);
-        let mut word = [0u8; 8];
-        word.copy_from_slice(&digest.as_bytes()[..8]);
-        u64::from_be_bytes(word)
+        let [prefix, ..] = Hash256::digest_parts(&[b"qb-gossip/term", term.as_bytes()]).words();
+        prefix
     }
 
     /// The term (a shared handle).

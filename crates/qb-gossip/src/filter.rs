@@ -43,12 +43,8 @@ impl FilterKey {
     pub fn of(term: &str, version: u64) -> FilterKey {
         let digest =
             Hash256::digest_parts(&[b"qb-gossip/filter", term.as_bytes(), &version.to_be_bytes()]);
-        let bytes = digest.as_bytes();
-        FilterKey(std::array::from_fn(|i| {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
-            u64::from_be_bytes(word)
-        }))
+        let [a, b, c, _] = digest.words();
+        FilterKey([a, b, c])
     }
 }
 

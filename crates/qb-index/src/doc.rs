@@ -7,8 +7,8 @@ use std::collections::HashMap;
 /// Stable 64-bit document id derived from a page name. Using a hash keeps
 /// doc ids consistent across independent worker bees without coordination.
 pub fn doc_id_for_name(name: &str) -> u64 {
-    let [a, b, c, d, e, f, g, h, ..] = Hash256::digest_parts(&[b"doc:", name.as_bytes()]).0;
-    u64::from_be_bytes([a, b, c, d, e, f, g, h])
+    let [id, ..] = Hash256::digest_parts(&[b"doc:", name.as_bytes()]).words();
+    id
 }
 
 /// Metadata of one indexed document (page version).

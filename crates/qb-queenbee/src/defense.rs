@@ -123,13 +123,13 @@ impl MinHashSignature {
         let words: Vec<&str> = text.split_whitespace().collect();
         let mut shingle_hashes: Vec<u64> = Vec::new();
         if words.len() < 4 {
-            let h = Hash256::digest(text.as_bytes());
-            shingle_hashes.push(u64::from_be_bytes(h.as_bytes()[..8].try_into().unwrap()));
+            let [h, ..] = Hash256::digest(text.as_bytes()).words();
+            shingle_hashes.push(h);
         } else {
             for w in words.windows(4) {
                 let shingle = w.join(" ");
-                let h = Hash256::digest(shingle.as_bytes());
-                shingle_hashes.push(u64::from_be_bytes(h.as_bytes()[..8].try_into().unwrap()));
+                let [h, ..] = Hash256::digest(shingle.as_bytes()).words();
+                shingle_hashes.push(h);
             }
         }
         // MinHash with MINHASH_HASHES different linear permutations.
