@@ -40,10 +40,9 @@ fn advance<'a>(
 }
 
 /// One query term's shard inside a kernel call, with the per-shard state
-/// the call keeps: where the caller listed it, how far scoring has walked
-/// it, and its idf (one `ln` per shard, not one per posting).
+/// the call keeps: how far scoring has walked it, and its idf (one `ln` per
+/// shard, not one per posting).
 struct List<'a> {
-    given: usize,
     shard: &'a ShardEntry,
     cursor: usize,
     idf: f64,
@@ -189,14 +188,15 @@ impl Ranked<'_> {
 
 /// Intersect the query terms' shards (falling back to the union when the
 /// conjunction is empty, so multi-term queries degrade gracefully), score
-/// each candidate with BM25 summed over the shards in the order given and
-/// blend it with `component_of` its page (the page's
-/// [`rank_component`]). The [`Ranked`] candidates order by `(score desc,
-/// doc id asc)`.
+/// each candidate with BM25 summed over the shards in term order and blend
+/// it with `component_of` its page (the page's [`rank_component`]). The
+/// [`Ranked`] candidates order by `(score desc, doc id asc)`.
 ///
 /// Shards must hold their postings strictly ascending by doc id
 /// ([`ShardEntry::upsert`] maintains this). A document's metadata is taken
-/// from the last shard, in the order given, that holds it.
+/// from the last shard, in term order, that holds it. The order the shards
+/// are given in changes nothing: a permuted query — which the result tier
+/// files under the same sorted-term key — scores bit for bit the same.
 pub fn rank<'a, S: Borrow<ShardEntry>>(
     shards: &'a [S],
     stats: &IndexStats,
@@ -218,11 +218,9 @@ fn score<'a, S: Borrow<ShardEntry>>(
     let num_docs = stats.num_docs.max(1) as usize;
     let mut lists: Vec<List<'a>> = shards
         .iter()
-        .enumerate()
-        .map(|(given, shard)| {
+        .map(|shard| {
             let shard: &ShardEntry = shard.borrow();
             List {
-                given,
                 shard,
                 cursor: 0,
                 idf: scorer.idf(shard.doc_freq(), num_docs),
@@ -249,10 +247,10 @@ fn score<'a, S: Borrow<ShardEntry>>(
         candidates.dedup();
     }
 
-    // Score in the order given (the float sum and the metadata choice
-    // depend on it). Candidates ascend, so each shard's cursor walks its
-    // list once.
-    lists.sort_unstable_by_key(|l| l.given);
+    // Score in term order (the float sum and the metadata choice depend on
+    // the order; the query's own order must not). Candidates ascend, so
+    // each shard's cursor walks its list once.
+    lists.sort_by(|a, b| a.shard.term.cmp(&b.shard.term));
     let avg_len = stats.avg_len();
     let score = |doc_id: &u64| {
         let mut relevance = 0.0;
@@ -302,7 +300,7 @@ mod tests {
 
     /// The same query semantics written the obvious way: hash-set
     /// conjunction, union fallback, per-candidate binary search, relevance
-    /// summed over the shards in the order given.
+    /// summed over the shards in term order.
     fn reference(
         shards: &[ShardEntry],
         stats: &IndexStats,
@@ -323,11 +321,13 @@ mod tests {
         }
         let scorer = Bm25::default();
         let num_docs = stats.num_docs.max(1) as usize;
+        let mut in_term_order: Vec<&ShardEntry> = shards.iter().collect();
+        in_term_order.sort_by(|a, b| a.term.cmp(&b.term));
         let mut results = Vec::new();
         for doc_id in candidates {
             let mut relevance = 0.0;
             let mut meta = None;
-            for shard in shards {
+            for &shard in &in_term_order {
                 if let Some(p) = shard.get(doc_id) {
                     relevance += scorer.score(
                         p.term_freq,
@@ -426,6 +426,12 @@ mod tests {
                 intersect_and_score(&shards, &stats, rank_of, rank_weight);
             prop_assert_eq!(bits(&plain), bits(&expected));
             prop_assert_eq!(plain_scored, expected_scored);
+
+            // Term order, not the order given, fixes the sum and the
+            // metadata: the shards reversed rank bit for bit the same.
+            let reversed: Vec<&ShardEntry> = shards.iter().rev().collect();
+            let (permuted, _) = intersect_and_score(&reversed, &stats, rank_of, rank_weight);
+            prop_assert_eq!(bits(&permuted), bits(&expected));
 
             // The serving path hands the kernel shared handles and borrows
             // of them, never `ShardEntry` values: same answer through both.

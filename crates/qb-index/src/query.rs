@@ -101,6 +101,10 @@ pub fn search(
     if lists.is_empty() {
         return Vec::new();
     }
+    // Sum in term order, as the serving kernel does: float addition of
+    // three or more terms is not associative, and a permuted query must
+    // score bit for bit the same.
+    lists.sort_by(|a, b| a.0.cmp(b.0));
 
     // Candidate set: intersection (AND) or union (OR) of doc ids.
     let candidates: PostingList = match query.mode {

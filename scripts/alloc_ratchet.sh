@@ -8,20 +8,21 @@
 #
 # Each workload's `sim_fingerprint` line (a hash over everything the run
 # simulated) must equal a committed constant at seed 1, 1 s: serve-warm
-# f782d4a7618ec860, cold-lookup a30562ceaa2f8154, score-heavy
-# 158ee05966b31920, publish-churn 7c32f2f110c24968. A host-side change
+# 059c87e708c069a0, cold-lookup a30562ceaa2f8154, score-heavy
+# 0931b7eedaa0bea9, publish-churn 0858e038e76a9b58. A host-side change
 # moves none of them; that check is what "every simulated byte in place"
 # means. A modelling change updates the constant it moves and gives the
-# reason here and in CHANGES.md. Last moved (serve-warm 54d5a7ccafa81135,
-# cold-lookup c10b6d7331ead4cf, publish-churn 72e6752610148740 before)
-# when a closed-loop `search_request` / `search_batch` window began to
-# issue all its reads at once, like a pipelined window: its statistics
-# and shard reads now run concurrently and queue behind each other on
-# the per-link in-flight limit instead of running one at a time on an
-# idle uplink. score-heavy reads through warm tiers, so it did not move.
-# Allocations fell slightly with it (cold-lookup 40.94 -> 40.78,
-# serve-warm 163.63 -> 162.49, publish-churn 1 494.44 -> 1 494.00
-# alloc/op); the ceilings stay.
+# reason here and in CHANGES.md. Last moved (serve-warm f782d4a7618ec860,
+# score-heavy 158ee05966b31920, publish-churn 7c32f2f110c24968 before)
+# when the kernel began to sum BM25 in sorted-term order, the order the
+# result tier keys by: a query of three or more terms given out of order
+# now carries other score bits (the fingerprint hashes every hit's
+# score), while every latency, message, byte, shed and allocation stayed
+# to the digit. cold-lookup asks single terms, so it did not move.
+# Before that (serve-warm 54d5a7ccafa81135, cold-lookup c10b6d7331ead4cf,
+# publish-churn 72e6752610148740) a closed-loop `search_request` /
+# `search_batch` window began to issue all its reads at once, like a
+# pipelined window.
 #
 # Allocation counts repeat to the digit at equal --seed and --seconds (the
 # simulation is deterministic and the benchmark counts through its own
@@ -141,8 +142,8 @@ check() {
   fi
 }
 
-check score-heavy 158ee05966b31920 41
+check score-heavy 0931b7eedaa0bea9 41
 check cold-lookup a30562ceaa2f8154 45.5
-check serve-warm f782d4a7618ec860 94
-check publish-churn 7c32f2f110c24968 1550 38
+check serve-warm 059c87e708c069a0 94
+check publish-churn 0858e038e76a9b58 1550 38
 exit "$status"

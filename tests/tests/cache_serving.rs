@@ -213,13 +213,11 @@ fn cache_off_engine_shows_no_warmup_effect() {
     assert!(!a.result_cache_hit() && !b.result_cache_hit());
 }
 
-/// Probe of a filed defect (ROADMAP, modelling-change queue): the result
-/// tier keys an entry by its *sorted* terms, but the kernel sums BM25 in
-/// the order the query gives them, and float addition of three or more
-/// terms is not associative — so a permutation of a cached ≥ 3-term query
-/// is served score bits the cache-off engine does not compute for it.
+/// The result tier keys an entry by its *sorted* terms, and float addition
+/// of three or more terms is not associative — so the kernel sums BM25 in
+/// sorted-term order too, and a permutation of a cached ≥ 3-term query is
+/// served exactly the score bits the cache-off engine computes for it.
 #[test]
-#[ignore = "modelling change: result key vs kernel term order"]
 fn a_permuted_three_term_query_scores_as_the_cache_off_engine_does() {
     let corpus = corpus(0xD1CE, 30, 60);
     // The three words most pages contain: every page pair shares some.
