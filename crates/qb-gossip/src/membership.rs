@@ -12,7 +12,7 @@
 //! * receiving a summary entry with a **newer heartbeat** refreshes that
 //!   member's `last_heard` (third-party liveness — a peer does not need to
 //!   talk to everyone to stay alive in everyone's view);
-//! * a member not heard from within the configured liveness timeout, or
+//! * a member not heard from within the liveness timeout, or
 //!   whose direct exchanges keep failing, is **marked dead** and evicted
 //!   from the sample set, so rounds stop burning timeouts on it;
 //! * a dead member that shows up again (heals from a partition, restarts)

@@ -79,8 +79,8 @@ pub fn to_requests(trace: &ArrivalTrace, config: &ReplayConfig) -> Vec<TimedRequ
 
 /// Replay a trace against an engine and return its [`LoadReport`].
 ///
-/// The engine must have admission control enabled
-/// ([`qb_queenbee::AdmissionConfig`]); arrival offsets are interpreted
+/// The engine's [`qb_queenbee::AdmissionConfig`] bounds each frontend's
+/// queue and sets its thresholds; arrival offsets are interpreted
 /// relative to the engine's current simulated instant.
 pub fn replay(
     engine: &mut QueenBee,

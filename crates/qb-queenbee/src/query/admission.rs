@@ -339,17 +339,23 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        let mut c = AdmissionConfig::default();
-        c.queue_capacity = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = AdmissionConfig::default();
-        c.window_size = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = AdmissionConfig::default();
-        c.degrade_threshold = SimDuration::from_millis(200);
-        assert!(c.validate().is_err());
+        let invalid = [
+            AdmissionConfig {
+                queue_capacity: 0,
+                ..AdmissionConfig::default()
+            },
+            AdmissionConfig {
+                window_size: 0,
+                ..AdmissionConfig::default()
+            },
+            AdmissionConfig {
+                degrade_threshold: SimDuration::from_millis(200),
+                ..AdmissionConfig::default()
+            },
+        ];
+        for c in invalid {
+            assert!(c.validate().is_err(), "{c:?}");
+        }
     }
 
     #[test]
