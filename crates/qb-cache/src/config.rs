@@ -101,7 +101,7 @@ impl CacheConfig {
         }
         if self.result_ttl == SimDuration::ZERO {
             return Err(QbError::Config(
-                "cache TTLs must be positive when the cache is enabled".into(),
+                "the result TTL must be positive when the cache is enabled".into(),
             ));
         }
         Ok(())
