@@ -20,7 +20,7 @@ use qb_bench::{f2, pct_drop, ratio_x, Table};
 use qb_common::SimDuration;
 use qb_index::ScoredDoc;
 use qb_load::scenario::{corpus, sized, QueryStream, Tally};
-use qb_queenbee::{RoutingPolicy, SearchRequest, SearchResponse};
+use qb_queenbee::{PipelineConfig, RoutingPolicy, SearchRequest, SearchResponse};
 
 const WINDOW: usize = 32;
 const PAGES: usize = 40;
@@ -67,7 +67,8 @@ pub fn run() -> Vec<Table> {
     for start in (0..STREAM).step_by(WINDOW) {
         qb.advance_time(SimDuration::from_millis(50));
         let requests: Vec<_> = (start..(start + WINDOW).min(STREAM)).map(request).collect();
-        batch.record(qb.search_batch(requests).expect("batch window"));
+        let window = qb.search_pipelined(requests, PipelineConfig::batch(WINDOW));
+        batch.record(window.expect("batch window").responses);
     }
 
     // Acceptance criteria, asserted so the CI smoke job catches regressions:

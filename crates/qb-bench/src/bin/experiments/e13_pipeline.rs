@@ -1,8 +1,9 @@
 //! E13 — the pipelined query engine. Part A replays a duplicate-heavy
 //! Zipf(1.2) stream on identical engines (cache off, so the pipeline's own
 //! mechanisms are isolated): **sequentially** (windows of one — the
-//! byte-identity reference), **back-to-back** (`search_batch` windows one
-//! at a time, makespan = the sum of window latencies), **pipelined**
+//! byte-identity reference), **back-to-back** (one-window
+//! `search_pipelined` calls one at a time, makespan = the sum of window
+//! latencies), **pipelined**
 //! (`search_pipelined`: up to 4 windows in flight, window N+1's fetches
 //! issued while window N's are pending). Every configuration reads under
 //! the simulated per-link in-flight limits: a window's own reads queue
@@ -94,7 +95,8 @@ fn pipeline_table() -> Table {
     let mut b2b_fetches = 0u64;
     for start in (0..STREAM).step_by(WINDOW) {
         let requests: Vec<_> = (start..(start + WINDOW).min(STREAM)).map(request).collect();
-        let responses = qb.search_batch(requests).expect("batch window");
+        let window = qb.search_pipelined(requests, PipelineConfig::batch(WINDOW));
+        let responses = window.expect("batch window").responses;
         b2b_makespan +=
             qb_simnet::parallel_latency(&responses.iter().map(|r| r.latency).collect::<Vec<_>>());
         b2b_messages += messages(&responses);
@@ -241,7 +243,11 @@ fn fanout_run(batch_advertise: bool) -> (u64, u64, u64) {
         .iter()
         .map(|q| SearchRequest::new(*q).route(RoutingPolicy::Direct(0)))
         .collect();
-    let responses = qb.search_batch(window).expect("batch window");
+    let batch = PipelineConfig::batch(window.len());
+    let responses = qb
+        .search_pipelined(window, batch)
+        .expect("batch window")
+        .responses;
     let mut fetched_terms: Vec<String> = Vec::new();
     for r in &responses {
         for (term, prov) in r.terms.iter().zip(&r.provenance) {

@@ -8,11 +8,13 @@
 //! * `publish` — publishing, the worker bees' indexing of publish events,
 //!   writer-side segment compaction;
 //! * `rank` — the decentralized PageRank round;
-//! * `serve` — the one window executor (plan, issue every read at once,
-//!   poll the window as its reads advance, retire) and the three
-//!   closed-loop entry points (`search_request`, `search_batch`,
-//!   `search_pipelined`);
-//! * `open_loop` — `serve_open_loop`, admission control over the pipeline;
+//! * `serve` — the one window loop every query runs through (cut windows
+//!   off the stream, plan, issue every read at once, poll the windows in
+//!   flight as their reads advance, retire in order) and the two
+//!   closed-loop entry points (`search_request`, one one-query window, and
+//!   `search_pipelined`, any window size and depth);
+//! * `open_loop` — `serve_open_loop`, admission control in front of the
+//!   window loop;
 //! * `fleet` — frontend join/leave/rejoin, gossip rounds, hot-set
 //!   persistence;
 //! * `economy` — bees and their behaviour, advertisers, ad clicks, honey.
@@ -33,6 +35,8 @@ use crate::bee::WorkerBee;
 use crate::config::{QueenBeeConfig, BEE_STAKE};
 use crate::defense::MinHashSignature;
 use crate::metrics::{FreshnessProbe, QueryEngineStats};
+use crate::query::executor::WindowRun;
+use crate::query::pipeline::WindowSpan;
 use qb_cache::{CacheMetrics, QueryCache};
 use qb_chain::{AccountId, Blockchain, Call};
 use qb_common::{QbResult, SimDuration, SimInstant};
@@ -42,7 +46,7 @@ use qb_index::{Analyzer, DistributedIndex, IndexStats, ShardViews};
 use qb_segment::{Segment, SegmentRef, SegmentStats};
 use qb_simnet::SimNet;
 use qb_storage::StorageNetwork;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// The assembled QueenBee deployment (Figure 1 of the paper).
 pub struct QueenBee {
@@ -115,6 +119,11 @@ pub struct QueenBee {
     writer_shard_cache_hits: u64,
     /// Engine-lifetime counters of the query-serving path.
     query_stats: QueryEngineStats,
+    /// The window loop's windows in flight (empty between runs), kept so
+    /// each run reuses the buffer.
+    in_flight: VecDeque<WindowRun>,
+    /// One span per window the last run retired, in request order.
+    window_spans: Vec<WindowSpan>,
     /// Freshness accounting across every search served.
     pub freshness: FreshnessProbe,
 }
@@ -179,6 +188,8 @@ impl QueenBee {
             writer_shard_reads: 0,
             writer_shard_cache_hits: 0,
             query_stats: QueryEngineStats::default(),
+            in_flight: VecDeque::new(),
+            window_spans: Vec::new(),
             freshness: FreshnessProbe::default(),
             net,
             dht,
@@ -290,6 +301,7 @@ mod tests {
     use super::*;
     use crate::attacks::{CollusionAttack, ScraperAttack};
     use crate::query::pipeline::PipelineConfig;
+    use crate::query::plan::Resolution;
     use crate::query::request::{Freshness, RoutingPolicy, SearchRequest};
     use crate::query::response::{SearchResponse, TermProvenance};
     use qb_common::QbError;
@@ -592,7 +604,11 @@ mod tests {
 
         // No cache: the batch window is the only sharing mechanism.
         let mut batched = meadow_engine();
-        let responses = batched.search_batch(requests.clone()).unwrap();
+        let batch = PipelineConfig::batch(requests.len());
+        let responses = batched
+            .search_pipelined(requests.clone(), batch)
+            .unwrap()
+            .responses;
         let fetches: usize = responses.iter().map(|r| r.shards_fetched()).sum();
         let shared: usize = responses.iter().map(|r| r.batch_shared()).sum();
         assert_eq!(fetches, 4, "distinct terms: meadow, honey, nectar, clover");
@@ -627,14 +643,19 @@ mod tests {
             seq_hits.push(sequential.search_request(req).unwrap().hits);
         }
 
-        // Back-to-back windows (the PR 3 path): makespan = sum of window
-        // latencies.
+        // Back-to-back windows, one batch call each: makespan = sum of
+        // window latencies.
         let mut b2b = meadow_engine();
         let mut b2b_makespan = SimDuration::ZERO;
         for window in duplicate_heavy_requests().chunks(2) {
-            let responses = b2b.search_batch(window.to_vec()).unwrap();
+            let batch = PipelineConfig::batch(window.len());
+            let responses = b2b.search_pipelined(window.to_vec(), batch).unwrap();
             b2b_makespan += qb_simnet::parallel_latency(
-                &responses.iter().map(|r| r.latency).collect::<Vec<_>>(),
+                &responses
+                    .responses
+                    .iter()
+                    .map(|r| r.latency)
+                    .collect::<Vec<_>>(),
             );
         }
 
@@ -693,7 +714,13 @@ mod tests {
         let mut batched = meadow_engine();
         let windows: Vec<SearchResponse> = duplicate_heavy_requests()
             .chunks(2)
-            .flat_map(|window| batched.search_batch(window.to_vec()).unwrap())
+            .flat_map(|window| {
+                let batch = PipelineConfig::batch(window.len());
+                batched
+                    .search_pipelined(window.to_vec(), batch)
+                    .unwrap()
+                    .responses
+            })
             .collect();
         let mut pipelined = meadow_engine();
         let config = PipelineConfig {
@@ -755,6 +782,49 @@ mod tests {
     }
 
     #[test]
+    fn a_traced_pipelined_run_records_one_query_tree_per_response() {
+        // Two windows in flight at a time over four windows: the later
+        // windows issue only once earlier ones retire, so the issue
+        // instants differ and each tree must start at its own window's.
+        let mut qb = meadow_engine();
+        qb.set_tracing(true);
+        let config = PipelineConfig {
+            window_size: 2,
+            max_windows_in_flight: 2,
+        };
+        let outcome = qb
+            .search_pipelined(duplicate_heavy_requests(), config)
+            .unwrap();
+        let spans = &outcome.window_spans;
+        assert_eq!(spans.len(), 4);
+        assert!(spans.iter().any(|span| span.issued_at > spans[0].issued_at));
+
+        let trace = qb.take_trace();
+        let trees: Vec<_> = trace.named("query").collect();
+        assert_eq!(
+            trees.len(),
+            outcome.responses.len(),
+            "one tree per response"
+        );
+        for span in spans {
+            let window = span.first_query..span.first_query + span.queries;
+            for (tree, response) in trees[window.clone()].iter().zip(&outcome.responses[window]) {
+                assert_eq!(tree.parent, None);
+                assert_eq!(tree.detail, response.query);
+                assert_eq!(tree.start, span.issued_at, "rooted at its window's issue");
+                assert_eq!(tree.end, span.issued_at + response.latency);
+            }
+        }
+
+        // An empty request list opens no window and records nothing.
+        let empty = qb.search_pipelined(Vec::new(), PipelineConfig::batch(0));
+        let empty = empty.unwrap();
+        assert!(empty.responses.is_empty() && empty.window_spans.is_empty());
+        assert_eq!(empty.report.windows, 0);
+        assert!(qb.take_trace().spans.is_empty());
+    }
+
+    #[test]
     fn an_aborted_pipelined_run_leaves_the_engine_as_good_as_new() {
         let build = || {
             let mut qb = engine();
@@ -787,6 +857,7 @@ mod tests {
             "window 1 had hops on the wire when window 2 failed"
         );
         assert_eq!(qb.net.async_in_flight(), 0, "the abort retired them");
+        assert!(qb.in_flight.is_empty(), "no window outlives the run");
         assert_eq!(
             qb.query_stats(),
             QueryEngineStats::default(),
@@ -828,6 +899,7 @@ mod tests {
         let aborted = qb.search_pipelined(requests, PipelineConfig::default());
         assert!(matches!(aborted, Err(QbError::NodeOffline(5))));
         assert_eq!(qb.net.async_in_flight(), 0);
+        assert!(qb.in_flight.is_empty(), "no window outlives the run");
     }
 
     fn cached_engine() -> QueenBee {
@@ -911,8 +983,10 @@ mod tests {
         // the tier, the plan's handle and this one hold one allocation.
         let warm = qb.open_window(vec![query()], now).unwrap().plans.remove(0);
         assert_eq!(warm.result_key, key);
-        let cached = warm.cached_result.as_ref().expect("result-cache hit");
-        let list = Arc::clone(&cached.results);
+        let Resolution::ResultHit { entry, .. } = &warm.resolution else {
+            panic!("a result-cache hit");
+        };
+        let list = Arc::clone(&entry.results);
         assert_eq!(Arc::strong_count(&list), 3);
         // The fetched shards fanned out as handles too.
         for fetch in reads.shards.iter().map(|read| read.done()) {
@@ -982,56 +1056,6 @@ mod tests {
         let queued = queued.expect("the tree splits off the link queueing");
         assert_eq!(queued.duration(), response.trace.net_queue);
         assert_eq!(queued.end, completed);
-    }
-
-    #[test]
-    fn a_batch_window_answers_as_a_one_deep_pipeline() {
-        // Twin engines serve one multi-read window: `search_batch` runs it
-        // to completion, a pipeline one window wide and one deep overlaps
-        // it with nothing. One read schedule, so the answers, their costs
-        // and the network's counters agree exactly.
-        let queries = [
-            "decentralized peers",
-            "peers gossip",
-            "serve web",
-            "decentralized",
-        ];
-        let requests = || -> Vec<SearchRequest> {
-            let peers = [5u64, 5, 9, 9].into_iter();
-            queries
-                .iter()
-                .zip(peers)
-                .map(|(q, p)| from_peer(p, q))
-                .collect()
-        };
-        let (mut batch, mut pipelined) = (one_deep_links(), one_deep_links());
-        let a = batch.search_batch(requests()).unwrap();
-        let one_window = PipelineConfig {
-            window_size: queries.len(),
-            max_windows_in_flight: 1,
-        };
-        let outcome = pipelined.search_pipelined(requests(), one_window).unwrap();
-        assert_eq!(outcome.report.windows, 1);
-        assert!(outcome.report.shard_fetches >= 4 && outcome.report.stats_reads == 1);
-        let b = &outcome.responses;
-        assert_eq!(a.len(), b.len());
-        assert!(a.iter().any(|r| r.trace.net_queue > SimDuration::ZERO));
-        let hits = |r: &SearchResponse| -> Vec<(u64, u64)> {
-            r.hits
-                .iter()
-                .map(|h| (h.doc_id, h.score.to_bits()))
-                .collect()
-        };
-        for (a, b) in a.iter().zip(b) {
-            assert!(!a.hits.is_empty());
-            assert_eq!(hits(a), hits(b));
-            assert_eq!(a.provenance, b.provenance);
-            assert!(a.latency > SimDuration::ZERO);
-            assert_eq!(a.latency, b.latency);
-            assert_eq!(a.trace.net_queue, b.trace.net_queue);
-            assert_eq!(a.messages(), b.messages());
-        }
-        assert_eq!(batch.net.stats(), pipelined.net.stats());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The open-loop seam: an arrival trace admitted, queued, degraded or shed
-//! per frontend and dispatched through the pipeline in windows.
+//! per frontend, each dispatch one run of the engine's window loop.
 
 use super::QueenBee;
 use crate::query::admission::{IngressQueue, LoadReport, TimedRequest};
@@ -10,8 +10,9 @@ use qb_common::{QbResult, SimInstant};
 impl QueenBee {
     /// Serve an **open-loop** arrival trace: each request is admitted (or
     /// degraded, or shed) at its arrival instant against its frontend's
-    /// bounded ingress queue, queued work is dispatched through
-    /// [`QueenBee::search_pipelined`] in windows, and every query's sojourn
+    /// bounded ingress queue, queued work is dispatched in pipelined windows
+    /// (one run of the window loop behind [`QueenBee::search_pipelined`]
+    /// per dispatch), and every query's sojourn
     /// (arrival → response completion) lands in the returned
     /// [`LoadReport`]'s histograms. The queue bound, window shape and
     /// thresholds come from the engine's
@@ -112,26 +113,29 @@ impl QueenBee {
                         fleet.record_finished(f, take as u64);
                     }
                     self.advance_time_to(at);
-                    let outcome = self.search_pipelined(requests, pipeline)?;
-                    for span in &outcome.window_spans {
+                    let (run, served) = self.run_windows(requests, pipeline);
+                    self.record_pipeline_run(&run);
+                    let responses = served?;
+                    self.run_due_gossip();
+                    for span in &self.window_spans {
                         let range = span.first_query..span.first_query + span.queries;
                         for (arrived, response) in
-                            arrived[range.clone()].iter().zip(&outcome.responses[range])
+                            arrived[range.clone()].iter().zip(&responses[range])
                         {
                             let done = span.issued_at + response.latency;
                             report.sojourn.record(done.since(*arrived));
                             report.queue_wait.record(span.issued_at.since(*arrived));
                             report.completed += 1;
                             last_completion = last_completion.max(done);
-                            self.record_query_tree(response, span.issued_at, done, Some(*arrived));
                         }
                     }
+                    self.record_query_trees(&responses, Some(&arrived));
                     report.dispatches += 1;
-                    report.windows += outcome.report.windows as u64;
-                    report.pipeline_queue_delay += outcome.report.queue_delay;
+                    report.windows += run.windows as u64;
+                    report.pipeline_queue_delay += run.queue_delay;
                     let q = &mut queues[f];
-                    q.observe_service(take, outcome.report.makespan);
-                    q.busy_until = at + outcome.report.makespan;
+                    q.observe_service(take, run.makespan);
+                    q.busy_until = at + run.makespan;
                 }
                 // Nothing queued and — the first arm takes any arrival that
                 // has no dispatch to wait behind — nothing left to arrive.

@@ -1,17 +1,16 @@
-//! The serve seam: one window executor with one read schedule. A window of
-//! requests is planned against the cache tiers and its distinct missing
-//! shards (and the statistics record) are enumerated once, into one window
-//! record (`open_window`); every read is issued at the window's instant by
-//! one function (`issue_read`, via `read_concurrently`) and the window is
-//! polled as its reads advance (`poll_window`, one `poll_read` per read);
-//! one retire step (`retire_window`) serves every plan and queues the batch
-//! adverts. `search_request` / `search_batch` run one window to completion;
-//! the pipeline driver behind `search_pipelined` overlaps several.
+//! The serve seam: one window loop (`run_windows`) with one read schedule.
+//! A window is planned and its distinct reads enumerated once
+//! (`open_window`); every read is issued at the window's instant
+//! (`issue_read`, via `read_concurrently`) and polled as it advances
+//! (`poll_window`, one `poll_read` per read); one retire step
+//! (`retire_window`) serves every plan. `search_request` is a run of one
+//! one-query window, `search_pipelined` any run, and `serve_open_loop`
+//! makes one run per dispatch.
 
 use super::QueenBee;
 use crate::query::executor::{ReadPoll, ReadProgress, ReadSlot, WindowReads, WindowRun};
-use crate::query::pipeline::{PipelineConfig, PipelineDriver, PipelineOutcome, PipelineReport};
-use crate::query::plan::{plan_request, QueryPlan, StatsPlan, TermPlan};
+use crate::query::pipeline::{PipelineConfig, PipelineOutcome, PipelineReport, WindowSpan};
+use crate::query::plan::{plan_request, QueryPlan, Resolution, StatsPlan, TermPlan};
 use crate::query::request::{RoutingPolicy, SearchRequest};
 use crate::query::response::{paginate, SearchResponse, StageCosts, TermProvenance};
 use qb_cache::QueryCache;
@@ -20,152 +19,217 @@ use qb_gossip::GossipFleet;
 use qb_index::{ScoredDoc, ShardEntry, ShardPosting};
 use qb_trace::SpanId;
 use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 impl QueenBee {
-    /// Serve one [`SearchRequest`] through the staged planner/executor
-    /// pipeline (a batch window of one; see [`QueenBee::search_batch`]):
-    /// fetch the query terms' shards through the DHT (or serve them from
-    /// the query cache when enabled), intersect, score with BM25 blended
-    /// with PageRank, and attach the highest-bidding matching ad.
+    /// Serve one [`SearchRequest`] as a run of one one-query window: fetch
+    /// its terms' shards through the DHT (or serve them from the query
+    /// cache), intersect, score with BM25 blended with PageRank, and attach
+    /// the highest-bidding matching ad.
     pub fn search_request(&mut self, request: SearchRequest) -> QbResult<SearchResponse> {
-        let mut responses = self.search_batch(vec![request])?;
+        let (_, served) = self.run_windows(vec![request], PipelineConfig::batch(1));
+        let mut responses = served?;
+        self.record_query_trees(&responses, None);
+        self.run_due_gossip();
         Ok(responses.remove(0))
-    }
-
-    /// Serve a batch of requests as one window: every request is **planned**
-    /// first (term analysis plus cache probes, no network traffic), then the
-    /// executor fetches each distinct missing term shard **once** — the
-    /// window's reads are issued together and run concurrently on the
-    /// simulated network, so a query waits for the slowest read it needs,
-    /// not a per-query sum, and reads that share an uplink queue behind its
-    /// in-flight limit exactly as a pipelined window's do — and fans the
-    /// shard out to every query in the batch that needs it. 64 Zipf queries
-    /// sharing a hot head term cost one DHT round-trip instead of 64. The
-    /// statistics record is likewise read at most once per window.
-    ///
-    /// Sharing is scoped to the serving frontend: in fleet mode, queries
-    /// routed to different frontends do not ride each other's fetches —
-    /// frontends are separate machines, and moving shards between them is
-    /// the gossip overlay's (network-charged) job. In single mode the whole
-    /// window shares.
-    ///
-    /// Responses come back in request order and are byte-identical to
-    /// executing the same requests sequentially (experiment E11 asserts
-    /// this). An invalid request (no searchable terms, bad routing) or a
-    /// failed fetch aborts the whole batch with the first error, and the
-    /// reads still in flight are abandoned.
-    pub fn search_batch(&mut self, requests: Vec<SearchRequest>) -> QbResult<Vec<SearchResponse>> {
-        let now = self.net.now();
-        let mut win = self.open_window(requests, now)?;
-        let mut read = self.read_concurrently(&mut win);
-        while let (Ok(()), Some(next)) = (&read, win.next_event) {
-            read = self.poll_window(&mut win, next);
-        }
-        if let Err(err) = read {
-            win.reads.abandon(&mut self.net);
-            return Err(err);
-        }
-        let mut responses = Vec::with_capacity(win.plans.len());
-        self.retire_window(win, &mut responses);
-        // One root tree per response, rebuilt from its staged costs so the
-        // closed-loop path gets the same query/plan/fetch/score shape the
-        // open-loop server records.
-        for response in &responses {
-            self.record_query_tree(response, now, now + response.latency, None);
-        }
-        if self.fleet.is_some() {
-            self.run_due_gossip();
-        }
-        Ok(responses)
-    }
-
-    /// Record one per-query span tree on the tracer: a `query` root over
-    /// the sojourn (or service) interval with `queue_wait` /
-    /// `cache_serve` / staged-cost children, so critical-path analysis can
-    /// attribute a query's latency without knowing engine internals. The
-    /// children come from the response's [`StageCosts`] — the pipelined
-    /// paths run fetches on a virtual timeline, so stage spans are rebuilt
-    /// here rather than opened live.
-    pub(super) fn record_query_tree(
-        &mut self,
-        response: &SearchResponse,
-        issued_at: SimInstant,
-        done: SimInstant,
-        arrived: Option<SimInstant>,
-    ) {
-        if !self.net.tracing_enabled() {
-            return;
-        }
-        let root_start = arrived.unwrap_or(issued_at);
-        let root = self
-            .net
-            .tracer()
-            .record_with(None, "query", root_start, done, || response.query.clone());
-        if let Some(arrived) = arrived {
-            self.net
-                .tracer()
-                .record(root, "queue_wait", arrived, issued_at);
-        }
-        if response.result_cache_hit() {
-            self.net
-                .tracer()
-                .record(root, "cache_serve", issued_at, done);
-        } else {
-            // Stage ends are clamped into the query's own interval: a
-            // query's latency is the slowest window read it waited on, so a
-            // term or statistics record the cache served, charged the
-            // cache's hit latency, can outlast it, and the root must still
-            // end at `done`.
-            let costs = &response.trace;
-            if costs.plan > SimDuration::ZERO {
-                let end = (issued_at + costs.plan).min(done);
-                self.net.tracer().record(root, "plan", issued_at, end);
-            }
-            if costs.stats > SimDuration::ZERO {
-                let end = (issued_at + costs.stats).min(done);
-                self.net.tracer().record(root, "stats", issued_at, end);
-            }
-            // The service interval runs to the query's completion, but the
-            // per-link queueing charged inside the slowest dependency
-            // (`StageCosts::net_queue`) is split off as its own span so
-            // attribution separates waiting on contended links from fetch
-            // service.
-            let net_queue = costs.net_queue.min(done.since(issued_at));
-            let service = done.since(issued_at).as_micros() - net_queue.as_micros();
-            let fetch_end = issued_at + SimDuration::from_micros(service);
-            if fetch_end > issued_at {
-                self.net
-                    .tracer()
-                    .record(root, "fetch", issued_at, fetch_end);
-            }
-            if net_queue > SimDuration::ZERO {
-                self.net.tracer().record(root, "net_queue", fetch_end, done);
-            }
-        }
-        self.net.tracer().record(root, "score", done, done);
     }
 
     /// Serve a request stream through the **pipelined execution engine**:
     /// the stream is cut into windows of `config.window_size`, and up to
-    /// `config.max_windows_in_flight` windows overlap — window N+1 is
-    /// planned and its distinct-shard fetches issued while window N's
-    /// fetches are still in flight, with the per-link in-flight limits of
-    /// the simulated network queueing (and charging) any excess. Each plan
-    /// is then scored and answered by the same `serve_plan` a batch window
-    /// uses. See [`crate::query::pipeline`] for the state machine; experiment E13
-    /// measures the makespan win over back-to-back windows and asserts
-    /// byte-identical per-query results.
+    /// `config.max_windows_in_flight` windows overlap, the simulated
+    /// network's per-link in-flight limits queueing (and charging) any
+    /// excess ([`crate::query::pipeline`]). A batch is one window
+    /// ([`PipelineConfig::batch`]): each distinct missing term shard is
+    /// fetched **once** per serving frontend and fanned out to every query
+    /// of the window that needs it; the statistics record is read at most
+    /// once. Responses come back in request order, byte-identical to
+    /// sequential execution (E11 and E13 assert this); an invalid request
+    /// or a failed fetch aborts the run with the first error.
     pub fn search_pipelined(
         &mut self,
         requests: Vec<SearchRequest>,
         config: PipelineConfig,
     ) -> QbResult<PipelineOutcome> {
-        let outcome = PipelineDriver::new(config).run(self, requests)?;
-        if self.fleet.is_some() {
-            self.run_due_gossip();
+        let (report, served) = self.run_windows(requests, config);
+        self.record_pipeline_run(&report);
+        let responses = served?;
+        self.record_query_trees(&responses, None);
+        self.run_due_gossip();
+        Ok(PipelineOutcome {
+            responses,
+            report,
+            window_spans: self.window_spans.clone(),
+        })
+    }
+
+    /// The one window loop: take the earliest pending event — issue the next
+    /// window (cut off the front of the stream when one of `config`'s depth
+    /// of slots is free) or advance every window in flight to the next read
+    /// completion — until every request is served or a read fails. Windows
+    /// retire in FIFO order into `window_spans`. A failed run abandons the
+    /// reads still in flight, leaving no phantom link occupancy, and its
+    /// report counts the windows that served before the failure.
+    pub(super) fn run_windows(
+        &mut self,
+        requests: Vec<SearchRequest>,
+        config: PipelineConfig,
+    ) -> (PipelineReport, QbResult<Vec<SearchResponse>>) {
+        let window = config.window_size.max(1);
+        let depth = config.max_windows_in_flight.max(1);
+        let mut report = PipelineReport::default();
+        let mut responses = Vec::with_capacity(requests.len());
+        let mut in_flight = std::mem::take(&mut self.in_flight);
+        self.window_spans.clear();
+        let mut pending: VecDeque<SearchRequest> = requests.into();
+        let t0 = self.net.now();
+        // Window w may issue once window w - depth has retired; FIFO
+        // retirement makes this the completion instant of the window
+        // retired most recently.
+        let mut next_issue_at = t0;
+        // The loop's position on the virtual timeline; only ever moves
+        // forward (to an issue instant or the next read completion).
+        let mut cursor = t0;
+
+        let served = loop {
+            // Retire the front window once all its reads completed (its
+            // last poll found none pending): Fetching → Scoring → Done.
+            if let Some(win) = in_flight.pop_front_if(|w| w.next_event.is_none()) {
+                next_issue_at = next_issue_at.max(win.completes_at);
+                report.makespan = report.makespan.max(win.completes_at.since(t0));
+                report.queue_delay += win.queue_delay;
+                report.windows += 1;
+                report.queries += win.plans.len();
+                self.window_spans.push(WindowSpan {
+                    first_query: responses.len(),
+                    queries: win.plans.len(),
+                    issued_at: win.issued_at,
+                    completed_at: win.completes_at,
+                });
+                self.retire_window(win, &mut responses);
+                continue;
+            }
+
+            let can_issue = !pending.is_empty() && in_flight.len() < depth;
+            let issue_at = next_issue_at.max(cursor);
+            let next_completion = in_flight.iter().filter_map(|w| w.next_event).min();
+
+            match next_completion {
+                Some(completion) if !can_issue || completion < issue_at => {
+                    cursor = completion;
+                    // Advance every window in flight: reads of different
+                    // windows share the per-peer uplinks, so a completion
+                    // in one window can unblock (or be interleaved with)
+                    // hops of another. FIFO order keeps it deterministic.
+                    let polled = in_flight
+                        .iter_mut()
+                        .try_for_each(|win| self.poll_window(win, cursor));
+                    if let Err(err) = polled {
+                        break Err(err);
+                    }
+                }
+                _ if can_issue => {
+                    // Cut the next window at the moment it issues (the last
+                    // one takes the rest of the stream as it is), plan it
+                    // and start its reads (Planned → Fetching). They advance
+                    // only through `poll_window`; the immediate poll lets
+                    // zero-latency reads finish in place.
+                    cursor = issue_at;
+                    let requests = if pending.len() <= window {
+                        Vec::from(std::mem::take(&mut pending))
+                    } else {
+                        pending.drain(..window).collect()
+                    };
+                    let mut win = match self.open_window(requests, issue_at) {
+                        Ok(win) => win,
+                        Err(err) => break Err(err),
+                    };
+                    report.stats_reads += u64::from(win.reads.stats.is_some());
+                    report.shard_fetches += win.reads.shards.len() as u64;
+                    // The window is in flight whether or not its first poll
+                    // succeeds: a read that fails on the spot must not
+                    // strand its siblings' hops.
+                    let polled = self.read_concurrently(&mut win);
+                    in_flight.push_back(win);
+                    if let Err(err) = polled {
+                        break Err(err);
+                    }
+                    report.peak_windows_in_flight =
+                        report.peak_windows_in_flight.max(in_flight.len());
+                }
+                _ => break Ok(()),
+            }
+        };
+
+        for mut win in in_flight.drain(..) {
+            win.reads.abandon(&mut self.net);
         }
-        Ok(outcome)
+        self.in_flight = in_flight;
+        (report, served.map(|()| responses))
+    }
+
+    /// Record one span tree per response of the last run: a `query` root
+    /// from the open loop's arrival instant (`arrived`, one per response)
+    /// or else its window's issue instant, with `queue_wait` /
+    /// `cache_serve` / staged-cost children rebuilt from the response's
+    /// [`StageCosts`], so critical-path analysis can attribute a query's
+    /// latency without knowing engine internals.
+    pub(super) fn record_query_trees(
+        &mut self,
+        responses: &[SearchResponse],
+        arrived: Option<&[SimInstant]>,
+    ) {
+        if !self.net.tracing_enabled() {
+            return;
+        }
+        let tracer = self.net.tracer();
+        for span in &self.window_spans {
+            let issued_at = span.issued_at;
+            let range = span.first_query..span.first_query + span.queries;
+            for (i, response) in range.clone().zip(&responses[range]) {
+                let done = issued_at + response.latency;
+                let arrived = arrived.map(|arrived| arrived[i]);
+                let root_start = arrived.unwrap_or(issued_at);
+                let root =
+                    tracer.record_with(None, "query", root_start, done, || response.query.clone());
+                if let Some(arrived) = arrived {
+                    tracer.record(root, "queue_wait", arrived, issued_at);
+                }
+                if response.result_cache_hit() {
+                    tracer.record(root, "cache_serve", issued_at, done);
+                } else {
+                    // Stage ends are clamped into the query's own interval:
+                    // a query's latency is the slowest window read it waited
+                    // on, so a term or statistics record the cache served,
+                    // charged the cache's hit latency, can outlast it, and
+                    // the root must still end at `done`.
+                    let costs = &response.trace;
+                    if costs.plan > SimDuration::ZERO {
+                        let end = (issued_at + costs.plan).min(done);
+                        tracer.record(root, "plan", issued_at, end);
+                    }
+                    if costs.stats > SimDuration::ZERO {
+                        let end = (issued_at + costs.stats).min(done);
+                        tracer.record(root, "stats", issued_at, end);
+                    }
+                    // The service interval runs to the query's completion,
+                    // but the per-link queueing charged inside the slowest
+                    // dependency (`StageCosts::net_queue`) is split off as
+                    // its own span so attribution separates waiting on
+                    // contended links from fetch service.
+                    let net_queue = costs.net_queue.min(done.since(issued_at));
+                    let service = done.since(issued_at).as_micros() - net_queue.as_micros();
+                    let fetch_end = issued_at + SimDuration::from_micros(service);
+                    if fetch_end > issued_at {
+                        tracer.record(root, "fetch", issued_at, fetch_end);
+                    }
+                    if net_queue > SimDuration::ZERO {
+                        tracer.record(root, "net_queue", fetch_end, done);
+                    }
+                }
+                tracer.record(root, "score", done, done);
+            }
+        }
     }
 
     /// The one window constructor: plan every request against its
@@ -452,7 +516,7 @@ impl QueenBee {
     /// that is built.
     pub(super) fn serve_plan(
         &mut self,
-        mut plan: QueryPlan,
+        plan: QueryPlan,
         reads: &WindowReads,
         issued_at: SimInstant,
         now: SimInstant,
@@ -461,26 +525,38 @@ impl QueenBee {
         let top_k = plan.request.top_k.unwrap_or(self.config.top_k);
         let page = plan.request.page;
 
-        // A current result-cache entry answers the whole request locally.
-        if let Some(entry) = plan.cached_result.take() {
-            let hits = paginate(&entry.results, page, top_k);
-            let total = entry.results.len();
-            let observed = entry.term_versions.iter().map(|(t, v)| (t.as_str(), *v));
-            self.record_observations(plan.frontend, observed);
-            let trace = StageCosts {
-                plan: hit_latency,
-                ..StageCosts::default()
-            };
-            let provenance = vec![TermProvenance::ResultCache; plan.terms.len()];
-            return self.finish_response(plan, hits, total, top_k, hit_latency, trace, provenance);
-        }
+        let (terms, stats_plan) = match plan.resolution {
+            // A current result-cache entry answers the whole request locally.
+            Resolution::ResultHit { terms, entry } => {
+                let hits = paginate(&entry.results, page, top_k);
+                let total = entry.results.len();
+                let observed = entry.term_versions.iter().map(|(t, v)| (t.as_str(), *v));
+                self.record_observations(plan.frontend, observed);
+                let trace = StageCosts {
+                    plan: hit_latency,
+                    ..StageCosts::default()
+                };
+                let provenance = vec![TermProvenance::ResultCache; terms.len()];
+                return self.finish_response(
+                    plan.seq,
+                    plan.request,
+                    terms,
+                    hits,
+                    total,
+                    hit_latency,
+                    trace,
+                    provenance,
+                );
+            }
+            Resolution::PerTerm { terms, stats } => (terms, stats),
+        };
 
         // Line the shards up in term order, borrowed from the plan's
         // resolutions and the window's shared fetches (only a proven-absent
         // term needs an owned, empty stand-in).
-        let mut shards: Vec<Cow<'_, ShardEntry>> = Vec::with_capacity(plan.terms.len());
-        let mut provenance: Vec<TermProvenance> = Vec::with_capacity(plan.terms.len());
-        let mut term_latencies: Vec<SimDuration> = Vec::with_capacity(plan.terms.len());
+        let mut shards: Vec<Cow<'_, ShardEntry>> = Vec::with_capacity(terms.len());
+        let mut provenance: Vec<TermProvenance> = Vec::with_capacity(terms.len());
+        let mut term_latencies: Vec<SimDuration> = Vec::with_capacity(terms.len());
         let mut observed: Vec<(&str, u64)> = Vec::new();
         let mut fan_out: Vec<&Arc<ShardEntry>> = Vec::new();
         let mut messages = 0u64;
@@ -496,7 +572,7 @@ impl QueenBee {
                     .unwrap_or(read),
             )
         };
-        for planned in &plan.terms {
+        for planned in &terms {
             match &planned.plan {
                 TermPlan::CachedShard(shard) => {
                     provenance.push(TermProvenance::ShardCache);
@@ -529,12 +605,11 @@ impl QueenBee {
                     fan_out.push(&fetch.value);
                     shards.push(Cow::Borrowed(&fetch.value));
                 }
-                TermPlan::ResultCached => unreachable!("handled by the result-hit path"),
             }
         }
 
         // Statistics: the plan's cached copy, or the window's shared read.
-        let (stats, stats_latency, stats_fetched) = match &plan.stats {
+        let (stats, stats_latency, stats_fetched) = match &stats_plan {
             StatsPlan::Cached(stats) => (*stats, hit_latency, false),
             StatsPlan::Fetch => {
                 let read = reads.stats_read();
@@ -585,8 +660,8 @@ impl QueenBee {
                 c.store_stats(stats);
             }
             if !any_stale {
-                let terms = plan.terms.iter().map(|t| t.term.as_str());
-                let term_versions = terms.zip(shards.iter().map(|s| s.version));
+                let names = terms.iter().map(|t| t.term.as_str());
+                let term_versions = names.zip(shards.iter().map(|s| s.version));
                 let list_bytes = ranked.list_bytes();
                 c.store_result(&plan.result_key, term_versions, list_bytes, now, || {
                     ranked.list()
@@ -600,8 +675,9 @@ impl QueenBee {
             self.query_stats.scored_lists_built += 1;
         }
         self.record_observations(plan.frontend, observed);
-        // `shards` borrowed the plan's handles; the plan moves on now.
+        // `shards` borrowed the plan's handles; the terms move on now.
         drop(shards);
+        let terms = terms.into_iter().map(|t| t.term).collect();
 
         // The compute stages (plan/score/rank-blend) stay at their zero
         // default: local work is free under the simulated cost model.
@@ -613,7 +689,16 @@ impl QueenBee {
             candidates_scored: total,
             ..StageCosts::default()
         };
-        self.finish_response(plan, hits, total, top_k, latency, trace, provenance)
+        self.finish_response(
+            plan.seq,
+            plan.request,
+            terms,
+            hits,
+            total,
+            latency,
+            trace,
+            provenance,
+        )
     }
 
     /// Record the shard versions a fleet frontend observed while serving.
@@ -636,10 +721,11 @@ impl QueenBee {
     #[allow(clippy::too_many_arguments)]
     fn finish_response(
         &mut self,
-        plan: QueryPlan,
+        seq: u64,
+        request: SearchRequest,
+        terms: Vec<String>,
         hits: Vec<ScoredDoc>,
         total_matches: usize,
-        top_k: usize,
         latency: SimDuration,
         trace: StageCosts,
         provenance: Vec<TermProvenance>,
@@ -651,11 +737,9 @@ impl QueenBee {
             }
         }
 
-        let terms: Vec<String> = plan.terms.into_iter().map(|t| t.term).collect();
-
         // Ad selection: highest-bidding active campaign matching any query term.
         let mut ad = None;
-        if plan.request.ads {
+        if request.ads {
             for term in &terms {
                 if let Some(campaign) = self.chain.ad_market().match_keyword(term).first() {
                     ad = Some(campaign.id);
@@ -663,14 +747,14 @@ impl QueenBee {
                 }
             }
         }
-        let served_by_bee = self.bees[(plan.seq as usize) % self.bees.len()].account;
+        let served_by_bee = self.bees[(seq as usize) % self.bees.len()].account;
         SearchResponse {
-            query: plan.request.query,
+            query: request.query,
             terms,
             hits,
             total_matches,
-            page: plan.request.page,
-            top_k,
+            page: request.page,
+            top_k: request.top_k.unwrap_or(self.config.top_k),
             ad,
             latency,
             trace,

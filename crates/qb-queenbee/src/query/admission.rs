@@ -4,8 +4,10 @@
 //! serves it (closed-loop), so the engine never sees *offered load* above
 //! its capacity. This module is the serving-side half of the open-loop
 //! harness (`qb-load` generates the arrival traces): each frontend gets a
-//! **bounded ingress queue** feeding [`crate::QueenBee::search_pipelined`]
-//! windows — there is no unbounded buffering anywhere — and an admission
+//! **bounded ingress queue** whose dispatches run as pipelined windows
+//! (one run of the engine's window loop each, the loop behind
+//! [`crate::QueenBee::search_pipelined`]) — there is no unbounded
+//! buffering anywhere — and an admission
 //! controller decides, at each query's arrival instant, whether to
 //!
 //! * **admit** it as-is,
@@ -144,7 +146,8 @@ pub struct LoadReport {
     pub completed: u64,
     /// Pipeline windows dispatched.
     pub windows: u64,
-    /// Dispatched batches (each one `search_pipelined` call).
+    /// Dispatched batches (each one run of the window loop, in windows of
+    /// [`AdmissionConfig`]'s shape).
     pub dispatches: u64,
     /// Deepest any frontend's ingress queue ever got (≤ the configured
     /// capacity by construction).

@@ -1,5 +1,5 @@
 //! The executor: turn resolved shards into a ranked result list, and own
-//! the window record every entry point runs.
+//! the window record the engine's one window loop runs.
 //!
 //! The network side (versioned DHT reads) stays in the engine, which owns
 //! the simulated network, and the pure stages — intersection, BM25 scoring,
@@ -7,15 +7,16 @@
 //! [`qb_index::kernel`]. This module holds the bookkeeping that lets a
 //! window read each distinct missing term (and the statistics record)
 //! exactly once and fan the result out to every query that needs it:
-//! `WindowRun`, the one window record every entry point builds, and its
+//! `WindowRun`, the one window record every window is, and its
 //! `WindowReads`, whose one enumeration (`WindowReads::of`) decides which
 //! reads a window makes, in what order and charged to whom. A read stays in
 //! its slot from issue to response (it completes in place), and each plan
 //! term it serves carries the slot ([`TermPlan::Fetch`]). The engine issues
 //! and polls a slot through one function each, in one order
 //! (`WindowReads::poll_order`): every read of a window issues at once and
-//! runs concurrently, whether the window is a `search_batch` or one of a
-//! pipeline's.
+//! runs concurrently, whatever the window's size and however many windows
+//! the loop overlaps. A result-cache hit ([`Resolution::ResultHit`]) reads
+//! nothing.
 //!
 //! It follows the serving path's ownership rule: a fetched shard sits
 //! behind an `Arc` — the one every holder of its record shares, so a
@@ -23,7 +24,7 @@
 //! out to every query of the window and into each serving cache shares
 //! it. Nothing here copies postings or scored lists.
 
-use crate::query::plan::{QueryPlan, StatsPlan, TermPlan};
+use crate::query::plan::{QueryPlan, Resolution, StatsPlan, TermPlan};
 use qb_common::{QbResult, SimDuration, SimInstant};
 use qb_index::shard::IndexOpCost;
 use qb_index::{IndexStats, ReadMachine, ReadStep, ScoredDoc, ShardEntry};
@@ -242,13 +243,16 @@ impl WindowReads {
             stats: None,
             shards: Vec::new(),
         };
-        for plan in plans.iter_mut().filter(|plan| !plan.is_result_hit()) {
+        for plan in plans.iter_mut() {
             let (frontend, origin_peer, seq) = (plan.frontend, plan.origin_peer, plan.seq);
-            if matches!(plan.stats, StatsPlan::Fetch) && reads.stats.is_none() {
+            let Resolution::PerTerm { terms, stats } = &mut plan.resolution else {
+                continue;
+            };
+            if matches!(stats, StatsPlan::Fetch) && reads.stats.is_none() {
                 let stats = WindowRead::planned(frontend, String::new(), origin_peer, seq);
                 reads.stats = Some(stats);
             }
-            for planned in &mut plan.terms {
+            for planned in terms {
                 if let TermPlan::Fetch { read } = &mut planned.plan {
                     let shards = &mut reads.shards;
                     let shared = shards
@@ -370,20 +374,21 @@ mod tests {
             request: crate::query::request::SearchRequest::new("hand built"),
             origin_peer: 100 + frontend as u64,
             frontend: Some(frontend),
-            terms: terms
-                .iter()
-                .map(|&(term, fetch)| PlannedTerm {
-                    term: term.to_string(),
-                    plan: if fetch {
-                        TermPlan::Fetch { read: 0 }
-                    } else {
-                        TermPlan::CachedShard(Arc::new(shard(term, &[])))
-                    },
-                })
-                .collect(),
             result_key: String::new(),
-            cached_result: None,
-            stats,
+            resolution: Resolution::PerTerm {
+                terms: terms
+                    .iter()
+                    .map(|&(term, fetch)| PlannedTerm {
+                        term: term.to_string(),
+                        plan: if fetch {
+                            TermPlan::Fetch { read: 0 }
+                        } else {
+                            TermPlan::CachedShard(Arc::new(shard(term, &[])))
+                        },
+                    })
+                    .collect(),
+                stats,
+            },
         }
     }
 
@@ -394,14 +399,13 @@ mod tests {
         // middle, and a plan with cached statistics but a missing shard
         // ahead of the first plan that reads the statistics.
         let mut hit = plan(3, 0, cached.clone(), &[]);
-        hit.terms = vec![crate::query::plan::PlannedTerm {
-            term: "alpha".into(),
-            plan: TermPlan::ResultCached,
-        }];
-        hit.cached_result = Some(qb_cache::CachedResult {
-            results: Arc::new(Vec::new()),
-            term_versions: Vec::new(),
-        });
+        hit.resolution = Resolution::ResultHit {
+            terms: vec!["alpha".into()],
+            entry: qb_cache::CachedResult {
+                results: Arc::new(Vec::new()),
+                term_versions: Vec::new(),
+            },
+        };
         let mut plans = vec![
             plan(1, 0, cached, &[("alpha", true), ("beta", false)]),
             plan(2, 1, StatsPlan::Fetch, &[("alpha", true), ("gamma", true)]),

@@ -12,24 +12,26 @@
 //! 3. **executor** — misses are fetched through the versioned DHT read and
 //!    the serving kernel ([`qb_index::kernel`]: intersect, BM25, PageRank
 //!    blend, rank) scores every candidate; the whole result list is built
-//!    only for a result tier that keeps it. In a batch window
-//!    ([`crate::QueenBee::search_batch`]) each distinct missing term is
-//!    fetched **once** and fanned out to every query that needs it.
+//!    only for a result tier that keeps it. In a window of several queries
+//!    ([`PipelineConfig::batch`] is one such window at a time) each
+//!    distinct missing term is fetched **once** and fanned out to every
+//!    query that needs it.
 //! 4. **response** — [`SearchResponse`] carries the paginated hits, a
 //!    per-stage cost trace and per-term cache provenance.
 //!
 //! On top of the stages sits the **pipelined execution engine**
-//! ([`pipeline`]): its driver moves whole windows through
-//! `Planned → Fetching → Scoring → Done`, overlaps
-//! up to `max_windows_in_flight` windows (window N+1's fetches issue while
+//! ([`pipeline`]): the engine's one window loop moves whole windows through
+//! `Planned → Fetching → Scoring → Done` and overlaps up to
+//! `max_windows_in_flight` of them (window N+1's fetches issue while
 //! window N's are in flight, under the simulated network's per-link
-//! in-flight limits), and scores each plan exactly as a batch window does.
-//! [`crate::QueenBee::search_pipelined`] is the entry point.
+//! in-flight limits). Every query runs through it:
+//! [`crate::QueenBee::search_request`] is a one-query window and
+//! [`crate::QueenBee::search_pipelined`] takes any window size and depth.
 //!
 //! For **open-loop** serving — queries arriving on their own clock instead
 //! of draining a list — the [`admission`] module adds bounded per-frontend
 //! ingress queues, load shedding and freshness degradation in front of the
-//! pipeline; [`crate::QueenBee::serve_open_loop`] is that entry point.
+//! window loop; [`crate::QueenBee::serve_open_loop`] is that entry point.
 
 pub mod admission;
 pub mod executor;
@@ -41,6 +43,6 @@ pub mod routing;
 
 pub use admission::{AdmissionConfig, LoadReport, TimedRequest};
 pub use pipeline::{PipelineConfig, PipelineOutcome, PipelineReport, WindowSpan};
-pub use plan::{PlannedTerm, QueryPlan, StatsPlan, TermPlan};
+pub use plan::{PlannedTerm, QueryPlan, Resolution, StatsPlan, TermPlan};
 pub use request::{Freshness, RoutingPolicy, SearchRequest};
 pub use response::{SearchResponse, StageCosts, TermProvenance};

@@ -1,18 +1,20 @@
 //! The pipelined execution engine: overlapping windows whose reads run
 //! concurrently, as event-driven state machines on one shared virtual
-//! timeline.
+//! timeline. This module holds a run's shape ([`PipelineConfig`]) and what
+//! it reports; the loop itself is the engine's (`crate::engine::serve`).
 //!
-//! # One executor, one read schedule
+//! # One loop, one read schedule
 //!
-//! Every entry point runs one window executor (`crate::engine::serve`): a
-//! window record built by one constructor, one issue and one poll per read,
-//! and one retire step that serves every plan. Every window reads
-//! *concurrently*: all its reads issue at once and the window is polled as
-//! they advance.
-//! [`QueenBee::search_batch`](crate::QueenBee::search_batch) runs one
-//! window to completion; this driver overlaps up to
-//! [`PipelineConfig::max_windows_in_flight`] of them. Every window moves
-//! through four stages:
+//! Every query runs through the engine's one window loop, and every window
+//! reads *concurrently*: all its reads issue at once and the window is
+//! polled as they advance. The entry points differ only in the shape they
+//! hand the loop: [`QueenBee::search_request`](crate::QueenBee::search_request)
+//! is one window of one query, a batch is one window
+//! ([`PipelineConfig::batch`]), and
+//! [`QueenBee::search_pipelined`](crate::QueenBee::search_pipelined) and
+//! each [`QueenBee::serve_open_loop`](crate::QueenBee::serve_open_loop)
+//! dispatch overlap up to [`PipelineConfig::max_windows_in_flight`] windows.
+//! Every window moves through four stages:
 //!
 //! ```text
 //!   Planned ──issue fetches──▶ Fetching ──all machines done──▶ Scoring ──▶ Done
@@ -47,29 +49,26 @@
 //!
 //! # The event loop
 //!
-//! The driver owns a cursor on the virtual timeline and repeatedly takes
+//! The loop owns a cursor on the virtual timeline and repeatedly takes
 //! the earliest pending event: *issue* a window (when a pipeline slot is
 //! free and the issue instant is due) or *advance* the in-flight machines
 //! to their next completion. A window is cut from the front of the stream
 //! at the moment it issues, and windows retire in FIFO order (like a CPU
 //! pipeline), so responses come back in request order and cache stores
-//! happen in a deterministic sequence; the
-//! **makespan** of the whole stream is the completion instant of the last
-//! window, which experiment E13 compares against back-to-back execution of
-//! the same stream (≥30% lower on a duplicate-heavy Zipf stream, with
-//! byte-identical per-query results).
+//! happen in a deterministic sequence; the **makespan** of the whole
+//! stream is the completion instant of the last window, which experiment
+//! E13 compares against back-to-back execution of the same stream (≥30%
+//! lower on a duplicate-heavy Zipf stream, with byte-identical per-query
+//! results). A failed read aborts the run with the first error and
+//! abandons every read still in flight; an empty request list opens no
+//! window.
 //!
 //! The virtual timeline never moves the engine's shared clock: cache
-//! effects are applied at the call instant (exactly as `search_batch`
-//! treats a window), while issue/completion instants drive latency,
-//! queueing and makespan accounting.
+//! effects are applied at the call instant, while issue/completion
+//! instants drive latency, queueing and makespan accounting.
 
-use crate::engine::QueenBee;
-use crate::query::executor::WindowRun;
-use crate::query::request::SearchRequest;
 use crate::query::response::SearchResponse;
-use qb_common::{QbResult, SimDuration, SimInstant};
-use std::collections::VecDeque;
+use qb_common::{SimDuration, SimInstant};
 
 /// Knobs of one pipelined run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +78,17 @@ pub struct PipelineConfig {
     /// Windows allowed in flight at once. 1 degenerates to back-to-back
     /// execution; the default keeps a small pipeline of windows overlapped.
     pub max_windows_in_flight: usize,
+}
+
+impl PipelineConfig {
+    /// One window of up to `size` queries at a time: a batch of `size`
+    /// requests runs as a single window.
+    pub fn batch(size: usize) -> PipelineConfig {
+        PipelineConfig {
+            window_size: size,
+            max_windows_in_flight: 1,
+        }
+    }
 }
 
 impl Default for PipelineConfig {
@@ -115,7 +125,7 @@ pub struct PipelineReport {
 /// response vector it served and when it issued/completed. The open-loop
 /// admission layer uses these to place each response on the arrival
 /// timeline (`issued_at + response.latency` is the query's completion
-/// instant) without re-deriving the driver's scheduling.
+/// instant) without re-deriving the loop's scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowSpan {
     /// Index of the window's first response in [`PipelineOutcome::responses`].
@@ -139,139 +149,6 @@ pub struct PipelineOutcome {
     /// One span per retired window, in retirement order — which is request
     /// order, so the spans tile the response vector front to back.
     pub window_spans: Vec<WindowSpan>,
-}
-
-/// Drives a request stream through overlapping windows. Construct with a
-/// [`PipelineConfig`] and run once; [`crate::QueenBee::search_pipelined`] is
-/// the one caller.
-pub(crate) struct PipelineDriver {
-    /// Queries per window (at least 1).
-    window: usize,
-    /// Windows allowed in flight at once (at least 1).
-    depth: usize,
-    report: PipelineReport,
-    spans: Vec<WindowSpan>,
-    /// Windows issued and not yet retired, in issue (= request) order.
-    in_flight: VecDeque<WindowRun>,
-}
-
-impl PipelineDriver {
-    /// A driver for one run.
-    pub(crate) fn new(config: PipelineConfig) -> PipelineDriver {
-        PipelineDriver {
-            window: config.window_size.max(1),
-            depth: config.max_windows_in_flight.max(1),
-            report: PipelineReport::default(),
-            spans: Vec::new(),
-            in_flight: VecDeque::new(),
-        }
-    }
-
-    /// Execute `requests` in overlapping windows against `qb`. Responses
-    /// come back in request order; an invalid request or failed fetch
-    /// aborts the run with the first error (exactly like `search_batch`).
-    pub(crate) fn run(
-        mut self,
-        qb: &mut QueenBee,
-        requests: Vec<SearchRequest>,
-    ) -> QbResult<PipelineOutcome> {
-        let mut responses = Vec::with_capacity(requests.len());
-        let served = self.drive(qb, requests, &mut responses);
-        // An aborted run still has windows in flight: abandon their machines
-        // so it leaves no phantom link occupancy behind to throttle later
-        // runs. Either way the work done enters the engine counters (windows
-        // that fully served before an abort did score).
-        for win in &mut self.in_flight {
-            win.reads.abandon(&mut qb.net);
-        }
-        qb.record_pipeline_run(&self.report);
-        served?;
-        Ok(PipelineOutcome {
-            responses,
-            report: self.report,
-            window_spans: self.spans,
-        })
-    }
-
-    /// The event loop: issue, advance and retire windows until every
-    /// request is served or a window fails.
-    fn drive(
-        &mut self,
-        qb: &mut QueenBee,
-        requests: Vec<SearchRequest>,
-        responses: &mut Vec<SearchResponse>,
-    ) -> QbResult<()> {
-        let t0 = qb.net.now();
-        let mut pending: VecDeque<SearchRequest> = requests.into();
-        // Window w may issue once window w - depth has retired; FIFO
-        // retirement makes this the completion instant of the window
-        // retired most recently.
-        let mut next_issue_at = t0;
-        // The driver's position on the virtual timeline; only ever moves
-        // forward (to an issue instant or the next machine completion).
-        let mut cursor = t0;
-
-        loop {
-            // Retire the front window once all its machines completed (its
-            // last poll found none pending).
-            // (Fetching → Scoring → Done): the driver keeps the run's report
-            // and window spans, the engine's retire step serves the window.
-            if let Some(win) = self.in_flight.pop_front_if(|w| w.next_event.is_none()) {
-                next_issue_at = next_issue_at.max(win.completes_at);
-                self.report.makespan = self.report.makespan.max(win.completes_at.since(t0));
-                self.report.queue_delay += win.queue_delay;
-                self.report.windows += 1;
-                self.report.queries += win.plans.len();
-                self.spans.push(WindowSpan {
-                    first_query: responses.len(),
-                    queries: win.plans.len(),
-                    issued_at: win.issued_at,
-                    completed_at: win.completes_at,
-                });
-                qb.retire_window(win, responses);
-                continue;
-            }
-
-            let can_issue = !pending.is_empty() && self.in_flight.len() < self.depth;
-            let issue_at = next_issue_at.max(cursor);
-            let next_completion: Option<SimInstant> =
-                self.in_flight.iter().filter_map(|w| w.next_event).min();
-
-            match next_completion {
-                Some(completion) if !can_issue || completion < issue_at => {
-                    cursor = completion;
-                    // Advance every in-flight window: machines of *different*
-                    // windows share the per-peer uplinks, so a completion in
-                    // one window can unblock (or be interleaved with) hops of
-                    // another. FIFO order keeps the advancement deterministic.
-                    for win in self.in_flight.iter_mut() {
-                        qb.poll_window(win, cursor)?;
-                    }
-                }
-                _ if can_issue => {
-                    // Cut the next window at the moment it issues, plan it
-                    // and start its read machines (Planned → Fetching). They
-                    // advance only through `poll_window`; the immediate poll
-                    // lets zero-latency reads (cache-complete windows)
-                    // finish in place.
-                    let take = self.window.min(pending.len());
-                    cursor = issue_at;
-                    let mut win = qb.open_window(pending.drain(..take).collect(), issue_at)?;
-                    self.report.stats_reads += u64::from(win.reads.stats.is_some());
-                    self.report.shard_fetches += win.reads.shards.len() as u64;
-                    // The window is in flight whether or not its first poll
-                    // succeeds: a read that fails on the spot must not
-                    // strand its siblings' hops.
-                    let polled = qb.read_concurrently(&mut win);
-                    self.in_flight.push_back(win);
-                    polled?;
-                    self.report.peak_windows_in_flight =
-                        self.report.peak_windows_in_flight.max(self.in_flight.len());
-                }
-                _ => return Ok(()),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

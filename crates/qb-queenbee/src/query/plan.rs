@@ -43,9 +43,6 @@ pub enum TermPlan {
         /// the executor enumerates the window's reads (0 until then).
         read: usize,
     },
-    /// The whole query was answered by the result cache; the term needs no
-    /// individual resolution.
-    ResultCached,
 }
 
 /// One analyzed query term and its resolution.
@@ -78,29 +75,45 @@ pub struct QueryPlan {
     pub origin_peer: u64,
     /// The fleet frontend serving the request (`None` in single mode).
     pub frontend: Option<usize>,
-    /// Deduplicated analyzed terms, in query order, with their resolutions.
-    pub terms: Vec<PlannedTerm>,
     /// Normalized result-cache key (sorted terms).
     pub result_key: String,
-    /// A result-cache entry answering the whole query, when one was current.
-    pub cached_result: Option<CachedResult>,
-    /// How the BM25 statistics record will be satisfied.
-    pub stats: StatsPlan,
+    /// How the query will be answered.
+    pub resolution: Resolution,
+}
+
+/// How a planned query will be answered. Either way `terms` are the
+/// deduplicated analyzed terms, in query order.
+#[derive(Debug, Clone)]
+pub enum Resolution {
+    /// A current result-cache entry answers the whole query; its terms move
+    /// into the response as they are.
+    ResultHit {
+        /// The analyzed terms.
+        terms: Vec<String>,
+        /// The entry, sharing the tier's scored list.
+        entry: CachedResult,
+    },
+    /// Each term and the statistics record resolve on their own.
+    PerTerm {
+        /// The analyzed terms with their resolutions.
+        terms: Vec<PlannedTerm>,
+        /// How the BM25 statistics record will be satisfied.
+        stats: StatsPlan,
+    },
 }
 
 impl QueryPlan {
     /// The window's shard reads this plan waits on (one slot per term the
     /// executor must fetch through the DHT, in term order).
     pub fn fetch_reads(&self) -> impl Iterator<Item = usize> + '_ {
-        self.terms.iter().filter_map(|t| match t.plan {
+        let terms = match &self.resolution {
+            Resolution::ResultHit { .. } => &[][..],
+            Resolution::PerTerm { terms, .. } => terms,
+        };
+        terms.iter().filter_map(|t| match t.plan {
             TermPlan::Fetch { read } => Some(read),
             _ => None,
         })
-    }
-
-    /// True when the whole response comes from the result cache.
-    pub fn is_result_hit(&self) -> bool {
-        self.cached_result.is_some()
     }
 }
 
@@ -150,16 +163,8 @@ pub fn plan_request(
                     request,
                     origin_peer,
                     frontend,
-                    terms: terms
-                        .into_iter()
-                        .map(|term| PlannedTerm {
-                            term,
-                            plan: TermPlan::ResultCached,
-                        })
-                        .collect(),
                     result_key: key,
-                    cached_result: Some(entry),
-                    stats: StatsPlan::Cached(IndexStats::default()),
+                    resolution: Resolution::ResultHit { terms, entry },
                 });
             }
         }
@@ -206,10 +211,11 @@ pub fn plan_request(
         request,
         origin_peer,
         frontend,
-        terms: planned,
         result_key: key,
-        cached_result: None,
-        stats,
+        resolution: Resolution::PerTerm {
+            terms: planned,
+            stats,
+        },
     })
 }
 
@@ -246,6 +252,15 @@ mod tests {
         plan_request(req, 1, 0, None, &Analyzer::new(), cache, versions, 0, t0())
     }
 
+    /// The per-term resolutions and statistics plan of a plan the result
+    /// tier did not answer.
+    fn per_term(p: &QueryPlan) -> (&[PlannedTerm], &StatsPlan) {
+        match &p.resolution {
+            Resolution::PerTerm { terms, stats } => (terms, stats),
+            Resolution::ResultHit { .. } => panic!("no result tier in these tests"),
+        }
+    }
+
     #[test]
     fn empty_queries_are_rejected() {
         let mut none = None;
@@ -262,10 +277,11 @@ mod tests {
             &HashMap::new(),
         )
         .unwrap();
-        let terms: Vec<&str> = p.terms.iter().map(|t| t.term.as_str()).collect();
+        let (planned, stats) = per_term(&p);
+        let terms: Vec<&str> = planned.iter().map(|t| t.term.as_str()).collect();
         assert_eq!(terms, vec![Analyzer::stem("honey"), Analyzer::stem("bees")]);
         assert_eq!(p.fetch_reads().count(), 2, "no cache: everything fetches");
-        assert!(matches!(p.stats, StatsPlan::Fetch));
+        assert!(matches!(stats, StatsPlan::Fetch));
     }
 
     #[test]
@@ -283,10 +299,11 @@ mod tests {
             &versions,
         )
         .unwrap();
-        assert!(matches!(p.terms[0].plan, TermPlan::CachedShard(_)));
-        assert!(matches!(p.terms[1].plan, TermPlan::Negative));
-        assert!(matches!(p.terms[2].plan, TermPlan::Fetch { .. }));
-        assert_eq!(p.terms[2].term, Analyzer::stem("nectar"));
+        let (terms, _) = per_term(&p);
+        assert!(matches!(terms[0].plan, TermPlan::CachedShard(_)));
+        assert!(matches!(terms[1].plan, TermPlan::Negative));
+        assert!(matches!(terms[2].plan, TermPlan::Fetch { .. }));
+        assert_eq!(terms[2].term, Analyzer::stem("nectar"));
         assert_eq!(p.fetch_reads().count(), 1);
     }
 
@@ -302,8 +319,9 @@ mod tests {
             &versions,
         )
         .unwrap();
-        assert!(matches!(p.terms[0].plan, TermPlan::Fetch { .. }));
-        assert!(matches!(p.stats, StatsPlan::Fetch));
+        let (terms, stats) = per_term(&p);
+        assert!(matches!(terms[0].plan, TermPlan::Fetch { .. }));
+        assert!(matches!(stats, StatsPlan::Fetch));
     }
 
     #[test]
@@ -321,13 +339,13 @@ mod tests {
         )
         .unwrap();
         assert!(
-            matches!(&p.terms[0].plan, TermPlan::Stale { shard, .. } if shard.version == 2),
+            matches!(&per_term(&p).0[0].plan, TermPlan::Stale { shard, .. } if shard.version == 2),
             "superseded copy must serve under the bound"
         );
         // A strict plan for the same term falls through to a fetch.
         let versions: HashMap<String, u64> =
             [(Analyzer::stem("honey"), 3u64)].into_iter().collect();
         let p = plan(SearchRequest::new("honey"), &mut cache, &versions).unwrap();
-        assert!(matches!(p.terms[0].plan, TermPlan::Fetch { .. }));
+        assert!(matches!(per_term(&p).0[0].plan, TermPlan::Fetch { .. }));
     }
 }

@@ -50,13 +50,20 @@ pub enum Freshness {
 
 /// A fully specified query, built with a fluent builder:
 ///
-/// ```ignore
+/// ```
+/// use qb_common::SimDuration;
+/// use qb_queenbee::{Freshness, RoutingPolicy, SearchRequest};
+///
 /// let req = SearchRequest::new("decentralized web")
 ///     .top_k(5)
 ///     .page(1)
 ///     .route(RoutingPolicy::Direct(2))
 ///     .freshness(Freshness::MaxStaleness(SimDuration::from_secs(30)))
 ///     .ads(false);
+/// assert_eq!(
+///     (req.top_k, req.page, req.routing, req.ads),
+///     (Some(5), 1, RoutingPolicy::Direct(2), false)
+/// );
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchRequest {

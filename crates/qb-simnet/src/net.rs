@@ -584,13 +584,13 @@ impl SimNet {
     /// handle; `Pending` reports when completion is due, so a driver can
     /// advance its virtual clock to exactly that instant.
     pub fn poll_complete(&mut self, handle: RpcHandle, at: SimInstant) -> Option<Poll> {
-        let op = self.in_flight.get(&handle.0)?;
+        let op = *self.in_flight.get(&handle.0)?;
         if at < op.completes_at {
             return Some(Poll::Pending {
                 completes_at: op.completes_at,
             });
         }
-        let op = self.in_flight.remove(&handle.0).expect("checked above");
+        self.in_flight.remove(&handle.0);
         self.release_slot(&op);
         Some(Poll::Ready(AsyncCompletion {
             completed_at: op.completes_at,

@@ -3,9 +3,10 @@
 //! cache disabled — so every saving shown here comes from cross-query work
 //! sharing inside the windows, not from repeats over time.
 //!
-//! A batch window plans all its requests first, fetches each distinct
-//! missing term shard through the DHT **once**, and fans the shard out to
-//! every query that needs it. Under Zipf skew the hot head terms are shared
+//! A batch window — one `search_pipelined` call with
+//! `PipelineConfig::batch`, one window at a time — plans all its requests
+//! first, fetches each distinct missing term shard through the DHT
+//! **once**, and fans the shard out to every query that needs it. Under Zipf skew the hot head terms are shared
 //! by most of the window, so aggregate DHT traffic collapses while every
 //! result list stays byte-identical to sequential execution (experiment E11
 //! asserts exactly this in CI).
@@ -14,7 +15,7 @@
 
 use qb_common::SimDuration;
 use qb_load::scenario::{self, QueryStream};
-use qb_queenbee::{QueenBee, RoutingPolicy, SearchRequest, TermProvenance};
+use qb_queenbee::{PipelineConfig, QueenBee, RoutingPolicy, SearchRequest, TermProvenance};
 use qb_workload::Corpus;
 
 const WINDOW: usize = 32;
@@ -72,7 +73,11 @@ fn main() {
                     .route(RoutingPolicy::HashPeer(((w * WINDOW + j) % 50) as u64))
             })
             .collect();
-        let responses = qb.search_batch(requests).expect("batch window");
+        let batch = PipelineConfig::batch(WINDOW);
+        let responses = qb
+            .search_pipelined(requests, batch)
+            .expect("batch window")
+            .responses;
         if !example_printed {
             // Show how one window shares its fetches.
             let fetches: usize = responses.iter().map(|r| r.shards_fetched()).sum();

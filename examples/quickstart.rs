@@ -173,8 +173,8 @@ fn main() {
     //
     //    Windows issue and retire in request order, so responses come
     //    back in request order too. With one window in flight the
-    //    pipeline is back-to-back `search_batch` windows, which read
-    //    exactly as pipelined ones do (E13 measures what overlap adds).
+    //    pipeline runs its windows back to back, each read exactly as an
+    //    overlapped one is (E13 measures what overlap adds).
     //    The stream below repeats queries on
     //    purpose: a repeat shares its window's fetches and is scored again
     //    unless the result cache already holds its answer — watch the
@@ -220,10 +220,10 @@ fn main() {
         "  makespan {} | {} shard fetches | queue delay {}",
         outcome.report.makespan, outcome.report.shard_fetches, outcome.report.queue_delay,
     );
-    // One-shot windows are still there: `qb.search_batch(requests)` runs a
-    // single window to completion, its reads issued at once and queued on
-    // the same per-link limits, and `qb.search_request(request)` is a
-    // one-query window.
+    // Every query runs through this one window loop: a batch is
+    // `qb.search_pipelined(requests, PipelineConfig::batch(n))`, one window
+    // whose reads issue at once and queue on the same per-link limits, and
+    // `qb.search_request(request)` is a one-query window.
 
     // 8. The cache at work: replay the same queries and watch the hit rate.
     //    The earlier rounds warmed the tiers; every repeat is served locally

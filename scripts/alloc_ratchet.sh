@@ -20,9 +20,9 @@
 # score), while every latency, message, byte, shed and allocation stayed
 # to the digit. cold-lookup asks single terms, so it did not move.
 # Before that (serve-warm 54d5a7ccafa81135, cold-lookup c10b6d7331ead4cf,
-# publish-churn 72e6752610148740) a closed-loop `search_request` /
-# `search_batch` window began to issue all its reads at once, like a
-# pipelined window.
+# publish-churn 72e6752610148740) a closed-loop one-window run (a
+# `search_request`, or a batch) began to issue all its reads at once,
+# like a pipelined window.
 #
 # Allocation counts repeat to the digit at equal --seed and --seconds (the
 # simulation is deterministic and the benchmark counts through its own
@@ -43,8 +43,14 @@
 # selecting its k nearest into one k-sized list — was five growth steps
 # of a collect-everything Vec per hop — and SHA-256 padding on the stack
 # brought it there from 63.3, an index read no longer cloning its term
-# from 65.3); serve-warm 85.4 since a shard is decoded once while anyone
-# holds it — a `Fresh` re-read of an unchanged record shares the handle a
+# from 65.3); serve-warm 82.4 since every query runs through one window
+# loop on the engine — an open-loop dispatch reuses the engine-held
+# in-flight deque and span list instead of allocating both, its last (for
+# serve-warm, usually only) window takes its requests by move instead of
+# collecting them, and a result-cache hit moves its analyzed terms into
+# the response instead of wrapping and unwrapping them per term (the
+# three closed-loop counts stayed within 0.01); 85.4 since a shard is
+# decoded once while anyone holds it — a `Fresh` re-read of an unchanged record shares the handle a
 # tier, window, segment or writer cache already holds, and a tier that
 # replaces its entry with the same version moves a refcount; 162.5 while
 # each re-read decoded the record into a new shard and the displaced
@@ -144,6 +150,6 @@ check() {
 
 check score-heavy 0931b7eedaa0bea9 41
 check cold-lookup a30562ceaa2f8154 45.5
-check serve-warm 059c87e708c069a0 94
+check serve-warm 059c87e708c069a0 91
 check publish-churn 0858e038e76a9b58 1550 38
 exit "$status"

@@ -8,8 +8,8 @@ use qb_chain::AccountId;
 use qb_common::SimDuration;
 use qb_load::scenario::{corpus, publish_all, queries, sized, QueryStream};
 use qb_queenbee::{
-    CacheConfig, Freshness, GossipConfig, QueenBee, QueenBeeConfig, RoutingPolicy, SearchRequest,
-    TermProvenance,
+    CacheConfig, Freshness, GossipConfig, PipelineConfig, QueenBee, QueenBeeConfig, RoutingPolicy,
+    SearchRequest, TermProvenance,
 };
 
 fn engine(cache: CacheConfig, seed: u64) -> QueenBee {
@@ -111,7 +111,8 @@ fn batch_and_sequential_streams_are_byte_identical() {
                 .iter()
                 .map(|&q| SearchRequest::new(pool[q].as_str()))
                 .collect();
-            for resp in batched.search_batch(requests).unwrap() {
+            let batch = PipelineConfig::batch(WINDOW);
+            for resp in batched.search_pipelined(requests, batch).unwrap().responses {
                 batch_fetches += resp.shards_fetched();
                 batch_messages += resp.messages();
                 batch_responses.push(resp);
@@ -152,8 +153,12 @@ fn batch_dedup_counts_match_distinct_terms() {
 
     const K: usize = 8;
     let responses = qb
-        .search_batch(vec![SearchRequest::new(query.as_str()); K])
-        .unwrap();
+        .search_pipelined(
+            vec![SearchRequest::new(query.as_str()); K],
+            PipelineConfig::batch(K),
+        )
+        .unwrap()
+        .responses;
     let fetches: usize = responses.iter().map(|r| r.shards_fetched()).sum();
     let shared: usize = responses.iter().map(|r| r.batch_shared()).sum();
     assert_eq!(fetches, distinct_terms, "one DHT trip per distinct term");
@@ -180,12 +185,14 @@ fn batch_sharing_never_crosses_frontends() {
     qb.seal();
     qb.process_publish_events().unwrap();
 
+    let requests = vec![
+        SearchRequest::new("scoped sharing").route(RoutingPolicy::Direct(0)),
+        SearchRequest::new("scoped sharing").route(RoutingPolicy::Direct(1)),
+    ];
     let responses = qb
-        .search_batch(vec![
-            SearchRequest::new("scoped sharing").route(RoutingPolicy::Direct(0)),
-            SearchRequest::new("scoped sharing").route(RoutingPolicy::Direct(1)),
-        ])
-        .unwrap();
+        .search_pipelined(requests, PipelineConfig::batch(2))
+        .unwrap()
+        .responses;
     for (i, resp) in responses.iter().enumerate() {
         assert!(
             resp.shards_fetched() > 0,
@@ -378,7 +385,6 @@ fn responses_carry_stage_traces_and_respect_the_ads_flag() {
 /// not answer exactly once.
 #[test]
 fn pipelined_fleet_stream_is_byte_identical_and_fresh() {
-    use qb_queenbee::PipelineConfig;
     let corpus = corpus(0xF1BE, 20, 60);
     let QueryStream {
         pool,
@@ -449,7 +455,6 @@ fn pipelined_fleet_stream_is_byte_identical_and_fresh() {
 /// stream front to back — each issues no earlier than the one before it.
 #[test]
 fn pipelined_reruns_are_byte_identical() {
-    use qb_queenbee::PipelineConfig;
     let corpus = corpus(0xDE7E, 18, 60);
     let stream = QueryStream::new(&corpus, 11, 14, 1.2, 13, 40);
     let run = || {
