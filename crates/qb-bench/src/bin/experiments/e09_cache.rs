@@ -23,8 +23,9 @@ pub fn run() -> Vec<Table> {
         let mut rng = DetRng::new(0xE9A);
         let mut tally = Tally::default();
         for i in 0..STREAM {
-            // Every 100 queries a popular page is republished, exercising
-            // publish-path invalidation mid-stream.
+            // Every 100 queries a popular page is republished mid-stream:
+            // the shard tier purges the page's terms at once, and a cached
+            // result that used one is refused by its next lookup.
             if i > 0 && i % 100 == 0 {
                 let victim = i / 100 % corpus.pages.len();
                 let peer = (victim % 50) as u64;
@@ -90,6 +91,10 @@ pub fn run() -> Vec<Table> {
         &"-",
     ]);
 
+    // `invalidations` counts entries dropped by a version check at lookup
+    // (every tier) or by the publish-path purge (shard and negative tiers).
+    // A superseded result that no later lookup reaches stays resident until
+    // it is replaced, evicted or expired, and is not counted.
     let mut t2 = Table::new(
         "E9b: per-tier cache counters after the stream",
         &[

@@ -20,13 +20,16 @@
 //!   nonsense or not-yet-indexed terms would otherwise hammer the DHT with
 //!   lookups that can never succeed.
 //!
-//! **Invalidation rules.** Entries die through any of three doors:
-//! (1) *version checks* — every lookup passes the caller's current version
-//! and mismatches are evicted on the spot; (2) *publish-path invalidation* —
-//! [`QueryCache::invalidate_term`] purges the term's shard and negative
-//! entries plus every result-cache entry whose query contains the term (a
-//! reverse index makes this O(affected)); (3) *TTLs* in simulated time as a
-//! backstop bound on staleness even if both other mechanisms were bypassed.
+//! **Invalidation rules.** A result entry proves its own freshness: every
+//! lookup passes the caller's current term versions, and an entry whose
+//! recorded versions no longer all match is refused and evicted on the
+//! spot; its TTL in simulated time bounds how long an entry no lookup
+//! reaches stays resident. Shard and negative entries get the same version
+//! check and TTL, plus a *publish-path purge* —
+//! [`QueryCache::invalidate_term`] drops the term's shard and negative
+//! entries at once — because a superseded shard must leave gossip listings
+//! and fills immediately, and `MaxStaleness` reads
+//! ([`QueryCache::lookup_shard_bounded`]) skip the version check by design.
 //!
 //! **Eviction.** Each tier has a byte budget and runs one policy, a
 //! sampled-LFU admission in the TinyLFU style — a compact frequency sketch

@@ -15,8 +15,8 @@ pub struct TierMetrics {
     /// Lookups rejected because the entry's TTL had lapsed.
     pub expirations: u64,
     /// Entries dropped because their recorded version no longer matched the
-    /// caller's current version, or because of explicit publish-path
-    /// invalidation.
+    /// caller's current version, or (shard and negative tiers only) because
+    /// of explicit publish-path invalidation.
     pub invalidations: u64,
     /// Insertions refused by the sampled-LFU admission filter.
     pub admission_rejections: u64,
@@ -62,7 +62,9 @@ pub struct CacheMetrics {
 }
 
 impl CacheMetrics {
-    /// Total invalidations across tiers (publish-path + version checks).
+    /// Total invalidations across tiers: version checks in every tier, plus
+    /// publish-path purges of shard and negative entries. A superseded
+    /// result no lookup reaches again is never counted.
     pub fn total_invalidations(&self) -> u64 {
         self.result.invalidations + self.shard.invalidations + self.negative.invalidations
     }

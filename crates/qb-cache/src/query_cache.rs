@@ -16,7 +16,7 @@ use crate::metrics::CacheMetrics;
 use crate::tier::CacheTier;
 use qb_common::{SimDuration, SimInstant};
 use qb_index::{IndexStats, ScoredDoc, ShardEntry};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A cached, fully scored result list plus everything needed to prove it is
@@ -146,9 +146,6 @@ pub struct QueryCache {
     negatives: CacheTier<()>,
     /// The global statistics record as last read, keyed by its own version.
     stats: Option<IndexStats>,
-    /// term -> result-cache keys containing it, for publish-path
-    /// invalidation in O(affected entries).
-    term_to_queries: HashMap<String, BTreeSet<String>>,
     /// term -> republish-rate observations for the adaptive TTL policy.
     /// Bounded by the number of terms ever republished while this cache was
     /// alive (terms only enter through publish-path invalidation).
@@ -158,19 +155,13 @@ pub struct QueryCache {
 impl QueryCache {
     /// Build a cache from a validated configuration.
     pub fn new(config: CacheConfig) -> QueryCache {
-        // The result tier reports every removal so the term reverse index
-        // can be pruned no matter how an entry dies (eviction, TTL,
-        // invalidation, replacement).
-        let mut results = CacheTier::new(config.result_capacity_bytes, config.result_ttl);
-        results.set_track_removals(true);
         QueryCache {
-            results,
+            results: CacheTier::new(config.result_capacity_bytes, config.result_ttl),
             // Every shard insert passes its term's own TTL; the ceiling is
             // only the tier's nominal default.
             shards: CacheTier::new(config.shard_capacity_bytes, ADAPTIVE_TTL_CEILING),
             negatives: CacheTier::new(NEGATIVE_CAPACITY_BYTES, NEGATIVE_TTL),
             stats: None,
-            term_to_queries: HashMap::new(),
             republish: HashMap::new(),
             config,
         }
@@ -186,18 +177,17 @@ impl QueryCache {
     /// Look up a result entry. `current_version` maps a term to its current
     /// shard version; the entry is served only when every recorded term
     /// version still matches (and its TTL has not lapsed). A hit shares the
-    /// entry's list; a stale entry is dropped without being handed out.
+    /// entry's list; a stale entry is dropped without being handed out and
+    /// counted as an invalidation. This check is the only thing that
+    /// removes a superseded result: publish-path invalidation does not
+    /// touch the result tier, and the TTL is the backstop.
     pub fn lookup_result(
         &mut self,
         key: &str,
         now: SimInstant,
         mut current_version: impl FnMut(&str) -> u64,
     ) -> Option<CachedResult> {
-        let Some(entry) = self.results.get(key, now, None) else {
-            // The lookup may have expired the entry; drop its index rows.
-            self.prune_result_index();
-            return None;
-        };
+        let entry = self.results.get(key, now, None)?;
         let stale = entry
             .term_versions
             .iter()
@@ -207,7 +197,6 @@ impl QueryCache {
             self.results.metrics.hits -= 1;
             self.results.metrics.misses += 1;
             self.results.invalidate(key);
-            self.prune_result_index();
             return None;
         }
         Some(entry.clone())
@@ -215,10 +204,10 @@ impl QueryCache {
 
     /// Offer the result tier the entry of `key`: the list `list` would
     /// build — `list_bytes` is its documents' [`ScoredDoc::bytes`] summed —
-    /// computed from the given per-term shard versions. The list, the
-    /// entry's term versions and its reverse-index rows are built only once
-    /// the tier admits the entry; the tier keeps the list `list` returns,
-    /// it does not copy it. Returns whether the entry was admitted.
+    /// computed from the given per-term shard versions. The list and the
+    /// entry's term versions are built only once the tier admits the
+    /// entry; the tier keeps the list `list` returns, it does not copy it.
+    /// Returns whether the entry was admitted.
     pub fn store_result<'t>(
         &mut self,
         key: &str,
@@ -238,25 +227,11 @@ impl QueryCache {
             CachedResult {
                 results,
                 term_versions: term_versions
-                    .clone()
                     .map(|(term, version)| (term.to_string(), version))
                     .collect(),
             }
         };
-        let admitted = self.results.insert(key, bytes, 0, now, entry);
-        // Unindex whatever the insert displaced (evicted victims, or the
-        // replaced previous entry for this key) *before* indexing the new
-        // entry, so replacement cannot strip the fresh mappings.
-        self.prune_result_index();
-        if admitted {
-            for (term, _) in term_versions {
-                self.term_to_queries
-                    .entry(term.to_string())
-                    .or_default()
-                    .insert(key.to_string());
-            }
-        }
-        admitted
+        self.results.insert(key, bytes, 0, now, entry)
     }
 
     // ----- shard + negative tiers --------------------------------------------------
@@ -516,9 +491,14 @@ impl QueryCache {
     // ----- publish-path invalidation ----------------------------------------------
 
     /// A page version touching `term` was (re)indexed: purge the term's
-    /// shard and negative entries and every cached result whose query
-    /// contains the term, and record the republish observation that drives
-    /// the adaptive TTL policy. Returns the number of entries dropped.
+    /// shard and negative entries and record the republish observation
+    /// that drives the adaptive TTL policy. Returns the number of entries
+    /// dropped (0 to 2). Cached results that used the term are left alone:
+    /// each one recorded the term's version and is refused by the next
+    /// [`QueryCache::lookup_result`] that sees the bumped version. The shard
+    /// purge cannot wait for a read like that — a superseded shard must
+    /// leave gossip listings and fills now, and `MaxStaleness` reads serve
+    /// it without a version check.
     pub fn invalidate_term(&mut self, term: &str, now: SimInstant) -> usize {
         // Look up before allocating: only a term's first republish owns a key.
         match self.republish.get_mut(term) {
@@ -533,49 +513,7 @@ impl QueryCache {
                 self.republish.insert(term.to_string(), tracker);
             }
         }
-        let mut dropped = 0;
-        if self.shards.invalidate(term) {
-            dropped += 1;
-        }
-        if self.negatives.invalidate(term) {
-            dropped += 1;
-        }
-        if let Some(keys) = self.term_to_queries.remove(term) {
-            for key in keys {
-                if self.results.invalidate(&key) {
-                    dropped += 1;
-                }
-                self.unindex_query(&key);
-            }
-        }
-        self.prune_result_index();
-        dropped
-    }
-
-    /// Number of terms currently tracked by the result reverse index
-    /// (diagnostic; bounded by the live result entries' distinct terms).
-    pub fn reverse_index_terms(&self) -> usize {
-        self.term_to_queries.len()
-    }
-
-    /// Unindex every result key the tier removed since the last drain.
-    fn prune_result_index(&mut self) {
-        for key in self.results.take_removed() {
-            self.unindex_query(&key);
-        }
-    }
-
-    /// Remove a result key from the reverse index (after the entry died).
-    fn unindex_query(&mut self, key: &str) {
-        let terms: Vec<String> = key.split(' ').map(|s| s.to_string()).collect();
-        for term in terms {
-            if let Some(set) = self.term_to_queries.get_mut(&term) {
-                set.remove(key);
-                if set.is_empty() {
-                    self.term_to_queries.remove(&term);
-                }
-            }
-        }
+        usize::from(self.shards.invalidate(term)) + usize::from(self.negatives.invalidate(term))
     }
 
     // ----- metrics -----------------------------------------------------------------
@@ -681,38 +619,41 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_term_purges_all_affected_entries() {
+    fn invalidate_term_drops_the_shard_and_the_version_check_refuses_results() {
         let mut c = cache();
         c.store_shard(&shard("honey", 3, 4), t0());
+        let honey = result_key(&["honey".into()]);
+        let honey_bees = result_key(&["honey".into(), "bees".into()]);
+        let unrelated = result_key(&["unrelated".into()]);
+        store(&mut c, &honey, Arc::new(vec![doc("a", 1)]), &[("honey", 3)]);
         store(
             &mut c,
-            &result_key(&["honey".into()]),
-            Arc::new(vec![doc("a", 1)]),
-            &[("honey", 3)],
-        );
-        store(
-            &mut c,
-            &result_key(&["honey".into(), "bees".into()]),
+            &honey_bees,
             Arc::new(vec![doc("a", 1)]),
             &[("honey", 3), ("bees", 1)],
         );
         store(
             &mut c,
-            &result_key(&["unrelated".into()]),
+            &unrelated,
             Arc::new(vec![doc("b", 1)]),
             &[("unrelated", 1)],
         );
-        let dropped = c.invalidate_term("honey", t0());
-        assert_eq!(dropped, 3, "shard + two result entries");
-        assert_eq!(c.tier_sizes().0, 1, "unrelated result survives");
+        assert_eq!(c.invalidate_term("honey", t0()), 1, "the shard only");
+        assert_eq!(c.tier_sizes(), (3, 0, 0), "every result stays resident");
+        assert_eq!(c.metrics().result.invalidations, 0);
         assert!(matches!(
             c.lookup_shard("honey", t0(), 3),
             ShardLookup::Miss
         ));
+        // Under honey's bumped version each affected result is refused on
+        // its next lookup, and counted there.
+        let bumped = |term: &str| if term == "honey" { 4 } else { 1 };
+        assert!(c.lookup_result(&honey, t0(), bumped).is_none());
+        assert!(c.lookup_result(&honey_bees, t0(), bumped).is_none());
+        assert_eq!(c.metrics().result.invalidations, 2);
+        assert_eq!(c.tier_sizes().0, 1);
         // The unrelated entry still serves.
-        assert!(c
-            .lookup_result(&result_key(&["unrelated".into()]), t0(), |_| 1)
-            .is_some());
+        assert!(c.lookup_result(&unrelated, t0(), bumped).is_some());
     }
 
     #[test]
@@ -797,7 +738,7 @@ mod tests {
         let terms = [("honey", 2), ("bees", 5)];
         assert!(!c.store_result("bees honey", terms.into_iter(), 41, t0(), unbuilt));
         assert_eq!(c.metrics().result.admission_rejections, 1);
-        assert_eq!((c.tier_sizes().0, c.reverse_index_terms()), (0, 0));
+        assert_eq!(c.tier_sizes().0, 0);
     }
 
     #[test]
@@ -904,43 +845,6 @@ mod tests {
         });
         assert_eq!(c.lookup_stats(1).unwrap().num_docs, 10);
         assert!(c.lookup_stats(2).is_none(), "stale stats must not serve");
-    }
-
-    #[test]
-    fn reverse_index_is_pruned_when_entries_die_by_eviction_or_ttl() {
-        let mut config = CacheConfig::small();
-        config.result_capacity_bytes = 512;
-        let mut c = QueryCache::new(config);
-        // Far more distinct queries than the byte budget can hold: the
-        // reverse index must track only the survivors, not every query ever.
-        for i in 0..200 {
-            let term = format!("term{i}");
-            store(
-                &mut c,
-                &term,
-                Arc::new(vec![doc("page/x", 1)]),
-                &[(&term, 1)],
-            );
-        }
-        let (live, _, _) = c.tier_sizes();
-        assert!(live < 200, "budget must have evicted most entries");
-        assert_eq!(
-            c.reverse_index_terms(),
-            live,
-            "reverse index must shrink with evictions"
-        );
-
-        // TTL expiry prunes too: expire everything and look the keys up.
-        let later = t0() + c.config().result_ttl;
-        for i in 0..200 {
-            let _ = c.lookup_result(&format!("term{i}"), later, |_| 1);
-        }
-        assert_eq!(c.tier_sizes().0, 0);
-        assert_eq!(
-            c.reverse_index_terms(),
-            0,
-            "index empty once entries expire"
-        );
     }
 
     #[test]

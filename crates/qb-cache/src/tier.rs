@@ -34,12 +34,6 @@ pub struct CacheTier<V> {
     tick: u64,
     bytes: usize,
     sketch: FreqSketch,
-    /// When enabled, keys removed for any reason (eviction, expiry,
-    /// invalidation, replacement) accumulate here until drained with
-    /// [`CacheTier::take_removed`]. Off by default so tiers without an
-    /// external index never grow an undrained log.
-    track_removals: bool,
-    removed: Vec<String>,
     /// Monotonic mutation counter: bumps whenever the tier's *holdings*
     /// change (insert, replacement, eviction, expiry, invalidation).
     /// Derived artifacts built over the holdings — like the gossip
@@ -67,8 +61,6 @@ impl<V> CacheTier<V> {
             tick: 0,
             bytes: 0,
             sketch: FreqSketch::new(1024),
-            track_removals: false,
-            removed: Vec::new(),
             generation: 0,
             popularity_epoch: 0,
             metrics: TierMetrics::default(),
@@ -89,18 +81,6 @@ impl<V> CacheTier<V> {
     /// `[t, next_expiry(t))`.
     pub fn popularity_epoch(&self) -> u64 {
         self.popularity_epoch
-    }
-
-    /// Record removed keys for later draining via [`CacheTier::take_removed`].
-    /// Callers that maintain an external index over this tier's keys need
-    /// this to prune their index when entries die by eviction or TTL.
-    pub fn set_track_removals(&mut self, on: bool) {
-        self.track_removals = on;
-    }
-
-    /// Drain the keys removed (for any reason) since the last drain.
-    pub fn take_removed(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.removed)
     }
 
     /// Number of live entries.
@@ -139,37 +119,35 @@ impl<V> CacheTier<V> {
     /// counted as an invalidation (the version-aware read path). Expired
     /// entries are dropped and counted as expirations. Every lookup feeds
     /// the frequency sketch so the admission policy sees real popularity.
+    /// A hit re-keys the entry's recency row with the key it already owns,
+    /// so it allocates nothing.
     pub fn get(&mut self, key: &str, now: SimInstant, expected_version: Option<u64>) -> Option<&V> {
         self.record_popularity(hash_key(key));
-        let (expired, stale) = match self.entries.get(key) {
+        let expired = match self.entries.get_mut(key) {
             None => {
                 self.metrics.misses += 1;
                 return None;
             }
-            Some(slot) => (
-                now >= slot.expires_at,
-                expected_version.is_some_and(|v| v != slot.version),
-            ),
+            Some(slot) if now >= slot.expires_at => true,
+            Some(slot) if expected_version.is_some_and(|v| v != slot.version) => false,
+            Some(slot) => {
+                self.metrics.hits += 1;
+                self.tick += 1;
+                let owned = self.recency.remove(&slot.tick);
+                self.recency
+                    .insert(self.tick, owned.unwrap_or_else(|| key.to_string()));
+                slot.tick = self.tick;
+                return self.entries.get(key).map(|slot| &slot.value);
+            }
         };
+        self.remove_entry(key);
+        self.metrics.misses += 1;
         if expired {
-            self.remove_entry(key);
             self.metrics.expirations += 1;
-            self.metrics.misses += 1;
-            return None;
-        }
-        if stale {
-            self.remove_entry(key);
+        } else {
             self.metrics.invalidations += 1;
-            self.metrics.misses += 1;
-            return None;
         }
-        self.metrics.hits += 1;
-        let tick = self.next_tick();
-        let slot = self.entries.get_mut(key).expect("checked above");
-        self.recency.remove(&slot.tick);
-        slot.tick = tick;
-        self.recency.insert(tick, key.to_string());
-        Some(&self.entries[key].value)
+        None
     }
 
     /// Insert `key` with an explicit byte cost and version. Returns true
@@ -373,9 +351,6 @@ impl<V> CacheTier<V> {
                 self.recency.remove(&slot.tick);
                 self.bytes -= slot.bytes;
                 self.generation += 1;
-                if self.track_removals {
-                    self.removed.push(key.to_string());
-                }
                 true
             }
             None => false,

@@ -269,10 +269,11 @@ impl GossipFleet {
 
     /// A page version touching `term` was (re)indexed at `version` by a bee
     /// on `writer_peer`. Every active frontend that can currently observe
-    /// the publish (same partition, online) invalidates its cached entries
-    /// and records the new version; partitioned frontends miss the event
-    /// and catch up through read-time version checks and anti-entropy after
-    /// the partition heals.
+    /// the publish (same partition, online) purges the term's cached shard
+    /// and negative entries and records the new version; its cached
+    /// results fail their version check on their next lookup. Partitioned
+    /// frontends miss the event and catch up through read-time version
+    /// checks and anti-entropy after the partition heals.
     pub fn observe_publish(
         &mut self,
         net: &SimNet,

@@ -1196,7 +1196,8 @@ mod tests {
             .unwrap()
             .result_cache_hit());
 
-        // Republish: same term, new version. Indexing must purge the entry.
+        // Republish: same term, new version. The next lookup must refuse
+        // the entry.
         qb.publish(
             1,
             creator,

@@ -110,7 +110,8 @@ impl QueenBee {
     /// version discipline as the frontend: a term's shard is read through
     /// the cache (sparing the per-merge DHT round-trip the seed paid), and
     /// after the merged shard is written back it is stored under its new
-    /// version while results/negatives touching the term are purged.
+    /// version while the term's negative entry is purged (a cached result
+    /// that used the term is refused by its next lookup's version check).
     pub fn process_publish_events(&mut self) -> QbResult<usize> {
         let now = self.net.now();
         let events: Vec<Event> = self

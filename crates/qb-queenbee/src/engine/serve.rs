@@ -679,8 +679,8 @@ impl QueenBee {
         drop(shards);
         let terms = terms.into_iter().map(|t| t.term).collect();
 
-        // The compute stages (plan/score/rank-blend) stay at their zero
-        // default: local work is free under the simulated cost model.
+        // The compute stages (plan, score) stay at their zero default:
+        // local work is free under the simulated cost model.
         let trace = StageCosts {
             stats: stats_latency,
             shard_fetch: shard_stage,

@@ -30,9 +30,9 @@ pub enum TermProvenance {
 }
 
 /// Per-stage cost decomposition of one served query. Network stages carry
-/// the simulated latency they contributed; the compute stages (plan, score,
-/// rank blend) run locally and are charged zero simulated time, but report
-/// how much work they did.
+/// the simulated latency they contributed; the compute stages (plan and
+/// score, which includes blending with PageRank and sorting) run locally
+/// and are charged zero simulated time, but report how much work they did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCosts {
     /// Planning: cache probes and term analysis (local, zero charge).
@@ -50,8 +50,6 @@ pub struct StageCosts {
     pub net_queue: SimDuration,
     /// BM25 scoring of the candidate set (local).
     pub score: SimDuration,
-    /// Blending relevance with PageRank and sorting (local).
-    pub rank_blend: SimDuration,
     /// RPC attempts this query was charged for (shared fetches are charged
     /// to the query that triggered them).
     pub messages: u64,

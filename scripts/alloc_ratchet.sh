@@ -28,7 +28,9 @@
 # simulation is deterministic and the benchmark counts through its own
 # global allocator), so unlike a host-clock number this gate has no noise
 # to tolerate. The ceilings sit ~10 % above the values measured at seed 1,
-# 1 s: score-heavy 37.3 since a query builds the hits it returns — the
+# 1 s: score-heavy 34.5 since a cache-tier hit re-keys its recency row
+# with the key the row already owns instead of allocating a new one
+# (37.3 before), since a query builds the hits it returns — the
 # kernel ranks borrowed 16-byte keys, a response builds its page and a
 # whole list is built only for a result tier that admits it
 # (205.0 while every candidate's name was cloned into a list the 1-byte
@@ -43,7 +45,11 @@
 # selecting its k nearest into one k-sized list — was five growth steps
 # of a collect-everything Vec per hop — and SHA-256 padding on the stack
 # brought it there from 63.3, an index read no longer cloning its term
-# from 65.3); serve-warm 82.4 since every query runs through one window
+# from 65.3); serve-warm 75.3 since a stored result is no longer indexed
+# by term (a cached result proves its freshness by its recorded term
+# versions at lookup, so no term -> queries reverse index and no tier
+# removal log is built and pruned per stored result) and a tier hit
+# allocates nothing; 82.4 since every query runs through one window
 # loop on the engine — an open-loop dispatch reuses the engine-held
 # in-flight deque and span list instead of allocating both, its last (for
 # serve-warm, usually only) window takes its requests by move instead of
@@ -68,7 +74,9 @@
 # before the one-slot read, 201.4 before the routing-table and padding
 # changes, 211.2 before the kernel stopped filling a prefix cache nobody
 # hit, 1 172.8 before gossip stopped re-deriving its digests per
-# exchange); publish-churn 1 410.4 since a read of a record the writer
+# exchange); publish-churn 1 384.1 since a stored result is no longer
+# indexed by term and a tier hit allocates nothing (1 410.4 before),
+# since a read of a record the writer
 # just put shares the writer's shard (1 494.0 before), 1 494.4 since
 # gossip exchanges reuse their
 # buffers (1 496.5 before, 1 493.4 at the same DHT change; 1 563.6
@@ -106,7 +114,11 @@
 # record names it (44.5 MiB while every version stayed pinned on its
 # writer and replica with its provider records); 33.8 MiB since each
 # shard view keeps its record's value buffer until a sweep finds the
-# shard dead (32.9 MiB before, same machine). Peak RSS repeats to
+# shard dead (32.9 MiB before, same machine); 34.1 MiB since a
+# superseded result stays resident until a lookup refuses it or it is
+# replaced, evicted or expired, instead of being purged at publish time
+# (+0.4 MiB; bounded by 4 frontends x the 256 KiB result tier = 1 MiB).
+# Peak RSS repeats to
 # ~0.1 MiB at equal seed on one machine; a store that keeps what nothing
 # names any more, or a chunk memo that keeps freed blocks, lands above it.
 set -euo pipefail
@@ -148,8 +160,8 @@ check() {
   fi
 }
 
-check score-heavy 0931b7eedaa0bea9 41
+check score-heavy 0931b7eedaa0bea9 38
 check cold-lookup a30562ceaa2f8154 45.5
-check serve-warm 059c87e708c069a0 91
-check publish-churn 0858e038e76a9b58 1550 38
+check serve-warm 059c87e708c069a0 83
+check publish-churn 0858e038e76a9b58 1523 38
 exit "$status"

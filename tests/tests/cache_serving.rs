@@ -1,14 +1,15 @@
 //! Integration tests for the query-serving cache (the E9 acceptance
 //! criteria): a warm cache must reduce repeated-query latency and RPC
 //! messages on a Zipf(1.0) stream, and a republished page must never be
-//! served stale from cache — invalidation fires at reindex time and the TTL
-//! bounds staleness even without it.
+//! served stale from cache — a cached result is refused once a term version
+//! it used has moved, whether or not its frontend observed the publish, and
+//! the TTL bounds how long any entry lives.
 
 use qb_cache::config::ADAPTIVE_TTL_CEILING;
 use qb_chain::AccountId;
 use qb_common::SimDuration;
 use qb_load::scenario::{corpus, publish_all, sized, QueryStream};
-use qb_queenbee::{CacheConfig, QueenBee, RoutingPolicy, SearchRequest};
+use qb_queenbee::{CacheConfig, Freshness, GossipConfig, QueenBee, RoutingPolicy, SearchRequest};
 
 fn engine(cache: CacheConfig, seed: u64) -> QueenBee {
     let mut config = sized(32, 4, seed);
@@ -86,9 +87,9 @@ fn warm_repeated_query_issues_fewer_rpc_messages_than_cold() {
     assert_eq!(warm.hits, cold.hits, "cache must not change results");
 }
 
-/// Republish-then-query: the cached result for the old version must die at
-/// reindex time; the very next query sees the new version and the freshness
-/// probe records zero stale results.
+/// Republish-then-query: the cached result for the old version must be
+/// refused by the very next query, which sees the new version; the
+/// freshness probe records zero stale results.
 #[test]
 fn republished_page_is_never_served_stale_from_cache() {
     let mut qb = engine(CacheConfig::enabled(), 0xF00D);
@@ -140,6 +141,65 @@ fn republished_page_is_never_served_stale_from_cache() {
         metrics.total_invalidations() > 0,
         "invalidation path must have fired"
     );
+}
+
+/// A fleet frontend partitioned from the writer misses the publish, so
+/// nothing purges its cache: the result it warmed on version 1 is still
+/// resident after the heal, and the version check alone must refuse it —
+/// counted once, never served.
+#[test]
+fn a_frontend_that_missed_the_publish_refuses_its_stale_result() {
+    let mut config = sized(32, 4, 0xF1EE7);
+    config.cache = CacheConfig::enabled();
+    config.gossip = GossipConfig::fleet(3);
+    let mut qb = QueenBee::new(config).expect("valid config");
+    let creator = AccountId(1_000);
+    let publish = |qb: &mut QueenBee, body: &str| {
+        qb.publish(
+            1,
+            creator,
+            &qb_dweb::WebPage::new("news/hot", "Hot news", body, vec![]),
+        )
+        .expect("publish");
+        qb.seal();
+        qb.process_publish_events().expect("index");
+    };
+    let repeat = |qb: &mut QueenBee| {
+        qb.search_request(
+            SearchRequest::new("glowworms")
+                .route(RoutingPolicy::Direct(2))
+                .freshness(Freshness::CacheOk),
+        )
+        .expect("search")
+    };
+    let result_tier = |qb: &QueenBee| {
+        let cache = qb.fleet().expect("fleet mode").frontend(2).cache();
+        (cache.tier_sizes().0, cache.metrics().result)
+    };
+    publish(&mut qb, "glowworms invade the meadow");
+    assert_eq!(repeat(&mut qb).hits[0].version, 1);
+    assert!(repeat(&mut qb).result_cache_hit(), "warm on version 1");
+
+    let cut_peer = qb.fleet().unwrap().frontend_peer(2);
+    qb.net.set_partition(cut_peer, 9);
+    publish(&mut qb, "glowworms retreat at dawn");
+    qb.net.heal_all();
+    let (resident, before) = result_tier(&qb);
+    assert_eq!(
+        resident, 1,
+        "nothing purged the partitioned frontend's result"
+    );
+    assert_eq!(before.invalidations, 0);
+
+    let after = repeat(&mut qb);
+    assert!(!after.result_cache_hit(), "the stale result must not serve");
+    assert_eq!(after.hits[0].version, 2);
+    let (_, refused) = result_tier(&qb);
+    assert_eq!(
+        refused.invalidations, 1,
+        "refused once, by its version check"
+    );
+    assert_eq!(qb.freshness.stale_results, 0, "nothing stale was served");
 }
 
 /// The TTL backstop: even when a cached entry stays formally valid (no
