@@ -555,7 +555,7 @@ mod tests {
                 doc_id: i * 13 + 1,
                 term_freq: 2,
                 doc_len: 40,
-                name: format!("page/{i}"),
+                name: format!("page/{i}").into(),
                 version: 1,
                 creator: 9,
             });

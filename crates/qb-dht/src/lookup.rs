@@ -193,6 +193,13 @@ impl LookupMachine {
         self.result.expect("lookup not finished; poll until Ready")
     }
 
+    /// Move the result out of a finished lookup (`None` while it is still
+    /// running, and once taken), for a driver that keeps the machine in
+    /// place until it has a next state to put there.
+    pub fn take_result(&mut self) -> Option<(LookupOutcome, Option<Record>)> {
+        self.result.take()
+    }
+
     /// Retire any in-flight handles without processing their results, so an
     /// aborted driver leaves no orphaned operations in the network.
     pub fn abandon(&mut self, net: &mut SimNet) {

@@ -541,7 +541,7 @@ mod tests {
                 doc_id: i * 7 + 1,
                 term_freq: 2,
                 doc_len: 50,
-                name: format!("page/{term}/{i}"),
+                name: format!("page/{term}/{i}").into(),
                 version: 1,
                 creator: 1,
             });

@@ -64,7 +64,7 @@ fn by_rank(a: &Key<'_>, b: &Key<'_>) -> Ordering {
 fn materialise(&(score, meta): &Key<'_>) -> ScoredDoc {
     ScoredDoc {
         doc_id: meta.doc_id,
-        name: meta.name.clone(),
+        name: String::from(&*meta.name),
         score,
         version: meta.version,
         creator: meta.creator,
@@ -342,7 +342,7 @@ mod tests {
             let meta = meta.expect("candidates come from the shards");
             results.push(ScoredDoc {
                 doc_id,
-                name: meta.name.clone(),
+                name: String::from(&*meta.name),
                 score: blend_with_rank(relevance, rank_of(&meta.name), rank_weight),
                 version: meta.version,
                 creator: meta.creator,
@@ -407,7 +407,7 @@ mod tests {
                             doc_id,
                             term_freq: if flat { 1 } else { term_freq },
                             doc_len: if flat { 50 } else { doc_len },
-                            name: format!("page/{doc_id}/{variant}"),
+                            name: format!("page/{doc_id}/{variant}").into(),
                             version: variant,
                             creator: i as u64,
                         })
@@ -486,7 +486,7 @@ mod tests {
                 doc_id: i * 3,
                 term_freq: 1,
                 doc_len: 1,
-                name: String::new(),
+                name: "".into(),
                 version: 1,
                 creator: 0,
             })

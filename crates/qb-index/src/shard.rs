@@ -30,8 +30,9 @@ pub struct ShardPosting {
     pub term_freq: u32,
     /// Document length in terms.
     pub doc_len: u32,
-    /// Page name.
-    pub name: String,
+    /// Page name, shared by every copy of the posting: cloning a posting
+    /// moves a refcount instead of allocating the name again.
+    pub name: Arc<str>,
     /// Page version this posting reflects.
     pub version: u64,
     /// Creator account id.
@@ -177,13 +178,13 @@ impl ShardEntry {
             let (dl, p) = varint::decode_u64(data, p)?;
             let (ver, p) = varint::decode_u64(data, p)?;
             let (creator, p) = varint::decode_u64(data, p)?;
-            let (name, p) = decode_str(data, p)?;
+            let (name, p) = decode_str_ref(data, p)?;
             pos = p;
             postings.push(ShardPosting {
                 doc_id,
                 term_freq: tf.min(u32::MAX as u64) as u32,
                 doc_len: dl.min(u32::MAX as u64) as u32,
-                name,
+                name: Arc::from(name),
                 version: ver,
                 creator,
             });
@@ -209,15 +210,20 @@ fn encode_str(s: &str, out: &mut Vec<u8>) {
 }
 
 fn decode_str(data: &[u8], pos: usize) -> QbResult<(String, usize)> {
+    decode_str_ref(data, pos).map(|(s, end)| (s.to_owned(), end))
+}
+
+/// A length-prefixed UTF-8 string borrowed from `data` at `pos`, and the
+/// position after it.
+fn decode_str_ref(data: &[u8], pos: usize) -> QbResult<(&str, usize)> {
     let (len, p) = varint::decode_u64(data, pos)?;
     let end = usize::try_from(len)
         .ok()
         .and_then(|len| p.checked_add(len))
         .filter(|&end| end <= data.len())
         .ok_or_else(|| QbError::Codec("truncated string".into()))?;
-    let bytes = &data[p..end];
     let s =
-        String::from_utf8(bytes.to_vec()).map_err(|_| QbError::Codec("invalid utf-8".into()))?;
+        std::str::from_utf8(&data[p..end]).map_err(|_| QbError::Codec("invalid utf-8".into()))?;
     Ok((s, end))
 }
 
@@ -639,16 +645,19 @@ fn poll_read<T>(
         if let LookupStep::Pending { next_event_at } = dht.lookup_poll(net, lookup, at) {
             return ReadStep::Pending { next_event_at };
         }
-        // Stands in only until `decode` returns.
-        let taken = ReadState::done(Err(QbError::NodeOffline(machine.peer)), machine.issued_at);
-        let ReadState::Lookup(lookup) = std::mem::replace(&mut machine.state, taken) else {
-            unreachable!("matched Lookup above");
+        // The finished lookup stays in place until its successor is built.
+        machine.state = match lookup.take_result() {
+            Some((outcome, record)) => {
+                machine.cost.add(outcome.latency, outcome.messages);
+                machine.queue_delay += outcome.queue_delay;
+                let lookup_done = machine.issued_at + outcome.latency;
+                decode(net, dht, machine, record, lookup_done)
+            }
+            None => {
+                let lost = QbError::Query("lookup ready without a result".into());
+                ReadState::done(Err(lost), machine.issued_at)
+            }
         };
-        let (outcome, record) = lookup.into_result();
-        machine.cost.add(outcome.latency, outcome.messages);
-        machine.queue_delay += outcome.queue_delay;
-        let lookup_done = machine.issued_at + outcome.latency;
-        machine.state = decode(net, dht, machine, record, lookup_done);
     }
     if let ReadState::Done {
         completed_at,
@@ -759,7 +768,7 @@ mod tests {
             doc_id: doc,
             term_freq: tf,
             doc_len: 100,
-            name: name.to_string(),
+            name: name.into(),
             version: 1,
             creator: 42,
         }
@@ -808,6 +817,34 @@ mod tests {
         let mut good = ShardEntry::empty("t").encode();
         good.push(9);
         assert!(ShardEntry::decode(&good).is_err());
+    }
+
+    #[test]
+    fn a_cloned_shard_shares_every_posting_name() {
+        let mut shard = ShardEntry::empty("honey");
+        for i in 0..8u64 {
+            shard.upsert(posting(i, 1, &format!("page/{i}")));
+        }
+        let copy = shard.clone();
+        assert_eq!(copy, shard);
+        for (a, b) in shard.postings.iter().zip(&copy.postings) {
+            assert!(Arc::ptr_eq(&a.name, &b.name), "{}", a.name);
+        }
+    }
+
+    #[test]
+    fn decode_refuses_a_name_that_is_not_utf8_and_keeps_multibyte_names() {
+        let mut shard = ShardEntry::empty("t");
+        shard.upsert(posting(1, 1, "ab"));
+        let mut bad = shard.encode();
+        // The one posting's name is the encoding's last two bytes.
+        *bad.last_mut().unwrap() = 0xff;
+        assert!(ShardEntry::decode(&bad).is_err());
+
+        shard.upsert(posting(2, 1, "wiki/straße/蜜蜂/🐝"));
+        let decoded = ShardEntry::decode(&shard.encode()).unwrap();
+        assert_eq!(&*decoded.get(2).unwrap().name, "wiki/straße/蜜蜂/🐝");
+        assert_eq!(decoded, shard);
     }
 
     #[test]
@@ -1163,7 +1200,7 @@ mod tests {
                     doc_id,
                     term_freq: *term_freq,
                     doc_len: *doc_len,
-                    name: text(name),
+                    name: text(name).into(),
                     version: *version,
                     creator: *creator,
                 });

@@ -159,7 +159,7 @@ mod tests {
                 doc_id,
                 term_freq: 1,
                 doc_len: 10,
-                name: format!("page/{doc_id}"),
+                name: format!("page/{doc_id}").into(),
                 version: 1,
                 creator: 7,
             });

@@ -3,6 +3,7 @@
 use qb_chain::AccountId;
 use qb_index::{doc_id_for_name, ShardPosting};
 use qb_rank::BeeRankBehaviour;
+use std::sync::Arc;
 
 /// How a worker bee behaves.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +81,8 @@ impl WorkerBee {
             BeeBehaviour::Honest | BeeBehaviour::Colluding { .. } => {
                 let doc_len: u32 = term_freqs.iter().map(|(_, f)| *f).sum();
                 let doc_id = doc_id_for_name(page_name);
+                // One name per page, shared by every posting of it.
+                let name: Arc<str> = Arc::from(page_name);
                 let mut deltas: Vec<(&str, ShardPosting)> = term_freqs
                     .iter()
                     .map(|(term, freq)| {
@@ -89,7 +92,7 @@ impl WorkerBee {
                                 doc_id,
                                 term_freq: *freq,
                                 doc_len,
-                                name: page_name.to_string(),
+                                name: name.clone(),
                                 version: page_version,
                                 creator,
                             },
@@ -110,6 +113,7 @@ impl WorkerBee {
                             continue;
                         }
                         let boost_doc = doc_id_for_name(boost);
+                        let boost_name: Arc<str> = Arc::from(boost.as_str());
                         for (term, _) in term_freqs {
                             deltas.push((
                                 term.as_str(),
@@ -117,7 +121,7 @@ impl WorkerBee {
                                     doc_id: boost_doc,
                                     term_freq: *boost_tf,
                                     doc_len: 50,
-                                    name: boost.clone(),
+                                    name: boost_name.clone(),
                                     version: page_version,
                                     creator,
                                 },
@@ -166,11 +170,35 @@ mod tests {
             .find(|(t, _)| *t == Analyzer::stem("honey"))
             .unwrap();
         assert_eq!(honey.1.term_freq, 2);
-        assert_eq!(honey.1.name, "p/a");
+        assert_eq!(&*honey.1.name, "p/a");
         assert_eq!(honey.1.creator, 7);
         assert!(deltas
             .iter()
             .all(|(_, p)| p.doc_id == doc_id_for_name("p/a")));
+    }
+
+    #[test]
+    fn one_page_postings_share_one_name() {
+        let mut bee = WorkerBee::new(3, AccountId(2_000));
+        let tf = counts("honey nectar pollen hive");
+        let deltas = bee.index_page(&tf, "p/a", 1, 7);
+        assert!(deltas.len() > 1);
+        let first = &deltas[0].1.name;
+        assert!(deltas.iter().all(|(_, p)| Arc::ptr_eq(&p.name, first)));
+
+        bee.behaviour = BeeBehaviour::Colluding {
+            boost_pages: vec!["evil/spam".into()],
+            boost_tf: 999,
+            rank_factor: 50.0,
+        };
+        let deltas = bee.index_page(&tf, "p/a", 1, 7);
+        let (spam, own): (Vec<_>, Vec<_>) =
+            deltas.iter().partition(|(_, p)| &*p.name == "evil/spam");
+        assert_eq!(spam.len(), own.len());
+        for postings in [spam, own] {
+            let first = &postings[0].1.name;
+            assert!(postings.iter().all(|(_, p)| Arc::ptr_eq(&p.name, first)));
+        }
     }
 
     #[test]
@@ -195,12 +223,12 @@ mod tests {
         let deltas = bee.index_page(&tf, "p/a", 1, 7);
         let spam: Vec<_> = deltas
             .iter()
-            .filter(|(_, p)| p.name == "evil/spam")
+            .filter(|(_, p)| &*p.name == "evil/spam")
             .collect();
         assert!(!spam.is_empty());
         assert!(spam.iter().all(|(_, p)| p.term_freq == 999));
         // Honest postings are still present (the attack hides inside real work).
-        assert!(deltas.iter().any(|(_, p)| p.name == "p/a"));
+        assert!(deltas.iter().any(|(_, p)| &*p.name == "p/a"));
     }
 
     #[test]

@@ -171,7 +171,7 @@ mod tests {
             doc_id: doc_id_for_name(name),
             term_freq: tf,
             doc_len: 10,
-            name: name.to_string(),
+            name: name.into(),
             version: 1,
             creator: 1,
         }
@@ -265,7 +265,7 @@ mod tests {
         evil.push(("honey", posting("evil/spam", 999)));
         let subs = vec![evil.clone(), evil, honest_submission()];
         let out = verify_index_submissions(&subs);
-        assert!(out.accepted.iter().any(|(_, p)| p.name == "evil/spam"));
+        assert!(out.accepted.iter().any(|(_, p)| &*p.name == "evil/spam"));
         assert_eq!(out.flagged, vec![2], "the honest minority looks deviant");
     }
 
@@ -339,7 +339,7 @@ mod tests {
                     2 => {
                         // Same key, different posting: who is first decides.
                         let (term, mut p) = sub[j].clone();
-                        p.name = format!("alias/{byte}");
+                        p.name = format!("alias/{byte}").into();
                         p.doc_len = u32::from(byte);
                         p.version = u64::from(byte % 3);
                         sub.insert(usize::from(byte) % (sub.len() + 1), (term, p));

@@ -376,7 +376,8 @@ impl QueenBee {
     /// Read a term's shard on the indexing path: the writer cache's shard
     /// tier first (validated against the engine's current version for the
     /// term), the DHT only on a genuine miss. The writer is about to change
-    /// the shard, so this is the one place a cached shard is copied.
+    /// the shard, so this is the one place a cached shard is copied; the
+    /// copy shares every posting's name.
     fn read_shard_for_writer(&mut self, writer_peer: u64, term: &str) -> QbResult<ShardEntry> {
         self.writer_shard_reads += 1;
         let now = self.net.now();
@@ -422,15 +423,20 @@ impl QueenBee {
         mut shard: ShardEntry,
         now: SimInstant,
     ) -> QbResult<()> {
-        let next_version = self
-            .shard_versions
-            .get(&shard.term)
-            .copied()
-            .unwrap_or(0)
-            .max(shard.version)
-            + 1;
+        // A known term's counter is bumped in place: only a term written
+        // for the first time allocates its key.
+        let next_version = match self.shard_versions.get_mut(&shard.term) {
+            Some(known) => {
+                *known = (*known).max(shard.version) + 1;
+                *known
+            }
+            None => {
+                let first = shard.version + 1;
+                self.shard_versions.insert(shard.term.clone(), first);
+                first
+            }
+        };
         shard.version = next_version;
-        self.shard_versions.insert(shard.term.clone(), next_version);
         self.dist_index.write_shard(
             &mut self.net,
             &mut self.dht,

@@ -349,7 +349,7 @@ mod tests {
                 doc_id,
                 term_freq: tf,
                 doc_len: 50,
-                name: format!("page/{doc_id}"),
+                name: format!("page/{doc_id}").into(),
                 version: 1,
                 creator: doc_id,
             });

@@ -237,7 +237,7 @@ mod tests {
             doc_id: 1,
             term_freq: 2,
             doc_len: 40,
-            name: format!("page/{term}"),
+            name: format!("page/{term}").into(),
             version: 1,
             creator: 9,
         });

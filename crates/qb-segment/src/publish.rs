@@ -186,7 +186,7 @@ mod tests {
                 doc_id: d,
                 term_freq: 1,
                 doc_len: 50,
-                name: format!("p/{d}"),
+                name: format!("p/{d}").into(),
                 version: 1,
                 creator: 2,
             });

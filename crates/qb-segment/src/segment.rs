@@ -322,7 +322,7 @@ mod tests {
             doc_id,
             term_freq: 2,
             doc_len: 40,
-            name: format!("page/{doc_id}"),
+            name: format!("page/{doc_id}").into(),
             version,
             creator: 1,
         }

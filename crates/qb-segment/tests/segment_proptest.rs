@@ -24,7 +24,7 @@ fn posting(doc_id: u64, version: u64) -> ShardPosting {
         doc_id,
         term_freq: (1 + (doc_id + version) % 5) as u32,
         doc_len: (30 + doc_id % 50) as u32,
-        name: format!("page/{doc_id}"),
+        name: format!("page/{doc_id}").into(),
         version,
         creator: doc_id % 7,
     }

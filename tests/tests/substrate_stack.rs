@@ -27,7 +27,7 @@ fn distributed_index_survives_moderate_churn() {
             doc_id: i,
             term_freq: 2,
             doc_len: 40,
-            name: format!("page{i}"),
+            name: format!("page{i}").into(),
             version: 1,
             creator: 1,
         });
