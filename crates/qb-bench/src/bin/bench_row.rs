@@ -3,8 +3,8 @@
 //! a row must have.
 //!
 //! Usage:
-//!   bench_row --pr 40 --rev d2e85c3 --seconds 15 --cores 2 < runs > BENCH_40.json
-//!   bench_row --check BENCH_40.json
+//!   bench_row --pr 7 --rev 1a2b3c4 --seconds 15 --cores 2 < runs > BENCH_7.json
+//!   bench_row --check BENCH_7.json
 //!
 //! Each input line is one run, `WORKLOAD SEED SIM_FINGERPRINT SUMMARY`,
 //! where SUMMARY is the run's last output line: `{"correct": ..,
@@ -283,7 +283,7 @@ mod tests {
 
     fn meta() -> Meta {
         Meta {
-            pr: 40,
+            pr: 7,
             rev: "abc".into(),
             seconds: 1,
             cores: 2,
@@ -303,7 +303,7 @@ mod tests {
         let text = serde_json::to_string_pretty(&row).unwrap();
         assert_eq!(check(&text), Ok(3));
 
-        assert_eq!(row["pr"], Value::Number(40.0));
+        assert_eq!(row["pr"], Value::Number(7.0));
         assert_eq!(row["seeds"], vec![1u64, 2, 3].into());
         let block = &row["workloads"]["score-heavy"];
         let ops = &block["metrics"]["host_ops_per_s"];

@@ -194,7 +194,7 @@ impl LookupMachine {
     }
 
     /// Move the result out of a finished lookup (`None` while it is still
-    /// running, and once taken), for a driver that keeps the machine in
+    /// running, and once taken), for a caller that keeps the machine in
     /// place until it has a next state to put there.
     pub fn take_result(&mut self) -> Option<(LookupOutcome, Option<Record>)> {
         self.result.take()
