@@ -72,7 +72,7 @@ pub fn run() -> Vec<Table> {
     for p in &corpus.pages {
         graph.set_links(&p.name, &p.out_links);
     }
-    let ranks = qb_rank::pagerank(&graph, &qb_rank::PageRankConfig::default());
+    let ranks = qb_rank::pagerank(&graph);
     t2.row(&[&"pagerank mass", &f4(ranks.iter().sum::<f64>())]);
     let mut chain = qb_chain::Blockchain::new();
     for i in 0..2_000u64 {

@@ -2,9 +2,12 @@
 //!
 //! * **Verification quorums with majority voting** (against the collusion
 //!   attack on index data): each publish event is indexed independently by a
-//!   quorum of bees; only postings submitted by a strict majority are
-//!   accepted, and any bee whose submission differs from the accepted set is
-//!   flagged (and slashed by the engine).
+//!   quorum of bees, and the quorum votes on each bee's canonical key list —
+//!   its postings' `(term, doc, tf)` keys, sorted and deduplicated. A key
+//!   held by a strict majority of the lists is accepted, and any bee whose
+//!   list differs from the accepted keys is flagged (and slashed by the
+//!   engine). The vote covers the keys only: a posting's `doc_len`,
+//!   version and creator are the first submitter's, unvoted.
 //! * **MinHash near-duplicate detection** (against the scraper-site attack):
 //!   at publish time the page body's MinHash signature is compared against
 //!   previously registered pages owned by other creators; mirrors above the
@@ -12,99 +15,78 @@
 
 use qb_common::Hash256;
 use qb_index::ShardPosting;
-use std::collections::BTreeMap;
 
 /// Outcome of verifying a quorum of index submissions for one publish event.
 #[derive(Debug, Clone)]
 pub struct VerificationOutcome<'t> {
     /// Postings accepted by majority vote beside their terms, in
-    /// `(term, doc, tf)` order.
+    /// `(term, doc, tf)` order. A lone submission is accepted as
+    /// submitted, in its own order: a colluding bee's boost postings then
+    /// follow its honest ones, so one term can occur in two places.
     pub accepted: Vec<(&'t str, ShardPosting)>,
     /// Indices (into the submission vector) of bees whose submissions
     /// deviated from the accepted set.
     pub flagged: Vec<usize>,
 }
 
-/// How the quorum voted on one `(term, doc, tf)` key.
-struct Tally<'s> {
-    /// Submissions holding the key (each counts once).
-    votes: usize,
-    /// The first posting submitted under the key — the one accepted.
-    first: &'s ShardPosting,
-    /// The last submission counted, by the vote and then by the flagging
-    /// pass (each counts a submission once however often it repeats a key).
-    last_seen: usize,
+/// A submitted posting beside its term, borrowed for the vote.
+type Entry<'t, 's> = (&'t str, &'s ShardPosting);
+
+/// The key the quorum votes on.
+fn key<'t>(&(term, posting): &Entry<'t, '_>) -> (&'t str, u64, u32) {
+    (term, posting.doc_id, posting.term_freq)
 }
 
 /// Majority-vote verification of index submissions.
 ///
 /// `submissions[i]` is the delta set produced by the i-th bee assigned to the
-/// event. A posting is accepted when more than half of the submissions
-/// contain an identical `(term, doc, tf)` entry. A bee is flagged when it
-/// submitted a non-accepted posting or omitted an accepted one. The vote is
-/// over borrowed keys: only an accepted posting is cloned.
+/// event. Each submission becomes its canonical key list: stable-sorted by
+/// `(term, doc, tf)` and deduplicated, so it keeps its first posting per
+/// key. The lists are concatenated in submission order and stable-sorted
+/// again, so each key is one run with one entry per bee that holds it, the
+/// first submitter's first. A run longer than half the quorum is accepted
+/// with that first posting. A bee is flagged when its list is not exactly
+/// the accepted keys: it submitted a key the vote refused or omitted one it
+/// accepted. Only an accepted posting is cloned.
 pub fn verify_index_submissions<'t>(
     submissions: &[Vec<(&'t str, ShardPosting)>],
 ) -> VerificationOutcome<'t> {
     let q = submissions.len();
-    if q == 0 {
+    if q <= 1 {
+        // No redundancy, nothing to compare against: accept as submitted.
         return VerificationOutcome {
-            accepted: Vec::new(),
-            flagged: Vec::new(),
-        };
-    }
-    if q == 1 {
-        // No redundancy, nothing to compare against: accept as-is.
-        return VerificationOutcome {
-            accepted: submissions[0].clone(),
+            accepted: submissions.first().cloned().unwrap_or_default(),
             flagged: Vec::new(),
         };
     }
     let majority = q / 2 + 1;
-    let mut tallies: BTreeMap<(&'t str, u64, u32), Tally<'_>> = BTreeMap::new();
-    for (i, submission) in submissions.iter().enumerate() {
-        for (term, posting) in submission {
-            let tally = tallies
-                .entry((term, posting.doc_id, posting.term_freq))
-                .or_insert(Tally {
-                    votes: 0,
-                    first: posting,
-                    last_seen: usize::MAX,
-                });
-            if tally.last_seen != i {
-                tally.last_seen = i;
-                tally.votes += 1;
-            }
-        }
-    }
-    let accepted: Vec<(&'t str, ShardPosting)> = tallies
+    let lists: Vec<Vec<Entry<'t, '_>>> = submissions
         .iter()
-        .filter(|(_, t)| t.votes >= majority)
-        .map(|(&(term, ..), t)| (term, t.first.clone()))
+        .map(|submission| {
+            let mut list: Vec<Entry<'t, '_>> = submission.iter().map(|(t, p)| (*t, p)).collect();
+            list.sort_by_key(key);
+            list.dedup_by_key(|entry| key(entry));
+            list
+        })
         .collect();
-    let mut flagged = Vec::new();
-    for (i, submission) in submissions.iter().enumerate() {
-        // Every key is in the map. This pass marks a submission `q + i`, a
-        // value the vote never wrote, so each key counts once per bee.
-        let mut held = 0usize;
-        let mut extraneous = false;
-        for (term, posting) in submission {
-            let Some(tally) = tallies.get_mut(&(*term, posting.doc_id, posting.term_freq)) else {
-                continue;
-            };
-            if tally.votes < majority {
-                extraneous = true;
-                break;
-            }
-            if tally.last_seen != q + i {
-                tally.last_seen = q + i;
-                held += 1;
-            }
-        }
-        if extraneous || held < accepted.len() {
-            flagged.push(i);
-        }
-    }
+    let mut union = lists.concat();
+    union.sort_by_key(key);
+    let accepted: Vec<(&'t str, ShardPosting)> = union
+        .chunk_by(|a, b| key(a) == key(b))
+        .filter(|run| run.len() >= majority)
+        .map(|run| (run[0].0, run[0].1.clone()))
+        .collect();
+    let flagged = lists
+        .iter()
+        .enumerate()
+        .filter(|(_, list)| {
+            !list
+                .iter()
+                .map(key)
+                .eq(accepted.iter().map(|(t, p)| key(&(*t, p))))
+        })
+        .map(|(i, _)| i)
+        .collect();
     VerificationOutcome { accepted, flagged }
 }
 
@@ -164,7 +146,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use qb_index::doc_id_for_name;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn posting(name: &str, tf: u32) -> ShardPosting {
         ShardPosting {
@@ -278,9 +260,45 @@ mod tests {
     }
 
     #[test]
+    fn a_quorum_without_a_majority_list_accepts_the_honest_keys() {
+        // Honest, colluding and lazy: no two bees submit the same list,
+        // but the honest keys are held by two of three.
+        let mut colluding = honest_submission();
+        colluding.push(("honey", posting("evil/spam", 999)));
+        let subs = vec![honest_submission(), colluding, Vec::new()];
+        let out = verify_index_submissions(&subs);
+        let keys: Vec<(&str, u64, u32)> = out
+            .accepted
+            .iter()
+            .map(|(t, p)| (*t, p.doc_id, p.term_freq))
+            .collect();
+        let a = doc_id_for_name("p/a");
+        assert_eq!(keys, vec![("bee", a, 1), ("honey", a, 2)]);
+        assert_eq!(out.flagged, vec![1, 2]);
+    }
+
+    /// The vote covers `(term, doc, tf)` only: a bee that lies about
+    /// nothing but the document length is not caught, and when it submits
+    /// first its length is the one accepted.
+    #[test]
+    fn a_bee_that_alters_only_doc_len_is_not_flagged() {
+        let mut altered = honest_submission();
+        for (_, p) in &mut altered {
+            p.doc_len = 99;
+        }
+        let subs = vec![altered, honest_submission(), honest_submission()];
+        let out = verify_index_submissions(&subs);
+        assert!(out.flagged.is_empty());
+        assert_eq!(out.accepted.len(), 2);
+        assert!(out.accepted.iter().all(|(_, p)| p.doc_len == 99));
+    }
+
+    #[test]
     fn single_submission_is_accepted_unverified() {
         let out = verify_index_submissions(&[honest_submission()]);
-        assert_eq!(out.accepted.len(), 2);
+        // As submitted, in the submission's own (not term) order.
+        let terms: Vec<&str> = out.accepted.iter().map(|(t, _)| *t).collect();
+        assert_eq!(terms, ["honey", "bee"]);
         assert!(out.flagged.is_empty());
         let empty = verify_index_submissions(&[]);
         assert!(empty.accepted.is_empty());

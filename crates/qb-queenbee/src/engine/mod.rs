@@ -72,12 +72,12 @@ pub struct QueenBee {
     /// return a stale local replica; taking the max with this counter keeps
     /// shard versions monotonic so replicas never reject a newer write.
     shard_versions: HashMap<String, u64>,
-    indexed_docs: HashMap<String, (u64, u32)>,
-    /// Terms each indexed document currently appears under, so re-indexing a
-    /// new page version can remove the document from shards of terms it no
-    /// longer contains (otherwise dropped terms would keep serving stale
-    /// versions of the page forever).
-    indexed_terms: HashMap<String, BTreeSet<String>>,
+    /// Each indexed page's length and its term counts (the analyzer's,
+    /// sorted by term): the length leaves the collection statistics when
+    /// the page is re-indexed, and the terms let a new page version remove
+    /// the document from shards of terms it no longer contains (otherwise
+    /// dropped terms would keep serving stale versions of the page forever).
+    indexed_pages: HashMap<String, (u32, Vec<(String, u32)>)>,
     ranks_by_name: HashMap<String, f64>,
     /// The same ranks as the serving kernel reads them.
     rank_components: rank::RankComponents,
@@ -163,8 +163,7 @@ impl QueenBee {
             event_cursor: chain.events().len(),
             index_stats: IndexStats::default(),
             shard_versions: HashMap::new(),
-            indexed_docs: HashMap::new(),
-            indexed_terms: HashMap::new(),
+            indexed_pages: HashMap::new(),
             ranks_by_name: HashMap::new(),
             rank_components: rank::RankComponents::default(),
             rank_round: 0,
@@ -438,6 +437,44 @@ mod tests {
         qb2.seal();
         let reports = qb2.run_scraper_attack(&attack, &[victim]).unwrap();
         assert!(reports[0].accepted);
+    }
+
+    #[test]
+    fn a_mirror_of_two_equal_pages_names_the_smaller_in_every_engine() {
+        let body: String = (0..150)
+            .map(|i| format!("organicword{} ", i % 40))
+            .collect();
+        let attack = ScraperAttack::new(6_666, 1);
+        // Each engine's signature map is seeded afresh, so its scan order
+        // differs from engine to engine; the named page must not.
+        for _ in 0..12 {
+            let mut qb = engine();
+            let victims = [page("blog/b", &body, vec![]), page("blog/a", &body, vec![])];
+            for victim in &victims {
+                assert!(qb.publish(1, AccountId(1_000), victim).unwrap().accepted);
+            }
+            qb.seal();
+            let reports = qb.run_scraper_attack(&attack, &victims).unwrap();
+            assert_eq!(
+                reports[0].reject_reason.as_deref(),
+                Some("near-duplicate of 'blog/a' owned by account 1000")
+            );
+        }
+    }
+
+    #[test]
+    fn the_quorum_draw_never_names_a_bee_twice() {
+        for bees in 1..=64 {
+            for quorum in 1..=bees {
+                for rotation in 0..bees {
+                    let assigned = publish::assign_quorum(rotation, quorum, bees);
+                    let distinct: BTreeSet<usize> = assigned.iter().copied().collect();
+                    assert_eq!(assigned.len(), quorum);
+                    assert_eq!(distinct.len(), quorum, "{bees} bees, quorum {quorum}");
+                    assert!(assigned.iter().all(|&b| b < bees));
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@ use qb_dweb::{fetch_page_by_cid, publish_page, WebPage};
 use qb_index::ShardEntry;
 use qb_segment::{publish_segment, Segment, SegmentRef, SegmentStats};
 use qb_storage::{FetchStats, ObjectRef};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Outcome of a publish attempt.
@@ -34,7 +33,8 @@ impl QueenBee {
     /// Publish a page from `peer` on behalf of `creator`. When duplicate
     /// detection is enabled and the body is a near-duplicate of a page owned
     /// by a *different* creator, the publish is rejected (the scraper-site
-    /// defense) and nothing is stored or rewarded.
+    /// defense) and nothing is stored or rewarded; the reason names the
+    /// most similar such page, the smallest name among equals.
     pub fn publish(
         &mut self,
         peer: u64,
@@ -43,21 +43,26 @@ impl QueenBee {
     ) -> QbResult<PublishReport> {
         let sig = MinHashSignature::of_text(&page.body);
         if self.config.duplicate_detection {
-            for (other_name, (other_creator, other_sig)) in &self.signatures {
-                if *other_creator != creator.0
-                    && other_name != &page.name
-                    && sig.similarity(other_sig) >= DUPLICATE_THRESHOLD
-                {
-                    return Ok(PublishReport {
-                        name: page.name.clone(),
-                        accepted: false,
-                        reject_reason: Some(format!(
-                            "near-duplicate of '{other_name}' owned by account {other_creator}"
-                        )),
-                        object: None,
-                        stats: FetchStats::default(),
-                    });
-                }
+            // The signatures sit in a hash map, whose order is arbitrary:
+            // a mirror of several pages names the most similar one, the
+            // smallest name among equals.
+            let nearest = self
+                .signatures
+                .iter()
+                .filter(|(other, (owner, _))| *owner != creator.0 && **other != page.name)
+                .map(|(other, (owner, other_sig))| (sig.similarity(other_sig), other, owner))
+                .filter(|(similarity, ..)| *similarity >= DUPLICATE_THRESHOLD)
+                .max_by(|a, b| a.0.total_cmp(&b.0).then_with(|| b.1.cmp(a.1)));
+            if let Some((_, other_name, other_creator)) = nearest {
+                return Ok(PublishReport {
+                    name: page.name.clone(),
+                    accepted: false,
+                    reject_reason: Some(format!(
+                        "near-duplicate of '{other_name}' owned by account {other_creator}"
+                    )),
+                    object: None,
+                    stats: FetchStats::default(),
+                });
             }
         }
         let outcome = publish_page(
@@ -136,26 +141,8 @@ impl QueenBee {
                 continue;
             };
             handled += 1;
-            // Assign a quorum of bees, deterministically, rotating per event.
             let quorum = self.config.index_quorum.min(self.bees.len()).max(1);
-            let assigned: Vec<usize> = (0..quorum)
-                .map(|j| {
-                    (handled + self.event_cursor + j * (self.bees.len() / quorum).max(1))
-                        % self.bees.len()
-                })
-                .fold(Vec::new(), |mut acc, b| {
-                    if !acc.contains(&b) {
-                        acc.push(b);
-                    } else {
-                        // Collision: take the next free bee.
-                        let mut alt = (b + 1) % self.bees.len();
-                        while acc.contains(&alt) {
-                            alt = (alt + 1) % self.bees.len();
-                        }
-                        acc.push(alt);
-                    }
-                    acc
-                });
+            let assigned = assign_quorum(handled + self.event_cursor, quorum, self.bees.len());
 
             // The first assigned bee fetches the page content once; in the
             // real system each bee would fetch it, which only multiplies the
@@ -181,7 +168,10 @@ impl QueenBee {
                 .iter()
                 .map(|&b| self.bees[b].index_page(&term_freqs, &name, version, creator.0))
                 .collect();
-            let VerificationOutcome { accepted, flagged } = verify_index_submissions(&submissions);
+            let VerificationOutcome {
+                mut accepted,
+                flagged,
+            } = verify_index_submissions(&submissions);
 
             // Slash flagged bees and record the flag.
             for &local_idx in &flagged {
@@ -205,39 +195,48 @@ impl QueenBee {
                 .map(|(_, &b)| b)
                 .unwrap_or(assigned[0]);
             let writer_peer = self.bees[writer].peer;
-            // Merge in sorted term order: shard writes consume simulated
-            // network randomness, so iteration order must be deterministic
-            // for runs to reproduce bit-for-bit.
-            let mut by_term: BTreeMap<&str, Vec<qb_index::ShardPosting>> = BTreeMap::new();
-            for (term, posting) in accepted {
-                by_term.entry(term).or_default().push(posting);
-            }
-            for (term, postings) in by_term {
+            // Merge in sorted term order, one shard write per term: shard
+            // writes consume simulated network randomness, so iteration
+            // order must be deterministic for runs to reproduce
+            // bit-for-bit. A vote returns its keys sorted; a lone
+            // submission comes back as submitted, and the stable sort
+            // groups its terms keeping each term's postings in order.
+            accepted.sort_by_key(|&(term, _)| term);
+            let mut accepted = accepted.into_iter().peekable();
+            while let Some((term, first)) = accepted.next() {
                 let mut shard = self.read_shard_for_writer(writer_peer, term)?;
-                for p in postings {
-                    shard.upsert(p);
+                shard.upsert(first);
+                while let Some((_, posting)) = accepted.next_if(|&(t, _)| t == term) {
+                    shard.upsert(posting);
                 }
                 self.write_shard(writer_peer, shard, now)?;
             }
 
-            // Remove the document from shards of terms the new version no
-            // longer contains, so a republished page never leaves ghost
-            // postings serving a stale version under its dropped terms.
-            // The counts are sorted by term, so membership is a search, and
-            // they move into the record of what the page is indexed under.
+            // Record the page's length and terms, and update the collection
+            // statistics. Then remove the document from shards of terms the
+            // new version no longer contains, so a republished page never
+            // leaves ghost postings serving a stale version under its
+            // dropped terms. Both term lists are the analyzer's, sorted by
+            // term, so membership is a search.
             let doc_len: u32 = term_freqs.iter().map(|(_, f)| *f).sum();
-            let dropped: Vec<String> = self.indexed_terms.get(&name).map_or_else(Vec::new, |old| {
-                old.iter()
-                    .filter(|t| {
-                        term_freqs
-                            .binary_search_by(|(term, _)| term.as_str().cmp(t))
-                            .is_err()
-                    })
-                    .cloned()
-                    .collect()
-            });
-            let new_terms: BTreeSet<String> = term_freqs.into_iter().map(|(t, _)| t).collect();
-            self.indexed_terms.insert(name.clone(), new_terms);
+            self.index_stats.total_len += u64::from(doc_len);
+            let dropped: Vec<String> = match self.indexed_pages.get_mut(&name) {
+                Some(record) => {
+                    let (old_len, old_terms) = std::mem::replace(record, (doc_len, term_freqs));
+                    self.index_stats.total_len -= u64::from(old_len);
+                    old_terms
+                        .into_iter()
+                        .map(|(term, _)| term)
+                        .filter(|t| record.1.binary_search_by(|(u, _)| u.cmp(t)).is_err())
+                        .collect()
+                }
+                None => {
+                    self.index_stats.num_docs += 1;
+                    self.indexed_pages
+                        .insert(name.clone(), (doc_len, term_freqs));
+                    Vec::new()
+                }
+            };
             let doc_id = qb_index::doc_id_for_name(&name);
             for term in &dropped {
                 let mut shard = self.read_shard_for_writer(writer_peer, term)?;
@@ -249,18 +248,6 @@ impl QueenBee {
                 // bootstrap from the artifact never resurrects the removed
                 // posting.
                 self.write_shard(writer_peer, shard, now)?;
-            }
-
-            // Update the collection statistics.
-            match self.indexed_docs.insert(name.clone(), (version, doc_len)) {
-                Some((_, old_len)) => {
-                    self.index_stats.total_len =
-                        self.index_stats.total_len - old_len as u64 + doc_len as u64;
-                }
-                None => {
-                    self.index_stats.num_docs += 1;
-                    self.index_stats.total_len += doc_len as u64;
-                }
             }
 
             // Reward claims for the assigned, non-flagged bees.
@@ -470,4 +457,14 @@ impl QueenBee {
         }
         Ok(())
     }
+}
+
+/// The bees assigned to a publish event: `quorum` of `bees`, spread
+/// `bees / quorum` apart and rotated per event. For every j < quorum ≤
+/// bees, j · ⌊bees / quorum⌋ < bees, so no two draws name the same bee.
+pub(super) fn assign_quorum(rotation: usize, quorum: usize, bees: usize) -> Vec<usize> {
+    let stride = bees / quorum;
+    (0..quorum)
+        .map(|j| (rotation + j * stride) % bees)
+        .collect()
 }

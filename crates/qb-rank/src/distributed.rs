@@ -10,7 +10,7 @@
 //! in the QueenBee engine, slashed).
 
 use crate::graph::LinkGraph;
-use crate::pagerank::PageRankConfig;
+use crate::pagerank::{pagerank, DAMPING, MAX_ITERATIONS, TOLERANCE};
 use std::collections::BTreeSet;
 
 /// How a bee behaves when asked to compute a rank block.
@@ -44,8 +44,6 @@ pub struct RankRoundReport {
 /// Configuration of the decentralized computation.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct DecentralizedPageRank {
-    /// Underlying PageRank parameters.
-    pub pagerank: PageRankConfig,
     /// Number of graph blocks.
     pub num_blocks: usize,
     /// Quorum size: how many bees compute each block each round.
@@ -58,7 +56,6 @@ pub struct DecentralizedPageRank {
 impl Default for DecentralizedPageRank {
     fn default() -> Self {
         DecentralizedPageRank {
-            pagerank: PageRankConfig::default(),
             num_blocks: 8,
             quorum: 3,
             flag_tolerance: 0.01,
@@ -80,7 +77,6 @@ impl DecentralizedPageRank {
     fn compute_block(
         graph: &LinkGraph,
         prev: &[f64],
-        damping: f64,
         range: std::ops::Range<usize>,
         behaviour: &BeeRankBehaviour,
     ) -> Vec<f64> {
@@ -91,7 +87,7 @@ impl DecentralizedPageRank {
             .filter(|&u| graph.out_degree(u) == 0)
             .map(|u| prev[u])
             .sum();
-        let base = (1.0 - damping) * uniform + damping * dangling_mass * uniform;
+        let base = (1.0 - DAMPING) * uniform + DAMPING * dangling_mass * uniform;
         let mut values = vec![0.0f64; range.len()];
         match behaviour {
             BeeRankBehaviour::Lazy => {
@@ -113,7 +109,7 @@ impl DecentralizedPageRank {
                     }
                 }
                 for v in values.iter_mut() {
-                    *v = base + damping * *v;
+                    *v = base + DAMPING * *v;
                 }
                 if let BeeRankBehaviour::Inflate { targets, factor } = behaviour {
                     for &t in targets {
@@ -153,7 +149,7 @@ impl DecentralizedPageRank {
         let mut rank = vec![uniform; n];
         let mut rounds = 0usize;
 
-        for round in 0..self.pagerank.max_iterations {
+        for round in 0..MAX_ITERATIONS {
             rounds = round + 1;
             let mut next = vec![0.0f64; n];
             for block in 0..self.num_blocks.max(1) {
@@ -165,13 +161,8 @@ impl DecentralizedPageRank {
                 let mut submissions: Vec<(usize, Vec<f64>)> = Vec::with_capacity(quorum);
                 for q in 0..quorum {
                     let bee = (block + round * 7 + q * (num_bees / quorum).max(1)) % num_bees;
-                    let values = Self::compute_block(
-                        graph,
-                        &rank,
-                        self.pagerank.damping,
-                        range.clone(),
-                        &bee_behaviours[bee],
-                    );
+                    let values =
+                        Self::compute_block(graph, &rank, range.clone(), &bee_behaviours[bee]);
                     block_computations += 1;
                     submissions.push((bee, values));
                 }
@@ -197,12 +188,12 @@ impl DecentralizedPageRank {
             }
             let delta: f64 = next.iter().zip(&rank).map(|(a, b)| (a - b).abs()).sum();
             rank = next;
-            if delta < self.pagerank.tolerance {
+            if delta < TOLERANCE {
                 break;
             }
         }
 
-        let reference = crate::pagerank::pagerank(graph, &self.pagerank);
+        let reference = pagerank(graph);
         let l1: f64 = reference
             .iter()
             .zip(&rank)
@@ -221,7 +212,6 @@ impl DecentralizedPageRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagerank::pagerank;
 
     fn sample_graph() -> LinkGraph {
         let mut g = LinkGraph::new();
@@ -280,7 +270,7 @@ mod tests {
             "collusion moved the ranks: {}",
             report.l1_error_vs_reference
         );
-        let honest = pagerank(&g, &dpr.pagerank);
+        let honest = pagerank(&g);
         let ratio = report.ranks[target] / honest[target];
         assert!(ratio < 2.0, "target inflated by {ratio}x despite defense");
     }
@@ -304,7 +294,7 @@ mod tests {
             4
         ];
         let report = dpr.run(&g, &behaviours);
-        let honest = pagerank(&g, &dpr.pagerank);
+        let honest = pagerank(&g);
         assert!(
             report.ranks[target] > honest[target] * 2.0,
             "attack should succeed with quorum=1"

@@ -20,4 +20,4 @@ pub mod pagerank;
 
 pub use distributed::{BeeRankBehaviour, DecentralizedPageRank, RankRoundReport};
 pub use graph::LinkGraph;
-pub use pagerank::{pagerank, PageRankConfig};
+pub use pagerank::pagerank;

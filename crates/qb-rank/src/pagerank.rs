@@ -3,30 +3,22 @@
 
 use crate::graph::LinkGraph;
 
-/// PageRank parameters.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
-pub struct PageRankConfig {
-    /// Damping factor (probability of following a link).
-    pub damping: f64,
-    /// Maximum power iterations.
-    pub max_iterations: usize,
-    /// L1 convergence tolerance.
-    pub tolerance: f64,
-}
-
-impl Default for PageRankConfig {
-    fn default() -> Self {
-        PageRankConfig {
-            damping: 0.85,
-            max_iterations: 100,
-            tolerance: 1e-9,
-        }
-    }
-}
+/// Damping factor (probability of following a link).
+pub const DAMPING: f64 = 0.85;
+/// Maximum power iterations.
+pub const MAX_ITERATIONS: usize = 100;
+/// L1 convergence tolerance.
+pub const TOLERANCE: f64 = 1e-9;
 
 /// Compute PageRank over the graph. Returns a vector indexed by node id that
 /// sums to 1 (for a non-empty graph).
-pub fn pagerank(graph: &LinkGraph, config: &PageRankConfig) -> Vec<f64> {
+pub fn pagerank(graph: &LinkGraph) -> Vec<f64> {
+    power_iteration(graph, MAX_ITERATIONS, TOLERANCE)
+}
+
+/// Power iteration until the L1 change of a step falls below `tolerance`
+/// or `max_iterations` steps have run.
+fn power_iteration(graph: &LinkGraph, max_iterations: usize, tolerance: f64) -> Vec<f64> {
     let n = graph.len();
     if n == 0 {
         return Vec::new();
@@ -34,7 +26,7 @@ pub fn pagerank(graph: &LinkGraph, config: &PageRankConfig) -> Vec<f64> {
     let uniform = 1.0 / n as f64;
     let mut rank = vec![uniform; n];
     let mut next = vec![0.0f64; n];
-    for _ in 0..config.max_iterations {
+    for _ in 0..max_iterations {
         next.iter_mut().for_each(|x| *x = 0.0);
         let mut dangling_mass = 0.0;
         for (u, &r) in rank.iter().enumerate() {
@@ -48,15 +40,15 @@ pub fn pagerank(graph: &LinkGraph, config: &PageRankConfig) -> Vec<f64> {
                 }
             }
         }
-        let base = (1.0 - config.damping) * uniform + config.damping * dangling_mass * uniform;
+        let base = (1.0 - DAMPING) * uniform + DAMPING * dangling_mass * uniform;
         let mut delta = 0.0;
         for v in 0..n {
-            let new_val = base + config.damping * next[v];
+            let new_val = base + DAMPING * next[v];
             delta += (new_val - rank[v]).abs();
             next[v] = new_val;
         }
         std::mem::swap(&mut rank, &mut next);
-        if delta < config.tolerance {
+        if delta < tolerance {
             break;
         }
     }
@@ -95,13 +87,13 @@ mod tests {
 
     #[test]
     fn empty_graph_is_empty_rank() {
-        assert!(pagerank(&LinkGraph::new(), &PageRankConfig::default()).is_empty());
+        assert!(pagerank(&LinkGraph::new()).is_empty());
     }
 
     #[test]
     fn ranks_sum_to_one() {
         let g = chain_graph(20);
-        let r = pagerank(&g, &PageRankConfig::default());
+        let r = pagerank(&g);
         let sum: f64 = r.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "sum={sum}");
         assert!(r.iter().all(|&x| x > 0.0));
@@ -115,7 +107,7 @@ mod tests {
             g.set_links(&format!("spoke{i}"), &["hub".to_string()]);
         }
         g.set_links("hub", &["spoke0".to_string()]);
-        let r = pagerank(&g, &PageRankConfig::default());
+        let r = pagerank(&g);
         let hub = g.id_of("hub").unwrap();
         let spoke5 = g.id_of("spoke5").unwrap();
         assert!(r[hub] > r[spoke5] * 5.0);
@@ -128,7 +120,7 @@ mod tests {
         let mut g = LinkGraph::new();
         g.set_links("a", &["b".to_string()]);
         g.node("lonely");
-        let r = pagerank(&g, &PageRankConfig::default());
+        let r = pagerank(&g);
         let lonely = g.id_of("lonely").unwrap();
         assert!(r[lonely] > 0.0);
         let sum: f64 = r.iter().sum();
@@ -138,15 +130,8 @@ mod tests {
     #[test]
     fn convergence_is_stable_across_iteration_budgets() {
         let g = chain_graph(30);
-        let precise = pagerank(
-            &g,
-            &PageRankConfig {
-                max_iterations: 500,
-                tolerance: 1e-14,
-                ..PageRankConfig::default()
-            },
-        );
-        let default = pagerank(&g, &PageRankConfig::default());
+        let precise = power_iteration(&g, 500, 1e-14);
+        let default = pagerank(&g);
         let l1: f64 = precise
             .iter()
             .zip(&default)
@@ -171,7 +156,7 @@ mod tests {
                     .collect();
                 g.set_links(&format!("p{i}"), &links);
             }
-            let r = pagerank(&g, &PageRankConfig::default());
+            let r = pagerank(&g);
             let sum: f64 = r.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-6);
             prop_assert!(r.iter().all(|&x| (0.0..=1.0).contains(&x)));

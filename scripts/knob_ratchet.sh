@@ -16,7 +16,7 @@
 # values of each new field.
 set -euo pipefail
 
-ceiling=83
+ceiling=80
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
