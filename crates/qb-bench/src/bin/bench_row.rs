@@ -5,6 +5,7 @@
 //! Usage:
 //!   bench_row --pr 7 --rev 1a2b3c4 --seconds 15 --cores 2 < runs > BENCH_7.json
 //!   bench_row --check BENCH_7.json
+//!   bench_row --same-sim BENCH_6.json BENCH_7.json
 //!
 //! Each input line is one run, `WORKLOAD SEED SIM_FINGERPRINT SUMMARY`,
 //! where SUMMARY is the run's last output line: `{"correct": ..,
@@ -14,6 +15,11 @@
 //! holds each end-to-end metric's median, q1 and q3 over the seeds and,
 //! per seed, the run's correctness, attempted and failed counts and
 //! `sim_fingerprint`. It reads no clock: every number comes from the runs.
+//!
+//! `--same-sim OLD NEW` exits nonzero unless both rows hold the same
+//! workloads and seeds and every seed's `sim_fingerprint`, `attempted` and
+//! `failed` are equal: the check that a host-only change moved nothing
+//! simulated.
 
 use serde_json::{Map, Value};
 use std::process::ExitCode;
@@ -196,6 +202,58 @@ fn check(text: &str) -> Result<usize, String> {
     Ok(seeds)
 }
 
+/// Compare what two rows simulated: the same workloads and seeds, and per
+/// workload and seed the same `sim_fingerprint`, `attempted` and `failed`.
+/// Returns the number of runs compared, or every difference found.
+fn same_sim(old: &str, new: &str) -> Result<usize, String> {
+    let parse = |text: &str| serde_json::from_str(text).map_err(|e| e.to_string());
+    let (old, new) = (parse(old)?, parse(new)?);
+    if old["seeds"] != new["seeds"] {
+        return Err(format!("seeds {} vs {}", old["seeds"], new["seeds"]));
+    }
+    let workloads = |row: &Value| -> Vec<String> {
+        let listed = row["workloads"].as_object();
+        listed.map_or(Vec::new(), |w| w.iter().map(|(k, _)| k.clone()).collect())
+    };
+    if workloads(&old) != workloads(&new) || workloads(&old).is_empty() {
+        let (a, b) = (workloads(&old), workloads(&new));
+        return Err(format!("workloads {a:?} vs {b:?}"));
+    }
+    let mut compared = 0;
+    let mut moved = Vec::new();
+    for name in workloads(&old) {
+        let runs = |row: &Value| row["workloads"][name.as_str()]["runs"].clone();
+        let (old_runs, new_runs) = (runs(&old), runs(&new));
+        let (Some(old_runs), Some(new_runs)) = (old_runs.as_array(), new_runs.as_array()) else {
+            return Err(format!("{name}: no runs"));
+        };
+        if old_runs.len() != new_runs.len() {
+            return Err(format!(
+                "{name}: {} vs {} runs",
+                old_runs.len(),
+                new_runs.len()
+            ));
+        }
+        for (a, b) in old_runs.iter().zip(new_runs) {
+            for field in ["seed", "sim_fingerprint", "attempted", "failed"] {
+                if a[field] == Value::Null || a[field] != b[field] {
+                    let seed = &a["seed"];
+                    moved.push(format!(
+                        "{name} seed {seed} {field}: {} vs {}",
+                        a[field], b[field]
+                    ));
+                }
+            }
+            compared += 1;
+        }
+    }
+    if moved.is_empty() {
+        Ok(compared)
+    } else {
+        Err(moved.join("; "))
+    }
+}
+
 fn build(args: &[String]) -> Result<String, String> {
     let mut pr = None;
     let mut rev = None;
@@ -240,6 +298,15 @@ fn main() -> ExitCode {
             .map_err(|e| format!("reading {path}: {e}"))
             .and_then(|text| check(&text).map_err(|e| format!("{path}: {e}")))
             .map(|seeds| format!("ok   {path}: {} workloads, {seeds} seeds", WORKLOADS.len())),
+        [flag, old, new] if flag == "--same-sim" => {
+            let read = |path: &String| {
+                std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
+            };
+            read(old)
+                .and_then(|a| read(new).map(|b| (a, b)))
+                .and_then(|(a, b)| same_sim(&a, &b).map_err(|e| format!("{old} vs {new}: {e}")))
+                .map(|runs| format!("ok   {old} vs {new}: {runs} runs simulate the same"))
+        }
         _ => build(&args),
     };
     match outcome {
@@ -331,5 +398,34 @@ mod tests {
         assert!(row(&meta(), &uneven).is_err());
         assert!(parse_run("serve-warm 1 abc {}").is_err());
         assert!(parse_run("serve-warm one abc {\"correct\": true}").is_err());
+    }
+
+    #[test]
+    fn same_sim_holds_only_for_equal_fingerprints_and_counts() {
+        let text = |lines: Vec<String>| {
+            let runs: Vec<Run> = lines.iter().map(|l| parse_run(l).unwrap()).collect();
+            serde_json::to_string_pretty(&row(&meta(), &runs).unwrap()).unwrap()
+        };
+        let lines = |seeds: &[u64], ops: f64| -> Vec<String> {
+            let every = seeds
+                .iter()
+                .flat_map(|&s| WORKLOADS.map(|w| line(w, s, ops)));
+            every.collect()
+        };
+        // Host numbers may differ; what was simulated may not.
+        let old = text(lines(&[1, 2], 100.0));
+        assert_eq!(same_sim(&old, &text(lines(&[1, 2], 250.0))), Ok(8));
+
+        let mut moved = lines(&[1, 2], 100.0);
+        moved[5] = moved[5].replace("00ff", "11ff");
+        let err = same_sim(&old, &text(moved)).unwrap_err();
+        assert!(err.contains("cold-lookup seed 2 sim_fingerprint"), "{err}");
+        let mut failed = lines(&[1, 2], 100.0);
+        failed[0] = failed[0].replace("\"failed\": 1", "\"failed\": 7");
+        assert!(same_sim(&old, &text(failed))
+            .unwrap_err()
+            .contains("failed"));
+        assert!(same_sim(&old, &text(lines(&[1, 3], 100.0))).is_err());
+        assert!(same_sim(&old, &text(lines(&[1], 100.0))).is_err());
     }
 }

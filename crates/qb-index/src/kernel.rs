@@ -275,9 +275,10 @@ fn score<'a, S: Borrow<ShardEntry>>(
 }
 
 /// [`rank`] with the whole list built and the page rank looked up by name:
-/// the one-call form the benchmark's scoring probe (through
-/// `qb_queenbee::query::executor`) and the reference tests use. Returns the
-/// list and the number of candidates scored.
+/// the one-call form the reference tests use, and the benchmark's scoring
+/// probe through its re-export `qb_queenbee::query::executor` (the engine
+/// serves through [`rank`]). Returns the list and the number of candidates
+/// scored.
 pub fn intersect_and_score<S: Borrow<ShardEntry>>(
     shards: &[S],
     stats: &IndexStats,

@@ -8,11 +8,11 @@
 //! * `publish` — publishing, the worker bees' indexing of publish events,
 //!   writer-side segment compaction;
 //! * `rank` — the decentralized PageRank round;
-//! * `serve` — the one window loop every query runs through (cut windows
-//!   off the stream, plan, issue every read at once, poll the windows in
-//!   flight as their reads advance, retire in order) and the two
-//!   closed-loop entry points (`search_request`, one one-query window, and
-//!   `search_pipelined`, any window size and depth);
+//! * `windows` — the one window loop every query runs through, and the
+//!   window and read records it drives (its module doc describes the loop);
+//! * `serve` — the two closed-loop entry points (`search_request`, one
+//!   one-query window, and `search_pipelined`, any window size and depth),
+//!   routing, and serving one plan of a retiring window;
 //! * `open_loop` — `serve_open_loop`, admission control in front of the
 //!   window loop;
 //! * `fleet` — frontend join/leave/rejoin, gossip rounds, hot-set
@@ -28,6 +28,7 @@ mod open_loop;
 mod publish;
 mod rank;
 mod serve;
+mod windows;
 
 pub use publish::PublishReport;
 
@@ -35,8 +36,6 @@ use crate::bee::WorkerBee;
 use crate::config::{QueenBeeConfig, BEE_STAKE};
 use crate::defense::MinHashSignature;
 use crate::metrics::{FreshnessProbe, QueryEngineStats};
-use crate::query::executor::WindowRun;
-use crate::query::pipeline::WindowSpan;
 use qb_cache::{CacheMetrics, QueryCache};
 use qb_chain::{AccountId, Blockchain, Call};
 use qb_common::{QbResult, SimDuration, SimInstant};
@@ -46,7 +45,7 @@ use qb_index::{Analyzer, DistributedIndex, IndexStats, ShardViews};
 use qb_segment::{Segment, SegmentRef, SegmentStats};
 use qb_simnet::SimNet;
 use qb_storage::StorageNetwork;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 
 /// The assembled QueenBee deployment (Figure 1 of the paper).
 pub struct QueenBee {
@@ -119,11 +118,8 @@ pub struct QueenBee {
     writer_shard_cache_hits: u64,
     /// Engine-lifetime counters of the query-serving path.
     query_stats: QueryEngineStats,
-    /// The window loop's windows in flight (empty between runs), kept so
-    /// each run reuses the buffer.
-    in_flight: VecDeque<WindowRun>,
-    /// One span per window the last run retired, in request order.
-    window_spans: Vec<WindowSpan>,
+    /// The window loop's buffers, reused across runs.
+    windows: windows::Windows,
     /// Freshness accounting across every search served.
     pub freshness: FreshnessProbe,
 }
@@ -187,8 +183,7 @@ impl QueenBee {
             writer_shard_reads: 0,
             writer_shard_cache_hits: 0,
             query_stats: QueryEngineStats::default(),
-            in_flight: VecDeque::new(),
-            window_spans: Vec::new(),
+            windows: windows::Windows::default(),
             freshness: FreshnessProbe::default(),
             net,
             dht,
@@ -299,8 +294,8 @@ impl QueenBee {
 mod tests {
     use super::*;
     use crate::attacks::{CollusionAttack, ScraperAttack};
+    use crate::query::admission::TimedRequest;
     use crate::query::pipeline::PipelineConfig;
-    use crate::query::plan::Resolution;
     use crate::query::request::{Freshness, RoutingPolicy, SearchRequest};
     use crate::query::response::{SearchResponse, TermProvenance};
     use qb_common::QbError;
@@ -309,7 +304,7 @@ mod tests {
     use qb_workload::AdSpec;
     use std::sync::Arc;
 
-    fn page(name: &str, body: &str, links: Vec<String>) -> WebPage {
+    pub(super) fn page(name: &str, body: &str, links: Vec<String>) -> WebPage {
         WebPage::new(name, format!("Title {name}"), body, links)
     }
 
@@ -317,7 +312,7 @@ mod tests {
         QueenBee::new(QueenBeeConfig::small()).unwrap()
     }
 
-    fn from_peer(peer: u64, query: &str) -> SearchRequest {
+    pub(super) fn from_peer(peer: u64, query: &str) -> SearchRequest {
         SearchRequest::new(query).route(RoutingPolicy::HashPeer(peer))
     }
 
@@ -894,7 +889,7 @@ mod tests {
             "window 1 had hops on the wire when window 2 failed"
         );
         assert_eq!(qb.net.async_in_flight(), 0, "the abort retired them");
-        assert!(qb.in_flight.is_empty(), "no window outlives the run");
+        assert!(qb.windows.is_idle(), "no window outlives the run");
         assert_eq!(
             qb.query_stats(),
             QueryEngineStats::default(),
@@ -936,10 +931,10 @@ mod tests {
         let aborted = qb.search_pipelined(requests, PipelineConfig::default());
         assert!(matches!(aborted, Err(QbError::NodeOffline(5))));
         assert_eq!(qb.net.async_in_flight(), 0);
-        assert!(qb.in_flight.is_empty(), "no window outlives the run");
+        assert!(qb.windows.is_idle(), "no window outlives the run");
     }
 
-    fn cached_engine() -> QueenBee {
+    pub(super) fn cached_engine() -> QueenBee {
         let mut config = QueenBeeConfig::small();
         config.cache = qb_cache::CacheConfig::enabled();
         QueenBee::new(config).unwrap()
@@ -982,62 +977,6 @@ mod tests {
         let m = qb.cache_metrics().expect("cache enabled");
         assert_eq!(m.result.hits, 2);
         assert!(m.result.misses >= 1);
-    }
-
-    #[test]
-    fn the_result_tier_and_a_result_hit_share_one_scored_list() {
-        let mut qb = cached_engine();
-        for (name, text) in [
-            ("wiki/dweb", "peers serve the decentralized web"),
-            ("wiki/p2p", "decentralized peers gossip"),
-        ] {
-            qb.publish(1, AccountId(1_000), &page(name, text, vec![]))
-                .unwrap();
-        }
-        qb.seal();
-        qb.process_publish_events().unwrap();
-
-        // One window holding the same query twice: both plans miss the
-        // result tier, and both score.
-        let query = || from_peer(5, "decentralized peers");
-        let now = qb.net.now();
-        let mut window = qb.open_window(vec![query(), query()], now).unwrap();
-        let key = window.plans[0].result_key.clone();
-        qb.read_concurrently(&mut window).unwrap();
-        while let Some(next) = window.next_event {
-            qb.poll_window(&mut window, next).unwrap();
-        }
-        let reads = &window.reads;
-        let responses: Vec<SearchResponse> = std::mem::take(&mut window.plans)
-            .into_iter()
-            .map(|plan| qb.serve_plan(plan, reads, now, now))
-            .collect();
-        assert_eq!(qb.query_stats().score_invocations, 2);
-        assert_eq!(responses[0].hits, responses[1].hits);
-        assert_eq!(responses[0].hits.len(), 2);
-
-        // A later result-cache hit is planned on the list the tier kept:
-        // the tier, the plan's handle and this one hold one allocation.
-        let warm = qb.open_window(vec![query()], now).unwrap().plans.remove(0);
-        assert_eq!(warm.result_key, key);
-        let Resolution::ResultHit { entry, .. } = &warm.resolution else {
-            panic!("a result-cache hit");
-        };
-        let list = Arc::clone(&entry.results);
-        assert_eq!(Arc::strong_count(&list), 3);
-        // The fetched shards fanned out as handles too.
-        for fetch in reads.shards.iter().map(|read| read.done()) {
-            let resident = qb.cache.as_ref().unwrap().peek_shard(&fetch.value.term);
-            assert!(Arc::ptr_eq(resident.expect("fanned out"), &fetch.value));
-        }
-        let served = qb.serve_plan(warm, reads, now, now);
-        assert!(served.result_cache_hit());
-        assert_eq!(served.hits, responses[0].hits);
-        assert_eq!(
-            qb.query_stats().score_invocations,
-            2,
-            "a hit scores nothing"
-        );
     }
 
     /// A cache-off engine whose peers each keep one operation in flight per
@@ -1318,6 +1257,45 @@ mod tests {
             qb_gossip::GossipConfig::fleet(n)
         };
         QueenBee::new(config).unwrap()
+    }
+
+    /// Pins a known defect: a replay that fails returns early, and every
+    /// request still queued at a frontend was counted into the router's
+    /// queued-work gauge (`GossipFleet::record_routed`) but is never retired
+    /// from it (`record_finished`), so for the rest of the engine's life
+    /// two-choices routing sees that frontend as busier than it is. A fix
+    /// moves `serve-warm` (some of its replays fail) and turns the `2`
+    /// below into `0`.
+    #[test]
+    fn a_failed_replay_leaves_its_queued_requests_in_the_routing_gauge() {
+        let mut qb = fleet_engine(2, true);
+        qb.config.admission.window_size = 1;
+        qb.config.admission.max_windows_in_flight = 1;
+        qb.publish(
+            5,
+            AccountId(1_000),
+            &page("wiki/a", "meadow honey nectar", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        // Three arrivals at frontend 0, whose peer is down: the first
+        // dispatch takes one of them and its read fails at once.
+        let peer = qb.fleet().unwrap().frontend_peer(0);
+        qb.net.set_online(peer, false);
+        let arrivals = (0..3)
+            .map(|_| TimedRequest::new(SimDuration::ZERO, at_frontend(0, "meadow honey")))
+            .collect();
+        let failed = qb.serve_open_loop(arrivals);
+        assert!(matches!(failed, Err(QbError::NodeOffline(p)) if p == peer));
+        qb.net.set_online(peer, true);
+        // A round folds the per-interval half of the gauge; what is left is
+        // the queued-work half.
+        qb.run_gossip_round(false);
+        let fleet = qb.fleet().unwrap();
+        let queued = |f: usize| fleet.routing_load(f) - fleet.advertised_load(f);
+        assert_eq!(queued(0), 2, "the two requests left queued stay counted");
+        assert_eq!(queued(1), 0);
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl QueenBee {
                     self.record_pipeline_run(&run);
                     let responses = served?;
                     self.run_due_gossip();
-                    for span in &self.window_spans {
+                    for span in self.windows.spans() {
                         let range = span.first_query..span.first_query + span.queries;
                         for (arrived, response) in
                             arrived[range.clone()].iter().zip(&responses[range])

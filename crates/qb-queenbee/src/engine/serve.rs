@@ -1,25 +1,19 @@
-//! The serve seam: one window loop (`run_windows`) with one read schedule.
-//! A window is planned and its distinct reads enumerated once
-//! (`open_window`); every read is issued at the window's instant
-//! (`issue_read`, via `read_concurrently`) and polled as it advances
-//! (`poll_window`, one `poll_read` per read); one retire step
-//! (`retire_window`) serves every plan. `search_request` is a run of one
-//! one-query window, `search_pipelined` any run, and `serve_open_loop`
-//! makes one run per dispatch.
+//! The serve seam: the closed-loop entry points, routing, and what a
+//! retiring window does with each plan — `serve_plan` scores and answers
+//! it, `record_query_trees` traces it. The window loop every query runs
+//! through is `engine/windows.rs`.
 
+use super::windows::WindowReads;
 use super::QueenBee;
-use crate::query::executor::{ReadPoll, ReadProgress, ReadSlot, WindowReads, WindowRun};
-use crate::query::pipeline::{PipelineConfig, PipelineOutcome, PipelineReport, WindowSpan};
-use crate::query::plan::{plan_request, QueryPlan, Resolution, StatsPlan, TermPlan};
+use crate::query::pipeline::{PipelineConfig, PipelineOutcome};
+use crate::query::plan::{QueryPlan, Resolution, StatsPlan, TermPlan};
 use crate::query::request::{RoutingPolicy, SearchRequest};
 use crate::query::response::{paginate, SearchResponse, StageCosts, TermProvenance};
 use qb_cache::QueryCache;
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_gossip::GossipFleet;
 use qb_index::{ScoredDoc, ShardEntry, ShardPosting};
-use qb_trace::SpanId;
 use std::borrow::Cow;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 impl QueenBee {
@@ -59,113 +53,8 @@ impl QueenBee {
         Ok(PipelineOutcome {
             responses,
             report,
-            window_spans: self.window_spans.clone(),
+            window_spans: self.windows.spans().to_vec(),
         })
-    }
-
-    /// The one window loop: take the earliest pending event — issue the next
-    /// window (cut off the front of the stream when one of `config`'s depth
-    /// of slots is free) or advance every window in flight to the next read
-    /// completion — until every request is served or a read fails. Windows
-    /// retire in FIFO order into `window_spans`. A failed run abandons the
-    /// reads still in flight, leaving no phantom link occupancy, and its
-    /// report counts the windows that served before the failure.
-    pub(super) fn run_windows(
-        &mut self,
-        requests: Vec<SearchRequest>,
-        config: PipelineConfig,
-    ) -> (PipelineReport, QbResult<Vec<SearchResponse>>) {
-        let window = config.window_size.max(1);
-        let depth = config.max_windows_in_flight.max(1);
-        let mut report = PipelineReport::default();
-        let mut responses = Vec::with_capacity(requests.len());
-        let mut in_flight = std::mem::take(&mut self.in_flight);
-        self.window_spans.clear();
-        let mut pending: VecDeque<SearchRequest> = requests.into();
-        let t0 = self.net.now();
-        // Window w may issue once window w - depth has retired; FIFO
-        // retirement makes this the completion instant of the window
-        // retired most recently.
-        let mut next_issue_at = t0;
-        // The loop's position on the virtual timeline; only ever moves
-        // forward (to an issue instant or the next read completion).
-        let mut cursor = t0;
-
-        let served = loop {
-            // Retire the front window once all its reads completed (its
-            // last poll found none pending): Fetching → Scoring → Done.
-            if let Some(win) = in_flight.pop_front_if(|w| w.next_event.is_none()) {
-                next_issue_at = next_issue_at.max(win.completes_at);
-                report.makespan = report.makespan.max(win.completes_at.since(t0));
-                report.queue_delay += win.queue_delay;
-                report.windows += 1;
-                report.queries += win.plans.len();
-                self.window_spans.push(WindowSpan {
-                    first_query: responses.len(),
-                    queries: win.plans.len(),
-                    issued_at: win.issued_at,
-                    completed_at: win.completes_at,
-                });
-                self.retire_window(win, &mut responses);
-                continue;
-            }
-
-            let can_issue = !pending.is_empty() && in_flight.len() < depth;
-            let issue_at = next_issue_at.max(cursor);
-            let next_completion = in_flight.iter().filter_map(|w| w.next_event).min();
-
-            match next_completion {
-                Some(completion) if !can_issue || completion < issue_at => {
-                    cursor = completion;
-                    // Advance every window in flight: reads of different
-                    // windows share the per-peer uplinks, so a completion
-                    // in one window can unblock (or be interleaved with)
-                    // hops of another. FIFO order keeps it deterministic.
-                    let polled = in_flight
-                        .iter_mut()
-                        .try_for_each(|win| self.poll_window(win, cursor));
-                    if let Err(err) = polled {
-                        break Err(err);
-                    }
-                }
-                _ if can_issue => {
-                    // Cut the next window at the moment it issues (the last
-                    // one takes the rest of the stream as it is), plan it
-                    // and start its reads (Planned → Fetching). They advance
-                    // only through `poll_window`; the immediate poll lets
-                    // zero-latency reads finish in place.
-                    cursor = issue_at;
-                    let requests = if pending.len() <= window {
-                        Vec::from(std::mem::take(&mut pending))
-                    } else {
-                        pending.drain(..window).collect()
-                    };
-                    let mut win = match self.open_window(requests, issue_at) {
-                        Ok(win) => win,
-                        Err(err) => break Err(err),
-                    };
-                    report.stats_reads += u64::from(win.reads.stats.is_some());
-                    report.shard_fetches += win.reads.shards.len() as u64;
-                    // The window is in flight whether or not its first poll
-                    // succeeds: a read that fails on the spot must not
-                    // strand its siblings' hops.
-                    let polled = self.read_concurrently(&mut win);
-                    in_flight.push_back(win);
-                    if let Err(err) = polled {
-                        break Err(err);
-                    }
-                    report.peak_windows_in_flight =
-                        report.peak_windows_in_flight.max(in_flight.len());
-                }
-                _ => break Ok(()),
-            }
-        };
-
-        for mut win in in_flight.drain(..) {
-            win.reads.abandon(&mut self.net);
-        }
-        self.in_flight = in_flight;
-        (report, served.map(|()| responses))
     }
 
     /// Record one span tree per response of the last run: a `query` root
@@ -183,7 +72,7 @@ impl QueenBee {
             return;
         }
         let tracer = self.net.tracer();
-        for span in &self.window_spans {
+        for span in self.windows.spans() {
             let issued_at = span.issued_at;
             let range = span.first_query..span.first_query + span.queries;
             for (i, response) in range.clone().zip(&responses[range]) {
@@ -230,179 +119,6 @@ impl QueenBee {
                 tracer.record(root, "score", done, done);
             }
         }
-    }
-
-    /// The one window constructor: plan every request against its
-    /// frontend's cache tiers (no network traffic; planning *is* the cache
-    /// read), open the window's span at `at` and enumerate its reads
-    /// ([`WindowReads::of`]). Planning records no spans, so the span opens
-    /// only once the window is known to be valid.
-    pub(crate) fn open_window(
-        &mut self,
-        requests: Vec<SearchRequest>,
-        at: SimInstant,
-    ) -> QbResult<WindowRun> {
-        let now = self.net.now();
-        let mut plans: Vec<QueryPlan> = Vec::with_capacity(requests.len());
-        for request in requests {
-            let (origin_peer, frontend) = self.resolve_route(&request.routing)?;
-            // Every planned query bumps the serving frontend's load signal;
-            // the EWMA folds at its next heartbeat and rides the gossip
-            // summaries that feed two-choices routing.
-            if let (Some(f), Some(fleet)) = (frontend, self.fleet.as_mut()) {
-                fleet.record_served(f);
-            }
-            let seq = self.query_counter + 1;
-            let plan = plan_request(
-                request,
-                seq,
-                origin_peer,
-                frontend,
-                &self.analyzer,
-                Self::cache_slot(&mut self.cache, &mut self.fleet, frontend),
-                &self.shard_versions,
-                self.index_stats.version,
-                now,
-            )?;
-            self.query_counter = seq;
-            plans.push(plan);
-        }
-        let count = plans.len();
-        let span = self
-            .net
-            .tracer()
-            .record_with(None, "window", at, at, || format!("{count} queries"));
-        let reads = WindowReads::of(&mut plans);
-        Ok(WindowRun {
-            plans,
-            reads,
-            issued_at: at,
-            completes_at: at,
-            next_event: None,
-            span,
-            queue_delay: SimDuration::ZERO,
-        })
-    }
-
-    /// The read schedule of every window: issue each of its reads at the
-    /// window's instant, in poll order ([`WindowReads::poll_order`]),
-    /// without waiting for any, then poll the window once. The per-hop DHT
-    /// RPCs run as in-flight operations of their origin peers, so a
-    /// window's reads — and those of *different* windows — genuinely
-    /// interleave on contended uplinks.
-    pub(crate) fn read_concurrently(&mut self, win: &mut WindowRun) -> QbResult<()> {
-        let (at, span) = (win.issued_at, win.span);
-        for mut slot in win.reads.poll_order() {
-            self.issue_read(&mut slot, at, span);
-        }
-        self.poll_window(win, at)
-    }
-
-    /// Advance a window at instant `at` — the statistics read, then the
-    /// shards in slot order ([`WindowReads::poll_order`]), each read only
-    /// if it is due — folding every read that completed into the window's
-    /// completion bookkeeping. Sets `win.next_event` to the earliest
-    /// instant any remaining read advances at (`None` when the window is
-    /// complete). The first failed read stops the poll and leaves its
-    /// siblings in flight for [`WindowReads::abandon`].
-    pub(crate) fn poll_window(&mut self, win: &mut WindowRun, at: SimInstant) -> QbResult<()> {
-        let mut next_event: Option<SimInstant> = None;
-        for mut slot in win.reads.poll_order() {
-            match self.poll_read(&mut slot, at)? {
-                ReadPoll::Done {
-                    completed_at,
-                    queue_delay,
-                } => {
-                    win.completes_at = win.completes_at.max(completed_at);
-                    win.queue_delay += queue_delay;
-                }
-                ReadPoll::Pending(next) => {
-                    next_event = Some(next_event.map_or(next, |cur| cur.min(next)));
-                }
-                ReadPoll::Idle => {}
-            }
-        }
-        win.next_event = next_event;
-        Ok(())
-    }
-
-    /// Issue one read of a window at instant `at`: its `stats_read` or
-    /// `fetch` span opens under the window's, and its read machine starts.
-    /// Each shard read uses the versioned read: the frontend knows the
-    /// term's current version and digs past lagging replicas.
-    fn issue_read(&mut self, slot: &mut ReadSlot<'_>, at: SimInstant, window_span: Option<SpanId>) {
-        match slot {
-            ReadSlot::Stats(read) => {
-                let span = self.net.tracer().record(window_span, "stats_read", at, at);
-                let machine = self.dist_index.begin_read_stats(
-                    &mut self.net,
-                    &mut self.dht,
-                    read.origin_peer,
-                    at,
-                    span.or(window_span),
-                );
-                read.progress = ReadProgress::InFlight(machine, span, at);
-            }
-            ReadSlot::Shard(read) => {
-                let span = self
-                    .net
-                    .tracer()
-                    .record_with(window_span, "fetch", at, at, || read.term.clone());
-                let current_version = self.shard_versions.get(&read.term).copied().unwrap_or(0);
-                let machine = self.dist_index.begin_read_shard_fresh(
-                    &mut self.net,
-                    &mut self.dht,
-                    read.origin_peer,
-                    &read.term,
-                    current_version,
-                    at,
-                    span.or(window_span),
-                );
-                read.progress = ReadProgress::InFlight(machine, span, at);
-            }
-        }
-    }
-
-    /// Advance one read of a window at instant `at`; a read that finishes
-    /// is folded into its slot ([`crate::query::executor::WindowRead::poll`]).
-    fn poll_read(&mut self, slot: &mut ReadSlot<'_>, at: SimInstant) -> QbResult<ReadPoll> {
-        let (index, dht, storage) = (&self.dist_index, &mut self.dht, &mut self.storage);
-        let views = &mut self.shard_views;
-        match slot {
-            ReadSlot::Stats(read) => read.poll(&mut self.net, at, |net, machine, _| {
-                index.poll_read_stats(net, dht, machine, at)
-            }),
-            ReadSlot::Shard(read) => read.poll(&mut self.net, at, |net, machine, term| {
-                index.poll_read_shard(net, dht, storage, views, machine, term, at)
-            }),
-        }
-    }
-
-    /// The retire step of every window, once all its reads completed: close
-    /// its span, serve every plan in order (`serve_plan`), and queue a
-    /// genuine batch window's freshly fetched shard keys as the serving
-    /// frontends' batch-aware gossip adverts, so the rest of the fleet warms
-    /// one digest round earlier (no-op outside fleet mode or when
-    /// `GossipConfig::batch_advertise` is off).
-    pub(crate) fn retire_window(&mut self, win: WindowRun, responses: &mut Vec<SearchResponse>) {
-        self.net.tracer().close(win.span, win.completes_at);
-        let now = self.net.now();
-        let batch = win.plans.len() >= 2 && self.fleet.is_some();
-        let adverts = win.reads.batch_advert_groups(batch);
-        for plan in win.plans {
-            responses.push(self.serve_plan(plan, &win.reads, win.issued_at, now));
-        }
-        if let Some(fleet) = self.fleet.as_mut() {
-            for (frontend, terms) in adverts {
-                fleet.note_batch_fetches(frontend, &terms);
-            }
-        }
-    }
-
-    /// Fold a pipelined run's counters into the engine-lifetime stats.
-    pub(crate) fn record_pipeline_run(&mut self, report: &PipelineReport) {
-        self.query_stats.pipelined_windows += report.windows as u64;
-        self.query_stats.pipelined_queries += report.queries as u64;
     }
 
     /// Resolve a request's routing policy to `(origin peer, frontend)`.
@@ -485,7 +201,7 @@ impl QueenBee {
     /// The serving cache's slot: the single-mode cache, or the routed
     /// frontend's private cache in fleet mode. Takes the fields, not `self`,
     /// so callers keep the rest of the engine borrowable beside it.
-    fn cache_slot<'a>(
+    pub(super) fn cache_slot<'a>(
         cache: &'a mut Option<QueryCache>,
         fleet: &'a mut Option<GossipFleet>,
         frontend: Option<usize>,
@@ -520,7 +236,7 @@ impl QueenBee {
         reads: &WindowReads,
         issued_at: SimInstant,
         now: SimInstant,
-    ) -> SearchResponse {
+    ) -> QbResult<SearchResponse> {
         let hit_latency = self.config.cache.hit_latency;
         let top_k = plan.request.top_k.unwrap_or(self.config.top_k);
         let page = plan.request.page;
@@ -537,7 +253,7 @@ impl QueenBee {
                     ..StageCosts::default()
                 };
                 let provenance = vec![TermProvenance::ResultCache; terms.len()];
-                return self.finish_response(
+                return Ok(self.finish_response(
                     plan.seq,
                     plan.request,
                     terms,
@@ -546,7 +262,7 @@ impl QueenBee {
                     hit_latency,
                     trace,
                     provenance,
-                );
+                ));
             }
             Resolution::PerTerm { terms, stats } => (terms, stats),
         };
@@ -564,14 +280,6 @@ impl QueenBee {
         // The slowest fetched read this plan waits on: its completion
         // instant and the link queueing inside it.
         let mut critical: Option<(SimInstant, SimDuration)> = None;
-        let slower = |critical: Option<(SimInstant, SimDuration)>,
-                      read: (SimInstant, SimDuration)| {
-            Some(
-                critical
-                    .filter(|slowest| slowest.0 >= read.0)
-                    .unwrap_or(read),
-            )
-        };
         for planned in &terms {
             match &planned.plan {
                 TermPlan::CachedShard(shard) => {
@@ -592,18 +300,18 @@ impl QueenBee {
                     shards.push(Cow::Borrowed(shard));
                 }
                 TermPlan::Fetch { read } => {
-                    let fetch = reads.shard(*read);
-                    term_latencies.push(fetch.cost.latency);
-                    critical = slower(critical, (fetch.completed_at, fetch.queue_delay));
-                    if fetch.charged_to == plan.seq {
-                        messages += fetch.cost.messages;
+                    let fetch = reads.shard(*read)?;
+                    term_latencies.push(fetch.latency());
+                    critical = fetch.slowest(critical);
+                    if let Some(sent) = fetch.messages_charged_to(plan.seq) {
+                        messages += sent;
                         provenance.push(TermProvenance::DhtFetch);
                     } else {
                         provenance.push(TermProvenance::BatchShared);
                     }
-                    observed.push((&planned.term, fetch.value.version));
-                    fan_out.push(&fetch.value);
-                    shards.push(Cow::Borrowed(&fetch.value));
+                    observed.push((&planned.term, fetch.value().version));
+                    fan_out.push(fetch.value());
+                    shards.push(Cow::Borrowed(fetch.value()));
                 }
             }
         }
@@ -612,12 +320,10 @@ impl QueenBee {
         let (stats, stats_latency, stats_fetched) = match &stats_plan {
             StatsPlan::Cached(stats) => (*stats, hit_latency, false),
             StatsPlan::Fetch => {
-                let read = reads.stats_read();
-                if read.charged_to == plan.seq {
-                    messages += read.cost.messages;
-                }
-                critical = slower(critical, (read.completed_at, read.queue_delay));
-                (read.value, read.cost.latency, true)
+                let read = reads.stats()?;
+                messages += read.messages_charged_to(plan.seq).unwrap_or(0);
+                critical = read.slowest(critical);
+                (*read.value(), read.latency(), true)
             }
         };
 
@@ -689,7 +395,7 @@ impl QueenBee {
             candidates_scored: total,
             ..StageCosts::default()
         };
-        self.finish_response(
+        Ok(self.finish_response(
             plan.seq,
             plan.request,
             terms,
@@ -698,7 +404,7 @@ impl QueenBee {
             latency,
             trace,
             provenance,
-        )
+        ))
     }
 
     /// Record the shard versions a fleet frontend observed while serving.

@@ -1,7 +1,6 @@
 //! The staged planner/executor query pipeline.
 //!
-//! A query passes through four stages, each its own module and each
-//! testable in isolation:
+//! A query passes through four stages:
 //!
 //! 1. **request** — [`SearchRequest`] spells out everything the seed API
 //!    left implicit: top-k, pagination, routing policy, freshness mode and
@@ -9,23 +8,22 @@
 //! 2. **plan** — the planner analyzes the query, dedupes terms and resolves
 //!    each against the cache tiers, leaving a precise fetch list
 //!    ([`QueryPlan`]).
-//! 3. **executor** — misses are fetched through the versioned DHT read and
-//!    the serving kernel ([`qb_index::kernel`]: intersect, BM25, PageRank
-//!    blend, rank) scores every candidate; the whole result list is built
-//!    only for a result tier that keeps it. In a window of several queries
+//! 3. **fetch and score** — the engine's window loop fetches the misses
+//!    through the versioned DHT read and the serving kernel
+//!    ([`qb_index::kernel`]: intersect, BM25, PageRank blend, rank) scores
+//!    every candidate; the whole result list is built only for a result
+//!    tier that keeps it. In a window of several queries
 //!    ([`PipelineConfig::batch`] is one such window at a time) each
 //!    distinct missing term is fetched **once** and fanned out to every
-//!    query that needs it.
+//!    query that needs it. ([`executor`] keeps the kernel's one-call form
+//!    at the path the benchmark imports it from.)
 //! 4. **response** — [`SearchResponse`] carries the paginated hits, a
 //!    per-stage cost trace and per-term cache provenance.
 //!
-//! On top of the stages sits the **pipelined execution engine**
-//! ([`pipeline`]): the engine's one window loop moves whole windows through
-//! `Planned → Fetching → Scoring → Done` and overlaps up to
-//! `max_windows_in_flight` of them (window N+1's fetches issue while
-//! window N's are in flight, under the simulated network's per-link
-//! in-flight limits). Every query runs through it:
-//! [`crate::QueenBee::search_request`] is a one-query window and
+//! Every query runs through the engine's one window loop, which moves
+//! whole windows through these stages and overlaps several of them
+//! (`engine/windows.rs` describes it; [`pipeline`] holds a run's shape and
+//! report): [`crate::QueenBee::search_request`] is a one-query window and
 //! [`crate::QueenBee::search_pipelined`] takes any window size and depth.
 //!
 //! For **open-loop** serving — queries arriving on their own clock instead

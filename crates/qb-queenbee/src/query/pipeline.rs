@@ -1,71 +1,9 @@
-//! The pipelined execution engine: overlapping windows whose reads run
-//! concurrently, as event-driven state machines on one shared virtual
-//! timeline. This module holds a run's shape ([`PipelineConfig`]) and what
-//! it reports; the loop itself is the engine's (`crate::engine::serve`).
-//!
-//! # One loop, one read schedule
-//!
-//! Every query runs through the engine's one window loop, and every window
-//! reads *concurrently*: all its reads issue at once and the window is
-//! polled as they advance. The entry points differ only in the shape they
-//! hand the loop: [`QueenBee::search_request`](crate::QueenBee::search_request)
-//! is one window of one query, a batch is one window
-//! ([`PipelineConfig::batch`]), and
-//! [`QueenBee::search_pipelined`](crate::QueenBee::search_pipelined) and
-//! each [`QueenBee::serve_open_loop`](crate::QueenBee::serve_open_loop)
-//! dispatch overlap up to [`PipelineConfig::max_windows_in_flight`] windows.
-//! Every window moves through four stages:
-//!
-//! ```text
-//!   Planned ──issue fetches──▶ Fetching ──all machines done──▶ Scoring ──▶ Done
-//! ```
-//!
-//! * **Planned** — the window's requests are analyzed against the serving
-//!   frontend's cache tiers ([`plan_request`](crate::query::plan)); no
-//!   network traffic yet.
-//! * **Fetching** — the window's reads are enumerated once (`WindowReads::of`
-//!   in [`crate::query::executor`], as for every window): each
-//!   distinct missing `(frontend, term)` shard (plus at most one statistics
-//!   record per window) gets a slot and becomes an **event-driven read
-//!   machine** ([`qb_index::ReadMachine`]) in it: a per-lookup α-frontier
-//!   state machine whose individual DHT hops are issued through
-//!   [`qb_simnet::SimNet::send_async_at`] on the origin peer's uplink; a
-//!   finished machine is swapped, in its slot, for what it read. The
-//!   per-peer in-flight limit
-//!   ([`qb_simnet::NetConfig::max_in_flight_per_link`]) queues excess hops
-//!   — *hop by hop*, so the hops of different windows genuinely interleave
-//!   on a contended link — and every queue delay is charged to
-//!   [`qb_simnet::NetStats`] and to the window.
-//! * **Scoring** — once the window's slowest machine completes, the retire
-//!   step every window shares serves each plan (`serve_plan`) — one kernel
-//!   call per query that the result tier did not answer, even when the
-//!   window set repeats a query. A plan that waited on a read is charged the
-//!   slowest such read's completion minus the window's issue instant.
-//! * **Done** — responses are assembled, fetched shards fan out into the
-//!   serving cache, and (in fleet mode) the window's freshly fetched shard
-//!   keys are queued as **batch-aware gossip advertisements**
-//!   ([`qb_gossip::GossipFleet::note_batch_fetches`]) so the next digest
-//!   round warms the rest of the fleet one round earlier.
-//!
-//! # The event loop
-//!
-//! The loop owns a cursor on the virtual timeline and repeatedly takes
-//! the earliest pending event: *issue* a window (when a pipeline slot is
-//! free and the issue instant is due) or *advance* the in-flight machines
-//! to their next completion. A window is cut from the front of the stream
-//! at the moment it issues, and windows retire in FIFO order (like a CPU
-//! pipeline), so responses come back in request order and cache stores
-//! happen in a deterministic sequence; the **makespan** of the whole
-//! stream is the completion instant of the last window, which experiment
-//! E13 compares against back-to-back execution of the same stream (≥30%
-//! lower on a duplicate-heavy Zipf stream, with byte-identical per-query
-//! results). A failed read aborts the run with the first error and
-//! abandons every read still in flight; an empty request list opens no
-//! window.
-//!
-//! The virtual timeline never moves the engine's shared clock: cache
-//! effects are applied at the call instant, while issue/completion
-//! instants drive latency, queueing and makespan accounting.
+//! The shape of a pipelined run ([`PipelineConfig`]) and what it reports
+//! ([`PipelineReport`], [`WindowSpan`], [`PipelineOutcome`]). The loop that
+//! runs it — overlapping windows whose reads run concurrently, as
+//! event-driven state machines on one shared virtual timeline — is the
+//! engine's, and its module doc (`engine/windows.rs`) is the description
+//! of it.
 
 use crate::query::response::SearchResponse;
 use qb_common::{SimDuration, SimInstant};

@@ -15,9 +15,9 @@
 //! synchronously and accumulate its sampled latency themselves; rounds of
 //! parallel RPCs charge the maximum latency of the round via
 //! [`parallel_latency`]. Event-driven callers — the DHT's per-lookup state
-//! machines and the pipelined query engine in
-//! `qb-queenbee::query::pipeline` — instead use **non-blocking request
-//! handles**: [`SimNet::send_async_at`] issues one RPC at a chosen virtual
+//! machines and the window loop every QueenBee query runs through
+//! (`engine/windows.rs` in `qb-queenbee`) — instead use **non-blocking
+//! request handles**: [`SimNet::send_async_at`] issues one RPC at a chosen virtual
 //! instant (failure sampling and message/byte accounting happen at issue
 //! time) and [`SimNet::begin_async_op`] tracks an already-executed compound
 //! operation such as a storage-DAG fetch. Both occupy the source peer's
