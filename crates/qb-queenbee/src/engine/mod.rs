@@ -20,7 +20,9 @@
 //! * `economy` — bees and their behaviour, advertisers, ad clicks, honey.
 //!
 //! The unit tests drive whole scenarios (publish, index, rank, serve)
-//! across those seams and sit together at the bottom of this file.
+//! across those seams and sit together at the bottom of this file; the
+//! window loop's, which reach its private records, sit at the bottom of
+//! `windows.rs`.
 
 mod economy;
 mod fleet;
