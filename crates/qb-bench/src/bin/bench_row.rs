@@ -16,10 +16,17 @@
 //! per seed, the run's correctness, attempted and failed counts and
 //! `sim_fingerprint`. It reads no clock: every number comes from the runs.
 //!
+//! A line that starts with `traced ` is a `--trace 1` run of one seed: its
+//! metrics are the per-layer probes, and they go into the workload's
+//! `per_layer` block (`{"seed": .., "metrics": {NAME: {"unit": ..,
+//! "value": ..}}}`) beside the end-to-end quartiles. A row without traced
+//! lines has no such block.
+//!
 //! `--same-sim OLD NEW` exits nonzero unless both rows hold the same
 //! workloads and seeds and every seed's `sim_fingerprint`, `attempted` and
 //! `failed` are equal: the check that a host-only change moved nothing
-//! simulated.
+//! simulated. It reads no `per_layer` block, so a row with one compares
+//! with a row without.
 
 use serde_json::{Map, Value};
 use std::process::ExitCode;
@@ -38,6 +45,9 @@ struct Run {
     /// `(name, unit, value)` in the order the summary lists them.
     metrics: Vec<(String, String, f64)>,
 }
+
+/// The prefix of an input line that holds a traced run.
+const TRACED: &str = "traced ";
 
 /// What a row records about the runs beside their numbers.
 struct Meta {
@@ -98,9 +108,30 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * (h - lo as f64)
 }
 
+/// A traced run's metrics as a workload's `per_layer` block.
+fn per_layer_block(traced: &Run) -> Value {
+    let mut metrics = Map::new();
+    for (name, unit, value) in &traced.metrics {
+        let mut probe = Map::new();
+        probe.insert("unit".into(), unit.as_str().into());
+        probe.insert("value".into(), (*value).into());
+        metrics.insert(name.clone(), Value::Object(probe));
+    }
+    let mut block = Map::new();
+    block.insert("seed".into(), traced.seed.into());
+    block.insert("metrics".into(), Value::Object(metrics));
+    Value::Object(block)
+}
+
 /// One workload's block: its metrics' quartiles over `runs`, which hold
-/// one run per seed of `seeds`, and the per-seed record.
-fn workload_block(name: &str, runs: &[&Run], seeds: &[u64]) -> Result<Value, String> {
+/// one run per seed of `seeds`, the per-seed record and, when the workload
+/// had a traced run, its per-layer block.
+fn workload_block(
+    name: &str,
+    runs: &[&Run],
+    seeds: &[u64],
+    traced: Option<&Run>,
+) -> Result<Value, String> {
     let mut by_seed: Vec<&Run> = runs.to_vec();
     by_seed.sort_by_key(|r| r.seed);
     if by_seed.iter().map(|r| r.seed).ne(seeds.iter().copied()) {
@@ -135,11 +166,15 @@ fn workload_block(name: &str, runs: &[&Run], seeds: &[u64]) -> Result<Value, Str
     let mut block = Map::new();
     block.insert("metrics".into(), Value::Object(metrics));
     block.insert("runs".into(), Value::Array(per_seed.collect()));
+    if let Some(traced) = traced {
+        block.insert("per_layer".into(), per_layer_block(traced));
+    }
     Ok(Value::Object(block))
 }
 
-/// The row for `runs`: every workload over the same seeds.
-fn row(meta: &Meta, runs: &[Run]) -> Result<Value, String> {
+/// The row for `runs`: every workload over the same seeds, each with the
+/// per-layer block of its run in `traced` (at most one per workload).
+fn row(meta: &Meta, runs: &[Run], traced: &[Run]) -> Result<Value, String> {
     let mut seeds: Vec<u64> = runs.iter().map(|r| r.seed).collect();
     seeds.sort_unstable();
     seeds.dedup();
@@ -149,10 +184,24 @@ fn row(meta: &Meta, runs: &[Run]) -> Result<Value, String> {
             names.push(&run.workload);
         }
     }
+    if let Some(stray) = traced
+        .iter()
+        .find(|t| !names.contains(&t.workload.as_str()))
+    {
+        return Err(format!(
+            "traced run of {}, a workload with no runs",
+            stray.workload
+        ));
+    }
     let mut workloads = Map::new();
     for name in names {
         let of: Vec<&Run> = runs.iter().filter(|r| r.workload == name).collect();
-        workloads.insert(name.to_string(), workload_block(name, &of, &seeds)?);
+        let mut traced_runs = traced.iter().filter(|t| t.workload == name);
+        let trace = traced_runs.next();
+        if traced_runs.next().is_some() {
+            return Err(format!("{name}: more than one traced run"));
+        }
+        workloads.insert(name.to_string(), workload_block(name, &of, &seeds, trace)?);
     }
     let mut top = Map::new();
     top.insert("pr".into(), meta.pr.into());
@@ -165,7 +214,8 @@ fn row(meta: &Meta, runs: &[Run]) -> Result<Value, String> {
 }
 
 /// Check a row's shape: the four workloads, each with quartiles in order
-/// for every metric and one run per recorded seed. Returns the seed count.
+/// for every metric, one run per recorded seed and, where present, a
+/// per-layer block of numbers for one seed. Returns the seed count.
 fn check(text: &str) -> Result<usize, String> {
     let row = serde_json::from_str(text).map_err(|e| e.to_string())?;
     let seeds = row["seeds"].as_array().map_or(0, Vec::len);
@@ -197,6 +247,17 @@ fn check(text: &str) -> Result<usize, String> {
         let recorded = |r: &Value| r["sim_fingerprint"].as_str().is_some();
         if runs.len() != seeds || !runs.iter().all(recorded) {
             return Err(format!("{name}: not one fingerprinted run per seed"));
+        }
+        let per_layer = &block["per_layer"];
+        if *per_layer != Value::Null {
+            number(&per_layer["seed"], &format!("{name} per_layer seed"))?;
+            let probes = per_layer["metrics"].as_object().filter(|m| !m.is_empty());
+            let Some(probes) = probes else {
+                return Err(format!("{name}: per_layer block has no metrics"));
+            };
+            for (probe, stats) in probes.iter() {
+                number(&stats["value"], &format!("{name} per_layer {probe}"))?;
+            }
         }
     }
     Ok(seeds)
@@ -274,12 +335,17 @@ fn build(args: &[String]) -> Result<String, String> {
     let (Some(pr), Some(rev), Some(seconds), Some(cores)) = (pr, rev, seconds, cores) else {
         return Err("--pr, --rev, --seconds and --cores are all required".into());
     };
-    let mut runs = Vec::new();
+    let (mut runs, mut traced) = (Vec::new(), Vec::new());
     for (i, line) in std::io::stdin().lines().enumerate() {
         let line = line.map_err(|e| e.to_string())?;
-        if !line.trim().is_empty() {
-            runs.push(parse_run(&line).map_err(|e| format!("input line {}: {e}", i + 1))?);
+        if line.trim().is_empty() {
+            continue;
         }
+        let (list, run) = match line.strip_prefix(TRACED) {
+            Some(run) => (&mut traced, run),
+            None => (&mut runs, line.as_str()),
+        };
+        list.push(parse_run(run).map_err(|e| format!("input line {}: {e}", i + 1))?);
     }
     let meta = Meta {
         pr,
@@ -287,7 +353,7 @@ fn build(args: &[String]) -> Result<String, String> {
         seconds,
         cores,
     };
-    let row = row(&meta, &runs)?;
+    let row = row(&meta, &runs, &traced)?;
     serde_json::to_string_pretty(&row).map_err(|e| e.to_string())
 }
 
@@ -366,7 +432,7 @@ mod tests {
                 runs.push(parse_run(&line(w, seed, ops)).unwrap());
             }
         }
-        let row = row(&meta(), &runs).unwrap();
+        let row = row(&meta(), &runs, &[]).unwrap();
         let text = serde_json::to_string_pretty(&row).unwrap();
         assert_eq!(check(&text), Ok(3));
 
@@ -390,21 +456,71 @@ mod tests {
             .iter()
             .map(|w| parse_run(&line(w, 1, 1.0)).unwrap())
             .collect();
-        let text = serde_json::to_string_pretty(&row(&meta(), &three).unwrap()).unwrap();
+        let text = serde_json::to_string_pretty(&row(&meta(), &three, &[]).unwrap()).unwrap();
         assert!(check(&text).is_err());
 
         let mut uneven = three;
         uneven.push(parse_run(&line("serve-warm", 2, 1.0)).unwrap());
-        assert!(row(&meta(), &uneven).is_err());
+        assert!(row(&meta(), &uneven, &[]).is_err());
         assert!(parse_run("serve-warm 1 abc {}").is_err());
         assert!(parse_run("serve-warm one abc {\"correct\": true}").is_err());
+    }
+
+    #[test]
+    fn a_row_with_or_without_the_per_layer_block_checks_back() {
+        let runs: Vec<Run> = WORKLOADS
+            .iter()
+            .map(|w| parse_run(&line(w, 1, 10.0)).unwrap())
+            .collect();
+        let without = serde_json::to_string_pretty(&row(&meta(), &runs, &[]).unwrap()).unwrap();
+        assert_eq!(check(&without), Ok(1));
+        assert_eq!(
+            serde_json::from_str(&without).unwrap()["workloads"]["serve-warm"]["per_layer"],
+            Value::Null
+        );
+
+        // A traced run's summary lists the per-layer probes instead.
+        let probe = |w: &str, us: f64| {
+            format!(
+                "{w} 1 00ff000000000001 {{\"correct\": true, \"attempted\": 100, \
+                 \"failed\": 0, \"metrics\": {{\"index.write_shard_us\": \
+                 {{\"value\": {us}, \"unit\": \"us\"}}}}}}"
+            )
+        };
+        let traced = || -> Vec<Run> {
+            let probes = WORKLOADS.iter().enumerate();
+            let probes = probes.map(|(i, w)| parse_run(&probe(w, 17.5 + i as f64)).unwrap());
+            probes.collect()
+        };
+        let with = row(&meta(), &runs, &traced()).unwrap();
+        let text = serde_json::to_string_pretty(&with).unwrap();
+        assert_eq!(check(&text), Ok(1));
+        let block = &with["workloads"]["publish-churn"]["per_layer"];
+        assert_eq!(block["seed"], Value::Number(1.0));
+        let write = &block["metrics"]["index.write_shard_us"];
+        assert_eq!(write["value"], Value::Number(20.5));
+        assert_eq!(write["unit"].as_str(), Some("us"));
+        // The end-to-end quartiles are the untraced runs' alone.
+        let ops = &with["workloads"]["publish-churn"]["metrics"]["host_ops_per_s"];
+        assert_eq!(ops["median"], Value::Number(10.0));
+        // What was simulated compares across the two shapes.
+        assert_eq!(same_sim(&without, &text), Ok(4));
+
+        // Two traced runs of one workload, or one of a workload the row
+        // lacks, are refused; so is a block with no number in it.
+        let twice: Vec<Run> = traced().into_iter().chain(traced()).collect();
+        assert!(row(&meta(), &runs, &twice).is_err());
+        let stray = parse_run(&probe("no-such-workload", 1.0)).unwrap();
+        assert!(row(&meta(), &runs, &[stray]).is_err());
+        let hollow = text.replace("\"value\": 17.5", "\"value\": \"x\"");
+        assert!(check(&hollow).is_err());
     }
 
     #[test]
     fn same_sim_holds_only_for_equal_fingerprints_and_counts() {
         let text = |lines: Vec<String>| {
             let runs: Vec<Run> = lines.iter().map(|l| parse_run(l).unwrap()).collect();
-            serde_json::to_string_pretty(&row(&meta(), &runs).unwrap()).unwrap()
+            serde_json::to_string_pretty(&row(&meta(), &runs, &[]).unwrap()).unwrap()
         };
         let lines = |seeds: &[u64], ops: f64| -> Vec<String> {
             let every = seeds

@@ -32,12 +32,14 @@
 //!   not-failed candidate among the `k` closest known live contacts — the
 //!   frontier never digs past the current top-`k`.
 //! * Each peer is queried at most once per lookup; failures remove the peer
-//!   from both the shortlist and the requester's routing table.
+//!   from both the shortlist's top `k` and the requester's routing table.
 //! * The shortlist is kept sorted by an XOR distance computed once per
-//!   contact and stored beside it: merging a response is a binary-search
-//!   insert (which is also the duplicate check) and picking the next
-//!   candidate is a scan from the front — nothing re-sorts, and no
-//!   comparison re-derives a distance.
+//!   contact and stored beside it, with the contact's mark (not queried,
+//!   queried, failed): merging a response is a binary-search insert (which
+//!   is also the duplicate check), picking the next candidate is a scan
+//!   from the front and a failure finds its entry by the same search —
+//!   nothing re-sorts, no comparison re-derives a distance, and no second
+//!   list of queried or failed peers is kept.
 //! * Completions are processed in (completion instant, issue order) order,
 //!   so a run is bit-identical for a given seed regardless of how the
 //!   driver batches its polls.
@@ -55,6 +57,22 @@
 //! fixed point the synchronous loop reached via its "top-k all queried and
 //! no progress" round check: a closer contact always enters the top-`k`
 //! unqueried and therefore keeps the frontier alive.
+//!
+//! # Buffers
+//!
+//! A walk runs on two lists, its shortlist and its in-flight RPCs, and
+//! neither outlives it. [`DhtNetwork::lookup_begin`] takes both from a
+//! spare list on the network (or starts empty ones when it holds none), and
+//! the poll that finishes the walk clears them and hands them back. A walk
+//! takes one set while it runs, so the spare list never holds more sets
+//! than walks were once in flight together; it has no setting, and a
+//! workload that runs walks one at a time keeps one set. Each `FIND_NODE`
+//! reply is read into one more list the network keeps
+//! ([`crate::RoutingTable::closest_into`]) and merged from there. A
+//! short-circuited walk takes no lists; an abandoned walk
+//! ([`LookupMachine::abandon`]) is never polled to its end, so it drops its
+//! own with the machine. The outcome's `closest` list is the one list a
+//! walk allocates, and a store round reuses it as the replicas it reports.
 //!
 //! # Tracing
 //!
@@ -118,11 +136,52 @@ pub enum LookupStep {
 struct InFlightRpc {
     handle: Option<RpcHandle>,
     peer: NodeId,
+    /// The peer's distance to the target: its shortlist entry's key.
+    distance: Distance,
     issued_at: SimInstant,
     completes_at: SimInstant,
     generation: usize,
     is_hedge: bool,
     hop_span: Option<SpanId>,
+}
+
+/// What a walk knows of one contact on its shortlist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    /// Not queried yet: a frontier candidate once among the top `k`.
+    Unqueried,
+    /// Queried, answered or still in flight.
+    Queried,
+    /// Queried and failed: out of the top `k` for the rest of the walk.
+    Failed,
+}
+
+/// One shortlist entry: a contact beside its distance to the target.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    distance: Distance,
+    contact: NodeId,
+    mark: Mark,
+}
+
+impl Candidate {
+    /// A contact just learnt, from the origin's table or a reply.
+    fn unqueried(&(distance, contact): &(Distance, NodeId)) -> Candidate {
+        let mark = Mark::Unqueried;
+        Candidate {
+            distance,
+            contact,
+            mark,
+        }
+    }
+}
+
+/// The two lists a walk runs on, kept on the [`DhtNetwork`] between walks
+/// (module docs, "Buffers").
+#[derive(Debug, Default)]
+pub(crate) struct WalkLists {
+    shortlist: Vec<Candidate>,
+    in_flight: Vec<InFlightRpc>,
 }
 
 /// An in-progress iterative lookup (see the module docs for the state
@@ -138,14 +197,10 @@ pub struct LookupMachine {
     started_at: SimInstant,
     span: Option<SpanId>,
     /// Every contact learnt so far, nearest first, each beside its distance
-    /// to `target`: inserts keep the order, so nothing ever sorts it.
-    shortlist: Vec<(Distance, NodeId)>,
-    /// Peers queried so far (the origin first) and peers that failed: a
-    /// walk queries at most `MAX_ROUNDS × α` peers and ~4.5 on average, so
-    /// a scan of a short list beats hashing into a set. A walk that leaves
-    /// the origin sizes `queried` for the origin and two rounds of α.
-    queried: Vec<u64>,
-    failed: Vec<u64>,
+    /// to `target` and its mark: inserts keep the order, so nothing ever
+    /// sorts it. The origin is never on it: its own table does not hold
+    /// it, and a reply that names it is skipped.
+    shortlist: Vec<Candidate>,
     in_flight: Vec<InFlightRpc>,
     found_value: Option<Record>,
     messages: u64,
@@ -216,36 +271,38 @@ impl LookupMachine {
             .is_some_and(|r| r.version >= self.min_version)
     }
 
-    /// The `k` closest non-failed known contacts, nearest first.
-    fn top_k(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.shortlist
-            .iter()
-            .map(|(_, c)| *c)
-            .filter(|c| !self.failed.contains(&c.index))
-            .take(self.k)
+    /// The `k` closest non-failed known contacts, nearest first, with
+    /// their shortlist positions.
+    fn top_k(&self) -> impl Iterator<Item = (usize, &Candidate)> + '_ {
+        let live = self.shortlist.iter().enumerate();
+        live.filter(|(_, c)| c.mark != Mark::Failed).take(self.k)
     }
 
-    /// The closest not-yet-queried, not-failed candidate among the `k`
-    /// closest non-failed known contacts (the α-frontier rule).
-    fn next_candidate(&self) -> Option<NodeId> {
-        self.top_k().find(|c| !self.queried.contains(&c.index))
+    /// The shortlist position of the closest not-yet-queried candidate
+    /// among the `k` closest non-failed known contacts (the α-frontier
+    /// rule).
+    fn next_candidate(&self) -> Option<usize> {
+        let mut top = self.top_k();
+        top.find(|(_, c)| c.mark == Mark::Unqueried).map(|(i, _)| i)
     }
 
-    /// Send one RPC (a frontier hop or the hedge) to `peer` at instant `at`,
-    /// counting it against the budget, and track it in flight. A failed
-    /// attempt costs the timeout on the lookup's timeline (an offline
-    /// requester pays nothing), exactly like the synchronous
-    /// `rpc_or_timeout` path.
+    /// Send one RPC (a frontier hop or the hedge) to the candidate at
+    /// shortlist position `slot` at instant `at`, counting it against the
+    /// budget, and track it in flight. A failed attempt costs the timeout
+    /// on the lookup's timeline (an offline requester pays nothing),
+    /// exactly like the synchronous `rpc_or_timeout` path.
     fn send(
         &mut self,
         net: &mut SimNet,
-        peer: NodeId,
+        slot: usize,
         at: SimInstant,
         generation: usize,
         is_hedge: bool,
         hop_span: Option<SpanId>,
     ) {
-        self.queried.push(peer.index);
+        let candidate = &mut self.shortlist[slot];
+        candidate.mark = Mark::Queried;
+        let (peer, distance) = (candidate.contact, candidate.distance);
         self.messages += 1;
         let sent = net.send_async_at(
             self.from,
@@ -266,6 +323,7 @@ impl LookupMachine {
         self.in_flight.push(InFlightRpc {
             handle,
             peer,
+            distance,
             issued_at: at,
             completes_at,
             generation,
@@ -295,7 +353,7 @@ impl DhtNetwork {
         at: SimInstant,
         parent: Option<SpanId>,
     ) -> LookupMachine {
-        let config = self.config();
+        let config = &self.config;
         let mut machine = LookupMachine {
             target,
             from,
@@ -304,8 +362,6 @@ impl DhtNetwork {
             started_at: at,
             span: None,
             shortlist: Vec::new(),
-            queried: Vec::new(),
-            failed: Vec::new(),
             in_flight: Vec::new(),
             found_value: None,
             messages: 0,
@@ -347,9 +403,12 @@ impl DhtNetwork {
             }
         }
 
-        machine.shortlist = self.nodes[from as usize].routing.closest(&target, config.k);
-        machine.queried.reserve_exact(1 + 2 * machine.alpha);
-        machine.queried.push(from);
+        let lists = self.spare_walks.pop().unwrap_or_default();
+        (machine.shortlist, machine.in_flight) = (lists.shortlist, lists.in_flight);
+        let routing = &self.nodes[from as usize].routing;
+        routing.closest_into(&target, config.k, &mut self.replies);
+        let known = self.replies.iter().map(Candidate::unqueried);
+        machine.shortlist.extend(known);
         // Value lookups that hit the network count against the origin's
         // hedge budget; the timer arms at the adaptive p95 once enough
         // successful RTTs have been observed and the budget allows it.
@@ -478,22 +537,30 @@ impl DhtNetwork {
                 // satisfying hop's contacts are discarded, matching the
                 // synchronous loop's break-before-merge).
                 if !machine.satisfied {
-                    for (distance, c) in
-                        self.nodes[op.peer.index as usize].find_node(&machine.target, machine.k)
-                    {
-                        if c.index == machine.from {
+                    // The peer's `FIND_NODE` reply: its `k` closest contacts.
+                    let replier = &self.nodes[op.peer.index as usize].routing;
+                    replier.closest_into(&machine.target, machine.k, &mut self.replies);
+                    for reply in &self.replies {
+                        if reply.1.index == machine.from {
                             continue;
                         }
                         // Distinct contacts lie at distinct distances, so the
                         // search for the slot is also the duplicate check.
-                        let slot = machine.shortlist.binary_search_by_key(&distance, |e| e.0);
+                        let slot = machine
+                            .shortlist
+                            .binary_search_by_key(&reply.0, |c| c.distance);
                         if let Err(at) = slot {
-                            machine.shortlist.insert(at, (distance, c));
+                            machine.shortlist.insert(at, Candidate::unqueried(reply));
                         }
                     }
                 }
             } else {
-                machine.failed.push(op.peer.index);
+                let slot = machine
+                    .shortlist
+                    .binary_search_by_key(&op.distance, |c| c.distance);
+                if let Ok(slot) = slot {
+                    machine.shortlist[slot].mark = Mark::Failed;
+                }
                 let cand_id = self.nodes[op.peer.index as usize].id;
                 self.nodes[machine.from as usize].routing.remove(&cand_id);
             }
@@ -508,7 +575,7 @@ impl DhtNetwork {
                 if op.is_hedge {
                     net.record_hedge_won();
                 }
-                for loser in std::mem::take(&mut machine.in_flight) {
+                for loser in machine.in_flight.drain(..) {
                     if let Some(handle) = loser.handle {
                         let cancelled = net.cancel_async(handle);
                         if cancelled && loser.is_hedge {
@@ -554,16 +621,17 @@ impl DhtNetwork {
             && machine.in_flight.len() < machine.alpha
             && machine.messages < machine.rpc_budget
         {
-            let Some(cand) = machine.next_candidate() else {
+            let Some(slot) = machine.next_candidate() else {
                 break;
             };
+            let cand = machine.shortlist[slot].contact;
             machine.hops = machine.hops.max(generation);
             let hop_span = net
                 .tracer()
                 .record_with(machine.span, "dht.hop", at, at, || {
                     format!("gen {} -> {}", generation, cand.index)
                 });
-            machine.send(net, cand, at, generation, false, hop_span);
+            machine.send(net, slot, at, generation, false, hop_span);
         }
     }
 
@@ -578,9 +646,10 @@ impl DhtNetwork {
         if machine.messages >= machine.rpc_budget {
             return;
         }
-        let Some(cand) = machine.next_candidate() else {
+        let Some(slot) = machine.next_candidate() else {
             return;
         };
+        let cand = machine.shortlist[slot].contact;
         let percent = self.config().hedge.percent as u64;
         let h = self.hedge.entry(machine.from).or_default();
         if (h.hedges + 1) * 100 > h.fetches * percent {
@@ -595,13 +664,26 @@ impl DhtNetwork {
             .record_with(machine.span, "fetch.hedge", at, at, || {
                 format!("hedge -> {}", cand.index)
             });
-        machine.send(net, cand, at, generation, true, hop_span);
+        machine.send(net, slot, at, generation, true, hop_span);
     }
 
+    /// Close the walk's span, build its outcome and hand its lists back to
+    /// the spare list (module docs, "Buffers").
     fn lookup_finish(&mut self, net: &mut SimNet, machine: &mut LookupMachine) {
         net.tracer().close(machine.span, machine.finished_at);
         let mut closest = Vec::with_capacity(machine.k);
-        closest.extend(machine.top_k());
+        closest.extend(machine.top_k().map(|(_, c)| c.contact));
+        machine.shortlist.clear();
+        machine.in_flight.clear();
+        let lists = WalkLists {
+            shortlist: std::mem::take(&mut machine.shortlist),
+            in_flight: std::mem::take(&mut machine.in_flight),
+        };
+        // Lists that never allocated are not worth keeping: a walk polled
+        // again after its result was taken hands back only those.
+        if lists.shortlist.capacity() + lists.in_flight.capacity() > 0 {
+            self.spare_walks.push(lists);
+        }
         machine.result = Some((
             LookupOutcome {
                 closest,

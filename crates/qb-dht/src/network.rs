@@ -4,7 +4,7 @@
 use crate::node::{DhtNode, Record};
 use crate::DhtConfig;
 use bytes::Bytes;
-use qb_common::{DhtKey, Hash256, NodeId, QbError, QbResult, SimDuration, SimInstant};
+use qb_common::{DhtKey, Distance, Hash256, NodeId, QbError, QbResult, SimDuration, SimInstant};
 use qb_simnet::{parallel_latency, Poll, RpcError, RpcHandle, SimNet};
 
 /// Result of an iterative node lookup.
@@ -60,6 +60,15 @@ pub struct DhtNetwork {
     /// budget); empty until [`crate::HedgeConfig::enabled`] turns hedging
     /// on.
     pub(crate) hedge: std::collections::HashMap<u64, crate::lookup::OriginHedge>,
+    /// Lists finished walks handed back, for the next walk to take (the
+    /// `lookup` module's "Buffers"): never more sets than the most walks
+    /// ever in flight at once.
+    pub(crate) spare_walks: Vec<crate::lookup::WalkLists>,
+    /// The `FIND_NODE` reply a walk is merging: the replier's `k` closest
+    /// contacts, each beside its distance to the target.
+    pub(crate) replies: Vec<(Distance, NodeId)>,
+    /// A store round's RPCs, in issue order, while it waits for them.
+    pending: Vec<(Option<RpcHandle>, SimInstant)>,
 }
 
 impl DhtNetwork {
@@ -75,6 +84,9 @@ impl DhtNetwork {
             config,
             nodes,
             hedge: std::collections::HashMap::new(),
+            spare_walks: Vec::new(),
+            replies: Vec::new(),
+            pending: Vec::new(),
         };
         dht.bootstrap(net);
         dht
@@ -187,47 +199,49 @@ impl DhtNetwork {
 
     /// Fan out one store RPC per member of `targets` at virtual instant
     /// `at`, wait for all of them, and apply `apply` to each target whose
-    /// RPC succeeded, in issue order. Returns the accepted targets, the
-    /// instant the slowest attempt finished (failures cost the configured
-    /// timeout) and the number of attempts.
+    /// RPC succeeded, in issue order; `targets` keeps the ones that
+    /// accepted, in that order. Returns the instant the slowest attempt
+    /// finished (failures cost the configured timeout) and the number of
+    /// attempts.
     fn fan_out_round(
         &mut self,
         net: &mut SimNet,
         from: u64,
-        targets: &[NodeId],
+        targets: &mut Vec<NodeId>,
         request_bytes: usize,
         at: SimInstant,
         mut apply: impl FnMut(&mut DhtNode) -> bool,
-    ) -> (Vec<NodeId>, SimInstant, u64) {
-        let mut pending: Vec<(Option<RpcHandle>, NodeId, SimInstant)> = Vec::new();
-        let mut messages = 0u64;
-        for target in targets {
-            messages += 1;
+    ) -> (SimInstant, u64) {
+        let mut pending = std::mem::take(&mut self.pending);
+        for target in targets.iter() {
             match net.send_async_at(from, target.index, request_bytes, 16, at, None) {
                 Ok(handle) => {
                     let completes_at = net.async_completes_at(handle).expect("just issued");
-                    pending.push((Some(handle), *target, completes_at));
+                    pending.push((Some(handle), completes_at));
                 }
-                Err(RpcError::SelfOffline) => pending.push((None, *target, at)),
-                Err(_) => pending.push((None, *target, at + net.config().timeout)),
+                Err(RpcError::SelfOffline) => pending.push((None, at)),
+                Err(_) => pending.push((None, at + net.config().timeout)),
             }
         }
-        let mut accepted = Vec::new();
+        let messages = targets.len() as u64;
         let mut end = at;
-        for (handle, target, completes_at) in pending {
-            end = end.max(completes_at);
-            let ok = match handle {
-                Some(handle) => matches!(
-                    net.poll_complete(handle, completes_at),
-                    Some(Poll::Ready(_))
-                ),
-                None => false,
+        // `retain` visits the targets once each in order, so the n-th visit
+        // is the n-th RPC issued.
+        let mut round = pending.drain(..);
+        targets.retain(|target| {
+            let Some((handle, completes_at)) = round.next() else {
+                return false;
             };
-            if ok && apply(&mut self.nodes[target.index as usize]) {
-                accepted.push(target);
-            }
-        }
-        (accepted, end, messages)
+            end = end.max(completes_at);
+            let ok = handle.is_some_and(|handle| {
+                let done = net.poll_complete(handle, completes_at);
+                matches!(done, Some(Poll::Ready(_)))
+            });
+            ok && apply(&mut self.nodes[target.index as usize])
+        });
+        drop(round);
+        self.pending = pending;
+        (end, messages)
     }
 
     /// Locate the `k` closest nodes to `target`.
@@ -265,10 +279,12 @@ impl DhtNetwork {
     ) -> QbResult<PutOutcome> {
         let t0 = net.now();
         let lookup = self.lookup_nodes(net, from, key.0)?;
-        let replicas: Vec<NodeId> = lookup.closest.iter().take(self.config.k).copied().collect();
+        // The walk's `closest` holds at most `k` contacts: the replicas,
+        // and then the ones that stored the item.
+        let mut stored_on = lookup.closest;
         let at = t0 + lookup.latency;
-        let (stored_on, end, round_messages) =
-            self.fan_out_round(net, from, &replicas, request_bytes, at, |node| {
+        let (end, round_messages) =
+            self.fan_out_round(net, from, &mut stored_on, request_bytes, at, |node| {
                 apply(node, item.clone())
             });
         apply(&mut self.nodes[from as usize], item);
@@ -621,6 +637,92 @@ mod tests {
         // The contended uplink charged real queueing delay.
         assert!(net.stats().async_queued_ops > 0);
         assert!(oa.queue_delay + ob.queue_delay > SimDuration::ZERO);
+    }
+
+    /// Drive every walk of `walks` to its end on one shared timeline.
+    fn drive_together(net: &mut SimNet, dht: &mut DhtNetwork, walks: &mut [crate::LookupMachine]) {
+        use crate::lookup::LookupStep;
+        let mut cursor = net.now();
+        loop {
+            let mut next: Option<SimInstant> = None;
+            for walk in walks.iter_mut() {
+                if let LookupStep::Pending { next_event_at } = dht.lookup_poll(net, walk, cursor) {
+                    next = Some(next.map_or(next_event_at, |n| n.min(next_event_at)));
+                }
+            }
+            match next {
+                Some(at) => cursor = at,
+                None => return,
+            }
+        }
+    }
+
+    #[test]
+    fn walks_keep_one_spare_set_of_lists_per_walk_in_flight_at_once() {
+        let (mut net, mut dht) = setup(48, 13);
+        // Bootstrap walked one lookup at a time.
+        assert_eq!(dht.spare_walks.len(), 1);
+        for i in 0..100u64 {
+            let key = DhtKey::for_term(&format!("spare-{i}"));
+            dht.put_record(&mut net, i % 48, key, vec![7u8; 8], 1)
+                .unwrap();
+        }
+        assert_eq!(dht.spare_walks.len(), 1, "sequential walks reuse one set");
+        // A read its origin satisfies locally takes no lists at all.
+        dht.get_record(&mut net, 0, DhtKey::for_term("spare-0"))
+            .unwrap();
+        assert_eq!(dht.spare_walks.len(), 1);
+        for n in [1usize, 3, 5] {
+            let t0 = net.now();
+            let mut walks: Vec<_> = (0..n as u64)
+                .map(|i| {
+                    let target = Hash256::digest_parts(&[b"together:", &i.to_be_bytes()]);
+                    dht.lookup_begin(&mut net, 3 + i, target, None, 0, t0, None)
+                })
+                .collect();
+            drive_together(&mut net, &mut dht, &mut walks);
+            assert!(walks.iter().all(|w| w.is_done()));
+            // Each walk took one set while in flight and handed it back:
+            // the list grows to the most walks ever in flight at once.
+            assert_eq!(dht.spare_walks.len(), n.max(1));
+        }
+        // Fewer walks at once afterwards take from the spares, adding none.
+        dht.lookup_nodes(&mut net, 9, Hash256::digest(b"alone"))
+            .unwrap();
+        assert_eq!(dht.spare_walks.len(), 5);
+    }
+
+    /// `replicate` reports the list its store round keeps as
+    /// `PutOutcome::stored_on`: the walk's replicas that accepted, in the
+    /// order the round issued to them.
+    #[test]
+    fn a_store_round_keeps_the_accepting_replicas_in_issue_order() {
+        let (mut net, mut dht) = setup(48, 14);
+        let key = DhtKey::for_term("issue order");
+        let replicas = dht.lookup_nodes(&mut net, 5, key.0).unwrap().closest;
+        assert_eq!(replicas.len(), dht.config().k);
+        let offline = replicas[1];
+        net.set_online(offline.index, false);
+        let record = Record {
+            key,
+            value: b"ordered".to_vec().into(),
+            publisher: NodeId::from_index(5),
+            version: 1,
+        };
+        let mut stored_on = replicas.clone();
+        let at = net.now();
+        let (end, messages) = dht.fan_out_round(&mut net, 5, &mut stored_on, 80, at, |node| {
+            node.store(record.clone())
+        });
+        assert_eq!(messages, replicas.len() as u64);
+        let accepted: Vec<NodeId> = replicas.into_iter().filter(|r| *r != offline).collect();
+        assert_eq!(stored_on, accepted);
+        // The offline replica cost the round its timeout.
+        assert_eq!(end, at + net.config().timeout);
+        assert!(stored_on
+            .iter()
+            .all(|r| dht.node(r.index).find_value(&key).is_some()));
+        assert!(dht.node(offline.index).find_value(&key).is_none());
     }
 
     /// FNV-1a fold of a transcript: pins every field of every outcome in

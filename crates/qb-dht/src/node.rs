@@ -3,7 +3,7 @@
 use crate::routing::RoutingTable;
 use crate::DhtConfig;
 use bytes::Bytes;
-use qb_common::{DhtKey, DigestMap, Distance, Hash256, NodeId};
+use qb_common::{DhtKey, DigestMap, NodeId};
 
 /// A value stored in the DHT under a key. A stored record is permanent: it
 /// lives on its replicas until a higher [`Record::version`] replaces it.
@@ -84,14 +84,6 @@ impl DhtNode {
     pub fn remove_providers(&mut self, key: &DhtKey) {
         self.providers.remove(key);
     }
-
-    /// Handle a `FIND_NODE` RPC: return our `count` closest contacts to the
-    /// target, plus ourselves implicitly handled by the caller. Each contact
-    /// rides beside its distance to the target — a function of two keys the
-    /// requester holds anyway, handed over so it is not computed twice.
-    pub fn find_node(&self, target: &Hash256, count: usize) -> Vec<(Distance, NodeId)> {
-        self.routing.closest(target, count)
-    }
 }
 
 #[cfg(test)]
@@ -138,20 +130,5 @@ mod tests {
         n.add_provider(key, NodeId::from_index(3));
         assert_eq!(n.get_providers(&key).len(), 2);
         assert!(n.get_providers(&DhtKey::from_bytes(b"other")).is_empty());
-    }
-
-    #[test]
-    fn find_node_returns_closest_contacts() {
-        let cfg = DhtConfig::small();
-        let mut n = DhtNode::new(NodeId::from_index(0), &cfg);
-        for i in 1..30 {
-            n.routing.observe(NodeId::from_index(i), false);
-        }
-        let target = NodeId::from_index(100).key;
-        let found = n.find_node(&target, 3);
-        assert_eq!(found.len(), 3);
-        for w in found.windows(2) {
-            assert!(w[0].1.key.xor(&target) <= w[1].1.key.xor(&target));
-        }
     }
 }

@@ -44,12 +44,12 @@ fn keep_nearest(
 /// ordered from least- to most-recently seen.
 ///
 /// Only buckets up to the highest occupied one exist: at 32–256 peers that
-/// is the lowest ~5–10 of 257. [`closest`] (each lookup start and
+/// is the lowest ~5–10 of 257. [`closest_into`] (each lookup start and
 /// `FIND_NODE` reply) visits them in XOR-distance-class order and stops
 /// once the answer is settled, so it reads the buckets that can hold the
 /// answer rather than the whole table.
 ///
-/// [`closest`]: RoutingTable::closest
+/// [`closest_into`]: RoutingTable::closest_into
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     local: Hash256,
@@ -142,24 +142,32 @@ impl RoutingTable {
     /// distinct keys never tie, so the answer is the full scan's to the bit
     /// (`t = 256`, a self-lookup, has no own bucket and no bucket above).
     pub fn closest(&self, target: &Hash256, count: usize) -> Vec<(Distance, NodeId)> {
+        let mut best = Vec::with_capacity(count);
+        self.closest_into(target, count, &mut best);
+        best
+    }
+
+    /// [`closest`](RoutingTable::closest) into `best`, which is cleared
+    /// first: a caller that keeps one list across calls (a walk merging
+    /// `FIND_NODE` replies) allocates only when `count` outgrows it.
+    pub fn closest_into(&self, target: &Hash256, count: usize, best: &mut Vec<(Distance, NodeId)>) {
+        best.clear();
         let t = self.bucket_index(target);
         let (below, from_t) = self.buckets.split_at(t.min(self.buckets.len()));
         let (own, above) = from_t.split_at(from_t.len().min(1));
         let classes = [own, above]
             .into_iter()
             .chain(below.iter().rev().map(std::slice::from_ref));
-        let mut best = Vec::with_capacity(count);
         for class in classes {
             if best.len() == count {
                 break;
             }
-            keep_nearest(&mut best, class.iter().flatten().copied(), target, count);
+            keep_nearest(best, class.iter().flatten().copied(), target, count);
         }
         debug_assert_eq!(
-            best,
+            *best,
             nearest(self.buckets.iter().flatten().copied(), target, count)
         );
-        best
     }
 
     /// All contacts (unordered).
@@ -282,6 +290,22 @@ mod tests {
     }
 
     #[test]
+    fn closest_into_returns_closest_contacts() {
+        let mut rt = RoutingTable::new(node(0).key, 4);
+        for i in 1..30 {
+            rt.observe(node(i), false);
+        }
+        let target = node(100).key;
+        // A reused list: whatever it held before is replaced.
+        let mut found = vec![(node(7).key.xor(&target), node(7)); 5];
+        rt.closest_into(&target, 3, &mut found);
+        assert_eq!(found.len(), 3);
+        for w in found.windows(2) {
+            assert!(w[0].1.key.xor(&target) <= w[1].1.key.xor(&target));
+        }
+    }
+
+    #[test]
     fn remove_deletes_contact() {
         let local = node(0);
         let mut rt = RoutingTable::new(local.key, 4);
@@ -366,6 +390,26 @@ mod tests {
                     let ids: Vec<NodeId> = got.into_iter().map(|(_, c)| c).collect();
                     prop_assert_eq!(ids, closest_naive(&rt, &target, count));
                 }
+            }
+        }
+
+        #[test]
+        fn closest_into_a_reused_list_equals_closest(ops in proptest::collection::vec(0u64..400, 0..120),
+                                                     k in 1usize..8,
+                                                     targets in proptest::collection::vec(any::<[u8; 32]>(), 1..6),
+                                                     counts in proptest::collection::vec(0usize..12, 1..6)) {
+            let mut rt = RoutingTable::new(node(0).key, k);
+            for i in ops {
+                rt.observe(node(i), true);
+            }
+            // One list for every call, as a walk keeps one for its replies:
+            // each call starts on what the previous one left, longer or
+            // shorter than its own answer.
+            let mut reused = vec![(Hash256([0xff; 32]).xor(&node(1).key), node(1)); 3];
+            for (target, count) in targets.iter().zip(counts.iter().cycle()) {
+                let target = Hash256(*target);
+                rt.closest_into(&target, *count, &mut reused);
+                prop_assert_eq!(&reused, &rt.closest(&target, *count));
             }
         }
 

@@ -138,20 +138,25 @@ impl ShardEntry {
     /// Serialize the shard.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.postings.len() * 32);
-        encode_str(&self.term, &mut out);
-        varint::encode_u64(self.version, &mut out);
-        varint::encode_u64(self.postings.len() as u64, &mut out);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append [`ShardEntry::encode`]'s bytes to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_str(&self.term, out);
+        varint::encode_u64(self.version, out);
+        varint::encode_u64(self.postings.len() as u64, out);
         let mut prev = 0u64;
         for p in &self.postings {
-            varint::encode_u64(p.doc_id.wrapping_sub(prev), &mut out);
+            varint::encode_u64(p.doc_id.wrapping_sub(prev), out);
             prev = p.doc_id;
-            varint::encode_u64(p.term_freq as u64, &mut out);
-            varint::encode_u64(p.doc_len as u64, &mut out);
-            varint::encode_u64(p.version, &mut out);
-            varint::encode_u64(p.creator, &mut out);
-            encode_str(&p.name, &mut out);
+            varint::encode_u64(p.term_freq as u64, out);
+            varint::encode_u64(p.doc_len as u64, out);
+            varint::encode_u64(p.version, out);
+            varint::encode_u64(p.creator, out);
+            encode_str(&p.name, out);
         }
-        out
     }
 
     /// Deserialize a shard.
@@ -522,13 +527,16 @@ impl DistributedIndex {
     ) -> QbResult<IndexOpCost> {
         let mut cost = IndexOpCost::default();
         let key = DhtKey::for_term(&entry.term);
-        let encoded = entry.encode();
-        let value = if encoded.len() <= self.inline_threshold {
-            let mut v = Vec::with_capacity(encoded.len() + 1);
+        let len = entry.encoded_len();
+        let value = if len <= self.inline_threshold {
+            // The tag, then the shard encoded straight behind it into a
+            // buffer of exactly the value's length.
+            let mut v = Vec::with_capacity(len + 1);
             v.push(SHARD_INLINE_TAG);
-            v.extend_from_slice(&encoded);
+            entry.encode_into(&mut v);
             v
         } else {
+            let encoded = entry.encode();
             let (obj, put) = storage.put_named_object(net, dht, peer, key, &encoded)?;
             cost.add(put.latency, put.messages);
             let mut v = Vec::with_capacity(33);
@@ -910,6 +918,26 @@ mod tests {
             .unwrap();
         assert_eq!(read, shard);
         assert!(cost.messages > 0);
+    }
+
+    #[test]
+    fn an_inline_shard_record_is_its_tag_then_the_encoding() {
+        let (mut net, mut dht, mut storage) = setup(24, 1);
+        let dist = DistributedIndex::new();
+        let mut shard = ShardEntry::empty("propolis");
+        shard.version = 2;
+        for i in 0..6u64 {
+            shard.upsert(posting(i * 3, 1, &format!("wiki/蜂/{i}")));
+        }
+        assert!(shard.encoded_len() <= dist.inline_threshold);
+        dist.write_shard(&mut net, &mut dht, &mut storage, 3, &shard)
+            .unwrap();
+        // The writer keeps its own copy of the record it put.
+        let key = DhtKey::for_term("propolis");
+        let record = dht.node(3).find_value(&key).unwrap();
+        let mut expected = vec![SHARD_INLINE_TAG];
+        expected.extend(shard.encode());
+        assert_eq!(&record.value[..], &expected[..]);
     }
 
     #[test]

@@ -1261,15 +1261,14 @@ mod tests {
         QueenBee::new(config).unwrap()
     }
 
-    /// Pins a known defect: a replay that fails returns early, and every
-    /// request still queued at a frontend was counted into the router's
-    /// queued-work gauge (`GossipFleet::record_routed`) but is never retired
-    /// from it (`record_finished`), so for the rest of the engine's life
-    /// two-choices routing sees that frontend as busier than it is. A fix
-    /// moves `serve-warm` (some of its replays fail) and turns the `2`
-    /// below into `0`.
+    /// A replay that fails returns early with requests still queued at a
+    /// frontend. Each was counted into the router's queued-work gauge on
+    /// admission (`GossipFleet::record_routed`), so each must be retired
+    /// from it (`record_finished`) on the way out; otherwise two-choices
+    /// routing would see that frontend as busier than it is for the rest of
+    /// the engine's life.
     #[test]
-    fn a_failed_replay_leaves_its_queued_requests_in_the_routing_gauge() {
+    fn a_failed_replay_retires_its_queued_requests_from_the_routing_gauge() {
         let mut qb = fleet_engine(2, true);
         qb.config.admission.window_size = 1;
         qb.config.admission.max_windows_in_flight = 1;
@@ -1296,7 +1295,7 @@ mod tests {
         qb.run_gossip_round(false);
         let fleet = qb.fleet().unwrap();
         let queued = |f: usize| fleet.routing_load(f) - fleet.advertised_load(f);
-        assert_eq!(queued(0), 2, "the two requests left queued stay counted");
+        assert_eq!(queued(0), 0, "the two requests left queued are retired");
         assert_eq!(queued(1), 0);
     }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One row of the performance trajectory: run an already-built qb-perfbench
-# over the four workloads and a seed list, untraced, and write
-# BENCH_<PR>.json at the root of the repository.
+# over the four workloads and a seed list, untraced, plus one traced run per
+# workload at the list's first seed, and write BENCH_<PR>.json at the root
+# of the repository.
 #
 #   scripts/bench_row.sh BIN PR [SEEDS] [SECONDS]
 #
@@ -19,8 +20,13 @@
 # of crates/qb-bench, which writes per workload each end-to-end metric's
 # median, q1 and q3 over the seeds and per seed the run's failed count
 # and fingerprint, then checks that the file it wrote parses with all four
-# workloads. The host numbers in a row are for reading, not gating: two
-# rows compare only when taken on the same machine.
+# workloads. Each traced run (`--trace 1`, same length) prints the
+# per-layer probes instead of the end-to-end metrics; they land in the
+# workload's `per_layer` block (`index.write_shard_us`,
+# `publish.index_us_per_page`, `dht.lookup_us`, ...), and `bench_row
+# --same-sim` reads none of them. The host numbers in a row are for
+# reading, not gating: two rows compare only when taken on the same
+# machine.
 set -euo pipefail
 
 if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
@@ -46,21 +52,36 @@ row() {
     -p qb-bench --bin bench_row -- "$@"
 }
 
+workloads="serve-warm cold-lookup score-heavy publish-churn"
 runs=""
+# One run: WORKLOAD SEED [FLAGS...], appended to $runs as one input line
+# of the bench_row bin (prefixed with $prefix).
+run() {
+  local workload="$1" seed="$2" log fingerprint
+  shift 2
+  echo "== $workload, seed $seed, $seconds s $*" >&2
+  if ! log="$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" "$@")"; then
+    echo "$0: $workload seed $seed $* exited nonzero" >&2
+    exit 1
+  fi
+  fingerprint="$(awk '$1 == "sim_fingerprint" { print $2 }' <<<"$log")"
+  if [ -z "$fingerprint" ]; then
+    echo "$0: $workload seed $seed $* printed no sim_fingerprint" >&2
+    exit 1
+  fi
+  runs+="$prefix$workload $seed $fingerprint $(tail -n 1 <<<"$log")"$'\n'
+}
+
+prefix=""
 for seed in $seeds; do
-  for workload in serve-warm cold-lookup score-heavy publish-churn; do
-    echo "== $workload, seed $seed, $seconds s" >&2
-    if ! log="$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds")"; then
-      echo "$0: $workload seed $seed exited nonzero" >&2
-      exit 1
-    fi
-    fingerprint="$(awk '$1 == "sim_fingerprint" { print $2 }' <<<"$log")"
-    if [ -z "$fingerprint" ]; then
-      echo "$0: $workload seed $seed printed no sim_fingerprint" >&2
-      exit 1
-    fi
-    runs+="$workload $seed $fingerprint $(tail -n 1 <<<"$log")"$'\n'
+  for workload in $workloads; do
+    run "$workload" "$seed"
   done
+done
+prefix="traced "
+first="$(awk '{ print $1; exit }' <<<"$seeds")"
+for workload in $workloads; do
+  run "$workload" "$first" --trace 1
 done
 
 row --pr "$pr" --rev "$rev" --seconds "$seconds" --cores "$(nproc)" <<<"$runs" >"$out"
