@@ -17,10 +17,13 @@
 //! `sim_fingerprint`. It reads no clock: every number comes from the runs.
 //!
 //! A line that starts with `traced ` is a `--trace 1` run of one seed: its
-//! metrics are the per-layer probes, and they go into the workload's
-//! `per_layer` block (`{"seed": .., "metrics": {NAME: {"unit": ..,
-//! "value": ..}}}`) beside the end-to-end quartiles. A row without traced
-//! lines has no such block.
+//! metrics are the per-layer probes. A workload's traced runs, one per
+//! seed, go into its `per_layer` block (`{"seeds": [..], "metrics": {NAME:
+//! {"unit": .., "median": .., "q1": .., "q3": ..}}}`) beside the end-to-end
+//! quartiles: one traced run can swing a probe by more than the effect
+//! being read. A row without traced lines has no such block; `--check`
+//! also accepts the older block of one traced run (`{"seed": ..,
+//! "metrics": {NAME: {"unit": .., "value": ..}}}`).
 //!
 //! `--same-sim OLD NEW` exits nonzero unless both rows hold the same
 //! workloads and seeds and every seed's `sim_fingerprint`, `attempted` and
@@ -108,39 +111,13 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * (h - lo as f64)
 }
 
-/// A traced run's metrics as a workload's `per_layer` block.
-fn per_layer_block(traced: &Run) -> Value {
+/// Each metric's median, q1 and q3 over `runs` (not empty), which hold
+/// one run per seed and list the same metrics in the same order.
+fn quartiles(name: &str, runs: &[&Run]) -> Result<Value, String> {
     let mut metrics = Map::new();
-    for (name, unit, value) in &traced.metrics {
-        let mut probe = Map::new();
-        probe.insert("unit".into(), unit.as_str().into());
-        probe.insert("value".into(), (*value).into());
-        metrics.insert(name.clone(), Value::Object(probe));
-    }
-    let mut block = Map::new();
-    block.insert("seed".into(), traced.seed.into());
-    block.insert("metrics".into(), Value::Object(metrics));
-    Value::Object(block)
-}
-
-/// One workload's block: its metrics' quartiles over `runs`, which hold
-/// one run per seed of `seeds`, the per-seed record and, when the workload
-/// had a traced run, its per-layer block.
-fn workload_block(
-    name: &str,
-    runs: &[&Run],
-    seeds: &[u64],
-    traced: Option<&Run>,
-) -> Result<Value, String> {
-    let mut by_seed: Vec<&Run> = runs.to_vec();
-    by_seed.sort_by_key(|r| r.seed);
-    if by_seed.iter().map(|r| r.seed).ne(seeds.iter().copied()) {
-        return Err(format!("{name}: not exactly one run per seed {seeds:?}"));
-    }
-    let mut metrics = Map::new();
-    for (i, (metric, unit, _)) in by_seed[0].metrics.iter().enumerate() {
-        let mut values = Vec::with_capacity(by_seed.len());
-        for run in &by_seed {
+    for (i, (metric, unit, _)) in runs[0].metrics.iter().enumerate() {
+        let mut values = Vec::with_capacity(runs.len());
+        for run in runs {
             match run.metrics.get(i) {
                 Some((m, u, v)) if m == metric && u == unit => values.push(*v),
                 _ => return Err(format!("{name} seed {}: metrics differ", run.seed)),
@@ -154,7 +131,36 @@ fn workload_block(
         stats.insert("q3".into(), quantile(&values, 0.75).into());
         metrics.insert(metric.clone(), Value::Object(stats));
     }
-    let per_seed = by_seed.iter().map(|r| {
+    Ok(Value::Object(metrics))
+}
+
+/// `runs` sorted by seed, refused unless each seed appears once.
+fn by_seed<'a>(name: &str, runs: &[&'a Run]) -> Result<Vec<&'a Run>, String> {
+    let mut sorted = runs.to_vec();
+    sorted.sort_by_key(|r| r.seed);
+    if let Some(pair) = sorted.windows(2).find(|pair| pair[0].seed == pair[1].seed) {
+        return Err(format!(
+            "{name}: more than one run of seed {}",
+            pair[0].seed
+        ));
+    }
+    Ok(sorted)
+}
+
+/// One workload's block: its metrics' quartiles over `runs`, which hold
+/// one run per seed of `seeds`, the per-seed record and, when the workload
+/// had traced runs, the per-layer block of their probes' quartiles.
+fn workload_block(
+    name: &str,
+    runs: &[&Run],
+    seeds: &[u64],
+    traced: &[&Run],
+) -> Result<Value, String> {
+    let sorted = by_seed(name, runs)?;
+    if sorted.iter().map(|r| r.seed).ne(seeds.iter().copied()) {
+        return Err(format!("{name}: not exactly one run per seed {seeds:?}"));
+    }
+    let per_seed = sorted.iter().map(|r| {
         let mut run = Map::new();
         run.insert("seed".into(), r.seed.into());
         run.insert("correct".into(), r.correct.into());
@@ -164,16 +170,21 @@ fn workload_block(
         Value::Object(run)
     });
     let mut block = Map::new();
-    block.insert("metrics".into(), Value::Object(metrics));
+    block.insert("metrics".into(), quartiles(name, &sorted)?);
     block.insert("runs".into(), Value::Array(per_seed.collect()));
-    if let Some(traced) = traced {
-        block.insert("per_layer".into(), per_layer_block(traced));
+    if !traced.is_empty() {
+        let traced = by_seed(&format!("{name} traced"), traced)?;
+        let mut per_layer = Map::new();
+        let traced_seeds: Vec<u64> = traced.iter().map(|r| r.seed).collect();
+        per_layer.insert("seeds".into(), traced_seeds.into());
+        per_layer.insert("metrics".into(), quartiles(name, &traced)?);
+        block.insert("per_layer".into(), Value::Object(per_layer));
     }
     Ok(Value::Object(block))
 }
 
 /// The row for `runs`: every workload over the same seeds, each with the
-/// per-layer block of its run in `traced` (at most one per workload).
+/// per-layer block of its runs in `traced` (at most one per seed).
 fn row(meta: &Meta, runs: &[Run], traced: &[Run]) -> Result<Value, String> {
     let mut seeds: Vec<u64> = runs.iter().map(|r| r.seed).collect();
     seeds.sort_unstable();
@@ -196,12 +207,11 @@ fn row(meta: &Meta, runs: &[Run], traced: &[Run]) -> Result<Value, String> {
     let mut workloads = Map::new();
     for name in names {
         let of: Vec<&Run> = runs.iter().filter(|r| r.workload == name).collect();
-        let mut traced_runs = traced.iter().filter(|t| t.workload == name);
-        let trace = traced_runs.next();
-        if traced_runs.next().is_some() {
-            return Err(format!("{name}: more than one traced run"));
-        }
-        workloads.insert(name.to_string(), workload_block(name, &of, &seeds, trace)?);
+        let traced: Vec<&Run> = traced.iter().filter(|t| t.workload == name).collect();
+        workloads.insert(
+            name.to_string(),
+            workload_block(name, &of, &seeds, &traced)?,
+        );
     }
     let mut top = Map::new();
     top.insert("pr".into(), meta.pr.into());
@@ -213,9 +223,21 @@ fn row(meta: &Meta, runs: &[Run], traced: &[Run]) -> Result<Value, String> {
     Ok(Value::Object(top))
 }
 
+/// Check that `stats` holds a median, q1 and q3 in order.
+fn check_quartiles(stats: &Value, what: &str) -> Result<(), String> {
+    let q1 = number(&stats["q1"], what)?;
+    let median = number(&stats["median"], what)?;
+    let q3 = number(&stats["q3"], what)?;
+    if !(q1 <= median && median <= q3) {
+        return Err(format!("{what}: quartiles out of order"));
+    }
+    Ok(())
+}
+
 /// Check a row's shape: the four workloads, each with quartiles in order
 /// for every metric, one run per recorded seed and, where present, a
-/// per-layer block of numbers for one seed. Returns the seed count.
+/// per-layer block of probe quartiles over its seeds (or, in an older row,
+/// one traced run's numbers for one seed). Returns the seed count.
 fn check(text: &str) -> Result<usize, String> {
     let row = serde_json::from_str(text).map_err(|e| e.to_string())?;
     let seeds = row["seeds"].as_array().map_or(0, Vec::len);
@@ -235,13 +257,7 @@ fn check(text: &str) -> Result<usize, String> {
             return Err(format!("{name}: no metrics"));
         };
         for (metric, stats) in metrics.iter() {
-            let what = format!("{name} {metric}");
-            let q1 = number(&stats["q1"], &what)?;
-            let median = number(&stats["median"], &what)?;
-            let q3 = number(&stats["q3"], &what)?;
-            if !(q1 <= median && median <= q3) {
-                return Err(format!("{what}: quartiles out of order"));
-            }
+            check_quartiles(stats, &format!("{name} {metric}"))?;
         }
         let runs = block["runs"].as_array().map_or(&[][..], Vec::as_slice);
         let recorded = |r: &Value| r["sim_fingerprint"].as_str().is_some();
@@ -250,13 +266,25 @@ fn check(text: &str) -> Result<usize, String> {
         }
         let per_layer = &block["per_layer"];
         if *per_layer != Value::Null {
-            number(&per_layer["seed"], &format!("{name} per_layer seed"))?;
+            // An older row holds one traced run: its `seed` and each probe's
+            // `value`.
+            let one_run = per_layer["seeds"] == Value::Null;
+            if one_run {
+                number(&per_layer["seed"], &format!("{name} per_layer seed"))?;
+            } else if per_layer["seeds"].as_array().is_none_or(Vec::is_empty) {
+                return Err(format!("{name}: per_layer block has no seeds"));
+            }
             let probes = per_layer["metrics"].as_object().filter(|m| !m.is_empty());
             let Some(probes) = probes else {
                 return Err(format!("{name}: per_layer block has no metrics"));
             };
             for (probe, stats) in probes.iter() {
-                number(&stats["value"], &format!("{name} per_layer {probe}"))?;
+                let what = format!("{name} per_layer {probe}");
+                if one_run {
+                    number(&stats["value"], &what)?;
+                } else {
+                    check_quartiles(stats, &what)?;
+                }
             }
         }
     }
@@ -496,9 +524,9 @@ mod tests {
         let text = serde_json::to_string_pretty(&with).unwrap();
         assert_eq!(check(&text), Ok(1));
         let block = &with["workloads"]["publish-churn"]["per_layer"];
-        assert_eq!(block["seed"], Value::Number(1.0));
+        assert_eq!(block["seeds"], vec![1u64].into());
         let write = &block["metrics"]["index.write_shard_us"];
-        assert_eq!(write["value"], Value::Number(20.5));
+        assert_eq!(write["median"], Value::Number(20.5));
         assert_eq!(write["unit"].as_str(), Some("us"));
         // The end-to-end quartiles are the untraced runs' alone.
         let ops = &with["workloads"]["publish-churn"]["metrics"]["host_ops_per_s"];
@@ -506,14 +534,53 @@ mod tests {
         // What was simulated compares across the two shapes.
         assert_eq!(same_sim(&without, &text), Ok(4));
 
-        // Two traced runs of one workload, or one of a workload the row
-        // lacks, are refused; so is a block with no number in it.
+        // Traced runs of more seeds than the row's: each probe's quartiles.
+        let more = |seed: u64, us: f64| {
+            let line = probe("publish-churn", us).replacen(" 1 ", &format!(" {seed} "), 1);
+            parse_run(&line).unwrap()
+        };
+        let spread = [more(1, 10.0), more(2, 30.0), more(3, 20.0)];
+        let block = &row(&meta(), &runs, &spread).unwrap()["workloads"]["publish-churn"];
+        let write = &block["per_layer"]["metrics"]["index.write_shard_us"];
+        assert_eq!(block["per_layer"]["seeds"], vec![1u64, 2, 3].into());
+        assert_eq!(
+            (&write["q1"], &write["median"], &write["q3"]),
+            (
+                &Value::Number(15.0),
+                &Value::Number(20.0),
+                &Value::Number(25.0)
+            )
+        );
+
+        // Two traced runs of one workload and seed, or one of a workload
+        // the row lacks, are refused; so is a block with no number in it.
         let twice: Vec<Run> = traced().into_iter().chain(traced()).collect();
         assert!(row(&meta(), &runs, &twice).is_err());
         let stray = parse_run(&probe("no-such-workload", 1.0)).unwrap();
         assert!(row(&meta(), &runs, &[stray]).is_err());
-        let hollow = text.replace("\"value\": 17.5", "\"value\": \"x\"");
+        let hollow = text.replace("\"median\": 17.5", "\"median\": \"x\"");
         assert!(check(&hollow).is_err());
+
+        // An older row's block of one traced run still checks.
+        let old_block =
+            r#"{"seed": 1, "metrics": {"dht.lookup_us": {"unit": "us", "value": 4.5}}}"#;
+        let mut workloads = Map::new();
+        for (name, block) in with["workloads"].as_object().unwrap().iter() {
+            let mut old = Map::new();
+            for (key, value) in block.as_object().unwrap().iter() {
+                old.insert(key.clone(), value.clone());
+            }
+            old.insert("per_layer".into(), serde_json::from_str(old_block).unwrap());
+            workloads.insert(name.clone(), Value::Object(old));
+        }
+        let mut old = Map::new();
+        for (key, value) in with.as_object().unwrap().iter() {
+            old.insert(key.clone(), value.clone());
+        }
+        old.insert("workloads".into(), Value::Object(workloads));
+        let old = serde_json::to_string_pretty(&Value::Object(old)).unwrap();
+        assert_eq!(check(&old), Ok(1));
+        assert!(check(&old.replace("\"value\": 4.5", "\"value\": \"x\"")).is_err());
     }
 
     #[test]

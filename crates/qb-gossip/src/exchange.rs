@@ -2,11 +2,13 @@
 //!
 //! Most exchanges of a converged fleet move nothing: both deltas are empty
 //! and no fill is sent. Such an exchange side leaves a *settled record* in
-//! its [`PeerSync`](crate::frontend::PeerSync) — the handles of the two
-//! things its conclusion was read from (its own listing and the partner's
-//! holdings filter in a delta exchange, the two listings in a full one) —
-//! and its repetition, recognised by `Arc::ptr_eq` on handles the record
-//! itself keeps alive, skips the delta computation, the fill scan and the
+//! its [`PeerSync`](crate::frontend::PeerSync): the two listings its
+//! conclusion was read from, its own and the partner's, by handle. A
+//! partner's holdings filter is stored with its listing, so the listing
+//! handle stands for the filter too, and a delta exchange's record has the
+//! same shape as a full one's. Each class keeps its own record; its
+//! repetition, recognised by `Arc::ptr_eq` on handles the record itself
+//! keeps alive, skips the delta computation, the fill scan and the
 //! full-exchange rebuild of the sync state. Whatever writes `advertised`
 //! or `holdings` clears the records first (`PeerSync::unsettle`), and in
 //! debug builds every skip re-runs what it skipped and asserts the
@@ -301,7 +303,7 @@ impl Exchange<'_> {
         }
         let delta_mode = self.delta_mode();
         let filter = delta_mode.then(|| {
-            let filter = own.holdings_filter(&held, self.stats);
+            let filter = own.holdings_filter(self.stats);
             let sync = own.sync.entry(partner_peer).or_default();
             // The listing a settled exchange ran over has all been told.
             let told_all =
@@ -453,30 +455,28 @@ impl Exchange<'_> {
         }
     }
 
-    /// Does `sync` hold the settled record of this exchange's shape over
-    /// exactly what the two sides brought — `mine`'s listing and `theirs`'
-    /// holdings filter (delta) or listing (full)? Compared by handle
-    /// against handles the record owns, so a match means the same
-    /// allocation, hence the same content.
+    /// Does `sync` hold this class's settled record over exactly the two
+    /// listings the sides brought?
     fn is_settled(&self, sync: &PeerSync, mine: &Offer, theirs: &Offer) -> bool {
-        if self.class.full() {
-            matches!(&sync.settled_full, Some((listed, their_listed))
-                if Arc::ptr_eq(listed, &mine.held) && Arc::ptr_eq(their_listed, &theirs.held))
+        let record = if self.class.full() {
+            &sync.settled_full
         } else {
-            matches!((&sync.settled_delta, &theirs.filter), (Some((listed, filter)), Some(their_filter))
-                if Arc::ptr_eq(listed, &mine.held) && Arc::ptr_eq(filter, their_filter))
-        }
+            &sync.settled_delta
+        };
+        matches!(record, Some((listed, their_listed))
+            if Arc::ptr_eq(listed, &mine.held) && Arc::ptr_eq(their_listed, &theirs.held))
     }
 
     /// Record that `mine` against `theirs` found nothing to push (see
-    /// [`Exchange::is_settled`]). A regular exchange without holdings
-    /// filters (full-digest mode) has no record: it replaces `holdings`
-    /// every time.
+    /// [`Exchange::is_settled`]). In full-digest mode a regular exchange's
+    /// record is never read: `learn` replaces `holdings`, and clears the
+    /// record with it, on every such exchange.
     fn settle(&self, sync: &mut PeerSync, mine: &Offer, theirs: &Offer) {
+        let record = Some((Arc::clone(&mine.held), Arc::clone(&theirs.held)));
         if self.class.full() {
-            sync.settled_full = Some((Arc::clone(&mine.held), Arc::clone(&theirs.held)));
-        } else if let Some(their_filter) = &theirs.filter {
-            sync.settled_delta = Some((Arc::clone(&mine.held), Arc::clone(their_filter)));
+            sync.settled_full = record;
+        } else {
+            sync.settled_delta = record;
         }
     }
 

@@ -182,12 +182,6 @@ impl GossipFleet {
         self.frontends[i].cache_mut()
     }
 
-    /// Frontend `i`'s cache in the shape the planner takes a serving cache
-    /// in (always `Some`).
-    pub fn cache_slot(&mut self, i: usize) -> &mut Option<QueryCache> {
-        &mut self.frontends[i].cache
-    }
-
     /// Record that frontend `i` observed `version` of `term` (e.g. through
     /// its own DHT fetch).
     pub fn observe(&mut self, i: usize, term: &str, version: u64) {
@@ -287,9 +281,7 @@ impl GossipFleet {
                 continue;
             }
             f.known.observe(term, version);
-            if let Some(cache) = f.cache.as_mut() {
-                cache.invalidate_term(term, now);
-            }
+            f.cache.invalidate_term(term, now);
         }
     }
 
@@ -449,11 +441,12 @@ impl GossipFleet {
     /// candidate confirms coverage of even one missing shard.
     fn zone_covering_partner(&self, net: &SimNet, i: usize) -> Option<u64> {
         let f = &self.frontends[i];
-        let cache = f.cache.as_ref()?;
         let mut missing: Vec<(&str, u64)> = f
             .known
             .unordered()
-            .filter(|&(term, version)| cache.cached_shard_version(term).is_none_or(|c| c < version))
+            .filter(|&(term, version)| {
+                (f.cache.cached_shard_version(term)).is_none_or(|c| c < version)
+            })
             .collect();
         // The first `MAX_ZONE_AE_MISSING` in term order, as a set.
         if missing.len() > MAX_ZONE_AE_MISSING {
@@ -939,6 +932,14 @@ mod tests {
         }
         let converged = *fleet.stats();
         assert!(converged.filter_builds > 0);
+        // Each frontend's filter is stored beside the listing it was built
+        // over.
+        let filters: Vec<Arc<ShardFilter>> = (0..3)
+            .map(|i| {
+                let memo = &fleet.frontend(i).listing;
+                memo.filter.clone().expect("a delta round built it")
+            })
+            .collect();
         fleet.run_round(&mut net, now, false);
         let after = *fleet.stats();
         let builds = after.filter_builds - converged.filter_builds;
@@ -948,10 +949,18 @@ mod tests {
             reuses >= (after.exchanges - converged.exchanges) * 2,
             "both sides of every steady exchange reuse ({reuses})"
         );
-        // A holdings change invalidates the cached filter.
+        for (i, filter) in filters.iter().enumerate() {
+            let kept = fleet.frontend(i).listing.filter.as_ref();
+            assert!(kept.is_some_and(|kept| Arc::ptr_eq(kept, filter)), "{i}");
+        }
+        // A holdings change is a new listing, which comes without a filter.
         fleet.cache_mut(0).store_shard(&shard("newterm", 1, 2), now);
+        fleet.frontends[0].ranked_holdings(now);
+        assert!(fleet.frontend(0).listing.filter.is_none());
         fleet.run_round(&mut net, now, false);
         assert!(fleet.stats().filter_builds > after.filter_builds);
+        let rebuilt = fleet.frontend(0).listing.filter.as_ref();
+        assert!(rebuilt.is_some_and(|rebuilt| !Arc::ptr_eq(rebuilt, &filters[0])));
     }
 
     #[test]
@@ -1401,27 +1410,52 @@ mod tests {
         assert_eq!(after.len(), 1, "re-ranked without the expired entry");
         assert_eq!(after[0].term(), "late");
         // A re-store of the version held moves the generation (and the
-        // expiry) but not the listing: the handle, and the filter cached
-        // behind it, stay.
+        // expiry) but not the listing: the handle, and the filter stored
+        // beside it, stay.
         let mut stats = GossipStats::default();
-        let filter = f.holdings_filter(&after, &mut stats);
+        let filter = f.holdings_filter(&mut stats);
         f.cache_mut()
             .store_shard(&shard("late", 1, 2), at(ttl + 500));
         let restored = f.ranked_holdings(at(ttl + 500));
         assert!(Arc::ptr_eq(&after, &restored));
-        assert!(Arc::ptr_eq(
-            &filter,
-            &f.holdings_filter(&restored, &mut stats)
-        ));
+        assert!(Arc::ptr_eq(&restored, &f.listing.ranked));
+        assert!(Arc::ptr_eq(&filter, &f.holdings_filter(&mut stats)));
         assert_eq!((stats.filter_builds, stats.filter_reuses), (1, 1));
         assert!(
             Arc::ptr_eq(&restored, &f.ranked_holdings(at(ttl + 1_500))),
             "the re-store pushed the expiry out with it"
         );
-        // A bumped version is a different listing.
+        // A bumped version is a different listing, without a filter yet.
         f.cache_mut()
             .store_shard(&shard("late", 2, 2), at(ttl + 1_500));
         assert!(!Arc::ptr_eq(&restored, &f.ranked_holdings(at(ttl + 1_500))));
+        assert!(f.listing.filter.is_none());
+    }
+
+    #[test]
+    fn a_re_rank_of_the_same_sequence_keeps_the_listing_and_its_filter() {
+        let mut f = Frontend::new(0, 0, CacheConfig::enabled());
+        let now = SimInstant::ZERO;
+        let terms = ["alpha", "beta", "gamma"];
+        for term in terms {
+            f.cache_mut().store_shard(&shard(term, 1, 2), now);
+        }
+        let mut stats = GossipStats::default();
+        let listed = f.ranked_holdings(now);
+        let filter = f.holdings_filter(&mut stats);
+        // Re-storing every version held moves the generation, so the tier
+        // is ranked again — to the same `(term, version)` sequence.
+        let generation = f.cache().shard_generation();
+        for term in terms {
+            f.cache_mut().store_shard(&shard(term, 1, 2), now);
+        }
+        assert_ne!(f.cache().shard_generation(), generation);
+        let reranked = f.ranked_holdings(now);
+        assert!(Arc::ptr_eq(&listed, &reranked), "the handle is kept");
+        let kept = f.listing.filter.as_ref();
+        assert!(kept.is_some_and(|kept| Arc::ptr_eq(kept, &filter)));
+        assert!(Arc::ptr_eq(&filter, &f.holdings_filter(&mut stats)));
+        assert_eq!((stats.filter_builds, stats.filter_reuses), (1, 1));
     }
 
     #[test]
@@ -1454,6 +1488,49 @@ mod tests {
             fleet.frontend(1).cache().cached_shard_version("cold"),
             Some(1)
         );
+    }
+
+    #[test]
+    fn a_delta_record_and_a_full_record_are_checked_apart() {
+        let (mut fleet, mut net) = settled_pair(GossipConfig::enabled(2), 3);
+        let full_exchange = |fleet: &mut GossipFleet, net: &mut SimNet| {
+            let before = fleet.stats().settled_sides;
+            assert!(fleet.exchange(net, 0, 1, SimInstant::ZERO, ExchangeClass::AntiEntropy));
+            fleet.stats().settled_sides - before
+        };
+        let records = |fleet: &GossipFleet, me: usize| {
+            let sync = &fleet.frontend(me).sync[&fleet.frontend_peer(1 - me)];
+            (sync.settled_delta.is_some(), sync.settled_full.is_some())
+        };
+        for me in 0..2 {
+            assert_eq!(records(&fleet, me), (true, false));
+        }
+        // The delta record names the very two listings a full exchange now
+        // runs over, yet does not stand for it: the full exchange scans,
+        // rebuilds the sync state (which clears the delta record) and
+        // settles in its own record.
+        assert_eq!(full_exchange(&mut fleet, &mut net), 0);
+        for me in 0..2 {
+            assert_eq!(records(&fleet, me), (false, true));
+        }
+        // Nor does the full record stand for a regular exchange.
+        assert_eq!(regular_exchange(&mut fleet, &mut net).2, 0);
+        for me in 0..2 {
+            assert_eq!(records(&fleet, me), (true, true));
+        }
+        // Both records stand side by side, each for its own class.
+        assert_eq!(full_exchange(&mut fleet, &mut net), 2);
+        assert_eq!(regular_exchange(&mut fleet, &mut net).2, 2);
+        // Dropping one side's delta record leaves its full record in force.
+        let peer1 = fleet.frontend_peer(1);
+        fleet.frontends[0]
+            .sync
+            .get_mut(&peer1)
+            .unwrap()
+            .settled_delta = None;
+        assert_eq!(full_exchange(&mut fleet, &mut net), 2);
+        assert_eq!(regular_exchange(&mut fleet, &mut net).2, 1);
+        assert_eq!(regular_exchange(&mut fleet, &mut net).2, 2);
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! One frontend of the fleet: its private cache, its version knowledge,
-//! its view of the membership, and the memoised listings its digests are
+//! its view of the membership, and the memoised listing its digests are
 //! built from.
 //!
-//! Three host-side memos let an exchange cost what changed since the last
-//! one, and none of them is read by anything simulated:
+//! Each host-side memo is a field of the thing it memoises, and none of
+//! them is read by anything simulated:
 //!
 //! * the **listing** ([`Frontend::ranked_holdings`]) is re-ranked only when
 //!   the shard tier's `(generation, popularity epoch)` moved or the clock
 //!   left the interval the last ranking is exact for, and a re-ranking
 //!   that lists what the last one listed keeps the old handle — so the
 //!   handle's identity means "the same `(term, version)` sequence";
-//! * the **holdings filter** ([`Frontend::holdings_filter`]) belongs to the
-//!   listing handle it was built over;
-//! * the per-partner **settled records** in [`PeerSync`] remember, by
-//!   handle, an exchange that had nothing to tell and nothing to push, so
-//!   its repetition skips the scans that would conclude the same.
+//! * the **holdings filter** ([`Frontend::holdings_filter`]) is stored in
+//!   the listing memo beside the listing it was built over: it is built at
+//!   most once per handle, carried across a re-rank that keeps the handle
+//!   and dropped with it, so listings and filters map one-to-one;
+//! * the per-partner **settled records** in [`PeerSync`] are two listing
+//!   handles, mine and the partner's, at an exchange that had nothing to
+//!   tell and nothing to push, so its repetition skips the scans that
+//!   would conclude the same.
 //!
 //! The **fingerprint memo** ([`Fingerprints`]) is where a listed term's
 //! text meets its keys: a pair it does not hold is hashed there into its
@@ -60,17 +63,22 @@ pub(crate) struct PeerSync {
     /// anti-entropy uses it to confirm an in-zone candidate still covers
     /// the missing shards before redirecting a partner slot to it.
     pub(crate) filter: Option<Arc<ShardFilter>>,
-    /// Delta exchanges: my listing and the partner's holdings filter at
-    /// the last one that found nothing to push. While both handles come
-    /// back, `advertised` covers my hot set and `holdings` plus that
-    /// filter suppress every fill — the exchange side repeats itself.
-    pub(crate) settled_delta: Option<(Listing, Arc<ShardFilter>)>,
-    /// Full (anti-entropy, bootstrap) exchanges: my listing and the
-    /// partner's at the last one that found nothing to push. While both
-    /// handles come back, `advertised` is exactly mine, `holdings` exactly
-    /// theirs, and nothing needs a fill.
-    pub(crate) settled_full: Option<(Listing, Listing)>,
+    /// Regular exchanges: the last one that found nothing to push. While
+    /// both listings come back, `advertised` covers my hot set and
+    /// `holdings` plus the filter over the partner's listing suppress every
+    /// fill — the exchange side repeats itself.
+    pub(crate) settled_delta: Option<Settled>,
+    /// Full (anti-entropy, bootstrap) exchanges: the last one that found
+    /// nothing to push. While both listings come back, `advertised` is
+    /// exactly mine, `holdings` exactly theirs, and nothing needs a fill.
+    pub(crate) settled_full: Option<Settled>,
 }
+
+/// A settled record: my listing and the partner's, by handle, at an
+/// exchange side that found nothing to push. The record owns both handles,
+/// so neither allocation can be reused while it stands and `Arc::ptr_eq`
+/// on them means "the same two listings".
+pub(crate) type Settled = (Listing, Listing);
 
 impl PeerSync {
     /// `advertised` or `holdings` is about to change: whatever an earlier
@@ -125,17 +133,39 @@ impl Fingerprints {
 /// generation and its popularity epoch.
 type DigestStamp = (u64, u64);
 
-/// The last ranked listing and everything that says whether it still is
-/// one: the clock only drops entries past their TTL, so with the stamp
-/// standing the listing is exact from the instant it was taken until the
-/// first of its entries expires.
+/// The last ranked listing, everything that says whether it still is one,
+/// and the holdings filter over it: the clock only drops entries past their
+/// TTL, so with the stamp standing the listing is exact from the instant it
+/// was taken until the first of its entries expires.
 #[derive(Debug)]
-struct RankedListing {
+pub(crate) struct RankedListing {
     stamp: DigestStamp,
     taken_at: SimInstant,
     /// Earliest expiry among the listed entries (`None`: nothing listed).
     next_expiry: Option<SimInstant>,
-    ranked: Listing,
+    pub(crate) ranked: Listing,
+    /// The holdings filter over `ranked` — a pure function of the listed
+    /// key set — once a delta exchange asked for it. Lives and dies with
+    /// the handle.
+    pub(crate) filter: Option<Arc<ShardFilter>>,
+}
+
+impl RankedListing {
+    /// The empty listing of an empty cache: exact from the start of time
+    /// until the tier's stamp moves.
+    fn empty(cache: &QueryCache) -> RankedListing {
+        RankedListing {
+            stamp: stamp_of(cache),
+            taken_at: SimInstant::ZERO,
+            next_expiry: None,
+            ranked: Arc::from([]),
+            filter: None,
+        }
+    }
+}
+
+fn stamp_of(cache: &QueryCache) -> DigestStamp {
+    (cache.shard_generation(), cache.shard_popularity_epoch())
 }
 
 /// One query frontend: a peer in the simulated network, its private cache,
@@ -177,12 +207,9 @@ pub struct Frontend {
     /// everything the ranking reads — the shard tier's `(generation,
     /// popularity epoch)` and the interval of instants no listed entry
     /// expires in: a tier nothing touched is scanned, ranked and resolved
-    /// once, not once per exchange side or per round.
-    digest_cache: Option<RankedListing>,
-    /// The holdings filter of the last delta exchange with the listing it
-    /// was built over — a pure function of the listed key set, so it
-    /// stands for as long as that listing's handle is handed out.
-    filter_cache: Option<(Listing, Arc<ShardFilter>)>,
+    /// once, not once per exchange side or per round. Its holdings filter
+    /// rides with it.
+    pub(crate) listing: RankedListing,
     /// The fingerprints behind this frontend's digests and adverts.
     pub(crate) fingerprints: Fingerprints,
     /// The newest published segment artifact this frontend knows of,
@@ -211,17 +238,13 @@ pub struct Frontend {
     /// is queued right now, so a fast-draining frontend does not soak up
     /// every arrival between heartbeats.
     pub(crate) routed_recent: u64,
-    /// The private query-serving cache, always `Some`. It is an `Option`
-    /// only because the planner takes the serving cache as
-    /// `&mut Option<QueryCache>` (`None` = caching off in single-frontend
-    /// mode), a signature `bench/` pins;
-    /// [`GossipFleet::cache_slot`](crate::GossipFleet::cache_slot) lends the
-    /// engine this field in that shape.
-    pub(crate) cache: Option<QueryCache>,
+    /// The private query-serving cache.
+    pub(crate) cache: QueryCache,
 }
 
 impl Frontend {
     pub(crate) fn new(peer: u64, zone: usize, cache_config: CacheConfig) -> Frontend {
+        let cache = QueryCache::new(cache_config);
         Frontend {
             peer,
             zone,
@@ -233,15 +256,14 @@ impl Frontend {
             sync: HashMap::new(),
             summary_cursor: 0,
             pending_adverts: Vec::new(),
-            digest_cache: None,
-            filter_cache: None,
+            listing: RankedListing::empty(&cache),
             fingerprints: Fingerprints::default(),
             segment_advert: None,
             load: 0,
             load_recent: 0,
             routed_outstanding: 0,
             routed_recent: 0,
-            cache: Some(QueryCache::new(cache_config)),
+            cache,
         }
     }
 
@@ -265,12 +287,12 @@ impl Frontend {
 
     /// Borrow the cache.
     pub fn cache(&self) -> &QueryCache {
-        self.cache.as_ref().expect("frontend always holds a cache")
+        &self.cache
     }
 
     /// Mutably borrow the cache.
     pub fn cache_mut(&mut self) -> &mut QueryCache {
-        self.cache.as_mut().expect("frontend always holds a cache")
+        &mut self.cache
     }
 
     /// Is the frontend part of the fleet (not departed/crashed)?
@@ -302,89 +324,69 @@ impl Frontend {
             ..
         } = self;
         out.extend(pending_adverts.iter().filter_map(|(term, _)| {
-            let version = cache.as_ref()?.cached_shard_version(term)?;
+            let version = cache.cached_shard_version(term)?;
             Some(fingerprints.entry(term, version))
         }));
     }
 
     /// Every shard alive in the cache at `now`, hottest first, shared by
-    /// handle. The cached listing is exact while the shard tier's
+    /// handle. The memoised listing is exact while the shard tier's
     /// generation and its popularity epoch (reads reorder the ranking
     /// without moving the generation) stand still and `now` stays inside
     /// `[taken_at, next_expiry)`. Past that the tier is ranked again — and
     /// when the new ranking lists the same `(term, version)` at every
     /// position (a `Fresh` read re-stores the version it fetched: the
-    /// generation moves, the listing does not) the old handle is kept, so
-    /// whatever is cached behind it — the holdings filter, the partners'
-    /// settled records — stays valid. A full exchange advertises all of
-    /// it, a regular one its first `hot_set_size`.
+    /// generation moves, the listing does not) the old handle and its
+    /// filter are kept, so the partners' settled records naming it stay
+    /// valid. A full exchange advertises all of it, a regular one its first
+    /// `hot_set_size`.
     pub(crate) fn ranked_holdings(&mut self, now: SimInstant) -> Listing {
-        let cache = self.cache();
-        let stamp: DigestStamp = (cache.shard_generation(), cache.shard_popularity_epoch());
-        if let Some(cached) = &self.digest_cache {
-            if cached.stamp == stamp
-                && cached.taken_at <= now
-                && cached.next_expiry.is_none_or(|expiry| now < expiry)
-            {
-                return Arc::clone(&cached.ranked);
-            }
+        let stamp = stamp_of(&self.cache);
+        let memo = &mut self.listing;
+        if memo.stamp == stamp
+            && memo.taken_at <= now
+            && memo.next_expiry.is_none_or(|expiry| now < expiry)
+        {
+            return Arc::clone(&memo.ranked);
         }
-        let next_expiry = cache.next_shard_expiry(now);
-        // Borrow the cache by field from here on: the listing's terms point
-        // into it while the fingerprint memo next to it is written.
-        let listing = self
-            .cache
-            .as_ref()
-            .map_or_else(Vec::new, |cache| cache.shard_digest(usize::MAX, now));
+        // The listing's terms point into the cache while the fingerprint
+        // memo beside it is written.
+        let listing = self.cache.shard_digest(usize::MAX, now);
         // Compared before anything is fingerprinted: pointer-free string
         // and integer compares against the entries already resolved.
-        let unchanged = self.digest_cache.take().filter(|cached| {
-            cached.ranked.len() == listing.len()
-                && cached
-                    .ranked
-                    .iter()
-                    .zip(&listing)
-                    .all(|(old, &(term, version))| old.version() == version && old.term() == term)
-        });
-        let ranked: Listing = match unchanged {
-            Some(cached) => cached.ranked,
-            None => listing
+        let unchanged = memo.ranked.len() == listing.len()
+            && memo
+                .ranked
+                .iter()
+                .zip(&listing)
+                .all(|(old, &(term, version))| old.version() == version && old.term() == term);
+        if !unchanged {
+            memo.ranked = listing
                 .into_iter()
                 .map(|(term, version)| self.fingerprints.entry(term, version))
-                .collect(),
-        };
-        self.fingerprints.retain_live(&ranked);
-        self.digest_cache = Some(RankedListing {
-            stamp,
-            taken_at: now,
-            next_expiry,
-            ranked: Arc::clone(&ranked),
-        });
-        ranked
+                .collect();
+            memo.filter = None;
+        }
+        self.fingerprints.retain_live(&memo.ranked);
+        memo.stamp = stamp;
+        memo.taken_at = now;
+        memo.next_expiry = self.cache.next_shard_expiry(now);
+        Arc::clone(&memo.ranked)
     }
 
-    /// The holdings filter over `holdings`, a listing
-    /// [`Frontend::ranked_holdings`] handed out: served from the
-    /// per-frontend cache while that same handle comes back, built (and
-    /// remembered with the handle, which keeps the allocation from being
-    /// reused under the comparison) when the listing changed.
-    pub(crate) fn holdings_filter(
-        &mut self,
-        holdings: &Listing,
-        stats: &mut GossipStats,
-    ) -> Arc<ShardFilter> {
-        if let Some((listed, filter)) = &self.filter_cache {
-            if Arc::ptr_eq(listed, holdings) {
-                stats.filter_reuses += 1;
-                return Arc::clone(filter);
-            }
+    /// The holdings filter over the listing [`Frontend::ranked_holdings`]
+    /// last handed out: the one stored beside it, or built and stored there
+    /// when that listing has none yet.
+    pub(crate) fn holdings_filter(&mut self, stats: &mut GossipStats) -> Arc<ShardFilter> {
+        let memo = &mut self.listing;
+        if let Some(filter) = &memo.filter {
+            stats.filter_reuses += 1;
+            return Arc::clone(filter);
         }
         stats.filter_builds += 1;
-        let filter = Arc::new(ShardFilter::build(
-            holdings.iter().map(DigestEntry::key),
-            FILTER_BITS_PER_ENTRY,
-        ));
-        self.filter_cache = Some((Arc::clone(holdings), Arc::clone(&filter)));
+        let keys = memo.ranked.iter().map(DigestEntry::key);
+        let filter = Arc::new(ShardFilter::build(keys, FILTER_BITS_PER_ENTRY));
+        memo.filter = Some(Arc::clone(&filter));
         filter
     }
 
@@ -399,9 +401,6 @@ impl Frontend {
     /// then record every shard version the segment carries.
     pub fn import_segment(&mut self, segment: &Segment, now: SimInstant) -> ImportReport {
         let Frontend { cache, known, .. } = self;
-        let Some(cache) = cache else {
-            return ImportReport::default();
-        };
         let report = segment.import_into(cache, |term| known.get(term), now);
         for shard in segment.shards() {
             known.observe(&shard.term, shard.version);

@@ -1,6 +1,6 @@
 //! Posting lists: the per-term document lists of the inverted index.
 
-use qb_common::{varint, QbError, QbResult};
+use qb_common::varint;
 
 /// One posting: a document containing the term, with its term frequency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -169,54 +169,11 @@ impl PostingList {
         out
     }
 
-    /// Decode a list produced by [`PostingList::encode`].
-    pub fn decode(data: &[u8]) -> QbResult<PostingList> {
-        let (count, mut pos) = varint::decode_u64(data, 0)?;
-        if count > 100_000_000 {
-            return Err(QbError::Codec(format!(
-                "unreasonable posting count {count}"
-            )));
-        }
-        // The count comes off the wire: what is left of the input bounds it,
-        // and with it the reservation below.
-        let remaining = data.len() - pos;
-        if count > (remaining / MIN_POSTING_BYTES) as u64 {
-            return Err(QbError::Codec(format!(
-                "posting list claims {count} postings in {remaining} bytes"
-            )));
-        }
-        let mut postings = Vec::with_capacity(count as usize);
-        let mut doc_id = 0u64;
-        for _ in 0..count {
-            let (delta, p) = varint::decode_u64(data, pos)?;
-            let (tf, p2) = varint::decode_u64(data, p)?;
-            pos = p2;
-            doc_id = doc_id
-                .checked_add(delta)
-                .ok_or_else(|| QbError::Codec("doc id overflow".into()))?;
-            postings.push(Posting {
-                doc_id,
-                term_freq: tf.min(u32::MAX as u64) as u32,
-            });
-            // First delta is the absolute id; subsequent deltas must be > 0
-            // to keep the list strictly increasing, except we tolerate 0 and
-            // normalise it away on re-encode.
-        }
-        if pos != data.len() {
-            return Err(QbError::Codec("trailing bytes after posting list".into()));
-        }
-        Ok(PostingList::from_postings(postings))
-    }
-
     /// Size of the encoded form in bytes.
     pub fn encoded_len(&self) -> usize {
         self.encode().len()
     }
 }
-
-/// Fewest bytes one encoded posting takes: a one-byte doc-id delta and a
-/// one-byte term frequency.
-const MIN_POSTING_BYTES: usize = 2;
 
 #[cfg(test)]
 mod tests {
@@ -302,42 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip() {
-        let l = PostingList::from_postings(vec![
-            Posting {
-                doc_id: 0,
-                term_freq: 1,
-            },
-            Posting {
-                doc_id: 100,
-                term_freq: 3,
-            },
-            Posting {
-                doc_id: 1_000_000_007,
-                term_freq: 2,
-            },
-        ]);
-        let decoded = PostingList::decode(&l.encode()).unwrap();
-        assert_eq!(decoded, l);
-        // Empty list round-trips too.
-        assert_eq!(
-            PostingList::decode(&PostingList::new().encode()).unwrap(),
-            PostingList::new()
-        );
-    }
-
-    #[test]
-    fn decode_rejects_truncated_and_trailing() {
-        let l = list(&[1, 2, 3]);
-        let mut enc = l.encode();
-        enc.pop();
-        assert!(PostingList::decode(&enc).is_err());
-        let mut enc2 = l.encode();
-        enc2.push(0);
-        assert!(PostingList::decode(&enc2).is_err());
-    }
-
-    #[test]
     fn delta_encoding_is_compact_for_dense_lists() {
         let dense = PostingList::from_postings(
             (0..10_000u64)
@@ -351,50 +272,7 @@ mod tests {
         assert!(dense.encoded_len() < 10_000 * 3);
     }
 
-    #[test]
-    fn a_huge_posting_count_is_rejected_before_anything_is_reserved() {
-        // Count 100_000_000, then one byte: five bytes that used to reserve
-        // 1.6 GB of postings before failing on the first one.
-        let mut bytes = Vec::new();
-        varint::encode_u64(100_000_000, &mut bytes);
-        bytes.push(0);
-        assert_eq!(bytes.len(), 5);
-        match PostingList::decode(&bytes) {
-            Err(QbError::Codec(msg)) => {
-                assert!(msg.contains("claims 100000000 postings"), "{msg}")
-            }
-            other => panic!("expected a codec error, got {other:?}"),
-        }
-    }
-
     proptest! {
-        /// Arbitrary, truncated and bit-flipped bytes: the decoder either
-        /// returns an error or a value that re-encodes to a decodable equal —
-        /// it never panics.
-        #[test]
-        fn decode_survives_hostile_bytes(
-            garbage in proptest::collection::vec(any::<u8>(), 0..96),
-            ids in proptest::collection::btree_set(any::<u32>(), 0..12),
-            cut in any::<usize>(),
-            flip in any::<usize>(),
-        ) {
-            let valid = list(&ids.iter().map(|&d| d as u64).collect::<Vec<_>>()).encode();
-            let mut flipped = valid.clone();
-            flipped[flip % valid.len()] ^= 1 << (flip % 8);
-            for bytes in [&garbage[..], &valid[..cut % valid.len()], &flipped[..]] {
-                if let Ok(l) = PostingList::decode(bytes) {
-                    prop_assert_eq!(PostingList::decode(&l.encode()).unwrap(), l);
-                }
-            }
-        }
-
-        #[test]
-        fn round_trip_random(ids in proptest::collection::btree_set(any::<u32>(), 0..500)) {
-            let postings: Vec<Posting> = ids.iter().map(|&d| Posting { doc_id: d as u64, term_freq: (d % 7) + 1 }).collect();
-            let l = PostingList::from_postings(postings);
-            prop_assert_eq!(PostingList::decode(&l.encode()).unwrap(), l);
-        }
-
         #[test]
         fn intersection_matches_set_semantics(a in proptest::collection::btree_set(0u64..2000, 0..300),
                                               b in proptest::collection::btree_set(0u64..2000, 0..300)) {

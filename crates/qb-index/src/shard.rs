@@ -15,7 +15,7 @@
 use crate::postings::{Posting, PostingList};
 use crate::views::ShardViews;
 use qb_common::{varint, Cid, DhtKey, Hash256, QbError, QbResult, SimDuration, SimInstant};
-use qb_dht::{DhtNetwork, LookupMachine, LookupStep};
+use qb_dht::{Bytes, DhtNetwork, LookupMachine, LookupStep};
 use qb_simnet::{Poll, RpcHandle, SimNet};
 use qb_storage::StorageNetwork;
 use qb_trace::SpanId;
@@ -516,7 +516,9 @@ impl DistributedIndex {
     /// `entry.version`; replicas only accept newer versions. A shard too
     /// large to inline is a storage object the record names; once no copy
     /// of the term's record names an earlier version's object any more,
-    /// that object is unpinned.
+    /// that object is unpinned. Returns the cost and the record value put,
+    /// the buffer every replica's copy shares (what
+    /// [`ShardViews::register_written`] keys the written shard by).
     pub fn write_shard(
         &self,
         net: &mut SimNet,
@@ -524,7 +526,7 @@ impl DistributedIndex {
         storage: &mut StorageNetwork,
         peer: u64,
         entry: &ShardEntry,
-    ) -> QbResult<IndexOpCost> {
+    ) -> QbResult<(IndexOpCost, Bytes)> {
         let mut cost = IndexOpCost::default();
         let key = DhtKey::for_term(&entry.term);
         let len = entry.encoded_len();
@@ -544,10 +546,11 @@ impl DistributedIndex {
             v.extend_from_slice(obj.root.0.as_bytes());
             v
         };
-        let put = dht.put_record(net, peer, key, value, entry.version)?;
+        let value = Bytes::from(value);
+        let put = dht.put_record(net, peer, key, value.clone(), entry.version)?;
         cost.add(put.latency, put.messages);
         storage.release_unnamed(dht, &key, shard_pointer_root);
-        Ok(cost)
+        Ok((cost, value))
     }
 
     /// Read the global statistics record (zero stats when absent).

@@ -21,8 +21,8 @@
 //! simulated.
 
 use crate::shard::ShardEntry;
-use qb_common::{DhtKey, IdHashMap, QbResult};
-use qb_dht::{Bytes, DhtNetwork, Record};
+use qb_common::{IdHashMap, QbResult};
+use qb_dht::{Bytes, Record};
 use std::sync::{Arc, Weak};
 
 /// Fewest views the map holds before it sweeps the dead ones. Above it, a
@@ -36,6 +36,8 @@ const SWEEP_FLOOR: usize = 64;
 #[derive(Debug, Default)]
 pub struct ShardViews {
     views: IdHashMap<View>,
+    /// The table a sweep moves the live views into, empty between sweeps.
+    spare: IdHashMap<View>,
     /// Map size at which the next insert first sweeps dead views.
     sweep_at: usize,
 }
@@ -69,20 +71,12 @@ impl ShardViews {
         Ok(shard)
     }
 
-    /// Register the shard `peer` just wrote with
-    /// [`crate::DistributedIndex::write_shard`] under the record the write
-    /// put, read back from the origin's own copy (host-side, no message):
-    /// the next read that finds that record shares the writer's handle.
-    /// Exact because decoding an encoded shard returns it unchanged; an
-    /// origin that kept a newer version registers nothing.
-    pub fn register_written(&mut self, dht: &DhtNetwork, peer: u64, shard: &Arc<ShardEntry>) {
-        let key = DhtKey::for_term(&shard.term);
-        let Some(record) = dht.node(peer).find_value(&key) else {
-            return;
-        };
-        if record.version == shard.version {
-            self.insert(record.value.clone(), shard);
-        }
+    /// Register `shard` under `value`, the record value
+    /// [`crate::DistributedIndex::write_shard`] returned for it: the next
+    /// read that finds that record shares the writer's handle. Exact
+    /// because decoding an encoded shard returns it unchanged.
+    pub fn register_written(&mut self, value: Bytes, shard: &Arc<ShardEntry>) {
+        self.insert(value, shard);
     }
 
     /// Views in the map, dead ones not yet swept included.
@@ -113,7 +107,17 @@ impl ShardViews {
 
     fn insert(&mut self, value: Bytes, shard: &Arc<ShardEntry>) {
         if self.views.len() >= self.sweep_at {
-            self.views.retain(|_, view| view.shard.strong_count() > 0);
+            // The live views move to the spare table and the drained one
+            // becomes the spare. Removing in place would leave tombstones
+            // where the keys (buffer addresses) happened to fall, and they
+            // decide when the table next grows: moving keeps both tables
+            // free of them, so allocations repeat run to run.
+            let live = self
+                .views
+                .drain()
+                .filter(|(_, view)| view.shard.strong_count() > 0);
+            self.spare.extend(live);
+            std::mem::swap(&mut self.views, &mut self.spare);
             self.sweep_at = (2 * self.views.len()).max(SWEEP_FLOOR);
         }
         let shard = Arc::downgrade(shard);
@@ -131,7 +135,8 @@ fn key_of(value: &Bytes) -> u64 {
 mod tests {
     use super::*;
     use crate::shard::{DistributedIndex, ReadStep, ShardPosting};
-    use qb_dht::DhtConfig;
+    use qb_common::DhtKey;
+    use qb_dht::{DhtConfig, DhtNetwork};
     use qb_simnet::{NetConfig, SimNet};
     use qb_storage::{StorageConfig, StorageNetwork};
 
@@ -254,18 +259,13 @@ mod tests {
             version: 2,
             creator: 9,
         });
-        w.dist
+        let (_, value) = w
+            .dist
             .write_shard(&mut w.net, &mut w.dht, &mut w.storage, 4, &shard)
             .unwrap();
         let written = Arc::new(shard);
-        views.register_written(&w.dht, 4, &written);
+        views.register_written(value, &written);
         let read_back = read(&mut w, &mut views, 13, "fresh");
         assert!(Arc::ptr_eq(&written, &read_back));
-        // An origin whose copy is not the written version registers nothing.
-        let mut older = (*written).clone();
-        older.version = 1;
-        let before = views.len();
-        views.register_written(&w.dht, 4, &Arc::new(older));
-        assert_eq!(views.len(), before);
     }
 }

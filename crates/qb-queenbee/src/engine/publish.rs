@@ -424,7 +424,7 @@ impl QueenBee {
             }
         };
         shard.version = next_version;
-        self.dist_index.write_shard(
+        let (_, value) = self.dist_index.write_shard(
             &mut self.net,
             &mut self.dht,
             &mut self.storage,
@@ -435,8 +435,7 @@ impl QueenBee {
         shard.postings.shrink_to_fit();
         let shard = Arc::new(shard);
         // The first read of the record just put shares this handle.
-        self.shard_views
-            .register_written(&self.dht, writer_peer, &shard);
+        self.shard_views.register_written(value, &shard);
         if let Some(cache) = self.writer_cache.as_mut() {
             cache.invalidate_term(&shard.term, now);
             cache.store_shard_handle(&shard, now);

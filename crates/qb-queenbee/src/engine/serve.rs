@@ -198,17 +198,18 @@ impl QueenBee {
         self.resolve_route(routing).map(|(_, f)| f)
     }
 
-    /// The serving cache's slot: the single-mode cache, or the routed
-    /// frontend's private cache in fleet mode. Takes the fields, not `self`,
-    /// so callers keep the rest of the engine borrowable beside it.
+    /// The serving cache: the single-mode cache (`None` when caching is
+    /// off), or the routed frontend's private cache in fleet mode. Takes
+    /// the fields, not `self`, so callers keep the rest of the engine
+    /// borrowable beside it.
     pub(super) fn cache_slot<'a>(
         cache: &'a mut Option<QueryCache>,
         fleet: &'a mut Option<GossipFleet>,
         frontend: Option<usize>,
-    ) -> &'a mut Option<QueryCache> {
+    ) -> Option<&'a mut QueryCache> {
         match (frontend, fleet) {
-            (Some(i), Some(fleet)) => fleet.cache_slot(i),
-            _ => cache,
+            (Some(i), Some(fleet)) => Some(fleet.cache_mut(i)),
+            _ => cache.as_mut(),
         }
     }
 

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! * **Planned** — `open_window` plans every request against its serving
-//!   frontend's cache tiers ([`plan_request`]; planning *is* the cache
+//!   frontend's cache tiers ([`plan_query`]; planning *is* the cache
 //!   read, no network traffic), opens the window's span and enumerates its
 //!   reads once (`WindowReads::of`): plan order, then term order, each
 //!   distinct missing `(frontend, term)` shard one slot, plus at most one
@@ -72,7 +72,7 @@
 
 use super::QueenBee;
 use crate::query::pipeline::{PipelineConfig, PipelineReport, WindowSpan};
-use crate::query::plan::{plan_request, QueryPlan, Resolution, StatsPlan, TermPlan};
+use crate::query::plan::{plan_query, QueryPlan, Resolution, StatsPlan, TermPlan};
 use crate::query::request::SearchRequest;
 use crate::query::response::SearchResponse;
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
@@ -488,7 +488,7 @@ impl QueenBee {
                 fleet.record_served(f);
             }
             let seq = self.query_counter + 1;
-            let plan = plan_request(
+            let plan = plan_query(
                 request,
                 seq,
                 origin_peer,

@@ -117,12 +117,8 @@ impl QueryPlan {
     }
 }
 
-/// Analyze `request` against the local tiers. `cache` is the serving
-/// frontend's cache slot (`None` when caching is disabled),
-/// `shard_versions` the engine's monotonic per-term version counters and
-/// `stats_version` the current statistics version. Probing mutates the
-/// cache exactly as the seed's serve path did (recency, hit/miss counters,
-/// version-check evictions) — planning *is* the cache read.
+/// `plan_query` over a cache held in an `Option` slot (`None` when
+/// caching is disabled), as the engine's single-frontend mode holds it.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_request(
     request: SearchRequest,
@@ -131,6 +127,38 @@ pub fn plan_request(
     frontend: Option<usize>,
     analyzer: &Analyzer,
     cache: &mut Option<QueryCache>,
+    shard_versions: &HashMap<String, u64>,
+    stats_version: u64,
+    now: SimInstant,
+) -> QbResult<QueryPlan> {
+    let cache = cache.as_mut();
+    plan_query(
+        request,
+        seq,
+        origin_peer,
+        frontend,
+        analyzer,
+        cache,
+        shard_versions,
+        stats_version,
+        now,
+    )
+}
+
+/// Analyze `request` against the local tiers. `cache` is the serving
+/// frontend's cache (`None` when caching is disabled), `shard_versions`
+/// the engine's monotonic per-term version counters and `stats_version`
+/// the current statistics version. Probing mutates the cache exactly as
+/// the seed's serve path did (recency, hit/miss counters, version-check
+/// evictions) — planning *is* the cache read.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn plan_query(
+    request: SearchRequest,
+    seq: u64,
+    origin_peer: u64,
+    frontend: Option<usize>,
+    analyzer: &Analyzer,
+    mut cache: Option<&mut QueryCache>,
     shard_versions: &HashMap<String, u64>,
     stats_version: u64,
     now: SimInstant,
@@ -154,7 +182,7 @@ pub fn plan_request(
     // bypasses it; `MaxStaleness` keeps the strict version check (only the
     // shard tier below is allowed to serve superseded data).
     if !matches!(request.freshness, Freshness::Fresh) {
-        if let Some(c) = cache.as_mut() {
+        if let Some(c) = cache.as_deref_mut() {
             if let Some(entry) =
                 c.lookup_result(&key, now, |t| shard_versions.get(t).copied().unwrap_or(0))
             {
@@ -172,7 +200,7 @@ pub fn plan_request(
 
     // Statistics record.
     let stats = match cache
-        .as_mut()
+        .as_deref_mut()
         .filter(|_| !matches!(request.freshness, Freshness::Fresh))
         .and_then(|c| c.lookup_stats(stats_version))
     {
@@ -186,7 +214,7 @@ pub fn plan_request(
         .into_iter()
         .map(|term| {
             let current = shard_versions.get(&term).copied().unwrap_or(0);
-            let plan = match (&request.freshness, cache.as_mut()) {
+            let plan = match (&request.freshness, cache.as_deref_mut()) {
                 (Freshness::Fresh, _) | (_, None) => FETCH,
                 (Freshness::CacheOk, Some(c)) => match c.lookup_shard(&term, now, current) {
                     ShardLookup::Hit(shard) => TermPlan::CachedShard(shard),

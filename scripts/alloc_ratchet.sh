@@ -24,14 +24,14 @@
 # `search_request`, or a batch) began to issue all its reads at once,
 # like a pipelined window.
 #
-# Allocation counts repeat at equal --seed and --seconds to within one
-# allocation per run (the simulation is deterministic and the benchmark
-# counts through its own global allocator, yet one frozen binary reads
-# cold-lookup at seed 1, 1 s as 31.730952 or 31.730992 — 40.780794 or
-# 40.780833 before the change below — one ~8 KiB allocation in 25 200 ops,
-# cause not traced), so unlike a host-clock number this gate has almost no
-# noise to tolerate: compare counts to a few parts per million, not to the
-# last printed digit. The ceilings sit ~10 % above the values measured at
+# Allocation counts repeat to the digit at equal --seed and --seconds (the
+# simulation is deterministic and the benchmark counts through its own
+# global allocator), so unlike a host-clock number this gate has no noise
+# to tolerate. Until the shard views swept by moving their live entries
+# into a spare table, one frozen binary read cold-lookup at seed 1, 1 s as
+# 31.730952 or 31.730992: the views are keyed by buffer address, an
+# in-place sweep left tombstones wherever the addresses fell, and those
+# decided whether one ~8 KiB table resize landed inside the timed region. The ceilings sit ~10 % above the values measured at
 # seed 1, 1 s. Since a DHT walk and its store round allocate nothing they
 # throw away — a walk takes its shortlist and in-flight list from a spare
 # list on the overlay and hands them back when it finishes, a FIND_NODE

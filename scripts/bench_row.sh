@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One row of the performance trajectory: run an already-built qb-perfbench
 # over the four workloads and a seed list, untraced, plus one traced run per
-# workload at the list's first seed, and write BENCH_<PR>.json at the root
-# of the repository.
+# workload and seed, and write BENCH_<PR>.json at the root of the
+# repository.
 #
 #   scripts/bench_row.sh BIN PR [SEEDS] [SECONDS]
 #
@@ -21,12 +21,13 @@
 # median, q1 and q3 over the seeds and per seed the run's failed count
 # and fingerprint, then checks that the file it wrote parses with all four
 # workloads. Each traced run (`--trace 1`, same length) prints the
-# per-layer probes instead of the end-to-end metrics; they land in the
-# workload's `per_layer` block (`index.write_shard_us`,
-# `publish.index_us_per_page`, `dht.lookup_us`, ...), and `bench_row
-# --same-sim` reads none of them. The host numbers in a row are for
-# reading, not gating: two rows compare only when taken on the same
-# machine.
+# per-layer probes instead of the end-to-end metrics; the workload's
+# `per_layer` block holds each probe's median, q1 and q3 over the seeds
+# (`index.write_shard_us`, `publish.index_us_per_page`, `dht.lookup_us`,
+# ...), since one traced run can swing a probe by more than the effect
+# being read, and `bench_row --same-sim` reads none of them. The host
+# numbers in a row are for reading, not gating: two rows compare only when
+# taken on the same machine.
 set -euo pipefail
 
 if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
@@ -79,9 +80,10 @@ for seed in $seeds; do
   done
 done
 prefix="traced "
-first="$(awk '{ print $1; exit }' <<<"$seeds")"
-for workload in $workloads; do
-  run "$workload" "$first" --trace 1
+for seed in $seeds; do
+  for workload in $workloads; do
+    run "$workload" "$seed" --trace 1
+  done
 done
 
 row --pr "$pr" --rev "$rev" --seconds "$seconds" --cores "$(nproc)" <<<"$runs" >"$out"
