@@ -441,12 +441,11 @@ impl GossipFleet {
     /// candidate confirms coverage of even one missing shard.
     fn zone_covering_partner(&self, net: &SimNet, i: usize) -> Option<u64> {
         let f = &self.frontends[i];
+        let cache = &f.cache;
         let mut missing: Vec<(&str, u64)> = f
             .known
             .unordered()
-            .filter(|&(term, version)| {
-                (f.cache.cached_shard_version(term)).is_none_or(|c| c < version)
-            })
+            .filter(|&(term, version)| cache.cached_shard_version(term).is_none_or(|c| c < version))
             .collect();
         // The first `MAX_ZONE_AE_MISSING` in term order, as a set.
         if missing.len() > MAX_ZONE_AE_MISSING {
