@@ -67,4 +67,4 @@ pub use query_cache::{
     result_key, BoundedShardLookup, CachedResult, QueryCache, RemoteAdmit, ShardLookup,
 };
 pub use sketch::FreqSketch;
-pub use tier::CacheTier;
+pub use tier::{CacheTier, Rank, RankedKey};

@@ -13,7 +13,7 @@ use crate::config::{
     CacheConfig, ADAPTIVE_TTL_CEILING, ADAPTIVE_TTL_FLOOR, NEGATIVE_CAPACITY_BYTES, NEGATIVE_TTL,
 };
 use crate::metrics::CacheMetrics;
-use crate::tier::CacheTier;
+use crate::tier::{CacheTier, RankedKey};
 use qb_common::{SimDuration, SimInstant};
 use qb_index::{IndexStats, ScoredDoc, ShardEntry};
 use std::collections::HashMap;
@@ -386,16 +386,18 @@ impl QueryCache {
     /// never advertised. Deterministic (ties broken by recency). The terms
     /// are borrowed from the tier; the listing is exact for one
     /// `(shard_generation, shard_popularity_epoch)` at every instant from
-    /// `now` up to [`QueryCache::next_shard_expiry`].
+    /// `now` up to the earliest `expires_at` of [`QueryCache::shard_ranks`].
     pub fn shard_digest(&self, max: usize, now: SimInstant) -> Vec<(&str, u64)> {
         self.shards.hottest(max, now)
     }
 
-    /// The earliest expiry among the shards alive at `now` (`None` when
-    /// none is): where a [`QueryCache::shard_digest`] taken at `now` stops
-    /// being exact although nothing touched the tier.
-    pub fn next_shard_expiry(&self, now: SimInstant) -> Option<SimInstant> {
-        self.shards.next_expiry(now)
+    /// Every shard alive at `now`, unsorted, with the rank
+    /// [`QueryCache::shard_digest`] orders it by and its expiry: one pass,
+    /// no allocation. The gossip overlay checks a listing it keeps against
+    /// it — same `(term, version)` set, same hot-set cut — and sorts only
+    /// when it needs the order itself.
+    pub fn shard_ranks(&self, now: SimInstant) -> impl Iterator<Item = RankedKey<'_>> {
+        self.shards.ranked(now)
     }
 
     /// Borrow the tier's handle to a cached shard without charging a lookup
@@ -409,9 +411,10 @@ impl QueryCache {
     /// eviction, expiry or invalidation bumps it — a re-store of the
     /// version already held included, so it moves on most served `Fresh`
     /// reads while the held `(term, version)` set does not. It is half of
-    /// the key a ranked listing is cached behind (the gossip overlay's
-    /// `ranked_holdings`); what is derived from the listed *set* — the
-    /// holdings filter — is cached behind the listing, not behind this.
+    /// the stamp behind which the gossip overlay's `ranked_holdings` skips
+    /// even re-checking the listing it keeps; what is derived from the
+    /// listed *set* — the listing handle, the holdings filter — outlives a
+    /// move of it for as long as the set stands.
     pub fn shard_generation(&self) -> u64 {
         self.shards.generation()
     }
@@ -420,7 +423,7 @@ impl QueryCache {
     /// accounted miss bumps it. Reads reorder [`QueryCache::shard_digest`]
     /// without moving the generation, so a cached *ranking* is keyed by
     /// `(generation, epoch)` and holds until one of them moves or the
-    /// clock reaches [`QueryCache::next_shard_expiry`].
+    /// clock reaches the earliest expiry among [`QueryCache::shard_ranks`].
     pub fn shard_popularity_epoch(&self) -> u64 {
         self.shards.popularity_epoch()
     }

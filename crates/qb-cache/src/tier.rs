@@ -22,6 +22,25 @@ struct Slot<V> {
     hash: u64,
 }
 
+/// What [`CacheTier::hottest`] ranks an entry by, highest first: its
+/// sketch-estimated frequency, then its recency tick. Ticks are unique, so
+/// no two entries share a rank and the order is total.
+pub type Rank = (u32, u64);
+
+/// One entry alive at some instant, with what ranks it
+/// ([`CacheTier::ranked`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RankedKey<'a> {
+    /// The entry's key.
+    pub key: &'a str,
+    /// The version the entry was stored under.
+    pub version: u64,
+    /// Where the entry stands in [`CacheTier::hottest`].
+    pub rank: Rank,
+    /// The instant the entry stops being alive.
+    pub expires_at: SimInstant,
+}
+
 /// A single byte-budgeted cache tier mapping `String` keys to values.
 #[derive(Debug)]
 pub struct CacheTier<V> {
@@ -314,21 +333,29 @@ impl<V> CacheTier<V> {
     /// advertise data that has already aged out. The order is
     /// deterministic: ticks are unique, so the sort is total.
     pub fn hottest(&self, max: usize, now: SimInstant) -> Vec<(&str, u64)> {
-        let mut ranked: Vec<(&str, u32, u64, u64)> = self
-            .entries
-            .iter()
-            .filter(|(_, slot)| now < slot.expires_at)
-            .map(|(k, slot)| {
-                let freq = self.sketch.estimate(slot.hash);
-                (k.as_str(), freq, slot.tick, slot.version)
-            })
-            .collect();
-        ranked.sort_unstable_by_key(|&(_, freq, tick, _)| std::cmp::Reverse((freq, tick)));
+        let mut ranked: Vec<RankedKey<'_>> = self.ranked(now).collect();
+        ranked.sort_unstable_by_key(|entry| std::cmp::Reverse(entry.rank));
         ranked
             .into_iter()
             .take(max)
-            .map(|(k, _, _, v)| (k, v))
+            .map(|entry| (entry.key, entry.version))
             .collect()
+    }
+
+    /// Every entry alive at `now`, in no particular order, with the rank
+    /// [`CacheTier::hottest`] sorts it by: one pass of sketch estimates, no
+    /// sort and no allocation. A caller that keeps an earlier ranking can
+    /// tell from it whether the order, or only a cut through it, moved.
+    pub fn ranked(&self, now: SimInstant) -> impl Iterator<Item = RankedKey<'_>> {
+        self.entries
+            .iter()
+            .filter(move |(_, slot)| now < slot.expires_at)
+            .map(|(key, slot)| RankedKey {
+                key,
+                version: slot.version,
+                rank: (self.sketch.estimate(slot.hash), slot.tick),
+                expires_at: slot.expires_at,
+            })
     }
 
     /// The earliest expiry among the entries alive at `now` — the instant
@@ -338,11 +365,7 @@ impl<V> CacheTier<V> {
     /// popularity epoch standing still a listing taken at `now` is exact
     /// at every instant of `[now, next_expiry(now))`.
     pub fn next_expiry(&self, now: SimInstant) -> Option<SimInstant> {
-        self.entries
-            .values()
-            .map(|slot| slot.expires_at)
-            .filter(|&expires_at| now < expires_at)
-            .min()
+        self.ranked(now).map(|entry| entry.expires_at).min()
     }
 
     fn remove_entry(&mut self, key: &str) -> bool {

@@ -168,23 +168,27 @@ pub fn delta_entries<'a>(
 /// Fold one advertised entry into the accumulated view of a peer's
 /// holdings. Monotonic per term: the view only ever moves to a newer
 /// version (the version guard receiver-side makes a genuinely downgraded
-/// shard impossible to accept anyway).
-pub(crate) fn note_holding(view: &mut HoldingsView, entry: &DigestEntry) {
+/// shard impossible to accept anyway). Returns whether the view moved.
+pub(crate) fn note_holding(view: &mut HoldingsView, entry: &DigestEntry) -> bool {
     match view.get_mut(&entry.term) {
-        Some(held) if held.version >= entry.version => {}
+        Some(held) if held.version >= entry.version => return false,
         Some(held) => *held = entry.clone(),
         None => {
             view.insert(entry.term.clone(), entry.clone());
         }
     }
+    true
 }
 
 /// Fold a received delta into the accumulated view of a peer's holdings,
 /// entry by entry (a replayed or reordered delta never lowers a version).
-pub fn apply_delta(view: &mut HoldingsView, delta: &[DigestEntry]) {
+/// Returns whether the view moved.
+pub fn apply_delta(view: &mut HoldingsView, delta: &[DigestEntry]) -> bool {
+    let mut moved = false;
     for entry in delta {
-        note_holding(view, entry);
+        moved |= note_holding(view, entry);
     }
+    moved
 }
 
 /// Should a shard at `version` be filled to a peer believed to hold

@@ -4,16 +4,19 @@
 //! and no fill is sent. Such an exchange side leaves a *settled record* in
 //! its [`PeerSync`](crate::frontend::PeerSync): the two listings its
 //! conclusion was read from, its own and the partner's, by handle. A
-//! partner's holdings filter is stored with its listing, so the listing
+//! listing handle names a `(term, version)` set and its hot set, not a rank
+//! order, so a record outlives every read that only reorders either tier.
+//! A partner's holdings filter is stored with its listing, so the listing
 //! handle stands for the filter too, and a delta exchange's record has the
 //! same shape as a full one's. Each class keeps its own record; its
 //! repetition, recognised by `Arc::ptr_eq` on handles the record itself
 //! keeps alive, skips the delta computation, the fill scan and the
-//! full-exchange rebuild of the sync state. Whatever writes `advertised`
-//! or `holdings` clears the records first (`PeerSync::unsettle`), and in
-//! debug builds every skip re-runs what it skipped and asserts the
-//! outcome. The records are host-side only: every simulated byte, counter
-//! and span is what the full computation produces.
+//! full-exchange rebuild of the sync state. Whatever moves `advertised` or
+//! `holdings` clears the records (`PeerSync::unsettle`) — a batch advert of
+//! a pair both maps already hold moves neither — and in debug builds every
+//! skip re-runs what it skipped and asserts the outcome. The records are
+//! host-side only: every simulated byte, counter and span is what the full
+//! computation produces.
 //!
 //! What an exchange does run costs what changed:
 //!
@@ -24,6 +27,11 @@
 //!   what left) and observes into `known` only the pairs `holdings` did
 //!   not already hold, which `PeerSync::holdings_observed` says `known`
 //!   covers;
+//! * a fill scan first asks, in the listing's stored order, whether any
+//!   entry needs a fill — that answer does not depend on the order — and
+//!   only when one does walks the hot set in exact rank order
+//!   ([`RankedListing::rank_order`](crate::frontend::RankedListing::rank_order)),
+//!   which decides what the fill budget lets through;
 //! * an exchange side fills buffers the fleet keeps ([`OfferBuffers`]) —
 //!   its delta, adverts and membership summary — so a quiet exchange
 //!   allocates nothing.
@@ -96,6 +104,11 @@ impl GossipFleet {
         class: ExchangeClass,
     ) -> bool {
         let (a, b) = pair_mut(&mut self.frontends, i, j);
+        #[cfg(test)]
+        if self.forgetful {
+            a.forget_listing();
+            b.forget_listing();
+        }
         let mut exchange = Exchange {
             config: &self.config,
             net,
@@ -131,11 +144,14 @@ pub(crate) struct OfferBuffers {
 /// What one side brings to an exchange: its ranked tier, the part of it
 /// this exchange advertises, and everything that rides the digest swap.
 struct Offer {
-    /// The side's whole tier, ranked, by handle. The listing is exact for
-    /// the tier state it is read at, so a frontend warmed earlier in this
-    /// round advertises (and relays) its fresh shards in the same round —
-    /// an accepted fill moves the generation — giving multi-hop propagation
-    /// per round instead of one.
+    /// The side's whole tier, hot set first, by handle. The listed set and
+    /// hot set are exact for the tier state they are read at, so a
+    /// frontend warmed earlier in this round advertises (and relays) its
+    /// fresh shards in the same round — an accepted fill moves the
+    /// generation — giving multi-hop propagation per round instead of one.
+    /// The order within each part may be older; the exact one is the
+    /// frontend's [`RankedListing::rank_order`](crate::frontend::RankedListing::rank_order),
+    /// ranked at this `prepare`.
     held: Listing,
     /// How much of `held` is advertised: the whole tier in a full
     /// exchange, the hot set in a regular one (whose delta-mode holdings
@@ -292,7 +308,7 @@ impl Exchange<'_> {
             mut membership,
         } = buffers;
         let full = self.class.full();
-        let held = own.ranked_holdings(self.now);
+        let held = own.ranked_holdings(self.now, self.config.hot_set_size);
         let hot = if full {
             &held[..]
         } else {
@@ -425,22 +441,29 @@ impl Exchange<'_> {
         // Per-partner sync state: delta exchanges extend the advertised
         // baseline and fold the partner's delta into the accumulated
         // holdings view; stateless full digests bring the holdings to the
-        // partner's hot set (the uncompressed protocol). Whichever writes
-        // `advertised` or `holdings` unsettles first — a delta exchange with
-        // nothing in either delta writes neither.
+        // partner's hot set (the uncompressed protocol). Whatever moves
+        // `advertised` or `holdings` unsettles — a delta exchange whose
+        // digests carry only pairs both maps already hold (a batch advert
+        // of a shard told before) moves neither.
         if self.delta_mode() {
-            if !(mine.sent.is_empty() && theirs.sent.is_empty()) {
-                sync.unsettle();
-                for entry in &mine.sent {
-                    match sync.advertised.get_mut(entry.term_key()) {
-                        Some(told) => *told = entry.version(),
-                        None => {
-                            sync.advertised
-                                .insert(entry.term_key().clone(), entry.version());
-                        }
+            let mut moved = false;
+            for entry in &mine.sent {
+                match sync.advertised.get_mut(entry.term_key()) {
+                    Some(told) if *told == entry.version() => {}
+                    Some(told) => {
+                        *told = entry.version();
+                        moved = true;
+                    }
+                    None => {
+                        sync.advertised
+                            .insert(entry.term_key().clone(), entry.version());
+                        moved = true;
                     }
                 }
-                apply_delta(&mut sync.holdings, &theirs.sent);
+            }
+            moved |= apply_delta(&mut sync.holdings, &theirs.sent);
+            if moved {
+                sync.unsettle();
             }
             sync.filter = theirs.filter.clone();
         } else {
@@ -494,6 +517,10 @@ impl Exchange<'_> {
     /// A scan in which no entry needed a fill settles this side; a settled
     /// side returns before the scan. Batch adverts are outside the record:
     /// with any pending the scan runs, and its outcome is not recorded.
+    /// Whether any entry needs a fill is asked in the stored order; only
+    /// when one does is the hot set walked in exact rank order, the order
+    /// of the sender's tier at its `prepare` — a tier the partner's fills
+    /// moved since still sends in the order it was ranked in.
     fn send_fills(
         &mut self,
         from: &mut Frontend,
@@ -506,11 +533,15 @@ impl Exchange<'_> {
         // charged the encoded bytes below, the host copies nothing.
         let mut fills: Vec<(Arc<ShardEntry>, SimDuration, &DigestEntry)> = Vec::new();
         let mut batch_bytes = 0usize;
-        let mut nothing_needed = true;
         let to_peer = to.peer;
-        {
-            let cache = from.cache();
-            let sync = from.sync.get(&to_peer);
+        let nothing_needed = {
+            let Frontend {
+                cache,
+                sync,
+                listing,
+                ..
+            } = &mut *from;
+            let sync = sync.get(&to_peer);
             let believed_holdings = sync.map(|sync| &sync.holdings);
             let to_filter = theirs.filter.as_deref();
             let needs = |entry: &DigestEntry| {
@@ -531,27 +562,35 @@ impl Exchange<'_> {
                 self.stats.settled_sides += 1;
                 return;
             }
-            let prioritized: TermSet = priority.iter().map(DigestEntry::term_key).collect();
-            let ranked = offer
-                .hot()
-                .iter()
-                .filter(|e| !prioritized.contains(e.term_key()));
-            for entry in priority.iter().chain(ranked) {
-                if !needs(entry) {
-                    continue;
+            // Whether any entry needs a fill does not depend on the order;
+            // which ones the budget lets through does, so only then is the
+            // hot set put in exact rank order.
+            let nothing_needed = !priority.iter().chain(offer.hot()).any(needs);
+            if !nothing_needed {
+                debug_assert!(Arc::ptr_eq(&listing.held, &offer.held));
+                let prioritized: TermSet = priority.iter().map(DigestEntry::term_key).collect();
+                let ranked = listing
+                    .rank_order(offer.hot_len)
+                    .iter()
+                    .map(|&at| &offer.held[at])
+                    .filter(|e| !prioritized.contains(e.term_key()));
+                for entry in priority.iter().chain(ranked) {
+                    if !needs(entry) {
+                        continue;
+                    }
+                    if fills.len() >= fill_budget {
+                        break;
+                    }
+                    let term = entry.term();
+                    let Some(shard) = cache.peek_shard(term) else {
+                        continue;
+                    };
+                    batch_bytes += shard.encoded_len() + FILL_ENTRY_OVERHEAD;
+                    fills.push((Arc::clone(shard), cache.adaptive_shard_ttl(term), entry));
                 }
-                nothing_needed = false;
-                if fills.len() >= fill_budget {
-                    break;
-                }
-                let term = entry.term();
-                let Some(shard) = cache.peek_shard(term) else {
-                    continue;
-                };
-                batch_bytes += shard.encoded_len() + FILL_ENTRY_OVERHEAD;
-                fills.push((Arc::clone(shard), cache.adaptive_shard_ttl(term), entry));
             }
-        }
+            nothing_needed
+        };
         if fills.is_empty() {
             if nothing_needed && offer.adverts.is_empty() {
                 if let Some(sync) = from.sync.get_mut(&to_peer) {

@@ -63,6 +63,7 @@ use crate::digest::{DigestEntry, TermKey};
 use crate::exchange::{ExchangeClass, OfferBuffers};
 use crate::filter::FilterKey;
 use crate::frontend::Frontend;
+use crate::membership::PartnerSample;
 use crate::stats::GossipStats;
 use qb_cache::{CacheConfig, QueryCache};
 use qb_common::{DetRng, SimInstant};
@@ -92,6 +93,12 @@ pub struct GossipFleet {
     pub(crate) stats: GossipStats,
     /// The two exchange sides' buffers, reused by every exchange.
     pub(crate) offer_buffers: [OfferBuffers; 2],
+    /// The partner-sampling buffers, reused by every sample.
+    pub(crate) partner_sample: PartnerSample,
+    /// Both frontends of every exchange forget their listing memo first
+    /// ([`Frontend::forget_listing`]): the memo-free reference run.
+    #[cfg(test)]
+    pub(crate) forgetful: bool,
 }
 
 impl GossipFleet {
@@ -128,6 +135,9 @@ impl GossipFleet {
             rng,
             stats: GossipStats::default(),
             offer_buffers: Default::default(),
+            partner_sample: PartnerSample::new(FANOUT, CROSS_ZONE_PROBABILITY),
+            #[cfg(test)]
+            forgetful: false,
         }
     }
 
@@ -352,7 +362,10 @@ impl GossipFleet {
             let (peer, zone, inc, hb, load) = (f.peer, f.zone, f.incarnation, f.heartbeat, f.load);
             f.view.admit(peer, zone, inc, hb, now);
             f.view.note_load(peer, load);
-            let mut partners = self.sample_partners(i, anti_entropy);
+            // The fleet's sample buffers, out while the exchanges run.
+            let mut sample = self.take_partner_sample();
+            self.sample_partners(i, anti_entropy, &mut sample);
+            let partners = &mut sample.picked;
             // Zone-aware anti-entropy: when an in-zone live member's
             // advertised holdings confirm it covers this frontend's missing
             // shards, redirect one partner slot to it — the reconciling
@@ -366,7 +379,7 @@ impl GossipFleet {
                     partners.truncate(FANOUT);
                 }
             }
-            for p in partners {
+            for &p in partners.iter() {
                 let Some(&j) = self.index_by_peer.get(&p) else {
                     continue;
                 };
@@ -375,6 +388,7 @@ impl GossipFleet {
                 }
                 self.exchange(net, i, j, now, class);
             }
+            self.partner_sample = sample;
             // Evict members that stayed silent past the liveness timeout.
             let evicted = self.frontends[i].view.evict_silent(now, LIVENESS_TIMEOUT);
             self.stats.evictions += evicted as u64;
@@ -391,19 +405,25 @@ impl GossipFleet {
         net.tracer().close(round_span, end);
     }
 
+    /// The fleet's partner-sampling buffers, out of the fleet until they
+    /// are put back in `partner_sample`.
+    pub(crate) fn take_partner_sample(&mut self) -> PartnerSample {
+        let empty = PartnerSample::new(FANOUT, CROSS_ZONE_PROBABILITY);
+        std::mem::replace(&mut self.partner_sample, empty)
+    }
+
     /// Frontend `i`'s zone-biased sample of `FANOUT` partners from the
     /// members *it* believes alive (`include_dead`: anti-entropy may probe
-    /// dead ones).
-    pub(crate) fn sample_partners(&mut self, i: usize, include_dead: bool) -> Vec<u64> {
+    /// dead ones), into `sample.picked`.
+    pub(crate) fn sample_partners(
+        &mut self,
+        i: usize,
+        include_dead: bool,
+        sample: &mut PartnerSample,
+    ) {
         let f = &self.frontends[i];
-        f.view.sample_partners(
-            &mut self.rng,
-            f.peer,
-            f.zone,
-            FANOUT,
-            CROSS_ZONE_PROBABILITY,
-            include_dead,
-        )
+        f.view
+            .sample_partners(&mut self.rng, f.peer, f.zone, include_dead, sample);
     }
 
     /// Queue a batch window's freshly fetched `(term, version)` keys as
@@ -524,6 +544,10 @@ mod tests {
     use qb_simnet::NetConfig;
     use qb_storage::StorageNetwork;
     use std::sync::Arc;
+
+    /// The hot-set size listings are cut at where no fleet config is in
+    /// play: [`GossipConfig::enabled`]'s.
+    const HOT: usize = 64;
 
     fn shard(term: &str, version: u64, docs: usize) -> ShardEntry {
         let mut s = ShardEntry::empty(term);
@@ -952,9 +976,22 @@ mod tests {
             let kept = fleet.frontend(i).listing.filter.as_ref();
             assert!(kept.is_some_and(|kept| Arc::ptr_eq(kept, filter)), "{i}");
         }
+        // Reads reorder frontend 0's tier without changing what it holds:
+        // the listing names the same set, and its filter stands.
+        for t in [2, 5, 1] {
+            for _ in 0..3 {
+                fleet.cache_mut(0).lookup_shard(&format!("term{t}"), now, 1);
+            }
+        }
+        fleet.run_round(&mut net, now, false);
+        assert_eq!(fleet.stats().filter_builds, after.filter_builds);
+        for (i, filter) in filters.iter().enumerate() {
+            let kept = fleet.frontend(i).listing.filter.as_ref();
+            assert!(kept.is_some_and(|kept| Arc::ptr_eq(kept, filter)), "{i}");
+        }
         // A holdings change is a new listing, which comes without a filter.
         fleet.cache_mut(0).store_shard(&shard("newterm", 1, 2), now);
-        fleet.frontends[0].ranked_holdings(now);
+        fleet.frontends[0].ranked_holdings(now, HOT);
         assert!(fleet.frontend(0).listing.filter.is_none());
         fleet.run_round(&mut net, now, false);
         assert!(fleet.stats().filter_builds > after.filter_builds);
@@ -1401,11 +1438,17 @@ mod tests {
         let at = |ms: u64| SimInstant::ZERO + SimDuration::from_millis(ms);
         f.cache_mut().store_shard(&shard("early", 1, 2), at(0));
         f.cache_mut().store_shard(&shard("late", 1, 2), at(1_000));
-        let listed = f.ranked_holdings(at(1_000));
+        let listed = f.ranked_holdings(at(1_000), HOT);
         assert_eq!(listed.len(), 2);
+        assert_eq!(listed[0].term(), "late");
+        // A read puts `early` ahead: the tier's stamp moves, the listed set
+        // does not, and the handle stands; only its rank order is fresh.
+        f.cache_mut().lookup_shard("early", at(1_000), 1);
+        assert!(Arc::ptr_eq(&listed, &f.ranked_holdings(at(1_000), HOT)));
+        assert_eq!(f.listing.rank_order(2), [1, 0]);
         // Nothing touches the tier: the handle stands until `early` expires.
-        assert!(Arc::ptr_eq(&listed, &f.ranked_holdings(at(ttl - 1))));
-        let after = f.ranked_holdings(at(ttl));
+        assert!(Arc::ptr_eq(&listed, &f.ranked_holdings(at(ttl - 1), HOT)));
+        let after = f.ranked_holdings(at(ttl), HOT);
         assert_eq!(after.len(), 1, "re-ranked without the expired entry");
         assert_eq!(after[0].term(), "late");
         // A re-store of the version held moves the generation (and the
@@ -1415,46 +1458,200 @@ mod tests {
         let filter = f.holdings_filter(&mut stats);
         f.cache_mut()
             .store_shard(&shard("late", 1, 2), at(ttl + 500));
-        let restored = f.ranked_holdings(at(ttl + 500));
+        let restored = f.ranked_holdings(at(ttl + 500), HOT);
         assert!(Arc::ptr_eq(&after, &restored));
-        assert!(Arc::ptr_eq(&restored, &f.listing.ranked));
+        assert!(Arc::ptr_eq(&restored, &f.listing.held));
         assert!(Arc::ptr_eq(&filter, &f.holdings_filter(&mut stats)));
         assert_eq!((stats.filter_builds, stats.filter_reuses), (1, 1));
         assert!(
-            Arc::ptr_eq(&restored, &f.ranked_holdings(at(ttl + 1_500))),
+            Arc::ptr_eq(&restored, &f.ranked_holdings(at(ttl + 1_500), HOT)),
             "the re-store pushed the expiry out with it"
         );
         // A bumped version is a different listing, without a filter yet.
         f.cache_mut()
             .store_shard(&shard("late", 2, 2), at(ttl + 1_500));
-        assert!(!Arc::ptr_eq(&restored, &f.ranked_holdings(at(ttl + 1_500))));
+        assert!(!Arc::ptr_eq(
+            &restored,
+            &f.ranked_holdings(at(ttl + 1_500), HOT)
+        ));
         assert!(f.listing.filter.is_none());
     }
 
+    /// A re-rank that lists the same set with the same hot set keeps the
+    /// handle and its filter, whatever order it comes out in; one that
+    /// moves only the hot set issues a new handle and carries the filter.
     #[test]
     fn a_re_rank_of_the_same_sequence_keeps_the_listing_and_its_filter() {
         let mut f = Frontend::new(0, 0, CacheConfig::enabled());
         let now = SimInstant::ZERO;
-        let terms = ["alpha", "beta", "gamma"];
-        for term in terms {
+        let terms = |listing: &[DigestEntry]| -> Vec<String> {
+            listing.iter().map(|e| e.term().to_string()).collect()
+        };
+        for term in ["alpha", "beta", "gamma"] {
             f.cache_mut().store_shard(&shard(term, 1, 2), now);
         }
+        // A hot set of two: the most recently stored pair.
         let mut stats = GossipStats::default();
-        let listed = f.ranked_holdings(now);
+        let listed = f.ranked_holdings(now, 2);
+        assert_eq!(terms(&listed), ["gamma", "beta", "alpha"]);
         let filter = f.holdings_filter(&mut stats);
-        // Re-storing every version held moves the generation, so the tier
-        // is ranked again — to the same `(term, version)` sequence.
+        // Re-storing every version held moves the generation and reorders
+        // the tier — `beta` now leads `gamma` — but lists the same pairs
+        // with the same two hot.
         let generation = f.cache().shard_generation();
-        for term in terms {
+        for term in ["alpha", "gamma", "beta"] {
             f.cache_mut().store_shard(&shard(term, 1, 2), now);
         }
         assert_ne!(f.cache().shard_generation(), generation);
-        let reranked = f.ranked_holdings(now);
+        let reranked = f.ranked_holdings(now, 2);
         assert!(Arc::ptr_eq(&listed, &reranked), "the handle is kept");
         let kept = f.listing.filter.as_ref();
         assert!(kept.is_some_and(|kept| Arc::ptr_eq(kept, &filter)));
         assert!(Arc::ptr_eq(&filter, &f.holdings_filter(&mut stats)));
         assert_eq!((stats.filter_builds, stats.filter_reuses), (1, 1));
+        // The order is a view beside the handle.
+        assert_eq!(f.listing.rank_order(3), [1, 0, 2]);
+        // Reads lift `alpha` into the hot set: a new handle over the same
+        // set, which keeps the filter.
+        for _ in 0..2 {
+            f.cache_mut().lookup_shard("alpha", now, 1);
+        }
+        let recut = f.ranked_holdings(now, 2);
+        assert!(!Arc::ptr_eq(&listed, &recut));
+        assert_eq!(terms(&recut), ["alpha", "beta", "gamma"]);
+        assert!(Arc::ptr_eq(&filter, &f.holdings_filter(&mut stats)));
+        assert_eq!((stats.filter_builds, stats.filter_reuses), (1, 2));
+    }
+
+    /// Each frontend's listing handle, filter and allocations.
+    fn memos(fleet: &GossipFleet) -> Vec<MemoState> {
+        (0..fleet.len())
+            .map(|i| {
+                let listing = &fleet.frontend(i).listing;
+                (
+                    Arc::clone(&listing.held),
+                    listing.filter.clone(),
+                    listing.allocations(),
+                )
+            })
+            .collect()
+    }
+
+    type MemoState = (
+        crate::frontend::Listing,
+        Option<Arc<ShardFilter>>,
+        (
+            *const DigestEntry,
+            *const qb_cache::Rank,
+            *const usize,
+            usize,
+        ),
+    );
+
+    fn same_memos(a: &[MemoState], b: &[MemoState]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                let filters = match (&x.1, &y.1) {
+                    (Some(p), Some(q)) => Arc::ptr_eq(p, q),
+                    (None, None) => true,
+                    _ => false,
+                };
+                Arc::ptr_eq(&x.0, &y.0) && filters && x.2 == y.2
+            })
+    }
+
+    #[test]
+    fn a_read_stream_that_only_reorders_keeps_every_memo() {
+        // A hot set of four over frontend 0's ten shards: frontend 1 holds
+        // the four, frontend 0 ranks them above six colder ones.
+        let mut config = GossipConfig::enabled(2);
+        config.hot_set_size = 4;
+        let (mut fleet, mut net) = settled_pair(config, 10);
+        let now = SimInstant::ZERO;
+        let before = memos(&fleet);
+        let builds = fleet.stats().filter_builds;
+        let (quiet, _, _) = regular_exchange(&mut fleet, &mut net);
+        let mut reordered = 0;
+        for t in [6, 8, 7, 9, 6, 9, 7, 8] {
+            // Both frontends read one of the four: it leads their order,
+            // and no cold shard comes near the cut.
+            let term = format!("term{t}");
+            for i in 0..2 {
+                fleet.cache_mut(i).lookup_shard(&term, now, 1);
+            }
+            assert_eq!(regular_exchange(&mut fleet, &mut net), (quiet, 0, 2));
+            let fresh = fleet.frontend(0).cache().shard_digest(4, now);
+            let listed = &fleet.frontend(0).listing.held;
+            reordered += fresh
+                .iter()
+                .zip(listed.iter())
+                .any(|(&(term, _), e)| term != e.term()) as usize;
+        }
+        assert!(reordered > 0, "the reads did reorder the tier");
+        assert_eq!(fleet.stats().filter_builds, builds);
+        assert!(same_memos(&before, &memos(&fleet)), "no memo was rebuilt");
+    }
+
+    #[test]
+    fn a_read_across_the_hot_set_boundary_unsettles_the_side() {
+        let mut config = GossipConfig::enabled(2);
+        config.hot_set_size = 4;
+        let (mut fleet, mut net) = settled_pair(config, 10);
+        let now = SimInstant::ZERO;
+        let listed = Arc::clone(&fleet.frontend(0).listing.held);
+        let filter = fleet.frontend(0).listing.filter.clone();
+        // `term0`, the coldest of frontend 0's ten, is read past the four
+        // hot ones: the same set, another hot set, so a new handle — the
+        // filter over the set rides along — and no record names it.
+        for _ in 0..4 {
+            fleet.cache_mut(0).lookup_shard("term0", now, 1);
+        }
+        let (_, accepted, settled) = regular_exchange(&mut fleet, &mut net);
+        assert_eq!((accepted, settled), (1, 0), "the new hot shard is pushed");
+        assert_eq!(
+            fleet.frontend(1).cache().cached_shard_version("term0"),
+            Some(1)
+        );
+        let memo = &fleet.frontend(0).listing;
+        assert!(!Arc::ptr_eq(&listed, &memo.held));
+        assert_eq!(memo.held[0].term(), "term0");
+        assert!(memo.filter.as_ref().is_some_and(|kept| filter
+            .as_ref()
+            .is_some_and(|filter| Arc::ptr_eq(kept, filter))));
+    }
+
+    #[test]
+    fn a_fill_goes_out_in_the_fresh_rank_order() {
+        // One fill per exchange: which shard goes first is the order.
+        let mut config = GossipConfig::enabled(2);
+        config.max_fills_per_exchange = 1;
+        let (mut fleet, mut net) = fleet_with(config, 10);
+        let now = SimInstant::ZERO;
+        for t in 0..4 {
+            let s = shard(&format!("term{t}"), 1, 3);
+            fleet.cache_mut(0).store_shard(&s, now);
+            fleet.observe(0, &s.term, 1);
+        }
+        let mut exchanges = 0;
+        while regular_exchange(&mut fleet, &mut net).2 < 2 {
+            exchanges += 1;
+            assert!(exchanges < 10, "the pair settles");
+        }
+        let listed = Arc::clone(&fleet.frontend(0).listing.held);
+        let (first, last) = (listed[0].term().to_string(), listed[3].term().to_string());
+        // Reads put the last listed shard first; the handle stands.
+        for _ in 0..3 {
+            fleet.cache_mut(0).lookup_shard(&last, now, 1);
+        }
+        // Frontend 1 drops both ends: two shards need a fill, one goes.
+        for term in [&first, &last] {
+            assert_eq!(fleet.cache_mut(1).invalidate_term(term, now), 1);
+        }
+        assert_eq!(regular_exchange(&mut fleet, &mut net).1, 1);
+        assert!(Arc::ptr_eq(&listed, &fleet.frontend(0).listing.held));
+        let cache = fleet.frontend(1).cache();
+        assert_eq!(cache.cached_shard_version(&last), Some(1), "the hottest");
+        assert_eq!(cache.cached_shard_version(&first), None);
     }
 
     #[test]
@@ -1487,6 +1684,24 @@ mod tests {
             fleet.frontend(1).cache().cached_shard_version("cold"),
             Some(1)
         );
+    }
+
+    #[test]
+    fn a_batch_advert_of_a_told_shard_leaves_the_records_standing() {
+        let (mut fleet, mut net) = settled_pair(GossipConfig::enabled(2), 8);
+        let (quiet, _, _) = regular_exchange(&mut fleet, &mut net);
+        // A window re-fetched `term3`, which frontend 1 was told of and
+        // holds: the advert rides the digest and frontend 0 scans for it,
+        // but neither map moves, so frontend 1's record stands ...
+        fleet.note_batch_fetches(0, &[("term3".to_string(), 1)]);
+        let advert = ("term3".len() + 9) as u64;
+        assert_eq!(
+            regular_exchange(&mut fleet, &mut net),
+            (quiet + advert, 0, 1)
+        );
+        // ... and once the advert's round is over, so does frontend 0's.
+        fleet.frontends[0].pending_adverts.clear();
+        assert_eq!(regular_exchange(&mut fleet, &mut net), (quiet, 0, 2));
     }
 
     #[test]
@@ -1571,7 +1786,7 @@ mod tests {
     fn assert_full_exchange_is_exact(fleet: &mut GossipFleet, net: &mut SimNet) {
         let now = SimInstant::ZERO;
         let listings: Vec<crate::frontend::Listing> = (0..2)
-            .map(|i| fleet.frontends[i].ranked_holdings(now))
+            .map(|i| fleet.frontends[i].ranked_holdings(now, fleet.config.hot_set_size))
             .collect();
         let (before, accepted) = (fleet.stats().digest_bytes, fleet.stats().shards_accepted);
         assert!(fleet.exchange(net, 0, 1, now, ExchangeClass::AntiEntropy));
@@ -1830,9 +2045,9 @@ mod tests {
                 evictions: 6,
                 revivals: 2,
                 batch_adverts: 13,
-                filter_builds: 348,
-                filter_reuses: 506,
-                settled_sides: 141,
+                filter_builds: 256,
+                filter_reuses: 598,
+                settled_sides: 210,
             }
         );
         let wire = net.stats();
@@ -1875,16 +2090,128 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The listing memo moves nothing simulated, on any script: reads
+        /// that reorder, stores (with batch adverts), invalidations,
+        /// republishes, eviction pressure, a partition and its heal,
+        /// regular and anti-entropy rounds and time steps across expiries
+        /// run on two fleets — one as shipped, one whose frontends forget
+        /// their listing before every exchange — and after every step the
+        /// traffic counters, the wire and every frontend's holdings, in
+        /// rank order, and version knowledge are equal.
+        #[test]
+        fn the_listing_memo_moves_nothing_simulated(
+            ops in proptest::collection::vec((0u8..12, 0u8..10, 0u8..4), 1..120),
+        ) {
+            let build = |forgetful: bool| {
+                // A hot set of three and one fill per exchange: the cut and
+                // the fill order both bind.
+                let mut config = GossipConfig::enabled_zoned(4, 2);
+                config.hot_set_size = 3;
+                config.max_fills_per_exchange = 1;
+                config.zone_aware_anti_entropy = true;
+                let (mut fleet, net) = fleet_with(config, 12);
+                // Frontend 3 lives under eviction pressure.
+                let mut tight = CacheConfig::enabled();
+                tight.shard_capacity_bytes = 2 * 1024;
+                *fleet.cache_mut(3) = QueryCache::new(tight);
+                fleet.forgetful = forgetful;
+                // Frontends 0-2 start with three shards each.
+                for t in 0..9usize {
+                    let term = format!("term{t:02}");
+                    fleet.cache_mut(t % 3).store_shard(&shard(&term, 1, 2 + t % 4), SimInstant::ZERO);
+                    fleet.observe(t % 3, &term, 1);
+                }
+                (fleet, net)
+            };
+            let mut runs = [build(false), build(true)];
+            let traffic = |s: &GossipStats| GossipStats {
+                filter_builds: 0,
+                filter_reuses: 0,
+                settled_sides: 0,
+                ..*s
+            };
+            let mut now = SimInstant::ZERO;
+            let mut versions: HashMap<String, u64> = HashMap::new();
+            for (op, term, who) in ops {
+                let term = format!("term{term:02}");
+                let f = who as usize;
+                let version = versions.get(&term).copied().unwrap_or(1);
+                let republished = version + 1;
+                if op == 11 {
+                    // Steps of 0.2-0.6 s, or 20 min: two of those cross the
+                    // 30 min archival TTL.
+                    now += match who {
+                        3 => SimDuration::from_secs(1_200),
+                        _ => SimDuration::from_millis(200 * (who as u64 + 1)),
+                    };
+                }
+                for (fleet, net) in runs.iter_mut() {
+                    match op {
+                        0..=3 => {
+                            fleet.cache_mut(f).lookup_shard(&term, now, version);
+                        }
+                        4 => {
+                            let docs = 2 + term.len() % 3 + f;
+                            fleet.cache_mut(f).store_shard(&shard(&term, version, docs), now);
+                            fleet.observe(f, &term, version);
+                            fleet.note_batch_fetches(f, &[(term.clone(), version)]);
+                        }
+                        5 => {
+                            fleet.observe_publish(net, 9, &term, republished, now);
+                            fleet.cache_mut(f).store_shard(&shard(&term, republished, 3), now);
+                            fleet.observe(f, &term, republished);
+                        }
+                        6 => {
+                            fleet.cache_mut(f).invalidate_term(&term, now);
+                        }
+                        7 if who < 2 => net.set_partition(fleet.frontend_peer(f), 7),
+                        7 => net.heal_all(),
+                        8 | 9 => fleet.run_round(net, now, false),
+                        10 => fleet.run_round(net, now, true),
+                        _ => {
+                            net.advance_to(now);
+                            fleet.maybe_run(net, now);
+                        }
+                    }
+                }
+                if op == 5 {
+                    versions.insert(term, republished);
+                }
+                let [(shipped, shipped_net), (reference, reference_net)] = &runs;
+                prop_assert_eq!(traffic(shipped.stats()), traffic(reference.stats()));
+                prop_assert_eq!(shipped_net.stats(), reference_net.stats());
+                for i in 0..shipped.len() {
+                    let (a, b) = (shipped.frontend(i), reference.frontend(i));
+                    prop_assert_eq!(
+                        a.cache().shard_digest(usize::MAX, now),
+                        b.cache().shard_digest(usize::MAX, now),
+                        "frontend {} holdings",
+                        i
+                    );
+                    prop_assert!(a.known.iter().eq(b.known.iter()), "frontend {} known", i);
+                }
+                // The reference really ran without a memo standing.
+                let reference = reference.stats();
+                prop_assert_eq!((reference.filter_reuses, reference.settled_sides), (0, 0));
+            }
+        }
 
         /// Whatever happens to a frontend's cache between two exchanges —
         /// reads, version-checked reads that purge, stores that replace,
-        /// evict or are refused, invalidations, expiry — the digest handed
-        /// to gossip equals a fresh listing, every entry carries the
-        /// fingerprint of its own pair, and the fingerprint memo holds
-        /// exactly the live listing.
+        /// evict or are refused, invalidations, expiry — the listing handed
+        /// to gossip equals a fresh one in everything the wire reads: the
+        /// same pairs, the same ones in the hot set, and in exact rank
+        /// order through [`RankedListing::rank_order`]. Every entry carries
+        /// the fingerprint of its own pair, the fingerprint memo holds
+        /// exactly the live listing, and a handle is kept exactly while the
+        /// set and the hot set stand.
+        ///
+        /// [`RankedListing::rank_order`]: crate::frontend::RankedListing::rank_order
         #[test]
         fn the_cached_digest_equals_a_fresh_listing(
+            hot in 1usize..5,
             ops in proptest::collection::vec((0u8..7, 0u8..12, 1u64..4), 1..100),
         ) {
             // A shard tier of ~5 shards. Time steps of 10-30 min cross the
@@ -1894,6 +2221,9 @@ mod tests {
             tight.shard_capacity_bytes = 1024;
             let mut f = Frontend::new(0, 0, tight);
             let mut now = SimInstant::ZERO;
+            // The last handle, with the set and the hot set it listed.
+            type Pairs = Vec<(String, u64)>;
+            let mut last: Option<(crate::frontend::Listing, Pairs, Pairs)> = None;
             for (op, term, arg) in ops {
                 let term = format!("term{term}");
                 match op {
@@ -1906,26 +2236,51 @@ mod tests {
                     }
                     _ => now += SimDuration::from_secs(600 * arg),
                 }
-                let ranked = f.ranked_holdings(now);
+                let ranked = f.ranked_holdings(now, hot);
                 let fresh: Vec<(String, u64)> = f
                     .cache()
                     .shard_digest(usize::MAX, now)
                     .into_iter()
                     .map(|(t, v)| (t.to_string(), v))
                     .collect();
-                let handed: Vec<(String, u64)> = ranked
+                let pair = |e: &DigestEntry| (e.term().to_string(), e.version());
+                let ordered: Vec<(String, u64)> = f
+                    .listing
+                    .rank_order(ranked.len())
                     .iter()
-                    .map(|e| (e.term().to_string(), e.version()))
+                    .map(|&at| pair(&ranked[at]))
                     .collect();
-                prop_assert_eq!(handed, fresh, "stale digest after op {}", op);
+                prop_assert_eq!(&ordered, &fresh, "stale order after op {}", op);
+                let cut = hot.min(fresh.len());
+                let as_set = |pairs: &[(String, u64)]| {
+                    let mut pairs = pairs.to_vec();
+                    pairs.sort();
+                    pairs
+                };
+                let held: Vec<(String, u64)> = ranked.iter().map(pair).collect();
+                prop_assert_eq!(as_set(&held), as_set(&fresh), "stale set after op {}", op);
+                prop_assert_eq!(
+                    as_set(&held[..cut]),
+                    as_set(&fresh[..cut]),
+                    "stale hot set after op {}",
+                    op
+                );
                 for entry in ranked.iter() {
                     prop_assert_eq!(entry.key(), FilterKey::of(entry.term(), entry.version()));
                 }
                 prop_assert_eq!(f.fingerprints.0.len(), ranked.len());
+                // The handle is kept exactly while the set and the hot set
+                // stand.
+                if let Some((before, before_set, before_hot)) = &last {
+                    let stands =
+                        *before_set == as_set(&fresh) && *before_hot == as_set(&fresh[..cut]);
+                    prop_assert_eq!(Arc::ptr_eq(before, &ranked), stands, "after op {}", op);
+                }
                 prop_assert!(
-                    Arc::ptr_eq(&ranked, &f.ranked_holdings(now)),
+                    Arc::ptr_eq(&ranked, &f.ranked_holdings(now, hot)),
                     "an untouched tier hands out the same listing"
                 );
+                last = Some((Arc::clone(&ranked), as_set(&fresh), as_set(&fresh[..cut])));
             }
         }
     }

@@ -5,19 +5,28 @@
 //! Each host-side memo is a field of the thing it memoises, and none of
 //! them is read by anything simulated:
 //!
-//! * the **listing** ([`Frontend::ranked_holdings`]) is re-ranked only when
-//!   the shard tier's `(generation, popularity epoch)` moved or the clock
-//!   left the interval the last ranking is exact for, and a re-ranking
-//!   that lists what the last one listed keeps the old handle — so the
-//!   handle's identity means "the same `(term, version)` sequence";
-//! * the **holdings filter** ([`Frontend::holdings_filter`]) is stored in
-//!   the listing memo beside the listing it was built over: it is built at
-//!   most once per handle, carried across a re-rank that keeps the handle
-//!   and dropped with it, so listings and filters map one-to-one;
+//! * the **listing** ([`Frontend::ranked_holdings`]) is named by what it
+//!   holds: one handle stands for one `(term, version)` set and one
+//!   hot-set cut through it. The simulated wire reads the rank order in
+//!   two places only — which entries fall in the first `hot_set_size`, and
+//!   the order fills go out in when some entry needs one — so a read that
+//!   only reorders the tier keeps the handle. Once the shard tier's
+//!   `(generation, popularity epoch)` moved or the clock left the interval
+//!   the last check is exact for, one pass over the tier's ranks
+//!   ([`QueryCache::shard_ranks`]) re-checks the set and the cut into
+//!   buffers the listing keeps, and a new handle is issued only when one of
+//!   them moved. The exact order is a view beside the handle
+//!   ([`RankedListing::rank_order`]), sorted only for a fill scan that has
+//!   something to send;
+//! * the **holdings filter** ([`Frontend::holdings_filter`]) is a function
+//!   of the listed key set and is stored in the listing memo: built at most
+//!   once per set, it rides the handle and is carried to the next one when
+//!   only the cut moved;
 //! * the per-partner **settled records** in [`PeerSync`] are two listing
 //!   handles, mine and the partner's, at an exchange that had nothing to
 //!   tell and nothing to push, so its repetition skips the scans that
-//!   would conclude the same.
+//!   would conclude the same — across any read that only reorders either
+//!   tier.
 //!
 //! The **fingerprint memo** ([`Fingerprints`]) is where a listed term's
 //! text meets its keys: a pair it does not hold is hashed there into its
@@ -30,16 +39,18 @@ use crate::digest::{DigestEntry, HoldingsView, TermMap, VersionVector};
 use crate::filter::ShardFilter;
 use crate::membership::MembershipView;
 use crate::stats::GossipStats;
-use qb_cache::{CacheConfig, QueryCache};
+use qb_cache::{CacheConfig, QueryCache, Rank, RankedKey};
 use qb_common::SimInstant;
 use qb_segment::{ImportReport, Segment, SegmentRef};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A frontend's ranked shard listing, by handle. [`Frontend::ranked_holdings`]
-/// hands out a new handle only when the listed `(term, version)` sequence
-/// changed, and everything cached behind a listing holds a clone of its
-/// handle — so `Arc::ptr_eq` on two of them means "lists the same thing".
+/// A frontend's shard listing, by handle. [`Frontend::ranked_holdings`]
+/// hands out a new handle only when the listed `(term, version)` set or
+/// the hot-set cut through it changed, and everything cached behind a
+/// listing holds a clone of its handle — so `Arc::ptr_eq` on two of them
+/// means "lists the same pairs, the same ones hot".
 pub(crate) type Listing = Arc<[DigestEntry]>;
 
 /// What one frontend knows about the sync state with one partner — the
@@ -81,9 +92,9 @@ pub(crate) struct PeerSync {
 pub(crate) type Settled = (Listing, Listing);
 
 impl PeerSync {
-    /// `advertised` or `holdings` is about to change: whatever an earlier
-    /// exchange concluded from them no longer stands. Every path that
-    /// writes either map calls this first.
+    /// `advertised` or `holdings` moved: whatever an earlier exchange
+    /// concluded from them no longer stands. Every path that moves either
+    /// map calls this before the next exchange reads a record.
     pub(crate) fn unsettle(&mut self) {
         self.settled_delta = None;
         self.settled_full = None;
@@ -133,34 +144,144 @@ impl Fingerprints {
 /// generation and its popularity epoch.
 type DigestStamp = (u64, u64);
 
-/// The last ranked listing, everything that says whether it still is one,
-/// and the holdings filter over it: the clock only drops entries past their
-/// TTL, so with the stamp standing the listing is exact from the instant it
-/// was taken until the first of its entries expires.
-#[derive(Debug)]
+/// The listing a frontend hands to its exchanges, everything that says
+/// whether it still is one, and what is derived from it.
+///
+/// `held` lists every shard alive in the tier with the hot set — the
+/// `cut` highest ranked — ahead of the rest, each part in the order it
+/// had when the handle was issued. With the stamp standing and the clock
+/// inside `[taken_at, next_expiry)` nothing the listing reads moved (the
+/// clock only drops entries past their TTL); past that,
+/// [`RankedListing::recheck`] reads the tier's ranks once and says whether
+/// the set or the cut moved.
+#[derive(Debug, Default)]
 pub(crate) struct RankedListing {
-    stamp: DigestStamp,
+    /// The tier stamp of the last check (`None`: never checked, or
+    /// forgotten).
+    stamp: Option<DigestStamp>,
     taken_at: SimInstant,
     /// Earliest expiry among the listed entries (`None`: nothing listed).
     next_expiry: Option<SimInstant>,
-    pub(crate) ranked: Listing,
-    /// The holdings filter over `ranked` — a pure function of the listed
-    /// key set — once a delta exchange asked for it. Lives and dies with
-    /// the handle.
+    pub(crate) held: Listing,
+    /// The hot-set size the cut was drawn at; the first
+    /// `cut.min(held.len())` entries of `held` are the hot set.
+    cut: usize,
+    /// Each listed entry's rank at the last check, by position in `held`:
+    /// the exact order of the tier state that check read.
+    ranks: Vec<Rank>,
+    /// The position in `held` of each listed term. Keyed by the text
+    /// under the default (keyed) hasher: the terms come from queries and
+    /// pages, and none can be aimed at one probe sequence.
+    positions: HashMap<Arc<str>, usize>,
+    /// Scratch of [`RankedListing::rank_order`].
+    order: Vec<usize>,
+    /// The holdings filter over `held` — a pure function of the listed key
+    /// set — once a delta exchange asked for it.
     pub(crate) filter: Option<Arc<ShardFilter>>,
 }
 
+/// What a re-check of a listing against its tier found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Recheck {
+    /// The same pairs, the same ones hot: only the order may have moved.
+    Stands,
+    /// The same pairs, but another hot set.
+    CutMoved,
+    /// Another set of pairs.
+    SetMoved,
+}
+
 impl RankedListing {
-    /// The empty listing of an empty cache: exact from the start of time
-    /// until the tier's stamp moves.
-    fn empty(cache: &QueryCache) -> RankedListing {
-        RankedListing {
-            stamp: stamp_of(cache),
-            taken_at: SimInstant::ZERO,
-            next_expiry: None,
-            ranked: Arc::from([]),
-            filter: None,
+    /// One pass over the tier's ranks at `now`: the listed set and the hot
+    /// set drawn at `cut` are compared in place, and while the set stands
+    /// `ranks` and `next_expiry` take the tier's current values. Sorts
+    /// nothing and allocates nothing.
+    fn recheck(&mut self, cache: &QueryCache, now: SimInstant, cut: usize) -> Recheck {
+        let mut alive = 0usize;
+        let mut next_expiry: Option<SimInstant> = None;
+        for shard in cache.shard_ranks(now) {
+            let listed = self.positions.get(shard.key).copied().filter(|&at| {
+                self.held
+                    .get(at)
+                    .is_some_and(|e| e.version() == shard.version)
+            });
+            let Some(at) = listed else {
+                return Recheck::SetMoved;
+            };
+            self.ranks[at] = shard.rank;
+            alive += 1;
+            next_expiry = Some(next_expiry.map_or(shard.expires_at, |e| e.min(shard.expires_at)));
         }
+        if alive != self.held.len() {
+            return Recheck::SetMoved;
+        }
+        self.next_expiry = next_expiry;
+        let (hot, cold) = self.ranks.split_at(self.cut.min(self.ranks.len()));
+        let cut_stands = self.cut == cut
+            && match (hot.iter().min(), cold.iter().max()) {
+                (Some(floor), Some(top)) => floor > top,
+                _ => true,
+            };
+        if cut_stands {
+            Recheck::Stands
+        } else {
+            Recheck::CutMoved
+        }
+    }
+
+    /// List the tier afresh at `now` under a new handle, hottest first,
+    /// and cut it at `cut`. The filter is the caller's to keep or drop.
+    fn relist(
+        &mut self,
+        cache: &QueryCache,
+        fingerprints: &mut Fingerprints,
+        now: SimInstant,
+        cut: usize,
+    ) {
+        let mut fresh: Vec<RankedKey<'_>> = cache.shard_ranks(now).collect();
+        fresh.sort_unstable_by_key(|shard| Reverse(shard.rank));
+        self.held = fresh
+            .iter()
+            .map(|shard| fingerprints.entry(shard.key, shard.version))
+            .collect();
+        fingerprints.retain_live(&self.held);
+        self.ranks.clear();
+        self.ranks.extend(fresh.iter().map(|shard| shard.rank));
+        self.positions.clear();
+        self.positions.extend(
+            self.held
+                .iter()
+                .enumerate()
+                .map(|(at, e)| (Arc::clone(e.term_key().term()), at)),
+        );
+        self.next_expiry = fresh.iter().map(|shard| shard.expires_at).min();
+        self.cut = cut;
+    }
+
+    /// Where the listing's allocations live — the handle's entries, the
+    /// rank and order buffers, the position index's capacity: equal before
+    /// and after a stretch of reads and exchanges means the memo allocated
+    /// nothing in between.
+    #[cfg(test)]
+    pub(crate) fn allocations(&self) -> (*const DigestEntry, *const Rank, *const usize, usize) {
+        (
+            self.held.as_ptr(),
+            self.ranks.as_ptr(),
+            self.order.as_ptr(),
+            self.positions.capacity(),
+        )
+    }
+
+    /// The first `len` positions of `held` in exact rank order — the order
+    /// of the tier state the last check read, which a kept handle's own
+    /// order may no longer be. Sorted on every call: only a fill scan with
+    /// something to send asks.
+    pub(crate) fn rank_order(&mut self, len: usize) -> &[usize] {
+        let RankedListing { ranks, order, .. } = self;
+        order.clear();
+        order.extend(0..len.min(ranks.len()));
+        order.sort_unstable_by_key(|&at| Reverse(ranks[at]));
+        order
     }
 }
 
@@ -203,12 +324,11 @@ pub struct Frontend {
     /// fetched on this frontend, queued to ride the next digest round as
     /// priority advertisements and priority fills.
     pub(crate) pending_adverts: Vec<(String, u64)>,
-    /// Every shard alive in the cache, hottest first, cached behind
-    /// everything the ranking reads — the shard tier's `(generation,
-    /// popularity epoch)` and the interval of instants no listed entry
-    /// expires in: a tier nothing touched is scanned, ranked and resolved
-    /// once, not once per exchange side or per round. Its holdings filter
-    /// rides with it.
+    /// Every shard alive in the cache, hot set first, under a handle that
+    /// lives as long as the listed set and its hot set do: a tier nothing
+    /// touched is not even re-checked, one that reads only reordered is
+    /// re-checked in one pass and keeps the handle. Its holdings filter
+    /// and exact rank order ride with it.
     pub(crate) listing: RankedListing,
     /// The fingerprints behind this frontend's digests and adverts.
     pub(crate) fingerprints: Fingerprints,
@@ -256,7 +376,7 @@ impl Frontend {
             sync: HashMap::new(),
             summary_cursor: 0,
             pending_adverts: Vec::new(),
-            listing: RankedListing::empty(&cache),
+            listing: RankedListing::default(),
             fingerprints: Fingerprints::default(),
             segment_advert: None,
             load: 0,
@@ -329,49 +449,35 @@ impl Frontend {
         }));
     }
 
-    /// Every shard alive in the cache at `now`, hottest first, shared by
-    /// handle. The memoised listing is exact while the shard tier's
-    /// generation and its popularity epoch (reads reorder the ranking
-    /// without moving the generation) stand still and `now` stays inside
-    /// `[taken_at, next_expiry)`. Past that the tier is ranked again — and
-    /// when the new ranking lists the same `(term, version)` at every
-    /// position (a `Fresh` read re-stores the version it fetched: the
-    /// generation moves, the listing does not) the old handle and its
-    /// filter are kept, so the partners' settled records naming it stay
-    /// valid. A full exchange advertises all of it, a regular one its first
-    /// `hot_set_size`.
-    pub(crate) fn ranked_holdings(&mut self, now: SimInstant) -> Listing {
+    /// Every shard alive in the cache at `now`, shared by handle, the hot
+    /// set (the `hot_set_size` hottest) first. The handle is kept while the
+    /// listed `(term, version)` set and the hot set stand, whatever reads
+    /// did to the order within them (a `Fresh` read re-stores the version
+    /// it fetched: the generation moves, the set does not), so the
+    /// partners' settled records naming it and the filter stored beside it
+    /// stay valid; the exact order is [`RankedListing::rank_order`]. With
+    /// the shard tier's generation and popularity epoch standing still and
+    /// `now` inside `[taken_at, next_expiry)`, not even the check runs. A
+    /// full exchange advertises all of it, a regular one its hot set.
+    pub(crate) fn ranked_holdings(&mut self, now: SimInstant, hot_set_size: usize) -> Listing {
         let stamp = stamp_of(&self.cache);
         let memo = &mut self.listing;
-        if memo.stamp == stamp
+        let current = memo.stamp == Some(stamp)
+            && memo.cut == hot_set_size
             && memo.taken_at <= now
-            && memo.next_expiry.is_none_or(|expiry| now < expiry)
-        {
-            return Arc::clone(&memo.ranked);
+            && memo.next_expiry.is_none_or(|expiry| now < expiry);
+        if !current {
+            let found = memo.recheck(&self.cache, now, hot_set_size);
+            if found != Recheck::Stands {
+                memo.relist(&self.cache, &mut self.fingerprints, now, hot_set_size);
+            }
+            if found == Recheck::SetMoved {
+                memo.filter = None;
+            }
+            memo.stamp = Some(stamp);
+            memo.taken_at = now;
         }
-        // The listing's terms point into the cache while the fingerprint
-        // memo beside it is written.
-        let listing = self.cache.shard_digest(usize::MAX, now);
-        // Compared before anything is fingerprinted: pointer-free string
-        // and integer compares against the entries already resolved.
-        let unchanged = memo.ranked.len() == listing.len()
-            && memo
-                .ranked
-                .iter()
-                .zip(&listing)
-                .all(|(old, &(term, version))| old.version() == version && old.term() == term);
-        if !unchanged {
-            memo.ranked = listing
-                .into_iter()
-                .map(|(term, version)| self.fingerprints.entry(term, version))
-                .collect();
-            memo.filter = None;
-        }
-        self.fingerprints.retain_live(&memo.ranked);
-        memo.stamp = stamp;
-        memo.taken_at = now;
-        memo.next_expiry = self.cache.next_shard_expiry(now);
-        Arc::clone(&memo.ranked)
+        Arc::clone(&memo.held)
     }
 
     /// The holdings filter over the listing [`Frontend::ranked_holdings`]
@@ -384,10 +490,19 @@ impl Frontend {
             return Arc::clone(filter);
         }
         stats.filter_builds += 1;
-        let keys = memo.ranked.iter().map(DigestEntry::key);
+        let keys = memo.held.iter().map(DigestEntry::key);
         let filter = Arc::new(ShardFilter::build(keys, FILTER_BITS_PER_ENTRY));
         memo.filter = Some(Arc::clone(&filter));
         filter
+    }
+
+    /// Drop the listing memo: the next [`Frontend::ranked_holdings`] lists
+    /// the tier afresh under a new handle, with no filter. A fleet whose
+    /// frontends forget before every exchange runs the protocol with no
+    /// memo standing, which the differential test compares against.
+    #[cfg(test)]
+    pub(crate) fn forget_listing(&mut self) {
+        self.listing = RankedListing::default();
     }
 
     /// This frontend's view of fleet membership.

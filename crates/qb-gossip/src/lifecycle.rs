@@ -73,7 +73,9 @@ impl GossipFleet {
         let peer = self.frontends[i].peer;
         let final_incarnation = self.frontends[i].incarnation;
         let final_heartbeat = self.frontends[i].heartbeat;
-        for p in self.sample_partners(i, false) {
+        let mut sample = self.take_partner_sample();
+        self.sample_partners(i, false, &mut sample);
+        for &p in &sample.picked {
             if net.send(peer, p, DEPARTURE_NOTICE_BYTES).is_ok() {
                 self.stats.membership_bytes += DEPARTURE_NOTICE_BYTES as u64;
                 if let Some(&j) = self.index_by_peer.get(&p) {
@@ -83,6 +85,7 @@ impl GossipFleet {
                 }
             }
         }
+        self.partner_sample = sample;
         self.frontends[i].departed = true;
         net.set_online(peer, false);
         self.stats.leaves += 1;

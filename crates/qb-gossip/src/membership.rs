@@ -306,23 +306,32 @@ impl MembershipView {
         evicted
     }
 
-    /// Sample up to `fanout` distinct partner peers, biased toward
-    /// `self_zone`: each pick escapes to a different zone with probability
-    /// `cross_zone_probability` (always, when the own zone has no other
-    /// alive member). `include_dead` additionally samples members currently
-    /// believed dead — anti-entropy rounds use it as the safety net that
-    /// re-establishes contact after partitions heal.
+    /// Sample up to `sample.fanout` distinct partner peers into
+    /// `sample.picked` (over whatever it held), biased toward `self_zone`:
+    /// each pick escapes to a different zone with probability
+    /// `sample.cross_zone_probability` (always, when the own zone has no
+    /// other alive member). `include_dead` additionally samples members
+    /// currently believed dead — anti-entropy rounds use it as the safety
+    /// net that re-establishes contact after partitions heal. The caller
+    /// keeps `sample` between calls, so a round samples without allocating.
     pub fn sample_partners(
         &self,
         rng: &mut DetRng,
         self_peer: u64,
         self_zone: usize,
-        fanout: usize,
-        cross_zone_probability: f64,
         include_dead: bool,
-    ) -> Vec<u64> {
-        let mut same: Vec<u64> = Vec::new();
-        let mut cross: Vec<u64> = Vec::new();
+        sample: &mut PartnerSample,
+    ) {
+        let PartnerSample {
+            fanout,
+            cross_zone_probability,
+            same,
+            cross,
+            picked,
+        } = sample;
+        same.clear();
+        cross.clear();
+        picked.clear();
         for m in self.members.values() {
             if m.peer == self_peer || !(m.alive || include_dead) {
                 continue;
@@ -333,23 +342,52 @@ impl MembershipView {
                 cross.push(m.peer);
             }
         }
-        let mut partners = Vec::with_capacity(fanout);
-        for _ in 0..fanout {
+        for _ in 0..*fanout {
             let pool: &mut Vec<u64> = if same.is_empty() && cross.is_empty() {
                 break;
             } else if same.is_empty() {
-                &mut cross
+                cross
             } else if cross.is_empty() {
-                &mut same
-            } else if rng.gen_bool(cross_zone_probability) {
-                &mut cross
+                same
+            } else if rng.gen_bool(*cross_zone_probability) {
+                cross
             } else {
-                &mut same
+                same
             };
             let idx = rng.gen_index(pool.len());
-            partners.push(pool.swap_remove(idx));
+            picked.push(pool.swap_remove(idx));
         }
-        partners
+    }
+}
+
+/// How [`MembershipView::sample_partners`] draws — fanout and cross-zone
+/// escape probability — and the buffers a draw fills: its candidate pools
+/// (same-zone and cross-zone peers) and the peers it picked, kept between
+/// draws.
+#[derive(Debug)]
+pub struct PartnerSample {
+    /// Most peers one draw picks.
+    pub fanout: usize,
+    /// Probability that a pick escapes to another zone while same-zone
+    /// candidates exist.
+    pub cross_zone_probability: f64,
+    same: Vec<u64>,
+    cross: Vec<u64>,
+    /// The peers the last draw picked, in pick order.
+    pub picked: Vec<u64>,
+}
+
+impl PartnerSample {
+    /// Draws of `fanout` picks escaping cross-zone with probability
+    /// `cross_zone_probability`; nothing is allocated until the first.
+    pub fn new(fanout: usize, cross_zone_probability: f64) -> PartnerSample {
+        PartnerSample {
+            fanout,
+            cross_zone_probability,
+            same: Vec::new(),
+            cross: Vec::new(),
+            picked: Vec::new(),
+        }
     }
 }
 
@@ -539,10 +577,12 @@ mod tests {
         let members: Vec<(u64, usize)> = (0..12).map(|i| (i as u64, (i % 3) as usize)).collect();
         let v = view_of(&members);
         let mut rng = DetRng::new(0x5A);
+        let mut sample = PartnerSample::new(2, 0.2);
         let mut same = 0usize;
         let mut total = 0usize;
         for _ in 0..400 {
-            for p in v.sample_partners(&mut rng, 0, 0, 2, 0.2, false) {
+            v.sample_partners(&mut rng, 0, 0, false, &mut sample);
+            for &p in &sample.picked {
                 total += 1;
                 if v.get(p).unwrap().zone == 0 {
                     same += 1;
@@ -564,16 +604,20 @@ mod tests {
             v.record_failure(2, 3);
         }
         let mut rng = DetRng::new(1);
+        let mut sample = PartnerSample::new(3, 0.2);
         for _ in 0..50 {
-            let picks = v.sample_partners(&mut rng, 0, 0, 3, 0.2, false);
+            v.sample_partners(&mut rng, 0, 0, false, &mut sample);
+            let picks = &sample.picked;
             assert!(!picks.contains(&0), "never samples self");
             assert!(!picks.contains(&2), "never samples dead members");
             assert_eq!(picks.len(), 1);
         }
         // Anti-entropy mode reaches dead members again.
         let mut saw_dead = false;
+        sample.fanout = 2;
         for _ in 0..50 {
-            if v.sample_partners(&mut rng, 0, 0, 2, 0.2, true).contains(&2) {
+            v.sample_partners(&mut rng, 0, 0, true, &mut sample);
+            if sample.picked.contains(&2) {
                 saw_dead = true;
             }
         }
