@@ -28,7 +28,7 @@ struct Slot<V> {
 pub type Rank = (u32, u64);
 
 /// One entry alive at some instant, with what ranks it
-/// ([`CacheTier::ranked`]).
+/// ([`CacheTier::ranked`], [`CacheTier::rank_of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankedKey<'a> {
     /// The entry's key.
@@ -344,18 +344,41 @@ impl<V> CacheTier<V> {
 
     /// Every entry alive at `now`, in no particular order, with the rank
     /// [`CacheTier::hottest`] sorts it by: one pass of sketch estimates, no
-    /// sort and no allocation. A caller that keeps an earlier ranking can
-    /// tell from it whether the order, or only a cut through it, moved.
+    /// sort and no allocation.
     pub fn ranked(&self, now: SimInstant) -> impl Iterator<Item = RankedKey<'_>> {
         self.entries
             .iter()
             .filter(move |(_, slot)| now < slot.expires_at)
-            .map(|(key, slot)| RankedKey {
-                key,
-                version: slot.version,
-                rank: (self.sketch.estimate(slot.hash), slot.tick),
-                expires_at: slot.expires_at,
-            })
+            .map(|(key, slot)| self.ranked_key(key, slot))
+    }
+
+    /// `key`'s entry with its rank, when it is alive at `now` — without
+    /// touching recency, TTL or counters. With [`CacheTier::alive`], a
+    /// caller that keeps an earlier ranking checks it in place: the same
+    /// count of alive entries, each of its keys alive at its version, is
+    /// the same set, and the ranks say whether the order, or only a cut
+    /// through it, moved.
+    pub fn rank_of(&self, key: &str, now: SimInstant) -> Option<RankedKey<'_>> {
+        let (key, slot) = self.entries.get_key_value(key)?;
+        (now < slot.expires_at).then(|| self.ranked_key(key, slot))
+    }
+
+    /// How many entries are alive at `now` (resident ones past their TTL
+    /// excluded).
+    pub fn alive(&self, now: SimInstant) -> usize {
+        self.entries
+            .values()
+            .filter(|slot| now < slot.expires_at)
+            .count()
+    }
+
+    fn ranked_key<'a>(&self, key: &'a str, slot: &Slot<V>) -> RankedKey<'a> {
+        RankedKey {
+            key,
+            version: slot.version,
+            rank: (self.sketch.estimate(slot.hash), slot.tick),
+            expires_at: slot.expires_at,
+        }
     }
 
     /// The earliest expiry among the entries alive at `now` — the instant
@@ -738,6 +761,15 @@ mod tests {
                     }
                     6 => tier.note_miss(&key),
                     _ => now += SimDuration::from_millis(700 * arg),
+                }
+                // What an in-place check reads agrees with the ranking
+                // pass: the alive count, and each key's entry and rank.
+                let ranked: Vec<RankedKey<'_>> = tier.ranked(now).collect();
+                prop_assert_eq!(tier.alive(now), ranked.len());
+                for k in 0..10 {
+                    let key = format!("k{k}");
+                    let alive = ranked.iter().find(|e| e.key == key).copied();
+                    prop_assert_eq!(tier.rank_of(&key, now), alive);
                 }
                 let stamp = (tier.generation(), tier.popularity_epoch());
                 let fresh = listing(&tier, now);

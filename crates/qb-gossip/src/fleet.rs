@@ -1540,12 +1540,7 @@ mod tests {
     type MemoState = (
         crate::frontend::Listing,
         Option<Arc<ShardFilter>>,
-        (
-            *const DigestEntry,
-            *const qb_cache::Rank,
-            *const usize,
-            usize,
-        ),
+        (*const DigestEntry, *const qb_cache::Rank, *const usize),
     );
 
     fn same_memos(a: &[MemoState], b: &[MemoState]) -> bool {

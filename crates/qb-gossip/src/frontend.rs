@@ -12,10 +12,11 @@
 //!   the order fills go out in when some entry needs one — so a read that
 //!   only reorders the tier keeps the handle. Once the shard tier's
 //!   `(generation, popularity epoch)` moved or the clock left the interval
-//!   the last check is exact for, one pass over the tier's ranks
-//!   ([`QueryCache::shard_ranks`]) re-checks the set and the cut into
-//!   buffers the listing keeps, and a new handle is issued only when one of
-//!   them moved. The exact order is a view beside the handle
+//!   the last check is exact for, the listing is re-checked in place — a
+//!   count of the tier's alive shards, then one probe per listed term
+//!   ([`QueryCache::shard_rank`]) writing its rank into a buffer the
+//!   listing keeps — and a new handle is issued only when the set or the
+//!   cut moved. The exact order is a view beside the handle
 //!   ([`RankedListing::rank_order`]), sorted only for a fill scan that has
 //!   something to send;
 //! * the **holdings filter** ([`Frontend::holdings_filter`]) is a function
@@ -152,8 +153,8 @@ type DigestStamp = (u64, u64);
 /// had when the handle was issued. With the stamp standing and the clock
 /// inside `[taken_at, next_expiry)` nothing the listing reads moved (the
 /// clock only drops entries past their TTL); past that,
-/// [`RankedListing::recheck`] reads the tier's ranks once and says whether
-/// the set or the cut moved.
+/// [`RankedListing::recheck`] reads the tier's ranks of the listed terms
+/// and says whether the set or the cut moved.
 #[derive(Debug, Default)]
 pub(crate) struct RankedListing {
     /// The tier stamp of the last check (`None`: never checked, or
@@ -169,10 +170,6 @@ pub(crate) struct RankedListing {
     /// Each listed entry's rank at the last check, by position in `held`:
     /// the exact order of the tier state that check read.
     ranks: Vec<Rank>,
-    /// The position in `held` of each listed term. Keyed by the text
-    /// under the default (keyed) hasher: the terms come from queries and
-    /// pages, and none can be aimed at one probe sequence.
-    positions: HashMap<Arc<str>, usize>,
     /// Scratch of [`RankedListing::rank_order`].
     order: Vec<usize>,
     /// The holdings filter over `held` — a pure function of the listed key
@@ -192,28 +189,25 @@ enum Recheck {
 }
 
 impl RankedListing {
-    /// One pass over the tier's ranks at `now`: the listed set and the hot
-    /// set drawn at `cut` are compared in place, and while the set stands
-    /// `ranks` and `next_expiry` take the tier's current values. Sorts
-    /// nothing and allocates nothing.
+    /// Check the listing against the tier at `now` in place: as many
+    /// shards alive as listed, and each listed term alive at its listed
+    /// version, is the same set (listed terms are distinct); while it
+    /// stands `ranks` and `next_expiry` take the tier's current values and
+    /// the hot set drawn at `cut` is compared with the listed one. A count
+    /// pass and one tier probe per listed entry — the first that misses
+    /// ends it — sorting nothing and allocating nothing.
     fn recheck(&mut self, cache: &QueryCache, now: SimInstant, cut: usize) -> Recheck {
-        let mut alive = 0usize;
+        if cache.alive_shards(now) != self.held.len() {
+            return Recheck::SetMoved;
+        }
         let mut next_expiry: Option<SimInstant> = None;
-        for shard in cache.shard_ranks(now) {
-            let listed = self.positions.get(shard.key).copied().filter(|&at| {
-                self.held
-                    .get(at)
-                    .is_some_and(|e| e.version() == shard.version)
-            });
-            let Some(at) = listed else {
+        for (entry, rank) in self.held.iter().zip(&mut self.ranks) {
+            let shard = cache.shard_rank(entry.term(), now);
+            let Some(shard) = shard.filter(|shard| shard.version == entry.version()) else {
                 return Recheck::SetMoved;
             };
-            self.ranks[at] = shard.rank;
-            alive += 1;
+            *rank = shard.rank;
             next_expiry = Some(next_expiry.map_or(shard.expires_at, |e| e.min(shard.expires_at)));
-        }
-        if alive != self.held.len() {
-            return Recheck::SetMoved;
         }
         self.next_expiry = next_expiry;
         let (hot, cold) = self.ranks.split_at(self.cut.min(self.ranks.len()));
@@ -247,29 +241,16 @@ impl RankedListing {
         fingerprints.retain_live(&self.held);
         self.ranks.clear();
         self.ranks.extend(fresh.iter().map(|shard| shard.rank));
-        self.positions.clear();
-        self.positions.extend(
-            self.held
-                .iter()
-                .enumerate()
-                .map(|(at, e)| (Arc::clone(e.term_key().term()), at)),
-        );
         self.next_expiry = fresh.iter().map(|shard| shard.expires_at).min();
         self.cut = cut;
     }
 
     /// Where the listing's allocations live — the handle's entries, the
-    /// rank and order buffers, the position index's capacity: equal before
-    /// and after a stretch of reads and exchanges means the memo allocated
-    /// nothing in between.
+    /// rank and order buffers: equal before and after a stretch of reads
+    /// and exchanges means the memo allocated nothing in between.
     #[cfg(test)]
-    pub(crate) fn allocations(&self) -> (*const DigestEntry, *const Rank, *const usize, usize) {
-        (
-            self.held.as_ptr(),
-            self.ranks.as_ptr(),
-            self.order.as_ptr(),
-            self.positions.capacity(),
-        )
+    pub(crate) fn allocations(&self) -> (*const DigestEntry, *const Rank, *const usize) {
+        (self.held.as_ptr(), self.ranks.as_ptr(), self.order.as_ptr())
     }
 
     /// The first `len` positions of `held` in exact rank order — the order
