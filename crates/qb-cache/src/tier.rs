@@ -63,7 +63,8 @@ pub struct CacheTier<V> {
     /// without necessarily moving the holdings: every sketch record and
     /// every recency touch (`get`, `insert`, `note_miss`). Together with
     /// `generation` it keys anything derived from [`CacheTier::hottest`],
-    /// for as long as nothing listed expires ([`CacheTier::next_expiry`]).
+    /// for as long as nothing listed expires (the earliest `expires_at`
+    /// among [`CacheTier::ranked`]).
     popularity_epoch: u64,
     /// Counters for this tier.
     pub metrics: TierMetrics,
@@ -96,8 +97,9 @@ impl<V> CacheTier<V> {
     /// and accounted miss — whatever can reorder [`CacheTier::hottest`]
     /// while the generation stands still. A ranking taken at
     /// `(generation, popularity_epoch)` and instant `t` stays exact while
-    /// neither counter moves and the clock stays inside
-    /// `[t, next_expiry(t))`.
+    /// neither counter moves and the clock stays inside `[t, e)`, `e` the
+    /// earliest `expires_at` among [`CacheTier::ranked`] at `t` — the
+    /// clock only drops entries past their TTL.
     pub fn popularity_epoch(&self) -> u64 {
         self.popularity_epoch
     }
@@ -379,16 +381,6 @@ impl<V> CacheTier<V> {
             rank: (self.sketch.estimate(slot.hash), slot.tick),
             expires_at: slot.expires_at,
         }
-    }
-
-    /// The earliest expiry among the entries alive at `now` — the instant
-    /// a [`CacheTier::hottest`] listing taken at `now` first loses an entry
-    /// to its TTL; `None` when nothing is alive. `hottest` reads the clock
-    /// only to drop expired entries, so with the generation and the
-    /// popularity epoch standing still a listing taken at `now` is exact
-    /// at every instant of `[now, next_expiry(now))`.
-    pub fn next_expiry(&self, now: SimInstant) -> Option<SimInstant> {
-        self.ranked(now).map(|entry| entry.expires_at).min()
     }
 
     fn remove_entry(&mut self, key: &str) -> bool {
@@ -720,10 +712,11 @@ mod tests {
         /// The contract the gossip overlay's digest cache rests on: a
         /// ranking taken at `(generation, popularity_epoch)` and instant
         /// `t` equals a fresh `hottest` at every `t'` in
-        /// `[t, next_expiry(t))` for as long as the two counters stand —
+        /// `[t, e)`, `e` the earliest `expires_at` among the entries
+        /// `ranked` at `t`, for as long as the two counters stand —
         /// under any interleaving of reads, misses, inserts, replacements,
         /// evictions, refused admissions, invalidations and time steps —
-        /// and stops being exact at `next_expiry(t)` itself. Drop the epoch
+        /// and stops being exact at `e` itself. Drop the epoch
         /// from the stamp and a read between two rankings breaks it; widen
         /// the interval and an expiry does.
         #[test]
@@ -779,7 +772,7 @@ mod tests {
                     prop_assert_eq!(&ranking, &fresh, "stale ranking after op {}", op);
                     continue;
                 }
-                let until = tier.next_expiry(now);
+                let until = ranked.iter().map(|entry| entry.expires_at).min();
                 prop_assert_eq!(until.is_none(), fresh.is_empty());
                 if let Some(until) = until {
                     prop_assert!(now < until);

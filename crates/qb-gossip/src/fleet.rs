@@ -1594,7 +1594,7 @@ mod tests {
         let (mut fleet, mut net) = settled_pair(config, 10);
         let now = SimInstant::ZERO;
         let listed = Arc::clone(&fleet.frontend(0).listing.held);
-        let filter = fleet.frontend(0).listing.filter.clone();
+        let filter = fleet.frontend(0).listing.filter.clone().expect("built");
         // `term0`, the coldest of frontend 0's ten, is read past the four
         // hot ones: the same set, another hot set, so a new handle — the
         // filter over the set rides along — and no record names it.
@@ -1610,9 +1610,8 @@ mod tests {
         let memo = &fleet.frontend(0).listing;
         assert!(!Arc::ptr_eq(&listed, &memo.held));
         assert_eq!(memo.held[0].term(), "term0");
-        assert!(memo.filter.as_ref().is_some_and(|kept| filter
-            .as_ref()
-            .is_some_and(|filter| Arc::ptr_eq(kept, filter))));
+        let kept = memo.filter.as_ref();
+        assert!(kept.is_some_and(|kept| Arc::ptr_eq(kept, &filter)));
     }
 
     #[test]
