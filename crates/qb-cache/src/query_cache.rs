@@ -391,25 +391,13 @@ impl QueryCache {
         self.shards.hottest(max, now)
     }
 
-    /// Every shard alive at `now`, unsorted, with the rank
+    /// Every shard alive at `now`, unsorted, with its id, the rank
     /// [`QueryCache::shard_digest`] orders it by and its expiry: one pass,
-    /// no allocation.
+    /// no allocation, charging no lookup. The gossip overlay checks a
+    /// listing it keeps against it in place — same `(term, version)` set,
+    /// same hot-set cut — and sorts only when it needs the order itself.
     pub fn shard_ranks(&self, now: SimInstant) -> impl Iterator<Item = RankedKey<'_>> {
         self.shards.ranked(now)
-    }
-
-    /// One term's shard with its rank, when it is alive at `now`, read
-    /// without charging a lookup. The gossip overlay checks a listing it
-    /// keeps in place with it and [`QueryCache::alive_shards`] — same
-    /// `(term, version)` set, same hot-set cut — and sorts only when it
-    /// needs the order itself.
-    pub fn shard_rank(&self, term: &str, now: SimInstant) -> Option<RankedKey<'_>> {
-        self.shards.rank_of(term, now)
-    }
-
-    /// How many shards are alive at `now`.
-    pub fn alive_shards(&self, now: SimInstant) -> usize {
-        self.shards.alive(now)
     }
 
     /// Borrow the tier's handle to a cached shard without charging a lookup

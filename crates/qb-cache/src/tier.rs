@@ -20,6 +20,7 @@ struct Slot<V> {
     stored_at: SimInstant,
     tick: u64,
     hash: u64,
+    id: u64,
 }
 
 /// What [`CacheTier::hottest`] ranks an entry by, highest first: its
@@ -28,11 +29,16 @@ struct Slot<V> {
 pub type Rank = (u32, u64);
 
 /// One entry alive at some instant, with what ranks it
-/// ([`CacheTier::ranked`], [`CacheTier::rank_of`]).
+/// ([`CacheTier::ranked`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankedKey<'a> {
     /// The entry's key.
     pub key: &'a str,
+    /// The entry's identity: drawn from a counter when its key is stored
+    /// while absent, kept while the key stays resident — a replacement
+    /// keeps it, whatever version it stores — and never drawn again. Not
+    /// derived from the key, so it can key an index without hashing it.
+    pub id: u64,
     /// The version the entry was stored under.
     pub version: u64,
     /// Where the entry stands in [`CacheTier::hottest`].
@@ -51,6 +57,8 @@ pub struct CacheTier<V> {
     /// so the first entry is always the least recently used.
     recency: BTreeMap<u64, String>,
     tick: u64,
+    /// The last entry id drawn ([`RankedKey::id`]).
+    last_id: u64,
     bytes: usize,
     sketch: FreqSketch,
     /// Monotonic mutation counter: bumps whenever the tier's *holdings*
@@ -79,6 +87,7 @@ impl<V> CacheTier<V> {
             entries: HashMap::new(),
             recency: BTreeMap::new(),
             tick: 0,
+            last_id: 0,
             bytes: 0,
             sketch: FreqSketch::new(1024),
             generation: 0,
@@ -207,10 +216,18 @@ impl<V> CacheTier<V> {
             return false;
         }
         // Replacing an existing entry never goes through admission: the key
-        // already proved itself.
-        if self.entries.contains_key(key) {
+        // already proved itself, and it keeps its id.
+        let kept_id = self.entries.get(key).map(|slot| slot.id);
+        if kept_id.is_some() {
             self.remove_entry(key);
         }
+        let id = match kept_id {
+            Some(id) => id,
+            None => {
+                self.last_id += 1;
+                self.last_id
+            }
+        };
         // Plan the full victim set before evicting anything, so a refused
         // admission never costs resident entries.
         match self.plan_evictions(hash, bytes) {
@@ -237,6 +254,7 @@ impl<V> CacheTier<V> {
                 stored_at: now,
                 tick,
                 hash,
+                id,
             },
         );
         self.bytes += bytes;
@@ -346,41 +364,21 @@ impl<V> CacheTier<V> {
 
     /// Every entry alive at `now`, in no particular order, with the rank
     /// [`CacheTier::hottest`] sorts it by: one pass of sketch estimates, no
-    /// sort and no allocation.
+    /// sort and no allocation. A caller that keeps an earlier ranking, with
+    /// each entry's id, checks it against this pass in place: the same
+    /// count, each id found at its version, is the same set, and the ranks
+    /// say whether the order, or only a cut through it, moved.
     pub fn ranked(&self, now: SimInstant) -> impl Iterator<Item = RankedKey<'_>> {
         self.entries
             .iter()
             .filter(move |(_, slot)| now < slot.expires_at)
-            .map(|(key, slot)| self.ranked_key(key, slot))
-    }
-
-    /// `key`'s entry with its rank, when it is alive at `now` — without
-    /// touching recency, TTL or counters. With [`CacheTier::alive`], a
-    /// caller that keeps an earlier ranking checks it in place: the same
-    /// count of alive entries, each of its keys alive at its version, is
-    /// the same set, and the ranks say whether the order, or only a cut
-    /// through it, moved.
-    pub fn rank_of(&self, key: &str, now: SimInstant) -> Option<RankedKey<'_>> {
-        let (key, slot) = self.entries.get_key_value(key)?;
-        (now < slot.expires_at).then(|| self.ranked_key(key, slot))
-    }
-
-    /// How many entries are alive at `now` (resident ones past their TTL
-    /// excluded).
-    pub fn alive(&self, now: SimInstant) -> usize {
-        self.entries
-            .values()
-            .filter(|slot| now < slot.expires_at)
-            .count()
-    }
-
-    fn ranked_key<'a>(&self, key: &'a str, slot: &Slot<V>) -> RankedKey<'a> {
-        RankedKey {
-            key,
-            version: slot.version,
-            rank: (self.sketch.estimate(slot.hash), slot.tick),
-            expires_at: slot.expires_at,
-        }
+            .map(|(key, slot)| RankedKey {
+                key,
+                id: slot.id,
+                version: slot.version,
+                rank: (self.sketch.estimate(slot.hash), slot.tick),
+                expires_at: slot.expires_at,
+            })
     }
 
     fn remove_entry(&mut self, key: &str) -> bool {
@@ -676,6 +674,29 @@ mod tests {
     }
 
     #[test]
+    fn a_key_keeps_its_id_while_it_stays_resident() {
+        let mut tier: CacheTier<u64> = tier(100);
+        let id_of = |tier: &CacheTier<u64>, key: &str| {
+            tier.ranked(t0()).find(|e| e.key == key).map(|e| e.id)
+        };
+        tier.insert("a", 10, 1, t0(), || 1);
+        tier.insert("b", 10, 1, t0(), || 2);
+        let a = id_of(&tier, "a").unwrap();
+        assert_ne!(Some(a), id_of(&tier, "b"));
+        // Reads and replacements, at any version, keep it.
+        tier.get("a", t0(), None);
+        tier.insert("a", 10, 1, t0(), || 3);
+        tier.insert("a", 20, 2, t0(), || 4);
+        assert_eq!(id_of(&tier, "a"), Some(a));
+        // A key stored again after it left is a new entry.
+        assert!(tier.invalidate("a"));
+        tier.insert("a", 10, 2, t0(), || 5);
+        let again = id_of(&tier, "a").unwrap();
+        assert_ne!(again, a);
+        assert_ne!(Some(again), id_of(&tier, "b"));
+    }
+
+    #[test]
     fn replacing_a_key_updates_bytes_exactly() {
         let mut tier: CacheTier<u64> = tier(100);
         tier.insert("k", 30, 1, t0(), || 1);
@@ -755,14 +776,10 @@ mod tests {
                     6 => tier.note_miss(&key),
                     _ => now += SimDuration::from_millis(700 * arg),
                 }
-                // What an in-place check reads agrees with the ranking
-                // pass: the alive count, and each key's entry and rank.
+                // Ids name one entry each.
                 let ranked: Vec<RankedKey<'_>> = tier.ranked(now).collect();
-                prop_assert_eq!(tier.alive(now), ranked.len());
-                for k in 0..10 {
-                    let key = format!("k{k}");
-                    let alive = ranked.iter().find(|e| e.key == key).copied();
-                    prop_assert_eq!(tier.rank_of(&key, now), alive);
+                for entry in &ranked {
+                    prop_assert_eq!(ranked.iter().filter(|e| e.id == entry.id).count(), 1);
                 }
                 let stamp = (tier.generation(), tier.popularity_epoch());
                 let fresh = listing(&tier, now);

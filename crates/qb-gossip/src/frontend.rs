@@ -12,10 +12,10 @@
 //!   the order fills go out in when some entry needs one — so a read that
 //!   only reorders the tier keeps the handle. Once the shard tier's
 //!   `(generation, popularity epoch)` moved or the clock left the interval
-//!   the last check is exact for, the listing is re-checked in place — a
-//!   count of the tier's alive shards, then one probe per listed term
-//!   ([`QueryCache::shard_rank`]) writing its rank into a buffer the
-//!   listing keeps — and a new handle is issued only when the set or the
+//!   the last check is exact for, one pass over the tier's ranks
+//!   ([`QueryCache::shard_ranks`]) re-checks the set and the cut into
+//!   buffers the listing keeps, finding each shard's position by the id
+//!   the tier gave it, and a new handle is issued only when the set or the
 //!   cut moved. The exact order is a view beside the handle
 //!   ([`RankedListing::rank_order`]), sorted only for a fill scan that has
 //!   something to send;
@@ -41,7 +41,7 @@ use crate::filter::ShardFilter;
 use crate::membership::MembershipView;
 use crate::stats::GossipStats;
 use qb_cache::{CacheConfig, QueryCache, Rank, RankedKey};
-use qb_common::SimInstant;
+use qb_common::{IdHashMap, SimInstant};
 use qb_segment::{ImportReport, Segment, SegmentRef};
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -153,8 +153,8 @@ type DigestStamp = (u64, u64);
 /// had when the handle was issued. With the stamp standing and the clock
 /// inside `[taken_at, next_expiry)` nothing the listing reads moved (the
 /// clock only drops entries past their TTL); past that,
-/// [`RankedListing::recheck`] reads the tier's ranks of the listed terms
-/// and says whether the set or the cut moved.
+/// [`RankedListing::recheck`] reads the tier's ranks once and says whether
+/// the set or the cut moved.
 #[derive(Debug, Default)]
 pub(crate) struct RankedListing {
     /// The tier stamp of the last check (`None`: never checked, or
@@ -170,6 +170,10 @@ pub(crate) struct RankedListing {
     /// Each listed entry's rank at the last check, by position in `held`:
     /// the exact order of the tier state that check read.
     ranks: Vec<Rank>,
+    /// The position in `held` of each listed entry, by the tier's id for
+    /// it ([`RankedKey::id`]): a counter the tier draws, not a hash of the
+    /// term, so the index needs no keyed hasher.
+    positions: IdHashMap<usize>,
     /// Scratch of [`RankedListing::rank_order`].
     order: Vec<usize>,
     /// The holdings filter over `held` — a pure function of the listed key
@@ -189,25 +193,30 @@ enum Recheck {
 }
 
 impl RankedListing {
-    /// Check the listing against the tier at `now` in place: as many
-    /// shards alive as listed, and each listed term alive at its listed
-    /// version, is the same set (listed terms are distinct); while it
-    /// stands `ranks` and `next_expiry` take the tier's current values and
-    /// the hot set drawn at `cut` is compared with the listed one. A count
-    /// pass and one tier probe per listed entry — the first that misses
-    /// ends it — sorting nothing and allocating nothing.
+    /// One pass over the tier's ranks at `now`: as many shards alive as
+    /// listed, each found by its id at its listed version, is the same set
+    /// (a key keeps its id only while it stays resident); while it stands
+    /// `ranks` and `next_expiry` take the tier's current values and the hot
+    /// set drawn at `cut` is compared with the listed one. The first shard
+    /// not listed ends it; nothing is sorted, hashed by text or allocated.
     fn recheck(&mut self, cache: &QueryCache, now: SimInstant, cut: usize) -> Recheck {
-        if cache.alive_shards(now) != self.held.len() {
-            return Recheck::SetMoved;
-        }
+        let mut alive = 0usize;
         let mut next_expiry: Option<SimInstant> = None;
-        for (entry, rank) in self.held.iter().zip(&mut self.ranks) {
-            let shard = cache.shard_rank(entry.term(), now);
-            let Some(shard) = shard.filter(|shard| shard.version == entry.version()) else {
+        for shard in cache.shard_ranks(now) {
+            let listed = self.positions.get(&shard.id).copied().filter(|&at| {
+                self.held
+                    .get(at)
+                    .is_some_and(|e| e.version() == shard.version)
+            });
+            let Some(at) = listed else {
                 return Recheck::SetMoved;
             };
-            *rank = shard.rank;
+            self.ranks[at] = shard.rank;
+            alive += 1;
             next_expiry = Some(next_expiry.map_or(shard.expires_at, |e| e.min(shard.expires_at)));
+        }
+        if alive != self.held.len() {
+            return Recheck::SetMoved;
         }
         self.next_expiry = next_expiry;
         let (hot, cold) = self.ranks.split_at(self.cut.min(self.ranks.len()));
@@ -241,6 +250,9 @@ impl RankedListing {
         fingerprints.retain_live(&self.held);
         self.ranks.clear();
         self.ranks.extend(fresh.iter().map(|shard| shard.rank));
+        self.positions.clear();
+        self.positions
+            .extend(fresh.iter().enumerate().map(|(at, shard)| (shard.id, at)));
         self.next_expiry = fresh.iter().map(|shard| shard.expires_at).min();
         self.cut = cut;
     }
