@@ -135,7 +135,7 @@ impl GossipFleet {
             rng,
             stats: GossipStats::default(),
             offer_buffers: Default::default(),
-            partner_sample: PartnerSample::new(FANOUT, CROSS_ZONE_PROBABILITY),
+            partner_sample: PartnerSample::default(),
             #[cfg(test)]
             forgetful: false,
         }
@@ -363,7 +363,7 @@ impl GossipFleet {
             f.view.admit(peer, zone, inc, hb, now);
             f.view.note_load(peer, load);
             // The fleet's sample buffers, out while the exchanges run.
-            let mut sample = self.take_partner_sample();
+            let mut sample = std::mem::take(&mut self.partner_sample);
             self.sample_partners(i, anti_entropy, &mut sample);
             let partners = &mut sample.picked;
             // Zone-aware anti-entropy: when an in-zone live member's
@@ -405,13 +405,6 @@ impl GossipFleet {
         net.tracer().close(round_span, end);
     }
 
-    /// The fleet's partner-sampling buffers, out of the fleet until they
-    /// are put back in `partner_sample`.
-    pub(crate) fn take_partner_sample(&mut self) -> PartnerSample {
-        let empty = PartnerSample::new(FANOUT, CROSS_ZONE_PROBABILITY);
-        std::mem::replace(&mut self.partner_sample, empty)
-    }
-
     /// Frontend `i`'s zone-biased sample of `FANOUT` partners from the
     /// members *it* believes alive (`include_dead`: anti-entropy may probe
     /// dead ones), into `sample.picked`.
@@ -422,8 +415,15 @@ impl GossipFleet {
         sample: &mut PartnerSample,
     ) {
         let f = &self.frontends[i];
-        f.view
-            .sample_partners(&mut self.rng, f.peer, f.zone, include_dead, sample);
+        f.view.sample_partners(
+            &mut self.rng,
+            f.peer,
+            f.zone,
+            FANOUT,
+            CROSS_ZONE_PROBABILITY,
+            include_dead,
+            sample,
+        );
     }
 
     /// Queue a batch window's freshly fetched `(term, version)` keys as
@@ -2084,7 +2084,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The listing memo moves nothing simulated, on any script: reads
         /// that reorder, stores (with batch adverts), invalidations,

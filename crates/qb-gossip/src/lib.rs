@@ -86,5 +86,5 @@ pub use filter::{FilterKey, ShardFilter};
 pub use fleet::GossipFleet;
 pub use frontend::Frontend;
 pub use lifecycle::SegmentBootstrapReport;
-pub use membership::{MemberInfo, MembershipSummary, MembershipView, PartnerSample};
+pub use membership::{MemberInfo, MembershipSummary, MembershipView};
 pub use stats::GossipStats;

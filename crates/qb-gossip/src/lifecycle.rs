@@ -73,7 +73,7 @@ impl GossipFleet {
         let peer = self.frontends[i].peer;
         let final_incarnation = self.frontends[i].incarnation;
         let final_heartbeat = self.frontends[i].heartbeat;
-        let mut sample = self.take_partner_sample();
+        let mut sample = std::mem::take(&mut self.partner_sample);
         self.sample_partners(i, false, &mut sample);
         for &p in &sample.picked {
             if net.send(peer, p, DEPARTURE_NOTICE_BYTES).is_ok() {

@@ -306,25 +306,26 @@ impl MembershipView {
         evicted
     }
 
-    /// Sample up to `sample.fanout` distinct partner peers into
-    /// `sample.picked` (over whatever it held), biased toward `self_zone`:
-    /// each pick escapes to a different zone with probability
-    /// `sample.cross_zone_probability` (always, when the own zone has no
-    /// other alive member). `include_dead` additionally samples members
-    /// currently believed dead — anti-entropy rounds use it as the safety
-    /// net that re-establishes contact after partitions heal. The caller
-    /// keeps `sample` between calls, so a round samples without allocating.
-    pub fn sample_partners(
+    /// Sample up to `fanout` distinct partner peers into `sample.picked`
+    /// (over whatever it held), biased toward `self_zone`: each pick
+    /// escapes to a different zone with probability
+    /// `cross_zone_probability` (always, when the own zone has no other
+    /// alive member). `include_dead` additionally samples members currently
+    /// believed dead — anti-entropy rounds use it as the safety net that
+    /// re-establishes contact after partitions heal. The caller keeps
+    /// `sample` between calls, so a round samples without allocating.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sample_partners(
         &self,
         rng: &mut DetRng,
         self_peer: u64,
         self_zone: usize,
+        fanout: usize,
+        cross_zone_probability: f64,
         include_dead: bool,
         sample: &mut PartnerSample,
     ) {
         let PartnerSample {
-            fanout,
-            cross_zone_probability,
             same,
             cross,
             picked,
@@ -342,14 +343,14 @@ impl MembershipView {
                 cross.push(m.peer);
             }
         }
-        for _ in 0..*fanout {
+        for _ in 0..fanout {
             let pool: &mut Vec<u64> = if same.is_empty() && cross.is_empty() {
                 break;
             } else if same.is_empty() {
                 cross
             } else if cross.is_empty() {
                 same
-            } else if rng.gen_bool(*cross_zone_probability) {
+            } else if rng.gen_bool(cross_zone_probability) {
                 cross
             } else {
                 same
@@ -360,35 +361,14 @@ impl MembershipView {
     }
 }
 
-/// How [`MembershipView::sample_partners`] draws — fanout and cross-zone
-/// escape probability — and the buffers a draw fills: its candidate pools
-/// (same-zone and cross-zone peers) and the peers it picked, kept between
-/// draws.
-#[derive(Debug)]
-pub struct PartnerSample {
-    /// Most peers one draw picks.
-    pub fanout: usize,
-    /// Probability that a pick escapes to another zone while same-zone
-    /// candidates exist.
-    pub cross_zone_probability: f64,
+/// The buffers [`MembershipView::sample_partners`] fills, kept between
+/// draws: its candidate pools (same-zone and cross-zone peers) and the
+/// peers it picked, in pick order.
+#[derive(Debug, Default)]
+pub(crate) struct PartnerSample {
     same: Vec<u64>,
     cross: Vec<u64>,
-    /// The peers the last draw picked, in pick order.
-    pub picked: Vec<u64>,
-}
-
-impl PartnerSample {
-    /// Draws of `fanout` picks escaping cross-zone with probability
-    /// `cross_zone_probability`; nothing is allocated until the first.
-    pub fn new(fanout: usize, cross_zone_probability: f64) -> PartnerSample {
-        PartnerSample {
-            fanout,
-            cross_zone_probability,
-            same: Vec::new(),
-            cross: Vec::new(),
-            picked: Vec::new(),
-        }
-    }
+    pub(crate) picked: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -577,11 +557,11 @@ mod tests {
         let members: Vec<(u64, usize)> = (0..12).map(|i| (i as u64, (i % 3) as usize)).collect();
         let v = view_of(&members);
         let mut rng = DetRng::new(0x5A);
-        let mut sample = PartnerSample::new(2, 0.2);
+        let mut sample = PartnerSample::default();
         let mut same = 0usize;
         let mut total = 0usize;
         for _ in 0..400 {
-            v.sample_partners(&mut rng, 0, 0, false, &mut sample);
+            v.sample_partners(&mut rng, 0, 0, 2, 0.2, false, &mut sample);
             for &p in &sample.picked {
                 total += 1;
                 if v.get(p).unwrap().zone == 0 {
@@ -604,9 +584,9 @@ mod tests {
             v.record_failure(2, 3);
         }
         let mut rng = DetRng::new(1);
-        let mut sample = PartnerSample::new(3, 0.2);
+        let mut sample = PartnerSample::default();
         for _ in 0..50 {
-            v.sample_partners(&mut rng, 0, 0, false, &mut sample);
+            v.sample_partners(&mut rng, 0, 0, 3, 0.2, false, &mut sample);
             let picks = &sample.picked;
             assert!(!picks.contains(&0), "never samples self");
             assert!(!picks.contains(&2), "never samples dead members");
@@ -614,9 +594,8 @@ mod tests {
         }
         // Anti-entropy mode reaches dead members again.
         let mut saw_dead = false;
-        sample.fanout = 2;
         for _ in 0..50 {
-            v.sample_partners(&mut rng, 0, 0, true, &mut sample);
+            v.sample_partners(&mut rng, 0, 0, 2, 0.2, true, &mut sample);
             if sample.picked.contains(&2) {
                 saw_dead = true;
             }
