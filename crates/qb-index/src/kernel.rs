@@ -3,11 +3,20 @@
 //! ranking — in one place, walking the shards' doc-id-sorted postings
 //! directly.
 //!
+//! One walk intersects and scores. The shortest list leads; for each of
+//! its postings the other lists' cursors gallop forward to that doc id,
+//! and a document every list holds is scored right there, from the
+//! postings the walk just found — no candidate list, no second pass. Only
+//! an empty conjunction of two or more terms walks again: the union
+//! fallback collects every doc id and scores each from cursors reset to
+//! the start.
+//!
 //! The kernel computes; it copies only what its caller keeps. [`rank`]
 //! returns a [`Ranked`]: every candidate's 16-byte key — its score and the
 //! posting whose metadata it takes, borrowed from the shards. A response
-//! asks it for one [`Ranked::page`] and owns just those documents; a tier
-//! that keeps whole lists asks for [`Ranked::list`].
+//! asks it for one [`Ranked::page`], which picks the keys up to the page's
+//! end with a bounded heap inside the key buffer and owns just the page's
+//! documents; a tier that keeps whole lists asks for [`Ranked::list`].
 //!
 //! [`crate::query::search`] evaluates the same query semantics over a local
 //! [`crate::InvertedIndex`]; it stays separate because it is the reference
@@ -40,7 +49,8 @@ fn advance<'a>(
 }
 
 /// One query term's shard inside a kernel call, with the per-shard state
-/// the call keeps: how far scoring has walked it, and its idf (one `ln` per
+/// the call keeps: how far the walk has gone through it — after a match,
+/// the cursor is on the document's own posting — and its idf (one `ln` per
 /// shard, not one per posting).
 struct List<'a> {
     shard: &'a ShardEntry,
@@ -103,6 +113,59 @@ impl<'a> Keys<'a> {
             Keys::Many(keys) => keys,
         }
     }
+
+    /// Add a key; the buffer is allocated, for at most `bound` keys in all,
+    /// when the second one arrives.
+    fn push(&mut self, key: Key<'a>, bound: usize) {
+        match self {
+            Keys::AtMostOne(None) => *self = Keys::AtMostOne(Some(key)),
+            Keys::AtMostOne(Some(first)) => {
+                let mut keys = Vec::with_capacity(bound);
+                keys.extend([*first, key]);
+                *self = Keys::Many(keys);
+            }
+            Keys::Many(keys) => keys.push(key),
+        }
+    }
+}
+
+/// Put the `end` best keys at the front, in rank order. The front is kept
+/// as a heap with the worst of its keys on top; a later key enters only if
+/// it ranks better than that top. Then the front is sorted. `by_rank` is a
+/// total order, so the keys picked and their order are exactly a full
+/// sort's first `end`; nothing is allocated.
+fn select_best(keys: &mut [Key<'_>], end: usize) {
+    if 0 < end && end < keys.len() {
+        let (best, rest) = keys.split_at_mut(end);
+        for at in (0..end / 2).rev() {
+            sift_down(best, at);
+        }
+        for key in rest {
+            if by_rank(key, &best[0]) == Ordering::Less {
+                std::mem::swap(key, &mut best[0]);
+                sift_down(best, 0);
+            }
+        }
+    }
+    keys[..end].sort_unstable_by(by_rank);
+}
+
+/// Move the key at `at` down `heap` until no child ranks worse than its
+/// parent.
+fn sift_down(heap: &mut [Key<'_>], mut at: usize) {
+    loop {
+        let mut worst = at;
+        for child in [2 * at + 1, 2 * at + 2] {
+            if child < heap.len() && by_rank(&heap[child], &heap[worst]) == Ordering::Greater {
+                worst = child;
+            }
+        }
+        if worst == at {
+            return;
+        }
+        heap.swap(at, worst);
+        at = worst;
+    }
 }
 
 /// Rank the keys, then build each document once, in rank order.
@@ -155,9 +218,9 @@ impl Ranked<'_> {
     }
 
     /// One page of hits, in rank order: `paginate(&self.list(), page,
-    /// top_k)` on every field. Without the list, only the candidates up to
-    /// the page's end are put in order and only the page's documents are
-    /// built.
+    /// top_k)` on every field. Without the list, the keys up to the page's
+    /// end are picked with a bounded heap in the key buffer and sorted,
+    /// and only the page's documents are built.
     pub fn page(&mut self, page: usize, top_k: usize) -> Vec<ScoredDoc> {
         let keys = match &mut self.0 {
             State::Keys(keys) => keys.as_mut_slice(),
@@ -167,10 +230,7 @@ impl Ranked<'_> {
         if bounds.is_empty() {
             return Vec::new();
         }
-        if bounds.end < keys.len() {
-            keys.select_nth_unstable_by(bounds.end, by_rank);
-        }
-        keys[..bounds.end].sort_unstable_by(by_rank);
+        select_best(keys, bounds.end);
         keys[bounds].iter().map(materialise).collect()
     }
 
@@ -192,6 +252,11 @@ impl Ranked<'_> {
 /// it with `component_of` its page (the page's [`rank_component`]). The
 /// [`Ranked`] candidates order by `(score desc, doc id asc)`.
 ///
+/// One walk does the intersecting and the scoring: the shortest shard
+/// leads, the others gallop to each of its doc ids, and a document all of
+/// them hold is scored from the postings the walk found. Only the union
+/// fallback walks again.
+///
 /// Shards must hold their postings strictly ascending by doc id
 /// ([`ShardEntry::upsert`] maintains this). A document's metadata is taken
 /// from the last shard, in term order, that holds it. The order the shards
@@ -212,8 +277,8 @@ fn score<'a, S: Borrow<ShardEntry>>(
     component_of: impl Fn(&ShardPosting) -> f64,
     rank_weight: f64,
 ) -> Keys<'a> {
-    // Intersect smallest-first (stable) so the candidate set shrinks
-    // fastest.
+    // Term order fixes the float sum and the metadata choice; the query's
+    // own order must not.
     let scorer = Bm25::default();
     let num_docs = stats.num_docs.max(1) as usize;
     let mut lists: Vec<List<'a>> = shards
@@ -227,51 +292,66 @@ fn score<'a, S: Borrow<ShardEntry>>(
             }
         })
         .collect();
-    lists.sort_by_key(|l| l.shard.postings.len());
-
-    let mut candidates: Vec<u64> = Vec::new();
-    for (i, shard) in lists.iter().map(|l| l.shard).enumerate() {
-        if i == 0 {
-            candidates = shard.postings.iter().map(|p| p.doc_id).collect();
-        } else {
-            let mut cursor = 0;
-            candidates.retain(|&doc_id| advance(&shard.postings, &mut cursor, doc_id).is_some());
-        }
-    }
-    if candidates.is_empty() && lists.len() > 1 {
-        candidates = lists
-            .iter()
-            .flat_map(|l| l.shard.postings.iter().map(|p| p.doc_id))
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-    }
-
-    // Score in term order (the float sum and the metadata choice depend on
-    // the order; the query's own order must not). Candidates ascend, so
-    // each shard's cursor walks its list once.
     lists.sort_by(|a, b| a.shard.term.cmp(&b.shard.term));
     let avg_len = stats.avg_len();
-    let score = |doc_id: &u64| {
+    let key = |relevance: f64, meta: &'a ShardPosting| {
+        let blended = blend_with_component(relevance, component_of(meta), rank_weight);
+        (blended, meta)
+    };
+
+    let mut keys = Keys::AtMostOne(None);
+    let Some(lead) = (0..lists.len()).min_by_key(|&i| lists[i].shard.postings.len()) else {
+        return keys;
+    };
+    let leading = &lists[lead].shard.postings[..];
+    'walk: for (at, posting) in leading.iter().enumerate() {
+        for (i, l) in lists.iter_mut().enumerate() {
+            if i == lead {
+                l.cursor = at;
+            } else if advance(&l.shard.postings, &mut l.cursor, posting.doc_id).is_none() {
+                if l.cursor == l.shard.postings.len() {
+                    break 'walk;
+                }
+                continue 'walk;
+            }
+        }
+        // Every cursor is on this document's posting.
+        let (mut relevance, mut meta) = (0.0, posting);
+        for l in &lists {
+            meta = &l.shard.postings[l.cursor];
+            relevance += scorer.score_with_idf(l.idf, meta.term_freq, meta.doc_len, avg_len);
+        }
+        keys.push(key(relevance, meta), leading.len());
+    }
+    if !keys.as_slice().is_empty() || lists.len() < 2 {
+        return keys;
+    }
+
+    // The union fallback: every doc id, ascending, so each shard's cursor
+    // walks its list once more from the start.
+    let mut candidates: Vec<u64> = lists
+        .iter()
+        .flat_map(|l| l.shard.postings.iter().map(|p| p.doc_id))
+        .collect();
+    candidates.sort_unstable();
+    candidates.dedup();
+    for l in &mut lists {
+        l.cursor = 0;
+    }
+    for doc_id in &candidates {
         let mut relevance = 0.0;
-        let mut meta: Option<&'a ShardPosting> = None;
+        let mut meta = None;
         for l in &mut lists {
             if let Some(p) = advance(&l.shard.postings, &mut l.cursor, *doc_id) {
                 relevance += scorer.score_with_idf(l.idf, p.term_freq, p.doc_len, avg_len);
                 meta = Some(p);
             }
         }
-        let meta = meta?;
-        let blended = blend_with_component(relevance, component_of(meta), rank_weight);
-        Some((blended, meta))
-    };
-    if candidates.len() <= 1 {
-        Keys::AtMostOne(candidates.first().and_then(score))
-    } else {
-        let mut keys: Vec<Key<'a>> = Vec::with_capacity(candidates.len());
-        keys.extend(candidates.iter().filter_map(score));
-        Keys::Many(keys)
+        if let Some(meta) = meta {
+            keys.push(key(relevance, meta), candidates.len());
+        }
     }
+    keys
 }
 
 /// [`rank`] with the whole list built and the page rank looked up by name:
@@ -387,6 +467,19 @@ mod tests {
                 proptest::collection::btree_map(0u64..64, (1u32..6, 1u32..200, 0u64..3), 0..40),
                 1..5,
             ),
+            // One case in two takes the skewed shape instead: a list of 0–4
+            // ids, put at term position `lead_at`, beside long lists from a
+            // wide range. The walk then gallops over long runs, the lead
+            // sits at every term position, and the conjunction mostly comes
+            // out empty after cursors have moved, so the union fallback
+            // starts over from walked lists.
+            skewed in 0u8..2,
+            short in proptest::collection::btree_map(0u64..4096, (1u32..6, 1u32..200, 0u64..3), 0..5),
+            long in proptest::collection::vec(
+                proptest::collection::btree_map(0u64..4096, (1u32..6, 1u32..200, 0u64..3), 0..400),
+                1..4,
+            ),
+            lead_at in 0usize..4,
             stats in (0u64..50, 0u64..5_000),
             rank_tenths in 0u32..11,
             // One case in three flattens every posting and rank, so whole
@@ -396,6 +489,14 @@ mod tests {
             top_k_pick in 0usize..6,
         ) {
             let flat = flat == 0;
+            let lists = match skewed {
+                0 => lists,
+                _ => {
+                    let mut long = long;
+                    long.insert(lead_at % (long.len() + 1), short);
+                    long
+                }
+            };
             let shards: Vec<ShardEntry> = lists
                 .iter()
                 .enumerate()
@@ -477,6 +578,48 @@ mod tests {
             prop_assert_eq!(ranked.len(), expected.len());
             prop_assert_eq!(ranked.list_bytes(), expected_bytes);
             prop_assert_eq!(bits(&ranked.page(page, top_k)), bits(&expected_page));
+        }
+    }
+
+    #[test]
+    fn the_page_heap_picks_what_a_full_sort_puts_first() {
+        // Doc ids in scrambled order, flat scores: every tie orders by doc
+        // id alone. The second round mixes in a few score levels.
+        let postings: Vec<ShardPosting> = (0..40u64)
+            .map(|i| ShardPosting {
+                doc_id: i * 17 % 41,
+                term_freq: 1,
+                doc_len: 1,
+                name: "".into(),
+                version: 1,
+                creator: 0,
+            })
+            .collect();
+        for levels in [1, 3] {
+            let keys: Vec<Key<'_>> = postings
+                .iter()
+                .map(|p| (1.0 + (p.doc_id * 7 % levels) as f64, p))
+                .collect();
+            let mut sorted = keys.clone();
+            sorted.sort_by(by_rank);
+            let order = |keys: &[Key<'_>]| -> Vec<(u64, u64)> {
+                keys.iter().map(|(s, p)| (s.to_bits(), p.doc_id)).collect()
+            };
+            for end in 0..=keys.len() {
+                let mut picked = keys.clone();
+                select_best(&mut picked, end);
+                assert_eq!(
+                    order(&picked[..end]),
+                    order(&sorted[..end]),
+                    "{levels} {end}"
+                );
+                picked.sort_by(by_rank);
+                assert_eq!(
+                    order(&picked),
+                    order(&sorted),
+                    "{levels} {end}: a permutation"
+                );
+            }
         }
     }
 
