@@ -30,7 +30,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Advance `cursor` to the first posting at or past it whose doc id is
-/// `>= doc_id` — galloping, so a short candidate list skips through a long
+/// `>= doc_id` — galloping, so a short lead list skips through a long
 /// shard — and return that posting when it is `doc_id`'s own.
 fn advance<'a>(
     postings: &'a [ShardPosting],
@@ -309,6 +309,7 @@ fn score<'a, S: Borrow<ShardEntry>>(
             if i == lead {
                 l.cursor = at;
             } else if advance(&l.shard.postings, &mut l.cursor, posting.doc_id).is_none() {
+                // A list walked to its end holds no later lead doc id.
                 if l.cursor == l.shard.postings.len() {
                     break 'walk;
                 }

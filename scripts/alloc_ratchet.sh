@@ -32,7 +32,11 @@
 # 31.730952 or 31.730992: the views are keyed by buffer address, an
 # in-place sweep left tombstones wherever the addresses fell, and those
 # decided whether one ~8 KiB table resize landed inside the timed region. The ceilings sit ~10 % above the values measured at
-# seed 1, 1 s. Since a gossip listing is named by the set it holds, not
+# seed 1, 1 s. Since the serving kernel intersects and scores in one walk
+# of the shards, it builds no candidate doc-id list: score-heavy reads
+# 33.5 (34.5 before; its ceiling went 38 -> 37), cold-lookup 30.7 (31.7
+# before; 35 -> 34), serve-warm 59.5 (60.2 before) and publish-churn
+# 449.5 (450.2 before). Since a gossip listing is named by the set it holds, not
 # by its rank order — a read that only reorders a frontend's shard tier
 # keeps the listing handle, its holdings filter and the settled records
 # naming it, so no re-rank collects a fresh listing — and partner sampling
@@ -191,8 +195,8 @@ check() {
   fi
 }
 
-check score-heavy 0931b7eedaa0bea9 38
-check cold-lookup a30562ceaa2f8154 35
+check score-heavy 0931b7eedaa0bea9 37
+check cold-lookup a30562ceaa2f8154 34
 check serve-warm 059c87e708c069a0 66
 check publish-churn 0858e038e76a9b58 496 38
 exit "$status"

@@ -6,14 +6,14 @@
 #   scripts/knob_ratchet.sh
 #
 # A field is a `pub name:` line inside a `pub struct <Name>Config {` body
-# on a non-comment line before the first `#[cfg(test)]` of a
-# `crates/*/src/**/*.rs` file outside `src/bin/` — the file set the panic
-# ratchet reads. The rule it enforces (ROADMAP, "Knobs and comparison-only
-# modes"): an option stays only if two non-test callers that exist today
-# give it different values; a value every caller shares is a named
-# constant. Lower the ceiling when a change removes fields; raise it only
-# by naming, in CHANGES.md, the two non-test callers that need different
-# values of each new field.
+# on a non-comment line of library code, as `scripts/library_code.awk`
+# prints it, in a `crates/*/src/**/*.rs` file outside `src/bin/` — the
+# lines the panic ratchet reads. The rule it enforces (ROADMAP, "Knobs and
+# comparison-only modes"): an option stays only if two non-test callers
+# that exist today give it different values; a value every caller shares
+# is a named constant. Lower the ceiling when a change removes fields;
+# raise it only by naming, in CHANGES.md, the two non-test callers that
+# need different values of each new field.
 set -euo pipefail
 
 ceiling=80
@@ -21,14 +21,13 @@ ceiling=80
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 count() {
-  awk '
-    /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+  awk -f scripts/library_code.awk "$1" | awk '
     /^[[:space:]]*\/\// { next }
     /^[[:space:]]*pub struct [A-Za-z0-9_]*Config[[:space:]]*\{/ { inside = 1; next }
     inside && /^}/ { inside = 0; next }
     inside && /^[[:space:]]*pub [a-z_][a-z0-9_]*[[:space:]]*:/ { n += 1 }
     END { print n + 0 }
-  ' "$1"
+  '
 }
 
 total=0

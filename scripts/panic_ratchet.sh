@@ -5,9 +5,11 @@
 #   scripts/panic_ratchet.sh
 #
 # A site is an occurrence of `.unwrap()`, `.expect(`, `panic!(` or
-# `unreachable!(` on a non-comment line before the first `#[cfg(test)]` of a
-# `crates/*/src/**/*.rs` file outside `src/bin/` (binaries may abort; unit
-# tests sit below the marker). Library code returns `QbError` for anything
+# `unreachable!(` on a non-comment line of library code: a
+# `crates/*/src/**/*.rs` file outside `src/bin/` (binaries may abort) as
+# `scripts/library_code.awk` prints it — up to the test module's column-0
+# `#[cfg(test)]`, less each test-only item an indented `#[cfg(test)]`
+# marks. Library code returns `QbError` for anything
 # input or the network can cause; a site that stays is an `expect` whose
 # message names the invariant that makes it unreachable. Lower the ceiling
 # when a change removes sites; raise it only with the reason in CHANGES.md.
@@ -18,12 +20,11 @@ ceiling=5
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 count() {
-  awk '
-    /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+  awk -f scripts/library_code.awk "$1" | awk '
     /^[[:space:]]*\/\// { next }
     { n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "") }
     END { print n + 0 }
-  ' "$1"
+  '
 }
 
 total=0

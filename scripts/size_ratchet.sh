@@ -5,11 +5,12 @@
 #
 #   scripts/size_ratchet.sh
 #
-# A file's size is its line count before the first `#[cfg(test)]` — the
-# same "library code" the panic ratchet reads: `crates/*/src/**/*.rs`
-# outside `src/bin/`, unit tests below the marker not counted. A file
-# that reaches the ceiling is split at a seam, not trimmed of comments;
-# raise the ceiling only with the reason in CHANGES.md.
+# A file's size is its count of library lines — the same "library code"
+# the panic ratchet reads: `crates/*/src/**/*.rs` outside `src/bin/`, as
+# `scripts/library_code.awk` prints it (up to the test module's
+# column-0 `#[cfg(test)]`, less each item an indented `#[cfg(test)]`
+# marks). A file that reaches the ceiling is split at a seam, not trimmed
+# of comments; raise the ceiling only with the reason in CHANGES.md.
 set -euo pipefail
 
 ceiling=800
@@ -17,11 +18,7 @@ ceiling=800
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 count() {
-  awk '
-    /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
-    { n += 1 }
-    END { print n + 0 }
-  ' "$1"
+  awk -f scripts/library_code.awk "$1" | awk 'END { print NR }'
 }
 
 largest=0
