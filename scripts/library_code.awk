@@ -7,8 +7,8 @@
 # module). Above it, an indented `#[cfg(test)]` alone on its line marks one
 # test-only item — a field, a method, a statement — and only that item is
 # left out: from the attribute to the line where its brackets close again
-# and it ends in `,`, `;` or `}`. Brackets are counted outside `//`
-# comments, not inside string or char literals.
+# and it ends in `,`, `;` or `}`. Brackets after `//` are not counted;
+# brackets inside string or char literals are.
 
 /^#\[cfg\(test\)\]/ { exit }
 
