@@ -106,9 +106,12 @@ impl DigestEntry {
         DigestEntry::of_key(TermKey::of(term), version)
     }
 
-    /// The same term at `version`: the term key is kept, the fingerprint
-    /// hashed afresh.
+    /// The same term at `version`: the term key is kept, and the
+    /// fingerprint hashed afresh unless `version` is this entry's own.
     pub(crate) fn bumped(&self, version: u64) -> DigestEntry {
+        if version == self.version {
+            return self.clone();
+        }
         DigestEntry::of_key(self.term.clone(), version)
     }
 
@@ -324,33 +327,7 @@ impl VersionVector {
             Slot::Loose(_) => None,
         }
     }
-
-    /// Fold another vector in (pairwise max).
-    pub fn merge(&mut self, other: &VersionVector) {
-        for (term, slot) in &other.texts {
-            let version = other.version_in(slot);
-            match slot {
-                Slot::Keyed(key) => self.observe_key(key, version),
-                Slot::Loose(_) => self.observe(term, version),
-            }
-        }
-    }
-
-    /// Does this vector dominate `other` (>= on every term of `other`)?
-    pub fn dominates(&self, other: &VersionVector) -> bool {
-        other.unordered().all(|(term, v)| self.get(term) >= v)
-    }
 }
-
-/// Two vectors are equal when they record the same versions, however each
-/// came to know its terms.
-impl PartialEq for VersionVector {
-    fn eq(&self, other: &VersionVector) -> bool {
-        self.len() == other.len() && self.dominates(other) && other.dominates(self)
-    }
-}
-
-impl Eq for VersionVector {}
 
 #[cfg(test)]
 mod tests {
@@ -447,22 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_dominates() {
-        let mut a = VersionVector::new();
-        a.observe("x", 2);
-        a.observe("y", 1);
-        let mut b = VersionVector::new();
-        b.observe("x", 1);
-        b.observe("z", 4);
-        assert!(!a.dominates(&b));
-        a.merge(&b);
-        assert_eq!(a.get("x"), 2);
-        assert_eq!(a.get("z"), 4);
-        assert!(a.dominates(&b));
-        assert!(!b.dominates(&a));
-    }
-
-    #[test]
     fn a_bumped_entry_keeps_its_term_key() {
         let entry = DigestEntry::new("honey", 3);
         let bumped = entry.bumped(4);
@@ -517,9 +478,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// The keyed vector behaves as a `BTreeMap<String, u64>` of pairwise
-        /// maxima: `get`, `len`, `dominates` (both ways, against a vector
-        /// built from the model alone) and `iter`, which must list in term
-        /// order.
+        /// maxima: `get` (by text and by key), `len` and `iter`, which must
+        /// list in term order.
         #[test]
         fn the_version_vector_matches_a_btree_model(
             steps in proptest::collection::vec(
@@ -530,20 +490,20 @@ mod tests {
             let mut vector = VersionVector::new();
             let mut model: BTreeMap<String, u64> = BTreeMap::new();
             for (how, pairs) in steps {
-                // Observe each pair by text, each by key, or all of them
-                // through a merged vector.
-                let mut other = VersionVector::new();
+                // Observe each pair by text, each by key, or each by text
+                // and then by key one version lower.
                 for &(t, v) in &pairs {
                     match how {
                         0 => vector.observe(&term(t), v),
                         1 => vector.observe_key(&TermKey::of(term(t)), v),
-                        _ => other.observe(&term(t), v),
+                        _ => {
+                            vector.observe(&term(t), v);
+                            vector.observe_key(&TermKey::of(term(t)), v.saturating_sub(1));
+                        }
                     }
                     let slot = model.entry(term(t)).or_insert(v);
                     *slot = (*slot).max(v);
                 }
-                vector.merge(&other);
-                prop_assert!(vector.dominates(&other));
                 prop_assert_eq!(vector.len(), model.len());
                 prop_assert_eq!(vector.is_empty(), model.is_empty());
                 for t in 0..24 {
@@ -556,17 +516,6 @@ mod tests {
                 let expected: Vec<(String, u64)> =
                     model.iter().map(|(t, v)| (t.clone(), *v)).collect();
                 prop_assert_eq!(listed, expected);
-                let mut rebuilt = VersionVector::new();
-                for (t, v) in &model {
-                    rebuilt.observe(t, *v);
-                }
-                prop_assert!(vector.dominates(&rebuilt) && rebuilt.dominates(&vector));
-                prop_assert_eq!(&rebuilt, &vector);
-                if let Some((t, v)) = model.iter().next() {
-                    let mut ahead = rebuilt.clone();
-                    ahead.observe(t, v + 1);
-                    prop_assert!(ahead.dominates(&vector) && !vector.dominates(&ahead));
-                }
             }
         }
     }

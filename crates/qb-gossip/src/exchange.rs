@@ -22,11 +22,9 @@
 //!
 //! * every per-term probe — `advertised`, `holdings`, `known` — goes by the
 //!   [`TermKey`] the entry carries, never by a string hash;
-//! * a full exchange that is not a settled hit [`reconcile`]s `advertised`
-//!   and `holdings` with the two listings in place (write what moved, drop
-//!   what left) and observes into `known` only the pairs `holdings` did
-//!   not already hold, which `PeerSync::holdings_observed` says `known`
-//!   covers;
+//! * a full exchange that is not a settled hit observes the partner's
+//!   listing into `known` and [`reconcile`]s `advertised` and `holdings`
+//!   with the two listings in place (write what moved, drop what left);
 //! * a fill scan first asks, in the listing's stored order, whether any
 //!   entry needs a fill — that answer does not depend on the order — and
 //!   only when one does walks the hot set in exact rank order
@@ -402,34 +400,23 @@ impl Exchange<'_> {
             }
             // Anti-entropy brings both maps to exactly the two whole tiers
             // (`hot()` is the whole tier in a full exchange), in place. Which
-            // versions exist is learned before any fill is admitted: every
-            // pair `holdings` did not hold is observed, and while
-            // `holdings_observed` stands `known` already covers the rest.
+            // versions exist is learned before any fill is admitted.
             sync.unsettle();
+            for entry in theirs.hot() {
+                known.observe_key(entry.term_key(), entry.version());
+            }
             reconcile(
                 &mut sync.advertised,
                 mine.hot(),
                 |v| *v,
                 DigestEntry::version,
-                |_| {},
             );
-            if !sync.holdings_observed {
-                for entry in theirs.hot() {
-                    known.observe_key(entry.term_key(), entry.version());
-                }
-            }
             reconcile(
                 &mut sync.holdings,
                 theirs.hot(),
                 DigestEntry::version,
                 DigestEntry::clone,
-                |entry| known.observe_key(entry.term_key(), entry.version()),
             );
-            debug_assert!(theirs
-                .hot()
-                .iter()
-                .all(|e| known.get_key(e.term_key()) >= e.version()));
-            sync.holdings_observed = true;
             return;
         }
 
@@ -473,7 +460,6 @@ impl Exchange<'_> {
                 theirs.hot(),
                 DigestEntry::version,
                 DigestEntry::clone,
-                |_| {},
             );
         }
     }
@@ -655,19 +641,10 @@ impl Exchange<'_> {
             // stop re-pushing (a refused admission must be retried, so no
             // record). The shard is the sender's *current* copy, which this
             // very exchange may have moved past the version its digest
-            // entry was ranked at — so a moved pair is resolved through the
-            // memo, not taken from that entry. A version the sender has not
-            // observed itself leaves `holdings` ahead of `known`.
+            // entry was ranked at — so a moved pair is noted at the version
+            // shipped, not taken from that entry.
             if matches!(outcome, RemoteAdmit::Accepted | RemoteAdmit::Duplicate) {
-                let shipped = if shard.version == entry.version() {
-                    entry.clone()
-                } else {
-                    from.fingerprints.entry(&shard.term, shard.version)
-                };
-                if from.known.get_key(shipped.term_key()) < shipped.version() {
-                    sync.holdings_observed = false;
-                }
-                note_holding(&mut sync.holdings, &shipped);
+                note_holding(&mut sync.holdings, &entry.bumped(shard.version));
             }
         }
     }
@@ -676,25 +653,22 @@ impl Exchange<'_> {
 /// Bring `map` to exactly one value per entry of `listed`, in place: the
 /// value (`value` of the entry) is written where the map holds another
 /// version (`version_of`), inserted where it holds nothing, and every term
-/// `listed` does not name is dropped. `fresh` sees each entry written or
-/// inserted. `listed` names each term once, so the map holds something else
-/// exactly when it ends up larger than `listed`.
+/// `listed` does not name is dropped. `listed` names each term once, so the
+/// map holds something else exactly when it ends up larger than `listed`.
 fn reconcile<V>(
     map: &mut TermMap<V>,
     listed: &[DigestEntry],
     version_of: impl Fn(&V) -> u64,
     value: impl Fn(&DigestEntry) -> V,
-    mut fresh: impl FnMut(&DigestEntry),
 ) {
     for entry in listed {
         match map.get_mut(entry.term_key()) {
-            Some(held) if version_of(held) == entry.version() => continue,
+            Some(held) if version_of(held) == entry.version() => {}
             Some(held) => *held = value(entry),
             None => {
                 map.insert(entry.term_key().clone(), value(entry));
             }
         }
-        fresh(entry);
     }
     if map.len() > listed.len() {
         let live: TermSet = listed.iter().map(DigestEntry::term_key).collect();

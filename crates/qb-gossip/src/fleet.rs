@@ -445,8 +445,9 @@ impl GossipFleet {
             if f.pending_adverts.len() >= MAX_PENDING {
                 break;
             }
-            if !f.pending_adverts.iter().any(|(t, _)| t == term) {
-                f.pending_adverts.push((term.clone(), *version));
+            if !f.pending_adverts.iter().any(|e| e.term() == term) {
+                f.pending_adverts
+                    .push(DigestEntry::new(term.as_str(), *version));
             }
         }
     }
@@ -1479,7 +1480,8 @@ mod tests {
 
     /// A re-rank that lists the same set with the same hot set keeps the
     /// handle and its filter, whatever order it comes out in; one that
-    /// moves only the hot set issues a new handle and carries the filter.
+    /// moves only the hot set issues a new handle, whose filter is built
+    /// afresh.
     #[test]
     fn a_re_rank_of_the_same_sequence_keeps_the_listing_and_its_filter() {
         let mut f = Frontend::new(0, 0, CacheConfig::enabled());
@@ -1512,15 +1514,53 @@ mod tests {
         // The order is a view beside the handle.
         assert_eq!(f.listing.rank_order(3), [1, 0, 2]);
         // Reads lift `alpha` into the hot set: a new handle over the same
-        // set, which keeps the filter.
+        // set, without a filter until one is asked for. The set, and so the
+        // filter's bits, are the same.
         for _ in 0..2 {
             f.cache_mut().lookup_shard("alpha", now, 1);
         }
         let recut = f.ranked_holdings(now, 2);
         assert!(!Arc::ptr_eq(&listed, &recut));
         assert_eq!(terms(&recut), ["alpha", "beta", "gamma"]);
-        assert!(Arc::ptr_eq(&filter, &f.holdings_filter(&mut stats)));
-        assert_eq!((stats.filter_builds, stats.filter_reuses), (1, 2));
+        assert!(f.listing.filter.is_none());
+        let rebuilt = f.holdings_filter(&mut stats);
+        assert!(!Arc::ptr_eq(&filter, &rebuilt));
+        assert_eq!(*rebuilt, *filter);
+        assert_eq!((stats.filter_builds, stats.filter_reuses), (2, 1));
+    }
+
+    /// A new handle keeps the entry of every shard the old one listed under
+    /// the same tier id: a resident key keeps its entry, a version bump
+    /// keeps the term key under a fresh fingerprint, and a key evicted and
+    /// stored again — under a new id — is keyed afresh.
+    #[test]
+    fn a_relist_reuses_each_entry_by_tier_id() {
+        let mut f = Frontend::new(0, 0, CacheConfig::enabled());
+        let now = SimInstant::ZERO;
+        for term in ["alpha", "beta", "gamma"] {
+            f.cache_mut().store_shard(&shard(term, 1, 2), now);
+        }
+        let entry = |listing: &[DigestEntry], term: &str| -> DigestEntry {
+            let found = listing.iter().find(|e| e.term() == term);
+            found.expect("listed").clone()
+        };
+        let before = f.ranked_holdings(now, HOT);
+        f.cache_mut().store_shard(&shard("beta", 2, 2), now);
+        assert_eq!(f.cache_mut().invalidate_term("gamma", now), 1);
+        f.cache_mut().store_shard(&shard("gamma", 1, 2), now);
+        let after = f.ranked_holdings(now, HOT);
+        assert!(!Arc::ptr_eq(&before, &after), "beta moved the set");
+        let shares_term = |term: &str| {
+            let (old, new) = (entry(&before, term), entry(&after, term));
+            Arc::ptr_eq(old.term_key().term(), new.term_key().term())
+        };
+        assert!(shares_term("alpha"), "a resident key keeps its entry");
+        assert!(shares_term("beta"), "a bump keeps the term key");
+        assert_ne!(entry(&before, "beta").key(), entry(&after, "beta").key());
+        assert!(!shares_term("gamma"), "a new id is keyed afresh");
+        for e in after.iter() {
+            assert_eq!(*e, DigestEntry::new(e.term(), e.version()));
+        }
     }
 
     /// Each frontend's listing handle, filter and allocations.
@@ -1596,8 +1636,8 @@ mod tests {
         let listed = Arc::clone(&fleet.frontend(0).listing.held);
         let filter = fleet.frontend(0).listing.filter.clone().expect("built");
         // `term0`, the coldest of frontend 0's ten, is read past the four
-        // hot ones: the same set, another hot set, so a new handle — the
-        // filter over the set rides along — and no record names it.
+        // hot ones: the same set, another hot set, so a new handle — with
+        // a filter of its own, over the same set — and no record names it.
         for _ in 0..4 {
             fleet.cache_mut(0).lookup_shard("term0", now, 1);
         }
@@ -1610,8 +1650,9 @@ mod tests {
         let memo = &fleet.frontend(0).listing;
         assert!(!Arc::ptr_eq(&listed, &memo.held));
         assert_eq!(memo.held[0].term(), "term0");
-        let kept = memo.filter.as_ref();
-        assert!(kept.is_some_and(|kept| Arc::ptr_eq(kept, &filter)));
+        let rebuilt = memo.filter.as_ref().expect("the exchange built it");
+        assert!(!Arc::ptr_eq(rebuilt, &filter));
+        assert_eq!(**rebuilt, *filter);
     }
 
     #[test]
@@ -2039,8 +2080,8 @@ mod tests {
                 evictions: 6,
                 revivals: 2,
                 batch_adverts: 13,
-                filter_builds: 256,
-                filter_reuses: 598,
+                filter_builds: 289,
+                filter_reuses: 565,
                 settled_sides: 210,
             }
         );
@@ -2198,9 +2239,8 @@ mod tests {
         /// to gossip equals a fresh one in everything the wire reads: the
         /// same pairs, the same ones in the hot set, and in exact rank
         /// order through [`RankedListing::rank_order`]. Every entry carries
-        /// the fingerprint of its own pair, the fingerprint memo holds
-        /// exactly the live listing, and a handle is kept exactly while the
-        /// set and the hot set stand.
+        /// the fingerprint of its own pair, and a handle is kept exactly
+        /// while the set and the hot set stand.
         ///
         /// [`RankedListing::rank_order`]: crate::frontend::RankedListing::rank_order
         #[test]
@@ -2262,7 +2302,6 @@ mod tests {
                 for entry in ranked.iter() {
                     prop_assert_eq!(entry.key(), FilterKey::of(entry.term(), entry.version()));
                 }
-                prop_assert_eq!(f.fingerprints.0.len(), ranked.len());
                 // The handle is kept exactly while the set and the hot set
                 // stand.
                 if let Some((before, before_set, before_hot)) = &last {

@@ -16,24 +16,20 @@
 //!   ([`QueryCache::shard_ranks`]) re-checks the set and the cut into
 //!   buffers the listing keeps, finding each shard's position by the id
 //!   the tier gave it, and a new handle is issued only when the set or the
-//!   cut moved. The exact order is a view beside the handle
+//!   cut moved. A new handle keeps the entry of every shard the old one
+//!   listed under the same id — its [`TermKey`](crate::TermKey) and, at
+//!   the same version, its filter fingerprint — so a term is hashed once
+//!   while it stays resident. The exact order is a view beside the handle
 //!   ([`RankedListing::rank_order`]), sorted only for a fill scan that has
 //!   something to send;
 //! * the **holdings filter** ([`Frontend::holdings_filter`]) is a function
-//!   of the listed key set and is stored in the listing memo: built at most
-//!   once per set, it rides the handle and is carried to the next one when
-//!   only the cut moved;
+//!   of the listed key set and belongs to the listing handle: built at most
+//!   once per handle, and dropped with it;
 //! * the per-partner **settled records** in [`PeerSync`] are two listing
 //!   handles, mine and the partner's, at an exchange that had nothing to
 //!   tell and nothing to push, so its repetition skips the scans that
 //!   would conclude the same — across any read that only reorders either
 //!   tier.
-//!
-//! The **fingerprint memo** ([`Fingerprints`]) is where a listed term's
-//! text meets its keys: a pair it does not hold is hashed there into its
-//! [`TermKey`](crate::TermKey) and filter fingerprint (a version bump
-//! re-hashes only the fingerprint), and from there on `PeerSync`'s maps
-//! and `known` are probed by the key the entry carries.
 
 use crate::config::FILTER_BITS_PER_ENTRY;
 use crate::digest::{DigestEntry, HoldingsView, TermMap, VersionVector};
@@ -64,12 +60,6 @@ pub(crate) struct PeerSync {
     /// `(term -> version)` this frontend last advertised to the partner —
     /// the baseline the next delta digest is computed against.
     pub(crate) advertised: TermMap<u64>,
-    /// This frontend's `known` covers every entry of `holdings`. Set by the
-    /// full exchange that observed all of them; cleared when a fill
-    /// acknowledgement notes a version the sender had not observed itself.
-    /// While set, a full exchange skips `known.observe` for the entries
-    /// `holdings` already held.
-    pub(crate) holdings_observed: bool,
     /// The partner's holdings filter from the last delta exchange (cleared
     /// by full exchanges, whose holdings view is exact). Zone-aware
     /// anti-entropy uses it to confirm an in-zone candidate still covers
@@ -99,45 +89,6 @@ impl PeerSync {
     pub(crate) fn unsettle(&mut self) {
         self.settled_delta = None;
         self.settled_full = None;
-    }
-}
-
-/// One frontend's memo of the `(term, version)` pairs it has keyed and
-/// fingerprinted: term -> the entry of the version last asked for. Every
-/// pair this frontend puts into a digest, an advert or a holdings view goes
-/// through here, so it is hashed once while it stays resident; a miss
-/// hashes and remembers (a new term its key and fingerprint, a bumped
-/// version its fingerprint). Pruned to the live listing at every digest
-/// extraction, so it is bounded by the resident tier entries.
-#[derive(Debug, Default)]
-pub(crate) struct Fingerprints(pub(crate) HashMap<Arc<str>, DigestEntry>);
-
-impl Fingerprints {
-    pub(crate) fn entry(&mut self, term: &str, version: u64) -> DigestEntry {
-        let known = self.0.get(term);
-        if let Some(entry) = known.filter(|e| e.version() == version) {
-            return entry.clone();
-        }
-        // A version bump keeps the term's key and allocation.
-        let entry = match known {
-            Some(known) => known.bumped(version),
-            None => DigestEntry::new(term, version),
-        };
-        self.0
-            .insert(Arc::clone(entry.term_key().term()), entry.clone());
-        entry
-    }
-
-    /// Drop every term that is not in `live` — which was just resolved
-    /// through [`Fingerprints::entry`], so the memo holds all of it and is
-    /// larger exactly when it also holds something else.
-    fn retain_live(&mut self, live: &[DigestEntry]) {
-        if self.0.len() > live.len() {
-            self.0 = live
-                .iter()
-                .map(|e| (Arc::clone(e.term_key().term()), e.clone()))
-                .collect();
-        }
     }
 }
 
@@ -177,29 +128,19 @@ pub(crate) struct RankedListing {
     /// Scratch of [`RankedListing::rank_order`].
     order: Vec<usize>,
     /// The holdings filter over `held` — a pure function of the listed key
-    /// set — once a delta exchange asked for it.
+    /// set — once a delta exchange asked for it under this handle.
     pub(crate) filter: Option<Arc<ShardFilter>>,
 }
 
-/// What a re-check of a listing against its tier found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Recheck {
-    /// The same pairs, the same ones hot: only the order may have moved.
-    Stands,
-    /// The same pairs, but another hot set.
-    CutMoved,
-    /// Another set of pairs.
-    SetMoved,
-}
-
 impl RankedListing {
-    /// One pass over the tier's ranks at `now`: as many shards alive as
+    /// Does the listing stand at `now` — the same pairs, the same ones hot
+    /// at `cut`? One pass over the tier's ranks: as many shards alive as
     /// listed, each found by its id at its listed version, is the same set
     /// (a key keeps its id only while it stays resident); while it stands
     /// `ranks` and `next_expiry` take the tier's current values and the hot
     /// set drawn at `cut` is compared with the listed one. The first shard
     /// not listed ends it; nothing is sorted, hashed by text or allocated.
-    fn recheck(&mut self, cache: &QueryCache, now: SimInstant, cut: usize) -> Recheck {
+    fn recheck(&mut self, cache: &QueryCache, now: SimInstant, cut: usize) -> bool {
         let mut alive = 0usize;
         let mut next_expiry: Option<SimInstant> = None;
         for shard in cache.shard_ranks(now) {
@@ -209,45 +150,45 @@ impl RankedListing {
                     .is_some_and(|e| e.version() == shard.version)
             });
             let Some(at) = listed else {
-                return Recheck::SetMoved;
+                return false;
             };
             self.ranks[at] = shard.rank;
             alive += 1;
             next_expiry = Some(next_expiry.map_or(shard.expires_at, |e| e.min(shard.expires_at)));
         }
         if alive != self.held.len() {
-            return Recheck::SetMoved;
+            return false;
         }
         self.next_expiry = next_expiry;
         let (hot, cold) = self.ranks.split_at(self.cut.min(self.ranks.len()));
-        let cut_stands = self.cut == cut
+        self.cut == cut
             && match (hot.iter().min(), cold.iter().max()) {
                 (Some(floor), Some(top)) => floor > top,
                 _ => true,
-            };
-        if cut_stands {
-            Recheck::Stands
-        } else {
-            Recheck::CutMoved
-        }
+            }
     }
 
     /// List the tier afresh at `now` under a new handle, hottest first,
-    /// and cut it at `cut`. The filter is the caller's to keep or drop.
-    fn relist(
-        &mut self,
-        cache: &QueryCache,
-        fingerprints: &mut Fingerprints,
-        now: SimInstant,
-        cut: usize,
-    ) {
+    /// cut at `cut` and without a filter. A shard the old handle listed
+    /// under the same id keeps its entry ([`DigestEntry::bumped`] to the
+    /// version it holds now), and only a shard stored since is keyed
+    /// afresh.
+    fn relist(&mut self, cache: &QueryCache, now: SimInstant, cut: usize) {
         let mut fresh: Vec<RankedKey<'_>> = cache.shard_ranks(now).collect();
         fresh.sort_unstable_by_key(|shard| Reverse(shard.rank));
+        let listed = |shard: &RankedKey<'_>| {
+            let entry = self.held.get(*self.positions.get(&shard.id)?)?;
+            debug_assert_eq!(entry.term(), shard.key, "a tier id names one key");
+            Some(entry)
+        };
         self.held = fresh
             .iter()
-            .map(|shard| fingerprints.entry(shard.key, shard.version))
+            .map(|shard| match listed(shard) {
+                Some(entry) => entry.bumped(shard.version),
+                None => DigestEntry::new(shard.key, shard.version),
+            })
             .collect();
-        fingerprints.retain_live(&self.held);
+        self.filter = None;
         self.ranks.clear();
         self.ranks.extend(fresh.iter().map(|shard| shard.rank));
         self.positions.clear();
@@ -316,15 +257,13 @@ pub struct Frontend {
     /// Batch-aware gossip: `(term, version)` keys a batch window freshly
     /// fetched on this frontend, queued to ride the next digest round as
     /// priority advertisements and priority fills.
-    pub(crate) pending_adverts: Vec<(String, u64)>,
+    pub(crate) pending_adverts: Vec<DigestEntry>,
     /// Every shard alive in the cache, hot set first, under a handle that
     /// lives as long as the listed set and its hot set do: a tier nothing
     /// touched is not even re-checked, one that reads only reordered is
     /// re-checked in one pass and keeps the handle. Its holdings filter
     /// and exact rank order ride with it.
     pub(crate) listing: RankedListing,
-    /// The fingerprints behind this frontend's digests and adverts.
-    pub(crate) fingerprints: Fingerprints,
     /// The newest published segment artifact this frontend knows of,
     /// adopted from publish notifications and digest piggybacks; joiners
     /// probe for it to bootstrap from the artifact instead of shard fills.
@@ -370,7 +309,6 @@ impl Frontend {
             summary_cursor: 0,
             pending_adverts: Vec::new(),
             listing: RankedListing::default(),
-            fingerprints: Fingerprints::default(),
             segment_advert: None,
             load: 0,
             load_recent: 0,
@@ -429,16 +367,10 @@ impl Frontend {
     /// priority-fill decisions must agree on one version, or a partner
     /// already holding the stale queued version would suppress the very
     /// fill the advert exists to force. Appended to `out`.
-    pub(crate) fn resolved_adverts(&mut self, out: &mut Vec<DigestEntry>) {
-        let Frontend {
-            pending_adverts,
-            cache,
-            fingerprints,
-            ..
-        } = self;
-        out.extend(pending_adverts.iter().filter_map(|(term, _)| {
-            let version = cache.cached_shard_version(term)?;
-            Some(fingerprints.entry(term, version))
+    pub(crate) fn resolved_adverts(&self, out: &mut Vec<DigestEntry>) {
+        out.extend(self.pending_adverts.iter().filter_map(|entry| {
+            let version = self.cache.cached_shard_version(entry.term())?;
+            Some(entry.bumped(version))
         }));
     }
 
@@ -448,7 +380,8 @@ impl Frontend {
     /// did to the order within them (a `Fresh` read re-stores the version
     /// it fetched: the generation moves, the set does not), so the
     /// partners' settled records naming it and the filter stored beside it
-    /// stay valid; the exact order is [`RankedListing::rank_order`]. With
+    /// stay valid; a new handle starts without a filter. The exact order
+    /// is [`RankedListing::rank_order`]. With
     /// the shard tier's generation and popularity epoch standing still and
     /// `now` inside `[taken_at, next_expiry)`, not even the check runs. A
     /// full exchange advertises all of it, a regular one its hot set.
@@ -460,12 +393,8 @@ impl Frontend {
             && memo.taken_at <= now
             && memo.next_expiry.is_none_or(|expiry| now < expiry);
         if !current {
-            let found = memo.recheck(&self.cache, now, hot_set_size);
-            if found != Recheck::Stands {
-                memo.relist(&self.cache, &mut self.fingerprints, now, hot_set_size);
-            }
-            if found == Recheck::SetMoved {
-                memo.filter = None;
+            if !memo.recheck(&self.cache, now, hot_set_size) {
+                memo.relist(&self.cache, now, hot_set_size);
             }
             memo.stamp = Some(stamp);
             memo.taken_at = now;
@@ -474,8 +403,8 @@ impl Frontend {
     }
 
     /// The holdings filter over the listing [`Frontend::ranked_holdings`]
-    /// last handed out: the one stored beside it, or built and stored there
-    /// when that listing has none yet.
+    /// last handed out: the one stored beside its handle, or built and
+    /// stored there when that handle has none yet.
     pub(crate) fn holdings_filter(&mut self, stats: &mut GossipStats) -> Arc<ShardFilter> {
         let memo = &mut self.listing;
         if let Some(filter) = &memo.filter {

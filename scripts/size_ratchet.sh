@@ -11,6 +11,9 @@
 # column-0 `#[cfg(test)]`, less each item an indented `#[cfg(test)]`
 # marks). A file that reaches the ceiling is split at a seam, not trimmed
 # of comments; raise the ceiling only with the reason in CHANGES.md.
+#
+# It also prints each crate's total of the same lines, so the per-crate
+# targets in ROADMAP.md can be read from its output.
 set -euo pipefail
 
 ceiling=800
@@ -24,8 +27,12 @@ count() {
 largest=0
 largest_file=""
 failed=0
+declare -A crate_lines=()
 while IFS= read -r file; do
   n="$(count "$file")"
+  crate="${file#crates/}"
+  crate="${crate%%/*}"
+  crate_lines[$crate]=$(( ${crate_lines[$crate]:-0} + n ))
   if [ "$n" -gt "$largest" ]; then
     largest="$n"
     largest_file="$file"
@@ -35,6 +42,11 @@ while IFS= read -r file; do
     failed=1
   fi
 done < <(find crates/*/src -name '*.rs' -not -path '*/src/bin/*' | sort)
+
+echo "library lines per crate:"
+while IFS= read -r crate; do
+  printf '%6d  %s\n' "${crate_lines[$crate]}" "$crate"
+done < <(printf '%s\n' "${!crate_lines[@]}" | sort)
 
 if [ "$failed" -ne 0 ]; then
   echo "FAIL files above have more than $ceiling non-test lines" >&2
