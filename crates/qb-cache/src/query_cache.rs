@@ -17,7 +17,11 @@ use crate::tier::{CacheTier, RankedKey};
 use qb_common::{SimDuration, SimInstant};
 use qb_index::{IndexStats, ScoredDoc, ShardEntry};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The serial the next cache built in this process takes.
+static NEXT_SERIAL: AtomicU64 = AtomicU64::new(0);
 
 /// A cached, fully scored result list plus everything needed to prove it is
 /// still current.
@@ -150,6 +154,8 @@ pub struct QueryCache {
     /// Bounded by the number of terms ever republished while this cache was
     /// alive (terms only enter through publish-path invalidation).
     republish: HashMap<String, RepublishTracker>,
+    /// Names this cache among every cache the process built.
+    serial: u64,
 }
 
 impl QueryCache {
@@ -163,6 +169,7 @@ impl QueryCache {
             negatives: CacheTier::new(NEGATIVE_CAPACITY_BYTES, NEGATIVE_TTL),
             stats: None,
             republish: HashMap::new(),
+            serial: NEXT_SERIAL.fetch_add(1, Ordering::Relaxed),
             config,
         }
     }
@@ -410,7 +417,7 @@ impl QueryCache {
     /// The shard tier's holdings generation: any insert, replacement,
     /// eviction, expiry or invalidation bumps it — a re-store of the
     /// version already held included, so it moves on most served `Fresh`
-    /// reads while the held `(term, version)` set does not. It is half of
+    /// reads while the held `(term, version)` set does not. It is part of
     /// the stamp behind which the gossip overlay's `ranked_holdings` skips
     /// even re-checking the listing it keeps; what is derived from the
     /// listed *set* — the listing handle, the holdings filter — outlives a
@@ -426,6 +433,14 @@ impl QueryCache {
     /// clock reaches the earliest expiry among [`QueryCache::shard_ranks`].
     pub fn shard_popularity_epoch(&self) -> u64 {
         self.shards.popularity_epoch()
+    }
+
+    /// A number no other cache built in this process carries. The tier ids
+    /// of [`QueryCache::shard_ranks`], the generation and the popularity
+    /// epoch all restart in a new cache, so what is keyed by them is keyed
+    /// by the serial too. Host-side only: nothing simulated reads it.
+    pub fn serial(&self) -> u64 {
+        self.serial
     }
 
     /// The cached version of a term's shard, when one is resident.

@@ -302,8 +302,15 @@ impl GossipFleet {
     /// simulated time). Catch-up is capped: epidemic convergence is
     /// logarithmic in rounds, so past `MAX_CATCHUP_ROUNDS` (8) back-to-back
     /// rounds at one instant add nothing and the remaining backlog is
-    /// dropped. Returns true when at least one round ran.
-    pub fn maybe_run(&mut self, net: &mut SimNet, now: SimInstant) -> bool {
+    /// dropped. `each` is called after every round with the network,
+    /// whether the round was anti-entropy and the fleet's counters so far.
+    /// Returns true when at least one round ran.
+    pub fn maybe_run(
+        &mut self,
+        net: &mut SimNet,
+        now: SimInstant,
+        mut each: impl FnMut(&SimNet, bool, &GossipStats),
+    ) -> bool {
         if !self.config.enabled || self.active_count() < 2 {
             return false;
         }
@@ -311,6 +318,7 @@ impl GossipFleet {
         while now >= self.next_round_at && fired < MAX_CATCHUP_ROUNDS {
             let anti_entropy = now >= self.next_anti_entropy_at;
             self.run_round(net, now, anti_entropy);
+            each(net, anti_entropy, &self.stats);
             if anti_entropy {
                 self.next_anti_entropy_at = now + self.config.anti_entropy_interval;
             }
@@ -697,17 +705,20 @@ mod tests {
     fn maybe_run_respects_intervals_and_enablement() {
         let (mut fleet, mut net) = fleet(2);
         let interval = ROUND_INTERVAL;
-        assert!(!fleet.maybe_run(&mut net, SimInstant::ZERO), "not due yet");
-        assert!(fleet.maybe_run(&mut net, SimInstant::ZERO + interval));
         assert!(
-            !fleet.maybe_run(&mut net, SimInstant::ZERO + interval),
+            !fleet.maybe_run(&mut net, SimInstant::ZERO, |_, _, _| {}),
+            "not due yet"
+        );
+        assert!(fleet.maybe_run(&mut net, SimInstant::ZERO + interval, |_, _, _| {}));
+        assert!(
+            !fleet.maybe_run(&mut net, SimInstant::ZERO + interval, |_, _, _| {}),
             "same instant must not double-fire"
         );
         // Disabled overlay never runs.
         let net2 = SimNet::new(8, NetConfig::lan(), 1);
         let mut off = GossipFleet::new(GossipConfig::fleet(2), &CacheConfig::enabled(), 1);
         let mut net2 = net2;
-        assert!(!off.maybe_run(&mut net2, SimInstant::ZERO + interval));
+        assert!(!off.maybe_run(&mut net2, SimInstant::ZERO + interval, |_, _, _| {}));
         assert_eq!(off.stats().rounds, 0);
     }
 
@@ -2036,7 +2047,10 @@ mod tests {
             if step == 35 {
                 net.heal_all();
             }
-            assert!(fleet.maybe_run(&mut net, now), "one paced round per step");
+            assert!(
+                fleet.maybe_run(&mut net, now, |_, _, _| {}),
+                "one paced round per step"
+            );
             // Forced rounds at the instant the paced round just ran at,
             // after reads that moved popularity but not the generation.
             if matches!(step, 15 | 40 | 55) {
@@ -2207,7 +2221,7 @@ mod tests {
                         10 => fleet.run_round(net, now, true),
                         _ => {
                             net.advance_to(now);
-                            fleet.maybe_run(net, now);
+                            fleet.maybe_run(net, now, |_, _, _| {});
                         }
                     }
                 }

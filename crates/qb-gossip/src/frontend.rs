@@ -19,7 +19,10 @@
 //!   cut moved. A new handle keeps the entry of every shard the old one
 //!   listed under the same id — its [`TermKey`](crate::TermKey) and, at
 //!   the same version, its filter fingerprint — so a term is hashed once
-//!   while it stays resident. The exact order is a view beside the handle
+//!   while it stays resident. A cache put in place through `cache_mut`
+//!   restarts its ids and its stamp, so the stamp also names the cache
+//!   ([`QueryCache::serial`]) and a swapped cache is listed afresh. The
+//!   exact order is a view beside the handle
 //!   ([`RankedListing::rank_order`]), sorted only for a fill scan that has
 //!   something to send;
 //! * the **holdings filter** ([`Frontend::holdings_filter`]) is a function
@@ -92,9 +95,10 @@ impl PeerSync {
     }
 }
 
-/// What a ranked shard listing reads besides the clock: the shard tier's
-/// generation and its popularity epoch.
-type DigestStamp = (u64, u64);
+/// What a ranked shard listing reads besides the clock: the cache it was
+/// taken from ([`QueryCache::serial`]), the shard tier's generation and its
+/// popularity epoch.
+type DigestStamp = (u64, u64, u64);
 
 /// The listing a frontend hands to its exchanges, everything that says
 /// whether it still is one, and what is derived from it.
@@ -220,7 +224,11 @@ impl RankedListing {
 }
 
 fn stamp_of(cache: &QueryCache) -> DigestStamp {
-    (cache.shard_generation(), cache.shard_popularity_epoch())
+    (
+        cache.serial(),
+        cache.shard_generation(),
+        cache.shard_popularity_epoch(),
+    )
 }
 
 /// One query frontend: a peer in the simulated network, its private cache,
@@ -388,6 +396,11 @@ impl Frontend {
     pub(crate) fn ranked_holdings(&mut self, now: SimInstant, hot_set_size: usize) -> Listing {
         let stamp = stamp_of(&self.cache);
         let memo = &mut self.listing;
+        if memo.stamp.is_some_and(|(serial, ..)| serial != stamp.0) {
+            // Another cache was put in place: its tier ids restarted, so
+            // nothing listed can be matched against it by id.
+            *memo = RankedListing::default();
+        }
         let current = memo.stamp == Some(stamp)
             && memo.cut == hot_set_size
             && memo.taken_at <= now
@@ -443,5 +456,48 @@ impl Frontend {
             known.observe(&shard.term, shard.version);
         }
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qb_common::SimDuration;
+    use qb_index::{ShardEntry, ShardPosting};
+
+    fn shard(term: &str, version: u64) -> ShardEntry {
+        let mut s = ShardEntry::empty(term);
+        s.version = version;
+        s.upsert(ShardPosting {
+            doc_id: 1,
+            term_freq: 2,
+            doc_len: 50,
+            name: format!("page/{term}").into(),
+            version: 1,
+            creator: 1,
+        });
+        s
+    }
+
+    fn terms(listing: &Listing) -> Vec<&str> {
+        listing.iter().map(DigestEntry::term).collect()
+    }
+
+    /// A cache put in place of the one a listing was taken from restarts
+    /// its tier ids and its `(generation, popularity epoch)` stamp, so the
+    /// stamp alone would call the old listing current: the listing names
+    /// the cache it came from, and a swapped cache is listed afresh.
+    #[test]
+    fn a_swapped_cache_is_listed_afresh() {
+        let mut f = Frontend::new(0, 0, CacheConfig::enabled());
+        let now = SimInstant::ZERO;
+        f.cache_mut().store_shard(&shard("alpha", 1), now);
+        assert_eq!(terms(&f.ranked_holdings(now, 64)), ["alpha"]);
+
+        *f.cache_mut() = QueryCache::new(CacheConfig::enabled());
+        f.cache_mut().store_shard(&shard("beta", 1), now);
+        assert_eq!(terms(&f.ranked_holdings(now, 64)), ["beta"]);
+        let later = now + SimDuration::from_millis(1);
+        assert_eq!(terms(&f.ranked_holdings(later, 64)), ["beta"]);
     }
 }

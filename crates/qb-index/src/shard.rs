@@ -143,7 +143,7 @@ impl ShardEntry {
     }
 
     /// Append [`ShardEntry::encode`]'s bytes to `out`.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         encode_str(&self.term, out);
         varint::encode_u64(self.version, out);
         varint::encode_u64(self.postings.len() as u64, out);

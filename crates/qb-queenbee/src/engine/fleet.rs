@@ -1,6 +1,7 @@
 //! The fleet seam: frontends joining, leaving and rejoining, gossip rounds,
 //! and hot-set persistence across restarts.
 
+use super::chain::chain_gossip_round;
 use super::QueenBee;
 use qb_common::{QbError, QbResult};
 use qb_gossip::{GossipFleet, GossipStats};
@@ -142,6 +143,8 @@ impl QueenBee {
         let now = self.net.now();
         if let Some(fleet) = self.fleet.as_mut() {
             fleet.run_round(&mut self.net, now, anti_entropy);
+            let stats = fleet.stats();
+            chain_gossip_round(&mut self.op_chain, &self.net, now, anti_entropy, stats);
         }
     }
 
@@ -149,7 +152,10 @@ impl QueenBee {
     pub(super) fn run_due_gossip(&mut self) {
         let now = self.net.now();
         if let Some(fleet) = self.fleet.as_mut() {
-            fleet.maybe_run(&mut self.net, now);
+            let chain = &mut self.op_chain;
+            fleet.maybe_run(&mut self.net, now, |net, anti_entropy, stats| {
+                chain_gossip_round(chain, net, now, anti_entropy, stats);
+            });
         }
     }
 

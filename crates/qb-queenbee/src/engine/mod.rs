@@ -17,13 +17,16 @@
 //!   window loop;
 //! * `fleet` — frontend join/leave/rejoin, gossip rounds, hot-set
 //!   persistence;
-//! * `economy` — bees and their behaviour, advertisers, ad clicks, honey.
+//! * `economy` — bees and their behaviour, advertisers, ad clicks, honey;
+//! * `chain` — the operation chain, when on: each query, publish event and
+//!   gossip round folded into a running hash.
 //!
 //! The unit tests drive whole scenarios (publish, index, rank, serve)
 //! across those seams and sit together at the bottom of this file; the
 //! window loop's, which reach its private records, sit at the bottom of
 //! `windows.rs`.
 
+mod chain;
 mod economy;
 mod fleet;
 mod open_loop;
@@ -47,6 +50,7 @@ use qb_index::{Analyzer, DistributedIndex, IndexStats, ShardViews};
 use qb_segment::{Segment, SegmentRef, SegmentStats};
 use qb_simnet::SimNet;
 use qb_storage::StorageNetwork;
+use qb_trace::OpChain;
 use std::collections::{BTreeSet, HashMap};
 
 /// The assembled QueenBee deployment (Figure 1 of the paper).
@@ -124,6 +128,8 @@ pub struct QueenBee {
     windows: windows::Windows,
     /// Freshness accounting across every search served.
     pub freshness: FreshnessProbe,
+    /// The operation chain, when on ([`QueenBee::set_op_chain`]).
+    op_chain: Option<OpChain>,
 }
 
 impl QueenBee {
@@ -187,6 +193,7 @@ impl QueenBee {
             query_stats: QueryEngineStats::default(),
             windows: windows::Windows::default(),
             freshness: FreshnessProbe::default(),
+            op_chain: None,
             net,
             dht,
             storage,

@@ -10,7 +10,7 @@ use qb_chain::{AccountId, Call, Event};
 use qb_common::{QbResult, SimInstant};
 use qb_dweb::{fetch_page_by_cid, publish_page, WebPage};
 use qb_index::ShardEntry;
-use qb_segment::{publish_segment, Segment, SegmentRef, SegmentStats};
+use qb_segment::{publish_segment, SegmentRef, SegmentStats};
 use qb_storage::{FetchStats, ObjectRef};
 use std::sync::Arc;
 
@@ -156,7 +156,10 @@ impl QueenBee {
                 cid,
             ) {
                 Ok((page, _stats)) => page,
-                Err(e) if e.is_availability() => continue,
+                Err(e) if e.is_availability() => {
+                    self.chain_publish_event(&name, version, None);
+                    continue;
+                }
                 Err(e) => return Err(e),
             };
             // The page is analysed once: every assigned bee indexes from
@@ -202,6 +205,7 @@ impl QueenBee {
             // submission comes back as submitted, and the stable sort
             // groups its terms keeping each term's postings in order.
             accepted.sort_by_key(|&(term, _)| term);
+            let postings = accepted.len() as u64;
             let mut accepted = accepted.into_iter().peekable();
             while let Some((term, first)) = accepted.next() {
                 let mut shard = self.read_shard_for_writer(writer_peer, term)?;
@@ -266,6 +270,8 @@ impl QueenBee {
                     },
                 );
             }
+            let indexed = [postings, flagged.len() as u64, dropped.len() as u64];
+            self.chain_publish_event(&name, version, Some(indexed));
         }
 
         if handled > 0 {
@@ -308,9 +314,8 @@ impl QueenBee {
             return Ok(None);
         }
         let pending = std::mem::take(&mut self.pending_segment);
-        let prev = std::mem::take(&mut self.published_segment);
-        let input_terms = (pending.len() + prev.len()) as u64;
-        let merged = Segment::merge([prev, pending]);
+        let input_terms = (pending.len() + self.published_segment.len()) as u64;
+        self.published_segment.absorb(pending);
         let generation = self.published_segment_ref.map_or(0, |r| r.generation) + 1;
         let writer_peer = self.bees[0].peer;
         match publish_segment(
@@ -318,7 +323,7 @@ impl QueenBee {
             &mut self.dht,
             &mut self.storage,
             writer_peer,
-            &merged,
+            &self.published_segment,
             generation,
         ) {
             Ok((sref, io)) => {
@@ -329,7 +334,6 @@ impl QueenBee {
                 if let Some(fleet) = self.fleet.as_mut() {
                     fleet.note_segment_published(&self.net, writer_peer, sref);
                 }
-                self.published_segment = merged;
                 self.published_segment_ref = Some(sref);
                 Ok(Some(sref))
             }
@@ -338,7 +342,7 @@ impl QueenBee {
                 // goes back to pending (the merge is idempotent, so
                 // re-folding already-published shards is harmless) and the
                 // next compaction retries at the same generation.
-                self.pending_segment = merged;
+                self.pending_segment = std::mem::take(&mut self.published_segment);
                 Err(e)
             }
         }

@@ -615,7 +615,9 @@ impl QueenBee {
         self.net.tracer().close(win.span, completes_at);
         let now = self.net.now();
         for plan in win.plans {
-            responses.push(self.serve_plan(plan, &win.reads, win.issued_at, now)?);
+            let response = self.serve_plan(plan, &win.reads, win.issued_at, now)?;
+            self.chain_query(&response, completes_at);
+            responses.push(response);
         }
         if let Some(fleet) = self.fleet.as_mut() {
             for (frontend, terms) in adverts {

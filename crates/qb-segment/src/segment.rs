@@ -29,10 +29,10 @@ const MAX_SEGMENT_TERMS: u64 = 10_000_000;
 /// segments move reference counts, not postings. Only an equal-version
 /// merge, which changes a shard, copies it first.
 ///
-/// Each handle sits beside the bytes its shard takes framed in the
-/// encoding, and the segment keeps their sum, so [`Segment::encoded_len`]
-/// is a field read: a shard's length is computed once, when it enters a
-/// segment from outside (insert, export, decode), and merges carry it along.
+/// Each handle sits beside the bytes its shard encodes to, and the segment
+/// keeps the sum of their framed lengths, so [`Segment::encoded_len`] is a
+/// field read: a shard's length is computed once, when it enters a segment
+/// from outside (insert, export, decode), and merges carry it along.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Segment {
     entries: BTreeMap<String, Framed>,
@@ -40,18 +40,17 @@ pub struct Segment {
     body_len: usize,
 }
 
-/// One shard of a segment and its framed length in the encoding: the
-/// varint length prefix plus the shard's encoded bytes.
+/// One shard of a segment and the bytes it encodes to, which the encoding
+/// frames behind their varint length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Framed {
     shard: Arc<ShardEntry>,
     len: usize,
 }
 
-/// Bytes `shard` takes framed in a segment's encoding.
-fn framed_len(shard: &ShardEntry) -> usize {
-    let n = shard.encoded_len();
-    varint::encoded_len(n as u64) + n
+/// Bytes a shard encoding to `len` bytes takes framed in a segment.
+fn framed_len(len: usize) -> usize {
+    varint::encoded_len(len as u64) + len
 }
 
 /// Per-term admission outcomes of [`Segment::import_into`] — the segment
@@ -117,8 +116,8 @@ impl Segment {
         }
         let Some(existing) = self.entries.get_mut(&incoming.term) else {
             let (term, len) =
-                held.unwrap_or_else(|| (incoming.term.clone(), framed_len(&incoming)));
-            self.body_len += len;
+                held.unwrap_or_else(|| (incoming.term.clone(), incoming.encoded_len()));
+            self.body_len += framed_len(len);
             let framed = Framed {
                 shard: incoming,
                 len,
@@ -127,11 +126,11 @@ impl Segment {
             return;
         };
         debug_assert_eq!(existing.shard.term, incoming.term);
-        let before = existing.len;
+        let before = framed_len(existing.len);
         match existing.shard.version.cmp(&incoming.version) {
             std::cmp::Ordering::Greater => return,
             std::cmp::Ordering::Less => {
-                existing.len = held.map_or_else(|| framed_len(&incoming), |(_, len)| len);
+                existing.len = held.map_or_else(|| incoming.encoded_len(), |(_, len)| len);
                 existing.shard = incoming;
             }
             std::cmp::Ordering::Equal => {
@@ -139,10 +138,10 @@ impl Segment {
                 for p in &incoming.postings {
                     merged.upsert(p.clone());
                 }
-                existing.len = framed_len(merged);
+                existing.len = merged.encoded_len();
             }
         }
-        self.body_len = self.body_len - before + existing.len;
+        self.body_len = self.body_len - before + framed_len(existing.len);
     }
 
     /// Number of terms in the segment.
@@ -180,11 +179,18 @@ impl Segment {
     pub fn merge<I: IntoIterator<Item = Segment>>(segments: I) -> Segment {
         let mut out = Segment::new();
         for seg in segments {
-            for (term, framed) in seg.entries {
-                out.fold(framed.shard, Some((term, framed.len)));
-            }
+            out.absorb(seg);
         }
         out
+    }
+
+    /// Fold `other` into this segment in place: `Segment::merge([self,
+    /// other])` without rebuilding this segment's map (a segment holds no
+    /// version-0 shard, so folding it into an empty one changes nothing).
+    pub fn absorb(&mut self, other: Segment) {
+        for (term, framed) in other.entries {
+            self.fold(framed.shard, Some((term, framed.len)));
+        }
     }
 
     /// Snapshot the `max_terms` hottest shards of a frontend's cache alive
@@ -244,10 +250,11 @@ impl Segment {
         out.extend_from_slice(&SEGMENT_MAGIC);
         varint::encode_u64(SEGMENT_FORMAT_VERSION, &mut out);
         varint::encode_u64(self.entries.len() as u64, &mut out);
-        for shard in self.shards() {
-            let encoded = shard.encode();
-            varint::encode_u64(encoded.len() as u64, &mut out);
-            out.extend_from_slice(&encoded);
+        for Framed { shard, len } in self.entries.values() {
+            varint::encode_u64(*len as u64, &mut out);
+            let start = out.len();
+            shard.encode_into(&mut out);
+            debug_assert_eq!(out.len() - start, *len, "{}", shard.term);
         }
         out
     }
@@ -373,7 +380,7 @@ mod tests {
         // A version-0 shard is not a canonical segment entry.
         let mut with_zero = Segment::new();
         let shard = Arc::new(ShardEntry::empty("a"));
-        let len = framed_len(&shard);
+        let len = shard.encoded_len();
         with_zero.entries.insert("a".into(), Framed { shard, len });
         assert!(Segment::decode(&with_zero.encode()).is_err());
         // A header claiming the largest allowed term count over no entries:

@@ -68,11 +68,15 @@ fn build(raw: &RawSegment) -> Segment {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Merge order never matters — byte-for-byte.
+    /// Merge order never matters — byte-for-byte — and folding one
+    /// segment into another in place is their merge.
     #[test]
     fn merge_is_commutative(ra in segment_strategy(), rb in segment_strategy()) {
         let (a, b) = (build(&ra), build(&rb));
         let ab = Segment::merge([a.clone(), b.clone()]);
+        let mut folded = a.clone();
+        folded.absorb(b.clone());
+        prop_assert_eq!(&folded, &ab);
         let ba = Segment::merge([b, a]);
         prop_assert_eq!(ab.encode(), ba.encode());
     }
@@ -181,7 +185,7 @@ proptest! {
                         seg.insert(extra);
                     }
                 }
-                2 => seg = Segment::merge([seg, build(&raw)]),
+                2 => seg.absorb(build(&raw)),
                 _ => seg = Segment::decode(&seg.encode()).expect("own encoding decodes"),
             }
             prop_assert_eq!(seg.encoded_len(), seg.encode().len());

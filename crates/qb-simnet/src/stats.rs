@@ -40,6 +40,25 @@ pub struct NetStats {
 }
 
 impl NetStats {
+    /// Every counter, in declaration order.
+    pub fn counters(&self) -> [u64; 13] {
+        [
+            self.messages,
+            self.bytes,
+            self.rpcs,
+            self.failed_rpcs,
+            self.dropped_messages,
+            self.peer_up_events,
+            self.peer_down_events,
+            self.async_ops,
+            self.async_queued_ops,
+            self.async_queue_delay_us,
+            self.hedges_fired,
+            self.hedges_won,
+            self.hedges_wasted_bytes,
+        ]
+    }
+
     /// Difference since a previous snapshot (for per-phase accounting).
     pub fn delta_since(&self, earlier: &NetStats) -> NetStats {
         NetStats {

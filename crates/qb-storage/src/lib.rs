@@ -26,4 +26,4 @@ pub use block::Block;
 pub use chunker::{chunk_content_defined, ChunkerConfig};
 pub use dag::Manifest;
 pub use network::{FetchStats, ObjectRef, StorageConfig, StorageNetwork};
-pub use store::{BlockStore, LruBlockStore, MemoryBlockStore};
+pub use store::LruBlockStore;

@@ -4,10 +4,12 @@ use crate::block::Block;
 use crate::chunker::{chunk_content_defined, ChunkerConfig};
 use crate::dag::Manifest;
 use crate::memo::ChunkMemo;
-use crate::store::{BlockStore, LruBlockStore, MemoryBlockStore};
+use crate::store::LruBlockStore;
 use qb_common::{Cid, DhtKey, DigestMap, QbError, QbResult, SimDuration};
 use qb_dht::DhtNetwork;
 use qb_simnet::SimNet;
+use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 
 /// Storage layer configuration.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -73,16 +75,74 @@ pub struct FetchStats {
 #[derive(Debug)]
 pub struct StorageNetwork {
     config: StorageConfig,
-    pinned: Vec<MemoryBlockStore>,
+    /// Every pinned block, once, with the peers that pin it.
+    held: DigestMap<Cid, Held>,
+    /// Pinned copies a peer tampered with, which that peer serves in place
+    /// of the block (tamper injection; empty on an honest network).
+    tampered: BTreeMap<(u64, Cid), Block>,
     caches: Vec<LruBlockStore>,
     /// Blocks recently stored, found again by their bytes (host-side only).
     memo: ChunkMemo,
-    /// How many stored objects hold each block, once per occurrence. A
-    /// block stays on every peer that pinned it until this reaches zero.
-    live: DigestMap<Cid, u32>,
     /// Objects put under a pointer key, each stored until no copy of a
     /// record under that key names it ([`StorageNetwork::release_unnamed`]).
     named: DigestMap<DhtKey, Vec<Named>>,
+    /// The roots a key's records name, gathered once per release.
+    named_roots: Vec<Cid>,
+}
+
+/// A pinned block: its bytes, how many stored objects hold it (once per
+/// occurrence) and the peers that pin it. It stays on every one of those
+/// peers until the count reaches zero.
+#[derive(Debug)]
+struct Held {
+    block: Block,
+    objects: u32,
+    holders: Holders,
+}
+
+/// A set of peers, one bit each. The first 256 sit in inline words, so
+/// marking a holder allocates nothing on a network of up to 256 peers; a
+/// higher peer's word is allocated when one first pins the block.
+#[derive(Debug, Default)]
+struct Holders([u64; 4], Vec<u64>);
+
+impl Holders {
+    fn word_mut(&mut self, word: usize) -> &mut u64 {
+        let Some(at) = word.checked_sub(self.0.len()) else {
+            return &mut self.0[word];
+        };
+        if self.1.len() <= at {
+            self.1.resize(at + 1, 0);
+        }
+        &mut self.1[at]
+    }
+
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.iter().chain(&self.1).copied()
+    }
+
+    fn insert(&mut self, peer: u64) {
+        *self.word_mut(peer as usize / 64) |= 1 << (peer % 64);
+    }
+
+    fn extend(&mut self, other: &Holders) {
+        for (word, bits) in other.words().enumerate().filter(|&(_, bits)| bits != 0) {
+            *self.word_mut(word) |= bits;
+        }
+    }
+
+    fn contains(&self, peer: u64) -> bool {
+        let bits = self.words().nth(peer as usize / 64);
+        bits.is_some_and(|bits| bits >> (peer % 64) & 1 == 1)
+    }
+
+    /// The peers in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        (0u64..).zip(self.words()).flat_map(|(word, bits)| {
+            let peers = (0..64).filter(move |bit| bits >> bit & 1 == 1);
+            peers.map(move |bit| word * 64 + bit)
+        })
+    }
 }
 
 /// An object put under a pointer key, as releasing it needs it.
@@ -97,13 +157,14 @@ impl StorageNetwork {
     /// Create storage state for `n` peers.
     pub fn new(n: usize, config: StorageConfig) -> StorageNetwork {
         StorageNetwork {
-            pinned: (0..n).map(|_| MemoryBlockStore::new()).collect(),
+            held: DigestMap::default(),
+            tampered: BTreeMap::new(),
             caches: (0..n)
                 .map(|_| LruBlockStore::new(config.cache_bytes))
                 .collect(),
             memo: ChunkMemo::default(),
-            live: DigestMap::default(),
             named: DigestMap::default(),
+            named_roots: Vec::new(),
             config,
         }
     }
@@ -115,12 +176,12 @@ impl StorageNetwork {
 
     /// Number of peers.
     pub fn len(&self) -> usize {
-        self.pinned.len()
+        self.caches.len()
     }
 
     /// True when the storage network has no peers.
     pub fn is_empty(&self) -> bool {
-        self.pinned.is_empty()
+        self.caches.is_empty()
     }
 
     /// Cache hit/miss counters of a peer's LRU cache.
@@ -129,11 +190,21 @@ impl StorageNetwork {
         (c.hits, c.misses)
     }
 
+    /// The copy of `cid` that `peer` pins, tampered or not.
+    fn pinned_block(&self, peer: u64, cid: &Cid) -> Option<&Block> {
+        if !self.tampered.is_empty() {
+            if let Some(tampered) = self.tampered.get(&(peer, *cid)) {
+                return Some(tampered);
+            }
+        }
+        let held = self.held.get(cid)?;
+        held.holders.contains(peer).then_some(&held.block)
+    }
+
     fn block_on_peer(&self, peer: u64, cid: &Cid) -> Option<Block> {
-        self.pinned[peer as usize]
-            .get(cid)
+        self.pinned_block(peer, cid)
+            .or_else(|| self.caches[peer as usize].get(cid))
             .cloned()
-            .or_else(|| self.caches[peer as usize].get(cid).cloned())
     }
 
     /// Does `peer` hold every block of the object locally?
@@ -147,12 +218,26 @@ impl StorageNetwork {
         Some((manifest, blocks))
     }
 
-    /// Pin an object's manifest and chunk blocks on `peer`: handles onto the
-    /// shared immutable bytes, not copies.
-    fn pin(&mut self, peer: u64, manifest: &Block, chunks: &[Block]) {
-        let store = &mut self.pinned[peer as usize];
+    /// Pin a new object's manifest and chunk blocks on `holders`, each
+    /// occurrence counting one more object that holds the block. The table
+    /// keeps the newest handle onto a block's bytes, the one the chunk memo
+    /// would hand out. A peer's pin of a block replaces any tampered copy of
+    /// it there with the honest one.
+    fn pin(&mut self, manifest: &Block, chunks: &[Block], holders: &Holders) {
         for block in std::iter::once(manifest).chain(chunks) {
-            store.put(block.clone());
+            let held = self.held.entry(block.cid()).or_insert_with(|| Held {
+                block: block.clone(),
+                objects: 0,
+                holders: Holders::default(),
+            });
+            held.block.clone_from(block);
+            held.objects += 1;
+            held.holders.extend(holders);
+            if !self.tampered.is_empty() {
+                for peer in holders.iter() {
+                    self.tampered.remove(&(peer, block.cid()));
+                }
+            }
         }
     }
 
@@ -205,55 +290,55 @@ impl StorageNetwork {
         root_of: impl Fn(&[u8]) -> Option<Cid>,
     ) -> usize {
         let StorageNetwork {
-            pinned,
+            held,
+            tampered,
             memo,
-            live,
             named,
+            named_roots,
             ..
         } = self;
         let Some(objects) = named.get_mut(name) else {
             return 0;
         };
-        let names = |dht: &DhtNetwork, root: Cid| {
-            dht.records_under(name)
-                .any(|record| root_of(&record.value) == Some(root))
-        };
-        let mut released = 0;
-        while let Some(at) = objects.iter().position(|o| !names(dht, o.root)) {
-            let object = objects.swap_remove(at);
-            for cid in &object.blocks {
-                Self::drop_holding(live, pinned, memo, cid);
+        // Releasing touches no record, so what the records name is read once.
+        named_roots.clear();
+        for root in dht.records_under(name).filter_map(|r| root_of(&r.value)) {
+            if !named_roots.contains(&root) {
+                named_roots.push(root);
             }
-            if !live.contains_key(&object.root) {
+        }
+        let mut released = 0;
+        let mut at = 0;
+        while let Some(object) = objects.get(at) {
+            if named_roots.contains(&object.root) {
+                at += 1;
+                continue;
+            }
+            let object = objects.swap_remove(at);
+            // The last object to let go of a block frees it on every peer,
+            // tampered copies included, and in the chunk memo.
+            for cid in &object.blocks {
+                let Entry::Occupied(mut entry) = held.entry(*cid) else {
+                    continue;
+                };
+                entry.get_mut().objects -= 1;
+                if entry.get().objects > 0 {
+                    continue;
+                }
+                let freed = entry.remove();
+                memo.forget(&freed.block);
+                if !tampered.is_empty() {
+                    for peer in freed.holders.iter() {
+                        tampered.remove(&(peer, *cid));
+                    }
+                }
+            }
+            if !held.contains_key(&object.root) {
                 dht.forget_providers(&object.root.to_dht_key());
             }
             released += 1;
         }
         released
-    }
-
-    /// One object no longer holds `cid`: the last one to let go frees the
-    /// block on every peer, and in the chunk memo.
-    fn drop_holding(
-        live: &mut DigestMap<Cid, u32>,
-        pinned: &mut [MemoryBlockStore],
-        memo: &mut ChunkMemo,
-        cid: &Cid,
-    ) {
-        let Some(objects) = live.get_mut(cid) else {
-            return;
-        };
-        *objects -= 1;
-        if *objects > 0 {
-            return;
-        }
-        live.remove(cid);
-        let mut forgotten = false;
-        for store in pinned {
-            if let Some(freed) = store.take(cid) {
-                forgotten = forgotten || memo.forget(&freed);
-            }
-        }
     }
 
     fn put(
@@ -283,31 +368,19 @@ impl StorageNetwork {
             chunk_count: manifest.chunk_count(),
         };
 
+        // Announce the publisher as a provider, then replicate to the r-1
+        // online peers closest to the root key, gathering the holders.
         let mut stats = FetchStats::default();
-
-        self.pin(from, &manifest_block, &blocks);
-        // Counted from the first pin on: should the announce below fail, a
-        // named object is released by the next release under `name`.
-        let cids = std::iter::once(root).chain(blocks.iter().map(Block::cid));
-        for cid in cids.clone() {
-            *self.live.entry(cid).or_default() += 1;
-        }
-        if let Some(name) = name {
-            let object = Named {
-                root,
-                blocks: cids.collect(),
-            };
-            self.named.entry(name).or_default().push(object);
-        }
-
-        // Announce the publisher as a provider.
+        let mut holders = Holders::default();
+        holders.insert(from);
         let provider_key = root.to_dht_key();
-        let put = dht.add_provider(net, from, provider_key)?;
-        stats.latency += put.latency;
-        stats.messages += put.messages;
-
-        // Replicate to the r-1 online peers closest to the root key.
-        if self.config.replication > 1 {
+        let announced = dht.add_provider(net, from, provider_key);
+        if let Ok(put) = &announced {
+            stats.latency += put.latency;
+            stats.messages += put.messages;
+        }
+        if announced.is_ok() && self.config.replication > 1 {
+            let payload = data.len() + manifest_block.len();
             let targets = dht.closest_online_global(net, &root.0, self.config.replication + 1);
             let mut replicated = 0usize;
             for target in targets {
@@ -317,13 +390,12 @@ impl StorageNetwork {
                     }
                     continue;
                 }
-                let payload: usize = data.len() + manifest_block.len();
                 let (res, lat) = net.rpc_or_timeout(from, target.index, payload, 16);
                 stats.latency += lat;
                 stats.messages += 1;
                 if res.is_ok() {
                     stats.bytes += payload as u64;
-                    self.pin(target.index, &manifest_block, &blocks);
+                    holders.insert(target.index);
                     if let Ok(ann) = dht.add_provider(net, target.index, provider_key) {
                         stats.messages += ann.messages;
                     }
@@ -331,6 +403,18 @@ impl StorageNetwork {
                 }
             }
         }
+        // Pinned and counted even when the announce failed: a named object
+        // is then released by the next release under `name`.
+        self.pin(&manifest_block, &blocks, &holders);
+        if let Some(name) = name {
+            let cids = std::iter::once(root).chain(blocks.iter().map(Block::cid));
+            let object = Named {
+                root,
+                blocks: cids.collect(),
+            };
+            self.named.entry(name).or_default().push(object);
+        }
+        announced?;
         Ok((object_ref, stats))
     }
 
@@ -386,7 +470,7 @@ impl StorageNetwork {
                 data.extend_from_slice(local.data());
                 continue;
             }
-            if let Some(pinned) = self.pinned[from as usize].get(chunk_cid).cloned() {
+            if let Some(pinned) = self.pinned_block(from, chunk_cid).cloned() {
                 stats.cache_hits += 1;
                 data.extend_from_slice(pinned.data());
                 continue;
@@ -454,14 +538,18 @@ impl StorageNetwork {
     /// Corrupt the pinned copy of a block on a specific peer (experiment E4:
     /// tamper injection). Returns true if the peer held the block.
     pub fn corrupt_pinned(&mut self, peer: u64, cid: &Cid, evil: Vec<u8>) -> bool {
-        self.pinned[peer as usize].corrupt(cid, evil)
+        let pins = self.held.get(cid).is_some_and(|h| h.holders.contains(peer));
+        if pins {
+            let evil = Block::new_unchecked(*cid, evil);
+            self.tampered.insert((peer, *cid), evil);
+        }
+        pins
     }
 
-    /// Peers that hold a pinned copy of the given block.
+    /// Peers that hold a pinned copy of the given block, in ascending order.
     pub fn pinned_holders(&self, cid: &Cid) -> Vec<u64> {
-        (0..self.pinned.len() as u64)
-            .filter(|&p| self.pinned[p as usize].has(cid))
-            .collect()
+        let held = self.held.get(cid);
+        held.map_or_else(Vec::new, |h| h.holders.iter().collect())
     }
 
     /// Peers that hold a cached (non-pinned) copy of the given block. Peers
@@ -693,9 +781,9 @@ mod tests {
         let (obj, _) = storage.put_object(&mut net, &mut dht, 2, &data).unwrap();
         // Someone announces a chunk as if it were an object root: every
         // holder's copy hashes to the cid asked for, and none is a manifest.
-        let chunk = *storage.pinned[2]
-            .cids()
-            .find(|c| **c != obj.root)
+        let chunk = pinned_on(&storage, 2)
+            .into_iter()
+            .find(|c| *c != obj.root)
             .expect("a chunk");
         let holders = storage.pinned_holders(&chunk);
         assert_eq!(holders.len(), 2, "publisher and one replica");
@@ -722,18 +810,28 @@ mod tests {
         })
     }
 
+    /// The cids `peer` pins, sorted.
+    fn pinned_on(storage: &StorageNetwork, peer: u64) -> Vec<Cid> {
+        let mut cids: Vec<Cid> = storage
+            .held
+            .iter()
+            .filter(|(_, held)| held.holders.contains(peer))
+            .map(|(cid, _)| *cid)
+            .collect();
+        cids.sort();
+        cids
+    }
+
     /// Every peer holding pinned blocks: `(peer, blocks, fold of its sorted
     /// pinned cids)`.
     fn pinned_sets(storage: &StorageNetwork) -> Vec<(usize, usize, u64)> {
-        storage
-            .pinned
-            .iter()
-            .enumerate()
-            .filter(|(_, store)| !store.is_empty())
-            .map(|(peer, store)| {
-                let mut cids: Vec<String> = store.cids().map(|c| c.to_hex()).collect();
+        (0..storage.len() as u64)
+            .map(|peer| (peer, pinned_on(storage, peer)))
+            .filter(|(_, cids)| !cids.is_empty())
+            .map(|(peer, cids)| {
+                let mut cids: Vec<String> = cids.iter().map(|c| c.to_hex()).collect();
                 cids.sort();
-                (peer, cids.len(), fnv1a(&cids.join(" ")))
+                (peer as usize, cids.len(), fnv1a(&cids.join(" ")))
             })
             .collect()
     }
@@ -825,13 +923,13 @@ mod tests {
         let (obj, _) = storage.put_object(&mut net, &mut dht, 2, &data).unwrap();
         let holders = storage.pinned_holders(&obj.root);
         assert_eq!(holders.len(), 2, "publisher and one replica");
-        let publisher = &storage.pinned[2];
+        let publisher = pinned_on(&storage, 2);
         assert_eq!(publisher.len(), obj.chunk_count + 1);
         for &replica in holders.iter().filter(|&&h| h != 2) {
-            for cid in publisher.cids() {
+            for cid in &publisher {
                 let (a, b) = (
-                    publisher.get(cid).unwrap(),
-                    storage.pinned[replica as usize].get(cid).unwrap(),
+                    storage.pinned_block(2, cid).unwrap(),
+                    storage.pinned_block(replica, cid).unwrap(),
                 );
                 assert!(a.verify() && b.verify());
                 assert_eq!(a.data().as_ptr(), b.data().as_ptr(), "block {cid} copied");
@@ -844,19 +942,19 @@ mod tests {
         let (mut net, mut dht, mut storage) = setup(32, 11);
         let data = random_data(4000);
         let (obj, _) = storage.put_object(&mut net, &mut dht, 2, &data).unwrap();
-        let replica = storage.pinned_holders(&obj.root)[1] as usize;
+        let replica = storage.pinned_holders(&obj.root)[1];
         assert_ne!(replica, 2);
         // The publisher (the provider a reader asks first) turns malicious:
         // every block it pinned now lies.
-        let cids: Vec<Cid> = storage.pinned[2].cids().copied().collect();
+        let cids = pinned_on(&storage, 2);
         for cid in &cids {
             assert!(storage.corrupt_pinned(2, cid, b"evil".to_vec()));
         }
         // Only its map entries were replaced: the bytes it shared with the
         // replica are immutable and still verify there.
         for cid in &cids {
-            assert!(!storage.pinned[2].get(cid).unwrap().verify());
-            assert!(storage.pinned[replica].get(cid).unwrap().verify());
+            assert!(!storage.pinned_block(2, cid).unwrap().verify());
+            assert!(storage.pinned_block(replica, cid).unwrap().verify());
         }
         // A third peer is handed every tampered block first, counts each one
         // and still assembles the object from the honest copy.
@@ -869,16 +967,11 @@ mod tests {
 
     /// Every peer's pinned blocks as sorted `(cid, bytes)` pairs.
     fn pinned_contents(storage: &StorageNetwork) -> Vec<Vec<(Cid, Vec<u8>)>> {
-        storage
-            .pinned
-            .iter()
-            .map(|store| {
-                let mut blocks: Vec<(Cid, Vec<u8>)> = store
-                    .cids()
-                    .map(|c| (*c, store.get(c).unwrap().data().to_vec()))
-                    .collect();
-                blocks.sort();
-                blocks
+        (0..storage.len() as u64)
+            .map(|peer| {
+                let cids = pinned_on(storage, peer).into_iter();
+                let bytes = |c: Cid| storage.pinned_block(peer, &c).unwrap().data().to_vec();
+                cids.map(|c| (c, bytes(c))).collect()
             })
             .collect()
     }
@@ -954,7 +1047,7 @@ mod tests {
                 let want = cold.put_object(&mut cnet, &mut cdht, from, &data).unwrap();
                 prop_assert_eq!(&got, &want);
                 let manifest = |s: &StorageNetwork| {
-                    s.pinned[from as usize].get(&got.0.root).unwrap().data().to_vec()
+                    s.pinned_block(from, &got.0.root).unwrap().data().to_vec()
                 };
                 prop_assert_eq!(manifest(&warm), manifest(&cold));
                 prop_assert_eq!(pinned_contents(&warm), pinned_contents(&cold));
@@ -974,12 +1067,8 @@ mod tests {
             let (obj, _) = storage.put_object(&mut net, &mut dht, 2, &data).unwrap();
             let replica = storage.pinned_holders(&obj.root)[1];
             // Both holders of every chunk turn malicious.
-            let mut chunks: Vec<Cid> = storage.pinned[2]
-                .cids()
-                .copied()
-                .filter(|c| *c != obj.root)
-                .collect();
-            chunks.sort();
+            let mut chunks = pinned_on(&storage, 2);
+            chunks.retain(|c| *c != obj.root);
             for cid in &chunks {
                 assert!(storage.corrupt_pinned(2, cid, b"evil".to_vec()));
                 assert!(storage.corrupt_pinned(replica, cid, b"evil".to_vec()));
@@ -993,7 +1082,7 @@ mod tests {
             let put = storage.put_object(&mut net, &mut dht, 2, &next).unwrap();
             let repaired: Vec<bool> = chunks
                 .iter()
-                .map(|c| storage.pinned[2].get(c).unwrap().verify())
+                .map(|c| storage.pinned_block(2, c).unwrap().verify())
                 .collect();
             let read = storage.get_object(&mut net, &mut dht, 21, put.0.root);
             let old = storage.get_object(&mut net, &mut dht, 22, obj.root);
@@ -1035,8 +1124,8 @@ mod tests {
 
     /// The root and every chunk cid of a stored object, read from a holder.
     fn blocks_of(storage: &StorageNetwork, root: Cid) -> Vec<Cid> {
-        let holder = storage.pinned_holders(&root)[0] as usize;
-        let manifest = storage.pinned[holder].get(&root).unwrap();
+        let holder = storage.pinned_holders(&root)[0];
+        let manifest = storage.pinned_block(holder, &root).unwrap();
         let chunks = Manifest::decode(manifest.data()).unwrap().chunks;
         std::iter::once(root).chain(chunks).collect()
     }
@@ -1122,7 +1211,7 @@ mod tests {
         let (v1, v2) = (random_data(1500), sample_data(1500));
         let (r1, _) = write((&mut net, &mut dht, &mut storage), 3, name, &v1, 1);
         let chunk = blocks_of(&storage, r1)[1];
-        let handle = storage.pinned[3].get(&chunk).unwrap().clone();
+        let handle = storage.pinned_block(3, &chunk).unwrap().clone();
         assert!(storage.memo.holds(&handle));
 
         let (_, released) = write((&mut net, &mut dht, &mut storage), 3, name, &v2, 2);
@@ -1134,7 +1223,7 @@ mod tests {
         // buffers, and read whole.
         let (again, released) = write((&mut net, &mut dht, &mut storage), 3, name, &v1, 3);
         assert_eq!((again, released), (r1, 1));
-        let repinned = storage.pinned[3].get(&chunk).unwrap();
+        let repinned = storage.pinned_block(3, &chunk).unwrap();
         assert!(repinned.verify());
         assert_ne!(repinned.data().as_ptr(), handle.data().as_ptr());
         let (read, _) = storage.get_object(&mut net, &mut dht, 25, r1).unwrap();
@@ -1200,12 +1289,11 @@ mod tests {
                         }
                     }
                 }
-                let live: HashMap<Cid, u32> = storage.live.iter().map(|(c, n)| (*c, *n)).collect();
+                let live: HashMap<Cid, u32> =
+                    storage.held.iter().map(|(c, h)| (*c, h.objects)).collect();
                 prop_assert_eq!(&live, &expected);
-                for store in &storage.pinned {
-                    for cid in store.cids() {
-                        prop_assert!(expected.contains_key(cid), "stray block {}", cid);
-                    }
+                for (cid, held) in &storage.held {
+                    prop_assert!(held.holders.iter().next().is_some(), "{} pinned nowhere", cid);
                 }
                 for root in &released_roots {
                     if !expected.contains_key(root) {
@@ -1230,5 +1318,369 @@ mod tests {
             storage.put_object(&mut net, &mut dht, 4, b"data"),
             Err(QbError::NodeOffline(4))
         ));
+    }
+
+    /// The storage layer as it was kept before the held table: one map of
+    /// pinned blocks per peer, tampered copies in place, beside a count of
+    /// the objects holding each block. No chunk memo: every put copies and
+    /// hashes every chunk, which the memo is proven not to change.
+    struct Reference {
+        config: StorageConfig,
+        pinned: Vec<HashMap<Cid, Block>>,
+        caches: Vec<LruBlockStore>,
+        live: HashMap<Cid, u32>,
+        named: HashMap<DhtKey, Vec<(Cid, Vec<Cid>)>>,
+    }
+
+    impl Reference {
+        fn new(n: usize, config: StorageConfig) -> Reference {
+            Reference {
+                pinned: vec![HashMap::new(); n],
+                caches: vec![LruBlockStore::new(config.cache_bytes); n],
+                live: HashMap::new(),
+                named: HashMap::new(),
+                config,
+            }
+        }
+
+        fn pin(&mut self, peer: u64, blocks: &[Block]) {
+            for block in blocks {
+                self.pinned[peer as usize].insert(block.cid(), block.clone());
+            }
+        }
+
+        fn put(
+            &mut self,
+            (net, dht): (&mut SimNet, &mut DhtNetwork),
+            from: u64,
+            data: &[u8],
+            name: Option<DhtKey>,
+        ) -> QbResult<(ObjectRef, FetchStats)> {
+            if !net.is_online(from) {
+                return Err(QbError::NodeOffline(from));
+            }
+            let chunks: Vec<Block> = chunk_content_defined(data, &self.config.chunker)
+                .into_iter()
+                .map(Block::new)
+                .collect();
+            let manifest = Manifest::from_blocks(&chunks);
+            let manifest_block = Block::new(manifest.encode());
+            let root = manifest_block.cid();
+            let object = ObjectRef {
+                root,
+                total_len: manifest.total_len,
+                chunk_count: manifest.chunk_count(),
+            };
+            let blocks: Vec<Block> = std::iter::once(manifest_block).chain(chunks).collect();
+            self.pin(from, &blocks);
+            let cids: Vec<Cid> = blocks.iter().map(Block::cid).collect();
+            for cid in &cids {
+                *self.live.entry(*cid).or_default() += 1;
+            }
+            if let Some(name) = name {
+                self.named.entry(name).or_default().push((root, cids));
+            }
+            let mut stats = FetchStats::default();
+            let put = dht.add_provider(net, from, root.to_dht_key())?;
+            stats.latency += put.latency;
+            stats.messages += put.messages;
+            let r = self.config.replication;
+            let mut replicated = 0;
+            for target in dht.closest_online_global(net, &root.0, r + 1) {
+                if replicated + 1 >= r {
+                    break;
+                }
+                if target.index == from {
+                    continue;
+                }
+                let payload = data.len() + blocks[0].len();
+                let (res, lat) = net.rpc_or_timeout(from, target.index, payload, 16);
+                stats.latency += lat;
+                stats.messages += 1;
+                if res.is_ok() {
+                    stats.bytes += payload as u64;
+                    self.pin(target.index, &blocks);
+                    if let Ok(ann) = dht.add_provider(net, target.index, root.to_dht_key()) {
+                        stats.messages += ann.messages;
+                    }
+                    replicated += 1;
+                }
+            }
+            Ok((object, stats))
+        }
+
+        fn block_on_peer(&self, peer: u64, cid: &Cid) -> Option<Block> {
+            let pinned = self.pinned[peer as usize].get(cid);
+            pinned
+                .or_else(|| self.caches[peer as usize].get(cid))
+                .cloned()
+        }
+
+        fn get(
+            &mut self,
+            (net, dht): (&mut SimNet, &mut DhtNetwork),
+            from: u64,
+            root: Cid,
+        ) -> QbResult<(Vec<u8>, FetchStats)> {
+            if !net.is_online(from) {
+                return Err(QbError::NodeOffline(from));
+            }
+            let mut stats = FetchStats::default();
+            let local = self.block_on_peer(from, &root).and_then(|manifest| {
+                let manifest = Manifest::decode(manifest.data()).ok()?;
+                let blocks: Option<Vec<Block>> = manifest
+                    .chunks
+                    .iter()
+                    .map(|c| self.block_on_peer(from, c))
+                    .collect();
+                Some((manifest, blocks?))
+            });
+            if let Some((manifest, blocks)) = local {
+                stats.from_local = true;
+                stats.cache_hits = 1 + manifest.chunk_count() as u64;
+                return Ok((
+                    blocks.iter().flat_map(|b| b.data().to_vec()).collect(),
+                    stats,
+                ));
+            }
+            let (providers, lat, msgs) = dht.get_providers(net, from, root.to_dht_key())?;
+            stats.latency += lat;
+            stats.messages += msgs;
+            let providers: Vec<u64> = providers
+                .iter()
+                .map(|p| p.index)
+                .filter(|&p| p != from)
+                .collect();
+            if providers.is_empty() {
+                return Err(QbError::NotFound(format!("no remote providers for {root}")));
+            }
+            let manifest_block = self.fetch(
+                (net, from),
+                &providers,
+                ("manifest", root),
+                &mut stats,
+                |b| Manifest::decode(b.data()).is_ok(),
+            )?;
+            let manifest = Manifest::decode(manifest_block.data())?;
+            let mut data = Vec::new();
+            for cid in &manifest.chunks {
+                if let Some(local) = self.caches[from as usize].get_touch(cid) {
+                    stats.cache_hits += 1;
+                    data.extend_from_slice(local.data());
+                    continue;
+                }
+                if let Some(pinned) = self.pinned[from as usize].get(cid) {
+                    stats.cache_hits += 1;
+                    data.extend_from_slice(pinned.data());
+                    continue;
+                }
+                let block =
+                    self.fetch((net, from), &providers, ("chunk", *cid), &mut stats, |_| {
+                        true
+                    })?;
+                data.extend_from_slice(block.data());
+            }
+            if let Ok(ann) = dht.add_provider(net, from, root.to_dht_key()) {
+                stats.messages += ann.messages;
+            }
+            Ok((data, stats))
+        }
+
+        fn fetch(
+            &mut self,
+            (net, from): (&mut SimNet, u64),
+            providers: &[u64],
+            (what, cid): (&str, Cid),
+            stats: &mut FetchStats,
+            accept: impl Fn(&Block) -> bool,
+        ) -> QbResult<Block> {
+            for &p in providers {
+                let Some(remote) = self.block_on_peer(p, &cid) else {
+                    continue;
+                };
+                stats.messages += 1;
+                let (res, lat) = net.rpc_or_timeout(from, p, 64, remote.len());
+                stats.latency += lat;
+                if res.is_err() {
+                    continue;
+                }
+                stats.bytes += remote.len() as u64;
+                match Block::from_parts(cid, remote.data().clone()) {
+                    Ok(block) if accept(&block) => {
+                        self.caches[from as usize].put(block.clone());
+                        return Ok(block);
+                    }
+                    _ => stats.integrity_failures += 1,
+                }
+            }
+            Err(if stats.integrity_failures > 0 {
+                QbError::IntegrityViolation {
+                    expected: cid.to_hex(),
+                    actual: "corrupted copies from all providers".into(),
+                }
+            } else {
+                QbError::NotFound(format!("{what} {cid} unavailable"))
+            })
+        }
+
+        fn release_unnamed(&mut self, dht: &mut DhtNetwork, name: &DhtKey) -> usize {
+            let Some(objects) = self.named.get_mut(name) else {
+                return 0;
+            };
+            let mut released = 0;
+            while let Some(at) = objects.iter().position(|(root, _)| {
+                !dht.records_under(name)
+                    .any(|r| root_of(&r.value) == Some(*root))
+            }) {
+                let (root, cids) = objects.swap_remove(at);
+                for cid in &cids {
+                    let Some(count) = self.live.get_mut(cid) else {
+                        continue;
+                    };
+                    *count -= 1;
+                    if *count == 0 {
+                        self.live.remove(cid);
+                        for store in &mut self.pinned {
+                            store.remove(cid);
+                        }
+                    }
+                }
+                if !self.live.contains_key(&root) {
+                    dht.forget_providers(&root.to_dht_key());
+                }
+                released += 1;
+            }
+            released
+        }
+
+        fn corrupt_pinned(&mut self, peer: u64, cid: &Cid, evil: Vec<u8>) -> bool {
+            let Some(block) = self.pinned[peer as usize].get_mut(cid) else {
+                return false;
+            };
+            *block = Block::new_unchecked(*cid, evil);
+            true
+        }
+
+        fn pinned_holders(&self, cid: &Cid) -> Vec<u64> {
+            (0..self.pinned.len() as u64)
+                .filter(|&p| self.pinned[p as usize].contains_key(cid))
+                .collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The held table against the per-peer reference on one script of
+        /// puts, pointer records, releases, reads, tampering and churn,
+        /// each stack on its own identically seeded network: every call
+        /// returns the same (objects, bytes, `FetchStats`, errors, release
+        /// counts), and every block ever stored is pinned by the same peers.
+        #[test]
+        fn the_held_table_stores_as_a_map_per_peer_does(
+            seed in 0u64..1_000,
+            script in proptest::collection::vec(((0u8..10, 0u64..16), (any::<u64>(), any::<usize>())), 1..40),
+        ) {
+            let (mut net, mut dht, mut storage) = setup(16, seed);
+            let (mut rnet, mut rdht, _) = setup(16, seed);
+            let mut reference = Reference::new(16, StorageConfig::small());
+            let names = [DhtKey::from_bytes(b"first"), DhtKey::from_bytes(b"second")];
+            let base = random_data(1500);
+            let mut edited = base.clone();
+            edited.splice(700..700, b"an edit".iter().copied());
+            let contents = [base, edited, sample_data(1200), Vec::new()];
+            let mut roots: Vec<Cid> = Vec::new();
+            // The roots put under each name, which its records mostly name.
+            let mut names_put: [Vec<Cid>; 2] = [Vec::new(), Vec::new()];
+            let mut versions = [0u64; 2];
+            for ((op, peer), (pick, arg)) in script {
+                let name = names[(pick % 2) as usize];
+                let data = &contents[arg % contents.len()];
+                let root = (!roots.is_empty()).then(|| roots[arg % roots.len()]);
+                match op {
+                    0 | 1 => {
+                        let named = (op == 1).then_some(name);
+                        let got = match named {
+                            Some(name) => storage.put_named_object(&mut net, &mut dht, peer, name, data),
+                            None => storage.put_object(&mut net, &mut dht, peer, data),
+                        };
+                        let want = reference.put((&mut rnet, &mut rdht), peer, data, named);
+                        prop_assert_eq!(&got, &want);
+                        if let Ok((obj, _)) = got {
+                            roots.push(obj.root);
+                            if named.is_some() {
+                                names_put[(pick % 2) as usize].push(obj.root);
+                            }
+                        }
+                    }
+                    2 => {
+                        let put = &names_put[(pick % 2) as usize];
+                        let Some(root) = put.get(arg % put.len().max(1)).copied().or(root) else {
+                            continue;
+                        };
+                        let version = &mut versions[(pick % 2) as usize];
+                        *version += 1;
+                        let pointer = root.0.as_bytes().to_vec();
+                        let got = dht.put_record(&mut net, peer, name, pointer.clone(), *version);
+                        let want = rdht.put_record(&mut rnet, peer, name, pointer, *version);
+                        prop_assert_eq!(got.is_ok(), want.is_ok());
+                    }
+                    3 => {
+                        let got = storage.release_unnamed(&mut dht, &name, root_of);
+                        prop_assert_eq!(got, reference.release_unnamed(&mut rdht, &name));
+                    }
+                    4 => {
+                        let Some(root) = root else { continue };
+                        let got = storage.get_object(&mut net, &mut dht, peer, root);
+                        let want = reference.get((&mut rnet, &mut rdht), peer, root);
+                        prop_assert_eq!(got, want);
+                    }
+                    5 | 6 => {
+                        let Some(root) = root else { continue };
+                        let cids = match reference.block_on_peer(peer, &root) {
+                            Some(m) => Manifest::decode(m.data()).map(|m| m.chunks).unwrap_or_default(),
+                            None => Vec::new(),
+                        };
+                        let cid = std::iter::once(root).chain(cids).nth(pick as usize % 3).unwrap_or(root);
+                        let evil = format!("evil {pick}").into_bytes();
+                        // Mostly a peer that has a copy to tamper with.
+                        let copies: Vec<u64> = (0..16)
+                            .filter(|&p| match op {
+                                5 => reference.pinned[p as usize].contains_key(&cid),
+                                _ => reference.caches[p as usize].has(&cid),
+                            })
+                            .collect();
+                        let peer = match copies.len() {
+                            0 => peer,
+                            n => copies[peer as usize % n],
+                        };
+                        if op == 5 {
+                            let got = storage.corrupt_pinned(peer, &cid, evil.clone());
+                            prop_assert_eq!(got, reference.corrupt_pinned(peer, &cid, evil));
+                        } else {
+                            let got = storage.corrupt_cached(peer, &cid, evil.clone());
+                            let want = reference.caches[peer as usize].corrupt(&cid, evil);
+                            prop_assert_eq!(got, want);
+                        }
+                    }
+                    _ => {
+                        net.set_online(peer, !net.is_online(peer));
+                        rnet.set_online(peer, !rnet.is_online(peer));
+                    }
+                }
+                for root in &roots {
+                    let cids = match reference.pinned_holders(root).first() {
+                        Some(&holder) => {
+                            let manifest = reference.pinned[holder as usize][root].clone();
+                            Manifest::decode(manifest.data()).map(|m| m.chunks).unwrap_or_default()
+                        }
+                        None => Vec::new(),
+                    };
+                    for cid in std::iter::once(*root).chain(cids) {
+                        prop_assert_eq!(storage.pinned_holders(&cid), reference.pinned_holders(&cid));
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,96 +1,8 @@
-//! Local block stores.
+//! The per-peer cache of fetched blocks.
 
 use crate::block::Block;
 use qb_common::{Cid, DigestMap};
 use std::collections::VecDeque;
-
-/// Interface of a local block store.
-pub trait BlockStore {
-    /// Insert a block (idempotent).
-    fn put(&mut self, block: Block);
-    /// Fetch a block by cid.
-    fn get(&self, cid: &Cid) -> Option<&Block>;
-    /// Does the store hold this cid?
-    fn has(&self, cid: &Cid) -> bool;
-    /// Remove a block; returns true when something was removed.
-    fn remove(&mut self, cid: &Cid) -> bool;
-    /// Number of blocks held.
-    fn len(&self) -> usize;
-    /// True when no blocks are held.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Total bytes held.
-    fn total_bytes(&self) -> usize;
-}
-
-/// Unbounded in-memory store (pinned / published content).
-#[derive(Debug, Default, Clone)]
-pub struct MemoryBlockStore {
-    blocks: DigestMap<Cid, Block>,
-    bytes: usize,
-}
-
-impl MemoryBlockStore {
-    /// Create an empty store.
-    pub fn new() -> MemoryBlockStore {
-        MemoryBlockStore::default()
-    }
-
-    /// Iterate over stored cids.
-    pub fn cids(&self) -> impl Iterator<Item = &Cid> {
-        self.blocks.keys()
-    }
-
-    /// Remove a block, returning it.
-    pub fn take(&mut self, cid: &Cid) -> Option<Block> {
-        let block = self.blocks.remove(cid)?;
-        self.bytes -= block.len();
-        Some(block)
-    }
-
-    /// Mutable access used only by the tamper-injection experiment (E4):
-    /// replaces the stored bytes *without* recomputing the cid, simulating a
-    /// malicious or corrupted replica.
-    pub fn corrupt(&mut self, cid: &Cid, new_data: Vec<u8>) -> bool {
-        if let Some(b) = self.blocks.get_mut(cid) {
-            *b = Block::new_unchecked(*cid, new_data);
-            true
-        } else {
-            false
-        }
-    }
-}
-
-impl BlockStore for MemoryBlockStore {
-    fn put(&mut self, block: Block) {
-        let added = block.len();
-        if let Some(old) = self.blocks.insert(block.cid(), block) {
-            self.bytes -= old.len();
-        }
-        self.bytes += added;
-    }
-
-    fn get(&self, cid: &Cid) -> Option<&Block> {
-        self.blocks.get(cid)
-    }
-
-    fn has(&self, cid: &Cid) -> bool {
-        self.blocks.contains_key(cid)
-    }
-
-    fn remove(&mut self, cid: &Cid) -> bool {
-        self.take(cid).is_some()
-    }
-
-    fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    fn total_bytes(&self) -> usize {
-        self.bytes
-    }
-}
 
 /// Bounded LRU block store used as the per-peer cache of fetched content.
 #[derive(Debug, Clone)]
@@ -121,6 +33,47 @@ impl LruBlockStore {
     /// Capacity in bytes.
     pub fn capacity(&self) -> usize {
         self.capacity_bytes
+    }
+
+    /// Insert a block (idempotent), evicting the least recently used
+    /// blocks to fit; a block larger than the whole cache is not kept.
+    pub fn put(&mut self, block: Block) {
+        if block.len() > self.capacity_bytes {
+            return;
+        }
+        if self.blocks.contains_key(&block.cid()) {
+            self.touch(&block.cid());
+            return;
+        }
+        self.evict_to_fit(block.len());
+        self.bytes += block.len();
+        self.order.push_back(block.cid());
+        self.blocks.insert(block.cid(), block);
+    }
+
+    /// Fetch a block by cid, leaving recency and counters alone.
+    pub fn get(&self, cid: &Cid) -> Option<&Block> {
+        self.blocks.get(cid)
+    }
+
+    /// Does the cache hold this cid?
+    pub fn has(&self, cid: &Cid) -> bool {
+        self.blocks.contains_key(cid)
+    }
+
+    /// Number of blocks held.
+    pub fn len(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// True when no blocks are held.
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+
+    /// Total bytes held.
+    pub fn total_bytes(&self) -> usize {
+        self.bytes
     }
 
     /// Replace a cached block's bytes in place, keeping the claimed cid
@@ -167,78 +120,20 @@ impl LruBlockStore {
     }
 }
 
-impl BlockStore for LruBlockStore {
-    fn put(&mut self, block: Block) {
-        if block.len() > self.capacity_bytes {
-            return; // Never cache something larger than the whole cache.
-        }
-        if self.blocks.contains_key(&block.cid()) {
-            self.touch(&block.cid());
-            return;
-        }
-        self.evict_to_fit(block.len());
-        self.bytes += block.len();
-        self.order.push_back(block.cid());
-        self.blocks.insert(block.cid(), block);
-    }
-
-    fn get(&self, cid: &Cid) -> Option<&Block> {
-        self.blocks.get(cid)
-    }
-
-    fn has(&self, cid: &Cid) -> bool {
-        self.blocks.contains_key(cid)
-    }
-
-    fn remove(&mut self, cid: &Cid) -> bool {
-        if let Some(b) = self.blocks.remove(cid) {
-            self.bytes -= b.len();
-            self.order.retain(|c| c != cid);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    fn total_bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn memory_store_put_get_remove() {
-        let mut s = MemoryBlockStore::new();
-        let b = Block::new(&b"data"[..]);
-        let cid = b.cid();
-        s.put(b.clone());
-        s.put(b.clone()); // idempotent
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.total_bytes(), 4);
-        assert!(s.has(&cid));
-        assert_eq!(s.get(&cid).unwrap().data().as_ref(), b"data");
-        assert!(s.remove(&cid));
-        assert!(!s.remove(&cid));
-        assert!(s.is_empty());
-        assert_eq!(s.total_bytes(), 0);
-    }
-
-    #[test]
     fn corrupt_breaks_verification() {
-        let mut s = MemoryBlockStore::new();
+        let mut cache = LruBlockStore::new(64);
         let b = Block::new(&b"honest bytes"[..]);
         let cid = b.cid();
-        s.put(b);
-        assert!(s.corrupt(&cid, b"evil bytes".to_vec()));
-        assert!(!s.get(&cid).unwrap().verify());
-        assert!(!s.corrupt(&Cid::for_data(b"other"), vec![]));
+        cache.put(b);
+        assert!(cache.corrupt(&cid, b"evil bytes".to_vec()));
+        assert!(!cache.get(&cid).unwrap().verify());
+        assert_eq!(cache.total_bytes(), b"evil bytes".len());
+        assert!(!cache.corrupt(&Cid::for_data(b"other"), vec![]));
     }
 
     #[test]

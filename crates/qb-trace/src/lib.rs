@@ -1,6 +1,6 @@
 //! Deterministic observability for the QueenBee stack.
 //!
-//! Three instruments in one crate, all driven by the simulated clock so a
+//! Four instruments in one crate, all driven by the simulated clock so a
 //! seed fully determines what they record:
 //!
 //! - **Span trees** ([`Tracer`], [`Trace`]): every serving-path crate
@@ -15,6 +15,10 @@
 //!   `GossipStats`, `QueryEngineStats`, `LoadReport`) flatten into one
 //!   named counter/histogram namespace, diffable between two instants and
 //!   exportable as deterministic JSON.
+//! - **Operation chains** ([`OpChain`]): each query, publish event and
+//!   gossip round's simulated outcome folded into a running hash, kept per
+//!   operation, so two runs of one scenario name the first operation at
+//!   which they part. Off by default, like the tracer.
 //! - **Analysis + export** ([`critical_path`], [`attribution`],
 //!   [`to_chrome_trace`], [`to_json`]): walk a span tree backwards from
 //!   its completion to find which stage bounded the sojourn (queue wait vs
@@ -47,11 +51,13 @@
 
 #![forbid(unsafe_code)]
 
+pub mod chain;
 pub mod export;
 pub mod metrics;
 pub mod path;
 pub mod span;
 
+pub use chain::{OpChain, OpKind, OpLink};
 pub use export::{to_chrome_trace, to_json};
 pub use metrics::{MetricsSnapshot, MetricsSource};
 pub use path::{attribution, critical_path, dominant, render_path, PathStep};
