@@ -4,6 +4,7 @@ use crate::routing::RoutingTable;
 use crate::DhtConfig;
 use bytes::Bytes;
 use qb_common::{DhtKey, DigestMap, NodeId};
+use std::collections::hash_map::Entry;
 
 /// A value stored in the DHT under a key. A stored record is permanent: it
 /// lives on its replicas until a higher [`Record::version`] replaces it.
@@ -48,10 +49,14 @@ impl DhtNode {
     /// Handle a `STORE` RPC: keep the record if it is newer than what we have.
     /// Returns true when the record was accepted.
     pub fn store(&mut self, record: Record) -> bool {
-        match self.records.get(&record.key) {
-            Some(existing) if existing.version > record.version => false,
-            _ => {
-                self.records.insert(record.key, record);
+        match self.records.entry(record.key) {
+            Entry::Occupied(existing) if existing.get().version > record.version => false,
+            Entry::Occupied(mut existing) => {
+                existing.insert(record);
+                true
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(record);
                 true
             }
         }

@@ -11,6 +11,14 @@
 //! fallback collects every doc id and scores each from cursors reset to
 //! the start.
 //!
+//! A shard may come with its [`Impacts`](crate::Impacts) memo's
+//! [`ShardImpacts`]: each posting's BM25 term score and rank component,
+//! computed with this kernel's expressions under the call's statistics and
+//! `component_of`. The walk and the union fallback then read
+//! `impacts[cursor]` where they would evaluate BM25 and call
+//! `component_of`; a shard without them scores as it always did. Either
+//! way every score is bit for bit the same.
+//!
 //! The kernel computes; it copies only what its caller keeps. [`rank`]
 //! returns a [`Ranked`]: every candidate's 16-byte key — its score and the
 //! posting whose metadata it takes, borrowed from the shards. A response
@@ -22,6 +30,7 @@
 //! [`crate::InvertedIndex`]; it stays separate because it is the reference
 //! the baselines and the benchmark's oracle compare this kernel against.
 
+use crate::impacts::{Impact, ShardImpacts};
 use crate::query::ScoredDoc;
 use crate::scorer::{blend_with_component, rank_component, Bm25};
 use crate::shard::{IndexStats, ShardEntry, ShardPosting};
@@ -50,12 +59,36 @@ fn advance<'a>(
 
 /// One query term's shard inside a kernel call, with the per-shard state
 /// the call keeps: how far the walk has gone through it — after a match,
-/// the cursor is on the document's own posting — and its idf (one `ln` per
-/// shard, not one per posting).
+/// the cursor is on the document's own posting — its idf (one `ln` per
+/// shard, not one per posting) and its impacts, when the caller has them.
 struct List<'a> {
     shard: &'a ShardEntry,
     cursor: usize,
     idf: f64,
+    impacts: Option<&'a [Impact]>,
+}
+
+impl<'a> List<'a> {
+    /// The BM25 term score of the posting under the cursor.
+    fn bm25(&self, scorer: &Bm25, avg_len: f64) -> f64 {
+        match self.impacts {
+            Some(impacts) => impacts[self.cursor].bm25,
+            None => {
+                let p = &self.shard.postings[self.cursor];
+                scorer.score_with_idf(self.idf, p.term_freq, p.doc_len, avg_len)
+            }
+        }
+    }
+
+    /// The posting under the cursor and its rank component.
+    fn meta(&self, component_of: impl Fn(&ShardPosting) -> f64) -> (&'a ShardPosting, f64) {
+        let shard: &'a ShardEntry = self.shard;
+        let meta = &shard.postings[self.cursor];
+        match self.impacts {
+            Some(impacts) => (meta, impacts[self.cursor].component),
+            None => (meta, component_of(meta)),
+        }
+    }
 }
 
 /// A candidate while it is ranked: its blended score and the posting whose
@@ -252,6 +285,10 @@ impl Ranked<'_> {
 /// it with `component_of` its page (the page's [`rank_component`]). The
 /// [`Ranked`] candidates order by `(score desc, doc id asc)`.
 ///
+/// Each shard comes with its impacts or `None`. Impacts must be what
+/// [`Impacts::lookup`](crate::Impacts::lookup) builds for that shard under
+/// `stats` and this `component_of`: one per posting, in posting order.
+///
 /// One walk does the intersecting and the scoring: the shortest shard
 /// leads, the others gallop to each of its doc ids, and a document all of
 /// them hold is scored from the postings the walk found. Only the union
@@ -263,16 +300,19 @@ impl Ranked<'_> {
 /// are given in changes nothing: a permuted query — which the result tier
 /// files under the same sorted-term key — scores bit for bit the same.
 pub fn rank<'a, S: Borrow<ShardEntry>>(
-    shards: &'a [S],
+    shards: &'a [(S, Option<ShardImpacts>)],
     stats: &IndexStats,
     component_of: impl Fn(&ShardPosting) -> f64,
     rank_weight: f64,
 ) -> Ranked<'a> {
-    Ranked(State::Keys(score(shards, stats, component_of, rank_weight)))
+    let lists = shards
+        .iter()
+        .map(|(shard, impacts)| (shard.borrow(), impacts.as_deref()));
+    Ranked(State::Keys(score(lists, stats, component_of, rank_weight)))
 }
 
-fn score<'a, S: Borrow<ShardEntry>>(
-    shards: &'a [S],
+fn score<'a>(
+    shards: impl ExactSizeIterator<Item = (&'a ShardEntry, Option<&'a [Impact]>)>,
     stats: &IndexStats,
     component_of: impl Fn(&ShardPosting) -> f64,
     rank_weight: f64,
@@ -282,21 +322,26 @@ fn score<'a, S: Borrow<ShardEntry>>(
     let scorer = Bm25::default();
     let num_docs = stats.num_docs.max(1) as usize;
     let mut lists: Vec<List<'a>> = shards
-        .iter()
-        .map(|shard| {
-            let shard: &ShardEntry = shard.borrow();
+        .map(|(shard, impacts)| {
+            debug_assert!(impacts.is_none_or(|i| i.len() == shard.postings.len()));
             List {
                 shard,
                 cursor: 0,
                 idf: scorer.idf(shard.doc_freq(), num_docs),
+                impacts,
             }
         })
         .collect();
     lists.sort_by(|a, b| a.shard.term.cmp(&b.shard.term));
     let avg_len = stats.avg_len();
-    let key = |relevance: f64, meta: &'a ShardPosting| {
-        let blended = blend_with_component(relevance, component_of(meta), rank_weight);
-        (blended, meta)
+    // A document's key takes its metadata and rank component from `holder`,
+    // the last list in term order that holds it.
+    let key = |relevance: f64, holder: &List<'a>| {
+        let (meta, component) = holder.meta(&component_of);
+        (
+            blend_with_component(relevance, component, rank_weight),
+            meta,
+        )
     };
 
     let mut keys = Keys::AtMostOne(None);
@@ -317,12 +362,11 @@ fn score<'a, S: Borrow<ShardEntry>>(
             }
         }
         // Every cursor is on this document's posting.
-        let (mut relevance, mut meta) = (0.0, posting);
+        let mut relevance = 0.0;
         for l in &lists {
-            meta = &l.shard.postings[l.cursor];
-            relevance += scorer.score_with_idf(l.idf, meta.term_freq, meta.doc_len, avg_len);
+            relevance += l.bm25(&scorer, avg_len);
         }
-        keys.push(key(relevance, meta), leading.len());
+        keys.push(key(relevance, &lists[lists.len() - 1]), leading.len());
     }
     if !keys.as_slice().is_empty() || lists.len() < 2 {
         return keys;
@@ -341,15 +385,15 @@ fn score<'a, S: Borrow<ShardEntry>>(
     }
     for doc_id in &candidates {
         let mut relevance = 0.0;
-        let mut meta = None;
-        for l in &mut lists {
-            if let Some(p) = advance(&l.shard.postings, &mut l.cursor, *doc_id) {
-                relevance += scorer.score_with_idf(l.idf, p.term_freq, p.doc_len, avg_len);
-                meta = Some(p);
+        let mut holder = None;
+        for (i, l) in lists.iter_mut().enumerate() {
+            if advance(&l.shard.postings, &mut l.cursor, *doc_id).is_some() {
+                relevance += l.bm25(&scorer, avg_len);
+                holder = Some(i);
             }
         }
-        if let Some(meta) = meta {
-            keys.push(key(relevance, meta), candidates.len());
+        if let Some(i) = holder {
+            keys.push(key(relevance, &lists[i]), candidates.len());
         }
     }
     keys
@@ -367,7 +411,8 @@ pub fn intersect_and_score<S: Borrow<ShardEntry>>(
     rank_weight: f64,
 ) -> (Vec<ScoredDoc>, usize) {
     let component_of = |p: &ShardPosting| rank_component(rank_of(&p.name));
-    let results = build(score(shards, stats, component_of, rank_weight).as_mut_slice());
+    let lists = shards.iter().map(|shard| (shard.borrow(), None));
+    let results = build(score(lists, stats, component_of, rank_weight).as_mut_slice());
     let scored = results.len();
     (results, scored)
 }
@@ -376,6 +421,7 @@ pub fn intersect_and_score<S: Borrow<ShardEntry>>(
 mod tests {
     use super::*;
     use crate::scorer::blend_with_rank;
+    use crate::Impacts;
     use proptest::prelude::*;
     use std::borrow::Cow;
     use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -456,40 +502,60 @@ mod tests {
             .collect()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-        #[test]
-        fn kernel_matches_the_naive_reference(
+    /// One generated kernel case: the shards, the statistics, the rank
+    /// blend and the page asked for.
+    struct Case {
+        shards: Vec<ShardEntry>,
+        stats: IndexStats,
+        /// Every posting and rank flattened: whole runs of candidates tie on
+        /// score and order by doc id alone.
+        flat: bool,
+        rank_weight: f64,
+        page: usize,
+        top_k: usize,
+    }
+
+    impl Case {
+        fn rank_of(&self) -> impl Fn(&str) -> f64 {
+            let flat = self.flat;
+            move |name: &str| match flat {
+                true => 0.25,
+                false => f64::from(name.bytes().map(u32::from).sum::<u32>() % 97) / 97.0,
+            }
+        }
+    }
+
+    /// The shard, statistics and page generator of the kernel proptests.
+    struct Cases;
+
+    impl Strategy for Cases {
+        type Value = Case;
+
+        fn generate(&self, rng: &mut proptest::TestRng) -> Case {
+            use proptest::collection::{btree_map, vec};
             // Per shard: doc id → (term freq, doc len, metadata variant).
             // Ids come from a small range so shards overlap, stay disjoint
             // or come out empty; the variant makes two shards disagree on a
             // shared document's name and version.
-            lists in proptest::collection::vec(
-                proptest::collection::btree_map(0u64..64, (1u32..6, 1u32..200, 0u64..3), 0..40),
-                1..5,
-            ),
+            let postings = (1u32..6, 1u32..200, 0u64..3);
+            let lists = vec(btree_map(0u64..64, postings.clone(), 0..40), 1..5).generate(rng);
             // One case in two takes the skewed shape instead: a list of 0–4
             // ids, put at term position `lead_at`, beside long lists from a
             // wide range. The walk then gallops over long runs, the lead
             // sits at every term position, and the conjunction mostly comes
             // out empty after cursors have moved, so the union fallback
             // starts over from walked lists.
-            skewed in 0u8..2,
-            short in proptest::collection::btree_map(0u64..4096, (1u32..6, 1u32..200, 0u64..3), 0..5),
-            long in proptest::collection::vec(
-                proptest::collection::btree_map(0u64..4096, (1u32..6, 1u32..200, 0u64..3), 0..400),
-                1..4,
-            ),
-            lead_at in 0usize..4,
-            stats in (0u64..50, 0u64..5_000),
-            rank_tenths in 0u32..11,
-            // One case in three flattens every posting and rank, so whole
-            // runs of candidates tie on score and order by doc id alone.
-            flat in 0u8..3,
-            page_pick in 0usize..7,
-            top_k_pick in 0usize..6,
-        ) {
-            let flat = flat == 0;
+            let skewed = (0u8..2).generate(rng);
+            let short = btree_map(0u64..4096, postings.clone(), 0..5).generate(rng);
+            let long = vec(btree_map(0u64..4096, postings, 0..400), 1..4).generate(rng);
+            let lead_at = (0usize..4).generate(rng);
+            let stats = (0u64..50, 0u64..5_000).generate(rng);
+            let rank_tenths = (0u32..11).generate(rng);
+            // One case in three is flat.
+            let flat = (0u8..3).generate(rng) == 0;
+            let page_pick = (0usize..7).generate(rng);
+            let top_k_pick = (0usize..6).generate(rng);
+
             let lists = match skewed {
                 0 => lists,
                 _ => {
@@ -498,49 +564,64 @@ mod tests {
                     long
                 }
             };
-            let shards: Vec<ShardEntry> = lists
+            let shards = lists
                 .iter()
                 .enumerate()
-                .map(|(i, list): (usize, &BTreeMap<u64, (u32, u32, u64)>)| ShardEntry {
-                    term: format!("t{i}"),
-                    version: 1 + i as u64,
-                    postings: list
-                        .iter()
-                        .map(|(&doc_id, &(term_freq, doc_len, variant))| ShardPosting {
-                            doc_id,
-                            term_freq: if flat { 1 } else { term_freq },
-                            doc_len: if flat { 50 } else { doc_len },
-                            name: format!("page/{doc_id}/{variant}").into(),
-                            version: variant,
-                            creator: i as u64,
-                        })
-                        .collect(),
-                })
+                .map(
+                    |(i, list): (usize, &BTreeMap<u64, (u32, u32, u64)>)| ShardEntry {
+                        term: format!("t{i}"),
+                        version: 1 + i as u64,
+                        postings: list
+                            .iter()
+                            .map(|(&doc_id, &(term_freq, doc_len, variant))| ShardPosting {
+                                doc_id,
+                                term_freq: if flat { 1 } else { term_freq },
+                                doc_len: if flat { 50 } else { doc_len },
+                                name: format!("page/{doc_id}/{variant}").into(),
+                                version: variant,
+                                creator: i as u64,
+                            })
+                            .collect(),
+                    },
+                )
                 .collect();
-            let stats = IndexStats { num_docs: stats.0, total_len: stats.1, version: 1 };
-            let rank_of = |name: &str| match flat {
-                true => 0.25,
-                false => f64::from(name.bytes().map(u32::from).sum::<u32>() % 97) / 97.0,
-            };
-            let rank_weight = f64::from(rank_tenths) / 10.0;
+            Case {
+                shards,
+                stats: IndexStats {
+                    num_docs: stats.0,
+                    total_len: stats.1,
+                    version: 1,
+                },
+                flat,
+                rank_weight: f64::from(rank_tenths) / 10.0,
+                page: [0, 1, 2, 3, 7, 1_000, usize::MAX][page_pick],
+                top_k: [0, 1, 2, 5, 64, usize::MAX][top_k_pick],
+            }
+        }
+    }
 
-            let (expected, expected_scored) = reference(&shards, &stats, rank_of, rank_weight);
-            let (plain, plain_scored) =
-                intersect_and_score(&shards, &stats, rank_of, rank_weight);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn kernel_matches_the_naive_reference(case in Cases) {
+            let (shards, stats, rank_weight) = (&case.shards, &case.stats, case.rank_weight);
+            let rank_of = case.rank_of();
+            let (expected, expected_scored) = reference(shards, stats, &rank_of, rank_weight);
+            let (plain, plain_scored) = intersect_and_score(shards, stats, &rank_of, rank_weight);
             prop_assert_eq!(bits(&plain), bits(&expected));
             prop_assert_eq!(plain_scored, expected_scored);
 
             // Term order, not the order given, fixes the sum and the
             // metadata: the shards reversed rank bit for bit the same.
             let reversed: Vec<&ShardEntry> = shards.iter().rev().collect();
-            let (permuted, _) = intersect_and_score(&reversed, &stats, rank_of, rank_weight);
+            let (permuted, _) = intersect_and_score(&reversed, stats, &rank_of, rank_weight);
             prop_assert_eq!(bits(&permuted), bits(&expected));
 
             // The serving path hands the kernel shared handles and borrows
             // of them, never `ShardEntry` values: same answer through both.
             let handles: Vec<Arc<ShardEntry>> = shards.iter().cloned().map(Arc::new).collect();
             let (shared, shared_scored) =
-                intersect_and_score(&handles, &stats, rank_of, rank_weight);
+                intersect_and_score(&handles, stats, &rank_of, rank_weight);
             prop_assert_eq!(bits(&shared), bits(&expected));
             prop_assert_eq!(shared_scored, expected_scored);
             let cows: Vec<Cow<'_, ShardEntry>> = handles
@@ -551,8 +632,7 @@ mod tests {
                     _ => Cow::Owned(shards[i].clone()),
                 })
                 .collect();
-            let (lent, lent_scored) =
-                intersect_and_score(&cows, &stats, rank_of, rank_weight);
+            let (lent, lent_scored) = intersect_and_score(&cows, stats, &rank_of, rank_weight);
             prop_assert_eq!(bits(&lent), bits(&expected));
             prop_assert_eq!(lent_scored, expected_scored);
 
@@ -560,12 +640,12 @@ mod tests {
             // without building it, and any page of it — before the list
             // exists, whatever earlier pages left the keys in, and after —
             // is that slice of the reference.
-            let page = [0, 1, 2, 3, 7, 1_000, usize::MAX][page_pick];
-            let top_k = [0, 1, 2, 5, 64, usize::MAX][top_k_pick];
+            let (page, top_k) = (case.page, case.top_k);
             let expected_bytes: usize = expected.iter().map(ScoredDoc::bytes).sum();
             let expected_page = paginate(&expected, page, top_k);
             let component_of = |p: &ShardPosting| rank_component(rank_of(&p.name));
-            let mut ranked = rank(&handles, &stats, component_of, rank_weight);
+            let memo_less: Vec<_> = handles.iter().map(|h| (&**h, None)).collect();
+            let mut ranked = rank(&memo_less, stats, component_of, rank_weight);
             prop_assert_eq!(ranked.len(), expected.len());
             prop_assert_eq!(ranked.is_empty(), expected.is_empty());
             prop_assert_eq!(ranked.list_bytes(), expected_bytes);
@@ -579,6 +659,54 @@ mod tests {
             prop_assert_eq!(ranked.len(), expected.len());
             prop_assert_eq!(ranked.list_bytes(), expected_bytes);
             prop_assert_eq!(bits(&ranked.page(page, top_k)), bits(&expected_page));
+        }
+
+        #[test]
+        fn impacts_rank_bit_for_bit_as_the_naive_reference(
+            case in Cases,
+            // Impacts on no list, on every list, or on the lists `mask`
+            // picks.
+            kind in 0u8..3,
+            mask in 0u32..32,
+        ) {
+            let (stats, rank_weight) = (&case.stats, case.rank_weight);
+            let rank_of = case.rank_of();
+            let (expected, _) = reference(&case.shards, stats, &rank_of, rank_weight);
+            let component_of = |p: &ShardPosting| rank_component(rank_of(&p.name));
+            // The memo builds a shard's impacts on its second scoring.
+            let mut memo = Impacts::new();
+            let handles: Vec<Arc<ShardEntry>> =
+                case.shards.iter().cloned().map(Arc::new).collect();
+            let lists: Vec<(&ShardEntry, Option<ShardImpacts>)> = handles
+                .iter()
+                .enumerate()
+                .map(|(i, h)| {
+                    let with = match kind {
+                        0 => false,
+                        1 => true,
+                        _ => mask >> i & 1 == 1,
+                    };
+                    let impacts = with.then(|| {
+                        prop_assert!(memo.lookup(h, stats, 1, component_of).is_none());
+                        memo.lookup(h, stats, 1, component_of).expect("the second scoring")
+                    });
+                    (&**h, impacts)
+                })
+                .collect();
+
+            let expected_bytes: usize = expected.iter().map(ScoredDoc::bytes).sum();
+            let mut ranked = rank(&lists, stats, component_of, rank_weight);
+            prop_assert_eq!(ranked.len(), expected.len());
+            prop_assert_eq!(ranked.list_bytes(), expected_bytes);
+            let (page, top_k) = (case.page, case.top_k);
+            let expected_page = paginate(&expected, page, top_k);
+            prop_assert_eq!(bits(&ranked.page(page, top_k)), bits(&expected_page));
+            prop_assert_eq!(bits(&ranked.list()), bits(&expected));
+
+            // Term order decides which list's impacts a document reads.
+            let reversed: Vec<_> = lists.iter().rev().map(|(h, i)| (*h, i.clone())).collect();
+            let mut permuted = rank(&reversed, stats, component_of, rank_weight);
+            prop_assert_eq!(bits(&permuted.list()), bits(&expected));
         }
     }
 

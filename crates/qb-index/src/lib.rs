@@ -17,12 +17,15 @@
 //!   bees and read by the query frontend, which ranks a query's shards with
 //!   the one serving [`kernel`]. A shard decoded from a record is shared
 //!   ([`views`]) for as long as anyone holds it, so a re-read of an
-//!   unchanged record decodes nothing.
+//!   unchanged record decodes nothing, and a shard scored again under the
+//!   same statistics and rank round reads its postings' scores from the
+//!   [`impacts`] memo.
 
 #![forbid(unsafe_code)]
 
 pub mod analyzer;
 pub mod doc;
+pub mod impacts;
 pub mod index;
 pub mod kernel;
 pub mod postings;
@@ -33,6 +36,7 @@ pub mod views;
 
 pub use analyzer::Analyzer;
 pub use doc::{doc_id_for_name, DocMeta, DocTable};
+pub use impacts::{Impact, Impacts, ShardImpacts};
 pub use index::InvertedIndex;
 pub use kernel::{intersect_and_score, paginate, rank, Ranked};
 pub use postings::{Posting, PostingList};

@@ -516,9 +516,10 @@ impl DistributedIndex {
     /// `entry.version`; replicas only accept newer versions. A shard too
     /// large to inline is a storage object the record names; once no copy
     /// of the term's record names an earlier version's object any more,
-    /// that object is unpinned. Returns the cost and the record value put,
+    /// that object is unpinned. Returns the cost, the record value put —
     /// the buffer every replica's copy shares (what
-    /// [`ShardViews::register_written`] keys the written shard by).
+    /// [`ShardViews::register_written`] keys the written shard by) — and
+    /// the shard's [`ShardEntry::encoded_len`], measured once here.
     pub fn write_shard(
         &self,
         net: &mut SimNet,
@@ -526,7 +527,7 @@ impl DistributedIndex {
         storage: &mut StorageNetwork,
         peer: u64,
         entry: &ShardEntry,
-    ) -> QbResult<(IndexOpCost, Bytes)> {
+    ) -> QbResult<(IndexOpCost, Bytes, usize)> {
         let mut cost = IndexOpCost::default();
         let key = DhtKey::for_term(&entry.term);
         let len = entry.encoded_len();
@@ -550,7 +551,7 @@ impl DistributedIndex {
         let put = dht.put_record(net, peer, key, value.clone(), entry.version)?;
         cost.add(put.latency, put.messages);
         storage.release_unnamed(dht, &key, shard_pointer_root);
-        Ok((cost, value))
+        Ok((cost, value, len))
     }
 
     /// Read the global statistics record (zero stats when absent).

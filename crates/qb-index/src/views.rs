@@ -25,21 +25,75 @@ use qb_common::{IdHashMap, QbResult};
 use qb_dht::{Bytes, Record};
 use std::sync::{Arc, Weak};
 
-/// Fewest views the map holds before it sweeps the dead ones. Above it, a
-/// sweep runs once the map has doubled since the last one, so sweeping
-/// costs amortized constant time per view and the map stays within twice
-/// its live views (or this floor).
-const SWEEP_FLOOR: usize = 64;
+/// Fewest entries an [`AddressTable`] holds before it sweeps the dead
+/// ones. Above it, a sweep runs once the table has doubled since the last
+/// one, so sweeping costs amortized constant time per entry and the table
+/// stays within twice its live entries (or this floor).
+pub(crate) const SWEEP_FLOOR: usize = 64;
+
+/// A table keyed by the address of an allocation each entry pins, whose
+/// entries die with what they hold weakly: the [`ShardViews`] and the
+/// [`crate::Impacts`] memo. An insert sweeps the dead entries first once
+/// the table has doubled since the last sweep (see [`SWEEP_FLOOR`]).
+#[derive(Debug)]
+pub(crate) struct AddressTable<V> {
+    entries: IdHashMap<V>,
+    /// The table a sweep moves the live entries into, empty between sweeps.
+    spare: IdHashMap<V>,
+    /// Table size at which the next insert first sweeps dead entries.
+    sweep_at: usize,
+}
+
+impl<V> Default for AddressTable<V> {
+    fn default() -> Self {
+        AddressTable {
+            entries: IdHashMap::default(),
+            spare: IdHashMap::default(),
+            sweep_at: 0,
+        }
+    }
+}
+
+impl<V> AddressTable<V> {
+    pub(crate) fn get(&self, key: u64) -> Option<&V> {
+        self.entries.get(&key)
+    }
+
+    pub(crate) fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+        self.entries.get_mut(&key)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.values()
+    }
+
+    /// Insert `value` under `key`, first sweeping every entry `live` calls
+    /// dead when the table is due.
+    pub(crate) fn insert(&mut self, key: u64, value: V, live: impl Fn(&V) -> bool) {
+        if self.entries.len() >= self.sweep_at {
+            // The live entries move to the spare table and the drained one
+            // becomes the spare. Removing in place would leave tombstones
+            // where the keys (addresses) happened to fall, and they decide
+            // when the table next grows: moving keeps both tables free of
+            // them, so allocations repeat run to run.
+            let kept = self.entries.drain().filter(|(_, value)| live(value));
+            self.spare.extend(kept);
+            std::mem::swap(&mut self.entries, &mut self.spare);
+            self.sweep_at = (2 * self.entries.len()).max(SWEEP_FLOOR);
+        }
+        self.entries.insert(key, value);
+    }
+}
 
 /// The decoded shards some holder still has, keyed by the record value
 /// buffer each was decoded from. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct ShardViews {
-    views: IdHashMap<View>,
-    /// The table a sweep moves the live views into, empty between sweeps.
-    spare: IdHashMap<View>,
-    /// Map size at which the next insert first sweeps dead views.
-    sweep_at: usize,
+    views: AddressTable<View>,
 }
 
 #[derive(Debug)]
@@ -86,7 +140,7 @@ impl ShardViews {
 
     /// True when the map holds no view.
     pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
+        self.views.len() == 0
     }
 
     /// Views whose shard some holder still has.
@@ -96,7 +150,7 @@ impl ShardViews {
     }
 
     fn get(&self, record: &Record) -> Option<Arc<ShardEntry>> {
-        let view = self.views.get(&key_of(&record.value))?;
+        let view = self.views.get(key_of(&record.value))?;
         // Same start and same length: the very bytes, even were a buffer
         // ever sliced.
         if view.value.len() != record.value.len() {
@@ -106,22 +160,10 @@ impl ShardViews {
     }
 
     fn insert(&mut self, value: Bytes, shard: &Arc<ShardEntry>) {
-        if self.views.len() >= self.sweep_at {
-            // The live views move to the spare table and the drained one
-            // becomes the spare. Removing in place would leave tombstones
-            // where the keys (buffer addresses) happened to fall, and they
-            // decide when the table next grows: moving keeps both tables
-            // free of them, so allocations repeat run to run.
-            let live = self
-                .views
-                .drain()
-                .filter(|(_, view)| view.shard.strong_count() > 0);
-            self.spare.extend(live);
-            std::mem::swap(&mut self.views, &mut self.spare);
-            self.sweep_at = (2 * self.views.len()).max(SWEEP_FLOOR);
-        }
         let shard = Arc::downgrade(shard);
-        self.views.insert(key_of(&value), View { value, shard });
+        let live = |view: &View| view.shard.strong_count() > 0;
+        self.views
+            .insert(key_of(&value), View { value, shard }, live);
     }
 }
 
@@ -259,7 +301,7 @@ mod tests {
             version: 2,
             creator: 9,
         });
-        let (_, value) = w
+        let (_, value, _) = w
             .dist
             .write_shard(&mut w.net, &mut w.dht, &mut w.storage, 4, &shard)
             .unwrap();

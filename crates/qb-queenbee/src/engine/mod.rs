@@ -46,7 +46,7 @@ use qb_chain::{AccountId, Blockchain, Call};
 use qb_common::{QbResult, SimDuration, SimInstant};
 use qb_dht::DhtNetwork;
 use qb_gossip::GossipFleet;
-use qb_index::{Analyzer, DistributedIndex, IndexStats, ShardViews};
+use qb_index::{Analyzer, DistributedIndex, Impacts, IndexStats, ShardViews};
 use qb_segment::{Segment, SegmentRef, SegmentStats};
 use qb_simnet::SimNet;
 use qb_storage::StorageNetwork;
@@ -69,6 +69,10 @@ pub struct QueenBee {
     /// from (or written as): a read that finds such a record shares the
     /// holder's handle instead of decoding the record again.
     shard_views: ShardViews,
+    /// The per-posting BM25 scores and rank components of every shard the
+    /// serving path scored again under the same statistics and rank round,
+    /// keyed like the views by the shard's address.
+    impacts: Impacts,
     analyzer: Analyzer,
     bees: Vec<WorkerBee>,
     event_cursor: usize,
@@ -163,6 +167,7 @@ impl QueenBee {
             analyzer: Analyzer::new(),
             dist_index,
             shard_views: ShardViews::new(),
+            impacts: Impacts::new(),
             bees,
             event_cursor: chain.events().len(),
             index_stats: IndexStats::default(),

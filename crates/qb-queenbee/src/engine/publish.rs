@@ -428,7 +428,7 @@ impl QueenBee {
             }
         };
         shard.version = next_version;
-        let (_, value) = self.dist_index.write_shard(
+        let (_, value, encoded_len) = self.dist_index.write_shard(
             &mut self.net,
             &mut self.dht,
             &mut self.storage,
@@ -456,7 +456,7 @@ impl QueenBee {
             fleet.observe_publish(&self.net, writer_peer, &shard.term, shard.version, now);
         }
         if self.config.segment.enabled {
-            self.pending_segment.insert(shard);
+            self.pending_segment.insert_measured(shard, encoded_len);
         }
         Ok(())
     }

@@ -12,7 +12,7 @@ use crate::query::response::{paginate, SearchResponse, StageCosts, TermProvenanc
 use qb_cache::QueryCache;
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_gossip::GossipFleet;
-use qb_index::{ScoredDoc, ShardEntry, ShardPosting};
+use qb_index::{ScoredDoc, ShardEntry, ShardImpacts, ShardPosting};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -268,10 +268,28 @@ impl QueenBee {
             Resolution::PerTerm { terms, stats } => (terms, stats),
         };
 
+        // Statistics: the plan's cached copy, or the window's shared read
+        // (folded into the critical read after the terms').
+        let (stats, stats_read) = match &stats_plan {
+            StatsPlan::Cached(stats) => (*stats, None),
+            StatsPlan::Fetch => {
+                let read = reads.stats()?;
+                (*read.value(), Some(read))
+            }
+        };
+
         // Line the shards up in term order, borrowed from the plan's
         // resolutions and the window's shared fetches (only a proven-absent
-        // term needs an owned, empty stand-in).
-        let mut shards: Vec<Cow<'_, ShardEntry>> = Vec::with_capacity(terms.len());
+        // term needs an owned, empty stand-in), each held one with its
+        // impacts once the memo has them under these statistics and ranks.
+        let components = &self.rank_components;
+        // An unranked page blends as rank 0: `rank_component(0.0)` is 0.
+        let component_of = |p: &ShardPosting| components.get(&p.doc_id).copied().unwrap_or(0.0);
+        let (memo, rank_round) = (&mut self.impacts, self.rank_round);
+        let mut impacts_of =
+            |shard: &Arc<ShardEntry>| memo.lookup(shard, &stats, rank_round, component_of);
+        let mut shards: Vec<(Cow<'_, ShardEntry>, Option<ShardImpacts>)> =
+            Vec::with_capacity(terms.len());
         let mut provenance: Vec<TermProvenance> = Vec::with_capacity(terms.len());
         let mut term_latencies: Vec<SimDuration> = Vec::with_capacity(terms.len());
         let mut observed: Vec<(&str, u64)> = Vec::new();
@@ -287,18 +305,18 @@ impl QueenBee {
                     provenance.push(TermProvenance::ShardCache);
                     term_latencies.push(hit_latency);
                     observed.push((&planned.term, shard.version));
-                    shards.push(Cow::Borrowed(shard));
+                    shards.push((Cow::Borrowed(shard), impacts_of(shard)));
                 }
                 TermPlan::Negative => {
                     provenance.push(TermProvenance::NegativeCache);
                     term_latencies.push(hit_latency);
-                    shards.push(Cow::Owned(ShardEntry::empty(&planned.term)));
+                    shards.push((Cow::Owned(ShardEntry::empty(&planned.term)), None));
                 }
                 TermPlan::Stale { shard, age } => {
                     any_stale = true;
                     provenance.push(TermProvenance::StaleCache { age: *age });
                     term_latencies.push(hit_latency);
-                    shards.push(Cow::Borrowed(shard));
+                    shards.push((Cow::Borrowed(shard), impacts_of(shard)));
                 }
                 TermPlan::Fetch { read } => {
                     let fetch = reads.shard(*read)?;
@@ -312,19 +330,17 @@ impl QueenBee {
                     }
                     observed.push((&planned.term, fetch.value().version));
                     fan_out.push(fetch.value());
-                    shards.push(Cow::Borrowed(fetch.value()));
+                    shards.push((Cow::Borrowed(fetch.value()), impacts_of(fetch.value())));
                 }
             }
         }
 
-        // Statistics: the plan's cached copy, or the window's shared read.
-        let (stats, stats_latency, stats_fetched) = match &stats_plan {
-            StatsPlan::Cached(stats) => (*stats, hit_latency, false),
-            StatsPlan::Fetch => {
-                let read = reads.stats()?;
+        let stats_latency = match stats_read {
+            None => hit_latency,
+            Some(read) => {
                 messages += read.messages_charged_to(plan.seq).unwrap_or(0);
                 critical = read.slowest(critical);
-                (*read.value(), read.latency(), true)
+                read.latency()
             }
         };
 
@@ -342,9 +358,6 @@ impl QueenBee {
 
         // Score every candidate; what gets built from the scores is decided
         // by who keeps it.
-        let components = &self.rank_components;
-        // An unranked page blends as rank 0: `rank_component(0.0)` is 0.
-        let component_of = |p: &ShardPosting| components.get(&p.doc_id).copied().unwrap_or(0.0);
         let rank_weight = self.config.rank_weight;
         let mut ranked = qb_index::rank(&shards, &stats, component_of, rank_weight);
         self.query_stats.score_invocations += 1;
@@ -363,12 +376,12 @@ impl QueenBee {
             for shard in fan_out {
                 c.store_shard_handle(shard, now);
             }
-            if stats_fetched {
+            if stats_read.is_some() {
                 c.store_stats(stats);
             }
             if !any_stale {
                 let names = terms.iter().map(|t| t.term.as_str());
-                let term_versions = names.zip(shards.iter().map(|s| s.version));
+                let term_versions = names.zip(shards.iter().map(|(s, _)| s.version));
                 let list_bytes = ranked.list_bytes();
                 c.store_result(&plan.result_key, term_versions, list_bytes, now, || {
                     ranked.list()

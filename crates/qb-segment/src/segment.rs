@@ -99,7 +99,15 @@ impl Segment {
     /// Fold one shard — owned, or a handle to a shared one — into the
     /// segment under version dominance. Version-0 shards are ignored.
     pub fn insert(&mut self, shard: impl Into<Arc<ShardEntry>>) {
-        self.fold(shard.into(), None);
+        self.fold(shard.into(), None, None);
+    }
+
+    /// [`Segment::insert`] a shard whose [`ShardEntry::encoded_len`] the
+    /// caller already measured as `len`, so the segment does not measure
+    /// it again.
+    pub fn insert_measured(&mut self, shard: Arc<ShardEntry>, len: usize) {
+        debug_assert_eq!(len, shard.encoded_len());
+        self.fold(shard, None, Some(len));
     }
 
     /// Fold `incoming` in under per-term version-vector dominance: the
@@ -107,16 +115,17 @@ impl Segment {
     /// have *removed* postings (ghost-posting cleanup), so a posting union
     /// would resurrect deleted documents. Equal versions fold
     /// posting-by-posting through [`ShardEntry::upsert`], which keeps the
-    /// posting with the higher per-posting version. `held` is the map key
-    /// and framed length `incoming` had in the segment it comes from, when
-    /// it comes from one: a merge re-measures and re-allocates neither.
-    fn fold(&mut self, incoming: Arc<ShardEntry>, held: Option<(String, usize)>) {
+    /// posting with the higher per-posting version. `key` is the map key
+    /// `incoming` had in the segment it comes from, when it comes from one,
+    /// and `len` its encoded length when known: a merge re-measures and
+    /// re-allocates neither.
+    fn fold(&mut self, incoming: Arc<ShardEntry>, key: Option<String>, len: Option<usize>) {
         if incoming.version == 0 {
             return;
         }
         let Some(existing) = self.entries.get_mut(&incoming.term) else {
-            let (term, len) =
-                held.unwrap_or_else(|| (incoming.term.clone(), incoming.encoded_len()));
+            let term = key.unwrap_or_else(|| incoming.term.clone());
+            let len = len.unwrap_or_else(|| incoming.encoded_len());
             self.body_len += framed_len(len);
             let framed = Framed {
                 shard: incoming,
@@ -130,7 +139,7 @@ impl Segment {
         match existing.shard.version.cmp(&incoming.version) {
             std::cmp::Ordering::Greater => return,
             std::cmp::Ordering::Less => {
-                existing.len = held.map_or_else(|| incoming.encoded_len(), |(_, len)| len);
+                existing.len = len.unwrap_or_else(|| incoming.encoded_len());
                 existing.shard = incoming;
             }
             std::cmp::Ordering::Equal => {
@@ -189,7 +198,7 @@ impl Segment {
     /// version-0 shard, so folding it into an empty one changes nothing).
     pub fn absorb(&mut self, other: Segment) {
         for (term, framed) in other.entries {
-            self.fold(framed.shard, Some((term, framed.len)));
+            self.fold(framed.shard, Some(term), Some(framed.len));
         }
     }
 
@@ -302,7 +311,7 @@ impl Segment {
             last_term = Some(shard.term.clone());
             // Measured, not read off the frame: a decoder takes overlong
             // varints, which re-encode shorter.
-            segment.fold(Arc::new(shard), None);
+            segment.fold(Arc::new(shard), None, None);
         }
         if pos != data.len() {
             return Err(QbError::Codec("trailing bytes after segment".into()));
