@@ -15,7 +15,7 @@ use crate::config::{
 use crate::metrics::CacheMetrics;
 use crate::tier::{CacheTier, RankedKey};
 use qb_common::{SimDuration, SimInstant};
-use qb_index::{IndexStats, ScoredDoc, ShardEntry};
+use qb_index::{IndexStats, ScoreInputs, ScoredDoc, ShardEntry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,9 +30,15 @@ pub struct CachedResult {
     /// The full ranked list, shared with whoever computed it (and with every
     /// reader served from this entry).
     pub results: Arc<Vec<ScoredDoc>>,
-    /// Shard version of every query term at fill time (terms sorted). The
-    /// entry is only served while each term's current version still matches.
+    /// Shard version of every query term the list was scored from, in the
+    /// storing query's term order (a permuted query files under the same
+    /// key, so compare them as a set). The entry is only served while each
+    /// term's current version still matches.
     pub term_versions: Vec<(String, u64)>,
+    /// The statistics and rank round the list was scored under. A shard at
+    /// a term version never changes, so a scoring of these term versions
+    /// under these inputs builds this list again, bit for bit.
+    pub inputs: ScoreInputs,
 }
 
 /// Outcome of a shard-tier lookup.
@@ -209,16 +215,24 @@ impl QueryCache {
         Some(entry.clone())
     }
 
+    /// The entry resident under `key`, expired or not, without touching
+    /// any counter, the recency order or the frequency sketch: a probe
+    /// that must not look like query traffic.
+    pub fn peek_result(&self, key: &str) -> Option<&CachedResult> {
+        self.results.peek(key)
+    }
+
     /// Offer the result tier the entry of `key`: the list `list` would
     /// build — `list_bytes` is its documents' [`ScoredDoc::bytes`] summed —
-    /// computed from the given per-term shard versions. The list and the
-    /// entry's term versions are built only once the tier admits the
-    /// entry; the tier keeps the list `list` returns, it does not copy it.
-    /// Returns whether the entry was admitted.
+    /// computed from the given per-term shard versions under `inputs`. The
+    /// list and the entry's term versions are built only once the tier
+    /// admits the entry; the tier keeps the list `list` returns, it does
+    /// not copy it. Returns whether the entry was admitted.
     pub fn store_result<'t>(
         &mut self,
         key: &str,
         term_versions: impl Iterator<Item = (&'t str, u64)> + Clone,
+        inputs: ScoreInputs,
         list_bytes: usize,
         now: SimInstant,
         list: impl FnOnce() -> Arc<Vec<ScoredDoc>>,
@@ -236,6 +250,7 @@ impl QueryCache {
                 term_versions: term_versions
                     .map(|(term, version)| (term.to_string(), version))
                     .collect(),
+                inputs,
             }
         };
         self.results.insert(key, bytes, 0, now, entry)
@@ -599,7 +614,8 @@ mod tests {
         term_versions: &[(&str, u64)],
     ) -> bool {
         let bytes = list.iter().map(ScoredDoc::bytes).sum();
-        c.store_result(key, term_versions.iter().copied(), bytes, t0(), || list)
+        let (versions, inputs) = (term_versions.iter().copied(), ScoreInputs::default());
+        c.store_result(key, versions, inputs, bytes, t0(), || list)
     }
 
     #[test]
@@ -754,7 +770,8 @@ mod tests {
         let mut c = QueryCache::new(config);
         let unbuilt = || -> Arc<Vec<ScoredDoc>> { panic!("a refused result was built") };
         let terms = [("honey", 2), ("bees", 5)];
-        assert!(!c.store_result("bees honey", terms.into_iter(), 41, t0(), unbuilt));
+        let inputs = ScoreInputs::default();
+        assert!(!c.store_result("bees honey", terms.into_iter(), inputs, 41, t0(), unbuilt));
         assert_eq!(c.metrics().result.admission_rejections, 1);
         assert_eq!(c.tier_sizes().0, 0);
     }

@@ -44,15 +44,36 @@ pub struct Impact {
 /// and the kernel calls that read them.
 pub type ShardImpacts = Arc<[Impact]>;
 
-/// What a shard's impacts depend on besides the shard: the statistics'
-/// `(num_docs, total_len)` and the rank round.
-type Inputs = (u64, u64, u64);
+/// What a shard's scores depend on besides the shard: the statistics'
+/// `num_docs` and `total_len`, and the rank round its rank components come
+/// from. Two scorings of the same shards under equal inputs agree bit for
+/// bit, which is what keys [`Impacts`] and stamps a kept result list.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScoreInputs {
+    /// [`IndexStats::num_docs`] of the statistics scored under.
+    pub num_docs: u64,
+    /// [`IndexStats::total_len`] of the statistics scored under.
+    pub total_len: u64,
+    /// The rank round the rank components come from.
+    pub rank_round: u64,
+}
+
+impl ScoreInputs {
+    /// The inputs of a scoring under `stats` and rank round `rank_round`.
+    pub fn new(stats: &IndexStats, rank_round: u64) -> ScoreInputs {
+        ScoreInputs {
+            num_docs: stats.num_docs,
+            total_len: stats.total_len,
+            rank_round,
+        }
+    }
+}
 
 #[derive(Debug)]
 struct Entry {
     /// Pins the key's address; never upgraded to keep the shard alive.
     shard: Weak<ShardEntry>,
-    inputs: Inputs,
+    inputs: ScoreInputs,
     /// Built on the second scoring under `inputs`.
     impacts: Option<ShardImpacts>,
 }
@@ -81,7 +102,7 @@ impl Impacts {
         rank_round: u64,
         component_of: impl Fn(&ShardPosting) -> f64,
     ) -> Option<ShardImpacts> {
-        let inputs = (stats.num_docs, stats.total_len, rank_round);
+        let inputs = ScoreInputs::new(stats, rank_round);
         let key = Arc::as_ptr(shard) as u64;
         let Some(entry) = self.table.get_mut(key) else {
             let shard = Arc::downgrade(shard);

@@ -279,6 +279,14 @@ impl Ranked<'_> {
     }
 }
 
+impl From<Arc<Vec<ScoredDoc>>> for Ranked<'_> {
+    /// A whole list kept from an earlier [`Ranked::list`]: it pages and
+    /// hands itself out as the ranking it came from did.
+    fn from(list: Arc<Vec<ScoredDoc>>) -> Self {
+        Ranked(State::List(list))
+    }
+}
+
 /// Intersect the query terms' shards (falling back to the union when the
 /// conjunction is empty, so multi-term queries degrade gracefully), score
 /// each candidate with BM25 summed over the shards in term order and blend

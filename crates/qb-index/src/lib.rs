@@ -36,7 +36,7 @@ pub mod views;
 
 pub use analyzer::Analyzer;
 pub use doc::{doc_id_for_name, DocMeta, DocTable};
-pub use impacts::{Impact, Impacts, ShardImpacts};
+pub use impacts::{Impact, Impacts, ScoreInputs, ShardImpacts};
 pub use index::InvertedIndex;
 pub use kernel::{intersect_and_score, paginate, rank, Ranked};
 pub use postings::{Posting, PostingList};

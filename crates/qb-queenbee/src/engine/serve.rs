@@ -6,13 +6,13 @@
 use super::windows::WindowReads;
 use super::QueenBee;
 use crate::query::pipeline::{PipelineConfig, PipelineOutcome};
-use crate::query::plan::{QueryPlan, Resolution, StatsPlan, TermPlan};
+use crate::query::plan::{PlannedTerm, QueryPlan, Resolution, StatsPlan, TermPlan};
 use crate::query::request::{RoutingPolicy, SearchRequest};
 use crate::query::response::{paginate, SearchResponse, StageCosts, TermProvenance};
 use qb_cache::QueryCache;
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_gossip::GossipFleet;
-use qb_index::{ScoredDoc, ShardEntry, ShardImpacts, ShardPosting};
+use qb_index::{Ranked, ScoreInputs, ScoredDoc, ShardEntry, ShardImpacts, ShardPosting};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -217,7 +217,9 @@ impl QueenBee {
     /// into a [`SearchResponse`], store what the serving cache should keep
     /// (at `now`, the call instant), record version observations, account
     /// freshness and attach the ad. Every entry point scores a query the
-    /// result tier did not answer here, exactly once.
+    /// result tier did not answer here, at most once: a plan whose reads
+    /// served exactly what the resident result was scored from pages that
+    /// list instead ([`QueenBee::resident_list`]).
     ///
     /// The one latency rule: a plan that waited on a fetched read is
     /// charged the slowest such read's completion minus the window's issue
@@ -229,7 +231,7 @@ impl QueenBee {
     /// window's reads — and fan out into the serving cache as handles. The
     /// kernel ranks borrowed keys ([`qb_index::rank`]); a scored list is
     /// built only for a result tier that admits it, once, and every later
-    /// result hit shares it. Otherwise the response's page of hits is all
+    /// result hit and reuse shares it. Otherwise the response's page of hits is all
     /// that is built.
     pub(super) fn serve_plan(
         &mut self,
@@ -278,16 +280,28 @@ impl QueenBee {
             }
         };
 
+        // A list the result tier holds from these very term versions under
+        // these inputs is this plan's list, bit for bit: it is paged and
+        // offered again instead of scored.
+        let inputs = ScoreInputs::new(&stats, self.rank_round);
+        let resident = self.resident_list(plan.frontend, &plan.result_key, &terms, reads, inputs);
+        let reused = resident.is_some();
+
         // Line the shards up in term order, borrowed from the plan's
         // resolutions and the window's shared fetches (only a proven-absent
         // term needs an owned, empty stand-in), each held one with its
-        // impacts once the memo has them under these statistics and ranks.
+        // impacts once the memo has them under these statistics and ranks
+        // (a plan that scores nothing looks none up).
         let components = &self.rank_components;
         // An unranked page blends as rank 0: `rank_component(0.0)` is 0.
         let component_of = |p: &ShardPosting| components.get(&p.doc_id).copied().unwrap_or(0.0);
         let (memo, rank_round) = (&mut self.impacts, self.rank_round);
-        let mut impacts_of =
-            |shard: &Arc<ShardEntry>| memo.lookup(shard, &stats, rank_round, component_of);
+        let mut impacts_of = |shard: &Arc<ShardEntry>| {
+            if reused {
+                return None;
+            }
+            memo.lookup(shard, &stats, rank_round, component_of)
+        };
         let mut shards: Vec<(Cow<'_, ShardEntry>, Option<ShardImpacts>)> =
             Vec::with_capacity(terms.len());
         let mut provenance: Vec<TermProvenance> = Vec::with_capacity(terms.len());
@@ -356,11 +370,24 @@ impl QueenBee {
             None => (shard_stage.max(stats_latency), SimDuration::ZERO),
         };
 
-        // Score every candidate; what gets built from the scores is decided
-        // by who keeps it.
+        // Score every candidate, unless the resident list already holds
+        // them; what gets built from the scores is decided by who keeps it.
         let rank_weight = self.config.rank_weight;
-        let mut ranked = qb_index::rank(&shards, &stats, component_of, rank_weight);
-        self.query_stats.score_invocations += 1;
+        let mut ranked = match resident {
+            Some(list) => {
+                // The scoring the reuse skips, re-run wherever tests run.
+                debug_assert!(same_bits(
+                    &list,
+                    &qb_index::rank(&shards, &stats, component_of, rank_weight).list()
+                ));
+                self.query_stats.window_memo_hits += 1;
+                Ranked::from(list)
+            }
+            None => {
+                self.query_stats.score_invocations += 1;
+                qb_index::rank(&shards, &stats, component_of, rank_weight)
+            }
+        };
         let total = ranked.len();
 
         // Cache stores: fetched shards fan out into this query's serving
@@ -383,15 +410,20 @@ impl QueenBee {
                 let names = terms.iter().map(|t| t.term.as_str());
                 let term_versions = names.zip(shards.iter().map(|(s, _)| s.version));
                 let list_bytes = ranked.list_bytes();
-                c.store_result(&plan.result_key, term_versions, list_bytes, now, || {
-                    ranked.list()
-                });
+                c.store_result(
+                    &plan.result_key,
+                    term_versions,
+                    inputs,
+                    list_bytes,
+                    now,
+                    || ranked.list(),
+                );
             }
         }
         // The response owns its page — sliced from the list when the result
         // tier had it built, otherwise the only documents built.
         let hits = ranked.page(page, top_k);
-        if ranked.has_list() {
+        if ranked.has_list() && !reused {
             self.query_stats.scored_lists_built += 1;
         }
         self.record_observations(plan.frontend, observed);
@@ -419,6 +451,44 @@ impl QueenBee {
             trace,
             provenance,
         ))
+    }
+
+    /// The list `frontend`'s serving cache holds under the result key `key`,
+    /// when it was scored from exactly the term versions `terms` served —
+    /// a stale shard serves none — under `inputs`. A shard at a term
+    /// version never changes (every write bumps the version), so such a
+    /// list is what scoring these shards would build, bit for bit. The
+    /// probe touches no counter and no recency: the store that follows
+    /// moves the tier as a scored list would.
+    fn resident_list(
+        &self,
+        frontend: Option<usize>,
+        key: &str,
+        terms: &[PlannedTerm],
+        reads: &WindowReads,
+        inputs: ScoreInputs,
+    ) -> Option<Arc<Vec<ScoredDoc>>> {
+        let cache = match (frontend, &self.fleet) {
+            (Some(i), Some(fleet)) => fleet.frontend(i).cache(),
+            _ => self.cache.as_ref()?,
+        };
+        let entry = cache.peek_result(key)?;
+        if entry.inputs != inputs || entry.term_versions.len() != terms.len() {
+            return None;
+        }
+        let served = |planned: &PlannedTerm| match &planned.plan {
+            TermPlan::CachedShard(shard) => Some(shard.version),
+            TermPlan::Negative => Some(0),
+            TermPlan::Stale { .. } => None,
+            TermPlan::Fetch { read } => reads.shard(*read).ok().map(|f| f.value().version),
+        };
+        // The terms are distinct and as many as the entry's, so every entry
+        // term found at its version is the same set.
+        let same = entry.term_versions.iter().all(|(term, version)| {
+            let planned = terms.iter().find(|t| t.term == *term);
+            planned.and_then(served) == Some(*version)
+        });
+        same.then(|| Arc::clone(&entry.results))
     }
 
     /// Record the shard versions a fleet frontend observed while serving.
@@ -481,5 +551,164 @@ impl QueenBee {
             provenance,
             served_by_bee,
         }
+    }
+}
+
+/// Whether two lists agree field for field, scores bit for bit.
+fn same_bits(a: &[ScoredDoc], b: &[ScoredDoc]) -> bool {
+    let bits = |d: &ScoredDoc| d.score.to_bits();
+    a == b && a.iter().map(bits).eq(b.iter().map(bits))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{cached_engine, from_peer, page};
+    use super::*;
+    use crate::config::QueenBeeConfig;
+    use crate::query::request::Freshness;
+    use crate::GossipConfig;
+    use qb_chain::AccountId;
+    use qb_dweb::WebPage;
+
+    fn publish(qb: &mut QueenBee, pages: &[WebPage]) {
+        for p in pages {
+            qb.publish(5, AccountId(1_000), p).unwrap();
+        }
+        qb.seal();
+        qb.process_publish_events().unwrap();
+    }
+
+    /// `(score_invocations, window_memo_hits)`.
+    fn counts(qb: &QueenBee) -> (u64, u64) {
+        let stats = qb.query_stats();
+        (stats.score_invocations, stats.window_memo_hits)
+    }
+
+    #[test]
+    fn a_fresh_query_serves_the_resident_list_while_its_inputs_hold() {
+        let corpus = [
+            page(
+                "wiki/a",
+                "meadow honey nectar pollen",
+                vec!["wiki/b".into()],
+            ),
+            page(
+                "wiki/b",
+                "meadow honey clover fields",
+                vec!["wiki/a".into()],
+            ),
+            page("wiki/c", "honey meadow bees", vec!["wiki/a".into()]),
+        ];
+        let mut on = cached_engine();
+        let mut off = QueenBee::new(QueenBeeConfig::small()).unwrap();
+        for qb in [&mut on, &mut off] {
+            publish(qb, &corpus);
+            qb.run_rank_round().unwrap();
+        }
+        // Serve `query` Fresh on both engines: the cache-on engine's hits,
+        // which must equal the cache-off engine's bit for bit.
+        let serve = |on: &mut QueenBee, off: &mut QueenBee, query: &str| {
+            let request = from_peer(5, query).freshness(Freshness::Fresh);
+            let got = on.search_request(request.clone()).unwrap();
+            let want = off.search_request(request).unwrap();
+            assert!(!got.result_cache_hit());
+            assert!(same_bits(&got.hits, &want.hits), "{query}");
+            assert_eq!(got.total_matches, want.total_matches);
+            assert!(!got.hits.is_empty());
+        };
+
+        serve(&mut on, &mut off, "meadow honey");
+        assert_eq!(counts(&on), (1, 0), "nothing resident: scored");
+        serve(&mut on, &mut off, "meadow honey");
+        assert_eq!(counts(&on), (1, 1), "the same reads: the resident list");
+        serve(&mut on, &mut off, "honey meadow");
+        assert_eq!(counts(&on), (1, 2), "a permuted query shares the list");
+
+        // A republish of one term's page under the same statistics: new
+        // term versions, so it scores again.
+        let (stats, versions) = (on.index_stats, on.shard_versions.clone());
+        let edited = page("wiki/b", "meadow meadow clover fields", vec![]);
+        for qb in [&mut on, &mut off] {
+            publish(qb, std::slice::from_ref(&edited));
+        }
+        assert_eq!(
+            (on.index_stats.num_docs, on.index_stats.total_len),
+            (stats.num_docs, stats.total_len)
+        );
+        assert_ne!(on.shard_versions["meadow"], versions["meadow"]);
+        serve(&mut on, &mut off, "meadow honey");
+        assert_eq!(counts(&on), (2, 2), "a republished term scores again");
+        serve(&mut on, &mut off, "meadow honey");
+        assert_eq!(counts(&on), (2, 3));
+
+        // A publish that leaves both terms alone and moves only the
+        // statistics: it scores again.
+        let versions = on.shard_versions.clone();
+        let unrelated = page("wiki/d", "thunder storms tonight", vec![]);
+        for qb in [&mut on, &mut off] {
+            publish(qb, std::slice::from_ref(&unrelated));
+        }
+        for term in ["meadow", "honey"] {
+            assert_eq!(on.shard_versions[term], versions[term]);
+        }
+        serve(&mut on, &mut off, "meadow honey");
+        assert_eq!(counts(&on), (3, 3), "new statistics score again");
+        serve(&mut on, &mut off, "meadow honey");
+        assert_eq!(counts(&on), (3, 4));
+
+        // A rank round: it scores again.
+        for qb in [&mut on, &mut off] {
+            qb.run_rank_round().unwrap();
+        }
+        serve(&mut on, &mut off, "meadow honey");
+        assert_eq!(counts(&on), (4, 4), "a new rank round scores again");
+        serve(&mut on, &mut off, "honey meadow");
+        assert_eq!(counts(&on), (4, 5));
+
+        // A reuse builds no list: one per scoring the tier admitted.
+        let tier = on.cache_metrics().expect("cache enabled").result;
+        assert_eq!(tier.insertions, 9, "every Fresh query offered its list");
+        assert_eq!(on.query_stats().scored_lists_built, 4);
+    }
+
+    #[test]
+    fn a_stale_plan_neither_reuses_nor_stores() {
+        let mut config = QueenBeeConfig::small();
+        config.cache = qb_cache::CacheConfig::enabled();
+        config.gossip = GossipConfig::fleet(2);
+        let mut qb = QueenBee::new(config).unwrap();
+        let at_one = |query: &str| SearchRequest::new(query).route(RoutingPolicy::Direct(1));
+        publish(
+            &mut qb,
+            &[page("news/today", "zebra headline coverage", vec![])],
+        );
+        qb.search_request(at_one("zebra").freshness(Freshness::Fresh))
+            .unwrap();
+
+        // Republish while frontend 1 is cut off: its shard tier keeps the
+        // superseded shard, under the same statistics.
+        let stats = qb.index_stats;
+        let frontend_peer = qb.fleet().unwrap().frontend_peer(1);
+        qb.net.set_partition(frontend_peer, 9);
+        publish(
+            &mut qb,
+            &[page("news/today", "zebra exclusive update", vec![])],
+        );
+        qb.net.heal_all();
+        assert_eq!(
+            (qb.index_stats.num_docs, qb.index_stats.total_len),
+            (stats.num_docs, stats.total_len)
+        );
+        qb.advance_time(SimDuration::from_millis(10));
+        qb.search_request(at_one("exclusive")).unwrap();
+
+        let before = (counts(&qb), qb.cache_metrics().unwrap().result.insertions);
+        let bound = Freshness::MaxStaleness(SimDuration::from_secs(60));
+        let stale = qb.search_request(at_one("zebra").freshness(bound)).unwrap();
+        assert_eq!(stale.stale_served(), 1);
+        assert_eq!(stale.hits[0].version, 1);
+        let ((scored, reused), stored) = before;
+        let after = (counts(&qb), qb.cache_metrics().unwrap().result.insertions);
+        assert_eq!(after, ((scored + 1, reused), stored), "scored, not kept");
     }
 }

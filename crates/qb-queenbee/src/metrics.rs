@@ -66,16 +66,20 @@ impl fmt::Display for CacheReport {
 /// Returned by [`crate::QueenBee::query_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct QueryEngineStats {
-    /// Intersect+score computations: one for each query the result tier
-    /// did not answer, whichever entry point served it.
+    /// Intersect+score computations: one for each query that neither the
+    /// result tier answered nor [`window_memo_hits`](Self::window_memo_hits)
+    /// counts, whichever entry point served it.
     pub score_invocations: u64,
     /// Whole scored lists materialised, each for a result tier that
     /// admitted the entry. A computation nothing keeps the list of builds
-    /// only its response's page and counts nothing here.
+    /// only its response's page and counts nothing here, and a reuse
+    /// builds none.
     pub scored_lists_built: u64,
-    /// Always 0: nothing serves a scored list it did not compute or the
-    /// result tier did not keep. The field stays only because the
-    /// benchmark (`bench/src/layers.rs`) reads it.
+    /// Queries the result tier did not answer that scored nothing: their
+    /// reads served the very term versions, statistics and rank round the
+    /// serving cache's resident list was scored from, so that list, bit
+    /// for bit, was paged and offered to the tier again. Mostly `Fresh`
+    /// reads of a warm query, and repeats within one window.
     pub window_memo_hits: u64,
     /// Windows executed by the pipelined engine.
     pub pipelined_windows: u64,
@@ -87,6 +91,7 @@ impl qb_trace::MetricsSource for QueryEngineStats {
     fn metrics_into(&self, out: &mut qb_trace::MetricsSnapshot) {
         out.add_counter("query.score_invocations", self.score_invocations);
         out.add_counter("query.scored_lists_built", self.scored_lists_built);
+        out.add_counter("query.window_memo_hits", self.window_memo_hits);
         out.add_counter("query.pipelined_windows", self.pipelined_windows);
         out.add_counter("query.pipelined_queries", self.pipelined_queries);
     }

@@ -25,6 +25,13 @@ use crate::block::Block;
 /// point at.
 pub(crate) const CHUNK_MEMO_SLOTS: usize = 1 << 14;
 
+/// Where [`ChunkMemo::block`] filed a chunk's block: kept beside the block,
+/// it lets [`ChunkMemo::forget`] find the block without hashing its bytes
+/// again.
+pub(crate) type MemoSlot = u16;
+
+const _: () = assert!(CHUNK_MEMO_SLOTS <= 1 << MemoSlot::BITS);
+
 /// Direct-mapped memo of recently stored chunks, keyed by content hash.
 #[derive(Default)]
 pub(crate) struct ChunkMemo {
@@ -40,45 +47,53 @@ impl std::fmt::Debug for ChunkMemo {
 }
 
 impl ChunkMemo {
-    /// The block for `chunk`: the memo's own when one with equal bytes is
-    /// there, else a new one (one copy, one SHA-256) that takes the slot.
-    pub(crate) fn block(&mut self, chunk: &[u8]) -> Block {
+    /// The block for `chunk`, with the slot it is filed in: the memo's own
+    /// block when one with equal bytes is there, else a new one (one copy,
+    /// one SHA-256) that takes the slot.
+    pub(crate) fn block(&mut self, chunk: &[u8]) -> (Block, MemoSlot) {
         if self.slots.is_empty() {
             self.slots = vec![None; CHUNK_MEMO_SLOTS];
         }
-        let slot = &mut self.slots[slot_of(chunk)];
+        let at = slot_of(chunk);
+        let slot = &mut self.slots[at];
         if let Some(block) = slot.as_ref().filter(|b| b.data()[..] == *chunk) {
             // The check the reuse skips, re-run wherever tests run.
             debug_assert_eq!(block.cid(), qb_common::Cid::for_data(chunk));
-            return block.clone();
+            return (block.clone(), at as MemoSlot);
         }
         let block = Block::new(chunk);
         *slot = Some(block.clone());
-        block
+        (block, at as MemoSlot)
     }
 
-    /// Drop `block` if the memo holds this very block (its buffer, not only
-    /// its bytes); returns whether it did. A later chunk with its bytes is
-    /// then copied and hashed afresh.
-    pub(crate) fn forget(&mut self, block: &Block) -> bool {
-        let Some(slot) = self.slot_holding(block) else {
+    /// Drop `block`, which [`ChunkMemo::block`] filed in `slot`, if the
+    /// memo still holds this very block there (its buffer, not only its
+    /// bytes); returns whether it did. A later chunk with its bytes is then
+    /// copied and hashed afresh.
+    pub(crate) fn forget(&mut self, slot: MemoSlot, block: &Block) -> bool {
+        let Some(held) = self.slots.get_mut(usize::from(slot)) else {
             return false;
         };
-        self.slots[slot] = None;
+        // The slot the caller kept is the one the bytes hash to.
+        debug_assert_eq!(usize::from(slot), slot_of(block.data()));
+        if !held.as_ref().is_some_and(|held| same_buffer(held, block)) {
+            return false;
+        }
+        *held = None;
         true
     }
 
     /// Does the memo hold this very block?
     #[cfg(test)]
     pub(crate) fn holds(&self, block: &Block) -> bool {
-        self.slot_holding(block).is_some()
+        let held = self.slots.get(slot_of(block.data()));
+        held.and_then(Option::as_ref)
+            .is_some_and(|held| same_buffer(held, block))
     }
+}
 
-    fn slot_holding(&self, block: &Block) -> Option<usize> {
-        let slot = slot_of(block.data());
-        let held = self.slots.get(slot)?.as_ref()?;
-        (held.data().as_ptr() == block.data().as_ptr()).then_some(slot)
-    }
+fn same_buffer(a: &Block, b: &Block) -> bool {
+    a.data().as_ptr() == b.data().as_ptr()
 }
 
 /// The slot of a chunk: an FxHash-style fold over its 8-byte words and its
@@ -109,27 +124,28 @@ mod tests {
     #[test]
     fn a_hit_is_the_same_block_and_a_miss_a_fresh_one() {
         let mut memo = ChunkMemo::default();
-        let a = memo.block(b"unchanged chunk");
-        let again = memo.block(b"unchanged chunk");
+        let (a, slot) = memo.block(b"unchanged chunk");
+        let (again, again_slot) = memo.block(b"unchanged chunk");
         assert_eq!(again, Block::new(&b"unchanged chunk"[..]));
         assert_eq!(
             a.data().as_ptr(),
             again.data().as_ptr(),
             "reused, not copied"
         );
-        let other = memo.block(b"edited chunk");
+        assert_eq!(slot, again_slot);
+        let (other, _) = memo.block(b"edited chunk");
         assert_eq!(other, Block::new(&b"edited chunk"[..]));
     }
 
     #[test]
     fn a_forgotten_block_is_built_afresh() {
         let mut memo = ChunkMemo::default();
-        let kept = memo.block(b"chunk");
+        let (kept, slot) = memo.block(b"chunk");
         // An equal block with its own buffer is not the one held.
-        assert!(!memo.forget(&Block::new(&b"chunk"[..])));
-        assert!(memo.forget(&kept));
-        assert!(!memo.forget(&kept), "already gone");
-        let again = memo.block(b"chunk");
+        assert!(!memo.forget(slot, &Block::new(&b"chunk"[..])));
+        assert!(memo.forget(slot, &kept));
+        assert!(!memo.forget(slot, &kept), "already gone");
+        let (again, _) = memo.block(b"chunk");
         assert_eq!(again, kept);
         assert_ne!(again.data().as_ptr(), kept.data().as_ptr(), "built afresh");
     }
@@ -145,7 +161,7 @@ mod tests {
             .find(|c| slot_of(c) == target)
             .expect("a colliding chunk");
         memo.block(&first);
-        assert_eq!(memo.block(&second), Block::new(second.clone()));
-        assert_eq!(memo.block(&first), Block::new(first));
+        assert_eq!(memo.block(&second).0, Block::new(second.clone()));
+        assert_eq!(memo.block(&first).0, Block::new(first));
     }
 }

@@ -3,7 +3,7 @@
 use crate::block::Block;
 use crate::chunker::{chunk_content_defined, ChunkerConfig};
 use crate::dag::Manifest;
-use crate::memo::ChunkMemo;
+use crate::memo::{ChunkMemo, MemoSlot};
 use crate::store::LruBlockStore;
 use qb_common::{Cid, DhtKey, DigestMap, QbError, QbResult, SimDuration};
 use qb_dht::DhtNetwork;
@@ -88,6 +88,9 @@ pub struct StorageNetwork {
     named: DigestMap<DhtKey, Vec<Named>>,
     /// The roots a key's records name, gathered once per release.
     named_roots: Vec<Cid>,
+    /// The memo slots of the chunks of the object being put, in chunk
+    /// order; kept between puts.
+    chunk_slots: Vec<MemoSlot>,
 }
 
 /// A pinned block: its bytes, how many stored objects hold it (once per
@@ -97,6 +100,10 @@ pub struct StorageNetwork {
 struct Held {
     block: Block,
     objects: u32,
+    /// The chunk memo's slot for the block's bytes, once an object stored
+    /// them as a chunk; a block pinned only as a manifest never enters the
+    /// memo and has none.
+    memo_slot: Option<MemoSlot>,
     holders: Holders,
 }
 
@@ -165,6 +172,7 @@ impl StorageNetwork {
             memo: ChunkMemo::default(),
             named: DigestMap::default(),
             named_roots: Vec::new(),
+            chunk_slots: Vec::new(),
             config,
         }
     }
@@ -219,18 +227,21 @@ impl StorageNetwork {
     }
 
     /// Pin a new object's manifest and chunk blocks on `holders`, each
-    /// occurrence counting one more object that holds the block. The table
-    /// keeps the newest handle onto a block's bytes, the one the chunk memo
-    /// would hand out. A peer's pin of a block replaces any tampered copy of
-    /// it there with the honest one.
-    fn pin(&mut self, manifest: &Block, chunks: &[Block], holders: &Holders) {
-        for block in std::iter::once(manifest).chain(chunks) {
+    /// occurrence counting one more object that holds the block; `slots`
+    /// are the chunks' memo slots. The table keeps the newest handle onto a
+    /// block's bytes, the one the chunk memo would hand out. A peer's pin of
+    /// a block replaces any tampered copy of it there with the honest one.
+    fn pin(&mut self, manifest: &Block, chunks: &[Block], slots: &[MemoSlot], holders: &Holders) {
+        let chunks = chunks.iter().zip(slots.iter().copied().map(Some));
+        for (block, memo_slot) in std::iter::once((manifest, None)).chain(chunks) {
             let held = self.held.entry(block.cid()).or_insert_with(|| Held {
                 block: block.clone(),
                 objects: 0,
+                memo_slot: None,
                 holders: Holders::default(),
             });
             held.block.clone_from(block);
+            held.memo_slot = memo_slot.or(held.memo_slot);
             held.objects += 1;
             held.holders.extend(holders);
             if !self.tampered.is_empty() {
@@ -326,7 +337,9 @@ impl StorageNetwork {
                     continue;
                 }
                 let freed = entry.remove();
-                memo.forget(&freed.block);
+                if let Some(slot) = freed.memo_slot {
+                    memo.forget(slot, &freed.block);
+                }
                 if !tampered.is_empty() {
                     for peer in freed.holders.iter() {
                         tampered.remove(&(peer, *cid));
@@ -355,9 +368,15 @@ impl StorageNetwork {
         // Content enters here: a chunk some earlier object already stored is
         // that object's block again; any other is copied and hashed once,
         // into the block every holder then pins by handle.
+        let mut slots = std::mem::take(&mut self.chunk_slots);
+        slots.clear();
         let blocks: Vec<Block> = chunk_content_defined(data, &self.config.chunker)
             .into_iter()
-            .map(|chunk| self.memo.block(chunk))
+            .map(|chunk| {
+                let (block, slot) = self.memo.block(chunk);
+                slots.push(slot);
+                block
+            })
             .collect();
         let manifest = Manifest::from_blocks(&blocks);
         let manifest_block = Block::new(manifest.encode());
@@ -405,7 +424,8 @@ impl StorageNetwork {
         }
         // Pinned and counted even when the announce failed: a named object
         // is then released by the next release under `name`.
-        self.pin(&manifest_block, &blocks, &holders);
+        self.pin(&manifest_block, &blocks, &slots, &holders);
+        self.chunk_slots = slots;
         if let Some(name) = name {
             let cids = std::iter::once(root).chain(blocks.iter().map(Block::cid));
             let object = Named {
