@@ -28,8 +28,9 @@
 //! check and TTL, plus a *publish-path purge* —
 //! [`QueryCache::invalidate_term`] drops the term's shard and negative
 //! entries at once — because a superseded shard must leave gossip listings
-//! and fills immediately, and `MaxStaleness` reads
-//! ([`QueryCache::lookup_shard_bounded`]) skip the version check by design.
+//! and fills immediately, and a read under a staleness bound
+//! ([`QueryCache::lookup_shard_within`], the `MaxStaleness` mode) serves a
+//! superseded shard by design.
 //!
 //! **Eviction.** Each tier has a byte budget and runs one policy, a
 //! sampled-LFU admission in the TinyLFU style — a compact frequency sketch
@@ -63,8 +64,6 @@ mod query_cache;
 
 pub use config::CacheConfig;
 pub use metrics::{CacheMetrics, TierMetrics};
-pub use query_cache::{
-    result_key, BoundedShardLookup, CachedResult, QueryCache, RemoteAdmit, ShardLookup,
-};
+pub use query_cache::{result_key, CachedResult, QueryCache, RemoteAdmit, ShardLookup};
 pub use sketch::FreqSketch;
 pub use tier::{CacheTier, Rank, RankedKey};

@@ -41,27 +41,15 @@ pub struct CachedResult {
     pub inputs: ScoreInputs,
 }
 
-/// Outcome of a shard-tier lookup.
+/// Outcome of a shard-tier lookup ([`QueryCache::lookup_shard_within`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardLookup {
     /// The term's shard was cached and current: a handle to the tier's own
     /// copy.
     Hit(Arc<ShardEntry>),
-    /// The term is cached as proven-absent; skip the DHT entirely.
-    Negative,
-    /// Nothing cached; fetch through the DHT.
-    Miss,
-}
-
-/// Outcome of a staleness-bounded shard lookup ([`QueryCache::lookup_shard_bounded`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BoundedShardLookup {
-    /// The term's shard was cached and current: a handle to the tier's own
-    /// copy.
-    Hit(Arc<ShardEntry>),
     /// The cached shard's version has been superseded, but its age is within
-    /// the caller's staleness bound: served without a DHT trip. `age` is how
-    /// long ago the copy was stored.
+    /// the caller's staleness bound: served without a DHT trip. Only a read
+    /// under a bound returns it.
     Stale {
         /// The cached (superseded) shard, shared with the tier.
         shard: Arc<ShardEntry>,
@@ -168,11 +156,9 @@ impl QueryCache {
     /// Build a cache from a validated configuration.
     pub fn new(config: CacheConfig) -> QueryCache {
         QueryCache {
-            results: CacheTier::new(config.result_capacity_bytes, config.result_ttl),
-            // Every shard insert passes its term's own TTL; the ceiling is
-            // only the tier's nominal default.
-            shards: CacheTier::new(config.shard_capacity_bytes, ADAPTIVE_TTL_CEILING),
-            negatives: CacheTier::new(NEGATIVE_CAPACITY_BYTES, NEGATIVE_TTL),
+            results: CacheTier::new(config.result_capacity_bytes),
+            shards: CacheTier::new(config.shard_capacity_bytes),
+            negatives: CacheTier::new(NEGATIVE_CAPACITY_BYTES),
             stats: None,
             republish: HashMap::new(),
             serial: NEXT_SERIAL.fetch_add(1, Ordering::Relaxed),
@@ -253,18 +239,40 @@ impl QueryCache {
                 inputs,
             }
         };
-        self.results.insert(key, bytes, 0, now, entry)
+        let ttl = self.config.result_ttl;
+        self.results.insert(key, bytes, 0, now, ttl, entry)
     }
 
     // ----- shard + negative tiers --------------------------------------------------
 
-    /// Look up a term's shard. `current_version` is the engine's monotonic
-    /// version counter for the term (0 when the term was never written).
+    /// The strict read: [`QueryCache::lookup_shard_within`] without a
+    /// staleness bound.
     pub fn lookup_shard(
         &mut self,
         term: &str,
         now: SimInstant,
         current_version: u64,
+    ) -> ShardLookup {
+        self.lookup_shard_within(term, now, current_version, None)
+    }
+
+    /// Look up a term's shard. `current_version` is the engine's monotonic
+    /// version counter for the term (0 when the term was never written).
+    /// A version-superseded copy serves when a `max_staleness` bound is
+    /// given and the copy was stored no more than that long ago (the
+    /// `MaxStaleness` freshness mode: the caller trades bounded staleness
+    /// for skipping the DHT trip). A superseded entry read under a bound is
+    /// *not* evicted — it stays servable for other bounded readers until a
+    /// strict read or publish-path invalidation purges it — and one past
+    /// the bound is counted a miss. Every other read is the strict one: an
+    /// entry at another version is dropped and counted as an invalidation.
+    /// TTL expiry always applies.
+    pub fn lookup_shard_within(
+        &mut self,
+        term: &str,
+        now: SimInstant,
+        current_version: u64,
+        max_staleness: Option<SimDuration>,
     ) -> ShardLookup {
         // Negative tier first: absent terms never have shard entries. The
         // negative entry is recorded at version 0 and a republished term
@@ -276,68 +284,31 @@ impl QueryCache {
             }
         } else {
             // Drop any stale negative entry without charging a lookup.
-            if self.negatives.contains(term) {
-                self.negatives.invalidate(term);
-            }
-        }
-        match self.shards.get(term, now, Some(current_version)) {
-            Some(shard) => ShardLookup::Hit(Arc::clone(shard)),
-            None => ShardLookup::Miss,
-        }
-    }
-
-    /// Like [`QueryCache::lookup_shard`], but a version-superseded shard may
-    /// still serve when it was stored no more than `max_staleness` ago (the
-    /// `MaxStaleness` freshness mode: the caller trades bounded staleness
-    /// for skipping the DHT trip). Unlike the strict lookup, a superseded
-    /// entry is *not* evicted here — it stays servable for other bounded
-    /// readers until a strict read or publish-path invalidation purges it.
-    /// TTL expiry still applies: an entry past its lifetime never serves.
-    pub fn lookup_shard_bounded(
-        &mut self,
-        term: &str,
-        now: SimInstant,
-        current_version: u64,
-        max_staleness: SimDuration,
-    ) -> BoundedShardLookup {
-        if current_version == 0 {
-            if self.negatives.get(term, now, Some(0)).is_some() {
-                return BoundedShardLookup::Negative;
-            }
-        } else if self.negatives.contains(term) {
             self.negatives.invalidate(term);
         }
-        match self.shards.version_of(term) {
-            Some(v) if v == current_version => match self.shards.get(term, now, Some(v)) {
-                Some(shard) => BoundedShardLookup::Hit(Arc::clone(shard)),
-                None => BoundedShardLookup::Miss,
+        let superseded = |v| v != current_version;
+        match max_staleness.filter(|_| self.shards.version_of(term).is_some_and(superseded)) {
+            None => match self.shards.get(term, now, Some(current_version)) {
+                Some(shard) => ShardLookup::Hit(Arc::clone(shard)),
+                None => ShardLookup::Miss,
             },
-            Some(_) => {
-                let age = self
-                    .shards
-                    .stored_at(term)
-                    .map(|t| now.since(t))
-                    .unwrap_or(SimDuration::ZERO);
-                if age > max_staleness {
-                    // Out of bound. Leave the entry resident — a strict read
-                    // will purge it — but account the failed lookup.
+            Some(bound) => {
+                let stored_at = self.shards.stored_at(term).unwrap_or(now);
+                let age = now.since(stored_at);
+                if age > bound {
+                    // Leave the entry resident, but account the failed lookup.
                     self.shards.note_miss(term);
-                    return BoundedShardLookup::Miss;
+                    return ShardLookup::Miss;
                 }
-                // Within bound: serve through the un-versioned read path so
-                // recency, TTL expiry and the hit counters all behave as for
-                // a normal hit.
+                // Within bound: the un-versioned read, so recency, TTL expiry
+                // and the hit counters all behave as for a normal hit.
                 match self.shards.get(term, now, None) {
-                    Some(shard) => BoundedShardLookup::Stale {
+                    Some(shard) => ShardLookup::Stale {
                         shard: Arc::clone(shard),
                         age,
                     },
-                    None => BoundedShardLookup::Miss,
+                    None => ShardLookup::Miss,
                 }
-            }
-            None => {
-                self.shards.note_miss(term);
-                BoundedShardLookup::Miss
             }
         }
     }
@@ -349,8 +320,9 @@ impl QueryCache {
     /// fetched shard out into N caches copies nothing.
     pub fn store_shard_handle(&mut self, shard: &Arc<ShardEntry>, now: SimInstant) {
         if shard.version == 0 && shard.postings.is_empty() {
+            let bytes = shard.term.len() + 16;
             self.negatives
-                .insert(&shard.term, shard.term.len() + 16, 0, now, || ());
+                .insert(&shard.term, bytes, 0, now, NEGATIVE_TTL, || ());
         } else {
             let ttl = self.adaptive_shard_ttl(&shard.term);
             self.insert_shard(shard, now, ttl);
@@ -368,7 +340,7 @@ impl QueryCache {
     fn insert_shard(&mut self, shard: &Arc<ShardEntry>, now: SimInstant, ttl: SimDuration) -> bool {
         let bytes = shard_bytes(shard);
         self.shards
-            .insert_with_ttl(&shard.term, bytes, shard.version, now, ttl, || {
+            .insert(&shard.term, bytes, shard.version, now, ttl, || {
                 Arc::clone(shard)
             })
     }
@@ -494,9 +466,7 @@ impl QueryCache {
             return RemoteAdmit::Duplicate;
         }
         // The term provably exists now; a remembered absence is obsolete.
-        if self.negatives.contains(&shard.term) {
-            self.negatives.invalidate(&shard.term);
-        }
+        self.negatives.invalidate(&shard.term);
         let ttl = SimDuration::from_micros(
             sender_ttl
                 .as_micros()
@@ -783,15 +753,15 @@ mod tests {
         c.store_shard(&shard("news", 3, 4), t0());
         // Current version: behaves like a strict hit.
         assert!(matches!(
-            c.lookup_shard_bounded("news", t0(), 3, bound),
-            BoundedShardLookup::Hit(s) if s.version == 3
+            c.lookup_shard_within("news", t0(), 3, Some(bound)),
+            ShardLookup::Hit(s) if s.version == 3
         ));
         // Version superseded (a republish this cache never observed): the
         // copy serves while it is young enough, and is NOT evicted.
         let at_30s = t0() + SimDuration::from_secs(30);
         assert!(matches!(
-            c.lookup_shard_bounded("news", at_30s, 4, bound),
-            BoundedShardLookup::Stale { shard: s, age }
+            c.lookup_shard_within("news", at_30s, 4, Some(bound)),
+            ShardLookup::Stale { shard: s, age }
                 if s.version == 3 && age == SimDuration::from_secs(30)
         ));
         assert_eq!(c.cached_shard_version("news"), Some(3), "not evicted");
@@ -799,8 +769,8 @@ mod tests {
         // read to purge.
         let at_90s = t0() + SimDuration::from_secs(90);
         assert_eq!(
-            c.lookup_shard_bounded("news", at_90s, 4, bound),
-            BoundedShardLookup::Miss
+            c.lookup_shard_within("news", at_90s, 4, Some(bound)),
+            ShardLookup::Miss
         );
         assert_eq!(c.cached_shard_version("news"), Some(3));
         // The strict read then invalidates it as usual.
@@ -815,20 +785,20 @@ mod tests {
         // Negative entries answer bounded lookups too.
         c.store_shard(&ShardEntry::empty("ghost"), t0());
         assert_eq!(
-            c.lookup_shard_bounded("ghost", t0(), 0, bound),
-            BoundedShardLookup::Negative
+            c.lookup_shard_within("ghost", t0(), 0, Some(bound)),
+            ShardLookup::Negative
         );
         // A TTL-expired shard never serves, no matter how generous the bound.
         c.store_shard(&shard("old", 2, 3), t0());
         let ttl = c.adaptive_shard_ttl("old");
         assert_eq!(
-            c.lookup_shard_bounded("old", t0() + ttl, 3, SimDuration(u64::MAX)),
-            BoundedShardLookup::Miss
+            c.lookup_shard_within("old", t0() + ttl, 3, Some(SimDuration(u64::MAX))),
+            ShardLookup::Miss
         );
         // Nothing cached at all: a plain miss.
         assert_eq!(
-            c.lookup_shard_bounded("absent", t0(), 5, bound),
-            BoundedShardLookup::Miss
+            c.lookup_shard_within("absent", t0(), 5, Some(bound)),
+            ShardLookup::Miss
         );
     }
 
@@ -1047,6 +1017,141 @@ mod tests {
         let g2 = c.shard_generation();
         c.store_shard(&ShardEntry::empty("ghost"), t0());
         assert_eq!(c.shard_generation(), g2, "negative tier is separate");
+    }
+
+    /// The strict read as it stood beside a separate staleness-bounded one:
+    /// the reference [`QueryCache::lookup_shard_within`] must reproduce.
+    fn reference_lookup_shard(
+        c: &mut QueryCache,
+        term: &str,
+        now: SimInstant,
+        current_version: u64,
+    ) -> ShardLookup {
+        if current_version == 0 {
+            if c.negatives.get(term, now, Some(0)).is_some() {
+                return ShardLookup::Negative;
+            }
+        } else if c.negatives.peek(term).is_some() {
+            c.negatives.invalidate(term);
+        }
+        match c.shards.get(term, now, Some(current_version)) {
+            Some(shard) => ShardLookup::Hit(Arc::clone(shard)),
+            None => ShardLookup::Miss,
+        }
+    }
+
+    /// The staleness-bounded read as it stood beside the strict one.
+    fn reference_lookup_shard_bounded(
+        c: &mut QueryCache,
+        term: &str,
+        now: SimInstant,
+        current_version: u64,
+        max_staleness: SimDuration,
+    ) -> ShardLookup {
+        if current_version == 0 {
+            if c.negatives.get(term, now, Some(0)).is_some() {
+                return ShardLookup::Negative;
+            }
+        } else if c.negatives.peek(term).is_some() {
+            c.negatives.invalidate(term);
+        }
+        match c.shards.version_of(term) {
+            Some(v) if v == current_version => match c.shards.get(term, now, Some(v)) {
+                Some(shard) => ShardLookup::Hit(Arc::clone(shard)),
+                None => ShardLookup::Miss,
+            },
+            Some(_) => {
+                let age = c
+                    .shards
+                    .stored_at(term)
+                    .map(|t| now.since(t))
+                    .unwrap_or(SimDuration::ZERO);
+                if age > max_staleness {
+                    c.shards.note_miss(term);
+                    return ShardLookup::Miss;
+                }
+                match c.shards.get(term, now, None) {
+                    Some(shard) => ShardLookup::Stale {
+                        shard: Arc::clone(shard),
+                        age,
+                    },
+                    None => ShardLookup::Miss,
+                }
+            }
+            None => {
+                c.shards.note_miss(term);
+                ShardLookup::Miss
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// One read with an optional bound answers, counts and evicts as
+        /// the strict and the bounded read did, over any script of shard
+        /// and negative stores, remote fills, invalidations, strict and
+        /// bounded reads at any version and bound, and clock jumps past
+        /// every TTL.
+        #[test]
+        fn the_one_shard_read_reads_as_the_strict_and_bounded_pair(
+            ops in proptest::collection::vec(((0u8..9, 0usize..5), 0u64..6, 0usize..6), 1..100),
+        ) {
+            // A shard tier with room for ~4 of the 5 terms.
+            let mut config = CacheConfig::small();
+            config.shard_capacity_bytes = 600;
+            let (mut one, mut pair) = (QueryCache::new(config.clone()), QueryCache::new(config));
+            // Steps and bounds on one grid, so an age meets its bound exactly.
+            let grid = [0, 1, 5, 20, 70, 2_000].map(SimDuration::from_secs);
+            let mut now = t0();
+            for ((op, term), version, pick) in ops {
+                let term = format!("t{term}");
+                let (bound, docs) = (grid[pick], pick + 1);
+                match op {
+                    0 | 1 => {
+                        // Op 1 stores the term as proven absent.
+                        let fetched = match op {
+                            0 => shard(&term, version, docs),
+                            _ => ShardEntry::empty(&term),
+                        };
+                        one.store_shard(&fetched, now);
+                        pair.store_shard(&fetched, now);
+                    }
+                    2 => {
+                        let fill = Arc::new(shard(&term, version, docs));
+                        let known = version.saturating_sub(pick as u64 % 2);
+                        proptest::prop_assert_eq!(
+                            one.store_remote_shard(&fill, known, bound, now),
+                            pair.store_remote_shard(&fill, known, bound, now)
+                        );
+                    }
+                    3 => proptest::prop_assert_eq!(
+                        one.invalidate_term(&term, now),
+                        pair.invalidate_term(&term, now)
+                    ),
+                    4 => proptest::prop_assert_eq!(
+                        one.lookup_shard(&term, now, version),
+                        reference_lookup_shard(&mut pair, &term, now, version)
+                    ),
+                    5 => proptest::prop_assert_eq!(
+                        one.lookup_shard_within(&term, now, version, None),
+                        reference_lookup_shard(&mut pair, &term, now, version)
+                    ),
+                    6 | 7 => proptest::prop_assert_eq!(
+                        one.lookup_shard_within(&term, now, version, Some(bound)),
+                        reference_lookup_shard_bounded(&mut pair, &term, now, version, bound)
+                    ),
+                    _ => now += bound,
+                }
+                proptest::prop_assert_eq!(one.metrics(), pair.metrics());
+                proptest::prop_assert_eq!(one.tier_sizes(), pair.tier_sizes());
+                proptest::prop_assert_eq!(one.shard_generation(), pair.shard_generation());
+                proptest::prop_assert_eq!(
+                    one.shard_popularity_epoch(),
+                    pair.shard_popularity_epoch()
+                );
+            }
+        }
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub struct RankedKey<'a> {
 #[derive(Debug)]
 pub struct CacheTier<V> {
     capacity_bytes: usize,
-    ttl: SimDuration,
     entries: HashMap<String, Slot<V>>,
     /// Recency order: logical tick -> key. Ticks are unique and increasing,
     /// so the first entry is always the least recently used.
@@ -79,11 +78,10 @@ pub struct CacheTier<V> {
 }
 
 impl<V> CacheTier<V> {
-    /// Create a tier with a byte budget and a default TTL.
-    pub fn new(capacity_bytes: usize, ttl: SimDuration) -> CacheTier<V> {
+    /// Create a tier with a byte budget. Every insert names its entry's TTL.
+    pub fn new(capacity_bytes: usize) -> CacheTier<V> {
         CacheTier {
             capacity_bytes,
-            ttl,
             entries: HashMap::new(),
             recency: BTreeMap::new(),
             tick: 0,
@@ -126,11 +124,6 @@ impl<V> CacheTier<V> {
     /// Bytes currently accounted to the tier.
     pub fn bytes(&self) -> usize {
         self.bytes
-    }
-
-    /// The tier's TTL.
-    pub fn ttl(&self) -> SimDuration {
-        self.ttl
     }
 
     fn next_tick(&mut self) -> u64 {
@@ -180,27 +173,12 @@ impl<V> CacheTier<V> {
         None
     }
 
-    /// Insert `key` with an explicit byte cost and version. Returns true
-    /// when the entry was admitted. An entry larger than the whole tier, or
-    /// one refused by the sampled-LFU admission filter, is not stored —
-    /// and `value` is only called once admission is granted, so a caller
-    /// can offer an entry it has not built yet.
+    /// Insert `key` with an explicit byte cost, version and TTL. Returns
+    /// true when the entry was admitted. An entry larger than the whole
+    /// tier, or one refused by the sampled-LFU admission filter, is not
+    /// stored — and `value` is only called once admission is granted, so a
+    /// caller can offer an entry it has not built yet.
     pub fn insert(
-        &mut self,
-        key: &str,
-        bytes: usize,
-        version: u64,
-        now: SimInstant,
-        value: impl FnOnce() -> V,
-    ) -> bool {
-        self.insert_with_ttl(key, bytes, version, now, self.ttl, value)
-    }
-
-    /// Like [`CacheTier::insert`] but with a per-entry TTL override, used by
-    /// the adaptive-TTL policy (hot, frequently-republished terms get short
-    /// lifetimes; archival terms long ones) and by gossip fills that inherit
-    /// the sender's adapted TTL.
-    pub fn insert_with_ttl(
         &mut self,
         key: &str,
         bytes: usize,
@@ -216,13 +194,11 @@ impl<V> CacheTier<V> {
             return false;
         }
         // Replacing an existing entry never goes through admission: the key
-        // already proved itself, and it keeps its id.
-        let kept_id = self.entries.get(key).map(|slot| slot.id);
-        if kept_id.is_some() {
-            self.remove_entry(key);
-        }
-        let id = match kept_id {
-            Some(id) => id,
+        // already proved itself, and it keeps its id and the two strings it
+        // owns.
+        let resident = self.remove_entry(key);
+        let id = match &resident {
+            Some((_, _, id)) => *id,
             None => {
                 self.last_id += 1;
                 self.last_id
@@ -242,10 +218,14 @@ impl<V> CacheTier<V> {
                 return false;
             }
         }
+        let (owned, row) = match resident {
+            Some((owned, row, _)) => (owned, row),
+            None => (key.to_string(), key.to_string()),
+        };
         let tick = self.next_tick();
-        self.recency.insert(tick, key.to_string());
+        self.recency.insert(tick, row);
         self.entries.insert(
-            key.to_string(),
+            owned,
             Slot {
                 value: value(),
                 bytes,
@@ -296,17 +276,9 @@ impl<V> CacheTier<V> {
     /// Drop `key` explicitly (publish-path invalidation). Returns true when
     /// an entry existed.
     pub fn invalidate(&mut self, key: &str) -> bool {
-        if self.remove_entry(key) {
-            self.metrics.invalidations += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Does the tier currently hold `key` (ignoring TTL/version checks)?
-    pub fn contains(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
+        let removed = self.remove_entry(key).is_some();
+        self.metrics.invalidations += u64::from(removed);
+        removed
     }
 
     /// The recorded version of `key`, when present.
@@ -381,16 +353,14 @@ impl<V> CacheTier<V> {
             })
     }
 
-    fn remove_entry(&mut self, key: &str) -> bool {
-        match self.entries.remove(key) {
-            Some(slot) => {
-                self.recency.remove(&slot.tick);
-                self.bytes -= slot.bytes;
-                self.generation += 1;
-                true
-            }
-            None => false,
-        }
+    /// Drop `key`'s entry, handing back the strings it owned — its map key
+    /// and its recency row — and its id, so a replacement reuses them.
+    fn remove_entry(&mut self, key: &str) -> Option<(String, String, u64)> {
+        let (owned, slot) = self.entries.remove_entry(key)?;
+        let row = self.recency.remove(&slot.tick);
+        self.bytes -= slot.bytes;
+        self.generation += 1;
+        Some((owned, row.unwrap_or_else(|| key.to_string()), slot.id))
     }
 }
 
@@ -403,16 +373,18 @@ mod tests {
         SimInstant::ZERO
     }
 
+    const TTL: SimDuration = SimDuration::from_secs(60);
+
     fn tier(capacity: usize) -> CacheTier<u64> {
-        CacheTier::new(capacity, SimDuration::from_secs(60))
+        CacheTier::new(capacity)
     }
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
         let mut tier = tier(30);
-        tier.insert("a", 10, 1, t0(), || 1);
-        tier.insert("b", 10, 1, t0(), || 2);
-        tier.insert("c", 10, 1, t0(), || 3);
+        tier.insert("a", 10, 1, t0(), TTL, || 1);
+        tier.insert("b", 10, 1, t0(), TTL, || 2);
+        tier.insert("c", 10, 1, t0(), TTL, || 3);
         // One read each leaves the three equally frequent; reading "a" last
         // makes "b" the least recently used of them.
         for k in ["b", "c", "a"] {
@@ -420,11 +392,11 @@ mod tests {
         }
         // An incoming key seen as often as the residents is admitted.
         tier.note_miss("d");
-        assert!(tier.insert("d", 10, 1, t0(), || 4));
-        assert!(tier.contains("a"));
-        assert!(!tier.contains("b"), "LRU victim should be b");
-        assert!(tier.contains("c"));
-        assert!(tier.contains("d"));
+        assert!(tier.insert("d", 10, 1, t0(), TTL, || 4));
+        assert!(tier.peek("a").is_some());
+        assert!(tier.peek("b").is_none(), "LRU victim should be b");
+        assert!(tier.peek("c").is_some());
+        assert!(tier.peek("d").is_some());
         assert_eq!(tier.metrics.evictions, 1);
         assert!(tier.bytes() <= 30);
     }
@@ -433,7 +405,7 @@ mod tests {
     fn lru_eviction_order_is_full_recency_order() {
         let mut tier = tier(40);
         for (k, v) in [("a", 1u64), ("b", 2), ("c", 3), ("d", 4)] {
-            tier.insert(k, 10, 1, t0(), || v);
+            tier.insert(k, 10, 1, t0(), TTL, || v);
         }
         // Recency now a < b < c < d. Touch in reverse: d c b a -> LRU is d,
         // and every resident has been seen twice.
@@ -443,20 +415,20 @@ mod tests {
         // Each incoming key is made as frequent as the residents, or
         // sampled-LFU would refuse it.
         tier.note_miss("e");
-        assert!(tier.insert("e", 10, 1, t0(), || 5));
-        assert!(!tier.contains("d"));
+        assert!(tier.insert("e", 10, 1, t0(), TTL, || 5));
+        assert!(tier.peek("d").is_none());
         tier.note_miss("f");
-        assert!(tier.insert("f", 10, 1, t0(), || 6));
-        assert!(!tier.contains("c"));
-        assert!(tier.contains("a") && tier.contains("b"));
+        assert!(tier.insert("f", 10, 1, t0(), TTL, || 6));
+        assert!(tier.peek("c").is_none());
+        assert!(["a", "b"].iter().all(|k| tier.peek(k).is_some()));
     }
 
     #[test]
     fn sampled_lfu_protects_hot_entries_from_cold_inserts() {
-        let mut tier: CacheTier<u64> = CacheTier::new(30, SimDuration::from_secs(60));
-        tier.insert("hot1", 10, 1, t0(), || 1);
-        tier.insert("hot2", 10, 1, t0(), || 2);
-        tier.insert("hot3", 10, 1, t0(), || 3);
+        let mut tier: CacheTier<u64> = CacheTier::new(30);
+        tier.insert("hot1", 10, 1, t0(), TTL, || 1);
+        tier.insert("hot2", 10, 1, t0(), TTL, || 2);
+        tier.insert("hot3", 10, 1, t0(), TTL, || 3);
         // Make the residents popular.
         for _ in 0..10 {
             tier.get("hot1", t0(), None);
@@ -464,27 +436,29 @@ mod tests {
             tier.get("hot3", t0(), None);
         }
         // A one-shot key must not displace them...
-        assert!(!tier.insert("cold", 10, 1, t0(), || 9));
+        assert!(!tier.insert("cold", 10, 1, t0(), TTL, || 9));
         assert_eq!(tier.metrics.admission_rejections, 1);
-        assert!(tier.contains("hot1") && tier.contains("hot2") && tier.contains("hot3"));
+        assert!(["hot1", "hot2", "hot3"]
+            .iter()
+            .all(|k| tier.peek(k).is_some()));
         // ...but a key that got as popular as the residents is admitted.
         for _ in 0..12 {
             tier.get("rising", t0(), None);
         }
-        assert!(tier.insert("rising", 10, 1, t0(), || 7));
+        assert!(tier.insert("rising", 10, 1, t0(), TTL, || 7));
         assert_eq!(tier.metrics.evictions, 1);
         assert_eq!(tier.len(), 3);
     }
 
     #[test]
     fn refused_admission_never_evicts_residents() {
-        let mut tier: CacheTier<u64> = CacheTier::new(30, SimDuration::from_secs(60));
+        let mut tier: CacheTier<u64> = CacheTier::new(30);
         // One cold resident, two hot ones; an incoming entry needing all
         // three slots must be refused without losing any resident — even
         // though it would beat the cold one.
-        tier.insert("cold", 10, 1, t0(), || 1);
-        tier.insert("hot1", 10, 1, t0(), || 2);
-        tier.insert("hot2", 10, 1, t0(), || 3);
+        tier.insert("cold", 10, 1, t0(), TTL, || 1);
+        tier.insert("hot1", 10, 1, t0(), TTL, || 2);
+        tier.insert("hot2", 10, 1, t0(), TTL, || 3);
         for _ in 0..10 {
             tier.get("hot1", t0(), None);
             tier.get("hot2", t0(), None);
@@ -494,9 +468,11 @@ mod tests {
         }
         // incoming (freq ~6) beats cold (freq ~1) but loses to the hot pair,
         // and it needs 30 bytes = every slot.
-        assert!(!tier.insert("incoming", 30, 1, t0(), || 9));
+        assert!(!tier.insert("incoming", 30, 1, t0(), TTL, || 9));
         assert_eq!(tier.metrics.evictions, 0, "no resident may be sacrificed");
-        assert!(tier.contains("cold") && tier.contains("hot1") && tier.contains("hot2"));
+        assert!(["cold", "hot1", "hot2"]
+            .iter()
+            .all(|k| tier.peek(k).is_some()));
         assert_eq!(tier.metrics.admission_rejections, 1);
     }
 
@@ -506,9 +482,9 @@ mod tests {
         // not be built, the other a plain one. Both refusals — oversize,
         // then sampled-LFU — leave the same state behind.
         let prepared = || {
-            let mut tier: CacheTier<u64> = CacheTier::new(30, SimDuration::from_secs(60));
+            let mut tier: CacheTier<u64> = CacheTier::new(30);
             for key in ["hot1", "hot2", "hot3"] {
-                tier.insert(key, 10, 1, t0(), || 1);
+                tier.insert(key, 10, 1, t0(), TTL, || 1);
                 for _ in 0..10 {
                     tier.get(key, t0(), None);
                 }
@@ -528,8 +504,8 @@ mod tests {
         for (key, bytes) in [("big", 31), ("cold", 10)] {
             let before = state(&lazy, key);
             let unbuilt = || -> u64 { panic!("a refused insert built its value") };
-            assert!(!lazy.insert(key, bytes, 1, t0(), unbuilt));
-            assert!(!plain.insert(key, bytes, 1, t0(), || 9));
+            assert!(!lazy.insert(key, bytes, 1, t0(), TTL, unbuilt));
+            assert!(!plain.insert(key, bytes, 1, t0(), TTL, || 9));
             assert_eq!(state(&lazy, key), state(&plain, key));
             // The refusal is still an observation of the key.
             let (metrics, held, generation, epoch, estimate) = state(&lazy, key);
@@ -550,37 +526,37 @@ mod tests {
             built += 1;
             7
         };
-        assert!(lazy.insert("rising", 10, 1, t0(), value));
+        assert!(lazy.insert("rising", 10, 1, t0(), TTL, value));
         assert_eq!((built, lazy.peek("rising")), (1, Some(&7)));
     }
 
     #[test]
     fn ttl_expiry_follows_simulated_time() {
-        let mut tier: CacheTier<u64> = CacheTier::new(100, SimDuration::from_secs(10));
-        tier.insert("k", 10, 1, t0(), || 7);
+        let mut tier: CacheTier<u64> = tier(100);
+        tier.insert("k", 10, 1, t0(), SimDuration::from_secs(10), || 7);
         let just_before = t0() + SimDuration::from_micros(9_999_999);
         assert_eq!(tier.get("k", just_before, None), Some(&7));
         let at_expiry = t0() + SimDuration::from_secs(10);
         assert_eq!(tier.get("k", at_expiry, None), None);
         assert_eq!(tier.metrics.expirations, 1);
-        assert!(!tier.contains("k"));
+        assert!(tier.peek("k").is_none());
     }
 
     #[test]
     fn version_mismatch_invalidates_on_read() {
         let mut tier: CacheTier<u64> = tier(100);
-        tier.insert("term", 10, 3, t0(), || 42);
+        tier.insert("term", 10, 3, t0(), TTL, || 42);
         assert_eq!(tier.get("term", t0(), Some(3)), Some(&42));
         // A bumped current version makes the entry unreachable and drops it.
         assert_eq!(tier.get("term", t0(), Some(4)), None);
         assert_eq!(tier.metrics.invalidations, 1);
-        assert!(!tier.contains("term"));
+        assert!(tier.peek("term").is_none());
     }
 
     #[test]
     fn explicit_invalidation_counts_and_removes() {
         let mut tier: CacheTier<u64> = tier(100);
-        tier.insert("x", 10, 1, t0(), || 1);
+        tier.insert("x", 10, 1, t0(), TTL, || 1);
         assert!(tier.invalidate("x"));
         assert!(!tier.invalidate("x"));
         assert_eq!(tier.metrics.invalidations, 1);
@@ -591,31 +567,31 @@ mod tests {
     #[test]
     fn oversized_entries_are_refused() {
         let mut tier: CacheTier<u64> = tier(16);
-        assert!(!tier.insert("big", 17, 1, t0(), || 1));
+        assert!(!tier.insert("big", 17, 1, t0(), TTL, || 1));
         assert_eq!(tier.len(), 0);
         assert_eq!(tier.metrics.admission_rejections, 1);
     }
 
     #[test]
-    fn per_entry_ttl_overrides_the_tier_default() {
-        let mut tier: CacheTier<u64> = CacheTier::new(100, SimDuration::from_secs(60));
-        tier.insert_with_ttl("short", 10, 1, t0(), SimDuration::from_secs(5), || 1);
-        tier.insert("long", 10, 1, t0(), || 2);
+    fn each_entry_expires_on_its_own_ttl() {
+        let mut tier: CacheTier<u64> = tier(100);
+        tier.insert("short", 10, 1, t0(), SimDuration::from_secs(5), || 1);
+        tier.insert("long", 10, 1, t0(), TTL, || 2);
         let later = t0() + SimDuration::from_secs(5);
         assert_eq!(tier.get("short", later, None), None, "short TTL expired");
-        assert_eq!(tier.get("long", later, None), Some(&2), "default TTL holds");
+        assert_eq!(tier.get("long", later, None), Some(&2), "long TTL holds");
     }
 
     #[test]
     fn peek_does_not_touch_recency_or_counters() {
         let mut tier = tier(20);
-        tier.insert("a", 10, 1, t0(), || 1);
-        tier.insert("b", 10, 1, t0(), || 2);
+        tier.insert("a", 10, 1, t0(), TTL, || 1);
+        tier.insert("b", 10, 1, t0(), TTL, || 2);
         // Peeking "a" must not protect it from LRU eviction.
         assert_eq!(tier.peek("a"), Some(&1));
         assert_eq!(tier.metrics.hits, 0);
-        tier.insert("c", 10, 1, t0(), || 3);
-        assert!(!tier.contains("a"), "peek must not refresh recency");
+        tier.insert("c", 10, 1, t0(), TTL, || 3);
+        assert!(tier.peek("a").is_none(), "peek must not refresh recency");
         assert_eq!(tier.peek("missing"), None);
     }
 
@@ -623,7 +599,7 @@ mod tests {
     fn hottest_ranks_by_frequency_then_recency() {
         let mut tier = tier(1000);
         for (k, v) in [("a", 1u64), ("b", 2), ("c", 3)] {
-            tier.insert(k, 10, v, t0(), || v);
+            tier.insert(k, 10, v, t0(), TTL, || v);
         }
         for _ in 0..6 {
             tier.get("b", t0(), None);
@@ -636,13 +612,12 @@ mod tests {
         assert_eq!(tier.hottest(10, t0()).len(), 3);
         // Expired entries are not advertised even while still resident, and
         // remaining_ttl reports their true lifetime.
-        let ttl = tier.ttl();
         assert_eq!(
             tier.remaining_ttl("b", t0() + SimDuration::from_secs(1)),
-            Some(SimDuration(ttl.0 - 1_000_000))
+            Some(SimDuration(TTL.0 - 1_000_000))
         );
-        assert_eq!(tier.hottest(10, t0() + ttl).len(), 0);
-        assert_eq!(tier.remaining_ttl("b", t0() + ttl), None);
+        assert_eq!(tier.hottest(10, t0() + TTL).len(), 0);
+        assert_eq!(tier.remaining_ttl("b", t0() + TTL), None);
         assert_eq!(tier.remaining_ttl("missing", t0()), None);
     }
 
@@ -650,26 +625,26 @@ mod tests {
     fn generation_tracks_every_holdings_change() {
         let mut tier: CacheTier<u64> = tier(30);
         assert_eq!(tier.generation(), 0);
-        tier.insert("a", 10, 1, t0(), || 1);
+        tier.insert("a", 10, 1, t0(), TTL, || 1);
         assert_eq!(tier.generation(), 1);
         // A pure read does not bump the generation.
         tier.get("a", t0(), None);
         assert_eq!(tier.generation(), 1);
         // Replacement = removal + insert.
-        tier.insert("a", 10, 2, t0(), || 2);
+        tier.insert("a", 10, 2, t0(), TTL, || 2);
         assert_eq!(tier.generation(), 3);
         // Eviction bumps (victim removal + new insert).
-        tier.insert("b", 10, 1, t0(), || 3);
-        tier.insert("c", 10, 1, t0(), || 4);
+        tier.insert("b", 10, 1, t0(), TTL, || 3);
+        tier.insert("c", 10, 1, t0(), TTL, || 4);
         let before = tier.generation();
-        tier.insert("d", 10, 1, t0(), || 5);
+        tier.insert("d", 10, 1, t0(), TTL, || 5);
         assert_eq!(tier.generation(), before + 2);
         // Invalidation and TTL expiry bump too.
         let before = tier.generation();
         assert!(tier.invalidate("d"));
         assert_eq!(tier.generation(), before + 1);
         let before = tier.generation();
-        assert!(tier.get("c", t0() + tier.ttl(), None).is_none());
+        assert!(tier.get("c", t0() + TTL, None).is_none());
         assert_eq!(tier.generation(), before + 1, "expiry changes holdings");
     }
 
@@ -679,18 +654,18 @@ mod tests {
         let id_of = |tier: &CacheTier<u64>, key: &str| {
             tier.ranked(t0()).find(|e| e.key == key).map(|e| e.id)
         };
-        tier.insert("a", 10, 1, t0(), || 1);
-        tier.insert("b", 10, 1, t0(), || 2);
+        tier.insert("a", 10, 1, t0(), TTL, || 1);
+        tier.insert("b", 10, 1, t0(), TTL, || 2);
         let a = id_of(&tier, "a").unwrap();
         assert_ne!(Some(a), id_of(&tier, "b"));
         // Reads and replacements, at any version, keep it.
         tier.get("a", t0(), None);
-        tier.insert("a", 10, 1, t0(), || 3);
-        tier.insert("a", 20, 2, t0(), || 4);
+        tier.insert("a", 10, 1, t0(), TTL, || 3);
+        tier.insert("a", 20, 2, t0(), TTL, || 4);
         assert_eq!(id_of(&tier, "a"), Some(a));
         // A key stored again after it left is a new entry.
         assert!(tier.invalidate("a"));
-        tier.insert("a", 10, 2, t0(), || 5);
+        tier.insert("a", 10, 2, t0(), TTL, || 5);
         let again = id_of(&tier, "a").unwrap();
         assert_ne!(again, a);
         assert_ne!(Some(again), id_of(&tier, "b"));
@@ -699,8 +674,8 @@ mod tests {
     #[test]
     fn replacing_a_key_updates_bytes_exactly() {
         let mut tier: CacheTier<u64> = tier(100);
-        tier.insert("k", 30, 1, t0(), || 1);
-        tier.insert("k", 10, 2, t0(), || 2);
+        tier.insert("k", 30, 1, t0(), TTL, || 1);
+        tier.insert("k", 10, 2, t0(), TTL, || 2);
         assert_eq!(tier.bytes(), 10);
         assert_eq!(tier.len(), 1);
         assert_eq!(tier.version_of("k"), Some(2));
@@ -710,8 +685,8 @@ mod tests {
     #[test]
     fn reads_reorder_the_ranking_without_moving_the_generation() {
         let mut tier = tier(1000);
-        tier.insert("a", 10, 1, t0(), || 1);
-        tier.insert("b", 10, 1, t0(), || 2);
+        tier.insert("a", 10, 1, t0(), TTL, || 1);
+        tier.insert("b", 10, 1, t0(), TTL, || 2);
         let (generation, epoch) = (tier.generation(), tier.popularity_epoch());
         assert_eq!(tier.hottest(2, t0()), vec![("b", 1), ("a", 1)]);
         tier.get("a", t0(), None);
@@ -722,7 +697,7 @@ mod tests {
         let epoch = tier.popularity_epoch();
         tier.get("absent", t0(), None);
         tier.note_miss("absent");
-        assert!(!tier.insert("huge", 2000, 1, t0(), || 3));
+        assert!(!tier.insert("huge", 2000, 1, t0(), TTL, || 3));
         assert_eq!(tier.popularity_epoch(), epoch + 3);
         assert_eq!(tier.generation(), generation);
     }
@@ -745,7 +720,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..8, 0u8..10, 1u64..4), 1..120),
         ) {
             // Room for ~6 of the 10 keys: inserts evict or are refused.
-            let mut tier: CacheTier<u64> = CacheTier::new(64, SimDuration::from_secs(3));
+            let mut tier: CacheTier<u64> = CacheTier::new(64);
             let listing = |tier: &CacheTier<u64>, at: SimInstant| -> Vec<(String, u64)> {
                 tier.hottest(usize::MAX, at)
                     .into_iter()
@@ -768,7 +743,7 @@ mod tests {
                     }
                     3 | 4 => {
                         let ttl = SimDuration::from_secs(arg);
-                        tier.insert_with_ttl(&key, 10, arg, now, ttl, || arg);
+                        tier.insert(&key, 10, arg, now, ttl, || arg);
                     }
                     5 => {
                         tier.invalidate(&key);

@@ -87,9 +87,8 @@ pub struct QueenBee {
     /// the document from shards of terms it no longer contains (otherwise
     /// dropped terms would keep serving stale versions of the page forever).
     indexed_pages: HashMap<String, (u32, Vec<(String, u32)>)>,
-    ranks_by_name: HashMap<String, f64>,
-    /// The same ranks as the serving kernel reads them.
-    rank_components: rank::RankComponents,
+    /// Every page's rank and rank component, by doc id.
+    ranks: rank::Ranks,
     rank_round: u64,
     signatures: HashMap<String, (u64, MinHashSignature)>,
     known_creators: BTreeSet<AccountId>,
@@ -173,8 +172,7 @@ impl QueenBee {
             index_stats: IndexStats::default(),
             shard_versions: HashMap::new(),
             indexed_pages: HashMap::new(),
-            ranks_by_name: HashMap::new(),
-            rank_components: rank::RankComponents::default(),
+            ranks: rank::Ranks::default(),
             rank_round: 0,
             signatures: HashMap::new(),
             known_creators: BTreeSet::new(),
@@ -1132,15 +1130,15 @@ mod tests {
         assert_eq!((stats.score_invocations, stats.scored_lists_built), (n, 0));
         assert_eq!((tier.admission_rejections, tier.insertions), (n, 0));
 
-        // The by-id blend table is the by-name ranks, component for
-        // component.
-        assert_eq!(off.rank_components.len(), off.ranks_by_name.len());
-        for (name, rank) in &off.ranks_by_name {
-            let component = off.rank_components[&qb_index::doc_id_for_name(name)];
-            assert_eq!(
-                component.to_bits(),
-                qb_index::rank_component(*rank).to_bits()
-            );
+        // One table: `rank_of` reads a page's rank by name, and the blend
+        // component beside it is that rank's.
+        assert_eq!(off.ranks.len(), 8);
+        for i in 0..8 {
+            let name = format!("site/{i}");
+            let page = off.ranks[&qb_index::doc_id_for_name(&name)];
+            assert_eq!(off.rank_of(&name).to_bits(), page.rank.to_bits());
+            let component = qb_index::rank_component(page.rank);
+            assert_eq!(page.component.to_bits(), component.to_bits());
         }
     }
 

@@ -385,7 +385,7 @@ impl QueenBee {
                     self.writer_shard_cache_hits += 1;
                     return Ok(ShardEntry::empty(term));
                 }
-                ShardLookup::Miss => {}
+                ShardLookup::Miss | ShardLookup::Stale { .. } => {}
             }
         }
         let (shard, _cost) = self.dist_index.read_shard_fresh(

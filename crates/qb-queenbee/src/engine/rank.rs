@@ -8,16 +8,22 @@ use qb_chain::{AccountId, Call};
 use qb_common::{Cid, DhtKey, Hash256, IdHashMap, QbResult};
 use qb_rank::{LinkGraph, RankRoundReport};
 
-/// Doc id → [`qb_index::rank_component`] of the page's rank, for every page
-/// of the last rank round: what the scoring kernel blends a candidate with,
-/// found by the doc id its posting already holds. The component only
-/// changes once per round, so its `ln` is taken here, not per candidate.
-/// Pages are keyed as the index keys them — two names with one doc id are
-/// one document. A doc id is already 64 bits of SHA-256 of the page name
-/// ([`qb_index::doc_id_for_name`]), so the map hashes it with
-/// [`qb_common::IdHasher`], not SipHash, on the one lookup every scored
-/// candidate makes.
-pub(super) type RankComponents = IdHashMap<f64>;
+/// A page's rank in the last rank round and the [`qb_index::rank_component`]
+/// the scoring kernel blends a candidate with (its `ln` taken once per
+/// round, not per candidate).
+#[derive(Debug, Clone, Copy)]
+pub(super) struct PageRank {
+    pub(super) rank: f64,
+    pub(super) component: f64,
+}
+
+/// Doc id → [`PageRank`] for every page of the last rank round: the one
+/// rank table, read by the doc id a posting holds and, through
+/// [`qb_index::doc_id_for_name`], by name (two names with one doc id are
+/// one document, as in the index). A doc id is 64 bits of SHA-256 of the
+/// name, so the map hashes it with [`qb_common::IdHasher`], not SipHash,
+/// on the lookup every scored candidate makes.
+pub(super) type Ranks = IdHashMap<PageRank>;
 
 impl QueenBee {
     /// Run one decentralized PageRank round over the current registry's link
@@ -60,30 +66,24 @@ impl QueenBee {
         let report = self.config.rank.run(&graph, &behaviours);
         self.rank_round += 1;
 
-        self.rank_components = report
-            .ranks
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let doc_id = qb_index::doc_id_for_name(graph.name_of(i));
-                (doc_id, qb_index::rank_component(*r))
+        let named = || graph.names().iter().zip(&report.ranks);
+        self.ranks = named()
+            .map(|(name, &rank)| {
+                let component = qb_index::rank_component(rank);
+                let doc_id = qb_index::doc_id_for_name(name);
+                (doc_id, PageRank { rank, component })
             })
             .collect();
 
-        // Store the rank vector in decentralized storage with a DHT pointer
-        // ("page ranks ... hosted in a decentralized storage").
-        self.ranks_by_name = report
-            .ranks
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (graph.name_of(i).to_string(), *r))
-            .collect();
-        if !self.ranks_by_name.is_empty() {
+        // Store the rank vector, sorted by page name, in decentralized
+        // storage with a DHT pointer ("page ranks ... hosted in a
+        // decentralized storage").
+        if !report.ranks.is_empty() {
+            let mut sorted: Vec<(&String, &f64)> = named().collect();
+            sorted.sort_unstable_by_key(|&(name, _)| name);
             let mut encoded = String::new();
-            let mut names: Vec<&String> = self.ranks_by_name.keys().collect();
-            names.sort();
-            for name in names {
-                encoded.push_str(&format!("{name}\t{:.9}\n", self.ranks_by_name[name]));
+            for (name, rank) in sorted {
+                encoded.push_str(&format!("{name}\t{rank:.9}\n"));
             }
             // The previous round's vector is unpinned once no copy of the
             // pointer names it.
@@ -150,6 +150,7 @@ impl QueenBee {
 
     /// PageRank of a page name (0 when not ranked yet).
     pub fn rank_of(&self, name: &str) -> f64 {
-        self.ranks_by_name.get(name).copied().unwrap_or(0.0)
+        let doc_id = qb_index::doc_id_for_name(name);
+        self.ranks.get(&doc_id).map_or(0.0, |page| page.rank)
     }
 }

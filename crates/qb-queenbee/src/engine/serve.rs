@@ -292,9 +292,9 @@ impl QueenBee {
         // term needs an owned, empty stand-in), each held one with its
         // impacts once the memo has them under these statistics and ranks
         // (a plan that scores nothing looks none up).
-        let components = &self.rank_components;
+        let ranks = &self.ranks;
         // An unranked page blends as rank 0: `rank_component(0.0)` is 0.
-        let component_of = |p: &ShardPosting| components.get(&p.doc_id).copied().unwrap_or(0.0);
+        let component_of = |p: &ShardPosting| ranks.get(&p.doc_id).map_or(0.0, |r| r.component);
         let (memo, rank_round) = (&mut self.impacts, self.rank_round);
         let mut impacts_of = |shard: &Arc<ShardEntry>| {
             if reused {

@@ -15,7 +15,7 @@
 //! [`qb_cache::QueryCache`]).
 
 use crate::query::request::{Freshness, SearchRequest};
-use qb_cache::{result_key, BoundedShardLookup, CachedResult, QueryCache, ShardLookup};
+use qb_cache::{result_key, CachedResult, QueryCache, ShardLookup};
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_index::{Analyzer, IndexStats, ShardEntry};
 use std::collections::HashMap;
@@ -216,17 +216,16 @@ pub(crate) fn plan_query(
             let current = shard_versions.get(&term).copied().unwrap_or(0);
             let plan = match (&request.freshness, cache.as_deref_mut()) {
                 (Freshness::Fresh, _) | (_, None) => FETCH,
-                (Freshness::CacheOk, Some(c)) => match c.lookup_shard(&term, now, current) {
-                    ShardLookup::Hit(shard) => TermPlan::CachedShard(shard),
-                    ShardLookup::Negative => TermPlan::Negative,
-                    ShardLookup::Miss => FETCH,
-                },
-                (Freshness::MaxStaleness(bound), Some(c)) => {
-                    match c.lookup_shard_bounded(&term, now, current, *bound) {
-                        BoundedShardLookup::Hit(shard) => TermPlan::CachedShard(shard),
-                        BoundedShardLookup::Stale { shard, age } => TermPlan::Stale { shard, age },
-                        BoundedShardLookup::Negative => TermPlan::Negative,
-                        BoundedShardLookup::Miss => FETCH,
+                (freshness, Some(c)) => {
+                    let bound = match freshness {
+                        Freshness::MaxStaleness(bound) => Some(*bound),
+                        _ => None,
+                    };
+                    match c.lookup_shard_within(&term, now, current, bound) {
+                        ShardLookup::Hit(shard) => TermPlan::CachedShard(shard),
+                        ShardLookup::Stale { shard, age } => TermPlan::Stale { shard, age },
+                        ShardLookup::Negative => TermPlan::Negative,
+                        ShardLookup::Miss => FETCH,
                     }
                 }
             };

@@ -157,11 +157,13 @@ pub struct SimNet {
     /// ids, so they need a spread, not a SipHash.
     in_flight: IdHashMap<InFlightOp>,
     /// Completion instants of in-flight operations on each source peer's
-    /// uplink, indexed by peer (grown to the highest peer that has issued
-    /// one), for the in-flight limit (kept pruned as operations retire). A
+    /// uplink, each beside its operation's handle, indexed by peer (grown
+    /// to the highest peer that has issued one), for the in-flight limit
+    /// (kept pruned as operations retire). A retiring operation frees only
+    /// its own entry, never another's that completes at the same instant. A
     /// link that goes idle keeps its `Vec`, so its next operation does not
     /// allocate it again.
-    link_completions: Vec<Vec<SimInstant>>,
+    link_completions: Vec<Vec<(SimInstant, u64)>>,
     next_handle: u64,
     /// Span recorder shared by every protocol layer (they all hold `&mut
     /// SimNet` already). Disabled by default; recording never touches
@@ -542,18 +544,19 @@ impl SimNet {
         if link >= self.link_completions.len() {
             self.link_completions.resize_with(link + 1, Vec::new);
         }
+        self.next_handle += 1;
         let completions = &mut self.link_completions[link];
-        completions.retain(|&c| c > at);
+        completions.retain(|&(c, _)| c > at);
         completions.sort_unstable();
         let started_at = if completions.len() >= capacity {
             // Queue behind enough completions to free a slot.
-            completions[completions.len() - capacity]
+            completions[completions.len() - capacity].0
         } else {
             at
         };
         let queue_delay = started_at.since(at);
         let completes_at = started_at + latency;
-        completions.push(completes_at);
+        completions.push((completes_at, self.next_handle));
         self.stats.async_ops += 1;
         if queue_delay > SimDuration::ZERO {
             self.stats.async_queued_ops += 1;
@@ -565,7 +568,6 @@ impl SimNet {
             .record_with(parent, "net.deliver", started_at, completes_at, || {
                 link_label(from)
             });
-        self.next_handle += 1;
         let handle = RpcHandle(self.next_handle);
         self.in_flight.insert(
             self.next_handle,
@@ -591,7 +593,7 @@ impl SimNet {
             });
         }
         self.in_flight.remove(&handle.0);
-        self.release_slot(&op);
+        self.release_slot(handle, &op);
         Some(Poll::Ready(AsyncCompletion {
             completed_at: op.completes_at,
             latency: op.latency,
@@ -614,14 +616,15 @@ impl SimNet {
         let Some(op) = self.in_flight.remove(&handle.0) else {
             return false;
         };
-        self.release_slot(&op);
+        self.release_slot(handle, &op);
         true
     }
 
-    /// Free the uplink slot a retired operation held.
-    fn release_slot(&mut self, op: &InFlightOp) {
+    /// Free the uplink slot a retired operation held, if an issue on its
+    /// link has not pruned it already.
+    fn release_slot(&mut self, handle: RpcHandle, op: &InFlightOp) {
         if let Some(completions) = self.link_completions.get_mut(op.from as usize) {
-            if let Some(pos) = completions.iter().position(|&c| c == op.completes_at) {
+            if let Some(pos) = completions.iter().position(|&(_, h)| h == handle.0) {
                 completions.swap_remove(pos);
             }
         }
@@ -983,12 +986,13 @@ mod tests {
     }
 
     /// The uplink tracker as it was keyed by a `HashMap` of per-link lists
-    /// that a link dropped when it went idle: the reference the per-peer
-    /// tracker must reproduce handle for handle.
+    /// that a link dropped when it went idle, each entry tagged with its
+    /// handle: the reference the per-peer tracker must reproduce handle for
+    /// handle.
     #[derive(Default)]
     struct ReferenceTracker {
         in_flight: HashMap<u64, InFlightOp>,
-        links: HashMap<u64, Vec<SimInstant>>,
+        links: HashMap<u64, Vec<(SimInstant, u64)>>,
         next_handle: u64,
         async_ops: u64,
         async_queued_ops: u64,
@@ -997,23 +1001,23 @@ mod tests {
 
     impl ReferenceTracker {
         fn enqueue(&mut self, capacity: usize, from: u64, at: SimInstant, latency: SimDuration) {
+            self.next_handle += 1;
             let completions = self.links.entry(from).or_default();
-            completions.retain(|&c| c > at);
+            completions.retain(|&(c, _)| c > at);
             completions.sort_unstable();
             let started_at = if completions.len() >= capacity {
-                completions[completions.len() - capacity]
+                completions[completions.len() - capacity].0
             } else {
                 at
             };
             let queue_delay = started_at.since(at);
             let completes_at = started_at + latency;
-            completions.push(completes_at);
+            completions.push((completes_at, self.next_handle));
             self.async_ops += 1;
             if queue_delay > SimDuration::ZERO {
                 self.async_queued_ops += 1;
                 self.async_queue_delay_us += queue_delay.as_micros();
             }
-            self.next_handle += 1;
             let op = InFlightOp {
                 from,
                 latency,
@@ -1043,7 +1047,7 @@ mod tests {
                 return false;
             };
             if let Some(completions) = self.links.get_mut(&op.from) {
-                if let Some(pos) = completions.iter().position(|&c| c == op.completes_at) {
+                if let Some(pos) = completions.iter().position(|&(_, h)| h == handle) {
                     completions.swap_remove(pos);
                 }
                 if completions.is_empty() {
@@ -1122,12 +1126,12 @@ mod tests {
         }
     }
 
-    /// A release frees the uplink entry *equal* to its completion instant,
-    /// not its own: once an issue at a later instant has pruned `a`'s entry,
-    /// retiring `a` frees `y`'s — a live operation completing at the same
-    /// instant — and `z` starts without queueing behind `y`.
+    /// A release frees only its own uplink entry: once an issue at a later
+    /// instant has pruned `a`'s entry, retiring `a` leaves `y`'s — a live
+    /// operation completing at the same instant — in place, and `z` queues
+    /// behind `y`. Freed by completion instant instead, `y`'s entry went and
+    /// `z` started at once.
     #[test]
-    #[ignore = "modelling change: a release frees a live operation's uplink slot when its own entry was pruned (ROADMAP modelling-change queue)"]
     fn retiring_a_pruned_operation_frees_no_live_slot() {
         let mut cfg = NetConfig::lan();
         cfg.max_in_flight_per_link = 2;

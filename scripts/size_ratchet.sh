@@ -13,10 +13,16 @@
 # of comments; raise the ceiling only with the reason in CHANGES.md.
 #
 # It also prints each crate's total of the same lines, so the per-crate
-# targets in ROADMAP.md can be read from its output.
+# targets in ROADMAP.md can be read from its output, and the workspace
+# total, which fails above its own ceiling: 100 lines above the total
+# measured when the ceiling was last set (21 384 then). A change that
+# adds more than 100 library lines says what it deleted, or why it could
+# not delete anything; raising the total ceiling takes a line in
+# CHANGES.md.
 set -euo pipefail
 
 ceiling=800
+total_ceiling=21484
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -44,9 +50,16 @@ while IFS= read -r file; do
 done < <(find crates/*/src -name '*.rs' -not -path '*/src/bin/*' | sort)
 
 echo "library lines per crate:"
+total=0
 while IFS= read -r crate; do
   printf '%6d  %s\n' "${crate_lines[$crate]}" "$crate"
+  total=$(( total + ${crate_lines[$crate]} ))
 done < <(printf '%s\n' "${!crate_lines[@]}" | sort)
+printf '%6d  in all, ceiling %d\n' "$total" "$total_ceiling"
+if [ "$total" -gt "$total_ceiling" ]; then
+  echo "FAIL library code has $total lines in all, more than $total_ceiling" >&2
+  exit 1
+fi
 
 if [ "$failed" -ne 0 ]; then
   echo "FAIL files above have more than $ceiling non-test lines" >&2
