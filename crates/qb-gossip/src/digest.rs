@@ -16,30 +16,32 @@
 //!   (until anti-entropy) but never lose one.
 //!
 //! A digest exists only on the simulated wire (`digest_wire_bytes`); the
-//! host keeps its entries. Each [`DigestEntry`] carries the term's
-//! [`TermKey`] — the first eight bytes of its domain-separated SHA-256,
-//! taken once per term — and every per-term map here ([`HoldingsView`],
-//! the advertised baseline, [`VersionVector`]) is a [`TermMap`] probed by
-//! that key: no probe hashes a string or clones a handle.
+//! host keeps its entries. A term has one host identity, its [`TermKey`]
+//! (the first eight bytes of its domain-separated SHA-256 beside the shared
+//! text), made where the term first enters: the engine's per-term version
+//! table, a segment import or a shard the tier lists afresh. Every
+//! [`DigestEntry`] carries it, and every per-term map here
+//! ([`HoldingsView`], the advertised baseline, [`VersionVector`]) is a
+//! [`TermMap`] probed by it: no probe hashes a string, and no map is keyed
+//! by text.
 
 use crate::filter::{FilterKey, ShardFilter};
 use qb_common::{DigestMap, Hash256};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A term as the gossip path keys it: the shared text beside the first
 /// eight bytes, big-endian, of `Hash256::digest_parts(["qb-gossip/term",
-/// term])`. The prefix is hashed once, where the term's first
-/// [`DigestEntry`] is built, and a version bump keeps it; every per-term
-/// map of the gossip path is a [`TermMap`] over it, so a probe costs an
-/// `IdHasher` spread of the prefix and an equality test — never a string
-/// hash. Equality is the prefix and then the text (by pointer first: one
-/// frontend's entries share one allocation per term), so two terms whose
-/// prefixes collide are two keys in one probe sequence: a collision costs a
-/// probe, not a wrong answer. Unkeyed like every [`DigestMap`]: aiming terms
-/// at one probe sequence costs SHA-256 work per slot, which no simulated
-/// peer spends.
+/// term])`. The prefix is hashed once, where the term first enters the
+/// host (module doc), and every entry and version bump after that shares
+/// it; every per-term map of the gossip path is a [`TermMap`] over it, so
+/// a probe costs an `IdHasher` spread of the prefix and an equality test —
+/// never a string hash. Equality is the prefix and then the text (by
+/// pointer first: the clones of one key share one allocation), so two
+/// terms whose prefixes collide are two keys in one probe sequence: a
+/// collision costs a probe, not a wrong answer. Unkeyed like every
+/// [`DigestMap`]: aiming terms at one probe sequence costs SHA-256 work
+/// per slot, which no simulated peer spends.
 #[derive(Debug, Clone)]
 pub struct TermKey {
     prefix: u64,
@@ -101,9 +103,10 @@ pub struct DigestEntry {
 }
 
 impl DigestEntry {
-    /// Key and fingerprint `(term, version)`.
-    pub fn new(term: impl Into<Arc<str>>, version: u64) -> DigestEntry {
-        DigestEntry::of_key(TermKey::of(term), version)
+    /// Fingerprint `(term, version)` under the term's key.
+    pub fn new(term: TermKey, version: u64) -> DigestEntry {
+        let key = FilterKey::of(&term.term, version);
+        DigestEntry { term, version, key }
     }
 
     /// The same term at `version`: the term key is kept, and the
@@ -112,12 +115,7 @@ impl DigestEntry {
         if version == self.version {
             return self.clone();
         }
-        DigestEntry::of_key(self.term.clone(), version)
-    }
-
-    fn of_key(term: TermKey, version: u64) -> DigestEntry {
-        let key = FilterKey::of(&term.term, version);
-        DigestEntry { term, version, key }
+        DigestEntry::new(self.term.clone(), version)
     }
 
     /// The advertised term.
@@ -215,27 +213,13 @@ pub fn needs_fill(version: u64, believed: Option<&DigestEntry>, filter: &ShardFi
 /// rejected as stale, so a lagging replica can never overwrite fresher data
 /// no matter how gossip routes it.
 ///
-/// The gossip path observes and reads by the [`TermKey`] its entries carry:
-/// one probe, no string hash. A caller that holds only the text (a served
-/// query's terms, a publish event) goes through a SipHash index of every
-/// term by text, and a term known by text alone is kept there with its
-/// version — it is keyed, moving over into the keyed map, when the gossip
-/// path first observes it by key, so the text path never takes a SHA-256.
+/// Every caller observes and reads by [`TermKey`]: the gossip path by the
+/// key its entries carry, the engine by the key it made once per term
+/// beside the term's version. A probe is one `IdHasher` spread of the
+/// prefix, never a string hash.
 #[derive(Debug, Clone, Default)]
 pub struct VersionVector {
-    /// The version of every term the gossip path observed by key.
-    keyed: TermMap<u64>,
-    /// Every term by its text.
-    texts: HashMap<Arc<str>, Slot>,
-}
-
-/// Where one term's version lives.
-#[derive(Debug, Clone)]
-enum Slot {
-    /// In the keyed map, under this key.
-    Keyed(TermKey),
-    /// Here: the term was only ever observed by text.
-    Loose(u64),
+    versions: TermMap<u64>,
 }
 
 impl VersionVector {
@@ -245,87 +229,45 @@ impl VersionVector {
     }
 
     /// Record that `version` of `term` exists. Monotonic: an older
-    /// observation never lowers the recorded version.
-    pub fn observe(&mut self, term: &str, version: u64) {
-        match self.texts.get_mut(term) {
-            Some(Slot::Keyed(key)) => {
-                if let Some(slot) = self.keyed.get_mut(key) {
-                    *slot = (*slot).max(version);
-                }
-            }
-            Some(Slot::Loose(seen)) => *seen = (*seen).max(version),
+    /// observation never lowers the recorded version, and version 0 is
+    /// still recorded.
+    pub fn observe(&mut self, term: &TermKey, version: u64) {
+        match self.versions.get_mut(term) {
+            Some(seen) => *seen = (*seen).max(version),
             None => {
-                self.texts.insert(Arc::from(term), Slot::Loose(version));
+                self.versions.insert(term.clone(), version);
             }
         }
-    }
-
-    /// [`VersionVector::observe`] by key.
-    pub(crate) fn observe_key(&mut self, term: &TermKey, version: u64) {
-        if let Some(slot) = self.keyed.get_mut(term) {
-            *slot = (*slot).max(version);
-            return;
-        }
-        let known = match self
-            .texts
-            .insert(Arc::clone(&term.term), Slot::Keyed(term.clone()))
-        {
-            Some(Slot::Loose(seen)) => seen,
-            _ => 0,
-        };
-        self.keyed.insert(term.clone(), known.max(version));
     }
 
     /// Highest version observed for `term` (0 when never observed).
-    pub fn get(&self, term: &str) -> u64 {
-        self.texts.get(term).map_or(0, |slot| self.version_in(slot))
-    }
-
-    /// [`VersionVector::get`] by key.
-    pub(crate) fn get_key(&self, term: &TermKey) -> u64 {
-        match self.keyed.get(term) {
-            Some(version) => *version,
-            None => self.get(&term.term),
-        }
-    }
-
-    fn version_in(&self, slot: &Slot) -> u64 {
-        match slot {
-            Slot::Keyed(key) => self.keyed.get(key).copied().unwrap_or(0),
-            Slot::Loose(version) => *version,
-        }
+    pub fn get(&self, term: &TermKey) -> u64 {
+        self.versions.get(term).copied().unwrap_or(0)
     }
 
     /// Number of terms with a recorded version.
     pub fn len(&self) -> usize {
-        self.texts.len()
+        self.versions.len()
     }
 
     /// True when nothing was observed yet.
     pub fn is_empty(&self) -> bool {
-        self.texts.is_empty()
+        self.versions.is_empty()
     }
 
     /// Iterate over `(term, highest observed version)` in term order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        let mut ordered: Vec<(&str, u64)> = self.unordered().collect();
+        let mut ordered: Vec<(&str, u64)> = self
+            .unordered()
+            .map(|(term, version)| (&**term.term(), version))
+            .collect();
         ordered.sort_unstable_by_key(|&(term, _)| term);
         ordered.into_iter()
     }
 
     /// `(term, highest observed version)` in no particular order.
-    pub(crate) fn unordered(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.texts
-            .iter()
-            .map(|(term, slot)| (&**term, self.version_in(slot)))
-    }
-
-    /// The key `term` is recorded under, if the gossip path keyed it.
-    pub(crate) fn key_of(&self, term: &str) -> Option<&TermKey> {
-        match self.texts.get(term)? {
-            Slot::Keyed(key) => Some(key),
-            Slot::Loose(_) => None,
-        }
+    pub(crate) fn unordered(&self) -> impl Iterator<Item = (&TermKey, u64)> {
+        self.versions.iter().map(|(term, version)| (term, *version))
     }
 }
 
@@ -335,11 +277,12 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
+    fn entry(term: &str, version: u64) -> DigestEntry {
+        DigestEntry::new(TermKey::of(term), version)
+    }
+
     fn entries(pairs: &[(&str, u64)]) -> Vec<DigestEntry> {
-        pairs
-            .iter()
-            .map(|(t, v)| DigestEntry::new(*t, *v))
-            .collect()
+        pairs.iter().map(|(t, v)| entry(t, *v)).collect()
     }
 
     #[test]
@@ -352,13 +295,14 @@ mod tests {
     #[test]
     fn version_vector_is_monotonic() {
         let mut v = VersionVector::new();
+        let t = TermKey::of("t");
         assert!(v.is_empty());
-        assert_eq!(v.get("t"), 0);
-        v.observe("t", 3);
-        v.observe("t", 1); // older observation is a no-op
-        assert_eq!(v.get("t"), 3);
-        v.observe("t", 5);
-        assert_eq!(v.get("t"), 5);
+        assert_eq!(v.get(&t), 0);
+        v.observe(&t, 3);
+        v.observe(&t, 1); // older observation is a no-op
+        assert_eq!(v.get(&t), 3);
+        v.observe(&t, 5);
+        assert_eq!(v.get(&t), 5);
         assert_eq!(v.len(), 1);
     }
 
@@ -397,7 +341,7 @@ mod tests {
 
     #[test]
     fn needs_fill_never_suppresses_on_the_filter_alone() {
-        let held = DigestEntry::new("alpha", 3);
+        let held = entry("alpha", 3);
         let filter = ShardFilter::build([held.key()].into_iter(), 8);
         // Advertised + confirmed: suppressed.
         assert!(!needs_fill(3, Some(&held), &filter));
@@ -415,23 +359,29 @@ mod tests {
     #[test]
     fn observing_a_known_term_keeps_its_key() {
         let mut v = VersionVector::new();
-        v.observe("t", 0);
-        assert_eq!((v.len(), v.get("t")), (1, 0), "version 0 is still recorded");
-        v.observe("t", 4);
-        v.observe_key(&TermKey::of("t"), 2);
-        assert_eq!((v.len(), v.get("t")), (1, 4));
+        let t = TermKey::of("t");
+        v.observe(&t, 0);
+        assert_eq!((v.len(), v.get(&t)), (1, 0), "version 0 is still recorded");
+        v.observe(&t, 4);
+        v.observe(&TermKey::of("t"), 2);
+        assert_eq!((v.len(), v.get(&TermKey::of("t"))), (1, 4));
         assert_eq!(v.iter().collect::<Vec<_>>(), vec![("t", 4)]);
+        // An equal key made afresh finds the entry and does not replace the
+        // key it is filed under.
+        assert!(v
+            .unordered()
+            .all(|(key, _)| Arc::ptr_eq(key.term(), t.term())));
     }
 
     #[test]
     fn a_bumped_entry_keeps_its_term_key() {
-        let entry = DigestEntry::new("honey", 3);
-        let bumped = entry.bumped(4);
+        let held = entry("honey", 3);
+        let bumped = held.bumped(4);
         assert!(Arc::ptr_eq(
-            entry.term_key().term(),
+            held.term_key().term(),
             bumped.term_key().term()
         ));
-        assert_eq!(bumped, DigestEntry::new("honey", 4));
+        assert_eq!(bumped, entry("honey", 4));
         assert_eq!(bumped.key(), FilterKey::of("honey", 4));
     }
 
@@ -444,28 +394,13 @@ mod tests {
             term: Arc::from(term),
         };
         let mut versions = VersionVector::new();
-        versions.observe_key(&forged("honey"), 3);
-        versions.observe_key(&forged("nectar"), 5);
-        versions.observe("nectar", 6);
+        versions.observe(&forged("honey"), 3);
+        versions.observe(&forged("nectar"), 5);
+        versions.observe(&forged("nectar"), 6);
         assert_eq!(versions.len(), 2);
-        assert_eq!(versions.get_key(&forged("honey")), 3);
-        assert_eq!(versions.get_key(&forged("nectar")), 6);
-        assert_eq!(versions.get("honey"), 3);
-    }
-
-    /// A term observed by text alone is keyed when the gossip path first
-    /// observes it by key, and keeps the higher of the two versions.
-    #[test]
-    fn a_term_known_by_text_moves_over_to_its_key() {
-        let mut versions = VersionVector::new();
-        versions.observe("honey", 4);
-        assert!(versions.key_of("honey").is_none());
-        assert_eq!(versions.get_key(&TermKey::of("honey")), 4);
-        versions.observe_key(&TermKey::of("honey"), 2);
-        assert_eq!(versions.key_of("honey"), Some(&TermKey::of("honey")));
-        assert_eq!((versions.len(), versions.get("honey")), (1, 4));
-        versions.observe("honey", 5);
-        assert_eq!(versions.get_key(&TermKey::of("honey")), 5);
+        assert_eq!(versions.get(&forged("honey")), 3);
+        assert_eq!(versions.get(&forged("nectar")), 6);
+        assert_eq!(versions.get(&TermKey::of("honey")), 3);
     }
 
     /// Terms whose text order is not their numeric order, nor (with
@@ -477,9 +412,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The keyed vector behaves as a `BTreeMap<String, u64>` of pairwise
-        /// maxima: `get` (by text and by key), `len` and `iter`, which must
-        /// list in term order.
+        /// The vector behaves as a `BTreeMap<String, u64>` of pairwise
+        /// maxima: `get` (by a kept key and by a key made afresh), `len` and
+        /// `iter`, which must list in term order.
         #[test]
         fn the_version_vector_matches_a_btree_model(
             steps in proptest::collection::vec(
@@ -489,16 +424,20 @@ mod tests {
         ) {
             let mut vector = VersionVector::new();
             let mut model: BTreeMap<String, u64> = BTreeMap::new();
+            // One key kept per term, as the engine keeps it.
+            let kept: Vec<TermKey> = (0..24).map(|t| TermKey::of(term(t))).collect();
             for (how, pairs) in steps {
-                // Observe each pair by text, each by key, or each by text
-                // and then by key one version lower.
+                // Observe each pair by its kept key, each by a key made
+                // afresh, or each by the kept key and then by a fresh one
+                // one version lower.
                 for &(t, v) in &pairs {
+                    let fresh = TermKey::of(term(t));
                     match how {
-                        0 => vector.observe(&term(t), v),
-                        1 => vector.observe_key(&TermKey::of(term(t)), v),
+                        0 => vector.observe(&kept[usize::from(t)], v),
+                        1 => vector.observe(&fresh, v),
                         _ => {
-                            vector.observe(&term(t), v);
-                            vector.observe_key(&TermKey::of(term(t)), v.saturating_sub(1));
+                            vector.observe(&kept[usize::from(t)], v);
+                            vector.observe(&fresh, v.saturating_sub(1));
                         }
                     }
                     let slot = model.entry(term(t)).or_insert(v);
@@ -508,8 +447,8 @@ mod tests {
                 prop_assert_eq!(vector.is_empty(), model.is_empty());
                 for t in 0..24 {
                     let expected = model.get(&term(t)).copied().unwrap_or(0);
-                    prop_assert_eq!(vector.get(&term(t)), expected);
-                    prop_assert_eq!(vector.get_key(&TermKey::of(term(t))), expected);
+                    prop_assert_eq!(vector.get(&kept[usize::from(t)]), expected);
+                    prop_assert_eq!(vector.get(&TermKey::of(term(t))), expected);
                 }
                 let listed: Vec<(String, u64)> =
                     vector.iter().map(|(t, v)| (t.to_string(), v)).collect();

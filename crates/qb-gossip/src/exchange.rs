@@ -381,7 +381,7 @@ impl Exchange<'_> {
                 debug_assert!(theirs
                     .hot()
                     .iter()
-                    .all(|e| known.get_key(e.term_key()) >= e.version()));
+                    .all(|e| known.get(e.term_key()) >= e.version()));
                 debug_assert!(
                     sync.advertised.len() == mine.hot().len()
                         && mine
@@ -403,7 +403,7 @@ impl Exchange<'_> {
             // versions exist is learned before any fill is admitted.
             sync.unsettle();
             for entry in theirs.hot() {
-                known.observe_key(entry.term_key(), entry.version());
+                known.observe(entry.term_key(), entry.version());
             }
             reconcile(
                 &mut sync.advertised,
@@ -422,7 +422,7 @@ impl Exchange<'_> {
 
         // Which versions exist is learned before any fill is admitted.
         for entry in theirs.digest() {
-            known.observe_key(entry.term_key(), entry.version());
+            known.observe(entry.term_key(), entry.version());
         }
 
         // Per-partner sync state: delta exchanges extend the advertised
@@ -623,14 +623,14 @@ impl Exchange<'_> {
         sync.unsettle();
         for (shard, sender_ttl, entry) in fills {
             self.stats.shards_pushed += 1;
-            let known = to.known.get_key(entry.term_key());
+            let known = to.known.get(entry.term_key());
             let outcome = to
                 .cache_mut()
                 .store_remote_shard(&shard, known, sender_ttl, self.now);
             match outcome {
                 RemoteAdmit::Accepted => {
                     self.stats.shards_accepted += 1;
-                    to.known.observe_key(entry.term_key(), shard.version);
+                    to.known.observe(entry.term_key(), shard.version);
                 }
                 RemoteAdmit::Stale => self.stats.stale_rejected += 1,
                 RemoteAdmit::Duplicate => self.stats.duplicates_skipped += 1,

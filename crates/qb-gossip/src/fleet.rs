@@ -2,7 +2,11 @@
 //!
 //! Every frontend owns a private [`QueryCache`], a [`VersionVector`] of the
 //! highest shard version it has observed per term, and — since the overlay
-//! became churn-aware — its own [`MembershipView`] of the fleet. A gossip
+//! became churn-aware — its own [`MembershipView`] of the fleet. The fleet
+//! takes a term only as its [`TermKey`]: the engine makes one per term and
+//! passes it to [`GossipFleet::observe`], [`GossipFleet::observe_publish`]
+//! and [`GossipFleet::note_batch_fetches`], so no fleet call hashes a term
+//! or looks one up by its text. A gossip
 //! round walks the active frontends; each one increments its heartbeat,
 //! samples `FANOUT` partners from the members *it* believes alive (biased
 //! toward its own latency zone, escaping cross-zone with a configurable
@@ -43,7 +47,7 @@
 //! confuse the fleet about the restarted process.
 //!
 //! **Batch-aware advertisements**: the engine queues a batch window's
-//! freshly fetched shard keys on the serving frontend
+//! freshly fetched `(term key, version)` pairs on the serving frontend
 //! ([`GossipFleet::note_batch_fetches`]); they ride its next digest round
 //! ahead of hot-set popularity and lead the fill order, warming the rest
 //! of the fleet one round earlier than the epidemic alone would.
@@ -194,7 +198,7 @@ impl GossipFleet {
 
     /// Record that frontend `i` observed `version` of `term` (e.g. through
     /// its own DHT fetch).
-    pub fn observe(&mut self, i: usize, term: &str, version: u64) {
+    pub fn observe(&mut self, i: usize, term: &TermKey, version: u64) {
         self.frontends[i].known.observe(term, version);
     }
 
@@ -282,7 +286,7 @@ impl GossipFleet {
         &mut self,
         net: &SimNet,
         writer_peer: u64,
-        term: &str,
+        term: &TermKey,
         version: u64,
         now: SimInstant,
     ) {
@@ -291,7 +295,7 @@ impl GossipFleet {
                 continue;
             }
             f.known.observe(term, version);
-            f.cache.invalidate_term(term, now);
+            f.cache.invalidate_term(term.term(), now);
         }
     }
 
@@ -434,13 +438,14 @@ impl GossipFleet {
         );
     }
 
-    /// Queue a batch window's freshly fetched `(term, version)` keys as
+    /// Queue a batch window's freshly fetched `(term, version)` pairs as
     /// priority advertisements of frontend `frontend`: they ride the next
     /// digest round (and lead its fill order) even when hot-set popularity
     /// alone would not have promoted them yet, so the rest of the fleet
-    /// warms one round earlier. No-op while gossip or
+    /// warms one round earlier. Each queued entry keeps the caller's key
+    /// and hashes only its fingerprint. No-op while gossip or
     /// [`GossipConfig::batch_advertise`] is off.
-    pub fn note_batch_fetches(&mut self, frontend: usize, terms: &[(String, u64)]) {
+    pub fn note_batch_fetches(&mut self, frontend: usize, terms: &[(TermKey, u64)]) {
         const MAX_PENDING: usize = 256;
         if !self.config.enabled || !self.config.batch_advertise {
             return;
@@ -453,9 +458,9 @@ impl GossipFleet {
             if f.pending_adverts.len() >= MAX_PENDING {
                 break;
             }
-            if !f.pending_adverts.iter().any(|e| e.term() == term) {
+            if !f.pending_adverts.iter().any(|e| e.term_key() == term) {
                 f.pending_adverts
-                    .push(DigestEntry::new(term.as_str(), *version));
+                    .push(DigestEntry::new(term.clone(), *version));
             }
         }
     }
@@ -471,26 +476,23 @@ impl GossipFleet {
     fn zone_covering_partner(&self, net: &SimNet, i: usize) -> Option<u64> {
         let f = &self.frontends[i];
         let cache = &f.cache;
-        let mut missing: Vec<(&str, u64)> = f
+        let mut missing: Vec<(&TermKey, u64)> = f
             .known
             .unordered()
-            .filter(|&(term, version)| cache.cached_shard_version(term).is_none_or(|c| c < version))
+            .filter(|&(term, version)| {
+                cache
+                    .cached_shard_version(term.term())
+                    .is_none_or(|c| c < version)
+            })
             .collect();
         // The first `MAX_ZONE_AE_MISSING` in term order, as a set.
         if missing.len() > MAX_ZONE_AE_MISSING {
-            missing.select_nth_unstable_by_key(MAX_ZONE_AE_MISSING, |&(term, _)| term);
+            missing.select_nth_unstable_by_key(MAX_ZONE_AE_MISSING, |&(term, _)| term.term());
             missing.truncate(MAX_ZONE_AE_MISSING);
         }
         if missing.is_empty() {
             return None;
         }
-        let missing: Vec<(TermKey, u64)> = missing
-            .into_iter()
-            .map(|(term, version)| {
-                let key = f.known.key_of(term).cloned();
-                (key.unwrap_or_else(|| TermKey::of(term)), version)
-            })
-            .collect();
         let mut best: Option<(usize, u64)> = None; // (covered, peer)
         for (j, cand) in self.frontends.iter().enumerate() {
             if j == i || cand.departed || cand.zone != f.zone || !net.is_online(cand.peer) {
@@ -502,7 +504,7 @@ impl GossipFleet {
             let covered = missing
                 .iter()
                 .filter(|(term, version)| {
-                    sync.holdings.get(term).map_or(0, DigestEntry::version) >= *version
+                    sync.holdings.get(*term).map_or(0, DigestEntry::version) >= *version
                         || sync
                             .filter
                             .as_ref()
@@ -591,7 +593,7 @@ mod tests {
         let (mut fleet, mut net) = fleet(3);
         let now = SimInstant::ZERO;
         fleet.cache_mut(0).store_shard(&shard("honey", 2, 4), now);
-        fleet.observe(0, "honey", 2);
+        fleet.observe(0, &TermKey::of("honey"), 2);
         fleet.run_round(&mut net, now, false);
         for i in 1..3 {
             assert_eq!(
@@ -599,7 +601,7 @@ mod tests {
                 Some(2),
                 "frontend {i} should have been warmed"
             );
-            assert_eq!(fleet.frontend(i).known.get("honey"), 2);
+            assert_eq!(fleet.frontend(i).known.get(&TermKey::of("honey")), 2);
         }
         let s = fleet.stats();
         assert!(s.shards_accepted >= 2);
@@ -618,7 +620,7 @@ mod tests {
         net.set_tracing(true);
         let now = SimInstant::ZERO;
         fleet.cache_mut(0).store_shard(&shard("nectar", 2, 4), now);
-        fleet.observe(0, "nectar", 2);
+        fleet.observe(0, &TermKey::of("nectar"), 2);
         fleet.run_round(&mut net, now, false);
         let stats = *fleet.stats();
         let trace = net.take_trace();
@@ -642,7 +644,7 @@ mod tests {
         // seeded untraced fleet accumulates identical stats.
         let (mut fleet2, mut net2) = fleet_with(GossipConfig::enabled(3), 3 + 8);
         fleet2.cache_mut(0).store_shard(&shard("nectar", 2, 4), now);
-        fleet2.observe(0, "nectar", 2);
+        fleet2.observe(0, &TermKey::of("nectar"), 2);
         fleet2.run_round(&mut net2, now, false);
         assert_eq!(*fleet2.stats(), stats);
     }
@@ -654,7 +656,7 @@ mod tests {
         for t in 0..32 {
             let s = shard(&format!("term{t}"), 1, 3);
             fleet.cache_mut(0).store_shard(&s, now);
-            fleet.observe(0, &s.term, 1);
+            fleet.observe(0, &TermKey::of(s.term.as_str()), 1);
         }
         for _ in 0..4 {
             fleet.run_round(&mut net, now, false);
@@ -685,7 +687,7 @@ mod tests {
         let (mut fleet, mut net) = fleet_with(config, 12);
         let now = SimInstant::ZERO;
         fleet.cache_mut(0).store_shard(&shard("honey", 2, 4), now);
-        fleet.observe(0, "honey", 2);
+        fleet.observe(0, &TermKey::of("honey"), 2);
         fleet.run_round(&mut net, now, false);
         for i in 1..3 {
             assert_eq!(
@@ -750,7 +752,7 @@ mod tests {
         // Frontend 0 still holds v1; frontend 1 observed the v2 republish
         // (e.g. through a publish event) but has nothing cached.
         fleet.cache_mut(0).store_shard(&shard("news", 1, 2), now);
-        fleet.observe(1, "news", 2);
+        fleet.observe(1, &TermKey::of("news"), 2);
         fleet.run_round(&mut net, now, false);
         assert_eq!(
             fleet.frontend(1).cache().cached_shard_version("news"),
@@ -774,7 +776,7 @@ mod tests {
             fleet.frontend(1).cache().cached_shard_version("alpha"),
             Some(3)
         );
-        assert_eq!(fleet.frontend(1).known.get("alpha"), 3);
+        assert_eq!(fleet.frontend(1).known.get(&TermKey::of("alpha")), 3);
     }
 
     #[test]
@@ -784,7 +786,7 @@ mod tests {
         for t in 0..8 {
             let s = shard(&format!("hot{t}"), 1, 3);
             fleet.cache_mut(0).store_shard(&s, now);
-            fleet.observe(0, &s.term, 1);
+            fleet.observe(0, &TermKey::of(s.term.as_str()), 1);
         }
         fleet.run_round(&mut net, now, false);
         // A new frontend joins on a fresh peer and warms itself from the
@@ -869,7 +871,7 @@ mod tests {
         let (mut fleet, mut net) = fleet(3);
         let now = SimInstant::ZERO;
         fleet.cache_mut(0).store_shard(&shard("honey", 2, 4), now);
-        fleet.observe(0, "honey", 2);
+        fleet.observe(0, &TermKey::of("honey"), 2);
         fleet.run_round(&mut net, now, false);
         assert_eq!(
             fleet.frontend(2).cache().cached_shard_version("honey"),
@@ -916,15 +918,15 @@ mod tests {
             let now = SimInstant::ZERO;
             for term in ["hotA", "hotB"] {
                 fleet.cache_mut(0).store_shard(&shard(term, 1, 3), now);
-                fleet.observe(0, term, 1);
+                fleet.observe(0, &TermKey::of(term), 1);
                 for _ in 0..8 {
                     let _ = fleet.cache_mut(0).lookup_shard(term, now, 1);
                 }
             }
             // The batch window's fresh fetch: cold in popularity terms.
             fleet.cache_mut(0).store_shard(&shard("fresh", 2, 3), now);
-            fleet.observe(0, "fresh", 2);
-            fleet.note_batch_fetches(0, &[("fresh".to_string(), 2)]);
+            fleet.observe(0, &TermKey::of("fresh"), 2);
+            fleet.note_batch_fetches(0, &[(TermKey::of("fresh"), 2)]);
             fleet.run_round(&mut net, now, false);
             let warmed = (1..3)
                 .filter_map(|i| fleet.frontend(i).cache().cached_shard_version("fresh"))
@@ -944,7 +946,7 @@ mod tests {
         fleet
             .cache_mut(0)
             .store_shard(&shard("fresh", 2, 3), SimInstant::ZERO);
-        fleet.note_batch_fetches(0, &[("fresh".to_string(), 2)]);
+        fleet.note_batch_fetches(0, &[(TermKey::of("fresh"), 2)]);
         assert_eq!(fleet.frontend(0).pending_adverts.len(), 1);
         fleet.run_round(&mut net, SimInstant::ZERO, false);
         assert!(fleet.frontend(0).pending_adverts.is_empty());
@@ -957,7 +959,7 @@ mod tests {
         for t in 0..8 {
             let s = shard(&format!("term{t}"), 1, 3);
             fleet.cache_mut(0).store_shard(&s, now);
-            fleet.observe(0, &s.term, 1);
+            fleet.observe(0, &TermKey::of(s.term.as_str()), 1);
         }
         // Round 1 moves fills (caches mutate: filters rebuild). Run more
         // rounds at the same instant once the fleet converged: holdings
@@ -1074,7 +1076,7 @@ mod tests {
         let (mut fleet, mut net) = fleet(3);
         let now = SimInstant::ZERO;
         fleet.cache_mut(0).store_shard(&shard("honey", 2, 4), now);
-        fleet.observe(0, "honey", 2);
+        fleet.observe(0, &TermKey::of("honey"), 2);
         fleet.run_round(&mut net, now, false);
         let s = *fleet.stats();
         assert!(s.fill_bytes > 0);
@@ -1087,7 +1089,7 @@ mod tests {
         for t in 0..24 {
             let s = shard(&format!("term{t}"), 1, 3);
             fleet.cache_mut(0).store_shard(&s, now);
-            fleet.observe(0, &s.term, 1);
+            fleet.observe(0, &TermKey::of(s.term.as_str()), 1);
         }
         for _ in 0..10 {
             fleet.run_round(&mut net, now, false);
@@ -1115,7 +1117,7 @@ mod tests {
             for t in 0..24 {
                 let s = shard(&format!("term{t}"), 1, 3);
                 fleet.cache_mut(0).store_shard(&s, now);
-                fleet.observe(0, &s.term, 1);
+                fleet.observe(0, &TermKey::of(s.term.as_str()), 1);
             }
             for _ in 0..3 {
                 fleet.run_round(&mut net, now, false);
@@ -1148,7 +1150,7 @@ mod tests {
         for t in 0..6 {
             let s = shard(&format!("term{t}"), 2, 3);
             fleet.cache_mut(0).store_shard(&s, now);
-            fleet.observe(0, &s.term, 2);
+            fleet.observe(0, &TermKey::of(s.term.as_str()), 2);
         }
         // The writer publishes the artifact and notifies the fleet.
         let segment = Segment::export(fleet.frontend(0).cache(), usize::MAX, now);
@@ -1172,7 +1174,10 @@ mod tests {
                 Some(2),
                 "joiner must hold {term} from the artifact"
             );
-            assert_eq!(fleet.frontend(idx).known.get(&term), 2);
+            assert_eq!(
+                fleet.frontend(idx).known.get(&TermKey::of(term.as_str())),
+                2
+            );
         }
         // The joiner now advertises the artifact itself, and every byte of
         // the probe + fetch showed up on the network.
@@ -1189,7 +1194,7 @@ mod tests {
             GossipFleet::new(GossipConfig::enabled(3), &CacheConfig::enabled(), 0xF1EE7);
         let now = SimInstant::ZERO;
         fleet.cache_mut(0).store_shard(&shard("honey", 2, 4), now);
-        fleet.observe(0, "honey", 2);
+        fleet.observe(0, &TermKey::of("honey"), 2);
         // Converge the veterans so any bootstrap neighbour can warm the
         // joiner.
         fleet.run_round(&mut net, now, false);
@@ -1215,7 +1220,7 @@ mod tests {
         for t in 0..5 {
             let s = shard(&format!("term{t}"), 1, 3);
             fleet.cache_mut(0).store_shard(&s, now);
-            fleet.observe(0, &s.term, 1);
+            fleet.observe(0, &TermKey::of(s.term.as_str()), 1);
         }
         // Converge the veterans, then measure the join against that floor:
         // everything a join's warm-up moves is bootstrap-class.
@@ -1230,14 +1235,14 @@ mod tests {
         let bootstrap_before = s.bootstrap_fill_bytes;
         let fill_before = s.fill_bytes;
         fleet.cache_mut(0).store_shard(&shard("fresh", 1, 2), now);
-        fleet.observe(0, "fresh", 1);
+        fleet.observe(0, &TermKey::of("fresh"), 1);
         fleet.run_round(&mut net, now, false);
         let s = fleet.stats();
         assert!(s.fill_bytes > fill_before);
         assert_eq!(s.bootstrap_fill_bytes, bootstrap_before);
         // An anti-entropy round lands in its own class too.
         fleet.cache_mut(0).store_shard(&shard("late", 3, 2), now);
-        fleet.observe(0, "late", 3);
+        fleet.observe(0, &TermKey::of("late"), 3);
         fleet.run_round(&mut net, now, true);
         let s = fleet.stats();
         assert!(s.anti_entropy_fill_bytes > 0);
@@ -1256,12 +1261,12 @@ mod tests {
         let (mut fleet, net) = fleet_with(config, 12);
         let now = SimInstant::ZERO;
         // Frontend 0 (zone 0) knows of a shard it does not hold.
-        fleet.observe(0, "missing", 3);
+        fleet.observe(0, &TermKey::of("missing"), 3);
         // Nothing known about any partner yet: no candidate qualifies.
         assert_eq!(fleet.zone_covering_partner(&net, 0), None);
         let believe = |fleet: &mut GossipFleet, partner: u64, version: u64| {
             let view = &mut fleet.frontends[0].sync.entry(partner).or_default().holdings;
-            note_holding(view, &DigestEntry::new("missing", version));
+            note_holding(view, &DigestEntry::new(TermKey::of("missing"), version));
         };
         // Frontend 1 (zone 1) advertises coverage — wrong zone, skipped.
         believe(&mut fleet, 1, 3);
@@ -1293,7 +1298,7 @@ mod tests {
         // Frontend 0 knows of m00..m40 and holds only m05: 40 missing terms,
         // of which the first 32 in term order run m00..m04, m06..m32.
         for t in 0..=40 {
-            fleet.observe(0, &format!("m{t:02}"), 1);
+            fleet.observe(0, &TermKey::of(format!("m{t:02}")), 1);
         }
         fleet
             .cache_mut(0)
@@ -1302,7 +1307,7 @@ mod tests {
             let view = &mut fleet.frontends[0].sync.entry(partner).or_default().holdings;
             view.clear();
             for t in terms {
-                note_holding(view, &DigestEntry::new(format!("m{t:02}"), 1));
+                note_holding(view, &DigestEntry::new(TermKey::of(format!("m{t:02}")), 1));
             }
         };
         // Frontend 2 covers ten missing terms, two of them inside the cut;
@@ -1333,7 +1338,7 @@ mod tests {
             }
             for i in 0..8 {
                 for t in 0..10 {
-                    fleet.observe(i, &format!("term{t}"), 2);
+                    fleet.observe(i, &TermKey::of(format!("term{t}")), 2);
                 }
             }
             // One regular round establishes per-partner sync state (and
@@ -1369,7 +1374,7 @@ mod tests {
         for t in 0..terms {
             let s = shard(&format!("term{t}"), 1, 3);
             fleet.cache_mut(0).store_shard(&s, now);
-            fleet.observe(0, &s.term, 1);
+            fleet.observe(0, &TermKey::of(s.term.as_str()), 1);
         }
         for _ in 0..3 {
             assert!(fleet.exchange(&mut net, 0, 1, now, ExchangeClass::Regular));
@@ -1431,7 +1436,7 @@ mod tests {
         // A republish invalidates `term3` on both frontends; frontend 0
         // refetches the new version. Its listing changed, so its record is
         // void: the bumped pair rides the delta and the shard follows.
-        fleet.observe_publish(&net, 9, "term3", 2, now);
+        fleet.observe_publish(&net, 9, &TermKey::of("term3"), 2, now);
         fleet.cache_mut(0).store_shard(&shard("term3", 2, 3), now);
         let (loud, accepted, settled) = regular_exchange(&mut fleet, &mut net);
         assert_eq!(loud, quiet + ("term3".len() + 9) as u64);
@@ -1570,7 +1575,7 @@ mod tests {
         assert_ne!(entry(&before, "beta").key(), entry(&after, "beta").key());
         assert!(!shares_term("gamma"), "a new id is keyed afresh");
         for e in after.iter() {
-            assert_eq!(*e, DigestEntry::new(e.term(), e.version()));
+            assert_eq!(*e, DigestEntry::new(TermKey::of(e.term()), e.version()));
         }
     }
 
@@ -1676,7 +1681,7 @@ mod tests {
         for t in 0..4 {
             let s = shard(&format!("term{t}"), 1, 3);
             fleet.cache_mut(0).store_shard(&s, now);
-            fleet.observe(0, &s.term, 1);
+            fleet.observe(0, &TermKey::of(s.term.as_str()), 1);
         }
         let mut exchanges = 0;
         while regular_exchange(&mut fleet, &mut net).2 < 2 {
@@ -1723,7 +1728,7 @@ mod tests {
         // The advert names a shard of the very listing the record was
         // written over — nothing in frontend 0's tier moved — and must
         // still be offered.
-        fleet.note_batch_fetches(0, &[("cold".to_string(), 1)]);
+        fleet.note_batch_fetches(0, &[(TermKey::of("cold"), 1)]);
         let (_, accepted, _) = regular_exchange(&mut fleet, &mut net);
         assert_eq!(accepted, 1, "the advert's shard is pushed");
         assert_eq!(
@@ -1739,7 +1744,7 @@ mod tests {
         // A window re-fetched `term3`, which frontend 1 was told of and
         // holds: the advert rides the digest and frontend 0 scans for it,
         // but neither map moves, so frontend 1's record stands ...
-        fleet.note_batch_fetches(0, &[("term3".to_string(), 1)]);
+        fleet.note_batch_fetches(0, &[(TermKey::of("term3"), 1)]);
         let advert = ("term3".len() + 9) as u64;
         assert_eq!(
             regular_exchange(&mut fleet, &mut net),
@@ -1889,7 +1894,7 @@ mod tests {
         // Frontend 1 may not take the record over its old listing (it
         // advertises and offers the newcomer), frontend 0 not the one over
         // frontend 1's old listing (it learns the newcomer is held).
-        fleet.observe(0, "newcomer", 2);
+        fleet.observe(0, &TermKey::of("newcomer"), 2);
         fleet
             .cache_mut(1)
             .store_shard(&shard("newcomer", 1, 3), SimInstant::ZERO);
@@ -1919,10 +1924,14 @@ mod tests {
             sync.unsettle();
             sync.advertised.insert(TermKey::of("gone"), 7);
             sync.advertised.insert(TermKey::of("term1"), 9);
-            sync.holdings
-                .insert(TermKey::of("gone"), DigestEntry::new("gone", 7));
-            sync.holdings
-                .insert(TermKey::of("term2"), DigestEntry::new("term2", 9));
+            sync.holdings.insert(
+                TermKey::of("gone"),
+                DigestEntry::new(TermKey::of("gone"), 7),
+            );
+            sync.holdings.insert(
+                TermKey::of("term2"),
+                DigestEntry::new(TermKey::of("term2"), 9),
+            );
             assert_eq!((sync.advertised.len(), sync.holdings.len()), (11, 11));
         }
         assert_full_exchange_is_exact(&mut fleet, &mut net);
@@ -1998,7 +2007,7 @@ mod tests {
             fleet
                 .cache_mut(f)
                 .store_shard(&shard(&term, version, 2 + t % 4), now);
-            fleet.observe(f, &term, version);
+            fleet.observe(f, &TermKey::of(term.as_str()), version);
             versions.insert(term, version);
         }
         let mut forced = 0;
@@ -2018,19 +2027,19 @@ mod tests {
             if matches!(step, 10 | 22 | 31) {
                 let term = "term05".to_string();
                 let version = versions[&term] + 1;
-                fleet.observe_publish(&net, 9, &term, version, now);
+                fleet.observe_publish(&net, 9, &TermKey::of(term.as_str()), version, now);
                 fleet
                     .cache_mut(1)
                     .store_shard(&shard(&term, version, 4), now);
-                fleet.observe(1, &term, version);
+                fleet.observe(1, &TermKey::of(term.as_str()), version);
                 versions.insert(term, version);
             }
             // A late fetch of new terms keeps fills flowing mid-run.
             if step % 9 == 0 {
                 let term = format!("late{step:02}");
                 fleet.cache_mut(2).store_shard(&shard(&term, 1, 3), now);
-                fleet.observe(2, &term, 1);
-                fleet.note_batch_fetches(2, &[(term.clone(), 1)]);
+                fleet.observe(2, &TermKey::of(term.as_str()), 1);
+                fleet.note_batch_fetches(2, &[(TermKey::of(term.as_str()), 1)]);
                 versions.insert(term, 1);
             }
             // Frontend 0 hears of a newer `late18` nobody holds yet and
@@ -2038,7 +2047,7 @@ mod tests {
             // belief is no longer confirmed by its filter) and the version
             // guard keeps rejecting it.
             if step == 28 {
-                fleet.observe(0, "late18", 2);
+                fleet.observe(0, &TermKey::of("late18"), 2);
                 fleet.cache_mut(0).invalidate_term("late18", now);
             }
             if step == 20 {
@@ -2170,7 +2179,7 @@ mod tests {
                 for t in 0..9usize {
                     let term = format!("term{t:02}");
                     fleet.cache_mut(t % 3).store_shard(&shard(&term, 1, 2 + t % 4), SimInstant::ZERO);
-                    fleet.observe(t % 3, &term, 1);
+                    fleet.observe(t % 3, &TermKey::of(term.as_str()), 1);
                 }
                 (fleet, net)
             };
@@ -2204,13 +2213,13 @@ mod tests {
                         4 => {
                             let docs = 2 + term.len() % 3 + f;
                             fleet.cache_mut(f).store_shard(&shard(&term, version, docs), now);
-                            fleet.observe(f, &term, version);
-                            fleet.note_batch_fetches(f, &[(term.clone(), version)]);
+                            fleet.observe(f, &TermKey::of(term.as_str()), version);
+                            fleet.note_batch_fetches(f, &[(TermKey::of(term.as_str()), version)]);
                         }
                         5 => {
-                            fleet.observe_publish(net, 9, &term, republished, now);
+                            fleet.observe_publish(net, 9, &TermKey::of(term.as_str()), republished, now);
                             fleet.cache_mut(f).store_shard(&shard(&term, republished, 3), now);
-                            fleet.observe(f, &term, republished);
+                            fleet.observe(f, &TermKey::of(term.as_str()), republished);
                         }
                         6 => {
                             fleet.cache_mut(f).invalidate_term(&term, now);

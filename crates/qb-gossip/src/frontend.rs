@@ -35,7 +35,7 @@
 //!   tier.
 
 use crate::config::FILTER_BITS_PER_ENTRY;
-use crate::digest::{DigestEntry, HoldingsView, TermMap, VersionVector};
+use crate::digest::{DigestEntry, HoldingsView, TermKey, TermMap, VersionVector};
 use crate::filter::ShardFilter;
 use crate::membership::MembershipView;
 use crate::stats::GossipStats;
@@ -189,7 +189,7 @@ impl RankedListing {
             .iter()
             .map(|shard| match listed(shard) {
                 Some(entry) => entry.bumped(shard.version),
-                None => DigestEntry::new(shard.key, shard.version),
+                None => DigestEntry::new(TermKey::of(shard.key), shard.version),
             })
             .collect();
         self.filter = None;
@@ -448,12 +448,14 @@ impl Frontend {
     /// Install a segment — a fetched bootstrap artifact, or a previous
     /// session's warm-start snapshot — into the cache under the version
     /// guard (a shard older than this frontend's knowledge is rejected),
-    /// then record every shard version the segment carries.
+    /// then record every shard version the segment carries. A segment is
+    /// the one way a term reaches a frontend without passing the engine,
+    /// so its terms are keyed here.
     pub fn import_segment(&mut self, segment: &Segment, now: SimInstant) -> ImportReport {
         let Frontend { cache, known, .. } = self;
-        let report = segment.import_into(cache, |term| known.get(term), now);
+        let report = segment.import_into(cache, |term| known.get(&TermKey::of(term)), now);
         for shard in segment.shards() {
-            known.observe(&shard.term, shard.version);
+            known.observe(&TermKey::of(shard.term.as_str()), shard.version);
         }
         report
     }

@@ -40,9 +40,11 @@
 //!   protocol. Every frontend tracks the highest shard version it has
 //!   observed per term; an incoming fill older than that is rejected, so a
 //!   stale shard is never accepted over fresher knowledge. A `(term,
-//!   version)` pair travels host-side as a [`DigestEntry`]: hashed into its
-//!   [`TermKey`] and its [`FilterKey`] once, then shared by handle, and
-//!   every per-term map of the gossip path is a [`TermMap`] probed by that
+//!   version)` pair travels host-side as a [`DigestEntry`]: the term's
+//!   [`TermKey`] (made once, where the term first enters the host — the
+//!   engine passes the key it keeps per term) beside the pair's
+//!   [`FilterKey`], shared by handle, and every per-term map of the gossip
+//!   path, the version vector included, is a [`TermMap`] probed by that
 //!   key.
 //! * [`MembershipView`] / [`MembershipSummary`] — per-frontend fleet views,
 //!   heartbeats and the zone-biased partner sampler.

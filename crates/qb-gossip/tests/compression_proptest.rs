@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 /// and receiver states overlap, diverge and re-converge across cases.
 fn holdings_vec(map: &BTreeMap<u8, u64>) -> Vec<DigestEntry> {
     map.iter()
-        .map(|(t, v)| DigestEntry::new(format!("t{t}"), *v))
+        .map(|(t, v)| DigestEntry::new(TermKey::of(format!("t{t}")), *v))
         .collect()
 }
 
@@ -137,7 +137,7 @@ proptest! {
         evicted_id in 10u8..20,
         version in 1u64..6,
     ) {
-        let advertised = DigestEntry::new(format!("t{evicted_id}"), version);
+        let advertised = DigestEntry::new(TermKey::of(format!("t{evicted_id}")), version);
         // The receiver once advertised `term`@version but evicted it; the
         // fresh filter only covers what it still holds.
         let filter = filter_over(&holdings_vec(&kept), 8);

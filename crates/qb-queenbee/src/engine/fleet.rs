@@ -191,7 +191,7 @@ impl QueenBee {
                 ));
             };
             let known = &self.shard_versions;
-            segment.import_into(cache, |term| known.get(term).copied().unwrap_or(0), now)
+            segment.import_into(cache, |term| known.get(term).map_or(0, |row| row.0), now)
         };
         Ok(report.accepted as usize)
     }

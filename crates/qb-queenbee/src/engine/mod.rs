@@ -45,13 +45,31 @@ use qb_cache::{CacheMetrics, QueryCache};
 use qb_chain::{AccountId, Blockchain, Call};
 use qb_common::{QbResult, SimDuration, SimInstant};
 use qb_dht::DhtNetwork;
-use qb_gossip::GossipFleet;
+use qb_gossip::{GossipFleet, TermKey};
 use qb_index::{Analyzer, DistributedIndex, Impacts, IndexStats, ShardViews};
 use qb_segment::{Segment, SegmentRef, SegmentStats};
 use qb_simnet::SimNet;
 use qb_storage::StorageNetwork;
 use qb_trace::OpChain;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
+
+/// `term`'s row of the engine's version table: `(highest written version,
+/// key)`. A term's first sighting — its first write, or a fleet observation
+/// of a term no page holds — enters it at version 0 under a key made here,
+/// the one place the engine hashes a term into its [`TermKey`].
+fn version_row<'a>(
+    versions: &'a mut HashMap<Arc<str>, (u64, TermKey)>,
+    term: &str,
+) -> &'a mut (u64, TermKey) {
+    let text = match versions.get_key_value(term) {
+        Some((text, _)) => Arc::clone(text),
+        None => Arc::from(term),
+    };
+    versions
+        .entry(text)
+        .or_insert_with_key(|text| (0, TermKey::of(Arc::clone(text))))
+}
 
 /// The assembled QueenBee deployment (Figure 1 of the paper).
 pub struct QueenBee {
@@ -77,10 +95,13 @@ pub struct QueenBee {
     bees: Vec<WorkerBee>,
     event_cursor: usize,
     index_stats: IndexStats,
-    /// Highest shard version this engine has written per term. DHT reads can
-    /// return a stale local replica; taking the max with this counter keeps
-    /// shard versions monotonic so replicas never reject a newer write.
-    shard_versions: HashMap<String, u64>,
+    /// Highest shard version this engine has written per term, beside the
+    /// term's gossip key. DHT reads can return a stale local replica; taking
+    /// the max with this counter keeps shard versions monotonic so replicas
+    /// never reject a newer write. This table is where a term's text meets
+    /// its [`TermKey`]: the key is made once per term (`version_row`) and
+    /// every fleet call takes it from here.
+    shard_versions: HashMap<Arc<str>, (u64, TermKey)>,
     /// Each indexed page's length and its term counts (the analyzer's,
     /// sorted by term): the length leaves the collection statistics when
     /// the page is re-indexed, and the terms let a new page version remove
@@ -1397,6 +1418,49 @@ mod tests {
         assert!(qb.gossip_stats().unwrap().rounds >= 1);
         let warmed = qb.search_request(at_frontend(1, "timed rounds")).unwrap();
         assert_eq!(warmed.shards_fetched(), 0);
+    }
+
+    /// A fleet query for a term no page holds records the term at version 0
+    /// in the serving frontend's version vector, under the key the engine's
+    /// version table made for it (zone-aware anti-entropy reads that
+    /// record); the other frontends learn nothing, and a later publish of
+    /// the term raises its version everywhere.
+    #[test]
+    fn a_queried_term_no_page_holds_is_known_at_version_zero() {
+        let mut qb = fleet_engine(3, false);
+        qb.publish(5, AccountId(1_000), &page("wiki/a", "meadow honey", vec![]))
+            .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let term = qb_index::Analyzer::stem("clover");
+        let key = TermKey::of(term.as_str());
+        let known = |qb: &QueenBee, i: usize| qb.fleet().unwrap().frontend(i).known.clone();
+        let before: Vec<usize> = (0..3).map(|i| known(&qb, i).len()).collect();
+
+        let out = qb.search_request(at_frontend(0, "clover")).unwrap();
+        assert!(out.hits.is_empty());
+        let served = known(&qb, 0);
+        assert_eq!(served.len(), before[0] + 1);
+        assert_eq!(served.get(&key), 0);
+        assert!(served.iter().any(|entry| entry == (term.as_str(), 0)));
+        for (i, len) in before.iter().enumerate().skip(1) {
+            assert_eq!(known(&qb, i).len(), *len, "frontend {i} is unchanged");
+            assert!(known(&qb, i).iter().all(|(t, _)| t != term));
+        }
+        assert_eq!(qb.shard_versions[term.as_str()].0, 0);
+
+        qb.publish(
+            5,
+            AccountId(1_000),
+            &page("wiki/c", "clover fields", vec![]),
+        )
+        .unwrap();
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        for i in 0..3 {
+            assert_eq!(known(&qb, i).get(&key), 1, "frontend {i}");
+        }
+        assert_eq!(known(&qb, 0).len(), known(&qb, 1).len());
     }
 
     #[test]

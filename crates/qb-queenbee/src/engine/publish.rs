@@ -1,7 +1,7 @@
 //! The publish seam: publishing pages, the worker bees' indexing of publish
 //! events into the distributed index, and writer-side segment compaction.
 
-use super::QueenBee;
+use super::{version_row, QueenBee};
 use crate::attacks::ScraperAttack;
 use crate::config::{DUPLICATE_THRESHOLD, SLASH_AMOUNT};
 use crate::defense::{verify_index_submissions, MinHashSignature, VerificationOutcome};
@@ -372,7 +372,7 @@ impl QueenBee {
     fn read_shard_for_writer(&mut self, writer_peer: u64, term: &str) -> QbResult<ShardEntry> {
         self.writer_shard_reads += 1;
         let now = self.net.now();
-        let current_version = self.shard_versions.get(term).copied().unwrap_or(0);
+        let current_version = self.shard_versions.get(term).map_or(0, |row| row.0);
         if let Some(cache) = self.writer_cache.as_mut() {
             match cache.lookup_shard(term, now, current_version) {
                 ShardLookup::Hit(shard) => {
@@ -414,20 +414,11 @@ impl QueenBee {
         mut shard: ShardEntry,
         now: SimInstant,
     ) -> QbResult<()> {
-        // A known term's counter is bumped in place: only a term written
-        // for the first time allocates its key.
-        let next_version = match self.shard_versions.get_mut(&shard.term) {
-            Some(known) => {
-                *known = (*known).max(shard.version) + 1;
-                *known
-            }
-            None => {
-                let first = shard.version + 1;
-                self.shard_versions.insert(shard.term.clone(), first);
-                first
-            }
-        };
-        shard.version = next_version;
+        // A known term's counter is bumped in place: only a term seen for
+        // the first time allocates (and hashes) its key.
+        let (known, key) = version_row(&mut self.shard_versions, &shard.term);
+        *known = (*known).max(shard.version) + 1;
+        shard.version = *known;
         let (_, value, encoded_len) = self.dist_index.write_shard(
             &mut self.net,
             &mut self.dht,
@@ -453,7 +444,7 @@ impl QueenBee {
             cache.invalidate_term(&shard.term, now);
         }
         if let Some(fleet) = self.fleet.as_mut() {
-            fleet.observe_publish(&self.net, writer_peer, &shard.term, shard.version, now);
+            fleet.observe_publish(&self.net, writer_peer, key, shard.version, now);
         }
         if self.config.segment.enabled {
             self.pending_segment.insert_measured(shard, encoded_len);

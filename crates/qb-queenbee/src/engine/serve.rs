@@ -4,7 +4,7 @@
 //! through is `engine/windows.rs`.
 
 use super::windows::WindowReads;
-use super::QueenBee;
+use super::{version_row, QueenBee};
 use crate::query::pipeline::{PipelineConfig, PipelineOutcome};
 use crate::query::plan::{PlannedTerm, QueryPlan, Resolution, StatsPlan, TermPlan};
 use crate::query::request::{RoutingPolicy, SearchRequest};
@@ -491,7 +491,8 @@ impl QueenBee {
         same.then(|| Arc::clone(&entry.results))
     }
 
-    /// Record the shard versions a fleet frontend observed while serving.
+    /// Record the shard versions a fleet frontend observed while serving,
+    /// each under the key the engine's version table holds for the term.
     fn record_observations<'a>(
         &mut self,
         frontend: Option<usize>,
@@ -499,7 +500,8 @@ impl QueenBee {
     ) {
         if let (Some(i), Some(fleet)) = (frontend, self.fleet.as_mut()) {
             for (term, version) in observed {
-                fleet.observe(i, term, version);
+                let (_, key) = version_row(&mut self.shard_versions, term);
+                fleet.observe(i, key, version);
             }
         }
     }
@@ -635,7 +637,7 @@ mod tests {
             (on.index_stats.num_docs, on.index_stats.total_len),
             (stats.num_docs, stats.total_len)
         );
-        assert_ne!(on.shard_versions["meadow"], versions["meadow"]);
+        assert_ne!(on.shard_versions["meadow"].0, versions["meadow"].0);
         serve(&mut on, &mut off, "meadow honey");
         assert_eq!(counts(&on), (2, 2), "a republished term scores again");
         serve(&mut on, &mut off, "meadow honey");
@@ -649,7 +651,7 @@ mod tests {
             publish(qb, std::slice::from_ref(&unrelated));
         }
         for term in ["meadow", "honey"] {
-            assert_eq!(on.shard_versions[term], versions[term]);
+            assert_eq!(on.shard_versions[term].0, versions[term].0);
         }
         serve(&mut on, &mut off, "meadow honey");
         assert_eq!(counts(&on), (3, 3), "new statistics score again");

@@ -70,12 +70,13 @@
 //! effects are applied at the call instant, while issue and completion
 //! instants drive latency, queueing and makespan accounting.
 
-use super::QueenBee;
+use super::{version_row, QueenBee};
 use crate::query::pipeline::{PipelineConfig, PipelineReport, WindowSpan};
 use crate::query::plan::{plan_query, QueryPlan, Resolution, StatsPlan, TermPlan};
 use crate::query::request::SearchRequest;
 use crate::query::response::SearchResponse;
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
+use qb_gossip::TermKey;
 use qb_index::shard::IndexOpCost;
 use qb_index::{IndexStats, ReadMachine, ReadStep, ShardEntry};
 use qb_simnet::SimNet;
@@ -363,13 +364,13 @@ impl WindowReads {
     /// advertisement. Only genuine batch windows (`batch` = the window held
     /// ≥ 2 queries) advertise; single-query serving keeps the original
     /// gossip protocol.
-    fn batch_advert_groups(&self, batch: bool) -> HashMap<usize, Vec<(String, u64)>> {
-        let mut groups: HashMap<usize, Vec<(String, u64)>> = HashMap::new();
+    fn batch_advert_groups(&self, batch: bool) -> HashMap<usize, Vec<(&str, u64)>> {
+        let mut groups: HashMap<usize, Vec<(&str, u64)>> = HashMap::new();
         if batch {
             for read in &self.shards {
                 if let (Some(f), ReadProgress::Done(done)) = (read.frontend, &read.progress) {
                     if done.value.version > 0 {
-                        let key = (read.term.clone(), done.value.version);
+                        let key = (read.term.as_str(), done.value.version);
                         groups.entry(f).or_default().push(key);
                     }
                 }
@@ -495,7 +496,7 @@ impl QueenBee {
                 frontend,
                 &self.analyzer,
                 Self::cache_slot(&mut self.cache, &mut self.fleet, frontend),
-                &self.shard_versions,
+                |term| self.shard_versions.get(term).map_or(0, |row| row.0),
                 self.index_stats.version,
                 now,
             )?;
@@ -538,7 +539,10 @@ impl QueenBee {
                     let span = net
                         .tracer()
                         .record_with(window_span, "fetch", at, at, || read.term.clone());
-                    let current_version = self.shard_versions.get(&read.term).copied().unwrap_or(0);
+                    let current_version = self
+                        .shard_versions
+                        .get(read.term.as_str())
+                        .map_or(0, |row| row.0);
                     let machine = index.begin_read_shard_fresh(
                         net,
                         dht,
@@ -621,7 +625,14 @@ impl QueenBee {
         }
         if let Some(fleet) = self.fleet.as_mut() {
             for (frontend, terms) in adverts {
-                fleet.note_batch_fetches(frontend, &terms);
+                let keyed: Vec<(TermKey, u64)> = terms
+                    .into_iter()
+                    .map(|(term, version)| {
+                        let (_, key) = version_row(&mut self.shard_versions, term);
+                        (key.clone(), version)
+                    })
+                    .collect();
+                fleet.note_batch_fetches(frontend, &keyed);
             }
         }
         Ok(())
@@ -761,14 +772,11 @@ mod tests {
         }
         let mut groups: Vec<_> = reads.batch_advert_groups(true).into_iter().collect();
         groups.sort();
-        let adverts = |terms: &[(&str, u64)]| -> Vec<(String, u64)> {
-            terms.iter().map(|&(t, v)| (t.to_string(), v)).collect()
-        };
         assert_eq!(
             groups,
             [
-                (0, adverts(&[("gamma", 3)])),
-                (1, adverts(&[("alpha", 1), ("beta", 4), ("gamma", 2)])),
+                (0, vec![("gamma", 3)]),
+                (1, vec![("alpha", 1), ("beta", 4), ("gamma", 2)]),
             ]
         );
         assert!(reads.batch_advert_groups(false).is_empty());

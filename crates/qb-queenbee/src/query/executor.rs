@@ -1,27 +1,14 @@
-//! The serving kernel's one-call form at the path the benchmark's scoring
-//! probe (`bench/`) imports it from. The engine does not serve through it:
-//! the window loop (`engine/windows.rs`) reads each window's shards, and
-//! `serve_plan` ranks them with [`qb_index::rank`].
+//! The serving kernel's one-call form, re-exported at the path the
+//! benchmark's scoring probe (`bench/`) imports it from. The engine does
+//! not serve through it: the window loop (`engine/windows.rs`) reads each
+//! window's shards, and `serve_plan` ranks them with [`qb_index::rank`].
 
-use qb_index::{IndexStats, ScoredDoc, ShardEntry};
-
-/// Intersect, score and rank the query terms' shards with the serving
-/// kernel's one-call form ([`qb_index::intersect_and_score`]): the whole
-/// sorted list, page ranks looked up by name, plus the number of candidates
-/// scored.
-pub fn intersect_and_score(
-    shards: &[ShardEntry],
-    stats: &IndexStats,
-    rank_of: impl Fn(&str) -> f64,
-    rank_weight: f64,
-) -> (Vec<ScoredDoc>, usize) {
-    qb_index::intersect_and_score(shards, stats, rank_of, rank_weight)
-}
+pub use qb_index::intersect_and_score;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qb_index::ShardPosting;
+    use qb_index::{IndexStats, ShardEntry, ShardPosting};
 
     fn shard(term: &str, docs: &[(u64, u32)]) -> ShardEntry {
         let mut s = ShardEntry::empty(term);

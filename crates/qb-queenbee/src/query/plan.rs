@@ -139,15 +139,16 @@ pub fn plan_request(
         frontend,
         analyzer,
         cache,
-        shard_versions,
+        |term| shard_versions.get(term).copied().unwrap_or(0),
         stats_version,
         now,
     )
 }
 
 /// Analyze `request` against the local tiers. `cache` is the serving
-/// frontend's cache (`None` when caching is disabled), `shard_versions`
-/// the engine's monotonic per-term version counters and `stats_version`
+/// frontend's cache (`None` when caching is disabled), `shard_version`
+/// reads the engine's monotonic per-term version counter (0 for a term
+/// never written) and `stats_version`
 /// the current statistics version. Probing mutates the cache exactly as
 /// the seed's serve path did (recency, hit/miss counters, version-check
 /// evictions) — planning *is* the cache read.
@@ -159,7 +160,7 @@ pub(crate) fn plan_query(
     frontend: Option<usize>,
     analyzer: &Analyzer,
     mut cache: Option<&mut QueryCache>,
-    shard_versions: &HashMap<String, u64>,
+    shard_version: impl Fn(&str) -> u64,
     stats_version: u64,
     now: SimInstant,
 ) -> QbResult<QueryPlan> {
@@ -183,9 +184,7 @@ pub(crate) fn plan_query(
     // shard tier below is allowed to serve superseded data).
     if !matches!(request.freshness, Freshness::Fresh) {
         if let Some(c) = cache.as_deref_mut() {
-            if let Some(entry) =
-                c.lookup_result(&key, now, |t| shard_versions.get(t).copied().unwrap_or(0))
-            {
+            if let Some(entry) = c.lookup_result(&key, now, &shard_version) {
                 return Ok(QueryPlan {
                     seq,
                     request,
@@ -213,7 +212,7 @@ pub(crate) fn plan_query(
     let planned: Vec<PlannedTerm> = terms
         .into_iter()
         .map(|term| {
-            let current = shard_versions.get(&term).copied().unwrap_or(0);
+            let current = shard_version(&term);
             let plan = match (&request.freshness, cache.as_deref_mut()) {
                 (Freshness::Fresh, _) | (_, None) => FETCH,
                 (freshness, Some(c)) => {

@@ -8,6 +8,7 @@
 use qb_chain::AccountId;
 use qb_common::SimDuration;
 use qb_dweb::WebPage;
+use qb_gossip::TermKey;
 use qb_index::Analyzer;
 use qb_load::scenario::{corpus, publish_all, queries, sized, QueryStream};
 use qb_queenbee::{
@@ -149,7 +150,7 @@ fn republish_racing_a_gossip_round_never_serves_stale() {
         Some(1),
         "partitioned frontend keeps the stale copy"
     );
-    assert_eq!(fleet.frontend(1).known.get(&term), 2);
+    assert_eq!(fleet.frontend(1).known.get(&TermKey::of(term.as_str())), 2);
 
     // The partition heals and a gossip round races the republish: the stale
     // v1 held by frontend 2 is the only circulating copy of the term, and
