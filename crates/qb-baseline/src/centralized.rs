@@ -155,7 +155,7 @@ mod tests {
         assert_eq!(e.indexed_docs(), 2);
         let (results, latency) = e.search("decentralized", 10.0, SimInstant::ZERO).unwrap();
         assert_eq!(results.len(), 1);
-        assert_eq!(results[0].name, "a");
+        assert_eq!(&*results[0].name, "a");
         assert!(latency >= BASE_LATENCY);
     }
 

@@ -166,7 +166,7 @@ impl YacyEngine {
             if let Some((name, version, creator)) = meta {
                 results.push(ScoredDoc {
                     doc_id: doc,
-                    name: name.to_string(),
+                    name: name.into(),
                     score,
                     version,
                     creator,
@@ -225,7 +225,7 @@ mod tests {
         assert!(messages >= 1);
         let (results, _, _) = e.search(&mut net, 20, "decentralized web").unwrap();
         assert_eq!(results.len(), 1);
-        assert_eq!(results[0].name, "p/two");
+        assert_eq!(&*results[0].name, "p/two");
     }
 
     #[test]

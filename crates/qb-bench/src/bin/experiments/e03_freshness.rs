@@ -27,7 +27,7 @@ struct Staleness {
 impl Staleness {
     fn add(&mut self, results: &[ScoredDoc], current: &Versions) {
         for r in results {
-            let cur = current.get(&r.name).map(|(v, _)| *v).unwrap_or(1);
+            let cur = current.get(&*r.name).map(|(v, _)| *v).unwrap_or(1);
             if r.version >= cur {
                 self.fresh += 1;
             } else {

@@ -62,7 +62,7 @@ pub fn run() -> Vec<Table> {
                     SearchRequest::new(q).route(RoutingPolicy::HashPeer((i % 40) as u64)),
                 ) {
                     answered += 1;
-                    if out.hits.iter().take(3).any(|r| r.name == "evil/spam") {
+                    if out.hits.iter().take(3).any(|r| &*r.name == "evil/spam") {
                         spam_hits += 1;
                     }
                 }

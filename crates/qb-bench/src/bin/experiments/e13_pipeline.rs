@@ -248,7 +248,7 @@ fn fanout_run(batch_advertise: bool) -> (u64, u64, u64) {
         .search_pipelined(window, batch)
         .expect("batch window")
         .responses;
-    let mut fetched_terms: Vec<String> = Vec::new();
+    let mut fetched_terms: Vec<std::sync::Arc<str>> = Vec::new();
     for r in &responses {
         for (term, prov) in r.terms.iter().zip(&r.provenance) {
             if matches!(prov, TermProvenance::DhtFetch) {

@@ -34,7 +34,7 @@ pub struct CachedResult {
     /// storing query's term order (a permuted query files under the same
     /// key, so compare them as a set). The entry is only served while each
     /// term's current version still matches.
-    pub term_versions: Vec<(String, u64)>,
+    pub term_versions: Vec<(Arc<str>, u64)>,
     /// The statistics and rank round the list was scored under. A shard at
     /// a term version never changes, so a scoring of these term versions
     /// under these inputs builds this list again, bit for bit.
@@ -116,8 +116,8 @@ impl RepublishTracker {
 /// Normalize an analyzed term list into the result-cache key: terms sorted
 /// and joined, so `"peer decentralized"` and `"decentralized peer"` share an
 /// entry (scoring is order-independent).
-pub fn result_key(terms: &[String]) -> String {
-    let mut sorted: Vec<&str> = terms.iter().map(|s| s.as_str()).collect();
+pub fn result_key<'t>(terms: impl IntoIterator<Item = &'t str>) -> String {
+    let mut sorted: Vec<&str> = terms.into_iter().collect();
     sorted.sort_unstable();
     sorted.join(" ")
 }
@@ -217,7 +217,7 @@ impl QueryCache {
     pub fn store_result<'t>(
         &mut self,
         key: &str,
-        term_versions: impl Iterator<Item = (&'t str, u64)> + Clone,
+        term_versions: impl Iterator<Item = (&'t Arc<str>, u64)> + Clone,
         inputs: ScoreInputs,
         list_bytes: usize,
         now: SimInstant,
@@ -234,7 +234,7 @@ impl QueryCache {
             CachedResult {
                 results,
                 term_versions: term_versions
-                    .map(|(term, version)| (term.to_string(), version))
+                    .map(|(term, version)| (Arc::clone(term), version))
                     .collect(),
                 inputs,
             }
@@ -569,7 +569,7 @@ mod tests {
     fn doc(name: &str, version: u64) -> ScoredDoc {
         ScoredDoc {
             doc_id: qb_index::doc_id_for_name(name),
-            name: name.to_string(),
+            name: name.into(),
             score: 1.0,
             version,
             creator: 7,
@@ -584,14 +584,16 @@ mod tests {
         term_versions: &[(&str, u64)],
     ) -> bool {
         let bytes = list.iter().map(ScoredDoc::bytes).sum();
-        let (versions, inputs) = (term_versions.iter().copied(), ScoreInputs::default());
-        c.store_result(key, versions, inputs, bytes, t0(), || list)
+        let terms: Vec<(Arc<str>, u64)> =
+            term_versions.iter().map(|&(t, v)| (t.into(), v)).collect();
+        let versions = terms.iter().map(|(t, v)| (t, *v));
+        c.store_result(key, versions, ScoreInputs::default(), bytes, t0(), || list)
     }
 
     #[test]
     fn result_key_is_order_independent() {
-        let a = result_key(&["peer".into(), "decentralized".into()]);
-        let b = result_key(&["decentralized".into(), "peer".into()]);
+        let a = result_key(["peer", "decentralized"]);
+        let b = result_key(["decentralized", "peer"]);
         assert_eq!(a, b);
         assert_eq!(a, "decentralized peer");
     }
@@ -599,7 +601,7 @@ mod tests {
     #[test]
     fn result_round_trip_and_version_invalidation() {
         let mut c = cache();
-        let key = result_key(&["honey".into(), "bees".into()]);
+        let key = result_key(["honey", "bees"]);
         store(
             &mut c,
             &key,
@@ -609,7 +611,7 @@ mod tests {
         // Served while versions match.
         let versions = |term: &str| if term == "honey" { 2 } else { 5 };
         let hit = c.lookup_result(&key, t0(), versions).expect("warm hit");
-        assert_eq!(hit.results[0].name, "wiki/bees");
+        assert_eq!(&*hit.results[0].name, "wiki/bees");
         // A bumped term version kills the entry on the next read.
         let bumped = |term: &str| if term == "honey" { 3 } else { 5 };
         assert!(c.lookup_result(&key, t0(), bumped).is_none());
@@ -626,9 +628,9 @@ mod tests {
     fn invalidate_term_drops_the_shard_and_the_version_check_refuses_results() {
         let mut c = cache();
         c.store_shard(&shard("honey", 3, 4), t0());
-        let honey = result_key(&["honey".into()]);
-        let honey_bees = result_key(&["honey".into(), "bees".into()]);
-        let unrelated = result_key(&["unrelated".into()]);
+        let honey = result_key(["honey"]);
+        let honey_bees = result_key(["honey", "bees"]);
+        let unrelated = result_key(["unrelated"]);
         store(&mut c, &honey, Arc::new(vec![doc("a", 1)]), &[("honey", 3)]);
         store(
             &mut c,
@@ -715,7 +717,7 @@ mod tests {
     #[test]
     fn result_hits_share_the_list_and_a_stale_entry_is_never_handed_out() {
         let mut c = cache();
-        let key = result_key(&["honey".into()]);
+        let key = result_key(["honey"]);
         let list = Arc::new(vec![doc("wiki/bees", 1)]);
         assert!(store(&mut c, &key, Arc::clone(&list), &[("honey", 2)]));
         let hit = c.lookup_result(&key, t0(), |_| 2).expect("warm hit");
@@ -730,7 +732,7 @@ mod tests {
         };
         assert!(c.lookup_result(&key, t0(), holders_during_check).is_none());
         assert_eq!(Arc::strong_count(&list), 1, "the stale entry is gone");
-        assert_eq!(list[0].name, "wiki/bees", "the holder's list is intact");
+        assert_eq!(&*list[0].name, "wiki/bees", "the holder's list is intact");
     }
 
     #[test]
@@ -739,9 +741,10 @@ mod tests {
         config.result_capacity_bytes = 1;
         let mut c = QueryCache::new(config);
         let unbuilt = || -> Arc<Vec<ScoredDoc>> { panic!("a refused result was built") };
-        let terms = [("honey", 2), ("bees", 5)];
+        let terms: [(Arc<str>, u64); 2] = [("honey".into(), 2), ("bees".into(), 5)];
+        let versions = terms.iter().map(|(t, v)| (t, *v));
         let inputs = ScoreInputs::default();
-        assert!(!c.store_result("bees honey", terms.into_iter(), inputs, 41, t0(), unbuilt));
+        assert!(!c.store_result("bees honey", versions, inputs, 41, t0(), unbuilt));
         assert_eq!(c.metrics().result.admission_rejections, 1);
         assert_eq!(c.tier_sizes().0, 0);
     }
@@ -830,7 +833,7 @@ mod tests {
     #[test]
     fn result_entries_expire_by_ttl() {
         let mut c = cache();
-        let key = result_key(&["old".into()]);
+        let key = result_key(["old"]);
         store(&mut c, &key, Arc::new(vec![doc("a", 1)]), &[("old", 1)]);
         let ttl = c.config().result_ttl;
         let just_before = t0() + SimDuration(ttl.0 - 1);

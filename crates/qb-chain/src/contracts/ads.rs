@@ -178,6 +178,15 @@ impl AdMarket {
         matches
     }
 
+    /// `match_keyword(keyword).first()` — the highest bid, lowest id first
+    /// — for a keyword that is already lowercase, as an analysed query term
+    /// is: it borrows the keyword and collects nothing.
+    pub fn best_match(&self, keyword: &str) -> Option<&AdCampaign> {
+        let targets = |c: &&AdCampaign| c.active() && c.keywords.iter().any(|k| k == keyword);
+        let rank = |c: &&AdCampaign| (std::cmp::Reverse(c.bid_per_click), c.id.0);
+        self.campaigns.values().filter(targets).min_by_key(rank)
+    }
+
     /// Look up a campaign.
     pub fn get(&self, id: AdId) -> Option<&AdCampaign> {
         self.campaigns.get(&id)
@@ -197,6 +206,7 @@ impl AdMarket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn setup() -> (AdMarket, Accounts) {
         let mut accounts = Accounts::with_genesis_supply(100_000);
@@ -310,6 +320,34 @@ mod tests {
         assert_eq!(matches[1].id, low);
         assert_eq!(market.match_keyword("p2p").len(), 1);
         assert!(market.match_keyword("unrelated").is_empty());
+    }
+
+    /// Keywords in several cases; campaigns store them lowercased.
+    const KEYWORDS: [&str; 6] = ["Honey", "honey", "HONEY", "DWeb", "p2p", "Straße"];
+
+    proptest! {
+        #[test]
+        fn best_match_is_the_first_keyword_match(
+            campaigns in proptest::collection::vec((0usize..6, 1u64..4, 0u64..3), 0..12),
+            query in 0usize..6,
+        ) {
+            let (mut market, mut accounts) = setup();
+            for (kw, bid, clicks) in campaigns {
+                let keywords = vec![KEYWORDS[kw].to_string(), KEYWORDS[(kw + 3) % 6].into()];
+                let (id, _) = market
+                    .create_campaign(&mut accounts, AccountId(50), keywords, bid, 2 * bid)
+                    .unwrap();
+                // Two clicks exhaust a campaign's budget.
+                for _ in 0..clicks.min(2) {
+                    market
+                        .record_click(&mut accounts, id, AccountId(60), AccountId(70))
+                        .unwrap();
+                }
+            }
+            let keyword = KEYWORDS[query];
+            let first = market.match_keyword(keyword).first().map(|c| c.id);
+            prop_assert_eq!(market.best_match(&keyword.to_lowercase()).map(|c| c.id), first);
+        }
     }
 
     #[test]

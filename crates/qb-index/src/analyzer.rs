@@ -1,19 +1,32 @@
 //! Text analysis: tokenization, stopwords and light stemming.
+//!
+//! [`Analyzer::for_each_term`] streams each term through one caller-held
+//! buffer (lowercased, stopword-filtered, stemmed in place, length-bounded),
+//! so a caller that keeps the buffer analyses text without allocating;
+//! [`Analyzer::analyze`] and [`Analyzer::term_frequencies`] collect owned
+//! strings for callers that keep them.
 
-use std::collections::HashSet;
-
-/// English stopwords that carry no retrieval signal. Deliberately short: a
-/// long list mostly shrinks the index, a short one keeps tests predictable.
+/// English stopwords that carry no retrieval signal, sorted (looked up by
+/// binary search). Deliberately short: a long list mostly shrinks the
+/// index, a short one keeps tests predictable.
 const STOPWORDS: &[&str] = &[
     "a", "an", "and", "are", "as", "at", "be", "but", "by", "for", "from", "has", "have", "in",
     "is", "it", "its", "of", "on", "or", "that", "the", "their", "this", "to", "was", "were",
     "which", "will", "with",
 ];
 
+/// Suffixes the light stemmer strips when at least 3 bytes stay, tried in
+/// order after "ization" and "ational" and before "ies".
+const STRIPPED: &[&str] = &[
+    "iveness", "fulness", "ousness", "ments", "ment", "ness", "ings", "ing", "edly", "ed", "ly",
+];
+
+/// Endings after which "es" is a plural marker (boxes, churches).
+const SIBILANT_PLURALS: &[&str] = &["sses", "xes", "zes", "ches", "shes"];
+
 /// Configurable text analyzer.
 #[derive(Debug, Clone)]
 pub struct Analyzer {
-    stopwords: HashSet<String>,
     /// Apply the light suffix stemmer.
     pub stemming: bool,
     /// Minimum token length kept (after stemming).
@@ -25,7 +38,6 @@ pub struct Analyzer {
 impl Default for Analyzer {
     fn default() -> Self {
         Analyzer {
-            stopwords: STOPWORDS.iter().map(|s| s.to_string()).collect(),
             stemming: true,
             min_token_len: 2,
             max_token_len: 32,
@@ -49,32 +61,89 @@ impl Analyzer {
 
     /// Is this term a stopword?
     pub fn is_stopword(&self, term: &str) -> bool {
-        self.stopwords.contains(term)
+        STOPWORDS.binary_search(&term).is_ok()
     }
 
-    /// Split text into raw lowercase alphanumeric tokens (no filtering).
-    pub fn tokenize(text: &str) -> Vec<String> {
-        let mut tokens = Vec::new();
-        let mut current = String::new();
-        for ch in text.chars() {
-            if ch.is_alphanumeric() {
-                for lower in ch.to_lowercase() {
-                    current.push(lower);
-                }
-            } else if !current.is_empty() {
-                tokens.push(std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            tokens.push(current);
-        }
-        tokens
-    }
-
-    /// Light suffix stemmer (a small subset of Porter's rules): enough to
-    /// conflate plurals and common verb forms without a full stemmer.
+    /// Light suffix stemmer: enough to conflate plurals and common verb
+    /// forms without a full stemmer.
     pub fn stem(token: &str) -> String {
-        let t = token;
+        let mut stem = token.to_string();
+        Self::stem_in_place(&mut stem);
+        stem
+    }
+
+    /// [`Analyzer::stem`] on a token held in `t`.
+    fn stem_in_place(t: &mut String) {
+        // (suffix, bytes that must stay, ending that replaces it); the
+        // first rule that applies wins.
+        let rule = [("ization", 3, "ize"), ("ational", 3, "ate")]
+            .into_iter()
+            .chain(STRIPPED.iter().map(|&suffix| (suffix, 3, "")))
+            .chain([("ies", 2, "y")])
+            .find(|&(suffix, min, _)| t.ends_with(suffix) && t.len() - suffix.len() >= min);
+        if let Some((suffix, _, ending)) = rule {
+            t.truncate(t.len() - suffix.len());
+            t.push_str(ending);
+        } else if t.len() >= 5 && SIBILANT_PLURALS.iter().any(|s| t.ends_with(s)) {
+            t.truncate(t.len() - 2);
+        } else if t.ends_with('s') && !t.ends_with("ss") && t.len() > 3 {
+            t.pop();
+        }
+    }
+
+    /// The full pipeline, streamed: call `each` with every term of `text`
+    /// in text order — tokenized, stopwords dropped, stemmed, dropped by
+    /// length. Each term is passed in `buf`, which is cleared first and
+    /// reused for every token.
+    pub fn for_each_term(&self, text: &str, buf: &mut String, mut each: impl FnMut(&str)) {
+        buf.clear();
+        // A trailing separator ends the last token.
+        for ch in text.chars().chain([' ']) {
+            if ch.is_alphanumeric() {
+                buf.extend(ch.to_lowercase());
+                continue;
+            }
+            if !buf.is_empty() && !self.is_stopword(buf) {
+                if self.stemming {
+                    Self::stem_in_place(buf);
+                }
+                if (self.min_token_len..=self.max_token_len).contains(&buf.len()) {
+                    each(buf);
+                }
+            }
+            buf.clear();
+        }
+    }
+
+    /// Full pipeline: tokenize, drop stopwords, stem, drop by length.
+    pub fn analyze(&self, text: &str) -> Vec<String> {
+        let mut terms = Vec::new();
+        self.for_each_term(text, &mut String::new(), |t| terms.push(t.to_string()));
+        terms
+    }
+
+    /// Analyze and return `(term, frequency)` pairs sorted by term.
+    pub fn term_frequencies(&self, text: &str) -> Vec<(String, u32)> {
+        let mut counts: std::collections::BTreeMap<String, u32> = std::collections::BTreeMap::new();
+        self.for_each_term(text, &mut String::new(), |t| match counts.get_mut(t) {
+            Some(count) => *count += 1,
+            None => {
+                counts.insert(t.to_string(), 1);
+            }
+        });
+        counts.into_iter().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The stemmer as a chain of early returns: the reference the rule
+    /// table must agree with.
+    fn reference_stem(t: &str) -> String {
         let try_strip = |s: &str, suffix: &str, min_stem: usize| -> Option<String> {
             if s.ends_with(suffix) && s.len() - suffix.len() >= min_stem {
                 Some(s[..s.len() - suffix.len()].to_string())
@@ -110,8 +179,6 @@ impl Analyzer {
         if let Some(s) = try_strip(t, "ies", 2) {
             return s + "y";
         }
-        // "es" is only a plural marker after sibilant endings (boxes, churches);
-        // otherwise stripping the bare "s" is the right move (engines → engine).
         for sib in ["sses", "xes", "zes", "ches", "shes"] {
             if let Some(s) = try_strip(t, "es", 3) {
                 if t.ends_with(sib) {
@@ -125,37 +192,106 @@ impl Analyzer {
         t.to_string()
     }
 
-    /// Full pipeline: tokenize, drop stopwords, stem, drop by length.
-    pub fn analyze(&self, text: &str) -> Vec<String> {
-        Self::tokenize(text)
+    /// Split text into raw lowercase alphanumeric tokens (no filtering):
+    /// the reference pipeline's first stage.
+    fn tokenize(text: &str) -> Vec<String> {
+        let mut tokens = Vec::new();
+        let mut current = String::new();
+        for ch in text.chars() {
+            if ch.is_alphanumeric() {
+                current.extend(ch.to_lowercase());
+            } else if !current.is_empty() {
+                tokens.push(std::mem::take(&mut current));
+            }
+        }
+        if !current.is_empty() {
+            tokens.push(current);
+        }
+        tokens
+    }
+
+    /// The pipeline in stages — tokenize, drop stopwords, stem, drop by
+    /// length — each collecting its own strings: the reference the
+    /// streaming analyzer must agree with.
+    fn reference_analyze(a: &Analyzer, text: &str) -> Vec<String> {
+        tokenize(text)
             .into_iter()
-            .filter(|t| !self.is_stopword(t))
-            .map(|t| if self.stemming { Self::stem(&t) } else { t })
-            .filter(|t| t.len() >= self.min_token_len && t.len() <= self.max_token_len)
+            .filter(|t| !STOPWORDS.contains(&t.as_str()))
+            .map(|t| if a.stemming { reference_stem(&t) } else { t })
+            .filter(|t| t.len() >= a.min_token_len && t.len() <= a.max_token_len)
             .collect()
     }
 
-    /// Analyze and return `(term, frequency)` pairs sorted by term.
-    pub fn term_frequencies(&self, text: &str) -> Vec<(String, u32)> {
-        let mut counts: std::collections::BTreeMap<String, u32> = std::collections::BTreeMap::new();
-        for t in self.analyze(text) {
-            *counts.entry(t).or_insert(0) += 1;
+    /// Text built from generated pieces: arbitrary characters, characters
+    /// whose lowercase is several chars or bytes, digits, separators,
+    /// letter runs up to past the 32-byte bound, stemmer suffixes and
+    /// stopwords.
+    fn text_of(pieces: &[(u32, u8)]) -> String {
+        let mut text = String::new();
+        for &(v, kind) in pieces {
+            match kind {
+                0 => text.extend(char::from_u32(v % 0x11_0000)),
+                1 => text.push(['İ', 'ẞ', 'Σ', 'ǅ', 'ﬀ'][v as usize % 5]),
+                2 => text.push(char::from(b'0' + (v % 10) as u8)),
+                3 => text.push([' ', ',', '-', '\n', '.'][v as usize % 5]),
+                4 => text.extend((0..v % 35).map(|i| char::from(b'a' + (i % 26) as u8))),
+                5 => text.push_str(
+                    [
+                        "ization", "ational", "ness", "ings", "ies", "sses", "ches", "s", "ly",
+                    ][v as usize % 9],
+                ),
+                _ => text.push_str([" the ", " And ", " of "][v as usize % 3]),
+            }
         }
-        counts.into_iter().collect()
+        text
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn streaming_yields_the_staged_pipelines_terms_and_counts(
+            pieces in proptest::collection::vec((any::<u32>(), 0u8..7), 0..24),
+            stemming in any::<bool>(),
+        ) {
+            let a = Analyzer { stemming, ..Analyzer::default() };
+            let text = text_of(&pieces);
+            let expected = reference_analyze(&a, &text);
+            prop_assert_eq!(a.analyze(&text), expected.clone(), "{:?}", text);
+            let mut counts: BTreeMap<String, u32> = BTreeMap::new();
+            for t in expected {
+                *counts.entry(t).or_insert(0) += 1;
+            }
+            let counts: Vec<(String, u32)> = counts.into_iter().collect();
+            prop_assert_eq!(a.term_frequencies(&text), counts);
+        }
+    }
+
+    #[test]
+    fn stopwords_are_sorted_for_binary_search() {
+        assert!(STOPWORDS.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn terms_at_the_length_bounds_are_kept() {
+        let a = Analyzer::without_stemming();
+        let (two, thirty_two) = ("ab".to_string(), "x".repeat(32));
+        let text = format!("{two} {thirty_two} {}x y", thirty_two);
+        assert_eq!(a.analyze(&text), vec![two, thirty_two]);
+        // 'İ' lowercases to two chars of three bytes: "i̇x" is 4 bytes.
+        assert_eq!(
+            a.analyze("İx ẞ"),
+            vec!["i\u{307}x".to_string(), "ß".to_string()]
+        );
+    }
 
     #[test]
     fn tokenize_splits_on_non_alphanumeric() {
         assert_eq!(
-            Analyzer::tokenize("Hello, DWeb-world! 42 times."),
+            tokenize("Hello, DWeb-world! 42 times."),
             vec!["hello", "dweb", "world", "42", "times"]
         );
-        assert!(Analyzer::tokenize("  ...  ").is_empty());
+        assert!(tokenize("  ...  ").is_empty());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use qb_common::Hash256;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Stable 64-bit document id derived from a page name. Using a hash keeps
 /// doc ids consistent across independent worker bees without coordination.
@@ -14,8 +15,8 @@ pub fn doc_id_for_name(name: &str) -> u64 {
 /// Metadata of one indexed document (page version).
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct DocMeta {
-    /// Page name.
-    pub name: String,
+    /// Page name, shared with every hit that names the page.
+    pub name: Arc<str>,
     /// Number of index terms in the document (after analysis).
     pub length: u32,
     /// Page version this entry reflects.
@@ -122,7 +123,7 @@ mod tests {
         t.upsert(1, meta("a", 50));
         t.upsert(2, meta("b", 150));
         let removed = t.remove(2).unwrap();
-        assert_eq!(removed.name, "b");
+        assert_eq!(&*removed.name, "b");
         assert_eq!(t.len(), 1);
         assert!((t.avg_length() - 50.0).abs() < 1e-9);
         assert!(t.remove(99).is_none());

@@ -36,7 +36,7 @@ impl InvertedIndex {
         self.docs.upsert(
             doc_id,
             DocMeta {
-                name: name.to_string(),
+                name: name.into(),
                 length,
                 version,
                 creator,

@@ -107,7 +107,7 @@ fn by_rank(a: &Key<'_>, b: &Key<'_>) -> Ordering {
 fn materialise(&(score, meta): &Key<'_>) -> ScoredDoc {
     ScoredDoc {
         doc_id: meta.doc_id,
-        name: String::from(&*meta.name),
+        name: Arc::clone(&meta.name),
         score,
         version: meta.version,
         creator: meta.creator,
@@ -478,7 +478,7 @@ mod tests {
             let meta = meta.expect("candidates come from the shards");
             results.push(ScoredDoc {
                 doc_id,
-                name: String::from(&*meta.name),
+                name: Arc::clone(&meta.name),
                 score: blend_with_rank(relevance, rank_of(&meta.name), rank_weight),
                 version: meta.version,
                 creator: meta.creator,
@@ -498,15 +498,7 @@ mod tests {
     fn bits(results: &[ScoredDoc]) -> Vec<(u64, &str, u64, u64, u64)> {
         results
             .iter()
-            .map(|r| {
-                (
-                    r.doc_id,
-                    r.name.as_str(),
-                    r.score.to_bits(),
-                    r.version,
-                    r.creator,
-                )
-            })
+            .map(|r| (r.doc_id, &*r.name, r.score.to_bits(), r.version, r.creator))
             .collect()
     }
 

@@ -6,6 +6,7 @@ use crate::postings::PostingList;
 use crate::scorer::{blend_with_rank, Bm25};
 use qb_common::{QbError, QbResult};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How multi-term queries combine their terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -49,8 +50,9 @@ impl Query {
 pub struct ScoredDoc {
     /// Document id.
     pub doc_id: u64,
-    /// Page name.
-    pub name: String,
+    /// Page name: the posting's own allocation, shared by every hit and
+    /// list that names the page.
+    pub name: Arc<str>,
     /// Final score (relevance, optionally blended with PageRank).
     pub score: f64,
     /// Version of the page the index entry reflects.
@@ -223,7 +225,7 @@ mod tests {
         let (idx, a) = build();
         let q = Query::parse(&a, "decentralized web", QueryMode::And).unwrap();
         let results = search(&idx, &q, &Bm25::default(), None, 0.0, 10);
-        let names: Vec<&str> = results.iter().map(|r| r.name.as_str()).collect();
+        let names: Vec<&str> = results.iter().map(|r| &*r.name).collect();
         assert_eq!(names.len(), 2);
         assert!(names.contains(&"p/web"));
         assert!(names.contains(&"p/search"));
@@ -245,7 +247,7 @@ mod tests {
         let (idx, a) = build();
         let q = Query::parse(&a, "honey", QueryMode::And).unwrap();
         let results = search(&idx, &q, &Bm25::default(), None, 0.0, 10);
-        assert_eq!(results[0].name, "p/honey");
+        assert_eq!(&*results[0].name, "p/honey");
         assert!(results[0].score > results[1].score);
     }
 
@@ -258,9 +260,9 @@ mod tests {
         rank.insert(doc_id_for_name("p/search"), 0.9);
         rank.insert(doc_id_for_name("p/honey"), 0.000001);
         let blended = search(&idx, &q, &Bm25::default(), Some(&rank), 0.9, 10);
-        assert_eq!(blended[0].name, "p/search");
+        assert_eq!(&*blended[0].name, "p/search");
         let unblended = search(&idx, &q, &Bm25::default(), Some(&rank), 0.0, 10);
-        assert_eq!(unblended[0].name, "p/honey");
+        assert_eq!(&*unblended[0].name, "p/honey");
     }
 
     #[test]

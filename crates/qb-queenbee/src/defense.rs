@@ -108,9 +108,11 @@ impl MinHashSignature {
             let [h, ..] = Hash256::digest(text.as_bytes()).words();
             shingle_hashes.push(h);
         } else {
+            // A shingle's bytes are its words joined by single spaces.
             for w in words.windows(4) {
-                let shingle = w.join(" ");
-                let [h, ..] = Hash256::digest(shingle.as_bytes()).words();
+                let [a, b, c, d] = [w[0], w[1], w[2], w[3]].map(str::as_bytes);
+                let parts: [&[u8]; 7] = [a, b" ", b, b" ", c, b" ", d];
+                let [h, ..] = Hash256::digest_parts(&parts).words();
                 shingle_hashes.push(h);
             }
         }
@@ -408,6 +410,52 @@ mod tests {
         let b =
             MinHashSignature::of_text(&(0..200).map(|i| format!("beta{} ", i)).collect::<String>());
         assert!(a.similarity(&b) < 0.2, "similarity = {}", a.similarity(&b));
+    }
+
+    /// The signature as first written, each shingle hashed from its joined
+    /// string: the reference `of_text` must agree with.
+    fn of_text_joined(text: &str) -> MinHashSignature {
+        let words: Vec<&str> = text.split_whitespace().collect();
+        let mut shingle_hashes: Vec<u64> = Vec::new();
+        if words.len() < 4 {
+            let [h, ..] = Hash256::digest(text.as_bytes()).words();
+            shingle_hashes.push(h);
+        } else {
+            for w in words.windows(4) {
+                let shingle = w.join(" ");
+                let [h, ..] = Hash256::digest(shingle.as_bytes()).words();
+                shingle_hashes.push(h);
+            }
+        }
+        let mut values = vec![u64::MAX; MINHASH_HASHES];
+        for (i, value) in values.iter_mut().enumerate() {
+            let a = 0x9E3779B97F4A7C15u64.wrapping_mul(2 * i as u64 + 1);
+            let b = 0xD1B54A32D192ED03u64.wrapping_mul(i as u64 + 1);
+            for &s in &shingle_hashes {
+                let permuted = s.wrapping_mul(a).wrapping_add(b);
+                if permuted < *value {
+                    *value = permuted;
+                }
+            }
+        }
+        MinHashSignature { values }
+    }
+
+    proptest! {
+        #[test]
+        fn minhash_hashes_each_shingle_as_its_joined_bytes(
+            words in proptest::collection::vec("[a-cé]{1,4}", 0..12),
+            gaps in proptest::collection::vec(0usize..3, 12..13),
+        ) {
+            // Words separated by runs of mixed whitespace.
+            let mut text = String::new();
+            for (word, gap) in words.iter().zip(&gaps) {
+                text.push_str(word);
+                text.push_str(["  ", "\t", " \n"][*gap]);
+            }
+            let ours = MinHashSignature::of_text(&text);
+            prop_assert_eq!(ours.values, of_text_joined(&text).values);
+        }
     }
 
     #[test]

@@ -190,8 +190,8 @@ impl QueenBee {
                     "no query cache enabled; nothing to warm-start".into(),
                 ));
             };
-            let known = &self.shard_versions;
-            segment.import_into(cache, |term| known.get(term).map_or(0, |row| row.0), now)
+            let terms = &self.terms;
+            segment.import_into(cache, |term| terms.version_of(term), now)
         };
         Ok(report.accepted as usize)
     }

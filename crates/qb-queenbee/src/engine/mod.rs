@@ -41,35 +41,18 @@ use crate::bee::WorkerBee;
 use crate::config::{QueenBeeConfig, BEE_STAKE};
 use crate::defense::MinHashSignature;
 use crate::metrics::{FreshnessProbe, QueryEngineStats};
+use crate::query::terms::{TermId, TermTable};
 use qb_cache::{CacheMetrics, QueryCache};
 use qb_chain::{AccountId, Blockchain, Call};
 use qb_common::{QbResult, SimDuration, SimInstant};
 use qb_dht::DhtNetwork;
-use qb_gossip::{GossipFleet, TermKey};
+use qb_gossip::GossipFleet;
 use qb_index::{Analyzer, DistributedIndex, Impacts, IndexStats, ShardViews};
 use qb_segment::{Segment, SegmentRef, SegmentStats};
 use qb_simnet::SimNet;
 use qb_storage::StorageNetwork;
 use qb_trace::OpChain;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
-
-/// `term`'s row of the engine's version table: `(highest written version,
-/// key)`. A term's first sighting — its first write, or a fleet observation
-/// of a term no page holds — enters it at version 0 under a key made here,
-/// the one place the engine hashes a term into its [`TermKey`].
-fn version_row<'a>(
-    versions: &'a mut HashMap<Arc<str>, (u64, TermKey)>,
-    term: &str,
-) -> &'a mut (u64, TermKey) {
-    let text = match versions.get_key_value(term) {
-        Some((text, _)) => Arc::clone(text),
-        None => Arc::from(term),
-    };
-    versions
-        .entry(text)
-        .or_insert_with_key(|text| (0, TermKey::of(Arc::clone(text))))
-}
 
 /// The assembled QueenBee deployment (Figure 1 of the paper).
 pub struct QueenBee {
@@ -95,19 +78,19 @@ pub struct QueenBee {
     bees: Vec<WorkerBee>,
     event_cursor: usize,
     index_stats: IndexStats,
-    /// Highest shard version this engine has written per term, beside the
-    /// term's gossip key. DHT reads can return a stale local replica; taking
-    /// the max with this counter keeps shard versions monotonic so replicas
-    /// never reject a newer write. This table is where a term's text meets
-    /// its [`TermKey`]: the key is made once per term (`version_row`) and
-    /// every fleet call takes it from here.
-    shard_versions: HashMap<Arc<str>, (u64, TermKey)>,
-    /// Each indexed page's length and its term counts (the analyzer's,
-    /// sorted by term): the length leaves the collection statistics when
+    /// Every term the engine met, each with the highest shard version this
+    /// engine has written for it and its gossip key. DHT reads can return a
+    /// stale local replica; taking the max with a term's counter keeps
+    /// shard versions monotonic so replicas never reject a newer write.
+    /// Plans, window reads and page term lists name terms by their ids
+    /// here; every fleet call takes a term's key from its row.
+    terms: TermTable,
+    /// Each indexed page's length and its term counts (the analyzer's, in
+    /// term text order): the length leaves the collection statistics when
     /// the page is re-indexed, and the terms let a new page version remove
     /// the document from shards of terms it no longer contains (otherwise
     /// dropped terms would keep serving stale versions of the page forever).
-    indexed_pages: HashMap<String, (u32, Vec<(String, u32)>)>,
+    indexed_pages: HashMap<String, (u32, Vec<(TermId, u32)>)>,
     /// Every page's rank and rank component, by doc id.
     ranks: rank::Ranks,
     rank_round: u64,
@@ -191,7 +174,7 @@ impl QueenBee {
             bees,
             event_cursor: chain.events().len(),
             index_stats: IndexStats::default(),
-            shard_versions: HashMap::new(),
+            terms: TermTable::default(),
             indexed_pages: HashMap::new(),
             ranks: rank::Ranks::default(),
             rank_round: 0,
@@ -384,7 +367,7 @@ mod tests {
             .search_request(from_peer(5, "decentralized peer"))
             .unwrap();
         assert!(!out.hits.is_empty());
-        assert_eq!(out.hits[0].name, "wiki/dweb");
+        assert_eq!(&*out.hits[0].name, "wiki/dweb");
         assert!(out.latency.as_micros() > 0);
         assert!(out.messages() > 0);
         // Bees were rewarded for indexing.
@@ -524,7 +507,7 @@ mod tests {
         qb.seal();
         qb.process_publish_events().unwrap();
         let out = qb.search_request(from_peer(2, "honeybees")).unwrap();
-        assert!(out.hits.iter().all(|r| r.name != "evil/spam"));
+        assert!(out.hits.iter().all(|r| &*r.name != "evil/spam"));
         // At least one verification quorum caught a colluder (if one was assigned).
         let flagged: u64 = qb.bees().iter().map(|b| b.times_flagged).sum();
         let colluder_assigned = qb
@@ -1012,6 +995,67 @@ mod tests {
         assert!(m.result.misses >= 1);
     }
 
+    /// A hit names its page with the posting's own allocation on every
+    /// path — scored, served from the result tier, reused by a `Fresh`
+    /// repeat — and a response's terms are the term table's text. A warm
+    /// repeat names no new term. A queried term no page holds enters the
+    /// table at version 0, which is what a term the table never met reads
+    /// as; the table is read by id or text only (it has no iterator).
+    #[test]
+    fn hits_share_their_postings_names_and_terms_are_named_once() {
+        let mut qb = cached_engine();
+        for (name, text) in [
+            ("wiki/dweb", "peers serve the decentralized web"),
+            ("wiki/p2p", "decentralized peers gossip"),
+        ] {
+            qb.publish(1, AccountId(1_000), &page(name, text, vec![]))
+                .unwrap();
+        }
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        let query = || from_peer(5, "decentralized");
+        let cold = qb.search_request(query()).unwrap();
+        let term = Arc::clone(&cold.terms[0]);
+        let id = qb.terms.intern(&term);
+        assert!(Arc::ptr_eq(&term, qb.terms.text(id)));
+        // The fetched shard fanned out into the cache as the handle the
+        // kernel scored.
+        let shard = Arc::clone(qb.cache.as_ref().unwrap().peek_shard(&term).unwrap());
+        let rows = qb.terms.len();
+        let warm = qb.search_request(query()).unwrap();
+        let fresh = qb
+            .search_request(query().freshness(Freshness::Fresh))
+            .unwrap();
+        assert!(warm.result_cache_hit() && !fresh.result_cache_hit());
+        assert_eq!(
+            qb.query_stats().window_memo_hits,
+            1,
+            "fresh reuses the list"
+        );
+        for out in [&cold, &warm, &fresh] {
+            assert_eq!(out.hits.len(), 2);
+            assert!(Arc::ptr_eq(&out.terms[0], &term));
+            for hit in &out.hits {
+                let posting = shard.get(hit.doc_id).unwrap();
+                assert!(Arc::ptr_eq(&hit.name, &posting.name), "{}", hit.name);
+            }
+        }
+        assert_eq!(qb.terms.len(), rows, "a warm repeat names no new term");
+
+        let clover = Analyzer::stem("clover");
+        assert_eq!(qb.terms.version_of(&clover), 0, "never met");
+        let absent = qb.search_request(from_peer(5, "clover")).unwrap();
+        assert!(absent.hits.is_empty());
+        assert_eq!(qb.terms.len(), rows + 1);
+        assert_eq!(qb.terms.version_of(&clover), 0, "met, held by no page");
+        let decentralized = qb.terms.version(id);
+        assert!(decentralized > 0);
+        qb.search_request(from_peer(5, "clover decentralized"))
+            .unwrap();
+        assert_eq!(qb.terms.len(), rows + 1);
+        assert_eq!(qb.terms.version(id), decentralized, "a read bumps nothing");
+    }
+
     /// A cache-off engine whose peers each keep one operation in flight per
     /// uplink and whose lookups send one hop at a time, so a read alone
     /// never queues on itself, over two pages that share `decentralized`
@@ -1433,7 +1477,7 @@ mod tests {
         qb.seal();
         qb.process_publish_events().unwrap();
         let term = qb_index::Analyzer::stem("clover");
-        let key = TermKey::of(term.as_str());
+        let key = qb_gossip::TermKey::of(term.as_str());
         let known = |qb: &QueenBee, i: usize| qb.fleet().unwrap().frontend(i).known.clone();
         let before: Vec<usize> = (0..3).map(|i| known(&qb, i).len()).collect();
 
@@ -1447,7 +1491,7 @@ mod tests {
             assert_eq!(known(&qb, i).len(), *len, "frontend {i} is unchanged");
             assert!(known(&qb, i).iter().all(|(t, _)| t != term));
         }
-        assert_eq!(qb.shard_versions[term.as_str()].0, 0);
+        assert_eq!(qb.terms.version_of(&term), 0);
 
         qb.publish(
             5,

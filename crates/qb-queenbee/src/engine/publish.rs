@@ -1,10 +1,11 @@
 //! The publish seam: publishing pages, the worker bees' indexing of publish
 //! events into the distributed index, and writer-side segment compaction.
 
-use super::{version_row, QueenBee};
+use super::QueenBee;
 use crate::attacks::ScraperAttack;
 use crate::config::{DUPLICATE_THRESHOLD, SLASH_AMOUNT};
 use crate::defense::{verify_index_submissions, MinHashSignature, VerificationOutcome};
+use crate::query::terms::TermId;
 use qb_cache::ShardLookup;
 use qb_chain::{AccountId, Call, Event};
 use qb_common::{QbResult, SimInstant};
@@ -208,41 +209,46 @@ impl QueenBee {
             let postings = accepted.len() as u64;
             let mut accepted = accepted.into_iter().peekable();
             while let Some((term, first)) = accepted.next() {
-                let mut shard = self.read_shard_for_writer(writer_peer, term)?;
+                let id = self.terms.intern(term);
+                let mut shard = self.read_shard_for_writer(writer_peer, id)?;
                 shard.upsert(first);
                 while let Some((_, posting)) = accepted.next_if(|&(t, _)| t == term) {
                     shard.upsert(posting);
                 }
-                self.write_shard(writer_peer, shard, now)?;
+                self.write_shard(writer_peer, id, shard, now)?;
             }
 
             // Record the page's length and terms, and update the collection
             // statistics. Then remove the document from shards of terms the
             // new version no longer contains, so a republished page never
             // leaves ghost postings serving a stale version under its
-            // dropped terms. Both term lists are the analyzer's, sorted by
-            // term, so membership is a search.
+            // dropped terms. Both term lists are the analyzer's, in term
+            // text order, so membership is a search by text.
             let doc_len: u32 = term_freqs.iter().map(|(_, f)| *f).sum();
             self.index_stats.total_len += u64::from(doc_len);
-            let dropped: Vec<String> = match self.indexed_pages.get_mut(&name) {
+            let terms = &mut self.terms;
+            let page_terms = term_freqs
+                .iter()
+                .map(|(t, f)| (terms.intern(t), *f))
+                .collect();
+            let dropped: Vec<TermId> = match self.indexed_pages.get_mut(&name) {
                 Some(record) => {
-                    let (old_len, old_terms) = std::mem::replace(record, (doc_len, term_freqs));
+                    let (old_len, old_terms) = std::mem::replace(record, (doc_len, page_terms));
                     self.index_stats.total_len -= u64::from(old_len);
-                    old_terms
-                        .into_iter()
-                        .map(|(term, _)| term)
-                        .filter(|t| record.1.binary_search_by(|(u, _)| u.cmp(t)).is_err())
-                        .collect()
+                    let text = |id| &**terms.text(id);
+                    let kept = |id| record.1.binary_search_by(|&(u, _)| text(u).cmp(text(id)));
+                    let old_terms = old_terms.into_iter().map(|(id, _)| id);
+                    old_terms.filter(|&id| kept(id).is_err()).collect()
                 }
                 None => {
                     self.index_stats.num_docs += 1;
                     self.indexed_pages
-                        .insert(name.clone(), (doc_len, term_freqs));
+                        .insert(name.clone(), (doc_len, page_terms));
                     Vec::new()
                 }
             };
             let doc_id = qb_index::doc_id_for_name(&name);
-            for term in &dropped {
+            for &term in &dropped {
                 let mut shard = self.read_shard_for_writer(writer_peer, term)?;
                 if !shard.remove(doc_id) {
                     continue;
@@ -251,7 +257,7 @@ impl QueenBee {
                 // bumped version dominates the fatter copy on merge, so a
                 // bootstrap from the artifact never resurrects the removed
                 // posting.
-                self.write_shard(writer_peer, shard, now)?;
+                self.write_shard(writer_peer, term, shard, now)?;
             }
 
             // Reward claims for the assigned, non-flagged bees.
@@ -369,10 +375,10 @@ impl QueenBee {
     /// term), the DHT only on a genuine miss. The writer is about to change
     /// the shard, so this is the one place a cached shard is copied; the
     /// copy shares every posting's name.
-    fn read_shard_for_writer(&mut self, writer_peer: u64, term: &str) -> QbResult<ShardEntry> {
+    fn read_shard_for_writer(&mut self, writer_peer: u64, id: TermId) -> QbResult<ShardEntry> {
         self.writer_shard_reads += 1;
         let now = self.net.now();
-        let current_version = self.shard_versions.get(term).map_or(0, |row| row.0);
+        let (term, current_version) = (self.terms.text(id), self.terms.version(id));
         if let Some(cache) = self.writer_cache.as_mut() {
             match cache.lookup_shard(term, now, current_version) {
                 ShardLookup::Hit(shard) => {
@@ -399,24 +405,24 @@ impl QueenBee {
         Ok(shard)
     }
 
-    /// Write a shard the indexing path just changed, under the term's next
-    /// version, and do the post-write bookkeeping: publish-path invalidation
-    /// (results/negatives touching the term die, the republish is recorded
-    /// for the adaptive TTL policy), the written shard re-enters the writer
-    /// cache under its new version, in fleet mode every frontend that can
-    /// observe the publish invalidates too, and with segments on the shard
-    /// joins the pending artifact. Once written the shard is immutable: the
+    /// Write a shard the indexing path just changed, under the next version
+    /// of its term `id`, and do the post-write bookkeeping: publish-path
+    /// invalidation (results/negatives touching the term die, the
+    /// republish is recorded for the adaptive TTL policy), the written
+    /// shard re-enters the writer cache under its new version, in fleet
+    /// mode every frontend that can observe the publish invalidates too,
+    /// and with segments on the shard joins the pending artifact. Once written the shard is immutable: the
     /// writer cache, the pending segment and every read that finds the
     /// record it was written as share one copy of it.
     fn write_shard(
         &mut self,
         writer_peer: u64,
+        id: TermId,
         mut shard: ShardEntry,
         now: SimInstant,
     ) -> QbResult<()> {
-        // A known term's counter is bumped in place: only a term seen for
-        // the first time allocates (and hashes) its key.
-        let (known, key) = version_row(&mut self.shard_versions, &shard.term);
+        // The term's counter is bumped in place.
+        let known = self.terms.version_mut(id);
         *known = (*known).max(shard.version) + 1;
         shard.version = *known;
         let (_, value, encoded_len) = self.dist_index.write_shard(
@@ -444,6 +450,7 @@ impl QueenBee {
             cache.invalidate_term(&shard.term, now);
         }
         if let Some(fleet) = self.fleet.as_mut() {
+            let key = self.terms.key(id);
             fleet.observe_publish(&self.net, writer_peer, key, shard.version, now);
         }
         if self.config.segment.enabled {

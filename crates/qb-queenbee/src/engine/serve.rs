@@ -4,11 +4,12 @@
 //! through is `engine/windows.rs`.
 
 use super::windows::WindowReads;
-use super::{version_row, QueenBee};
+use super::QueenBee;
 use crate::query::pipeline::{PipelineConfig, PipelineOutcome};
 use crate::query::plan::{PlannedTerm, QueryPlan, Resolution, StatsPlan, TermPlan};
 use crate::query::request::{RoutingPolicy, SearchRequest};
 use crate::query::response::{paginate, SearchResponse, StageCosts, TermProvenance};
+use crate::query::terms::TermId;
 use qb_cache::QueryCache;
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_gossip::GossipFleet;
@@ -249,7 +250,10 @@ impl QueenBee {
             Resolution::ResultHit { terms, entry } => {
                 let hits = paginate(&entry.results, page, top_k);
                 let total = entry.results.len();
-                let observed = entry.term_versions.iter().map(|(t, v)| (t.as_str(), *v));
+                // The entry's terms are the plan's, each found by its text.
+                let observed = entry.term_versions.iter().filter_map(|(term, version)| {
+                    Some((terms.iter().find(|t| t.term == *term)?.id, *version))
+                });
                 self.record_observations(plan.frontend, observed);
                 let trace = StageCosts {
                     plan: hit_latency,
@@ -259,7 +263,7 @@ impl QueenBee {
                 return Ok(self.finish_response(
                     plan.seq,
                     plan.request,
-                    terms,
+                    terms.into_iter().map(|t| t.term).collect(),
                     hits,
                     total,
                     hit_latency,
@@ -306,7 +310,6 @@ impl QueenBee {
             Vec::with_capacity(terms.len());
         let mut provenance: Vec<TermProvenance> = Vec::with_capacity(terms.len());
         let mut term_latencies: Vec<SimDuration> = Vec::with_capacity(terms.len());
-        let mut observed: Vec<(&str, u64)> = Vec::new();
         let mut fan_out: Vec<&Arc<ShardEntry>> = Vec::new();
         let mut messages = 0u64;
         let mut any_stale = false;
@@ -318,7 +321,6 @@ impl QueenBee {
                 TermPlan::CachedShard(shard) => {
                     provenance.push(TermProvenance::ShardCache);
                     term_latencies.push(hit_latency);
-                    observed.push((&planned.term, shard.version));
                     shards.push((Cow::Borrowed(shard), impacts_of(shard)));
                 }
                 TermPlan::Negative => {
@@ -342,7 +344,6 @@ impl QueenBee {
                     } else {
                         provenance.push(TermProvenance::BatchShared);
                     }
-                    observed.push((&planned.term, fetch.value().version));
                     fan_out.push(fetch.value());
                     shards.push((Cow::Borrowed(fetch.value()), impacts_of(fetch.value())));
                 }
@@ -407,7 +408,7 @@ impl QueenBee {
                 c.store_stats(stats);
             }
             if !any_stale {
-                let names = terms.iter().map(|t| t.term.as_str());
+                let names = terms.iter().map(|t| &t.term);
                 let term_versions = names.zip(shards.iter().map(|(s, _)| s.version));
                 let list_bytes = ranked.list_bytes();
                 c.store_result(
@@ -426,6 +427,14 @@ impl QueenBee {
         if ranked.has_list() && !reused {
             self.query_stats.scored_lists_built += 1;
         }
+        // The versions of the shards read or held current, in term order.
+        let observed = terms
+            .iter()
+            .zip(&shards)
+            .filter_map(|(t, (s, _))| match t.plan {
+                TermPlan::CachedShard(_) | TermPlan::Fetch { .. } => Some((t.id, s.version)),
+                _ => None,
+            });
         self.record_observations(plan.frontend, observed);
         // `shards` borrowed the plan's handles; the terms move on now.
         drop(shards);
@@ -492,16 +501,15 @@ impl QueenBee {
     }
 
     /// Record the shard versions a fleet frontend observed while serving,
-    /// each under the key the engine's version table holds for the term.
-    fn record_observations<'a>(
+    /// each under the key the term table holds for the term.
+    fn record_observations(
         &mut self,
         frontend: Option<usize>,
-        observed: impl IntoIterator<Item = (&'a str, u64)>,
+        observed: impl Iterator<Item = (TermId, u64)>,
     ) {
         if let (Some(i), Some(fleet)) = (frontend, self.fleet.as_mut()) {
-            for (term, version) in observed {
-                let (_, key) = version_row(&mut self.shard_versions, term);
-                fleet.observe(i, key, version);
+            for (id, version) in observed {
+                fleet.observe(i, self.terms.key(id), version);
             }
         }
     }
@@ -515,7 +523,7 @@ impl QueenBee {
         &mut self,
         seq: u64,
         request: SearchRequest,
-        terms: Vec<String>,
+        terms: Vec<Arc<str>>,
         hits: Vec<ScoredDoc>,
         total_matches: usize,
         latency: SimDuration,
@@ -529,16 +537,10 @@ impl QueenBee {
             }
         }
 
-        // Ad selection: highest-bidding active campaign matching any query term.
-        let mut ad = None;
-        if request.ads {
-            for term in &terms {
-                if let Some(campaign) = self.chain.ad_market().match_keyword(term).first() {
-                    ad = Some(campaign.id);
-                    break;
-                }
-            }
-        }
+        // Ad selection: highest-bidding active campaign matching the first
+        // query term any campaign targets (analysed terms are lowercase).
+        let best = |term: &Arc<str>| self.chain.ad_market().best_match(term).map(|c| c.id);
+        let ad = terms.iter().filter(|_| request.ads).find_map(best);
         let served_by_bee = self.bees[(seq as usize) % self.bees.len()].account;
         SearchResponse {
             query: request.query,
@@ -628,7 +630,7 @@ mod tests {
 
         // A republish of one term's page under the same statistics: new
         // term versions, so it scores again.
-        let (stats, versions) = (on.index_stats, on.shard_versions.clone());
+        let (stats, meadow) = (on.index_stats, on.terms.version_of("meadow"));
         let edited = page("wiki/b", "meadow meadow clover fields", vec![]);
         for qb in [&mut on, &mut off] {
             publish(qb, std::slice::from_ref(&edited));
@@ -637,7 +639,7 @@ mod tests {
             (on.index_stats.num_docs, on.index_stats.total_len),
             (stats.num_docs, stats.total_len)
         );
-        assert_ne!(on.shard_versions["meadow"].0, versions["meadow"].0);
+        assert_ne!(on.terms.version_of("meadow"), meadow);
         serve(&mut on, &mut off, "meadow honey");
         assert_eq!(counts(&on), (2, 2), "a republished term scores again");
         serve(&mut on, &mut off, "meadow honey");
@@ -645,13 +647,13 @@ mod tests {
 
         // A publish that leaves both terms alone and moves only the
         // statistics: it scores again.
-        let versions = on.shard_versions.clone();
+        let versions = ["meadow", "honey"].map(|term| on.terms.version_of(term));
         let unrelated = page("wiki/d", "thunder storms tonight", vec![]);
         for qb in [&mut on, &mut off] {
             publish(qb, std::slice::from_ref(&unrelated));
         }
-        for term in ["meadow", "honey"] {
-            assert_eq!(on.shard_versions[term].0, versions[term].0);
+        for (term, version) in ["meadow", "honey"].into_iter().zip(versions) {
+            assert_eq!(on.terms.version_of(term), version);
         }
         serve(&mut on, &mut off, "meadow honey");
         assert_eq!(counts(&on), (3, 3), "new statistics score again");

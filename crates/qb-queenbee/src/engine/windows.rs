@@ -70,11 +70,12 @@
 //! effects are applied at the call instant, while issue and completion
 //! instants drive latency, queueing and makespan accounting.
 
-use super::{version_row, QueenBee};
+use super::QueenBee;
 use crate::query::pipeline::{PipelineConfig, PipelineReport, WindowSpan};
 use crate::query::plan::{plan_query, QueryPlan, Resolution, StatsPlan, TermPlan};
 use crate::query::request::SearchRequest;
 use crate::query::response::SearchResponse;
+use crate::query::terms::{TermId, TermTable};
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_gossip::TermKey;
 use qb_index::shard::IndexOpCost;
@@ -174,12 +175,12 @@ enum ReadProgress<T> {
 }
 
 /// One index read of a window, from enumeration to retirement: a term's
-/// shard or the statistics record.
-struct WindowRead<T> {
+/// shard (`K` is its [`TermId`]) or the statistics record (`K` is `()`).
+struct WindowRead<T, K = ()> {
     /// The frontend the read is scoped to (`None` in single mode).
     frontend: Option<usize>,
-    /// The term whose shard is read (empty for the statistics record).
-    term: String,
+    /// The term whose shard is read.
+    term: K,
     /// The simulated peer the read is issued from.
     origin_peer: u64,
     /// `seq` of the first query in plan order to need the read.
@@ -187,8 +188,8 @@ struct WindowRead<T> {
     progress: ReadProgress<T>,
 }
 
-impl<T> WindowRead<T> {
-    fn planned(frontend: Option<usize>, term: String, origin_peer: u64, charged_to: u64) -> Self {
+impl<T, K: Copy> WindowRead<T, K> {
+    fn planned(frontend: Option<usize>, term: K, origin_peer: u64, charged_to: u64) -> Self {
         WindowRead {
             frontend,
             term,
@@ -201,9 +202,9 @@ impl<T> WindowRead<T> {
     /// The read's machine and term when the machine is in flight and due
     /// at `at`: before its next event a machine has nothing to advance, so
     /// a window polling a sibling read's event skips it.
-    fn due(&mut self, at: SimInstant) -> Option<(&mut ReadMachine<T>, &str)> {
+    fn due(&mut self, at: SimInstant) -> Option<(&mut ReadMachine<T>, K)> {
         match &mut self.progress {
-            ReadProgress::InFlight(machine, _, next) if at >= *next => Some((machine, &self.term)),
+            ReadProgress::InFlight(machine, _, next) if at >= *next => Some((machine, self.term)),
             _ => None,
         }
     }
@@ -251,7 +252,7 @@ impl<T> WindowRead<T> {
 
 /// What a read a window's plans name returned: a window is served only once
 /// every such read completed, so a missing or unfinished one is an error.
-fn finished<T>(read: Option<&WindowRead<T>>) -> QbResult<&CompletedRead<T>> {
+fn finished<T, K>(read: Option<&WindowRead<T, K>>) -> QbResult<&CompletedRead<T>> {
     match read.map(|read| &read.progress) {
         Some(ReadProgress::Done(done)) => Ok(done),
         _ => Err(QbError::Query(
@@ -260,10 +261,13 @@ fn finished<T>(read: Option<&WindowRead<T>>) -> QbResult<&CompletedRead<T>> {
     }
 }
 
+/// A frontend's batch adverts: fetched shard keys and versions.
+type Adverts = Vec<(TermKey, u64)>;
+
 /// A slot of [`WindowReads`], as [`WindowReads::poll_order`] hands it out.
 enum ReadSlot<'a> {
     Stats(&'a mut WindowRead<IndexStats>),
-    Shard(&'a mut WindowRead<Arc<ShardEntry>>),
+    Shard(&'a mut WindowRead<Arc<ShardEntry>, TermId>),
 }
 
 /// The index reads of one window: each distinct `(serving frontend, term)`
@@ -273,7 +277,7 @@ pub(super) struct WindowReads {
     stats: Option<WindowRead<IndexStats>>,
     /// The shard reads, in enumeration order; a [`TermPlan::Fetch`] holds an
     /// index into this.
-    shards: Vec<WindowRead<Arc<ShardEntry>>>,
+    shards: Vec<WindowRead<Arc<ShardEntry>, TermId>>,
 }
 
 impl WindowReads {
@@ -292,7 +296,7 @@ impl WindowReads {
                 continue;
             };
             if matches!(stats, StatsPlan::Fetch) && reads.stats.is_none() {
-                let stats = WindowRead::planned(frontend, String::new(), origin_peer, seq);
+                let stats = WindowRead::planned(frontend, (), origin_peer, seq);
                 reads.stats = Some(stats);
             }
             for planned in terms {
@@ -300,9 +304,9 @@ impl WindowReads {
                     let shards = &mut reads.shards;
                     let shared = shards
                         .iter()
-                        .position(|r| r.frontend == frontend && r.term == planned.term);
+                        .position(|r| r.frontend == frontend && r.term == planned.id);
                     *read = shared.unwrap_or_else(|| {
-                        let term = planned.term.clone();
+                        let term = planned.id;
                         shards.push(WindowRead::planned(frontend, term, origin_peer, seq));
                         shards.len() - 1
                     });
@@ -360,22 +364,26 @@ impl WindowReads {
     }
 
     /// Group the window's freshly fetched shard keys by serving frontend,
-    /// each group in ascending term order, for batch-aware gossip
+    /// each group in ascending term text order, for batch-aware gossip
     /// advertisement. Only genuine batch windows (`batch` = the window held
     /// ≥ 2 queries) advertise; single-query serving keeps the original
     /// gossip protocol.
-    fn batch_advert_groups(&self, batch: bool) -> HashMap<usize, Vec<(&str, u64)>> {
-        let mut groups: HashMap<usize, Vec<(&str, u64)>> = HashMap::new();
+    fn batch_advert_groups(&self, batch: bool, terms: &TermTable) -> HashMap<usize, Adverts> {
+        let mut groups: HashMap<usize, Adverts> = HashMap::new();
         if batch {
             for read in &self.shards {
                 if let (Some(f), ReadProgress::Done(done)) = (read.frontend, &read.progress) {
                     if done.value.version > 0 {
-                        let key = (read.term.as_str(), done.value.version);
-                        groups.entry(f).or_default().push(key);
+                        let key = terms.key(read.term).clone();
+                        groups.entry(f).or_default().push((key, done.value.version));
                     }
                 }
             }
-            groups.values_mut().for_each(|group| group.sort());
+            // A frontend reads a term once per window: text orders them.
+            let text_order = |a: &(TermKey, u64), b: &(TermKey, u64)| a.0.term().cmp(b.0.term());
+            groups
+                .values_mut()
+                .for_each(|group| group.sort_by(text_order));
         }
         groups
     }
@@ -496,7 +504,8 @@ impl QueenBee {
                 frontend,
                 &self.analyzer,
                 Self::cache_slot(&mut self.cache, &mut self.fleet, frontend),
-                |term| self.shard_versions.get(term).map_or(0, |row| row.0),
+                &mut self.terms,
+                TermTable::version,
                 self.index_stats.version,
                 now,
             )?;
@@ -527,6 +536,7 @@ impl QueenBee {
     fn issue_window(&mut self, win: &mut WindowRun) -> QbResult<()> {
         let (at, window_span) = (win.issued_at, win.span);
         let (net, dht, index) = (&mut self.net, &mut self.dht, &self.dist_index);
+        let terms = &self.terms;
         for slot in win.reads.poll_order() {
             match slot {
                 ReadSlot::Stats(read) => {
@@ -536,19 +546,16 @@ impl QueenBee {
                     read.progress = ReadProgress::InFlight(machine, span, at);
                 }
                 ReadSlot::Shard(read) => {
+                    let term = terms.text(read.term);
                     let span = net
                         .tracer()
-                        .record_with(window_span, "fetch", at, at, || read.term.clone());
-                    let current_version = self
-                        .shard_versions
-                        .get(read.term.as_str())
-                        .map_or(0, |row| row.0);
+                        .record_with(window_span, "fetch", at, at, || term.to_string());
                     let machine = index.begin_read_shard_fresh(
                         net,
                         dht,
                         read.origin_peer,
-                        &read.term,
-                        current_version,
+                        term,
+                        terms.version(read.term),
                         at,
                         span.or(window_span),
                     );
@@ -565,7 +572,7 @@ impl QueenBee {
     /// and leaves its siblings in flight for the loop to abandon.
     fn poll_window(&mut self, win: &mut WindowRun, at: SimInstant) -> QbResult<()> {
         let (net, dht, index) = (&mut self.net, &mut self.dht, &self.dist_index);
-        let (storage, views) = (&mut self.storage, &mut self.shard_views);
+        let (storage, views, terms) = (&mut self.storage, &mut self.shard_views, &self.terms);
         win.next_event = None;
         for slot in win.reads.poll_order() {
             let next = match slot {
@@ -577,6 +584,7 @@ impl QueenBee {
                 }
                 ReadSlot::Shard(read) => {
                     let step = read.due(at).map(|(machine, term)| {
+                        let term = terms.text(term);
                         index.poll_read_shard(net, dht, storage, views, machine, term, at)
                     });
                     read.settle(net, step)?
@@ -605,7 +613,7 @@ impl QueenBee {
     ) -> QbResult<()> {
         let batch = win.plans.len() >= 2 && self.fleet.is_some();
         let (completes_at, queue_delay) = win.reads.completion(win.issued_at)?;
-        let adverts = win.reads.batch_advert_groups(batch);
+        let adverts = win.reads.batch_advert_groups(batch, &self.terms);
         report.makespan = report.makespan.max(completes_at.since(t0));
         report.queue_delay += queue_delay;
         report.windows += 1;
@@ -624,14 +632,7 @@ impl QueenBee {
             responses.push(response);
         }
         if let Some(fleet) = self.fleet.as_mut() {
-            for (frontend, terms) in adverts {
-                let keyed: Vec<(TermKey, u64)> = terms
-                    .into_iter()
-                    .map(|(term, version)| {
-                        let (_, key) = version_row(&mut self.shard_versions, term);
-                        (key.clone(), version)
-                    })
-                    .collect();
+            for (frontend, keyed) in adverts {
                 fleet.note_batch_fetches(frontend, &keyed);
             }
         }
@@ -662,8 +663,15 @@ mod tests {
     }
 
     /// A hand-built plan: `terms` pairs each term with whether the DHT must
-    /// fetch it (otherwise the shard tier resolved it).
-    fn plan(seq: u64, frontend: usize, stats: StatsPlan, terms: &[(&str, bool)]) -> QueryPlan {
+    /// fetch it (otherwise the shard tier resolved it), each interned into
+    /// `table`.
+    fn plan(
+        table: &mut TermTable,
+        seq: u64,
+        frontend: usize,
+        stats: StatsPlan,
+        terms: &[(&str, bool)],
+    ) -> QueryPlan {
         QueryPlan {
             seq,
             request: SearchRequest::new("hand built"),
@@ -674,7 +682,8 @@ mod tests {
                 terms: terms
                     .iter()
                     .map(|&(term, fetch)| PlannedTerm {
-                        term: term.to_string(),
+                        id: table.intern(term),
+                        term: term.into(),
                         plan: if fetch {
                             TermPlan::Fetch { read: 0 }
                         } else {
@@ -693,9 +702,15 @@ mod tests {
         // Two frontends with overlapping terms, a result-cache hit in the
         // middle, and a plan with cached statistics but a missing shard
         // ahead of the first plan that reads the statistics.
-        let mut hit = plan(3, 0, cached.clone(), &[]);
+        let table = &mut TermTable::default();
+        let mut hit = plan(table, 3, 0, cached.clone(), &[]);
+        let Resolution::PerTerm { terms, .. } =
+            plan(table, 3, 0, cached.clone(), &[("alpha", true)]).resolution
+        else {
+            unreachable!("a hand-built plan resolves per term");
+        };
         hit.resolution = Resolution::ResultHit {
-            terms: vec!["alpha".into()],
+            terms,
             entry: qb_cache::CachedResult {
                 results: Arc::new(Vec::new()),
                 term_versions: Vec::new(),
@@ -703,11 +718,29 @@ mod tests {
             },
         };
         let mut plans = vec![
-            plan(1, 0, cached, &[("alpha", true), ("beta", false)]),
-            plan(2, 1, StatsPlan::Fetch, &[("alpha", true), ("gamma", true)]),
+            plan(table, 1, 0, cached, &[("alpha", true), ("beta", false)]),
+            plan(
+                table,
+                2,
+                1,
+                StatsPlan::Fetch,
+                &[("alpha", true), ("gamma", true)],
+            ),
             hit,
-            plan(4, 0, StatsPlan::Fetch, &[("gamma", true), ("alpha", true)]),
-            plan(5, 1, StatsPlan::Fetch, &[("beta", true), ("alpha", true)]),
+            plan(
+                table,
+                4,
+                0,
+                StatsPlan::Fetch,
+                &[("gamma", true), ("alpha", true)],
+            ),
+            plan(
+                table,
+                5,
+                1,
+                StatsPlan::Fetch,
+                &[("beta", true), ("alpha", true)],
+            ),
         ];
         let mut reads = WindowReads::of(&mut plans);
 
@@ -719,10 +752,10 @@ mod tests {
             [vec![0], vec![1, 2], vec![], vec![3, 0], vec![4, 1]],
             "slots written into the plans"
         );
-        let key = |r: &WindowRead<Arc<ShardEntry>>| {
+        let key = |r: &WindowRead<Arc<ShardEntry>, TermId>| {
             (
                 r.frontend.unwrap(),
-                r.term.clone(),
+                table.text(r.term).to_string(),
                 r.origin_peer,
                 r.charged_to,
             )
@@ -748,7 +781,7 @@ mod tests {
             .poll_order()
             .map(|slot| match slot {
                 ReadSlot::Stats(_) => "stats".to_string(),
-                ReadSlot::Shard(r) => format!("{}/{}", r.frontend.unwrap(), r.term),
+                ReadSlot::Shard(r) => format!("{}/{}", r.frontend.unwrap(), table.text(r.term)),
             })
             .collect();
         assert_eq!(
@@ -760,7 +793,7 @@ mod tests {
         // per frontend in ascending term order — not slot order — without
         // the proven-absent (version 0) shard.
         for (slot, read) in reads.shards.iter_mut().enumerate() {
-            let mut entry = ShardEntry::empty(&read.term);
+            let mut entry = ShardEntry::empty(table.text(read.term));
             entry.version = slot as u64; // slot 0 is a proven absence
             read.progress = ReadProgress::Done(CompletedRead {
                 value: Arc::new(entry),
@@ -770,8 +803,12 @@ mod tests {
                 queue_delay: SimDuration::ZERO,
             });
         }
-        let mut groups: Vec<_> = reads.batch_advert_groups(true).into_iter().collect();
-        groups.sort();
+        let mut groups: Vec<_> = reads.batch_advert_groups(true, table).into_iter().collect();
+        groups.sort_by_key(|(f, _)| *f);
+        let groups: Vec<(usize, Vec<(&str, u64)>)> = groups
+            .iter()
+            .map(|(f, group)| (*f, group.iter().map(|(k, v)| (&**k.term(), *v)).collect()))
+            .collect();
         assert_eq!(
             groups,
             [
@@ -779,7 +816,7 @@ mod tests {
                 (1, vec![("alpha", 1), ("beta", 4), ("gamma", 2)]),
             ]
         );
-        assert!(reads.batch_advert_groups(false).is_empty());
+        assert!(reads.batch_advert_groups(false, table).is_empty());
         assert_eq!(reads.shard(3).unwrap().charged_to, 4);
         assert_eq!(reads.shard(3).unwrap().value.term, "gamma");
         // The statistics read never issued, so the window cannot retire.

@@ -38,9 +38,11 @@ pub mod plan;
 pub mod request;
 pub mod response;
 pub mod routing;
+pub mod terms;
 
 pub use admission::{AdmissionConfig, LoadReport, TimedRequest};
 pub use pipeline::{PipelineConfig, PipelineOutcome, PipelineReport, WindowSpan};
 pub use plan::{PlannedTerm, QueryPlan, Resolution, StatsPlan, TermPlan};
 pub use request::{Freshness, RoutingPolicy, SearchRequest};
 pub use response::{SearchResponse, StageCosts, TermProvenance};
+pub use terms::TermId;

@@ -8,6 +8,9 @@
 //! network state, a batch window can plan every request first and then
 //! fetch each distinct missing term exactly once.
 //!
+//! A planned term is its term-table row's [`TermId`] and shared text, so a
+//! query of known terms is planned without a term `String`.
+//!
 //! A plan never owns shard or result data: a term resolved by the shard
 //! tier carries an `Arc` handle to the tier's own copy, and a result-cache
 //! hit shares the entry's list, so planning a warm query copies no posting
@@ -15,6 +18,7 @@
 //! [`qb_cache::QueryCache`]).
 
 use crate::query::request::{Freshness, SearchRequest};
+use crate::query::terms::{TermId, TermTable};
 use qb_cache::{result_key, CachedResult, QueryCache, ShardLookup};
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_index::{Analyzer, IndexStats, ShardEntry};
@@ -48,8 +52,10 @@ pub enum TermPlan {
 /// One analyzed query term and its resolution.
 #[derive(Debug, Clone)]
 pub struct PlannedTerm {
-    /// The analyzed term.
-    pub term: String,
+    /// The term's row in the planning engine's [`TermTable`].
+    pub id: TermId,
+    /// The analyzed term: the row's shared text.
+    pub term: Arc<str>,
     /// How it will be satisfied.
     pub plan: TermPlan,
 }
@@ -88,8 +94,8 @@ pub enum Resolution {
     /// A current result-cache entry answers the whole query; its terms move
     /// into the response as they are.
     ResultHit {
-        /// The analyzed terms.
-        terms: Vec<String>,
+        /// The analyzed terms (each still `Fetch`: nothing is read).
+        terms: Vec<PlannedTerm>,
         /// The entry, sharing the tier's scored list.
         entry: CachedResult,
     },
@@ -118,7 +124,7 @@ impl QueryPlan {
 }
 
 /// `plan_query` over a cache held in an `Option` slot (`None` when
-/// caching is disabled), as the engine's single-frontend mode holds it.
+/// caching is disabled), interning into a term table built for the call.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_request(
     request: SearchRequest,
@@ -131,27 +137,27 @@ pub fn plan_request(
     stats_version: u64,
     now: SimInstant,
 ) -> QbResult<QueryPlan> {
-    let cache = cache.as_mut();
     plan_query(
         request,
         seq,
         origin_peer,
         frontend,
         analyzer,
-        cache,
-        |term| shard_versions.get(term).copied().unwrap_or(0),
+        cache.as_mut(),
+        &mut TermTable::default(),
+        |terms, id| shard_versions.get(&**terms.text(id)).copied().unwrap_or(0),
         stats_version,
         now,
     )
 }
 
 /// Analyze `request` against the local tiers. `cache` is the serving
-/// frontend's cache (`None` when caching is disabled), `shard_version`
-/// reads the engine's monotonic per-term version counter (0 for a term
-/// never written) and `stats_version`
-/// the current statistics version. Probing mutates the cache exactly as
-/// the seed's serve path did (recency, hit/miss counters, version-check
-/// evictions) — planning *is* the cache read.
+/// frontend's cache (`None` when caching is disabled), `terms` the table
+/// the query's terms are interned into, `shard_version` reads a term's
+/// monotonic version counter (0 for a term never written) and
+/// `stats_version` the current statistics version. Probing mutates the
+/// cache exactly as the seed's serve path did (recency, hit/miss counters,
+/// version-check evictions) — planning *is* the cache read.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_query(
     request: SearchRequest,
@@ -160,38 +166,49 @@ pub(crate) fn plan_query(
     frontend: Option<usize>,
     analyzer: &Analyzer,
     mut cache: Option<&mut QueryCache>,
-    shard_version: impl Fn(&str) -> u64,
+    terms: &mut TermTable,
+    shard_version: impl Fn(&TermTable, TermId) -> u64,
     stats_version: u64,
     now: SimInstant,
 ) -> QbResult<QueryPlan> {
-    let mut terms: Vec<String> = Vec::new();
-    for t in analyzer.analyze(&request.query) {
-        if !terms.contains(&t) {
-            terms.push(t);
+    const FETCH: TermPlan = TermPlan::Fetch { read: 0 };
+    let mut planned: Vec<PlannedTerm> = Vec::new();
+    terms.intern_analyzed(analyzer, &request.query, |terms, id| {
+        if !planned.iter().any(|t| t.id == id) {
+            let (term, plan) = (Arc::clone(terms.text(id)), FETCH);
+            planned.push(PlannedTerm { id, term, plan });
         }
-    }
-    if terms.is_empty() {
+    });
+    if planned.is_empty() {
         return Err(QbError::Query(format!(
             "query '{}' has no searchable terms",
             request.query
         )));
     }
-    let key = result_key(&terms);
+    let key = result_key(planned.iter().map(|t| &*t.term));
 
     // Result-cache probe: a warm normalized query whose term shard versions
     // are all still current answers the whole request locally. `Fresh`
     // bypasses it; `MaxStaleness` keeps the strict version check (only the
-    // shard tier below is allowed to serve superseded data).
+    // shard tier below is allowed to serve superseded data). An entry
+    // under this key holds this plan's terms.
     if !matches!(request.freshness, Freshness::Fresh) {
         if let Some(c) = cache.as_deref_mut() {
-            if let Some(entry) = c.lookup_result(&key, now, &shard_version) {
+            let current = |term: &str| {
+                let planned = planned.iter().find(|t| *t.term == *term);
+                planned.map_or(0, |t| shard_version(terms, t.id))
+            };
+            if let Some(entry) = c.lookup_result(&key, now, current) {
                 return Ok(QueryPlan {
                     seq,
                     request,
                     origin_peer,
                     frontend,
                     result_key: key,
-                    resolution: Resolution::ResultHit { terms, entry },
+                    resolution: Resolution::ResultHit {
+                        terms: planned,
+                        entry,
+                    },
                 });
             }
         }
@@ -208,29 +225,24 @@ pub(crate) fn plan_query(
     };
 
     // Per-term resolution through the shard/negative tiers.
-    const FETCH: TermPlan = TermPlan::Fetch { read: 0 };
-    let planned: Vec<PlannedTerm> = terms
-        .into_iter()
-        .map(|term| {
-            let current = shard_version(&term);
-            let plan = match (&request.freshness, cache.as_deref_mut()) {
-                (Freshness::Fresh, _) | (_, None) => FETCH,
-                (freshness, Some(c)) => {
-                    let bound = match freshness {
-                        Freshness::MaxStaleness(bound) => Some(*bound),
-                        _ => None,
-                    };
-                    match c.lookup_shard_within(&term, now, current, bound) {
-                        ShardLookup::Hit(shard) => TermPlan::CachedShard(shard),
-                        ShardLookup::Stale { shard, age } => TermPlan::Stale { shard, age },
-                        ShardLookup::Negative => TermPlan::Negative,
-                        ShardLookup::Miss => FETCH,
-                    }
+    for planned in &mut planned {
+        let current = shard_version(terms, planned.id);
+        planned.plan = match (&request.freshness, cache.as_deref_mut()) {
+            (Freshness::Fresh, _) | (_, None) => FETCH,
+            (freshness, Some(c)) => {
+                let bound = match freshness {
+                    Freshness::MaxStaleness(bound) => Some(*bound),
+                    _ => None,
+                };
+                match c.lookup_shard_within(&planned.term, now, current, bound) {
+                    ShardLookup::Hit(shard) => TermPlan::CachedShard(shard),
+                    ShardLookup::Stale { shard, age } => TermPlan::Stale { shard, age },
+                    ShardLookup::Negative => TermPlan::Negative,
+                    ShardLookup::Miss => FETCH,
                 }
-            };
-            PlannedTerm { term, plan }
-        })
-        .collect();
+            }
+        };
+    }
 
     Ok(QueryPlan {
         seq,
@@ -304,7 +316,7 @@ mod tests {
         )
         .unwrap();
         let (planned, stats) = per_term(&p);
-        let terms: Vec<&str> = planned.iter().map(|t| t.term.as_str()).collect();
+        let terms: Vec<&str> = planned.iter().map(|t| &*t.term).collect();
         assert_eq!(terms, vec![Analyzer::stem("honey"), Analyzer::stem("bees")]);
         assert_eq!(p.fetch_reads().count(), 2, "no cache: everything fetches");
         assert!(matches!(stats, StatsPlan::Fetch));
@@ -329,7 +341,7 @@ mod tests {
         assert!(matches!(terms[0].plan, TermPlan::CachedShard(_)));
         assert!(matches!(terms[1].plan, TermPlan::Negative));
         assert!(matches!(terms[2].plan, TermPlan::Fetch { .. }));
-        assert_eq!(terms[2].term, Analyzer::stem("nectar"));
+        assert_eq!(*terms[2].term, Analyzer::stem("nectar"));
         assert_eq!(p.fetch_reads().count(), 1);
     }
 

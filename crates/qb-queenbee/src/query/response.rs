@@ -1,10 +1,13 @@
 //! [`SearchResponse`]: the structured answer to a
 //! [`SearchRequest`](crate::query::request::SearchRequest), with a
 //! per-stage cost trace and per-term cache provenance.
+//! Its terms are the term table's shared text and each hit's name is its
+//! posting's `Arc<str>`, so a page of hits allocates one vector, no string.
 
 use qb_chain::{AccountId, AdId};
 use qb_common::SimDuration;
 use qb_index::ScoredDoc;
+use std::sync::Arc;
 
 /// Where one query term's posting data came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +66,7 @@ pub struct SearchResponse {
     /// The raw query string.
     pub query: String,
     /// Deduplicated analyzed terms, in query order.
-    pub terms: Vec<String>,
+    pub terms: Vec<Arc<str>>,
     /// The requested page of ranked results (best first).
     pub hits: Vec<ScoredDoc>,
     /// Total matches before pagination.
@@ -139,7 +142,7 @@ mod tests {
     fn doc(i: u64) -> ScoredDoc {
         ScoredDoc {
             doc_id: i,
-            name: format!("page/{i}"),
+            name: format!("page/{i}").into(),
             score: 1.0 / (i + 1) as f64,
             version: 1,
             creator: 7,

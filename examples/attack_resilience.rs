@@ -44,7 +44,7 @@ fn main() {
     let out = qb
         .search_request(SearchRequest::new("beekeeping").route(RoutingPolicy::HashPeer(3)))
         .unwrap();
-    let spam_on_top = out.hits.iter().take(3).any(|r| r.name == "evil/spam");
+    let spam_on_top = out.hits.iter().take(3).any(|r| &*r.name == "evil/spam");
     println!("  spam page in top-3 for 'beekeeping': {spam_on_top}");
     for bee in qb.bees() {
         if bee.is_colluding() {

@@ -108,7 +108,7 @@ fn main() {
                             | TermProvenance::NegativeCache
                             | TermProvenance::StaleCache { .. } => "cached",
                         };
-                        (t.as_str(), tag)
+                        (&**t, tag)
                     })
                     .collect::<Vec<_>>()
             );

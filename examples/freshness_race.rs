@@ -104,14 +104,14 @@ fn main() {
                 if out
                     .hits
                     .iter()
-                    .any(|r| r.name == *name && r.version >= cur_version) => {}
+                    .any(|r| *r.name == **name && r.version >= cur_version) => {}
             _ => qb_stale += 1,
         }
         match central.search(&marker, 5.0, last) {
             Ok((results, _))
                 if results
                     .iter()
-                    .any(|r| r.name == *name && r.version >= cur_version) => {}
+                    .any(|r| *r.name == **name && r.version >= cur_version) => {}
             _ => central_stale += 1,
         }
     }

@@ -32,7 +32,16 @@
 # 31.730952 or 31.730992: the views are keyed by buffer address, an
 # in-place sweep left tombstones wherever the addresses fell, and those
 # decided whether one ~8 KiB table resize landed inside the timed region. The ceilings sit ~10 % above the values measured at
-# seed 1, 1 s. Since a cache tier that replaces an entry under the same
+# seed 1, 1 s. Since text is named once — a hit's name is its posting's
+# `Arc<str>`, the analyzer streams a query's terms through one buffer
+# into the engine's term table (a known term is planned with no
+# `String`), an ad is picked by a borrowed lowercase keyword, a MinHash
+# shingle is hashed part by part instead of joined and a plan's observed
+# versions are read from its shards instead of a list — score-heavy
+# reads 12.0 (33.5 before; its ceiling went 37 -> 13.2), cold-lookup
+# 21.6 (30.7 before; 34 -> 23.7), serve-warm 18.5 (34.3 before; 38 ->
+# 20.4) and publish-churn 335.5 (435.3 before; 496 -> 369); a page-name
+# `String` copied per hit puts score-heavy back above 21. Since a cache tier that replaces an entry under the same
 # key keeps the entry's map-key and recency-row strings instead of
 # dropping them and allocating equal ones, serve-warm reads 34.4 (38.4
 # before; its ceiling went 42 -> 38) and publish-churn 435.8 (437.4
@@ -207,8 +216,8 @@ check() {
   fi
 }
 
-check score-heavy 0931b7eedaa0bea9 37
-check cold-lookup a30562ceaa2f8154 34
-check serve-warm 059c87e708c069a0 38
-check publish-churn 0858e038e76a9b58 496 34
+check score-heavy 0931b7eedaa0bea9 13.2
+check cold-lookup a30562ceaa2f8154 23.7
+check serve-warm 059c87e708c069a0 20.4
+check publish-churn 0858e038e76a9b58 369 34
 exit "$status"

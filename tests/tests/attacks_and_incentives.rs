@@ -78,7 +78,7 @@ fn colluding_minority_is_caught_flagged_and_slashed() {
     let out = qb
         .search_request(SearchRequest::new("ordinary honest").route(RoutingPolicy::HashPeer(3)))
         .expect("search");
-    assert!(out.hits.iter().all(|r| r.name != "evil/spam"));
+    assert!(out.hits.iter().all(|r| &*r.name != "evil/spam"));
 
     // The colluder was flagged whenever it was assigned, and slashed.
     let colluder = &qb.bees()[0];
@@ -120,7 +120,7 @@ fn collusion_without_redundancy_poisons_the_index() {
         .search_request(SearchRequest::new("sunflower").route(RoutingPolicy::HashPeer(3)))
         .expect("search");
     assert!(
-        out.hits.iter().any(|r| r.name == "evil/spam"),
+        out.hits.iter().any(|r| &*r.name == "evil/spam"),
         "without a quorum the spam injection should succeed"
     );
 }

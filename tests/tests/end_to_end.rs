@@ -63,7 +63,7 @@ fn full_pipeline_from_publish_to_paid_ad_click() {
         .search_request(SearchRequest::new("artisanal honey").route(RoutingPolicy::HashPeer(7)))
         .expect("search");
     assert!(!out.hits.is_empty());
-    assert_eq!(out.hits[0].name, "shop/honey");
+    assert_eq!(&*out.hits[0].name, "shop/honey");
     assert!(out.ad.is_some());
     assert!(out.latency.as_micros() > 0);
 
@@ -111,10 +111,10 @@ fn search_results_are_relevant_and_ranked() {
     let out = qb
         .search_request(SearchRequest::new("nectar").route(RoutingPolicy::HashPeer(5)))
         .expect("search");
-    let names: Vec<&str> = out.hits.iter().map(|r| r.name.as_str()).collect();
+    let names: Vec<&str> = out.hits.iter().map(|r| &*r.name).collect();
     assert!(names.contains(&"a") && names.contains(&"b"));
     assert!(!names.contains(&"c"));
-    assert_eq!(out.hits[0].name, "a", "higher term frequency ranks first");
+    assert_eq!(&*out.hits[0].name, "a", "higher term frequency ranks first");
 }
 
 #[test]
@@ -142,7 +142,7 @@ fn multi_term_queries_intersect_posting_lists() {
     let out = qb
         .search_request(SearchRequest::new("zebras quaggas").route(RoutingPolicy::HashPeer(5)))
         .expect("search");
-    assert_eq!(out.hits[0].name, "both");
+    assert_eq!(&*out.hits[0].name, "both");
     assert!(out.shards_fetched() >= 2);
 }
 
