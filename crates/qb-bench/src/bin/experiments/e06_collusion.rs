@@ -19,7 +19,10 @@ fn total_stake(qb: &QueenBee) -> u64 {
 
 pub fn run() -> Vec<Table> {
     let mut t = Table::new(
-        "E6: collusion attack (bees boosting 'evil/spam') vs verification quorum",
+        "E6: collusion attack (bees boosting 'evil/spam') vs verification quorum; \
+         probes: 30 corpus queries, the spam page's 7 words, the 30 with a spam word \
+         appended (that word alone tops the union on BM25, so spam_in_top3_% cannot \
+         see the quorum)",
         &[
             "colluding_fraction",
             "quorum",
@@ -54,10 +57,28 @@ pub fn run() -> Vec<Table> {
             qb.run_rank_round().expect("rank");
             let spam_rank = qb.rank_of("evil/spam");
             let uniform = 1.0 / qb.chain.publish_registry().len().max(1) as f64;
-            let queries = queries(&corpus, 0xE6, 30);
+            // The probes: corpus queries, which no corpus word lets reach
+            // the spam page (each ends in its `q<i>` tag); the spam page's
+            // own words; and each corpus query with a spam word appended,
+            // whose empty conjunction falls back to the union of the
+            // corpus matches and the spam page.
+            let corpus_queries = queries(&corpus, 0xE6, 30);
+            let mut spam_words: Vec<&str> = Vec::new();
+            for word in spam.body.split_whitespace() {
+                if !spam_words.contains(&word) {
+                    spam_words.push(word);
+                }
+            }
+            let appended = corpus_queries.iter().zip(spam_words.iter().cycle());
+            let probes: Vec<String> = corpus_queries
+                .iter()
+                .cloned()
+                .chain(spam_words.iter().map(|word| word.to_string()))
+                .chain(appended.map(|(query, word)| format!("{query} {word}")))
+                .collect();
             let mut spam_hits = 0;
             let mut answered = 0;
-            for (i, q) in queries.iter().enumerate() {
+            for (i, q) in probes.iter().enumerate() {
                 if let Ok(out) = qb.search_request(
                     SearchRequest::new(q).route(RoutingPolicy::HashPeer((i % 40) as u64)),
                 ) {

@@ -33,8 +33,9 @@ pub struct CachedResult {
     /// Shard version of every query term the list was scored from, in the
     /// storing query's term order (a permuted query files under the same
     /// key, so compare them as a set). The entry is only served while each
-    /// term's current version still matches.
-    pub term_versions: Vec<(Arc<str>, u64)>,
+    /// term's current version still matches. A hit shares them with the
+    /// tier's entry.
+    pub term_versions: Arc<[(Arc<str>, u64)]>,
     /// The statistics and rank round the list was scored under. A shard at
     /// a term version never changes, so a scoring of these term versions
     /// under these inputs builds this list again, bit for bit.

@@ -193,15 +193,13 @@ impl Blockchain {
                 TxStatus::Ok => self.ok_txs += 1,
                 _ => self.failed_txs += 1,
             }
-            for ev in &events {
-                self.events.push((height, ev.clone()));
-            }
+            self.events
+                .extend(events.into_iter().map(|ev| (height, ev)));
             self.receipts.push(Receipt {
                 block_height: height,
                 tx_index: i,
                 from: tx.from,
                 status,
-                events,
             });
         }
 
@@ -298,11 +296,6 @@ impl Blockchain {
         &self.events
     }
 
-    /// Events appended at or after log index `cursor`.
-    pub fn events_since(&self, cursor: usize) -> &[(u64, Event)] {
-        &self.events[cursor.min(self.events.len())..]
-    }
-
     /// All sealed blocks.
     pub fn blocks(&self) -> &[Block] {
         &self.blocks
@@ -373,6 +366,79 @@ mod tests {
             .iter()
             .any(|(_, e)| matches!(e, Event::PagePublished { name, .. } if name == "dweb/home")));
         assert_eq!(c.stats().ok_txs, 1);
+    }
+
+    #[test]
+    fn a_sealed_batch_logs_each_event_once_beside_its_receipts_status() {
+        let mut c = chain();
+        let publish = |name: &str, out_links: Vec<String>| Call::PublishPage {
+            name: name.into(),
+            cid: Cid::for_data(name.as_bytes()),
+            out_links,
+        };
+        c.submit_call(AccountId(1), publish("a", vec!["b".into()]));
+        c.submit_call(AccountId(2), publish("b", vec![]));
+        // A name owned by another account reverts; a replayed nonce is
+        // rejected; a transfer of the reward just paid goes through.
+        c.submit_call(AccountId(3), publish("a", vec![]));
+        c.submit(Transaction::new(AccountId(2), 0, publish("c", vec![])));
+        c.submit_call(
+            AccountId(1),
+            Call::Transfer {
+                to: AccountId(3),
+                amount: 10,
+            },
+        );
+        c.seal_block(SimInstant::ZERO);
+
+        let published = |creator: u64, name: &str| {
+            let creator = AccountId(creator);
+            let reward = Event::PublishRewardPaid {
+                creator,
+                amount: PUBLISH_REWARD,
+            };
+            let cid = Cid::for_data(name.as_bytes());
+            let name = name.to_string();
+            [
+                Event::PagePublished {
+                    creator,
+                    name,
+                    cid,
+                    version: 1,
+                },
+                reward,
+            ]
+        };
+        let transfer = Event::Transferred {
+            from: AccountId(1),
+            to: AccountId(3),
+            amount: 10,
+        };
+        let expected: Vec<(u64, Event)> = published(1, "a")
+            .into_iter()
+            .chain(published(2, "b"))
+            .chain([transfer])
+            .map(|event| (0, event))
+            .collect();
+        assert_eq!(c.events(), expected);
+        assert_eq!(c.stats().events, 5);
+
+        let statuses: Vec<&TxStatus> = c.receipts().iter().map(|r| &r.status).collect();
+        assert!(matches!(
+            statuses[..],
+            [
+                TxStatus::Ok,
+                TxStatus::Ok,
+                TxStatus::Reverted(_),
+                TxStatus::InvalidNonce {
+                    expected: 1,
+                    got: 0
+                },
+                TxStatus::Ok,
+            ]
+        ));
+        // The registry keeps the links the event no longer carries.
+        assert_eq!(c.publish_registry().get("a").unwrap().out_links, ["b"]);
     }
 
     #[test]
@@ -482,39 +548,6 @@ mod tests {
             c.seal_block(SimInstant::ZERO);
         }
         assert!(c.verify_integrity().is_ok());
-    }
-
-    #[test]
-    fn events_since_cursor() {
-        let mut c = chain();
-        c.submit_call(
-            AccountId(1),
-            Call::PublishPage {
-                name: "a".into(),
-                cid: Cid::for_data(b"a"),
-                out_links: vec![],
-            },
-        );
-        c.seal_block(SimInstant::ZERO);
-        let cursor = c.events().len();
-        c.submit_call(
-            AccountId(2),
-            Call::PublishPage {
-                name: "b".into(),
-                cid: Cid::for_data(b"b"),
-                out_links: vec![],
-            },
-        );
-        c.seal_block(SimInstant::ZERO);
-        let new = c.events_since(cursor);
-        assert!(new
-            .iter()
-            .any(|(_, e)| matches!(e, Event::PagePublished { name, .. } if name == "b")));
-        assert!(!new
-            .iter()
-            .any(|(_, e)| matches!(e, Event::PagePublished { name, .. } if name == "a")));
-        // A cursor past the end yields nothing.
-        assert!(c.events_since(10_000).is_empty());
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl PublishRegistry {
                 cid,
                 version,
                 creator,
-                out_links: out_links.clone(),
+                out_links,
                 published_at: now,
             },
         );
@@ -86,7 +86,6 @@ impl PublishRegistry {
             name: name.to_string(),
             cid,
             version,
-            out_links,
         }];
         // Publish reward: best effort — if the treasury is dry the publish
         // still succeeds, it just pays nothing (the paper leaves the exact

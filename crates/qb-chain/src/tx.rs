@@ -112,10 +112,9 @@ pub struct Receipt {
     pub tx_index: usize,
     /// Sender.
     pub from: AccountId,
-    /// Execution status.
+    /// Execution status. The events the call emitted are in the chain's
+    /// event log ([`crate::Blockchain::events`]), their one copy.
     pub status: TxStatus,
-    /// Events emitted by the call.
-    pub events: Vec<Event>,
 }
 
 /// Typed events appended to the chain's event log. Worker bees subscribe to
@@ -134,7 +133,6 @@ pub enum Event {
         name: String,
         cid: Cid,
         version: u64,
-        out_links: Vec<String>,
     },
     /// The publish reward was paid to a creator.
     PublishRewardPaid { creator: AccountId, amount: u64 },

@@ -41,6 +41,7 @@ use crate::membership::MembershipView;
 use crate::stats::GossipStats;
 use qb_cache::{CacheConfig, QueryCache, Rank, RankedKey};
 use qb_common::{IdHashMap, SimInstant};
+use qb_index::ShardEntry;
 use qb_segment::{ImportReport, Segment, SegmentRef};
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -448,16 +449,19 @@ impl Frontend {
     /// Install a segment — a fetched bootstrap artifact, or a previous
     /// session's warm-start snapshot — into the cache under the version
     /// guard (a shard older than this frontend's knowledge is rejected),
-    /// then record every shard version the segment carries. A segment is
+    /// recording each shard's version once its guard is read. A segment is
     /// the one way a term reaches a frontend without passing the engine,
     /// so its terms are keyed here.
     pub fn import_segment(&mut self, segment: &Segment, now: SimInstant) -> ImportReport {
         let Frontend { cache, known, .. } = self;
-        let report = segment.import_into(cache, |term| known.get(&TermKey::of(term)), now);
-        for shard in segment.shards() {
-            known.observe(&TermKey::of(shard.term.as_str()), shard.version);
-        }
-        report
+        // One key per term: its guard read, then its observation.
+        let guard_then_observe = |shard: &ShardEntry| {
+            let key = TermKey::of(shard.term.as_str());
+            let guard = known.get(&key);
+            known.observe(&key, shard.version);
+            guard
+        };
+        segment.import_into(cache, guard_then_observe, now)
     }
 }
 

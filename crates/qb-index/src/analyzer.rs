@@ -24,39 +24,21 @@ const STRIPPED: &[&str] = &[
 /// Endings after which "es" is a plural marker (boxes, churches).
 const SIBILANT_PLURALS: &[&str] = &["sses", "xes", "zes", "ches", "shes"];
 
-/// Configurable text analyzer.
-#[derive(Debug, Clone)]
-pub struct Analyzer {
-    /// Apply the light suffix stemmer.
-    pub stemming: bool,
-    /// Minimum token length kept (after stemming).
-    pub min_token_len: usize,
-    /// Maximum token length kept (guards against degenerate tokens).
-    pub max_token_len: usize,
-}
+/// Shortest term kept (after stemming), in bytes.
+const MIN_TERM_LEN: usize = 2;
 
-impl Default for Analyzer {
-    fn default() -> Self {
-        Analyzer {
-            stemming: true,
-            min_token_len: 2,
-            max_token_len: 32,
-        }
-    }
-}
+/// Longest term kept, in bytes (guards against degenerate tokens).
+const MAX_TERM_LEN: usize = 32;
+
+/// The text analyzer: every index and query shares one pipeline, so a
+/// query term meets the document term it was analysed from.
+#[derive(Debug, Clone, Default)]
+pub struct Analyzer;
 
 impl Analyzer {
-    /// Analyzer with default settings.
+    /// The analyzer.
     pub fn new() -> Analyzer {
-        Analyzer::default()
-    }
-
-    /// Analyzer without stemming (used by tests that need exact terms).
-    pub fn without_stemming() -> Analyzer {
-        Analyzer {
-            stemming: false,
-            ..Analyzer::default()
-        }
+        Analyzer
     }
 
     /// Is this term a stopword?
@@ -104,10 +86,8 @@ impl Analyzer {
                 continue;
             }
             if !buf.is_empty() && !self.is_stopword(buf) {
-                if self.stemming {
-                    Self::stem_in_place(buf);
-                }
-                if (self.min_token_len..=self.max_token_len).contains(&buf.len()) {
+                Self::stem_in_place(buf);
+                if (MIN_TERM_LEN..=MAX_TERM_LEN).contains(&buf.len()) {
                     each(buf);
                 }
             }
@@ -213,12 +193,12 @@ mod tests {
     /// The pipeline in stages — tokenize, drop stopwords, stem, drop by
     /// length — each collecting its own strings: the reference the
     /// streaming analyzer must agree with.
-    fn reference_analyze(a: &Analyzer, text: &str) -> Vec<String> {
+    fn reference_analyze(text: &str) -> Vec<String> {
         tokenize(text)
             .into_iter()
             .filter(|t| !STOPWORDS.contains(&t.as_str()))
-            .map(|t| if a.stemming { reference_stem(&t) } else { t })
-            .filter(|t| t.len() >= a.min_token_len && t.len() <= a.max_token_len)
+            .map(|t| reference_stem(&t))
+            .filter(|t| t.len() >= 2 && t.len() <= 32)
             .collect()
     }
 
@@ -252,11 +232,10 @@ mod tests {
         #[test]
         fn streaming_yields_the_staged_pipelines_terms_and_counts(
             pieces in proptest::collection::vec((any::<u32>(), 0u8..7), 0..24),
-            stemming in any::<bool>(),
         ) {
-            let a = Analyzer { stemming, ..Analyzer::default() };
+            let a = Analyzer::new();
             let text = text_of(&pieces);
-            let expected = reference_analyze(&a, &text);
+            let expected = reference_analyze(&text);
             prop_assert_eq!(a.analyze(&text), expected.clone(), "{:?}", text);
             let mut counts: BTreeMap<String, u32> = BTreeMap::new();
             for t in expected {
@@ -274,7 +253,7 @@ mod tests {
 
     #[test]
     fn terms_at_the_length_bounds_are_kept() {
-        let a = Analyzer::without_stemming();
+        let a = Analyzer::new();
         let (two, thirty_two) = ("ab".to_string(), "x".repeat(32));
         let text = format!("{two} {thirty_two} {}x y", thirty_two);
         assert_eq!(a.analyze(&text), vec![two, thirty_two]);
@@ -296,12 +275,12 @@ mod tests {
 
     #[test]
     fn stopwords_are_removed() {
-        let a = Analyzer::without_stemming();
+        let a = Analyzer::new();
         let terms = a.analyze("the search engine of the decentralized web");
         assert!(!terms.contains(&"the".to_string()));
         assert!(!terms.contains(&"of".to_string()));
         assert!(terms.contains(&"search".to_string()));
-        assert!(terms.contains(&"decentralized".to_string()));
+        assert!(terms.contains(&Analyzer::stem("decentralized")));
     }
 
     #[test]
@@ -326,7 +305,7 @@ mod tests {
 
     #[test]
     fn term_frequencies_count_and_sort() {
-        let a = Analyzer::without_stemming();
+        let a = Analyzer::new();
         let tf = a.term_frequencies("bee bee honey bee nectar honey");
         assert_eq!(
             tf,

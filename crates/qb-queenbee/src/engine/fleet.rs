@@ -191,7 +191,7 @@ impl QueenBee {
                 ));
             };
             let terms = &self.terms;
-            segment.import_into(cache, |term| terms.version_of(term), now)
+            segment.import_into(cache, |shard| terms.version_of(&shard.term), now)
         };
         Ok(report.accepted as usize)
     }

@@ -120,26 +120,23 @@ impl QueenBee {
     /// that used the term is refused by its next lookup's version check).
     pub fn process_publish_events(&mut self) -> QbResult<usize> {
         let now = self.net.now();
-        let events: Vec<Event> = self
-            .chain
-            .events_since(self.event_cursor)
-            .iter()
-            .map(|(_, e)| e.clone())
-            .collect();
-        self.event_cursor = self.chain.events().len();
+        // The log only grows and nothing in the batch seals a block, so
+        // this batch is entries `first..end`, each read in place: only
+        // what indexing needs is copied out.
+        let (first, end) = (self.event_cursor, self.chain.events().len());
+        self.event_cursor = end;
         let mut handled = 0usize;
         let validator = qb_chain::VALIDATORS[0];
 
-        for event in events {
-            let Event::PagePublished {
-                creator,
-                name,
-                cid,
-                version,
-                ..
-            } = event
-            else {
-                continue;
+        for at in first..end {
+            let (creator, name, cid, version) = match &self.chain.events()[at].1 {
+                Event::PagePublished {
+                    creator,
+                    name,
+                    cid,
+                    version,
+                } => (*creator, name.clone(), *cid, *version),
+                _ => continue,
             };
             handled += 1;
             let quorum = self.config.index_quorum.min(self.bees.len()).max(1);

@@ -288,7 +288,10 @@ impl QueenBee {
         // these inputs is this plan's list, bit for bit: it is paged and
         // offered again instead of scored.
         let inputs = ScoreInputs::new(&stats, self.rank_round);
-        let resident = self.resident_list(plan.frontend, &plan.result_key, &terms, reads, inputs);
+        let resident = plan
+            .result_key
+            .as_deref()
+            .and_then(|key| self.resident_list(plan.frontend, key, &terms, reads, inputs));
         let reused = resident.is_some();
 
         // Line the shards up in term order, borrowed from the plan's
@@ -309,34 +312,34 @@ impl QueenBee {
         let mut shards: Vec<(Cow<'_, ShardEntry>, Option<ShardImpacts>)> =
             Vec::with_capacity(terms.len());
         let mut provenance: Vec<TermProvenance> = Vec::with_capacity(terms.len());
-        let mut term_latencies: Vec<SimDuration> = Vec::with_capacity(terms.len());
-        let mut fan_out: Vec<&Arc<ShardEntry>> = Vec::new();
         let mut messages = 0u64;
         let mut any_stale = false;
-        // The slowest fetched read this plan waits on: its completion
-        // instant and the link queueing inside it.
+        // The window's reads run in parallel: the shard stage is the
+        // slowest of this query's term components, and the latency the
+        // slowest fetched read it waited on — its completion instant and
+        // the link queueing inside it — on the window's timeline.
+        let mut shard_stage = SimDuration::ZERO;
         let mut critical: Option<(SimInstant, SimDuration)> = None;
         for planned in &terms {
-            match &planned.plan {
+            let term_latency = match &planned.plan {
                 TermPlan::CachedShard(shard) => {
                     provenance.push(TermProvenance::ShardCache);
-                    term_latencies.push(hit_latency);
                     shards.push((Cow::Borrowed(shard), impacts_of(shard)));
+                    hit_latency
                 }
                 TermPlan::Negative => {
                     provenance.push(TermProvenance::NegativeCache);
-                    term_latencies.push(hit_latency);
                     shards.push((Cow::Owned(ShardEntry::empty(&planned.term)), None));
+                    hit_latency
                 }
                 TermPlan::Stale { shard, age } => {
                     any_stale = true;
                     provenance.push(TermProvenance::StaleCache { age: *age });
-                    term_latencies.push(hit_latency);
                     shards.push((Cow::Borrowed(shard), impacts_of(shard)));
+                    hit_latency
                 }
                 TermPlan::Fetch { read } => {
                     let fetch = reads.shard(*read)?;
-                    term_latencies.push(fetch.latency());
                     critical = fetch.slowest(critical);
                     if let Some(sent) = fetch.messages_charged_to(plan.seq) {
                         messages += sent;
@@ -344,10 +347,11 @@ impl QueenBee {
                     } else {
                         provenance.push(TermProvenance::BatchShared);
                     }
-                    fan_out.push(fetch.value());
                     shards.push((Cow::Borrowed(fetch.value()), impacts_of(fetch.value())));
+                    fetch.latency()
                 }
-            }
+            };
+            shard_stage = shard_stage.max(term_latency);
         }
 
         let stats_latency = match stats_read {
@@ -358,11 +362,6 @@ impl QueenBee {
                 read.latency()
             }
         };
-
-        // The window's reads run in parallel: the stage costs are the max
-        // over this query's term components, and the latency is the
-        // slowest read it waited on, on the window's timeline.
-        let shard_stage = qb_simnet::parallel_latency(&term_latencies);
         let (latency, net_queue) = match critical {
             Some((done, queue_delay)) => {
                 let latency = done.since(issued_at);
@@ -401,24 +400,22 @@ impl QueenBee {
         // from deliberately stale `MaxStaleness` shards are not cached: a
         // strict reader must never inherit them.
         if let Some(c) = Self::cache_slot(&mut self.cache, &mut self.fleet, plan.frontend) {
-            for shard in fan_out {
-                c.store_shard_handle(shard, now);
+            for planned in &terms {
+                if let TermPlan::Fetch { read } = planned.plan {
+                    c.store_shard_handle(reads.shard(read)?.value(), now);
+                }
             }
             if stats_read.is_some() {
                 c.store_stats(stats);
             }
-            if !any_stale {
+            // A plan served by a cache carries its result key.
+            if let (false, Some(key)) = (any_stale, &plan.result_key) {
                 let names = terms.iter().map(|t| &t.term);
                 let term_versions = names.zip(shards.iter().map(|(s, _)| s.version));
                 let list_bytes = ranked.list_bytes();
-                c.store_result(
-                    &plan.result_key,
-                    term_versions,
-                    inputs,
-                    list_bytes,
-                    now,
-                    || ranked.list(),
-                );
+                c.store_result(key, term_versions, inputs, list_bytes, now, || {
+                    ranked.list()
+                });
             }
         }
         // The response owns its page — sliced from the list when the result

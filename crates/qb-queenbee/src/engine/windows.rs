@@ -677,7 +677,7 @@ mod tests {
             request: SearchRequest::new("hand built"),
             origin_peer: 100 + frontend as u64,
             frontend: Some(frontend),
-            result_key: String::new(),
+            result_key: None,
             resolution: Resolution::PerTerm {
                 terms: terms
                     .iter()
@@ -713,7 +713,7 @@ mod tests {
             terms,
             entry: qb_cache::CachedResult {
                 results: Arc::new(Vec::new()),
-                term_versions: Vec::new(),
+                term_versions: Arc::new([]),
                 inputs: qb_index::ScoreInputs::default(),
             },
         };
@@ -827,7 +827,11 @@ mod tests {
     /// A cache-on engine holding two pages that share `decentralized` and
     /// `peers`.
     fn two_pages() -> QueenBee {
-        let mut qb = cached_engine();
+        with_two_pages(cached_engine())
+    }
+
+    /// `qb` with `two_pages`' pages published and indexed.
+    fn with_two_pages(mut qb: QueenBee) -> QueenBee {
         for (name, text) in [
             ("wiki/dweb", "peers serve the decentralized web"),
             ("wiki/p2p", "decentralized peers gossip"),
@@ -891,6 +895,94 @@ mod tests {
         assert!(served.result_cache_hit());
         assert_eq!(served.hits, responses[0].hits);
         assert_eq!(qb.query_stats(), stats, "a hit scores nothing");
+    }
+
+    /// `two_pages` with `honey` held by the shard tier and `ghost` by the
+    /// negative tier, then one window of `query` read to completion.
+    fn mixed_plan(query: &str) -> (QueenBee, WindowRun) {
+        let mut qb = cached_engine();
+        for (name, text) in [
+            ("wiki/meadow", "honey pollen nectar meadow"),
+            ("wiki/hive", "honey nectar"),
+        ] {
+            qb.publish(1, AccountId(1_000), &page(name, text, vec![]))
+                .unwrap();
+        }
+        qb.seal();
+        qb.process_publish_events().unwrap();
+        for warm in ["honey", "ghost"] {
+            qb.search_request(from_peer(5, warm)).unwrap();
+        }
+        let window = read_to_completion(&mut qb, vec![from_peer(5, query)]);
+        let Resolution::PerTerm { terms, .. } = &window.plans[0].resolution else {
+            panic!("no result is resident for this query");
+        };
+        let kinds: Vec<&str> = terms
+            .iter()
+            .map(|t| match t.plan {
+                TermPlan::CachedShard(_) => "cached",
+                TermPlan::Negative => "negative",
+                TermPlan::Stale { .. } => "stale",
+                TermPlan::Fetch { .. } => "fetch",
+            })
+            .collect();
+        assert_eq!(kinds, ["cached", "fetch", "fetch", "negative"]);
+        (qb, window)
+    }
+
+    #[test]
+    fn a_mixed_plan_charges_its_slowest_term_as_the_shard_stage() {
+        let (mut qb, mut window) = mixed_plan("honey pollen nectar ghost");
+        let plan = window.plans.remove(0);
+        let fetched: Vec<SimDuration> = plan
+            .fetch_reads()
+            .map(|slot| window.reads.shard(slot).unwrap().latency())
+            .collect();
+        let hit = qb.config.cache.hit_latency;
+        let slowest = fetched.iter().copied().max().unwrap();
+        // The first and last terms are cache hits, cheaper than any fetch.
+        assert!(fetched.iter().all(|&latency| latency > hit));
+        let now = qb.net.now();
+        let served = qb.serve_plan(plan, &window.reads, now, now).unwrap();
+        assert_eq!(served.trace.shard_fetch, slowest);
+    }
+
+    #[test]
+    fn a_mixed_plan_stores_its_fetched_shards_in_term_order() {
+        // Term order puts `pollen` ahead of `nectar`, text order behind.
+        let (mut qb, mut window) = mixed_plan("honey pollen nectar ghost");
+        let plan = window.plans.remove(0);
+        let now = qb.net.now();
+        qb.serve_plan(plan, &window.reads, now, now).unwrap();
+        // A store draws the tier's next recency tick; `honey` drew its
+        // own when the plan read it.
+        let cache = qb.cache.as_ref().unwrap();
+        let tick = |term: &str| {
+            let entry = cache.shard_ranks(now).find(|e| e.key == term);
+            entry.expect("resident").rank.1
+        };
+        assert!(tick("honey") < tick("pollen"));
+        assert!(tick("pollen") < tick("nectar"));
+    }
+
+    #[test]
+    fn a_cache_off_engines_plans_carry_no_result_key() {
+        let query = || vec![from_peer(5, "decentralized peers")];
+        let mut on = two_pages();
+        let now = on.net.now();
+        let planned = on.open_window(query(), now).unwrap().plans.remove(0);
+        let terms = ["decentralized", "peers"].map(qb_index::Analyzer::stem);
+        let key = qb_cache::result_key(terms.iter().map(String::as_str));
+        assert_eq!(planned.result_key, Some(key));
+
+        let config = crate::config::QueenBeeConfig::small();
+        let mut off = with_two_pages(QueenBee::new(config).unwrap());
+        let mut window = read_to_completion(&mut off, query());
+        let plan = window.plans.remove(0);
+        assert_eq!(plan.result_key, None);
+        let now = off.net.now();
+        let served = off.serve_plan(plan, &window.reads, now, now).unwrap();
+        assert_eq!(served.hits.len(), 2);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub enum TermPlan {
 /// One analyzed query term and its resolution.
 #[derive(Debug, Clone)]
 pub struct PlannedTerm {
-    /// The term's row in the planning engine's [`TermTable`].
+    /// The term's row in the planning engine's term table.
     pub id: TermId,
     /// The analyzed term: the row's shared text.
     pub term: Arc<str>,
@@ -81,8 +81,10 @@ pub struct QueryPlan {
     pub origin_peer: u64,
     /// The fleet frontend serving the request (`None` in single mode).
     pub frontend: Option<usize>,
-    /// Normalized result-cache key (sorted terms).
-    pub result_key: String,
+    /// Normalized result-cache key (sorted terms), built only when the
+    /// serving frontend has a cache (`None` otherwise: nothing keeps a
+    /// result to find under it).
+    pub result_key: Option<String>,
     /// How the query will be answered.
     pub resolution: Resolution,
 }
@@ -185,7 +187,9 @@ pub(crate) fn plan_query(
             request.query
         )));
     }
-    let key = result_key(planned.iter().map(|t| &*t.term));
+    let key = cache
+        .is_some()
+        .then(|| result_key(planned.iter().map(|t| &*t.term)));
 
     // Result-cache probe: a warm normalized query whose term shard versions
     // are all still current answers the whole request locally. `Fresh`
@@ -193,12 +197,12 @@ pub(crate) fn plan_query(
     // shard tier below is allowed to serve superseded data). An entry
     // under this key holds this plan's terms.
     if !matches!(request.freshness, Freshness::Fresh) {
-        if let Some(c) = cache.as_deref_mut() {
+        if let (Some(c), Some(probe)) = (cache.as_deref_mut(), &key) {
             let current = |term: &str| {
                 let planned = planned.iter().find(|t| *t.term == *term);
                 planned.map_or(0, |t| shard_version(terms, t.id))
             };
-            if let Some(entry) = c.lookup_result(&key, now, current) {
+            if let Some(entry) = c.lookup_result(probe, now, current) {
                 return Ok(QueryPlan {
                     seq,
                     request,

@@ -217,21 +217,22 @@ impl Segment {
     }
 
     /// Install the segment into a cache's shard tier through the existing
-    /// remote-admission version guard: `known_version(term)` is the
-    /// highest version the receiver has observed for the term, and a
-    /// segment shard older than that — or older than the cached copy — is
-    /// rejected, so a stale artifact can never clobber fresher knowledge.
-    /// Entries inherit the receiver's own adaptive TTL.
+    /// remote-admission version guard: `known_version(shard)` is the
+    /// highest version the receiver has observed for the shard's term
+    /// (asked once per shard, in term order, just before its admission),
+    /// and a segment shard older than that — or older than the cached
+    /// copy — is rejected, so a stale artifact can never clobber fresher
+    /// knowledge. Entries inherit the receiver's own adaptive TTL.
     pub fn import_into(
         &self,
         cache: &mut QueryCache,
-        known_version: impl Fn(&str) -> u64,
+        mut known_version: impl FnMut(&ShardEntry) -> u64,
         now: SimInstant,
     ) -> ImportReport {
         let mut report = ImportReport::default();
         for Framed { shard, .. } in self.entries.values() {
             let ttl = cache.adaptive_shard_ttl(&shard.term);
-            match cache.store_remote_shard(shard, known_version(&shard.term), ttl, now) {
+            match cache.store_remote_shard(shard, known_version(shard), ttl, now) {
                 RemoteAdmit::Accepted => report.accepted += 1,
                 RemoteAdmit::Stale => report.stale += 1,
                 RemoteAdmit::Duplicate => report.duplicates += 1,
@@ -500,7 +501,7 @@ mod tests {
         let mut dst = QueryCache::new(CacheConfig::enabled());
         // The receiver already observed a newer version of "warm": the
         // segment copy must be rejected as stale, not installed.
-        let known = |term: &str| if term == "warm" { 2 } else { 0 };
+        let known = |shard: &ShardEntry| if shard.term == "warm" { 2 } else { 0 };
         let report = seg.import_into(&mut dst, known, now);
         assert_eq!(report.accepted, 1);
         assert_eq!(report.stale, 1);

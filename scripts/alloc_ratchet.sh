@@ -12,171 +12,30 @@
 # 0931b7eedaa0bea9, publish-churn 0858e038e76a9b58. A host-side change
 # moves none of them; that check is what "every simulated byte in place"
 # means. A modelling change updates the constant it moves and gives the
-# reason here and in CHANGES.md. Last moved (serve-warm f782d4a7618ec860,
-# score-heavy 158ee05966b31920, publish-churn 7c32f2f110c24968 before)
-# when the kernel began to sum BM25 in sorted-term order, the order the
-# result tier keys by: a query of three or more terms given out of order
-# now carries other score bits (the fingerprint hashes every hit's
-# score), while every latency, message, byte, shed and allocation stayed
-# to the digit. cold-lookup asks single terms, so it did not move.
-# Before that (serve-warm 54d5a7ccafa81135, cold-lookup c10b6d7331ead4cf,
-# publish-churn 72e6752610148740) a closed-loop one-window run (a
-# `search_request`, or a batch) began to issue all its reads at once,
-# like a pipelined window.
+# reason here and in CHANGES.md.
 #
 # Allocation counts repeat to the digit at equal --seed and --seconds (the
 # simulation is deterministic and the benchmark counts through its own
 # global allocator), so unlike a host-clock number this gate has no noise
-# to tolerate. Until the shard views swept by moving their live entries
-# into a spare table, one frozen binary read cold-lookup at seed 1, 1 s as
-# 31.730952 or 31.730992: the views are keyed by buffer address, an
-# in-place sweep left tombstones wherever the addresses fell, and those
-# decided whether one ~8 KiB table resize landed inside the timed region. The ceilings sit ~10 % above the values measured at
-# seed 1, 1 s. Since text is named once — a hit's name is its posting's
-# `Arc<str>`, the analyzer streams a query's terms through one buffer
-# into the engine's term table (a known term is planned with no
-# `String`), an ad is picked by a borrowed lowercase keyword, a MinHash
-# shingle is hashed part by part instead of joined and a plan's observed
-# versions are read from its shards instead of a list — score-heavy
-# reads 12.0 (33.5 before; its ceiling went 37 -> 13.2), cold-lookup
-# 21.6 (30.7 before; 34 -> 23.7), serve-warm 18.5 (34.3 before; 38 ->
-# 20.4) and publish-churn 335.5 (435.3 before; 496 -> 369); a page-name
-# `String` copied per hit puts score-heavy back above 21. Since a cache tier that replaces an entry under the same
-# key keeps the entry's map-key and recency-row strings instead of
-# dropping them and allocating equal ones, serve-warm reads 34.4 (38.4
-# before; its ceiling went 42 -> 38) and publish-churn 435.8 (437.4
-# before). Since a plan whose reads served the very term versions,
-# statistics and rank round the resident result was scored from serves
-# that list instead of scoring and building it again — mostly `Fresh`
-# reads of a warm query — serve-warm reads 38.4 (59.5 before; its ceiling
-# went 66 -> 42) and publish-churn 437.4 (439.6 before); a reused list
-# built again lands back near 59.5. Since the serving kernel intersects and scores in one walk
-# of the shards, it builds no candidate doc-id list: score-heavy reads
-# 33.5 (34.5 before; its ceiling went 38 -> 37), cold-lookup 30.7 (31.7
-# before; 35 -> 34), serve-warm 59.5 (60.2 before) and publish-churn
-# 449.5 (450.2 before). Since a gossip listing is named by the set it holds, not
-# by its rank order — a read that only reorders a frontend's shard tier
-# keeps the listing handle, its holdings filter and the settled records
-# naming it, so no re-rank collects a fresh listing — and partner sampling
-# fills buffers the fleet keeps, serve-warm reads 60.2 (68.4 before; its
-# ceiling went 75.5 -> 66). Since a DHT walk and its store round allocate nothing they
-# throw away — a walk takes its shortlist and in-flight list from a spare
-# list on the overlay and hands them back when it finishes, a FIND_NODE
-# reply is merged from one overlay-held list instead of a `Vec` per reply,
-# the queried and failed marks live on the shortlist, and a store round
-# keeps its pending list on the overlay and reports the walk's own replica
-# list as the replicas that stored — cold-lookup reads 31.7 (40.8 before),
-# serve-warm 68.4 (75.3 before) and publish-churn 450.8 (775.9 before;
-# an inline shard record is also encoded straight behind its tag byte, one
-# buffer fewer per write); score-heavy never walks and stays at 34.5.
-# Before that: score-heavy 34.5 since a cache-tier hit re-keys its recency row
-# with the key the row already owns instead of allocating a new one
-# (37.3 before), since a query builds the hits it returns — the
-# kernel ranks borrowed 16-byte keys, a response builds its page and a
-# whole list is built only for a result tier that admits it
-# (205.0 while every candidate's name was cloned into a list the 1-byte
-# result tier then refused, and the entry's term versions were cloned
-# before admission was known); cold-lookup 40.9 since a DHT hop costs
-# what it visits — the uplink tracker keeps a link's completion list
-# when the link idles and a lookup's queried peers are one short list
-# sized for two rounds of alpha (44.8 while a DHT record's value was
-# one shared buffer but a lookup built two hash sets; 46.8 before;
-# 50.1 before a cache-off read stopped building a list; 51.1 while a read was keyed by a `(frontend, term)` string rebuilt per
-# lookup and moved between a pending list and a map; the routing table
-# selecting its k nearest into one k-sized list — was five growth steps
-# of a collect-everything Vec per hop — and SHA-256 padding on the stack
-# brought it there from 63.3, an index read no longer cloning its term
-# from 65.3); serve-warm 75.3 since a stored result is no longer indexed
-# by term (a cached result proves its freshness by its recorded term
-# versions at lookup, so no term -> queries reverse index and no tier
-# removal log is built and pruned per stored result) and a tier hit
-# allocates nothing; 82.4 since every query runs through one window
-# loop on the engine — an open-loop dispatch reuses the engine-held
-# in-flight deque and span list instead of allocating both, its last (for
-# serve-warm, usually only) window takes its requests by move instead of
-# collecting them, and a result-cache hit moves its analyzed terms into
-# the response instead of wrapping and unwrapping them per term (the
-# three closed-loop counts stayed within 0.01); 85.4 since a shard is
-# decoded once while anyone holds it — a `Fresh` re-read of an unchanged record shares the handle a
-# tier, window, segment or writer cache already holds, and a tier that
-# replaces its entry with the same version moves a refcount; 162.5 while
-# each re-read decoded the record into a new shard and the displaced
-# same-version copy was freed, 163.6 since a gossip exchange keys terms by a
-# hash taken once, reconciles anti-entropy in place and refills its
-# buffers — 175.5 while a digest, a delta and a membership summary were
-# allocated per exchange side, since a pipelined query is scored like any
-# other, with no window memo building a fingerprint `String` and making
-# a map insert per scored query (179.5 with it, since the same DHT
-# change; 181.3 since
-# record values are shared, 183.5 since a gossip exchange costs what changed — a re-ranking that lists
-# the same pairs keeps its handle and filter, and an exchange side that
-# already found nothing to tell or push skips its delta and fill scans —
-# and a result entry's rows are built on admission; 191.2 before, 194.5
-# before the one-slot read, 201.4 before the routing-table and padding
-# changes, 211.2 before the kernel stopped filling a prefix cache nobody
-# hit, 1 172.8 before gossip stopped re-deriving its digests per
-# exchange); publish-churn 775.9 since the quorum votes on each bee's
-# sorted key list and the writer walks the accepted list term by term —
-# no per-posting tally map, no per-term regroup map of `Vec`s, and a
-# republished page's record is replaced in place instead of re-inserted
-# under a cloned name (798.9 since a page name is one shared
-# allocation: a posting copy (the writer's copy of a cached shard, each
-# bee's posting per term) moves a refcount instead of allocating the name
-# again, and a known term's version counter is bumped in place instead of
-# re-inserted under a new key; 1 384.1 before, since a stored result is no
-# longer indexed by term and a tier hit allocates nothing; 1 410.4 before),
-# since a read of a record the writer
-# just put shares the writer's shard (1 494.0 before), 1 494.4 since
-# gossip exchanges reuse their
-# buffers (1 496.5 before, 1 493.4 at the same DHT change; 1 563.6
-# since a republish pays for what it changed — an unchanged chunk is
-# found by its bytes in the chunk memo instead of re-copied and
-# re-hashed, a record value is one buffer for its k + 1 holders, a page
-# is analysed once for all its bees and voted on by borrowed keys, and
-# the pending segment keeps its encoded length — 2 190.3 before; 3 705.7 when the manifest, the publisher and the
-# replica each copied and hashed every chunk). Under every DHT walk, an
-# uplink `Vec` freed when its link idles and allocated again by the next
-# RPC, or a `HashSet` per lookup for its queried or failed peers, moves
-# the counts back toward 44.8, 181.3 and 1 563.6, and a `Vec` per
-# FIND_NODE reply, per walk list or per store round back toward 40.8,
-# 75.3 and 775.9; a full-table `closest`
-# scan or a SipHash per in-flight handle is time, not a count — read
-# `dht.lookup_us` and `simnet.send_poll_ns` from a traced run for those.
-# A per-candidate name clone
-# under a refused or absent result tier, a fingerprint `String` and a
-# map insert per scored pipelined query, a by-name rank probe in the
-# kernel (a SipHash of the page name per candidate is time, a key
-# `String` built for it is a count), a name-keyed lookup creeping back
-# into a window's reads, a shard or result copy creeping back into a
-# cache hit, a plan or the kernel, a per-exchange digest scan, string
-# clone, filter or view rebuild, or a digest, delta or membership `Vec`
-# allocated per exchange side creeping back into a quiet round, a
-# per-holder chunk copy, a collect-all `closest` or a heap-padded digest
-# under a shard write, a `Fresh` read decoding a shard that some holder
-# already has or a read machine yielding an owned `ShardEntry` (every
-# holder its own copy again), or on the write path a re-copied or re-hashed
-# unchanged chunk, a per-replica record copy, a per-bee analysis pass, a
-# `String`-keyed vote, a per-posting tally or a per-term regroup map, a
-# per-batch walk of the pending segment or a
-# posting copy that allocates its page name again, lands
-# far above them. Lower a ceiling when a change lowers the count; raise
-# one only with the reason in CHANGES.md.
+# to tolerate. The ceilings therefore sit ~10 % above the values measured
+# at seed 1, 1 s: far enough that a change moving nothing never trips
+# them, close enough that one allocation per operation creeping back into
+# a hot path does — a page-name `String` per scored hit, a term `String`
+# or result key per plan, a per-query list built only to be walked once,
+# a shard or result copied into a cache hit, a shard decoded again while
+# some holder has it, a digest, delta or membership buffer per gossip
+# exchange, a `Vec` per DHT walk, reply or store round, or on the write
+# path a per-holder chunk copy, a per-bee analysis pass or a copied
+# chain event. Time spent without allocating (a SipHash per lookup, a
+# full routing-table scan) is not a count: read the traced probes for
+# that. CHANGES.md records each reading the ceilings were lowered from.
+# Lower a ceiling when a change lowers the count; raise one only with the
+# reason in CHANGES.md.
 #
-# publish-churn also has a peak-RSS ceiling: 32.7 MiB at seed 1, 1 s since
-# a superseded shard object or segment generation is released once no DHT
-# record names it (44.5 MiB while every version stayed pinned on its
-# writer and replica with its provider records); 33.8 MiB since each
-# shard view keeps its record's value buffer until a sweep finds the
-# shard dead (32.9 MiB before, same machine); 34.1 MiB since a
-# superseded result stays resident until a lookup refuses it or it is
-# replaced, evicted or expired, instead of being purged at publish time
-# (+0.4 MiB; bounded by 4 frontends x the 256 KiB result tier = 1 MiB);
-# 31.0 MiB since storage holds each pinned block once, in one table with
-# the set of peers pinning it, instead of once per pinning peer's map
-# beside a table of holding counts (33.9 MiB before; ceiling 38 -> 34).
-# Peak RSS repeats to
-# ~0.1 MiB at equal seed on one machine; a store that keeps what nothing
-# names any more, or a chunk memo that keeps freed blocks, lands above it.
+# publish-churn also has a peak-RSS ceiling at seed 1, 1 s. Peak RSS
+# repeats to ~0.1 MiB at equal seed on one machine; a store that keeps
+# what nothing names any more, or a chunk memo that keeps freed blocks,
+# lands above it.
 set -euo pipefail
 
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
@@ -216,8 +75,8 @@ check() {
   fi
 }
 
-check score-heavy 0931b7eedaa0bea9 13.2
-check cold-lookup a30562ceaa2f8154 23.7
-check serve-warm 059c87e708c069a0 20.4
-check publish-churn 0858e038e76a9b58 369 34
+check score-heavy 0931b7eedaa0bea9 12.1
+check cold-lookup a30562ceaa2f8154 19.3
+check serve-warm 059c87e708c069a0 18.5
+check publish-churn 0858e038e76a9b58 362 34
 exit "$status"
