@@ -504,6 +504,26 @@ impl QueryCache {
     /// leave gossip listings and fills now, and `MaxStaleness` reads serve
     /// it without a version check.
     pub fn invalidate_term(&mut self, term: &str, now: SimInstant) -> usize {
+        self.observe_republish(term, now);
+        usize::from(self.shards.invalidate(term)) + usize::from(self.negatives.invalidate(term))
+    }
+
+    /// The writer's store of a shard it just wrote (a version above 0):
+    /// [`QueryCache::invalidate_term`] then
+    /// [`QueryCache::store_shard_handle`], in one pass over the shard tier
+    /// ([`CacheTier::invalidate_and_insert`]) that allocates no key.
+    pub fn store_written_shard(&mut self, shard: &Arc<ShardEntry>, now: SimInstant) {
+        debug_assert!(shard.version > 0, "a written shard has a version");
+        let term = &shard.term;
+        self.observe_republish(term, now);
+        self.negatives.invalidate(term);
+        let (ttl, bytes) = (self.adaptive_shard_ttl(term), shard_bytes(shard));
+        self.shards
+            .invalidate_and_insert(term, bytes, shard.version, now, ttl, || Arc::clone(shard));
+    }
+
+    /// Record a republish of `term` for the adaptive TTL policy.
+    fn observe_republish(&mut self, term: &str, now: SimInstant) {
         // Look up before allocating: only a term's first republish owns a key.
         match self.republish.get_mut(term) {
             Some(tracker) => tracker.observe(now),
@@ -517,7 +537,6 @@ impl QueryCache {
                 self.republish.insert(term.to_string(), tracker);
             }
         }
-        usize::from(self.shards.invalidate(term)) + usize::from(self.negatives.invalidate(term))
     }
 
     // ----- metrics -----------------------------------------------------------------

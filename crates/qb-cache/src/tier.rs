@@ -187,23 +187,64 @@ impl<V> CacheTier<V> {
         ttl: SimDuration,
         value: impl FnOnce() -> V,
     ) -> bool {
+        self.store(false, key, bytes, (version, now, ttl), value).1
+    }
+
+    /// [`CacheTier::invalidate`] of `key`, then [`CacheTier::insert`] of it
+    /// as a key the tier never held (a new id, admission through the
+    /// sampled-LFU filter), in one pass that files the new entry under the
+    /// dropped one's two strings. Every counter, id and ranking ends as the
+    /// two calls leave them. Returns whether an entry was invalidated and
+    /// whether the new one was admitted.
+    pub fn invalidate_and_insert(
+        &mut self,
+        key: &str,
+        bytes: usize,
+        version: u64,
+        now: SimInstant,
+        ttl: SimDuration,
+        value: impl FnOnce() -> V,
+    ) -> (bool, bool) {
+        self.store(true, key, bytes, (version, now, ttl), value)
+    }
+
+    /// [`CacheTier::insert`], after invalidating `key`'s entry when
+    /// `invalidate`.
+    fn store(
+        &mut self,
+        invalidate: bool,
+        key: &str,
+        bytes: usize,
+        (version, now, ttl): (u64, SimInstant, SimDuration),
+        value: impl FnOnce() -> V,
+    ) -> (bool, bool) {
+        let dropped = if invalidate {
+            self.remove_entry(key)
+        } else {
+            None
+        };
+        let invalidated = dropped.is_some();
+        self.metrics.invalidations += u64::from(invalidated);
         let hash = hash_key(key);
         self.record_popularity(hash);
         if bytes > self.capacity_bytes {
             self.metrics.admission_rejections += 1;
-            return false;
+            return (invalidated, false);
         }
         // Replacing an existing entry never goes through admission: the key
         // already proved itself, and it keeps its id and the two strings it
-        // owns.
-        let resident = self.remove_entry(key);
-        let id = match &resident {
-            Some((_, _, id)) => *id,
-            None => {
-                self.last_id += 1;
-                self.last_id
-            }
+        // owns. An invalidated entry hands over only its strings.
+        let (strings, id) = match dropped {
+            Some((owned, row, _)) => (Some((owned, row)), None),
+            None => match self.remove_entry(key) {
+                Some((owned, row, id)) => (Some((owned, row)), Some(id)),
+                None => (None, None),
+            },
         };
+        let id = id.unwrap_or_else(|| {
+            self.last_id += 1;
+            self.last_id
+        });
         // Plan the full victim set before evicting anything, so a refused
         // admission never costs resident entries.
         match self.plan_evictions(hash, bytes) {
@@ -215,13 +256,10 @@ impl<V> CacheTier<V> {
             }
             None => {
                 self.metrics.admission_rejections += 1;
-                return false;
+                return (invalidated, false);
             }
         }
-        let (owned, row) = match resident {
-            Some((owned, row, _)) => (owned, row),
-            None => (key.to_string(), key.to_string()),
-        };
+        let (owned, row) = strings.unwrap_or_else(|| (key.to_string(), key.to_string()));
         let tick = self.next_tick();
         self.recency.insert(tick, row);
         self.entries.insert(
@@ -240,7 +278,7 @@ impl<V> CacheTier<V> {
         self.bytes += bytes;
         self.generation += 1;
         self.metrics.insertions += 1;
-        true
+        (invalidated, true)
     }
 
     /// Choose the set of keys to evict so an entry of `bytes` fits, without
@@ -704,6 +742,68 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The writer's one-pass store is exactly an invalidation followed
+        /// by an insert: under any script of reads, misses, inserts,
+        /// invalidations, time steps and one-pass stores (some too large
+        /// for the tier, some refused, some evicting), a tier that stores
+        /// in one pass and one that makes the two calls report the same
+        /// outcomes and hold the same entries, ids, versions, values and
+        /// `hottest` order, with every counter equal.
+        #[test]
+        fn a_one_pass_store_is_an_invalidation_then_an_insert(
+            ops in proptest::collection::vec((0u8..8, 0u8..8, 1u64..5), 1..150),
+        ) {
+            let mut one: CacheTier<u64> = CacheTier::new(48);
+            let mut two: CacheTier<u64> = CacheTier::new(48);
+            let mut now = t0();
+            for (op, key, arg) in ops {
+                let key = format!("k{key}");
+                // 1..=4 units of 8 bytes; 5 and more exceed the tier.
+                let bytes = 8 * arg as usize + if op == 7 { 48 } else { 0 };
+                let ttl = SimDuration::from_secs(arg);
+                match op {
+                    0 => prop_assert_eq!(one.get(&key, now, None), two.get(&key, now, None)),
+                    1 => {
+                        let (a, b) = (one.get(&key, now, Some(arg)), two.get(&key, now, Some(arg)));
+                        prop_assert_eq!(a, b);
+                    }
+                    2 => prop_assert_eq!(
+                        one.insert(&key, bytes, arg, now, ttl, || arg),
+                        two.insert(&key, bytes, arg, now, ttl, || arg)
+                    ),
+                    3 => prop_assert_eq!(one.invalidate(&key), two.invalidate(&key)),
+                    4 => {
+                        one.note_miss(&key);
+                        two.note_miss(&key);
+                    }
+                    5 => now += SimDuration::from_millis(900 * arg),
+                    _ => {
+                        let stored = one.invalidate_and_insert(&key, bytes, arg, now, ttl, || arg);
+                        let invalidated = two.invalidate(&key);
+                        let admitted = two.insert(&key, bytes, arg, now, ttl, || arg);
+                        prop_assert_eq!(stored, (invalidated, admitted));
+                    }
+                }
+                prop_assert_eq!(one.metrics, two.metrics);
+                prop_assert_eq!(
+                    (one.bytes(), one.len(), one.generation(), one.popularity_epoch()),
+                    (two.bytes(), two.len(), two.generation(), two.popularity_epoch())
+                );
+                let held = |tier: &CacheTier<u64>| {
+                    let mut held: Vec<_> = tier
+                        .ranked(SimInstant::ZERO)
+                        .map(|e| (e.key.to_string(), e.id, e.version, e.rank, e.expires_at))
+                        .collect();
+                    held.sort();
+                    held.into_iter()
+                        .map(|entry| (tier.peek(&entry.0).copied(), entry))
+                        .collect::<Vec<_>>()
+                };
+                prop_assert_eq!(held(&one), held(&two));
+                prop_assert_eq!(one.hottest(usize::MAX, now), two.hottest(usize::MAX, now));
+            }
+        }
 
         /// The contract the gossip overlay's digest cache rests on: a
         /// ranking taken at `(generation, popularity_epoch)` and instant

@@ -34,7 +34,8 @@
 //! * Each peer is queried at most once per lookup; failures remove the peer
 //!   from both the shortlist's top `k` and the requester's routing table.
 //! * The shortlist is kept sorted by an XOR distance computed once per
-//!   contact and stored beside it, with the contact's mark (not queried,
+//!   contact and stored beside the contact's node index (its 40-byte id
+//!   stays in the network's node table) and its mark (not queried,
 //!   queried, failed): merging a response is a binary-search insert (which
 //!   is also the duplicate check), picking the next candidate is a scan
 //!   from the front and a failure finds its entry by the same search —
@@ -71,8 +72,10 @@
 //! ([`crate::RoutingTable::closest_into`]) and merged from there. A
 //! short-circuited walk takes no lists; an abandoned walk
 //! ([`LookupMachine::abandon`]) is never polled to its end, so it drops its
-//! own with the machine. The outcome's `closest` list is the one list a
-//! walk allocates, and a store round reuses it as the replicas it reports.
+//! own with the machine. A walk allocates no list of its own: a node walk
+//! leaves its `k` closest in one more list the network keeps
+//! ([`DhtNetwork::found_peers`]), where a store round then keeps the
+//! replicas that accepted, and a value walk leaves none.
 //!
 //! # Tracing
 //!
@@ -135,7 +138,8 @@ pub enum LookupStep {
 #[derive(Debug)]
 struct InFlightRpc {
     handle: Option<RpcHandle>,
-    peer: NodeId,
+    /// The peer's node index.
+    peer: u32,
     /// The peer's distance to the target: its shortlist entry's key.
     distance: Distance,
     issued_at: SimInstant,
@@ -156,11 +160,12 @@ enum Mark {
     Failed,
 }
 
-/// One shortlist entry: a contact beside its distance to the target.
+/// One shortlist entry: a contact, by its node index, beside its distance
+/// to the target. The network's node table holds the contact's id.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     distance: Distance,
-    contact: NodeId,
+    contact: u32,
     mark: Mark,
 }
 
@@ -170,7 +175,7 @@ impl Candidate {
         let mark = Mark::Unqueried;
         Candidate {
             distance,
-            contact,
+            contact: contact.index as u32,
             mark,
         }
     }
@@ -306,7 +311,7 @@ impl LookupMachine {
         self.messages += 1;
         let sent = net.send_async_at(
             self.from,
-            peer.index,
+            u64::from(peer),
             crate::REQUEST_BYTES,
             self.response_bytes,
             at,
@@ -389,7 +394,6 @@ impl DhtNetwork {
                 if rec.version >= machine.min_version {
                     machine.result = Some((
                         LookupOutcome {
-                            closest: vec![self.nodes[from as usize].id],
                             hops: 0,
                             messages: 0,
                             latency: SimDuration::ZERO,
@@ -509,17 +513,16 @@ impl DhtNetwork {
                 }
                 // Successful contact: update both routing tables.
                 let from_id = self.nodes[machine.from as usize].id;
-                self.nodes[op.peer.index as usize]
-                    .routing
-                    .observe(from_id, true);
-                let cand_id = self.nodes[op.peer.index as usize].id;
+                let peer = op.peer as usize;
+                self.nodes[peer].routing.observe(from_id, true);
+                let cand_id = self.nodes[peer].id;
                 self.nodes[machine.from as usize]
                     .routing
                     .observe(cand_id, true);
                 // Value check: keep the freshest replica seen so far.
                 if let Some(key) = machine.want_value {
                     if !machine.fresh_enough() {
-                        if let Some(rec) = self.nodes[op.peer.index as usize].find_value(&key) {
+                        if let Some(rec) = self.nodes[peer].find_value(&key) {
                             if machine
                                 .found_value
                                 .as_ref()
@@ -538,7 +541,7 @@ impl DhtNetwork {
                 // synchronous loop's break-before-merge).
                 if !machine.satisfied {
                     // The peer's `FIND_NODE` reply: its `k` closest contacts.
-                    let replier = &self.nodes[op.peer.index as usize].routing;
+                    let replier = &self.nodes[peer].routing;
                     replier.closest_into(&machine.target, machine.k, &mut self.replies);
                     for reply in &self.replies {
                         if reply.1.index == machine.from {
@@ -561,7 +564,7 @@ impl DhtNetwork {
                 if let Ok(slot) = slot {
                     machine.shortlist[slot].mark = Mark::Failed;
                 }
-                let cand_id = self.nodes[op.peer.index as usize].id;
+                let cand_id = self.nodes[op.peer as usize].id;
                 self.nodes[machine.from as usize].routing.remove(&cand_id);
             }
             // Once an armed lookup is satisfied the race is decided: credit
@@ -629,7 +632,7 @@ impl DhtNetwork {
             let hop_span = net
                 .tracer()
                 .record_with(machine.span, "dht.hop", at, at, || {
-                    format!("gen {} -> {}", generation, cand.index)
+                    format!("gen {} -> {}", generation, cand)
                 });
             machine.send(net, slot, at, generation, false, hop_span);
         }
@@ -662,17 +665,22 @@ impl DhtNetwork {
         let hop_span = net
             .tracer()
             .record_with(machine.span, "fetch.hedge", at, at, || {
-                format!("hedge -> {}", cand.index)
+                format!("hedge -> {}", cand)
             });
         machine.send(net, slot, at, generation, true, hop_span);
     }
 
-    /// Close the walk's span, build its outcome and hand its lists back to
-    /// the spare list (module docs, "Buffers").
+    /// Close the walk's span, build its outcome, leave a node walk's `k`
+    /// closest in the network's `found` list and hand the walk's lists back
+    /// to the spare list (module docs, "Buffers").
     fn lookup_finish(&mut self, net: &mut SimNet, machine: &mut LookupMachine) {
         net.tracer().close(machine.span, machine.finished_at);
-        let mut closest = Vec::with_capacity(machine.k);
-        closest.extend(machine.top_k().map(|(_, c)| c.contact));
+        if machine.want_value.is_none() {
+            let nodes = &self.nodes;
+            self.found.clear();
+            let closest = machine.top_k().map(|(_, c)| nodes[c.contact as usize].id);
+            self.found.extend(closest);
+        }
         machine.shortlist.clear();
         machine.in_flight.clear();
         let lists = WalkLists {
@@ -686,7 +694,6 @@ impl DhtNetwork {
         }
         machine.result = Some((
             LookupOutcome {
-                closest,
                 hops: machine.hops,
                 messages: machine.messages,
                 latency: machine.finished_at.since(machine.started_at),

@@ -5,13 +5,12 @@ use crate::node::{DhtNode, Record};
 use crate::DhtConfig;
 use bytes::Bytes;
 use qb_common::{DhtKey, Distance, Hash256, NodeId, QbError, QbResult, SimDuration, SimInstant};
-use qb_simnet::{parallel_latency, Poll, RpcError, RpcHandle, SimNet};
+use qb_simnet::{Poll, RpcError, RpcHandle, SimNet};
 
-/// Result of an iterative node lookup.
+/// Result of an iterative lookup. A node walk's closest nodes are not
+/// part of it: the network keeps them ([`DhtNetwork::found_peers`]).
 #[derive(Debug, Clone)]
 pub struct LookupOutcome {
-    /// The closest nodes found, nearest first.
-    pub closest: Vec<NodeId>,
     /// Deepest hop generation reached (a follow-up issued on the completion
     /// of a generation-`g` hop is generation `g + 1`).
     pub hops: usize,
@@ -27,8 +26,9 @@ pub struct LookupOutcome {
 /// Result of storing a record.
 #[derive(Debug, Clone)]
 pub struct PutOutcome {
-    /// Replicas that accepted the record.
-    pub stored_on: Vec<NodeId>,
+    /// How many replicas accepted the record; the network keeps which
+    /// ([`DhtNetwork::found_peers`]).
+    pub replicas: usize,
     /// End-to-end latency (lookup + parallel store round).
     pub latency: SimDuration,
     /// RPC attempts issued.
@@ -69,6 +69,10 @@ pub struct DhtNetwork {
     pub(crate) replies: Vec<(Distance, NodeId)>,
     /// A store round's RPCs, in issue order, while it waits for them.
     pending: Vec<(Option<RpcHandle>, SimInstant)>,
+    /// The `k` closest peers the last node walk found, nearest first; once
+    /// a store round has run on them, the ones that accepted, in issue
+    /// order ([`DhtNetwork::found_peers`]).
+    pub(crate) found: Vec<NodeId>,
 }
 
 impl DhtNetwork {
@@ -87,6 +91,7 @@ impl DhtNetwork {
             spare_walks: Vec::new(),
             replies: Vec::new(),
             pending: Vec::new(),
+            found: Vec::new(),
         };
         dht.bootstrap(net);
         dht
@@ -125,13 +130,33 @@ impl DhtNetwork {
         &self.nodes[index as usize]
     }
 
-    /// Ground-truth closest online nodes to a key (bypasses routing tables);
-    /// used by tests and by the experiment harness to validate lookups.
-    pub fn closest_online_global(&self, net: &SimNet, key: &Hash256, count: usize) -> Vec<NodeId> {
+    /// The peers the last node walk found ([`DhtNetwork::lookup_begin`]
+    /// without a value: a bootstrap walk, or the walk under a store round or
+    /// a provider search), its `k` closest, nearest first. After the store
+    /// round of [`DhtNetwork::put_record`] or [`DhtNetwork::add_provider`],
+    /// the ones that accepted, in the order the round issued to them. The
+    /// list is the network's and the next node walk overwrites it.
+    pub fn found_peers(&self) -> &[NodeId] {
+        &self.found
+    }
+
+    /// Ground-truth closest online nodes to a key (bypasses routing tables),
+    /// nearest first, into `out` (cleared first): the storage layer picks an
+    /// object's replicas with it, and tests validate lookups against it.
+    pub fn closest_online_global(
+        &mut self,
+        net: &SimNet,
+        key: &Hash256,
+        count: usize,
+        out: &mut Vec<NodeId>,
+    ) {
         let online = self.nodes.iter().map(|n| n.id);
         let online = online.filter(|id| net.is_online(id.index));
-        let nearest = crate::routing::nearest(online, key, count);
-        nearest.into_iter().map(|(_, id)| id).collect()
+        let nearest = &mut self.replies;
+        nearest.clear();
+        crate::routing::keep_nearest(nearest, online, key, count);
+        out.clear();
+        out.extend(nearest.iter().map(|&(_, id)| id));
     }
 
     /// Every copy of the record under `key` that some node holds: ground
@@ -255,7 +280,7 @@ impl DhtNetwork {
             return Err(QbError::NodeOffline(from));
         }
         let (outcome, _) = self.iterative_find(net, from, target, None, 0);
-        if outcome.closest.is_empty() {
+        if self.found.is_empty() {
             return Err(QbError::DhtLookupFailed(target.short()));
         }
         Ok(outcome)
@@ -279,21 +304,23 @@ impl DhtNetwork {
     ) -> QbResult<PutOutcome> {
         let t0 = net.now();
         let lookup = self.lookup_nodes(net, from, key.0)?;
-        // The walk's `closest` holds at most `k` contacts: the replicas,
-        // and then the ones that stored the item.
-        let mut stored_on = lookup.closest;
+        // The walk's `found` holds at most `k` contacts: the replicas, and
+        // then the ones that stored the item.
+        let mut stored_on = std::mem::take(&mut self.found);
         let at = t0 + lookup.latency;
         let (end, round_messages) =
             self.fan_out_round(net, from, &mut stored_on, request_bytes, at, |node| {
                 apply(node, item.clone())
             });
         apply(&mut self.nodes[from as usize], item);
-        if stored_on.is_empty() {
+        let replicas = stored_on.len();
+        self.found = stored_on;
+        if replicas == 0 {
             let key = key.to_hex();
             return Err(QbError::DhtLookupFailed(format!("{refused} {key}")));
         }
         Ok(PutOutcome {
-            stored_on,
+            replicas,
             latency: end.since(t0),
             messages: lookup.messages + round_messages,
         })
@@ -379,7 +406,8 @@ impl DhtNetwork {
         )
     }
 
-    /// Find providers for `key`. Returns the provider list and the latency.
+    /// Find providers for `key`. Returns the provider list, the latency and
+    /// the RPC attempts.
     pub fn get_providers(
         &mut self,
         net: &mut SimNet,
@@ -392,22 +420,25 @@ impl DhtNetwork {
         // Providers known locally are free — once they name some peer other
         // than the asker, who cannot fetch from itself.
         let remote = |providers: &[NodeId]| providers.iter().any(|p| p.index != from);
-        let local = self.nodes[from as usize].get_providers(&key);
-        if remote(&local) {
-            return Ok((local, SimDuration::ZERO, 0));
+        let nodes = &self.nodes;
+        let local = nodes[from as usize].get_providers(&key);
+        if local.iter().any(|&p| u64::from(p) != from) {
+            let ids = local.iter().map(|&p| nodes[p as usize].id).collect();
+            return Ok((ids, SimDuration::ZERO, 0));
         }
         let lookup = self.lookup_nodes(net, from, key.0)?;
         let mut providers: Vec<NodeId> = Vec::new();
-        let mut latencies = Vec::new();
+        // The asks go out in parallel: the slowest one is what they cost.
+        let mut slowest = SimDuration::ZERO;
         let mut messages = lookup.messages;
-        for target in lookup.closest.iter().take(self.config.k) {
+        for target in self.found.iter().take(self.config.k) {
             messages += 1;
             let (res, lat) = net.rpc_or_timeout(from, target.index, crate::REQUEST_BYTES, 256);
-            latencies.push(lat);
+            slowest = slowest.max(lat);
             if res.is_ok() {
-                for p in self.nodes[target.index as usize].get_providers(&key) {
-                    if !providers.iter().any(|e| e.index == p.index) {
-                        providers.push(p);
+                for &p in self.nodes[target.index as usize].get_providers(&key) {
+                    if !providers.iter().any(|e| e.index == u64::from(p)) {
+                        providers.push(self.nodes[p as usize].id);
                     }
                 }
                 if remote(&providers) {
@@ -418,11 +449,7 @@ impl DhtNetwork {
         if providers.is_empty() {
             return Err(QbError::NotFound(format!("providers for {}", key.to_hex())));
         }
-        Ok((
-            providers,
-            lookup.latency + parallel_latency(&latencies),
-            messages,
-        ))
+        Ok((providers, lookup.latency + slowest, messages))
     }
 }
 
@@ -453,10 +480,12 @@ mod tests {
         let (mut net, mut dht) = setup(64, 2);
         let target = Hash256::digest(b"some target key");
         let outcome = dht.lookup_nodes(&mut net, 5, target).unwrap();
-        assert!(!outcome.closest.is_empty());
-        let truth = dht.closest_online_global(&net, &target, 1);
+        let found = dht.found_peers().to_vec();
+        assert!(!found.is_empty());
+        let mut truth = Vec::new();
+        dht.closest_online_global(&net, &target, 1, &mut truth);
         // The nearest node found must be the true global nearest.
-        assert_eq!(outcome.closest[0].index, truth[0].index);
+        assert_eq!(found[0].index, truth[0].index);
         assert!(outcome.messages > 0);
         assert!(outcome.latency.as_micros() > 0);
     }
@@ -468,7 +497,8 @@ mod tests {
         let put = dht
             .put_record(&mut net, 7, key, b"posting-list-pointer".to_vec(), 1)
             .unwrap();
-        assert!(!put.stored_on.is_empty());
+        assert!(put.replicas > 0);
+        assert_eq!(put.replicas, dht.found_peers().len());
         let got = dht.get_record(&mut net, 33, key).unwrap();
         assert_eq!(&got.record.value[..], b"posting-list-pointer");
         assert_eq!(got.record.version, 1);
@@ -501,8 +531,8 @@ mod tests {
             .put_record(&mut net, 0, key, b"survives".to_vec(), 1)
             .unwrap();
         // Kill half of the replicas that accepted the record.
-        let kill = put.stored_on.len() / 2;
-        for r in put.stored_on.iter().take(kill) {
+        let kill = put.replicas / 2;
+        for r in dht.found_peers().iter().take(kill) {
             net.set_online(r.index, false);
         }
         let got = dht.get_record(&mut net, 40, key).unwrap();
@@ -616,7 +646,8 @@ mod tests {
         }
         let (oa, _) = a.into_result();
         let (ob, _) = b.into_result();
-        assert!(!oa.closest.is_empty() && !ob.closest.is_empty());
+        assert!(oa.messages > 0 && ob.messages > 0);
+        assert!(!dht.found_peers().is_empty());
         // Per-hop completions interleave: some of b's hops complete before
         // a's last hop and vice versa — the lookups genuinely overlap
         // instead of serializing lookup-after-lookup.
@@ -692,14 +723,15 @@ mod tests {
         assert_eq!(dht.spare_walks.len(), 5);
     }
 
-    /// `replicate` reports the list its store round keeps as
-    /// `PutOutcome::stored_on`: the walk's replicas that accepted, in the
-    /// order the round issued to them.
+    /// `replicate` leaves the list its store round keeps in
+    /// `found_peers`: the walk's replicas that accepted, in the order the
+    /// round issued to them.
     #[test]
     fn a_store_round_keeps_the_accepting_replicas_in_issue_order() {
         let (mut net, mut dht) = setup(48, 14);
         let key = DhtKey::for_term("issue order");
-        let replicas = dht.lookup_nodes(&mut net, 5, key.0).unwrap().closest;
+        dht.lookup_nodes(&mut net, 5, key.0).unwrap();
+        let replicas = dht.found_peers().to_vec();
         assert_eq!(replicas.len(), dht.config().k);
         let offline = replicas[1];
         net.set_online(offline.index, false);
@@ -774,7 +806,7 @@ mod tests {
                 Ok(o) => writeln!(
                     out,
                     "L{i} from {from}: {:?} hops {} msgs {} lat {} queue {}",
-                    indices(&o.closest),
+                    indices(dht.found_peers()),
                     o.hops,
                     o.messages,
                     o.latency.as_micros(),
@@ -791,7 +823,7 @@ mod tests {
                 Ok(p) => writeln!(
                     out,
                     "P{i} from {from}: {:?} lat {} msgs {}",
-                    indices(&p.stored_on),
+                    indices(&dht.found_peers()[..p.replicas]),
                     p.latency.as_micros(),
                     p.messages
                 ),

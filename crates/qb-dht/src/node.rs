@@ -32,7 +32,47 @@ pub struct DhtNode {
     /// Kademlia routing table.
     pub routing: RoutingTable,
     records: DigestMap<DhtKey, Record>,
-    providers: DigestMap<DhtKey, Vec<NodeId>>,
+    providers: DigestMap<DhtKey, Providers>,
+}
+
+/// Providers a key holds before its list moves to the heap: an object's
+/// publisher and the two peers it is replicated to at the default
+/// replication. Three node indices and their count fit where the list's
+/// own header would be.
+const INLINE_PROVIDERS: usize = 3;
+
+/// The node indices of one key's providers, in announce order, without
+/// repeats; only a later fetcher's announce moves them into a list.
+#[derive(Debug, Clone)]
+enum Providers {
+    Inline(u8, [u32; INLINE_PROVIDERS]),
+    Spilled(Vec<u32>),
+}
+
+impl Providers {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Providers::Inline(len, ids) => &ids[..usize::from(*len)],
+            Providers::Spilled(all) => all,
+        }
+    }
+
+    /// Append `provider` unless it is listed.
+    fn add(&mut self, provider: u32) {
+        if self.as_slice().contains(&provider) {
+            return;
+        }
+        match self {
+            Providers::Inline(len, ids) if usize::from(*len) < INLINE_PROVIDERS => {
+                ids[usize::from(*len)] = provider;
+                *len += 1;
+            }
+            Providers::Inline(_, ids) => {
+                *self = Providers::Spilled([&ids[..], &[provider]].concat())
+            }
+            Providers::Spilled(all) => all.push(provider),
+        }
+    }
 }
 
 impl DhtNode {
@@ -74,15 +114,19 @@ impl DhtNode {
 
     /// Handle an `ADD_PROVIDER` RPC.
     pub fn add_provider(&mut self, key: DhtKey, provider: NodeId) {
-        let list = self.providers.entry(key).or_default();
-        if !list.iter().any(|p| p.index == provider.index) {
-            list.push(provider);
+        let index = provider.index as u32;
+        match self.providers.entry(key) {
+            Entry::Occupied(mut listed) => listed.get_mut().add(index),
+            Entry::Vacant(slot) => {
+                slot.insert(Providers::Inline(1, [index; INLINE_PROVIDERS]));
+            }
         }
     }
 
-    /// Handle a `GET_PROVIDERS` RPC.
-    pub fn get_providers(&self, key: &DhtKey) -> Vec<NodeId> {
-        self.providers.get(key).cloned().unwrap_or_default()
+    /// Handle a `GET_PROVIDERS` RPC: the node indices of the key's
+    /// providers, in announce order.
+    pub fn get_providers(&self, key: &DhtKey) -> &[u32] {
+        self.providers.get(key).map_or(&[], Providers::as_slice)
     }
 
     /// Forget every provider of `key`.
@@ -135,5 +179,50 @@ mod tests {
         n.add_provider(key, NodeId::from_index(3));
         assert_eq!(n.get_providers(&key).len(), 2);
         assert!(n.get_providers(&DhtKey::from_bytes(b"other")).is_empty());
+    }
+
+    #[test]
+    fn an_inline_provider_list_takes_no_more_room_than_a_list_header() {
+        assert_eq!(
+            std::mem::size_of::<Providers>(),
+            std::mem::size_of::<Vec<u32>>()
+        );
+    }
+
+    proptest::proptest! {
+        /// Inline provider lists answer every script of announces, forgets
+        /// and reads exactly as one `Vec` per key did: the providers of a
+        /// key in announce order, each index once.
+        #[test]
+        fn inline_providers_read_as_a_list_per_key(
+            script in proptest::collection::vec((0u8..3, 0u8..3, 0u64..6), 0..80),
+        ) {
+            let mut node = DhtNode::new(NodeId::from_index(0), &DhtConfig::small());
+            let mut reference: std::collections::HashMap<DhtKey, Vec<u32>> =
+                std::collections::HashMap::new();
+            let keys = [b"a", b"b", b"c"].map(|label| DhtKey::from_bytes(label));
+            let peers: Vec<NodeId> = (0..6).map(NodeId::from_index).collect();
+            for (op, key, peer) in script {
+                let (key, peer) = (keys[key as usize], peers[peer as usize]);
+                match op {
+                    0 => {
+                        node.add_provider(key, peer);
+                        let listed = reference.entry(key).or_default();
+                        if !listed.contains(&(peer.index as u32)) {
+                            listed.push(peer.index as u32);
+                        }
+                    }
+                    1 => {
+                        node.remove_providers(&key);
+                        reference.remove(&key);
+                    }
+                    _ => {}
+                }
+                for key in &keys {
+                    let want = reference.get(key).map_or(&[][..], Vec::as_slice);
+                    proptest::prop_assert_eq!(node.get_providers(key), want);
+                }
+            }
+        }
     }
 }

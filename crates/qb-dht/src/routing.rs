@@ -19,7 +19,7 @@ pub(crate) fn nearest(
 
 /// Offer `contacts` to the `count`-bounded, nearest-first list `best`
 /// ([`nearest`]'s insertion, resumable across calls).
-fn keep_nearest(
+pub(crate) fn keep_nearest(
     best: &mut Vec<(Distance, NodeId)>,
     contacts: impl Iterator<Item = NodeId>,
     target: &Hash256,
@@ -87,7 +87,8 @@ impl RoutingTable {
             self.buckets.resize_with(idx + 1, Vec::new);
         }
         let bucket = &mut self.buckets[idx];
-        if let Some(pos) = bucket.iter().position(|c| c.key == peer.key) {
+        // A node index names one key, and compares in one word.
+        if let Some(pos) = bucket.iter().position(|c| c.index == peer.index) {
             let c = bucket.remove(pos);
             bucket.push(c);
             return;
@@ -104,7 +105,7 @@ impl RoutingTable {
     pub fn remove(&mut self, peer: &NodeId) {
         let idx = self.bucket_index(&peer.key);
         if let Some(bucket) = self.buckets.get_mut(idx) {
-            bucket.retain(|c| c.key != peer.key);
+            bucket.retain(|c| c.index != peer.index);
         }
         while self.buckets.last().is_some_and(Vec::is_empty) {
             self.buckets.pop();
@@ -116,7 +117,7 @@ impl RoutingTable {
         let idx = self.bucket_index(&peer.key);
         self.buckets
             .get(idx)
-            .is_some_and(|bucket| bucket.iter().any(|c| c.key == peer.key))
+            .is_some_and(|bucket| bucket.iter().any(|c| c.index == peer.index))
     }
 
     /// Total number of contacts.
@@ -129,8 +130,18 @@ impl RoutingTable {
         self.len() == 0
     }
 
+    /// [`RoutingTable::closest_into`] into a new list.
+    #[cfg(test)]
+    pub fn closest(&self, target: &Hash256, count: usize) -> Vec<(Distance, NodeId)> {
+        let mut best = Vec::with_capacity(count);
+        self.closest_into(target, count, &mut best);
+        best
+    }
+
     /// The `count` contacts closest to `target` by XOR distance, nearest
-    /// first, each beside its distance to `target`.
+    /// first, each beside its distance to `target`, into `best` (cleared
+    /// first): a caller that keeps one list across calls (a walk merging
+    /// `FIND_NODE` replies) allocates only when `count` outgrows it.
     ///
     /// With `t` the target's own bucket, a contact's distance to `target`
     /// has `> t` leading zeros in bucket `t`, exactly `t` in every bucket
@@ -141,15 +152,6 @@ impl RoutingTable {
     /// and stops at the first class boundary with `count` contacts kept:
     /// distinct keys never tie, so the answer is the full scan's to the bit
     /// (`t = 256`, a self-lookup, has no own bucket and no bucket above).
-    pub fn closest(&self, target: &Hash256, count: usize) -> Vec<(Distance, NodeId)> {
-        let mut best = Vec::with_capacity(count);
-        self.closest_into(target, count, &mut best);
-        best
-    }
-
-    /// [`closest`](RoutingTable::closest) into `best`, which is cleared
-    /// first: a caller that keeps one list across calls (a walk merging
-    /// `FIND_NODE` replies) allocates only when `count` outgrows it.
     pub fn closest_into(&self, target: &Hash256, count: usize, best: &mut Vec<(Distance, NodeId)>) {
         best.clear();
         let t = self.bucket_index(target);
@@ -171,11 +173,13 @@ impl RoutingTable {
     }
 
     /// All contacts (unordered).
+    #[cfg(test)]
     pub fn contacts(&self) -> Vec<NodeId> {
         self.buckets.iter().flatten().copied().collect()
     }
 
     /// Maximum bucket occupancy (used by tests to check the ≤ k invariant).
+    #[cfg(test)]
     pub fn max_bucket_len(&self) -> usize {
         self.buckets.iter().map(|b| b.len()).max().unwrap_or(0)
     }

@@ -36,17 +36,17 @@ impl WebPage {
     pub fn render_html(&self) -> String {
         let mut html = String::with_capacity(self.body.len() + 256);
         html.push_str("<html><head><title>");
-        html.push_str(&escape(&self.title));
+        escape_into(&self.title, &mut html);
         html.push_str("</title><meta name=\"dweb-name\" content=\"");
-        html.push_str(&escape(&self.name));
+        escape_into(&self.name, &mut html);
         html.push_str("\"></head><body>\n<p>");
-        html.push_str(&escape(&self.body));
+        escape_into(&self.body, &mut html);
         html.push_str("</p>\n");
         for link in &self.out_links {
             html.push_str("<a href=\"dweb://");
-            html.push_str(&escape(link));
+            escape_into(link, &mut html);
             html.push_str("\">");
-            html.push_str(&escape(link));
+            escape_into(link, &mut html);
             html.push_str("</a>\n");
         }
         html.push_str("</body></html>\n");
@@ -74,9 +74,9 @@ impl WebPage {
             }
         }
         Ok(WebPage {
-            name: unescape(&name),
-            title: unescape(&title),
-            body: unescape(&body),
+            name: unescape(name),
+            title: unescape(title),
+            body: unescape(body),
             out_links,
         })
     }
@@ -87,30 +87,95 @@ impl WebPage {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
+/// The four characters HTML escapes here, beside their entities.
+const ENTITIES: [(char, &str); 4] = [
+    ('&', "&amp;"),
+    ('<', "&lt;"),
+    ('>', "&gt;"),
+    ('"', "&quot;"),
+];
+
+/// Append `s` to `out` with each of [`ENTITIES`]' characters escaped, in
+/// one pass.
+fn escape_into(s: &str, out: &mut String) {
+    for ch in s.chars() {
+        match ENTITIES.iter().find(|&&(plain, _)| plain == ch) {
+            Some((_, entity)) => out.push_str(entity),
+            None => out.push(ch),
+        }
+    }
 }
 
+/// `s` with each of [`ENTITIES`]' entities decoded, in one pass. No entity
+/// contains another's `&`, so decoding each occurrence where it starts is
+/// what decoding one entity after the other, `&amp;` last, gives.
 fn unescape(s: &str) -> String {
-    s.replace("&quot;", "\"")
-        .replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&amp;", "&")
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(at) = rest.find('&') {
+        out.push_str(&rest[..at]);
+        rest = &rest[at..];
+        match ENTITIES.iter().find(|(_, entity)| rest.starts_with(entity)) {
+            Some(&(plain, entity)) => {
+                out.push(plain);
+                rest = &rest[entity.len()..];
+            }
+            None => {
+                out.push('&');
+                rest = &rest[1..];
+            }
+        }
+    }
+    out.push_str(rest);
+    out
 }
 
-fn extract_between(haystack: &str, start: &str, end: &str) -> Option<String> {
+fn extract_between<'h>(haystack: &'h str, start: &str, end: &str) -> Option<&'h str> {
     let s = haystack.find(start)? + start.len();
     let e = haystack[s..].find(end)? + s;
-    Some(haystack[s..e].to_string())
+    Some(&haystack[s..e])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Escaping and unescaping as they were written, one `replace` per
+    /// entity: the references the one-pass versions must equal.
+    fn escape_by_replacing(s: &str) -> String {
+        s.replace('&', "&amp;")
+            .replace('<', "&lt;")
+            .replace('>', "&gt;")
+            .replace('"', "&quot;")
+    }
+
+    fn unescape_by_replacing(s: &str) -> String {
+        s.replace("&quot;", "\"")
+            .replace("&lt;", "<")
+            .replace("&gt;", ">")
+            .replace("&amp;", "&")
+    }
+
+    proptest! {
+        /// On text made of whole and broken entities, the characters they
+        /// stand for and others, each one-pass version writes what its
+        /// chain of replaces wrote.
+        #[test]
+        fn one_pass_escaping_equals_one_replace_per_entity(
+            pieces in proptest::collection::vec(0usize..14, 0..16),
+        ) {
+            let alphabet = [
+                "&amp;", "&lt;", "&gt;", "&quot;", "&", "<", ">", "\"", "amp;", "quot;", "&l",
+                "t;", "a", "é",
+            ];
+            let s: String = pieces.iter().map(|&i| alphabet[i]).collect();
+            let mut escaped = String::from("kept ");
+            escape_into(&s, &mut escaped);
+            prop_assert_eq!(&escaped["kept ".len()..], escape_by_replacing(&s));
+            prop_assert_eq!(unescape(&s), unescape_by_replacing(&s));
+        }
+    }
 
     fn sample() -> WebPage {
         WebPage::new(

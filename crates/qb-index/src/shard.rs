@@ -531,23 +531,22 @@ impl DistributedIndex {
         let mut cost = IndexOpCost::default();
         let key = DhtKey::for_term(&entry.term);
         let len = entry.encoded_len();
+        // Either way the shard is encoded into the storage network's kept
+        // buffer, and the value put is the one allocation a record needs.
         let value = if len <= self.inline_threshold {
-            // The tag, then the shard encoded straight behind it into a
-            // buffer of exactly the value's length.
-            let mut v = Vec::with_capacity(len + 1);
-            v.push(SHARD_INLINE_TAG);
-            entry.encode_into(&mut v);
-            v
+            // The tag, then the shard encoded straight behind it.
+            storage.encode_shared(|v| {
+                v.push(SHARD_INLINE_TAG);
+                entry.encode_into(v);
+            })
         } else {
-            let encoded = entry.encode();
-            let (obj, put) = storage.put_named_object(net, dht, peer, key, &encoded)?;
+            let encode = |buf: &mut Vec<u8>| entry.encode_into(buf);
+            let (obj, put) = storage.put_named_encoded(net, dht, peer, key, encode)?;
             cost.add(put.latency, put.messages);
-            let mut v = Vec::with_capacity(33);
-            v.push(SHARD_POINTER_TAG);
-            v.extend_from_slice(obj.root.0.as_bytes());
-            v
+            let mut pointer = [SHARD_POINTER_TAG; 33];
+            pointer[1..].copy_from_slice(obj.root.0.as_bytes());
+            Bytes::copy_from_slice(&pointer)
         };
-        let value = Bytes::from(value);
         let put = dht.put_record(net, peer, key, value.clone(), entry.version)?;
         cost.add(put.latency, put.messages);
         storage.release_unnamed(dht, &key, shard_pointer_root);

@@ -63,36 +63,36 @@ impl WorkerBee {
     }
 
     /// Produce the index deltas for a freshly published page version from
-    /// its term counts — the page analysed once
-    /// ([`Analyzer::term_frequencies`](qb_index::Analyzer::term_frequencies))
-    /// and handed to every bee of the quorum: one [`ShardPosting`] per
-    /// term, beside the term borrowed from the counts. A colluding bee
-    /// injects extra postings boosting its target pages into every term it
-    /// touches; a lazy bee produces nothing.
-    pub fn index_page<'t>(
+    /// its term counts — the page analysed once and handed to every bee of
+    /// the quorum, each term named as the caller names it (the engine's
+    /// [`TermId`](crate::query::TermId)s, in term text order): one
+    /// [`ShardPosting`] per term, beside the term. Every posting of the
+    /// page shares `page_name`, the one allocation of the name the quorum
+    /// indexes under. A colluding bee injects extra postings boosting its
+    /// target pages into every term it touches; a lazy bee produces
+    /// nothing.
+    pub fn index_page<T: Copy>(
         &self,
-        term_freqs: &'t [(String, u32)],
-        page_name: &str,
+        term_counts: &[(T, u32)],
+        page_name: &Arc<str>,
         page_version: u64,
         creator: u64,
-    ) -> Vec<(&'t str, ShardPosting)> {
+    ) -> Vec<(T, ShardPosting)> {
         match &self.behaviour {
             BeeBehaviour::Lazy => Vec::new(),
             BeeBehaviour::Honest | BeeBehaviour::Colluding { .. } => {
-                let doc_len: u32 = term_freqs.iter().map(|(_, f)| *f).sum();
+                let doc_len: u32 = term_counts.iter().map(|&(_, f)| f).sum();
                 let doc_id = doc_id_for_name(page_name);
-                // One name per page, shared by every posting of it.
-                let name: Arc<str> = Arc::from(page_name);
-                let mut deltas: Vec<(&str, ShardPosting)> = term_freqs
+                let mut deltas: Vec<(T, ShardPosting)> = term_counts
                     .iter()
-                    .map(|(term, freq)| {
+                    .map(|&(term, freq)| {
                         (
-                            term.as_str(),
+                            term,
                             ShardPosting {
                                 doc_id,
-                                term_freq: *freq,
+                                term_freq: freq,
                                 doc_len,
-                                name: name.clone(),
+                                name: Arc::clone(page_name),
                                 version: page_version,
                                 creator,
                             },
@@ -109,14 +109,14 @@ impl WorkerBee {
                     // being indexed, with an absurd term frequency, so they
                     // surface for popular queries.
                     for boost in boost_pages {
-                        if boost == page_name {
+                        if **boost == **page_name {
                             continue;
                         }
                         let boost_doc = doc_id_for_name(boost);
                         let boost_name: Arc<str> = Arc::from(boost.as_str());
-                        for (term, _) in term_freqs {
+                        for &(term, _) in term_counts {
                             deltas.push((
-                                term.as_str(),
+                                term,
                                 ShardPosting {
                                     doc_id: boost_doc,
                                     term_freq: *boost_tf,
@@ -159,11 +159,18 @@ mod tests {
         Analyzer::new().term_frequencies(text)
     }
 
+    /// `bee`'s deltas for version 1 of page `p/a` by creator 7, its terms
+    /// named by their text.
+    fn index<'t>(bee: &WorkerBee, counts: &'t [(String, u32)]) -> Vec<(&'t str, ShardPosting)> {
+        let named: Vec<(&str, u32)> = counts.iter().map(|(t, f)| (t.as_str(), *f)).collect();
+        bee.index_page(&named, &Arc::from("p/a"), 1, 7)
+    }
+
     #[test]
     fn honest_bee_indexes_all_terms() {
         let bee = WorkerBee::new(3, AccountId(2_000));
         let tf = counts("honey nectar honey bees");
-        let deltas = bee.index_page(&tf, "p/a", 1, 7);
+        let deltas = index(&bee, &tf);
         assert!(!deltas.is_empty());
         let honey = deltas
             .iter()
@@ -181,7 +188,7 @@ mod tests {
     fn one_page_postings_share_one_name() {
         let mut bee = WorkerBee::new(3, AccountId(2_000));
         let tf = counts("honey nectar pollen hive");
-        let deltas = bee.index_page(&tf, "p/a", 1, 7);
+        let deltas = index(&bee, &tf);
         assert!(deltas.len() > 1);
         let first = &deltas[0].1.name;
         assert!(deltas.iter().all(|(_, p)| Arc::ptr_eq(&p.name, first)));
@@ -191,7 +198,7 @@ mod tests {
             boost_tf: 999,
             rank_factor: 50.0,
         };
-        let deltas = bee.index_page(&tf, "p/a", 1, 7);
+        let deltas = index(&bee, &tf);
         let (spam, own): (Vec<_>, Vec<_>) =
             deltas.iter().partition(|(_, p)| &*p.name == "evil/spam");
         assert_eq!(spam.len(), own.len());
@@ -205,9 +212,7 @@ mod tests {
     fn lazy_bee_produces_nothing() {
         let mut bee = WorkerBee::new(3, AccountId(2_000));
         bee.behaviour = BeeBehaviour::Lazy;
-        assert!(bee
-            .index_page(&counts("some text here"), "p/a", 1, 7)
-            .is_empty());
+        assert!(index(&bee, &counts("some text here")).is_empty());
     }
 
     #[test]
@@ -220,7 +225,7 @@ mod tests {
         };
         assert!(bee.is_colluding());
         let tf = counts("honey nectar");
-        let deltas = bee.index_page(&tf, "p/a", 1, 7);
+        let deltas = index(&bee, &tf);
         let spam: Vec<_> = deltas
             .iter()
             .filter(|(_, p)| &*p.name == "evil/spam")

@@ -18,22 +18,22 @@ use qb_index::ShardPosting;
 
 /// Outcome of verifying a quorum of index submissions for one publish event.
 #[derive(Debug, Clone)]
-pub struct VerificationOutcome<'t> {
+pub struct VerificationOutcome<T> {
     /// Postings accepted by majority vote beside their terms, in
     /// `(term, doc, tf)` order. A lone submission is accepted as
     /// submitted, in its own order: a colluding bee's boost postings then
     /// follow its honest ones, so one term can occur in two places.
-    pub accepted: Vec<(&'t str, ShardPosting)>,
+    pub accepted: Vec<(T, ShardPosting)>,
     /// Indices (into the submission vector) of bees whose submissions
     /// deviated from the accepted set.
     pub flagged: Vec<usize>,
 }
 
 /// A submitted posting beside its term, borrowed for the vote.
-type Entry<'t, 's> = (&'t str, &'s ShardPosting);
+type Entry<'s, T> = (T, &'s ShardPosting);
 
 /// The key the quorum votes on.
-fn key<'t>(&(term, posting): &Entry<'t, '_>) -> (&'t str, u64, u32) {
+fn key<T: Copy>(&(term, posting): &Entry<'_, T>) -> (T, u64, u32) {
     (term, posting.doc_id, posting.term_freq)
 }
 
@@ -48,9 +48,14 @@ fn key<'t>(&(term, posting): &Entry<'t, '_>) -> (&'t str, u64, u32) {
 /// with that first posting. A bee is flagged when its list is not exactly
 /// the accepted keys: it submitted a key the vote refused or omitted one it
 /// accepted. Only an accepted posting is cloned.
-pub fn verify_index_submissions<'t>(
-    submissions: &[Vec<(&'t str, ShardPosting)>],
-) -> VerificationOutcome<'t> {
+///
+/// A term is whatever the caller names it by: its text, or an id that
+/// stands for one text. The vote only compares and sorts terms, so any two
+/// namings accept and flag alike; the accepted list is ordered by the
+/// naming's own order.
+pub fn verify_index_submissions<T: Copy + Ord>(
+    submissions: &[Vec<(T, ShardPosting)>],
+) -> VerificationOutcome<T> {
     let q = submissions.len();
     if q <= 1 {
         // No redundancy, nothing to compare against: accept as submitted.
@@ -60,10 +65,10 @@ pub fn verify_index_submissions<'t>(
         };
     }
     let majority = q / 2 + 1;
-    let lists: Vec<Vec<Entry<'t, '_>>> = submissions
+    let lists: Vec<Vec<Entry<'_, T>>> = submissions
         .iter()
         .map(|submission| {
-            let mut list: Vec<Entry<'t, '_>> = submission.iter().map(|(t, p)| (*t, p)).collect();
+            let mut list: Vec<Entry<'_, T>> = submission.iter().map(|(t, p)| (*t, p)).collect();
             list.sort_by_key(key);
             list.dedup_by_key(|entry| key(entry));
             list
@@ -71,7 +76,7 @@ pub fn verify_index_submissions<'t>(
         .collect();
     let mut union = lists.concat();
     union.sort_by_key(key);
-    let accepted: Vec<(&'t str, ShardPosting)> = union
+    let accepted: Vec<(T, ShardPosting)> = union
         .chunk_by(|a, b| key(a) == key(b))
         .filter(|run| run.len() >= majority)
         .map(|run| (run[0].0, run[0].1.clone()))
@@ -100,32 +105,37 @@ pub struct MinHashSignature {
 }
 
 impl MinHashSignature {
-    /// Compute the signature of a text using 4-word shingles.
+    /// Compute the signature of a text using 4-word shingles. Each
+    /// shingle is hashed and folded into the signature as the words go by,
+    /// so nothing but the signature is allocated.
     pub fn of_text(text: &str) -> MinHashSignature {
-        let words: Vec<&str> = text.split_whitespace().collect();
-        let mut shingle_hashes: Vec<u64> = Vec::new();
-        if words.len() < 4 {
-            let [h, ..] = Hash256::digest(text.as_bytes()).words();
-            shingle_hashes.push(h);
-        } else {
-            // A shingle's bytes are its words joined by single spaces.
-            for w in words.windows(4) {
-                let [a, b, c, d] = [w[0], w[1], w[2], w[3]].map(str::as_bytes);
-                let parts: [&[u8]; 7] = [a, b" ", b, b" ", c, b" ", d];
-                let [h, ..] = Hash256::digest_parts(&parts).words();
-                shingle_hashes.push(h);
-            }
-        }
-        // MinHash with MINHASH_HASHES different linear permutations.
         let mut values = vec![u64::MAX; MINHASH_HASHES];
-        for (i, value) in values.iter_mut().enumerate() {
-            let a = 0x9E3779B97F4A7C15u64.wrapping_mul(2 * i as u64 + 1);
-            let b = 0xD1B54A32D192ED03u64.wrapping_mul(i as u64 + 1);
-            for &s in &shingle_hashes {
-                let permuted = s.wrapping_mul(a).wrapping_add(b);
-                if permuted < *value {
-                    *value = permuted;
+        // MinHash with MINHASH_HASHES different linear permutations: each
+        // value is the least permuted hash over every shingle.
+        let mut fold = |shingle: u64| {
+            for (i, value) in (0u64..).zip(values.iter_mut()) {
+                let a = 0x9E3779B97F4A7C15u64.wrapping_mul(2 * i + 1);
+                let b = 0xD1B54A32D192ED03u64.wrapping_mul(i + 1);
+                *value = (*value).min(shingle.wrapping_mul(a).wrapping_add(b));
+            }
+        };
+        let mut words = text.split_whitespace();
+        match [(); 4].map(|_| words.next()) {
+            [Some(a), Some(b), Some(c), Some(d)] => {
+                let mut window = [a, b, c, d];
+                loop {
+                    // A shingle's bytes are its words joined by single spaces.
+                    let [a, b, c, d] = window.map(str::as_bytes);
+                    let parts: [&[u8]; 7] = [a, b" ", b, b" ", c, b" ", d];
+                    let [h, ..] = Hash256::digest_parts(&parts).words();
+                    fold(h);
+                    let Some(next) = words.next() else { break };
+                    window = [window[1], window[2], window[3], next];
                 }
+            }
+            _ => {
+                let [h, ..] = Hash256::digest(text.as_bytes()).words();
+                fold(h);
             }
         }
         MinHashSignature { values }
@@ -302,7 +312,7 @@ mod tests {
         let terms: Vec<&str> = out.accepted.iter().map(|(t, _)| *t).collect();
         assert_eq!(terms, ["honey", "bee"]);
         assert!(out.flagged.is_empty());
-        let empty = verify_index_submissions(&[]);
+        let empty = verify_index_submissions::<&str>(&[]);
         assert!(empty.accepted.is_empty());
     }
 

@@ -91,6 +91,12 @@ pub struct QueenBee {
     /// the document from shards of terms it no longer contains (otherwise
     /// dropped terms would keep serving stale versions of the page forever).
     indexed_pages: HashMap<String, (u32, Vec<(TermId, u32)>)>,
+    /// The page being indexed's term counts, by id in term text order
+    /// ([`TermTable::count_analyzed`]): the publish path's list, reused
+    /// across pages.
+    page_counts: Vec<(TermId, u32)>,
+    /// The terms a re-indexed page dropped, reused across pages.
+    dropped_terms: Vec<TermId>,
     /// Every page's rank and rank component, by doc id.
     ranks: rank::Ranks,
     rank_round: u64,
@@ -176,6 +182,8 @@ impl QueenBee {
             index_stats: IndexStats::default(),
             terms: TermTable::default(),
             indexed_pages: HashMap::new(),
+            page_counts: Vec::new(),
+            dropped_terms: Vec::new(),
             ranks: rank::Ranks::default(),
             rank_round: 0,
             signatures: HashMap::new(),

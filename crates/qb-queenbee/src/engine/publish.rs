@@ -75,7 +75,13 @@ impl QueenBee {
             creator,
             page,
         )?;
-        self.signatures.insert(page.name.clone(), (creator.0, sig));
+        // A republish replaces its page's entry in place, keeping the key.
+        match self.signatures.get_mut(&page.name) {
+            Some(entry) => *entry = (creator.0, sig),
+            None => {
+                self.signatures.insert(page.name.clone(), (creator.0, sig));
+            }
+        }
         self.known_creators.insert(creator);
         Ok(PublishReport {
             name: page.name.clone(),
@@ -130,12 +136,14 @@ impl QueenBee {
 
         for at in first..end {
             let (creator, name, cid, version) = match &self.chain.events()[at].1 {
+                // One allocation of the name: every posting of the page
+                // shares it.
                 Event::PagePublished {
                     creator,
                     name,
                     cid,
                     version,
-                } => (*creator, name.clone(), *cid, *version),
+                } => (*creator, Arc::<str>::from(name.as_str()), *cid, *version),
                 _ => continue,
             };
             handled += 1;
@@ -160,14 +168,18 @@ impl QueenBee {
                 }
                 Err(e) => return Err(e),
             };
-            // The page is analysed once: every assigned bee indexes from
-            // these counts, and ghost-posting removal reads its terms.
-            let term_freqs = self.analyzer.term_frequencies(&page.text());
+            // The page is analysed once, into the engine's reused count
+            // list: every assigned bee indexes from these counts, and
+            // ghost-posting removal reads its terms.
+            let mut counts = std::mem::take(&mut self.page_counts);
+            let text = page.text();
+            self.terms
+                .count_analyzed(&self.analyzer, &text, &mut counts);
 
             // Each assigned bee produces its index deltas.
-            let submissions: Vec<Vec<(&str, qb_index::ShardPosting)>> = assigned
+            let submissions: Vec<Vec<(TermId, qb_index::ShardPosting)>> = assigned
                 .iter()
-                .map(|&b| self.bees[b].index_page(&term_freqs, &name, version, creator.0))
+                .map(|&b| self.bees[b].index_page(&counts, &name, version, creator.0))
                 .collect();
             let VerificationOutcome {
                 mut accepted,
@@ -196,20 +208,20 @@ impl QueenBee {
                 .map(|(_, &b)| b)
                 .unwrap_or(assigned[0]);
             let writer_peer = self.bees[writer].peer;
-            // Merge in sorted term order, one shard write per term: shard
+            // Merge in term text order, one shard write per term: shard
             // writes consume simulated network randomness, so iteration
             // order must be deterministic for runs to reproduce
-            // bit-for-bit. A vote returns its keys sorted; a lone
-            // submission comes back as submitted, and the stable sort
-            // groups its terms keeping each term's postings in order.
-            accepted.sort_by_key(|&(term, _)| term);
+            // bit-for-bit. A vote returns its keys sorted by term id, and
+            // a lone submission comes back as submitted; the stable sort
+            // by text groups each term's postings, keeping their order.
+            let terms = &self.terms;
+            accepted.sort_by(|(a, _), (b, _)| terms.text(*a).cmp(terms.text(*b)));
             let postings = accepted.len() as u64;
             let mut accepted = accepted.into_iter().peekable();
-            while let Some((term, first)) = accepted.next() {
-                let id = self.terms.intern(term);
+            while let Some((id, first)) = accepted.next() {
                 let mut shard = self.read_shard_for_writer(writer_peer, id)?;
                 shard.upsert(first);
-                while let Some((_, posting)) = accepted.next_if(|&(t, _)| t == term) {
+                while let Some((_, posting)) = accepted.next_if(|&(t, _)| t == id) {
                     shard.upsert(posting);
                 }
                 self.write_shard(writer_peer, id, shard, now)?;
@@ -219,31 +231,30 @@ impl QueenBee {
             // statistics. Then remove the document from shards of terms the
             // new version no longer contains, so a republished page never
             // leaves ghost postings serving a stale version under its
-            // dropped terms. Both term lists are the analyzer's, in term
-            // text order, so membership is a search by text.
-            let doc_len: u32 = term_freqs.iter().map(|(_, f)| *f).sum();
+            // dropped terms. Both term lists are in term text order, so
+            // membership is a search by text. A page indexed before keeps
+            // its record's list, refilled.
+            let doc_len: u32 = counts.iter().map(|&(_, f)| f).sum();
             self.index_stats.total_len += u64::from(doc_len);
-            let terms = &mut self.terms;
-            let page_terms = term_freqs
-                .iter()
-                .map(|(t, f)| (terms.intern(t), *f))
-                .collect();
-            let dropped: Vec<TermId> = match self.indexed_pages.get_mut(&name) {
-                Some(record) => {
-                    let (old_len, old_terms) = std::mem::replace(record, (doc_len, page_terms));
-                    self.index_stats.total_len -= u64::from(old_len);
-                    let text = |id| &**terms.text(id);
-                    let kept = |id| record.1.binary_search_by(|&(u, _)| text(u).cmp(text(id)));
-                    let old_terms = old_terms.into_iter().map(|(id, _)| id);
-                    old_terms.filter(|&id| kept(id).is_err()).collect()
+            let mut dropped = std::mem::take(&mut self.dropped_terms);
+            dropped.clear();
+            match self.indexed_pages.get_mut(&*name) {
+                Some((old_len, old_terms)) => {
+                    self.index_stats.total_len -= u64::from(*old_len);
+                    *old_len = doc_len;
+                    let text = |id| &**self.terms.text(id);
+                    let kept = |id| counts.binary_search_by(|&(u, _)| text(u).cmp(text(id)));
+                    let old_ids = old_terms.iter().map(|&(id, _)| id);
+                    dropped.extend(old_ids.filter(|&id| kept(id).is_err()));
+                    old_terms.clone_from(&counts);
                 }
                 None => {
                     self.index_stats.num_docs += 1;
                     self.indexed_pages
-                        .insert(name.clone(), (doc_len, page_terms));
-                    Vec::new()
+                        .insert(name.to_string(), (doc_len, counts.clone()));
                 }
-            };
+            }
+            self.page_counts = counts;
             let doc_id = qb_index::doc_id_for_name(&name);
             for &term in &dropped {
                 let mut shard = self.read_shard_for_writer(writer_peer, term)?;
@@ -268,12 +279,13 @@ impl QueenBee {
                 self.chain.submit_call(
                     account,
                     Call::ClaimIndexReward {
-                        page_name: name.clone(),
+                        page_name: name.to_string(),
                         page_version: version,
                     },
                 );
             }
             let indexed = [postings, flagged.len() as u64, dropped.len() as u64];
+            self.dropped_terms = dropped;
             self.chain_publish_event(&name, version, Some(indexed));
         }
 
@@ -371,7 +383,8 @@ impl QueenBee {
     /// tier first (validated against the engine's current version for the
     /// term), the DHT only on a genuine miss. The writer is about to change
     /// the shard, so this is the one place a cached shard is copied; the
-    /// copy shares every posting's name.
+    /// copy shares every posting's name and has room for the one posting a
+    /// page adds.
     fn read_shard_for_writer(&mut self, writer_peer: u64, id: TermId) -> QbResult<ShardEntry> {
         self.writer_shard_reads += 1;
         let now = self.net.now();
@@ -380,7 +393,14 @@ impl QueenBee {
             match cache.lookup_shard(term, now, current_version) {
                 ShardLookup::Hit(shard) => {
                     self.writer_shard_cache_hits += 1;
-                    return Ok(Arc::unwrap_or_clone(shard));
+                    let mut postings = Vec::with_capacity(shard.postings.len() + 1);
+                    postings.extend_from_slice(&shard.postings);
+                    let (term, version) = (shard.term.clone(), shard.version);
+                    return Ok(ShardEntry {
+                        term,
+                        version,
+                        postings,
+                    });
                 }
                 // A term proven absent at the current version reads as an
                 // empty shard, exactly what the DHT would return.
@@ -429,14 +449,16 @@ impl QueenBee {
             writer_peer,
             &shard,
         )?;
-        // The copy that stays resident keeps no growth slack.
-        shard.postings.shrink_to_fit();
+        // The copy that stays resident keeps at most the one posting of
+        // slack its read left room for.
+        if shard.postings.capacity() > shard.postings.len() + 1 {
+            shard.postings.shrink_to_fit();
+        }
         let shard = Arc::new(shard);
         // The first read of the record just put shares this handle.
         self.shard_views.register_written(value, &shard);
         if let Some(cache) = self.writer_cache.as_mut() {
-            cache.invalidate_term(&shard.term, now);
-            cache.store_shard_handle(&shard, now);
+            cache.store_written_shard(&shard, now);
         }
         // Publish-path invalidation on the serving side: the single-mode
         // frontend cache always observes the publish; fleet frontends only

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A term's row in the engine's term table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TermId(u32);
 
 /// Every term an engine has met: rows `(text, version, key)` by id, and
@@ -21,6 +21,8 @@ pub(crate) struct TermTable {
     ids: HashMap<Arc<str>, TermId>,
     /// The analyzer's token buffer, reused across texts.
     buf: String,
+    /// A counted text's ids in token order, reused across texts.
+    tokens: Vec<TermId>,
 }
 
 impl TermTable {
@@ -54,6 +56,28 @@ impl TermTable {
         self.buf = buf;
     }
 
+    /// Count the analysed terms of `text` by id into `counts` (cleared
+    /// first): each distinct term once, beside its count, in term text
+    /// order — [`Analyzer::term_frequencies`] of `text`, each term named
+    /// by its id. Known terms allocate nothing, and neither does the count.
+    pub(crate) fn count_analyzed(
+        &mut self,
+        analyzer: &Analyzer,
+        text: &str,
+        counts: &mut Vec<(TermId, u32)>,
+    ) {
+        let mut tokens = std::mem::take(&mut self.tokens);
+        tokens.clear();
+        self.intern_analyzed(analyzer, text, |_, id| tokens.push(id));
+        // Equal ids are equal texts, so a sort by text puts each term's
+        // tokens in one run.
+        tokens.sort_unstable_by(|&a, &b| self.text(a).cmp(self.text(b)));
+        counts.clear();
+        let runs = tokens.chunk_by(|a, b| a == b);
+        counts.extend(runs.map(|run| (run[0], run.len() as u32)));
+        self.tokens = tokens;
+    }
+
     /// The term's text.
     pub(crate) fn text(&self, id: TermId) -> &Arc<str> {
         &self.rows[id.0 as usize].0
@@ -85,5 +109,43 @@ impl TermTable {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.rows.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A page counted through the table, each id read back as its
+        /// text, is the analyzer's own count of the page, in its order —
+        /// into a list reused across pages and a table that already knows
+        /// some of their terms.
+        #[test]
+        fn counted_ids_read_as_the_analyzers_term_frequencies(
+            pages in proptest::collection::vec(
+                proptest::collection::vec((0usize..12, 0usize..3), 0..40),
+                1..4,
+            ),
+        ) {
+            let words = [
+                "honey", "bees", "bee", "the", "Nectar", "nectars", "hive", "x",
+                "indexing", "indexes", "Über", "ab",
+            ];
+            let gaps = [" ", ", ", ".\n"];
+            let analyzer = Analyzer::new();
+            let mut table = TermTable::default();
+            let mut counts = Vec::new();
+            for page in pages {
+                let text: String = page.iter().map(|&(w, g)| [words[w], gaps[g]].concat()).collect();
+                table.count_analyzed(&analyzer, &text, &mut counts);
+                let named: Vec<(String, u32)> = counts
+                    .iter()
+                    .map(|&(id, n)| (table.text(id).to_string(), n))
+                    .collect();
+                prop_assert_eq!(named, analyzer.term_frequencies(&text));
+            }
+        }
     }
 }

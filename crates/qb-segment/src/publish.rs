@@ -125,7 +125,7 @@ pub fn publish_segment(
         SegmentRef::decode(value).ok().map(|sref| sref.root)
     });
     let io = SegmentIo {
-        bytes: put_stats.bytes + pointer_len * put.stored_on.len() as u64,
+        bytes: put_stats.bytes + pointer_len * put.replicas as u64,
         messages: put_stats.messages + put.messages,
         latency: put_stats.latency + put.latency,
     };

@@ -58,44 +58,58 @@ static GEAR: [u64; 256] = {
 };
 
 /// Content-defined chunking with a gear rolling hash: the chunks of `data`,
-/// in order, as slices of it (the caller copies each once, into the block it
-/// becomes). An empty input yields a single empty chunk so that every object
-/// has at least one block.
-pub fn chunk_content_defined<'a>(data: &'a [u8], config: &ChunkerConfig) -> Vec<&'a [u8]> {
-    if data.is_empty() {
-        return vec![data];
-    }
+/// in order, as slices of it, cut as they are read (the caller copies each
+/// once, into the block it becomes). An empty input yields a single empty
+/// chunk so that every object has at least one block.
+///
+/// A chunk ends at the first byte, at least `min_size` in, where the
+/// hash's low bits (as many as `log2(target_size)`, rounded) are zero, or
+/// at `max_size` bytes, whichever comes first. The hash restarts at every
+/// cut, and each byte shifts it up one bit: a byte has left the low bits
+/// once as many bytes have followed it, and carries only move upward. So
+/// hashing starts that many bytes before a chunk's first eligible cut,
+/// with the cuts of hashing every byte.
+pub fn chunk_content_defined<'a>(
+    data: &'a [u8],
+    config: &ChunkerConfig,
+) -> impl Iterator<Item = &'a [u8]> + use<'a> {
     let min = config.min_size.max(1);
     let max = config.max_size.max(min);
     let target = config.target_size.clamp(min, max).max(2);
-    // Boundary when the top bits of the hash are zero; mask size derived from
-    // the target chunk size (power of two).
+    // Boundary when the low bits of the hash are zero; mask size derived
+    // from the target chunk size (power of two).
     let bits = (target as f64).log2().round() as u32;
     let mask: u64 = if bits >= 63 {
         u64::MAX
     } else {
         (1u64 << bits) - 1
     };
-
-    let mut chunks = Vec::with_capacity(data.len() / target + 1);
-    let mut start = 0usize;
-    let mut hash: u64 = 0;
-    let mut i = 0usize;
-    while i < data.len() {
-        hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
-        let len = i - start + 1;
-        let at_boundary = len >= min && (hash & mask) == 0;
-        if at_boundary || len >= max {
-            chunks.push(&data[start..=i]);
-            start = i + 1;
-            hash = 0;
+    let warm_up = min.saturating_sub(mask.count_ones() as usize);
+    let step = |hash: u64, &byte: &u8| (hash << 1).wrapping_add(GEAR[byte as usize]);
+    // The length of the chunk at the front of `rest` (non-empty).
+    let cut = move |rest: &[u8]| {
+        let limit = rest.len().min(max);
+        if limit < min {
+            return limit;
         }
-        i += 1;
-    }
-    if start < data.len() {
-        chunks.push(&data[start..]);
-    }
-    chunks
+        let mut hash = rest[warm_up..min - 1].iter().fold(0, step);
+        for (len, byte) in (min..).zip(&rest[min - 1..limit]) {
+            hash = step(hash, byte);
+            if hash & mask == 0 {
+                return len;
+            }
+        }
+        limit
+    };
+    let (mut rest, mut empty) = (data, data.is_empty());
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return std::mem::take(&mut empty).then_some(rest);
+        }
+        let (chunk, tail) = rest.split_at(cut(rest));
+        rest = tail;
+        Some(chunk)
+    })
 }
 
 #[cfg(test)]
@@ -103,6 +117,47 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use qb_common::Cid;
+
+    /// The chunker as it was written before it skipped to each chunk's
+    /// warm-up: every byte hashed, one at a time. The reference its cuts
+    /// must equal.
+    fn reference_chunks<'a>(data: &'a [u8], config: &ChunkerConfig) -> Vec<&'a [u8]> {
+        if data.is_empty() {
+            return vec![data];
+        }
+        let min = config.min_size.max(1);
+        let max = config.max_size.max(min);
+        let target = config.target_size.clamp(min, max).max(2);
+        let bits = (target as f64).log2().round() as u32;
+        let mask: u64 = if bits >= 63 {
+            u64::MAX
+        } else {
+            (1u64 << bits) - 1
+        };
+        let mut chunks = Vec::with_capacity(data.len() / target + 1);
+        let mut start = 0usize;
+        let mut hash: u64 = 0;
+        let mut i = 0usize;
+        while i < data.len() {
+            hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
+            let len = i - start + 1;
+            let at_boundary = len >= min && (hash & mask) == 0;
+            if at_boundary || len >= max {
+                chunks.push(&data[start..=i]);
+                start = i + 1;
+                hash = 0;
+            }
+            i += 1;
+        }
+        if start < data.len() {
+            chunks.push(&data[start..]);
+        }
+        chunks
+    }
+
+    fn chunks<'a>(data: &'a [u8], config: &ChunkerConfig) -> Vec<&'a [u8]> {
+        chunk_content_defined(data, config).collect()
+    }
 
     /// Fixed-size chunking, the contrast case content-defined chunking is
     /// measured against.
@@ -112,7 +167,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_one_empty_chunk() {
-        assert_eq!(chunk_content_defined(&[], &ChunkerConfig::tiny()).len(), 1);
+        assert_eq!(chunks(&[], &ChunkerConfig::tiny()), [&[] as &[u8]]);
     }
 
     #[test]
@@ -122,7 +177,7 @@ mod tests {
             data.extend_from_slice(&i.to_le_bytes());
         }
         let cfg = ChunkerConfig::tiny();
-        let chunks = chunk_content_defined(&data, &cfg);
+        let chunks = chunks(&data, &cfg);
         assert!(chunks.len() > 1);
         assert_eq!(chunks.concat(), data);
         for (i, c) in chunks.iter().enumerate() {
@@ -145,14 +200,12 @@ mod tests {
         }
         let cfg = ChunkerConfig::default();
         let original: Vec<Cid> = chunk_content_defined(&data, &cfg)
-            .iter()
-            .map(|c| Cid::for_data(c))
+            .map(Cid::for_data)
             .collect();
         let mut edited = data.clone();
         edited.splice(1000..1000, b"INSERTED EDIT".iter().copied());
         let new_cids: Vec<Cid> = chunk_content_defined(&edited, &cfg)
-            .iter()
-            .map(|c| Cid::for_data(c))
+            .map(Cid::for_data)
             .collect();
         let original_set: std::collections::HashSet<_> = original.iter().collect();
         let shared = new_cids.iter().filter(|c| original_set.contains(c)).count();
@@ -185,8 +238,30 @@ mod tests {
     proptest! {
         #[test]
         fn chunking_always_reassembles(data in proptest::collection::vec(any::<u8>(), 0..8192)) {
-            let cdc = chunk_content_defined(&data, &ChunkerConfig::tiny());
+            let cdc = chunks(&data, &ChunkerConfig::tiny());
             prop_assert_eq!(cdc.concat(), data);
+        }
+
+        /// Skipping to each chunk's warm-up moves no cut: on random and on
+        /// low-entropy bytes, under the tiny and default configurations,
+        /// one whose window is wider than its minimum and one whose minimum
+        /// is a single byte, the chunks equal the byte-at-a-time loop's.
+        #[test]
+        fn warm_up_cuts_where_every_byte_hashed_cuts(
+            data in proptest::collection::vec(any::<u8>(), 0..12_000),
+            alphabet in 1u8..4,
+            config in 0usize..4,
+        ) {
+            let config = [
+                ChunkerConfig::tiny(),
+                ChunkerConfig::default(),
+                ChunkerConfig { min_size: 3, target_size: 64, max_size: 100 },
+                ChunkerConfig { min_size: 1, target_size: 2, max_size: 5 },
+            ][config].clone();
+            let sparse: Vec<u8> = data.iter().map(|b| b % alphabet).collect();
+            for data in [&data, &sparse] {
+                prop_assert_eq!(chunks(data, &config), reference_chunks(data, &config));
+            }
         }
     }
 }

@@ -21,6 +21,7 @@ pub struct Manifest {
 impl Manifest {
     /// Build a manifest over an object's chunk blocks, in order. Each block
     /// was hashed when its bytes entered; the manifest lists those cids.
+    #[cfg(test)]
     pub fn from_blocks(blocks: &[Block]) -> Manifest {
         Manifest {
             chunks: blocks.iter().map(Block::cid).collect(),
@@ -35,14 +36,17 @@ impl Manifest {
 
     /// Serialize to bytes (deterministic binary format).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 10 + self.chunks.len() * 32);
-        out.extend_from_slice(MANIFEST_MAGIC);
-        varint::encode_u64(self.total_len, &mut out);
-        varint::encode_u64(self.chunks.len() as u64, &mut out);
-        for c in &self.chunks {
-            out.extend_from_slice(c.0.as_bytes());
-        }
+        let mut out = Vec::with_capacity(8 + 10 + self.chunks.len() * CID_BYTES);
+        encode_parts(self.total_len, &self.chunks, Cid::clone, &mut out);
         out
+    }
+
+    /// Append the encoding of the manifest over `blocks` (each block's cid
+    /// and length, in order) to `out`, written straight from the blocks
+    /// with no list of their cids.
+    pub fn encode_blocks_into(blocks: &[Block], out: &mut Vec<u8>) {
+        let total_len = blocks.iter().map(|b| b.len() as u64).sum();
+        encode_parts(total_len, blocks, Block::cid, out);
     }
 
     /// Parse a manifest from bytes.
@@ -85,8 +89,20 @@ impl Manifest {
     }
 
     /// The root cid: cid of the encoded manifest.
+    #[cfg(test)]
     pub fn root_cid(&self) -> Cid {
         Cid::for_data(&self.encode())
+    }
+}
+
+/// Append a manifest's encoding to `out`: the magic, the total length, the
+/// chunk count and each chunk's cid, in order.
+fn encode_parts<T>(total_len: u64, chunks: &[T], cid: impl Fn(&T) -> Cid, out: &mut Vec<u8>) {
+    out.extend_from_slice(MANIFEST_MAGIC);
+    varint::encode_u64(total_len, out);
+    varint::encode_u64(chunks.len() as u64, out);
+    for chunk in chunks {
+        out.extend_from_slice(cid(chunk).0.as_bytes());
     }
 }
 
@@ -199,6 +215,12 @@ mod tests {
             // Listing the blocks' cids addresses the same bytes as hashing
             // the chunks for the manifest did.
             prop_assert_eq!(m.encode(), manifest_by_rehashing(&chunks).encode());
+            // Encoding straight from the blocks writes the same bytes.
+            let blocks: Vec<Block> = chunks.iter().map(|c| Block::new(c.clone())).collect();
+            let mut encoded = b"kept".to_vec();
+            Manifest::encode_blocks_into(&blocks, &mut encoded);
+            prop_assert_eq!(&encoded[..4], b"kept");
+            prop_assert_eq!(&encoded[4..], &m.encode()[..]);
         }
     }
 }

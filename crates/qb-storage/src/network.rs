@@ -5,7 +5,8 @@ use crate::chunker::{chunk_content_defined, ChunkerConfig};
 use crate::dag::Manifest;
 use crate::memo::{ChunkMemo, MemoSlot};
 use crate::store::LruBlockStore;
-use qb_common::{Cid, DhtKey, DigestMap, QbError, QbResult, SimDuration};
+use bytes::Bytes;
+use qb_common::{Cid, DhtKey, DigestMap, NodeId, QbError, QbResult, SimDuration};
 use qb_dht::DhtNetwork;
 use qb_simnet::SimNet;
 use std::collections::hash_map::Entry;
@@ -88,9 +89,27 @@ pub struct StorageNetwork {
     named: DigestMap<DhtKey, Vec<Named>>,
     /// The roots a key's records name, gathered once per release.
     named_roots: Vec<Cid>,
-    /// The memo slots of the chunks of the object being put, in chunk
-    /// order; kept between puts.
-    chunk_slots: Vec<MemoSlot>,
+    /// What putting an object works on and throws away, kept between
+    /// puts so that a put allocates only the blocks it adds, its manifest
+    /// and what it keeps of it.
+    scratch: PutScratch,
+}
+
+/// The lists a put fills and empties ([`StorageNetwork::put`]).
+#[derive(Debug, Default)]
+struct PutScratch {
+    /// The object's chunk blocks, in chunk order; emptied after the pin,
+    /// so no block outlives its object here.
+    blocks: Vec<Block>,
+    /// The memo slots of those blocks, in the same order.
+    slots: Vec<MemoSlot>,
+    /// The online peers closest to the object's root, replica candidates.
+    targets: Vec<NodeId>,
+    /// The bytes [`StorageNetwork::put_named_encoded`] encodes the object
+    /// into, and [`StorageNetwork::encode_shared`] a value.
+    encoded: Vec<u8>,
+    /// The object's manifest, encoded.
+    manifest: Vec<u8>,
 }
 
 /// A pinned block: its bytes, how many stored objects hold it (once per
@@ -172,7 +191,7 @@ impl StorageNetwork {
             memo: ChunkMemo::default(),
             named: DigestMap::default(),
             named_roots: Vec::new(),
-            chunk_slots: Vec::new(),
+            scratch: PutScratch::default(),
             config,
         }
     }
@@ -280,6 +299,40 @@ impl StorageNetwork {
         self.put(net, dht, from, data, Some(name))
     }
 
+    /// [`StorageNetwork::put_named_object`] of the bytes `encode` appends
+    /// to an empty buffer the network keeps between puts: a shard the
+    /// writer puts on every republish is never a list of its own. A large
+    /// object put rarely (a segment generation, the rank vector) brings
+    /// its own bytes instead, so that the buffer does not stay at its
+    /// size.
+    pub fn put_named_encoded(
+        &mut self,
+        net: &mut SimNet,
+        dht: &mut DhtNetwork,
+        from: u64,
+        name: DhtKey,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> QbResult<(ObjectRef, FetchStats)> {
+        let mut data = std::mem::take(&mut self.scratch.encoded);
+        data.clear();
+        encode(&mut data);
+        let put = self.put(net, dht, from, &data, Some(name));
+        self.scratch.encoded = data;
+        put
+    }
+
+    /// The bytes `encode` appends to an empty buffer, as one shared
+    /// allocation of exactly their length. The buffer is the one
+    /// [`StorageNetwork::put_named_encoded`] uses, kept between calls: a
+    /// writer choosing between a value stored in place and an object put
+    /// encodes into it either way.
+    pub fn encode_shared(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+        let data = &mut self.scratch.encoded;
+        data.clear();
+        encode(data);
+        Bytes::copy_from_slice(data)
+    }
+
     /// Release every object put under `name` that no copy of a record
     /// under `name` names any more — `root_of` reads the root a record's
     /// value names. Returns the number of objects released.
@@ -368,23 +421,21 @@ impl StorageNetwork {
         // Content enters here: a chunk some earlier object already stored is
         // that object's block again; any other is copied and hashed once,
         // into the block every holder then pins by handle.
-        let mut slots = std::mem::take(&mut self.chunk_slots);
-        slots.clear();
-        let blocks: Vec<Block> = chunk_content_defined(data, &self.config.chunker)
-            .into_iter()
-            .map(|chunk| {
-                let (block, slot) = self.memo.block(chunk);
-                slots.push(slot);
-                block
-            })
-            .collect();
-        let manifest = Manifest::from_blocks(&blocks);
-        let manifest_block = Block::new(manifest.encode());
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let (blocks, slots) = (&mut scratch.blocks, &mut scratch.slots);
+        for chunk in chunk_content_defined(data, &self.config.chunker) {
+            let (block, slot) = self.memo.block(chunk);
+            blocks.push(block);
+            slots.push(slot);
+        }
+        scratch.manifest.clear();
+        Manifest::encode_blocks_into(blocks, &mut scratch.manifest);
+        let manifest_block = Block::new(&scratch.manifest[..]);
         let root = manifest_block.cid();
         let object_ref = ObjectRef {
             root,
-            total_len: manifest.total_len,
-            chunk_count: manifest.chunk_count(),
+            total_len: data.len() as u64,
+            chunk_count: blocks.len(),
         };
 
         // Announce the publisher as a provider, then replicate to the r-1
@@ -400,9 +451,10 @@ impl StorageNetwork {
         }
         if announced.is_ok() && self.config.replication > 1 {
             let payload = data.len() + manifest_block.len();
-            let targets = dht.closest_online_global(net, &root.0, self.config.replication + 1);
+            let targets = &mut scratch.targets;
+            dht.closest_online_global(net, &root.0, self.config.replication + 1, targets);
             let mut replicated = 0usize;
-            for target in targets {
+            for &target in targets.iter() {
                 if target.index == from || replicated + 1 >= self.config.replication {
                     if replicated + 1 >= self.config.replication {
                         break;
@@ -424,16 +476,18 @@ impl StorageNetwork {
         }
         // Pinned and counted even when the announce failed: a named object
         // is then released by the next release under `name`.
-        self.pin(&manifest_block, &blocks, &slots, &holders);
-        self.chunk_slots = slots;
+        self.pin(&manifest_block, &scratch.blocks, &scratch.slots, &holders);
         if let Some(name) = name {
-            let cids = std::iter::once(root).chain(blocks.iter().map(Block::cid));
+            let cids = std::iter::once(root).chain(scratch.blocks.iter().map(Block::cid));
             let object = Named {
                 root,
                 blocks: cids.collect(),
             };
             self.named.entry(name).or_default().push(object);
         }
+        scratch.blocks.clear();
+        scratch.slots.clear();
+        self.scratch = scratch;
         announced?;
         Ok((object_ref, stats))
     }
@@ -715,7 +769,7 @@ mod tests {
             .node(fetcher)
             .get_providers(&key)
             .iter()
-            .map(|p| p.index)
+            .map(|&p| u64::from(p))
             .collect();
         assert_eq!(
             own,
@@ -1380,7 +1434,6 @@ mod tests {
                 return Err(QbError::NodeOffline(from));
             }
             let chunks: Vec<Block> = chunk_content_defined(data, &self.config.chunker)
-                .into_iter()
                 .map(Block::new)
                 .collect();
             let manifest = Manifest::from_blocks(&chunks);
@@ -1406,7 +1459,9 @@ mod tests {
             stats.messages += put.messages;
             let r = self.config.replication;
             let mut replicated = 0;
-            for target in dht.closest_online_global(net, &root.0, r + 1) {
+            let mut targets = Vec::new();
+            dht.closest_online_global(net, &root.0, r + 1, &mut targets);
+            for target in targets {
                 if replicated + 1 >= r {
                     break;
                 }
