@@ -72,10 +72,10 @@
 //! ([`crate::RoutingTable::closest_into`]) and merged from there. A
 //! short-circuited walk takes no lists; an abandoned walk
 //! ([`LookupMachine::abandon`]) is never polled to its end, so it drops its
-//! own with the machine. A walk allocates no list of its own: a node walk
-//! leaves its `k` closest in one more list the network keeps
-//! ([`DhtNetwork::found_peers`]), where a store round then keeps the
-//! replicas that accepted, and a value walk leaves none.
+//! own with the machine. A walk allocates no list of its own and leaves
+//! none behind, except the node walk under a store round or a provider
+//! search: it leaves its `k` closest in one more list the network keeps,
+//! where the store round then keeps the replicas that accepted.
 //!
 //! # Tracing
 //!
@@ -232,6 +232,10 @@ pub struct LookupMachine {
     armed: bool,
     /// Did this lookup fire a hedge?
     hedged: bool,
+    /// Does the walk leave its `k` closest in the network's `found` list
+    /// when it finishes? Only the node walk under a store round or a
+    /// provider search does.
+    pub(crate) keeps_closest: bool,
     result: Option<(LookupOutcome, Option<Record>)>,
 }
 
@@ -383,6 +387,7 @@ impl DhtNetwork {
             hedge_deadline: None,
             armed: false,
             hedged: false,
+            keeps_closest: false,
             result: None,
         };
 
@@ -670,12 +675,12 @@ impl DhtNetwork {
         machine.send(net, slot, at, generation, true, hop_span);
     }
 
-    /// Close the walk's span, build its outcome, leave a node walk's `k`
-    /// closest in the network's `found` list and hand the walk's lists back
-    /// to the spare list (module docs, "Buffers").
+    /// Close the walk's span, build its outcome, leave the walk's `k`
+    /// closest in the network's `found` list if it keeps them and hand the
+    /// walk's lists back to the spare list (module docs, "Buffers").
     fn lookup_finish(&mut self, net: &mut SimNet, machine: &mut LookupMachine) {
         net.tracer().close(machine.span, machine.finished_at);
-        if machine.want_value.is_none() {
+        if machine.keeps_closest {
             let nodes = &self.nodes;
             self.found.clear();
             let closest = machine.top_k().map(|(_, c)| nodes[c.contact as usize].id);

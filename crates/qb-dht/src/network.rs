@@ -7,8 +7,7 @@ use bytes::Bytes;
 use qb_common::{DhtKey, Distance, Hash256, NodeId, QbError, QbResult, SimDuration, SimInstant};
 use qb_simnet::{Poll, RpcError, RpcHandle, SimNet};
 
-/// Result of an iterative lookup. A node walk's closest nodes are not
-/// part of it: the network keeps them ([`DhtNetwork::found_peers`]).
+/// Result of an iterative lookup.
 #[derive(Debug, Clone)]
 pub struct LookupOutcome {
     /// Deepest hop generation reached (a follow-up issued on the completion
@@ -26,8 +25,7 @@ pub struct LookupOutcome {
 /// Result of storing a record.
 #[derive(Debug, Clone)]
 pub struct PutOutcome {
-    /// How many replicas accepted the record; the network keeps which
-    /// ([`DhtNetwork::found_peers`]).
+    /// How many replicas accepted the record.
     pub replicas: usize,
     /// End-to-end latency (lookup + parallel store round).
     pub latency: SimDuration,
@@ -69,9 +67,10 @@ pub struct DhtNetwork {
     pub(crate) replies: Vec<(Distance, NodeId)>,
     /// A store round's RPCs, in issue order, while it waits for them.
     pending: Vec<(Option<RpcHandle>, SimInstant)>,
-    /// The `k` closest peers the last node walk found, nearest first; once
-    /// a store round has run on them, the ones that accepted, in issue
-    /// order ([`DhtNetwork::found_peers`]).
+    /// The `k` closest peers the last walk under a store round or a
+    /// provider search found, nearest first; once the store round has run
+    /// on them, the ones that accepted, in issue order. A walk driven
+    /// through [`DhtNetwork::lookup_begin`] leaves it as it is.
     pub(crate) found: Vec<NodeId>,
 }
 
@@ -128,16 +127,6 @@ impl DhtNetwork {
     /// Access a node's local state.
     pub fn node(&self, index: u64) -> &DhtNode {
         &self.nodes[index as usize]
-    }
-
-    /// The peers the last node walk found ([`DhtNetwork::lookup_begin`]
-    /// without a value: a bootstrap walk, or the walk under a store round or
-    /// a provider search), its `k` closest, nearest first. After the store
-    /// round of [`DhtNetwork::put_record`] or [`DhtNetwork::add_provider`],
-    /// the ones that accepted, in the order the round issued to them. The
-    /// list is the network's and the next node walk overwrites it.
-    pub fn found_peers(&self) -> &[NodeId] {
-        &self.found
     }
 
     /// Ground-truth closest online nodes to a key (bypasses routing tables),
@@ -279,7 +268,10 @@ impl DhtNetwork {
         if !net.is_online(from) {
             return Err(QbError::NodeOffline(from));
         }
-        let (outcome, _) = self.iterative_find(net, from, target, None, 0);
+        let at = net.now();
+        let mut machine = self.lookup_begin(net, from, target, None, 0, at, None);
+        machine.keeps_closest = true;
+        let (outcome, _) = self.lookup_drive(net, machine);
         if self.found.is_empty() {
             return Err(QbError::DhtLookupFailed(target.short()));
         }
@@ -480,7 +472,7 @@ mod tests {
         let (mut net, mut dht) = setup(64, 2);
         let target = Hash256::digest(b"some target key");
         let outcome = dht.lookup_nodes(&mut net, 5, target).unwrap();
-        let found = dht.found_peers().to_vec();
+        let found = dht.found.clone();
         assert!(!found.is_empty());
         let mut truth = Vec::new();
         dht.closest_online_global(&net, &target, 1, &mut truth);
@@ -498,7 +490,7 @@ mod tests {
             .put_record(&mut net, 7, key, b"posting-list-pointer".to_vec(), 1)
             .unwrap();
         assert!(put.replicas > 0);
-        assert_eq!(put.replicas, dht.found_peers().len());
+        assert_eq!(put.replicas, dht.found.len());
         let got = dht.get_record(&mut net, 33, key).unwrap();
         assert_eq!(&got.record.value[..], b"posting-list-pointer");
         assert_eq!(got.record.version, 1);
@@ -532,7 +524,7 @@ mod tests {
             .unwrap();
         // Kill half of the replicas that accepted the record.
         let kill = put.replicas / 2;
-        for r in dht.found_peers().iter().take(kill) {
+        for r in dht.found.iter().take(kill) {
             net.set_online(r.index, false);
         }
         let got = dht.get_record(&mut net, 40, key).unwrap();
@@ -620,12 +612,22 @@ mod tests {
             t0,
             None,
         );
+        // Each walk leaves its closest peers behind as it finishes, for the
+        // poll that finished it to read.
+        (a.keeps_closest, b.keeps_closest) = (true, true);
+        let (mut found_a, mut found_b) = (None, None);
         let mut order = Vec::new();
         let mut cursor = t0;
         loop {
             let (done_a, done_b) = (a.completed_rpcs(), b.completed_rpcs());
             let step_a = dht.lookup_poll(&mut net, &mut a, cursor);
+            if matches!(step_a, LookupStep::Ready) && found_a.is_none() {
+                found_a = Some(dht.found.len());
+            }
             let step_b = dht.lookup_poll(&mut net, &mut b, cursor);
+            if matches!(step_b, LookupStep::Ready) && found_b.is_none() {
+                found_b = Some(dht.found.len());
+            }
             order.extend(std::iter::repeat_n(
                 'a',
                 (a.completed_rpcs() - done_a) as usize,
@@ -647,7 +649,7 @@ mod tests {
         let (oa, _) = a.into_result();
         let (ob, _) = b.into_result();
         assert!(oa.messages > 0 && ob.messages > 0);
-        assert!(!dht.found_peers().is_empty());
+        assert!(found_a.is_some_and(|n| n > 0) && found_b.is_some_and(|n| n > 0));
         // Per-hop completions interleave: some of b's hops complete before
         // a's last hop and vice versa — the lookups genuinely overlap
         // instead of serializing lookup-after-lookup.
@@ -723,15 +725,15 @@ mod tests {
         assert_eq!(dht.spare_walks.len(), 5);
     }
 
-    /// `replicate` leaves the list its store round keeps in
-    /// `found_peers`: the walk's replicas that accepted, in the order the
+    /// `replicate` leaves the list its store round keeps in the
+    /// network's `found` list: the walk's replicas that accepted, in the order the
     /// round issued to them.
     #[test]
     fn a_store_round_keeps_the_accepting_replicas_in_issue_order() {
         let (mut net, mut dht) = setup(48, 14);
         let key = DhtKey::for_term("issue order");
         dht.lookup_nodes(&mut net, 5, key.0).unwrap();
-        let replicas = dht.found_peers().to_vec();
+        let replicas = dht.found.clone();
         assert_eq!(replicas.len(), dht.config().k);
         let offline = replicas[1];
         net.set_online(offline.index, false);
@@ -806,7 +808,7 @@ mod tests {
                 Ok(o) => writeln!(
                     out,
                     "L{i} from {from}: {:?} hops {} msgs {} lat {} queue {}",
-                    indices(dht.found_peers()),
+                    indices(&dht.found),
                     o.hops,
                     o.messages,
                     o.latency.as_micros(),
@@ -823,7 +825,7 @@ mod tests {
                 Ok(p) => writeln!(
                     out,
                     "P{i} from {from}: {:?} lat {} msgs {}",
-                    indices(&dht.found_peers()[..p.replicas]),
+                    indices(&dht.found),
                     p.latency.as_micros(),
                     p.messages
                 ),

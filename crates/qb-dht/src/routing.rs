@@ -173,13 +173,11 @@ impl RoutingTable {
     }
 
     /// All contacts (unordered).
-    #[cfg(test)]
     pub fn contacts(&self) -> Vec<NodeId> {
         self.buckets.iter().flatten().copied().collect()
     }
 
     /// Maximum bucket occupancy (used by tests to check the ≤ k invariant).
-    #[cfg(test)]
     pub fn max_bucket_len(&self) -> usize {
         self.buckets.iter().map(|b| b.len()).max().unwrap_or(0)
     }

@@ -81,21 +81,20 @@ impl QueenBee {
         if !report.ranks.is_empty() {
             let mut sorted: Vec<(&String, &f64)> = named().collect();
             sorted.sort_unstable_by_key(|&(name, _)| name);
-            let mut encoded = String::new();
-            for (name, rank) in sorted {
-                encoded.push_str(&format!("{name}\t{rank:.9}\n"));
-            }
+            let encode = |buf: &mut Vec<u8>| {
+                use std::io::Write;
+                for (name, rank) in sorted {
+                    // Writing to a `Vec` cannot fail.
+                    let _ = writeln!(buf, "{name}\t{rank:.9}");
+                }
+            };
             // The previous round's vector is unpinned once no copy of the
             // pointer names it.
             let peer = self.bees[0].peer;
             let key = DhtKey(Hash256::digest(b"rank:@vector"));
-            let (obj, _stats) = self.storage.put_named_object(
-                &mut self.net,
-                &mut self.dht,
-                peer,
-                key,
-                encoded.as_bytes(),
-            )?;
+            let (obj, _stats) =
+                self.storage
+                    .put_named_encoded(&mut self.net, &mut self.dht, peer, key, encode)?;
             self.dht.put_record(
                 &mut self.net,
                 peer,

@@ -108,9 +108,9 @@ pub fn publish_segment(
     segment: &Segment,
     generation: u64,
 ) -> QbResult<(SegmentRef, SegmentIo)> {
-    let bytes = segment.encode();
     let key = latest_segment_key();
-    let (obj, put_stats) = storage.put_named_object(net, dht, from, key, &bytes)?;
+    let encode = |buf: &mut Vec<u8>| segment.encode_into(buf);
+    let (obj, put_stats) = storage.put_named_encoded(net, dht, from, key, encode)?;
     let sref = SegmentRef {
         root: obj.root,
         total_len: obj.total_len,

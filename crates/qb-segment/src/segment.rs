@@ -256,17 +256,23 @@ impl Segment {
     /// every shard length-framed in ascending term order. The same logical
     /// segment always yields the same bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`Segment::encode`], appended to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_len());
         out.extend_from_slice(&SEGMENT_MAGIC);
-        varint::encode_u64(SEGMENT_FORMAT_VERSION, &mut out);
-        varint::encode_u64(self.entries.len() as u64, &mut out);
+        varint::encode_u64(SEGMENT_FORMAT_VERSION, out);
+        varint::encode_u64(self.entries.len() as u64, out);
         for Framed { shard, len } in self.entries.values() {
-            varint::encode_u64(*len as u64, &mut out);
+            varint::encode_u64(*len as u64, out);
             let start = out.len();
-            shard.encode_into(&mut out);
+            shard.encode_into(out);
             debug_assert_eq!(out.len() - start, *len, "{}", shard.term);
         }
-        out
     }
 
     /// Decode a segment, enforcing canonical form (strictly ascending
