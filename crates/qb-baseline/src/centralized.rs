@@ -61,11 +61,6 @@ impl CentralizedEngine {
         self.last_crawl
     }
 
-    /// Number of documents currently indexed.
-    pub fn indexed_docs(&self) -> usize {
-        self.index.doc_count()
-    }
-
     /// Re-crawl the whole corpus: the index now reflects the versions passed
     /// in. (A real crawler discovers changes page by page; a full re-crawl at
     /// the interval boundary is the *optimistic* model for the baseline —
@@ -150,9 +145,9 @@ mod tests {
     #[test]
     fn crawl_then_search() {
         let mut e = CentralizedEngine::new(CentralizedConfig::default());
-        assert_eq!(e.indexed_docs(), 0);
+        assert_eq!(e.index.doc_count(), 0);
         e.crawl(&docs(), SimInstant::ZERO);
-        assert_eq!(e.indexed_docs(), 2);
+        assert_eq!(e.index.doc_count(), 2);
         let (results, latency) = e.search("decentralized", 10.0, SimInstant::ZERO).unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(&*results[0].name, "a");

@@ -367,12 +367,6 @@ impl QueryCache {
         }
     }
 
-    /// The term's estimated republish interval, once two republishes have
-    /// been observed (diagnostic / experiment output).
-    pub fn republish_interval_estimate(&self, term: &str) -> Option<SimDuration> {
-        self.republish.get(term).and_then(|t| t.interval_estimate())
-    }
-
     // ----- gossip surface ----------------------------------------------------------
 
     /// The `max` hottest cached term shards alive at `now` as
@@ -875,6 +869,12 @@ mod tests {
         assert!(c.lookup_stats(2).is_none(), "stale stats must not serve");
     }
 
+    /// The term's estimated republish interval, once two republishes have
+    /// been observed.
+    fn interval_estimate(c: &QueryCache, term: &str) -> Option<SimDuration> {
+        c.republish.get(term).and_then(|t| t.interval_estimate())
+    }
+
     #[test]
     fn adaptive_ttl_scales_with_republish_rate() {
         let mut c = cache();
@@ -884,14 +884,14 @@ mod tests {
         // still archival.
         c.invalidate_term("hot", t0());
         assert_eq!(c.adaptive_shard_ttl("hot"), ADAPTIVE_TTL_CEILING);
-        assert!(c.republish_interval_estimate("hot").is_none());
+        assert!(interval_estimate(&c, "hot").is_none());
         // Republished every 60s: TTL becomes ~30s, far below the ceiling.
         let mut now = t0();
         for _ in 0..4 {
             now += SimDuration::from_secs(60);
             c.invalidate_term("hot", now);
         }
-        let est = c.republish_interval_estimate("hot").expect("estimate");
+        let est = interval_estimate(&c, "hot").expect("estimate");
         assert_eq!(est, SimDuration::from_secs(60));
         let hot_ttl = c.adaptive_shard_ttl("hot");
         assert_eq!(hot_ttl, SimDuration::from_secs(30));
@@ -926,12 +926,12 @@ mod tests {
         for _ in 0..3 {
             c.invalidate_term("multi", t0());
         }
-        assert!(c.republish_interval_estimate("multi").is_none());
+        assert!(interval_estimate(&c, "multi").is_none());
         assert_eq!(c.adaptive_shard_ttl("multi"), ADAPTIVE_TTL_CEILING);
         // A later, genuinely spaced republish still produces an estimate.
         c.invalidate_term("multi", t0() + SimDuration::from_secs(40));
         assert_eq!(
-            c.republish_interval_estimate("multi"),
+            interval_estimate(&c, "multi"),
             Some(SimDuration::from_secs(40))
         );
     }

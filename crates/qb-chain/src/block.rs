@@ -3,6 +3,7 @@
 use crate::account::AccountId;
 use crate::tx::Transaction;
 use qb_common::{Hash256, SimInstant};
+use std::io::Write;
 
 /// Header of a sealed block.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -53,8 +54,9 @@ impl Block {
             bytes.extend_from_slice(&tx.from.0.to_be_bytes());
             bytes.extend_from_slice(&tx.nonce.to_be_bytes());
             // The debug representation is a stable, deterministic encoding of
-            // the call for hashing purposes in the simulation.
-            bytes.extend_from_slice(format!("{:?}", tx.call).as_bytes());
+            // the call for hashing purposes in the simulation, written
+            // straight into the buffer (a `Vec` write cannot fail).
+            let _ = write!(bytes, "{:?}", tx.call);
         }
         Hash256::digest(&bytes)
     }
@@ -103,5 +105,39 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, c);
         assert_ne!(a, Block::digest_transactions(&[tx(1)]));
+    }
+
+    #[test]
+    fn tx_digest_is_the_hash_of_each_calls_debug_text() {
+        let txs = [
+            tx(3),
+            Transaction::new(
+                AccountId(7),
+                0,
+                Call::PublishPage {
+                    name: "dweb/home".into(),
+                    cid: qb_common::Cid::for_data(b"v1"),
+                    out_links: vec!["dweb/docs".into(), "wiki/ß".into()],
+                },
+            ),
+            Transaction::new(
+                AccountId(8),
+                2,
+                Call::ClaimIndexReward {
+                    page_name: "dweb/home".into(),
+                    page_version: 1,
+                },
+            ),
+        ];
+        // The formula the chain has always hashed: sender, nonce, then the
+        // call's `Debug` text built as a string of its own.
+        let mut bytes = Vec::new();
+        for tx in &txs {
+            bytes.extend_from_slice(&tx.from.0.to_be_bytes());
+            bytes.extend_from_slice(&tx.nonce.to_be_bytes());
+            bytes.extend_from_slice(format!("{:?}", tx.call).as_bytes());
+        }
+        assert_eq!(Block::digest_transactions(&txs), Hash256::digest(&bytes));
+        assert_eq!(Block::digest_transactions(&[]), Hash256::digest(&[]));
     }
 }

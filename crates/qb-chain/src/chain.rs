@@ -5,7 +5,7 @@ use crate::block::{Block, BlockHeader};
 use crate::contracts::ads::AdMarket;
 use crate::contracts::publish::PublishRegistry;
 use crate::contracts::rewards::RewardPool;
-use crate::tx::{Call, Event, Receipt, Transaction, TxStatus};
+use crate::tx::{Call, Event, Transaction};
 use qb_common::{Hash256, QbError, QbResult, SimInstant};
 use std::collections::VecDeque;
 
@@ -63,7 +63,6 @@ pub struct Blockchain {
     ads: AdMarket,
     rewards: RewardPool,
     blocks: Vec<Block>,
-    receipts: Vec<Receipt>,
     mempool: VecDeque<Transaction>,
     events: Vec<(u64, Event)>,
     ok_txs: u64,
@@ -85,7 +84,6 @@ impl Blockchain {
                 POPULARITY_THRESHOLD_PPM,
             ),
             blocks: Vec::new(),
-            receipts: Vec::new(),
             mempool: VecDeque::new(),
             events: Vec::new(),
             ok_txs: 0,
@@ -143,20 +141,9 @@ impl Blockchain {
     }
 
     /// Build a transaction with the correct next nonce and queue it.
-    pub fn submit_call(&mut self, from: AccountId, call: Call) -> Transaction {
+    pub fn submit_call(&mut self, from: AccountId, call: Call) {
         let tx = Transaction::new(from, self.next_nonce(from), call);
-        self.mempool.push_back(tx.clone());
-        tx
-    }
-
-    /// Queue an already-built transaction.
-    pub fn submit(&mut self, tx: Transaction) {
         self.mempool.push_back(tx);
-    }
-
-    /// Number of transactions waiting in the mempool.
-    pub fn mempool_len(&self) -> usize {
-        self.mempool.len()
     }
 
     /// Seal the next block, applying queued transactions. Returns the header
@@ -172,35 +159,24 @@ impl Blockchain {
             .unwrap_or(Hash256::ZERO);
         let sealer = VALIDATORS[(height as usize) % VALIDATORS.len()];
 
-        for (i, tx) in txs.iter().enumerate() {
-            let expected = self.accounts.nonce(tx.from);
-            let (status, events) = if tx.nonce != expected {
-                (
-                    TxStatus::InvalidNonce {
-                        expected,
-                        got: tx.nonce,
-                    },
-                    Vec::new(),
-                )
-            } else {
+        // A transaction's outcome is counted, not kept: its events go to
+        // the log, and a rejected or reverted call leaves only its count
+        // (a revert still spends the sender's nonce).
+        for tx in &txs {
+            let events = if tx.nonce == self.accounts.nonce(tx.from) {
                 self.accounts.bump_nonce(tx.from);
-                match self.apply_call(tx.from, &tx.call, now) {
-                    Ok(events) => (TxStatus::Ok, events),
-                    Err(e) => (TxStatus::Reverted(e.to_string()), Vec::new()),
-                }
+                self.apply_call(tx.from, &tx.call, now).ok()
+            } else {
+                None
             };
-            match &status {
-                TxStatus::Ok => self.ok_txs += 1,
-                _ => self.failed_txs += 1,
+            match events {
+                Some(events) => {
+                    self.ok_txs += 1;
+                    self.events
+                        .extend(events.into_iter().map(|ev| (height, ev)));
+                }
+                None => self.failed_txs += 1,
             }
-            self.events
-                .extend(events.into_iter().map(|ev| (height, ev)));
-            self.receipts.push(Receipt {
-                block_height: height,
-                tx_index: i,
-                from: tx.from,
-                status,
-            });
         }
 
         let header = BlockHeader {
@@ -284,11 +260,6 @@ impl Blockchain {
         }
     }
 
-    /// Receipts of all applied transactions, in order.
-    pub fn receipts(&self) -> &[Receipt] {
-        &self.receipts
-    }
-
     /// The full event log as `(block height, event)` pairs. Consumers keep a
     /// cursor (index into this log) and read everything after it — this is
     /// how worker bees learn about new publishes without crawling.
@@ -369,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn a_sealed_batch_logs_each_event_once_beside_its_receipts_status() {
+    fn a_sealed_batch_logs_each_event_once_and_counts_each_outcome() {
         let mut c = chain();
         let publish = |name: &str, out_links: Vec<String>| Call::PublishPage {
             name: name.into(),
@@ -381,7 +352,8 @@ mod tests {
         // A name owned by another account reverts; a replayed nonce is
         // rejected; a transfer of the reward just paid goes through.
         c.submit_call(AccountId(3), publish("a", vec![]));
-        c.submit(Transaction::new(AccountId(2), 0, publish("c", vec![])));
+        c.mempool
+            .push_back(Transaction::new(AccountId(2), 0, publish("c", vec![])));
         c.submit_call(
             AccountId(1),
             Call::Transfer {
@@ -423,20 +395,13 @@ mod tests {
         assert_eq!(c.events(), expected);
         assert_eq!(c.stats().events, 5);
 
-        let statuses: Vec<&TxStatus> = c.receipts().iter().map(|r| &r.status).collect();
-        assert!(matches!(
-            statuses[..],
-            [
-                TxStatus::Ok,
-                TxStatus::Ok,
-                TxStatus::Reverted(_),
-                TxStatus::InvalidNonce {
-                    expected: 1,
-                    got: 0
-                },
-                TxStatus::Ok,
-            ]
-        ));
+        // The revert and the replay are counted failed; the revert spent
+        // its sender's nonce, the replay did not, and the name stays with
+        // its first owner.
+        assert_eq!((c.stats().ok_txs, c.stats().failed_txs), (3, 2));
+        assert_eq!(c.accounts().nonce(AccountId(2)), 1);
+        assert_eq!(c.accounts().nonce(AccountId(3)), 1);
+        assert_eq!(c.publish_registry().get("a").unwrap().creator, AccountId(1));
         // The registry keeps the links the event no longer carries.
         assert_eq!(c.publish_registry().get("a").unwrap().out_links, ["b"]);
     }
@@ -444,7 +409,8 @@ mod tests {
     #[test]
     fn invalid_nonce_is_rejected_without_state_change() {
         let mut c = chain();
-        c.submit(Transaction::new(
+        c.fund_from_treasury(AccountId(5), 10).unwrap();
+        c.mempool.push_back(Transaction::new(
             AccountId(5),
             7,
             Call::Transfer {
@@ -453,14 +419,9 @@ mod tests {
             },
         ));
         c.seal_block(SimInstant::ZERO);
-        assert_eq!(c.stats().failed_txs, 1);
-        assert!(matches!(
-            c.receipts()[0].status,
-            TxStatus::InvalidNonce {
-                expected: 0,
-                got: 7
-            }
-        ));
+        assert_eq!((c.stats().ok_txs, c.stats().failed_txs), (0, 1));
+        assert_eq!(c.accounts().nonce(AccountId(5)), 0);
+        assert_eq!((c.balance(AccountId(5)), c.balance(AccountId(6))), (10, 0));
     }
 
     #[test]
@@ -485,6 +446,11 @@ mod tests {
         );
         c.seal_block(SimInstant::ZERO);
         assert_eq!(c.stats().failed_txs, 2);
+        assert_eq!(
+            c.accounts().nonce(AccountId(7)),
+            2,
+            "a revert spends its nonce"
+        );
         assert_eq!(c.accounts().total_supply(), supply);
     }
 
@@ -502,9 +468,7 @@ mod tests {
             },
         );
         c.seal_block(SimInstant::ZERO);
-        let ads = c.ad_market().match_keyword("dweb");
-        assert_eq!(ads.len(), 1);
-        let ad_id = ads[0].id;
+        let ad_id = c.ad_market().best_match("dweb").unwrap().id;
         let creator = AccountId(301);
         let bee = AccountId(302);
         c.submit_call(
@@ -595,7 +559,7 @@ mod tests {
                     },
                 };
                 c.submit_call(from, call);
-                if c.mempool_len() > 10 {
+                if c.mempool.len() > 10 {
                     c.seal_block(SimInstant::ZERO);
                 }
             }

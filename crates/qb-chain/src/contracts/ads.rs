@@ -161,26 +161,9 @@ impl AdMarket {
         }])
     }
 
-    /// Campaigns targeting `keyword` that can still pay for a click, ordered
-    /// by descending bid (simple first-price selection).
-    pub fn match_keyword(&self, keyword: &str) -> Vec<&AdCampaign> {
-        let kw = keyword.to_lowercase();
-        let mut matches: Vec<&AdCampaign> = self
-            .campaigns
-            .values()
-            .filter(|c| c.active() && c.keywords.contains(&kw))
-            .collect();
-        matches.sort_by(|a, b| {
-            b.bid_per_click
-                .cmp(&a.bid_per_click)
-                .then(a.id.0.cmp(&b.id.0))
-        });
-        matches
-    }
-
-    /// `match_keyword(keyword).first()` — the highest bid, lowest id first
-    /// — for a keyword that is already lowercase, as an analysed query term
-    /// is: it borrows the keyword and collects nothing.
+    /// The campaign targeting `keyword` that can still pay for a click with
+    /// the highest bid, lowest id first (simple first-price selection). The
+    /// keyword is already lowercase, as an analysed query term is.
     pub fn best_match(&self, keyword: &str) -> Option<&AdCampaign> {
         let targets = |c: &&AdCampaign| c.active() && c.keywords.iter().any(|k| k == keyword);
         let rank = |c: &&AdCampaign| (std::cmp::Reverse(c.bid_per_click), c.id.0);
@@ -296,7 +279,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, QbError::ContractRevert(_)));
         assert!(!market.get(id).unwrap().active());
-        assert!(market.match_keyword("kw").is_empty());
+        assert!(market.best_match("kw").is_none());
     }
 
     #[test]
@@ -305,6 +288,7 @@ mod tests {
         let (low, _) = market
             .create_campaign(&mut accounts, AccountId(50), vec!["dweb".into()], 10, 100)
             .unwrap();
+        assert_eq!(market.best_match("dweb").map(|c| c.id), Some(low));
         let (high, _) = market
             .create_campaign(
                 &mut accounts,
@@ -314,12 +298,28 @@ mod tests {
                 200,
             )
             .unwrap();
-        let matches = market.match_keyword("dweb");
-        assert_eq!(matches.len(), 2);
-        assert_eq!(matches[0].id, high);
-        assert_eq!(matches[1].id, low);
-        assert_eq!(market.match_keyword("p2p").len(), 1);
-        assert!(market.match_keyword("unrelated").is_empty());
+        let best = |kw: &str| market.best_match(kw).map(|c| c.id);
+        assert_eq!(best("dweb"), Some(high));
+        assert_eq!(best("p2p"), Some(high));
+        assert_eq!(best("unrelated"), None);
+    }
+
+    /// The reference model of `best_match`: every campaign targeting
+    /// `keyword` (in any case) that can still pay for a click, sorted by
+    /// descending bid, then id; the first wins.
+    fn first_match(market: &AdMarket, keyword: &str) -> Option<AdId> {
+        let kw = keyword.to_lowercase();
+        let mut matches: Vec<&AdCampaign> = market
+            .campaigns
+            .values()
+            .filter(|c| c.active() && c.keywords.contains(&kw))
+            .collect();
+        matches.sort_by(|a, b| {
+            b.bid_per_click
+                .cmp(&a.bid_per_click)
+                .then(a.id.0.cmp(&b.id.0))
+        });
+        matches.first().map(|c| c.id)
     }
 
     /// Keywords in several cases; campaigns store them lowercased.
@@ -345,7 +345,7 @@ mod tests {
                 }
             }
             let keyword = KEYWORDS[query];
-            let first = market.match_keyword(keyword).first().map(|c| c.id);
+            let first = first_match(&market, keyword);
             prop_assert_eq!(market.best_match(&keyword.to_lowercase()).map(|c| c.id), first);
         }
     }

@@ -38,4 +38,4 @@ pub use chain::{
 pub use contracts::ads::{AdCampaign, AdId, AdMarket};
 pub use contracts::publish::{PageRecord, PublishRegistry};
 pub use contracts::rewards::RewardPool;
-pub use tx::{Call, Event, Receipt, Transaction, TxStatus};
+pub use tx::{Call, Event, Transaction};

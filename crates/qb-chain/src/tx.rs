@@ -1,4 +1,4 @@
-//! Transactions, contract calls, events and receipts.
+//! Transactions, contract calls and events.
 
 use crate::account::AccountId;
 use crate::contracts::ads::AdId;
@@ -90,31 +90,6 @@ impl Transaction {
     pub fn new(from: AccountId, nonce: u64, call: Call) -> Transaction {
         Transaction { from, nonce, call }
     }
-}
-
-/// Outcome of applying a transaction.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum TxStatus {
-    /// Applied successfully.
-    Ok,
-    /// Rejected before execution (bad nonce).
-    InvalidNonce { expected: u64, got: u64 },
-    /// The contract reverted; state is unchanged apart from the nonce.
-    Reverted(String),
-}
-
-/// Receipt of an applied transaction.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Receipt {
-    /// Height of the block the transaction was sealed into.
-    pub block_height: u64,
-    /// Position within the block.
-    pub tx_index: usize,
-    /// Sender.
-    pub from: AccountId,
-    /// Execution status. The events the call emitted are in the chain's
-    /// event log ([`crate::Blockchain::events`]), their one copy.
-    pub status: TxStatus,
 }
 
 /// Typed events appended to the chain's event log. Worker bees subscribe to

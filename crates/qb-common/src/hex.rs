@@ -13,7 +13,8 @@ pub fn encode(bytes: &[u8]) -> String {
 }
 
 /// Decode a hex string (upper- or lowercase). Returns `None` on odd length or
-/// non-hex characters.
+/// non-hex characters. Only tests decode: they check `encode` against it.
+#[cfg(test)]
 pub fn decode(s: &str) -> Option<Vec<u8>> {
     let bytes = s.as_bytes();
     if !bytes.len().is_multiple_of(2) {
@@ -28,6 +29,7 @@ pub fn decode(s: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
+#[cfg(test)]
 fn hex_val(c: u8) -> Option<u8> {
     match c {
         b'0'..=b'9' => Some(c - b'0'),

@@ -101,12 +101,6 @@ impl DhtKey {
         DhtKey(Hash256::digest_parts(&[b"idx:", term.as_bytes()]))
     }
 
-    /// Key for the page-name registry entry of `name`
-    /// (the DWeb analogue of a DNS/IPNS name).
-    pub fn for_page_name(name: &str) -> DhtKey {
-        DhtKey(Hash256::digest_parts(&[b"page:", name.as_bytes()]))
-    }
-
     /// Key from arbitrary bytes (generic records).
     pub fn from_bytes(data: &[u8]) -> DhtKey {
         DhtKey(sha256(data))
@@ -150,9 +144,8 @@ mod tests {
     }
 
     #[test]
-    fn term_keys_are_domain_separated_from_page_keys() {
-        // A term and a page with the same string must not collide.
-        assert_ne!(DhtKey::for_term("rust").0, DhtKey::for_page_name("rust").0);
+    fn term_keys_are_domain_separated_from_content_ids() {
+        // A term and content with the same bytes must not collide.
         assert_ne!(DhtKey::for_term("rust").0, Cid::for_data(b"rust").0);
     }
 

@@ -112,12 +112,6 @@ impl DetRng {
             items.swap(i, j);
         }
     }
-
-    /// Choose a random element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        assert!(!items.is_empty(), "choose on empty slice");
-        &items[self.gen_index(items.len())]
-    }
 }
 
 #[inline]

@@ -248,6 +248,7 @@ impl LookupMachine {
     /// RPC attempts whose completion has been processed so far. Grows
     /// monotonically as the machine is polled; tests use it to observe how
     /// hops of concurrent lookups interleave.
+    #[cfg(test)]
     pub fn completed_rpcs(&self) -> u64 {
         self.completed
     }

@@ -508,7 +508,7 @@ mod tests {
     #[test]
     fn newer_version_wins_on_update() {
         let (mut net, mut dht) = setup(32, 5);
-        let key = DhtKey::for_page_name("example.dweb");
+        let key = DhtKey::from_bytes(b"example.dweb");
         dht.put_record(&mut net, 1, key, b"v1".to_vec(), 1).unwrap();
         dht.put_record(&mut net, 2, key, b"v2".to_vec(), 2).unwrap();
         let got = dht.get_record(&mut net, 20, key).unwrap();

@@ -107,11 +107,6 @@ impl DhtNode {
         self.records.get(key)
     }
 
-    /// Number of records held locally.
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
-
     /// Handle an `ADD_PROVIDER` RPC.
     pub fn add_provider(&mut self, key: DhtKey, provider: NodeId) {
         let index = provider.index as u32;
@@ -155,7 +150,7 @@ mod tests {
         assert!(n.store(r.clone()));
         let found = n.find_value(&r.key).unwrap();
         assert_eq!(found.value, r.value);
-        assert_eq!(n.record_count(), 1);
+        assert_eq!(n.records.len(), 1);
     }
 
     #[test]

@@ -178,6 +178,7 @@ impl RoutingTable {
     }
 
     /// Maximum bucket occupancy (used by tests to check the ≤ k invariant).
+    #[cfg(test)]
     pub fn max_bucket_len(&self) -> usize {
         self.buckets.iter().map(|b| b.len()).max().unwrap_or(0)
     }
@@ -428,7 +429,6 @@ mod tests {
                 a.xor(&t).cmp(&b.xor(&t)),
                 byte_distance(&a, &t).cmp(&byte_distance(&b, &t))
             );
-            prop_assert_eq!(a.closer_to(&b, &t), byte_distance(&a, &t) < byte_distance(&b, &t));
         }
     }
 }

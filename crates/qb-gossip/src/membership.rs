@@ -106,11 +106,6 @@ impl MembershipView {
         self.members.is_empty()
     }
 
-    /// Members currently believed alive.
-    pub fn alive_count(&self) -> usize {
-        self.members.values().filter(|m| m.alive).count()
-    }
-
     /// Look up one member.
     pub fn get(&self, peer: u64) -> Option<&MemberInfo> {
         self.members.get(&peer)
@@ -375,6 +370,10 @@ pub(crate) struct PartnerSample {
 mod tests {
     use super::*;
 
+    fn alive(v: &MembershipView) -> usize {
+        v.members.values().filter(|m| m.alive).count()
+    }
+
     fn view_of(members: &[(u64, usize)]) -> MembershipView {
         let mut v = MembershipView::new();
         for &(peer, zone) in members {
@@ -387,7 +386,7 @@ mod tests {
     fn admit_and_summary_round_trip() {
         let v = view_of(&[(0, 0), (1, 1), (2, 0)]);
         assert_eq!(v.len(), 3);
-        assert_eq!(v.alive_count(), 3);
+        assert_eq!(alive(&v), 3);
         let mut s = MembershipSummary::default();
         v.summary(&mut s);
         assert_eq!(s.entries.len(), 3);
@@ -408,7 +407,7 @@ mod tests {
         // Member 1 gossiped up to heartbeat 7, then left gracefully.
         v.admit(1, 0, 0, 7, SimInstant::ZERO);
         v.mark_departed(1, 0, 7);
-        assert_eq!(v.alive_count(), 1);
+        assert_eq!(alive(&v), 1);
         // A lagging third party still lists it alive at heartbeat <= 7;
         // that must not resurrect the tombstone.
         let lagging = MembershipSummary {
@@ -519,18 +518,18 @@ mod tests {
             v.record_failure(1, 3),
             "third failure crosses the threshold"
         );
-        assert_eq!(v.alive_count(), 0);
+        assert_eq!(alive(&v), 0);
         // A stale heartbeat does not revive; a fresher one does.
         let stale = MembershipSummary {
             entries: vec![(1, 0, 0, 0, 0)],
         };
         assert_eq!(v.merge_summary(&stale, 7, SimInstant::ZERO), 0);
-        assert_eq!(v.alive_count(), 0);
+        assert_eq!(alive(&v), 0);
         let fresh = MembershipSummary {
             entries: vec![(1, 0, 0, 4, 0)],
         };
         assert_eq!(v.merge_summary(&fresh, 7, SimInstant::ZERO), 1);
-        assert_eq!(v.alive_count(), 1);
+        assert_eq!(alive(&v), 1);
         assert_eq!(v.get(1).unwrap().failures, 0);
     }
 

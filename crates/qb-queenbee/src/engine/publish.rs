@@ -374,42 +374,31 @@ impl QueenBee {
         self.published_segment_ref
     }
 
-    /// Terms currently accumulated in the pending (unpublished) segment.
-    pub fn pending_segment_terms(&self) -> usize {
-        self.pending_segment.len()
-    }
-
     /// Read a term's shard on the indexing path: the writer cache's shard
     /// tier first (validated against the engine's current version for the
-    /// term), the DHT only on a genuine miss. The writer is about to change
-    /// the shard, so this is the one place a cached shard is copied; the
-    /// copy shares every posting's name and has room for the one posting a
-    /// page adds.
+    /// term), the DHT only on a genuine miss. The writer cache holds only
+    /// shards this path wrote (version 1 and up, so never a negative) and
+    /// is read without a staleness bound, so a lookup hits or misses. The
+    /// writer is about to change the shard, so this is the one place a
+    /// cached shard is copied; the copy shares every posting's name and has
+    /// room for the one posting a page adds.
     fn read_shard_for_writer(&mut self, writer_peer: u64, id: TermId) -> QbResult<ShardEntry> {
         self.writer_shard_reads += 1;
         let now = self.net.now();
         let (term, current_version) = (self.terms.text(id), self.terms.version(id));
-        if let Some(cache) = self.writer_cache.as_mut() {
-            match cache.lookup_shard(term, now, current_version) {
-                ShardLookup::Hit(shard) => {
-                    self.writer_shard_cache_hits += 1;
-                    let mut postings = Vec::with_capacity(shard.postings.len() + 1);
-                    postings.extend_from_slice(&shard.postings);
-                    let (term, version) = (shard.term.clone(), shard.version);
-                    return Ok(ShardEntry {
-                        term,
-                        version,
-                        postings,
-                    });
-                }
-                // A term proven absent at the current version reads as an
-                // empty shard, exactly what the DHT would return.
-                ShardLookup::Negative => {
-                    self.writer_shard_cache_hits += 1;
-                    return Ok(ShardEntry::empty(term));
-                }
-                ShardLookup::Miss | ShardLookup::Stale { .. } => {}
-            }
+        let cache = self.writer_cache.as_mut();
+        if let Some(ShardLookup::Hit(shard)) =
+            cache.map(|c| c.lookup_shard(term, now, current_version))
+        {
+            self.writer_shard_cache_hits += 1;
+            let mut postings = Vec::with_capacity(shard.postings.len() + 1);
+            postings.extend_from_slice(&shard.postings);
+            let (term, version) = (shard.term.clone(), shard.version);
+            return Ok(ShardEntry {
+                term,
+                version,
+                postings,
+            });
         }
         let (shard, _cost) = self.dist_index.read_shard_fresh(
             &mut self.net,

@@ -498,14 +498,17 @@ impl QueenBee {
     }
 
     /// Record the shard versions a fleet frontend observed while serving,
-    /// each under the key the term table holds for the term.
+    /// each under the key the term table holds for the term. Version 0
+    /// means the term was never written, which `known` already reads for
+    /// a term it does not hold, so a query for a word no page holds files
+    /// nothing.
     fn record_observations(
         &mut self,
         frontend: Option<usize>,
         observed: impl Iterator<Item = (TermId, u64)>,
     ) {
         if let (Some(i), Some(fleet)) = (frontend, self.fleet.as_mut()) {
-            for (id, version) in observed {
+            for (id, version) in observed.filter(|&(_, version)| version > 0) {
                 fleet.observe(i, self.terms.key(id), version);
             }
         }

@@ -132,16 +132,6 @@ impl FreshnessProbe {
         }
     }
 
-    /// Mean version lag over *all* recorded results.
-    pub fn mean_version_lag(&self) -> f64 {
-        let total = self.fresh_results + self.stale_results;
-        if total == 0 {
-            0.0
-        } else {
-            self.total_version_lag as f64 / total as f64
-        }
-    }
-
     /// Merge another probe's counts.
     pub fn merge(&mut self, other: &FreshnessProbe) {
         self.fresh_results += other.fresh_results;
@@ -239,7 +229,7 @@ mod tests {
         assert_eq!(p.fresh_results, 2);
         assert_eq!(p.stale_results, 2);
         assert!((p.staleness_rate() - 0.5).abs() < 1e-9);
-        assert!((p.mean_version_lag() - 1.25).abs() < 1e-9);
+        assert_eq!(p.total_version_lag, 5);
         let mut q = FreshnessProbe::default();
         q.record(1, 1);
         p.merge(&q);

@@ -113,6 +113,7 @@ pub enum Resolution {
 impl QueryPlan {
     /// The window's shard reads this plan waits on (one slot per term the
     /// executor must fetch through the DHT, in term order).
+    #[cfg(test)]
     pub fn fetch_reads(&self) -> impl Iterator<Item = usize> + '_ {
         let terms = match &self.resolution {
             Resolution::ResultHit { .. } => &[][..],

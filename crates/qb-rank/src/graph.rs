@@ -69,11 +69,6 @@ impl LinkGraph {
         self.ids.get(name).copied()
     }
 
-    /// Name of a node.
-    pub fn name_of(&self, id: usize) -> &str {
-        &self.names[id]
-    }
-
     /// Out-neighbours of a node.
     pub fn out_links(&self, id: usize) -> &[usize] {
         &self.out_edges[id]
@@ -89,11 +84,6 @@ impl LinkGraph {
         self.in_degree[id]
     }
 
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.out_edges.iter().map(|e| e.len()).sum()
-    }
-
     /// All node names.
     pub fn names(&self) -> &[String] {
         &self.names
@@ -103,6 +93,10 @@ impl LinkGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn edge_count(g: &LinkGraph) -> usize {
+        g.out_edges.iter().map(|e| e.len()).sum()
+    }
 
     fn links(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -116,7 +110,7 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(g.node("a"), a);
         assert_eq!(g.len(), 2);
-        assert_eq!(g.name_of(a), "a");
+        assert_eq!(g.names()[a], "a");
         assert_eq!(g.id_of("b"), Some(b));
         assert_eq!(g.id_of("zzz"), None);
     }
@@ -127,7 +121,7 @@ mod tests {
         g.set_links("home", &links(&["about", "blog", "about"]));
         g.set_links("blog", &links(&["home"]));
         assert_eq!(g.len(), 3);
-        assert_eq!(g.edge_count(), 3, "duplicate links are collapsed");
+        assert_eq!(edge_count(&g), 3, "duplicate links are collapsed");
         let home = g.id_of("home").unwrap();
         let about = g.id_of("about").unwrap();
         assert_eq!(g.out_degree(home), 2);
@@ -144,7 +138,7 @@ mod tests {
         assert_eq!(g.out_degree(p), 1);
         assert_eq!(g.in_degree(g.id_of("x").unwrap()), 0);
         assert_eq!(g.in_degree(g.id_of("z").unwrap()), 1);
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(edge_count(&g), 1);
     }
 
     #[test]

@@ -173,14 +173,6 @@ impl Segment {
         self.entries.values().map(|e| &*e.shard)
     }
 
-    /// The segment's per-term version vector `(term, shard version)`, in
-    /// ascending term order.
-    pub fn version_vector(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.entries
-            .iter()
-            .map(|(t, e)| (t.as_str(), e.shard.version))
-    }
-
     /// K-way version-vector-dominant merge — the basis of writer-side
     /// compaction. Commutative, associative and idempotent, so pending
     /// segments can be folded in any order and re-merging an already
@@ -502,7 +494,8 @@ mod tests {
             let _ = src.lookup_shard("hot", now, 3);
         }
         let hottest = Segment::export(&src, 1, now);
-        assert_eq!(hottest.version_vector().collect::<Vec<_>>(), [("hot", 3)]);
+        let held: Vec<(&str, u64)> = hottest.shards().map(|s| (&*s.term, s.version)).collect();
+        assert_eq!(held, [("hot", 3)]);
 
         let mut dst = QueryCache::new(CacheConfig::enabled());
         // The receiver already observed a newer version of "warm": the

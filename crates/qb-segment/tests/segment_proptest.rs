@@ -121,11 +121,8 @@ proptest! {
     ) {
         let (a, b) = (build(&ra), build(&rb));
         let merged = Segment::merge([a.clone(), b.clone()]);
-        let terms: std::collections::BTreeSet<&str> = a
-            .version_vector()
-            .map(|(t, _)| t)
-            .chain(b.version_vector().map(|(t, _)| t))
-            .collect();
+        let terms: std::collections::BTreeSet<&str> =
+            a.shards().chain(b.shards()).map(|s| &*s.term).collect();
         prop_assert_eq!(merged.len(), terms.len());
         for term in terms {
             let got = merged.get(term).expect("merged term present");
@@ -177,7 +174,7 @@ proptest! {
                     // Fold more postings into an existing term at its own
                     // version (the one path that changes a held shard).
                     let held: Vec<(String, u64)> =
-                        seg.version_vector().map(|(t, v)| (t.to_string(), v)).collect();
+                        seg.shards().map(|s| (s.term.to_string(), s.version)).collect();
                     if let Some((term, version)) = held.get(usize::from(pick) % held.len().max(1)) {
                         let docs = raw.values().next().map(|(_, d)| d.clone()).unwrap_or_default();
                         let mut extra = shard(0, *version, &docs);

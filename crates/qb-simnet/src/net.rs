@@ -276,14 +276,6 @@ impl SimNet {
             .unwrap_or(false)
     }
 
-    /// Latency zone of a peer (`peer % zones`).
-    pub fn zone_of(&self, node: u64) -> usize {
-        self.peers
-            .get(node as usize)
-            .map(|p| p.zone)
-            .unwrap_or(usize::MAX)
-    }
-
     /// Bring a peer online / take it offline. State transitions are counted
     /// as peer up/down events in [`crate::NetStats`] (the churn record the
     /// experiments report).
@@ -353,14 +345,6 @@ impl SimNet {
             .get(node as usize)
             .map(|p| p.partition)
             .unwrap_or(u32::MAX)
-    }
-
-    /// Fraction of peers currently online.
-    pub fn online_fraction(&self) -> f64 {
-        if self.peers.is_empty() {
-            return 0.0;
-        }
-        self.peers.iter().filter(|p| p.online).count() as f64 / self.peers.len() as f64
     }
 
     /// Can `from` currently exchange messages with `to`?
@@ -724,7 +708,7 @@ mod tests {
         let downed = net.fail_fraction(0.3, &[0, 1, 2]);
         assert_eq!(downed.len(), 30);
         assert!(net.is_online(0) && net.is_online(1) && net.is_online(2));
-        assert!((net.online_fraction() - 0.7).abs() < 1e-9);
+        assert_eq!(net.peers.iter().filter(|p| p.online).count(), 70);
     }
 
     #[test]
@@ -756,10 +740,8 @@ mod tests {
     #[test]
     fn zoned_config_and_zone_lookup() {
         let net = SimNet::new(8, NetConfig::zoned(4, 2_000, 60_000), 11);
-        assert_eq!(net.zone_of(0), 0);
-        assert_eq!(net.zone_of(5), 1);
-        assert_eq!(net.zone_of(7), 3);
-        assert_eq!(net.zone_of(99), usize::MAX, "unknown peer has no zone");
+        let zones: Vec<usize> = net.peers.iter().map(|p| p.zone).collect();
+        assert_eq!(zones, [0, 1, 2, 3, 0, 1, 2, 3]);
         // Same-zone RPCs are cheaper than cross-zone ones on average.
         let mut net = net;
         let intra: u64 = (0..40)

@@ -61,11 +61,6 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The named histogram, if present.
-    pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        self.histograms.get(name)
-    }
-
     /// All counters, name-ordered.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
@@ -163,8 +158,8 @@ mod tests {
         let snap = MetricsSnapshot::collect(&[&Fake, &Fake]);
         assert_eq!(snap.counter("fake.ops"), 6);
         assert_eq!(snap.counter("missing"), 0);
-        assert_eq!(snap.histogram("fake.latency").unwrap().count(), 2);
-        assert!(snap.histogram("missing").is_none());
+        assert_eq!(snap.histograms.get("fake.latency").unwrap().count(), 2);
+        assert!(!snap.histograms.contains_key("missing"));
     }
 
     #[test]
@@ -173,7 +168,7 @@ mod tests {
         let after = MetricsSnapshot::collect(&[&Fake, &Fake]);
         let d = after.diff_since(&before);
         assert_eq!(d.counter("fake.ops"), 3);
-        assert_eq!(d.histogram("fake.latency").unwrap().count(), 1);
+        assert_eq!(d.histograms.get("fake.latency").unwrap().count(), 1);
         // Diffing against an empty snapshot is the identity.
         let id = after.diff_since(&MetricsSnapshot::new());
         assert_eq!(id, after);

@@ -66,13 +66,6 @@ pub struct Corpus {
     pub config: CorpusConfig,
 }
 
-impl Corpus {
-    /// Index of a page by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.pages.iter().position(|p| p.name == name)
-    }
-}
-
 /// Deterministic corpus generator.
 #[derive(Debug, Clone)]
 pub struct CorpusGenerator {
@@ -179,7 +172,7 @@ mod tests {
         for p in &corpus.pages {
             assert!(!p.body.is_empty());
             for l in &p.out_links {
-                assert!(corpus.index_of(l).is_some(), "dangling link {l}");
+                assert!(names.contains(l.as_str()), "dangling link {l}");
             }
         }
     }
@@ -207,13 +200,5 @@ mod tests {
         let max = counts.values().max().copied().unwrap_or(0);
         let min = counts.values().min().copied().unwrap_or(0);
         assert!(max > min, "creator ownership should be skewed");
-    }
-
-    #[test]
-    fn index_of_finds_pages() {
-        let corpus = CorpusGenerator::new(CorpusConfig::tiny()).generate(&mut DetRng::new(1));
-        let name = corpus.pages[3].name.clone();
-        assert_eq!(corpus.index_of(&name), Some(3));
-        assert_eq!(corpus.index_of("not/a/page"), None);
     }
 }

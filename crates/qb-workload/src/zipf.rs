@@ -47,35 +47,34 @@ impl ZipfSampler {
             Err(i) => i.min(self.cumulative.len() - 1),
         }
     }
-
-    /// Probability mass of item `i`.
-    pub fn probability(&self, i: usize) -> f64 {
-        if i == 0 {
-            self.cumulative[0]
-        } else {
-            self.cumulative[i] - self.cumulative[i - 1]
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Probability mass of item `i`.
+    fn probability(z: &ZipfSampler, i: usize) -> f64 {
+        match i {
+            0 => z.cumulative[0],
+            _ => z.cumulative[i] - z.cumulative[i - 1],
+        }
+    }
+
     #[test]
     fn probabilities_sum_to_one_and_decrease() {
         let z = ZipfSampler::new(100, 1.0);
-        let total: f64 = (0..100).map(|i| z.probability(i)).sum();
+        let total: f64 = (0..100).map(|i| probability(&z, i)).sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert!(z.probability(0) > z.probability(10));
-        assert!(z.probability(10) > z.probability(90));
+        assert!(probability(&z, 0) > probability(&z, 10));
+        assert!(probability(&z, 10) > probability(&z, 90));
     }
 
     #[test]
     fn uniform_when_s_is_zero() {
         let z = ZipfSampler::new(50, 0.0);
-        let p0 = z.probability(0);
-        let p49 = z.probability(49);
+        let p0 = probability(&z, 0);
+        let p49 = probability(&z, 49);
         assert!((p0 - p49).abs() < 1e-9);
     }
 

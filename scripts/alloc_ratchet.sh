@@ -79,5 +79,5 @@ check() {
 check score-heavy 0931b7eedaa0bea9 12.1
 check cold-lookup a30562ceaa2f8154 17.1
 check serve-warm 059c87e708c069a0 16.3
-check publish-churn 0858e038e76a9b58 182 34
+check publish-churn 0858e038e76a9b58 176 34
 exit "$status"

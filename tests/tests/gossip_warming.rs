@@ -346,3 +346,41 @@ fn writer_path_cache_keeps_index_correct_under_republish_storm() {
     assert_eq!(out.hits[0].version, 6, "five republishes after v1");
     assert_eq!(qb.freshness.stale_results, 0);
 }
+
+/// A query for a word no page holds leaves nothing in any frontend's
+/// `known` vector: version 0 is what `known` already reads for a term it
+/// does not hold. Hundreds of distinct absent words, spread over every
+/// frontend and across gossip rounds, leave each vector's length where
+/// the published terms put it.
+#[test]
+fn absent_term_floods_leave_every_frontends_known_flat() {
+    let corpus = corpus(0xF100D, 20, 60);
+    let mut qb = fleet_engine(4, true, 0xF100D);
+    publish_all(&mut qb, &corpus, 10..28).expect("publish");
+    for q in queries(&corpus, 3, 8) {
+        qb.search_request(SearchRequest::new(q)).expect("search");
+    }
+    qb.run_gossip_round(false);
+    let lengths = |qb: &QueenBee| -> Vec<usize> {
+        let fleet = qb.fleet().expect("fleet mode");
+        (0..4).map(|f| fleet.frontend(f).known.len()).collect()
+    };
+    let before = lengths(&qb);
+    assert!(before.iter().all(|&len| len > 0), "{before:?}");
+
+    // Letters only, so the analyzer keeps each word whole and distinct.
+    let absent = |i: usize| -> String {
+        let letters = (0..4).map(|d| char::from(b'a' + (i / 26usize.pow(d) % 26) as u8));
+        format!("xyzzy{}", letters.collect::<String>())
+    };
+    for i in 0..400 {
+        let request = SearchRequest::new(absent(i)).route(RoutingPolicy::Direct(i % 4));
+        let out = qb.search_request(request).expect("absent search");
+        assert!(out.hits.is_empty(), "{} matched", absent(i));
+        if i % 50 == 49 {
+            qb.advance_time(SimDuration::from_millis(250));
+            qb.run_gossip_round(false);
+        }
+    }
+    assert_eq!(lengths(&qb), before);
+}

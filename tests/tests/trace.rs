@@ -203,7 +203,9 @@ fn snapshot_diff_isolates_a_run() {
     let run = MetricsSnapshot::collect(&[&report]);
     assert_eq!(run.counter("load.completed"), report.completed);
     assert_eq!(
-        run.histogram("load.sojourn").map(|h| h.count()),
+        run.histograms()
+            .find(|&(name, _)| name == "load.sojourn")
+            .map(|(_, h)| h.count()),
         Some(report.completed)
     );
 }
