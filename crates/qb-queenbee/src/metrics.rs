@@ -106,8 +106,6 @@ pub struct FreshnessProbe {
     pub fresh_results: u64,
     /// Results whose indexed version lags the registered version.
     pub stale_results: u64,
-    /// Sum of version lag over stale results (how far behind they are).
-    pub total_version_lag: u64,
 }
 
 impl FreshnessProbe {
@@ -118,7 +116,6 @@ impl FreshnessProbe {
             self.fresh_results += 1;
         } else {
             self.stale_results += 1;
-            self.total_version_lag += current_version - indexed_version;
         }
     }
 
@@ -130,13 +127,6 @@ impl FreshnessProbe {
         } else {
             self.stale_results as f64 / total as f64
         }
-    }
-
-    /// Merge another probe's counts.
-    pub fn merge(&mut self, other: &FreshnessProbe) {
-        self.fresh_results += other.fresh_results;
-        self.stale_results += other.stale_results;
-        self.total_version_lag += other.total_version_lag;
     }
 }
 
@@ -223,17 +213,12 @@ mod tests {
         let mut p = FreshnessProbe::default();
         assert_eq!(p.staleness_rate(), 0.0);
         p.record(3, 3); // fresh
-        p.record(1, 3); // stale, lag 2
+        p.record(1, 3); // stale
         p.record(2, 2); // fresh
-        p.record(1, 4); // stale, lag 3
+        p.record(1, 4); // stale
         assert_eq!(p.fresh_results, 2);
         assert_eq!(p.stale_results, 2);
         assert!((p.staleness_rate() - 0.5).abs() < 1e-9);
-        assert_eq!(p.total_version_lag, 5);
-        let mut q = FreshnessProbe::default();
-        q.record(1, 1);
-        p.merge(&q);
-        assert_eq!(p.fresh_results, 3);
     }
 
     #[test]
