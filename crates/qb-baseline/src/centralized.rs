@@ -56,11 +56,6 @@ impl CentralizedEngine {
         }
     }
 
-    /// Time of the last completed crawl.
-    pub fn last_crawl(&self) -> Option<SimInstant> {
-        self.last_crawl
-    }
-
     /// Re-crawl the whole corpus: the index now reflects the versions passed
     /// in. (A real crawler discovers changes page by page; a full re-crawl at
     /// the interval boundary is the *optimistic* model for the baseline —

@@ -63,11 +63,6 @@ impl YacyEngine {
         x % self.config.num_peers as u64
     }
 
-    /// Time of the last crawl.
-    pub fn last_crawl(&self) -> Option<SimInstant> {
-        self.last_crawl
-    }
-
     /// Crawl the corpus: every document is analyzed once and each term's
     /// postings go to the peer responsible for that term.
     pub fn crawl(&mut self, docs: &[CrawlDoc], now: SimInstant) {

@@ -1,6 +1,9 @@
 //! E9 — the query-serving cache: replay a Zipf(1.0) query stream with the
 //! cache on vs off and measure the latency / RPC-message / shard-fetch
-//! reductions, plus freshness under interleaved republishes.
+//! reductions, plus freshness under interleaved republishes. The cache-on
+//! run serves every query from its one frontend, on peer 0, whose reads
+//! start there; the cache-off run reads the index from each query's own
+//! peer.
 
 use crate::{published, DOC_LEN};
 use qb_bench::{f2, pct_drop, ratio_x, Table};

@@ -267,11 +267,6 @@ impl Blockchain {
         &self.events
     }
 
-    /// All sealed blocks.
-    pub fn blocks(&self) -> &[Block] {
-        &self.blocks
-    }
-
     /// Chain statistics.
     pub fn stats(&self) -> ChainStats {
         ChainStats {

@@ -173,6 +173,7 @@ impl RoutingTable {
     }
 
     /// All contacts (unordered).
+    #[cfg(test)]
     pub fn contacts(&self) -> Vec<NodeId> {
         self.buckets.iter().flatten().copied().collect()
     }

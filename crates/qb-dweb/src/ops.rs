@@ -50,25 +50,8 @@ pub fn publish_page(
     })
 }
 
-/// Fetch a page by name: resolve the name through the on-chain registry, then
-/// fetch and verify the content from decentralized storage.
-pub fn fetch_page(
-    net: &mut SimNet,
-    dht: &mut DhtNetwork,
-    storage: &mut StorageNetwork,
-    chain: &Blockchain,
-    peer: u64,
-    name: &str,
-) -> QbResult<(WebPage, FetchStats)> {
-    let record = chain
-        .publish_registry()
-        .get(name)
-        .ok_or_else(|| QbError::NotFound(format!("page '{name}' is not registered")))?;
-    fetch_page_by_cid(net, dht, storage, peer, record.cid)
-}
-
-/// Fetch a page directly by content cid (used when the caller already holds a
-/// registry record or an index entry).
+/// Fetch a page by content cid and verify it (the caller holds a registry
+/// record or an index entry naming the cid).
 pub fn fetch_page_by_cid(
     net: &mut SimNet,
     dht: &mut DhtNetwork,
@@ -97,6 +80,23 @@ mod tests {
         let storage = StorageNetwork::new(n, StorageConfig::small());
         let chain = Blockchain::new();
         (net, dht, storage, chain)
+    }
+
+    /// Fetch a page by name, as a browser does: resolve the name through
+    /// the on-chain registry, then fetch and verify the content.
+    fn fetch_page(
+        net: &mut SimNet,
+        dht: &mut DhtNetwork,
+        storage: &mut StorageNetwork,
+        chain: &Blockchain,
+        peer: u64,
+        name: &str,
+    ) -> QbResult<(WebPage, FetchStats)> {
+        let record = chain
+            .publish_registry()
+            .get(name)
+            .ok_or_else(|| QbError::NotFound(format!("page '{name}' is not registered")))?;
+        fetch_page_by_cid(net, dht, storage, peer, record.cid)
     }
 
     fn sample_page(name: &str) -> WebPage {

@@ -66,16 +66,16 @@ pub const GOSSIP_SEED: u64 = 0x6055;
 
 /// Configuration of the cooperative cache-gossip overlay.
 ///
-/// Two independent switches control the feature:
+/// Two independent knobs control the feature:
 ///
-/// * `num_frontends > 0` turns on **fleet mode**: the engine runs that many
-///   query frontends, each with its own private query-serving cache, instead
-///   of the single shared cache. This is the gossip-off baseline E10
-///   measures against.
+/// * `num_frontends` sizes the **fleet**: a cache-on engine runs that many
+///   query frontends, each with its own private query-serving cache (at
+///   least one: 0 runs a fleet of one). Without gossip this is the
+///   cold-start baseline E10 measures against.
 /// * `enabled` turns on the **gossip exchange** between those frontends:
 ///   periodic digest/fill rounds plus slower anti-entropy reconciliation.
 ///
-/// Both default to off so existing deployments keep their exact behavior.
+/// They default to one frontend and no gossip.
 ///
 /// The overlay is **churn-aware**: frontends may join (bootstrapping their
 /// cache by anti-entropy from a live neighbour), leave gracefully or crash;
@@ -89,8 +89,8 @@ pub const GOSSIP_SEED: u64 = 0x6055;
 pub struct GossipConfig {
     /// Master switch for the gossip exchange between frontends.
     pub enabled: bool,
-    /// Number of query frontends in the fleet (0 = fleet mode off, the
-    /// engine keeps its single query-serving cache).
+    /// Number of query frontends in the fleet (0 = the default: a cache-on
+    /// engine runs a fleet of one frontend on peer 0).
     pub num_frontends: usize,
     /// Simulated time between anti-entropy rounds. An anti-entropy exchange
     /// digests the *entire* shard tier instead of just the hot set, so two
@@ -155,8 +155,8 @@ impl Default for GossipConfig {
 }
 
 impl GossipConfig {
-    /// Fleet mode without gossip: `n` frontends with private caches (the
-    /// cold-start baseline).
+    /// `n` frontends with private caches and no gossip (the cold-start
+    /// baseline).
     pub fn fleet(n: usize) -> GossipConfig {
         GossipConfig {
             num_frontends: n,
@@ -164,7 +164,7 @@ impl GossipConfig {
         }
     }
 
-    /// Fleet mode with the gossip exchange on.
+    /// `n` frontends with the gossip exchange on.
     pub fn enabled(n: usize) -> GossipConfig {
         GossipConfig {
             enabled: true,
@@ -173,7 +173,7 @@ impl GossipConfig {
         }
     }
 
-    /// Fleet mode with gossip on and frontends spread over `zones` latency
+    /// `n` frontends with gossip on, spread over `zones` latency
     /// zones (pair with a zoned `qb-simnet` latency model so the bias maps
     /// to real round latency).
     pub fn enabled_zoned(n: usize, zones: usize) -> GossipConfig {

@@ -1020,18 +1020,18 @@ mod tests {
         for _ in 0..5 {
             fleet.run_round(&mut net, now, false);
         }
-        let old_heartbeat = fleet.frontend(2).heartbeat();
+        let old_heartbeat = fleet.frontend(2).heartbeat;
         assert!(old_heartbeat >= 5);
-        assert_eq!(fleet.frontend(2).incarnation(), 0);
+        assert_eq!(fleet.frontend(2).incarnation, 0);
         assert!(
             fleet.frontend(2).summary_cursor > 0,
             "regular rounds rotate the membership-summary cursor"
         );
         fleet.crash(&mut net, 2);
         fleet.rejoin(&mut net, 2, now);
-        assert_eq!(fleet.frontend(2).incarnation(), 1, "restart bumps epoch");
+        assert_eq!(fleet.frontend(2).incarnation, 1, "restart bumps epoch");
         assert_eq!(
-            fleet.frontend(2).heartbeat(),
+            fleet.frontend(2).heartbeat,
             0,
             "a restarted process remembers no counter"
         );

@@ -360,16 +360,6 @@ impl Frontend {
         !self.departed
     }
 
-    /// Current heartbeat counter (within the current incarnation).
-    pub fn heartbeat(&self) -> u64 {
-        self.heartbeat
-    }
-
-    /// Current incarnation epoch (bumped on every restart).
-    pub fn incarnation(&self) -> u64 {
-        self.incarnation
-    }
-
     /// The pending batch adverts re-resolved against the current cache:
     /// entries evicted since the window are dropped, and a key republished
     /// in between advertises (and fills) the *cached* version — digest and

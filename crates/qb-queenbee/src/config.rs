@@ -51,11 +51,12 @@ pub struct QueenBeeConfig {
     /// hit latency; sampled-LFU admission, the adaptive shard TTL's bounds
     /// and the negative tier are fixed (`qb_cache::config`).
     pub cache: CacheConfig,
-    /// Frontend fleet + cooperative cache-gossip overlay. Default-off; with
-    /// `num_frontends > 0` the engine runs that many frontends with private
-    /// caches (on peers `0..num_frontends`), and with `enabled` they gossip
-    /// hot-shard digests and fills so one frontend's DHT fetch warms the
-    /// rest of the fleet.
+    /// Frontend fleet + cooperative cache-gossip overlay. With the cache
+    /// on, the engine runs `max(1, num_frontends)` frontends with private
+    /// caches on peers `0..max(1, num_frontends)` (one when this is left at
+    /// its default), and with `enabled` they gossip hot-shard digests and
+    /// fills so one frontend's DHT fetch warms the rest of the fleet. A
+    /// fleet needs the cache on; with it off there is no frontend.
     pub gossip: GossipConfig,
     /// Writer-side segment compaction: accumulate published shards into
     /// pending index artifacts and periodically merge + publish them as
@@ -140,32 +141,43 @@ impl QueenBeeConfig {
             ));
         }
         self.admission.validate()?;
-        if self.gossip.num_frontends > 0 {
-            if !self.cache.enabled {
-                return Err(QbError::Config(
-                    "a frontend fleet needs the query cache enabled (gossip fills land in its shard tier)"
-                        .into(),
-                ));
-            }
-            if self.gossip.num_frontends + self.num_bees > self.num_peers {
-                return Err(QbError::Config(format!(
-                    "num_frontends ({}) + num_bees ({}) must fit within num_peers ({})",
-                    self.gossip.num_frontends, self.num_bees, self.num_peers
-                )));
-            }
-            // Zone labels only mean something when they coincide with the
-            // network's latency classes (both are `peer % zones`); a
-            // mismatch would bias sampling toward labels with no latency
-            // behind them while silently shrinking every sample pool.
-            if self.gossip.enabled && self.gossip.zones > 1 && self.gossip.zones != self.net.zones {
-                return Err(QbError::Config(format!(
-                    "gossip zones ({}) must match the network's latency zones ({}) — \
-                     pair GossipConfig::enabled_zoned(n, z) with NetConfig::zoned(z, ..)",
-                    self.gossip.zones, self.net.zones
-                )));
-            }
+        if self.gossip.num_frontends > 0 && !self.cache.enabled {
+            return Err(QbError::Config(
+                "a frontend fleet needs the query cache enabled (gossip fills land in its shard tier)"
+                    .into(),
+            ));
+        }
+        if self.frontends() + self.num_bees > self.num_peers {
+            return Err(QbError::Config(format!(
+                "frontends ({}) + num_bees ({}) must fit within num_peers ({})",
+                self.frontends(),
+                self.num_bees,
+                self.num_peers
+            )));
+        }
+        // Zone labels only mean something when they coincide with the
+        // network's latency classes (both are `peer % zones`); a mismatch
+        // would bias sampling toward labels with no latency behind them
+        // while silently shrinking every sample pool.
+        if self.gossip.enabled && self.gossip.zones > 1 && self.gossip.zones != self.net.zones {
+            return Err(QbError::Config(format!(
+                "gossip zones ({}) must match the network's latency zones ({}) — \
+                 pair GossipConfig::enabled_zoned(n, z) with NetConfig::zoned(z, ..)",
+                self.gossip.zones, self.net.zones
+            )));
         }
         Ok(())
+    }
+
+    /// The query frontends the engine runs, on peers `0..frontends()`:
+    /// `gossip.num_frontends`, at least one while the cache is on (a lone
+    /// cached engine is a fleet of one), and none with the cache off.
+    pub(crate) fn frontends(&self) -> usize {
+        if self.cache.enabled {
+            self.gossip.num_frontends.max(1)
+        } else {
+            0
+        }
     }
 }
 
@@ -238,5 +250,20 @@ mod tests {
         assert!(c.validate().is_ok());
         c.admission.window_size = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn a_cached_engines_lone_frontend_needs_a_peer_beside_the_bees() {
+        let mut c = QueenBeeConfig::small();
+        c.num_bees = c.num_peers;
+        assert!(c.validate().is_ok(), "a cache-off engine runs no frontend");
+        c.cache = CacheConfig::enabled();
+        assert_eq!(c.frontends(), 1);
+        assert!(
+            c.validate().is_err(),
+            "frontend 0 + bees overfill the peers"
+        );
+        c.num_bees = c.num_peers - 1;
+        assert!(c.validate().is_ok());
     }
 }

@@ -8,32 +8,33 @@ use qb_gossip::{GossipFleet, GossipStats};
 use qb_segment::Segment;
 
 impl QueenBee {
-    /// The frontend fleet, when fleet mode is configured.
+    /// The frontend fleet, when the cache is on (a fleet of one unless
+    /// `config.gossip.num_frontends` asks for more).
     pub fn fleet(&self) -> Option<&GossipFleet> {
         self.fleet.as_ref()
     }
 
-    /// Number of frontends (0 outside fleet mode).
+    /// Number of frontend slots (at least 1 with the cache on, 0 with it
+    /// off).
     pub fn num_frontends(&self) -> usize {
         self.fleet.as_ref().map(|f| f.len()).unwrap_or(0)
     }
 
-    /// Cumulative gossip counters, when a fleet is configured.
+    /// Cumulative gossip counters, when the cache is on.
     pub fn gossip_stats(&self) -> Option<GossipStats> {
         self.fleet.as_ref().map(|f| *f.stats())
     }
 
-    /// The fleet, or the "`op` needs a frontend fleet" error. Takes the field,
-    /// not `self`, so callers keep `self.net` free for the fleet call.
+    /// The fleet, or the "`op` needs a frontend" error of a cache-off
+    /// engine. Takes the field, not `self`, so callers keep `self.net` free
+    /// for the fleet call.
     fn fleet_mut<'a>(
         fleet: &'a mut Option<GossipFleet>,
         op: &str,
     ) -> QbResult<&'a mut GossipFleet> {
-        fleet.as_mut().ok_or_else(|| {
-            QbError::Config(format!(
-                "{op} needs a frontend fleet (config.gossip.num_frontends > 0)"
-            ))
-        })
+        fleet
+            .as_mut()
+            .ok_or_else(|| QbError::Config(format!("{op} needs a frontend (config.cache.enabled)")))
     }
 
     /// [`Self::fleet_mut`], plus the check that slot `frontend` exists.
@@ -159,40 +160,27 @@ impl QueenBee {
         }
     }
 
-    /// Snapshot the hottest cached shards of the single-mode cache or of
-    /// fleet frontend `frontend`, for warm-start persistence across engine
-    /// restarts. The snapshot is an encoded [`Segment`].
+    /// Snapshot the hottest cached shards of frontend `frontend`, for
+    /// warm-start persistence across engine restarts. The snapshot is an
+    /// encoded [`Segment`].
     pub fn export_hot_set(&self, frontend: usize, max: usize) -> Option<Vec<u8>> {
-        let now = self.net.now();
-        let cache = match &self.fleet {
-            Some(fleet) => (frontend < fleet.len()).then(|| fleet.frontend(frontend).cache()),
-            None => self.cache.as_ref(),
-        }?;
-        Some(Segment::export(cache, max, now).encode())
+        let fleet = self.fleet.as_ref().filter(|fleet| frontend < fleet.len())?;
+        let cache = fleet.frontend(frontend).cache();
+        Some(Segment::export(cache, max, self.net.now()).encode())
     }
 
-    /// Pre-fill the shard tier of the single-mode cache or of fleet
-    /// frontend `frontend` from a previous session's snapshot, through the
-    /// same version guard as any other segment import: a shard older than
-    /// the version the receiver already knows of is not installed, and
-    /// read-time version checks still purge anything that went stale while
-    /// the frontend was down. Returns the number of shards admitted.
+    /// Pre-fill frontend `frontend`'s shard tier from a previous session's
+    /// snapshot, through the same version guard as any other segment
+    /// import: a shard older than the version the frontend already knows
+    /// of is not installed, and read-time version checks still purge
+    /// anything that went stale while the frontend was down. Returns the
+    /// number of shards admitted.
     pub fn import_hot_set(&mut self, frontend: usize, data: &[u8]) -> QbResult<usize> {
         let now = self.net.now();
         let segment = Segment::decode(data)?;
-        let report = if self.fleet.is_some() {
-            Self::fleet_slot(&mut self.fleet, "import_hot_set", frontend)?
-                .frontend_mut(frontend)
-                .import_segment(&segment, now)
-        } else {
-            let Some(cache) = self.cache.as_mut() else {
-                return Err(QbError::Config(
-                    "no query cache enabled; nothing to warm-start".into(),
-                ));
-            };
-            let terms = &self.terms;
-            segment.import_into(cache, |shard| terms.version_of(&shard.term), now)
-        };
+        let report = Self::fleet_slot(&mut self.fleet, "import_hot_set", frontend)?
+            .frontend_mut(frontend)
+            .import_segment(&segment, now);
         Ok(report.accepted as usize)
     }
 }

@@ -46,7 +46,7 @@ use qb_cache::{CacheMetrics, QueryCache};
 use qb_chain::{AccountId, Blockchain, Call};
 use qb_common::{QbResult, SimDuration, SimInstant};
 use qb_dht::DhtNetwork;
-use qb_gossip::GossipFleet;
+use qb_gossip::{GossipConfig, GossipFleet};
 use qb_index::{Analyzer, DistributedIndex, Impacts, IndexStats, ShardViews};
 use qb_segment::{Segment, SegmentRef, SegmentStats};
 use qb_simnet::SimNet;
@@ -104,11 +104,11 @@ pub struct QueenBee {
     known_creators: BTreeSet<AccountId>,
     known_advertisers: BTreeSet<AccountId>,
     query_counter: u64,
-    /// The frontend query-serving cache, when enabled in the configuration
-    /// (single-frontend mode; `None` when a fleet is configured instead).
-    cache: Option<QueryCache>,
-    /// The frontend fleet with per-frontend caches and the cache-gossip
-    /// overlay, when `config.gossip.num_frontends > 0`.
+    /// The query frontends, each with its private serving cache, and the
+    /// cache-gossip overlay between them, whenever the cache is on:
+    /// `config.gossip.num_frontends` of them, or one on peer 0 when that is
+    /// 0 (a lone cached engine is a fleet of one). `None` with the cache
+    /// off: every query then reads the index from its origin peer.
     fleet: Option<GossipFleet>,
     /// Shard cache for the indexing (writer) path, present whenever the
     /// query cache is enabled. Kept separate from the frontend cache(s) so
@@ -190,10 +190,13 @@ impl QueenBee {
             known_creators: BTreeSet::new(),
             known_advertisers: BTreeSet::new(),
             query_counter: 0,
-            cache: (config.cache.enabled && config.gossip.num_frontends == 0)
-                .then(|| QueryCache::new(config.cache.clone())),
-            fleet: (config.gossip.num_frontends > 0)
-                .then(|| GossipFleet::new(config.gossip.clone(), &config.cache, config.seed)),
+            fleet: config.cache.enabled.then(|| {
+                let gossip = GossipConfig {
+                    num_frontends: config.frontends(),
+                    ..config.gossip.clone()
+                };
+                GossipFleet::new(gossip, &config.cache, config.seed)
+            }),
             writer_cache: config
                 .cache
                 .enabled
@@ -202,7 +205,7 @@ impl QueenBee {
             published_segment: Segment::new(),
             published_segment_ref: None,
             segment_stats: SegmentStats::default(),
-            join_peer_cursor: config.gossip.num_frontends as u64,
+            join_peer_cursor: config.frontends() as u64,
             writer_shard_reads: 0,
             writer_shard_cache_hits: 0,
             query_stats: QueryEngineStats::default(),
@@ -222,17 +225,15 @@ impl QueenBee {
         &self.config
     }
 
-    /// Per-tier counters of the query-serving cache, when it is enabled. In
-    /// fleet mode this is the aggregate over every frontend's cache.
+    /// Per-tier counters of the query-serving caches, summed over every
+    /// frontend, when the cache is enabled.
     pub fn cache_metrics(&self) -> Option<CacheMetrics> {
-        if let Some(fleet) = &self.fleet {
-            let mut total = CacheMetrics::default();
-            for i in 0..fleet.len() {
-                total.merge(&fleet.frontend(i).cache().metrics());
-            }
-            return Some(total);
+        let fleet = self.fleet.as_ref()?;
+        let mut total = CacheMetrics::default();
+        for i in 0..fleet.len() {
+            total.merge(&fleet.frontend(i).cache().metrics());
         }
-        self.cache.as_ref().map(|c| c.metrics())
+        Some(total)
     }
 
     /// Switch the engine-wide structured tracer on or off. Tracing is off
@@ -964,6 +965,11 @@ mod tests {
         QueenBee::new(config).unwrap()
     }
 
+    /// Frontend `i`'s serving cache.
+    pub(super) fn frontend_cache(qb: &QueenBee, i: usize) -> &QueryCache {
+        qb.fleet.as_ref().unwrap().frontend(i).cache()
+    }
+
     #[test]
     fn warm_repeated_query_issues_no_rpc_messages() {
         let mut qb = cached_engine();
@@ -1028,7 +1034,7 @@ mod tests {
         assert!(Arc::ptr_eq(&term, qb.terms.text(id)));
         // The fetched shard fanned out into the cache as the handle the
         // kernel scored.
-        let shard = Arc::clone(qb.cache.as_ref().unwrap().peek_shard(&term).unwrap());
+        let shard = Arc::clone(frontend_cache(&qb, 0).peek_shard(&term).unwrap());
         let rows = qb.terms.len();
         let warm = qb.search_request(query()).unwrap();
         let fresh = qb
@@ -1787,8 +1793,9 @@ mod tests {
         assert_eq!(qb.freshness.stale_results, 0);
     }
 
-    /// An engine with `frontends` frontends (cache on, no gossip; none is a
-    /// single-frontend cache) or with the cache off (`None`), holding the
+    /// An engine with `frontends` frontends (cache on, no gossip; 0 leaves
+    /// `num_frontends` unset, a fleet of one) or with the cache off
+    /// (`None`), holding the
     /// `wiki/views` page indexed once; shards over `inline_threshold` bytes
     /// are pointer records.
     fn views_engine(frontends: Option<usize>, inline_threshold: usize) -> QueenBee {
@@ -1818,7 +1825,7 @@ mod tests {
         let request = at_frontend(frontend, term).freshness(Freshness::Fresh);
         let out = qb.search_request(request).unwrap();
         assert!(out.shards_fetched() > 0, "a fresh read fetches");
-        let cache = qb.fleet.as_ref().unwrap().frontend(frontend).cache();
+        let cache = frontend_cache(qb, frontend);
         Arc::clone(cache.peek_shard(term).expect("the fetch fanned out"))
     }
 
@@ -1882,7 +1889,7 @@ mod tests {
         let writer = Arc::clone(writer.expect("the writer keeps what it wrote"));
         let request = from_peer(3, &term).freshness(Freshness::Fresh);
         qb.search_request(request).unwrap();
-        let served = qb.cache.as_ref().unwrap().peek_shard(&term).unwrap();
+        let served = frontend_cache(&qb, 0).peek_shard(&term).unwrap();
         assert!(Arc::ptr_eq(&writer, served));
     }
 
@@ -1937,6 +1944,45 @@ mod tests {
         }
         assert!(reads >= 10_000, "{reads} shard reads");
         assert!(!qb.shard_views.is_empty());
+    }
+
+    /// A lone cached engine is a fleet of one: with `num_frontends` left at
+    /// 0 it serves, invalidates and moves simulated bytes exactly as a
+    /// `GossipConfig::fleet(1)` engine, from one frontend every route lands
+    /// on.
+    #[test]
+    fn a_lone_cached_engine_serves_as_a_fleet_of_one() {
+        let script = |gossip: qb_gossip::GossipConfig| {
+            let mut config = QueenBeeConfig::small();
+            config.cache = qb_cache::CacheConfig::enabled();
+            config.gossip = gossip;
+            let mut qb = QueenBee::new(config).unwrap();
+            let mut responses = Vec::new();
+            for round in 0..3 {
+                let body = format!("honey nectar meadow round {round}");
+                qb.publish(1, AccountId(1_000), &page("wiki/hive", &body, vec![]))
+                    .unwrap();
+                qb.seal();
+                qb.process_publish_events().unwrap();
+                for (peer, query) in [(3, "honey"), (7, "meadow nectar"), (11, "honey")] {
+                    let fresh = from_peer(peer, query).freshness(Freshness::Fresh);
+                    for request in [from_peer(peer, query), fresh] {
+                        responses.push(qb.search_request(request).unwrap());
+                    }
+                }
+                qb.advance_time(SimDuration::from_millis(500));
+            }
+            (format!("{responses:?}"), qb.net.stats().clone(), qb)
+        };
+        let (lone, lone_net, qb) = script(qb_gossip::GossipConfig::default());
+        let (fleet, fleet_net, _) = script(qb_gossip::GossipConfig::fleet(1));
+        assert_eq!(lone, fleet);
+        assert_eq!(lone_net, fleet_net);
+        assert_eq!(qb.num_frontends(), 1);
+        for p in 0..qb.config.num_peers as u64 {
+            let routed = qb.route_frontend(&RoutingPolicy::HashPeer(p)).unwrap();
+            assert_eq!(routed, Some(0), "peer {p}");
+        }
     }
 
     #[test]

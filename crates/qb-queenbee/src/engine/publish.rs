@@ -449,14 +449,11 @@ impl QueenBee {
         if let Some(cache) = self.writer_cache.as_mut() {
             cache.store_written_shard(&shard, now);
         }
-        // Publish-path invalidation on the serving side: the single-mode
-        // frontend cache always observes the publish; fleet frontends only
-        // when they can currently reach the writer (a partitioned frontend
-        // misses it and catches up through read-time version checks and
-        // anti-entropy once the partition heals).
-        if let Some(cache) = self.cache.as_mut() {
-            cache.invalidate_term(&shard.term, now);
-        }
+        // Publish-path invalidation on the serving side: a frontend
+        // observes the publish only when it can currently reach the writer
+        // (a partitioned frontend misses it and catches up through
+        // read-time version checks and anti-entropy once the partition
+        // heals).
         if let Some(fleet) = self.fleet.as_mut() {
             let key = self.terms.key(id);
             fleet.observe_publish(&self.net, writer_peer, key, shard.version, now);

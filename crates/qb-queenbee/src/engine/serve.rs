@@ -140,10 +140,9 @@ impl QueenBee {
                 Ok((fleet.frontend_peer(*f), Some(*f)))
             }
             (RoutingPolicy::Direct(_), None) => Err(QbError::Config(
-                "RoutingPolicy::Direct needs a frontend fleet (config.gossip.num_frontends > 0)"
-                    .into(),
+                "RoutingPolicy::Direct needs a frontend (config.cache.enabled)".into(),
             )),
-            (RoutingPolicy::HashPeer(peer), Some(fleet)) if !fleet.is_empty() => {
+            (RoutingPolicy::HashPeer(peer), Some(fleet)) => {
                 // Rendezvous hashing over the live membership plus
                 // power-of-two-choices on the routing-load picture (see
                 // [`crate::query::routing`]): of the peer's two
@@ -167,8 +166,8 @@ impl QueenBee {
                 };
                 Ok((fleet.frontend_peer(f), Some(f)))
             }
-            (RoutingPolicy::HashPeer(peer), _) => Ok((*peer, None)),
-            (RoutingPolicy::RingSuccessor(peer), Some(fleet)) if !fleet.is_empty() => {
+            (RoutingPolicy::HashPeer(peer), None) => Ok((*peer, None)),
+            (RoutingPolicy::RingSuccessor(peer), Some(fleet)) => {
                 // Hash onto the slot ring, then walk to the next active
                 // frontend — the seed's failover geometry, which dumps a
                 // dead slot's whole keyspace on one successor. Kept so
@@ -187,31 +186,27 @@ impl QueenBee {
                 }
                 Ok((fleet.frontend_peer(f), Some(f)))
             }
-            (RoutingPolicy::RingSuccessor(peer), _) => Ok((*peer, None)),
+            (RoutingPolicy::RingSuccessor(peer), None) => Ok((*peer, None)),
         }
     }
 
-    /// Resolve a routing policy to the fleet slot that would serve it right
-    /// now, without serving anything (`None` in single-frontend mode).
+    /// Resolve a routing policy to the frontend that would serve it right
+    /// now, without serving anything (`None` with the cache off, where a
+    /// query reads the index from its origin peer).
     /// Experiments use this to observe landing distributions of the routing
     /// policies side by side.
     pub fn route_frontend(&self, routing: &RoutingPolicy) -> QbResult<Option<usize>> {
         self.resolve_route(routing).map(|(_, f)| f)
     }
 
-    /// The serving cache: the single-mode cache (`None` when caching is
-    /// off), or the routed frontend's private cache in fleet mode. Takes
-    /// the fields, not `self`, so callers keep the rest of the engine
+    /// The routed frontend's serving cache (`None` with the cache off).
+    /// Takes the fleet, not `self`, so callers keep the rest of the engine
     /// borrowable beside it.
-    pub(super) fn cache_slot<'a>(
-        cache: &'a mut Option<QueryCache>,
-        fleet: &'a mut Option<GossipFleet>,
+    pub(super) fn cache_slot(
+        fleet: &mut Option<GossipFleet>,
         frontend: Option<usize>,
-    ) -> Option<&'a mut QueryCache> {
-        match (frontend, fleet) {
-            (Some(i), Some(fleet)) => Some(fleet.cache_mut(i)),
-            _ => cache.as_mut(),
-        }
+    ) -> Option<&mut QueryCache> {
+        Some(fleet.as_mut()?.cache_mut(frontend?))
     }
 
     /// Stage 3 of a window: turn one plan plus the window's shared reads
@@ -399,7 +394,7 @@ impl QueenBee {
         // window) — built only if the tier admits it. Responses computed
         // from deliberately stale `MaxStaleness` shards are not cached: a
         // strict reader must never inherit them.
-        if let Some(c) = Self::cache_slot(&mut self.cache, &mut self.fleet, plan.frontend) {
+        if let Some(c) = Self::cache_slot(&mut self.fleet, plan.frontend) {
             for planned in &terms {
                 if let TermPlan::Fetch { read } = planned.plan {
                     c.store_shard_handle(reads.shard(read)?.value(), now);
@@ -474,11 +469,12 @@ impl QueenBee {
         reads: &WindowReads,
         inputs: ScoreInputs,
     ) -> Option<Arc<Vec<ScoredDoc>>> {
-        let cache = match (frontend, &self.fleet) {
-            (Some(i), Some(fleet)) => fleet.frontend(i).cache(),
-            _ => self.cache.as_ref()?,
-        };
-        let entry = cache.peek_result(key)?;
+        let entry = self
+            .fleet
+            .as_ref()?
+            .frontend(frontend?)
+            .cache()
+            .peek_result(key)?;
         if entry.inputs != inputs || entry.term_versions.len() != terms.len() {
             return None;
         }

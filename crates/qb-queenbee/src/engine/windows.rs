@@ -46,7 +46,7 @@
 //!   waited on a read is charged the slowest such read's completion minus
 //!   the window's issue instant.
 //! * **Done** — responses are assembled, fetched shards fan out into the
-//!   serving cache as handles (nothing copies postings), and in fleet mode
+//!   serving cache as handles (nothing copies postings), and with gossip on
 //!   a batch window's freshly fetched shard keys are queued as batch-aware
 //!   gossip adverts ([`qb_gossip::GossipFleet::note_batch_fetches`]), so
 //!   the next digest round warms the rest of the fleet one round earlier.
@@ -177,7 +177,7 @@ enum ReadProgress<T> {
 /// One index read of a window, from enumeration to retirement: a term's
 /// shard (`K` is its [`TermId`]) or the statistics record (`K` is `()`).
 struct WindowRead<T, K = ()> {
-    /// The frontend the read is scoped to (`None` in single mode).
+    /// The frontend the read is scoped to (`None` with the cache off).
     frontend: Option<usize>,
     /// The term whose shard is read.
     term: K,
@@ -271,7 +271,7 @@ enum ReadSlot<'a> {
 }
 
 /// The index reads of one window: each distinct `(serving frontend, term)`
-/// shard once, plus at most one statistics read. (In single mode the
+/// shard once, plus at most one statistics read. (With the cache off the
 /// frontend slot is `None`, so the whole window shares.)
 pub(super) struct WindowReads {
     stats: Option<WindowRead<IndexStats>>,
@@ -503,7 +503,7 @@ impl QueenBee {
                 origin_peer,
                 frontend,
                 &self.analyzer,
-                Self::cache_slot(&mut self.cache, &mut self.fleet, frontend),
+                Self::cache_slot(&mut self.fleet, frontend),
                 &mut self.terms,
                 TermTable::version,
                 self.index_stats.version,
@@ -602,8 +602,8 @@ impl QueenBee {
     /// and close its trace span, serve every plan in order (`serve_plan`,
     /// which reads the finished reads by slot), and queue a genuine
     /// batch window's freshly fetched shard keys as the serving frontends'
-    /// batch-aware gossip adverts (no-op outside fleet mode or when
-    /// `GossipConfig::batch_advertise` is off).
+    /// batch-aware gossip adverts (no-op with the cache or gossip off, or
+    /// when `GossipConfig::batch_advertise` is off).
     fn retire_window(
         &mut self,
         win: WindowRun,
@@ -643,7 +643,7 @@ impl QueenBee {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::tests::{cached_engine, from_peer, page};
+    use crate::engine::tests::{cached_engine, from_peer, frontend_cache, page};
     use crate::query::plan::PlannedTerm;
     use qb_chain::AccountId;
 
@@ -888,7 +888,7 @@ mod tests {
         // The fetched shards fanned out as handles too.
         for slot in 0..reads.shards.len() {
             let fetch = reads.shard(slot).unwrap();
-            let resident = qb.cache.as_ref().unwrap().peek_shard(&fetch.value.term);
+            let resident = frontend_cache(&qb, 0).peek_shard(&fetch.value.term);
             assert!(Arc::ptr_eq(resident.expect("fanned out"), &fetch.value));
         }
         let served = qb.serve_plan(warm, reads, now, now).unwrap();
@@ -956,7 +956,7 @@ mod tests {
         qb.serve_plan(plan, &window.reads, now, now).unwrap();
         // A store draws the tier's next recency tick; `honey` drew its
         // own when the plan read it.
-        let cache = qb.cache.as_ref().unwrap();
+        let cache = frontend_cache(&qb, 0);
         let tick = |term: &str| {
             let entry = cache.shard_ranks(now).find(|e| e.key == term);
             entry.expect("resident").rank.1

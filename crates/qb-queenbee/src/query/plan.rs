@@ -79,7 +79,7 @@ pub struct QueryPlan {
     pub request: SearchRequest,
     /// The simulated peer network traffic is issued from.
     pub origin_peer: u64,
-    /// The fleet frontend serving the request (`None` in single mode).
+    /// The frontend serving the request (`None` with the cache off).
     pub frontend: Option<usize>,
     /// Normalized result-cache key (sorted terms), built only when the
     /// serving frontend has a cache (`None` otherwise: nothing keeps a

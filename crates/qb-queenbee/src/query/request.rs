@@ -11,14 +11,15 @@ use qb_common::SimDuration;
 /// How the request reaches a frontend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicy {
-    /// Issue the query from this simulated peer. In fleet mode the request
-    /// is routed with rendezvous (highest-random-weight) hashing plus
+    /// Issue the query from this simulated peer. With the cache on the
+    /// request is routed with rendezvous (highest-random-weight) hashing plus
     /// power-of-two-choices over the *live* membership: the two
     /// highest-scoring active frontends for the peer are candidates and the
     /// one advertising less load (gossip-propagated EWMA of recently served
     /// queries) wins. A crashed frontend's keyspace therefore spreads
     /// across the whole surviving fleet instead of piling onto one ring
-    /// successor.
+    /// successor. With the cache off there is no frontend, and the query
+    /// reads the index from this peer.
     HashPeer(u64),
     /// The seed's implicit modulo behaviour: frontend `peer %
     /// num_frontends`, walking the ring to the next active slot when that
@@ -26,7 +27,7 @@ pub enum RoutingPolicy {
     /// measure the post-crash load spike [`RoutingPolicy::HashPeer`]
     /// eliminates.
     RingSuccessor(u64),
-    /// Serve at this specific fleet frontend (errors without a fleet or when
+    /// Serve at this specific frontend (errors with the cache off, or when
     /// the index is out of range or has left the fleet).
     Direct(usize),
 }

@@ -90,6 +90,7 @@ impl TermTable {
 
     /// [`TermTable::version`] by text: 0 for a term never met, exactly as
     /// for one held at version 0.
+    #[cfg(test)]
     pub(crate) fn version_of(&self, text: &str) -> u64 {
         self.ids.get(text).map_or(0, |&id| self.version(id))
     }

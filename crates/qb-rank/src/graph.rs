@@ -8,7 +8,6 @@ pub struct LinkGraph {
     names: Vec<String>,
     ids: HashMap<String, usize>,
     out_edges: Vec<Vec<usize>>,
-    in_degree: Vec<usize>,
 }
 
 impl LinkGraph {
@@ -26,7 +25,6 @@ impl LinkGraph {
         self.names.push(name.to_string());
         self.ids.insert(name.to_string(), id);
         self.out_edges.push(Vec::new());
-        self.in_degree.push(0);
         id
     }
 
@@ -35,11 +33,6 @@ impl LinkGraph {
     /// pages published later.
     pub fn set_links(&mut self, name: &str, out_links: &[String]) {
         let from = self.node(name);
-        // Remove old edges' contribution to in-degree.
-        let old = std::mem::take(&mut self.out_edges[from]);
-        for &t in &old {
-            self.in_degree[t] -= 1;
-        }
         let mut edges = Vec::with_capacity(out_links.len());
         for link in out_links {
             if link == name {
@@ -48,7 +41,6 @@ impl LinkGraph {
             let to = self.node(link);
             if !edges.contains(&to) {
                 edges.push(to);
-                self.in_degree[to] += 1;
             }
         }
         self.out_edges[from] = edges;
@@ -79,11 +71,6 @@ impl LinkGraph {
         self.out_edges[id].len()
     }
 
-    /// In-degree of a node.
-    pub fn in_degree(&self, id: usize) -> usize {
-        self.in_degree[id]
-    }
-
     /// All node names.
     pub fn names(&self) -> &[String] {
         &self.names
@@ -96,6 +83,10 @@ mod tests {
 
     fn edge_count(g: &LinkGraph) -> usize {
         g.out_edges.iter().map(|e| e.len()).sum()
+    }
+
+    fn in_degree(g: &LinkGraph, id: usize) -> usize {
+        g.out_edges.iter().flatten().filter(|&&to| to == id).count()
     }
 
     fn links(names: &[&str]) -> Vec<String> {
@@ -125,8 +116,8 @@ mod tests {
         let home = g.id_of("home").unwrap();
         let about = g.id_of("about").unwrap();
         assert_eq!(g.out_degree(home), 2);
-        assert_eq!(g.in_degree(about), 1);
-        assert_eq!(g.in_degree(home), 1);
+        assert_eq!(in_degree(&g, about), 1);
+        assert_eq!(in_degree(&g, home), 1);
     }
 
     #[test]
@@ -136,8 +127,8 @@ mod tests {
         g.set_links("p", &links(&["z"]));
         let p = g.id_of("p").unwrap();
         assert_eq!(g.out_degree(p), 1);
-        assert_eq!(g.in_degree(g.id_of("x").unwrap()), 0);
-        assert_eq!(g.in_degree(g.id_of("z").unwrap()), 1);
+        assert_eq!(in_degree(&g, g.id_of("x").unwrap()), 0);
+        assert_eq!(in_degree(&g, g.id_of("z").unwrap()), 1);
         assert_eq!(edge_count(&g), 1);
     }
 

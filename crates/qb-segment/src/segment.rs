@@ -68,13 +68,6 @@ pub struct ImportReport {
     pub refused: u64,
 }
 
-impl ImportReport {
-    /// Total shards offered.
-    pub fn offered(&self) -> u64 {
-        self.accepted + self.stale + self.duplicates + self.refused
-    }
-}
-
 impl Segment {
     /// An empty segment.
     pub fn new() -> Segment {
@@ -166,11 +159,6 @@ impl Segment {
     /// The shard of one term, when present.
     pub fn get(&self, term: &str) -> Option<&ShardEntry> {
         self.entries.get(term).map(|e| &*e.shard)
-    }
-
-    /// All shards in ascending term order.
-    pub fn shards(&self) -> impl Iterator<Item = &ShardEntry> {
-        self.entries.values().map(|e| &*e.shard)
     }
 
     /// K-way version-vector-dominant merge — the basis of writer-side
@@ -494,7 +482,11 @@ mod tests {
             let _ = src.lookup_shard("hot", now, 3);
         }
         let hottest = Segment::export(&src, 1, now);
-        let held: Vec<(&str, u64)> = hottest.shards().map(|s| (&*s.term, s.version)).collect();
+        let held: Vec<(&str, u64)> = hottest
+            .entries
+            .values()
+            .map(|e| (&*e.shard.term, e.shard.version))
+            .collect();
         assert_eq!(held, [("hot", 3)]);
 
         let mut dst = QueryCache::new(CacheConfig::enabled());
@@ -504,7 +496,8 @@ mod tests {
         let report = seg.import_into(&mut dst, known, now);
         assert_eq!(report.accepted, 1);
         assert_eq!(report.stale, 1);
-        assert_eq!(report.offered(), 2);
+        let offered = report.accepted + report.stale + report.duplicates + report.refused;
+        assert_eq!(offered, 2);
         assert_eq!(dst.cached_shard_version("hot"), Some(3));
         assert_eq!(dst.cached_shard_version("warm"), None);
         // Export and import moved handles, not postings: source tier,

@@ -30,9 +30,17 @@ fn posting(doc_id: u64, version: u64) -> ShardPosting {
     }
 }
 
+/// Size of the shared term pool every generated segment draws from.
+const TERMS: u8 = 12;
+
+/// The term a generated term id names: ids sort as their names do.
+fn term(term_id: u8) -> String {
+    format!("t{term_id:02}")
+}
+
 /// A shard from a generated `(doc_id -> posting version)` map.
 fn shard(term_id: u8, version: u64, docs: &BTreeMap<u64, u64>) -> ShardEntry {
-    let mut s = ShardEntry::empty(&format!("t{term_id:02}"));
+    let mut s = ShardEntry::empty(&term(term_id));
     s.version = version;
     for (&d, &v) in docs {
         s.upsert(posting(d, v));
@@ -49,7 +57,7 @@ type RawSegment = BTreeMap<u8, (u64, BTreeMap<u64, u64>)>;
 /// no `prop_map`, so the conversion happens inside the test body).
 fn segment_strategy() -> impl Strategy<Value = RawSegment> {
     proptest::collection::btree_map(
-        0u8..12,
+        0u8..TERMS,
         (
             1u64..6,
             proptest::collection::btree_map(0u64..30, 1u64..4, 0..8),
@@ -121,10 +129,10 @@ proptest! {
     ) {
         let (a, b) = (build(&ra), build(&rb));
         let merged = Segment::merge([a.clone(), b.clone()]);
-        let terms: std::collections::BTreeSet<&str> =
-            a.shards().chain(b.shards()).map(|s| &*s.term).collect();
+        let terms: std::collections::BTreeSet<String> =
+            ra.keys().chain(rb.keys()).map(|&t| term(t)).collect();
         prop_assert_eq!(merged.len(), terms.len());
-        for term in terms {
+        for term in &terms {
             let got = merged.get(term).expect("merged term present");
             match (a.get(term), b.get(term)) {
                 (Some(x), None) => prop_assert_eq!(got, x),
@@ -173,8 +181,10 @@ proptest! {
                 1 => {
                     // Fold more postings into an existing term at its own
                     // version (the one path that changes a held shard).
-                    let held: Vec<(String, u64)> =
-                        seg.shards().map(|s| (s.term.to_string(), s.version)).collect();
+                    let held: Vec<(String, u64)> = (0..TERMS)
+                        .map(term)
+                        .filter_map(|t| seg.get(&t).map(|s| (t.clone(), s.version)))
+                        .collect();
                     if let Some((term, version)) = held.get(usize::from(pick) % held.len().max(1)) {
                         let docs = raw.values().next().map(|(_, d)| d.clone()).unwrap_or_default();
                         let mut extra = shard(0, *version, &docs);
@@ -207,8 +217,8 @@ proptest! {
         let mut cache_config = CacheConfig::enabled();
         cache_config.shard_capacity_bytes = 1 << 20; // never the constraint here
         let mut writer = QueryCache::new(cache_config.clone());
-        for shard in seg.shards() {
-            writer.store_shard(shard, now);
+        for &t in raw.keys() {
+            writer.store_shard(seg.get(&term(t)).expect("built from raw"), now);
         }
         let exported = Segment::export(&writer, usize::MAX, now);
         prop_assert_eq!(exported.encode(), seg.encode());
@@ -232,7 +242,8 @@ proptest! {
         let mut joiner = QueryCache::new(cache_config);
         let report = fetched.import_into(&mut joiner, |_| 0, now);
         prop_assert_eq!(report.accepted, seg.len() as u64);
-        prop_assert_eq!(report.offered(), seg.len() as u64);
+        let offered = report.accepted + report.stale + report.duplicates + report.refused;
+        prop_assert_eq!(offered, seg.len() as u64);
         let reread = Segment::export(&joiner, usize::MAX, now);
         prop_assert_eq!(reread.encode(), seg.encode());
     }

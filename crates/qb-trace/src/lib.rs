@@ -35,13 +35,13 @@
 //! tracer.set_enabled(true);
 //! let query = tracer.open_with("query", SimInstant(0), || "rust dht".into());
 //! tracer.record(None, "queue_wait", SimInstant(0), SimInstant(250));
-//! let fetch = tracer.open("fetch", SimInstant(250));
+//! let fetch = tracer.open_with("fetch", SimInstant(250), String::new);
 //! tracer.record(None, "rpc", SimInstant(260), SimInstant(900));
 //! tracer.close(fetch, SimInstant(950));
 //! tracer.close(query, SimInstant(1000));
 //!
 //! let trace = tracer.take();
-//! let root = trace.roots().next().unwrap().id;
+//! let root = query.unwrap();
 //! let path = critical_path(&trace, root);
 //! assert_eq!(path.last().unwrap().name, "rpc");
 //! let attr = attribution(&trace, root);
@@ -60,7 +60,7 @@ pub mod span;
 pub use chain::{OpChain, OpKind, OpLink};
 pub use export::{to_chrome_trace, to_json};
 pub use metrics::{MetricsSnapshot, MetricsSource};
-pub use path::{attribution, critical_path, dominant, render_path, PathStep};
+pub use path::{attribution, critical_path, render_path, PathStep};
 pub use span::{Span, SpanId, Trace, Tracer};
 
 #[cfg(test)]
@@ -93,7 +93,7 @@ mod invariant_tests {
         for &(tag, at, len) in ops {
             let name = NAMES[(tag / 3) as usize % NAMES.len()];
             match tag % 3 {
-                0 => open.push(tracer.open(name, SimInstant(at))),
+                0 => open.push(tracer.open_with(name, SimInstant(at), String::new)),
                 1 => {
                     if let Some(id) = open.pop() {
                         tracer.close(id, SimInstant(at));
@@ -147,7 +147,7 @@ mod invariant_tests {
             ops in proptest::collection::vec(op_strategy(), 1..60),
         ) {
             let trace = run(&ops);
-            for root in trace.roots() {
+            for root in trace.spans.iter().filter(|s| s.parent.is_none()) {
                 let attr = crate::attribution(&trace, root.id);
                 let total = attr
                     .values()

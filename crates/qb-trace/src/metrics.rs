@@ -66,11 +66,6 @@ impl MetricsSnapshot {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// All histograms, name-ordered.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LatencyHistogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// True when the snapshot holds nothing.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty()

@@ -110,17 +110,6 @@ pub fn attribution(trace: &Trace, root: SpanId) -> BTreeMap<&'static str, SimDur
     out
 }
 
-/// The stage name with the largest attributed share of `root`'s duration
-/// (ties break lexicographically; `None` for an unknown id or zero-length
-/// root).
-pub fn dominant(trace: &Trace, root: SpanId) -> Option<&'static str> {
-    attribution(trace, root)
-        .into_iter()
-        .filter(|(_, d)| *d > SimDuration::ZERO)
-        .max_by_key(|&(name, d)| (d, std::cmp::Reverse(name)))
-        .map(|(name, _)| name)
-}
-
 /// Render a critical path as indented text, one step per line.
 pub fn render_path(steps: &[PathStep]) -> String {
     let mut out = String::new();
@@ -155,9 +144,9 @@ mod tests {
     fn sample() -> (Trace, SpanId) {
         let mut tr = Tracer::new();
         tr.set_enabled(true);
-        let q = tr.open("query", t(0));
+        let q = tr.open_with("query", t(0), String::new);
         tr.record(None, "queue_wait", t(0), t(30));
-        let f = tr.open("fetch", t(30));
+        let f = tr.open_with("fetch", t(30), String::new);
         tr.record(None, "rpc", t(35), t(80));
         tr.close(f, t(90));
         tr.close(q, t(100));
@@ -188,14 +177,12 @@ mod tests {
         assert_eq!(attr["rpc"], SimDuration::from_micros(45));
         assert_eq!(attr["fetch"], SimDuration::from_micros(15));
         assert_eq!(attr["query"], SimDuration::from_micros(10));
-        assert_eq!(dominant(&trace, root), Some("rpc"));
     }
 
     #[test]
     fn unknown_root_yields_empty_path() {
         let (trace, _) = sample();
         assert!(critical_path(&trace, SpanId(999)).is_empty());
-        assert_eq!(dominant(&trace, SpanId(999)), None);
     }
 
     #[test]

@@ -89,14 +89,9 @@ impl Tracer {
         self.stack.last().copied()
     }
 
-    /// Open a span starting at `start` under the innermost open span, and
-    /// make it the new default parent. Returns `None` while disabled.
-    pub fn open(&mut self, name: &'static str, start: SimInstant) -> Option<SpanId> {
-        self.open_with(name, start, String::new)
-    }
-
-    /// [`Tracer::open`] with a lazy detail label (evaluated only while
-    /// recording).
+    /// Open a span starting at `start` under the innermost open span, with
+    /// a lazy detail label (evaluated only while recording), and make it
+    /// the new default parent. Returns `None` while disabled.
     pub fn open_with(
         &mut self,
         name: &'static str,
@@ -242,11 +237,6 @@ impl Trace {
         self.spans.get((id.0 as usize).checked_sub(1)?)
     }
 
-    /// Root spans (no parent), in creation order.
-    pub fn roots(&self) -> impl Iterator<Item = &Span> {
-        self.spans.iter().filter(|s| s.parent.is_none())
-    }
-
     /// Direct children of `id`, in creation order.
     pub fn children(&self, id: SpanId) -> impl Iterator<Item = &Span> {
         self.spans.iter().filter(move |s| s.parent == Some(id))
@@ -297,8 +287,8 @@ mod tests {
     fn stack_discipline_builds_a_tree() {
         let mut tr = Tracer::new();
         tr.set_enabled(true);
-        let root = tr.open("query", t(0));
-        let fetch = tr.open("fetch", t(10));
+        let root = tr.open_with("query", t(0), String::new);
+        let fetch = tr.open_with("fetch", t(10), String::new);
         let rpc = tr.record(None, "rpc", t(10), t(40));
         tr.close(fetch, t(50));
         tr.close(root, t(60));
@@ -306,7 +296,7 @@ mod tests {
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.get(rpc.unwrap()).unwrap().parent, fetch);
         assert_eq!(trace.get(fetch.unwrap()).unwrap().parent, root);
-        assert_eq!(trace.roots().count(), 1);
+        assert_eq!(trace.spans.iter().filter(|s| s.parent.is_none()).count(), 1);
         assert_eq!(trace.root_of(rpc.unwrap()), root.unwrap());
         assert_eq!(
             trace.get(root.unwrap()).unwrap().duration(),
@@ -318,7 +308,7 @@ mod tests {
     fn children_grow_their_ancestors_end() {
         let mut tr = Tracer::new();
         tr.set_enabled(true);
-        let root = tr.open("window", t(100));
+        let root = tr.open_with("window", t(100), String::new);
         // A virtual-timeline fetch completes after the instant the caller
         // will close the window at.
         tr.record(root, "fetch", t(100), t(900));
@@ -331,7 +321,7 @@ mod tests {
     fn child_start_is_clamped_into_the_parent() {
         let mut tr = Tracer::new();
         tr.set_enabled(true);
-        let root = tr.open("query", t(50));
+        let root = tr.open_with("query", t(50), String::new);
         let early = tr.record(root, "fetch", t(10), t(60)).unwrap();
         tr.close(root, t(70));
         let trace = tr.take();
@@ -342,7 +332,7 @@ mod tests {
     fn explicit_parent_overrides_the_stack() {
         let mut tr = Tracer::new();
         tr.set_enabled(true);
-        let a = tr.open("a", t(0));
+        let a = tr.open_with("a", t(0), String::new);
         let b = tr.record(None, "b", t(0), t(1)).unwrap();
         tr.close(a, t(5));
         let c = tr.record(Some(b), "c", t(0), t(1)).unwrap();

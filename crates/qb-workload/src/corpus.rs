@@ -74,7 +74,7 @@ pub struct CorpusGenerator {
 
 /// Build a pronounceable synthetic word for a vocabulary index. Words are
 /// distinct per index and deterministic across runs.
-pub fn word_for_index(i: usize) -> String {
+fn word_for_index(i: usize) -> String {
     const CONSONANTS: &[&str] = &[
         "b", "d", "f", "g", "k", "l", "m", "n", "p", "r", "s", "t", "v", "z", "ch", "st",
     ];

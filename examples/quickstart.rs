@@ -24,6 +24,8 @@ fn main() {
     // 1. Assemble the DWeb: peers, DHT, storage, blockchain and worker bees.
     //    The query-serving cache ships disabled; opt in via the config so
     //    repeated queries are answered from local tiers instead of the DHT.
+    //    A cached engine serves through one query frontend on peer 0 (a
+    //    fleet of one; `config.gossip` asks for more).
     let mut config = QueenBeeConfig::small();
     config.cache = CacheConfig::enabled();
     let mut qb = QueenBee::new(config).expect("valid config");
@@ -101,7 +103,7 @@ fn main() {
     //    per-stage cost trace and per-term cache provenance.
     //
     //    Routing: use `RoutingPolicy::HashPeer(key)` unless you have a
-    //    reason not to. In fleet mode it picks the serving frontend by
+    //    reason not to. It picks the serving frontend by
     //    rendezvous (HRW) hashing over the *live* membership plus
     //    power-of-two-choices on the gossip-advertised load EWMAs, so a
     //    crashed frontend's keyspace respreads across the whole surviving
@@ -324,8 +326,8 @@ fn main() {
     //    `NetConfig::zoned(..)` bias partner sampling toward the own
     //    latency zone; `digest_mode: DigestMode::Delta` (the default)
     //    ships delta digests + a cached bloom holdings filter instead of
-    //    full hot sets — see `examples/fleet_churn.rs` and E12. In fleet
-    //    mode, a batch window's freshly fetched shard keys ride the next
+    //    full hot sets — see `examples/fleet_churn.rs` and E12. With
+    //    gossip on, a batch window's freshly fetched shard keys ride the next
     //    gossip round as priority advertisements (batch-aware gossip,
     //    asserted in E13b).
     println!("\nnext: cargo run -p qb-examples --release --bin batch_search");

@@ -11,9 +11,12 @@
 # `pub fn NAME`. Non-test code is the same awk's output of every `.rs` file
 # under `crates/*/src` (bins included), `examples/` and `bench/src`, with
 # `//` comments dropped, so a doc link calls nothing and `bench/`'s calls
-# count. A function is called when its name occurs as a word in non-test
-# code outside a `fn NAME` definition: a word match, so a name that another
-# item shares counts as called.
+# count. A function is called when non-test code outside a `fn NAME`
+# definition names it in call syntax: `NAME(` (which `.NAME(` is too),
+# `NAME::<` or `::NAME` (a path, so `Type::NAME` passed as a value counts).
+# A bare word is not a call, so a local variable, a field or a parameter
+# that shares the function's name does not keep it; another function of
+# the same name that is called still does.
 #
 # Each line of scripts/test_only_surface.txt is a function (`Type::name`),
 # whitespace and a one-line reason; `#` starts a comment. A function is
@@ -39,12 +42,13 @@ while IFS= read -r file; do
     sed "s|\$| $file|"
 done < <(find crates/*/src -name '*.rs' -not -path '*/src/bin/*' | sort) >"$tmp/defs"
 
-# Every word of non-test code, definitions' own names left out.
+# Every name non-test code calls, definitions' own names left out.
 while IFS= read -r file; do
   awk -f scripts/library_code.awk "$file" |
     sed -e 's|//.*||' -e 's/\bfn [A-Za-z_][A-Za-z0-9_]*//g'
 done < <(find crates/*/src examples bench/src -name '*.rs' | sort) |
-  grep -ow '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$tmp/words"
+  grep -oE '::[A-Za-z_][A-Za-z0-9_]*|\b[A-Za-z_][A-Za-z0-9_]*(\(|::<)' |
+  sed -E -e 's/^:://' -e 's/(\(|::<)$//' | sort -u >"$tmp/words"
 
 cut -d' ' -f1 "$tmp/defs" | sort -u | comm -23 - "$tmp/words" >"$tmp/uncalled"
 

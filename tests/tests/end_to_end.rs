@@ -252,14 +252,13 @@ fn tampered_page_content_is_never_served() {
         corrupted > 0,
         "expected at least one stored copy to corrupt"
     );
-    let err = qb_dweb::fetch_page(
-        &mut qb.net,
-        &mut qb.dht,
-        &mut qb.storage,
-        &qb.chain,
-        9,
-        "bank/login",
-    )
-    .unwrap_err();
+    let cid = qb
+        .chain
+        .publish_registry()
+        .get("bank/login")
+        .expect("registered")
+        .cid;
+    let err =
+        qb_dweb::fetch_page_by_cid(&mut qb.net, &mut qb.dht, &mut qb.storage, 9, cid).unwrap_err();
     assert!(matches!(err, qb_common::QbError::IntegrityViolation { .. }));
 }

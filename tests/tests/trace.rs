@@ -202,10 +202,6 @@ fn snapshot_diff_isolates_a_run() {
     // Fold the run's LoadReport into a snapshot through the same interface.
     let run = MetricsSnapshot::collect(&[&report]);
     assert_eq!(run.counter("load.completed"), report.completed);
-    assert_eq!(
-        run.histograms()
-            .find(|&(name, _)| name == "load.sojourn")
-            .map(|(_, h)| h.count()),
-        Some(report.completed)
-    );
+    let sojourn = format!("\"load.sojourn\":{{\"count\":{},", report.completed);
+    assert!(run.to_json().contains(&sojourn), "{}", run.to_json());
 }
