@@ -11,7 +11,7 @@ pub const BASE_LATENCY: SimDuration = SimDuration::from_millis(60);
 pub const CAPACITY_QPS: f64 = 200.0;
 
 /// Configuration of the centralized baseline.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CentralizedConfig {
     /// How often the crawler re-crawls the whole corpus.
     pub crawl_interval: SimDuration,
@@ -89,9 +89,7 @@ impl CentralizedEngine {
         &self,
         query_text: &str,
         offered_load_qps: f64,
-        now: SimInstant,
     ) -> QbResult<(Vec<ScoredDoc>, SimDuration)> {
-        let _ = now;
         if !self.online {
             return Err(QbError::Network("central server unreachable".into()));
         }
@@ -143,7 +141,7 @@ mod tests {
         assert_eq!(e.index.doc_count(), 0);
         e.crawl(&docs(), SimInstant::ZERO);
         assert_eq!(e.index.doc_count(), 2);
-        let (results, latency) = e.search("decentralized", 10.0, SimInstant::ZERO).unwrap();
+        let (results, latency) = e.search("decentralized", 10.0).unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(&*results[0].name, "a");
         assert!(latency >= BASE_LATENCY);
@@ -165,13 +163,13 @@ mod tests {
         let mut e = CentralizedEngine::new(CentralizedConfig::default());
         e.crawl(&docs(), SimInstant::ZERO);
         // The corpus moves on to version 2, but the index still has version 1.
-        let (results, _) = e.search("decentralized", 1.0, SimInstant::ZERO).unwrap();
+        let (results, _) = e.search("decentralized", 1.0).unwrap();
         assert_eq!(results[0].version, 1);
         let mut updated = docs();
         updated[0].version = 2;
         updated[0].text = "decentralized web search refreshed".into();
         e.crawl(&updated, SimInstant::ZERO + SimDuration::from_secs(3600));
-        let (results, _) = e.search("decentralized", 1.0, SimInstant::ZERO).unwrap();
+        let (results, _) = e.search("decentralized", 1.0).unwrap();
         assert_eq!(results[0].version, 2);
     }
 
@@ -179,13 +177,13 @@ mod tests {
     fn latency_grows_with_load_and_overload_fails() {
         let mut e = CentralizedEngine::new(CentralizedConfig::default());
         e.crawl(&docs(), SimInstant::ZERO);
-        let (_, idle) = e.search("web", 1.0, SimInstant::ZERO).unwrap();
-        let (_, busy) = e.search("web", 180.0, SimInstant::ZERO).unwrap();
+        let (_, idle) = e.search("web", 1.0).unwrap();
+        let (_, busy) = e.search("web", 180.0).unwrap();
         assert!(busy > idle);
-        assert!(e.search("web", 500.0, SimInstant::ZERO).is_err());
+        assert!(e.search("web", 500.0).is_err());
         // DDoS: attack load pushes legitimate users into overload.
         e.attack_load_qps = 1_000.0;
-        let err = e.search("web", 1.0, SimInstant::ZERO).unwrap_err();
+        let err = e.search("web", 1.0).unwrap_err();
         assert!(err.is_availability());
     }
 
@@ -194,6 +192,6 @@ mod tests {
         let mut e = CentralizedEngine::new(CentralizedConfig::default());
         e.crawl(&docs(), SimInstant::ZERO);
         e.online = false;
-        assert!(e.search("web", 1.0, SimInstant::ZERO).is_err());
+        assert!(e.search("web", 1.0).is_err());
     }
 }

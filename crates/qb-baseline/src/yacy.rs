@@ -8,7 +8,7 @@ use qb_index::{Analyzer, Bm25, InvertedIndex, Query, QueryMode, ScoredDoc};
 use qb_simnet::{parallel_latency, SimNet};
 
 /// Configuration of the YaCy-style baseline.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct YacyConfig {
     /// Number of index peers (peers `0..num_peers` of the simulated network).
     pub num_peers: usize,

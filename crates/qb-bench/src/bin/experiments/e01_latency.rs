@@ -74,7 +74,7 @@ pub fn run() -> Vec<Table> {
         let mut qb_lat = LatencyHistogram::new();
         let mut qb_ok = 0usize;
         for (i, q) in queries.iter().enumerate() {
-            if let Ok((_, lat)) = central.search(q, load, SimInstant::ZERO) {
+            if let Ok((_, lat)) = central.search(q, load) {
                 central_lat.record(lat);
                 central_ok += 1;
             }

@@ -46,7 +46,7 @@ pub fn run() -> Vec<Table> {
             if answered(&mut qb, q, peer) {
                 qb_ok += 1;
             }
-            if central.search(q, 10.0, SimInstant::ZERO).is_ok() {
+            if central.search(q, 10.0).is_ok() {
                 central_ok += 1;
             }
         }
@@ -80,7 +80,7 @@ pub fn run() -> Vec<Table> {
             }
             // Clients in the other partition cannot reach the central server.
             let reachable = !partitioned || qb.net.partition_of(peer) == qb.net.partition_of(0);
-            if reachable && central.search(q, 10.0, SimInstant::ZERO).is_ok() {
+            if reachable && central.search(q, 10.0).is_ok() {
                 central_ok += 1;
             }
         }

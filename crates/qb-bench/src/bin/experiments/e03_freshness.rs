@@ -165,7 +165,7 @@ pub fn run() -> Vec<Table> {
     for (central, (label, _)) in central_engines.iter_mut().zip(&crawl_intervals) {
         let mut seen = Staleness::default();
         for q in &queries {
-            if let Ok((results, _)) = central.search(q, 10.0, horizon) {
+            if let Ok((results, _)) = central.search(q, 10.0) {
                 seen.add(&results, &current);
             }
         }

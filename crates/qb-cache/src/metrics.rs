@@ -2,7 +2,7 @@
 
 /// Counters for one cache tier. All counters are cumulative since engine
 /// start; snapshot and diff to rate-limit windows externally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierMetrics {
     /// Lookups served from the tier.
     pub hits: u64,
@@ -51,7 +51,7 @@ impl TierMetrics {
 }
 
 /// Snapshot of every tier's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheMetrics {
     /// Result-tier counters.
     pub result: TierMetrics,

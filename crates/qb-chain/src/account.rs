@@ -5,9 +5,7 @@ use std::collections::HashMap;
 
 /// Account identifier. The simulation maps content creators, worker bees and
 /// advertisers to distinct account ids.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AccountId(pub u64);
 
 /// The treasury account: holds the genesis honey supply from which all
@@ -15,7 +13,7 @@ pub struct AccountId(pub u64);
 pub const TREASURY: AccountId = AccountId(0);
 
 /// One account's state.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Account {
     /// Balance in nectar (the smallest honey unit).
     pub balance: u64,
@@ -24,7 +22,7 @@ pub struct Account {
 }
 
 /// The account table.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Accounts {
     accounts: HashMap<AccountId, Account>,
 }

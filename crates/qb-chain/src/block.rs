@@ -6,7 +6,7 @@ use qb_common::{Hash256, SimInstant};
 use std::io::Write;
 
 /// Header of a sealed block.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockHeader {
     /// Height in the chain (genesis = 0).
     pub height: u64,
@@ -38,7 +38,7 @@ impl BlockHeader {
 }
 
 /// A sealed block: header plus the transactions it contains.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// The block header.
     pub header: BlockHeader,

@@ -41,7 +41,7 @@ pub const CREATOR_SHARE_PCT: u64 = 60;
 pub const BEE_SHARE_PCT: u64 = 30;
 
 /// Aggregate chain statistics used by the experiment harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChainStats {
     /// Current height (number of sealed blocks).
     pub height: u64,
@@ -51,8 +51,6 @@ pub struct ChainStats {
     pub failed_txs: u64,
     /// Total honey across all accounts.
     pub total_supply: u64,
-    /// Events emitted so far.
-    pub events: u64,
 }
 
 /// The QueenBee blockchain.
@@ -165,7 +163,7 @@ impl Blockchain {
         for tx in &txs {
             let events = if tx.nonce == self.accounts.nonce(tx.from) {
                 self.accounts.bump_nonce(tx.from);
-                self.apply_call(tx.from, &tx.call, now).ok()
+                self.apply_call(tx.from, &tx.call).ok()
             } else {
                 None
             };
@@ -194,12 +192,7 @@ impl Blockchain {
         header
     }
 
-    fn apply_call(
-        &mut self,
-        from: AccountId,
-        call: &Call,
-        now: SimInstant,
-    ) -> QbResult<Vec<Event>> {
+    fn apply_call(&mut self, from: AccountId, call: &Call) -> QbResult<Vec<Event>> {
         match call {
             Call::Transfer { to, amount } => {
                 self.accounts.transfer(from, *to, *amount)?;
@@ -215,7 +208,7 @@ impl Blockchain {
                 out_links,
             } => self
                 .publish
-                .publish(&mut self.accounts, from, name, *cid, out_links.clone(), now),
+                .publish(&mut self.accounts, from, name, *cid, out_links.clone()),
             Call::ClaimIndexReward {
                 page_name,
                 page_version,
@@ -274,7 +267,6 @@ impl Blockchain {
             ok_txs: self.ok_txs,
             failed_txs: self.failed_txs,
             total_supply: self.accounts.total_supply(),
-            events: self.events.len() as u64,
         }
     }
 
@@ -388,7 +380,6 @@ mod tests {
             .map(|event| (0, event))
             .collect();
         assert_eq!(c.events(), expected);
-        assert_eq!(c.stats().events, 5);
 
         // The revert and the replay are counted failed; the revert spent
         // its sender's nonce, the replay did not, and the name stays with

@@ -15,13 +15,11 @@ use std::collections::HashMap;
 pub const AD_ESCROW: AccountId = AccountId(1);
 
 /// Identifier of an ad campaign.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AdId(pub u64);
 
 /// One advertiser campaign.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdCampaign {
     /// Campaign id.
     pub id: AdId,
@@ -45,7 +43,7 @@ impl AdCampaign {
 }
 
 /// Revenue split configuration and campaign state.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdMarket {
     /// Percentage of each click paid to the creator of the organic result.
     pub creator_share_pct: u64,

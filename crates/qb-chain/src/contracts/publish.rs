@@ -2,11 +2,11 @@
 
 use crate::account::{AccountId, Accounts, TREASURY};
 use crate::tx::Event;
-use qb_common::{Cid, QbError, QbResult, SimInstant};
+use qb_common::{Cid, QbError, QbResult};
 use std::collections::HashMap;
 
 /// Registry entry for one page name.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PageRecord {
     /// Stable page name.
     pub name: String,
@@ -18,18 +18,14 @@ pub struct PageRecord {
     pub creator: AccountId,
     /// Out-links of the current version (page names), for the link graph.
     pub out_links: Vec<String>,
-    /// When the current version was published.
-    pub published_at: SimInstant,
 }
 
 /// State of the publish registry contract.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PublishRegistry {
     /// Honey paid from the treasury for every accepted publish.
     pub publish_reward: u64,
     pages: HashMap<String, PageRecord>,
-    /// Total publishes accepted (including updates).
-    pub total_publishes: u64,
 }
 
 impl PublishRegistry {
@@ -38,7 +34,6 @@ impl PublishRegistry {
         PublishRegistry {
             publish_reward,
             pages: HashMap::new(),
-            total_publishes: 0,
         }
     }
 
@@ -50,7 +45,6 @@ impl PublishRegistry {
         name: &str,
         cid: Cid,
         out_links: Vec<String>,
-        now: SimInstant,
     ) -> QbResult<Vec<Event>> {
         if name.is_empty() {
             return Err(QbError::ContractRevert(
@@ -77,10 +71,8 @@ impl PublishRegistry {
                 version,
                 creator,
                 out_links,
-                published_at: now,
             },
         );
-        self.total_publishes += 1;
         let mut events = vec![Event::PagePublished {
             creator,
             name: name.to_string(),
@@ -136,7 +128,6 @@ mod tests {
                 "site/home",
                 Cid::for_data(b"v1"),
                 vec!["site/about".into()],
-                SimInstant::ZERO,
             )
             .unwrap();
         assert_eq!(events.len(), 2);
@@ -157,7 +148,6 @@ mod tests {
             "p",
             Cid::for_data(b"a"),
             vec![],
-            SimInstant::ZERO,
         )
         .unwrap();
         reg.publish(
@@ -166,12 +156,10 @@ mod tests {
             "p",
             Cid::for_data(b"b"),
             vec![],
-            SimInstant::ZERO,
         )
         .unwrap();
         assert_eq!(reg.get("p").unwrap().version, 2);
         assert_eq!(reg.get("p").unwrap().cid, Cid::for_data(b"b"));
-        assert_eq!(reg.total_publishes, 2);
     }
 
     #[test]
@@ -184,7 +172,6 @@ mod tests {
             "p",
             Cid::for_data(b"a"),
             vec![],
-            SimInstant::ZERO,
         )
         .unwrap();
         let err = reg
@@ -194,7 +181,6 @@ mod tests {
                 "p",
                 Cid::for_data(b"x"),
                 vec![],
-                SimInstant::ZERO,
             )
             .unwrap_err();
         assert!(matches!(err, QbError::ContractRevert(_)));
@@ -206,14 +192,7 @@ mod tests {
         let mut reg = PublishRegistry::new(0);
         let mut accounts = Accounts::new();
         assert!(reg
-            .publish(
-                &mut accounts,
-                AccountId(1),
-                "",
-                Cid::for_data(b"a"),
-                vec![],
-                SimInstant::ZERO
-            )
+            .publish(&mut accounts, AccountId(1), "", Cid::for_data(b"a"), vec![])
             .is_err());
     }
 
@@ -228,7 +207,6 @@ mod tests {
                 "p",
                 Cid::for_data(b"a"),
                 vec![],
-                SimInstant::ZERO,
             )
             .unwrap();
         assert_eq!(events.len(), 1);

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 pub const STAKE_VAULT: AccountId = AccountId(2);
 
 /// State of the reward pool contract.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RewardPool {
     /// Bounty paid per accepted indexing claim.
     pub index_reward: u64,

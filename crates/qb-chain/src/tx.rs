@@ -5,7 +5,7 @@ use crate::contracts::ads::AdId;
 use qb_common::Cid;
 
 /// A call into one of the built-in QueenBee contracts.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Call {
     /// Plain honey transfer.
     Transfer { to: AccountId, amount: u64 },
@@ -75,7 +75,7 @@ pub enum Call {
 
 /// A signed transaction (signatures are modelled, not computed: the sender is
 /// authenticated by construction in the simulation).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transaction {
     /// Sending account.
     pub from: AccountId,
@@ -94,7 +94,7 @@ impl Transaction {
 
 /// Typed events appended to the chain's event log. Worker bees subscribe to
 /// these instead of crawling.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// Honey moved between accounts.
     Transferred {

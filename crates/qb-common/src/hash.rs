@@ -29,7 +29,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// A 256-bit digest. Used as the content identifier of blocks and pages, as
 /// DHT keys and as node identifiers (all share the same key space, exactly as
 /// in Kademlia-based systems such as IPFS).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Hash256(pub [u8; 32]);
 
 /// A digest is already uniform, so it hashes as its first eight bytes: a

@@ -11,9 +11,7 @@ use std::fmt;
 /// `index` is the handle used by the network simulator; the 256-bit `key` is
 /// the position of the node in the DHT key space (derived from the index so
 /// that simulations are deterministic).
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId {
     /// Dense index assigned by the simulator (0..n).
     pub index: u64,
@@ -44,9 +42,7 @@ impl fmt::Display for NodeId {
 /// Content identifier: the SHA-256 digest of the content bytes. Two contents
 /// are identical exactly when their `Cid`s are equal, which is the basis of
 /// the DWeb's tamper-proofness.
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cid(pub Hash256);
 
 impl Cid {
@@ -90,9 +86,7 @@ impl fmt::Display for Cid {
 
 /// A key in the DHT key space. Index shards, provider records and name
 /// registry pointers all map to `DhtKey`s.
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DhtKey(pub Hash256);
 
 impl DhtKey {

@@ -46,7 +46,7 @@ pub const CONTACT_BYTES: usize = 40;
 pub const MAX_ROUNDS: usize = 20;
 
 /// Tunable parameters of the DHT.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DhtConfig {
     /// Replication parameter: bucket size and number of storage replicas.
     pub k: usize,
@@ -63,7 +63,7 @@ pub struct DhtConfig {
 /// every hedge is charged to [`qb_simnet::NetStats`] like any other RPC
 /// and attributed under `hedges_fired` / `hedges_won` /
 /// `hedges_wasted_bytes`.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HedgeConfig {
     /// Master switch. Off keeps the lookup path byte-identical to the
     /// unhedged machine.

@@ -114,8 +114,6 @@ pub struct HedgeStats {
     pub fetches: u64,
     /// Hedges the origin fired.
     pub hedges: u64,
-    /// Successful RTT samples backing the origin's adaptive p95.
-    pub rtt_samples: u64,
 }
 
 /// What a [`DhtNetwork::lookup_poll`] call observed.
@@ -230,8 +228,6 @@ pub struct LookupMachine {
     /// and cancels every loser still in flight. Unarmed lookups keep the
     /// baseline drain-every-completion semantics bit for bit.
     armed: bool,
-    /// Did this lookup fire a hedge?
-    hedged: bool,
     /// Does the walk leave its `k` closest in the network's `found` list
     /// when it finishes? Only the node walk under a store round or a
     /// provider search does.
@@ -387,7 +383,6 @@ impl DhtNetwork {
             hedging: config.hedge.enabled,
             hedge_deadline: None,
             armed: false,
-            hedged: false,
             keeps_closest: false,
             result: None,
         };
@@ -665,7 +660,6 @@ impl DhtNetwork {
             return;
         }
         h.hedges += 1;
-        machine.hedged = true;
         net.record_hedge_fired();
         let generation = machine.hops.max(1);
         let hop_span = net

@@ -109,7 +109,6 @@ impl DhtNetwork {
             .map(|h| crate::lookup::HedgeStats {
                 fetches: h.fetches,
                 hedges: h.hedges,
-                rtt_samples: h.rtt.count(),
             })
             .unwrap_or_default()
     }
@@ -1010,10 +1009,11 @@ mod tests {
                 records.push(got.record);
             }
             let stats = net.stats().clone();
-            (total, records, stats, dht.hedge_stats(40))
+            let rtt_samples = dht.hedge.get(&40).map_or(0, |h| h.rtt.count());
+            (total, records, stats, dht.hedge_stats(40), rtt_samples)
         };
-        let (slow, base_records, base_stats, _) = run(false);
-        let (fast, hedged_records, hedged_stats, origin) = run(true);
+        let (slow, base_records, base_stats, _, _) = run(false);
+        let (fast, hedged_records, hedged_stats, origin, rtt_samples) = run(true);
         // Hedge traffic is real and attributed.
         assert_eq!(base_stats.hedges_fired, 0);
         assert!(hedged_stats.hedges_fired > 0, "no hedge fired");
@@ -1021,7 +1021,7 @@ mod tests {
         // Nearly every get hits the network (a handful short-circuit when
         // the reader happens to be a natural replica of the key).
         assert!(origin.fetches >= 20, "fetches = {}", origin.fetches);
-        assert!(origin.rtt_samples > 0);
+        assert!(rtt_samples > 0);
         // The race never changes what a read returns: byte-identical
         // records with hedging on and off.
         assert_eq!(base_records, hedged_records);

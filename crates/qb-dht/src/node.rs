@@ -9,7 +9,7 @@ use std::collections::hash_map::Entry;
 /// A value stored in the DHT under a key. A stored record is permanent: it
 /// lives on its replicas until a higher [`Record::version`] replaces it.
 /// Nothing expires, and so nothing has to republish to stay readable.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Key under which the record is stored.
     pub key: DhtKey,

@@ -15,8 +15,6 @@ pub struct PublishOutcome {
     pub object: ObjectRef,
     /// Storage/replication cost accounting.
     pub stats: FetchStats,
-    /// The version number assigned by the registry (after the next seal).
-    pub registered_name: String,
 }
 
 /// Publish (create or update) a page from peer `peer` owned by `creator`:
@@ -43,11 +41,7 @@ pub fn publish_page(
             out_links: page.out_links.clone(),
         },
     );
-    Ok(PublishOutcome {
-        object,
-        stats,
-        registered_name: page.name.clone(),
-    })
+    Ok(PublishOutcome { object, stats })
 }
 
 /// Fetch a page by content cid and verify it (the caller holds a registry
@@ -122,8 +116,9 @@ mod tests {
             &page,
         )
         .unwrap();
-        assert_eq!(outcome.registered_name, "site/home");
         chain.seal_block(SimInstant::ZERO);
+        let record = chain.publish_registry().get("site/home").unwrap();
+        assert_eq!(record.cid, outcome.object.root);
         let (fetched, stats) =
             fetch_page(&mut net, &mut dht, &mut storage, &chain, 15, "site/home").unwrap();
         assert_eq!(fetched, page);

@@ -3,7 +3,7 @@
 use qb_common::{QbError, QbResult};
 
 /// A page on the decentralized web.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WebPage {
     /// Stable page name, e.g. `"wiki/decentralized-web"`.
     pub name: String,

@@ -1200,11 +1200,12 @@ mod tests {
         fleet.run_round(&mut net, now, false);
         // Nobody advertises an artifact: the join probes, then warms the
         // classic way.
+        let probed_before = fleet.stats().segment_advert_bytes;
         let (idx, report) = fleet
             .join_with_segment(&mut net, &mut dht, &mut storage, 9, now)
             .unwrap();
         assert!(!report.used_segment);
-        assert!(report.advert_probes > 0);
+        assert!(fleet.stats().segment_advert_bytes > probed_before);
         assert_eq!(report.imported.accepted, 0);
         assert_eq!(
             fleet.frontend(idx).cache().cached_shard_version("honey"),

@@ -191,7 +191,6 @@ impl GossipFleet {
             let advert = self.frontends[j].segment_advert;
             let reply_bytes =
                 advert.map_or(SEGMENT_PROBE_EMPTY_REPLY_BYTES, |s| s.wire_bytes() as usize);
-            report.advert_probes += 1;
             if net
                 .rpc(peer, cand_peer, SEGMENT_PROBE_BYTES, reply_bytes)
                 .is_err()
@@ -237,8 +236,6 @@ pub struct SegmentBootstrapReport {
     pub used_segment: bool,
     /// Generation of the imported artifact (0 when none).
     pub generation: u64,
-    /// Neighbours probed for a segment pointer.
-    pub advert_probes: u64,
     /// Network bytes the artifact fetch reported (pointer + blocks).
     pub fetch_bytes: u64,
     /// RPC attempts the artifact fetch reported.

@@ -5,7 +5,7 @@ use std::fmt;
 /// Cumulative counters of the gossip overlay. Byte counters mirror exactly
 /// what was charged to the simulated network, so experiment tables can
 /// report gossip overhead next to the DHT traffic it saves.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GossipStats {
     /// Hot-set gossip rounds run.
     pub rounds: u64,

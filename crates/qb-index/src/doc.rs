@@ -13,7 +13,7 @@ pub fn doc_id_for_name(name: &str) -> u64 {
 }
 
 /// Metadata of one indexed document (page version).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DocMeta {
     /// Page name, shared with every hit that names the page.
     pub name: Arc<str>,
@@ -26,7 +26,7 @@ pub struct DocMeta {
 }
 
 /// Document table: doc id → metadata, plus the aggregates BM25 needs.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DocTable {
     docs: HashMap<u64, DocMeta>,
     total_length: u64,

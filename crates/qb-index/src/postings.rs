@@ -3,7 +3,7 @@
 use qb_common::varint;
 
 /// One posting: a document containing the term, with its term frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
     /// Document identifier.
     pub doc_id: u64,
@@ -12,7 +12,7 @@ pub struct Posting {
 }
 
 /// A posting list sorted by ascending document id.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PostingList {
     postings: Vec<Posting>,
 }

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How multi-term queries combine their terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryMode {
     /// Documents must contain every term (the frontend default: "intersecting
     /// the matched inverted lists").
@@ -19,7 +19,7 @@ pub enum QueryMode {
 }
 
 /// A parsed query.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
     /// Analyzed query terms (deduplicated, order preserved).
     pub terms: Vec<String>,
@@ -46,7 +46,7 @@ impl Query {
 }
 
 /// One search result.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoredDoc {
     /// Document id.
     pub doc_id: u64,

@@ -1,7 +1,7 @@
 //! Relevance scoring: BM25, blended with a static page rank.
 
 /// Okapi BM25.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Bm25 {
     /// Term-frequency saturation parameter.
     pub k1: f64,

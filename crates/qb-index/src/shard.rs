@@ -22,7 +22,7 @@ use qb_trace::SpanId;
 use std::sync::Arc;
 
 /// One posting within a shard, carrying everything needed for scoring.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPosting {
     /// Document id (hash of the page name).
     pub doc_id: u64,
@@ -40,7 +40,7 @@ pub struct ShardPosting {
 }
 
 /// A term's shard.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardEntry {
     /// The term this shard belongs to.
     pub term: String,
@@ -233,7 +233,7 @@ fn decode_str_ref(data: &[u8], pos: usize) -> QbResult<(&str, usize)> {
 }
 
 /// Global collection statistics needed by BM25, stored as a small DHT record.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Number of indexed documents.
     pub num_docs: u64,
@@ -279,7 +279,7 @@ impl IndexStats {
 }
 
 /// Cost accounting of a distributed index operation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexOpCost {
     /// End-to-end latency.
     pub latency: SimDuration,

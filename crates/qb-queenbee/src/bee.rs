@@ -36,8 +36,6 @@ pub struct WorkerBee {
     pub account: AccountId,
     /// Behaviour (honest / colluding / lazy).
     pub behaviour: BeeBehaviour,
-    /// Pages indexed by this bee (accepted submissions).
-    pub pages_indexed: u64,
     /// Honey-earning tasks accepted.
     pub tasks_rewarded: u64,
     /// Number of times this bee was flagged by verification.
@@ -51,7 +49,6 @@ impl WorkerBee {
             peer,
             account,
             behaviour: BeeBehaviour::Honest,
-            pages_indexed: 0,
             tasks_rewarded: 0,
             times_flagged: 0,
         }

@@ -99,7 +99,7 @@ pub fn verify_index_submissions<T: Copy + Ord>(
 pub const MINHASH_HASHES: usize = 64;
 
 /// MinHash signature of a page body, used for near-duplicate detection.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinHashSignature {
     values: Vec<u64>,
 }

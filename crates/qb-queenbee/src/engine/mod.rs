@@ -346,6 +346,31 @@ mod tests {
     }
 
     #[test]
+    fn a_page_published_without_a_seal_is_indexed_by_the_next_batch() {
+        let mut qb = engine();
+        qb.publish(
+            1,
+            AccountId(1_000),
+            &page("wiki/late", "unsealed meadow clover", vec![]),
+        )
+        .unwrap();
+        // Nothing is sealed yet, so the batch finds nothing; its closing
+        // seal applies the queued publish and logs the event.
+        assert_eq!(qb.process_publish_events().unwrap(), 0);
+        assert_eq!(
+            qb.chain
+                .publish_registry()
+                .get("wiki/late")
+                .map(|r| r.version),
+            Some(1)
+        );
+        assert_eq!(qb.process_publish_events().unwrap(), 1);
+        let out = qb.search_request(from_peer(5, "clover")).unwrap();
+        assert_eq!(out.hits.len(), 1);
+        assert_eq!(&*out.hits[0].name, "wiki/late");
+    }
+
+    #[test]
     fn publish_index_search_round_trip() {
         let mut qb = engine();
         let creator = AccountId(1_000);
@@ -522,7 +547,7 @@ mod tests {
         let colluder_assigned = qb
             .bees()
             .iter()
-            .any(|b| b.is_colluding() && b.pages_indexed + b.times_flagged > 0);
+            .any(|b| b.is_colluding() && b.tasks_rewarded + b.times_flagged > 0);
         if colluder_assigned {
             assert!(flagged > 0);
         }

@@ -273,7 +273,6 @@ impl QueenBee {
                 if flagged.contains(&local) {
                     continue;
                 }
-                self.bees[bee_idx].pages_indexed += 1;
                 self.bees[bee_idx].tasks_rewarded += 1;
                 let account = self.bees[bee_idx].account;
                 self.chain.submit_call(
@@ -298,8 +297,9 @@ impl QueenBee {
                 .write_stats(&mut self.net, &mut self.dht, peer, &stats)?;
             self.maybe_compact_segments()?;
         }
+        // The cursor stays at `end`: the closing seal may apply a publish
+        // queued before this batch, and the next batch must read its event.
         self.chain.seal_block(self.net.now());
-        self.event_cursor = self.chain.events().len();
         Ok(handled)
     }
 

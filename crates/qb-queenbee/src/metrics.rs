@@ -64,7 +64,7 @@ impl fmt::Display for CacheReport {
 /// intersect/score CPU actually ran, how many scored lists the result tier
 /// had built, and how much traffic went through the pipeline.
 /// Returned by [`crate::QueenBee::query_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryEngineStats {
     /// Intersect+score computations: one for each query that neither the
     /// result tier answered nor [`window_memo_hits`](Self::window_memo_hits)
@@ -146,17 +146,16 @@ pub fn gini_coefficient(values: &[u64]) -> f64 {
     }
     let mut cumulative = 0.0;
     let mut weighted = 0.0;
-    for (i, v) in sorted.iter().enumerate() {
+    for v in &sorted {
         cumulative += v;
         weighted += cumulative;
-        let _ = i;
     }
     // Gini = (n + 1 - 2 * sum_i cum_i / total) / n
     ((n + 1.0) - 2.0 * (weighted / total)) / n
 }
 
 /// Honey held by each stakeholder class, used by the incentive experiment.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HoneyByRole {
     /// Content creators' total balance.
     pub creators: u64,

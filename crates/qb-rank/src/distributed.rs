@@ -14,7 +14,7 @@ use crate::pagerank::{pagerank, DAMPING, MAX_ITERATIONS, TOLERANCE};
 use std::collections::BTreeSet;
 
 /// How a bee behaves when asked to compute a rank block.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BeeRankBehaviour {
     /// Computes the block correctly.
     Honest,
@@ -42,7 +42,7 @@ pub struct RankRoundReport {
 }
 
 /// Configuration of the decentralized computation.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecentralizedPageRank {
     /// Number of graph blocks.
     pub num_blocks: usize,

@@ -1,13 +1,11 @@
 //! Writer-side segment accumulation and compaction policy.
 
-use serde::{Deserialize, Serialize};
-
 /// When enabled, the writer path accumulates every shard it writes into a
 /// pending [`crate::Segment`] and compacts (merge + publish) once the
 /// pending artifact crosses either threshold — replacing per-term
 /// read-modify-write with one bulk artifact that joiners can bootstrap
 /// from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentConfig {
     /// Master switch; disabled keeps the writer on the legacy per-term
     /// path only.

@@ -2,7 +2,6 @@
 //! import), exported into the unified metrics namespace as `segment.*`.
 
 use qb_trace::{MetricsSnapshot, MetricsSource};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::segment::ImportReport;
@@ -11,7 +10,7 @@ use crate::segment::ImportReport;
 /// *reported* costs of segment operations; the authoritative charge is
 /// `NetStats` on the simulated network, which E16 cross-checks so segment
 /// traffic is never free.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegmentStats {
     /// Artifacts published into the storage DAG + DHT pointer.
     pub segments_published: u64,

@@ -8,7 +8,7 @@ use qb_common::{DetRng, SimDuration};
 /// (tens of milliseconds between zones, a few milliseconds within a zone),
 /// matching the DWeb setting of the paper where peers are end-user devices
 /// scattered across the Internet.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub enum LatencyModel {
     /// Fixed latency for every message.
     Constant { micros: u64 },

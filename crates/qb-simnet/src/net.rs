@@ -7,7 +7,7 @@ use qb_common::{DetRng, IdHashMap, QbError, SimDuration, SimInstant};
 use qb_trace::{SpanId, Tracer};
 
 /// Static configuration of a simulated network.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetConfig {
     /// One-way latency model between peers.
     pub latency: LatencyModel,

@@ -1,7 +1,7 @@
 //! Traffic accounting used by the experiment harness.
 
 /// Cumulative traffic counters maintained by [`crate::SimNet`].
-#[derive(Debug, Default, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct NetStats {
     /// Individual messages put on the wire (an RPC counts as two).
     pub messages: u64,

@@ -7,7 +7,7 @@
 //! whole page.
 
 /// Chunker parameters.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChunkerConfig {
     /// Minimum chunk size in bytes.
     pub min_size: usize,

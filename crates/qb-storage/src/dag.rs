@@ -29,11 +29,6 @@ impl Manifest {
         }
     }
 
-    /// Number of chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Serialize to bytes (deterministic binary format).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + 10 + self.chunks.len() * CID_BYTES);
@@ -130,7 +125,7 @@ mod tests {
     fn round_trip() {
         let chunks = vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()];
         let m = manifest_of(&chunks);
-        assert_eq!(m.chunk_count(), 3);
+        assert_eq!(m.chunks.len(), 3);
         assert_eq!(m.total_len, 11);
         let decoded = Manifest::decode(&m.encode()).unwrap();
         assert_eq!(decoded, m);
@@ -160,7 +155,7 @@ mod tests {
     fn empty_object_manifest() {
         let m = manifest_of(&[Vec::new()]);
         assert_eq!(m.total_len, 0);
-        assert_eq!(m.chunk_count(), 1);
+        assert_eq!(m.chunks.len(), 1);
         let decoded = Manifest::decode(&m.encode()).unwrap();
         assert_eq!(decoded, m);
     }

@@ -13,7 +13,7 @@ use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 /// Storage layer configuration.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StorageConfig {
     /// Number of peers an object is pinned on (including the publisher).
     pub replication: usize,
@@ -45,7 +45,7 @@ impl StorageConfig {
 }
 
 /// Reference to a stored object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectRef {
     /// Root cid (cid of the manifest block).
     pub root: Cid,
@@ -56,7 +56,7 @@ pub struct ObjectRef {
 }
 
 /// Cost accounting of a publish or fetch operation.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FetchStats {
     /// End-to-end latency charged to the caller.
     pub latency: SimDuration,
@@ -64,8 +64,6 @@ pub struct FetchStats {
     pub messages: u64,
     /// Payload bytes moved across the network.
     pub bytes: u64,
-    /// Blocks served from the local cache/pinned store.
-    pub cache_hits: u64,
     /// Blocks that failed hash verification (tampering detected).
     pub integrity_failures: u64,
     /// True when the whole object was served locally.
@@ -497,7 +495,6 @@ impl StorageNetwork {
         // Fast path: everything is already local.
         if let Some((manifest, blocks)) = self.holds_object(from, &root) {
             stats.from_local = true;
-            stats.cache_hits = 1 + manifest.chunk_count() as u64;
             let mut data = Vec::with_capacity(manifest.total_len as usize);
             for b in blocks {
                 data.extend_from_slice(b.data());
@@ -529,12 +526,10 @@ impl StorageNetwork {
         let mut data = Vec::with_capacity(manifest.total_len as usize);
         for chunk_cid in &manifest.chunks {
             if let Some(local) = self.caches[from as usize].get_touch(chunk_cid) {
-                stats.cache_hits += 1;
                 data.extend_from_slice(local.data());
                 continue;
             }
             if let Some(pinned) = self.pinned_block(from, chunk_cid).cloned() {
-                stats.cache_hits += 1;
                 data.extend_from_slice(pinned.data());
                 continue;
             }
@@ -1431,7 +1426,7 @@ mod tests {
             let object = ObjectRef {
                 root,
                 total_len: manifest.total_len,
-                chunk_count: manifest.chunk_count(),
+                chunk_count: manifest.chunks.len(),
             };
             let blocks: Vec<Block> = std::iter::once(manifest_block).chain(chunks).collect();
             self.pin(from, &blocks);
@@ -1492,16 +1487,14 @@ mod tests {
             let mut stats = FetchStats::default();
             let local = self.block_on_peer(from, &root).and_then(|manifest| {
                 let manifest = Manifest::decode(manifest.data()).ok()?;
-                let blocks: Option<Vec<Block>> = manifest
+                manifest
                     .chunks
                     .iter()
                     .map(|c| self.block_on_peer(from, c))
-                    .collect();
-                Some((manifest, blocks?))
+                    .collect::<Option<Vec<Block>>>()
             });
-            if let Some((manifest, blocks)) = local {
+            if let Some(blocks) = local {
                 stats.from_local = true;
-                stats.cache_hits = 1 + manifest.chunk_count() as u64;
                 return Ok((
                     blocks.iter().flat_map(|b| b.data().to_vec()).collect(),
                     stats,
@@ -1529,12 +1522,10 @@ mod tests {
             let mut data = Vec::new();
             for cid in &manifest.chunks {
                 if let Some(local) = self.caches[from as usize].get_touch(cid) {
-                    stats.cache_hits += 1;
                     data.extend_from_slice(local.data());
                     continue;
                 }
                 if let Some(pinned) = self.pinned[from as usize].get(cid) {
-                    stats.cache_hits += 1;
                     data.extend_from_slice(pinned.data());
                     continue;
                 }

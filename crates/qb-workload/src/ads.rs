@@ -6,7 +6,7 @@ use crate::zipf::ZipfSampler;
 use qb_common::DetRng;
 
 /// Specification of one campaign an advertiser will open on the ad contract.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdSpec {
     /// Advertiser account id.
     pub advertiser: u64,

@@ -9,7 +9,7 @@ use qb_dweb::WebPage;
 pub const CREATOR_ACCOUNT_BASE: u64 = 1_000;
 
 /// Corpus generation parameters.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorpusConfig {
     /// Number of pages.
     pub num_pages: usize,

@@ -20,7 +20,6 @@ pub fn generate_links(
     }
     // in_degree[i] + 1 is the attachment weight.
     let mut weights: Vec<u64> = vec![1; n];
-    let mut total_weight: u64 = n as u64;
 
     for i in 1..n {
         let k = 1 + rng.gen_index(avg_out_links * 2); // 1..=2*avg, mean ~avg
@@ -41,12 +40,10 @@ pub fn generate_links(
             if !chosen.contains(&pick) {
                 chosen.push(pick);
                 weights[pick] += 1;
-                total_weight += 1;
             }
         }
         out[i] = chosen.iter().map(|&j| names[j].clone()).collect();
     }
-    let _ = total_weight;
     out
 }
 

@@ -107,7 +107,7 @@ fn main() {
                     .any(|r| *r.name == **name && r.version >= cur_version) => {}
             _ => qb_stale += 1,
         }
-        match central.search(&marker, 5.0, last) {
+        match central.search(&marker, 5.0) {
             Ok((results, _))
                 if results
                     .iter()

@@ -62,12 +62,12 @@ fn crawling_baselines_lag_until_next_crawl() {
     // The page updates 10 minutes later; the next crawl is not due.
     let t_update = now + SimDuration::from_secs(600);
     assert!(!central.maybe_crawl(&v2, t_update));
-    let (results, _) = central.search("turnips", 1.0, t_update).expect("search");
+    let (results, _) = central.search("turnips", 1.0).expect("search");
     assert_eq!(results[0].version, 1, "centralized index is stale");
     // After the crawl interval it catches up.
     let t_later = now + SimDuration::from_secs(4_000);
     assert!(central.maybe_crawl(&v2, t_later));
-    let (results, _) = central.search("xylophones", 1.0, t_later).expect("search");
+    let (results, _) = central.search("xylophones", 1.0).expect("search");
     assert_eq!(results[0].version, 2);
 
     // YaCy-style engine behaves the same way.
@@ -96,9 +96,7 @@ fn centralized_engine_fails_under_ddos_while_queenbee_keeps_serving() {
         SimInstant::ZERO,
     );
     central.attack_load_qps = 10_000.0;
-    assert!(central
-        .search("decentralized", 5.0, SimInstant::ZERO)
-        .is_err());
+    assert!(central.search("decentralized", 5.0).is_err());
 
     let mut qb = small_engine(11);
     publish_and_index(
