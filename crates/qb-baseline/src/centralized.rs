@@ -1,6 +1,6 @@
 //! The centralized ("Web 2.0") search engine baseline.
 
-use crate::CrawlDoc;
+use crate::{CrawlDoc, TOP_K};
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_index::{search, Analyzer, Bm25, InvertedIndex, Query, QueryMode, ScoredDoc};
 
@@ -15,15 +15,12 @@ pub const CAPACITY_QPS: f64 = 200.0;
 pub struct CentralizedConfig {
     /// How often the crawler re-crawls the whole corpus.
     pub crawl_interval: SimDuration,
-    /// Results returned per query.
-    pub top_k: usize,
 }
 
 impl Default for CentralizedConfig {
     fn default() -> Self {
         CentralizedConfig {
             crawl_interval: SimDuration::from_secs(3_600),
-            top_k: 10,
         }
     }
 }
@@ -100,14 +97,7 @@ impl CentralizedEngine {
             )));
         }
         let query = Query::parse(&self.analyzer, query_text, QueryMode::And)?;
-        let results = search(
-            &self.index,
-            &query,
-            &Bm25::default(),
-            None,
-            0.0,
-            self.config.top_k,
-        );
+        let results = search(&self.index, &query, &Bm25::default(), None, 0.0, TOP_K);
         let utilization = (total_load / CAPACITY_QPS).min(0.99);
         let latency_us = BASE_LATENCY.as_micros() as f64 / (1.0 - utilization).max(0.01);
         Ok((results, SimDuration::from_micros(latency_us as u64)))
@@ -151,7 +141,6 @@ mod tests {
     fn maybe_crawl_respects_interval() {
         let mut e = CentralizedEngine::new(CentralizedConfig {
             crawl_interval: SimDuration::from_secs(100),
-            ..CentralizedConfig::default()
         });
         assert!(e.maybe_crawl(&docs(), SimInstant::ZERO));
         assert!(!e.maybe_crawl(&docs(), SimInstant::ZERO + SimDuration::from_secs(50)));

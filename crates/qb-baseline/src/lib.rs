@@ -18,6 +18,9 @@ pub mod yacy;
 pub use centralized::{CentralizedConfig, CentralizedEngine};
 pub use yacy::{YacyConfig, YacyEngine};
 
+/// Results either baseline returns per query.
+pub const TOP_K: usize = 10;
+
 /// A snapshot of one page for a crawler: name, current version, creator and
 /// searchable text.
 #[derive(Debug, Clone, PartialEq, Eq)]

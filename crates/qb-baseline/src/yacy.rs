@@ -2,28 +2,25 @@
 //! over peers by term hash, but content is discovered by periodic crawling
 //! and there are no incentives and no verification.
 
-use crate::CrawlDoc;
+use crate::{CrawlDoc, TOP_K};
 use qb_common::{Hash256, QbError, QbResult, SimDuration, SimInstant};
 use qb_index::{Analyzer, Bm25, InvertedIndex, Query, QueryMode, ScoredDoc};
 use qb_simnet::{parallel_latency, SimNet};
 
+/// Number of index peers (peers `0..NUM_PEERS` of the simulated network).
+pub const NUM_PEERS: usize = 16;
+
 /// Configuration of the YaCy-style baseline.
 #[derive(Debug, Clone)]
 pub struct YacyConfig {
-    /// Number of index peers (peers `0..num_peers` of the simulated network).
-    pub num_peers: usize,
     /// How often each peer re-crawls its share of the corpus.
     pub crawl_interval: SimDuration,
-    /// Results returned per query.
-    pub top_k: usize,
 }
 
 impl Default for YacyConfig {
     fn default() -> Self {
         YacyConfig {
-            num_peers: 16,
             crawl_interval: SimDuration::from_secs(3_600),
-            top_k: 10,
         }
     }
 }
@@ -44,23 +41,16 @@ impl YacyEngine {
     pub fn new(config: YacyConfig) -> YacyEngine {
         YacyEngine {
             analyzer: Analyzer::new(),
-            peer_indexes: (0..config.num_peers)
-                .map(|_| InvertedIndex::new())
-                .collect(),
+            peer_indexes: (0..NUM_PEERS).map(|_| InvertedIndex::new()).collect(),
             last_crawl: None,
             config,
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &YacyConfig {
-        &self.config
-    }
-
     /// Which peer is responsible for a term.
     pub fn peer_for_term(&self, term: &str) -> u64 {
         let [x, ..] = Hash256::digest_parts(&[b"yacy:", term.as_bytes()]).words();
-        x % self.config.num_peers as u64
+        x % NUM_PEERS as u64
     }
 
     /// Crawl the corpus: every document is analyzed once and each term's
@@ -174,7 +164,7 @@ impl YacyEngine {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.doc_id.cmp(&b.doc_id))
         });
-        results.truncate(self.config.top_k);
+        results.truncate(TOP_K);
         Ok((results, parallel_latency(&latencies), messages))
     }
 }
@@ -203,10 +193,7 @@ mod tests {
 
     fn setup() -> (SimNet, YacyEngine) {
         let net = SimNet::new(32, NetConfig::lan(), 1);
-        let engine = YacyEngine::new(YacyConfig {
-            num_peers: 16,
-            ..YacyConfig::default()
-        });
+        let engine = YacyEngine::new(YacyConfig::default());
         (net, engine)
     }
 
@@ -231,7 +218,7 @@ mod tests {
             .map(|i| e.peer_for_term(&format!("term{i}")))
             .collect();
         assert!(peers.len() > 4, "terms should spread over peers");
-        assert!(peers.iter().all(|&p| p < 16));
+        assert!(peers.iter().all(|&p| p < NUM_PEERS as u64));
     }
 
     #[test]

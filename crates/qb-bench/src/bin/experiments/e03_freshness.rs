@@ -82,9 +82,7 @@ pub fn run() -> Vec<Table> {
         .iter()
         .map(|(_, interval)| {
             YacyEngine::new(YacyConfig {
-                num_peers: 16,
                 crawl_interval: *interval,
-                ..YacyConfig::default()
             })
         })
         .collect();
@@ -93,7 +91,6 @@ pub fn run() -> Vec<Table> {
         .map(|(_, interval)| {
             CentralizedEngine::new(CentralizedConfig {
                 crawl_interval: *interval,
-                ..CentralizedConfig::default()
             })
         })
         .collect();

@@ -80,6 +80,7 @@ impl CacheConfig {
     }
 
     /// A small enabled configuration for unit tests.
+    #[cfg(test)]
     pub fn small() -> CacheConfig {
         CacheConfig {
             enabled: true,

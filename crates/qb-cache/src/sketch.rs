@@ -2,17 +2,21 @@
 //!
 //! Four rows of 8-bit saturating counters, indexed by four independent
 //! mixes of the key hash; the estimate is the minimum across rows
-//! (count-min). After `ops_before_aging` increments every counter is halved,
+//! (count-min). After `OPS_BEFORE_AGING` increments every counter is halved,
 //! so the sketch tracks *recent* popularity rather than all-time counts —
 //! the "reset" operation of the TinyLFU paper.
+
+/// Counters per row (a power of two).
+const WIDTH: usize = 1024;
+
+/// Increments after which every counter is halved.
+const OPS_BEFORE_AGING: u64 = WIDTH as u64 * 10;
 
 /// Frequency sketch with saturating 8-bit counters and periodic aging.
 #[derive(Debug, Clone)]
 pub struct FreqSketch {
     rows: [Vec<u8>; 4],
-    mask: u64,
     ops: u64,
-    ops_before_aging: u64,
 }
 
 const SEEDS: [u64; 4] = [
@@ -40,25 +44,23 @@ pub fn hash_key(key: &str) -> u64 {
 }
 
 impl FreqSketch {
-    /// Build a sketch with roughly `entries` counters per row.
-    pub fn new(entries: usize) -> FreqSketch {
-        let width = entries.next_power_of_two().max(64);
+    /// Build a sketch with every counter at zero.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> FreqSketch {
         FreqSketch {
-            rows: std::array::from_fn(|_| vec![0u8; width]),
-            mask: (width - 1) as u64,
+            rows: std::array::from_fn(|_| vec![0u8; WIDTH]),
             ops: 0,
-            ops_before_aging: (width as u64) * 10,
         }
     }
 
     /// Record one occurrence of the key.
     pub fn record(&mut self, hash: u64) {
         for (i, row) in self.rows.iter_mut().enumerate() {
-            let idx = (mix(hash, SEEDS[i]) & self.mask) as usize;
+            let idx = (mix(hash, SEEDS[i]) % WIDTH as u64) as usize;
             row[idx] = row[idx].saturating_add(1);
         }
         self.ops += 1;
-        if self.ops >= self.ops_before_aging {
+        if self.ops >= OPS_BEFORE_AGING {
             self.age();
         }
     }
@@ -68,7 +70,7 @@ impl FreqSketch {
         self.rows
             .iter()
             .enumerate()
-            .map(|(i, row)| row[(mix(hash, SEEDS[i]) & self.mask) as usize] as u32)
+            .map(|(i, row)| row[(mix(hash, SEEDS[i]) % WIDTH as u64) as usize] as u32)
             .min()
             .unwrap_or(0)
     }
@@ -89,7 +91,7 @@ mod tests {
 
     #[test]
     fn estimates_track_recorded_frequency() {
-        let mut s = FreqSketch::new(256);
+        let mut s = FreqSketch::new();
         let hot = hash_key("hot-term");
         let cold = hash_key("cold-term");
         for _ in 0..20 {
@@ -103,7 +105,7 @@ mod tests {
 
     #[test]
     fn counters_saturate_instead_of_wrapping() {
-        let mut s = FreqSketch::new(64);
+        let mut s = FreqSketch::new();
         let k = hash_key("k");
         for _ in 0..500 {
             s.record(k);
@@ -114,7 +116,7 @@ mod tests {
 
     #[test]
     fn aging_halves_counts() {
-        let mut s = FreqSketch::new(64);
+        let mut s = FreqSketch::new();
         let k = hash_key("aging");
         for _ in 0..40 {
             s.record(k);

@@ -87,7 +87,7 @@ impl<V> CacheTier<V> {
             tick: 0,
             last_id: 0,
             bytes: 0,
-            sketch: FreqSketch::new(1024),
+            sketch: FreqSketch::new(),
             generation: 0,
             popularity_epoch: 0,
             metrics: TierMetrics::default(),

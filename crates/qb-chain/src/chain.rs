@@ -18,28 +18,6 @@ pub const VALIDATORS: [AccountId; 3] = [AccountId(900), AccountId(901), AccountI
 /// Maximum transactions sealed per block.
 pub const MAX_TXS_PER_BLOCK: usize = 10_000;
 
-/// Honey paid to the creator per accepted publish.
-pub const PUBLISH_REWARD: u64 = 100;
-
-/// Bounty per accepted indexing claim.
-pub const INDEX_REWARD: u64 = 50;
-
-/// Bounty per accepted ranking claim.
-pub const RANK_REWARD: u64 = 50;
-
-/// Honey paid per popularity payout.
-pub const POPULARITY_REWARD: u64 = 500;
-
-/// PageRank (parts per million) a page must exceed to earn its creator a
-/// popularity payout.
-pub const POPULARITY_THRESHOLD_PPM: u64 = 2_000;
-
-/// Creator share of each ad click, percent.
-pub const CREATOR_SHARE_PCT: u64 = 60;
-
-/// Worker-bee share of each ad click, percent (the treasury keeps the rest).
-pub const BEE_SHARE_PCT: u64 = 30;
-
 /// Aggregate chain statistics used by the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChainStats {
@@ -73,14 +51,9 @@ impl Blockchain {
     pub fn new() -> Blockchain {
         Blockchain {
             accounts: Accounts::with_genesis_supply(GENESIS_SUPPLY),
-            publish: PublishRegistry::new(PUBLISH_REWARD),
-            ads: AdMarket::new(CREATOR_SHARE_PCT, BEE_SHARE_PCT),
-            rewards: RewardPool::new(
-                INDEX_REWARD,
-                RANK_REWARD,
-                POPULARITY_REWARD,
-                POPULARITY_THRESHOLD_PPM,
-            ),
+            publish: PublishRegistry::default(),
+            ads: AdMarket::new(),
+            rewards: RewardPool::new(),
             blocks: Vec::new(),
             mempool: VecDeque::new(),
             events: Vec::new(),
@@ -296,6 +269,7 @@ impl Blockchain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PUBLISH_REWARD;
     use proptest::prelude::*;
     use qb_common::Cid;
 

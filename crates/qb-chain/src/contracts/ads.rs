@@ -14,6 +14,17 @@ use std::collections::HashMap;
 /// Escrow account holding advertiser budgets.
 pub const AD_ESCROW: AccountId = AccountId(1);
 
+/// Creator share of each ad click, percent.
+pub const CREATOR_SHARE_PCT: u64 = 60;
+
+/// Worker-bee share of each ad click, percent (the treasury keeps the rest).
+pub const BEE_SHARE_PCT: u64 = 30;
+
+const _: () = assert!(
+    CREATOR_SHARE_PCT + BEE_SHARE_PCT <= 100,
+    "revenue shares exceed 100%"
+);
+
 /// Identifier of an ad campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AdId(pub u64);
@@ -42,13 +53,9 @@ impl AdCampaign {
     }
 }
 
-/// Revenue split configuration and campaign state.
+/// Campaign state of the ad market.
 #[derive(Debug, Clone)]
 pub struct AdMarket {
-    /// Percentage of each click paid to the creator of the organic result.
-    pub creator_share_pct: u64,
-    /// Percentage of each click paid to the worker bee serving the index.
-    pub bee_share_pct: u64,
     campaigns: HashMap<AdId, AdCampaign>,
     next_id: u64,
     /// Total click revenue charged so far.
@@ -56,16 +63,10 @@ pub struct AdMarket {
 }
 
 impl AdMarket {
-    /// Create a market with the given revenue split (the remainder of each
-    /// click goes to the treasury). Shares must sum to at most 100.
-    pub fn new(creator_share_pct: u64, bee_share_pct: u64) -> AdMarket {
-        assert!(
-            creator_share_pct + bee_share_pct <= 100,
-            "revenue shares exceed 100%"
-        );
+    /// Create a market with no campaigns.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> AdMarket {
         AdMarket {
-            creator_share_pct,
-            bee_share_pct,
             campaigns: HashMap::new(),
             next_id: 1,
             total_revenue: 0,
@@ -127,8 +128,6 @@ impl AdMarket {
         page_creator: AccountId,
         serving_bee: AccountId,
     ) -> QbResult<Vec<Event>> {
-        let creator_pct = self.creator_share_pct;
-        let bee_pct = self.bee_share_pct;
         let campaign = self
             .campaigns
             .get_mut(&ad)
@@ -140,8 +139,8 @@ impl AdMarket {
             )));
         }
         let cost = campaign.bid_per_click;
-        let creator_share = cost * creator_pct / 100;
-        let bee_share = cost * bee_pct / 100;
+        let creator_share = cost * CREATOR_SHARE_PCT / 100;
+        let bee_share = cost * BEE_SHARE_PCT / 100;
         let treasury_share = cost - creator_share - bee_share;
         accounts.transfer(AD_ESCROW, page_creator, creator_share)?;
         accounts.transfer(AD_ESCROW, serving_bee, bee_share)?;
@@ -192,7 +191,7 @@ mod tests {
     fn setup() -> (AdMarket, Accounts) {
         let mut accounts = Accounts::with_genesis_supply(100_000);
         accounts.transfer(TREASURY, AccountId(50), 10_000).unwrap(); // advertiser
-        (AdMarket::new(60, 30), accounts)
+        (AdMarket::new(), accounts)
     }
 
     #[test]

@@ -5,6 +5,9 @@ use crate::tx::Event;
 use qb_common::{Cid, QbError, QbResult};
 use std::collections::HashMap;
 
+/// Honey paid to the creator per accepted publish.
+pub const PUBLISH_REWARD: u64 = 100;
+
 /// Registry entry for one page name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PageRecord {
@@ -21,22 +24,12 @@ pub struct PageRecord {
 }
 
 /// State of the publish registry contract.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PublishRegistry {
-    /// Honey paid from the treasury for every accepted publish.
-    pub publish_reward: u64,
     pages: HashMap<String, PageRecord>,
 }
 
 impl PublishRegistry {
-    /// Create a registry paying `publish_reward` nectar per accepted publish.
-    pub fn new(publish_reward: u64) -> PublishRegistry {
-        PublishRegistry {
-            publish_reward,
-            pages: HashMap::new(),
-        }
-    }
-
     /// Handle a `PublishPage` call.
     pub fn publish(
         &mut self,
@@ -82,11 +75,11 @@ impl PublishRegistry {
         // Publish reward: best effort — if the treasury is dry the publish
         // still succeeds, it just pays nothing (the paper leaves the exact
         // incentive scheme open; see experiment E5).
-        if self.publish_reward > 0 && accounts.balance(TREASURY) >= self.publish_reward {
-            accounts.transfer(TREASURY, creator, self.publish_reward)?;
+        if accounts.balance(TREASURY) >= PUBLISH_REWARD {
+            accounts.transfer(TREASURY, creator, PUBLISH_REWARD)?;
             events.push(Event::PublishRewardPaid {
                 creator,
-                amount: self.publish_reward,
+                amount: PUBLISH_REWARD,
             });
         }
         Ok(events)
@@ -119,7 +112,7 @@ mod tests {
 
     #[test]
     fn first_publish_creates_version_one_and_pays_reward() {
-        let mut reg = PublishRegistry::new(100);
+        let mut reg = PublishRegistry::default();
         let mut accounts = Accounts::with_genesis_supply(1_000);
         let events = reg
             .publish(
@@ -131,7 +124,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(events.len(), 2);
-        assert_eq!(accounts.balance(AccountId(5)), 100);
+        assert_eq!(accounts.balance(AccountId(5)), PUBLISH_REWARD);
         let rec = reg.get("site/home").unwrap();
         assert_eq!(rec.version, 1);
         assert_eq!(rec.creator, AccountId(5));
@@ -140,7 +133,7 @@ mod tests {
 
     #[test]
     fn update_bumps_version_and_keeps_owner() {
-        let mut reg = PublishRegistry::new(0);
+        let mut reg = PublishRegistry::default();
         let mut accounts = Accounts::new();
         reg.publish(
             &mut accounts,
@@ -164,7 +157,7 @@ mod tests {
 
     #[test]
     fn other_account_cannot_hijack_a_name() {
-        let mut reg = PublishRegistry::new(0);
+        let mut reg = PublishRegistry::default();
         let mut accounts = Accounts::new();
         reg.publish(
             &mut accounts,
@@ -189,7 +182,7 @@ mod tests {
 
     #[test]
     fn empty_name_is_rejected() {
-        let mut reg = PublishRegistry::new(0);
+        let mut reg = PublishRegistry::default();
         let mut accounts = Accounts::new();
         assert!(reg
             .publish(&mut accounts, AccountId(1), "", Cid::for_data(b"a"), vec![])
@@ -198,7 +191,7 @@ mod tests {
 
     #[test]
     fn publish_succeeds_without_reward_when_treasury_is_empty() {
-        let mut reg = PublishRegistry::new(100);
+        let mut reg = PublishRegistry::default();
         let mut accounts = Accounts::new(); // no treasury funds
         let events = reg
             .publish(

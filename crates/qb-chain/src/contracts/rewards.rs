@@ -10,44 +10,40 @@ use std::collections::HashMap;
 /// Escrow account holding worker-bee stakes.
 pub const STAKE_VAULT: AccountId = AccountId(2);
 
+/// Bounty per accepted indexing claim.
+pub const INDEX_REWARD: u64 = 50;
+
+/// Bounty per accepted ranking claim.
+pub const RANK_REWARD: u64 = 50;
+
+/// Honey paid per popularity payout to a qualifying page's creator.
+pub const POPULARITY_REWARD: u64 = 500;
+
+/// PageRank (parts per million) a page must reach to earn its creator a
+/// popularity payout — "reward those whose websites are popular".
+pub const POPULARITY_THRESHOLD_PPM: u64 = 2_000;
+
+/// Maximum number of bees paid per (round, block) ranking task.
+pub const MAX_RANK_CLAIMS: usize = 3;
+
 /// State of the reward pool contract.
 #[derive(Debug, Clone)]
 pub struct RewardPool {
-    /// Bounty paid per accepted indexing claim.
-    pub index_reward: u64,
-    /// Bounty paid per accepted ranking claim.
-    pub rank_reward: u64,
-    /// Reward paid per popularity payout to a qualifying page's creator.
-    pub popularity_reward: u64,
-    /// Minimum PageRank (parts per million) for a page to qualify for the
-    /// popularity reward — "reward those whose websites are popular".
-    pub popularity_threshold_ppm: u64,
     /// Maximum number of bees paid per (page, version) indexing task — the
     /// verification quorum size: redundant computation is what lets the
     /// system detect collusion, so redundancy is paid for.
     pub max_index_claims: usize,
-    /// Maximum number of bees paid per (round, block) ranking task.
-    pub max_rank_claims: usize,
     index_claims: HashMap<(String, u64), Vec<AccountId>>,
     rank_claims: HashMap<(u64, u64), Vec<AccountId>>,
     stakes: HashMap<AccountId, u64>,
 }
 
 impl RewardPool {
-    /// Create a reward pool with the given bounty amounts.
-    pub fn new(
-        index_reward: u64,
-        rank_reward: u64,
-        popularity_reward: u64,
-        popularity_threshold_ppm: u64,
-    ) -> RewardPool {
+    /// Create an empty reward pool that pays three indexing claims per task.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> RewardPool {
         RewardPool {
-            index_reward,
-            rank_reward,
-            popularity_reward,
-            popularity_threshold_ppm,
             max_index_claims: 3,
-            max_rank_claims: 3,
             index_claims: HashMap::new(),
             rank_claims: HashMap::new(),
             stakes: HashMap::new(),
@@ -80,16 +76,16 @@ impl RewardPool {
                 "indexing bounty for {page_name} v{page_version} is exhausted"
             )));
         }
-        if accounts.balance(TREASURY) < self.index_reward {
+        if accounts.balance(TREASURY) < INDEX_REWARD {
             return Err(QbError::ContractRevert("treasury exhausted".into()));
         }
-        accounts.transfer(TREASURY, bee, self.index_reward)?;
+        accounts.transfer(TREASURY, bee, INDEX_REWARD)?;
         claimants.push(bee);
         Ok(vec![Event::IndexRewardPaid {
             bee,
             page_name: page_name.to_string(),
             page_version,
-            amount: self.index_reward,
+            amount: INDEX_REWARD,
         }])
     }
 
@@ -108,21 +104,21 @@ impl RewardPool {
                 bee.0
             )));
         }
-        if claimants.len() >= self.max_rank_claims {
+        if claimants.len() >= MAX_RANK_CLAIMS {
             return Err(QbError::ContractRevert(format!(
                 "ranking bounty for round {round} block {block_id} is exhausted"
             )));
         }
-        if accounts.balance(TREASURY) < self.rank_reward {
+        if accounts.balance(TREASURY) < RANK_REWARD {
             return Err(QbError::ContractRevert("treasury exhausted".into()));
         }
-        accounts.transfer(TREASURY, bee, self.rank_reward)?;
+        accounts.transfer(TREASURY, bee, RANK_REWARD)?;
         claimants.push(bee);
         Ok(vec![Event::RankRewardPaid {
             bee,
             round,
             block_id,
-            amount: self.rank_reward,
+            amount: RANK_REWARD,
         }])
     }
 
@@ -149,16 +145,15 @@ impl RewardPool {
         offender: AccountId,
         amount: u64,
     ) -> QbResult<Vec<Event>> {
-        let staked = self.stake_of(offender);
-        if staked == 0 {
+        let Some(staked) = self.stakes.get_mut(&offender).filter(|s| **s > 0) else {
             return Err(QbError::ContractRevert(format!(
                 "account {} has no stake to slash",
                 offender.0
             )));
-        }
-        let slashed = amount.min(staked);
+        };
+        let slashed = amount.min(*staked);
         accounts.transfer(STAKE_VAULT, TREASURY, slashed)?;
-        *self.stakes.get_mut(&offender).expect("stake exists") -= slashed;
+        *staked -= slashed;
         Ok(vec![Event::StakeSlashed {
             offender,
             amount: slashed,
@@ -174,18 +169,18 @@ impl RewardPool {
     ) -> QbResult<Vec<Event>> {
         let mut events = Vec::new();
         for (creator, name, rank_ppm) in pages {
-            if *rank_ppm < self.popularity_threshold_ppm {
+            if *rank_ppm < POPULARITY_THRESHOLD_PPM {
                 continue;
             }
-            if accounts.balance(TREASURY) < self.popularity_reward {
+            if accounts.balance(TREASURY) < POPULARITY_REWARD {
                 break;
             }
-            accounts.transfer(TREASURY, *creator, self.popularity_reward)?;
+            accounts.transfer(TREASURY, *creator, POPULARITY_REWARD)?;
             events.push(Event::PopularityRewardPaid {
                 creator: *creator,
                 page_name: name.clone(),
                 rank_ppm: *rank_ppm,
-                amount: self.popularity_reward,
+                amount: POPULARITY_REWARD,
             });
         }
         Ok(events)
@@ -197,10 +192,7 @@ mod tests {
     use super::*;
 
     fn setup() -> (RewardPool, Accounts) {
-        (
-            RewardPool::new(50, 80, 200, 1_000),
-            Accounts::with_genesis_supply(10_000),
-        )
+        (RewardPool::new(), Accounts::with_genesis_supply(10_000))
     }
 
     #[test]
@@ -208,7 +200,7 @@ mod tests {
         let (mut pool, mut accounts) = setup();
         pool.claim_index(&mut accounts, AccountId(10), "p", 1)
             .unwrap();
-        assert_eq!(accounts.balance(AccountId(10)), 50);
+        assert_eq!(accounts.balance(AccountId(10)), INDEX_REWARD);
         let err = pool
             .claim_index(&mut accounts, AccountId(10), "p", 1)
             .unwrap_err();
@@ -216,7 +208,7 @@ mod tests {
         // A different version is a different task.
         pool.claim_index(&mut accounts, AccountId(10), "p", 2)
             .unwrap();
-        assert_eq!(accounts.balance(AccountId(10)), 100);
+        assert_eq!(accounts.balance(AccountId(10)), 2 * INDEX_REWARD);
     }
 
     #[test]
@@ -237,7 +229,7 @@ mod tests {
     fn rank_claim_behaves_like_index_claim() {
         let (mut pool, mut accounts) = setup();
         pool.claim_rank(&mut accounts, AccountId(7), 1, 3).unwrap();
-        assert_eq!(accounts.balance(AccountId(7)), 80);
+        assert_eq!(accounts.balance(AccountId(7)), RANK_REWARD);
         assert!(pool.claim_rank(&mut accounts, AccountId(7), 1, 3).is_err());
         assert!(pool.claim_rank(&mut accounts, AccountId(7), 2, 3).is_ok());
     }
@@ -269,21 +261,25 @@ mod tests {
     fn popularity_rewards_respect_threshold() {
         let (mut pool, mut accounts) = setup();
         let pages = vec![
-            (AccountId(20), "popular".to_string(), 5_000u64),
+            (
+                AccountId(20),
+                "popular".to_string(),
+                5 * POPULARITY_THRESHOLD_PPM,
+            ),
             (AccountId(21), "obscure".to_string(), 10u64),
-            (AccountId(22), "mid".to_string(), 1_000u64),
+            (AccountId(22), "mid".to_string(), POPULARITY_THRESHOLD_PPM),
         ];
         let events = pool.pay_popularity(&mut accounts, &pages).unwrap();
         assert_eq!(events.len(), 2);
-        assert_eq!(accounts.balance(AccountId(20)), 200);
+        assert_eq!(accounts.balance(AccountId(20)), POPULARITY_REWARD);
         assert_eq!(accounts.balance(AccountId(21)), 0);
-        assert_eq!(accounts.balance(AccountId(22)), 200);
+        assert_eq!(accounts.balance(AccountId(22)), POPULARITY_REWARD);
     }
 
     #[test]
     fn treasury_exhaustion_stops_payouts() {
-        let mut pool = RewardPool::new(50, 80, 200, 0);
-        let mut accounts = Accounts::with_genesis_supply(250);
+        let mut pool = RewardPool::new();
+        let mut accounts = Accounts::with_genesis_supply(POPULARITY_REWARD + INDEX_REWARD);
         let pages: Vec<(AccountId, String, u64)> = (0..5)
             .map(|i| (AccountId(30 + i), format!("p{i}"), 999_999))
             .collect();

@@ -30,12 +30,10 @@ pub mod tx;
 
 pub use account::{AccountId, Accounts, TREASURY};
 pub use block::{Block, BlockHeader};
-pub use chain::{
-    Blockchain, ChainStats, BEE_SHARE_PCT, CREATOR_SHARE_PCT, GENESIS_SUPPLY, INDEX_REWARD,
-    MAX_TXS_PER_BLOCK, POPULARITY_REWARD, POPULARITY_THRESHOLD_PPM, PUBLISH_REWARD, RANK_REWARD,
-    VALIDATORS,
+pub use chain::{Blockchain, ChainStats, GENESIS_SUPPLY, MAX_TXS_PER_BLOCK, VALIDATORS};
+pub use contracts::ads::{AdCampaign, AdId, AdMarket, BEE_SHARE_PCT, CREATOR_SHARE_PCT};
+pub use contracts::publish::{PageRecord, PublishRegistry, PUBLISH_REWARD};
+pub use contracts::rewards::{
+    RewardPool, INDEX_REWARD, POPULARITY_REWARD, POPULARITY_THRESHOLD_PPM, RANK_REWARD,
 };
-pub use contracts::ads::{AdCampaign, AdId, AdMarket};
-pub use contracts::publish::{PageRecord, PublishRegistry};
-pub use contracts::rewards::RewardPool;
 pub use tx::{Call, Event, Transaction};

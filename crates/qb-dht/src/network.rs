@@ -332,7 +332,6 @@ impl DhtNetwork {
         let record = Record {
             key,
             value,
-            publisher: self.nodes[from as usize].id,
             version,
         };
         let refused = "no replica accepted record";
@@ -739,7 +738,6 @@ mod tests {
         let record = Record {
             key,
             value: b"ordered".to_vec().into(),
-            publisher: NodeId::from_index(5),
             version: 1,
         };
         let mut stored_on = replicas.clone();
@@ -840,9 +838,8 @@ mod tests {
             match dht.get_record_fresh(&mut net, reader, key, 1 + i % 3) {
                 Ok(g) => writeln!(
                     out,
-                    "G{i} from {reader}: v{} by {} hops {} msgs {} lat {}",
+                    "G{i} from {reader}: v{} hops {} msgs {} lat {}",
                     g.record.version,
-                    g.record.publisher.index,
                     g.hops,
                     g.messages,
                     g.latency.as_micros()
@@ -879,7 +876,7 @@ mod tests {
     fn golden_scenario_is_byte_identical() {
         let expected: [(u64, qb_simnet::NetStats); 4] = [
             (
-                0x4668_9eb2_dc7d_6bc2,
+                0x8ef2_3759_fce3_36a8,
                 qb_simnet::NetStats {
                     messages: 2164,
                     bytes: 243344,
@@ -896,7 +893,7 @@ mod tests {
                 },
             ),
             (
-                0xd4ef_db17_da36_513b,
+                0x2f41_650d_5baa_8f02,
                 qb_simnet::NetStats {
                     messages: 1854,
                     bytes: 208344,
@@ -913,7 +910,7 @@ mod tests {
                 },
             ),
             (
-                0xb564_3a6f_ac75_d566,
+                0xc12e_d8b9_08e5_dda7,
                 qb_simnet::NetStats {
                     messages: 2156,
                     bytes: 243376,
@@ -930,7 +927,7 @@ mod tests {
                 },
             ),
             (
-                0x0f8a_185e_c6b2_b930,
+                0x3112_e722_8d67_de89,
                 qb_simnet::NetStats {
                     messages: 1842,
                     bytes: 206472,

@@ -17,8 +17,6 @@ pub struct Record {
     /// shared: the origin, its replicas and every lookup that finds the
     /// record hold one buffer.
     pub value: Bytes,
-    /// Node that originally published the record.
-    pub publisher: NodeId,
     /// Monotonically increasing version; a replica only overwrites its copy
     /// with a higher version (last-writer-wins on version).
     pub version: u64,
@@ -138,7 +136,6 @@ mod tests {
         Record {
             key: DhtKey::from_bytes(key_label.as_bytes()),
             value: format!("value-{version}").into_bytes().into(),
-            publisher: NodeId::from_index(9),
             version,
         }
     }

@@ -79,14 +79,6 @@ impl ShardFilter {
         filter
     }
 
-    /// An empty filter (answers `false` for every key).
-    pub fn empty() -> ShardFilter {
-        ShardFilter {
-            bits: vec![0u8; 8],
-            entries: 0,
-        }
-    }
-
     fn probe_positions(&self, key: FilterKey) -> [usize; PROBES] {
         let nbits = self.bits.len() as u64 * 8;
         key.0.map(|word| (word % nbits) as usize)
@@ -183,7 +175,10 @@ mod tests {
 
     #[test]
     fn empty_filter_contains_nothing() {
-        let f = ShardFilter::empty();
+        let f = ShardFilter {
+            bits: vec![0u8; 8],
+            entries: 0,
+        };
         assert!(f.is_empty());
         assert!(!f.contains(FilterKey::of("anything", 1)));
         assert!(f.wire_bytes() >= 8);

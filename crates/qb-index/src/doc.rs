@@ -33,11 +33,6 @@ pub struct DocTable {
 }
 
 impl DocTable {
-    /// Empty table.
-    pub fn new() -> DocTable {
-        DocTable::default()
-    }
-
     /// Insert or replace a document's metadata.
     pub fn upsert(&mut self, doc_id: u64, meta: DocMeta) {
         if let Some(old) = self.docs.insert(doc_id, meta) {
@@ -106,7 +101,7 @@ mod tests {
 
     #[test]
     fn upsert_and_averages() {
-        let mut t = DocTable::new();
+        let mut t = DocTable::default();
         assert_eq!(t.avg_length(), 1.0);
         t.upsert(1, meta("a", 100));
         t.upsert(2, meta("b", 300));
@@ -119,7 +114,7 @@ mod tests {
 
     #[test]
     fn remove_updates_aggregates() {
-        let mut t = DocTable::new();
+        let mut t = DocTable::default();
         t.upsert(1, meta("a", 50));
         t.upsert(2, meta("b", 150));
         let removed = t.remove(2).unwrap();
@@ -131,7 +126,7 @@ mod tests {
 
     #[test]
     fn get_returns_metadata() {
-        let mut t = DocTable::new();
+        let mut t = DocTable::default();
         let id = doc_id_for_name("site/home");
         t.upsert(id, meta("site/home", 42));
         assert_eq!(t.get(id).unwrap().length, 42);

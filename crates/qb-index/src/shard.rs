@@ -415,11 +415,6 @@ impl Default for DistributedIndex {
 }
 
 impl DistributedIndex {
-    /// Create with the default inline threshold.
-    pub fn new() -> DistributedIndex {
-        DistributedIndex::default()
-    }
-
     /// DHT key of the global statistics record: the SHA-256 of
     /// `idx:@stats`, spelled out so a read does not hash a constant.
     pub const fn stats_key() -> DhtKey {
@@ -910,7 +905,7 @@ mod tests {
     #[test]
     fn distributed_small_shard_round_trips_inline() {
         let (mut net, mut dht, mut storage) = setup(24, 1);
-        let dist = DistributedIndex::new();
+        let dist = DistributedIndex::default();
         let mut shard = ShardEntry::empty("nectar");
         shard.version = 1;
         shard.upsert(posting(1, 2, "p/one"));
@@ -926,7 +921,7 @@ mod tests {
     #[test]
     fn an_inline_shard_record_is_its_tag_then_the_encoding() {
         let (mut net, mut dht, mut storage) = setup(24, 1);
-        let dist = DistributedIndex::new();
+        let dist = DistributedIndex::default();
         let mut shard = ShardEntry::empty("propolis");
         shard.version = 2;
         for i in 0..6u64 {
@@ -966,7 +961,7 @@ mod tests {
     #[test]
     fn missing_shard_reads_as_empty() {
         let (mut net, mut dht, mut storage) = setup(16, 3);
-        let dist = DistributedIndex::new();
+        let dist = DistributedIndex::default();
         let (shard, _) = dist
             .read_shard_fresh(&mut net, &mut dht, &mut storage, 2, "neverwritten", 0)
             .unwrap();
@@ -977,7 +972,7 @@ mod tests {
     #[test]
     fn newer_shard_version_wins() {
         let (mut net, mut dht, mut storage) = setup(24, 4);
-        let dist = DistributedIndex::new();
+        let dist = DistributedIndex::default();
         let mut v1 = ShardEntry::empty("fresh");
         v1.version = 1;
         v1.upsert(posting(1, 1, "old/page"));
@@ -999,7 +994,7 @@ mod tests {
     fn stats_read_write_round_trip() {
         let (mut net, mut dht, mut storage) = setup(16, 5);
         let _ = &mut storage;
-        let dist = DistributedIndex::new();
+        let dist = DistributedIndex::default();
         let (empty, _) = dist.read_stats(&mut net, &mut dht, 0).unwrap();
         assert_eq!(empty.num_docs, 0);
         let stats = IndexStats {
@@ -1032,7 +1027,7 @@ mod tests {
     #[test]
     fn a_read_abandoned_mid_lookup_leaves_nothing_in_flight() {
         let (mut net, mut dht, mut storage) = setup(24, 6);
-        let dist = DistributedIndex::new();
+        let dist = DistributedIndex::default();
         let mut shard = ShardEntry::empty("nectar");
         shard.version = 1;
         shard.upsert(posting(1, 2, "p/one"));
@@ -1095,7 +1090,7 @@ mod tests {
     #[test]
     fn an_offline_origin_fails_reads_at_the_issue_instant() {
         let (mut net, mut dht, mut storage) = setup(16, 8);
-        let dist = DistributedIndex::new();
+        let dist = DistributedIndex::default();
         net.set_online(5, false);
         let issued_before = net.stats().async_ops;
         let at = net.now() + SimDuration::from_millis(3);

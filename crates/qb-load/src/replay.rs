@@ -119,7 +119,13 @@ mod tests {
     use qb_workload::{CorpusConfig, CorpusGenerator};
 
     fn trace() -> ArrivalTrace {
-        let corpus = CorpusGenerator::new(CorpusConfig::tiny()).generate(&mut DetRng::new(7));
+        let config = CorpusConfig {
+            num_pages: 20,
+            vocab_size: 200,
+            zipf_s: 1.0,
+            avg_doc_len: 30,
+        };
+        let corpus = CorpusGenerator::new(config).generate(&mut DetRng::new(7));
         ArrivalTrace::generate(&corpus, &TraceConfig::default())
     }
 

@@ -11,10 +11,6 @@ pub struct CollusionAttack {
     pub colluding_fraction: f64,
     /// Pages the coalition boosts.
     pub boost_pages: Vec<String>,
-    /// Injected term frequency for the boosted pages.
-    pub boost_tf: u32,
-    /// Rank inflation factor for the boosted pages.
-    pub rank_factor: f64,
 }
 
 impl CollusionAttack {
@@ -23,8 +19,6 @@ impl CollusionAttack {
         CollusionAttack {
             colluding_fraction: colluding_fraction.clamp(0.0, 1.0),
             boost_pages,
-            boost_tf: 500,
-            rank_factor: 50.0,
         }
     }
 

@@ -5,22 +5,25 @@ use qb_index::{doc_id_for_name, ShardPosting};
 use qb_rank::BeeRankBehaviour;
 use std::sync::Arc;
 
+/// Term frequency a colluding bee injects for the coalition's pages.
+pub const COLLUSION_BOOST_TF: u32 = 500;
+
+/// Factor by which a colluding bee inflates the coalition's pages' ranks.
+pub const COLLUSION_RANK_FACTOR: f64 = 50.0;
+
 /// How a worker bee behaves.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BeeBehaviour {
     /// Follows the protocol.
     Honest,
     /// Part of a colluding coalition: when indexing any page, it additionally
-    /// injects postings that boost the coalition's target pages, and when
-    /// computing rank blocks it inflates the targets' rank (the paper's
-    /// *collusion attack*).
+    /// injects postings that boost the coalition's target pages (at
+    /// [`COLLUSION_BOOST_TF`]), and when computing rank blocks it inflates
+    /// the targets' rank (by [`COLLUSION_RANK_FACTOR`]) — the paper's
+    /// *collusion attack*.
     Colluding {
         /// Page names the coalition wants to push to the top.
         boost_pages: Vec<String>,
-        /// Term frequency injected for the boosted pages.
-        boost_tf: u32,
-        /// Rank inflation factor for the boosted pages.
-        rank_factor: f64,
     },
     /// Claims rewards without doing the work (submits empty index deltas and
     /// baseline-only rank blocks).
@@ -96,12 +99,7 @@ impl WorkerBee {
                         )
                     })
                     .collect();
-                if let BeeBehaviour::Colluding {
-                    boost_pages,
-                    boost_tf,
-                    ..
-                } = &self.behaviour
-                {
+                if let BeeBehaviour::Colluding { boost_pages } = &self.behaviour {
                     // Inject the coalition's pages into every term of the page
                     // being indexed, with an absurd term frequency, so they
                     // surface for popular queries.
@@ -116,7 +114,7 @@ impl WorkerBee {
                                 term,
                                 ShardPosting {
                                     doc_id: boost_doc,
-                                    term_freq: *boost_tf,
+                                    term_freq: COLLUSION_BOOST_TF,
                                     doc_len: 50,
                                     name: boost_name.clone(),
                                     version: page_version,
@@ -138,9 +136,9 @@ impl WorkerBee {
         match &self.behaviour {
             BeeBehaviour::Honest => BeeRankBehaviour::Honest,
             BeeBehaviour::Lazy => BeeRankBehaviour::Lazy,
-            BeeBehaviour::Colluding { rank_factor, .. } => BeeRankBehaviour::Inflate {
+            BeeBehaviour::Colluding { .. } => BeeRankBehaviour::Inflate {
                 targets: target_ids.to_vec(),
-                factor: *rank_factor,
+                factor: COLLUSION_RANK_FACTOR,
             },
         }
     }
@@ -192,8 +190,6 @@ mod tests {
 
         bee.behaviour = BeeBehaviour::Colluding {
             boost_pages: vec!["evil/spam".into()],
-            boost_tf: 999,
-            rank_factor: 50.0,
         };
         let deltas = index(&bee, &tf);
         let (spam, own): (Vec<_>, Vec<_>) =
@@ -217,8 +213,6 @@ mod tests {
         let mut bee = WorkerBee::new(3, AccountId(2_000));
         bee.behaviour = BeeBehaviour::Colluding {
             boost_pages: vec!["evil/spam".into()],
-            boost_tf: 999,
-            rank_factor: 50.0,
         };
         assert!(bee.is_colluding());
         let tf = counts("honey nectar");
@@ -228,7 +222,7 @@ mod tests {
             .filter(|(_, p)| &*p.name == "evil/spam")
             .collect();
         assert!(!spam.is_empty());
-        assert!(spam.iter().all(|(_, p)| p.term_freq == 999));
+        assert!(spam.iter().all(|(_, p)| p.term_freq == COLLUSION_BOOST_TF));
         // Honest postings are still present (the attack hides inside real work).
         assert!(deltas.iter().any(|(_, p)| &*p.name == "p/a"));
     }
@@ -241,12 +235,11 @@ mod tests {
         assert_eq!(bee.rank_behaviour(&[]), BeeRankBehaviour::Lazy);
         bee.behaviour = BeeBehaviour::Colluding {
             boost_pages: vec!["x".into()],
-            boost_tf: 10,
-            rank_factor: 9.0,
         };
         assert!(matches!(
             bee.rank_behaviour(&[4]),
-            BeeRankBehaviour::Inflate { targets, factor } if targets == vec![4] && factor == 9.0
+            BeeRankBehaviour::Inflate { targets, factor }
+                if targets == vec![4] && factor == COLLUSION_RANK_FACTOR
         ));
     }
 }

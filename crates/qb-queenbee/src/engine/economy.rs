@@ -49,8 +49,6 @@ impl QueenBee {
         for bee in self.bees.iter_mut().take(n) {
             bee.behaviour = BeeBehaviour::Colluding {
                 boost_pages: attack.boost_pages.clone(),
-                boost_tf: attack.boost_tf,
-                rank_factor: attack.rank_factor,
             };
         }
     }

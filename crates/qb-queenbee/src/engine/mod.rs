@@ -877,9 +877,24 @@ mod tests {
         let outcome = qb
             .search_pipelined(duplicate_heavy_requests(), config)
             .unwrap();
-        let spans = &outcome.window_spans;
+        let spans = qb.windows.spans().to_vec();
         assert_eq!(spans.len(), 4);
         assert!(spans.iter().any(|span| span.issued_at > spans[0].issued_at));
+        // Windows issue and retire in request order: each span starts
+        // where the previous one ended, and issue instants never go
+        // backwards.
+        let mut next_query = 0;
+        let mut last_issue = spans[0].issued_at;
+        for span in &spans {
+            assert_eq!(span.first_query, next_query, "spans are contiguous");
+            assert!(
+                span.issued_at >= last_issue,
+                "issue instants never decrease"
+            );
+            next_query += span.queries;
+            last_issue = span.issued_at;
+        }
+        assert_eq!(next_query, outcome.responses.len(), "spans cover the run");
 
         let trace = qb.take_trace();
         let trees: Vec<_> = trace.named("query").collect();
@@ -888,7 +903,7 @@ mod tests {
             outcome.responses.len(),
             "one tree per response"
         );
-        for span in spans {
+        for span in &spans {
             let window = span.first_query..span.first_query + span.queries;
             for (tree, response) in trees[window.clone()].iter().zip(&outcome.responses[window]) {
                 assert_eq!(tree.parent, None);
@@ -901,7 +916,7 @@ mod tests {
         // An empty request list opens no window and records nothing.
         let empty = qb.search_pipelined(Vec::new(), PipelineConfig::batch(0));
         let empty = empty.unwrap();
-        assert!(empty.responses.is_empty() && empty.window_spans.is_empty());
+        assert!(empty.responses.is_empty() && qb.windows.spans().is_empty());
         assert_eq!(empty.report.windows, 0);
         assert!(qb.take_trace().spans.is_empty());
     }

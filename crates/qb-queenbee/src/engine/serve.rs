@@ -51,11 +51,7 @@ impl QueenBee {
         let responses = served?;
         self.record_query_trees(&responses, None);
         self.run_due_gossip();
-        Ok(PipelineOutcome {
-            responses,
-            report,
-            window_spans: self.windows.spans().to_vec(),
-        })
+        Ok(PipelineOutcome { responses, report })
     }
 
     /// Record one span tree per response of the last run: a `query` root

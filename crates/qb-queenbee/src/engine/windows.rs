@@ -622,7 +622,6 @@ impl QueenBee {
             first_query: responses.len(),
             queries: win.plans.len(),
             issued_at: win.issued_at,
-            completed_at: completes_at,
         });
         self.net.tracer().close(win.span, completes_at);
         let now = self.net.now();

@@ -63,5 +63,5 @@ pub use query::routing::{hrw_score, hrw_top2};
 pub use query::{
     AdmissionConfig, Freshness, LoadReport, PipelineConfig, PipelineOutcome, PipelineReport,
     QueryPlan, RoutingPolicy, SearchRequest, SearchResponse, StageCosts, TermProvenance,
-    TimedRequest, WindowSpan,
+    TimedRequest,
 };

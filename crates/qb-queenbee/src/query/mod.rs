@@ -41,7 +41,7 @@ pub mod routing;
 pub mod terms;
 
 pub use admission::{AdmissionConfig, LoadReport, TimedRequest};
-pub use pipeline::{PipelineConfig, PipelineOutcome, PipelineReport, WindowSpan};
+pub use pipeline::{PipelineConfig, PipelineOutcome, PipelineReport};
 pub use plan::{PlannedTerm, QueryPlan, Resolution, StatsPlan, TermPlan};
 pub use request::{Freshness, RoutingPolicy, SearchRequest};
 pub use response::{SearchResponse, StageCosts, TermProvenance};

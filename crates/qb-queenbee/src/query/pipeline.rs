@@ -1,5 +1,5 @@
 //! The shape of a pipelined run ([`PipelineConfig`]) and what it reports
-//! ([`PipelineReport`], [`WindowSpan`], [`PipelineOutcome`]). The loop that
+//! ([`PipelineReport`], [`PipelineOutcome`]). The loop that
 //! runs it — overlapping windows whose reads run concurrently, as
 //! event-driven state machines on one shared virtual timeline — is the
 //! engine's, and its module doc (`engine/windows.rs`) is the description
@@ -60,20 +60,18 @@ pub struct PipelineReport {
 }
 
 /// Virtual-timeline span of one retired window: which slice of the
-/// response vector it served and when it issued/completed. The open-loop
-/// admission layer uses these to place each response on the arrival
-/// timeline (`issued_at + response.latency` is the query's completion
-/// instant) without re-deriving the loop's scheduling.
+/// response vector it served and when it issued. The open-loop admission
+/// layer and the query trees use these to place each response on the
+/// arrival timeline (`issued_at + response.latency` is the query's
+/// completion instant) without re-deriving the loop's scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowSpan {
-    /// Index of the window's first response in [`PipelineOutcome::responses`].
+pub(crate) struct WindowSpan {
+    /// Index of the window's first response in the run's responses.
     pub first_query: usize,
     /// Number of responses the window served.
     pub queries: usize,
     /// When the window's fetches were issued on the virtual timeline.
     pub issued_at: SimInstant,
-    /// When the window's slowest dependency completed.
-    pub completed_at: SimInstant,
 }
 
 /// A pipelined run's responses (in request order) plus its report.
@@ -84,9 +82,6 @@ pub struct PipelineOutcome {
     pub responses: Vec<SearchResponse>,
     /// Stream-level accounting.
     pub report: PipelineReport,
-    /// One span per retired window, in retirement order — which is request
-    /// order, so the spans tile the response vector front to back.
-    pub window_spans: Vec<WindowSpan>,
 }
 
 #[cfg(test)]

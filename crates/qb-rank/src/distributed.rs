@@ -41,38 +41,35 @@ pub struct RankRoundReport {
     pub l1_error_vs_reference: f64,
 }
 
+/// Number of graph blocks a round splits the ranks into.
+pub const NUM_BLOCKS: usize = 8;
+
+/// Relative deviation from the accepted value above which a submission is
+/// flagged as manipulated.
+pub const FLAG_TOLERANCE: f64 = 0.01;
+
+/// Nodes belonging to a block (contiguous ranges).
+fn block_nodes(n: usize, block: usize) -> std::ops::Range<usize> {
+    let per = n.div_ceil(NUM_BLOCKS);
+    let start = (block * per).min(n);
+    let end = ((block + 1) * per).min(n);
+    start..end
+}
+
 /// Configuration of the decentralized computation.
 #[derive(Debug, Clone)]
 pub struct DecentralizedPageRank {
-    /// Number of graph blocks.
-    pub num_blocks: usize,
     /// Quorum size: how many bees compute each block each round.
     pub quorum: usize,
-    /// Relative deviation from the accepted value above which a submission is
-    /// flagged as manipulated.
-    pub flag_tolerance: f64,
 }
 
 impl Default for DecentralizedPageRank {
     fn default() -> Self {
-        DecentralizedPageRank {
-            num_blocks: 8,
-            quorum: 3,
-            flag_tolerance: 0.01,
-        }
+        DecentralizedPageRank { quorum: 3 }
     }
 }
 
 impl DecentralizedPageRank {
-    /// Nodes belonging to a block (contiguous ranges).
-    pub fn block_nodes(&self, n: usize, block: usize) -> std::ops::Range<usize> {
-        let blocks = self.num_blocks.max(1);
-        let per = n.div_ceil(blocks);
-        let start = (block * per).min(n);
-        let end = ((block + 1) * per).min(n);
-        start..end
-    }
-
     /// One bee's computation of a block given the previous global vector.
     fn compute_block(
         graph: &LinkGraph,
@@ -152,8 +149,8 @@ impl DecentralizedPageRank {
         for round in 0..MAX_ITERATIONS {
             rounds = round + 1;
             let mut next = vec![0.0f64; n];
-            for block in 0..self.num_blocks.max(1) {
-                let range = self.block_nodes(n, block);
+            for block in 0..NUM_BLOCKS {
+                let range = block_nodes(n, block);
                 if range.is_empty() {
                     continue;
                 }
@@ -178,7 +175,7 @@ impl DecentralizedPageRank {
                 for (bee, values) in &submissions {
                     let deviates = values.iter().zip(&accepted).any(|(v, a)| {
                         let denom = a.abs().max(1e-12);
-                        (v - a).abs() / denom > self.flag_tolerance
+                        (v - a).abs() / denom > FLAG_TOLERANCE
                     });
                     if deviates {
                         flagged.insert(*bee);
@@ -248,10 +245,7 @@ mod tests {
     fn minority_colluders_are_flagged_and_neutralized() {
         let g = sample_graph();
         let target = g.id_of("p5").unwrap();
-        let dpr = DecentralizedPageRank {
-            quorum: 3,
-            ..DecentralizedPageRank::default()
-        };
+        let dpr = DecentralizedPageRank { quorum: 3 };
         // 2 colluders out of 9 bees inflate p5 by 100x.
         let mut behaviours = vec![BeeRankBehaviour::Honest; 9];
         behaviours[0] = BeeRankBehaviour::Inflate {
@@ -281,11 +275,7 @@ mod tests {
         // its block. This is the "no defense" configuration of experiment E6.
         let g = sample_graph();
         let target = g.id_of("p5").unwrap();
-        let dpr = DecentralizedPageRank {
-            quorum: 1,
-            num_blocks: 4,
-            ..DecentralizedPageRank::default()
-        };
+        let dpr = DecentralizedPageRank { quorum: 1 };
         let behaviours = vec![
             BeeRankBehaviour::Inflate {
                 targets: vec![target],
@@ -325,17 +315,16 @@ mod tests {
 
     #[test]
     fn block_partition_covers_all_nodes_exactly_once() {
-        let dpr = DecentralizedPageRank {
-            num_blocks: 7,
-            ..DecentralizedPageRank::default()
-        };
-        let n = 100;
-        let mut seen = vec![0u32; n];
-        for b in 0..dpr.num_blocks {
-            for i in dpr.block_nodes(n, b) {
-                seen[i] += 1;
+        // Node counts the blocks divide evenly, unevenly, and fewer nodes
+        // than blocks.
+        for n in [0, 3, NUM_BLOCKS, 100, 4 * NUM_BLOCKS + 1] {
+            let mut seen = vec![0u32; n];
+            for b in 0..NUM_BLOCKS {
+                for i in block_nodes(n, b) {
+                    seen[i] += 1;
+                }
             }
+            assert!(seen.iter().all(|&c| c == 1), "n = {n}");
         }
-        assert!(seen.iter().all(|&c| c == 1));
     }
 }

@@ -18,15 +18,17 @@ pub struct AdSpec {
     pub budget: u64,
 }
 
+/// First account id used for advertisers.
+pub const ADVERTISER_ACCOUNT_BASE: u64 = 5_000;
+
+/// Probability a user clicks the ad shown with a result page.
+pub const CLICK_THROUGH_RATE: f64 = 0.15;
+
 /// Generates advertiser campaigns and models user click behaviour.
 #[derive(Debug, Clone)]
 pub struct AdvertiserWorkload {
     /// Number of advertisers.
     pub num_advertisers: usize,
-    /// First account id used for advertisers.
-    pub advertiser_account_base: u64,
-    /// Probability a user clicks the ad shown with a result page.
-    pub click_through_rate: f64,
     keyword_dist: ZipfSampler,
 }
 
@@ -35,8 +37,6 @@ impl AdvertiserWorkload {
     pub fn new(corpus: &Corpus, num_advertisers: usize) -> AdvertiserWorkload {
         AdvertiserWorkload {
             num_advertisers,
-            advertiser_account_base: 5_000,
-            click_through_rate: 0.15,
             keyword_dist: ZipfSampler::new(corpus.vocabulary.len().clamp(1, 200), 1.0),
         }
     }
@@ -56,7 +56,7 @@ impl AdvertiserWorkload {
                 let bid = 20 + rng.gen_range(180);
                 let budget = bid * (20 + rng.gen_range(200));
                 AdSpec {
-                    advertiser: self.advertiser_account_base + i as u64,
+                    advertiser: ADVERTISER_ACCOUNT_BASE + i as u64,
                     keywords,
                     bid_per_click: bid,
                     budget,
@@ -67,7 +67,7 @@ impl AdvertiserWorkload {
 
     /// Does the user click the displayed ad?
     pub fn user_clicks(&self, rng: &mut DetRng) -> bool {
-        rng.gen_bool(self.click_through_rate)
+        rng.gen_bool(CLICK_THROUGH_RATE)
     }
 }
 
@@ -90,7 +90,7 @@ mod tests {
             assert!(!s.keywords.is_empty());
             assert!(s.bid_per_click > 0);
             assert!(s.budget >= s.bid_per_click);
-            assert!(s.advertiser >= w.advertiser_account_base);
+            assert!(s.advertiser >= ADVERTISER_ACCOUNT_BASE);
             for kw in &s.keywords {
                 assert!(c.vocabulary.contains(kw));
             }
@@ -107,7 +107,7 @@ mod tests {
         let mut rng = DetRng::new(2);
         let clicks = (0..10_000).filter(|_| w.user_clicks(&mut rng)).count();
         let rate = clicks as f64 / 10_000.0;
-        assert!((rate - w.click_through_rate).abs() < 0.02, "rate={rate}");
+        assert!((rate - CLICK_THROUGH_RATE).abs() < 0.02, "rate={rate}");
     }
 
     #[test]

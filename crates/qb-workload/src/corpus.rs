@@ -8,6 +8,10 @@ use qb_dweb::WebPage;
 /// First account id used for creators (creator i → account base + i).
 pub const CREATOR_ACCOUNT_BASE: u64 = 1_000;
 
+/// Number of distinct content creators owning the pages (ownership is
+/// itself Zipf-distributed: a few creators own many pages).
+pub const NUM_CREATORS: usize = 50;
+
 /// Corpus generation parameters.
 #[derive(Debug, Clone)]
 pub struct CorpusConfig {
@@ -19,11 +23,6 @@ pub struct CorpusConfig {
     pub zipf_s: f64,
     /// Mean document length in words.
     pub avg_doc_len: usize,
-    /// Mean out-links per page.
-    pub avg_out_links: usize,
-    /// Number of distinct content creators owning the pages (ownership is
-    /// itself Zipf-distributed: a few creators own many pages).
-    pub num_creators: usize,
 }
 
 impl Default for CorpusConfig {
@@ -33,22 +32,19 @@ impl Default for CorpusConfig {
             vocab_size: 5_000,
             zipf_s: 1.0,
             avg_doc_len: 120,
-            avg_out_links: 6,
-            num_creators: 50,
         }
     }
 }
 
 impl CorpusConfig {
     /// A tiny corpus for unit tests.
+    #[cfg(test)]
     pub fn tiny() -> CorpusConfig {
         CorpusConfig {
             num_pages: 20,
             vocab_size: 200,
             zipf_s: 1.0,
             avg_doc_len: 30,
-            avg_out_links: 3,
-            num_creators: 5,
         }
     }
 }
@@ -103,12 +99,12 @@ impl CorpusGenerator {
         let cfg = &self.config;
         let vocabulary: Vec<String> = (0..cfg.vocab_size).map(word_for_index).collect();
         let term_dist = ZipfSampler::new(cfg.vocab_size, cfg.zipf_s);
-        let creator_dist = ZipfSampler::new(cfg.num_creators.max(1), 0.8);
+        let creator_dist = ZipfSampler::new(NUM_CREATORS, 0.8);
 
         let names: Vec<String> = (0..cfg.num_pages)
             .map(|i| format!("site{:03}/page{:04}", i % (cfg.num_pages / 10 + 1), i))
             .collect();
-        let link_targets = generate_links(&names, cfg.avg_out_links, rng);
+        let link_targets = generate_links(&names, rng);
 
         let mut pages = Vec::with_capacity(cfg.num_pages);
         let mut creators = Vec::with_capacity(cfg.num_pages);
@@ -191,7 +187,6 @@ mod tests {
     fn creators_follow_a_skewed_distribution() {
         let mut cfg = CorpusConfig::tiny();
         cfg.num_pages = 200;
-        cfg.num_creators = 20;
         let corpus = CorpusGenerator::new(cfg).generate(&mut DetRng::new(3));
         let mut counts = std::collections::HashMap::new();
         for c in &corpus.creators {

@@ -4,25 +4,24 @@
 
 use qb_common::DetRng;
 
+/// Mean out-links per page.
+pub const AVG_OUT_LINKS: usize = 6;
+
 /// Generate out-links for each page. Pages are processed in order; each page
-/// links to roughly `avg_out_links` earlier pages chosen with probability
+/// links to roughly [`AVG_OUT_LINKS`] earlier pages chosen with probability
 /// proportional to their current in-degree plus one (preferential
 /// attachment), so early pages accumulate large in-degrees.
-pub fn generate_links(
-    names: &[String],
-    avg_out_links: usize,
-    rng: &mut DetRng,
-) -> Vec<Vec<String>> {
+pub fn generate_links(names: &[String], rng: &mut DetRng) -> Vec<Vec<String>> {
     let n = names.len();
     let mut out: Vec<Vec<String>> = vec![Vec::new(); n];
-    if n <= 1 || avg_out_links == 0 {
+    if n <= 1 {
         return out;
     }
     // in_degree[i] + 1 is the attachment weight.
     let mut weights: Vec<u64> = vec![1; n];
 
     for i in 1..n {
-        let k = 1 + rng.gen_index(avg_out_links * 2); // 1..=2*avg, mean ~avg
+        let k = 1 + rng.gen_index(AVG_OUT_LINKS * 2); // 1..=2*avg, mean ~avg
         let mut chosen: Vec<usize> = Vec::with_capacity(k);
         let candidates = i; // only link to earlier pages
         for _ in 0..k.min(candidates) {
@@ -59,7 +58,7 @@ mod tests {
     fn links_reference_only_existing_earlier_pages() {
         let ns = names(100);
         let mut rng = DetRng::new(1);
-        let links = generate_links(&ns, 4, &mut rng);
+        let links = generate_links(&ns, &mut rng);
         assert_eq!(links.len(), 100);
         for (i, ls) in links.iter().enumerate() {
             for l in ls {
@@ -76,7 +75,7 @@ mod tests {
     fn in_degree_distribution_is_heavy_tailed() {
         let ns = names(500);
         let mut rng = DetRng::new(2);
-        let links = generate_links(&ns, 5, &mut rng);
+        let links = generate_links(&ns, &mut rng);
         let mut in_deg = vec![0usize; 500];
         for ls in &links {
             for l in ls {
@@ -95,20 +94,18 @@ mod tests {
     #[test]
     fn degenerate_inputs() {
         let mut rng = DetRng::new(3);
-        assert!(generate_links(&[], 3, &mut rng).is_empty());
+        assert!(generate_links(&[], &mut rng).is_empty());
         assert_eq!(
-            generate_links(&names(1), 3, &mut rng),
+            generate_links(&names(1), &mut rng),
             vec![Vec::<String>::new()]
         );
-        let zero = generate_links(&names(5), 0, &mut rng);
-        assert!(zero.iter().all(|l| l.is_empty()));
     }
 
     #[test]
     fn generation_is_deterministic() {
         let ns = names(50);
-        let a = generate_links(&ns, 3, &mut DetRng::new(9));
-        let b = generate_links(&ns, 3, &mut DetRng::new(9));
+        let a = generate_links(&ns, &mut DetRng::new(9));
+        let b = generate_links(&ns, &mut DetRng::new(9));
         assert_eq!(a, b);
     }
 }

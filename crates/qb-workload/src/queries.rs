@@ -4,6 +4,12 @@ use crate::corpus::Corpus;
 use crate::zipf::ZipfSampler;
 use qb_common::DetRng;
 
+/// Minimum number of query terms.
+pub const MIN_TERMS: usize = 1;
+
+/// Maximum number of query terms.
+pub const MAX_TERMS: usize = 3;
+
 /// Generates keyword queries against a corpus.
 ///
 /// Most queries are drawn from the text of an actual page (so they have
@@ -14,10 +20,6 @@ use qb_common::DetRng;
 pub struct QueryWorkload {
     /// Probability that a query is drawn from a real document's text.
     pub grounded_fraction: f64,
-    /// Minimum number of query terms.
-    pub min_terms: usize,
-    /// Maximum number of query terms.
-    pub max_terms: usize,
     term_dist: ZipfSampler,
     page_dist: ZipfSampler,
 }
@@ -27,8 +29,6 @@ impl QueryWorkload {
     pub fn new(corpus: &Corpus) -> QueryWorkload {
         QueryWorkload {
             grounded_fraction: 0.8,
-            min_terms: 1,
-            max_terms: 3,
             term_dist: ZipfSampler::new(corpus.vocabulary.len(), corpus.config.zipf_s),
             page_dist: ZipfSampler::new(corpus.pages.len().max(1), 0.7),
         }
@@ -36,7 +36,7 @@ impl QueryWorkload {
 
     /// Generate one query string.
     pub fn generate(&self, corpus: &Corpus, rng: &mut DetRng) -> String {
-        let num_terms = self.min_terms + rng.gen_index(self.max_terms - self.min_terms + 1);
+        let num_terms = MIN_TERMS + rng.gen_index(MAX_TERMS - MIN_TERMS + 1);
         if rng.gen_bool(self.grounded_fraction) && !corpus.pages.is_empty() {
             // Grounded query: pick consecutive-ish words from a popular page.
             let page = &corpus.pages[self.page_dist.sample(rng)];
@@ -100,7 +100,7 @@ mod tests {
         let mut rng = DetRng::new(1);
         for q in w.generate_batch(&c, &mut rng, 200) {
             let terms = q.split_whitespace().count();
-            assert!((w.min_terms..=w.max_terms).contains(&terms), "query '{q}'");
+            assert!((MIN_TERMS..=MAX_TERMS).contains(&terms), "query '{q}'");
         }
     }
 

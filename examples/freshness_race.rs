@@ -22,7 +22,6 @@ fn main() {
 
     let mut central = CentralizedEngine::new(CentralizedConfig {
         crawl_interval: SimDuration::from_secs(3_600), // hourly crawl
-        ..CentralizedConfig::default()
     });
     let mut current: HashMap<String, (u64, String)> = HashMap::new();
     let snapshot = |corpus: &qb_workload::Corpus, current: &HashMap<String, (u64, String)>| {

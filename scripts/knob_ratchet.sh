@@ -11,12 +11,15 @@
 # lines the panic ratchet reads. The rule it enforces (ROADMAP, "Knobs and
 # comparison-only modes"): an option stays only if two non-test callers
 # that exist today give it different values; a value every caller shares
-# is a named constant. Lower the ceiling when a change removes fields;
+# is a named constant. The rule covers constructor parameters and the
+# `pub` fields of contracts and workloads too (ARCHITECTURE.md,
+# "Configuration and protocol constants"); this script counts only the
+# config fields. Lower the ceiling when a change removes fields;
 # raise it only by naming, in CHANGES.md, the two non-test callers that
 # need different values of each new field.
 set -euo pipefail
 
-ceiling=80
+ceiling=75
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 

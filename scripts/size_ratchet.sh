@@ -15,14 +15,14 @@
 # It also prints each crate's total of the same lines, so the per-crate
 # targets in ROADMAP.md can be read from its output, and the workspace
 # total, which fails above its own ceiling: 100 lines above the total
-# measured when the ceiling was last set (21 276 then). A change that
+# measured when the ceiling was last set (21 153 then). A change that
 # adds more than 100 library lines says what it deleted, or why it could
 # not delete anything; raising the total ceiling takes a line in
 # CHANGES.md.
 set -euo pipefail
 
 ceiling=800
-total_ceiling=21376
+total_ceiling=21253
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 

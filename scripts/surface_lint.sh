@@ -8,17 +8,25 @@
 # Library code is what scripts/library_code.awk prints of
 # `crates/*/src/**/*.rs` outside `src/bin/` (the file set of the size, panic
 # and knob ratchets); its functions are the lines that open with
-# `pub fn NAME`. Non-test code is the same awk's output of every `.rs` file
-# under `crates/*/src` (bins included), `examples/` and `bench/src`, with
-# `//` comments dropped, so a doc link calls nothing and `bench/`'s calls
-# count. A function is called when non-test code outside a `fn NAME`
-# definition names it in call syntax: `NAME(` (which `.NAME(` is too),
-# `NAME::<` or `::NAME` (a path, so `Type::NAME` passed as a value counts).
-# A bare word is not a call, so a local variable, a field or a parameter
-# that shares the function's name does not keep it; another function of
-# the same name that is called still does.
+# `pub fn NAME`, each with the type of the `impl` it sits in
+# (scripts/surface_scan.awk). Non-test code is the same awk's output of
+# every `.rs` file under `crates/*/src` (bins included), `examples/` and
+# `bench/src`, with `//` comments dropped, so a doc link calls nothing and
+# `bench/`'s calls count.
 #
-# Each line of scripts/test_only_surface.txt is a function (`Type::name`),
+# A method (a function whose first parameter is a `self`) is called when
+# non-test code outside a `fn NAME` definition names it in call syntax:
+# `NAME(` (which `.NAME(` is too), `NAME::<` or `::NAME` (a path, so
+# `Type::NAME` passed as a value counts). A bare word is not a call, so a
+# local variable, a field or a parameter that shares the method's name
+# does not keep it; another method of the same name that is called still
+# does. So does a free function's, outside any `impl`. An associated
+# function of an `impl` (one without a `self`) is called only where
+# non-test code writes `Type::NAME`, or `Self::NAME` inside an `impl` of
+# the same type: a namesake on another type keeps nothing.
+#
+# Each line of scripts/test_only_surface.txt is a function (`Type::name`,
+# the type of its `impl`; a free function is `name` alone),
 # whitespace and a one-line reason; `#` starts a comment. A function is
 # kept only for a consumer that is scheduled or as a fault hook or probe
 # that a test outside its crate needs. The list names exactly the uncalled
@@ -35,22 +43,36 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# `NAME FILE` for every public function of library code.
+# `TYPE NAME KIND FILE` for every public function of library code.
 while IFS= read -r file; do
   awk -f scripts/library_code.awk "$file" |
-    sed -n 's/^[[:space:]]*pub \(const \|async \)\{0,1\}fn \([A-Za-z_][A-Za-z0-9_]*\).*/\2/p' |
-    sed "s|\$| $file|"
+    awk -f scripts/surface_scan.awk -v mode=defs -v file="$file"
 done < <(find crates/*/src -name '*.rs' -not -path '*/src/bin/*' | sort) >"$tmp/defs"
 
-# Every name non-test code calls, definitions' own names left out.
+# Non-test code, definitions' own names left out.
 while IFS= read -r file; do
   awk -f scripts/library_code.awk "$file" |
-    sed -e 's|//.*||' -e 's/\bfn [A-Za-z_][A-Za-z0-9_]*//g'
-done < <(find crates/*/src examples bench/src -name '*.rs' | sort) |
-  grep -oE '::[A-Za-z_][A-Za-z0-9_]*|\b[A-Za-z_][A-Za-z0-9_]*(\(|::<)' |
-  sed -E -e 's/^:://' -e 's/(\(|::<)$//' | sort -u >"$tmp/words"
+    sed -e 's|//.*||' -e 's/\bfn [A-Za-z_][A-Za-z0-9_]*//g' |
+    awk -f scripts/surface_scan.awk -v mode=calls
+done < <(find crates/*/src examples bench/src -name '*.rs' | sort) >"$tmp/code"
 
-cut -d' ' -f1 "$tmp/defs" | sort -u | comm -23 - "$tmp/words" >"$tmp/uncalled"
+# Every name called in call syntax, and every `Type::name` path.
+grep -oE '::[A-Za-z_][A-Za-z0-9_]*|\b[A-Za-z_][A-Za-z0-9_]*(\(|::<)' "$tmp/code" |
+  sed -E -e 's/^:://' -e 's/(\(|::<)$//' | sort -u >"$tmp/words"
+grep -oE '\b[A-Z][A-Za-z0-9_]*::[a-z_][A-Za-z0-9_]*' "$tmp/code" | sort -u >"$tmp/paths"
+
+# `Type::name` (or a free function's `name`) and its file, for each
+# function that nothing calls.
+awk -v words="$tmp/words" -v paths="$tmp/paths" '
+  BEGIN {
+    while ((getline w <words) > 0) called[w] = 1
+    while ((getline p <paths) > 0) pathed[p] = 1
+  }
+  {
+    item = $1 == "-" ? $2 : $1 "::" $2
+    if ($3 == "assoc" ? !pathed[item] : !called[$2]) print item, $4
+  }
+' "$tmp/defs" | sort >"$tmp/uncalled"
 
 status=0
 listed=0
@@ -58,13 +80,12 @@ declare -A kept=()
 while read -r item reason; do
   case "$item" in '' | '#'*) continue ;; esac
   listed=$((listed + 1))
-  name="${item##*::}"
-  kept[$name]=1
+  kept[$item]=1
   if [ -z "$reason" ]; then
     echo "FAIL $item is listed without a reason" >&2
     status=1
   fi
-  if ! grep -qxF "$name" "$tmp/uncalled"; then
+  if ! cut -d' ' -f1 "$tmp/uncalled" | grep -qxF "$item"; then
     echo "FAIL $item is listed but is not an uncalled pub fn of library code (called now, or gone)" >&2
     status=1
   fi
@@ -75,14 +96,13 @@ if [ "$listed" -gt "$max_listed" ]; then
   status=1
 fi
 
-while read -r name; do
-  [ -n "$name" ] || continue
-  files="$(awk -v n="$name" '$1 == n { print $2 }' "$tmp/defs" | paste -sd' ' -)"
-  if [ -z "${kept[$name]:-}" ]; then
-    echo "FAIL pub fn $name ($files) has no caller outside tests and is not listed" >&2
+while read -r item file; do
+  [ -n "$item" ] || continue
+  if [ -z "${kept[$item]:-}" ]; then
+    echo "FAIL pub fn $item ($file) has no caller outside tests and is not listed" >&2
     status=1
   else
-    echo "kept $name ($files)"
+    echo "kept $item ($file)"
   fi
 done <"$tmp/uncalled"
 

@@ -52,8 +52,6 @@ fn colluding_minority_is_caught_flagged_and_slashed() {
     // assigned together with two honest bees).
     let colluding = BeeBehaviour::Colluding {
         boost_pages: vec!["evil/spam".into()],
-        boost_tf: 900,
-        rank_factor: 40.0,
     };
     qb.set_bee_behaviour(0, colluding.clone()).unwrap();
     // There are four bees: index 4 names none of them.
@@ -104,8 +102,6 @@ fn collusion_without_redundancy_poisons_the_index() {
             i,
             BeeBehaviour::Colluding {
                 boost_pages: vec!["evil/spam".into()],
-                boost_tf: 900,
-                rank_factor: 40.0,
             },
         )
         .unwrap();

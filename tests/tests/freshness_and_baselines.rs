@@ -56,7 +56,6 @@ fn crawling_baselines_lag_until_next_crawl() {
     // Centralized engine with an hourly crawl.
     let mut central = CentralizedEngine::new(CentralizedConfig {
         crawl_interval: SimDuration::from_secs(3_600),
-        ..CentralizedConfig::default()
     });
     central.crawl(&v1, now);
     // The page updates 10 minutes later; the next crawl is not due.
@@ -73,9 +72,7 @@ fn crawling_baselines_lag_until_next_crawl() {
     // YaCy-style engine behaves the same way.
     let mut net = SimNet::new(32, NetConfig::lan(), 5);
     let mut yacy = YacyEngine::new(YacyConfig {
-        num_peers: 8,
         crawl_interval: SimDuration::from_secs(3_600),
-        ..YacyConfig::default()
     });
     yacy.crawl(&v1, now);
     assert!(!yacy.maybe_crawl(&v2, t_update));

@@ -18,7 +18,7 @@ fn stack(n: usize, seed: u64) -> (SimNet, DhtNetwork, StorageNetwork) {
 #[test]
 fn distributed_index_survives_moderate_churn() {
     let (mut net, mut dht, mut storage) = stack(48, 1);
-    let dist = DistributedIndex::new();
+    let dist = DistributedIndex::default();
     // Write shards for ten terms from different peers.
     for i in 0..10u64 {
         let mut shard = ShardEntry::empty(&format!("term{i}"));
@@ -117,7 +117,7 @@ fn chain_registry_and_storage_stay_consistent() {
 fn index_stats_record_converges_to_latest_version() {
     let (mut net, mut dht, mut storage) = stack(24, 4);
     let _ = &mut storage;
-    let dist = DistributedIndex::new();
+    let dist = DistributedIndex::default();
     for v in 1..=5u64 {
         let stats = IndexStats {
             num_docs: v * 10,
