@@ -20,8 +20,8 @@
 # `Type::NAME` passed as a value counts). A bare word is not a call, so a
 # local variable, a field or a parameter that shares the method's name
 # does not keep it; another method of the same name that is called still
-# does. So does a free function's, outside any `impl`. An associated
-# function of an `impl` (one without a `self`) is called only where
+# does. A free function, outside any `impl`, is matched the same way. An
+# associated function of an `impl` (one without a `self`) is called only where
 # non-test code writes `Type::NAME`, or `Self::NAME` inside an `impl` of
 # the same type: a namesake on another type keeps nothing.
 #
