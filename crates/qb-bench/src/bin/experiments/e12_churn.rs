@@ -12,7 +12,7 @@
 //!   warmed by the fleet, never by direct DHT pre-warming,
 //! * stale results served stay exactly 0 through all the churn.
 
-use crate::e17_hedging::{crash_window, CRASH_FLEET, CRASH_VICTIM};
+use crate::e17_routing::{crash_window, CRASH_FLEET, CRASH_VICTIM};
 use crate::{published, DOC_LEN};
 use qb_bench::{count_ratio_x, f2, ratio_x, Table};
 use qb_common::{DetRng, SimDuration};

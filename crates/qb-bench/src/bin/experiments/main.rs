@@ -33,7 +33,7 @@ mod e13_pipeline;
 mod e14_open_loop;
 mod e15_tracing;
 mod e16_segment;
-mod e17_hedging;
+mod e17_routing;
 mod f1;
 
 use qb_bench::Table;
@@ -66,7 +66,7 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("e14", e14_open_loop::run),
     ("e15", e15_tracing::run),
     ("e16", e16_segment::run),
-    ("e17", e17_hedging::run),
+    ("e17", e17_routing::run),
 ];
 
 /// Resolve the command line against the registry before anything runs: no

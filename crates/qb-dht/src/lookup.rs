@@ -88,33 +88,9 @@
 
 use crate::network::{DhtNetwork, LookupOutcome};
 use crate::node::Record;
-use qb_common::{DhtKey, Distance, Hash256, LatencyHistogram, NodeId, SimDuration, SimInstant};
+use qb_common::{DhtKey, Distance, Hash256, NodeId, SimDuration, SimInstant};
 use qb_simnet::{Poll, RpcError, RpcHandle, SimNet};
 use qb_trace::SpanId;
-
-/// Per-origin hedging state kept on the [`DhtNetwork`]: the adaptive RTT
-/// histogram the hedge timer is derived from, and the fired-hedge budget.
-#[derive(Debug, Default)]
-pub(crate) struct OriginHedge {
-    /// Successful hop RTTs observed from this origin (timeouts excluded —
-    /// the timer must stay near the healthy p95, not chase the tail it is
-    /// meant to cut).
-    pub(crate) rtt: LatencyHistogram,
-    /// Value lookups this origin started over the network.
-    pub(crate) fetches: u64,
-    /// Hedges this origin fired.
-    pub(crate) hedges: u64,
-}
-
-/// Read-only snapshot of one origin's hedging counters
-/// ([`DhtNetwork::hedge_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HedgeStats {
-    /// Value lookups the origin started over the network.
-    pub fetches: u64,
-    /// Hedges the origin fired.
-    pub hedges: u64,
-}
 
 /// What a [`DhtNetwork::lookup_poll`] call observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,10 +116,8 @@ struct InFlightRpc {
     peer: u32,
     /// The peer's distance to the target: its shortlist entry's key.
     distance: Distance,
-    issued_at: SimInstant,
     completes_at: SimInstant,
     generation: usize,
-    is_hedge: bool,
     hop_span: Option<SpanId>,
 }
 
@@ -216,18 +190,6 @@ pub struct LookupMachine {
     satisfied: bool,
     finished_at: SimInstant,
     queue_delay: SimDuration,
-    /// Is hedging enabled for this machine (gates RTT sampling, the timer
-    /// and the early cancel-on-satisfy path — off keeps the machine
-    /// byte-identical to the unhedged one)?
-    hedging: bool,
-    /// When the armed hedge timer expires (`None`: not armed or already
-    /// fired).
-    hedge_deadline: Option<SimInstant>,
-    /// Was a hedge timer armed for this lookup? An armed lookup is a
-    /// managed race: it finishes at the first version-satisfying response
-    /// and cancels every loser still in flight. Unarmed lookups keep the
-    /// baseline drain-every-completion semantics bit for bit.
-    armed: bool,
     /// Does the walk leave its `k` closest in the network's `found` list
     /// when it finishes? Only the node walk under a store round or a
     /// provider search does.
@@ -292,18 +254,17 @@ impl LookupMachine {
         top.find(|(_, c)| c.mark == Mark::Unqueried).map(|(i, _)| i)
     }
 
-    /// Send one RPC (a frontier hop or the hedge) to the candidate at
-    /// shortlist position `slot` at instant `at`, counting it against the
-    /// budget, and track it in flight. A failed attempt costs the timeout
-    /// on the lookup's timeline (an offline requester pays nothing),
-    /// exactly like the synchronous `rpc_or_timeout` path.
+    /// Send one frontier hop to the candidate at shortlist position `slot`
+    /// at instant `at`, counting it against the budget, and track it in
+    /// flight. A failed attempt costs the timeout on the lookup's timeline
+    /// (an offline requester pays nothing), exactly like the synchronous
+    /// `rpc_or_timeout` path.
     fn send(
         &mut self,
         net: &mut SimNet,
         slot: usize,
         at: SimInstant,
         generation: usize,
-        is_hedge: bool,
         hop_span: Option<SpanId>,
     ) {
         let candidate = &mut self.shortlist[slot];
@@ -330,10 +291,8 @@ impl LookupMachine {
             handle,
             peer,
             distance,
-            issued_at: at,
             completes_at,
             generation,
-            is_hedge,
             hop_span,
         });
     }
@@ -380,9 +339,6 @@ impl DhtNetwork {
             satisfied: false,
             finished_at: at,
             queue_delay: SimDuration::ZERO,
-            hedging: config.hedge.enabled,
-            hedge_deadline: None,
-            armed: false,
             keeps_closest: false,
             result: None,
         };
@@ -414,19 +370,6 @@ impl DhtNetwork {
         routing.closest_into(&target, config.k, &mut self.replies);
         let known = self.replies.iter().map(Candidate::unqueried);
         machine.shortlist.extend(known);
-        // Value lookups that hit the network count against the origin's
-        // hedge budget; the timer arms at the adaptive p95 once enough
-        // successful RTTs have been observed and the budget allows it.
-        if machine.hedging && machine.want_value.is_some() {
-            let percent = config.hedge.percent as u64;
-            let min_samples = config.hedge.min_rtt_samples;
-            let h = self.hedge.entry(from).or_default();
-            h.fetches += 1;
-            if h.rtt.count() >= min_samples && (h.hedges + 1) * 100 <= h.fetches * percent {
-                machine.hedge_deadline = Some(at + h.rtt.value_at_quantile(0.95));
-                machine.armed = true;
-            }
-        }
         machine.span = net.tracer().record_with(parent, "dht.lookup", at, at, || {
             format!("{} from {}", target.short(), from)
         });
@@ -450,21 +393,6 @@ impl DhtNetwork {
         // on issue order), so results are independent of how the driver
         // batches its polls.
         loop {
-            // An expired hedge timer fires before any later completion; a
-            // completion due at the very same instant wins (it may already
-            // satisfy the lookup, making the hedge moot).
-            if let Some(deadline) = machine.hedge_deadline {
-                if deadline <= at {
-                    let next_due = machine.in_flight.iter().map(|op| op.completes_at).min();
-                    if next_due.is_none_or(|d| deadline < d) {
-                        machine.hedge_deadline = None;
-                        if !machine.satisfied {
-                            self.hedge_fire(net, machine, deadline);
-                        }
-                        continue;
-                    }
-                }
-            }
             let due = machine
                 .in_flight
                 .iter()
@@ -490,28 +418,6 @@ impl DhtNetwork {
             machine.completed += 1;
             machine.finished_at = machine.finished_at.max(completed_at);
             if ok {
-                // Feed the origin's adaptive hedge timer with successful
-                // RTTs only — timeouts would drag the p95 toward the very
-                // tail the hedge is meant to cut.
-                if machine.hedging {
-                    let h = self.hedge.entry(machine.from).or_default();
-                    h.rtt.record(completed_at.since(op.issued_at));
-                    // Progress re-arms the timer: the samples are per-RPC
-                    // RTTs, so the p95 deadline guards the *current* hop,
-                    // not the whole multi-round lookup — without the
-                    // re-arm every healthy lookup that needs a second
-                    // round blows the one-hop deadline, fires a benign
-                    // hedge and starves the valve's budget just when a
-                    // genuine drop needs rescuing. Re-arming also revives
-                    // a lookup whose first hedge answered but did not
-                    // satisfy: the dropped original still squats on the α
-                    // window until its timeout, so each hedge response
-                    // that makes progress earns the walk another timer
-                    // (the valve and the RPC budget still cap the total).
-                    if !machine.satisfied && machine.armed {
-                        machine.hedge_deadline = Some(completed_at + h.rtt.value_at_quantile(0.95));
-                    }
-                }
                 // Successful contact: update both routing tables.
                 let from_id = self.nodes[machine.from as usize].id;
                 let peer = op.peer as usize;
@@ -568,43 +474,11 @@ impl DhtNetwork {
                 let cand_id = self.nodes[op.peer as usize].id;
                 self.nodes[machine.from as usize].routing.remove(&cand_id);
             }
-            // Once an armed lookup is satisfied the race is decided: credit
-            // the winner, cancel every loser still in flight (freeing its
-            // link slot) and charge a losing *hedge's* already-paid traffic
-            // as wasted — a cancelled regular RPC was work the baseline
-            // would also have discarded, just without freeing the slot.
-            // Issue-failed attempts (handle `None`) were never charged, so
-            // they waste nothing.
-            if machine.satisfied && machine.armed {
-                if op.is_hedge {
-                    net.record_hedge_won();
-                }
-                for loser in machine.in_flight.drain(..) {
-                    if let Some(handle) = loser.handle {
-                        let cancelled = net.cancel_async(handle);
-                        if cancelled && loser.is_hedge {
-                            net.record_hedge_wasted(
-                                (crate::REQUEST_BYTES + machine.response_bytes) as u64,
-                            );
-                        }
-                    }
-                    net.tracer().close(loser.hop_span, completed_at);
-                }
-                machine.hedge_deadline = None;
-                break;
-            }
             self.lookup_issue(net, machine, completed_at, op.generation + 1);
         }
         match machine.in_flight.iter().map(|op| op.completes_at).min() {
-            Some(next) => {
-                let next_event_at = match machine.hedge_deadline {
-                    Some(d) if d < next => d,
-                    _ => next,
-                };
-                LookupStep::Pending { next_event_at }
-            }
+            Some(next_event_at) => LookupStep::Pending { next_event_at },
             None => {
-                machine.hedge_deadline = None;
                 self.lookup_finish(net, machine);
                 LookupStep::Ready
             }
@@ -635,39 +509,8 @@ impl DhtNetwork {
                 .record_with(machine.span, "dht.hop", at, at, || {
                     format!("gen {} -> {}", generation, cand)
                 });
-            machine.send(net, slot, at, generation, false, hop_span);
+            machine.send(net, slot, at, generation, hop_span);
         }
-    }
-
-    /// Fire the hedge at instant `at`: one extra speculative RPC to the
-    /// next-closest unqueried replica, traced as a `fetch.hedge` child of
-    /// the lookup span. The budget is re-checked at fire time (other
-    /// lookups from the same origin may have fired hedges since this one
-    /// armed its timer) and the attempt respects the lookup's RPC budget;
-    /// it deliberately ignores α — the hedge is the one sanctioned
-    /// over-subscription.
-    fn hedge_fire(&mut self, net: &mut SimNet, machine: &mut LookupMachine, at: SimInstant) {
-        if machine.messages >= machine.rpc_budget {
-            return;
-        }
-        let Some(slot) = machine.next_candidate() else {
-            return;
-        };
-        let cand = machine.shortlist[slot].contact;
-        let percent = self.config().hedge.percent as u64;
-        let h = self.hedge.entry(machine.from).or_default();
-        if (h.hedges + 1) * 100 > h.fetches * percent {
-            return;
-        }
-        h.hedges += 1;
-        net.record_hedge_fired();
-        let generation = machine.hops.max(1);
-        let hop_span = net
-            .tracer()
-            .record_with(machine.span, "fetch.hedge", at, at, || {
-                format!("hedge -> {}", cand)
-            });
-        machine.send(net, slot, at, generation, true, hop_span);
     }
 
     /// Close the walk's span, build its outcome, leave the walk's `k`

@@ -3,9 +3,9 @@
 
 use crate::node::{DhtNode, Record};
 use crate::DhtConfig;
-use bytes::Bytes;
 use qb_common::{DhtKey, Distance, Hash256, NodeId, QbError, QbResult, SimDuration, SimInstant};
 use qb_simnet::{Poll, RpcError, RpcHandle, SimNet};
+use std::sync::Arc;
 
 /// Result of an iterative lookup.
 #[derive(Debug, Clone)]
@@ -54,10 +54,6 @@ pub struct GetOutcome {
 pub struct DhtNetwork {
     pub(crate) config: DhtConfig,
     pub(crate) nodes: Vec<DhtNode>,
-    /// Per-origin hedging state (RTT histograms and the fired-hedge
-    /// budget); empty until [`crate::HedgeConfig::enabled`] turns hedging
-    /// on.
-    pub(crate) hedge: std::collections::HashMap<u64, crate::lookup::OriginHedge>,
     /// Lists finished walks handed back, for the next walk to take (the
     /// `lookup` module's "Buffers"): never more sets than the most walks
     /// ever in flight at once.
@@ -86,7 +82,6 @@ impl DhtNetwork {
         let mut dht = DhtNetwork {
             config,
             nodes,
-            hedge: std::collections::HashMap::new(),
             spare_walks: Vec::new(),
             replies: Vec::new(),
             pending: Vec::new(),
@@ -99,18 +94,6 @@ impl DhtNetwork {
     /// Overlay configuration.
     pub fn config(&self) -> &DhtConfig {
         &self.config
-    }
-
-    /// One origin's hedging counters — the safety-valve budget the E17
-    /// experiment asserts on (`hedges ≤ max(1, fetches × percent / 100)`).
-    pub fn hedge_stats(&self, origin: u64) -> crate::lookup::HedgeStats {
-        self.hedge
-            .get(&origin)
-            .map(|h| crate::lookup::HedgeStats {
-                fetches: h.fetches,
-                hedges: h.hedges,
-            })
-            .unwrap_or_default()
     }
 
     /// Number of participants.
@@ -324,10 +307,10 @@ impl DhtNetwork {
         net: &mut SimNet,
         from: u64,
         key: DhtKey,
-        value: impl Into<Bytes>,
+        value: impl Into<Arc<[u8]>>,
         version: u64,
     ) -> QbResult<PutOutcome> {
-        let value: Bytes = value.into();
+        let value: Arc<[u8]> = value.into();
         let bytes = crate::REQUEST_BYTES + value.len();
         let record = Record {
             key,
@@ -768,7 +751,7 @@ mod tests {
     /// partitioned away, then 32 node lookups and 16 put/get pairs from
     /// rotating origins. Odd seeds run on a one-slot uplink (so α = 2
     /// queues and `queue_delay` is non-zero), even seeds drop 8 % of
-    /// messages, and seed 4 reads with hedging armed.
+    /// messages.
     /// Returns the transcript of every outcome and the final traffic
     /// counters.
     fn golden_run(seed: u64) -> (String, qb_simnet::NetStats) {
@@ -780,18 +763,7 @@ mod tests {
             cfg.drop_probability = 0.08;
         }
         let mut net = SimNet::new(64, cfg, seed);
-        let mut dcfg = DhtConfig::small();
-        if seed == 4 {
-            // Single-flight walks: the regime where a dropped probe stalls
-            // the lookup and only the hedge timer rescues it.
-            dcfg.alpha = 1;
-            dcfg.hedge = crate::HedgeConfig {
-                enabled: true,
-                percent: 50,
-                min_rtt_samples: 4,
-            };
-        }
-        let mut dht = DhtNetwork::build(&mut net, dcfg);
+        let mut dht = DhtNetwork::build(&mut net, DhtConfig::small());
         for offline in [7, 21, 40] {
             net.set_online(offline, false);
         }
@@ -829,12 +801,7 @@ mod tests {
                 Err(e) => writeln!(out, "P{i} from {from}: {e}"),
             }
             .unwrap();
-            // Hedge timers arm per origin, so the hedged seed reads from one.
-            let reader = if seed == 4 {
-                9
-            } else {
-                (i * 13 + 3 * seed + 1) % 64
-            };
+            let reader = (i * 13 + 3 * seed + 1) % 64;
             match dht.get_record_fresh(&mut net, reader, key, 1 + i % 3) {
                 Ok(g) => writeln!(
                     out,
@@ -848,23 +815,6 @@ mod tests {
             }
             .unwrap();
         }
-        if seed == 4 {
-            for i in 0..48u64 {
-                let key = DhtKey::for_term(&format!("golden-{}", i % 16));
-                match dht.get_record_fresh(&mut net, 9, key, 0) {
-                    Ok(g) => writeln!(
-                        out,
-                        "H{i}: v{} hops {} msgs {} lat {}",
-                        g.record.version,
-                        g.hops,
-                        g.messages,
-                        g.latency.as_micros()
-                    ),
-                    Err(e) => writeln!(out, "H{i}: {e}"),
-                }
-                .unwrap();
-            }
-        }
         (out, net.stats().clone())
     }
 
@@ -874,7 +824,7 @@ mod tests {
     /// distances were computed once and the shortlist kept sorted.
     #[test]
     fn golden_scenario_is_byte_identical() {
-        let expected: [(u64, qb_simnet::NetStats); 4] = [
+        let expected: [(u64, qb_simnet::NetStats); 3] = [
             (
                 0x8ef2_3759_fce3_36a8,
                 qb_simnet::NetStats {
@@ -926,23 +876,6 @@ mod tests {
                     ..Default::default()
                 },
             ),
-            (
-                0x3112_e722_8d67_de89,
-                qb_simnet::NetStats {
-                    messages: 1842,
-                    bytes: 206472,
-                    rpcs: 921,
-                    failed_rpcs: 123,
-                    dropped_messages: 92,
-                    peer_down_events: 3,
-                    async_ops: 921,
-                    async_queued_ops: 0,
-                    async_queue_delay_us: 0,
-                    hedges_fired: 27,
-                    hedges_won: 9,
-                    ..Default::default()
-                },
-            ),
         ];
         for (seed, (fingerprint, stats)) in (1u64..).zip(expected) {
             let (transcript, got) = golden_run(seed);
@@ -952,159 +885,6 @@ mod tests {
                 "seed {seed} transcript moved:\n{transcript}"
             );
             assert_eq!(got, stats, "seed {seed}");
-        }
-    }
-
-    /// A lossy LAN plus a workload of puts-then-gets, with hedging either
-    /// off or configured via `tweak`. Returns the network, the overlay and
-    /// the keys that were stored.
-    fn lossy_setup(
-        seed: u64,
-        tweak: impl FnOnce(&mut crate::HedgeConfig),
-    ) -> (SimNet, DhtNetwork, Vec<DhtKey>) {
-        let mut cfg = NetConfig::lan();
-        cfg.drop_probability = 0.08;
-        let mut net = SimNet::new(48, cfg, seed);
-        let mut dcfg = DhtConfig::small();
-        // Single-flight walks: with lookup parallelism a dropped probe's
-        // siblings carry the lookup, so α = 1 is the regime where a drop
-        // stalls the walk and only the hedge timer can rescue it.
-        dcfg.alpha = 1;
-        tweak(&mut dcfg.hedge);
-        let mut dht = DhtNetwork::build(&mut net, dcfg);
-        let keys: Vec<DhtKey> = (0..30)
-            .map(|i| DhtKey::for_term(&format!("hedge-workload-{i}")))
-            .collect();
-        for (i, key) in keys.iter().enumerate() {
-            dht.put_record(
-                &mut net,
-                (i % 8) as u64,
-                *key,
-                format!("value-{i}").into_bytes(),
-                1,
-            )
-            .unwrap();
-        }
-        (net, dht, keys)
-    }
-
-    #[test]
-    fn hedges_rescue_dropped_primaries_and_return_identical_records() {
-        let run = |enabled: bool| {
-            let (mut net, mut dht, keys) = lossy_setup(17, |h| {
-                if enabled {
-                    h.enabled = true;
-                    h.percent = 50;
-                    h.min_rtt_samples = 8;
-                }
-            });
-            let mut total = SimDuration::ZERO;
-            let mut records = Vec::new();
-            for key in &keys {
-                let got = dht.get_record(&mut net, 40, *key).unwrap();
-                total += got.latency;
-                records.push(got.record);
-            }
-            let stats = net.stats().clone();
-            let rtt_samples = dht.hedge.get(&40).map_or(0, |h| h.rtt.count());
-            (total, records, stats, dht.hedge_stats(40), rtt_samples)
-        };
-        let (slow, base_records, base_stats, _, _) = run(false);
-        let (fast, hedged_records, hedged_stats, origin, rtt_samples) = run(true);
-        // Hedge traffic is real and attributed.
-        assert_eq!(base_stats.hedges_fired, 0);
-        assert!(hedged_stats.hedges_fired > 0, "no hedge fired");
-        assert!(hedged_stats.hedges_won <= hedged_stats.hedges_fired);
-        // Nearly every get hits the network (a handful short-circuit when
-        // the reader happens to be a natural replica of the key).
-        assert!(origin.fetches >= 20, "fetches = {}", origin.fetches);
-        assert!(rtt_samples > 0);
-        // The race never changes what a read returns: byte-identical
-        // records with hedging on and off.
-        assert_eq!(base_records, hedged_records);
-        // Cutting the drop→timeout tail is the whole point.
-        assert!(
-            fast < slow,
-            "hedged total {fast:?} not below unhedged {slow:?}"
-        );
-    }
-
-    #[test]
-    fn hedge_budget_caps_the_fire_rate() {
-        let (mut net, mut dht, keys) = lossy_setup(23, |h| {
-            h.enabled = true;
-            h.min_rtt_samples = 8;
-        });
-        for _ in 0..4 {
-            for key in &keys {
-                let _ = dht.get_record(&mut net, 40, *key);
-            }
-        }
-        let s = dht.hedge_stats(40);
-        let percent = dht.config().hedge.percent as u64;
-        assert!(
-            s.hedges * 100 <= s.fetches * percent,
-            "budget violated: {} hedges over {} fetches",
-            s.hedges,
-            s.fetches
-        );
-        assert_eq!(net.stats().hedges_fired, s.hedges);
-    }
-
-    #[test]
-    fn unarmed_hedging_is_bit_identical_to_disabled() {
-        // Enabled hedging whose timer can never arm (impossible sample
-        // floor) must replay the exact run of the disabled configuration:
-        // same RNG draws, latencies, hops and messages.
-        let run = |enabled: bool| {
-            let (mut net, mut dht, keys) = lossy_setup(31, |h| {
-                if enabled {
-                    h.enabled = true;
-                    h.min_rtt_samples = u64::MAX;
-                }
-            });
-            let outcomes: Vec<_> = keys
-                .iter()
-                .map(|key| {
-                    let got = dht.get_record(&mut net, 12, *key).unwrap();
-                    (got.record, got.hops, got.messages, got.latency)
-                })
-                .collect();
-            (outcomes, net.stats().clone())
-        };
-        let (base, base_stats) = run(false);
-        let (armed_off, stats) = run(true);
-        assert_eq!(base, armed_off);
-        assert_eq!(base_stats.messages, stats.messages);
-        assert_eq!(base_stats.bytes, stats.bytes);
-        assert_eq!(stats.hedges_fired, 0);
-    }
-
-    #[test]
-    fn hedge_spans_nest_under_their_lookup() {
-        let (mut net, mut dht, keys) = lossy_setup(17, |h| {
-            h.enabled = true;
-            h.percent = 50;
-            h.min_rtt_samples = 8;
-        });
-        net.take_trace();
-        net.set_tracing(true);
-        let before = net.stats().hedges_fired;
-        for key in &keys {
-            let _ = dht.get_record(&mut net, 40, *key);
-        }
-        let fired = net.stats().hedges_fired - before;
-        assert!(fired > 0, "workload fired no hedge");
-        let trace = net.take_trace();
-        let hedges: Vec<_> = trace.named("fetch.hedge").collect();
-        assert_eq!(hedges.len() as u64, fired);
-        for hedge in hedges {
-            let root = trace.root_of(hedge.id);
-            let root_span = trace.named("dht.lookup").find(|s| s.id == root);
-            assert!(
-                root_span.is_some(),
-                "fetch.hedge span not rooted under a dht.lookup span"
-            );
         }
     }
 }

@@ -2,9 +2,9 @@
 
 use crate::routing::RoutingTable;
 use crate::DhtConfig;
-use bytes::Bytes;
 use qb_common::{DhtKey, DigestMap, NodeId};
 use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 /// A value stored in the DHT under a key. A stored record is permanent: it
 /// lives on its replicas until a higher [`Record::version`] replaces it.
@@ -16,7 +16,7 @@ pub struct Record {
     /// Opaque value bytes (serialized pointers, registry entries, ...),
     /// shared: the origin, its replicas and every lookup that finds the
     /// record hold one buffer.
-    pub value: Bytes,
+    pub value: Arc<[u8]>,
     /// Monotonically increasing version; a replica only overwrites its copy
     /// with a higher version (last-writer-wins on version).
     pub version: u64,

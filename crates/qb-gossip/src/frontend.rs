@@ -313,7 +313,7 @@ impl Frontend {
             incarnation: 0,
             heartbeat: 0,
             departed: false,
-            view: MembershipView::new(),
+            view: MembershipView::default(),
             sync: HashMap::new(),
             summary_cursor: 0,
             pending_adverts: Vec::new(),

@@ -84,18 +84,14 @@ pub fn fresher(a_inc: u64, a_hb: u64, b_inc: u64, b_hb: u64) -> bool {
     (a_inc, a_hb) > (b_inc, b_hb)
 }
 
-/// One frontend's view of the fleet.
+/// One frontend's view of the fleet; the default view is empty (a joining
+/// frontend before bootstrap).
 #[derive(Debug, Clone, Default)]
 pub struct MembershipView {
     members: BTreeMap<u64, MemberInfo>,
 }
 
 impl MembershipView {
-    /// An empty view (a joining frontend before bootstrap).
-    pub fn new() -> MembershipView {
-        MembershipView::default()
-    }
-
     /// Number of known members (alive or dead).
     pub fn len(&self) -> usize {
         self.members.len()
@@ -375,7 +371,7 @@ mod tests {
     }
 
     fn view_of(members: &[(u64, usize)]) -> MembershipView {
-        let mut v = MembershipView::new();
+        let mut v = MembershipView::default();
         for &(peer, zone) in members {
             v.admit(peer, zone, 0, 0, SimInstant::ZERO);
         }
@@ -392,7 +388,7 @@ mod tests {
         assert_eq!(s.entries.len(), 3);
         assert!(s.wire_bytes() > MembershipSummary::default().wire_bytes());
 
-        let mut other = MembershipView::new();
+        let mut other = MembershipView::default();
         other.admit(9, 1, 0, 5, SimInstant::ZERO);
         other.merge_summary(&s, 9, SimInstant::ZERO);
         assert_eq!(other.len(), 4);

@@ -18,11 +18,6 @@ pub struct PostingList {
 }
 
 impl PostingList {
-    /// Empty list.
-    pub fn new() -> PostingList {
-        PostingList::default()
-    }
-
     /// Build from unsorted postings (sorts and merges duplicates, keeping the
     /// larger term frequency for a duplicated document).
     pub fn from_postings(mut postings: Vec<Posting>) -> PostingList {
@@ -215,7 +210,7 @@ mod tests {
 
     #[test]
     fn upsert_and_remove_keep_order() {
-        let mut l = PostingList::new();
+        let mut l = PostingList::default();
         l.upsert(10, 1);
         l.upsert(2, 3);
         l.upsert(7, 2);
@@ -243,7 +238,7 @@ mod tests {
     #[test]
     fn intersect_with_empty_is_empty() {
         let a = list(&[1, 2, 3]);
-        let e = PostingList::new();
+        let e = PostingList::default();
         assert!(a.intersect(&e).is_empty());
         assert!(e.intersect(&a).is_empty());
     }

@@ -124,7 +124,7 @@ pub fn search(
             acc
         }
         QueryMode::Or => {
-            let mut acc = PostingList::new();
+            let mut acc = PostingList::default();
             for (_, l) in &lists {
                 acc = acc.union(l);
             }

@@ -15,7 +15,7 @@
 use crate::postings::{Posting, PostingList};
 use crate::views::ShardViews;
 use qb_common::{varint, Cid, DhtKey, Hash256, QbError, QbResult, SimDuration, SimInstant};
-use qb_dht::{Bytes, DhtNetwork, LookupMachine, LookupStep};
+use qb_dht::{DhtNetwork, LookupMachine, LookupStep};
 use qb_simnet::{Poll, RpcHandle, SimNet};
 use qb_storage::StorageNetwork;
 use qb_trace::SpanId;
@@ -522,7 +522,7 @@ impl DistributedIndex {
         storage: &mut StorageNetwork,
         peer: u64,
         entry: &ShardEntry,
-    ) -> QbResult<(IndexOpCost, Bytes, usize)> {
+    ) -> QbResult<(IndexOpCost, Arc<[u8]>, usize)> {
         let mut cost = IndexOpCost::default();
         let key = DhtKey::for_term(&entry.term);
         let len = entry.encoded_len();
@@ -540,7 +540,7 @@ impl DistributedIndex {
             cost.add(put.latency, put.messages);
             let mut pointer = [SHARD_POINTER_TAG; 33];
             pointer[1..].copy_from_slice(obj.root.0.as_bytes());
-            Bytes::copy_from_slice(&pointer)
+            Arc::from(&pointer[..])
         };
         let put = dht.put_record(net, peer, key, value.clone(), entry.version)?;
         cost.add(put.latency, put.messages);
@@ -1034,7 +1034,7 @@ mod tests {
         dist.write_shard(&mut net, &mut dht, &mut storage, 3, &shard)
             .unwrap();
         let at = net.now();
-        let mut views = ShardViews::new();
+        let mut views = ShardViews::default();
         let mut read = dist.begin_read_shard_fresh(&mut net, &mut dht, 11, "nectar", 0, at, None);
         let step = dist.poll_read_shard(
             &mut net,
@@ -1066,7 +1066,7 @@ mod tests {
             .unwrap();
         let at = net.now();
         let mut read = dist.begin_read_shard_fresh(&mut net, &mut dht, 17, "common", 0, at, None);
-        let mut views = ShardViews::new();
+        let mut views = ShardViews::default();
         let mut cursor = at;
         while !matches!(read.state, ReadState::Done { tail: Some(_), .. }) {
             match dist.poll_read_shard(
@@ -1095,7 +1095,7 @@ mod tests {
         let issued_before = net.stats().async_ops;
         let at = net.now() + SimDuration::from_millis(3);
         let mut read = dist.begin_read_shard_fresh(&mut net, &mut dht, 5, "any", 0, at, None);
-        let mut views = ShardViews::new();
+        let mut views = ShardViews::default();
         let step = dist.poll_read_shard(
             &mut net,
             &mut dht,
@@ -1151,7 +1151,7 @@ mod tests {
         };
         let (mut net, mut dht, mut storage, dist) = world();
         let (mut net2, mut dht2, mut storage2, _) = world();
-        let mut views = ShardViews::new();
+        let mut views = ShardViews::default();
         for term in ["s", "common", "neverwritten"] {
             let blocking = dist
                 .read_shard_fresh(&mut net, &mut dht, &mut storage, 17, term, 0)

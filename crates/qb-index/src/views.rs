@@ -22,7 +22,7 @@
 
 use crate::shard::ShardEntry;
 use qb_common::{IdHashMap, QbResult};
-use qb_dht::{Bytes, Record};
+use qb_dht::Record;
 use std::sync::{Arc, Weak};
 
 /// Fewest entries an [`AddressTable`] holds before it sweeps the dead
@@ -100,16 +100,11 @@ pub struct ShardViews {
 struct View {
     /// The record value whose buffer keys the view: holding it keeps that
     /// address from being reused while the view exists.
-    value: Bytes,
+    value: Arc<[u8]>,
     shard: Weak<ShardEntry>,
 }
 
 impl ShardViews {
-    /// An empty map.
-    pub fn new() -> ShardViews {
-        ShardViews::default()
-    }
-
     /// The shard `record` names, given the bytes it resolved to and the
     /// read verified: the record's own after its tag (inline), or the
     /// fetched object (pointer). A live view's shard is shared; otherwise
@@ -129,7 +124,7 @@ impl ShardViews {
     /// [`crate::DistributedIndex::write_shard`] returned for it: the next
     /// read that finds that record shares the writer's handle. Exact
     /// because decoding an encoded shard returns it unchanged.
-    pub fn register_written(&mut self, value: Bytes, shard: &Arc<ShardEntry>) {
+    pub fn register_written(&mut self, value: Arc<[u8]>, shard: &Arc<ShardEntry>) {
         self.insert(value, shard);
     }
 
@@ -159,7 +154,7 @@ impl ShardViews {
         view.shard.upgrade()
     }
 
-    fn insert(&mut self, value: Bytes, shard: &Arc<ShardEntry>) {
+    fn insert(&mut self, value: Arc<[u8]>, shard: &Arc<ShardEntry>) {
         let shard = Arc::downgrade(shard);
         let live = |view: &View| view.shard.strong_count() > 0;
         self.views
@@ -169,7 +164,7 @@ impl ShardViews {
 
 /// The key of a record value's view: the address of its buffer (its length
 /// is checked against the view's on a hit).
-fn key_of(value: &Bytes) -> u64 {
+fn key_of(value: &[u8]) -> u64 {
     value.as_ptr() as u64
 }
 
@@ -250,7 +245,7 @@ mod tests {
             let record = w.dht.node(0).find_value(&key).unwrap();
             let pointer = crate::shard_pointer_root(&record.value).is_some();
             assert_eq!(pointer, docs > 2, "{term}");
-            let mut views = ShardViews::new();
+            let mut views = ShardViews::default();
             let first = read(&mut w, &mut views, 11, term);
             let again = read(&mut w, &mut views, 17, term);
             assert!(Arc::ptr_eq(&first, &again), "{term}: decoded once");
@@ -267,7 +262,7 @@ mod tests {
     #[test]
     fn a_view_lives_as_long_as_a_holder_and_a_sweep_drops_the_dead() {
         let mut w = world(2, "brief", 2);
-        let mut views = ShardViews::new();
+        let mut views = ShardViews::default();
         let first = read(&mut w, &mut views, 11, "brief");
         drop(first);
         assert_eq!((views.len(), views.live()), (1, 0));
@@ -279,7 +274,7 @@ mod tests {
         let record = w.dht.node(0).find_value(&DhtKey::for_term("brief"));
         let value = record.unwrap().value.to_vec();
         for i in 0..10 * SWEEP_FLOOR {
-            let copy = Bytes::from(value.clone());
+            let copy = Arc::from(value.clone());
             views.insert(copy, &Arc::new(ShardEntry::empty(&format!("t{i}"))));
             assert!(views.len() <= SWEEP_FLOOR, "{}", views.len());
         }
@@ -290,7 +285,7 @@ mod tests {
     #[test]
     fn a_written_shard_is_what_the_first_read_of_its_record_returns() {
         let mut w = world(3, "fresh", 200);
-        let mut views = ShardViews::new();
+        let mut views = ShardViews::default();
         let mut shard = ShardEntry::empty("fresh");
         shard.version = 2;
         shard.upsert(ShardPosting {

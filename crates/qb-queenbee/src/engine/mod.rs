@@ -175,7 +175,7 @@ impl QueenBee {
         Ok(QueenBee {
             analyzer: Analyzer::new(),
             dist_index,
-            shard_views: ShardViews::new(),
+            shard_views: ShardViews::default(),
             impacts: Impacts::new(),
             bees,
             event_cursor: chain.events().len(),

@@ -190,7 +190,7 @@ impl SimNet {
             in_flight: IdHashMap::default(),
             link_completions: Vec::new(),
             next_handle: 0,
-            tracer: Tracer::new(),
+            tracer: Tracer::default(),
         }
     }
 
@@ -585,25 +585,6 @@ impl SimNet {
         }))
     }
 
-    /// Cancel an in-flight operation: retire the handle and free its
-    /// per-link in-flight slot immediately, so subsequently issued
-    /// operations on the same link no longer queue behind it. Returns
-    /// `false` for an unknown (or already-retired) handle.
-    ///
-    /// This is the hedge-loser path: the loser's messages and bytes were
-    /// already charged at issue time (cancellation refunds nothing — the
-    /// traffic happened), only its claim on future link capacity is
-    /// released. Operations that already queued behind the cancelled one
-    /// keep the start instants they computed at issue time; only
-    /// operations issued *after* the cancellation see the freed slot.
-    pub fn cancel_async(&mut self, handle: RpcHandle) -> bool {
-        let Some(op) = self.in_flight.remove(&handle.0) else {
-            return false;
-        };
-        self.release_slot(handle, &op);
-        true
-    }
-
     /// Free the uplink slot a retired operation held, if an issue on its
     /// link has not pruned it already.
     fn release_slot(&mut self, handle: RpcHandle, op: &InFlightOp) {
@@ -612,22 +593,6 @@ impl SimNet {
                 completions.swap_remove(pos);
             }
         }
-    }
-
-    /// Attribute one hedged fetch issued after a hedge timer expired.
-    pub fn record_hedge_fired(&mut self) {
-        self.stats.hedges_fired += 1;
-    }
-
-    /// Attribute one hedged fetch that beat its primary.
-    pub fn record_hedge_won(&mut self) {
-        self.stats.hedges_won += 1;
-    }
-
-    /// Attribute `bytes` of already-charged traffic whose response was
-    /// discarded because the other leg of a hedged pair won.
-    pub fn record_hedge_wasted(&mut self, bytes: u64) {
-        self.stats.hedges_wasted_bytes += bytes;
     }
 
     /// When an in-flight operation will complete (`None` for an unknown or
@@ -937,36 +902,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cancel_async_frees_the_link_slot() {
-        let mut cfg = NetConfig::lan();
-        cfg.max_in_flight_per_link = 1;
-        let mut net = SimNet::new(3, cfg, 28);
-        let at = net.now();
-        let a = net.send_async_at(0, 1, 64, 64, at, None).unwrap();
-        let queued_before = net.stats().async_queued_ops;
-        assert!(net.cancel_async(a), "live handle cancels");
-        assert!(!net.cancel_async(a), "second cancel is a no-op");
-        assert_eq!(net.async_in_flight(), 0);
-        // The slot is free again: an op issued at the same instant starts
-        // immediately instead of queueing behind the cancelled one.
-        let b = net.send_async_at(0, 2, 64, 64, at, None).unwrap();
-        assert_eq!(net.stats().async_queued_ops, queued_before, "no queueing");
-        match net.poll_complete(b, at) {
-            Some(Poll::Pending { .. }) => {}
-            other => panic!("expected pending, got {other:?}"),
-        }
-        let due = net.async_completes_at(b).unwrap();
-        match net.poll_complete(b, due) {
-            Some(Poll::Ready(done)) => assert_eq!(done.queue_delay, SimDuration::ZERO),
-            other => panic!("expected ready, got {other:?}"),
-        }
-        assert!(
-            net.link_completions.iter().all(Vec::is_empty),
-            "no uplink holds a completion"
-        );
-    }
-
     /// The uplink tracker as it was keyed by a `HashMap` of per-link lists
     /// that a link dropped when it went idle, each entry tagged with its
     /// handle: the reference the per-peer tracker must reproduce handle for
@@ -1016,18 +951,7 @@ mod tests {
                     completes_at: op.completes_at,
                 });
             }
-            self.cancel(handle);
-            Some(Poll::Ready(AsyncCompletion {
-                completed_at: op.completes_at,
-                latency: op.latency,
-                queue_delay: op.queue_delay,
-            }))
-        }
-
-        fn cancel(&mut self, handle: u64) -> bool {
-            let Some(op) = self.in_flight.remove(&handle) else {
-                return false;
-            };
+            self.in_flight.remove(&handle);
             if let Some(completions) = self.links.get_mut(&op.from) {
                 if let Some(pos) = completions.iter().position(|&(_, h)| h == handle) {
                     completions.swap_remove(pos);
@@ -1036,14 +960,18 @@ mod tests {
                     self.links.remove(&op.from);
                 }
             }
-            true
+            Some(Poll::Ready(AsyncCompletion {
+                completed_at: op.completes_at,
+                latency: op.latency,
+                queue_delay: op.queue_delay,
+            }))
         }
     }
 
     proptest::proptest! {
         #[test]
         fn the_uplink_tracker_matches_the_map_keyed_reference(
-            ops in proptest::collection::vec((0u8..5, proptest::prelude::any::<u64>(), 0u64..40), 1..120),
+            ops in proptest::collection::vec((0u8..4, proptest::prelude::any::<u64>(), 0u64..40), 1..120),
             sources in 1u64..5,
             capacity in 1usize..4,
         ) {
@@ -1080,10 +1008,6 @@ mod tests {
                     2 => proptest::prop_assert_eq!(
                         net.poll_complete(RpcHandle(handle), at),
                         reference.poll(handle, at)
-                    ),
-                    3 => proptest::prop_assert_eq!(
-                        net.cancel_async(RpcHandle(handle)),
-                        reference.cancel(handle)
                     ),
                     _ => {
                         net.advance(SimDuration::from_micros(offset / 4));
@@ -1124,27 +1048,10 @@ mod tests {
         net.begin_async_op(0, us(20), SimDuration::from_micros(5), None);
         let y = net.begin_async_op(0, us(0), SimDuration::from_micros(10), None);
         assert_eq!(net.async_completes_at(y), net.async_completes_at(a));
-        assert!(net.cancel_async(a));
+        assert!(matches!(net.poll_complete(a, us(10)), Some(Poll::Ready(_))));
         // `y` (due at 10 µs) and `b` (due at 25 µs) still hold both slots.
         let z = net.begin_async_op(0, us(5), SimDuration::from_micros(10), None);
         assert_eq!(net.async_completes_at(z), Some(us(20)));
-    }
-
-    #[test]
-    fn cancel_async_keeps_charged_traffic() {
-        let mut net = lan(3, 29);
-        let at = net.now();
-        let h = net.send_async_at(0, 1, 100, 200, at, None).unwrap();
-        let bytes = net.stats().bytes;
-        net.cancel_async(h);
-        assert_eq!(net.stats().bytes, bytes, "cancellation refunds nothing");
-        assert!(net.poll_complete(h, at).is_none(), "handle retired");
-        net.record_hedge_fired();
-        net.record_hedge_won();
-        net.record_hedge_wasted(300);
-        assert_eq!(net.stats().hedges_fired, 1);
-        assert_eq!(net.stats().hedges_won, 1);
-        assert_eq!(net.stats().hedges_wasted_bytes, 300);
     }
 
     #[test]

@@ -27,15 +27,14 @@ pub struct NetStats {
     /// Total queueing delay (µs) charged to asynchronous operations by the
     /// per-link in-flight limits.
     pub async_queue_delay_us: u64,
-    /// Hedged (speculative duplicate) fetches issued after a hedge timer
-    /// expired. All hedge traffic is charged to `messages`/`bytes` like any
-    /// other RPC — this counter only attributes it.
+    /// Always 0: hedged fetches are retired and nothing records one. Kept
+    /// with the next two only because the benchmark's `sim_fingerprint` and
+    /// its `dht.hedge_*` probes still read them; the next benchmark change
+    /// drops those readers and these three fields together.
     pub hedges_fired: u64,
-    /// Hedged fetches whose response arrived before the primary's (the
-    /// hedge "won" and the primary was cancelled).
+    /// Always 0 (see [`NetStats::hedges_fired`]).
     pub hedges_won: u64,
-    /// Payload bytes of hedge losers: traffic already charged to `bytes`
-    /// whose response was discarded because the other leg won.
+    /// Always 0 (see [`NetStats::hedges_fired`]).
     pub hedges_wasted_bytes: u64,
 }
 
@@ -101,9 +100,6 @@ impl qb_trace::MetricsSource for NetStats {
         out.add_counter("net.async_ops", self.async_ops);
         out.add_counter("net.async_queued_ops", self.async_queued_ops);
         out.add_counter("net.async_queue_delay_us", self.async_queue_delay_us);
-        out.add_counter("net.hedges_fired", self.hedges_fired);
-        out.add_counter("net.hedges_won", self.hedges_won);
-        out.add_counter("net.hedges_wasted_bytes", self.hedges_wasted_bytes);
     }
 }
 

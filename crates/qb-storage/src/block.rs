@@ -1,18 +1,18 @@
 //! Blocks: the unit of content-addressed storage.
 
-use bytes::Bytes;
 use qb_common::{Cid, QbError, QbResult};
+use std::sync::Arc;
 
 /// An immutable, content-addressed blob of bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     cid: Cid,
-    data: Bytes,
+    data: Arc<[u8]>,
 }
 
 impl Block {
     /// Create a block from raw bytes (computes the cid).
-    pub fn new(data: impl Into<Bytes>) -> Block {
+    pub fn new(data: impl Into<Arc<[u8]>>) -> Block {
         let data = data.into();
         Block {
             cid: Cid::for_data(&data),
@@ -22,7 +22,7 @@ impl Block {
 
     /// Reconstruct a block received from an untrusted peer and verify that
     /// the bytes match the claimed cid. This is the tamper-detection gate.
-    pub fn from_parts(cid: Cid, data: impl Into<Bytes>) -> QbResult<Block> {
+    pub fn from_parts(cid: Cid, data: impl Into<Arc<[u8]>>) -> QbResult<Block> {
         let data = data.into();
         let actual = Cid::for_data(&data);
         if actual != cid {
@@ -37,7 +37,7 @@ impl Block {
     /// Construct without verification. Only used by the simulation to model a
     /// malicious or faulty peer handing out corrupted data; honest code paths
     /// always go through [`Block::from_parts`].
-    pub fn new_unchecked(cid: Cid, data: impl Into<Bytes>) -> Block {
+    pub fn new_unchecked(cid: Cid, data: impl Into<Arc<[u8]>>) -> Block {
         Block {
             cid,
             data: data.into(),
@@ -50,7 +50,7 @@ impl Block {
     }
 
     /// The block's bytes.
-    pub fn data(&self) -> &Bytes {
+    pub fn data(&self) -> &Arc<[u8]> {
         &self.data
     }
 

@@ -5,12 +5,12 @@ use crate::chunker::{chunk_content_defined, ChunkerConfig};
 use crate::dag::Manifest;
 use crate::memo::{ChunkMemo, MemoSlot};
 use crate::store::LruBlockStore;
-use bytes::Bytes;
 use qb_common::{Cid, DhtKey, DigestMap, NodeId, QbError, QbResult, SimDuration};
 use qb_dht::DhtNetwork;
 use qb_simnet::SimNet;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Storage layer configuration.
 #[derive(Debug, Clone)]
@@ -313,11 +313,11 @@ impl StorageNetwork {
     /// the shard writer for a record value stored in place, because the
     /// writer (`DistributedIndex::write_shard`, which `bench/` calls) takes
     /// `&self` and so keeps no buffer of its own.
-    pub fn encode_shared(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+    pub fn encode_shared(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Arc<[u8]> {
         let data = &mut self.scratch.encoded;
         data.clear();
         encode(data);
-        Bytes::copy_from_slice(data)
+        Arc::from(&data[..])
     }
 
     /// Release every object put under `name` that no copy of a record

@@ -83,7 +83,7 @@ mod tests {
     use qb_common::SimInstant;
 
     fn sample() -> Trace {
-        let mut tr = Tracer::new();
+        let mut tr = Tracer::default();
         tr.set_enabled(true);
         let q = tr.open_with("query", SimInstant(10), || "alpha \"beta\"".to_string());
         tr.record(None, "fetch", SimInstant(12), SimInstant(40));

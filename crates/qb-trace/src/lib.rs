@@ -31,7 +31,7 @@
 //! use qb_common::SimInstant;
 //! use qb_trace::{attribution, critical_path, to_chrome_trace, Tracer};
 //!
-//! let mut tracer = Tracer::new();
+//! let mut tracer = Tracer::default();
 //! tracer.set_enabled(true);
 //! let query = tracer.open_with("query", SimInstant(0), || "rust dht".into());
 //! tracer.record(None, "queue_wait", SimInstant(0), SimInstant(250));
@@ -87,7 +87,7 @@ mod invariant_tests {
     }
 
     fn run(ops: &[RawOp]) -> Trace {
-        let mut tracer = Tracer::new();
+        let mut tracer = Tracer::default();
         tracer.set_enabled(true);
         let mut open = Vec::new();
         for &(tag, at, len) in ops {

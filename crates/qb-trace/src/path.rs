@@ -142,7 +142,7 @@ mod tests {
 
     /// query[0,100] { queue[0,30], fetch[30,90] { rpc[35,80] } }
     fn sample() -> (Trace, SpanId) {
-        let mut tr = Tracer::new();
+        let mut tr = Tracer::default();
         tr.set_enabled(true);
         let q = tr.open_with("query", t(0), String::new);
         tr.record(None, "queue_wait", t(0), t(30));

@@ -57,11 +57,6 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A disabled tracer.
-    pub fn new() -> Tracer {
-        Tracer::default()
-    }
-
     /// Turn recording on or off. Turning it off mid-trace keeps what was
     /// already recorded (drain with [`Tracer::take`]).
     pub fn set_enabled(&mut self, on: bool) {
@@ -268,7 +263,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_nothing_and_never_runs_detail_closures() {
-        let mut tr = Tracer::new();
+        let mut tr = Tracer::default();
         assert!(!tr.is_enabled());
         let id = tr.open_with("query", t(0), || {
             unreachable!("lazy detail ran while disabled")
@@ -285,7 +280,7 @@ mod tests {
 
     #[test]
     fn stack_discipline_builds_a_tree() {
-        let mut tr = Tracer::new();
+        let mut tr = Tracer::default();
         tr.set_enabled(true);
         let root = tr.open_with("query", t(0), String::new);
         let fetch = tr.open_with("fetch", t(10), String::new);
@@ -306,7 +301,7 @@ mod tests {
 
     #[test]
     fn children_grow_their_ancestors_end() {
-        let mut tr = Tracer::new();
+        let mut tr = Tracer::default();
         tr.set_enabled(true);
         let root = tr.open_with("window", t(100), String::new);
         // A virtual-timeline fetch completes after the instant the caller
@@ -319,7 +314,7 @@ mod tests {
 
     #[test]
     fn child_start_is_clamped_into_the_parent() {
-        let mut tr = Tracer::new();
+        let mut tr = Tracer::default();
         tr.set_enabled(true);
         let root = tr.open_with("query", t(50), String::new);
         let early = tr.record(root, "fetch", t(10), t(60)).unwrap();
@@ -330,7 +325,7 @@ mod tests {
 
     #[test]
     fn explicit_parent_overrides_the_stack() {
-        let mut tr = Tracer::new();
+        let mut tr = Tracer::default();
         tr.set_enabled(true);
         let a = tr.open_with("a", t(0), String::new);
         let b = tr.record(None, "b", t(0), t(1)).unwrap();
@@ -342,7 +337,7 @@ mod tests {
 
     #[test]
     fn take_resets_ids() {
-        let mut tr = Tracer::new();
+        let mut tr = Tracer::default();
         tr.set_enabled(true);
         tr.record(None, "x", t(0), t(1));
         tr.record(None, "y", t(1), t(2));

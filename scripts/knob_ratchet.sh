@@ -19,7 +19,7 @@
 # need different values of each new field.
 set -euo pipefail
 
-ceiling=75
+ceiling=71
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
