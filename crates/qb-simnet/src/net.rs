@@ -577,22 +577,18 @@ impl SimNet {
             });
         }
         self.in_flight.remove(&handle.0);
-        self.release_slot(handle, &op);
-        Some(Poll::Ready(AsyncCompletion {
-            completed_at: op.completes_at,
-            latency: op.latency,
-            queue_delay: op.queue_delay,
-        }))
-    }
-
-    /// Free the uplink slot a retired operation held, if an issue on its
-    /// link has not pruned it already.
-    fn release_slot(&mut self, handle: RpcHandle, op: &InFlightOp) {
+        // Free the uplink slot the operation held, if an issue on its link
+        // has not pruned it already.
         if let Some(completions) = self.link_completions.get_mut(op.from as usize) {
             if let Some(pos) = completions.iter().position(|&(_, h)| h == handle.0) {
                 completions.swap_remove(pos);
             }
         }
+        Some(Poll::Ready(AsyncCompletion {
+            completed_at: op.completes_at,
+            latency: op.latency,
+            queue_delay: op.queue_delay,
+        }))
     }
 
     /// When an in-flight operation will complete (`None` for an unknown or
