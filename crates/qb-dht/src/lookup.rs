@@ -22,7 +22,7 @@
 //!    can advance to exactly the next event.
 //! 3. **Done** — the frontier is exhausted (or the value was found, or the
 //!    RPC budget ran out) and no RPC remains in flight.
-//!    [`LookupMachine::into_result`] yields the [`LookupOutcome`] plus the
+//!    [`LookupMachine::take_result`] yields the [`LookupOutcome`] plus the
 //!    freshest record seen.
 //!
 //! # α-frontier invariants
@@ -61,21 +61,22 @@
 //!
 //! # Buffers
 //!
-//! A walk runs on two lists, its shortlist and its in-flight RPCs, and
-//! neither outlives it. [`DhtNetwork::lookup_begin`] takes both from a
-//! spare list on the network (or starts empty ones when it holds none), and
-//! the poll that finishes the walk clears them and hands them back. A walk
-//! takes one set while it runs, so the spare list never holds more sets
-//! than walks were once in flight together; it has no setting, and a
-//! workload that runs walks one at a time keeps one set. Each `FIND_NODE`
+//! A [`LookupMachine`] is a handle on a boxed walk, so a caller can hold
+//! one beside small enum variants (an index read does). The box carries
+//! the walk's two lists, its shortlist and its in-flight RPCs, which the
+//! poll that finishes the walk clears. [`DhtNetwork::lookup_begin`] takes a
+//! spare machine, box and lists together, from the network (or starts a
+//! new one when it holds none), and [`DhtNetwork::recycle_lookup`] hands
+//! back one whose result was taken; walks the network drives itself hand
+//! theirs back on their own. The spare list has no setting and never holds
+//! more machines than were once in flight together. Each `FIND_NODE`
 //! reply is read into one more list the network keeps
-//! ([`crate::RoutingTable::closest_into`]) and merged from there. A
-//! short-circuited walk takes no lists; an abandoned walk
-//! ([`LookupMachine::abandon`]) is never polled to its end, so it drops its
-//! own with the machine. A walk allocates no list of its own and leaves
-//! none behind, except the node walk under a store round or a provider
-//! search: it leaves its `k` closest in one more list the network keeps,
-//! where the store round then keeps the replicas that accepted.
+//! ([`crate::RoutingTable::closest_into`]) and merged from there. An
+//! abandoned or dropped walk takes its box and lists with it. A walk
+//! allocates nothing and leaves nothing behind, except the node walk under
+//! a store round or a provider search: it leaves its `k` closest in one
+//! more list the network keeps, where the store round then keeps the
+//! replicas that accepted.
 //!
 //! # Tracing
 //!
@@ -101,7 +102,7 @@ pub enum LookupStep {
         next_event_at: SimInstant,
     },
     /// The lookup has finished; take the result with
-    /// [`LookupMachine::into_result`].
+    /// [`LookupMachine::take_result`].
     Ready,
 }
 
@@ -153,20 +154,19 @@ impl Candidate {
     }
 }
 
-/// The two lists a walk runs on, kept on the [`DhtNetwork`] between walks
-/// (module docs, "Buffers").
-#[derive(Debug, Default)]
-pub(crate) struct WalkLists {
-    shortlist: Vec<Candidate>,
-    in_flight: Vec<InFlightRpc>,
-}
-
 /// An in-progress iterative lookup (see the module docs for the state
 /// machine). Create with [`DhtNetwork::lookup_begin`], advance with
-/// [`DhtNetwork::lookup_poll`], and consume with
-/// [`LookupMachine::into_result`].
+/// [`DhtNetwork::lookup_poll`], take the result with
+/// [`LookupMachine::take_result`] and hand the machine back with
+/// [`DhtNetwork::recycle_lookup`] (module docs, "Buffers").
 #[derive(Debug)]
 pub struct LookupMachine {
+    pub(crate) walk: Box<Walk>,
+}
+
+/// What a walk keeps while it runs, boxed behind its [`LookupMachine`].
+#[derive(Debug)]
+pub(crate) struct Walk {
     target: Hash256,
     from: u64,
     want_value: Option<DhtKey>,
@@ -200,7 +200,7 @@ pub struct LookupMachine {
 impl LookupMachine {
     /// True once the lookup has finished and holds its result.
     pub fn is_done(&self) -> bool {
-        self.result.is_some()
+        self.walk.result.is_some()
     }
 
     /// RPC attempts whose completion has been processed so far. Grows
@@ -208,31 +208,28 @@ impl LookupMachine {
     /// hops of concurrent lookups interleave.
     #[cfg(test)]
     pub fn completed_rpcs(&self) -> u64 {
-        self.completed
-    }
-
-    /// The lookup result. Panics when the machine is not [`Self::is_done`].
-    pub fn into_result(self) -> (LookupOutcome, Option<Record>) {
-        self.result.expect("lookup not finished; poll until Ready")
+        self.walk.completed
     }
 
     /// Move the result out of a finished lookup (`None` while it is still
     /// running, and once taken), for a caller that keeps the machine in
     /// place until it has a next state to put there.
     pub fn take_result(&mut self) -> Option<(LookupOutcome, Option<Record>)> {
-        self.result.take()
+        self.walk.result.take()
     }
 
     /// Retire any in-flight handles without processing their results, so an
     /// aborted driver leaves no orphaned operations in the network.
     pub fn abandon(&mut self, net: &mut SimNet) {
-        for op in self.in_flight.drain(..) {
+        for op in self.walk.in_flight.drain(..) {
             if let Some(handle) = op.handle {
                 net.poll_complete(handle, op.completes_at);
             }
         }
     }
+}
 
+impl Walk {
     fn fresh_enough(&self) -> bool {
         self.found_value
             .as_ref()
@@ -319,7 +316,7 @@ impl DhtNetwork {
         parent: Option<SpanId>,
     ) -> LookupMachine {
         let config = &self.config;
-        let mut machine = LookupMachine {
+        let walk = Walk {
             target,
             from,
             want_value,
@@ -342,6 +339,18 @@ impl DhtNetwork {
             keeps_closest: false,
             result: None,
         };
+        // A spare machine's box and lists carry the walk.
+        let mut handle = match self.spare_walks.pop() {
+            Some(mut spare) => {
+                let old = std::mem::replace(&mut *spare.walk, walk);
+                (spare.walk.shortlist, spare.walk.in_flight) = (old.shortlist, old.in_flight);
+                spare
+            }
+            None => LookupMachine {
+                walk: Box::new(walk),
+            },
+        };
+        let machine = &mut *handle.walk;
 
         // A local replica that satisfies the freshness requirement
         // short-circuits the whole lookup; a provably stale one is kept as
@@ -358,14 +367,12 @@ impl DhtNetwork {
                         },
                         Some(rec.clone()),
                     ));
-                    return machine;
+                    return handle;
                 }
                 machine.found_value = Some(rec.clone());
             }
         }
 
-        let lists = self.spare_walks.pop().unwrap_or_default();
-        (machine.shortlist, machine.in_flight) = (lists.shortlist, lists.in_flight);
         let routing = &self.nodes[from as usize].routing;
         routing.closest_into(&target, config.k, &mut self.replies);
         let known = self.replies.iter().map(Candidate::unqueried);
@@ -373,8 +380,15 @@ impl DhtNetwork {
         machine.span = net.tracer().record_with(parent, "dht.lookup", at, at, || {
             format!("{} from {}", target.short(), from)
         });
-        self.lookup_issue(net, &mut machine, at, 1);
-        machine
+        self.lookup_issue(net, machine, at, 1);
+        handle
+    }
+
+    /// Hand back a machine whose result was taken, for the next
+    /// [`DhtNetwork::lookup_begin`] to run in (module docs, "Buffers").
+    pub fn recycle_lookup(&mut self, machine: LookupMachine) {
+        debug_assert!(machine.walk.result.is_none() && machine.walk.in_flight.is_empty());
+        self.spare_walks.push(machine);
     }
 
     /// Advance a lookup at instant `at`: process every completion due by
@@ -389,6 +403,7 @@ impl DhtNetwork {
         if machine.is_done() {
             return LookupStep::Ready;
         }
+        let machine = &mut *machine.walk;
         // Process due completions one at a time, earliest first (ties break
         // on issue order), so results are independent of how the driver
         // batches its polls.
@@ -491,7 +506,7 @@ impl DhtNetwork {
     fn lookup_issue(
         &mut self,
         net: &mut SimNet,
-        machine: &mut LookupMachine,
+        machine: &mut Walk,
         at: SimInstant,
         generation: usize,
     ) {
@@ -514,9 +529,9 @@ impl DhtNetwork {
     }
 
     /// Close the walk's span, build its outcome, leave the walk's `k`
-    /// closest in the network's `found` list if it keeps them and hand the
-    /// walk's lists back to the spare list (module docs, "Buffers").
-    fn lookup_finish(&mut self, net: &mut SimNet, machine: &mut LookupMachine) {
+    /// closest in the network's `found` list if it keeps them and empty the
+    /// walk's lists, keeping their room (module docs, "Buffers").
+    fn lookup_finish(&mut self, net: &mut SimNet, machine: &mut Walk) {
         net.tracer().close(machine.span, machine.finished_at);
         if machine.keeps_closest {
             let nodes = &self.nodes;
@@ -526,15 +541,6 @@ impl DhtNetwork {
         }
         machine.shortlist.clear();
         machine.in_flight.clear();
-        let lists = WalkLists {
-            shortlist: std::mem::take(&mut machine.shortlist),
-            in_flight: std::mem::take(&mut machine.in_flight),
-        };
-        // Lists that never allocated are not worth keeping: a walk polled
-        // again after its result was taken hands back only those.
-        if lists.shortlist.capacity() + lists.in_flight.capacity() > 0 {
-            self.spare_walks.push(lists);
-        }
         machine.result = Some((
             LookupOutcome {
                 hops: machine.hops,
@@ -547,18 +553,19 @@ impl DhtNetwork {
     }
 
     /// Run a lookup machine to completion on its own timeline (the
-    /// synchronous entry points build on this).
+    /// synchronous entry points build on this) and keep it for the next
+    /// walk.
     pub(crate) fn lookup_drive(
         &mut self,
         net: &mut SimNet,
         mut machine: LookupMachine,
     ) -> (LookupOutcome, Option<Record>) {
-        let mut at = machine.started_at;
-        loop {
-            match self.lookup_poll(net, &mut machine, at) {
-                LookupStep::Ready => return machine.into_result(),
-                LookupStep::Pending { next_event_at } => at = next_event_at,
-            }
+        let mut at = machine.walk.started_at;
+        while let LookupStep::Pending { next_event_at } = self.lookup_poll(net, &mut machine, at) {
+            at = next_event_at;
         }
+        let result = machine.take_result();
+        self.recycle_lookup(machine);
+        result.expect("a lookup polled Ready holds its result")
     }
 }

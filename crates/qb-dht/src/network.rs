@@ -54,10 +54,10 @@ pub struct GetOutcome {
 pub struct DhtNetwork {
     pub(crate) config: DhtConfig,
     pub(crate) nodes: Vec<DhtNode>,
-    /// Lists finished walks handed back, for the next walk to take (the
-    /// `lookup` module's "Buffers"): never more sets than the most walks
-    /// ever in flight at once.
-    pub(crate) spare_walks: Vec<crate::lookup::WalkLists>,
+    /// Machines finished walks handed back, each with its box and lists,
+    /// for the next walk to run in (the `lookup` module's "Buffers"): never
+    /// more than the most walks once in flight at once.
+    pub(crate) spare_walks: Vec<crate::LookupMachine>,
     /// The `FIND_NODE` reply a walk is merging: the replier's `k` closest
     /// contacts, each beside its distance to the target.
     pub(crate) replies: Vec<(Distance, NodeId)>,
@@ -252,7 +252,7 @@ impl DhtNetwork {
         }
         let at = net.now();
         let mut machine = self.lookup_begin(net, from, target, None, 0, at, None);
-        machine.keeps_closest = true;
+        machine.walk.keeps_closest = true;
         let (outcome, _) = self.lookup_drive(net, machine);
         if self.found.is_empty() {
             return Err(QbError::DhtLookupFailed(target.short()));
@@ -595,7 +595,7 @@ mod tests {
         );
         // Each walk leaves its closest peers behind as it finishes, for the
         // poll that finished it to read.
-        (a.keeps_closest, b.keeps_closest) = (true, true);
+        (a.walk.keeps_closest, b.walk.keeps_closest) = (true, true);
         let (mut found_a, mut found_b) = (None, None);
         let mut order = Vec::new();
         let mut cursor = t0;
@@ -627,8 +627,8 @@ mod tests {
                 ) => na.min(nb),
             };
         }
-        let (oa, _) = a.into_result();
-        let (ob, _) = b.into_result();
+        let (oa, _) = a.take_result().unwrap();
+        let (ob, _) = b.take_result().unwrap();
         assert!(oa.messages > 0 && ob.messages > 0);
         assert!(found_a.is_some_and(|n| n > 0) && found_b.is_some_and(|n| n > 0));
         // Per-hop completions interleave: some of b's hops complete before
@@ -682,7 +682,8 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(dht.spare_walks.len(), 1, "sequential walks reuse one set");
-        // A read its origin satisfies locally takes no lists at all.
+        // A read its origin satisfies locally runs in the spare machine and
+        // hands it back too.
         dht.get_record(&mut net, 0, DhtKey::for_term("spare-0"))
             .unwrap();
         assert_eq!(dht.spare_walks.len(), 1);
@@ -694,16 +695,30 @@ mod tests {
                     dht.lookup_begin(&mut net, 3 + i, target, None, 0, t0, None)
                 })
                 .collect();
+            assert!(dht.spare_walks.is_empty(), "every spare is in flight");
             drive_together(&mut net, &mut dht, &mut walks);
-            assert!(walks.iter().all(|w| w.is_done()));
-            // Each walk took one set while in flight and handed it back:
-            // the list grows to the most walks ever in flight at once.
+            for mut walk in walks {
+                assert!(walk.take_result().is_some());
+                dht.recycle_lookup(walk);
+            }
+            // Each walk took one machine while in flight and its caller
+            // handed it back: the list grows to the most walks ever in
+            // flight at once.
             assert_eq!(dht.spare_walks.len(), n.max(1));
         }
         // Fewer walks at once afterwards take from the spares, adding none.
         dht.lookup_nodes(&mut net, 9, Hash256::digest(b"alone"))
             .unwrap();
         assert_eq!(dht.spare_walks.len(), 5);
+        // A walk runs in the box the last spare was run in; one dropped
+        // before it is handed back takes its box with it.
+        let boxed = |walk: &crate::LookupMachine| -> *const crate::lookup::Walk { &*walk.walk };
+        let last = boxed(&dht.spare_walks[4]);
+        let t0 = net.now();
+        let walk = dht.lookup_begin(&mut net, 9, Hash256::digest(b"dropped"), None, 0, t0, None);
+        assert_eq!(boxed(&walk), last);
+        drop(walk);
+        assert_eq!(dht.spare_walks.len(), 4);
     }
 
     /// `replicate` leaves the list its store round keeps in the

@@ -86,11 +86,6 @@ pub struct Impacts {
 }
 
 impl Impacts {
-    /// An empty memo.
-    pub fn new() -> Impacts {
-        Impacts::default()
-    }
-
     /// `shard`'s impacts under `stats` and rank round `rank_round`, whose
     /// rank components `component_of` gives: `None` on the first scoring
     /// under these inputs (the shard is noted), built on the second, shared
@@ -212,7 +207,7 @@ mod tests {
 
     #[test]
     fn impacts_are_built_on_the_second_scoring_and_shared_after() {
-        let mut memo = Impacts::new();
+        let mut memo = Impacts::default();
         let held = Arc::new(shard("t", 5));
         let at = stats(100, 2_000);
         assert!(memo.lookup(&held, &at, 1, component).is_none(), "first");
@@ -225,7 +220,7 @@ mod tests {
 
     #[test]
     fn a_change_of_statistics_or_rank_round_rebuilds_the_impacts() {
-        let mut memo = Impacts::new();
+        let mut memo = Impacts::default();
         let held = Arc::new(shard("t", 5));
         let at = stats(100, 2_000);
         memo.lookup(&held, &at, 1, component);
@@ -245,7 +240,7 @@ mod tests {
 
     #[test]
     fn a_changed_shard_never_receives_the_old_impacts() {
-        let mut memo = Impacts::new();
+        let mut memo = Impacts::default();
         let at = stats(100, 2_000);
         let changed = |memo: &mut Impacts, shard: &Arc<ShardEntry>| {
             let seen = memo.lookup(shard, &at, 1, component);
@@ -279,7 +274,7 @@ mod tests {
 
     #[test]
     fn dropped_shards_are_swept() {
-        let mut memo = Impacts::new();
+        let mut memo = Impacts::default();
         let at = stats(100, 2_000);
         let kept: Vec<Arc<ShardEntry>> = (0..10)
             .map(|i| Arc::new(shard(&format!("k{i}"), 2)))

@@ -25,6 +25,9 @@
 //! asks it for one [`Ranked::page`], which picks the keys up to the page's
 //! end with a bounded heap inside the key buffer and owns just the page's
 //! documents; a tier that keeps whole lists asks for [`Ranked::list`].
+//! Nor does it allocate what it empties again: the per-shard table a walk
+//! moves through and the key buffer come from a [`RankScratch`] the caller
+//! keeps, and go back to it.
 //!
 //! [`crate::query::search`] evaluates the same query semantics over a local
 //! [`crate::InvertedIndex`]; it stays separate because it is the reference
@@ -34,6 +37,7 @@ use crate::impacts::{Impact, ShardImpacts};
 use crate::query::ScoredDoc;
 use crate::scorer::{blend_with_component, rank_component, Bm25};
 use crate::shard::{IndexStats, ShardEntry, ShardPosting};
+use qb_common::recycle;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -132,6 +136,23 @@ enum Keys<'a> {
     Many(Vec<Key<'a>>),
 }
 
+/// The lists a kernel call fills and empties, kept by a caller that ranks
+/// often so a call allocates neither: the per-shard table the walk moves
+/// through, and the key buffer a [`Ranked`] holds until the caller hands it
+/// back ([`Ranked::recycle`]). Both are empty between calls.
+#[derive(Default)]
+pub struct RankScratch {
+    lists: Vec<List<'static>>,
+    keys: Vec<Key<'static>>,
+}
+
+impl RankScratch {
+    /// Whether both lists are empty, as they are between calls.
+    pub fn is_empty(&self) -> bool {
+        self.lists.is_empty() && self.keys.is_empty()
+    }
+}
+
 impl<'a> Keys<'a> {
     fn as_slice(&self) -> &[Key<'a>] {
         match self {
@@ -147,13 +168,14 @@ impl<'a> Keys<'a> {
         }
     }
 
-    /// Add a key; the buffer is allocated, for at most `bound` keys in all,
-    /// when the second one arrives.
-    fn push(&mut self, key: Key<'a>, bound: usize) {
+    /// Add a key; when the second one arrives the buffer is taken from
+    /// `spare`, with room for at most `bound` keys in all.
+    fn push(&mut self, key: Key<'a>, bound: usize, spare: &mut Vec<Key<'static>>) {
         match self {
             Keys::AtMostOne(None) => *self = Keys::AtMostOne(Some(key)),
             Keys::AtMostOne(Some(first)) => {
-                let mut keys = Vec::with_capacity(bound);
+                let mut keys = recycle(std::mem::take(spare));
+                keys.reserve_exact(bound);
                 keys.extend([*first, key]);
                 *self = Keys::Many(keys);
             }
@@ -267,6 +289,13 @@ impl Ranked<'_> {
         keys[bounds].iter().map(materialise).collect()
     }
 
+    /// Hand the key buffer back to the `scratch` the ranking took it from.
+    pub fn recycle(self, scratch: &mut RankScratch) {
+        if let State::Keys(Keys::Many(keys)) = self.0 {
+            scratch.keys = recycle(keys);
+        }
+    }
+
     /// The whole ranked list, built once: later calls and later pages share
     /// it.
     pub fn list(&mut self) -> Arc<Vec<ScoredDoc>> {
@@ -307,39 +336,61 @@ impl From<Arc<Vec<ScoredDoc>>> for Ranked<'_> {
 /// from the last shard, in term order, that holds it. The order the shards
 /// are given in changes nothing: a permuted query — which the result tier
 /// files under the same sorted-term key — scores bit for bit the same.
+///
+/// The walk's table and the key buffer come from `scratch`: the table goes
+/// back before this returns, the key buffer when the caller hands the
+/// [`Ranked`] back ([`Ranked::recycle`]).
 pub fn rank<'a, S: Borrow<ShardEntry>>(
     shards: &'a [(S, Option<ShardImpacts>)],
     stats: &IndexStats,
     component_of: impl Fn(&ShardPosting) -> f64,
     rank_weight: f64,
+    scratch: &mut RankScratch,
 ) -> Ranked<'a> {
     let lists = shards
         .iter()
         .map(|(shard, impacts)| (shard.borrow(), impacts.as_deref()));
-    Ranked(State::Keys(score(lists, stats, component_of, rank_weight)))
+    let keys = score(lists, stats, component_of, rank_weight, scratch);
+    Ranked(State::Keys(keys))
 }
 
+/// Fill `scratch`'s table from `shards`, walk it and empty it again.
 fn score<'a>(
-    shards: impl ExactSizeIterator<Item = (&'a ShardEntry, Option<&'a [Impact]>)>,
+    shards: impl Iterator<Item = (&'a ShardEntry, Option<&'a [Impact]>)>,
     stats: &IndexStats,
     component_of: impl Fn(&ShardPosting) -> f64,
     rank_weight: f64,
+    scratch: &mut RankScratch,
+) -> Keys<'a> {
+    let scorer = Bm25::default();
+    let num_docs = stats.num_docs.max(1) as usize;
+    let mut lists: Vec<List<'a>> = recycle(std::mem::take(&mut scratch.lists));
+    lists.extend(shards.map(|(shard, impacts)| {
+        debug_assert!(impacts.is_none_or(|i| i.len() == shard.postings.len()));
+        List {
+            shard,
+            cursor: 0,
+            idf: scorer.idf(shard.doc_freq(), num_docs),
+            impacts,
+        }
+    }));
+    let spare = &mut scratch.keys;
+    let keys = walk(&mut lists, stats, component_of, rank_weight, spare);
+    scratch.lists = recycle(lists);
+    keys
+}
+
+/// Intersect and score the shards of `lists`, falling back to their union.
+fn walk<'a>(
+    lists: &mut [List<'a>],
+    stats: &IndexStats,
+    component_of: impl Fn(&ShardPosting) -> f64,
+    rank_weight: f64,
+    spare: &mut Vec<Key<'static>>,
 ) -> Keys<'a> {
     // Term order fixes the float sum and the metadata choice; the query's
     // own order must not.
     let scorer = Bm25::default();
-    let num_docs = stats.num_docs.max(1) as usize;
-    let mut lists: Vec<List<'a>> = shards
-        .map(|(shard, impacts)| {
-            debug_assert!(impacts.is_none_or(|i| i.len() == shard.postings.len()));
-            List {
-                shard,
-                cursor: 0,
-                idf: scorer.idf(shard.doc_freq(), num_docs),
-                impacts,
-            }
-        })
-        .collect();
     lists.sort_by(|a, b| a.shard.term.cmp(&b.shard.term));
     let avg_len = stats.avg_len();
     // A document's key takes its metadata and rank component from `holder`,
@@ -371,10 +422,11 @@ fn score<'a>(
         }
         // Every cursor is on this document's posting.
         let mut relevance = 0.0;
-        for l in &lists {
+        for l in lists.iter() {
             relevance += l.bm25(&scorer, avg_len);
         }
-        keys.push(key(relevance, &lists[lists.len() - 1]), leading.len());
+        let holder = &lists[lists.len() - 1];
+        keys.push(key(relevance, holder), leading.len(), spare);
     }
     if !keys.as_slice().is_empty() || lists.len() < 2 {
         return keys;
@@ -388,7 +440,7 @@ fn score<'a>(
         .collect();
     candidates.sort_unstable();
     candidates.dedup();
-    for l in &mut lists {
+    for l in lists.iter_mut() {
         l.cursor = 0;
     }
     for doc_id in &candidates {
@@ -401,7 +453,7 @@ fn score<'a>(
             }
         }
         if let Some(i) = holder {
-            keys.push(key(relevance, &lists[i]), candidates.len());
+            keys.push(key(relevance, &lists[i]), candidates.len(), spare);
         }
     }
     keys
@@ -420,7 +472,8 @@ pub fn intersect_and_score<S: Borrow<ShardEntry>>(
 ) -> (Vec<ScoredDoc>, usize) {
     let component_of = |p: &ShardPosting| rank_component(rank_of(&p.name));
     let lists = shards.iter().map(|shard| (shard.borrow(), None));
-    let results = build(score(lists, stats, component_of, rank_weight).as_mut_slice());
+    let scratch = &mut RankScratch::default();
+    let results = build(score(lists, stats, component_of, rank_weight, scratch).as_mut_slice());
     let scored = results.len();
     (results, scored)
 }
@@ -645,7 +698,8 @@ mod tests {
             let expected_page = paginate(&expected, page, top_k);
             let component_of = |p: &ShardPosting| rank_component(rank_of(&p.name));
             let memo_less: Vec<_> = handles.iter().map(|h| (&**h, None)).collect();
-            let mut ranked = rank(&memo_less, stats, component_of, rank_weight);
+            let mut scratch = RankScratch::default();
+            let mut ranked = rank(&memo_less, stats, component_of, rank_weight, &mut scratch);
             prop_assert_eq!(ranked.len(), expected.len());
             prop_assert_eq!(ranked.is_empty(), expected.is_empty());
             prop_assert_eq!(ranked.list_bytes(), expected_bytes);
@@ -659,6 +713,18 @@ mod tests {
             prop_assert_eq!(ranked.len(), expected.len());
             prop_assert_eq!(ranked.list_bytes(), expected_bytes);
             prop_assert_eq!(bits(&ranked.page(page, top_k)), bits(&expected_page));
+            ranked.recycle(&mut scratch);
+            prop_assert!(scratch.is_empty());
+
+            // A ranking on the lists an earlier one handed back pages the
+            // same, and hands them back empty.
+            let reversed: Vec<_> = memo_less.iter().rev().cloned().collect();
+            for shards in [&memo_less, &reversed] {
+                let mut again = rank(shards, stats, component_of, rank_weight, &mut scratch);
+                prop_assert_eq!(bits(&again.page(page, top_k)), bits(&expected_page));
+                again.recycle(&mut scratch);
+                prop_assert!(scratch.is_empty());
+            }
         }
 
         #[test]
@@ -674,7 +740,7 @@ mod tests {
             let (expected, _) = reference(&case.shards, stats, &rank_of, rank_weight);
             let component_of = |p: &ShardPosting| rank_component(rank_of(&p.name));
             // The memo builds a shard's impacts on its second scoring.
-            let mut memo = Impacts::new();
+            let mut memo = Impacts::default();
             let handles: Vec<Arc<ShardEntry>> =
                 case.shards.iter().cloned().map(Arc::new).collect();
             let lists: Vec<(&ShardEntry, Option<ShardImpacts>)> = handles
@@ -695,7 +761,8 @@ mod tests {
                 .collect();
 
             let expected_bytes: usize = expected.iter().map(ScoredDoc::bytes).sum();
-            let mut ranked = rank(&lists, stats, component_of, rank_weight);
+            let scratch = &mut RankScratch::default();
+            let mut ranked = rank(&lists, stats, component_of, rank_weight, scratch);
             prop_assert_eq!(ranked.len(), expected.len());
             prop_assert_eq!(ranked.list_bytes(), expected_bytes);
             let (page, top_k) = (case.page, case.top_k);
@@ -705,7 +772,7 @@ mod tests {
 
             // Term order decides which list's impacts a document reads.
             let reversed: Vec<_> = lists.iter().rev().map(|(h, i)| (*h, i.clone())).collect();
-            let mut permuted = rank(&reversed, stats, component_of, rank_weight);
+            let mut permuted = rank(&reversed, stats, component_of, rank_weight, scratch);
             prop_assert_eq!(bits(&permuted.list()), bits(&expected));
         }
     }

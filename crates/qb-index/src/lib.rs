@@ -38,7 +38,7 @@ pub use analyzer::Analyzer;
 pub use doc::{doc_id_for_name, DocMeta, DocTable};
 pub use impacts::{Impact, Impacts, ScoreInputs, ShardImpacts};
 pub use index::InvertedIndex;
-pub use kernel::{intersect_and_score, paginate, rank, Ranked};
+pub use kernel::{intersect_and_score, paginate, rank, RankScratch, Ranked};
 pub use postings::{Posting, PostingList};
 pub use query::{search, Query, QueryMode, ScoredDoc};
 pub use scorer::{blend_with_component, blend_with_rank, rank_component, Bm25};

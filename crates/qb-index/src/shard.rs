@@ -325,7 +325,7 @@ pub enum ReadStep {
 #[derive(Debug)]
 enum ReadState<T> {
     /// The DHT value lookup is in flight.
-    Lookup(Box<LookupMachine>),
+    Lookup(LookupMachine),
     /// The record is decoded. A pointer record's content-addressed fetch may
     /// still occupy the reader's uplink (`tail`) until `completed_at`.
     Done {
@@ -350,6 +350,10 @@ impl<T> ReadState<T> {
 /// pointer records). Create with [`DistributedIndex::begin_read_shard_fresh`]
 /// or [`DistributedIndex::begin_read_stats`], drive with the matching
 /// `poll_read_*`.
+///
+/// Its lookup runs in a walk the [`DhtNetwork`] keeps between reads: the
+/// poll that finishes the lookup hands it back
+/// ([`DhtNetwork::recycle_lookup`]), and an abandoned read drops it.
 #[derive(Debug)]
 pub struct ReadMachine<T> {
     peer: u64,
@@ -616,8 +620,7 @@ fn begin_read<T>(
     parent: Option<SpanId>,
 ) -> ReadMachine<T> {
     let state = if net.is_online(peer) {
-        let lookup = dht.lookup_begin(net, peer, key.0, Some(key), min_version, at, parent);
-        ReadState::Lookup(Box::new(lookup))
+        ReadState::Lookup(dht.lookup_begin(net, peer, key.0, Some(key), min_version, at, parent))
     } else {
         ReadState::done(Err(QbError::NodeOffline(peer)), at)
     };
@@ -651,8 +654,9 @@ fn poll_read<T>(
         if let LookupStep::Pending { next_event_at } = dht.lookup_poll(net, lookup, at) {
             return ReadStep::Pending { next_event_at };
         }
-        // The finished lookup stays in place until its successor is built.
-        machine.state = match lookup.take_result() {
+        // The finished lookup stays in place until its successor is built,
+        // then goes back to the DHT for the next walk to run in.
+        let next = match lookup.take_result() {
             Some((outcome, record)) => {
                 machine.cost.add(outcome.latency, outcome.messages);
                 machine.queue_delay += outcome.queue_delay;
@@ -664,6 +668,9 @@ fn poll_read<T>(
                 ReadState::done(Err(lost), machine.issued_at)
             }
         };
+        if let ReadState::Lookup(done) = std::mem::replace(&mut machine.state, next) {
+            dht.recycle_lookup(done);
+        }
     }
     if let ReadState::Done {
         completed_at,

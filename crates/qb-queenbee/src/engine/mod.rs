@@ -176,7 +176,7 @@ impl QueenBee {
             analyzer: Analyzer::new(),
             dist_index,
             shard_views: ShardViews::default(),
-            impacts: Impacts::new(),
+            impacts: Impacts::default(),
             bees,
             event_cursor: chain.events().len(),
             index_stats: IndexStats::default(),
@@ -877,7 +877,7 @@ mod tests {
         let outcome = qb
             .search_pipelined(duplicate_heavy_requests(), config)
             .unwrap();
-        let spans = qb.windows.spans().to_vec();
+        let spans = qb.windows.spans.to_vec();
         assert_eq!(spans.len(), 4);
         assert!(spans.iter().any(|span| span.issued_at > spans[0].issued_at));
         // Windows issue and retire in request order: each span starts
@@ -916,7 +916,7 @@ mod tests {
         // An empty request list opens no window and records nothing.
         let empty = qb.search_pipelined(Vec::new(), PipelineConfig::batch(0));
         let empty = empty.unwrap();
-        assert!(empty.responses.is_empty() && qb.windows.spans().is_empty());
+        assert!(empty.responses.is_empty() && qb.windows.spans.is_empty());
         assert_eq!(empty.report.windows, 0);
         assert!(qb.take_trace().spans.is_empty());
     }

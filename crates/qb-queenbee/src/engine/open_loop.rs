@@ -4,7 +4,7 @@
 use super::QueenBee;
 use crate::query::admission::{IngressQueue, LoadReport, TimedRequest};
 use crate::query::pipeline::PipelineConfig;
-use crate::query::request::{Freshness, RoutingPolicy, SearchRequest};
+use crate::query::request::{Freshness, RoutingPolicy};
 use qb_common::{QbResult, SimInstant};
 
 impl QueenBee {
@@ -35,7 +35,7 @@ impl QueenBee {
             admitted_per_frontend: vec![0; nf],
             ..LoadReport::default()
         };
-        let mut last_completion = t0;
+        let (mut last_completion, mut arrived) = (t0, Vec::new());
 
         // Arrivals in time order (stable, so same-instant arrivals keep
         // their trace order), consumed by move: an admitted request is
@@ -108,8 +108,9 @@ impl QueenBee {
                         // Dispatch up to a pipeline's worth of queued work.
                         let q = &mut queues[f];
                         let take = q.queue.len().min(cfg.dispatch_limit());
-                        let (arrived, requests): (Vec<SimInstant>, Vec<SearchRequest>) =
-                            q.queue.drain(..take).unzip();
+                        arrived.clear();
+                        arrived.extend(q.queue.iter().take(take).map(|&(at, _)| at));
+                        let requests = q.queue.drain(..take).map(|(_, request)| request);
                         // The batch leaves the ingress queue: retire it from
                         // the router's queued-work gauge.
                         if let Some(fleet) = self.fleet.as_mut() {
@@ -118,9 +119,10 @@ impl QueenBee {
                         self.advance_time_to(at);
                         let (run, served) = self.run_windows(requests, pipeline);
                         self.record_pipeline_run(&run);
-                        let responses = served?;
+                        served?;
                         self.run_due_gossip();
-                        for span in self.windows.spans() {
+                        let responses = &self.windows.responses;
+                        for span in &self.windows.spans {
                             let range = span.first_query..span.first_query + span.queries;
                             for (arrived, response) in
                                 arrived[range.clone()].iter().zip(&responses[range])
@@ -132,7 +134,8 @@ impl QueenBee {
                                 last_completion = last_completion.max(done);
                             }
                         }
-                        self.record_query_trees(&responses, Some(&arrived));
+                        self.record_query_trees(Some(&arrived));
+                        self.windows.responses.clear();
                         report.dispatches += 1;
                         report.windows += run.windows as u64;
                         report.pipeline_queue_delay += run.queue_delay;

@@ -11,7 +11,7 @@ use crate::query::request::{RoutingPolicy, SearchRequest};
 use crate::query::response::{paginate, SearchResponse, StageCosts, TermProvenance};
 use crate::query::terms::TermId;
 use qb_cache::QueryCache;
-use qb_common::{QbError, QbResult, SimDuration, SimInstant};
+use qb_common::{recycle, QbError, QbResult, SimDuration, SimInstant};
 use qb_gossip::GossipFleet;
 use qb_index::{Ranked, ScoreInputs, ScoredDoc, ShardEntry, ShardImpacts, ShardPosting};
 use std::borrow::Cow;
@@ -23,11 +23,11 @@ impl QueenBee {
     /// cache), intersect, score with BM25 blended with PageRank, and attach
     /// the highest-bidding matching ad.
     pub fn search_request(&mut self, request: SearchRequest) -> QbResult<SearchResponse> {
-        let (_, served) = self.run_windows(vec![request], PipelineConfig::batch(1));
-        let mut responses = served?;
-        self.record_query_trees(&responses, None);
+        let (_, served) = self.run_windows([request], PipelineConfig::batch(1));
+        served?;
+        self.record_query_trees(None);
         self.run_due_gossip();
-        Ok(responses.remove(0))
+        Ok(self.windows.responses.remove(0))
     }
 
     /// Serve a request stream through the **pipelined execution engine**:
@@ -48,28 +48,26 @@ impl QueenBee {
     ) -> QbResult<PipelineOutcome> {
         let (report, served) = self.run_windows(requests, config);
         self.record_pipeline_run(&report);
-        let responses = served?;
-        self.record_query_trees(&responses, None);
+        served?;
+        self.record_query_trees(None);
         self.run_due_gossip();
+        let responses = std::mem::take(&mut self.windows.responses);
         Ok(PipelineOutcome { responses, report })
     }
 
-    /// Record one span tree per response of the last run: a `query` root
-    /// from the open loop's arrival instant (`arrived`, one per response)
-    /// or else its window's issue instant, with `queue_wait` /
-    /// `cache_serve` / staged-cost children rebuilt from the response's
-    /// [`StageCosts`], so critical-path analysis can attribute a query's
-    /// latency without knowing engine internals.
-    pub(super) fn record_query_trees(
-        &mut self,
-        responses: &[SearchResponse],
-        arrived: Option<&[SimInstant]>,
-    ) {
+    /// Record one span tree per response of the last run (still in
+    /// `Windows::responses`): a `query` root from the open loop's arrival
+    /// instant (`arrived`, one per response) or else its window's issue
+    /// instant, with `queue_wait` / `cache_serve` / staged-cost children
+    /// rebuilt from the response's [`StageCosts`], so critical-path
+    /// analysis can attribute a query's latency without engine internals.
+    pub(super) fn record_query_trees(&mut self, arrived: Option<&[SimInstant]>) {
         if !self.net.tracing_enabled() {
             return;
         }
         let tracer = self.net.tracer();
-        for span in self.windows.spans() {
+        let responses = &self.windows.responses;
+        for span in &self.windows.spans {
             let issued_at = span.issued_at;
             let range = span.first_query..span.first_query + span.queries;
             for (i, response) in range.clone().zip(&responses[range]) {
@@ -301,7 +299,7 @@ impl QueenBee {
             memo.lookup(shard, &stats, rank_round, component_of)
         };
         let mut shards: Vec<(Cow<'_, ShardEntry>, Option<ShardImpacts>)> =
-            Vec::with_capacity(terms.len());
+            recycle(std::mem::take(&mut self.windows.lineup));
         let mut provenance: Vec<TermProvenance> = Vec::with_capacity(terms.len());
         let mut messages = 0u64;
         let mut any_stale = false;
@@ -364,19 +362,20 @@ impl QueenBee {
         // Score every candidate, unless the resident list already holds
         // them; what gets built from the scores is decided by who keeps it.
         let rank_weight = self.config.rank_weight;
+        let scratch = &mut self.windows.rank;
         let mut ranked = match resident {
             Some(list) => {
                 // The scoring the reuse skips, re-run wherever tests run.
                 debug_assert!(same_bits(
                     &list,
-                    &qb_index::rank(&shards, &stats, component_of, rank_weight).list()
+                    &qb_index::rank(&shards, &stats, component_of, rank_weight, scratch).list()
                 ));
                 self.query_stats.window_memo_hits += 1;
                 Ranked::from(list)
             }
             None => {
                 self.query_stats.score_invocations += 1;
-                qb_index::rank(&shards, &stats, component_of, rank_weight)
+                qb_index::rank(&shards, &stats, component_of, rank_weight, scratch)
             }
         };
         let total = ranked.len();
@@ -415,6 +414,7 @@ impl QueenBee {
         if ranked.has_list() && !reused {
             self.query_stats.scored_lists_built += 1;
         }
+        ranked.recycle(&mut self.windows.rank);
         // The versions of the shards read or held current, in term order.
         let observed = terms
             .iter()
@@ -424,8 +424,9 @@ impl QueenBee {
                 _ => None,
             });
         self.record_observations(plan.frontend, observed);
-        // `shards` borrowed the plan's handles; the terms move on now.
-        drop(shards);
+        // `shards` borrowed the plan's handles; the terms move on now, and
+        // the emptied line-up goes back for the next plan.
+        self.windows.lineup = recycle(shards);
         let terms = terms.into_iter().map(|t| t.term).collect();
 
         // The compute stages (plan, score) stay at their zero default:

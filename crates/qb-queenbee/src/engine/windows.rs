@@ -79,28 +79,48 @@ use crate::query::terms::{TermId, TermTable};
 use qb_common::{QbError, QbResult, SimDuration, SimInstant};
 use qb_gossip::TermKey;
 use qb_index::shard::IndexOpCost;
-use qb_index::{IndexStats, ReadMachine, ReadStep, ShardEntry};
+use qb_index::{IndexStats, RankScratch, ReadMachine, ReadStep, ShardEntry, ShardImpacts};
 use qb_simnet::SimNet;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// The buffers the window loop reuses across runs.
+/// The lists the window loop and `serve_plan` fill and empty, kept across
+/// runs (ARCHITECTURE.md, "A query's scratch is kept by its owner"): between
+/// runs every list is empty but the spans and the spare windows, whose own
+/// lists are.
 #[derive(Default)]
 pub(super) struct Windows {
-    /// The windows in flight (empty between runs).
+    /// The windows in flight.
     in_flight: VecDeque<WindowRun>,
+    /// Retired windows, emptied, for new windows to fill: never more than
+    /// were once in flight at once.
+    spare: Vec<WindowRun>,
+    /// The run's requests not yet cut into a window.
+    pending: VecDeque<SearchRequest>,
+    /// The run's responses, in request order, for its entry point to take.
+    pub(super) responses: Vec<SearchResponse>,
     /// One span per window the last run retired, in request order.
-    spans: Vec<WindowSpan>,
+    pub(super) spans: Vec<WindowSpan>,
+    /// The shards a plan is scored from, lined up in term order while
+    /// `serve_plan` serves it.
+    pub(super) lineup: Vec<(Cow<'static, ShardEntry>, Option<ShardImpacts>)>,
+    /// The kernel's walk table and key buffer.
+    pub(super) rank: RankScratch,
 }
 
 impl Windows {
-    /// One span per window the last run retired, in request order.
-    pub(super) fn spans(&self) -> &[WindowSpan] {
-        &self.spans
+    /// Empty a retired or abandoned window's lists and keep it.
+    fn recycle(&mut self, mut win: WindowRun) {
+        win.plans.clear();
+        win.reads.stats = None;
+        win.reads.shards.clear();
+        self.spare.push(win);
     }
 }
 
 /// One window of a run, from planning to retirement.
+#[derive(Default)]
 struct WindowRun {
     plans: Vec<QueryPlan>,
     reads: WindowReads,
@@ -273,6 +293,7 @@ enum ReadSlot<'a> {
 /// The index reads of one window: each distinct `(serving frontend, term)`
 /// shard once, plus at most one statistics read. (With the cache off the
 /// frontend slot is `None`, so the whole window shares.)
+#[derive(Default)]
 pub(super) struct WindowReads {
     stats: Option<WindowRead<IndexStats>>,
     /// The shard reads, in enumeration order; a [`TermPlan::Fetch`] holds an
@@ -281,27 +302,24 @@ pub(super) struct WindowReads {
 }
 
 impl WindowReads {
-    /// The one enumeration every window starts from: walk the plans in
-    /// order and each plan's terms in order, give every distinct missing
-    /// `(frontend, term)` one slot — the first plan to need a read triggers
-    /// it and pays for it — and write the slot into each term it serves.
-    fn of(plans: &mut [QueryPlan]) -> WindowReads {
-        let mut reads = WindowReads {
-            stats: None,
-            shards: Vec::new(),
-        };
+    /// The one enumeration every window starts from, into its emptied
+    /// reads: walk the plans in order and each plan's terms in order, give
+    /// every distinct missing `(frontend, term)` one slot — the first plan
+    /// to need a read triggers it and pays for it — and write the slot into
+    /// each term it serves.
+    fn enumerate(&mut self, plans: &mut [QueryPlan]) {
         for plan in plans.iter_mut() {
             let (frontend, origin_peer, seq) = (plan.frontend, plan.origin_peer, plan.seq);
             let Resolution::PerTerm { terms, stats } = &mut plan.resolution else {
                 continue;
             };
-            if matches!(stats, StatsPlan::Fetch) && reads.stats.is_none() {
+            if matches!(stats, StatsPlan::Fetch) && self.stats.is_none() {
                 let stats = WindowRead::planned(frontend, (), origin_peer, seq);
-                reads.stats = Some(stats);
+                self.stats = Some(stats);
             }
             for planned in terms {
                 if let TermPlan::Fetch { read } = &mut planned.plan {
-                    let shards = &mut reads.shards;
+                    let shards = &mut self.shards;
                     let shared = shards
                         .iter()
                         .position(|r| r.frontend == frontend && r.term == planned.id);
@@ -313,7 +331,6 @@ impl WindowReads {
                 }
             }
         }
-        reads
     }
 
     /// Every read once, in the order the window issues and polls them: the
@@ -394,21 +411,23 @@ impl QueenBee {
     /// window (cut off the front of the stream when one of `config`'s depth
     /// of slots is free) or advance every window in flight to the next read
     /// completion — until every request is served or a read fails. Windows
-    /// retire in FIFO order into the engine's window spans. A failed run
-    /// abandons the reads still in flight, and its report counts the
-    /// windows that served before the failure.
+    /// retire in FIFO order into the engine's window spans and responses
+    /// (`Windows::responses`, for the entry point to take). A failed run
+    /// abandons the reads still in flight, keeps no response, and its
+    /// report counts the windows that served before the failure.
     pub(super) fn run_windows(
         &mut self,
-        requests: Vec<SearchRequest>,
+        requests: impl IntoIterator<Item = SearchRequest>,
         config: PipelineConfig,
-    ) -> (PipelineReport, QbResult<Vec<SearchResponse>>) {
+    ) -> (PipelineReport, QbResult<()>) {
         let window = config.window_size.max(1);
         let depth = config.max_windows_in_flight.max(1);
         let mut report = PipelineReport::default();
-        let mut responses = Vec::with_capacity(requests.len());
         let mut in_flight = std::mem::take(&mut self.windows.in_flight);
+        let mut pending = std::mem::take(&mut self.windows.pending);
+        pending.extend(requests);
         self.windows.spans.clear();
-        let mut pending: VecDeque<SearchRequest> = requests.into();
+        self.windows.responses.clear();
         let t0 = self.net.now();
         // The loop's position on the virtual timeline; only ever moves
         // forward (to an issue instant or the next read completion).
@@ -419,8 +438,10 @@ impl QueenBee {
             loop {
                 // Retire the front window once all its reads completed (its
                 // last poll found none pending): Fetching → Scoring → Done.
-                if let Some(win) = in_flight.pop_front_if(|w| w.next_event.is_none()) {
-                    self.retire_window(win, t0, &mut report, &mut responses)?;
+                if let Some(mut win) = in_flight.pop_front_if(|w| w.next_event.is_none()) {
+                    let retired = self.retire_window(&mut win, t0, &mut report);
+                    self.windows.recycle(win);
+                    retired?;
                     continue;
                 }
 
@@ -446,12 +467,8 @@ impl QueenBee {
                         // last one takes the rest of the stream as it is),
                         // plan it and start its reads (Planned → Fetching).
                         cursor = issue_at;
-                        let requests = if pending.len() <= window {
-                            Vec::from(std::mem::take(&mut pending))
-                        } else {
-                            pending.drain(..window).collect()
-                        };
-                        let mut win = self.open_window(requests, issue_at)?;
+                        let cut = pending.len().min(window);
+                        let mut win = self.open_window(pending.drain(..cut), issue_at)?;
                         report.stats_reads += u64::from(win.reads.stats.is_some());
                         report.shard_fetches += win.reads.shards.len() as u64;
                         // The window is in flight whether or not its first
@@ -471,9 +488,14 @@ impl QueenBee {
 
         for mut win in in_flight.drain(..) {
             win.reads.abandon(&mut self.net);
+            self.windows.recycle(win);
         }
-        self.windows.in_flight = in_flight;
-        (report, served.map(|()| responses))
+        pending.clear();
+        (self.windows.in_flight, self.windows.pending) = (in_flight, pending);
+        if served.is_err() {
+            self.windows.responses.clear();
+        }
+        (report, served)
     }
 
     /// Fold a pipelined run's counters into the engine-lifetime stats.
@@ -482,12 +504,18 @@ impl QueenBee {
         self.query_stats.pipelined_queries += report.queries as u64;
     }
 
-    /// The one window constructor: plan every request, open the window's
-    /// span at `at` and enumerate its reads. Planning records no spans, so
-    /// the span opens only once the window is known to be valid.
-    fn open_window(&mut self, requests: Vec<SearchRequest>, at: SimInstant) -> QbResult<WindowRun> {
+    /// The one window constructor: plan every request into a spare
+    /// window's lists (a request that fails to plan drops the window),
+    /// open the window's span at `at` and enumerate its reads. Planning
+    /// records no spans, so the span opens only once the window is known to
+    /// be valid.
+    fn open_window(
+        &mut self,
+        requests: impl IntoIterator<Item = SearchRequest>,
+        at: SimInstant,
+    ) -> QbResult<WindowRun> {
         let now = self.net.now();
-        let mut plans: Vec<QueryPlan> = Vec::with_capacity(requests.len());
+        let mut win = self.windows.spare.pop().unwrap_or_default();
         for request in requests {
             let (origin_peer, frontend) = self.resolve_route(&request.routing)?;
             // Every planned query bumps the serving frontend's load signal;
@@ -510,21 +538,16 @@ impl QueenBee {
                 now,
             )?;
             self.query_counter = seq;
-            plans.push(plan);
+            win.plans.push(plan);
         }
-        let count = plans.len();
-        let span = self
+        let count = win.plans.len();
+        win.span = self
             .net
             .tracer()
             .record_with(None, "window", at, at, || format!("{count} queries"));
-        let reads = WindowReads::of(&mut plans);
-        Ok(WindowRun {
-            plans,
-            reads,
-            issued_at: at,
-            next_event: None,
-            span,
-        })
+        win.reads.enumerate(&mut win.plans);
+        (win.issued_at, win.next_event) = (at, None);
+        Ok(win)
     }
 
     /// The issue step of every window: start each of its reads at the
@@ -600,16 +623,16 @@ impl QueenBee {
     /// error, and nothing of the window is counted or served), count it
     /// into the `report` of the run that started at `t0`, record its span
     /// and close its trace span, serve every plan in order (`serve_plan`,
-    /// which reads the finished reads by slot), and queue a genuine
-    /// batch window's freshly fetched shard keys as the serving frontends'
-    /// batch-aware gossip adverts (no-op with the cache or gossip off, or
-    /// when `GossipConfig::batch_advertise` is off).
+    /// which reads the finished reads by slot) into the run's responses,
+    /// taking the plans, and queue a genuine batch window's freshly fetched
+    /// shard keys as the serving frontends' batch-aware gossip adverts
+    /// (no-op with the cache or gossip off, or when
+    /// `GossipConfig::batch_advertise` is off).
     fn retire_window(
         &mut self,
-        win: WindowRun,
+        win: &mut WindowRun,
         t0: SimInstant,
         report: &mut PipelineReport,
-        responses: &mut Vec<SearchResponse>,
     ) -> QbResult<()> {
         let batch = win.plans.len() >= 2 && self.fleet.is_some();
         let (completes_at, queue_delay) = win.reads.completion(win.issued_at)?;
@@ -619,16 +642,16 @@ impl QueenBee {
         report.windows += 1;
         report.queries += win.plans.len();
         self.windows.spans.push(WindowSpan {
-            first_query: responses.len(),
+            first_query: self.windows.responses.len(),
             queries: win.plans.len(),
             issued_at: win.issued_at,
         });
         self.net.tracer().close(win.span, completes_at);
         let now = self.net.now();
-        for plan in win.plans {
+        for plan in win.plans.drain(..) {
             let response = self.serve_plan(plan, &win.reads, win.issued_at, now)?;
             self.chain_query(&response, completes_at);
-            responses.push(response);
+            self.windows.responses.push(response);
         }
         if let Some(fleet) = self.fleet.as_mut() {
             for (frontend, keyed) in adverts {
@@ -741,7 +764,8 @@ mod tests {
                 &[("beta", true), ("alpha", true)],
             ),
         ];
-        let mut reads = WindowReads::of(&mut plans);
+        let mut reads = WindowReads::default();
+        reads.enumerate(&mut plans);
 
         // Each fetch term carries its slot; first occurrence wins the slot,
         // sharing is per frontend, the result hit reads nothing.
@@ -984,6 +1008,55 @@ mod tests {
         assert_eq!(served.hits.len(), 2);
     }
 
+    /// That nothing is in flight — no window, no hop on the wire — and
+    /// every list the engine keeps for the next window is empty, with
+    /// `spares` windows kept.
+    fn assert_ready_for_the_next_window(qb: &QueenBee, spares: usize) {
+        let kept = &qb.windows;
+        assert!(kept.in_flight.is_empty() && qb.net.async_in_flight() == 0);
+        assert!(kept.pending.is_empty() && kept.responses.is_empty());
+        assert!(kept.lineup.is_empty() && kept.rank.is_empty());
+        assert_eq!(kept.spare.len(), spares);
+        for win in &kept.spare {
+            assert!(win.plans.is_empty() && win.plans.capacity() > 0);
+            assert!(win.reads.stats.is_none() && win.reads.shards.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_query_leaves_only_empty_lists_for_the_next_window() {
+        // A served query: its window, emptied, is the one kept, and the
+        // next query runs in it again.
+        let mut qb = two_pages();
+        for _ in 0..2 {
+            let served = qb.search_request(from_peer(5, "decentralized peers"));
+            assert_eq!(served.unwrap().hits.len(), 2);
+            assert_ready_for_the_next_window(&qb, 1);
+        }
+
+        // A run that aborts on a failed read while its sibling window's
+        // hops are on the wire: two windows of one query, the second's
+        // origin peer down.
+        let config = crate::config::QueenBeeConfig::small();
+        let mut qb = with_two_pages(QueenBee::new(config).unwrap());
+        qb.net.set_online(5, false);
+        let issued_before = qb.net.stats().async_ops;
+        let requests = vec![from_peer(3, "peers"), from_peer(5, "decentralized")];
+        let config = PipelineConfig {
+            window_size: 1,
+            max_windows_in_flight: 2,
+        };
+        let aborted = qb.search_pipelined(requests, config);
+        assert!(matches!(aborted, Err(QbError::NodeOffline(5))));
+        assert!(qb.net.stats().async_ops > issued_before, "a sibling issued");
+        assert_ready_for_the_next_window(&qb, 2);
+        // The next run takes from the spares, adding none.
+        qb.net.set_online(5, true);
+        let served = qb.search_request(from_peer(5, "decentralized")).unwrap();
+        assert_eq!(served.hits.len(), 2);
+        assert_ready_for_the_next_window(&qb, 2);
+    }
+
     #[test]
     fn a_window_retired_with_a_read_still_planned_is_an_error_not_a_panic() {
         let mut qb = two_pages();
@@ -991,11 +1064,14 @@ mod tests {
         assert!(window.reads.shards.len() == 2 && window.reads.stats.is_some());
         // Every read finished; put one back to `Planned`.
         window.reads.shards[1].progress = ReadProgress::Planned;
-        let (mut report, mut responses) = (PipelineReport::default(), Vec::new());
+        let mut report = PipelineReport::default();
         let t0 = qb.net.now();
-        let retired = qb.retire_window(window, t0, &mut report, &mut responses);
+        let retired = qb.retire_window(&mut window, t0, &mut report);
         assert!(matches!(retired, Err(QbError::Query(_))), "{retired:?}");
-        assert!(responses.is_empty(), "no plan of the window is served");
+        assert!(
+            qb.windows.responses.is_empty(),
+            "no plan of the window is served"
+        );
         assert_eq!(report, PipelineReport::default(), "nor counted as served");
         assert_eq!(qb.query_stats().score_invocations, 0);
     }

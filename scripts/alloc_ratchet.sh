@@ -22,6 +22,8 @@
 # them, close enough that one allocation per operation creeping back into
 # a hot path does — a page-name `String` per scored hit, a term `String`
 # or result key per plan, a per-query list built only to be walked once,
+# a boxed read machine per read, a request or response list per
+# `search_request`, a list table per kernel call,
 # a shard or result copied into a cache hit, a shard decoded again while
 # some holder has it, a digest, delta or membership buffer per gossip
 # exchange, a `Vec` per DHT walk, reply or store round, or on the write
@@ -76,8 +78,8 @@ check() {
   fi
 }
 
-check score-heavy 0931b7eedaa0bea9 12.1
-check cold-lookup a30562ceaa2f8154 17.1
-check serve-warm 059c87e708c069a0 16.3
-check publish-churn 0858e038e76a9b58 176 34
+check score-heavy 0931b7eedaa0bea9 5.5
+check cold-lookup a30562ceaa2f8154 8.0
+check serve-warm 059c87e708c069a0 8.5
+check publish-churn 0858e038e76a9b58 168 34
 exit "$status"
